@@ -42,6 +42,14 @@
 // aggregates, and cmd/ac3lint runs the determinism-contract analyzers
 // (a blocking CI gate).
 //
+// Hot-path discipline (docs/architecture/ADR-010-hash-and-sign-once.md):
+// every hash and signature on the AC2T path is computed once — a block
+// keeps its header digest, a transaction its id and signature verdict,
+// a run its ms(GD), signed once at Start — and header hashing, proof-
+// of-work grinding and merkle node hashing do not touch the heap. The
+// repository's benchmark (benchmark/, BENCHMARK.json) is what a
+// performance claim is measured with.
+//
 // The benchmarks in bench_test.go regenerate every table and figure;
 // see EXPERIMENTS.md for measured-vs-paper results and DESIGN.md for
 // the system inventory.

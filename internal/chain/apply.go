@@ -255,7 +255,7 @@ func ApplyBlock(parent *State, reg *vm.Registry, params Params, b *Block) (*Stat
 	if b.Header.ChainID != params.ID {
 		return nil, blockErr("chain id %q, want %q", b.Header.ChainID, params.ID)
 	}
-	if !b.Header.CheckPoW() {
+	if !MeetsTarget(b.Hash(), b.Header.Bits) {
 		return nil, blockErr("header fails proof of work")
 	}
 	if b.Header.Bits != uint8(params.DifficultyBits) {

@@ -96,6 +96,7 @@ func BenchmarkSealByDifficulty(b *testing.B) {
 	for _, bits := range []int{4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			h := Header{ChainID: "bench", Height: 1, Time: 10, Bits: uint8(bits)}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h.Nonce = 0
 				h.Parent = crypto.Sum([]byte{byte(i), byte(i >> 8), byte(i >> 16)})
@@ -110,12 +111,26 @@ func BenchmarkSealByDifficulty(b *testing.B) {
 func BenchmarkCheckPoW(b *testing.B) {
 	h := Header{ChainID: "bench", Height: 1, Time: 10, Bits: 12}
 	h.Seal(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !h.CheckPoW() {
 			b.Fatal("sealed header fails PoW")
 		}
 	}
+}
+
+// BenchmarkHeaderHash measures one header digest: encode into a stack
+// buffer plus one SHA-256, no heap traffic.
+func BenchmarkHeaderHash(b *testing.B) {
+	h := Header{ChainID: "bench", Parent: crypto.Sum([]byte("p")), Height: 1, Time: 10, TxRoot: crypto.Sum([]byte("r")), Bits: 6}
+	var sink crypto.Hash
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Nonce = uint64(i)
+		sink = h.Hash()
+	}
+	_ = sink
 }
 
 // BenchmarkApplyBlock measures full block validation + state

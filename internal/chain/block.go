@@ -23,22 +23,31 @@ type Header struct {
 	Nonce   uint64      // ground until Hash() satisfies Bits
 }
 
+// headerFixedLen is the encoded size of a header apart from its chain
+// id: terminator, parent, height, time, tx root, bits, nonce.
+const headerFixedLen = 1 + crypto.HashSize + 8 + 8 + crypto.HashSize + 1 + 8
+
+// headerStackLen sizes the stack buffers Hash and Seal encode into;
+// it holds any header whose chain id is up to 38 bytes, and a longer
+// one merely spills to the heap.
+const headerStackLen = 128
+
+// appendTo appends the canonical encoding of the header to dst. The
+// nonce is the last 8 bytes, which is what lets Seal patch it in place.
+func (h *Header) appendTo(dst []byte) []byte {
+	dst = append(dst, h.ChainID...)
+	dst = append(dst, 0) // chain-id terminator
+	dst = append(dst, h.Parent[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, h.Height)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.Time))
+	dst = append(dst, h.TxRoot[:]...)
+	dst = append(dst, h.Bits)
+	return binary.BigEndian.AppendUint64(dst, h.Nonce)
+}
+
 // Encode serializes the header canonically.
 func (h *Header) Encode() []byte {
-	var buf bytes.Buffer
-	var u64 [8]byte
-	buf.WriteString(string(h.ChainID))
-	buf.WriteByte(0) // chain-id terminator
-	buf.Write(h.Parent[:])
-	binary.BigEndian.PutUint64(u64[:], h.Height)
-	buf.Write(u64[:])
-	binary.BigEndian.PutUint64(u64[:], uint64(h.Time))
-	buf.Write(u64[:])
-	buf.Write(h.TxRoot[:])
-	buf.WriteByte(h.Bits)
-	binary.BigEndian.PutUint64(u64[:], h.Nonce)
-	buf.Write(u64[:])
-	return buf.Bytes()
+	return h.appendTo(make([]byte, 0, len(h.ChainID)+headerFixedLen))
 }
 
 // DecodeHeader reverses Encode.
@@ -78,13 +87,21 @@ func DecodeHeader(b []byte) (*Header, error) {
 	return h, nil
 }
 
-// Hash returns the proof-of-work digest of the header.
-func (h *Header) Hash() crypto.Hash { return crypto.Sum(h.Encode()) }
+// Hash returns the proof-of-work digest of the header. It is computed
+// from the fields on every call — they are public and mutable, and
+// headers are copied by value — so holders that hash one header
+// repeatedly keep the digest themselves (Block.Hash).
+func (h *Header) Hash() crypto.Hash {
+	var stack [headerStackLen]byte
+	return crypto.Sum(h.appendTo(stack[:0]))
+}
 
-// leadingZeroBits counts the leading zero bits of a digest.
-func leadingZeroBits(h crypto.Hash) int {
+// MeetsTarget reports whether a header digest has at least zeroBits
+// leading zero bits. Callers that already hold the digest check the
+// proof of work through it instead of hashing again in CheckPoW.
+func MeetsTarget(digest crypto.Hash, zeroBits uint8) bool {
 	n := 0
-	for _, b := range h {
+	for _, b := range digest {
 		if b == 0 {
 			n += 8
 			continue
@@ -92,24 +109,29 @@ func leadingZeroBits(h crypto.Hash) int {
 		n += bits.LeadingZeros8(b)
 		break
 	}
-	return n
+	return n >= int(zeroBits)
 }
 
 // CheckPoW reports whether the header hash meets its difficulty
 // target. This is the verification SPV evidence runs for every header
 // it carries ("the function ... verifies the proof of work of each
 // header", Section 4.3).
-func (h *Header) CheckPoW() bool {
-	return leadingZeroBits(h.Hash()) >= int(h.Bits)
-}
+func (h *Header) CheckPoW() bool { return MeetsTarget(h.Hash(), h.Bits) }
 
-// Seal grinds the nonce until the header meets its difficulty target.
-// The expected work is 2^Bits hash evaluations; simulation difficulty
-// is kept low so sealing is cheap while verification stays real.
+// Seal grinds the nonce, from start upwards, until the header meets
+// its difficulty target. The expected work is 2^Bits hash evaluations;
+// simulation difficulty is kept low so sealing is cheap while
+// verification stays real. The header is encoded once and only its 8
+// nonce bytes are rewritten per attempt.
 func (h *Header) Seal(start uint64) {
-	h.Nonce = start
-	for !h.CheckPoW() {
-		h.Nonce++
+	var stack [headerStackLen]byte
+	enc := h.appendTo(stack[:0])
+	nonce := enc[len(enc)-8:]
+	for h.Nonce = start; ; h.Nonce++ {
+		binary.BigEndian.PutUint64(nonce, h.Nonce)
+		if MeetsTarget(crypto.Sum(enc), h.Bits) {
+			return
+		}
 	}
 }
 

@@ -109,10 +109,7 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 // everyone settles with Trent's signature as the secret.
 func (r *TWRun) Start() {
 	r.rt.Event(-1, "ac3tw started")
-	r.ms = crypto.NewMultiSig(r.cfg.Graph.Digest())
-	for _, p := range r.cfg.Participants {
-		r.ms.Add(p.Key)
-	}
+	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
 	r.msID = r.ms.ID()
 	if r.cfg.AbortAfter > 0 {
 		r.rt.After(r.cfg.AbortAfter, func() {

@@ -119,6 +119,11 @@ type Run struct {
 	cfg Config
 	rt  *protocol.Runtime
 
+	// ms is ms(GD), built once at Start: each participant contributes
+	// its own signature over the graph digest and the initiator
+	// publishes the set in SCw.
+	ms *crypto.MultiSig
+
 	// SCw location (announced by the initiator off-chain).
 	scwTx   *chain.Tx
 	scwAddr crypto.Address
@@ -246,6 +251,7 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 // Start begins the run at the current virtual time.
 func (r *Run) Start() {
 	r.rt.Event(-1, "ac3wn started")
+	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
 	if r.cfg.AbortAfter > 0 {
 		r.rt.After(r.cfg.AbortAfter, func() {
 			// The deadline only raises the abort flag; the step
@@ -411,14 +417,10 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 		})
 		cpHashes[id] = stable.Hash()
 	}
-	ms := crypto.NewMultiSig(r.cfg.Graph.Digest())
-	for _, q := range r.cfg.Participants {
-		ms.Add(q.Key)
-	}
 	params := vm.EncodeGob(contracts.WitnessParams{
 		Edges:        r.cfg.Graph.Edges,
 		Timestamp:    r.cfg.Graph.Timestamp,
-		Multisig:     *ms,
+		Multisig:     *r.ms,
 		Checkpoints:  cps,
 		WitnessDepth: r.cfg.WitnessDepth,
 	})
@@ -493,11 +495,13 @@ func (r *Run) verifySCw(p *xchain.Participant, scw *contracts.WitnessSC) error {
 	if scw.WitnessDepth != r.cfg.WitnessDepth {
 		return fmt.Errorf("witness depth %d, agreed %d", scw.WitnessDepth, r.cfg.WitnessDepth)
 	}
-	ms := crypto.NewMultiSig(g.Digest())
-	for _, q := range r.cfg.Participants {
-		ms.Add(q.Key)
+	// The id of ms(GD) follows from the digest p signed and the
+	// participants' addresses; nobody else's key is needed to check it.
+	signers := make([]crypto.Address, len(r.cfg.Participants))
+	for i, q := range r.cfg.Participants {
+		signers[i] = q.Addr()
 	}
-	if scw.MSID != ms.ID() {
+	if scw.MSID != crypto.MultiSigID(g.Digest(), signers) {
 		return fmt.Errorf("multisig mismatch")
 	}
 	for _, cp := range scw.Checkpoints {

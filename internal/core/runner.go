@@ -79,3 +79,14 @@ func (r *TWRun) Settled() bool {
 	}
 	return deployed || r.decision == crypto.PurposeRefund
 }
+
+// participantKeys lists the signing keys for the one Graph.Sign each
+// run performs at Start — every party contributing its own signature
+// to ms(GD). No later step touches another party's key.
+func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
+	keys := make([]*crypto.KeyPair, len(ps))
+	for i, p := range ps {
+		keys[i] = p.Key
+	}
+	return keys
+}

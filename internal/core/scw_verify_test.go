@@ -1,0 +1,136 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/contracts"
+	"repro/internal/crypto"
+	"repro/internal/graph"
+	"repro/internal/sim"
+)
+
+// TestAC3WNRejectsSCwWithForeignMultisig: a participant accepts SCw
+// only if it carries the ms(GD) it took part in — the id it computes
+// from the graph it signed and the participants' addresses. An SCw over
+// a different signer set, or over the same swaps at a different
+// timestamp, passes the contract's own constructor (the multisig is
+// complete and valid for what it signs) but must condition nobody's
+// assets: every participant rejects it, pushes authorize_refund, and
+// the AC2T aborts with nothing locked.
+func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
+	cases := []struct {
+		name string
+		// forge stands in for Start's Graph.Sign: it leaves in r.ms (or
+		// publishes itself) what a dishonest initiator would.
+		forge  func(t *testing.T, r *Run, mallory *crypto.KeyPair)
+		reason string
+	}{
+		{
+			name: "different signer set",
+			forge: func(t *testing.T, r *Run, mallory *crypto.KeyPair) {
+				keys := append(participantKeys(r.cfg.Participants), mallory)
+				r.ms = r.cfg.Graph.Sign(keys...)
+			},
+			reason: "multisig mismatch",
+		},
+		{
+			name: "different graph timestamp",
+			forge: func(t *testing.T, r *Run, _ *crypto.KeyPair) {
+				agreed := r.cfg.Graph
+				other, err := graph.New(agreed.Timestamp+1, agreed.Edges...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The constructor checks the multisig against the graph
+				// it is published with, so the forger has to publish the
+				// other graph whole; verifySCw then stops at the
+				// timestamp, one line before the multisig id.
+				r.cfg.Graph, r.ms = other, other.Sign(participantKeys(r.cfg.Participants)...)
+				r.deploySCw(r.cfg.Initiator)
+				r.cfg.Graph = agreed
+			},
+			reason: "graph mismatch",
+		},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, alice, bob := twoPartyWorld(t, 520+uint64(i))
+			r := twoPartyRun(t, w, alice, bob, 0)
+			tc.forge(t, r, crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(9).Uint64)))
+			r.rt.Start()
+			w.RunUntil(60 * sim.Minute)
+			w.StopMining()
+			w.RunFor(sim.Minute)
+
+			var rejected, refunds int
+			for _, ev := range r.Events() {
+				if strings.Contains(ev.Label, "rejects SCw: "+tc.reason) {
+					rejected++
+				}
+				if strings.Contains(ev.Label, "authorize_refund submitted by") {
+					refunds++
+				}
+			}
+			if rejected != 2 {
+				t.Fatalf("%d participants rejected SCw for %q, want 2 (events: %v)", rejected, tc.reason, r.Events())
+			}
+			if refunds == 0 {
+				t.Fatalf("no participant pushed authorize_refund (events: %v)", r.Events())
+			}
+			// Ground truth, not r.DecidedOutcome: a participant that
+			// rejected SCw stops driving before the decision read.
+			ct, ok := w.View("witness").TipState().Contract(r.SCwAddr())
+			if !ok || ct.(*contracts.WitnessSC).State != contracts.WitnessRefundAuthorized {
+				t.Fatalf("forged SCw not driven to RFauth: %+v", ct)
+			}
+			out := r.Grade()
+			if !out.Aborted() || out.AtomicityViolated() {
+				t.Fatalf("not a clean abort: %+v", out.Edges)
+			}
+			for _, e := range out.Edges {
+				if e.Deployed {
+					t.Fatalf("an asset contract was conditioned on the forged SCw: %+v", e)
+				}
+			}
+			if got := ownedTotal(w, "bitcoin", alice.Addr()); got != 1_000_000 {
+				t.Fatalf("alice btc = %d, want untouched", got)
+			}
+			if got := ownedTotal(w, "ethereum", bob.Addr()); got != 1_000_000 {
+				t.Fatalf("bob eth = %d, want untouched", got)
+			}
+		})
+	}
+}
+
+// TestVerifySCwMultisigID checks the id comparison on its own: with
+// graph, depth and checkpoints as agreed, SCw is accepted exactly when
+// its MSID is the one the participants' addresses give over the agreed
+// digest.
+func TestVerifySCwMultisigID(t *testing.T) {
+	w, alice, bob := twoPartyWorld(t, 530)
+	r := twoPartyRun(t, w, alice, bob, 0)
+	g := r.cfg.Graph
+	addrs := []crypto.Address{bob.Addr(), alice.Addr()}
+	scw := func(msid crypto.Hash) *contracts.WitnessSC {
+		return &contracts.WitnessSC{Edges: g.Edges, Timestamp: g.Timestamp, WitnessDepth: r.cfg.WitnessDepth, MSID: msid}
+	}
+	if err := r.verifySCw(bob, scw(g.Sign(alice.Key, bob.Key).ID())); err != nil {
+		t.Fatalf("genuine ms(GD) rejected: %v", err)
+	}
+	later, err := graph.New(g.Timestamp+1, g.Edges...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(9).Uint64))
+	for name, msid := range map[string]crypto.Hash{
+		"other timestamp": crypto.MultiSigID(later.Digest(), addrs),
+		"extra signer":    g.Sign(alice.Key, bob.Key, mallory).ID(),
+		"missing signer":  crypto.MultiSigID(g.Digest(), addrs[:1]),
+		"zero":            {},
+	} {
+		if err := r.verifySCw(bob, scw(msid)); err == nil || err.Error() != "multisig mismatch" {
+			t.Errorf("%s: verifySCw = %v, want multisig mismatch", name, err)
+		}
+	}
+}

@@ -40,10 +40,33 @@ func BenchmarkMultiSigComplete(b *testing.B) {
 		ms.Add(k)
 		required = append(required, k.Addr)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !ms.Complete(required) {
 			b.Fatal("complete multisig rejected")
+		}
+	}
+}
+
+// BenchmarkMultiSigCompleteMissingSigner measures the structural
+// rejection: a required signer is absent, so no signature is verified.
+func BenchmarkMultiSigCompleteMissingSigner(b *testing.B) {
+	rng := sim.NewRNG(2)
+	ms := NewMultiSig(Sum([]byte("(D, t)")))
+	var required []Address
+	for i := 0; i < 8; i++ {
+		k := MustGenerateKey(NewRandReader(rng.Uint64))
+		if i < 7 {
+			ms.Add(k)
+		}
+		required = append(required, k.Addr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ms.Complete(required) {
+			b.Fatal("incomplete multisig accepted")
 		}
 	}
 }

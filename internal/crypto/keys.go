@@ -31,15 +31,19 @@ type Hash [HashSize]byte
 //ac3:globalstate zero-value sentinel compared by value; never written
 var ZeroHash Hash
 
-// Sum hashes the concatenation of the given byte slices.
+// Sum hashes the concatenation of the given byte slices. A single
+// part, or parts totalling at most 256 bytes (a header, a merkle node,
+// a multisig id), are hashed without touching the heap.
 func Sum(parts ...[]byte) Hash {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
+	if len(parts) == 1 {
+		return sha256.Sum256(parts[0])
 	}
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	var stack [256]byte
+	buf := stack[:0]
+	for _, p := range parts {
+		buf = append(buf, p...)
+	}
+	return sha256.Sum256(buf)
 }
 
 // Bytes returns the digest as a slice.
@@ -137,12 +141,15 @@ type Signature struct {
 	Sig []byte
 }
 
+// wellFormed reports whether the key and signature have the right
+// lengths — the structural check that needs no curve arithmetic.
+func (s Signature) wellFormed() bool {
+	return len(s.Pub) == ed25519.PublicKeySize && len(s.Sig) == ed25519.SignatureSize
+}
+
 // Verify reports whether the signature is valid for msg.
 func (s Signature) Verify(msg []byte) bool {
-	if len(s.Pub) != ed25519.PublicKeySize || len(s.Sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(s.Pub, msg, s.Sig)
+	return s.wellFormed() && ed25519.Verify(s.Pub, msg, s.Sig)
 }
 
 // Signer returns the address of the signing key.

@@ -1,8 +1,9 @@
 package crypto
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MultiSig is the multisignature ms(D) of Equation 1: every
@@ -34,15 +35,16 @@ func (m *MultiSig) Add(k *KeyPair) {
 
 // AddSignature appends an externally produced signature (for
 // participants signing on remote sites). Invalid or duplicate
-// signatures are rejected.
+// signatures are rejected — duplicate and malformed ones before any
+// curve arithmetic is spent on them.
 func (m *MultiSig) AddSignature(sig Signature) error {
-	if !sig.Verify(m.Digest[:]) {
-		return fmt.Errorf("crypto: multisig: invalid signature from %s", sig.Signer())
-	}
 	for _, s := range m.Sigs {
 		if s.Signer() == sig.Signer() {
 			return fmt.Errorf("crypto: multisig: duplicate signer %s", sig.Signer())
 		}
+	}
+	if !sig.Verify(m.Digest[:]) {
+		return fmt.Errorf("crypto: multisig: invalid signature from %s", sig.Signer())
 	}
 	m.Sigs = append(m.Sigs, sig.Clone())
 	return nil
@@ -58,24 +60,46 @@ func (m *MultiSig) Signers() []Address {
 	return out
 }
 
+// signerSet returns the set of signing addresses, or false when any
+// signature is malformed. It is the structural half of Complete and
+// CompleteThreshold, run before allValid so a multisignature that
+// cannot pass is rejected without any curve arithmetic.
+func (m *MultiSig) signerSet() (map[Address]bool, bool) {
+	have := make(map[Address]bool, len(m.Sigs))
+	for _, s := range m.Sigs {
+		if !s.wellFormed() {
+			return nil, false
+		}
+		have[s.Signer()] = true
+	}
+	return have, true
+}
+
+// allValid reports whether every carried signature verifies.
+func (m *MultiSig) allValid() bool {
+	for _, s := range m.Sigs {
+		if !s.Verify(m.Digest[:]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Complete reports whether every required participant has validly
 // signed the digest. Extra signatures from non-participants do not
 // make an incomplete multisignature complete, but are tolerated (the
 // paper only requires that all participants agree).
 func (m *MultiSig) Complete(required []Address) bool {
-	have := make(map[Address]bool, len(m.Sigs))
-	for _, s := range m.Sigs {
-		if !s.Verify(m.Digest[:]) {
-			return false
-		}
-		have[s.Signer()] = true
+	have, ok := m.signerSet()
+	if !ok {
+		return false
 	}
 	for _, r := range required {
 		if !have[r] {
 			return false
 		}
 	}
-	return true
+	return m.allValid()
 }
 
 // CompleteThreshold reports whether at least m of the required
@@ -90,22 +114,18 @@ func (m *MultiSig) CompleteThreshold(required []Address, threshold int) bool {
 	if threshold <= 0 || threshold > len(required) {
 		return false
 	}
-	have := make(map[Address]bool, len(m.Sigs))
-	for _, s := range m.Sigs {
-		if !s.Verify(m.Digest[:]) {
-			return false
-		}
-		have[s.Signer()] = true
+	have, ok := m.signerSet()
+	if !ok {
+		return false
 	}
 	count := 0
-	seen := make(map[Address]bool, len(required))
 	for _, r := range required {
-		if have[r] && !seen[r] {
-			seen[r] = true
+		if have[r] {
+			delete(have, r) // a repeated required address counts once
 			count++
 		}
 	}
-	return count >= threshold
+	return count >= threshold && m.allValid()
 }
 
 // ID returns an order-independent identifier for this ms(D): the hash
@@ -113,15 +133,20 @@ func (m *MultiSig) CompleteThreshold(required []Address, threshold int) bool {
 // multisignatures over the same (D, t) by the same participants have
 // the same ID regardless of signing order, matching the paper's remark
 // that "the order of participant signatures in ms(D) is not important".
-func (m *MultiSig) ID() Hash {
-	signers := m.Signers()
-	parts := make([][]byte, 0, len(signers)+1)
-	parts = append(parts, m.Digest[:])
-	for _, a := range signers {
-		a := a
-		parts = append(parts, a[:])
+func (m *MultiSig) ID() Hash { return MultiSigID(m.Digest, m.Signers()) }
+
+// MultiSigID derives the ID of the ms(D) that signers produce over
+// digest from their addresses alone, so a participant can check a
+// published multisignature's identity without anyone's private key.
+func MultiSigID(digest Hash, signers []Address) Hash {
+	sorted := append([]Address(nil), signers...)
+	sortAddresses(sorted)
+	var stack [256]byte
+	buf := append(stack[:0], digest[:]...)
+	for _, a := range sorted {
+		buf = append(buf, a[:]...)
 	}
-	return Sum(parts...)
+	return Sum(buf)
 }
 
 // Clone deep-copies the multisignature.
@@ -134,12 +159,5 @@ func (m *MultiSig) Clone() *MultiSig {
 }
 
 func sortAddresses(as []Address) {
-	sort.Slice(as, func(i, j int) bool {
-		for k := range as[i] {
-			if as[i][k] != as[j][k] {
-				return as[i][k] < as[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(as, func(a, b Address) int { return bytes.Compare(a[:], b[:]) })
 }

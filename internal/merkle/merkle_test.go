@@ -309,3 +309,19 @@ func TestPropertyDistinctLeavesDistinctRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeAndLeafHashingDoNotAllocate pins the per-node cost of every
+// tx root and inclusion proof: crypto.Sum joins the prefix and the
+// children in a stack buffer.
+func TestNodeAndLeafHashingDoNotAllocate(t *testing.T) {
+	leaves := mkLeaves(2)
+	id := leaves[0]
+	var sink crypto.Hash
+	if n := testing.AllocsPerRun(100, func() { sink = nodeHash(leaves[0], leaves[1]) }); n != 0 {
+		t.Errorf("nodeHash allocates %.0f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = LeafHash(id[:]) }); n != 0 {
+		t.Errorf("LeafHash of a tx id allocates %.0f times per call", n)
+	}
+	_ = sink
+}

@@ -19,6 +19,7 @@ func BenchmarkEvidenceVerify(b *testing.B) {
 			}
 			checkpoint := f.view.Genesis().Header
 			b.ReportMetric(float64(len(ev.Encode())), "evidence-bytes")
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ev.Verify(checkpoint, 6); err != nil {

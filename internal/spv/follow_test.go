@@ -61,6 +61,14 @@ func TestFollowTracksReorg(t *testing.T) {
 	if ln.Tip().Hash() != f.view.Tip().Header.Hash() {
 		t.Fatal("follower did not switch to the winning fork")
 	}
+	// The rewind re-links the index from Parent links alone; it must
+	// land on the view's canonical block at every height.
+	for h := uint64(0); h <= f.view.Height(); h++ {
+		want, _ := f.view.CanonicalAt(h)
+		if ln.byHeight[h] != want.Hash() {
+			t.Fatalf("height %d: follower indexes %s, view has %s", h, ln.byHeight[h], want.Hash())
+		}
+	}
 	// The follower's canonical index must validate inclusion against
 	// the new branch, not the stale one: the old tx's block is no
 	// longer canonical.

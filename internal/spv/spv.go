@@ -88,10 +88,11 @@ func (e *Evidence) Verify(checkpoint *chain.Header, minDepth int) (*chain.Tx, er
 		if h.Height != prevHeight+1 {
 			return nil, evErr("header %d height %d, want %d", i, h.Height, prevHeight+1)
 		}
-		if !h.CheckPoW() {
+		hash := h.Hash() // once: the PoW digest is also the next link
+		if !chain.MeetsTarget(hash, h.Bits) {
 			return nil, evErr("header %d fails proof of work", i)
 		}
-		prevHash = h.Hash()
+		prevHash = hash
 		prevHeight = h.Height
 	}
 	if e.TxBlockOffset < 0 || e.TxBlockOffset >= len(e.Headers) {

@@ -2,6 +2,7 @@ package spv
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -140,6 +141,26 @@ func TestEvidenceForgedPoWRejected(t *testing.T) {
 	ev.Headers[len(ev.Headers)-1] = &forged
 	if _, err := ev.Verify(cp.Header, 6); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("unsealed header accepted: %v", err)
+	}
+}
+
+// TestEvidenceBadPoWMidChainRejectedAtItsIndex: Verify hashes every
+// header once and reuses the digest as the next link, so a header that
+// fails its target in the middle must still stop verification there,
+// before the link check of its successor could mask it.
+func TestEvidenceBadPoWMidChainRejectedAtItsIndex(t *testing.T) {
+	f := newFixture(t, 6)
+	cp := f.view.Genesis()
+	ev, _ := Build(f.view, cp.Hash(), f.tx.ID(), 6)
+	const mid = 3
+	forged := *ev.Headers[mid]
+	for forged.CheckPoW() {
+		forged.Nonce++
+	}
+	ev.Headers[mid] = &forged
+	_, err := ev.Verify(cp.Header, 6)
+	if !errors.Is(err, ErrBadEvidence) || !strings.Contains(err.Error(), "header 3 fails proof of work") {
+		t.Fatalf("mid-chain unsealed header: %v", err)
 	}
 }
 

@@ -59,10 +59,11 @@ var ErrUnknownHeader = errors.New("spv: unknown header")
 
 // NewLightNode starts a light node trusting the given genesis header.
 func NewLightNode(genesis *chain.Header) *LightNode {
+	gh := genesis.Hash()
 	return &LightNode{
 		id:       genesis.ChainID,
-		headers:  map[crypto.Hash]*chain.Header{genesis.Hash(): genesis},
-		byHeight: map[uint64]crypto.Hash{genesis.Height: genesis.Hash()},
+		headers:  map[crypto.Hash]*chain.Header{gh: genesis},
+		byHeight: map[uint64]crypto.Hash{genesis.Height: gh},
 		tip:      genesis,
 	}
 }
@@ -73,7 +74,8 @@ func (l *LightNode) AddHeader(h *chain.Header) error {
 	if h.ChainID != l.id {
 		return fmt.Errorf("spv: header from chain %q, want %q", h.ChainID, l.id)
 	}
-	if _, dup := l.headers[h.Hash()]; dup {
+	hash := h.Hash()
+	if _, dup := l.headers[hash]; dup {
 		return nil
 	}
 	parent, ok := l.headers[h.Parent]
@@ -83,23 +85,22 @@ func (l *LightNode) AddHeader(h *chain.Header) error {
 	if h.Height != parent.Height+1 {
 		return fmt.Errorf("spv: header height %d after parent %d", h.Height, parent.Height)
 	}
-	if !h.CheckPoW() {
+	if !chain.MeetsTarget(hash, h.Bits) {
 		return fmt.Errorf("spv: header fails proof of work")
 	}
-	l.headers[h.Hash()] = h
+	l.headers[hash] = h
 	if h.Height > l.tip.Height {
 		l.tip = h
-		// Rewind the canonical index along the new branch.
-		for cur := h; ; {
-			hh := cur.Hash()
-			if l.byHeight[cur.Height] == hh {
-				break
-			}
-			l.byHeight[cur.Height] = hh
+		// Rewind the canonical index along the new branch. Every stored
+		// header is keyed by its hash, so an ancestor's hash is its
+		// child's Parent — nothing is hashed again.
+		for cur := h; l.byHeight[cur.Height] != hash; {
+			l.byHeight[cur.Height] = hash
 			if cur.Height == 0 {
 				break
 			}
-			cur = l.headers[cur.Parent]
+			hash = cur.Parent
+			cur = l.headers[hash]
 		}
 	}
 	return nil
