@@ -50,6 +50,16 @@
 // repository's benchmark (benchmark/, BENCHMARK.json) is what a
 // performance claim is measured with.
 //
+// State discipline (docs/architecture/ADR-011-one-execution-per-block.md):
+// the chain executor runs every block once. A block's ledger state is an
+// overlay holding exactly what the block changed; when the executor's GC
+// drops the state it keeps that delta as flat slices, re-derives a
+// pruned state by re-mounting deltas, and advances its retire-floor
+// state by folding them in place — re-execution remains only for a
+// block whose delta went with a fork that looked dead. Per-AC2T cost no
+// longer grows with how long a world has been running, except for the
+// copy and GC scan of the ledger itself.
+//
 // The benchmarks in bench_test.go regenerate every table and figure;
 // see EXPERIMENTS.md for measured-vs-paper results and DESIGN.md for
 // the system inventory.

@@ -89,6 +89,68 @@ func BenchmarkStateLookupByOverlayDepth(b *testing.B) {
 	}
 }
 
+// benchState returns a base of n outputs spread over n/4 owners with
+// flattenDepth overlays on top, each adding four outputs and spending
+// two of the base's — the shape Child collapses every flattenDepth
+// blocks.
+func benchState(n int) *State {
+	owner := func(i int) crypto.Address {
+		return crypto.Address{byte(i), byte(i >> 8), byte(i >> 16)}
+	}
+	st := NewState()
+	for i := range n {
+		st.AddUTXO(OutPoint{Index: uint32(i)}, TxOut{Value: 1, Owner: owner(i / 4)})
+	}
+	for layer := range flattenDepth {
+		st = st.overlay()
+		for j := range 4 {
+			i := n + layer*4 + j
+			st.AddUTXO(OutPoint{Index: uint32(i)}, TxOut{Value: 1, Owner: owner(i / 4)})
+		}
+		st.Spend(OutPoint{Index: uint32(layer * 2)})
+		st.Spend(OutPoint{Index: uint32(layer*2 + 1)})
+	}
+	return st
+}
+
+// BenchmarkFlatten measures collapsing a full overlay chain into a new
+// base: pre-sized map copies of the old base plus the overlays' deltas,
+// owner index included. The cost is O(base) and is paid once per
+// flattenDepth blocks.
+func BenchmarkFlatten(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
+			st := benchState(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if f := st.flatten(); len(f.utxos) != n+2*flattenDepth {
+					b.Fatalf("flattened base holds %d outputs", len(f.utxos))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUTXOsOwnedByColdOwner measures a wallet read for an address
+// the state has never been asked about — every AC2T's fresh wallets —
+// under a full overlay chain: the overlays' deltas plus one index
+// lookup, independent of the base's size.
+func BenchmarkUTXOsOwnedByColdOwner(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
+			st := benchState(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A different owner every time; three in four own
+				// nothing at all.
+				st.UTXOsOwnedBy(crypto.Address{byte(i), byte(i >> 8), byte(i >> 16), byte(i & 3)})
+			}
+		})
+	}
+}
+
 // BenchmarkSealByDifficulty is the DESIGN.md ✦ ablation for PoW: how
 // grinding cost scales with difficulty bits (verification stays one
 // hash regardless).

@@ -144,7 +144,7 @@ func (c *Chain) DepthOf(h crypto.Hash) (int, bool) {
 // StateAt returns the ledger state after the block with hash h. The
 // state is shared across views: treat it as read-only and branch with
 // Child() before mutating. A state pruned by the executor's GC is
-// re-derived transparently by replay.
+// re-derived transparently from the retained block deltas.
 func (c *Chain) StateAt(h crypto.Hash) (*State, bool) {
 	if !c.have[h] {
 		return nil, false

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/crypto"
 	"repro/internal/vm"
@@ -21,15 +22,19 @@ import (
 //
 // With Params.PruneDepth > 0 the executor additionally garbage-collects
 // ledger states: once a block is buried deeper than PruneDepth below
-// every live view's tip, its memoized *State is dropped, and index
-// entries of blocks canonical in no view go with it. A pruned state
-// read below the horizon is re-derived by replaying blocks from the
-// nearest retained ancestor state — the same determinism argument in
-// reverse. With Params.RetireDepth > 0 a second, much deeper sweep
-// releases whole blocks (bodies carry the SPV evidence blobs that
-// dominate memory at scale), pinning the canonical state at the retire
-// floor as the replay base — the pruned-full-node model: history below
-// the floor is gone, everything above it stays replayable. See ADR-007.
+// every live view's tip, its memoized *State is dropped and only the
+// block's own changes are kept, as a compact blockDelta; index entries
+// (and the delta) of blocks canonical in no view go with the state. A
+// pruned state read below the horizon is re-derived by re-mounting the
+// deltas on the nearest retained ancestor state — no transaction runs
+// a second time. With Params.RetireDepth > 0 a second, much deeper
+// sweep releases whole blocks (bodies carry the SPV evidence blobs that
+// dominate memory at scale) after folding their deltas into the floor
+// state — the pruned-full-node model: history below the floor is gone,
+// everything above it stays re-derivable. Re-executing a block
+// (ApplyBlock, counted in ExecStats.Replays) survives only as the
+// fallback for a block whose delta was dropped — the Section 2.3
+// determinism argument in reverse. See ADR-007 and ADR-011.
 //
 // The executor is deliberately lock-free: it inherits the simulation's
 // single-goroutine-per-world discipline (the engine's shards each own
@@ -59,12 +64,22 @@ type Executor struct {
 	byHeight   map[uint64][]crypto.Hash
 	pruneFloor uint64
 
+	// deltas holds the own changes of every pruned, not yet retired
+	// block that was canonical in some view when its state was dropped
+	// (or was re-executed since): what stateOf re-mounts and retire
+	// folds, instead of running the block again.
+	deltas map[crypto.Hash]*blockDelta
+
 	// History retirement (Params.RetireDepth): retireFloor is the
 	// lowest retained height (0 while retirement is disabled or hasn't
-	// advanced), ckpt the canonical block at that floor whose state is
-	// pinned as the replay base for everything above it.
+	// advanced), ckpt the canonical block at that floor, and floor the
+	// ledger state after ckpt — a base private to the executor, advanced
+	// in place one delta at a time and therefore never handed out:
+	// stateOf serves copies. nil until retirement first advances (the
+	// genesis state in states is the base until then).
 	retireFloor uint64
 	ckpt        crypto.Hash
+	floor       *State
 
 	stats ExecStats
 }
@@ -93,9 +108,10 @@ type ExecStats struct {
 	// Pruned counts per-block states dropped by depth-based pruning.
 	Pruned uint64
 	// Replays counts ApplyBlock runs performed solely to re-derive a
-	// pruned state (excluded from Executed so accounting is identical
-	// with pruning on or off). Checkpoint advances during history
-	// retirement replay each block at most once more over its life.
+	// pruned state whose delta is gone (excluded from Executed so
+	// accounting is identical with pruning on or off). 0 unless a fork
+	// that was dead when it was pruned comes back to life; such a block
+	// is re-executed at most once.
 	Replays uint64
 	// Retired counts whole blocks released by history retirement
 	// (Params.RetireDepth).
@@ -140,6 +156,7 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 		txIndex:  make(map[crypto.Hash][]crypto.Hash),
 		opIndex:  make(map[crypto.Address][]opRef),
 		byHeight: make(map[uint64][]crypto.Hash),
+		deltas:   make(map[crypto.Hash]*blockDelta),
 	}
 	e.stats.Executed++
 	e.admit(genesis.Hash(), genesis, st)
@@ -186,50 +203,62 @@ func (e *Executor) Block(h crypto.Hash) (*Block, bool) {
 }
 
 // StateOf returns the ledger state after a valid block, re-deriving it
-// by replay if pruning dropped it. The state is shared across every
-// view — callers must treat it as read-only and branch with Child()
-// before mutating.
+// if pruning dropped it. The state is shared across every view —
+// callers must treat it as read-only and branch with Child() before
+// mutating.
 func (e *Executor) StateOf(h crypto.Hash) (*State, bool) {
 	return e.stateOf(h)
 }
 
-// stateOf serves a per-block state, replaying from the nearest
-// retained ancestor state when the memoized one was pruned. The
-// genesis state is never pruned, so the ancestor walk terminates. The
-// re-derived endpoint is memoized again (it sits below the monotone
-// prune floor and is never re-swept); intermediate replay states are
-// not, so one deep read re-inserts at most one state.
+// stateOf serves a per-block state. A pruned one is rebuilt from the
+// nearest retained ancestor state — or from a copy of the floor state
+// when the walk reaches the retire floor first — by mounting one
+// overlay per block on the way up and filling it from the block's
+// retained delta; only a block whose delta is gone is re-executed (and
+// its delta kept this time). The genesis state is never pruned, so the
+// ancestor walk terminates. The re-derived endpoint is memoized again
+// (it sits below the monotone prune floor and is never re-swept);
+// intermediate states are not, so one deep read re-inserts at most one
+// state.
 func (e *Executor) stateOf(h crypto.Hash) (*State, bool) {
 	if st, ok := e.states[h]; ok {
 		return st, true
 	}
-	b, ok := e.blocks[h]
-	if !ok {
-		return nil, false
-	}
 	var path []*Block
-	for cur := b; ; {
-		path = append(path, cur)
-		if st, ok := e.states[cur.Header.Parent]; ok {
-			for i := len(path) - 1; i >= 0; i-- {
-				next, err := ApplyBlock(st, e.reg, e.params, path[i])
-				if err != nil {
-					// Unreachable: every stored block was validated
-					// once, and replay is deterministic.
-					panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", path[i].Hash(), err))
-				}
-				e.stats.Replays++
-				st = next
+	var st *State
+	for at := h; st == nil; {
+		if retained, ok := e.states[at]; ok {
+			st = retained
+		} else if e.floor != nil && at == e.ckpt {
+			st = e.floor.clone()
+		} else {
+			b, ok := e.blocks[at]
+			if !ok {
+				return nil, false
 			}
-			e.states[h] = st
-			return st, true
+			path = append(path, b)
+			at = b.Header.Parent
 		}
-		parent, ok := e.blocks[cur.Header.Parent]
-		if !ok {
-			return nil, false
-		}
-		cur = parent
 	}
+	for _, b := range slices.Backward(path) {
+		bh := b.Hash()
+		if d, ok := e.deltas[bh]; ok {
+			st = st.Child()
+			st.apply(d)
+			continue
+		}
+		next, err := ApplyBlock(st, e.reg, e.params, b)
+		if err != nil {
+			// Unreachable: every stored block was validated once, and
+			// re-execution is deterministic.
+			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
+		}
+		e.stats.Replays++
+		e.deltas[bh] = next.delta()
+		st = next
+	}
+	e.states[h] = st
+	return st, true
 }
 
 // Execute validates b against its parent and memoizes the outcome.
@@ -349,13 +378,14 @@ func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
 // prune advances the state-GC sweep. The horizon is
 // min(tip height over all views) − PruneDepth: a state above it may
 // still be a reorg pivot for some replica; a state below it is
-// reachable only through a reorg deeper than PruneDepth, which the
-// replay path handles. The sweep cursor pruneFloor is monotone, so
-// each height is visited once and the per-block cost is amortized
-// O(1). Block bodies, headers, and verdicts are never pruned; the
-// genesis state is retained as the replay base of last resort. Index
-// entries (tx→block, contract ops) of swept blocks canonical in no
-// view are dropped with the states.
+// reachable only through a reorg deeper than PruneDepth, which stateOf
+// serves from the retained deltas. The sweep cursor pruneFloor is
+// monotone, so each height is visited once and the per-block cost is
+// O(the block's delta). Block bodies, headers, and verdicts are never
+// pruned; the genesis state is retained as the base of last resort. A
+// swept block canonical in no view loses its index entries (tx→block,
+// contract ops) and keeps no delta — if that fork ever comes back,
+// stateOf re-executes it.
 func (e *Executor) prune() {
 	d := e.params.PruneDepth
 	if d <= 0 || len(e.views) == 0 {
@@ -371,19 +401,17 @@ func (e *Executor) prune() {
 		return
 	}
 	horizon := minTip - uint64(d)
-	for height := e.pruneFloor; height < horizon; height++ {
-		hashes, ok := e.byHeight[height]
-		if !ok {
-			continue
-		}
-		for _, bh := range hashes {
-			if height > 0 {
-				if _, live := e.states[bh]; live {
-					delete(e.states, bh)
-					e.stats.Pruned++
+	for height := max(e.pruneFloor, 1); height < horizon; height++ {
+		for _, bh := range e.byHeight[height] {
+			dead := e.deadFork(bh, height)
+			if st, live := e.states[bh]; live {
+				if !dead {
+					e.deltas[bh] = st.delta()
 				}
+				delete(e.states, bh)
+				e.stats.Pruned++
 			}
-			if e.deadFork(bh, height) {
+			if dead {
 				e.dropBlockIndexes(bh)
 			}
 		}
@@ -394,13 +422,14 @@ func (e *Executor) prune() {
 
 // retire advances the history-GC sweep (Params.RetireDepth): whole
 // blocks below the retire horizon are released — bodies, headers, index
-// entries, and every view's have/canonical records — after the
-// canonical state at the new floor is pinned as the replay base. This
+// entries, deltas, and every view's have/canonical records — after the
+// floor state has been advanced to the new floor by folding the
+// canonical blocks' deltas into it, in height order and in place. This
 // is the pruned-full-node model: anything at or above the floor is
-// replayable (bodies + pinned checkpoint state), anything below it is
-// gone, and a reorg attempting to cross the floor is rejected as an
-// unknown parent. The genesis block is exempt (it anchors chain
-// identity and deterministic reconstruction).
+// re-derivable (floor state + retained deltas, bodies as the fallback),
+// anything below it is gone, and a reorg attempting to cross the floor
+// is rejected as an unknown parent. The genesis block is exempt (it
+// anchors chain identity and deterministic reconstruction).
 func (e *Executor) retire(minTip uint64) {
 	rd := e.params.RetireDepth
 	if rd <= 0 || minTip <= uint64(rd) {
@@ -414,7 +443,8 @@ func (e *Executor) retire(minTip uint64) {
 	// RetireDepth exceeding every plausible reorg makes disagreement
 	// pathological; if it happens anyway, retirement stalls (safe)
 	// rather than guessing.
-	ck, ok := e.views[0].canonical[horizon]
+	canonical := e.views[0].canonical
+	ck, ok := canonical[horizon]
 	if !ok {
 		return
 	}
@@ -423,11 +453,14 @@ func (e *Executor) retire(minTip uint64) {
 			return
 		}
 	}
-	// Pin the checkpoint state while the bodies below it still exist:
-	// stateOf replays forward from the previous checkpoint (or
-	// genesis), so each block is replayed at most once more, ever.
-	if _, ok := e.stateOf(ck); !ok {
-		return
+	if e.floor == nil {
+		e.ckpt = e.genesis.Hash()
+		e.floor = e.states[e.ckpt].flatten()
+	}
+	// Views agreeing on ck agree on all of its ancestors, so view 0's
+	// canonical index names the path from the old floor to the new one.
+	for height := e.retireFloor + 1; height <= horizon; height++ {
+		e.advanceFloor(canonical[height])
 	}
 	for height := e.retireFloor; height < horizon; height++ {
 		if height == 0 {
@@ -435,11 +468,12 @@ func (e *Executor) retire(minTip uint64) {
 		}
 		for _, bh := range e.byHeight[height] {
 			if _, live := e.states[bh]; live {
-				// The previous checkpoint and memoized deep-read
-				// endpoints live below the prune floor; they die here.
+				// Memoized deep-read endpoints and late-arriving fork
+				// blocks live below the prune floor; they die here.
 				delete(e.states, bh)
 				e.stats.Pruned++
 			}
+			delete(e.deltas, bh)
 			e.dropBlockIndexes(bh)
 			delete(e.blocks, bh)
 			e.stats.Retired++
@@ -452,8 +486,30 @@ func (e *Executor) retire(minTip uint64) {
 			delete(v.canonical, height)
 		}
 	}
-	e.ckpt = ck
 	e.retireFloor = horizon
+}
+
+// advanceFloor moves the floor state one block up, to the child bh of
+// the current checkpoint: by the block's delta, else by its still
+// retained state's own layer (a block admitted below the prune floor is
+// never swept), else — the delta was dropped with a fork that looked
+// dead — by re-executing the block on the floor.
+func (e *Executor) advanceFloor(bh crypto.Hash) {
+	if d, ok := e.deltas[bh]; ok {
+		e.floor.apply(d)
+		delete(e.deltas, bh)
+	} else if st, ok := e.states[bh]; ok {
+		e.floor.absorb(st)
+	} else {
+		st, err := ApplyBlock(e.floor, e.reg, e.params, e.blocks[bh])
+		if err != nil {
+			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
+		}
+		e.stats.Replays++
+		e.floor.absorb(st)
+		st.recycle()
+	}
+	e.ckpt = bh
 }
 
 // deadFork reports whether the block is canonical in no live view —

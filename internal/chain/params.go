@@ -54,17 +54,19 @@ type Params struct {
 
 	// PruneDepth is the executor's state-GC horizon: per-block ledger
 	// states buried deeper than PruneDepth below *every* live view's
-	// tip are dropped and re-derived by replay on the rare deep read.
-	// 0 disables pruning (retain every state forever, the pre-GC
-	// behavior). When enabled it must clear ConfirmDepth, or stability
-	// reads at depth d would replay on every call.
+	// tip are dropped — only the block's own delta is kept — and
+	// re-derived from the deltas on the rare deep read. 0 disables
+	// pruning (retain every state forever, the pre-GC behavior). When
+	// enabled it must clear ConfirmDepth, or stability reads at depth d
+	// would re-derive a state on every call.
 	PruneDepth int
 
 	// RetireDepth is the executor's history-GC horizon: whole blocks
 	// (bodies, headers, and their index entries) buried deeper than
 	// RetireDepth below every live view's tip are released outright,
-	// after the canonical state at the new floor is pinned as the
-	// replay base — the pruned-full-node model. Retired history is
+	// after their deltas are folded into the floor state everything
+	// above is re-derived from — the pruned-full-node model. Retired
+	// history is
 	// gone: FindTx misses, StateAt returns false, and a reorg past the
 	// floor is rejected, so RetireDepth must exceed any plausible
 	// reorg AND the block-count lifetime of a transaction (watch,

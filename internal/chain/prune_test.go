@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/crypto"
@@ -31,8 +33,9 @@ func mineChain(t *testing.T, v *Chain, miner crypto.Address, n int, from sim.Tim
 // TestPruneDropsBuriedStates pins the tentpole's memory claim: with
 // PruneDepth set, states buried deeper than the horizon below the tip
 // are dropped (Pruned counts them, StatesLive stays bounded), while a
-// deep read below the horizon transparently re-derives the state by
-// replay — and the replayed state is the one ApplyBlock produced.
+// deep read below the horizon transparently re-derives the state from
+// the retained deltas — without running a block again, and to the state
+// ApplyBlock produced.
 func TestPruneDropsBuriedStates(t *testing.T) {
 	rng := sim.NewRNG(90)
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
@@ -57,14 +60,18 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 	if _, live := exec.states[deep.Hash()]; live {
 		t.Fatalf("state at height %d survived pruning", deep.Header.Height)
 	}
-	// ...but reads re-derive it by replay, and the result is exactly
-	// the ApplyBlock verdict (same total value as an unpruned replica).
+	// ...but reads re-derive it from the blocks' deltas, and the result
+	// is exactly the ApplyBlock verdict (same total value as an unpruned
+	// replica).
 	replayed, ok := v.StateAt(deep.Hash())
 	if !ok {
 		t.Fatal("StateAt below the prune horizon failed")
 	}
-	if got := exec.Stats(); got.Replays == 0 {
-		t.Fatalf("deep read did not replay: %+v", got)
+	if got := exec.Stats(); got.Replays != 0 {
+		t.Fatalf("deep read re-executed blocks whose deltas are retained: %+v", got)
+	}
+	if _, memoized := exec.states[deep.Hash()]; !memoized {
+		t.Fatal("re-derived endpoint not memoized")
 	}
 	wantValue := uint64(100_000) + uint64(deep.Header.Height)*uint64(exec.Params().BlockReward)
 	if uint64(replayed.TotalValue()) != wantValue {
@@ -80,9 +87,12 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 // TestDeepReorgAcrossPruneHorizon is the tentpole's correctness
 // regression: a fork branching below the prune horizon overtakes the
 // canonical chain. The pruning executor must re-derive the fork
-// point's state by replay and reach verdicts — tip, reorg accounting,
-// execution counts, and ledger totals — identical to an executor that
-// never pruned anything.
+// point's state and reach verdicts — tip, reorg accounting, execution
+// counts, and ledger totals — identical to an executor that never
+// pruned anything. While the needed deltas are there that costs no
+// re-execution; when the fork's first blocks arrived early, lost the
+// tie and were pruned as a dead fork (delta dropped), reviving the
+// fork re-executes exactly those blocks, with the same verdicts.
 func TestDeepReorgAcrossPruneHorizon(t *testing.T) {
 	rng := sim.NewRNG(91)
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
@@ -108,58 +118,78 @@ func TestDeepReorgAcrossPruneHorizon(t *testing.T) {
 	}
 	fork := mineChain(t, forker, key.Addr, 15, 10_000) // heights 29..43
 
-	// Twin executors consume the identical stream; only GC differs.
-	pruned, err := NewExecutor(pruneParams(8, 0), nil, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewExecutor(pruneParams(0, 0), nil, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, vf := pruned.NewView(), full.NewView()
-	for _, b := range append(append([]*Block{}, main...), fork...) {
-		if _, err := vp.AddBlock(b); err != nil {
-			t.Fatalf("pruned executor rejected block at height %d: %v", b.Header.Height, err)
-		}
-		if _, err := vf.AddBlock(b); err != nil {
-			t.Fatalf("full executor rejected block at height %d: %v", b.Header.Height, err)
-		}
-	}
+	for _, tc := range []struct {
+		name        string
+		stream      []*Block
+		wantReplays uint64
+	}{
+		{"deltas retained", slices.Concat(main, fork), 0},
+		// fork[:2] (heights 29, 30) arrive while main is at 30, stay a
+		// dead fork, and are swept once main reaches 40.
+		{"dead fork revived", slices.Concat(main[:30], fork[:2], main[30:], fork[2:]), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Twin executors consume the identical stream; only GC differs.
+			pruned, err := NewExecutor(pruneParams(8, 0), nil, alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := NewExecutor(pruneParams(0, 0), nil, alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vp, vf := pruned.NewView(), full.NewView()
+			for _, b := range tc.stream {
+				if _, err := vp.AddBlock(b); err != nil {
+					t.Fatalf("pruned executor rejected block at height %d: %v", b.Header.Height, err)
+				}
+				if _, err := vf.AddBlock(b); err != nil {
+					t.Fatalf("full executor rejected block at height %d: %v", b.Header.Height, err)
+				}
+			}
 
-	if pruned.Stats().Pruned == 0 || pruned.Stats().Replays == 0 {
-		t.Fatalf("fork below the horizon exercised no pruning/replay: %+v", pruned.Stats())
-	}
-	if full.Stats().Pruned != 0 || full.Stats().Replays != 0 {
-		t.Fatalf("unpruned executor pruned/replayed: %+v", full.Stats())
-	}
-	// Identical verdicts everywhere it counts.
-	if vp.Tip().Hash() != vf.Tip().Hash() {
-		t.Fatalf("tips diverge: pruned %s vs full %s", vp.Tip().Hash(), vf.Tip().Hash())
-	}
-	if vp.Tip().Hash() != fork[len(fork)-1].Hash() {
-		t.Fatal("overtaking fork did not become the tip")
-	}
-	if vp.Reorgs != vf.Reorgs || vp.MaxReorgDepth != vf.MaxReorgDepth {
-		t.Fatalf("reorg accounting diverges: %d/%d vs %d/%d",
-			vp.Reorgs, vp.MaxReorgDepth, vf.Reorgs, vf.MaxReorgDepth)
-	}
-	sp, sf := pruned.Stats(), full.Stats()
-	if sp.Executed != sf.Executed || sp.Hits != sf.Hits {
-		t.Fatalf("execution accounting diverges: Executed %d/%d, Hits %d/%d",
-			sp.Executed, sf.Executed, sp.Hits, sf.Hits)
-	}
-	if vp.TipState().TotalValue() != vf.TipState().TotalValue() {
-		t.Fatalf("ledger totals diverge: %d vs %d",
-			vp.TipState().TotalValue(), vf.TipState().TotalValue())
+			if pruned.Stats().Pruned == 0 {
+				t.Fatalf("fork below the horizon exercised no pruning: %+v", pruned.Stats())
+			}
+			if got := pruned.Stats().Replays; got != tc.wantReplays {
+				t.Fatalf("re-executed %d blocks, want %d: %+v", got, tc.wantReplays, pruned.Stats())
+			}
+			if full.Stats().Pruned != 0 || full.Stats().Replays != 0 {
+				t.Fatalf("unpruned executor pruned/replayed: %+v", full.Stats())
+			}
+			// Identical verdicts everywhere it counts.
+			if vp.Tip().Hash() != vf.Tip().Hash() {
+				t.Fatalf("tips diverge: pruned %s vs full %s", vp.Tip().Hash(), vf.Tip().Hash())
+			}
+			if vp.Tip().Hash() != fork[len(fork)-1].Hash() {
+				t.Fatal("overtaking fork did not become the tip")
+			}
+			if vp.Reorgs != vf.Reorgs || vp.MaxReorgDepth != vf.MaxReorgDepth {
+				t.Fatalf("reorg accounting diverges: %d/%d vs %d/%d",
+					vp.Reorgs, vp.MaxReorgDepth, vf.Reorgs, vf.MaxReorgDepth)
+			}
+			sp, sf := pruned.Stats(), full.Stats()
+			if sp.Executed != sf.Executed || sp.Hits != sf.Hits {
+				t.Fatalf("execution accounting diverges: Executed %d/%d, Hits %d/%d",
+					sp.Executed, sf.Executed, sp.Hits, sf.Hits)
+			}
+			if !reflect.DeepEqual(snapshot(vp.TipState()), snapshot(vf.TipState())) {
+				t.Fatal("ledgers diverge at the tip")
+			}
+			if vp.TipState().TotalValue() != vf.TipState().TotalValue() {
+				t.Fatalf("ledger totals diverge: %d vs %d",
+					vp.TipState().TotalValue(), vf.TipState().TotalValue())
+			}
+		})
 	}
 }
 
 // TestRetireReleasesHistory pins the history-GC tier: with RetireDepth
 // set, whole blocks below the retire floor are released (bodies,
 // index entries, view records), genesis survives as the identity
-// anchor, and everything at or above the floor stays replayable
-// through the pinned checkpoint state.
+// anchor, and everything at or above the floor stays re-derivable from
+// the floor state — which got there by folding deltas, not by running
+// any block a second time.
 func TestRetireReleasesHistory(t *testing.T) {
 	rng := sim.NewRNG(92)
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
@@ -180,6 +210,9 @@ func TestRetireReleasesHistory(t *testing.T) {
 	if st.Retired == 0 {
 		t.Fatalf("no blocks retired after 61 blocks at retire depth 20: %+v", st)
 	}
+	if st.Replays != 0 {
+		t.Fatalf("advancing the retire floor re-executed %d blocks", st.Replays)
+	}
 	// Retired history is gone from every surface.
 	if _, ok := v.Block(spendBlock.Hash()); ok {
 		t.Fatal("retired block still served")
@@ -197,10 +230,10 @@ func TestRetireReleasesHistory(t *testing.T) {
 	if _, ok := v.Block(v.Genesis().Hash()); !ok {
 		t.Fatal("genesis retired")
 	}
-	// Everything at/above the retire floor is replayable: a read
-	// between the floor and the prune horizon replays forward from the
-	// pinned checkpoint, with the effects of all retired history (the
-	// early spend included) intact.
+	// Everything at/above the retire floor is re-derivable: a read
+	// between the floor and the prune horizon mounts the retained deltas
+	// on a copy of the floor state, with the effects of all retired
+	// history (the early spend included) intact.
 	tip := v.Tip().Header.Height
 	midBlock, ok := v.CanonicalAt(tip - 15)
 	if !ok {
@@ -212,13 +245,33 @@ func TestRetireReleasesHistory(t *testing.T) {
 	}
 	wantValue := uint64(100_000) + uint64(tip-15)*uint64(exec.Params().BlockReward)
 	if uint64(mid.TotalValue()) != wantValue {
-		t.Fatalf("replayed mid state TotalValue = %d, want %d", mid.TotalValue(), wantValue)
+		t.Fatalf("re-derived mid state TotalValue = %d, want %d", mid.TotalValue(), wantValue)
+	}
+	if _, unspent := mid.UTXO(tx.Ins[0].Prev); unspent {
+		t.Fatal("an output spent in retired history is unspent again above the floor")
+	}
+	// The read got a copy: the floor itself stays private to the
+	// executor and keeps no tombstones however many spends it folded.
+	for cur := mid; cur != nil; cur = cur.parent {
+		if cur == exec.floor {
+			t.Fatal("a served state is layered on the executor's floor state")
+		}
+	}
+	if len(exec.floor.spent) != 0 {
+		t.Fatalf("floor state accumulated %d tombstones", len(exec.floor.spent))
 	}
 	// The floor is monotone: more mining advances it and retires more.
 	before := exec.Stats().Retired
 	mineChain(t, v, miner.Addr, 20, 10_000)
 	if exec.Stats().Retired <= before {
 		t.Fatalf("retire floor did not advance: %d -> %d", before, exec.Stats().Retired)
+	}
+	if got := exec.Stats().Replays; got != 0 {
+		t.Fatalf("retirement re-executed %d blocks", got)
+	}
+	// The state served before the floor moved on still reads the same.
+	if uint64(mid.TotalValue()) != wantValue {
+		t.Fatalf("a served state changed when the floor advanced: TotalValue %d, want %d", mid.TotalValue(), wantValue)
 	}
 	// A recent block (within every horizon) keeps full service.
 	recent := blocks[len(blocks)-1]

@@ -1,13 +1,17 @@
 package chain
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/crypto"
 	"repro/internal/vm"
 )
 
-// flattenDepth bounds the overlay-chain length before a state is
-// collapsed into a fresh base map. It trades copy cost against lookup
-// cost; the ablation benchmark BenchmarkStateOverlayFlatten sweeps it.
+// flattenDepth bounds the overlay-chain length before the chain is
+// collapsed into a fresh base behind the next child. It trades copy
+// cost (BenchmarkFlatten) against lookup cost
+// (BenchmarkStateLookupByOverlayDepth).
 const flattenDepth = 48
 
 // State is the ledger state after applying some block: the UTXO set,
@@ -15,6 +19,11 @@ const flattenDepth = 48
 // copy-on-write overlay chain mirroring the block tree, so two forks
 // cheaply share their common prefix — the property that makes reorgs
 // (and therefore Lemma 5.3's fork analysis) natural to express.
+//
+// A layer with a parent is an overlay and holds exactly the changes
+// made on top of that parent — for a block's state, the block's own
+// delta (see blockDelta). A layer without a parent is a base: the whole
+// table, no tombstones, plus the owner index.
 type State struct {
 	parent *State
 	depth  int
@@ -24,29 +33,36 @@ type State struct {
 	pool *statePool
 
 	utxos     map[OutPoint]TxOut
-	spent     map[OutPoint]bool
+	spent     map[OutPoint]bool // overlays only: tombstones masking the parent
 	contracts map[crypto.Address]vm.Contract
 	balances  map[crypto.Address]vm.Amount
-	hasBal    map[crypto.Address]bool
 
-	// byOwner indexes the live outputs of *base* layers (parent == nil)
-	// by owner, so wallet reads (UTXOsOwnedBy, and through it
-	// SelectFunds/Balance on every client call) cost O(owned) instead
-	// of O(UTXO set). The index is lazy per owner: an address is
-	// indexed on its first UTXOsOwnedBy query (one scan, memoized) and
-	// kept current by AddUTXO/Spend afterwards; flatten carries only
-	// the queried owners forward. Most outputs are coinbase rewards of
-	// miner addresses no wallet ever queries — indexing them too made
-	// the index rival the UTXO set itself for memory at 100k-AC2T
-	// scale. Overlay layers stay unindexed — they are small and
-	// short-lived. nil means unindexed (overlay, or pre-index base).
-	byOwner map[crypto.Address]map[OutPoint]struct{}
+	// byOwner indexes every live output of a *base* layer by owner, so
+	// wallet reads (UTXOsOwnedBy, and through it SelectFunds/Balance on
+	// every client call) cost O(owned + overlay deltas) for any address
+	// — including one never seen before, which every AC2T's fresh
+	// wallets are. It is maintained eagerly by AddUTXO/Spend and cloned
+	// shallowly with the base: the per-owner slices are shared between
+	// base generations and copied on first write (ownedList.gen).
+	// Overlay layers stay unindexed (nil) — they are small and bounded
+	// by flattenDepth.
+	byOwner map[crypto.Address]ownedList
+	// gen names this base among the bases of its tree; an ownedList
+	// tagged with another generation is shared and must not be written.
+	gen uint64
+}
+
+// ownedList is one owner's slice of a base layer's index: 36 bytes per
+// output, no per-entry map overhead.
+type ownedList struct {
+	gen uint64
+	ops []OutPoint
 }
 
 // statePool recycles overlay layers within one state tree. Block
 // building churns through one trial overlay per candidate transaction
 // (discarded on failure, absorbed and discarded on success), which at
-// 100k+ AC2Ts dominates the allocation profile; recycling the five
+// 100k+ AC2Ts dominates the allocation profile; recycling the four
 // little maps keeps allocs-per-AC2T flat. Only provably unshared
 // layers may be recycled — states admitted to an executor are shared
 // across views and must never re-enter the pool.
@@ -59,6 +75,7 @@ type State struct {
 // everything in one tree runs on its shard world's single goroutine.
 type statePool struct {
 	free []*State
+	gens uint64 // base generations handed out in this tree
 }
 
 func (p *statePool) get() *State {
@@ -68,23 +85,22 @@ func (p *statePool) get() *State {
 		p.free = p.free[:n]
 		return s
 	}
-	s := newStateMaps()
-	s.pool = p
-	return s
+	return &State{
+		pool:      p,
+		utxos:     make(map[OutPoint]TxOut),
+		spent:     make(map[OutPoint]bool),
+		contracts: make(map[crypto.Address]vm.Contract),
+		balances:  make(map[crypto.Address]vm.Amount),
+	}
 }
 
 func (p *statePool) put(s *State) {
 	p.free = append(p.free, s)
 }
 
-func newStateMaps() *State {
-	return &State{
-		utxos:     make(map[OutPoint]TxOut),
-		spent:     make(map[OutPoint]bool),
-		contracts: make(map[crypto.Address]vm.Contract),
-		balances:  make(map[crypto.Address]vm.Amount),
-		hasBal:    make(map[crypto.Address]bool),
-	}
+func (p *statePool) nextGen() uint64 {
+	p.gens++
+	return p.gens
 }
 
 // recycle clears s and returns it to the pool. The caller asserts it
@@ -92,32 +108,37 @@ func newStateMaps() *State {
 // ApplyBlock's error-path scratch child — both are invisible outside
 // the call that created them).
 func (s *State) recycle() {
-	pool := s.pool
 	s.parent = nil
 	s.depth = 0
 	clear(s.utxos)
 	clear(s.spent)
 	clear(s.contracts)
 	clear(s.balances)
-	clear(s.hasBal)
-	s.byOwner = nil
-	pool.put(s)
+	s.pool.put(s)
 }
 
 // NewState returns an empty base state rooting a fresh tree (and a
 // fresh overlay pool).
 func NewState() *State {
-	s := newStateMaps()
-	s.pool = &statePool{}
-	return s
+	pool := &statePool{}
+	return &State{
+		pool:      pool,
+		utxos:     make(map[OutPoint]TxOut),
+		contracts: make(map[crypto.Address]vm.Contract),
+		balances:  make(map[crypto.Address]vm.Amount),
+		byOwner:   make(map[crypto.Address]ownedList),
+		gen:       pool.nextGen(),
+	}
 }
 
 // Child returns a fresh overlay on top of s. When the overlay chain
-// grows past flattenDepth the child is a flattened deep copy instead,
-// bounding lookup cost.
+// has grown to flattenDepth it is collapsed *behind* the child: the
+// child is still an empty overlay (so whatever is applied to it is
+// exactly its own delta, and ContractForWrite clones before writing),
+// on a new base instead of on s. s itself is never modified.
 func (s *State) Child() *State {
 	if s.depth >= flattenDepth {
-		return s.flatten()
+		return s.flatten().overlay()
 	}
 	return s.overlay()
 }
@@ -135,9 +156,10 @@ func (s *State) overlay() *State {
 }
 
 // absorb folds a direct child overlay's deltas into s. t must have
-// been created by s.overlay() and becomes invalid afterwards. Within
-// one transaction an outpoint lands in at most one of t's utxo/spent
-// maps, so the fold order is immaterial.
+// been created by s.overlay() (or be the next layer up when s is a
+// base under construction) and is left untouched. Within one layer an
+// outpoint lands in at most one of the utxo/spent maps, so the fold
+// order is immaterial.
 func (s *State) absorb(t *State) {
 	for op := range t.spent {
 		s.Spend(op)
@@ -149,77 +171,112 @@ func (s *State) absorb(t *State) {
 		s.contracts[a] = c
 	}
 	for a, v := range t.balances {
-		s.SetBalance(a, v)
+		s.balances[a] = v
 	}
 }
 
-// flatten collapses the overlay chain into a single base state. The
-// flattened base stays in s's tree: it inherits the pool rather than
-// rooting a new one.
+// flatten collapses the overlay chain into a single base state: a
+// clone of the bottom base with the overlays above it absorbed oldest
+// first. Contract objects are shared, not cloned — they are immutable
+// once written to a layer (every mutation path goes through
+// ContractForWrite's copy-on-write clone). The flattened base stays in
+// s's tree: it inherits the pool rather than rooting a new one.
 func (s *State) flatten() *State {
-	out := newStateMaps()
-	out.pool = s.pool
-	// Walk from the base up so newer overlays overwrite older entries.
-	var stack []*State
-	for cur := s; cur != nil; cur = cur.parent {
-		stack = append(stack, cur)
+	var layers []*State
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
+		layers = append(layers, cur)
 	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		layer := stack[i]
-		for op, o := range layer.utxos {
-			out.utxos[op] = o
-			delete(out.spent, op)
-		}
-		for op := range layer.spent {
-			delete(out.utxos, op)
-			out.spent[op] = true
-		}
-		for a, c := range layer.contracts {
-			// Share the object, don't clone: contract objects are
-			// immutable once written to a layer (every mutation path
-			// goes through ContractForWrite's copy-on-write clone), so
-			// bases may alias them. Cloning here duplicated the whole
-			// contract table on every flatten — at 100k-AC2T scale the
-			// dominant churn in both bytes and time.
-			out.contracts[a] = c
-		}
-		for a, b := range layer.balances {
-			out.balances[a] = b
-			out.hasBal[a] = true
-		}
-	}
-	// The flattened map needs no tombstones of its own.
-	out.spent = make(map[OutPoint]bool)
-	// New base layer: re-index only the owners wallet reads have
-	// actually queried on the old base (the lazy-index hot set), not
-	// every address that ever received a coinbase. AddUTXO/Spend keep
-	// the carried entries current through later in-place mutation
-	// (block builds and absorb operate on the layer that owns the
-	// entry); a dropped owner is simply re-scanned on its next query.
-	out.byOwner = make(map[crypto.Address]map[OutPoint]struct{})
-	var hot map[crypto.Address]map[OutPoint]struct{}
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.parent == nil {
-			hot = cur.byOwner
-		}
-	}
-	if len(hot) > 0 {
-		for op, o := range out.utxos {
-			if _, queried := hot[o.Owner]; queried {
-				out.indexOwned(o.Owner, op)
-			}
-		}
+	out := cur.clone()
+	for _, layer := range slices.Backward(layers) {
+		out.absorb(layer)
 	}
 	return out
 }
 
-func (s *State) indexOwned(owner crypto.Address, op OutPoint) {
-	m := s.byOwner[owner]
-	if m == nil {
-		m = make(map[OutPoint]struct{})
-		s.byOwner[owner] = m
+// clone copies a base layer: pre-sized map copies, with the owner
+// index's slices shared. Both s and the copy get a fresh generation,
+// so whichever of them writes an owner's slice next copies it first.
+func (s *State) clone() *State {
+	out := &State{
+		pool:      s.pool,
+		utxos:     maps.Clone(s.utxos),
+		contracts: maps.Clone(s.contracts),
+		balances:  maps.Clone(s.balances),
+		byOwner:   maps.Clone(s.byOwner),
+		gen:       s.pool.nextGen(),
 	}
-	m[op] = struct{}{}
+	s.gen = s.pool.nextGen()
+	return out
+}
+
+// blockDelta is what one block changed, as flat slices: the contents
+// of the block's own overlay layer once the executor has pruned the
+// layer itself. It is immutable, holds no maps (a pruned layer's four
+// maps cost several times their payload), and shares contract objects
+// with the layer it was taken from.
+type blockDelta struct {
+	added     []utxoEntry
+	spent     []OutPoint
+	contracts []contractEntry
+	balances  []balanceEntry
+}
+
+type utxoEntry struct {
+	op  OutPoint
+	out TxOut
+}
+
+type contractEntry struct {
+	addr crypto.Address
+	c    vm.Contract
+}
+
+type balanceEntry struct {
+	addr crypto.Address
+	v    vm.Amount
+}
+
+// delta extracts an overlay layer's own changes. s must be an overlay
+// whose every change is the block's (true of ApplyBlock and BuildBlock
+// results and of layers rebuilt by apply).
+func (s *State) delta() *blockDelta {
+	d := &blockDelta{
+		added:     make([]utxoEntry, 0, len(s.utxos)),
+		spent:     make([]OutPoint, 0, len(s.spent)),
+		contracts: make([]contractEntry, 0, len(s.contracts)),
+		balances:  make([]balanceEntry, 0, len(s.balances)),
+	}
+	for op, o := range s.utxos { //ac3:maporder a delta is only ever folded back into maps by apply; its order is never observed
+		d.added = append(d.added, utxoEntry{op, o})
+	}
+	for op := range s.spent { //ac3:maporder as above
+		d.spent = append(d.spent, op)
+	}
+	for a, c := range s.contracts { //ac3:maporder as above
+		d.contracts = append(d.contracts, contractEntry{a, c})
+	}
+	for a, v := range s.balances { //ac3:maporder as above
+		d.balances = append(d.balances, balanceEntry{a, v})
+	}
+	return d
+}
+
+// apply folds a block delta into s — into a fresh overlay to re-mount
+// a pruned block's state, or into a base to advance it by one block.
+func (s *State) apply(d *blockDelta) {
+	for _, op := range d.spent {
+		s.Spend(op)
+	}
+	for _, e := range d.added {
+		s.AddUTXO(e.op, e.out)
+	}
+	for _, e := range d.contracts {
+		s.contracts[e.addr] = e.c
+	}
+	for _, e := range d.balances {
+		s.balances[e.addr] = e.v
+	}
 }
 
 // UTXO looks up an unspent output.
@@ -235,26 +292,60 @@ func (s *State) UTXO(op OutPoint) (TxOut, bool) {
 	return TxOut{}, false
 }
 
-// AddUTXO records a new unspent output. Only owners already present
-// in the lazy index are maintained — an unqueried owner's entry is
-// built on its first UTXOsOwnedBy call instead.
+// AddUTXO records a new unspent output.
 func (s *State) AddUTXO(op OutPoint, out TxOut) {
-	delete(s.spent, op)
-	s.utxos[op] = out
-	if m := s.byOwner[out.Owner]; m != nil {
-		m[op] = struct{}{}
+	if s.parent == nil {
+		l := s.ownedForWrite(out.Owner)
+		l.ops = append(l.ops, op)
+		s.byOwner[out.Owner] = l
+	} else {
+		delete(s.spent, op)
 	}
+	s.utxos[op] = out
 }
 
 // Spend marks an output spent. The caller must have checked existence.
+// An overlay records a tombstone masking its parent; a base has nothing
+// below it to mask, so the entry is simply gone.
 func (s *State) Spend(op OutPoint) {
-	if s.byOwner != nil {
+	if s.parent == nil {
 		if o, ok := s.utxos[op]; ok {
-			delete(s.byOwner[o.Owner], op)
+			s.unindex(o.Owner, op)
+			delete(s.utxos, op)
 		}
+		return
 	}
 	delete(s.utxos, op)
 	s.spent[op] = true
+}
+
+// ownedForWrite returns owner's index slice, private to this base
+// generation (copied first if an older generation still shares it).
+func (s *State) ownedForWrite(owner crypto.Address) ownedList {
+	l := s.byOwner[owner]
+	if l.gen != s.gen {
+		l = ownedList{gen: s.gen, ops: slices.Clone(l.ops)}
+	}
+	return l
+}
+
+// unindex removes op from owner's slice of the base index; an owner
+// with nothing left leaves the index.
+func (s *State) unindex(owner crypto.Address, op OutPoint) {
+	shared := s.byOwner[owner].ops
+	i := slices.Index(shared, op)
+	if i < 0 {
+		return
+	}
+	last := len(shared) - 1
+	if last == 0 {
+		delete(s.byOwner, owner)
+		return
+	}
+	l := s.ownedForWrite(owner)
+	l.ops[i] = l.ops[last]
+	l.ops = l.ops[:last]
+	s.byOwner[owner] = l
 }
 
 // Contract returns the live contract object at addr for *reading*.
@@ -292,8 +383,8 @@ func (s *State) PutContract(addr crypto.Address, c vm.Contract) {
 // Balance returns a contract's locked asset balance.
 func (s *State) Balance(addr crypto.Address) vm.Amount {
 	for cur := s; cur != nil; cur = cur.parent {
-		if cur.hasBal[addr] {
-			return cur.balances[addr]
+		if v, ok := cur.balances[addr]; ok {
+			return v
 		}
 	}
 	return 0
@@ -302,58 +393,31 @@ func (s *State) Balance(addr crypto.Address) vm.Amount {
 // SetBalance records a contract balance in this overlay layer.
 func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
 	s.balances[addr] = v
-	s.hasBal[addr] = true
 }
 
 // UTXOsOwnedBy collects the outputs owned by addr. Overlay layers are
-// scanned linearly (they are small and bounded by flattenDepth); an
-// indexed base layer is read through byOwner, so wallet reads stay
-// O(owned + overlay deltas) rather than O(UTXO set). It is a
-// test/client convenience (wallets), not a consensus operation.
+// scanned linearly (they are small and bounded by flattenDepth); the
+// base layer is read through byOwner, so wallet reads stay
+// O(owned + overlay deltas) rather than O(UTXO set). Every candidate is
+// confirmed by a lookup from the top, which is what decides whether a
+// newer layer spent it. It is a test/client convenience (wallets), not
+// a consensus operation.
 func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 	out := make(map[OutPoint]TxOut)
-	seen := make(map[OutPoint]bool)
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.parent == nil && cur.byOwner != nil {
-			// Indexed base: exactly the live base outputs of addr,
-			// masked by the overlay deltas already folded into seen.
-			m, ok := cur.byOwner[addr]
-			if !ok {
-				// First query for addr on this base: build its slice
-				// of the lazy index with one scan and memoize it
-				// (including the empty result). Worlds drive a chain
-				// from a single goroutine, so read-path memoization
-				// on the shared base is safe.
-				m = make(map[OutPoint]struct{})
-				for op, o := range cur.utxos {
-					if o.Owner == addr {
-						m[op] = struct{}{}
-					}
-				}
-				cur.byOwner[addr] = m
-			}
-			for op := range m {
-				if seen[op] {
-					continue
-				}
-				seen[op] = true
-				out[op] = cur.utxos[op]
-			}
-			break
-		}
-		for op := range cur.spent {
-			if !seen[op] {
-				seen[op] = true
-			}
-		}
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
 		for op, o := range cur.utxos {
-			if seen[op] {
+			if o.Owner != addr {
 				continue
 			}
-			seen[op] = true
-			if o.Owner == addr {
-				out[op] = o
+			if live, ok := s.UTXO(op); ok {
+				out[op] = live
 			}
+		}
+	}
+	for _, op := range cur.byOwner[addr].ops {
+		if live, ok := s.UTXO(op); ok {
+			out[op] = live
 		}
 	}
 	return out

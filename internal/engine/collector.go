@@ -144,8 +144,9 @@ type ShardResult struct {
 	// Executor state-GC accounting across the shard's networks:
 	// StatesPruned counts per-block ledger states dropped past the
 	// prune horizon, StatesLive the states still retained at shard
-	// end, StateReplays the ApplyBlock replays run to re-derive a
-	// pruned state on a deep read, BlocksRetired the whole blocks
+	// end, StateReplays the ApplyBlock re-executions of blocks whose
+	// delta was gone when a pruned state had to be re-derived (0 unless
+	// a dead fork is revived), BlocksRetired the whole blocks
 	// released by history retirement. All are deterministic (functions
 	// of the block DAG and view tips, never of wall-clock memory
 	// pressure), so they live in the byte-compared aggregates.

@@ -59,7 +59,8 @@ type Config struct {
 	TraceRingCap int
 	// PruneDepth sets the chain executors' state-GC horizon: per-block
 	// ledger states buried deeper than this below every node view's
-	// tip are dropped and re-derived by replay if ever read again.
+	// tip are dropped and re-derived from the blocks' retained deltas if
+	// ever read again.
 	// 0 selects the engine default (enginePruneDepth); negative
 	// disables pruning (retain every state, the pre-GC behavior).
 	// Pruning never changes results — aggregates and traces are
@@ -76,7 +77,8 @@ type Config struct {
 // states then span at most two flattened base generations, so at most
 // two full ledger base maps coexist on the tip side — one fewer
 // resident copy of the whole UTXO set at 100k-AC2T scale. Deeper
-// reads remain correct via replay, just not free.
+// reads remain correct (the executor re-mounts retained block deltas),
+// just not free.
 const enginePruneDepth = 40
 
 // pruneDepth resolves the configured horizon.
@@ -193,8 +195,9 @@ type Aggregate struct {
 	ExecHitRate   float64 `json:"exec_cache_hit_rate"`
 	// Executor state-GC accounting summed across shards: states pruned
 	// past the horizon, states still live at shard end, ApplyBlock
-	// replays run to re-derive a pruned state, and whole blocks
-	// released by history retirement. Deterministic (and
+	// re-executions of blocks whose delta was gone when a pruned state
+	// had to be re-derived (0 unless a dead fork is revived), and whole
+	// blocks released by history retirement. Deterministic (and
 	// byte-compared); wall-clock memory numbers (peak RSS, allocs per
 	// AC2T) deliberately stay out of the aggregate — see cmd/ac3engine
 	// stderr diagnostics and the bench snapshot scale rungs.

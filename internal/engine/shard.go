@@ -210,7 +210,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 		e.res.BlockExecHits += st.Hits
 		e.res.BlocksMined += net.BlocksMined()
 		// State-GC accounting: how much ledger state the prune horizon
-		// reclaimed, what is still held, and what deep reads replayed.
+		// reclaimed, what is still held, and what had to run twice.
 		e.res.StatesPruned += st.Pruned
 		e.res.StatesLive += st.StatesLive
 		e.res.StateReplays += st.Replays
