@@ -14,6 +14,9 @@
 //   - internal/chain, internal/vm, internal/miner, internal/p2p —
 //     PoW blockchains with a UTXO ledger, smart contracts, miners,
 //     gossip, forks and reorgs
+//   - internal/wire — the one wire codec: exact-size append encoders
+//     and a bounds-checked cursor that decodes by aliasing its input
+//     (docs/architecture/ADR-012-one-wire-codec.md)
 //   - internal/spv — cross-chain evidence (Section 4.3)
 //   - internal/graph — AC2T graphs D = (V, E), Diam(D), ms(D)
 //   - internal/contracts — Algorithms 1–4 as contract objects
@@ -32,8 +35,8 @@
 //   - internal/lint — ac3lint, the static-analysis suite that
 //     machine-checks the determinism contract: no wall clocks, no
 //     ambient RNGs, no map-order leaks into serialized output, no
-//     concurrency inside shard-world packages, no mutable globals
-//     (docs/architecture/ADR-009-determinism-lint.md)
+//     concurrency inside shard-world packages, no mutable globals,
+//     no encoding/gob (docs/architecture/ADR-009-determinism-lint.md)
 //
 // Command entry points: cmd/ac3bench regenerates the paper's tables
 // and figures, cmd/ac3sim runs one configurable AC2T end to end,
@@ -49,6 +52,16 @@
 // of-work grinding and merkle node hashing do not touch the heap. The
 // repository's benchmark (benchmark/, BENCHMARK.json) is what a
 // performance claim is measured with.
+//
+// Wire discipline (docs/architecture/ADR-012-one-wire-codec.md): every
+// value that crosses a chain boundary — transaction, header, SPV
+// evidence, contract parameters and call arguments — has EncodedLen and
+// AppendTo, so an encoding is one exact-size allocation with nested
+// values appended straight into it, and is decoded over the shared
+// internal/wire cursor, which aliases the (immutable) input instead of
+// copying it and bounds every count before allocating for it. The
+// format is canonical: decode then encode reproduces the input. There
+// is no reflection-based codec in the module.
 //
 // State discipline (docs/architecture/ADR-011-one-execution-per-block.md):
 // the chain executor runs every block once. A block's ledger state is an

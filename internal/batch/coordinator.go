@@ -28,7 +28,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/miner"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/xchain"
 )
 
@@ -120,10 +119,10 @@ func New(w *xchain.World, witnessChain chain.ID, seed uint64, cfg Config) (*Coor
 		c.addrs[i] = c.keys[i].Addr
 	}
 	c.client = miner.NewClient(w.Net(witnessChain), 0, c.keys[0])
-	_, addr, err := c.client.Deploy(contracts.TypeBatchWitness, vm.EncodeGob(contracts.BatchWitnessParams{
+	_, addr, err := c.client.Deploy(contracts.TypeBatchWitness, contracts.BatchWitnessParams{
 		Witnesses: c.addrs,
 		Threshold: cfg.Threshold,
-	}), 0)
+	}.Encode(), 0)
 	if err != nil {
 		c.client.Close()
 		return nil, fmt.Errorf("batch: deploy: %w", err)
@@ -213,7 +212,7 @@ func (c *Coordinator) flush() {
 	c.flushArmed = false
 	c.BatchesPublished++
 	c.BatchDecisions += len(records)
-	c.BytesPublished += len(tx.Encode())
+	c.BytesPublished += tx.EncodedLen()
 	c.tracked[tx.ID()] = &trackedBatch{tx: tx, lastPush: c.s.Now()}
 	c.event(fmt.Sprintf("batch committed: %d decisions", len(records)))
 }

@@ -242,3 +242,39 @@ func BenchmarkTxEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// largeCall is the shape of an authorize_redeem: a contract call whose
+// argument is ~10 kB of SPV evidence.
+func largeCall() *Tx {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(3).Uint64))
+	return NewCall(key, 7, key.Addr, "authorize_redeem", make([]byte, 10<<10),
+		[]TxIn{{Prev: OutPoint{TxID: crypto.Sum([]byte("x"))}}},
+		[]TxOut{{Value: 10, Owner: key.Addr}}, 0)
+}
+
+// BenchmarkTxEncode measures encoding a transaction that carries
+// evidence: one exact-size allocation.
+func BenchmarkTxEncode(b *testing.B) {
+	tx := largeCall()
+	b.SetBytes(int64(tx.EncodedLen()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(tx.Encode()) == 0 {
+			b.Fatal("empty encoding")
+		}
+	}
+}
+
+// BenchmarkTxSigHashLargeArgs measures hashing that transaction's body
+// (SigHash is memoized, so each iteration hashes a fresh copy).
+func BenchmarkTxSigHashLargeArgs(b *testing.B) {
+	tx := largeCall()
+	b.SetBytes(int64(tx.EncodedLen()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cp := Tx{Kind: tx.Kind, Nonce: tx.Nonce, Ins: tx.Ins, Outs: tx.Outs, Contract: tx.Contract, Fn: tx.Fn, Args: tx.Args}
+		if cp.SigHash() != tx.SigHash() {
+			b.Fatal("copy hashes differently")
+		}
+	}
+}

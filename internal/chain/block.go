@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/merkle"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Header is a block header: the portion of a block that light clients
@@ -23,18 +23,21 @@ type Header struct {
 	Nonce   uint64      // ground until Hash() satisfies Bits
 }
 
-// headerFixedLen is the encoded size of a header apart from its chain
+// HeaderFixedLen is the encoded size of a header apart from its chain
 // id: terminator, parent, height, time, tx root, bits, nonce.
-const headerFixedLen = 1 + crypto.HashSize + 8 + 8 + crypto.HashSize + 1 + 8
+const HeaderFixedLen = 1 + crypto.HashSize + 8 + 8 + crypto.HashSize + 1 + 8
 
 // headerStackLen sizes the stack buffers Hash and Seal encode into;
 // it holds any header whose chain id is up to 38 bytes, and a longer
 // one merely spills to the heap.
 const headerStackLen = 128
 
-// appendTo appends the canonical encoding of the header to dst. The
+// EncodedLen is the size of the header's canonical encoding.
+func (h *Header) EncodedLen() int { return len(h.ChainID) + HeaderFixedLen }
+
+// AppendTo appends the canonical encoding of the header to dst. The
 // nonce is the last 8 bytes, which is what lets Seal patch it in place.
-func (h *Header) appendTo(dst []byte) []byte {
+func (h *Header) AppendTo(dst []byte) []byte {
 	dst = append(dst, h.ChainID...)
 	dst = append(dst, 0) // chain-id terminator
 	dst = append(dst, h.Parent[:]...)
@@ -46,43 +49,27 @@ func (h *Header) appendTo(dst []byte) []byte {
 }
 
 // Encode serializes the header canonically.
-func (h *Header) Encode() []byte {
-	return h.appendTo(make([]byte, 0, len(h.ChainID)+headerFixedLen))
+func (h *Header) Encode() []byte { return h.AppendTo(make([]byte, 0, h.EncodedLen())) }
+
+// DecodeFrom reads one header. The chain id is a view into r's input
+// (package wire); every other field is copied into the header.
+func (h *Header) DecodeFrom(r *wire.Reader) {
+	h.ChainID = ID(r.StringZ())
+	r.Fill(h.Parent[:])
+	h.Height = r.U64()
+	h.Time = sim.Time(r.U64())
+	r.Fill(h.TxRoot[:])
+	h.Bits = r.U8()
+	h.Nonce = r.U64()
 }
 
 // DecodeHeader reverses Encode.
 func DecodeHeader(b []byte) (*Header, error) {
-	idx := bytes.IndexByte(b, 0)
-	if idx < 0 {
-		return nil, fmt.Errorf("chain: header missing chain-id terminator")
-	}
-	h := &Header{ChainID: ID(b[:idx])}
-	r := &byteReader{b: b, pos: idx + 1}
-	if err := r.hash(&h.Parent); err != nil {
-		return nil, err
-	}
-	v, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	h.Height = v
-	if v, err = r.u64(); err != nil {
-		return nil, err
-	}
-	h.Time = sim.Time(v)
-	if err := r.hash(&h.TxRoot); err != nil {
-		return nil, err
-	}
-	bitsB, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	h.Bits = bitsB
-	if h.Nonce, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("chain: %d trailing bytes after header", r.remaining())
+	h := &Header{}
+	r := wire.NewReader(b)
+	h.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("chain: decode header: %w", err)
 	}
 	return h, nil
 }
@@ -93,7 +80,7 @@ func DecodeHeader(b []byte) (*Header, error) {
 // repeatedly keep the digest themselves (Block.Hash).
 func (h *Header) Hash() crypto.Hash {
 	var stack [headerStackLen]byte
-	return crypto.Sum(h.appendTo(stack[:0]))
+	return crypto.Sum(h.AppendTo(stack[:0]))
 }
 
 // MeetsTarget reports whether a header digest has at least zeroBits
@@ -125,7 +112,7 @@ func (h *Header) CheckPoW() bool { return MeetsTarget(h.Hash(), h.Bits) }
 // nonce bytes are rewritten per attempt.
 func (h *Header) Seal(start uint64) {
 	var stack [headerStackLen]byte
-	enc := h.appendTo(stack[:0])
+	enc := h.AppendTo(stack[:0])
 	nonce := enc[len(enc)-8:]
 	for h.Nonce = start; ; h.Nonce++ {
 		binary.BigEndian.PutUint64(nonce, h.Nonce)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/sim"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // testEnv bundles a chain view with funded keys.
@@ -55,10 +56,19 @@ type vaultParams struct {
 	Key       byte
 }
 
+func (p vaultParams) Encode() []byte { return append(p.Recipient[:], p.Key) }
+
+func (p *vaultParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	r.Fill(p.Recipient[:])
+	p.Key = r.U8()
+	return r.Finish()
+}
+
 func (v *vault) Type() string { return "vault" }
 func (v *vault) Init(ctx *vm.Ctx, params []byte) error {
 	var p vaultParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return err
 	}
 	v.Recipient, v.Key = p.Recipient, p.Key
@@ -236,7 +246,7 @@ func TestTamperedSignatureRejected(t *testing.T) {
 func TestContractDeployLocksValue(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	op, o := e.utxoOf("alice", 1_000)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 7})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 7}.Encode()
 	deploy := NewDeploy(e.keys["alice"], 1, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 1_000, Owner: e.keys["alice"].Addr}},
 		"vault", params, 1_000)
@@ -255,7 +265,7 @@ func TestContractDeployLocksValue(t *testing.T) {
 func TestContractCallPaysOut(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	op, o := e.utxoOf("alice", 1_000)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 7})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 7}.Encode()
 	deploy := NewDeploy(e.keys["alice"], 1, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 1_000, Owner: e.keys["alice"].Addr}},
 		"vault", params, 1_000)
@@ -285,7 +295,7 @@ func TestContractCallPaysOut(t *testing.T) {
 func TestFailingCallRejected(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	op, o := e.utxoOf("alice", 1_000)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 7})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 7}.Encode()
 	deploy := NewDeploy(e.keys["alice"], 1, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 1_000, Owner: e.keys["alice"].Addr}},
 		"vault", params, 1_000)
@@ -306,7 +316,7 @@ func TestFailingCallRejected(t *testing.T) {
 func TestContractStateRevertsOnFailedCall(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	op, o := e.utxoOf("alice", 500)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 9})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 9}.Encode()
 	deploy := NewDeploy(e.keys["alice"], 1, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 500, Owner: e.keys["alice"].Addr}},
 		"vault", params, 500)
@@ -511,7 +521,7 @@ func TestValueConservation(t *testing.T) {
 	blocks++
 
 	op, o := e.utxoOf("carol", 200)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["alice"].Addr, Key: 3})
+	params := vaultParams{Recipient: e.keys["alice"].Addr, Key: 3}.Encode()
 	deploy := NewDeploy(e.keys["carol"], 99, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 200, Owner: e.keys["carol"].Addr}},
 		"vault", params, 200)

@@ -103,7 +103,7 @@ func TestApplyBlockTwiceOnOneParent(t *testing.T) {
 	outs[0].Value += o.Value - o.Value/calls*calls
 	split := NewTransfer(e.keys["alice"], 1, []TxIn{{Prev: op}}, outs)
 	e.mine(split)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 9})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 9}.Encode()
 	deploys := make([]*Tx, calls)
 	for i := range deploys {
 		deploys[i] = NewDeploy(e.keys["alice"], uint64(10+i),
@@ -378,7 +378,7 @@ func (g *blockGen) mine(n int) []*Block {
 		default: // lock 50 in a vault
 			v := owned[ops[0]].Value
 			deployed = NewDeploy(g.key, *g.nonce, []TxIn{{Prev: ops[0]}}, []TxOut{{Value: v - 50, Owner: g.key.Addr}},
-				"vault", vm.EncodeGob(vaultParams{Recipient: g.key.Addr, Key: 5}), 50)
+				"vault", vaultParams{Recipient: g.key.Addr, Key: 5}.Encode(), 50)
 			txs = append(txs, deployed)
 		}
 		if len(g.vaults) > 0 && g.rng.Intn(2) == 0 {

@@ -172,7 +172,7 @@ func TestSharedExecutorCachedInvalidRejection(t *testing.T) {
 func TestBuildBlockFailedTxLeavesNoTrace(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	op, o := e.utxoOf("alice", 1_000)
-	params := vm.EncodeGob(vaultParams{Recipient: e.keys["bob"].Addr, Key: 7})
+	params := vaultParams{Recipient: e.keys["bob"].Addr, Key: 7}.Encode()
 	deploy := NewDeploy(e.keys["alice"], 1, []TxIn{{Prev: op}},
 		[]TxOut{{Value: o.Value - 1_000, Owner: e.keys["alice"].Addr}},
 		"vault", params, 1_000)

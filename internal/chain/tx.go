@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // TxKind discriminates the transaction flavours of Section 2.3.
@@ -120,59 +121,73 @@ type Tx struct {
 	// chain view in a simulated network — re-hashing the body and
 	// re-verifying the ed25519 signature per view dominated run time
 	// before these caches.
-	memoID    *crypto.Hash
+	memoID    crypto.Hash
+	memoIDSet bool
 	memoSigOK int8 // 0 unknown, +1 valid, -1 invalid
 }
 
-// encodeBody writes the canonical signed portion of the transaction.
-func (tx *Tx) encodeBody(buf *bytes.Buffer) {
-	var u64 [8]byte
-	var u32 [4]byte
-	writeU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(u64[:], v)
-		buf.Write(u64[:])
-	}
-	writeU32 := func(v uint32) {
-		binary.BigEndian.PutUint32(u32[:], v)
-		buf.Write(u32[:])
-	}
-	writeBytes := func(b []byte) {
-		writeU32(uint32(len(b)))
-		buf.Write(b)
-	}
+// Wire sizes of the fixed-width pieces of a transaction.
+const (
+	txInLen  = crypto.HashSize + 4    // previous tx id, output index
+	txOutLen = 8 + crypto.AddressSize // value, owner
+	// txBaseLen is the body size of an empty transaction: kind, nonce,
+	// input and output counts, four length prefixes (contract type,
+	// params, fn, args), the contract address and the value.
+	txBaseLen = 1 + 8 + 6*wire.LenPrefix + crypto.AddressSize + 8
+)
 
-	buf.WriteByte(byte(tx.Kind))
-	writeU64(tx.Nonce)
-	writeU32(uint32(len(tx.Ins)))
-	for _, in := range tx.Ins {
-		buf.Write(in.Prev.TxID[:])
-		writeU32(in.Prev.Index)
+// bodyLen is the size of the signed portion of the encoding.
+func (tx *Tx) bodyLen() int {
+	return txBaseLen + len(tx.Ins)*txInLen + len(tx.Outs)*txOutLen +
+		len(tx.ContractType) + len(tx.Params) + len(tx.Fn) + len(tx.Args)
+}
+
+// appendHead appends the body up to and including the length prefix of
+// Params, appendMid the part between Params and Args (with the length
+// prefix of Args), appendTail what follows Args. The split lets SigHash
+// hash Params and Args where they lie.
+func (tx *Tx) appendHead(dst []byte) []byte {
+	dst = append(dst, byte(tx.Kind))
+	dst = binary.BigEndian.AppendUint64(dst, tx.Nonce)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tx.Ins)))
+	for i := range tx.Ins {
+		dst = append(dst, tx.Ins[i].Prev.TxID[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, tx.Ins[i].Prev.Index)
 	}
-	writeU32(uint32(len(tx.Outs)))
-	for _, out := range tx.Outs {
-		writeU64(out.Value)
-		buf.Write(out.Owner[:])
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tx.Outs)))
+	for i := range tx.Outs {
+		dst = binary.BigEndian.AppendUint64(dst, tx.Outs[i].Value)
+		dst = append(dst, tx.Outs[i].Owner[:]...)
 	}
-	writeBytes([]byte(tx.ContractType))
-	writeBytes(tx.Params)
-	buf.Write(tx.Contract[:])
-	writeBytes([]byte(tx.Fn))
-	writeBytes(tx.Args)
-	writeU64(tx.Value)
+	dst = wire.AppendString(dst, tx.ContractType)
+	return binary.BigEndian.AppendUint32(dst, uint32(len(tx.Params)))
+}
+
+func (tx *Tx) appendMid(dst []byte) []byte {
+	dst = append(dst, tx.Contract[:]...)
+	dst = wire.AppendString(dst, tx.Fn)
+	return binary.BigEndian.AppendUint32(dst, uint32(len(tx.Args)))
+}
+
+func (tx *Tx) appendTail(dst []byte) []byte {
+	return binary.BigEndian.AppendUint64(dst, tx.Value)
 }
 
 // SigHash returns the digest the transaction signature covers,
 // computed once and cached (the body is immutable after
-// construction).
+// construction). Params and Args — tens of kilobytes of evidence on a
+// decision or redeem call — are hashed in place; only the few fixed
+// fields around them are laid out, on the stack.
 func (tx *Tx) SigHash() crypto.Hash {
-	if tx.memoID != nil {
-		return *tx.memoID
+	if !tx.memoIDSet {
+		var stack [256]byte
+		head := tx.appendHead(stack[:0])
+		mid := tx.appendMid(head[len(head):])
+		tail := tx.appendTail(mid[len(mid):])
+		tx.memoID = crypto.Sum(head, tx.Params, mid, tx.Args, tail)
+		tx.memoIDSet = true
 	}
-	var buf bytes.Buffer
-	tx.encodeBody(&buf)
-	h := crypto.Sum(buf.Bytes())
-	tx.memoID = &h
-	return h
+	return tx.memoID
 }
 
 // ID returns the transaction identifier. It covers the signed body
@@ -198,176 +213,51 @@ func (tx *Tx) VerifySig() bool {
 	return tx.memoSigOK > 0
 }
 
-// Encode serializes the full transaction (body + signature) for
-// embedding in blocks and SPV evidence.
-func (tx *Tx) Encode() []byte {
-	var buf bytes.Buffer
-	tx.encodeBody(&buf)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(tx.Sig.Pub)))
-	buf.Write(u32[:])
-	buf.Write(tx.Sig.Pub)
-	binary.BigEndian.PutUint32(u32[:], uint32(len(tx.Sig.Sig)))
-	buf.Write(u32[:])
-	buf.Write(tx.Sig.Sig)
-	return buf.Bytes()
+// EncodedLen is the size of the full encoding (body + signature).
+func (tx *Tx) EncodedLen() int { return tx.bodyLen() + tx.Sig.EncodedLen() }
+
+// AppendTo appends the full encoding to dst.
+func (tx *Tx) AppendTo(dst []byte) []byte {
+	dst = append(tx.appendHead(dst), tx.Params...)
+	dst = append(tx.appendMid(dst), tx.Args...)
+	return tx.Sig.AppendTo(tx.appendTail(dst))
 }
 
-// DecodeTx reverses Encode.
+// Encode serializes the full transaction (body + signature) for
+// embedding in blocks and SPV evidence, in one exact-size allocation.
+func (tx *Tx) Encode() []byte { return tx.AppendTo(make([]byte, 0, tx.EncodedLen())) }
+
+// DecodeTx reverses Encode. The transaction aliases b — Params, Args,
+// the signature and the two names are views into it — so b must not be
+// written to while the transaction is in use (package wire).
 func DecodeTx(b []byte) (*Tx, error) {
-	r := &byteReader{b: b}
-	tx := &Tx{}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, fmt.Errorf("chain: decode tx kind: %w", err)
-	}
-	tx.Kind = TxKind(kind)
-	if tx.Nonce, err = r.u64(); err != nil {
-		return nil, fmt.Errorf("chain: decode tx nonce: %w", err)
-	}
-	nIns, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nIns > uint32(len(b)) {
-		return nil, fmt.Errorf("chain: implausible input count %d", nIns)
-	}
-	for i := uint32(0); i < nIns; i++ {
-		var in TxIn
-		if err := r.hash(&in.Prev.TxID); err != nil {
-			return nil, err
+	r := wire.NewReader(b)
+	tx := &Tx{Kind: TxKind(r.U8()), Nonce: r.U64()}
+	if n := r.Count(txInLen); n > 0 {
+		tx.Ins = make([]TxIn, n)
+		for i := range tx.Ins {
+			r.Fill(tx.Ins[i].Prev.TxID[:])
+			tx.Ins[i].Prev.Index = r.U32()
 		}
-		if in.Prev.Index, err = r.u32(); err != nil {
-			return nil, err
+	}
+	if n := r.Count(txOutLen); n > 0 {
+		tx.Outs = make([]TxOut, n)
+		for i := range tx.Outs {
+			tx.Outs[i].Value = r.U64()
+			r.Fill(tx.Outs[i].Owner[:])
 		}
-		tx.Ins = append(tx.Ins, in)
 	}
-	nOuts, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nOuts > uint32(len(b)) {
-		return nil, fmt.Errorf("chain: implausible output count %d", nOuts)
-	}
-	for i := uint32(0); i < nOuts; i++ {
-		var out TxOut
-		if out.Value, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if err := r.addr(&out.Owner); err != nil {
-			return nil, err
-		}
-		tx.Outs = append(tx.Outs, out)
-	}
-	ct, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	tx.ContractType = string(ct)
-	if tx.Params, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if err := r.addr(&tx.Contract); err != nil {
-		return nil, err
-	}
-	fn, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	tx.Fn = string(fn)
-	if tx.Args, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if tx.Value, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if tx.Sig.Pub, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if tx.Sig.Sig, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if len(tx.Sig.Pub) == 0 {
-		tx.Sig.Pub = nil
-	}
-	if len(tx.Sig.Sig) == 0 {
-		tx.Sig.Sig = nil
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("chain: %d trailing bytes after tx", r.remaining())
+	tx.ContractType = r.String()
+	tx.Params = r.Bytes()
+	r.Fill(tx.Contract[:])
+	tx.Fn = r.String()
+	tx.Args = r.Bytes()
+	tx.Value = r.U64()
+	tx.Sig.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("chain: decode tx: %w", err)
 	}
 	return tx, nil
-}
-
-// byteReader is a bounds-checked cursor over an encoded buffer.
-type byteReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *byteReader) remaining() int { return len(r.b) - r.pos }
-
-func (r *byteReader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("chain: truncated encoding (need %d, have %d)", n, r.remaining())
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
-}
-
-func (r *byteReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *byteReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *byteReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (r *byteReader) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-func (r *byteReader) hash(h *crypto.Hash) error {
-	b, err := r.take(crypto.HashSize)
-	if err != nil {
-		return err
-	}
-	copy(h[:], b)
-	return nil
-}
-
-func (r *byteReader) addr(a *crypto.Address) error {
-	b, err := r.take(len(a))
-	if err != nil {
-		return err
-	}
-	copy(a[:], b)
-	return nil
 }
 
 // NewTransfer builds a signed transfer spending ins (owned by key)

@@ -2,12 +2,14 @@ package contracts
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/crypto"
 	"repro/internal/merkle"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // TypeBatchWitness is the registry name of the batch-commitment
@@ -78,16 +80,46 @@ type BatchCommit struct {
 	Attestation crypto.MultiSig
 }
 
-// EncodeBatchCommit encodes the commit_batch call argument.
-func EncodeBatchCommit(bc *BatchCommit) []byte { return vm.EncodeGob(bc) }
+// decisionRecordLen is the wire size of one record: SCw, decision byte.
+const decisionRecordLen = crypto.AddressSize + 1
 
-// DecodeBatchCommit reverses EncodeBatchCommit.
+// EncodedLen is the size of the wire form: u32 record count, records
+// (SCw, decision byte), Root, Attestation.
+func (bc *BatchCommit) EncodedLen() int {
+	return wire.LenPrefix + len(bc.Records)*decisionRecordLen + crypto.HashSize + bc.Attestation.EncodedLen()
+}
+
+// AppendTo appends the wire form to dst.
+func (bc *BatchCommit) AppendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(bc.Records)))
+	for _, r := range bc.Records {
+		dst = append(dst, r.SCw[:]...)
+		dst = append(dst, byte(r.Decision))
+	}
+	dst = append(dst, bc.Root[:]...)
+	return bc.Attestation.AppendTo(dst)
+}
+
+// EncodeBatchCommit encodes the commit_batch call argument.
+func EncodeBatchCommit(bc *BatchCommit) []byte {
+	return bc.AppendTo(make([]byte, 0, bc.EncodedLen()))
+}
+
+// DecodeBatchCommit reverses EncodeBatchCommit. The attestation's keys
+// and signatures are views into b (package wire).
 func DecodeBatchCommit(b []byte) (*BatchCommit, error) {
-	var bc BatchCommit
-	if err := vm.DecodeGob(b, &bc); err != nil {
+	r := wire.NewReader(b)
+	bc := &BatchCommit{Records: make([]DecisionRecord, r.Count(decisionRecordLen))}
+	for i := range bc.Records {
+		r.Fill(bc.Records[i].SCw[:])
+		bc.Records[i].Decision = WitnessState(r.U8())
+	}
+	r.Fill(bc.Root[:])
+	bc.Attestation.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("batch commit: %w", err)
 	}
-	return &bc, nil
+	return bc, nil
 }
 
 // BatchWitnessParams are the constructor parameters of the batch
@@ -96,6 +128,35 @@ func DecodeBatchCommit(b []byte) (*BatchCommit, error) {
 type BatchWitnessParams struct {
 	Witnesses []crypto.Address
 	Threshold int
+}
+
+// EncodedLen is the size of the wire form: u32 witness count,
+// addresses, Threshold as an int.
+func (p BatchWitnessParams) EncodedLen() int {
+	return wire.LenPrefix + len(p.Witnesses)*crypto.AddressSize + wire.IntLen
+}
+
+// AppendTo appends the wire form to dst.
+func (p BatchWitnessParams) AppendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Witnesses)))
+	for i := range p.Witnesses {
+		dst = append(dst, p.Witnesses[i][:]...)
+	}
+	return wire.AppendInt(dst, p.Threshold)
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p BatchWitnessParams) Encode() []byte { return p.AppendTo(make([]byte, 0, p.EncodedLen())) }
+
+// Decode reverses Encode; Witnesses is a fresh slice.
+func (p *BatchWitnessParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	p.Witnesses = make([]crypto.Address, r.Count(crypto.AddressSize))
+	for i := range p.Witnesses {
+		r.Fill(p.Witnesses[i][:])
+	}
+	p.Threshold = r.Int()
+	return r.Finish()
 }
 
 // BatchWitnessSC is the batch-commitment coordinator: one contract per
@@ -120,7 +181,7 @@ func (b *BatchWitnessSC) Type() string { return TypeBatchWitness }
 // Init validates and stores the witness set.
 func (b *BatchWitnessSC) Init(ctx *vm.Ctx, params []byte) error {
 	var p BatchWitnessParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("batch: params: %w", err)
 	}
 	if len(p.Witnesses) == 0 {
@@ -139,7 +200,7 @@ func (b *BatchWitnessSC) Init(ctx *vm.Ctx, params []byte) error {
 	if p.Threshold < 1 || p.Threshold > len(p.Witnesses) {
 		return fmt.Errorf("batch: threshold %d outside [1,%d]", p.Threshold, len(p.Witnesses))
 	}
-	b.Witnesses = append([]crypto.Address(nil), p.Witnesses...)
+	b.Witnesses = p.Witnesses // decoded into its own slice
 	b.Threshold = p.Threshold
 	b.Decisions = make(map[crypto.Address]WitnessState)
 	return nil

@@ -69,12 +69,12 @@ func TestBatchWitnessInitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var sc BatchWitnessSC
-		if err := sc.Init(ctx, vm.EncodeGob(tc.params)); err == nil {
+		if err := sc.Init(ctx, tc.params.Encode()); err == nil {
 			t.Errorf("%s: Init accepted", tc.name)
 		}
 	}
 	var sc BatchWitnessSC
-	if err := sc.Init(ctx, vm.EncodeGob(BatchWitnessParams{Witnesses: addrs, Threshold: 3})); err != nil {
+	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
 	if len(sc.Witnesses) != 4 || sc.Threshold != 3 || sc.Decisions == nil {
@@ -86,7 +86,7 @@ func TestCommitBatchHappyPath(t *testing.T) {
 	ks, addrs := witnessSet(4)
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
-	if err := sc.Init(ctx, vm.EncodeGob(BatchWitnessParams{Witnesses: addrs, Threshold: 3})); err != nil {
+	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	records := batchRecords(5)
@@ -116,7 +116,7 @@ func TestCommitBatchRejections(t *testing.T) {
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{}, 0)
 	newSC := func() *BatchWitnessSC {
 		var sc BatchWitnessSC
-		if err := sc.Init(ctx, vm.EncodeGob(BatchWitnessParams{Witnesses: addrs, Threshold: 3})); err != nil {
+		if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 			t.Fatal(err)
 		}
 		return &sc
@@ -203,7 +203,7 @@ func TestCommitBatchConflictRejectsWholeBatch(t *testing.T) {
 	ks, addrs := witnessSet(4)
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
-	if err := sc.Init(ctx, vm.EncodeGob(BatchWitnessParams{Witnesses: addrs, Threshold: 3})); err != nil {
+	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	first := []DecisionRecord{{SCw: crypto.Address{1}, Decision: WitnessRedeemAuthorized}}
@@ -236,7 +236,7 @@ func TestBatchWitnessCloneIndependent(t *testing.T) {
 	ks, addrs := witnessSet(4)
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
-	if err := sc.Init(ctx, vm.EncodeGob(BatchWitnessParams{Witnesses: addrs, Threshold: 3})); err != nil {
+	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	cp := sc.Clone().(*BatchWitnessSC)
@@ -261,7 +261,7 @@ func TestBatchedPermissionlessRedeem(t *testing.T) {
 
 	// Deploy the batch contract on the witness chain.
 	batchDep := w.deploy("witness", alice, TypeBatchWitness,
-		vm.EncodeGob(BatchWitnessParams{Witnesses: addrsW, Threshold: 3}), 0)
+		BatchWitnessParams{Witnesses: addrsW, Threshold: 3}.Encode(), 0)
 	batchAddr := batchDep.ContractAddr()
 
 	// Asset contract conditioned on the batch contract. SCw is a
@@ -269,14 +269,14 @@ func TestBatchedPermissionlessRedeem(t *testing.T) {
 	// state, only its address inside the committed leaf.
 	scw := crypto.Address{0xC0, 0xFF, 0xEE}
 	wGen := w.chains["witness"].Genesis().Header.Encode()
-	dep := w.deploy("eth", alice, TypePermissionless, vm.EncodeGob(PermissionlessParams{
+	dep := w.deploy("eth", alice, TypePermissionless, PermissionlessParams{
 		Recipient:         bob.Addr,
 		WitnessChain:      "witness",
 		WitnessCheckpoint: wGen,
 		SCw:               scw,
 		Depth:             2,
 		Batch:             batchAddr,
-	}), 5_000)
+	}.Encode(), 5_000)
 	assetAddr := dep.ContractAddr()
 
 	// Commit a batch deciding RD for scw (among others), bury it.
@@ -302,7 +302,7 @@ func TestBatchedPermissionlessRedeem(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := w.evidenceFor("witness", commitTx.ID(), 2)
-	redeemArgs := EncodeEvidenceList([][]byte{ev, vm.EncodeGob(proof)})
+	redeemArgs := rawList(ev, proof.Encode())
 
 	// The committed decision is RD: refund must fail, redeem must pay.
 	w.call("eth", alice, assetAddr, FnRefund, redeemArgs, false)
@@ -326,20 +326,20 @@ func TestBatchedPermissionlessRejectsForgedProof(t *testing.T) {
 	w := newWorld(t, []chain.ID{"witness", "eth"}, alice, bob)
 
 	batchDep := w.deploy("witness", alice, TypeBatchWitness,
-		vm.EncodeGob(BatchWitnessParams{Witnesses: addrsW, Threshold: 3}), 0)
+		BatchWitnessParams{Witnesses: addrsW, Threshold: 3}.Encode(), 0)
 	batchAddr := batchDep.ContractAddr()
 
 	scw := crypto.Address{0xC0, 0xFF, 0xEE}
 	other := crypto.Address{0x01}
 	wGen := w.chains["witness"].Genesis().Header.Encode()
-	dep := w.deploy("eth", alice, TypePermissionless, vm.EncodeGob(PermissionlessParams{
+	dep := w.deploy("eth", alice, TypePermissionless, PermissionlessParams{
 		Recipient:         bob.Addr,
 		WitnessChain:      "witness",
 		WitnessCheckpoint: wGen,
 		SCw:               scw,
 		Depth:             2,
 		Batch:             batchAddr,
-	}), 5_000)
+	}.Encode(), 5_000)
 	assetAddr := dep.ContractAddr()
 
 	// The batch decides RD for *other*, not for scw.
@@ -354,10 +354,10 @@ func TestBatchedPermissionlessRejectsForgedProof(t *testing.T) {
 	}
 	// The only committed leaf belongs to a different SCw: VerifyData
 	// recomputes our leaf payload and must reject.
-	w.call("eth", bob, assetAddr, FnRedeem, EncodeEvidenceList([][]byte{ev, vm.EncodeGob(proof)}), false)
+	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev, proof.Encode()), false)
 
 	// Malformed evidence shapes fail cleanly too.
-	w.call("eth", bob, assetAddr, FnRedeem, EncodeEvidenceList([][]byte{ev}), false)
+	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev), false)
 	w.call("eth", bob, assetAddr, FnRedeem, ev, false)
 	sc := w.contractState("eth", assetAddr).(*PermissionlessSC)
 	if sc.State != StatePublished {

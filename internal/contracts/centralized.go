@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // CentralizedParams are the constructor parameters of Algorithm 2's
@@ -18,6 +19,33 @@ type CentralizedParams struct {
 	MSDigest crypto.Hash
 	// Witness is Trent's identity (derived from PK_T).
 	Witness crypto.Address
+}
+
+const centralizedParamsLen = crypto.AddressSize + crypto.HashSize + crypto.AddressSize
+
+// EncodedLen is the size of the wire form: Recipient, MSDigest,
+// Witness.
+func (p CentralizedParams) EncodedLen() int { return centralizedParamsLen }
+
+// AppendTo appends the wire form to dst.
+func (p CentralizedParams) AppendTo(dst []byte) []byte {
+	dst = append(dst, p.Recipient[:]...)
+	dst = append(dst, p.MSDigest[:]...)
+	return append(dst, p.Witness[:]...)
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p CentralizedParams) Encode() []byte {
+	return p.AppendTo(make([]byte, 0, centralizedParamsLen))
+}
+
+// Decode reverses Encode.
+func (p *CentralizedParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	r.Fill(p.Recipient[:])
+	r.Fill(p.MSDigest[:])
+	r.Fill(p.Witness[:])
+	return r.Finish()
 }
 
 // CentralizedSC is the AC3TW asset contract (Algorithm 2): redeem
@@ -39,7 +67,7 @@ func (c *CentralizedSC) Type() string { return TypeCentralized }
 // Init implements the constructor (Algorithm 2, lines 1–4).
 func (c *CentralizedSC) Init(ctx *vm.Ctx, params []byte) error {
 	var p CentralizedParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("ac3tw: params: %w", err)
 	}
 	if p.Recipient.IsZero() || p.Witness.IsZero() {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spv"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // world is a multi-chain single-view test harness: one chain view per
@@ -169,11 +170,11 @@ func TestHTLCRedeemHappyPath(t *testing.T) {
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 
 	secret := []byte("nolan-secret")
-	params := vm.EncodeGob(HTLCParams{
+	params := HTLCParams{
 		Recipient: bob.Addr,
 		Hashlock:  crypto.Sum(secret),
 		Timelock:  int64(2 * sim.Hour),
-	})
+	}.Encode()
 	dep := w.deploy("btc", alice, TypeHTLC, params, 5_000)
 	addr := dep.ContractAddr()
 
@@ -191,11 +192,11 @@ func TestHTLCWrongSecretRejected(t *testing.T) {
 	ks := keys(2)
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
-	params := vm.EncodeGob(HTLCParams{
+	params := HTLCParams{
 		Recipient: bob.Addr,
 		Hashlock:  crypto.Sum([]byte("right")),
 		Timelock:  int64(2 * sim.Hour),
-	})
+	}.Encode()
 	dep := w.deploy("btc", alice, TypeHTLC, params, 5_000)
 	w.call("btc", bob, dep.ContractAddr(), FnRedeem, []byte("wrong"), false)
 }
@@ -204,11 +205,11 @@ func TestHTLCRefundOnlyAfterTimelock(t *testing.T) {
 	ks := keys(2)
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
-	params := vm.EncodeGob(HTLCParams{
+	params := HTLCParams{
 		Recipient: bob.Addr,
 		Hashlock:  crypto.Sum([]byte("s")),
 		Timelock:  int64(5 * sim.Minute),
-	})
+	}.Encode()
 	dep := w.deploy("btc", alice, TypeHTLC, params, 5_000)
 	addr := dep.ContractAddr()
 
@@ -230,11 +231,11 @@ func TestHTLCRedeemAfterExpiryRejected(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 	secret := []byte("s")
-	params := vm.EncodeGob(HTLCParams{
+	params := HTLCParams{
 		Recipient: bob.Addr,
 		Hashlock:  crypto.Sum(secret),
 		Timelock:  int64(5 * sim.Minute),
-	})
+	}.Encode()
 	dep := w.deploy("btc", alice, TypeHTLC, params, 5_000)
 	w.mineEmpty("btc", 40)
 	// This is the paper's Section 1 hazard: Bob is late (crash,
@@ -247,11 +248,11 @@ func TestHTLCNoDoubleSpendAcrossOutcomes(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 	secret := []byte("s")
-	params := vm.EncodeGob(HTLCParams{
+	params := HTLCParams{
 		Recipient: bob.Addr,
 		Hashlock:  crypto.Sum(secret),
 		Timelock:  int64(1 * sim.Hour),
-	})
+	}.Encode()
 	dep := w.deploy("btc", alice, TypeHTLC, params, 5_000)
 	addr := dep.ContractAddr()
 	w.call("btc", bob, addr, FnRedeem, secret, true)
@@ -266,14 +267,14 @@ func TestHTLCInitValidation(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	ctx := vm.NewCtx("btc", crypto.Address{1}, 1, 100, vm.Msg{Sender: alice.Addr, Value: 10}, 10)
 	h := &HTLC{}
-	if err := h.Init(ctx, vm.EncodeGob(HTLCParams{Recipient: bob.Addr, Timelock: 50})); err == nil {
+	if err := h.Init(ctx, HTLCParams{Recipient: bob.Addr, Timelock: 50}.Encode()); err == nil {
 		t.Fatal("past timelock accepted")
 	}
-	if err := h.Init(ctx, vm.EncodeGob(HTLCParams{Timelock: 500})); err == nil {
+	if err := h.Init(ctx, HTLCParams{Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero recipient accepted")
 	}
 	noValue := vm.NewCtx("btc", crypto.Address{1}, 1, 100, vm.Msg{Sender: alice.Addr}, 0)
-	if err := h.Init(noValue, vm.EncodeGob(HTLCParams{Recipient: bob.Addr, Timelock: 500})); err == nil {
+	if err := h.Init(noValue, HTLCParams{Recipient: bob.Addr, Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero-value HTLC accepted")
 	}
 	if err := h.Init(ctx, []byte("garbage")); err == nil {
@@ -289,7 +290,7 @@ func TestCentralizedRedeemWithTrentSignature(t *testing.T) {
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 
 	ms := crypto.Sum([]byte("ms(D)"))
-	params := vm.EncodeGob(CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr})
+	params := CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr}.Encode()
 	dep := w.deploy("btc", alice, TypeCentralized, params, 7_000)
 	addr := dep.ContractAddr()
 
@@ -308,7 +309,7 @@ func TestCentralizedCrossSignaturesRejected(t *testing.T) {
 	alice, bob, trent := ks[0], ks[1], ks[2]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 	ms := crypto.Sum([]byte("ms(D)"))
-	params := vm.EncodeGob(CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr})
+	params := CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr}.Encode()
 	dep := w.deploy("btc", alice, TypeCentralized, params, 7_000)
 	addr := dep.ContractAddr()
 
@@ -331,7 +332,7 @@ func TestCentralizedForgedWitnessRejected(t *testing.T) {
 	alice, bob, trent, mallory := ks[0], ks[1], ks[2], ks[3]
 	w := newWorld(t, []chain.ID{"btc"}, alice, bob)
 	ms := crypto.Sum([]byte("ms(D)"))
-	params := vm.EncodeGob(CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr})
+	params := CentralizedParams{Recipient: bob.Addr, MSDigest: ms, Witness: trent.Addr}.Encode()
 	dep := w.deploy("btc", alice, TypeCentralized, params, 7_000)
 	forged := crypto.EncodeSignature(mallory.Sign(crypto.WitnessMessage(ms, crypto.PurposeRedeem)))
 	w.call("btc", bob, dep.ContractAddr(), FnRedeem, forged, false)
@@ -383,24 +384,24 @@ func newAC3WNFixture(t *testing.T) *ac3wnFixture {
 		},
 		WitnessDepth: f.witnessDepth,
 	}
-	scwTx := w.deploy("witness", alice, TypeWitness, vm.EncodeGob(wp), 0)
+	scwTx := w.deploy("witness", alice, TypeWitness, wp.Encode(), 0)
 	f.scwAddr = scwTx.ContractAddr()
 
 	// Step 3–4: both participants deploy their asset contracts
 	// concurrently (no ordering requirement — the paper's latency
 	// win).
 	witnessCp := w.chains["witness"].Genesis().Header.Encode()
-	p1 := vm.EncodeGob(PermissionlessParams{
+	p1 := PermissionlessParams{
 		Recipient: bob.Addr, WitnessChain: "witness",
 		WitnessCheckpoint: witnessCp, SCw: f.scwAddr, Depth: f.witnessDepth,
-	})
+	}.Encode()
 	f.sc1Tx = w.deploy("btc", alice, TypePermissionless, p1, assetX)
 	f.sc1Addr = f.sc1Tx.ContractAddr()
 
-	p2 := vm.EncodeGob(PermissionlessParams{
+	p2 := PermissionlessParams{
 		Recipient: alice.Addr, WitnessChain: "witness",
 		WitnessCheckpoint: witnessCp, SCw: f.scwAddr, Depth: f.witnessDepth,
-	})
+	}.Encode()
 	f.sc2Tx = w.deploy("eth", bob, TypePermissionless, p2, assetY)
 	f.sc2Addr = f.sc2Tx.ContractAddr()
 
@@ -425,7 +426,7 @@ func (f *ac3wnFixture) deployEvidence(t *testing.T) []byte {
 			t.Fatalf("unexpected chain %s", e.Chain)
 		}
 	}
-	return EncodeEvidenceList(evs)
+	return rawList(evs...)
 }
 
 func TestAC3WNCommitFlow(t *testing.T) {
@@ -500,15 +501,15 @@ func TestAuthorizeRedeemRejectsBadEvidence(t *testing.T) {
 	w := f.w
 
 	// Missing one contract's evidence.
-	one := EncodeEvidenceList([][]byte{w.evidenceFor("btc", f.sc1Tx.ID(), f.assetDepth)})
+	one := rawList(w.evidenceFor("btc", f.sc1Tx.ID(), f.assetDepth))
 	w.call("witness", f.bob, f.scwAddr, FnAuthorizeRedeem, one, false)
 
 	// Swapped order: evidence must match edge order; the btc edge
 	// cannot be proven by eth evidence.
-	swapped := EncodeEvidenceList([][]byte{
+	swapped := rawList(
 		w.evidenceFor("eth", f.sc2Tx.ID(), f.assetDepth),
 		w.evidenceFor("btc", f.sc1Tx.ID(), f.assetDepth),
-	})
+	)
 	w.call("witness", f.bob, f.scwAddr, FnAuthorizeRedeem, swapped, false)
 
 	// Garbage.
@@ -531,27 +532,27 @@ func TestAuthorizeRedeemRejectsMismatchedContract(t *testing.T) {
 		},
 		WitnessDepth: 1,
 	}
-	scw := w.deploy("witness", alice, TypeWitness, vm.EncodeGob(wp), 0)
+	scw := w.deploy("witness", alice, TypeWitness, wp.Encode(), 0)
 	witnessCp := w.chains["witness"].Genesis().Header.Encode()
 
 	// Alice locks the WRONG amount (half of what the edge says).
-	p1 := vm.EncodeGob(PermissionlessParams{
+	p1 := PermissionlessParams{
 		Recipient: bob.Addr, WitnessChain: "witness",
 		WitnessCheckpoint: witnessCp, SCw: scw.ContractAddr(), Depth: 1,
-	})
+	}.Encode()
 	sc1 := w.deploy("btc", alice, TypePermissionless, p1, assetX/2)
-	p2 := vm.EncodeGob(PermissionlessParams{
+	p2 := PermissionlessParams{
 		Recipient: alice.Addr, WitnessChain: "witness",
 		WitnessCheckpoint: witnessCp, SCw: scw.ContractAddr(), Depth: 1,
-	})
+	}.Encode()
 	sc2 := w.deploy("eth", bob, TypePermissionless, p2, assetY)
 	w.mineEmpty("btc", 1)
 	w.mineEmpty("eth", 1)
 
-	evs := EncodeEvidenceList([][]byte{
+	evs := rawList(
 		w.evidenceFor("btc", sc1.ID(), 1),
 		w.evidenceFor("eth", sc2.ID(), 1),
-	})
+	)
 	w.call("witness", f2key(bob), scw.ContractAddr(), FnAuthorizeRedeem, evs, false)
 }
 
@@ -597,7 +598,7 @@ func TestWitnessConstructorRejectsIncompleteMultisig(t *testing.T) {
 	}
 	scw := &WitnessSC{}
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
-	if err := scw.Init(ctx, vm.EncodeGob(wp)); err == nil || !strings.Contains(err.Error(), "multisignature") {
+	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "multisignature") {
 		t.Fatalf("incomplete multisig accepted: %v", err)
 	}
 }
@@ -618,7 +619,7 @@ func TestWitnessConstructorRejectsMissingCheckpoint(t *testing.T) {
 	}
 	scw := &WitnessSC{}
 	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
-	if err := scw.Init(ctx, vm.EncodeGob(wp)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("missing checkpoint accepted: %v", err)
 	}
 }
@@ -639,12 +640,12 @@ func TestHeaderRelayFlow(t *testing.T) {
 	tx1 := chain.NewTransfer(alice, 42, []chain.TxIn{in}, outs)
 
 	// Relay on chain2 anchored at chain1's genesis waits for TX1.
-	params := vm.EncodeGob(RelayParams{
+	params := RelayParams{
 		ValidatedChain: "chain1",
 		Checkpoint:     w.chains["chain1"].Genesis().Header.Encode(),
 		TargetTx:       tx1.ID(),
 		MinDepth:       3,
-	})
+	}.Encode()
 	relay := w.deploy("chain2", bob, TypeHeaderRelay, params, 0)
 
 	// Evidence before TX1 even exists: must fail.
@@ -676,12 +677,12 @@ func TestHeaderRelayRejectsWrongTx(t *testing.T) {
 		outs = append(outs, chain.TxOut{Value: change, Owner: alice.Addr})
 	}
 	tx1 := chain.NewTransfer(alice, 42, []chain.TxIn{in}, outs)
-	params := vm.EncodeGob(RelayParams{
+	params := RelayParams{
 		ValidatedChain: "chain1",
 		Checkpoint:     w.chains["chain1"].Genesis().Header.Encode(),
 		TargetTx:       crypto.Sum([]byte("some other tx")),
 		MinDepth:       2,
-	})
+	}.Encode()
 	relay := w.deploy("chain2", bob, TypeHeaderRelay, params, 0)
 	w.mine("chain1", tx1)
 	w.mineEmpty("chain1", 2)
@@ -689,9 +690,24 @@ func TestHeaderRelayRejectsWrongTx(t *testing.T) {
 	w.call("chain2", bob, relay.ContractAddr(), FnSubmitEvidence, ev, false)
 }
 
+// raw puts already-encoded (or deliberately broken) bytes into an
+// evidence list; production code appends typed values instead.
+type raw []byte
+
+func (b raw) EncodedLen() int            { return len(b) }
+func (b raw) AppendTo(dst []byte) []byte { return append(dst, b...) }
+
+func rawList(items ...[]byte) []byte {
+	list := make([]wire.Appender, len(items))
+	for i, it := range items {
+		list[i] = raw(it)
+	}
+	return EncodeEvidenceList(list...)
+}
+
 func TestEvidenceListRoundTrip(t *testing.T) {
 	in := [][]byte{[]byte("a"), {}, []byte("ccc")}
-	out, err := DecodeEvidenceList(EncodeEvidenceList(in))
+	out, err := DecodeEvidenceList(rawList(in...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package contracts
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/crypto"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // HTLCParams are the constructor parameters of an HTLC deployment.
@@ -19,6 +21,31 @@ type HTLCParams struct {
 	// Timelock is the absolute (virtual, milliseconds) time after
 	// which Refund becomes available and Redeem stops being accepted.
 	Timelock int64
+}
+
+const htlcParamsLen = crypto.AddressSize + crypto.HashSize + 8
+
+// EncodedLen is the size of the wire form: Recipient, Hashlock,
+// Timelock (64-bit two's complement).
+func (p HTLCParams) EncodedLen() int { return htlcParamsLen }
+
+// AppendTo appends the wire form to dst.
+func (p HTLCParams) AppendTo(dst []byte) []byte {
+	dst = append(dst, p.Recipient[:]...)
+	dst = append(dst, p.Hashlock[:]...)
+	return binary.BigEndian.AppendUint64(dst, uint64(p.Timelock))
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p HTLCParams) Encode() []byte { return p.AppendTo(make([]byte, 0, htlcParamsLen)) }
+
+// Decode reverses Encode.
+func (p *HTLCParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	r.Fill(p.Recipient[:])
+	r.Fill(p.Hashlock[:])
+	p.Timelock = int64(r.U64())
+	return r.Finish()
 }
 
 // HTLC is the hashlock/timelock contract of Nolan's protocol and
@@ -43,7 +70,7 @@ func (h *HTLC) Type() string { return TypeHTLC }
 // Init implements the Algorithm 1 constructor with hashlock schemes.
 func (h *HTLC) Init(ctx *vm.Ctx, params []byte) error {
 	var p HTLCParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("htlc: params: %w", err)
 	}
 	if p.Recipient.IsZero() {

@@ -1,14 +1,17 @@
 package contracts
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/merkle"
 	"repro/internal/spv"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // PermissionlessParams are the constructor parameters of Algorithm
@@ -38,6 +41,38 @@ type PermissionlessParams struct {
 	Batch crypto.Address
 }
 
+// EncodedLen is the size of the wire form: Recipient, WitnessChain and
+// WitnessCheckpoint behind u32 lengths, SCw, Depth as an int, Batch.
+func (p PermissionlessParams) EncodedLen() int {
+	return 3*crypto.AddressSize + wire.LenPrefix + len(p.WitnessChain) + wire.LenPrefix + len(p.WitnessCheckpoint) + wire.IntLen
+}
+
+// AppendTo appends the wire form to dst.
+func (p PermissionlessParams) AppendTo(dst []byte) []byte {
+	dst = append(dst, p.Recipient[:]...)
+	dst = wire.AppendString(dst, string(p.WitnessChain))
+	dst = wire.AppendBytes(dst, p.WitnessCheckpoint)
+	dst = append(dst, p.SCw[:]...)
+	dst = wire.AppendInt(dst, p.Depth)
+	return append(dst, p.Batch[:]...)
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p PermissionlessParams) Encode() []byte { return p.AppendTo(make([]byte, 0, p.EncodedLen())) }
+
+// Decode reverses Encode without allocating: WitnessChain and
+// WitnessCheckpoint are views into b (package wire).
+func (p *PermissionlessParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	r.Fill(p.Recipient[:])
+	p.WitnessChain = chain.ID(r.String())
+	p.WitnessCheckpoint = r.Bytes()
+	r.Fill(p.SCw[:])
+	p.Depth = r.Int()
+	r.Fill(p.Batch[:])
+	return r.Finish()
+}
+
 // PermissionlessSC is the AC3WN asset contract (Algorithm 4). It has
 // no timelock: its redeem and refund are conditioned exclusively on
 // evidence of the witness contract's mutually exclusive states, so a
@@ -61,7 +96,7 @@ func (c *PermissionlessSC) Type() string { return TypePermissionless }
 // Init implements the Algorithm 4 constructor.
 func (c *PermissionlessSC) Init(ctx *vm.Ctx, params []byte) error {
 	var p PermissionlessParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("ac3wn: params: %w", err)
 	}
 	if p.Recipient.IsZero() {
@@ -82,8 +117,9 @@ func (c *PermissionlessSC) Init(ctx *vm.Ctx, params []byte) error {
 	c.Sender = ctx.Msg.Sender
 	c.Recipient = p.Recipient
 	c.Asset = ctx.Msg.Value
-	c.WitnessChain = p.WitnessChain
-	c.WitnessCheckpoint = p.WitnessCheckpoint
+	// p views the deployment transaction; state keeps its own copies.
+	c.WitnessChain = chain.ID(strings.Clone(string(p.WitnessChain)))
+	c.WitnessCheckpoint = bytes.Clone(p.WitnessCheckpoint)
 	c.SCw = p.SCw
 	c.Depth = p.Depth
 	c.Batch = p.Batch
@@ -153,7 +189,7 @@ func (c *PermissionlessSC) verifyWitnessEvidence(args []byte, wantFn string) err
 
 // verifyBatchEvidence is the batched variant of IsRedeemable /
 // IsRefundable: the argument is an evidence pair [SPV evidence,
-// gob-encoded merkle proof]. The SPV evidence must prove a successful
+// encoded merkle proof]. The SPV evidence must prove a successful
 // commit_batch call on the agreed batch contract at depth ≥ d; since
 // miners exclude failing calls, inclusion implies the batch contract
 // verified canonical order, root, threshold attestation, and
@@ -186,8 +222,8 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 	if err != nil {
 		return err
 	}
-	var proof merkle.Proof
-	if err := vm.DecodeGob(parts[1], &proof); err != nil {
+	proof, err := merkle.DecodeProof(parts[1])
+	if err != nil {
 		return fmt.Errorf("membership proof: %w", err)
 	}
 	var want WitnessState

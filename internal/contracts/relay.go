@@ -1,13 +1,16 @@
 package contracts
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/spv"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // RelayParams configure a HeaderRelay: which transaction in which
@@ -22,6 +25,34 @@ type RelayParams struct {
 	TargetTx crypto.Hash
 	// MinDepth is d.
 	MinDepth int
+}
+
+// EncodedLen is the size of the wire form: ValidatedChain and
+// Checkpoint behind u32 lengths, TargetTx, MinDepth as an int.
+func (p RelayParams) EncodedLen() int {
+	return wire.LenPrefix + len(p.ValidatedChain) + wire.LenPrefix + len(p.Checkpoint) + crypto.HashSize + wire.IntLen
+}
+
+// AppendTo appends the wire form to dst.
+func (p RelayParams) AppendTo(dst []byte) []byte {
+	dst = wire.AppendString(dst, string(p.ValidatedChain))
+	dst = wire.AppendBytes(dst, p.Checkpoint)
+	dst = append(dst, p.TargetTx[:]...)
+	return wire.AppendInt(dst, p.MinDepth)
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p RelayParams) Encode() []byte { return p.AppendTo(make([]byte, 0, p.EncodedLen())) }
+
+// Decode reverses Encode. ValidatedChain and Checkpoint are views into
+// b (package wire).
+func (p *RelayParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	p.ValidatedChain = chain.ID(r.String())
+	p.Checkpoint = r.Bytes()
+	r.Fill(p.TargetTx[:])
+	p.MinDepth = r.Int()
+	return r.Finish()
 }
 
 // RelayState is the two-state machine of Figure 6.
@@ -57,7 +88,7 @@ func (r *HeaderRelay) Type() string { return TypeHeaderRelay }
 // Init stores the anchor.
 func (r *HeaderRelay) Init(ctx *vm.Ctx, params []byte) error {
 	var p RelayParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("relay: params: %w", err)
 	}
 	if _, err := chain.DecodeHeader(p.Checkpoint); err != nil {
@@ -66,8 +97,9 @@ func (r *HeaderRelay) Init(ctx *vm.Ctx, params []byte) error {
 	if p.MinDepth < 0 {
 		return errors.New("relay: negative depth")
 	}
-	r.ValidatedChain = p.ValidatedChain
-	r.Checkpoint = p.Checkpoint
+	// p views the deployment transaction; state keeps its own copies.
+	r.ValidatedChain = chain.ID(strings.Clone(string(p.ValidatedChain)))
+	r.Checkpoint = bytes.Clone(p.Checkpoint)
 	r.TargetTx = p.TargetTx
 	r.MinDepth = p.MinDepth
 	r.State = RelayS1

@@ -54,7 +54,7 @@ func TestPermissionlessInitValidation(t *testing.T) {
 			p := base
 			c.mutate(&p)
 			sc := &PermissionlessSC{}
-			err := sc.Init(ctxFor(alice.Addr, c.value), vm.EncodeGob(p))
+			err := sc.Init(ctxFor(alice.Addr, c.value), p.Encode())
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
@@ -62,7 +62,7 @@ func TestPermissionlessInitValidation(t *testing.T) {
 	}
 	// The unmutated params with value succeed.
 	sc := &PermissionlessSC{}
-	if err := sc.Init(ctxFor(alice.Addr, 10), vm.EncodeGob(base)); err != nil {
+	if err := sc.Init(ctxFor(alice.Addr, 10), base.Encode()); err != nil {
 		t.Fatalf("valid init failed: %v", err)
 	}
 	if sc.State != StatePublished || sc.Sender != alice.Addr || sc.Asset != 10 {
@@ -99,7 +99,7 @@ func TestWitnessInitValidation(t *testing.T) {
 		p.Checkpoints = append([]ChainCheckpoint(nil), good.Checkpoints...)
 		mutate(&p)
 		sc := &WitnessSC{}
-		if err := sc.Init(ctxFor(alice.Addr, 0), vm.EncodeGob(p)); err == nil {
+		if err := sc.Init(ctxFor(alice.Addr, 0), p.Encode()); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -109,7 +109,7 @@ func TestWitnessInitValidation(t *testing.T) {
 	mustFail("no edges", func(p *WitnessParams) { p.Edges = nil })
 
 	sc := &WitnessSC{}
-	if err := sc.Init(ctxFor(alice.Addr, 0), vm.EncodeGob(good)); err != nil {
+	if err := sc.Init(ctxFor(alice.Addr, 0), good.Encode()); err != nil {
 		t.Fatalf("valid witness init failed: %v", err)
 	}
 	if sc.State != WitnessPublished || len(sc.Participants) != 2 {

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/spv"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // ChainCheckpoint anchors evidence verification for one validated
@@ -44,6 +46,66 @@ type WitnessParams struct {
 	WitnessDepth int
 }
 
+// minCheckpointLen is the least a checkpoint occupies on the wire: two
+// length prefixes and the depth.
+const minCheckpointLen = 2*wire.LenPrefix + wire.IntLen
+
+// EncodedLen is the size of the wire form: u32 edge count and edges,
+// Timestamp (64-bit two's complement), Multisig, u32 checkpoint count
+// and checkpoints (Chain and Header behind u32 lengths, EvidenceDepth
+// as an int), WitnessDepth as an int.
+func (p WitnessParams) EncodedLen() int {
+	n := wire.LenPrefix + 8 + p.Multisig.EncodedLen() + wire.LenPrefix + wire.IntLen
+	for i := range p.Edges {
+		n += p.Edges[i].EncodedLen()
+	}
+	for _, cp := range p.Checkpoints {
+		n += minCheckpointLen + len(cp.Chain) + len(cp.Header)
+	}
+	return n
+}
+
+// AppendTo appends the wire form to dst.
+func (p WitnessParams) AppendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Edges)))
+	for i := range p.Edges {
+		dst = p.Edges[i].AppendTo(dst)
+	}
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Timestamp))
+	dst = p.Multisig.AppendTo(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Checkpoints)))
+	for _, cp := range p.Checkpoints {
+		dst = wire.AppendString(dst, string(cp.Chain))
+		dst = wire.AppendBytes(dst, cp.Header)
+		dst = wire.AppendInt(dst, cp.EvidenceDepth)
+	}
+	return wire.AppendInt(dst, p.WitnessDepth)
+}
+
+// Encode serializes the parameters for a deployment transaction.
+func (p WitnessParams) Encode() []byte { return p.AppendTo(make([]byte, 0, p.EncodedLen())) }
+
+// Decode reverses Encode. Chain ids, checkpoint headers and the
+// multisignature's keys and signatures are views into b (package wire).
+func (p *WitnessParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	p.Edges = make([]graph.Edge, r.Count(graph.MinEdgeLen))
+	for i := range p.Edges {
+		p.Edges[i].DecodeFrom(&r)
+	}
+	p.Timestamp = int64(r.U64())
+	p.Multisig.DecodeFrom(&r)
+	p.Checkpoints = make([]ChainCheckpoint, r.Count(minCheckpointLen))
+	for i := range p.Checkpoints {
+		cp := &p.Checkpoints[i]
+		cp.Chain = chain.ID(r.String())
+		cp.Header = r.Bytes()
+		cp.EvidenceDepth = r.Int()
+	}
+	p.WitnessDepth = r.Int()
+	return r.Finish()
+}
+
 // WitnessSC is the AC2T coordinator of Algorithm 3, deployed on the
 // witness network. Its state is the commit/abort decision: miners
 // only record a transition P→RDauth after verifying evidence that
@@ -66,7 +128,7 @@ func (w *WitnessSC) Type() string { return TypeWitness }
 // identities and the multisigned graph after verifying it.
 func (w *WitnessSC) Init(ctx *vm.Ctx, params []byte) error {
 	var p WitnessParams
-	if err := vm.DecodeGob(params, &p); err != nil {
+	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("witness: params: %w", err)
 	}
 	g, err := graph.New(p.Timestamp, p.Edges...)
@@ -95,11 +157,27 @@ func (w *WitnessSC) Init(ctx *vm.Ctx, params []byte) error {
 			return fmt.Errorf("witness: no checkpoint for chain %s", id)
 		}
 	}
+	// p views the deployment transaction; state keeps its own copies of
+	// the checkpoints, and the edges share the checkpoints' chain ids
+	// (every edge chain was just shown to have one).
+	w.Checkpoints = make([]ChainCheckpoint, len(p.Checkpoints))
+	for i, cp := range p.Checkpoints {
+		cp.Chain = chain.ID(strings.Clone(string(cp.Chain)))
+		cp.Header = bytes.Clone(cp.Header)
+		w.Checkpoints[i] = cp
+	}
+	for i := range g.Edges {
+		for _, cp := range w.Checkpoints {
+			if cp.Chain == g.Edges[i].Chain {
+				g.Edges[i].Chain = cp.Chain
+				break
+			}
+		}
+	}
 	w.Participants = g.Participants
 	w.Edges = g.Edges
 	w.Timestamp = p.Timestamp
 	w.MSID = p.Multisig.ID()
-	w.Checkpoints = p.Checkpoints
 	w.WitnessDepth = p.WitnessDepth
 	w.State = WitnessPublished
 	return nil
@@ -193,7 +271,7 @@ func matchDeployToEdge(tx *chain.Tx, e graph.Edge, scw crypto.Address, witnessCh
 		return fmt.Errorf("deployed by %s, edge source is %s", tx.Sig.Signer(), e.From)
 	}
 	var p PermissionlessParams
-	if err := vm.DecodeGob(tx.Params, &p); err != nil {
+	if err := p.Decode(tx.Params); err != nil {
 		return fmt.Errorf("constructor params: %w", err)
 	}
 	switch {
@@ -218,46 +296,33 @@ func (w *WitnessSC) Clone() vm.Contract {
 	return &cp
 }
 
-// EncodeEvidenceList packs per-edge SPV evidence encodings into one
-// call argument.
-func EncodeEvidenceList(evs [][]byte) []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(evs)))
-	buf.Write(u32[:])
-	for _, ev := range evs {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(ev)))
-		buf.Write(u32[:])
-		buf.Write(ev)
+// EncodeEvidenceList packs encoded values — per-edge SPV evidence, or
+// an [evidence, membership proof] pair — into one call argument: a u32
+// count, then each item behind its u32 length. Items are appended
+// straight into the one buffer, never encoded on their own first.
+func EncodeEvidenceList(items ...wire.Appender) []byte {
+	n := wire.LenPrefix
+	for _, it := range items {
+		n += wire.LenPrefix + it.EncodedLen()
 	}
-	return buf.Bytes()
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(items)))
+	for _, it := range items {
+		out = binary.BigEndian.AppendUint32(out, uint32(it.EncodedLen()))
+		out = it.AppendTo(out)
+	}
+	return out
 }
 
-// DecodeEvidenceList reverses EncodeEvidenceList.
+// DecodeEvidenceList reverses EncodeEvidenceList. The items are views
+// into b (package wire).
 func DecodeEvidenceList(b []byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, errors.New("evidence list: truncated")
+	r := wire.NewReader(b)
+	out := make([][]byte, r.Count(wire.LenPrefix))
+	for i := range out {
+		out[i] = r.Bytes()
 	}
-	n := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if int(n) > len(b) {
-		return nil, fmt.Errorf("evidence list: implausible count %d", n)
-	}
-	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, errors.New("evidence list: truncated item header")
-		}
-		l := binary.BigEndian.Uint32(b[:4])
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, errors.New("evidence list: truncated item")
-		}
-		out = append(out, append([]byte(nil), b[:l]...))
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("evidence list: %d trailing bytes", len(b))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("evidence list: %w", err)
 	}
 	return out, nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/xchain"
 )
 
@@ -276,11 +275,11 @@ func (r *TWRun) deployOwnEdges(p *xchain.Participant) {
 		if e.From != p.Addr() || r.ownTx[i] != nil {
 			continue
 		}
-		params := vm.EncodeGob(contracts.CentralizedParams{
+		params := contracts.CentralizedParams{
 			Recipient: e.To,
 			MSDigest:  r.msID,
 			Witness:   r.cfg.Trent.Key.Addr,
-		})
+		}.Encode()
 		tx, addr, err := p.Client(e.Chain).Deploy(contracts.TypeCentralized, params, e.Asset)
 		if err != nil {
 			r.rt.Event(i, "deploy failed: "+err.Error())

@@ -29,7 +29,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/spv"
-	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/xchain"
 )
 
@@ -331,8 +331,13 @@ func (r *Run) drive(p *xchain.Participant) {
 				st.rejectedSCw = true
 				r.rt.Event(-1, fmt.Sprintf("%s rejects SCw: %v", p.Name, err))
 			}
-			// A participant that distrusts SCw pushes the abort.
+			// A participant that distrusts SCw pushes the abort, and
+			// still observes the decision it reaches: when every
+			// participant rejects, nobody else is left to record it.
 			r.trySubmitRefund(p, st)
+			if decision, decided, _ := r.readDecision(wclient); decided {
+				r.markDecision(decision, wclient)
+			}
 			return
 		}
 		st.verifiedSCw = true
@@ -344,18 +349,7 @@ func (r *Run) drive(p *xchain.Participant) {
 	// rather than stranding its asset.
 	r.confirmOwnEdges(p)
 
-	// Read the decisive state at depth d: SCw's own state in the
-	// per-AC2T protocol, the batch contract's decision ledger when
-	// batching (SCw then stays in P forever — the record under the
-	// committed root is the decision).
-	stable, haveStable := r.readSCw(wclient, r.cfg.WitnessDepth)
-	var decision contracts.WitnessState
-	var decided bool
-	if r.batched() {
-		decision, decided = r.readBatchDecision(wclient, r.cfg.WitnessDepth)
-	} else if haveStable && stable.State != contracts.WitnessPublished {
-		decision, decided = stable.State, true
-	}
+	decision, decided, haveStable := r.readDecision(wclient)
 
 	switch {
 	case decided && decision == contracts.WitnessRedeemAuthorized:
@@ -399,6 +393,21 @@ func (r *Run) drive(p *xchain.Participant) {
 	}
 }
 
+// readDecision reads the decisive state at depth d: SCw's own state in
+// the per-AC2T protocol, the batch contract's decision ledger when
+// batching (SCw then stays in P forever — the record under the
+// committed root is the decision). haveStable reports whether SCw
+// itself is visible at depth d, decided or not.
+func (r *Run) readDecision(wclient *miner.Client) (decision contracts.WitnessState, decided, haveStable bool) {
+	stable, haveStable := r.readSCw(wclient, r.cfg.WitnessDepth)
+	if r.batched() {
+		decision, decided = r.readBatchDecision(wclient, r.cfg.WitnessDepth)
+	} else if haveStable && stable.State != contracts.WitnessPublished {
+		decision, decided = stable.State, true
+	}
+	return decision, decided, haveStable
+}
+
 // deploySCw publishes the coordinator contract with stable-block
 // checkpoints for every asset chain.
 func (r *Run) deploySCw(p *xchain.Participant) {
@@ -417,13 +426,13 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 		})
 		cpHashes[id] = stable.Hash()
 	}
-	params := vm.EncodeGob(contracts.WitnessParams{
+	params := contracts.WitnessParams{
 		Edges:        r.cfg.Graph.Edges,
 		Timestamp:    r.cfg.Graph.Timestamp,
 		Multisig:     *r.ms,
 		Checkpoints:  cps,
 		WitnessDepth: r.cfg.WitnessDepth,
-	})
+	}.Encode()
 	client := p.Client(r.cfg.WitnessChain)
 	tx, addr, err := client.Deploy(contracts.TypeWitness, params, 0)
 	if err != nil {
@@ -532,14 +541,14 @@ func (r *Run) deployOwnEdges(p *xchain.Participant, st *pstate) {
 			st.deployedOwn = false
 			return
 		}
-		params := vm.EncodeGob(contracts.PermissionlessParams{
+		params := contracts.PermissionlessParams{
 			Recipient:         e.To,
 			WitnessChain:      r.cfg.WitnessChain,
 			WitnessCheckpoint: stable.Header.Encode(),
 			SCw:               r.scwAddr,
 			Depth:             r.cfg.WitnessDepth,
 			Batch:             r.cfg.BatchAddr, // zero when unbatched
-		})
+		}.Encode()
 		tx, addr, err := p.Client(e.Chain).Deploy(contracts.TypePermissionless, params, e.Asset)
 		if err != nil {
 			r.rt.Event(i, "deploy failed: "+err.Error())
@@ -627,7 +636,7 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 		r.rt.Event(-1, "authorize_redeem submitted by "+p.Name)
 		return
 	}
-	evs := make([][]byte, 0, len(r.cfg.Graph.Edges))
+	evs := make([]wire.Appender, 0, len(r.cfg.Graph.Edges))
 	for i, e := range r.cfg.Graph.Edges {
 		view := p.Client(e.Chain).Chain()
 		cpHash, ok := r.checkpointHash[e.Chain]
@@ -638,10 +647,10 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 		if err != nil {
 			return // not stable enough on p's view yet; retry later
 		}
-		evs = append(evs, ev.Encode())
+		evs = append(evs, ev)
 	}
 	client := p.Client(r.cfg.WitnessChain)
-	if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRedeem, contracts.EncodeEvidenceList(evs), 0); err != nil {
+	if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRedeem, contracts.EncodeEvidenceList(evs...), 0); err != nil {
 		return
 	}
 	p.Calls++
@@ -703,7 +712,7 @@ func (r *Run) markDecision(outcome contracts.WitnessState, wclient *miner.Client
 		}
 		if tx, ok := protocol.FindCall(wclient.Chain(), r.scwAddr, fn); ok {
 			r.WitnessDecisionTxs = 1
-			r.WitnessDecisionBytes = len(tx.Encode())
+			r.WitnessDecisionBytes = tx.EncodedLen()
 		}
 	}
 }
@@ -866,7 +875,7 @@ func (r *Run) batchEvidenceFor(wview *chain.Chain, checkpoint *chain.Header, fn 
 	if err != nil {
 		return nil, err
 	}
-	return contracts.EncodeEvidenceList([][]byte{ev.Encode(), vm.EncodeGob(proof)}), nil
+	return contracts.EncodeEvidenceList(ev, proof), nil
 }
 
 // findCallTx scans the canonical witness chain (newest first) for a

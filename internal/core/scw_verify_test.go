@@ -78,11 +78,14 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 			if refunds == 0 {
 				t.Fatalf("no participant pushed authorize_refund (events: %v)", r.Events())
 			}
-			// Ground truth, not r.DecidedOutcome: a participant that
-			// rejected SCw stops driving before the decision read.
 			ct, ok := w.View("witness").TipState().Contract(r.SCwAddr())
 			if !ok || ct.(*contracts.WitnessSC).State != contracts.WitnessRefundAuthorized {
 				t.Fatalf("forged SCw not driven to RFauth: %+v", ct)
+			}
+			// A participant that rejects SCw still observes the decision
+			// it pushed, so the run records it though nobody accepted.
+			if r.DecidedAt == 0 || r.DecidedOutcome != contracts.WitnessRefundAuthorized {
+				t.Fatalf("run did not record the abort: DecidedAt %d, DecidedOutcome %s", r.DecidedAt, r.DecidedOutcome)
 			}
 			out := r.Grade()
 			if !out.Aborted() || out.AtomicityViolated() {

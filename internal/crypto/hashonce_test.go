@@ -43,8 +43,10 @@ func TestSumMatchesStreamingSHA256(t *testing.T) {
 
 func TestSumSmallInputsDoNotAllocate(t *testing.T) {
 	blob := make([]byte, 256)
+	big := make([]byte, 10<<10) // a transaction body: streamed, not gathered
 	var sink Hash
 	for name, fn := range map[string]func(){
+		"five parts, 10 kB": func() { sink = Sum(big[:50], big[50:4000], big[4000:4100], big[4100:], blob[:8]) },
 		"one part":          func() { sink = Sum(blob[:98]) },
 		"one part, 256 B":   func() { sink = Sum(blob) },
 		"three parts, 65 B": func() { sink = Sum(blob[:1], blob[1:33], blob[33:65]) },

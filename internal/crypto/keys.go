@@ -17,6 +17,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+
+	"repro/internal/wire"
 )
 
 // HashSize is the byte length of all digests in the system.
@@ -31,19 +33,34 @@ type Hash [HashSize]byte
 //ac3:globalstate zero-value sentinel compared by value; never written
 var ZeroHash Hash
 
-// Sum hashes the concatenation of the given byte slices. A single
-// part, or parts totalling at most 256 bytes (a header, a merkle node,
-// a multisig id), are hashed without touching the heap.
+// Sum hashes the concatenation of the given byte slices without
+// touching the heap: a single part is hashed in place, parts totalling
+// at most 256 bytes (a merkle node, a multisig id) are gathered on the
+// stack, and anything longer is streamed through the hasher part by
+// part — a transaction body is never copied just to be hashed.
 func Sum(parts ...[]byte) Hash {
 	if len(parts) == 1 {
 		return sha256.Sum256(parts[0])
 	}
-	var stack [256]byte
-	buf := stack[:0]
+	total := 0
 	for _, p := range parts {
-		buf = append(buf, p...)
+		total += len(p)
 	}
-	return sha256.Sum256(buf)
+	var stack [256]byte
+	if total <= len(stack) {
+		buf := stack[:0]
+		for _, p := range parts {
+			buf = append(buf, p...)
+		}
+		return sha256.Sum256(buf)
+	}
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	var out Hash
+	h.Sum(out[:0])
+	return out
 }
 
 // Bytes returns the digest as a slice.
@@ -76,7 +93,10 @@ func HashFromHex(s string) (Hash, error) {
 // Address identifies an end-user (or a contract) on a chain. For users
 // it is the hash of the public key, as in the paper's data model where
 // "identities are typically implemented using public keys".
-type Address [20]byte
+type Address [AddressSize]byte
+
+// AddressSize is the byte length of an address.
+const AddressSize = 20
 
 // ZeroAddress is the empty address; contracts transferring to it burn
 // assets, so validation rejects it as a transaction output owner.
@@ -158,6 +178,21 @@ func (s Signature) Signer() Address { return AddressFromPub(s.Pub) }
 // Equal reports whether two signatures are byte-identical.
 func (s Signature) Equal(o Signature) bool {
 	return bytes.Equal(s.Pub, o.Pub) && bytes.Equal(s.Sig, o.Sig)
+}
+
+// EncodedLen is the size of the signature's wire form: the public key
+// and the signature bytes, each behind a u32 length.
+func (s Signature) EncodedLen() int { return 2*wire.LenPrefix + len(s.Pub) + len(s.Sig) }
+
+// AppendTo appends the wire form to dst.
+func (s Signature) AppendTo(dst []byte) []byte {
+	return wire.AppendBytes(wire.AppendBytes(dst, s.Pub), s.Sig)
+}
+
+// DecodeFrom reads the wire form; Pub and Sig alias the reader's input.
+func (s *Signature) DecodeFrom(r *wire.Reader) {
+	s.Pub = r.Bytes()
+	s.Sig = r.Bytes()
 }
 
 // Clone returns a deep copy.

@@ -2,8 +2,11 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"repro/internal/wire"
 )
 
 // MultiSig is the multisignature ms(D) of Equation 1: every
@@ -147,6 +150,40 @@ func MultiSigID(digest Hash, signers []Address) Hash {
 		buf = append(buf, a[:]...)
 	}
 	return Sum(buf)
+}
+
+// minSignatureLen is the least a carried signature occupies on the
+// wire (two empty byte strings); it bounds a decoded signature count.
+const minSignatureLen = 2 * wire.LenPrefix
+
+// EncodedLen is the size of the wire form: digest, u32 signature
+// count, signatures in carried order.
+func (m *MultiSig) EncodedLen() int {
+	n := HashSize + wire.LenPrefix
+	for _, s := range m.Sigs {
+		n += s.EncodedLen()
+	}
+	return n
+}
+
+// AppendTo appends the wire form to dst.
+func (m *MultiSig) AppendTo(dst []byte) []byte {
+	dst = append(dst, m.Digest[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Sigs)))
+	for _, s := range m.Sigs {
+		dst = s.AppendTo(dst)
+	}
+	return dst
+}
+
+// DecodeFrom reads the wire form; the signatures alias the reader's
+// input.
+func (m *MultiSig) DecodeFrom(r *wire.Reader) {
+	r.Fill(m.Digest[:])
+	m.Sigs = make([]Signature, r.Count(minSignatureLen))
+	for i := range m.Sigs {
+		m.Sigs[i].DecodeFrom(r)
+	}
 }
 
 // Clone deep-copies the multisignature.

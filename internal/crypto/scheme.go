@@ -1,8 +1,9 @@
 package crypto
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Scheme is the commitment-scheme primitive of Section 3: assets are
@@ -107,35 +108,16 @@ func (l SigLock) Describe() string {
 
 // EncodeSignature serializes a Signature for use as a Scheme secret.
 func EncodeSignature(sig Signature) []byte {
-	out := make([]byte, 0, 8+len(sig.Pub)+len(sig.Sig))
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(sig.Pub)))
-	out = append(out, n[:]...)
-	out = append(out, sig.Pub...)
-	binary.BigEndian.PutUint32(n[:], uint32(len(sig.Sig)))
-	out = append(out, n[:]...)
-	out = append(out, sig.Sig...)
-	return out
+	return sig.AppendTo(make([]byte, 0, sig.EncodedLen()))
 }
 
-// DecodeSignature reverses EncodeSignature.
+// DecodeSignature reverses EncodeSignature. The result aliases b.
 func DecodeSignature(b []byte) (Signature, error) {
 	var sig Signature
-	if len(b) < 4 {
-		return sig, fmt.Errorf("crypto: signature encoding too short")
+	r := wire.NewReader(b)
+	sig.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return Signature{}, fmt.Errorf("crypto: signature: %w", err)
 	}
-	n := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint32(len(b)) < n+4 {
-		return sig, fmt.Errorf("crypto: truncated public key")
-	}
-	sig.Pub = append([]byte(nil), b[:n]...)
-	b = b[n:]
-	m := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint32(len(b)) != m {
-		return sig, fmt.Errorf("crypto: truncated signature body")
-	}
-	sig.Sig = append([]byte(nil), b...)
 	return sig, nil
 }

@@ -12,13 +12,16 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/vm"
+	"repro/internal/wire"
 )
 
 // Edge is one sub-transaction: transfer Asset from From to To on
@@ -28,6 +31,32 @@ type Edge struct {
 	To    crypto.Address
 	Asset vm.Amount
 	Chain chain.ID
+}
+
+// MinEdgeLen is the wire size of an edge with an empty chain id (two
+// addresses, the asset amount, the chain id's length prefix); it
+// bounds a decoded edge count.
+const MinEdgeLen = 2*crypto.AddressSize + 8 + wire.LenPrefix
+
+// EncodedLen is the size of the edge's wire form: From, To, Asset,
+// then the chain id behind its u32 length.
+func (e *Edge) EncodedLen() int { return MinEdgeLen + len(e.Chain) }
+
+// AppendTo appends the wire form to dst.
+func (e *Edge) AppendTo(dst []byte) []byte {
+	dst = append(dst, e.From[:]...)
+	dst = append(dst, e.To[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, e.Asset)
+	return wire.AppendString(dst, string(e.Chain))
+}
+
+// DecodeFrom reads the wire form; Chain is a view into the reader's
+// input (package wire).
+func (e *Edge) DecodeFrom(r *wire.Reader) {
+	r.Fill(e.From[:])
+	r.Fill(e.To[:])
+	e.Asset = r.U64()
+	e.Chain = chain.ID(r.String())
 }
 
 // Graph is a timestamped AC2T graph (D, t). Construct with New, which
@@ -70,39 +99,39 @@ func New(timestamp int64, edges ...Edge) (*Graph, error) {
 
 func lessAddr(a, b crypto.Address) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
+// compareEdges is the canonical edge order of the digest: by source,
+// destination, blockchain, then asset.
+func compareEdges(a, b Edge) int {
+	if c := bytes.Compare(a.From[:], b.From[:]); c != 0 {
+		return c
+	}
+	if c := bytes.Compare(a.To[:], b.To[:]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Chain, b.Chain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Asset, b.Asset)
+}
+
 // Digest canonically encodes (D, t) and hashes it — the message every
 // participant signs to form ms(D). Edge order does not affect the
 // digest.
 func (g *Graph) Digest() crypto.Hash {
-	edges := append([]Edge(nil), g.Edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if c := bytes.Compare(edges[i].From[:], edges[j].From[:]); c != 0 {
-			return c < 0
-		}
-		if c := bytes.Compare(edges[i].To[:], edges[j].To[:]); c != 0 {
-			return c < 0
-		}
-		if edges[i].Chain != edges[j].Chain {
-			return edges[i].Chain < edges[j].Chain
-		}
-		return edges[i].Asset < edges[j].Asset
-	})
-	var buf bytes.Buffer
-	buf.WriteString("ac2t-graph/v1")
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(g.Timestamp))
-	buf.Write(u64[:])
-	binary.BigEndian.PutUint64(u64[:], uint64(len(edges)))
-	buf.Write(u64[:])
+	edges := slices.Clone(g.Edges)
+	slices.SortFunc(edges, compareEdges)
+	var stack [512]byte // a two-party graph encodes to ~150 bytes
+	buf := append(stack[:0], "ac2t-graph/v1"...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(g.Timestamp))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(edges)))
 	for _, e := range edges {
-		buf.Write(e.From[:])
-		buf.Write(e.To[:])
-		binary.BigEndian.PutUint64(u64[:], e.Asset)
-		buf.Write(u64[:])
-		buf.WriteString(string(e.Chain))
-		buf.WriteByte(0)
+		buf = append(buf, e.From[:]...)
+		buf = append(buf, e.To[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, e.Asset)
+		buf = append(buf, e.Chain...)
+		buf = append(buf, 0)
 	}
-	return crypto.Sum(buf.Bytes())
+	return crypto.Sum(buf)
 }
 
 // Sign builds the multisignature ms(D) with the given keys. Every

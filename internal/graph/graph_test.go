@@ -251,3 +251,29 @@ func TestStringRendering(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// TestDigestGoldenVectors pins Digest to the bytes of the commit before
+// the wire codec (ADR-012): ms(D) signs it, so a change would alter
+// every SCw deployment. The second graph's encoding (12 edges) runs
+// past Digest's stack buffer.
+func TestDigestGoldenVectors(t *testing.T) {
+	a, b, c := crypto.Address{1}, crypto.Address{2}, crypto.Address{3}
+	g, err := New(-7, Edge{From: a, To: b, Asset: 10, Chain: "btc"}, Edge{From: b, To: c, Asset: 1 << 40, Chain: "eth"},
+		Edge{From: c, To: a, Asset: 3, Chain: "a-long-chain-identifier"}, Edge{From: a, To: b, Asset: 9, Chain: "btc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Digest().Hex(); got != "b833a9398a567d5ced6ffb246251e5aae7ee96952fdafa5a2ad3673aab81a0dd" {
+		t.Fatalf("4-edge digest = %s", got)
+	}
+	var edges []Edge
+	for i := 0; i < 12; i++ {
+		edges = append(edges, Edge{From: crypto.Address{byte(i + 1)}, To: crypto.Address{byte(i + 2)}, Asset: uint64(i + 1), Chain: "chain-with-a-long-name"})
+	}
+	if g, err = New(1<<40, edges...); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Digest().Hex(); got != "b505c5024850083fa9a0a7af501d53101ace64b317d6391c33293ff6f0fbb4e7" {
+		t.Fatalf("12-edge digest = %s", got)
+	}
+}

@@ -23,13 +23,17 @@ import (
 //     convention enforced throughout the stdlib;
 //   - blank compile-time assertions (`var _ Iface = (*T)(nil)`).
 //
-// Everything else — read-only tables, zero-value sentinels, pinned
-// registration inits — must carry `//ac3:globalstate <justification>`
-// so the exception and its safety argument live at the site.
+// Everything else — read-only tables, zero-value sentinels — must
+// carry `//ac3:globalstate <justification>` so the exception and its
+// safety argument live at the site.
+//
+// Importing encoding/gob is flagged too: it is the library that holds
+// that counter, and every wire type has a typed codec over package
+// wire instead (ADR-012), so the bug class cannot be reintroduced.
 var GlobalState = &analysis.Analyzer{
 	Name: "globalstate",
-	Doc: "flag mutable package-level variables and init() registration in deterministic " +
-		"packages (process-global state breaks shard-world isolation)",
+	Doc: "flag mutable package-level variables, init() registration and encoding/gob " +
+		"in deterministic packages (process-global state breaks shard-world isolation)",
 	Run: runGlobalState,
 }
 
@@ -40,6 +44,11 @@ func runGlobalState(pass *analysis.Pass) (any, error) {
 	dirs := collectDirectives(pass)
 	dirs.reportMissingJustifications()
 	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` && !dirs.allowed("globalstate", imp.Pos()) {
+				pass.Reportf(imp.Pos(), "import \"encoding/gob\" in deterministic package %s: gob numbers wire types from a process-global counter in order of first use, so encoded bytes depend on process history; give the type a codec over package wire", pass.Pkg.Path())
+			}
+		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

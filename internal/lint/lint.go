@@ -15,7 +15,8 @@
 //   - globalrand: no ambient RNGs; every stream forks from a sim seed
 //   - maporder: no map-iteration order flowing into ordered output
 //   - shardworld: no concurrency inside shard-world packages
-//   - globalstate: no mutable package-level state or init registration
+//   - globalstate: no mutable package-level state, init registration
+//     or encoding/gob
 //
 // Judgment-call exceptions are annotated in source as
 // `//ac3:<analyzer> <justification>` — the justification is required,

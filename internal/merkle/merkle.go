@@ -6,9 +6,11 @@
 package merkle
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/crypto"
+	"repro/internal/wire"
 )
 
 // leafPrefix and nodePrefix domain-separate leaf and interior hashes,
@@ -126,6 +128,64 @@ func (p *Proof) VerifyData(root crypto.Hash, data []byte) bool {
 		return false
 	}
 	return p.Verify(root)
+}
+
+// siblingLen is the wire size of one path step: the sibling hash and
+// its side byte.
+const siblingLen = crypto.HashSize + 1
+
+// EncodedLen is the size of the proof's wire form: u32 leaf index,
+// leaf hash, u32 sibling count, then (sibling, side byte) bottom-up,
+// the side byte being 1 for a left sibling and 0 for a right one.
+func (p *Proof) EncodedLen() int {
+	return wire.LenPrefix + crypto.HashSize + wire.LenPrefix + len(p.Siblings)*siblingLen
+}
+
+// AppendTo appends the wire form to dst. The proof must be well formed
+// (one side per sibling), as every proof from Prove or DecodeProof is.
+func (p *Proof) AppendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Index))
+	dst = append(dst, p.Leaf[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Siblings)))
+	for i, s := range p.Siblings {
+		dst = append(dst, s[:]...)
+		side := byte(0)
+		if p.Lefts[i] {
+			side = 1
+		}
+		dst = append(dst, side)
+	}
+	return dst
+}
+
+// Encode serializes the proof for use as a contract-call argument.
+func (p *Proof) Encode() []byte { return p.AppendTo(make([]byte, 0, p.EncodedLen())) }
+
+// DecodeFrom reads the wire form. A side byte other than 0 or 1 is
+// malformed.
+func (p *Proof) DecodeFrom(r *wire.Reader) {
+	p.Index = int(r.U32())
+	r.Fill(p.Leaf[:])
+	p.Siblings, p.Lefts = nil, nil
+	if n := r.Count(siblingLen); n > 0 {
+		p.Siblings = make([]crypto.Hash, n)
+		p.Lefts = make([]bool, n)
+		for i := range p.Siblings {
+			r.Fill(p.Siblings[i][:])
+			p.Lefts[i] = r.Bool()
+		}
+	}
+}
+
+// DecodeProof reverses Encode.
+func DecodeProof(b []byte) (*Proof, error) {
+	p := &Proof{}
+	r := wire.NewReader(b)
+	p.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("merkle: proof: %w", err)
+	}
+	return p, nil
 }
 
 // Clone deep-copies the proof (evidence is embedded in transactions

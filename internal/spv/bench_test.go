@@ -52,10 +52,30 @@ func BenchmarkEvidenceDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	enc := ev.Encode()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvidenceEncode measures serializing evidence into a call
+// argument: one exact-size allocation.
+func BenchmarkEvidenceEncode(b *testing.B) {
+	f := newBenchFixture(b, 32)
+	ev, err := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(ev.EncodedLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(ev.Encode()) == 0 {
+			b.Fatal("empty encoding")
 		}
 	}
 }

@@ -13,7 +13,6 @@
 package spv
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/merkle"
+	"repro/internal/wire"
 )
 
 // Evidence proves that a transaction occurred in a validated
@@ -152,162 +152,64 @@ func Build(view *chain.Chain, checkpointHash crypto.Hash, txID crypto.Hash, minD
 	}, nil
 }
 
-// Encode serializes evidence for embedding in a contract-call
-// argument. Contracts receive opaque bytes, mirroring calldata.
-func (e *Evidence) Encode() []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	writeBytes := func(b []byte) {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(b)))
-		buf.Write(u32[:])
-		buf.Write(b)
-	}
-	writeBytes([]byte(e.ChainID))
-	binary.BigEndian.PutUint32(u32[:], uint32(len(e.Headers)))
-	buf.Write(u32[:])
+// EncodedLen is the size of the evidence's wire form: chain id, u32
+// header count, each header behind its u32 length, u32 block offset,
+// the transaction bytes, then the merkle proof.
+func (e *Evidence) EncodedLen() int {
+	n := wire.LenPrefix + len(e.ChainID) + wire.LenPrefix
 	for _, h := range e.Headers {
-		writeBytes(h.Encode())
+		n += wire.LenPrefix + h.EncodedLen()
 	}
-	binary.BigEndian.PutUint32(u32[:], uint32(e.TxBlockOffset))
-	buf.Write(u32[:])
-	writeBytes(e.TxBytes)
-	// Merkle proof.
-	binary.BigEndian.PutUint32(u32[:], uint32(e.Proof.Index))
-	buf.Write(u32[:])
-	buf.Write(e.Proof.Leaf[:])
-	binary.BigEndian.PutUint32(u32[:], uint32(len(e.Proof.Siblings)))
-	buf.Write(u32[:])
-	for i, s := range e.Proof.Siblings {
-		buf.Write(s[:])
-		if e.Proof.Lefts[i] {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-	}
-	return buf.Bytes()
+	return n + wire.LenPrefix + wire.LenPrefix + len(e.TxBytes) + e.Proof.EncodedLen()
 }
 
-// Decode reverses Encode.
+// AppendTo appends the wire form to dst; headers and proof are written
+// straight into it.
+func (e *Evidence) AppendTo(dst []byte) []byte {
+	dst = wire.AppendString(dst, string(e.ChainID))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Headers)))
+	for _, h := range e.Headers {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(h.EncodedLen()))
+		dst = h.AppendTo(dst)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(e.TxBlockOffset))
+	dst = wire.AppendBytes(dst, e.TxBytes)
+	return e.Proof.AppendTo(dst)
+}
+
+// Encode serializes evidence for embedding in a contract-call
+// argument, in one exact-size allocation. Contracts receive opaque
+// bytes, mirroring calldata.
+func (e *Evidence) Encode() []byte { return e.AppendTo(make([]byte, 0, e.EncodedLen())) }
+
+// minHeaderLen is the least one carried header occupies: its length
+// prefix and a header with an empty chain id.
+const minHeaderLen = wire.LenPrefix + chain.HeaderFixedLen
+
+// Decode reverses Encode. The evidence aliases b (package wire): the
+// transaction bytes and the chain ids are views into it. The headers
+// land in one backing array.
 func Decode(b []byte) (*Evidence, error) {
-	r := &reader{b: b}
-	e := &Evidence{}
-	id, err := r.bytes()
-	if err != nil {
-		return nil, evErr("chain id: %v", err)
-	}
-	e.ChainID = chain.ID(id)
-	nHeaders, err := r.u32()
-	if err != nil {
-		return nil, evErr("header count: %v", err)
-	}
-	if int(nHeaders) > len(b) {
-		return nil, evErr("implausible header count %d", nHeaders)
-	}
-	for i := uint32(0); i < nHeaders; i++ {
-		hb, err := r.bytes()
-		if err != nil {
-			return nil, evErr("header %d: %v", i, err)
+	r := wire.NewReader(b)
+	e := &Evidence{ChainID: chain.ID(r.String())}
+	if n := r.Count(minHeaderLen); n > 0 {
+		headers := make([]chain.Header, n)
+		e.Headers = make([]*chain.Header, n)
+		for i := range headers {
+			hr := wire.NewReader(r.Bytes())
+			headers[i].DecodeFrom(&hr)
+			if err := hr.Finish(); err != nil {
+				r.Failf("header %d: %v", i, err)
+			}
+			e.Headers[i] = &headers[i]
 		}
-		h, err := chain.DecodeHeader(hb)
-		if err != nil {
-			return nil, evErr("header %d: %v", i, err)
-		}
-		e.Headers = append(e.Headers, h)
 	}
-	off, err := r.u32()
-	if err != nil {
-		return nil, evErr("tx offset: %v", err)
-	}
-	e.TxBlockOffset = int(off)
-	if e.TxBytes, err = r.bytes(); err != nil {
-		return nil, evErr("tx bytes: %v", err)
-	}
-	p := &merkle.Proof{}
-	idx, err := r.u32()
-	if err != nil {
-		return nil, evErr("proof index: %v", err)
-	}
-	p.Index = int(idx)
-	if err := r.hash(&p.Leaf); err != nil {
-		return nil, evErr("proof leaf: %v", err)
-	}
-	nSib, err := r.u32()
-	if err != nil {
-		return nil, evErr("sibling count: %v", err)
-	}
-	if int(nSib) > len(b) {
-		return nil, evErr("implausible sibling count %d", nSib)
-	}
-	for i := uint32(0); i < nSib; i++ {
-		var h crypto.Hash
-		if err := r.hash(&h); err != nil {
-			return nil, evErr("sibling %d: %v", i, err)
-		}
-		side, err := r.u8()
-		if err != nil {
-			return nil, evErr("sibling side %d: %v", i, err)
-		}
-		p.Siblings = append(p.Siblings, h)
-		p.Lefts = append(p.Lefts, side == 1)
-	}
-	e.Proof = p
-	if r.remaining() != 0 {
-		return nil, evErr("%d trailing bytes", r.remaining())
+	e.TxBlockOffset = int(r.U32())
+	e.TxBytes = r.Bytes()
+	e.Proof = &merkle.Proof{}
+	e.Proof.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return nil, evErr("%v", err)
 	}
 	return e, nil
-}
-
-// reader is a bounds-checked decode cursor.
-type reader struct {
-	b   []byte
-	pos int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.pos }
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("truncated (need %d, have %d)", n, r.remaining())
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-func (r *reader) hash(h *crypto.Hash) error {
-	b, err := r.take(crypto.HashSize)
-	if err != nil {
-		return err
-	}
-	copy(h[:], b)
-	return nil
 }

@@ -33,7 +33,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/xchain"
 )
 
@@ -272,11 +271,11 @@ func (r *Run) deployOutgoing(p *xchain.Participant) {
 		if e.From != p.Addr() || r.ownTx[i] != nil {
 			continue
 		}
-		params := vm.EncodeGob(contracts.HTLCParams{
+		params := contracts.HTLCParams{
 			Recipient: e.To,
 			Hashlock:  r.hashlock,
 			Timelock:  r.timelocks[i],
-		})
+		}.Encode()
 		tx, addr, err := p.Client(e.Chain).Deploy(contracts.TypeHTLC, params, e.Asset)
 		if err != nil {
 			// Underfunded sender: the swap will abort via timelocks.

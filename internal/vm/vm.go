@@ -14,8 +14,6 @@
 package vm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -156,21 +154,34 @@ func ContractAddress(txID crypto.Hash) crypto.Address {
 	return a
 }
 
-// EncodeGob serializes constructor parameters or call arguments. Gob
-// is deterministic for a fixed concrete type, which the chain relies
-// on when hashing transactions.
-func EncodeGob(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("vm: gob encode %T: %v", v, err))
-	}
-	return buf.Bytes()
+// Codec is what a contract's parameter or argument type offers: the
+// typed wire encoding of package wire (ADR-012).
+type Codec interface {
+	Encode() []byte
+	Decode(b []byte) error
 }
 
-// DecodeGob deserializes into v.
-func DecodeGob(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("vm: gob decode %T: %w", v, err)
+// EncodeGob and DecodeGob are what is left of the gob codec the
+// contracts once used: the names, forwarding to the value's own typed
+// codec. Nothing in this module calls them — code holding a concrete
+// type calls its Encode/Decode — and they stay only because the frozen
+// benchmark (benchmark/replay.go, the vm.gob_* probes) does; a
+// benchmark change that renames the probe deletes them.
+//
+// Deprecated: call the value's Encode method.
+func EncodeGob(v any) []byte {
+	c, ok := v.(Codec)
+	if !ok {
+		panic(fmt.Sprintf("vm: %T has no wire codec", v))
 	}
-	return nil
+	return c.Encode()
+}
+
+// Deprecated: call the value's Decode method.
+func DecodeGob(b []byte, v any) error {
+	c, ok := v.(Codec)
+	if !ok {
+		return fmt.Errorf("vm: %T has no wire codec", v)
+	}
+	return c.Decode(b)
 }

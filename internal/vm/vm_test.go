@@ -1,12 +1,15 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/crypto"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // counter is a minimal test contract.
@@ -142,15 +145,38 @@ func TestContractAddressDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// testParams is a parameter type with its own few-line codec, as every
+// contract's parameters have.
+type testParams struct {
+	Recipient crypto.Address
+	Deadline  int64
+	Secret    []byte
+}
+
+func (p *testParams) Encode() []byte {
+	out := append([]byte(nil), p.Recipient[:]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(p.Deadline))
+	return wire.AppendBytes(out, p.Secret)
+}
+
+func (p *testParams) Decode(b []byte) error {
+	r := wire.NewReader(b)
+	r.Fill(p.Recipient[:])
+	p.Deadline = int64(r.U64())
+	p.Secret = r.Bytes()
+	return r.Finish()
+}
+
+// The three Gob tests cover the deprecated EncodeGob/DecodeGob shim:
+// it forwards to the value's codec and knows no other encoding.
+
 func TestGobRoundTrip(t *testing.T) {
-	type params struct {
-		Recipient crypto.Address
-		Deadline  int64
-		Secret    []byte
-	}
-	in := params{Recipient: addr(6), Deadline: 42, Secret: []byte("s")}
+	in := &testParams{Recipient: addr(6), Deadline: -42, Secret: []byte("s")}
 	b := EncodeGob(in)
-	var out params
+	if !bytes.Equal(b, in.Encode()) {
+		t.Fatal("EncodeGob is not the value's own Encode")
+	}
+	var out testParams
 	if err := DecodeGob(b, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -160,21 +186,29 @@ func TestGobRoundTrip(t *testing.T) {
 }
 
 func TestGobDeterministic(t *testing.T) {
-	type p struct{ A, B uint64 }
-	x := EncodeGob(p{1, 2})
-	y := EncodeGob(p{1, 2})
+	x := EncodeGob(&testParams{Deadline: 1, Secret: []byte{2}})
+	y := EncodeGob(&testParams{Deadline: 1, Secret: []byte{2}})
 	if string(x) != string(y) {
-		t.Fatal("gob encoding of identical values differs")
+		t.Fatal("encoding of identical values differs")
 	}
 }
 
 func TestDecodeGobError(t *testing.T) {
-	var v struct{ A int }
-	if err := DecodeGob([]byte("not gob"), &v); err == nil {
-		t.Fatal("expected decode error")
+	if err := DecodeGob([]byte("not an encoding"), &testParams{}); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("malformed input: err = %v, want wire.ErrMalformed", err)
 	}
-	var target error = errors.New("x")
-	_ = target // documentation: DecodeGob wraps, callers can errors.Is on gob errors if needed
+	// A type without a codec is an error from DecodeGob and a
+	// programmer-error panic from EncodeGob; there is no fallback.
+	var v struct{ A int }
+	if err := DecodeGob(nil, &v); err == nil || !strings.Contains(err.Error(), "no wire codec") {
+		t.Fatalf("codec-less type: err = %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EncodeGob of a codec-less type did not panic")
+		}
+	}()
+	EncodeGob(v)
 }
 
 func TestPayFromDrainFunction(t *testing.T) {

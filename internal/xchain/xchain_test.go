@@ -8,7 +8,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 func buildTwoChainWorld(t *testing.T, seed uint64) (*World, *Participant, *Participant) {
@@ -148,11 +147,11 @@ func TestCountContractOps(t *testing.T) {
 	w, alice, _ := buildTwoChainWorld(t, 5)
 	client := alice.Client("c1")
 	// Deploy an HTLC and redeem it.
-	params := vm.EncodeGob(contracts.HTLCParams{
+	params := contracts.HTLCParams{
 		Recipient: alice.Addr(),
 		Hashlock:  crypto.Sum([]byte("s")),
 		Timelock:  int64(2 * sim.Hour),
-	})
+	}.Encode()
 	tx, addr, err := client.Deploy(contracts.TypeHTLC, params, 1_000)
 	if err != nil {
 		t.Fatal(err)
