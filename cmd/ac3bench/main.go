@@ -5,86 +5,28 @@
 // Usage:
 //
 //	ac3bench [-seed N] [-experiment id] [-diam N] [-runs N]
-//	         [-snapshot file] [-snapshotlabel name] [-scale N,N,...]
 //
 // Experiment ids: fig8, fig9, fig10, cost, witness, table1,
 // atomicity, complex, scale, engine, all (default).
 //
-// -snapshot writes a machine-readable BENCH_<pr>.json perf snapshot
-// (the engine shard sweep's wall time, events/AC2T, blocks-exec/AC2T,
-// outcome counts and per-phase latency table, plus the witness
-// decision-batching before/after pair with witness_txs_per_commit and
-// witness_bytes_per_commit) instead of running the table experiments
-// — the ROADMAP's diffable perf trajectory. -scale
-// appends memory-scale rungs to the snapshot: a comma-separated list
-// of AC2T counts (e.g. -scale 10000,100000; add 1000000 for the
-// opt-in 1M rung), each run on 8 shards under a memory sampler and
-// reported with wall time, peak RSS, and allocs per AC2T.
+// Performance is measured by the repository's benchmark (benchmark/,
+// BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
 )
-
-// parseRungs parses the -scale list ("" = no rungs).
-func parseRungs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rungs []int
-	for _, p := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -scale rung %q (want a positive AC2T count)", p)
-		}
-		rungs = append(rungs, n)
-	}
-	return rungs, nil
-}
 
 func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed (runs are deterministic per seed)")
 	experiment := flag.String("experiment", "all", "which experiment to run: fig8|fig9|fig10|cost|witness|table1|atomicity|complex|scale|engine|all")
 	maxDiam := flag.Int("diam", 8, "maximum graph diameter for the fig10 sweep")
 	runs := flag.Int("runs", 5, "runs per scenario for the atomicity experiment")
-	snapshot := flag.String("snapshot", "", "write a machine-readable engine perf snapshot (JSON) to this file and exit")
-	snapshotLabel := flag.String("snapshotlabel", "", "label stored in the -snapshot file (e.g. pr6)")
-	scaleRungs := flag.String("scale", "", "comma-separated AC2T counts for -snapshot memory-scale rungs (e.g. 10000,100000)")
 	flag.Parse()
-
-	if *snapshot != "" {
-		rungs, err := parseRungs(*scaleRungs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		snap, err := bench.SnapshotScale(*seed, *snapshotLabel, rungs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := bench.WriteSnapshot(f, snap); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "snapshot -> %s\n", *snapshot)
-		return
-	}
 
 	var results []*bench.Result
 	switch *experiment {

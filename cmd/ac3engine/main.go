@@ -59,7 +59,6 @@ import (
 	"os"
 	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -128,7 +127,7 @@ func main() {
 	wl.BatchThreshold = *batchThreshold
 
 	var err error
-	if wl.Mix, err = parseMix(*mix); err != nil {
+	if wl.Mix, err = engine.ParseMix(*mix); err != nil {
 		fatal(err)
 	}
 	if wl.Sizes, err = parseSizes(*sizes); err != nil {
@@ -257,27 +256,6 @@ func main() {
 			float64(mem.PeakSysBytes)/(1<<20), *memBudget)
 		os.Exit(1)
 	}
-}
-
-// parseMix parses "commit,abort,crash,race" weights, optionally
-// extended with ",partition,lossy,geo".
-func parseMix(s string) (engine.Mix, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 && len(parts) != 7 {
-		return engine.Mix{}, fmt.Errorf("mix must be 4 or 7 comma-separated weights, got %q", s)
-	}
-	w := make([]int, 7)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return engine.Mix{}, fmt.Errorf("bad mix weight %q: %v", p, err)
-		}
-		w[i] = v
-	}
-	return engine.Mix{
-		Commit: w[0], Abort: w[1], Crash: w[2], Race: w[3],
-		Partition: w[4], Lossy: w[5], Geo: w[6],
-	}, nil
 }
 
 // parseSizes parses "size:weight,..." into a distribution.

@@ -7,12 +7,14 @@
 // Usage:
 //
 //	ac3sim [-protocol ac3wn|ac3tw|htlc] [-parties N] [-seed N]
-//	       [-crash victim] [-recover]
+//	       [-crash] [-recover]
 //
-// -crash makes the last participant crash the moment the commit
-// decision is being pushed (the Section 1 hazard); -recover brings it
-// back an hour later. Watch the baseline lose assets and AC3WN
-// recover them.
+// -crash takes down the protocol's critical failure point the moment
+// the commit decision is being pushed (the Section 1 hazard): the last
+// participant for ac3wn and htlc, the trusted witness for ac3tw.
+// -recover brings it back after three virtual hours. Watch the HTLC
+// baseline lose assets, AC3TW block until its witness returns, and
+// AC3WN recover.
 package main
 
 import (
@@ -32,8 +34,8 @@ func main() {
 	protocol := flag.String("protocol", "ac3wn", "protocol: ac3wn|ac3tw|htlc")
 	parties := flag.Int("parties", 2, "number of participants (ring AC2T)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
-	crash := flag.Bool("crash", false, "crash the last participant at the decision point")
-	recoverVictim := flag.Bool("recover", false, "recover the crashed participant after one virtual hour")
+	crash := flag.Bool("crash", false, "crash the protocol's critical failure point at the decision point")
+	recoverVictim := flag.Bool("recover", false, "recover what -crash took down, three virtual hours in")
 	flag.Parse()
 
 	if *parties < 2 {
@@ -63,12 +65,12 @@ func main() {
 	g, err := graph.New(int64(*seed), edges...)
 	fatal(err)
 
-	victim := ps[len(ps)-1]
 	fmt.Printf("AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
 
+	var r core.Runner
 	switch *protocol {
 	case "ac3wn":
-		r, err := core.New(w, core.Config{
+		r, err = core.New(w, core.Config{
 			Graph:        g,
 			Participants: ps,
 			Initiator:    ps[0],
@@ -76,100 +78,52 @@ func main() {
 			WitnessDepth: 3,
 			AssetDepth:   3,
 		})
-		fatal(err)
-		r.Start()
-		if *crash {
-			armCrash(w, victim, func() bool {
-				for _, ev := range r.Events() {
-					if len(ev.Label) > 16 && ev.Label[:16] == "authorize_redeem" {
-						return true
-					}
-				}
-				return false
-			})
-		}
-		w.RunUntil(2 * sim.Hour)
-		if *crash && *recoverVictim {
-			fmt.Printf("--- recovering %s after an hour of downtime ---\n", victim.Name)
-			victim.Recover()
-			r.Resume(victim)
-			w.RunUntil(w.Sim.Now() + time1h)
-		}
-		w.StopMining()
-		w.RunFor(sim.Minute)
-		printEvents := r.Events()
-		for _, ev := range printEvents {
-			fmt.Printf("t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
-		}
-		report(r.Grade())
 	case "ac3tw":
-		trent := core.NewTrent(w, *seed+1, 100*sim.Millisecond)
-		r, err := core.NewTW(w, core.TWConfig{
+		r, err = core.NewTW(w, core.TWConfig{
 			Graph:        g,
 			Participants: ps,
 			Initiator:    ps[0],
-			Trent:        trent,
+			Trent:        core.NewTrent(w, *seed+1, 100*sim.Millisecond),
 			ConfirmDepth: 3,
 		})
-		fatal(err)
-		r.Start()
-		w.RunUntil(2 * sim.Hour)
-		w.StopMining()
-		w.RunFor(sim.Minute)
-		for _, ev := range r.Events() {
-			fmt.Printf("t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
-		}
-		report(r.Grade())
 	case "htlc":
-		r, err := swap.New(w, swap.Config{
+		r, err = swap.New(w, swap.Config{
 			Graph:        g,
 			Participants: ps,
 			Leader:       ps[0],
 			Delta:        60 * sim.Second,
 			ConfirmDepth: 3,
 		})
-		fatal(err)
-		r.Start()
-		if *crash {
-			armCrash(w, victim, func() bool {
-				for _, ev := range r.Events() {
-					if ev.Label == "redeem submitted" {
-						return true
-					}
-				}
-				return false
-			})
-		}
-		w.RunUntil(3 * sim.Hour)
-		if *crash && *recoverVictim {
-			fmt.Printf("--- recovering %s (resumes, but the timelocks expired) ---\n", victim.Name)
-			victim.Recover()
-			r.Resume(victim)
-			w.RunUntil(w.Sim.Now() + time1h)
-		}
-		w.StopMining()
-		w.RunFor(sim.Minute)
-		for _, ev := range r.Events() {
-			fmt.Printf("t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
-		}
-		report(r.Grade())
 	default:
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protocol)
 		os.Exit(2)
 	}
-}
+	fatal(err)
 
-const time1h = 1 * sim.Hour
-
-func armCrash(w *xchain.World, victim *xchain.Participant, cond func() bool) {
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		if cond() {
-			fmt.Printf("--- crashing %s ---\n", victim.Name)
-			victim.Crash()
+	r.Start()
+	var crashed string
+	if *crash {
+		w.Sim.Poll(100*sim.Millisecond, func() bool {
+			if !r.CommitPushed() {
+				return false
+			}
+			crashed, _ = r.Crash()
+			fmt.Printf("--- crashing %s ---\n", crashed)
 			return true
-		}
-		return false
-	})
+		})
+	}
+	w.RunUntil(3 * sim.Hour) // every baseline timelock expires in here
+	if crashed != "" && *recoverVictim {
+		fmt.Printf("--- recovering %s after hours of downtime ---\n", crashed)
+		r.Recover()
+		w.RunFor(sim.Hour)
+	}
+	w.StopMining()
+	w.RunFor(sim.Minute)
+	for _, ev := range r.Events() {
+		fmt.Printf("t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
+	}
+	report(r.Grade())
 }
 
 func label(s string, edge int) string {

@@ -21,17 +21,22 @@
 //   - internal/graph — AC2T graphs D = (V, E), Diam(D), ms(D)
 //   - internal/contracts — Algorithms 1–4 as contract objects
 //   - internal/protocol — the reconciler runtime every commitment
-//     protocol runs on: subscriptions, announcement inbox, throttles,
-//     one-shot timers, crash → Resume lifecycle
-//     (docs/architecture/ADR-004-protocol-runtime.md)
+//     protocol is a thin instance over: subscriptions, announcement
+//     inbox, throttles, one-shot timers, the per-edge deploy ledger,
+//     crash → Resume lifecycle
+//     (docs/architecture/ADR-004-protocol-runtime.md, ADR-013)
 //   - internal/swap — Nolan/Herlihy baselines
-//   - internal/core — AC3WN and AC3TW
-//   - internal/fees, internal/attack — Sections 6.2 and 6.3 analyses
-//   - internal/bench — one driver per table/figure of the evaluation
+//   - internal/core — AC3WN, AC3TW, and core.Runner: the lifecycle and
+//     typed fault surface every driver works through
+//     (docs/architecture/ADR-013-thin-protocols.md)
+//   - internal/attack — the Section 6.3 analysis
+//   - internal/bench — one driver per table/figure of the evaluation,
+//     the Section 6.2 fee model next to its experiment
 //   - internal/engine — sharded concurrent orchestration: thousands
 //     of AC2Ts driven in parallel across independent deterministic
-//     shard worlds, with backpressure, scenario mixes and aggregated
-//     results (docs/architecture/ADR-001-engine.md)
+//     shard worlds, with backpressure, a protocol table and a scenario
+//     table, and aggregated results
+//     (docs/architecture/ADR-001-engine.md)
 //   - internal/lint — ac3lint, the static-analysis suite that
 //     machine-checks the determinism contract: no wall clocks, no
 //     ambient RNGs, no map-order leaks into serialized output, no

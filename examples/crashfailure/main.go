@@ -60,6 +60,19 @@ func buildWorld(seed uint64, withWitness bool) (*xchain.World, *xchain.Participa
 	return w, alice, bob, g
 }
 
+// crashBobAtCommit takes down the run's critical failure point — bob,
+// the last participant — the moment the commit is being pushed.
+func crashBobAtCommit(w *xchain.World, r core.Runner, why string) {
+	w.Sim.Poll(100*sim.Millisecond, func() bool {
+		if !r.CommitPushed() {
+			return false
+		}
+		who, _ := r.Crash()
+		fmt.Printf("t=%6.1fs  %s crashes (%s)\n", float64(w.Sim.Now())/1000, who, why)
+		return true
+	})
+}
+
 func runBaseline() bool {
 	w, alice, bob, g := buildWorld(11, false)
 	r, err := swap.New(w, swap.Config{
@@ -74,20 +87,10 @@ func runBaseline() bool {
 	}
 	r.Start()
 	// Crash bob the instant alice submits her redeem (revealing s).
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		for _, ev := range r.Events() {
-			if ev.Edge == 1 && ev.Label == "redeem submitted" {
-				fmt.Printf("t=%6.1fs  bob crashes (alice's reveal is in flight)\n", float64(w.Sim.Now())/1000)
-				bob.Crash()
-				return true
-			}
-		}
-		return false
-	})
+	crashBobAtCommit(w, r, "alice's reveal is in flight")
 	w.RunUntil(2 * sim.Hour) // bob's timelock expires; alice refunds
 	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes and retries his redeem...\n", float64(w.Sim.Now())/1000)
-	bob.Recover()
-	r.Resume(bob)
+	r.Recover()
 	w.RunUntil(w.Sim.Now() + 30*sim.Minute)
 	w.StopMining()
 	w.RunFor(sim.Minute)
@@ -113,20 +116,10 @@ func runAC3WN() bool {
 		log.Fatal(err)
 	}
 	r.Start()
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		for _, ev := range r.Events() {
-			if len(ev.Label) > 16 && ev.Label[:16] == "authorize_redeem" {
-				fmt.Printf("t=%6.1fs  bob crashes (commit decision in flight)\n", float64(w.Sim.Now())/1000)
-				bob.Crash()
-				return true
-			}
-		}
-		return false
-	})
+	crashBobAtCommit(w, r, "commit decision in flight")
 	w.RunUntil(2 * sim.Hour) // same downtime as the baseline run
 	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes from chain state\n", float64(w.Sim.Now())/1000)
-	bob.Recover()
-	r.Resume(bob)
+	r.Recover()
 	w.RunUntil(w.Sim.Now() + 30*sim.Minute)
 	w.StopMining()
 	w.RunFor(sim.Minute)

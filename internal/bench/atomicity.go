@@ -107,37 +107,18 @@ func runAtomicityCase(seed uint64, sc atomicityScenario) (*xchain.Outcome, bool)
 		return &xchain.Outcome{}, false
 	}
 
-	var grade func() *xchain.Outcome
-	var resume func()
+	var r core.Runner
 	switch sc.protocol {
 	case "htlc":
-		r, err := swap.New(w, swap.Config{
+		r, err = swap.New(w, swap.Config{
 			Graph:        g,
 			Participants: []*xchain.Participant{alice, bob},
 			Leader:       alice,
 			Delta:        deltaNominal + 2*blockInterval,
 			ConfirmDepth: confirmDepth,
 		})
-		if err != nil {
-			return &xchain.Outcome{}, false
-		}
-		r.Start()
-		grade = r.Grade
-		resume = func() { r.Resume(bob) }
-		// Crash bob the moment the secret reveal is submitted.
-		if sc.crash != "none" {
-			w.Sim.Poll(100*sim.Millisecond, func() bool {
-				for _, ev := range r.Events() {
-					if ev.Edge == 1 && ev.Label == "redeem submitted" {
-						bob.Crash()
-						return true
-					}
-				}
-				return false
-			})
-		}
 	case "ac3wn":
-		r, err := core.New(w, core.Config{
+		r, err = core.New(w, core.Config{
 			Graph:        g,
 			Participants: []*xchain.Participant{alice, bob},
 			Initiator:    alice,
@@ -145,24 +126,22 @@ func runAtomicityCase(seed uint64, sc atomicityScenario) (*xchain.Outcome, bool)
 			WitnessDepth: confirmDepth,
 			AssetDepth:   confirmDepth,
 		})
-		if err != nil {
-			return &xchain.Outcome{}, false
-		}
-		r.Start()
-		grade = r.Grade
-		resume = func() { r.Resume(bob) }
-		if sc.crash != "none" {
-			w.Sim.Poll(100*sim.Millisecond, func() bool {
-				for _, ev := range r.Events() {
-					if ev.Label == "authorize_redeem submitted by alice" ||
-						ev.Label == "authorize_redeem submitted by bob" {
-						bob.Crash()
-						return true
-					}
-				}
+	}
+	if err != nil {
+		return &xchain.Outcome{}, false
+	}
+	r.Start()
+	if sc.crash != "none" {
+		// Crash the protocol's critical failure point — bob, the last
+		// participant — the moment the commit is pushed: the secret
+		// reveal for the baseline, authorize_redeem for AC3WN.
+		w.Sim.Poll(100*sim.Millisecond, func() bool {
+			if !r.CommitPushed() {
 				return false
-			})
-		}
+			}
+			r.Crash()
+			return true
+		})
 	}
 
 	w.RunUntil(2 * sim.Hour) // all baseline timelocks expire in here
@@ -171,14 +150,13 @@ func runAtomicityCase(seed uint64, sc atomicityScenario) (*xchain.Outcome, bool)
 		// the recovered reconciler re-derives its state from the
 		// chains and retries. AC3WN's retry redeems; the baseline's
 		// finds the timelocked refund already executed.
-		bob.Recover()
-		resume()
+		r.Recover()
 		w.RunUntil(w.Sim.Now() + time90m)
 	}
 	w.StopMining()
 	w.RunFor(sim.Minute)
 
-	out := grade()
+	out := r.Grade()
 	// Victim loss: bob's outgoing edge (index 1, ethereum) refunded
 	// is fine only if his incoming (index 0) is not redeemed by the
 	// counterparty; asset loss means edge 1 left bob's hands (RD by

@@ -1,4 +1,4 @@
-package fees
+package bench
 
 import (
 	"math"
@@ -6,18 +6,12 @@ import (
 )
 
 func TestHerlihyVsAC3WNOperationCounts(t *testing.T) {
+	// Cost() asserts the measured counts themselves (N+N vs (N+1)+(N+1));
+	// priced, their relative overhead is exactly 1/N.
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		h := HerlihyCost(ScheduleETH300, n)
-		a := AC3WNCost(ScheduleETH300, n)
-		if h.Deploys != n || h.Calls != n {
-			t.Fatalf("n=%d: herlihy ops %d/%d", n, h.Deploys, h.Calls)
-		}
-		if a.Deploys != n+1 || a.Calls != n+1 {
-			t.Fatalf("n=%d: ac3wn ops %d/%d", n, a.Deploys, a.Calls)
-		}
-		// Relative overhead is exactly 1/N.
-		rel := (a.USD - h.USD) / h.USD
-		if math.Abs(rel-Overhead(n)) > 1e-12 {
+		h := ScheduleETH300.Price(n, n)
+		a := ScheduleETH300.Price(n+1, n+1)
+		if rel := (a - h) / h; math.Abs(rel-Overhead(n)) > 1e-12 {
 			t.Fatalf("n=%d: overhead %v, want %v", n, rel, Overhead(n))
 		}
 	}
@@ -35,9 +29,8 @@ func TestPaperDollarFigures(t *testing.T) {
 	// The conclusion's "$25 combined per AC2T" order of magnitude:
 	// a 2-edge AC2T under AC3WN costs (N+1)(fd+ffc) = 3·$8 = $24 at
 	// the $300 rate.
-	a := AC3WNCost(ScheduleETH300, 2)
-	if a.USD != 24 {
-		t.Fatalf("two-party AC3WN cost = $%v, want $24", a.USD)
+	if got := ScheduleETH300.Price(3, 3); got != 24 {
+		t.Fatalf("two-party AC3WN cost = $%v, want $24", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
@@ -34,34 +33,24 @@ type TWConfig struct {
 
 // TWRun is one executing AC3TW commitment.
 type TWRun struct {
+	*protocol.Runtime
 	w   *xchain.World
 	cfg TWConfig
-	rt  *protocol.Runtime
 
 	ms   *crypto.MultiSig
 	msID crypto.Hash
 
 	registered bool
-	addrs      []crypto.Address
-	ownTx      []*chain.Tx
-	ownAddr    []crypto.Address
-	confirmed  []bool
-	announced  []bool
-
-	deployedOwn map[*xchain.Participant]bool
-	abortDue    bool
-	decision    crypto.Purpose
-	decisionSig crypto.Signature
-	terminal    []bool
+	// redeemRequested: the initiator asked Trent for the redeem
+	// signature at least once.
+	redeemRequested bool
+	abortDue        bool
+	decision        crypto.Purpose
+	decisionSig     crypto.Signature
+	terminal        []bool
 
 	DecidedAt   sim.Time
 	CompletedAt sim.Time
-}
-
-// twAnnounce is the off-chain deployment announcement.
-type twAnnounce struct {
-	EdgeIdx int
-	Addr    crypto.Address
 }
 
 // twRegistered tells the other participants ms(D) is on file at
@@ -70,35 +59,25 @@ type twRegistered struct{}
 
 // NewTW validates and prepares an AC3TW run.
 func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
-	if cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil || cfg.Trent == nil {
-		return nil, fmt.Errorf("core: incomplete AC3TW config")
+	if cfg.Trent == nil {
+		return nil, fmt.Errorf("core: AC3TW needs a witness (Trent)")
 	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 5 * sim.Second
 	}
-	n := len(cfg.Graph.Edges)
-	r := &TWRun{
-		w:           w,
-		cfg:         cfg,
-		addrs:       make([]crypto.Address, n),
-		ownTx:       make([]*chain.Tx, n),
-		ownAddr:     make([]crypto.Address, n),
-		confirmed:   make([]bool, n),
-		announced:   make([]bool, n),
-		terminal:    make([]bool, n),
-		deployedOwn: make(map[*xchain.Participant]bool),
-	}
-	rt, err := protocol.New(protocol.Config{
+	r := &TWRun{w: w, cfg: cfg}
+	var err error
+	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
+		Graph:        cfg.Graph,
 		Participants: cfg.Participants,
-		Chains:       cfg.Graph.Chains(),
+		Initiator:    cfg.Initiator,
 		Drive:        r.drive,
-		OnMessage:    r.onMessage,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.rt = rt
+	r.terminal = make([]bool, len(cfg.Graph.Edges))
 	return r, nil
 }
 
@@ -107,54 +86,48 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 // requests the redemption signature when everything is confirmed, and
 // everyone settles with Trent's signature as the secret.
 func (r *TWRun) Start() {
-	r.rt.Event(-1, "ac3tw started")
+	r.Event(-1, "ac3tw started")
 	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
 	r.msID = r.ms.ID()
 	if r.cfg.AbortAfter > 0 {
-		r.rt.After(r.cfg.AbortAfter, func() {
+		r.After(r.cfg.AbortAfter, func() {
 			if r.decision == 0 {
 				r.abortDue = true
-				r.rt.DriveAll()
+				r.DriveAll()
 			}
 		})
 	}
-	r.rt.Start()
+	r.Runtime.Start()
 }
 
-// Resume re-arms a recovered participant and re-drives it; it
-// re-learns the decision and every contract location from the shared
-// run state and the chains. AC3TW tolerates participant crashes the
-// same way AC3WN does — its single point of failure is Trent.
-func (r *TWRun) Resume(p *xchain.Participant) { r.rt.Resume(p) }
+// DecisionOpen reports that ms(D) is on file at Trent: from here on he
+// can be asked to decide.
+func (r *TWRun) DecisionOpen() bool { return r.registered }
 
-// Stop retires the run.
-func (r *TWRun) Stop() { r.rt.Stop() }
+// CommitPushed reports that the redeem signature was requested.
+func (r *TWRun) CommitPushed() bool { return r.redeemRequested }
 
-// Events returns the run's timeline.
-func (r *TWRun) Events() []Event { return r.rt.Timeline() }
+// Crash takes Trent offline — AC3TW's single point of failure. It
+// tolerates participant crashes the way AC3WN does; under denial of
+// service the witness stays down and the AC2T blocks.
+func (r *TWRun) Crash() (who string, comesBack bool) {
+	r.cfg.Trent.Crash()
+	return "Trent", false
+}
 
-// Marks returns the run's phase boundaries (for trace span derivation).
-func (r *TWRun) Marks() []protocol.Mark { return r.rt.Marks() }
+// Recover brings Trent back; the initiator's throttled retries reach
+// him on its next drive and the run unblocks by itself.
+func (r *TWRun) Recover() { r.cfg.Trent.Recover() }
 
-// Registered reports whether ms(D) is on file at Trent.
-func (r *TWRun) Registered() bool { return r.registered }
-
-// MsID exposes the AC2T's multisig digest (set at Start).
-func (r *TWRun) MsID() crypto.Hash { return r.msID }
-
-// onMessage ingests announcements (the runtime re-drives p).
-func (r *TWRun) onMessage(p, from *xchain.Participant, msg any) {
-	switch m := msg.(type) {
-	case twAnnounce:
-		if r.addrs[m.EdgeIdx].IsZero() {
-			r.addrs[m.EdgeIdx] = m.Addr
-		}
-		r.confirmed[m.EdgeIdx] = true
-		r.noteAllConfirmed()
-	case twRegistered:
-		// Shared run state already carries the flag; the re-drive the
-		// runtime issues after this handler is what matters.
+// RaceRefund has a rogue ask Trent to witness the abort. His store's
+// at-most-one-signature guard keeps the outcome atomic whichever
+// request lands first.
+func (r *TWRun) RaceRefund(*xchain.Participant) bool {
+	if !r.registered {
+		return false
 	}
+	r.cfg.Trent.RequestRefund(r.msID, func(crypto.Signature, crypto.Purpose, error) {})
+	return true
 }
 
 // drive is the reconciler step function.
@@ -163,30 +136,15 @@ func (r *TWRun) drive(p *xchain.Participant) {
 	// answers.
 	if !r.registered {
 		if p == r.cfg.Initiator {
-			r.rt.Throttle(p, "register", 6*r.cfg.RetryEvery, func() { r.register() })
+			r.Throttle(p, "register", 6*r.cfg.RetryEvery, func() { r.register() })
 		}
 		return
 	}
 	// Phase 1: deploy own edges (all participants, concurrently).
-	if !r.deployedOwn[p] {
-		r.deployOwnEdges(p)
-	}
+	r.DeployOwn(p, contracts.TypeCentralized, r.assetParams)
 	// Phase 2: re-derive own-deploy confirmations from chain state and
 	// announce them (crash-safe: no watch to lose).
-	for i, e := range r.cfg.Graph.Edges {
-		if e.From != p.Addr() || r.ownTx[i] == nil || r.announced[i] {
-			continue
-		}
-		if !r.rt.EnsureTx(p, e.Chain, r.ownTx[i], r.cfg.ConfirmDepth) {
-			continue
-		}
-		r.announced[i] = true
-		r.addrs[i] = r.ownAddr[i]
-		r.confirmed[i] = true
-		r.rt.Event(i, "deploy confirmed")
-		r.noteAllConfirmed()
-		r.rt.Broadcast(p, twAnnounce{EdgeIdx: i, Addr: r.ownAddr[i]})
-	}
+	r.ConfirmOwn(p, r.cfg.ConfirmDepth)
 	// Phase 3: the initiator asks Trent to witness — redeem once every
 	// contract is confirmed, refund once the abort deadline passed.
 	// Both are throttled retries: a refusal or a request lost in a
@@ -197,9 +155,9 @@ func (r *TWRun) drive(p *xchain.Participant) {
 		}
 		switch {
 		case r.abortDue:
-			r.rt.Throttle(p, "request-refund", 6*r.cfg.RetryEvery, func() { r.requestRefund() })
-		case r.allConfirmed():
-			r.rt.Throttle(p, "request-redeem", 6*r.cfg.RetryEvery, func() { r.requestRedeem() })
+			r.Throttle(p, "request-refund", 6*r.cfg.RetryEvery, func() { r.requestRefund() })
+		case r.AllConfirmed():
+			r.Throttle(p, "request-redeem", 6*r.cfg.RetryEvery, func() { r.requestRedeem() })
 		}
 		return
 	}
@@ -212,32 +170,33 @@ func (r *TWRun) drive(p *xchain.Participant) {
 // store is intact, so it counts as success.
 func (r *TWRun) register() {
 	r.cfg.Trent.Register(r.cfg.Graph, r.ms, func(err error) {
-		if r.rt.Stopped() || r.registered {
+		if r.Stopped() || r.registered {
 			return
 		}
 		if err != nil && !errors.Is(err, ErrAlreadyRegistered) {
-			r.rt.Event(-1, "registration failed: "+err.Error())
+			r.Event(-1, "registration failed: "+err.Error())
 			return
 		}
 		r.registered = true
-		r.rt.Event(-1, "ms(D) registered at Trent")
-		r.rt.Broadcast(r.cfg.Initiator, twRegistered{})
-		r.rt.DriveAll()
+		r.Event(-1, "ms(D) registered at Trent")
+		r.Broadcast(r.cfg.Initiator, twRegistered{})
+		r.DriveAll()
 	})
 }
 
 // requestRedeem asks Trent for the redemption signature.
 func (r *TWRun) requestRedeem() {
-	r.rt.Mark(protocol.PointDecisionTriggered)
-	r.rt.Event(-1, "redeem signature requested from Trent")
-	r.cfg.Trent.RequestRedeem(r.msID, r.addrs, r.cfg.ConfirmDepth, func(sig crypto.Signature, p crypto.Purpose, err error) {
-		if r.rt.Stopped() {
+	r.redeemRequested = true
+	r.Mark(protocol.PointDecisionTriggered)
+	r.Event(-1, "redeem signature requested from Trent")
+	r.cfg.Trent.RequestRedeem(r.msID, r.Addrs(), r.cfg.ConfirmDepth, func(sig crypto.Signature, p crypto.Purpose, err error) {
+		if r.Stopped() {
 			return
 		}
 		if err != nil {
 			// Retried from drive on the next notification (or the
 			// throttle window, whichever is later).
-			r.rt.Event(-1, "Trent refused: "+err.Error())
+			r.Event(-1, "Trent refused: "+err.Error())
 			return
 		}
 		r.onDecision(p, sig)
@@ -246,9 +205,9 @@ func (r *TWRun) requestRedeem() {
 
 // requestRefund asks Trent to witness the abort.
 func (r *TWRun) requestRefund() {
-	r.rt.Mark(protocol.PointDecisionTriggered)
+	r.Mark(protocol.PointDecisionTriggered)
 	r.cfg.Trent.RequestRefund(r.msID, func(sig crypto.Signature, p crypto.Purpose, err error) {
-		if r.rt.Stopped() || err != nil {
+		if r.Stopped() || err != nil {
 			return
 		}
 		r.onDecision(p, sig)
@@ -263,51 +222,19 @@ func (r *TWRun) onDecision(p crypto.Purpose, sig crypto.Signature) {
 	r.decision = p
 	r.decisionSig = sig
 	r.DecidedAt = r.w.Sim.Now()
-	r.rt.Mark(protocol.PointDecisionConfirmed)
-	r.rt.Event(-1, "Trent decided "+p.String())
-	r.rt.DriveAll()
+	r.Mark(protocol.PointDecisionConfirmed)
+	r.Event(-1, "Trent decided "+p.String())
+	r.DriveAll()
 }
 
-// deployOwnEdges publishes p's outgoing CentralizedSC contracts.
-func (r *TWRun) deployOwnEdges(p *xchain.Participant) {
-	r.deployedOwn[p] = true
-	for i, e := range r.cfg.Graph.Edges {
-		if e.From != p.Addr() || r.ownTx[i] != nil {
-			continue
-		}
-		params := contracts.CentralizedParams{
-			Recipient: e.To,
-			MSDigest:  r.msID,
-			Witness:   r.cfg.Trent.Key.Addr,
-		}.Encode()
-		tx, addr, err := p.Client(e.Chain).Deploy(contracts.TypeCentralized, params, e.Asset)
-		if err != nil {
-			r.rt.Event(i, "deploy failed: "+err.Error())
-			continue
-		}
-		p.Deploys++
-		r.ownTx[i] = tx
-		r.ownAddr[i] = addr
-		r.rt.Mark(protocol.PointDeploySubmitted)
-		r.rt.Event(i, "deploy submitted")
-	}
-}
-
-// noteAllConfirmed marks the lock-phase boundary the first time every
-// edge contract is confirmed.
-func (r *TWRun) noteAllConfirmed() {
-	if r.allConfirmed() {
-		r.rt.Mark(protocol.PointDeployConfirmed)
-	}
-}
-
-func (r *TWRun) allConfirmed() bool {
-	for _, c := range r.confirmed {
-		if !c {
-			return false
-		}
-	}
-	return true
+// assetParams encodes the CentralizedSC constructor for one edge: both
+// commitment schemes are (ms(D), PK_T).
+func (r *TWRun) assetParams(_ *xchain.Participant, _ int, e graph.Edge) ([]byte, bool) {
+	return contracts.CentralizedParams{
+		Recipient: e.To,
+		MSDigest:  r.msID,
+		Witness:   r.cfg.Trent.Key.Addr,
+	}.Encode(), true
 }
 
 // settle makes p redeem its incoming edges (RD) or refund its
@@ -322,11 +249,11 @@ func (r *TWRun) settle(p *xchain.Participant) {
 	for i, e := range r.cfg.Graph.Edges {
 		mine := (r.decision == crypto.PurposeRedeem && e.To == p.Addr()) ||
 			(r.decision == crypto.PurposeRefund && e.From == p.Addr())
-		if !mine || r.addrs[i].IsZero() {
+		if !mine || r.Addr(i).IsZero() {
 			continue
 		}
 		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.addrs[i], 0)
+		ct, ok := client.ContractNow(r.Addr(i), 0)
 		if !ok {
 			continue
 		}
@@ -337,31 +264,17 @@ func (r *TWRun) settle(p *xchain.Participant) {
 		if sc.State != contracts.StatePublished {
 			if !r.terminal[i] {
 				r.terminal[i] = true
-				r.rt.Event(i, "terminal "+sc.State.String())
+				r.Event(i, "terminal "+sc.State.String())
 				r.CompletedAt = r.w.Sim.Now()
 			}
 			continue
 		}
 		i := i
-		r.rt.Throttle(p, fmt.Sprintf("%s-%d", fn, i), 6*r.cfg.RetryEvery, func() {
-			if _, err := client.Call(r.addrs[i], fn, secret, 0); err == nil {
+		r.Throttle(p, fmt.Sprintf("%s-%d", fn, i), 6*r.cfg.RetryEvery, func() {
+			if _, err := client.Call(r.Addr(i), fn, secret, 0); err == nil {
 				p.Calls++
-				r.rt.Event(i, fn+" submitted")
+				r.Event(i, fn+" submitted")
 			}
 		})
 	}
-}
-
-// Addrs exposes per-edge contract addresses for grading.
-func (r *TWRun) Addrs() []crypto.Address { return append([]crypto.Address(nil), r.addrs...) }
-
-// Grade reads terminal contract states from ground-truth views and
-// counts on-chain operations (AC3TW pays N deploys + N calls; the
-// witness work happens off-chain at Trent).
-func (r *TWRun) Grade() *xchain.Outcome {
-	out := xchain.GradeGraph(r.w, r.cfg.Graph, r.addrs)
-	out.Start = r.rt.StartedAt()
-	out.End = r.rt.TimelineEnd(out.Start)
-	out.Deploys, out.Calls = xchain.CountGraphOps(r.w, r.cfg.Graph, r.addrs)
-	return out
 }

@@ -3,11 +3,12 @@
 // witness network coordinates the AC2T) and AC3TW (Section 4.1, the
 // centralized-witness strawman it improves on).
 //
-// Both protocols are written against the reconciler runtime in
+// Both protocols are thin instances over the reconciler runtime in
 // internal/protocol: each is a step function (drive) plus chain-state
-// readers, while the runtime owns subscriptions, the announcement
-// inbox, throttles, one-shot timers, the timeline, and the uniform
-// crash → Resume lifecycle. A participant inspects the chains through
+// readers, while the embedded runtime owns subscriptions, the
+// announcement inbox, throttles, one-shot timers, the timeline, the
+// per-edge deploy ledger, and the uniform crash → Resume lifecycle. A
+// participant inspects the chains through
 // its clients and performs the next enabled action — deploy the
 // coordinator, verify it, deploy its own asset contracts, push the
 // commit/abort decision, redeem or refund. Because every step is
@@ -32,10 +33,6 @@ import (
 	"repro/internal/wire"
 	"repro/internal/xchain"
 )
-
-// Event is a timestamped timeline entry (Figure 9 phases), shared
-// with every protocol on the runtime.
-type Event = protocol.Event
 
 // DefaultStableDepth is the default burial depth for checkpoint
 // anchors — far beyond the confirmation depths, deep enough that no
@@ -106,7 +103,6 @@ type DecisionSink interface {
 // the runtime's Resume re-drives the step function, which re-derives
 // it.
 type pstate struct {
-	deployedOwn bool
 	verifiedSCw bool
 	rejectedSCw bool
 	submittedRD bool
@@ -115,9 +111,9 @@ type pstate struct {
 
 // Run is one executing AC3WN commitment.
 type Run struct {
+	*protocol.Runtime
 	w   *xchain.World
 	cfg Config
-	rt  *protocol.Runtime
 
 	// ms is ms(GD), built once at Start: each participant contributes
 	// its own signature over the graph digest and the initiator
@@ -131,19 +127,10 @@ type Run struct {
 	// block hash evidence must be anchored at.
 	checkpointHash map[chain.ID]crypto.Hash
 
-	// Per-edge asset contract locations. addrs holds announced (i.e.
-	// confirmed) contracts; ownTx/ownAddr track the sender's own
-	// submissions so drive can re-derive confirmation from chain state
-	// after a crash.
-	addrs     []crypto.Address
-	deployTx  []crypto.Hash
-	ownTx     []*chain.Tx
-	ownAddr   []crypto.Address
-	confirmed []bool
-	announced []bool
-
 	states   map[*xchain.Participant]*pstate
 	abortDue bool
+	// commitPushed: some participant submitted authorize_redeem.
+	commitPushed bool
 
 	// Phase boundaries for Figure 9: SCw confirmed, all asset
 	// contracts confirmed, decision buried d deep, all redeemed (or
@@ -156,36 +143,26 @@ type Run struct {
 	terminalReported map[int]bool
 	anchorReported   map[int]bool
 
-	// WitnessDecisionTxs / WitnessDecisionBytes measure this AC2T's
-	// decision traffic on the witness chain: the per-AC2T authorize_*
-	// transaction in the unbatched protocol (counted once, when the
-	// decision stabilizes), zero when batched — the shared commit_batch
-	// traffic is accounted by the coordinator instead. The engine's
-	// witness-efficiency table is built from these.
-	WitnessDecisionTxs   int
-	WitnessDecisionBytes int
+	// witnessTxs / witnessBytes measure this AC2T's decision traffic on
+	// the witness chain: the per-AC2T authorize_* transaction in the
+	// unbatched protocol (counted once, when the decision stabilizes),
+	// zero when batched — the shared commit_batch traffic is accounted
+	// by the coordinator instead. Grade reports them in the outcome.
+	witnessTxs   int
+	witnessBytes int
 }
 
-// announceSCw and announceDeploy are the off-chain messages.
+// announceSCw is the initiator's off-chain "SCw is here" message.
 type announceSCw struct {
 	Addr        crypto.Address
 	TxID        crypto.Hash
 	Checkpoints map[chain.ID]crypto.Hash
 }
 
-type announceDeploy struct {
-	EdgeIdx int
-	Addr    crypto.Address
-	TxID    crypto.Hash
-}
-
 // New validates the configuration and prepares a run. Unlike the
 // single-leader baseline, any graph shape is accepted — cyclic and
 // disconnected included (Section 5.3).
 func New(w *xchain.World, cfg Config) (*Run, error) {
-	if cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil {
-		return nil, fmt.Errorf("core: incomplete config")
-	}
 	if cfg.WitnessDepth < 0 || cfg.AssetDepth < 0 {
 		return nil, fmt.Errorf("core: negative depths")
 	}
@@ -194,15 +171,6 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	}
 	if (cfg.Batcher == nil) != cfg.BatchAddr.IsZero() {
 		return nil, fmt.Errorf("core: batching needs both Batcher and BatchAddr")
-	}
-	byAddr := make(map[crypto.Address]bool)
-	for _, p := range cfg.Participants {
-		byAddr[p.Addr()] = true
-	}
-	for _, v := range cfg.Graph.Participants {
-		if !byAddr[v] {
-			return nil, fmt.Errorf("core: no participant object for vertex %s", v)
-		}
 	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = w.Nets[cfg.WitnessChain].Params.BlockInterval / 2
@@ -216,17 +184,10 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	if cfg.StableDepth < cfg.AssetDepth {
 		cfg.StableDepth = cfg.AssetDepth
 	}
-	n := len(cfg.Graph.Edges)
 	r := &Run{
 		w:                w,
 		cfg:              cfg,
 		checkpointHash:   make(map[chain.ID]crypto.Hash),
-		addrs:            make([]crypto.Address, n),
-		deployTx:         make([]crypto.Hash, n),
-		ownTx:            make([]*chain.Tx, n),
-		ownAddr:          make([]crypto.Address, n),
-		confirmed:        make([]bool, n),
-		announced:        make([]bool, n),
 		states:           make(map[*xchain.Participant]*pstate),
 		terminalReported: make(map[int]bool),
 		anchorReported:   make(map[int]bool),
@@ -234,64 +195,48 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
 	}
-	rt, err := protocol.New(protocol.Config{
+	var err error
+	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
+		Graph:        cfg.Graph,
 		Participants: cfg.Participants,
-		Chains:       append([]chain.ID{cfg.WitnessChain}, cfg.Graph.Chains()...),
+		Initiator:    cfg.Initiator,
+		Chains:       []chain.ID{cfg.WitnessChain},
 		Drive:        r.drive,
 		OnMessage:    r.onMessage,
+		AllConfirmed: func() {
+			r.AllDeployedAt = w.Sim.Now()
+			r.Event(-1, "all asset contracts confirmed")
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.rt = rt
 	return r, nil
 }
 
 // Start begins the run at the current virtual time.
 func (r *Run) Start() {
-	r.rt.Event(-1, "ac3wn started")
+	r.Event(-1, "ac3wn started")
 	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
 	if r.cfg.AbortAfter > 0 {
-		r.rt.After(r.cfg.AbortAfter, func() {
+		r.After(r.cfg.AbortAfter, func() {
 			// The deadline only raises the abort flag; the step
 			// functions push (and retry) authorize_refund from it.
 			r.abortDue = true
-			r.rt.DriveAll()
+			r.DriveAll()
 		})
 	}
-	r.rt.Start()
+	r.Runtime.Start()
 }
 
-// Resume re-arms a recovered participant's subscriptions and re-drives
-// it. The participant re-learns everything else from the chains.
-func (r *Run) Resume(p *xchain.Participant) { r.rt.Resume(p) }
-
-// Stop retires the run: the engine calls it when grading is done so
-// finished transactions stop consuming simulator events.
-func (r *Run) Stop() { r.rt.Stop() }
-
-// Events returns the run's timeline.
-func (r *Run) Events() []Event { return r.rt.Timeline() }
-
-// Marks returns the run's phase boundaries (for trace span derivation).
-func (r *Run) Marks() []protocol.Mark { return r.rt.Marks() }
-
-// onMessage ingests off-chain announcements (the runtime re-drives
-// the recipient afterwards).
+// onMessage ingests the SCw announcement (the runtime re-drives the
+// recipient afterwards).
 func (r *Run) onMessage(p, from *xchain.Participant, msg any) {
-	switch m := msg.(type) {
-	case announceSCw:
-		if r.scwAddr.IsZero() {
-			r.scwAddr = m.Addr
-			for id, h := range m.Checkpoints {
-				r.checkpointHash[id] = h
-			}
-		}
-	case announceDeploy:
-		if r.addrs[m.EdgeIdx].IsZero() {
-			r.addrs[m.EdgeIdx] = m.Addr
-			r.deployTx[m.EdgeIdx] = m.TxID
+	if m, ok := msg.(announceSCw); ok && r.scwAddr.IsZero() {
+		r.scwAddr = m.Addr
+		for id, h := range m.Checkpoints {
+			r.checkpointHash[id] = h
 		}
 	}
 }
@@ -308,12 +253,12 @@ func (r *Run) drive(p *xchain.Participant) {
 	// alive until it is buried (a fork race could drop it).
 	if r.scwAddr.IsZero() {
 		if p == r.cfg.Initiator {
-			r.rt.Throttle(p, "deploy-scw", 4*r.cfg.RetryEvery, func() { r.deploySCw(p) })
+			r.Throttle(p, "deploy-scw", 4*r.cfg.RetryEvery, func() { r.deploySCw(p) })
 		}
 		return
 	}
 	if p == r.cfg.Initiator && r.scwTx != nil {
-		if r.rt.EnsureTx(p, r.cfg.WitnessChain, r.scwTx, r.cfg.WitnessDepth) {
+		if r.EnsureTx(p, r.cfg.WitnessChain, r.scwTx, r.cfg.WitnessDepth) {
 			r.markSCwConfirmed()
 		}
 	}
@@ -329,7 +274,7 @@ func (r *Run) drive(p *xchain.Participant) {
 		if err := r.verifySCw(p, scw); err != nil {
 			if !st.rejectedSCw {
 				st.rejectedSCw = true
-				r.rt.Event(-1, fmt.Sprintf("%s rejects SCw: %v", p.Name, err))
+				r.Event(-1, fmt.Sprintf("%s rejects SCw: %v", p.Name, err))
 			}
 			// A participant that distrusts SCw pushes the abort, and
 			// still observes the decision it reaches: when every
@@ -347,7 +292,7 @@ func (r *Run) drive(p *xchain.Participant) {
 	// wakeup — even after a decision, so a fork-delayed deploy that
 	// confirms late is still announced (and then refunded or redeemed)
 	// rather than stranding its asset.
-	r.confirmOwnEdges(p)
+	r.ConfirmOwn(p, r.cfg.AssetDepth)
 
 	decision, decided, haveStable := r.readDecision(wclient)
 
@@ -370,9 +315,8 @@ func (r *Run) drive(p *xchain.Participant) {
 			return
 		}
 		r.markSCwConfirmed()
-		if !st.deployedOwn {
-			r.deployOwnEdges(p, st)
-			r.confirmOwnEdges(p)
+		if r.DeployOwn(p, contracts.TypePermissionless, r.assetParams) {
+			r.ConfirmOwn(p, r.cfg.AssetDepth)
 		}
 		// Phase 3: push the commit decision once every asset contract
 		// is confirmed. The initiator goes first; the others follow
@@ -380,14 +324,14 @@ func (r *Run) drive(p *xchain.Participant) {
 		// eventually pushes the decision (no single coordinator)
 		// without everyone racing to pay the same fee. The grace wait
 		// is an explicit one-shot timer, not a polling cadence.
-		if r.allConfirmed() && !st.submittedRD {
+		if r.AllConfirmed() && !st.submittedRD {
 			due := r.AllDeployedAt + r.pushGrace(p)
 			if now >= due {
-				r.rt.Throttle(p, "authorize-redeem", 6*r.cfg.RetryEvery, func() {
+				r.Throttle(p, "authorize-redeem", 6*r.cfg.RetryEvery, func() {
 					r.submitAuthorizeRedeem(p, st)
 				})
 			} else {
-				r.rt.WakeAt(p, "push-grace", due)
+				r.WakeAt(p, "push-grace", due)
 			}
 		}
 	}
@@ -436,16 +380,16 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 	client := p.Client(r.cfg.WitnessChain)
 	tx, addr, err := client.Deploy(contracts.TypeWitness, params, 0)
 	if err != nil {
-		r.rt.Event(-1, "SCw deploy failed: "+err.Error())
+		r.Event(-1, "SCw deploy failed: "+err.Error())
 		return
 	}
 	p.Deploys++
 	r.scwTx = tx
 	r.scwAddr = addr
 	r.checkpointHash = cpHashes
-	r.rt.Mark(protocol.PointDeploySubmitted)
-	r.rt.Event(-1, "SCw deploy submitted")
-	r.rt.Broadcast(p, announceSCw{Addr: addr, TxID: tx.ID(), Checkpoints: cpHashes})
+	r.Mark(protocol.PointDeploySubmitted)
+	r.Event(-1, "SCw deploy submitted")
+	r.Broadcast(p, announceSCw{Addr: addr, TxID: tx.ID(), Checkpoints: cpHashes})
 }
 
 // heightAtDepth returns the canonical height depth blocks under the
@@ -526,82 +470,25 @@ func (r *Run) verifySCw(p *xchain.Participant, scw *contracts.WitnessSC) error {
 	return nil
 }
 
-// deployOwnEdges publishes p's outgoing asset contracts — all in
-// parallel, the protocol's headline structural difference from the
-// baselines.
-func (r *Run) deployOwnEdges(p *xchain.Participant, st *pstate) {
-	st.deployedOwn = true
-	for i, e := range r.cfg.Graph.Edges {
-		if e.From != p.Addr() || r.ownTx[i] != nil {
-			continue
-		}
-		wview := p.Client(r.cfg.WitnessChain).Chain()
-		stable, ok := wview.CanonicalAt(heightAtDepth(wview, r.cfg.StableDepth))
-		if !ok {
-			st.deployedOwn = false
-			return
-		}
-		params := contracts.PermissionlessParams{
-			Recipient:         e.To,
-			WitnessChain:      r.cfg.WitnessChain,
-			WitnessCheckpoint: stable.Header.Encode(),
-			SCw:               r.scwAddr,
-			Depth:             r.cfg.WitnessDepth,
-			Batch:             r.cfg.BatchAddr, // zero when unbatched
-		}.Encode()
-		tx, addr, err := p.Client(e.Chain).Deploy(contracts.TypePermissionless, params, e.Asset)
-		if err != nil {
-			r.rt.Event(i, "deploy failed: "+err.Error())
-			continue
-		}
-		p.Deploys++
-		r.ownTx[i] = tx
-		r.ownAddr[i] = addr
-		r.rt.Event(i, "deploy submitted")
+// assetParams encodes the PermissionlessSC constructor for one of p's
+// outgoing edges — all deployed in parallel, the protocol's headline
+// structural difference from the baselines — anchored at a witness
+// block buried StableDepth deep on p's view (false while the witness
+// chain is still too short to have one).
+func (r *Run) assetParams(p *xchain.Participant, _ int, e graph.Edge) ([]byte, bool) {
+	wview := p.Client(r.cfg.WitnessChain).Chain()
+	stable, ok := wview.CanonicalAt(heightAtDepth(wview, r.cfg.StableDepth))
+	if !ok {
+		return nil, false
 	}
-}
-
-// confirmOwnEdges re-derives the confirmation state of p's own
-// deployments from chain state, announcing each as it is buried at
-// the asset depth. EnsureTx keeps a submission alive across forks and
-// mempool wipes, so this also replaces the per-deploy watch — and,
-// unlike a watch, it survives a crash between submit and confirm.
-func (r *Run) confirmOwnEdges(p *xchain.Participant) {
-	for i, e := range r.cfg.Graph.Edges {
-		if e.From != p.Addr() || r.ownTx[i] == nil || r.announced[i] {
-			continue
-		}
-		if !r.rt.EnsureTx(p, e.Chain, r.ownTx[i], r.cfg.AssetDepth) {
-			continue
-		}
-		r.announced[i] = true
-		r.rt.Event(i, "deploy confirmed")
-		r.noteConfirmed(i, r.ownAddr[i], r.ownTx[i].ID())
-		r.rt.Broadcast(p, announceDeploy{EdgeIdx: i, Addr: r.ownAddr[i], TxID: r.ownTx[i].ID()})
-	}
-}
-
-// noteConfirmed records a confirmed asset contract.
-func (r *Run) noteConfirmed(i int, addr crypto.Address, txID crypto.Hash) {
-	if r.addrs[i].IsZero() {
-		r.addrs[i] = addr
-		r.deployTx[i] = txID
-	}
-	r.confirmed[i] = true
-	if r.allConfirmed() && r.AllDeployedAt == 0 {
-		r.AllDeployedAt = r.w.Sim.Now()
-		r.rt.Mark(protocol.PointDeployConfirmed)
-		r.rt.Event(-1, "all asset contracts confirmed")
-	}
-}
-
-func (r *Run) allConfirmed() bool {
-	for _, c := range r.confirmed {
-		if !c {
-			return false
-		}
-	}
-	return true
+	return contracts.PermissionlessParams{
+		Recipient:         e.To,
+		WitnessChain:      r.cfg.WitnessChain,
+		WitnessCheckpoint: stable.Header.Encode(),
+		SCw:               r.scwAddr,
+		Depth:             r.cfg.WitnessDepth,
+		Batch:             r.cfg.BatchAddr, // zero when unbatched
+	}.Encode(), true
 }
 
 // pushGrace returns how long p waits after all-deployed before
@@ -626,14 +513,11 @@ func (r *Run) pushGrace(p *xchain.Participant) sim.Time {
 // pushes SCw to RDauth. When batching, the decision goes to the
 // coordinator instead: the witness quorum takes over evidence
 // verification off-chain, so no per-edge SPV bytes hit the witness
-// chain — that is the entire bytes-per-decision win. Event labels stay
-// identical so scenario hooks keyed on them work in both modes.
+// chain — that is the entire bytes-per-decision win.
 func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 	if r.batched() {
 		r.cfg.Batcher.Submit(r.scwAddr, contracts.WitnessRedeemAuthorized)
-		st.submittedRD = true
-		r.rt.Mark(protocol.PointDecisionTriggered)
-		r.rt.Event(-1, "authorize_redeem submitted by "+p.Name)
+		r.noteCommitPushed(p, st)
 		return
 	}
 	evs := make([]wire.Appender, 0, len(r.cfg.Graph.Edges))
@@ -643,7 +527,7 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 		if !ok {
 			return
 		}
-		ev, err := spv.Build(view, cpHash, r.deployTx[i], r.cfg.AssetDepth)
+		ev, err := spv.Build(view, cpHash, r.DeployTxID(i), r.cfg.AssetDepth)
 		if err != nil {
 			return // not stable enough on p's view yet; retry later
 		}
@@ -654,9 +538,15 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 		return
 	}
 	p.Calls++
+	r.noteCommitPushed(p, st)
+}
+
+// noteCommitPushed records p's authorize_redeem submission.
+func (r *Run) noteCommitPushed(p *xchain.Participant, st *pstate) {
 	st.submittedRD = true
-	r.rt.Mark(protocol.PointDecisionTriggered)
-	r.rt.Event(-1, "authorize_redeem submitted by "+p.Name)
+	r.commitPushed = true
+	r.Mark(protocol.PointDecisionTriggered)
+	r.Event(-1, "authorize_redeem submitted by "+p.Name)
 }
 
 // trySubmitRefund pushes SCw to RFauth (no evidence required). Called
@@ -670,17 +560,17 @@ func (r *Run) trySubmitRefund(p *xchain.Participant, st *pstate) {
 	if r.batched() {
 		r.cfg.Batcher.Submit(r.scwAddr, contracts.WitnessRefundAuthorized)
 		st.submittedRF = true
-		r.rt.Mark(protocol.PointDecisionTriggered)
-		r.rt.Event(-1, "authorize_refund submitted by "+p.Name)
+		r.Mark(protocol.PointDecisionTriggered)
+		r.Event(-1, "authorize_refund submitted by "+p.Name)
 		return
 	}
-	r.rt.Throttle(p, "authorize-refund", 6*r.cfg.RetryEvery, func() {
+	r.Throttle(p, "authorize-refund", 6*r.cfg.RetryEvery, func() {
 		client := p.Client(r.cfg.WitnessChain)
 		if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0); err == nil {
 			p.Calls++
 			st.submittedRF = true
-			r.rt.Mark(protocol.PointDecisionTriggered)
-			r.rt.Event(-1, "authorize_refund submitted by "+p.Name)
+			r.Mark(protocol.PointDecisionTriggered)
+			r.Event(-1, "authorize_refund submitted by "+p.Name)
 		}
 	})
 }
@@ -689,7 +579,7 @@ func (r *Run) trySubmitRefund(p *xchain.Participant, st *pstate) {
 func (r *Run) markSCwConfirmed() {
 	if r.SCwConfirmedAt == 0 {
 		r.SCwConfirmedAt = r.w.Sim.Now()
-		r.rt.Event(-1, "SCw confirmed at depth d")
+		r.Event(-1, "SCw confirmed at depth d")
 	}
 }
 
@@ -703,16 +593,16 @@ func (r *Run) markDecision(outcome contracts.WitnessState, wclient *miner.Client
 	}
 	r.DecidedAt = r.w.Sim.Now()
 	r.DecidedOutcome = outcome
-	r.rt.Mark(protocol.PointDecisionConfirmed)
-	r.rt.Event(-1, "decision "+outcome.String()+" stable at depth d")
+	r.Mark(protocol.PointDecisionConfirmed)
+	r.Event(-1, "decision "+outcome.String()+" stable at depth d")
 	if !r.batched() {
 		fn := contracts.FnAuthorizeRedeem
 		if outcome == contracts.WitnessRefundAuthorized {
 			fn = contracts.FnAuthorizeRefund
 		}
 		if tx, ok := protocol.FindCall(wclient.Chain(), r.scwAddr, fn); ok {
-			r.WitnessDecisionTxs = 1
-			r.WitnessDecisionBytes = tx.EncodedLen()
+			r.witnessTxs = 1
+			r.witnessBytes = tx.EncodedLen()
 		}
 	}
 }
@@ -728,11 +618,11 @@ func (r *Run) settle(p *xchain.Participant, commit bool) {
 	}
 	for i, e := range r.cfg.Graph.Edges {
 		mine := (commit && e.To == p.Addr()) || (!commit && e.From == p.Addr())
-		if !mine || r.addrs[i].IsZero() {
+		if !mine || r.Addr(i).IsZero() {
 			continue
 		}
 		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.addrs[i], 0)
+		ct, ok := client.ContractNow(r.Addr(i), 0)
 		if !ok {
 			continue
 		}
@@ -742,15 +632,15 @@ func (r *Run) settle(p *xchain.Participant, commit bool) {
 			continue
 		}
 		i := i
-		r.rt.Throttle(p, fmt.Sprintf("%s-%d", action, i), 6*r.cfg.RetryEvery, func() {
+		r.Throttle(p, fmt.Sprintf("%s-%d", action, i), 6*r.cfg.RetryEvery, func() {
 			ev, err := r.witnessEvidenceFor(p, sc, fn)
 			if err != nil {
 				r.noteOrphanedAnchor(p, i, sc)
 				return
 			}
-			if _, err := client.Call(r.addrs[i], action, ev, 0); err == nil {
+			if _, err := client.Call(r.Addr(i), action, ev, 0); err == nil {
 				p.Calls++
-				r.rt.Event(i, action+" submitted")
+				r.Event(i, action+" submitted")
 			}
 		})
 	}
@@ -762,10 +652,10 @@ func (r *Run) noteTerminal(i int, sc *contracts.PermissionlessSC, ok bool) {
 		return
 	}
 	r.terminalReported[i] = true
-	r.rt.Event(i, "terminal "+sc.State.String())
+	r.Event(i, "terminal "+sc.State.String())
 	if len(r.terminalReported) == len(r.cfg.Graph.Edges) && r.CompletedAt == 0 {
 		r.CompletedAt = r.w.Sim.Now()
-		r.rt.Event(-1, "all contracts settled")
+		r.Event(-1, "all contracts settled")
 	}
 }
 
@@ -783,7 +673,7 @@ func (r *Run) noteOrphanedAnchor(p *xchain.Participant, i int, sc *contracts.Per
 	hdr, err := chain.DecodeHeader(sc.WitnessCheckpoint)
 	if err != nil {
 		r.anchorReported[i] = true
-		r.rt.Event(i, "witness checkpoint corrupt — asset unrecoverable")
+		r.Event(i, "witness checkpoint corrupt — asset unrecoverable")
 		return
 	}
 	wview := p.Client(r.cfg.WitnessChain).Chain()
@@ -803,7 +693,7 @@ func (r *Run) noteOrphanedAnchor(p *xchain.Participant, i int, sc *contracts.Per
 		return
 	}
 	r.anchorReported[i] = true
-	r.rt.Event(i, "witness checkpoint orphaned — asset unrecoverable")
+	r.Event(i, "witness checkpoint orphaned — asset unrecoverable")
 }
 
 // witnessEvidenceFor builds SPV evidence that SCw's state-changing
@@ -888,33 +778,52 @@ func findCallTx(view *chain.Chain, contract crypto.Address, fn string) (crypto.H
 	return tx.ID(), true
 }
 
-// Addrs exposes per-edge contract addresses for grading.
-func (r *Run) Addrs() []crypto.Address { return append([]crypto.Address(nil), r.addrs...) }
-
 // SCwAddr exposes the coordinator address.
 func (r *Run) SCwAddr() crypto.Address { return r.scwAddr }
 
-// SCwTx exposes the coordinator deployment transaction (nil until the
-// initiator deployed it).
-func (r *Run) SCwTx() *chain.Tx { return r.scwTx }
+// DecisionOpen reports that the decision window is open: SCw's address
+// is known, so a decision can be pushed at it.
+func (r *Run) DecisionOpen() bool { return !r.scwAddr.IsZero() }
 
-// Grade reads terminal contract states from ground-truth views and
-// counts the on-chain operations the AC2T paid for: the asset
-// contracts on their chains plus SCw on the witness chain (the +1 of
-// Section 6.2's cost analysis).
+// CommitPushed reports that some participant submitted authorize_redeem.
+func (r *Run) CommitPushed() bool { return r.commitPushed }
+
+// DecisionChain is the witness chain: where the decision is made.
+func (r *Run) DecisionChain() chain.ID { return r.cfg.WitnessChain }
+
+// RaceRefund makes rogue push a conflicting authorize_refund at the
+// open decision — into the batching coordinator when decisions are
+// batched (first-wins there, and whole-batch conflict rejection
+// on-chain), at SCw otherwise. Exactly one decision can stick, buried
+// at depth d on the witness chain. It reports false while there is no
+// SCw to race at, or the submission failed, and is then worth retrying.
+func (r *Run) RaceRefund(rogue *xchain.Participant) bool {
+	if r.scwAddr.IsZero() {
+		return false
+	}
+	if r.batched() {
+		r.cfg.Batcher.Submit(r.scwAddr, contracts.WitnessRefundAuthorized)
+		return true
+	}
+	_, err := rogue.Client(r.cfg.WitnessChain).Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0)
+	return err == nil
+}
+
+// Grade adds to the runtime's asset-contract grading what AC3WN pays on
+// the witness chain: SCw's deployment and its one state change (the +1
+// of Section 6.2's cost analysis), and the decision traffic measured
+// when the decision stabilized.
 func (r *Run) Grade() *xchain.Outcome {
-	out := xchain.GradeGraph(r.w, r.cfg.Graph, r.addrs)
-	out.Start = r.rt.StartedAt()
-	out.End = r.rt.TimelineEnd(out.Start)
+	out := r.Runtime.Grade()
 	if r.CompletedAt != 0 {
 		out.End = r.CompletedAt
 	}
-	out.Deploys, out.Calls = xchain.CountGraphOps(r.w, r.cfg.Graph, r.addrs)
 	if !r.scwAddr.IsZero() {
 		d, c := xchain.CountContractOps(r.w.View(r.cfg.WitnessChain),
 			map[crypto.Address]bool{r.scwAddr: true})
 		out.Deploys += d
 		out.Calls += c
 	}
+	out.WitnessTxs, out.WitnessBytes = r.witnessTxs, r.witnessBytes
 	return out
 }

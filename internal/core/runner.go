@@ -1,20 +1,28 @@
 package core
 
 import (
+	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/protocol"
 	"repro/internal/xchain"
 )
 
-// Runner is the uniform lifecycle the orchestration engine
-// (internal/engine) multiplexes: every commitment protocol in this
-// repository — AC3WN, AC3TW, and the HTLC baselines in internal/swap
-// — runs on the internal/protocol reconciler runtime, drives itself
-// off the shared simulator once started, exposes a cheap quiescence
-// check, can be retired, and grades its outcome from ground-truth
-// chain views. The engine steps a whole shard of concurrent Runners
-// on one virtual clock and retires each as it settles.
+// Runner is the uniform surface every driver of a commitment protocol
+// works through — the orchestration engine (internal/engine), ac3sim,
+// the atomicity experiment, the examples. Every protocol in this
+// repository — AC3WN, AC3TW, and the HTLC baselines in internal/swap —
+// runs on the internal/protocol reconciler runtime, drives itself off
+// the shared simulator once started, exposes a cheap quiescence check,
+// can be retired, and grades its outcome from ground-truth chain
+// views. The engine steps a whole shard of concurrent Runners on one
+// virtual clock and retires each as it settles.
+//
+// The second half is the fault surface: the paper compares the
+// protocols facing the same hazards — a crash at decision time, a
+// racing refund, a split decision chain — so each protocol says, as
+// typed predicates and actions, where those hazards bite it. A driver
+// never inspects timeline labels or the runner's concrete type.
 type Runner interface {
 	// Start begins the protocol at the current virtual time.
 	Start()
@@ -37,6 +45,37 @@ type Runner interface {
 	// cross-protocol instrumentation points internal/trace derives
 	// phase spans from.
 	Marks() []protocol.Mark
+
+	// Resume re-arms a recovered participant's subscriptions and
+	// re-drives it; it re-learns everything else from the chains.
+	Resume(p *xchain.Participant)
+	// DecisionOpen reports that the decision window is open — the
+	// moment Section 1's hazard analysis says network behavior decides
+	// the outcome: SCw's address is known (AC3WN), ms(D) is registered
+	// at Trent (AC3TW), the secret reveal was submitted (HTLC).
+	DecisionOpen() bool
+	// CommitPushed reports that the commit decision is being pushed:
+	// authorize_redeem was submitted (AC3WN), the redeem signature was
+	// requested (AC3TW), the first redeem was submitted (HTLC).
+	CommitPushed() bool
+	// Decided reports that a decision is final, whichever way it went.
+	Decided() bool
+	// DecisionChain is the blockchain the decision's fate rides on: the
+	// witness chain for AC3WN, the first edge's asset chain otherwise.
+	DecisionChain() chain.ID
+	// Crash takes down the protocol's Section 1 critical failure point
+	// — the last participant for AC3WN and HTLC, the trusted witness
+	// for AC3TW — and reports who that is and whether the hazard has it
+	// come back (a participant's site restarts) or stay down (the
+	// witness under denial of service). Recover brings it back either
+	// way and resumes it.
+	Crash() (who string, comesBack bool)
+	Recover()
+	// RaceRefund makes rogue race the honest decision with a
+	// conflicting refund. It reports whether the race is placed (or the
+	// protocol has no decision to race: hashlocks); false means not yet
+	// possible — call again later.
+	RaceRefund(rogue *xchain.Participant) bool
 }
 
 // Settled reports run quiescence for AC3WN: the commit/abort decision
@@ -51,33 +90,22 @@ type Runner interface {
 // an AC2T can join a window that is already closing) reads as settled
 // during exactly the gap in which the late contract appears.
 func (r *Run) Settled() bool {
-	if r.DecidedAt == 0 {
+	if !r.Decided() || r.DeployInFlight() {
 		return false
 	}
-	for i := range r.ownTx {
-		if r.ownTx[i] != nil && !r.announced[i] {
-			return false // submitted deploy still in flight
-		}
-	}
-	deployed, settled := xchain.AllSettled(r.w, r.cfg.Graph, r.addrs)
-	if !settled {
-		return false
-	}
-	return deployed || r.DecidedOutcome == contracts.WitnessRefundAuthorized
+	deployed, settled := r.AssetsSettled()
+	return settled && (deployed || r.DecidedOutcome == contracts.WitnessRefundAuthorized)
 }
 
 // Settled reports run quiescence for AC3TW, mirroring AC3WN: Trent
 // decided and every deployed contract left Published on the
 // ground-truth view.
 func (r *TWRun) Settled() bool {
-	if r.decision == 0 {
+	if !r.Decided() {
 		return false
 	}
-	deployed, settled := xchain.AllSettled(r.w, r.cfg.Graph, r.addrs)
-	if !settled {
-		return false
-	}
-	return deployed || r.decision == crypto.PurposeRefund
+	deployed, settled := r.AssetsSettled()
+	return settled && (deployed || r.decision == crypto.PurposeRefund)
 }
 
 // participantKeys lists the signing keys for the one Graph.Sign each

@@ -58,7 +58,7 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 			w, alice, bob := twoPartyWorld(t, 520+uint64(i))
 			r := twoPartyRun(t, w, alice, bob, 0)
 			tc.forge(t, r, crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(9).Uint64)))
-			r.rt.Start()
+			r.Runtime.Start()
 			w.RunUntil(60 * sim.Minute)
 			w.StopMining()
 			w.RunFor(sim.Minute)

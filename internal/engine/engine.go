@@ -11,7 +11,7 @@
 // links) is partitioned across N shards. Each shard owns an independent deterministic sim
 // world — its own chains, miners and witness network, seeded from the
 // master seed — and executes its transaction stream through the
-// existing core.AC3WN / core.AC3TW / swap runners with per-shard
+// protocol's core.Runner (a table of constructors, scenario.go) with per-shard
 // backpressure (MaxInFlight) and per-transaction timeouts. Shards run
 // concurrently on a worker pool of goroutines; within a shard
 // everything stays on one virtual clock and one goroutine, so a shard
@@ -200,7 +200,7 @@ type Aggregate struct {
 	// blocks released by history retirement. Deterministic (and
 	// byte-compared); wall-clock memory numbers (peak RSS, allocs per
 	// AC2T) deliberately stay out of the aggregate — see cmd/ac3engine
-	// stderr diagnostics and the bench snapshot scale rungs.
+	// stderr diagnostics.
 	StatesPruned  uint64 `json:"states_pruned"`
 	StatesLive    int    `json:"states_live"`
 	StateReplays  uint64 `json:"state_replays"`
@@ -401,10 +401,9 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 			phases[k].Merge(h)
 		}
 	}
-	scOrder := []Scenario{ScenarioCommit, ScenarioAbort, ScenarioCrash,
-		ScenarioRace, ScenarioPartition, ScenarioLossy, ScenarioGeo}
 	for _, ph := range trace.Phases {
-		for _, sc := range scOrder {
+		for _, def := range scenarios {
+			sc := def.name
 			h := phases[phaseKey{ph, sc}]
 			if h == nil {
 				continue

@@ -1,0 +1,336 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/p2p"
+	"repro/internal/sim"
+	"repro/internal/swap"
+	"repro/internal/xchain"
+)
+
+// The engine's protocol × hazard matrix is two tables. protocols maps a
+// name to a constructor returning a core.Runner; scenarios is the
+// ordered list of behavioral templates, each a Mix weight plus a fault
+// installed through the Runner's typed fault surface. Nothing below
+// inspects a runner's concrete type or its timeline: adding a protocol
+// is one protocols entry (plus the Runner implementation), adding a
+// scenario is one scenarios entry (plus its Mix field).
+
+// protocolDef is one row of the protocol table.
+type protocolDef struct {
+	name Protocol
+	// batches: the protocol decides on a witness chain, so a shard-wide
+	// batching coordinator can carry its decisions (BatchWindow > 0).
+	batches bool
+	// downgrade maps a scenario the protocol cannot express to the one
+	// that runs in its place. Downgraded draws are counted in the
+	// aggregates, never silent.
+	downgrade map[Scenario]Scenario
+	// newRunner constructs the runner for transaction i of the shard.
+	newRunner func(e *shardExec, i int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error)
+}
+
+//ac3:globalstate the protocol table; written once here, read-only
+var protocols = []protocolDef{
+	{name: ProtoAC3WN, batches: true, newRunner: newAC3WN},
+	{name: ProtoAC3TW, newRunner: newAC3TW},
+	// Hashlock contracts have no decision to race.
+	{name: ProtoHTLC, newRunner: newHTLC, downgrade: map[Scenario]Scenario{ScenarioRace: ScenarioCommit}},
+}
+
+// protocolOf finds a protocol's table row (nil if unknown).
+func protocolOf(name Protocol) *protocolDef {
+	for i := range protocols {
+		if protocols[i].name == name {
+			return &protocols[i]
+		}
+	}
+	return nil
+}
+
+func newAC3WN(e *shardExec, _ int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error) {
+	cfg := core.Config{
+		Graph:        g,
+		Participants: ps,
+		Initiator:    ps[0],
+		WitnessChain: e.witness,
+		WitnessDepth: shardConfirmDepth,
+		AssetDepth:   shardConfirmDepth,
+		AbortAfter:   abortAfter,
+	}
+	// Guarded assignment: a typed-nil *batch.Coordinator in the
+	// DecisionSink interface would read as "batching on".
+	if e.coord != nil {
+		cfg.Batcher = e.coord
+		cfg.BatchAddr = e.coord.Addr()
+	}
+	return core.New(e.w, cfg)
+}
+
+// ownTrent is an AC3TW run with a witness of its own, closed when the
+// run is retired. Each AC2T trusts its own Trent — the AC3TW analog of
+// AC3WN's per-transaction witness-chain choice — so a witness crash is
+// contained to its own transaction.
+type ownTrent struct {
+	*core.TWRun
+	trent *core.Trent
+}
+
+func (r ownTrent) Stop() {
+	r.TWRun.Stop()
+	r.trent.Close()
+}
+
+func newAC3TW(e *shardExec, i int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error) {
+	trent := core.NewTrent(e.w, e.seed^uint64(e.graphStamp(i))*0x9e3779b97f4a7c15, 200*sim.Millisecond)
+	r, err := core.NewTW(e.w, core.TWConfig{
+		Graph:        g,
+		Participants: ps,
+		Initiator:    ps[0],
+		Trent:        trent,
+		ConfirmDepth: shardConfirmDepth,
+		AbortAfter:   abortAfter,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ownTrent{r, trent}, nil
+}
+
+func newHTLC(e *shardExec, _ int, g *graph.Graph, ps []*xchain.Participant, _ sim.Time) (core.Runner, error) {
+	return swap.New(e.w, swap.Config{
+		Graph:        g,
+		Participants: ps,
+		Leader:       ps[0],
+		// Δ: publish + confirm at depth d, plus two blocks slack.
+		Delta:        sim.Time(shardConfirmDepth+1)*10*sim.Second + 20*sim.Second,
+		ConfirmDepth: shardConfirmDepth,
+	})
+}
+
+// scenarioDef is one row of the scenario table.
+type scenarioDef struct {
+	name Scenario
+	// weight selects the scenario's Mix field.
+	weight func(*Mix) *int
+	// abortAfter is the AC2T's abort deadline (0 = safetyAbortAfter).
+	abortAfter sim.Time
+	// check validates the Adversity knobs the scenario needs; nil for
+	// scenarios without any.
+	check func(*Workload) error
+	// apply installs the fault on the started transaction; nil for the
+	// well-behaved commit. Faults that wait for a protocol moment set
+	// st.hook, which rides the shard's activity feed (evaluated after
+	// every ground-truth tip change) until it reports done.
+	apply func(e *shardExec, i int, st *txState)
+}
+
+// scenarios is the scenario table, in the order -mix lists weights,
+// draws walk the cumulative distribution, and the phase table emits
+// rows. The first classicMix entries are the four-weight -mix form.
+//
+//ac3:globalstate the scenario table; written once here, read-only
+var scenarios = []scenarioDef{
+	{name: ScenarioCommit, weight: func(m *Mix) *int { return &m.Commit }},
+	{name: ScenarioAbort, weight: func(m *Mix) *int { return &m.Abort }, abortAfter: declineAbortAfter, apply: applyAbort},
+	{name: ScenarioCrash, weight: func(m *Mix) *int { return &m.Crash }, apply: applyCrash},
+	{name: ScenarioRace, weight: func(m *Mix) *int { return &m.Race }, apply: applyRace},
+	{name: ScenarioPartition, weight: func(m *Mix) *int { return &m.Partition }, check: checkPartition, apply: applyPartition},
+	{name: ScenarioLossy, weight: func(m *Mix) *int { return &m.Lossy }, check: checkLossy, apply: applyLossy},
+	{name: ScenarioGeo, weight: func(m *Mix) *int { return &m.Geo }, apply: applyGeo},
+}
+
+const classicMix = 4
+
+// scenarioOf finds a scenario's table row (nil if unknown).
+func scenarioOf(name Scenario) *scenarioDef {
+	for i := range scenarios {
+		if scenarios[i].name == name {
+			return &scenarios[i]
+		}
+	}
+	return nil
+}
+
+// total sums the mix weights.
+func (m Mix) total() int {
+	n := 0
+	for _, sc := range scenarios {
+		n += *sc.weight(&m)
+	}
+	return n
+}
+
+// ParseMix parses the comma-separated scenario weights of a -mix flag
+// in table order: either the classic four (commit,abort,crash,race) or
+// one per scenario.
+func ParseMix(s string) (Mix, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != classicMix && len(parts) != len(scenarios) {
+		return Mix{}, fmt.Errorf("mix must be %d or %d comma-separated weights, got %q", classicMix, len(scenarios), s)
+	}
+	var m Mix
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return Mix{}, fmt.Errorf("bad mix weight %q: %v", p, err)
+		}
+		*scenarios[i].weight(&m) = v
+	}
+	return m, nil
+}
+
+// drawScenario samples the scenario mix. Every protocol runs the full
+// matrix through its Runner — crash targets its critical failure point,
+// race pushes the competing decision — except where its table row says
+// a scenario is not expressible; such a draw runs as its downgrade and
+// is reported, not silent.
+func (wl *Workload) drawScenario(rng *sim.RNG) (sc Scenario, downgraded bool) {
+	n := rng.Intn(wl.Mix.total())
+	sc = scenarios[len(scenarios)-1].name
+	for _, def := range scenarios {
+		w := *def.weight(&wl.Mix)
+		if n < w {
+			sc = def.name
+			break
+		}
+		n -= w
+	}
+	if to, ok := protocolOf(wl.Protocol).downgrade[sc]; ok {
+		return to, true
+	}
+	return sc, false
+}
+
+// applyAbort: the victim declines. It never deploys, so the AC2T cannot
+// gather full deployment evidence and aborts at the (early) deadline.
+func applyAbort(_ *shardExec, _ int, st *txState) {
+	st.parts[len(st.parts)-1].Crash()
+}
+
+// applyCrash is the Section 1 hazard, aimed at the protocol's critical
+// failure point the moment the commit decision is pushed. A crashed
+// participant (AC3WN, HTLC) recovers after crashDownFor and resumes —
+// AC3WN completes the AC2T, HTLC's victim finds its timelocks expired
+// and has lost assets. AC3TW's critical point is the centralized
+// witness, which stays down: the AC2T blocks and surfaces as stuck.
+func applyCrash(e *shardExec, _ int, st *txState) {
+	r := st.runner
+	st.hook = func() bool {
+		if !r.CommitPushed() {
+			// Decided without a commit push: it went to refund, and
+			// there is nothing to crash.
+			return r.Decided()
+		}
+		if _, comesBack := r.Crash(); comesBack {
+			e.s.After(crashDownFor, func() {
+				if !st.graded {
+					r.Recover()
+				}
+			})
+		}
+		return true
+	}
+}
+
+// applyRace: a rogue participant races the honest decision. Exactly one
+// decision can stick — buried at depth d on the witness chain for
+// AC3WN, stored at Trent for AC3TW — so the AC2T stays atomic whichever
+// way it goes.
+func applyRace(_ *shardExec, _ int, st *txState) {
+	r, rogue := st.runner, st.parts[len(st.parts)-1]
+	st.hook = func() bool { return r.RaceRefund(rogue) }
+}
+
+// applyPartition splits the transaction's decision chain the moment its
+// decision window opens — one miner isolated against the rest — and
+// heals PartitionFor later, before the grading deadline. The minority
+// side keeps mining its own fork, so the heal forces a deep reorg and
+// every re-announce/re-request/EnsureTx path runs in anger. AC3WN must
+// stay atomic and settle (the paper's claim under exactly this hazard);
+// AC3TW blocking and HTLC expiry loss surface in the by-scenario
+// aggregates as data.
+func applyPartition(e *shardExec, i int, st *txState) {
+	r := st.runner
+	st.hook = func() bool {
+		if !r.DecisionOpen() {
+			return false
+		}
+		// The window starts at the decision trigger, not at tx start,
+		// so clamp it: the heal must land with enough room before the
+		// grading deadline for post-heal reconciliation — otherwise the
+		// tx is graded mid-split and "non-blocking under partition" was
+		// never actually under test. The isolated miner rotates by
+		// transaction index so repeated draws starve different replicas
+		// (and only sometimes the node-0 ground-truth view).
+		dur := e.wl.Adversity.PartitionFor
+		if maxDur := st.deadline - e.s.Now() - 2*sim.Minute; dur > maxDur {
+			dur = max(maxDur, 0)
+		}
+		e.w.Net(r.DecisionChain()).P2P.ScheduleIsolation(e.s.Now(), dur, i)
+		return true
+	}
+}
+
+func checkPartition(wl *Workload) error {
+	if wl.Adversity.PartitionFor <= 0 {
+		return fmt.Errorf("engine: partition scenario needs Adversity.PartitionFor > 0")
+	}
+	// Sanity bound; the shard additionally clamps each window at trigger
+	// time so the heal lands before that transaction's own deadline.
+	if wl.Adversity.PartitionFor >= wl.TxTimeout {
+		return fmt.Errorf("engine: partition window %dms cannot cover the whole %dms grading deadline",
+			wl.Adversity.PartitionFor, wl.TxTimeout)
+	}
+	return nil
+}
+
+// applyLossy imposes sustained gossip loss on every network the AC2T
+// touches: blocks vanish in flight, so the orphan re-request
+// (MsgGetBlock) and EnsureTx resubmission paths must carry the run. The
+// overlay lifts when the transaction grades or after LossyFor,
+// whichever comes first — Overlay.Remove is idempotent, so the timer
+// and the grading cleanup can both fire.
+func applyLossy(e *shardExec, i int, st *txState) {
+	loss := p2p.LatencyModel{Loss: e.wl.Adversity.Loss}
+	chains := e.assetChainsOf(i)
+	if dc := st.runner.DecisionChain(); !slices.Contains(chains, dc) {
+		chains = append(chains, dc) // a witness chain of its own
+	}
+	for _, id := range chains {
+		ov := e.w.Net(id).P2P.PushOverlay(loss)
+		st.cleanup = append(st.cleanup, ov.Remove)
+		e.s.After(e.wl.Adversity.LossyFor, ov.Remove)
+	}
+}
+
+func checkLossy(wl *Workload) error {
+	if wl.Adversity.Loss <= 0 || wl.Adversity.Loss >= 1 {
+		return fmt.Errorf("engine: lossy scenario needs Adversity.Loss in (0,1), got %g", wl.Adversity.Loss)
+	}
+	if wl.Adversity.LossyFor <= 0 {
+		return fmt.Errorf("engine: lossy scenario needs Adversity.LossyFor > 0")
+	}
+	return nil
+}
+
+// applyGeo degrades the first asset chain (in edge order) to
+// intercontinental gossip and the second to WAN, so the chains'
+// confirmation depths advance at visibly different rates and every
+// cross-chain wait races realistically skewed clocks.
+func applyGeo(e *shardExec, i int, st *txState) {
+	classes := []p2p.LatencyModel{p2p.GeoLink(), p2p.WANLink()}
+	for k, id := range e.assetChainsOf(i) {
+		if k >= len(classes) {
+			break
+		}
+		ov := e.w.Net(id).P2P.PushOverlay(classes[k])
+		st.cleanup = append(st.cleanup, ov.Remove)
+	}
+}

@@ -2,18 +2,13 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/batch"
 	"repro/internal/chain"
-	"repro/internal/contracts"
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/graph"
-	"repro/internal/p2p"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/trace"
 	"repro/internal/xchain"
 )
@@ -62,10 +57,6 @@ type txSpec struct {
 type txState struct {
 	runner core.Runner
 	parts  []*xchain.Participant
-	// trent is the transaction's own centralized witness (AC3TW only),
-	// so the crash scenario can take one AC2T's witness down without
-	// blocking the rest of the stream.
-	trent  *core.Trent
 	graded bool
 	// finishing: Settled held and the settle-grace finish is pending.
 	finishing bool
@@ -101,7 +92,8 @@ type shardExec struct {
 	idx   int
 	seed  uint64
 	wl    Workload
-	prune int // executor state-GC horizon (0 = retain everything)
+	proto *protocolDef // wl.Protocol's table row
+	prune int          // executor state-GC horizon (0 = retain everything)
 	col   *Collector
 
 	s        *sim.Sim
@@ -161,6 +153,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 		idx:   idx,
 		seed:  seed,
 		wl:    wl,
+		proto: protocolOf(wl.Protocol),
 		prune: prune,
 		col:   col,
 		s:     s,
@@ -290,8 +283,9 @@ func (e *shardExec) buildWorld(txCount int) error {
 		return fmt.Errorf("engine: shard %d world: %w", e.idx, err)
 	}
 	e.w = w
-	if e.wl.BatchWindow > 0 && e.wl.Protocol == ProtoAC3WN {
-		// One batching coordinator per shard world, its witness quorum
+	if e.wl.BatchWindow > 0 {
+		// One batching coordinator per shard world (validate admits a
+		// window only for protocols that batch), its witness quorum
 		// keyed off a forked seed so quorum identities perturb neither
 		// workload draws nor mining randomness.
 		coord, err := batch.New(w, e.witness, e.seed^0xb5297a4d3f84d5a3, batch.Config{
@@ -383,7 +377,12 @@ func (e *shardExec) start(i int) {
 		return
 	}
 
-	runner, err := e.newRunner(i, g, ps, spec)
+	sc := scenarioOf(spec.scenario)
+	abortAfter := safetyAbortAfter
+	if sc.abortAfter > 0 {
+		abortAfter = sc.abortAfter
+	}
+	runner, err := e.proto.newRunner(e, i, g, ps, abortAfter)
 	if err != nil {
 		e.finish(i, nil)
 		return
@@ -392,7 +391,9 @@ func (e *shardExec) start(i int) {
 	st.deadline = e.s.Now() + e.wl.TxTimeout
 	e.activeIdx = append(e.activeIdx, i)
 	runner.Start()
-	e.applyScenario(i, runner, ps, spec)
+	if sc.apply != nil {
+		sc.apply(e, i, st)
+	}
 	e.s.At(st.deadline, func() { e.checkTx(i) })
 	e.armActivity()
 }
@@ -443,237 +444,6 @@ func (e *shardExec) graphStamp(i int) int64 {
 	return int64(e.idx)<<32 | int64(i+1)
 }
 
-// newRunner constructs the protocol runner for one AC2T.
-func (e *shardExec) newRunner(i int, g *graph.Graph, ps []*xchain.Participant, spec txSpec) (core.Runner, error) {
-	abortAfter := safetyAbortAfter
-	if spec.scenario == ScenarioAbort {
-		abortAfter = declineAbortAfter
-	}
-	switch e.wl.Protocol {
-	case ProtoAC3WN:
-		cfg := core.Config{
-			Graph:        g,
-			Participants: ps,
-			Initiator:    ps[0],
-			WitnessChain: e.witness,
-			WitnessDepth: shardConfirmDepth,
-			AssetDepth:   shardConfirmDepth,
-			AbortAfter:   abortAfter,
-		}
-		// Guarded assignment: a typed-nil *batch.Coordinator in the
-		// DecisionSink interface would read as "batching on".
-		if e.coord != nil {
-			cfg.Batcher = e.coord
-			cfg.BatchAddr = e.coord.Addr()
-		}
-		return core.New(e.w, cfg)
-	case ProtoAC3TW:
-		// Each AC2T trusts its own witness — the AC3TW analog of
-		// AC3WN's per-transaction witness-chain choice — so a witness
-		// crash scenario is contained to its own transaction.
-		trent := core.NewTrent(e.w, e.seed^uint64(e.graphStamp(i))*0x9e3779b97f4a7c15, 200*sim.Millisecond)
-		e.txs[i].trent = trent
-		return core.NewTW(e.w, core.TWConfig{
-			Graph:        g,
-			Participants: ps,
-			Initiator:    ps[0],
-			Trent:        trent,
-			ConfirmDepth: shardConfirmDepth,
-			AbortAfter:   abortAfter,
-		})
-	case ProtoHTLC:
-		return swap.New(e.w, swap.Config{
-			Graph:        g,
-			Participants: ps,
-			Leader:       ps[0],
-			// Δ: publish + confirm at depth d, plus two blocks slack.
-			Delta:        sim.Time(shardConfirmDepth+1)*10*sim.Second + 20*sim.Second,
-			ConfirmDepth: shardConfirmDepth,
-		})
-	}
-	return nil, fmt.Errorf("engine: unknown protocol %q", e.wl.Protocol)
-}
-
-// applyScenario installs the per-scenario fault or adversary hooks.
-// Hooks are notification-driven: they ride the shard's activity feed
-// (evaluated after every ground-truth tip change) instead of their own
-// pollers, and report done to detach.
-func (e *shardExec) applyScenario(i int, runner core.Runner, ps []*xchain.Participant, spec txSpec) {
-	st := &e.txs[i]
-	victim := ps[len(ps)-1]
-	switch spec.scenario {
-	case ScenarioAbort:
-		// The victim declines: it never deploys, so the AC2T cannot
-		// gather full deployment evidence and aborts at the deadline.
-		victim.Crash()
-	case ScenarioCrash:
-		// The Section 1 hazard, aimed at each protocol's critical
-		// failure point at decision time. AC3WN and AC3TW crash a
-		// participant, which recovers and resumes; for AC3TW's hazard
-		// the victim is the centralized witness itself, which stays
-		// down — the AC2T blocks, surfacing as stuck in the
-		// aggregates. HTLC's recovered victim finds its timelocks
-		// expired and loses assets (an atomicity violation).
-		switch r := runner.(type) {
-		case *core.Run:
-			st.hook = func() bool {
-				if st.graded || victim.Crashed() {
-					return true
-				}
-				if hasEvent(r.Events(), "authorize_redeem submitted") {
-					victim.Crash()
-					e.s.After(crashDownFor, func() {
-						if st.graded {
-							return
-						}
-						victim.Recover()
-						r.Resume(victim)
-					})
-					return true
-				}
-				// Decision went to refund instead — nothing to crash.
-				return r.DecidedAt != 0
-			}
-		case *core.TWRun:
-			trent := st.trent
-			st.hook = func() bool {
-				if st.graded {
-					return true
-				}
-				if hasEvent(r.Events(), "redeem signature requested from Trent") {
-					trent.Crash() // stays down: nothing can be decided
-					return true
-				}
-				return false
-			}
-		case *swap.Run:
-			st.hook = func() bool {
-				if st.graded || victim.Crashed() {
-					return true
-				}
-				if hasEvent(r.Events(), "redeem submitted") {
-					victim.Crash()
-					e.s.After(crashDownFor, func() {
-						if st.graded {
-							return
-						}
-						// Recovery resumes the reconciler, but the
-						// timelocks already did the damage.
-						victim.Recover()
-						r.Resume(victim)
-					})
-					return true
-				}
-				return false
-			}
-		}
-	case ScenarioPartition:
-		// Split the transaction's decision chain the moment its
-		// decision window opens — one miner isolated against the rest —
-		// and heal PartitionFor later, before the grading deadline. The
-		// minority side keeps mining its own fork, so the heal forces a
-		// deep reorg and every re-announce/re-request/EnsureTx path
-		// runs in anger. AC3WN must stay atomic and settle (the paper's
-		// claim under exactly this hazard); AC3TW blocking and HTLC
-		// expiry loss surface in the by-scenario aggregates as data.
-		target := e.witness
-		if e.wl.Protocol != ProtoAC3WN {
-			target = e.chainOf(i, 0)
-		}
-		trigger := e.decisionTrigger(runner)
-		st.hook = func() bool {
-			if st.graded {
-				return true
-			}
-			if !trigger() {
-				return false
-			}
-			// The window starts at the decision trigger, not at tx
-			// start, so clamp it: the heal must land with enough room
-			// before the grading deadline for post-heal reconciliation
-			// — otherwise the tx is graded mid-split and "non-blocking
-			// under partition" was never actually under test. The
-			// isolated miner rotates by transaction index so repeated
-			// draws starve different replicas (and only sometimes the
-			// node-0 ground-truth view).
-			dur := e.wl.Adversity.PartitionFor
-			if maxDur := st.deadline - e.s.Now() - 2*sim.Minute; dur > maxDur {
-				dur = max(maxDur, 0)
-			}
-			e.w.Net(target).P2P.ScheduleIsolation(e.s.Now(), dur, i)
-			return true
-		}
-	case ScenarioLossy:
-		// Sustained gossip loss on every network the AC2T touches:
-		// blocks vanish in flight, so the orphan re-request
-		// (MsgGetBlock) and EnsureTx resubmission paths must carry the
-		// run. The overlay lifts when the transaction grades or after
-		// LossyFor, whichever comes first — Overlay.Remove is
-		// idempotent, so the timer and the grading cleanup can both
-		// fire.
-		loss := p2p.LatencyModel{Loss: e.wl.Adversity.Loss}
-		for _, id := range e.txChains(i) {
-			ov := e.w.Net(id).P2P.PushOverlay(loss)
-			st.cleanup = append(st.cleanup, ov.Remove)
-			e.s.After(e.wl.Adversity.LossyFor, ov.Remove)
-		}
-	case ScenarioGeo:
-		// Heterogeneous link classes: the first asset chain degrades to
-		// intercontinental gossip, the second to WAN, so the chains'
-		// confirmation depths advance at visibly different rates and
-		// every cross-chain wait races realistically skewed clocks.
-		classes := []p2p.LatencyModel{p2p.GeoLink(), p2p.WANLink()}
-		for k, id := range e.assetChainsOf(i) {
-			if k >= len(classes) {
-				break
-			}
-			ov := e.w.Net(id).P2P.PushOverlay(classes[k])
-			st.cleanup = append(st.cleanup, ov.Remove)
-		}
-	case ScenarioRace:
-		// A rogue participant races the honest decision. Exactly one
-		// decision can stick — buried at depth d on the witness chain
-		// for AC3WN, stored at Trent for AC3TW — so the AC2T stays
-		// atomic whichever way it goes.
-		switch r := runner.(type) {
-		case *core.Run:
-			rogue := victim
-			st.hook = func() bool {
-				if st.graded {
-					return true
-				}
-				scw := r.SCwAddr()
-				if scw.IsZero() {
-					return false
-				}
-				if e.coord != nil {
-					// Batched mode: the rogue races the honest decision
-					// inside the batching layer itself — a conflicting
-					// refund submitted to the coordinator. First-wins
-					// there (and whole-batch conflict rejection
-					// on-chain) is what keeps the AC2T atomic.
-					e.coord.Submit(scw, contracts.WitnessRefundAuthorized)
-					return true
-				}
-				_, err := rogue.Client(e.witness).Call(scw, contracts.FnAuthorizeRefund, nil, 0)
-				return err == nil
-			}
-		case *core.TWRun:
-			trent := st.trent
-			st.hook = func() bool {
-				if st.graded {
-					return true
-				}
-				if !r.Registered() {
-					return false
-				}
-				trent.RequestRefund(r.MsID(), func(crypto.Signature, crypto.Purpose, error) {})
-				return true
-			}
-		}
-	}
-}
-
 // finish grades transaction i, retires its participants, and admits
 // the next queued arrival.
 func (e *shardExec) finish(i int, runner core.Runner) {
@@ -703,34 +473,29 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 		committed, aborted, violated = out.Committed(), out.Aborted(), out.AtomicityViolated()
 		lat = out.Latency()
 		deploys, calls = out.Deploys, out.Calls
-	}
-	if r, ok := runner.(*core.Run); ok {
 		// Witness-efficiency accounting: the per-AC2T decision traffic
 		// this transaction put on the witness chain (zero in batched
 		// mode — batch traffic is counted once per shard, off the
 		// coordinator).
-		e.res.WitnessDecisionTxs += r.WitnessDecisionTxs
-		e.res.WitnessDecisionBytes += r.WitnessDecisionBytes
+		e.res.WitnessDecisionTxs += out.WitnessTxs
+		e.res.WitnessDecisionBytes += out.WitnessBytes
 	}
 	e.res.record(sc, committed, aborted, violated, lat, deploys, calls)
 	e.col.observe(lat, violated)
 	e.observeTx(i, runner, committed, aborted, violated, deploys, calls)
 
 	// Retire: stop the runner (every protocol implements it through
-	// the shared runtime), close the transaction's witness, and retire
-	// the participants — halting their clients permanently and
-	// unhooking them from the broadcast bus — so lingering watches,
-	// pollers and resubmit loops stop consuming simulator events AND
+	// the shared runtime; a run with a witness of its own closes it
+	// too), and retire the participants — halting their clients
+	// permanently and unhooking them from the broadcast bus — so
+	// lingering subscriptions and resubmit loops stop consuming
+	// simulator events AND
 	// the transaction's runtime objects become garbage. On-chain state
 	// is already graded; nothing observes these identities again. At
 	// 100k+ AC2Ts per shard this release is what keeps shard memory
 	// flat in transaction count.
 	if runner != nil {
 		runner.Stop()
-	}
-	if st.trent != nil {
-		st.trent.Close()
-		st.trent = nil
 	}
 	for _, p := range st.parts {
 		p.Retire()
@@ -832,24 +597,6 @@ func (e *shardExec) observeTx(i int, runner core.Runner, committed, aborted, vio
 	}
 }
 
-// decisionTrigger returns the per-protocol predicate for "the decision
-// window is open": SCw exists on the witness chain (AC3WN), the AC2T
-// is registered at Trent (AC3TW), or the secret reveal was submitted
-// (HTLC). The partition scenario splits the decision chain at exactly
-// this point — the moment the paper's Section 1 hazard analysis says
-// network behavior decides the outcome.
-func (e *shardExec) decisionTrigger(runner core.Runner) func() bool {
-	switch r := runner.(type) {
-	case *core.Run:
-		return func() bool { return !r.SCwAddr().IsZero() }
-	case *core.TWRun:
-		return func() bool { return r.Registered() }
-	case *swap.Run:
-		return func() bool { return hasEvent(r.Events(), "redeem submitted") }
-	}
-	return func() bool { return true }
-}
-
 // assetChainsOf returns transaction i's distinct asset chains in edge
 // order.
 func (e *shardExec) assetChainsOf(i int) []chain.ID {
@@ -863,28 +610,6 @@ func (e *shardExec) assetChainsOf(i int) []chain.ID {
 		}
 	}
 	return out
-}
-
-// txChains returns every network transaction i gossips on: its asset
-// chains, plus the witness chain when the protocol uses one.
-func (e *shardExec) txChains(i int) []chain.ID {
-	out := e.assetChainsOf(i)
-	if e.wl.Protocol == ProtoAC3WN {
-		out = append(out, e.witness)
-	}
-	return out
-}
-
-// hasEvent reports whether any timeline event label starts with
-// prefix. All protocols share the runtime's event type, so one helper
-// serves every scenario hook.
-func hasEvent(events []protocol.Event, prefix string) bool {
-	for _, ev := range events {
-		if strings.HasPrefix(ev.Label, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // ringGraph builds the AC2T ring over the participants' addresses.

@@ -38,8 +38,9 @@ const (
 	ScenarioGeo       Scenario = "geo"
 )
 
-// Mix weighs the scenarios in a workload. Zero-weight scenarios never
-// occur; an all-zero Mix is rejected.
+// Mix weighs the scenarios in a workload, one field per row of the
+// scenario table (scenario.go). Zero-weight scenarios never occur; an
+// all-zero Mix is rejected.
 type Mix struct {
 	Commit    int `json:"commit"`
 	Abort     int `json:"abort"`
@@ -48,11 +49,6 @@ type Mix struct {
 	Partition int `json:"partition"`
 	Lossy     int `json:"lossy"`
 	Geo       int `json:"geo"`
-}
-
-// total sums the mix weights.
-func (m Mix) total() int {
-	return m.Commit + m.Abort + m.Crash + m.Race + m.Partition + m.Lossy + m.Geo
 }
 
 // Adversity configures the network-hostility scenarios. The knobs
@@ -153,9 +149,8 @@ func DefaultWorkload() Workload {
 
 // validate rejects unusable workloads.
 func (wl *Workload) validate() error {
-	switch wl.Protocol {
-	case ProtoAC3WN, ProtoAC3TW, ProtoHTLC:
-	default:
+	proto := protocolOf(wl.Protocol)
+	if proto == nil {
 		return fmt.Errorf("engine: unknown protocol %q", wl.Protocol)
 	}
 	if wl.Txs <= 0 {
@@ -186,28 +181,26 @@ func (wl *Workload) validate() error {
 	if total == 0 {
 		return fmt.Errorf("engine: all size weights zero")
 	}
-	m := wl.Mix
-	if m.Commit < 0 || m.Abort < 0 || m.Crash < 0 || m.Race < 0 ||
-		m.Partition < 0 || m.Lossy < 0 || m.Geo < 0 {
-		return fmt.Errorf("engine: negative mix weight")
+	for _, sc := range scenarios {
+		w := *sc.weight(&wl.Mix)
+		if w < 0 {
+			return fmt.Errorf("engine: negative mix weight")
+		}
+		if w > 0 && sc.check != nil {
+			if err := sc.check(wl); err != nil {
+				return err
+			}
+		}
 	}
-	if m.total() == 0 {
+	if wl.Mix.total() == 0 {
 		return fmt.Errorf("engine: all mix weights zero")
-	}
-	if m.Lossy > 0 {
-		if wl.Adversity.Loss <= 0 || wl.Adversity.Loss >= 1 {
-			return fmt.Errorf("engine: lossy scenario needs Adversity.Loss in (0,1), got %g", wl.Adversity.Loss)
-		}
-		if wl.Adversity.LossyFor <= 0 {
-			return fmt.Errorf("engine: lossy scenario needs Adversity.LossyFor > 0")
-		}
 	}
 	if wl.BatchWindow < 0 {
 		return fmt.Errorf("engine: negative batch window")
 	}
 	if wl.BatchWindow > 0 {
-		if wl.Protocol != ProtoAC3WN {
-			return fmt.Errorf("engine: batching is AC3WN-only, got %q", wl.Protocol)
+		if !proto.batches {
+			return fmt.Errorf("engine: %q has no witness-chain decisions to batch", wl.Protocol)
 		}
 		if wl.BatchWindow >= wl.TxTimeout {
 			return fmt.Errorf("engine: batch window %dms cannot cover the whole %dms grading deadline",
@@ -219,18 +212,6 @@ func (wl *Workload) validate() error {
 		}
 		if bn > 0 && bm > bn {
 			return fmt.Errorf("engine: batch threshold %d above quorum size %d", bm, bn)
-		}
-	}
-	if m.Partition > 0 {
-		if wl.Adversity.PartitionFor <= 0 {
-			return fmt.Errorf("engine: partition scenario needs Adversity.PartitionFor > 0")
-		}
-		// Sanity bound; the shard additionally clamps each window at
-		// trigger time so the heal lands before that transaction's own
-		// grading deadline.
-		if wl.Adversity.PartitionFor >= wl.TxTimeout {
-			return fmt.Errorf("engine: partition window %dms cannot cover the whole %dms grading deadline",
-				wl.Adversity.PartitionFor, wl.TxTimeout)
 		}
 	}
 	return nil
@@ -250,38 +231,4 @@ func (wl *Workload) drawSize(rng *sim.RNG) int {
 		}
 	}
 	return wl.Sizes[len(wl.Sizes)-1].Size
-}
-
-// drawScenario samples the scenario mix. The protocol runtime lets
-// every protocol run the full commit/abort/crash/race matrix — crash
-// targets each protocol's critical failure point (a participant for
-// AC3WN and AC3TW, the witness for AC3TW's blocking hazard, a
-// mid-reveal participant for HTLC's asset loss), and race pushes the
-// competing decision (authorize_refund on SCw, a refund request at
-// Trent). The one remaining mapping is HTLC race → commit: hashlock
-// contracts have no decision to race. It is reported, not silent —
-// downgraded draws are counted in the aggregates.
-func (wl *Workload) drawScenario(rng *sim.RNG) (sc Scenario, downgraded bool) {
-	m := wl.Mix
-	n := rng.Intn(m.total())
-	switch {
-	case n < m.Commit:
-		sc = ScenarioCommit
-	case n < m.Commit+m.Abort:
-		sc = ScenarioAbort
-	case n < m.Commit+m.Abort+m.Crash:
-		sc = ScenarioCrash
-	case n < m.Commit+m.Abort+m.Crash+m.Race:
-		sc = ScenarioRace
-	case n < m.Commit+m.Abort+m.Crash+m.Race+m.Partition:
-		sc = ScenarioPartition
-	case n < m.Commit+m.Abort+m.Crash+m.Race+m.Partition+m.Lossy:
-		sc = ScenarioLossy
-	default:
-		sc = ScenarioGeo
-	}
-	if wl.Protocol == ProtoHTLC && sc == ScenarioRace {
-		return ScenarioCommit, true
-	}
-	return sc, false
 }

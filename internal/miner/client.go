@@ -11,26 +11,15 @@ import (
 	"repro/internal/vm"
 )
 
-// Watch-registration errors. A halted (crashed) client cannot arm
-// watches: silently accepting them used to drop the condition on the
-// floor, leaving callers waiting on a callback that could never fire.
-// Callers now learn at registration time and re-arm after Restart —
+// Subscription-registration errors. A halted (crashed) client cannot
+// arm subscriptions: silently accepting them used to drop the callback
+// on the floor, leaving callers waiting on something that could never
+// fire. Callers learn at registration time and re-arm after Restart —
 // exactly what a recovering protocol participant does anyway.
 var (
 	ErrHalted = errors.New("miner: client is halted")
 	ErrClosed = errors.New("miner: client is closed")
 )
-
-// watchErr reports why a watch cannot be armed right now, or nil.
-func (c *Client) watchErr() error {
-	switch {
-	case c.closed:
-		return ErrClosed
-	case c.halted:
-		return ErrHalted
-	}
-	return nil
-}
 
 // Client is the application-layer client library of Section 2.1: an
 // end-user identity attached to one mining node for reads, that
@@ -38,14 +27,14 @@ func (c *Client) watchErr() error {
 // depths, and manages a simple UTXO wallet.
 //
 // All waiting is notification-driven on the attached node's tip-change
-// signal: a watch's condition is re-evaluated only when the node's
-// canonical chain actually changed, never on a timer. The single
-// surviving poll is the resubmit fallback — a slow timer that
-// re-multicasts a watched transaction that fell out of the chain
-// (reorgs, mempool purges, crashed miners), so "submitted" eventually
-// means "committed at depth d" unless the client is halted — which is
-// exactly the crash model the paper's Section 1 failure scenario
-// needs.
+// signal (OnTipChange): subscribers run only when the node's canonical
+// chain actually changed, never on a timer, and re-derive what they
+// wait for from chain state. Keeping a submitted transaction alive
+// across reorgs, mempool purges and crashed miners is the subscriber's
+// job too (protocol.Runtime.EnsureTx, batch.Coordinator), paced by
+// ResubmitEvery — so "submitted" eventually means "committed at depth
+// d" unless the client is halted, which is exactly the crash model the
+// paper's Section 1 failure scenario needs.
 type Client struct {
 	Key  *crypto.KeyPair
 	node *Node
@@ -56,60 +45,31 @@ type Client struct {
 	nonce    uint64
 	reserved map[chain.OutPoint]bool
 
-	watches []*watch
-	waiter  *sim.Waiter // armed on the node's tip signal while watches exist
-	halted  bool
-	closed  bool
+	subs   []*Sub
+	waiter *sim.Waiter // armed on the node's tip signal while subscriptions exist
+	halted bool
+	closed bool
 
-	// ResubmitEvery is the fallback-resubmission cadence: a watched
-	// transaction absent from the canonical chain for a whole interval
-	// is re-multicast. Defaults to three block intervals.
+	// ResubmitEvery is the resubmission cadence subscribers keep a
+	// transaction alive at: one absent from the canonical chain for a
+	// whole interval is re-multicast. Defaults to three block intervals.
 	ResubmitEvery sim.Time
-
-	// Resubmits counts transaction re-broadcasts (diagnostics).
-	Resubmits int
-}
-
-// watch is one pending condition: check reports (and side-effects)
-// satisfaction; peekFn, when set, probes the condition without side
-// effects (used for the registration-time evaluation — nil means the
-// watch can never be pre-satisfied, e.g. persistent subscriptions);
-// fallback is the optional resubmit timer that keeps the watched
-// transaction alive while the condition is pending.
-type watch struct {
-	check    func() bool
-	peekFn   func() bool
-	fallback *sim.Poller
-	canceled bool
-}
-
-// peek reports whether the condition already holds, with no side
-// effects.
-func (w *watch) peek() bool { return w.peekFn != nil && w.peekFn() }
-
-// stop retires the watch and its fallback timer. Idempotent.
-func (w *watch) stop() {
-	w.canceled = true
-	if w.fallback != nil {
-		w.fallback.Cancel()
-	}
 }
 
 // Sub is a persistent tip-change subscription handle (see
-// Client.OnTipChange). Cancel is idempotent.
-type Sub struct{ w *watch }
+// Client.OnTipChange).
+type Sub struct {
+	fn       func() // nil on the inert handle a refused registration returns
+	canceled bool
+}
 
 // Cancel detaches the subscription. Safe to call repeatedly, on an
 // already-dead subscription, or on one that was registered while the
 // client was halted.
-func (s *Sub) Cancel() {
-	if s.w != nil {
-		s.w.stop()
-	}
-}
+func (s *Sub) Cancel() { s.canceled = true }
 
 // Active reports whether the subscription can still fire.
-func (s *Sub) Active() bool { return s.w != nil && !s.w.canceled }
+func (s *Sub) Active() bool { return s.fn != nil && !s.canceled }
 
 // NewClient attaches a fresh client identity to node i of the
 // network.
@@ -132,29 +92,27 @@ func (c *Client) Chain() *chain.Chain { return c.node.Chain }
 // ChainID returns the id of the blockchain this client talks to.
 func (c *Client) ChainID() chain.ID { return c.net.Params.ID }
 
-// Halt models an end-user site crash: pending watches and their
-// fallback timers stop firing and no further submissions happen until
-// Restart. Watch registration while halted fails with ErrHalted — a
-// recovering participant re-arms its protocol from on-chain state
-// after Restart, and the explicit error keeps a caller from waiting
-// forever on a watch that was never armed.
+// Halt models an end-user site crash: subscriptions stop firing and no
+// further submissions happen until Restart. Registration while halted
+// fails with ErrHalted — a recovering participant re-arms its protocol
+// from on-chain state after Restart, and the explicit error keeps a
+// caller from waiting forever on a subscription that was never armed.
 func (c *Client) Halt() {
 	c.halted = true
 	if c.waiter != nil {
 		c.waiter.Cancel()
 		c.waiter = nil
 	}
-	for _, w := range c.watches {
-		w.stop()
+	for _, s := range c.subs {
+		s.canceled = true
 	}
-	c.watches = nil
+	c.subs = nil
 }
 
-// Close permanently shuts the client down: like Halt, every pending
-// watch and fallback poller is canceled — but a closed client never
-// comes back. Restart is a no-op and watches registered after Close
-// never arm a poller or a waiter in the first place, so no timer can
-// leak past Close. Idempotent.
+// Close permanently shuts the client down: like Halt, every
+// subscription is canceled — but a closed client never comes back.
+// Restart is a no-op and registrations after Close never arm a waiter
+// in the first place, so nothing can leak past Close. Idempotent.
 func (c *Client) Close() {
 	c.closed = true
 	c.Halt()
@@ -163,7 +121,7 @@ func (c *Client) Close() {
 // Closed reports whether the client was permanently shut down.
 func (c *Client) Closed() bool { return c.closed }
 
-// Restart recovers a halted client. Watches must be re-established by
+// Restart recovers a halted client. Subscriptions must be re-established by
 // the caller (a recovering participant re-drives its protocol). A
 // closed client cannot restart.
 func (c *Client) Restart() {
@@ -176,76 +134,48 @@ func (c *Client) Restart() {
 // Halted reports whether the client is down.
 func (c *Client) Halted() bool { return c.halted }
 
-// addWatch registers a condition and makes sure the client is waiting
-// on its node's tip signal. A condition that already holds at
-// registration fires through a zero-delay scheduled evaluation (never
-// inline — registration must not reenter the caller), preserving the
-// guarantee the old cadence pollers gave: the watch fires even on a
-// chain that never changes tip again. Conditions still pending at
-// registration — the overwhelmingly common case — are checked inline
-// (a cheap read) and wait for tip changes without costing an event.
-func (c *Client) addWatch(w *watch) {
-	c.watches = append(c.watches, w)
-	c.ensureArmed()
-	if !w.peek() {
-		return
-	}
-	c.sim.After(0, func() {
-		if w.canceled || c.halted {
-			return
-		}
-		if w.check() {
-			w.stop() // onTip's next sweep drops the canceled watch
-		}
-	})
-}
-
 // ensureArmed keeps exactly one waiter on the node's tip signal while
-// the client has live watches. One waiter serves every watch: a tip
-// change costs the client a single evaluation pass, not one wakeup
-// per watch.
+// the client has live subscriptions. One waiter serves them all: a tip
+// change costs the client a single pass, not one wakeup per subscriber.
 func (c *Client) ensureArmed() {
-	if c.waiter != nil || c.halted || len(c.watches) == 0 {
+	if c.waiter != nil || c.halted || len(c.subs) == 0 {
 		return
 	}
 	c.waiter = c.node.TipChanged().Wait(c.onTip)
 }
 
-// onTip re-evaluates every watch after a tip change, retiring the
-// satisfied ones, then re-arms. Callbacks may register new watches;
-// those join the list for the next evaluation.
+// onTip runs every subscriber after a tip change, dropping the canceled
+// ones, then re-arms. Callbacks may register new subscriptions; those
+// join the list for the next tip change.
 func (c *Client) onTip() {
 	c.waiter = nil
 	if c.halted {
 		return
 	}
-	batch := c.watches
-	c.watches = nil // callbacks registering new watches append to a fresh list
-	var kept []*watch
-	for _, w := range batch {
+	batch := c.subs
+	c.subs = nil // callbacks registering new subscriptions append to a fresh list
+	var kept []*Sub
+	for _, s := range batch {
 		if c.halted {
-			// A callback halted this client mid-evaluation; the batch
-			// is detached from c.watches, so retire the rest here.
-			w.stop()
+			// A callback halted this client mid-pass; the batch is
+			// detached from c.subs, so retire the rest here.
+			s.canceled = true
 			continue
 		}
-		if w.canceled {
+		if s.canceled {
 			continue
 		}
-		if w.check() {
-			w.stop()
-			continue
-		}
-		kept = append(kept, w)
+		s.fn()
+		kept = append(kept, s)
 	}
 	if c.halted {
-		for _, w := range append(kept, c.watches...) {
-			w.stop()
+		for _, s := range append(kept, c.subs...) {
+			s.canceled = true
 		}
-		c.watches = nil
+		c.subs = nil
 		return
 	}
-	c.watches = append(kept, c.watches...)
+	c.subs = append(kept, c.subs...)
 	c.ensureArmed()
 }
 
@@ -256,12 +186,16 @@ func (c *Client) onTip() {
 // closed client fails with ErrHalted/ErrClosed — the returned Sub is
 // inert but safe to Cancel, so recovery code may still hold it.
 func (c *Client) OnTipChange(fn func()) (*Sub, error) {
-	if err := c.watchErr(); err != nil {
-		return &Sub{}, err
+	switch {
+	case c.closed:
+		return &Sub{}, ErrClosed
+	case c.halted:
+		return &Sub{}, ErrHalted
 	}
-	w := &watch{check: func() bool { fn(); return false }}
-	c.addWatch(w)
-	return &Sub{w: w}, nil
+	s := &Sub{fn: fn}
+	c.subs = append(c.subs, s)
+	c.ensureArmed()
+	return s, nil
 }
 
 // Submit multicasts a signed transaction to the mining nodes,
@@ -272,7 +206,7 @@ func (c *Client) OnTipChange(fn func()) (*Sub, error) {
 // client's attached node — does not hear end-users either. (It used
 // to reach every live mempool regardless of partitions, which
 // silently neutered partition scenarios: a split network still saw
-// every transaction everywhere.) The resubmit fallback re-multicasts
+// every transaction everywhere.) Subscribers' keep-alive re-multicasts
 // after heal, so a transaction submitted into a minority partition
 // still commits eventually.
 //
@@ -408,82 +342,6 @@ func (c *Client) Call(contract crypto.Address, fn string, args []byte, value vm.
 	tx := chain.NewCall(c.Key, c.nonce, contract, fn, args, ins, c.changeOuts(change), value)
 	c.Submit(tx)
 	return tx, nil
-}
-
-// WhenTxAtDepth invokes fn once the transaction is on the canonical
-// chain buried at least depth blocks. The condition is re-checked on
-// every tip change of the client's node — including reorgs: a tx
-// confirmed on a losing fork simply keeps the watch pending until it
-// lands on the canonical chain again. A slow fallback timer
-// re-multicasts the transaction whenever it is absent from the
-// canonical chain for a whole ResubmitEvery, covering mempool wipes
-// and fork losses even while no blocks arrive. Registration on a
-// halted or closed client fails with ErrHalted/ErrClosed instead of
-// silently never firing; a watch armed before a crash still dies with
-// the crash (Halt cancels it), as the crash model requires.
-func (c *Client) WhenTxAtDepth(tx *chain.Tx, depth int, fn func(blockHash crypto.Hash)) error {
-	if err := c.watchErr(); err != nil {
-		return err
-	}
-	id := tx.ID()
-	w := &watch{}
-	cond := func() (crypto.Hash, bool) {
-		b, _, found := c.Chain().FindTx(id)
-		if !found {
-			return crypto.Hash{}, false
-		}
-		d, ok := c.Chain().DepthOf(b.Hash())
-		if !ok || d < depth {
-			return crypto.Hash{}, false
-		}
-		return b.Hash(), true
-	}
-	w.peekFn = func() bool { _, ok := cond(); return ok }
-	w.check = func() bool {
-		h, ok := cond()
-		if !ok {
-			return false
-		}
-		fn(h)
-		return true
-	}
-	w.fallback = c.sim.Poll(c.ResubmitEvery, func() bool {
-		if w.canceled || c.halted {
-			return true
-		}
-		if _, _, found := c.Chain().FindTx(id); !found {
-			c.Resubmits++
-			c.Submit(tx)
-		}
-		return false
-	})
-	c.addWatch(w)
-	return nil
-}
-
-// WhenContract invokes fn once pred holds for the contract's state at
-// the given confirmation depth (depth 0 reads the tip). The predicate
-// sees a read-only contract snapshot and is evaluated only when the
-// node's canonical chain changes — contract state at any depth cannot
-// change otherwise. Registration on a halted or closed client fails
-// with ErrHalted/ErrClosed.
-func (c *Client) WhenContract(addr crypto.Address, depth int, pred func(vm.Contract) bool, fn func()) error {
-	if err := c.watchErr(); err != nil {
-		return err
-	}
-	cond := func() bool {
-		ct, ok := c.Chain().ContractAtDepth(addr, depth)
-		return ok && pred(ct)
-	}
-	w := &watch{peekFn: cond, check: func() bool {
-		if !cond() {
-			return false
-		}
-		fn()
-		return true
-	}}
-	c.addWatch(w)
-	return nil
 }
 
 // ContractNow reads a contract's current state at the given depth.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestHaltedClientRefusesWatches is the regression test for the
-// silent-drop bug: registering a watch (or a subscription) on a
-// halted client used to succeed and never fire. Registration must now
+// silent-drop bug: registering a subscription on a halted client used
+// to succeed and never fire. Registration must now
 // fail with ErrHalted, and the same registrations must work again
 // after Restart.
 func TestHaltedClientRefusesWatches(t *testing.T) {
@@ -28,12 +28,6 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	alice.Halt()
 
 	fired := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); !errors.Is(err, ErrHalted) {
-		t.Fatalf("WhenTxAtDepth on halted client: err = %v, want ErrHalted", err)
-	}
-	if err := alice.WhenContract(crypto.Address{1}, 0, nil, nil); !errors.Is(err, ErrHalted) {
-		t.Fatalf("WhenContract on halted client: err = %v, want ErrHalted", err)
-	}
 	sub, err := alice.OnTipChange(func() { fired = true })
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("OnTipChange on halted client: err = %v, want ErrHalted", err)
@@ -49,13 +43,10 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	}
 
 	// Recovery: Restart re-opens registration, and the re-armed watch
-	// fires once the transaction is buried (the resubmit fallback
-	// covers the mempool the crash wiped).
+	// fires once the transaction is buried.
 	alice.Restart()
 	confirmed := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { confirmed = true }); err != nil {
-		t.Fatalf("WhenTxAtDepth after Restart: %v", err)
-	}
+	whenTxAtDepth(t, alice, tx, 1, func() { confirmed = true })
 	s.RunUntil(s.Now() + 30*sim.Minute)
 	if !confirmed {
 		t.Fatal("watch re-armed after Restart never fired")
@@ -74,8 +65,5 @@ func TestClosedClientWatchError(t *testing.T) {
 	alice.Close()
 	if _, err := alice.OnTipChange(func() {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("OnTipChange on closed client: err = %v, want ErrClosed", err)
-	}
-	if err := alice.WhenContract(crypto.Address{1}, 0, nil, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("WhenContract on closed client: err = %v, want ErrClosed", err)
 	}
 }

@@ -31,6 +31,23 @@ func testNet(t *testing.T, seed uint64, nMiners int, latency p2p.LatencyModel) (
 	return s, net, user
 }
 
+// whenTxAtDepth runs fn once tx is canonical and buried at least depth
+// blocks on the client's view, re-checking on every tip change — the
+// wait a reconciler builds from OnTipChange plus a chain read.
+func whenTxAtDepth(t *testing.T, c *Client, tx *chain.Tx, depth int, fn func()) {
+	t.Helper()
+	var sub *Sub
+	sub, err := c.OnTipChange(func() {
+		if d, ok := c.Chain().TxDepth(tx.ID()); ok && d >= depth {
+			sub.Cancel()
+			fn()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMiningAdvancesChain(t *testing.T) {
 	s, net, _ := testNet(t, 1, 3, p2p.LatencyModel{Base: 100})
 	net.Start()
@@ -94,9 +111,7 @@ func TestTransferThroughClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.WhenTxAtDepth(tx, 3, func(crypto.Hash) { confirmedAt = s.Now() }); err != nil {
-		t.Fatal(err)
-	}
+	whenTxAtDepth(t, alice, tx, 3, func() { confirmedAt = s.Now() })
 	s.RunUntil(20 * sim.Minute)
 
 	if confirmedAt == 0 {
@@ -178,37 +193,6 @@ func TestPartitionDivergesThenHeals(t *testing.T) {
 	}
 }
 
-func TestClientResubmitsDroppedTx(t *testing.T) {
-	// One miner; crash it right after submission so the tx is lost
-	// with the mempool, then recover: the client must resubmit.
-	s, net, user := testNet(t, 8, 1, p2p.LatencyModel{Base: 10})
-	alice := NewClient(net, 0, user)
-	rng := s.RNG().Fork()
-	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
-
-	tx, err := alice.Transfer(bob.Addr, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	confirmed := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { confirmed = true }); err != nil {
-		t.Fatal(err)
-	}
-
-	s.RunUntil(1 * sim.Minute) // tx reaches mempool; no mining yet
-	net.Node(0).Crash()        // mempool wiped
-	s.RunUntil(2 * sim.Minute)
-	net.Node(0).Recover()
-	s.RunUntil(60 * sim.Minute)
-
-	if !confirmed {
-		t.Fatal("transaction never confirmed after miner crash")
-	}
-	if alice.Resubmits == 0 {
-		t.Fatal("client never resubmitted")
-	}
-}
-
 func TestHaltedClientStopsWatching(t *testing.T) {
 	s, net, user := testNet(t, 9, 1, p2p.LatencyModel{Base: 10})
 	net.Start()
@@ -218,9 +202,7 @@ func TestHaltedClientStopsWatching(t *testing.T) {
 
 	tx, _ := alice.Transfer(bob.Addr, 100)
 	fired := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	whenTxAtDepth(t, alice, tx, 1, func() { fired = true })
 	alice.Halt()
 	s.RunUntil(30 * sim.Minute)
 	if fired {
@@ -263,7 +245,10 @@ func TestDeployAndCallThroughClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployed := false
-	err = alice.WhenContract(addr, 2, func(c vm.Contract) bool { return c != nil }, func() {
+	_, err = alice.OnTipChange(func() {
+		if _, ok := alice.ContractNow(addr, 2); !ok || deployed {
+			return
+		}
 		deployed = true
 		if _, err := alice.Call(addr, "set", []byte{42}, 0); err != nil {
 			t.Errorf("call: %v", err)

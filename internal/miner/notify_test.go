@@ -7,7 +7,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/p2p"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // forkView builds a chain view sharing the network's genesis identity,
@@ -42,9 +41,7 @@ func TestReorgReannouncesTxAndWatchRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var confirmedAt sim.Time
-	if err := alice.WhenTxAtDepth(tx, 2, func(crypto.Hash) { confirmedAt = s.Now() }); err != nil {
-		t.Fatal(err)
-	}
+	whenTxAtDepth(t, alice, tx, 2, func() { confirmedAt = s.Now() })
 
 	s.RunUntil(5 * sim.Second) // multicast lands in the mempool
 	if node.MempoolSize() != 1 {
@@ -118,35 +115,26 @@ func TestClosedClientDropsAndRefusesWatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	whenTxAtDepth(t, alice, tx, 1, func() { fired = true })
 
 	alice.Close()
-	// The prior bug class: watches (and their fallback pollers)
-	// registered after a Close must be dead on arrival, even across a
-	// Restart attempt.
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); err != ErrClosed {
-		t.Fatalf("watch on closed client: err = %v, want ErrClosed", err)
+	// The prior bug class: subscriptions registered after a Close must
+	// be dead on arrival, even across a Restart attempt.
+	if _, err := alice.OnTipChange(func() { fired = true }); err != ErrClosed {
+		t.Fatalf("subscription on closed client: err = %v, want ErrClosed", err)
 	}
 	alice.Restart()
 	if !alice.Halted() || !alice.Closed() {
 		t.Fatal("Restart revived a closed client")
 	}
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); err != ErrClosed {
-		t.Fatalf("watch after failed Restart: err = %v, want ErrClosed", err)
-	}
-	if err := alice.WhenContract(crypto.Address{1}, 0, func(c vm.Contract) bool { return true }, func() { fired = true }); err != ErrClosed {
-		t.Fatalf("contract watch on closed client: err = %v, want ErrClosed", err)
+	if _, err := alice.OnTipChange(func() { fired = true }); err != ErrClosed {
+		t.Fatalf("subscription after failed Restart: err = %v, want ErrClosed", err)
 	}
 	alice.Close() // idempotent
 
 	s.RunUntil(30 * sim.Minute)
 	if fired {
-		t.Fatal("watch on a closed client fired")
-	}
-	if alice.Resubmits != 0 {
-		t.Fatalf("closed client resubmitted %d times (fallback poller leaked)", alice.Resubmits)
+		t.Fatal("subscription on a closed client fired")
 	}
 }
 
@@ -164,16 +152,11 @@ func TestHaltCancelsWatchesRegisteredAfterRestart(t *testing.T) {
 	alice.Halt()
 	alice.Restart()
 	fired := false
-	if err := alice.WhenTxAtDepth(tx, 1, func(crypto.Hash) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	whenTxAtDepth(t, alice, tx, 1, func() { fired = true })
 	alice.Halt() // must cancel the watch registered after the prior Halt
 	s.RunUntil(30 * sim.Minute)
 	if fired {
 		t.Fatal("watch registered after Restart survived the next Halt")
-	}
-	if alice.Resubmits != 0 {
-		t.Fatalf("halted client resubmitted %d times", alice.Resubmits)
 	}
 }
 

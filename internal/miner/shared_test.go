@@ -128,34 +128,3 @@ func TestCrashRecoveryResyncThroughSharedStore(t *testing.T) {
 		t.Fatal("victim's catch-up produced no cache hits")
 	}
 }
-
-// TestWatchFiresWhenAlreadySatisfied pins the registration-time
-// evaluation: a watch whose condition already holds when registered
-// must fire even on a chain that never changes tip again (quiesced
-// network) — the guarantee the old cadence pollers gave.
-func TestWatchFiresWhenAlreadySatisfied(t *testing.T) {
-	s, net, user := testNet(t, 14, 1, p2p.LatencyModel{Base: 10})
-	net.Start()
-	alice := NewClient(net, 0, user)
-	rng := s.RNG().Fork()
-	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
-	tx, err := alice.Transfer(bob.Addr, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(10 * sim.Minute) // tx confirms deep
-	net.Node(0).StopMining()
-	s.RunUntil(s.Now() + sim.Minute) // fully quiesced
-	if d, ok := net.Node(0).Chain.TxDepth(tx.ID()); !ok || d < 3 {
-		t.Fatalf("fixture: tx depth %d/%v, want >= 3", d, ok)
-	}
-
-	fired := false
-	if err := alice.WhenTxAtDepth(tx, 3, func(crypto.Hash) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(s.Now() + sim.Minute) // no tip changes happen here
-	if !fired {
-		t.Fatal("already-satisfied watch never fired on a quiescent chain")
-	}
-}

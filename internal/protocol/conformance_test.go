@@ -23,11 +23,10 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/chain"
-	"repro/internal/contracts"
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/p2p"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/swap"
 	"repro/internal/xchain"
@@ -83,15 +82,6 @@ func lossyWorld(w *xchain.World) {
 	}
 }
 
-// runner is the slice of core.Runner the grid needs, plus the
-// uniform crash/resume entry point.
-type runner interface {
-	Start()
-	Settled() bool
-	Grade() *xchain.Outcome
-	Resume(*xchain.Participant)
-}
-
 // gridWorld builds an n-ring world: participant i funded on chain i,
 // edge i = ps[i] -> ps[i+1] on chain i, plus a witness chain.
 func gridWorld(t *testing.T, seed uint64, n int) (*xchain.World, []*xchain.Participant, *graph.Graph) {
@@ -121,20 +111,66 @@ func gridWorld(t *testing.T, seed uint64, n int) (*xchain.World, []*xchain.Parti
 	return w, ps, g
 }
 
-// eventCount counts timeline labels with the given prefix.
-func eventCount(events []core.Event, prefix string) int {
-	n := 0
+// firstEvent returns when a timeline label with the given prefix first
+// appeared.
+func firstEvent(events []protocol.Event, prefix string) (sim.Time, bool) {
 	for _, ev := range events {
 		if strings.HasPrefix(ev.Label, prefix) {
-			n++
+			return ev.At, true
 		}
 	}
-	return n
+	return 0, false
+}
+
+// predicatesMatchLabels ties the Runner's typed fault predicates to the
+// timeline wording the drivers used to scan for: sampled at every
+// instant of the virtual clock (its resolution is a millisecond),
+// DecisionOpen and CommitPushed must agree with "their label is on the
+// timeline" — so they first report true in the very event that logs
+// it — and both must have fired by the end of a committing run.
+func predicatesMatchLabels(t *testing.T, w *xchain.World, r core.Runner, openLabel, pushLabel string) {
+	t.Helper()
+	checks := []struct {
+		name  string
+		pred  func() bool
+		label string
+		at    sim.Time
+	}{
+		{"DecisionOpen", r.DecisionOpen, openLabel, -1},
+		{"CommitPushed", r.CommitPushed, pushLabel, -1},
+	}
+	w.Sim.Poll(sim.Millisecond, func() bool {
+		done := true
+		for i := range checks {
+			c := &checks[i]
+			_, logged := firstEvent(r.Events(), c.label)
+			if got := c.pred(); got != logged {
+				t.Errorf("t=%d: %s() = %v but %q logged = %v", w.Sim.Now(), c.name, got, c.label, logged)
+				return true
+			}
+			if logged && c.at < 0 {
+				c.at = w.Sim.Now()
+			}
+			done = done && logged
+		}
+		return done
+	})
+	t.Cleanup(func() {
+		for _, c := range checks {
+			at, logged := firstEvent(r.Events(), c.label)
+			// The sampler may run before or after the protocol's event
+			// within one instant, so it sees the flip at the label's
+			// instant or the next.
+			if !logged || c.at < at || c.at > at+sim.Millisecond {
+				t.Errorf("%s first seen true at t=%d, %q first logged at t=%d (logged=%v)", c.name, c.at, c.label, at, logged)
+			}
+		}
+	})
 }
 
 // crashThenResume crashes the victim when trigger first reports true,
 // and recovers (with Resume) after the downtime.
-func crashThenResume(w *xchain.World, r runner, victim *xchain.Participant, trigger func() bool) {
+func crashThenResume(w *xchain.World, r core.Runner, victim *xchain.Participant, trigger func() bool) {
 	w.Sim.Poll(100*sim.Millisecond, func() bool {
 		if !trigger() {
 			return false
@@ -178,27 +214,19 @@ func TestConformanceAC3WN(t *testing.T) {
 				}
 				r.Start()
 				switch scenario {
+				case "commit":
+					predicatesMatchLabels(t, w, r, "SCw deploy submitted", "authorize_redeem submitted")
 				case "crash":
-					crashThenResume(w, r, victim, func() bool {
-						return eventCount(r.Events(), "authorize_redeem submitted") > 0
-					})
+					crashThenResume(w, r, victim, r.CommitPushed)
 				case "race":
-					rogue := victim
-					w.Sim.Poll(100*sim.Millisecond, func() bool {
-						scw := r.SCwAddr()
-						if scw.IsZero() {
-							return false
-						}
-						_, err := rogue.Client("witness").Call(scw, contracts.FnAuthorizeRefund, nil, 0)
-						return err == nil
-					})
+					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
 				case "partition":
 					// Split the witness network the moment SCw exists:
 					// the decision and its burial race across a healed
 					// deep reorg. AC3WN must still settle atomically —
 					// the non-blocking claim under the paper's own
 					// hazard.
-					splitNet(w, "witness", func() bool { return !r.SCwAddr().IsZero() })
+					splitNet(w, r.DecisionChain(), r.DecisionOpen)
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
@@ -277,28 +305,21 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				}
 				r.Start()
 				switch scenario {
+				case "commit":
+					predicatesMatchLabels(t, w, r, "SCw deploy submitted", "authorize_redeem submitted")
 				case "crash":
 					// The victim dies the moment the redeem decision
 					// enters the batching layer and stays down far past
 					// the window: the batch commits without it, and
 					// Resume must rebuild the membership proof from the
 					// chain's commit_batch record alone.
-					crashThenResume(w, r, victim, func() bool {
-						return eventCount(r.Events(), "authorize_redeem submitted") > 0
-					})
+					crashThenResume(w, r, victim, r.CommitPushed)
 				case "race":
 					// The rogue races the honest decision inside the
 					// batching layer: first-wins at the coordinator (and
 					// whole-batch conflict rejection on-chain) keeps
 					// exactly one decision per SCw.
-					w.Sim.Poll(100*sim.Millisecond, func() bool {
-						scw := r.SCwAddr()
-						if scw.IsZero() {
-							return false
-						}
-						coord.Submit(scw, contracts.WitnessRefundAuthorized)
-						return true
-					})
+					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
 				case "partition":
 					// Split the witness network mid-batch-window: a
 					// decision is pending at the coordinator, and the
@@ -370,31 +391,27 @@ func TestConformanceAC3TW(t *testing.T) {
 				}
 				r.Start()
 				switch scenario {
+				case "commit":
+					predicatesMatchLabels(t, w, r, "ms(D) registered at Trent", "redeem signature requested")
 				case "crash":
 					// A participant crashes at decision time and
 					// resumes: AC3TW absorbs this like AC3WN does.
-					crashThenResume(w, r, victim, func() bool {
-						return eventCount(r.Events(), "redeem signature requested") > 0
-					})
+					crashThenResume(w, r, victim, r.CommitPushed)
 				case "race":
 					// A rogue races the honest decision at Trent; the
 					// store's at-most-one-signature guard keeps the
 					// outcome atomic (here: the refund wins).
-					w.Sim.Poll(100*sim.Millisecond, func() bool {
-						if !r.Registered() {
-							return false
-						}
-						trent.RequestRefund(r.MsID(), func(crypto.Signature, crypto.Purpose, error) {})
-						return true
-					})
+					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
 				case "witness-crash":
 					// Trent crashes before he can decide: the AC2T
 					// blocks — the availability hazard AC3WN removes.
 					w.Sim.Poll(50*sim.Millisecond, func() bool {
-						if eventCount(r.Events(), "deploy confirmed") < len(g.Edges) {
+						if !r.AllConfirmed() {
 							return false
 						}
-						trent.Crash()
+						if who, comesBack := r.Crash(); who != "Trent" || comesBack {
+							t.Errorf("AC3TW's critical failure point = %q (comes back: %v), want Trent staying down", who, comesBack)
+						}
 						return true
 					})
 				case "partition":
@@ -404,7 +421,7 @@ func TestConformanceAC3TW(t *testing.T) {
 					// side until the heal. AC3TW stays atomic (the
 					// at-most-one-signature store), and any stall is the
 					// blocking hazard recorded as data.
-					splitNet(w, "c0", r.Registered)
+					splitNet(w, r.DecisionChain(), r.DecisionOpen)
 				}
 				w.RunUntil(90 * sim.Minute)
 				if scenario == "witness-crash" {
@@ -417,7 +434,7 @@ func TestConformanceAC3TW(t *testing.T) {
 					}
 					// Recovery unblocks: the initiator's throttled
 					// retry reaches the recovered witness.
-					trent.Recover()
+					r.Recover()
 					w.RunUntil(w.Sim.Now() + 40*sim.Minute)
 				}
 				w.StopMining()
@@ -470,15 +487,15 @@ func TestConformanceHTLC(t *testing.T) {
 				}
 				r.Start()
 				switch scenario {
+				case "commit":
+					predicatesMatchLabels(t, w, r, "redeem submitted", "redeem submitted")
 				case "crash":
 					// The victim crashes the moment the secret reveal
 					// is submitted and recovers long after every
 					// timelock: Resume re-derives s from chain state
 					// and retries, but the refunds already executed —
 					// the asset loss is permanent.
-					crashThenResume(w, r, victim, func() bool {
-						return eventCount(r.Events(), "redeem submitted") > 0
-					})
+					crashThenResume(w, r, victim, r.CommitPushed)
 				case "partition":
 					// The leader's reveal lands on chain c{n-1}; the
 					// downstream participant p{n-1} learns s only by
@@ -493,9 +510,7 @@ func TestConformanceHTLC(t *testing.T) {
 					// is HTLC's expiry-loss hazard under partition,
 					// recorded as data below.
 					revealChain := chain.ID(fmt.Sprintf("c%d", n-1))
-					splitNetAt(w, revealChain, n-1, func() bool {
-						return eventCount(r.Events(), "all contracts deployed") > 0
-					})
+					splitNetAt(w, revealChain, n-1, r.AllConfirmed)
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
@@ -532,6 +547,45 @@ func TestConformanceHTLC(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestInitiatorMustParticipate: an Initiator/Leader that is not among
+// the Participants is nobody's to drive — the opening move never
+// happens and the run would grade stuck without an error. The one
+// shared constructor path rejects it for every protocol.
+func TestInitiatorMustParticipate(t *testing.T) {
+	w, ps, g := gridWorld(t, 45000, 2)
+	b := xchain.NewBuilder(45001)
+	outsider := b.Participant("outsider")
+	cases := []struct {
+		name string
+		make func(initiator *xchain.Participant) error
+	}{
+		{"ac3wn", func(p *xchain.Participant) error {
+			_, err := core.New(w, core.Config{Graph: g, Participants: ps, Initiator: p, WitnessChain: "witness"})
+			return err
+		}},
+		{"ac3tw", func(p *xchain.Participant) error {
+			_, err := core.NewTW(w, core.TWConfig{Graph: g, Participants: ps, Initiator: p, Trent: core.NewTrent(w, 1, sim.Millisecond)})
+			return err
+		}},
+		{"htlc", func(p *xchain.Participant) error {
+			_, err := swap.New(w, swap.Config{Graph: g, Participants: ps, Leader: p, Delta: sim.Minute})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		if err := tc.make(ps[0]); err != nil {
+			t.Errorf("%s: participating initiator rejected: %v", tc.name, err)
+		}
+		if err := tc.make(nil); err == nil {
+			t.Errorf("%s: nil initiator accepted", tc.name)
+		}
+		err := tc.make(outsider)
+		if err == nil || !strings.Contains(err.Error(), "not one of the participants") {
+			t.Errorf("%s: outsider initiator: err = %v, want a not-a-participant rejection", tc.name, err)
 		}
 	}
 }

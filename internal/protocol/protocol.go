@@ -24,11 +24,23 @@
 //     confirmation depth is re-derived from chain state on every
 //     drive — which is what makes crash/resume uniform: a recovered
 //     participant re-arms subscriptions and re-reads the chains, and
-//     the step function takes it from there.
+//     the step function takes it from there;
+//   - the per-edge deploy ledger (DeployOwn, ConfirmOwn, AllConfirmed):
+//     every protocol locks one asset contract per graph edge, keeps the
+//     submission alive until it is buried, and announces its location
+//     to the other parties — one loop and one announcement message
+//     here, parameterised only by the contract each protocol deploys;
+//   - the base of the core.Runner surface every protocol shares —
+//     Resume, Stop, Events, Marks, Addrs, Grade, Decided, and the
+//     defaults for protocols without a chain or party of their own to
+//     decide on: DecisionChain (the first edge's) and Crash/Recover
+//     (the last participant).
 //
 // The runtime owns no protocol semantics. It never decides what to
 // do — only when to ask the protocol, and it guarantees the protocol
 // is never asked on behalf of a crashed participant or after Stop.
+// Protocols embed *Runtime and add what differs: contract parameters,
+// decision logic, settle evidence.
 package protocol
 
 import (
@@ -36,6 +48,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
+	"repro/internal/graph"
 	"repro/internal/miner"
 	"repro/internal/sim"
 	"repro/internal/xchain"
@@ -84,20 +97,34 @@ type Mark struct {
 type Config struct {
 	// World hosts the simulated chains and the virtual clock.
 	World *xchain.World
-	// Participants are the AC2T's parties. The runtime installs their
-	// off-chain inboxes and owns their chain subscriptions.
+	// Graph is the AC2T; its edges index the deploy ledger.
+	Graph *graph.Graph
+	// Participants are the AC2T's parties, one per graph vertex. The
+	// runtime installs their off-chain inboxes and owns their chain
+	// subscriptions.
 	Participants []*xchain.Participant
-	// Chains are the blockchains whose tip changes re-drive a
-	// participant's reconciler (duplicates are ignored).
+	// Initiator makes the protocol's opening move (deploys SCw,
+	// registers at Trent, holds the hash secret). Must be one of
+	// Participants: a run whose initiator nobody drives never starts.
+	Initiator *xchain.Participant
+	// Chains are blockchains besides the graph's asset chains whose
+	// tip changes re-drive a participant's reconciler — AC3WN's witness
+	// chain. Subscribed ahead of the asset chains; duplicates are
+	// ignored.
 	Chains []chain.ID
 	// Drive is the protocol step function: inspect chain state through
 	// p's clients and take the next enabled action. It must be
 	// idempotent — the runtime calls it on every tip change, on every
 	// announcement, on timer expiry, at Start, and on Resume.
 	Drive func(p *xchain.Participant)
-	// OnMessage ingests one off-chain announcement delivered to p; the
+	// OnMessage ingests one protocol-specific off-chain announcement
+	// delivered to p (the deploy announcement is the runtime's own); the
 	// runtime re-drives p afterwards. Optional.
 	OnMessage func(p, from *xchain.Participant, msg any)
+	// AllConfirmed runs once, when the last edge's contract is
+	// confirmed, right after PointDeployConfirmed is marked — where a
+	// protocol records its own phase boundary. Optional.
+	AllConfirmed func()
 }
 
 // pstate is the runtime's per-participant bookkeeping: subscriptions,
@@ -108,15 +135,36 @@ type pstate struct {
 	subs        []*miner.Sub
 	lastAttempt map[string]sim.Time
 	armed       map[string]bool
+	deployedOwn bool // DeployOwn ran to the end for this participant
+}
+
+// deployAnnounce is the off-chain "my contract for edge i is confirmed
+// at this address" message, the one announcement every protocol sends.
+type deployAnnounce struct {
+	edge int
+	addr crypto.Address
+	txID crypto.Hash
 }
 
 // Runtime drives one protocol run's reconcilers.
 type Runtime struct {
-	cfg     Config
-	chains  []chain.ID // deduplicated subscription set
-	states  map[*xchain.Participant]*pstate
-	events  []Event
-	marks   []Mark
+	cfg    Config
+	chains []chain.ID // deduplicated subscription set
+	states map[*xchain.Participant]*pstate
+	events []Event
+	marks  []Mark
+
+	// The per-edge deploy ledger. addrs/txIDs hold confirmed (and
+	// announced) contracts; ownTx/ownAddr track the sender's own
+	// submissions so ConfirmOwn can re-derive confirmation from chain
+	// state after a crash. An edge is confirmed exactly when its addrs
+	// entry is set; confirmed counts them.
+	addrs     []crypto.Address
+	txIDs     []crypto.Hash
+	ownTx     []*chain.Tx
+	ownAddr   []crypto.Address
+	confirmed int
+
 	marked  map[Point]bool
 	start   sim.Time
 	started bool
@@ -125,15 +173,27 @@ type Runtime struct {
 
 // New validates the wiring and prepares a runtime.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.World == nil || len(cfg.Participants) == 0 || cfg.Drive == nil {
-		return nil, fmt.Errorf("protocol: incomplete runtime config")
+	if cfg.World == nil || cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil || cfg.Drive == nil {
+		return nil, fmt.Errorf("protocol: incomplete config")
 	}
-	if len(cfg.Chains) == 0 {
-		return nil, fmt.Errorf("protocol: no chains to subscribe to")
+	byAddr := make(map[crypto.Address]bool, len(cfg.Participants))
+	initiatorListed := false
+	for _, p := range cfg.Participants {
+		byAddr[p.Addr()] = true
+		initiatorListed = initiatorListed || p == cfg.Initiator
 	}
-	seen := make(map[chain.ID]bool, len(cfg.Chains))
+	if !initiatorListed {
+		return nil, fmt.Errorf("protocol: initiator %s is not one of the participants", cfg.Initiator.Name)
+	}
+	for _, v := range cfg.Graph.Participants {
+		if !byAddr[v] {
+			return nil, fmt.Errorf("protocol: no participant object for vertex %s", v)
+		}
+	}
+	all := append(append([]chain.ID(nil), cfg.Chains...), cfg.Graph.Chains()...)
+	seen := make(map[chain.ID]bool, len(all))
 	var chains []chain.ID
-	for _, id := range cfg.Chains {
+	for _, id := range all {
 		if seen[id] {
 			continue
 		}
@@ -143,11 +203,16 @@ func New(cfg Config) (*Runtime, error) {
 		seen[id] = true
 		chains = append(chains, id)
 	}
+	n := len(cfg.Graph.Edges)
 	rt := &Runtime{
-		cfg:    cfg,
-		chains: chains,
-		states: make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
-		marked: make(map[Point]bool),
+		cfg:     cfg,
+		chains:  chains,
+		states:  make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
+		marked:  make(map[Point]bool),
+		addrs:   make([]crypto.Address, n),
+		txIDs:   make([]crypto.Hash, n),
+		ownTx:   make([]*chain.Tx, n),
+		ownAddr: make([]crypto.Address, n),
 	}
 	for _, p := range cfg.Participants {
 		rt.states[p] = &pstate{
@@ -263,7 +328,9 @@ func (rt *Runtime) deliver(p, from *xchain.Participant, msg any) {
 	if rt.stopped || p.Crashed() {
 		return
 	}
-	if rt.cfg.OnMessage != nil {
+	if m, ok := msg.(deployAnnounce); ok {
+		rt.noteConfirmed(m)
+	} else if rt.cfg.OnMessage != nil {
 		rt.cfg.OnMessage(p, from, msg)
 	}
 	rt.Drive(p)
@@ -315,23 +382,13 @@ func (rt *Runtime) MarkTime(p Point) (sim.Time, bool) {
 	return 0, false
 }
 
-// Timeline returns a copy of the run's events. It used to return the
-// live internal slice, which let a caller holding the result observe
-// (or, worse, be invalidated by) later appends — every caller now gets
-// its own snapshot.
-func (rt *Runtime) Timeline() []Event { return append([]Event(nil), rt.events...) }
+// Events returns a snapshot of the run's timeline, safe to retain:
+// later appends neither show through nor reallocate under it.
+func (rt *Runtime) Events() []Event { return append([]Event(nil), rt.events...) }
 
-// TimelineEnd returns the latest event timestamp, at least start —
-// the observation end every protocol's Grade stamps on its outcome.
-func (rt *Runtime) TimelineEnd(start sim.Time) sim.Time {
-	end := start
-	for _, ev := range rt.events {
-		if ev.At > end {
-			end = ev.At
-		}
-	}
-	return end
-}
+// Decided reports whether the run reached a final decision (the
+// PointDecisionConfirmed boundary), whichever way it went.
+func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
 
 // Throttle runs fn now unless it already ran for (p, key) within the
 // last interval — the guard that keeps a failing on-chain action from
@@ -407,6 +464,154 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 		st.lastAttempt[key] = now
 	}
 	return false
+}
+
+// DeployOwn publishes p's outgoing asset contracts, once per
+// participant: params encodes the constructor parameters of p's
+// contract for edge i, or reports false when p cannot build them yet —
+// the attempt then stops and is repeated whole on a later drive. A submission that
+// fails (an underfunded sender) is logged and not retried; the run then
+// aborts through the protocol's own deadline. DeployOwn reports whether
+// this call made an attempt, so a step function can follow it with
+// ConfirmOwn in the same drive.
+func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params func(p *xchain.Participant, i int, e graph.Edge) ([]byte, bool)) bool {
+	st := rt.states[p]
+	if st.deployedOwn {
+		return false
+	}
+	st.deployedOwn = true
+	for i, e := range rt.cfg.Graph.Edges {
+		if e.From != p.Addr() || rt.ownTx[i] != nil {
+			continue
+		}
+		enc, ok := params(p, i, e)
+		if !ok {
+			st.deployedOwn = false
+			return true
+		}
+		tx, addr, err := p.Client(e.Chain).Deploy(contractType, enc, e.Asset)
+		if err != nil {
+			rt.Event(i, "deploy failed: "+err.Error())
+			continue
+		}
+		p.Deploys++
+		rt.ownTx[i], rt.ownAddr[i] = tx, addr
+		rt.Mark(PointDeploySubmitted)
+		rt.Event(i, "deploy submitted")
+	}
+	return true
+}
+
+// ConfirmOwn re-derives the confirmation state of p's own deployments
+// from chain state, recording and announcing each as it is buried at
+// depth. EnsureTx keeps a submission alive across forks and mempool
+// wipes, and — unlike a watch — the check survives a crash between
+// submit and confirm. Protocols call it on every drive, even after a
+// decision: a fork-delayed deploy that confirms late must still be
+// announced (and then refunded or redeemed), not strand its asset.
+func (rt *Runtime) ConfirmOwn(p *xchain.Participant, depth int) {
+	for i, e := range rt.cfg.Graph.Edges {
+		if e.From != p.Addr() || rt.ownTx[i] == nil || !rt.addrs[i].IsZero() {
+			continue
+		}
+		if !rt.EnsureTx(p, e.Chain, rt.ownTx[i], depth) {
+			continue
+		}
+		rt.Event(i, "deploy confirmed")
+		m := deployAnnounce{edge: i, addr: rt.ownAddr[i], txID: rt.ownTx[i].ID()}
+		rt.noteConfirmed(m)
+		rt.Broadcast(p, m)
+	}
+}
+
+// noteConfirmed records a confirmed asset contract — from the sender's
+// own view or a peer's announcement, whichever comes first — and marks
+// the lock-phase boundary when it was the last one.
+func (rt *Runtime) noteConfirmed(m deployAnnounce) {
+	if !rt.addrs[m.edge].IsZero() {
+		return
+	}
+	rt.addrs[m.edge], rt.txIDs[m.edge] = m.addr, m.txID
+	rt.confirmed++
+	if rt.AllConfirmed() {
+		rt.Mark(PointDeployConfirmed)
+		if rt.cfg.AllConfirmed != nil {
+			rt.cfg.AllConfirmed()
+		}
+	}
+}
+
+// AllConfirmed reports whether every edge's contract is confirmed.
+func (rt *Runtime) AllConfirmed() bool { return rt.confirmed == len(rt.addrs) }
+
+// Addr returns edge i's confirmed contract address (zero until then).
+func (rt *Runtime) Addr(i int) crypto.Address { return rt.addrs[i] }
+
+// DeployTxID returns the transaction that deployed edge i's confirmed
+// contract.
+func (rt *Runtime) DeployTxID(i int) crypto.Hash { return rt.txIDs[i] }
+
+// Addrs returns a copy of the per-edge contract addresses.
+func (rt *Runtime) Addrs() []crypto.Address { return append([]crypto.Address(nil), rt.addrs...) }
+
+// DeployInFlight reports whether some submitted deployment is not yet
+// confirmed. Its transaction is kept alive across forks, so the
+// contract can still materialize — a run with one is not quiescent.
+func (rt *Runtime) DeployInFlight() bool {
+	for i, tx := range rt.ownTx {
+		if tx != nil && rt.addrs[i].IsZero() {
+			return true
+		}
+	}
+	return false
+}
+
+// AssetsSettled scans the confirmed asset contracts on the ground-truth
+// views (xchain.AllSettled): settled reports that each exists on-chain
+// and has left Published, deployed that there is at least one.
+func (rt *Runtime) AssetsSettled() (deployed, settled bool) {
+	return xchain.AllSettled(rt.cfg.World, rt.cfg.Graph, rt.addrs)
+}
+
+// Grade reads terminal contract states from ground-truth views and
+// counts the on-chain operations the asset contracts cost (N deploys
+// plus N redeem/refund calls — Section 6.2's baseline). The observation
+// ends at the latest timeline event.
+func (rt *Runtime) Grade() *xchain.Outcome {
+	out := xchain.GradeGraph(rt.cfg.World, rt.cfg.Graph, rt.addrs)
+	out.Start, out.End = rt.start, rt.start
+	for _, ev := range rt.events {
+		out.End = max(out.End, ev.At)
+	}
+	out.Deploys, out.Calls = xchain.CountGraphOps(rt.cfg.World, rt.cfg.Graph, rt.addrs)
+	return out
+}
+
+// DecisionChain is the blockchain the decision's fate rides on. Absent
+// a witness chain it is the first edge's asset chain: the initiator's
+// own deposit, which an off-chain witness verifies first and a hashlock
+// reveal's backward propagation ends on.
+func (rt *Runtime) DecisionChain() chain.ID { return rt.cfg.Graph.Edges[0].Chain }
+
+// victim is the default critical failure point: for every protocol
+// without a trusted third party, a participant caught mid-decision —
+// by convention the last one.
+func (rt *Runtime) victim() *xchain.Participant {
+	return rt.cfg.Participants[len(rt.cfg.Participants)-1]
+}
+
+// Crash takes down the run's critical failure point and reports who
+// that is and whether the paper's Section 1 hazard has it come back: a
+// participant's site restarts later.
+func (rt *Runtime) Crash() (who string, comesBack bool) {
+	rt.victim().Crash()
+	return rt.victim().Name, true
+}
+
+// Recover restarts the participant Crash took down and resumes it.
+func (rt *Runtime) Recover() {
+	rt.victim().Recover()
+	rt.Resume(rt.victim())
 }
 
 // FindCall scans a canonical chain view newest-first for a call of fn

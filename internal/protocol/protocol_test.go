@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -24,12 +25,25 @@ func world(t *testing.T, seed uint64) (*xchain.World, *xchain.Participant, *xcha
 	return w, alice, bob
 }
 
+// swapOnC0 is the two-party AC2T the runtime tests run on: both edges
+// on the world's one chain.
+func swapOnC0(t *testing.T, alice, bob *xchain.Participant) *graph.Graph {
+	t.Helper()
+	g, err := graph.TwoParty(1, alice.Addr(), bob.Addr(), 1_000, "c0", 2_000, "c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestRuntimeDrivesOnTipChanges(t *testing.T) {
 	w, alice, bob := world(t, 1)
 	drives := map[string]int{}
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
 		Chains:       []chain.ID{"c0", "c0"}, // duplicate must collapse
 		Drive:        func(p *xchain.Participant) { drives[p.Name]++ },
 	})
@@ -56,8 +70,9 @@ func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 	drives := 0
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
 			if p == bob {
 				drives++
@@ -93,8 +108,9 @@ func TestRuntimeStartWithCrashedParticipant(t *testing.T) {
 	drives := 0
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
 			if p == bob {
 				drives++
@@ -130,8 +146,9 @@ func TestRuntimeStopRetiresEverything(t *testing.T) {
 	var rt *Runtime
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
 			drives++
 			rt.WakeAt(p, "later", rt.Now()+time30s)
@@ -161,8 +178,9 @@ func TestThrottleAndWakeAt(t *testing.T) {
 	due := sim.Time(0)
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
 			if p != alice {
 				return
@@ -215,8 +233,9 @@ func TestEnsureTxConfirmsAndResubmits(t *testing.T) {
 	var rt *Runtime
 	rt, err = New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
 			if p == alice && !confirmed {
 				confirmed = rt.EnsureTx(p, "c0", tx, 2)
@@ -238,16 +257,17 @@ func TestEnsureTxConfirmsAndResubmits(t *testing.T) {
 
 const time30s = 30 * sim.Second
 
-// TestTimelineReturnsCopy: the slice Timeline returns must be a
+// TestTimelineReturnsCopy: the slice Events returns must be a
 // snapshot — mutating it (or appending to the runtime afterwards) must
-// not alias the runtime's internal events. Regression: Timeline used
-// to return the live slice.
+// not alias the runtime's internal events. Regression: it used to
+// return the live slice.
 func TestTimelineReturnsCopy(t *testing.T) {
 	w, alice, bob := world(t, 7)
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive:        func(p *xchain.Participant) {},
 	})
 	if err != nil {
@@ -255,13 +275,13 @@ func TestTimelineReturnsCopy(t *testing.T) {
 	}
 	rt.Event(-1, "first")
 	rt.Event(0, "second")
-	snap := rt.Timeline()
+	snap := rt.Events()
 	if len(snap) != 2 {
 		t.Fatalf("timeline has %d events, want 2", len(snap))
 	}
 	// Mutating the snapshot must not corrupt the runtime's timeline.
 	snap[0].Label = "tampered"
-	if got := rt.Timeline()[0].Label; got != "first" {
+	if got := rt.Events()[0].Label; got != "first" {
 		t.Fatalf("snapshot mutation leaked into the runtime: %q", got)
 	}
 	// Later appends must not grow (or reallocate under) the snapshot.
@@ -280,8 +300,9 @@ func TestMarkFirstWins(t *testing.T) {
 	w, alice, bob := world(t, 8)
 	rt, err := New(Config{
 		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
-		Chains:       []chain.ID{"c0"},
+		Initiator:    alice,
 		Drive:        func(p *xchain.Participant) {},
 	})
 	if err != nil {

@@ -352,6 +352,12 @@ type Outcome struct {
 	// Deploys/Calls total the on-chain operations across all
 	// participants (fee accounting, Section 6.2).
 	Deploys, Calls int
+	// WitnessTxs/WitnessBytes are the decision transactions this AC2T
+	// alone put on a witness chain and their encoded size — AC3WN's
+	// per-AC2T authorize_* call; zero when decisions are batched (the
+	// coordinator accounts for the shared commit) and for protocols
+	// that decide off-chain.
+	WitnessTxs, WitnessBytes int
 }
 
 // Committed reports all-redeemed.

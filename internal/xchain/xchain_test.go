@@ -157,7 +157,10 @@ func TestCountContractOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	err = client.WhenTxAtDepth(tx, 2, func(h crypto.Hash) {
+	_, err = client.OnTipChange(func() {
+		if d, ok := client.Chain().TxDepth(tx.ID()); done || !ok || d < 2 {
+			return
+		}
 		if _, err := client.Call(addr, contracts.FnRedeem, []byte("s"), 0); err != nil {
 			t.Errorf("redeem: %v", err)
 		}
