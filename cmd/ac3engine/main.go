@@ -205,11 +205,12 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "chrome trace -> %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceChrome)
 	}
-	fmt.Fprintf(os.Stderr, "wall: %s (%.1f tx/s real time), virtual makespan: %s, %.1f sim events/tx\n",
+	fmt.Fprintf(os.Stderr, "wall: %s (%.1f tx/s real time), virtual makespan: %s, %.1f sim events/tx, %.1f drives per graded AC2T (%d wake-ups skipped)\n",
 		wall.Round(time.Millisecond),
 		float64(agg.Graded)/wall.Seconds(),
 		(time.Duration(agg.MakespanVirtualMs) * time.Millisecond).Round(time.Second),
-		agg.SimEventsPerTx)
+		agg.SimEventsPerTx,
+		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped)
 	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%\n",
 		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate)
 	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped\n",

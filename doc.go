@@ -21,10 +21,10 @@
 //   - internal/graph — AC2T graphs D = (V, E), Diam(D), ms(D)
 //   - internal/contracts — Algorithms 1–4 as contract objects
 //   - internal/protocol — the reconciler runtime every commitment
-//     protocol is a thin instance over: subscriptions, announcement
-//     inbox, throttles, one-shot timers, the per-edge deploy ledger,
-//     crash → Resume lifecycle
-//     (docs/architecture/ADR-004-protocol-runtime.md, ADR-013)
+//     protocol is a thin instance over: subscriptions gated by
+//     wait-sets, announcement inbox, throttles, one-shot timers, the
+//     per-edge deploy ledger, crash → Resume lifecycle
+//     (docs/architecture/ADR-004-protocol-runtime.md, ADR-013, ADR-014)
 //   - internal/swap — Nolan/Herlihy baselines
 //   - internal/core — AC3WN, AC3TW, and core.Runner: the lifecycle and
 //     typed fault surface every driver works through

@@ -222,8 +222,9 @@ func (c *Coordinator) flush() {
 // is re-published (one one-shot event per batch) instead of silently
 // stranding every AC2T whose proof hangs off its root; a batch that
 // never lands for a whole resubmit window (mempool wipe under
-// partition) is quietly re-multicast, mirroring EnsureTx.
-func (c *Coordinator) check() {
+// partition) is quietly re-multicast, mirroring EnsureTx. The handful of
+// tracked batches is re-read whole; what the tip change was is not used.
+func (c *Coordinator) check(miner.TipSummary) {
 	if c.closed || len(c.tracked) == 0 {
 		return
 	}

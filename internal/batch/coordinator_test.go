@@ -7,6 +7,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
+	"repro/internal/miner"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -75,7 +76,7 @@ func TestPublishedBatchAccounting(t *testing.T) {
 	for _, tb := range c.tracked {
 		tb.seen = true
 	}
-	c.check()
+	c.check(miner.TipSummary{})
 	if c.Republishes != 1 {
 		t.Fatalf("%d republishes, want 1", c.Republishes)
 	}

@@ -16,8 +16,23 @@ var (
 	ErrBlockInvalid = errors.New("chain: invalid block")
 )
 
+// txRejection is why a transaction was refused. Block building throws
+// most of them away unread (a candidate that does not apply yet is
+// simply retried or purged), so the reason is kept as its parts and
+// only rendered if somebody asks.
+type txRejection struct {
+	format string
+	args   []any
+}
+
+func (e *txRejection) Error() string {
+	return ErrTxInvalid.Error() + ": " + fmt.Sprintf(e.format, e.args...)
+}
+
+func (e *txRejection) Unwrap() error { return ErrTxInvalid }
+
 func txErr(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrTxInvalid, fmt.Sprintf(format, args...))
+	return &txRejection{format: format, args: args}
 }
 
 func blockErr(format string, args ...any) error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/crypto"
 	"repro/internal/merkle"
@@ -177,6 +178,25 @@ func (b *Block) FindTx(id crypto.Hash) int {
 		}
 	}
 	return -1
+}
+
+// Touches reports whether the block carries one of the transactions
+// txs, or deploys or calls one of the contracts addrs — what a watcher
+// of a few contracts and in-flight transactions asks of every block
+// that joins its chain. The lists are short, so they are scanned.
+func (b *Block) Touches(addrs []crypto.Address, txs []crypto.Hash) bool {
+	if len(addrs) == 0 && len(txs) == 0 {
+		return false
+	}
+	for _, tx := range b.Txs {
+		switch {
+		case tx.Kind == TxCall && slices.Contains(addrs, tx.Contract),
+			tx.Kind == TxDeploy && len(addrs) > 0 && slices.Contains(addrs, tx.ContractAddr()),
+			len(txs) > 0 && slices.Contains(txs, tx.ID()):
+			return true
+		}
+	}
+	return false
 }
 
 // ProveTx builds a Merkle inclusion proof for the transaction at

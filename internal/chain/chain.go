@@ -358,6 +358,46 @@ func (c *Chain) ContractAtDepth(addr crypto.Address, depth int) (vm.Contract, bo
 	return st.Contract(addr)
 }
 
+// Since reports how the canonical chain moved since old was its tip:
+// the blocks that joined above old, oldest first (appended to buf), or
+// reorged when old has left the canonical chain — some block that was
+// canonical then no longer is. Tip switches in between that net out to
+// an extension of old read as that extension. A retired old reads as
+// reorged.
+func (c *Chain) Since(old *Block, buf []*Block) (connected []*Block, reorged bool) {
+	if c.tip.Header.Parent == old.Hash() {
+		return append(buf, c.tip), false // the common case: one new block
+	}
+	if !c.IsCanonical(old.Hash()) {
+		return buf, true
+	}
+	for h := old.Header.Height + 1; h <= c.tip.Header.Height; h++ {
+		buf = append(buf, c.exec.blocks[c.canonical[h]])
+	}
+	return buf, false
+}
+
+// NextBurial returns the lowest tip height above the current one at
+// which ContractAtDepth(addr, depth) can answer differently through
+// burial alone: a canonical deployment of or call to addr already sits
+// less than depth blocks under the tip and surfaces at that depth when
+// the tip reaches its height + depth. False when no such operation is
+// pending — the answer then only moves with a block that touches addr
+// or with a reorg. Served from the contract-op index.
+func (c *Chain) NextBurial(addr crypto.Address, depth int) (uint64, bool) {
+	// Operations at or below this height already show at depth
+	// (negative while the chain is shorter than depth).
+	shown := int64(c.tip.Header.Height) - int64(depth)
+	var next uint64
+	found := false
+	for _, ref := range c.exec.opIndex[addr] {
+		if int64(ref.height) > shown && c.canonical[ref.height] == ref.block && (!found || ref.height < next) {
+			next, found = ref.height, true
+		}
+	}
+	return next + uint64(depth), found
+}
+
 // HeadersFrom returns the canonical headers from (exclusive) the block
 // with the given hash up to the tip, oldest first. It is what a
 // participant submits as SPV evidence.

@@ -121,9 +121,11 @@ type Tx struct {
 	// chain view in a simulated network — re-hashing the body and
 	// re-verifying the ed25519 signature per view dominated run time
 	// before these caches.
-	memoID    crypto.Hash
-	memoIDSet bool
-	memoSigOK int8 // 0 unknown, +1 valid, -1 invalid
+	memoID      crypto.Hash
+	memoIDSet   bool
+	memoSigOK   int8 // 0 unknown, +1 valid, -1 invalid
+	memoAddr    crypto.Address
+	memoAddrSet bool
 }
 
 // Wire sizes of the fixed-width pieces of a transaction.
@@ -303,5 +305,12 @@ func NewCall(key *crypto.KeyPair, nonce uint64, contract crypto.Address, fn stri
 }
 
 // ContractAddr returns the address the contract deployed by this
-// transaction lives at. Only meaningful for TxDeploy.
-func (tx *Tx) ContractAddr() crypto.Address { return vm.ContractAddress(tx.ID()) }
+// transaction lives at, derived from the id once and cached. Only
+// meaningful for TxDeploy.
+func (tx *Tx) ContractAddr() crypto.Address {
+	if !tx.memoAddrSet {
+		tx.memoAddr = vm.ContractAddress(tx.ID())
+		tx.memoAddrSet = true
+	}
+	return tx.memoAddr
+}

@@ -252,13 +252,8 @@ func (r *TWRun) settle(p *xchain.Participant) {
 		if !mine || r.Addr(i).IsZero() {
 			continue
 		}
-		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.Addr(i), 0)
+		sc, ok := protocol.Contract[*contracts.CentralizedSC](r.Runtime, p, e.Chain, r.Addr(i), 0)
 		if !ok {
-			continue
-		}
-		sc, isSC := ct.(*contracts.CentralizedSC)
-		if !isSC {
 			continue
 		}
 		if sc.State != contracts.StatePublished {
@@ -271,7 +266,7 @@ func (r *TWRun) settle(p *xchain.Participant) {
 		}
 		i := i
 		r.Throttle(p, fmt.Sprintf("%s-%d", fn, i), 6*r.cfg.RetryEvery, func() {
-			if _, err := client.Call(r.Addr(i), fn, secret, 0); err == nil {
+			if _, err := p.Client(e.Chain).Call(r.Addr(i), fn, secret, 0); err == nil {
 				p.Calls++
 				r.Event(i, fn+" submitted")
 			}

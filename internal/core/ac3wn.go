@@ -26,7 +26,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/merkle"
-	"repro/internal/miner"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/spv"
@@ -263,8 +262,7 @@ func (r *Run) drive(p *xchain.Participant) {
 		}
 	}
 
-	wclient := p.Client(r.cfg.WitnessChain)
-	scw, ok := r.readSCw(wclient, 0)
+	scw, ok := r.readSCw(p, 0)
 	if !ok {
 		return // SCw not yet visible on p's node
 	}
@@ -280,9 +278,12 @@ func (r *Run) drive(p *xchain.Participant) {
 			// still observes the decision it reaches: when every
 			// participant rejects, nobody else is left to record it.
 			r.trySubmitRefund(p, st)
-			if decision, decided, _ := r.readDecision(wclient); decided {
-				r.markDecision(decision, wclient)
+			if decision, decided, _ := r.readDecision(p); decided {
+				r.markDecision(decision, p)
 			}
+			// The verdict hangs on which checkpoints are canonical on
+			// p's views, so it is re-examined on every tip change.
+			r.WatchTips(p)
 			return
 		}
 		st.verifiedSCw = true
@@ -294,14 +295,14 @@ func (r *Run) drive(p *xchain.Participant) {
 	// rather than stranding its asset.
 	r.ConfirmOwn(p, r.cfg.AssetDepth)
 
-	decision, decided, haveStable := r.readDecision(wclient)
+	decision, decided, haveStable := r.readDecision(p)
 
 	switch {
 	case decided && decision == contracts.WitnessRedeemAuthorized:
-		r.markDecision(contracts.WitnessRedeemAuthorized, wclient)
+		r.markDecision(contracts.WitnessRedeemAuthorized, p)
 		r.settle(p, true)
 	case decided && decision == contracts.WitnessRefundAuthorized:
-		r.markDecision(contracts.WitnessRefundAuthorized, wclient)
+		r.markDecision(contracts.WitnessRefundAuthorized, p)
 		r.settle(p, false)
 	case scw.State == contracts.WitnessPublished:
 		// Still undecided at depth d.
@@ -342,10 +343,10 @@ func (r *Run) drive(p *xchain.Participant) {
 // batching (SCw then stays in P forever — the record under the
 // committed root is the decision). haveStable reports whether SCw
 // itself is visible at depth d, decided or not.
-func (r *Run) readDecision(wclient *miner.Client) (decision contracts.WitnessState, decided, haveStable bool) {
-	stable, haveStable := r.readSCw(wclient, r.cfg.WitnessDepth)
+func (r *Run) readDecision(p *xchain.Participant) (decision contracts.WitnessState, decided, haveStable bool) {
+	stable, haveStable := r.readSCw(p, r.cfg.WitnessDepth)
 	if r.batched() {
-		decision, decided = r.readBatchDecision(wclient, r.cfg.WitnessDepth)
+		decision, decided = r.readBatchDecision(p, r.cfg.WitnessDepth)
 	} else if haveStable && stable.State != contracts.WitnessPublished {
 		decision, decided = stable.State, true
 	}
@@ -409,13 +410,9 @@ func (r *Run) batched() bool { return r.cfg.Batcher != nil && !r.cfg.BatchAddr.I
 // readBatchDecision reads this AC2T's decision from the batch
 // contract's ledger at the given depth. Chain state only — a crashed
 // participant re-derives it on resume like everything else.
-func (r *Run) readBatchDecision(client *miner.Client, depth int) (contracts.WitnessState, bool) {
-	ct, ok := client.ContractNow(r.cfg.BatchAddr, depth)
+func (r *Run) readBatchDecision(p *xchain.Participant, depth int) (contracts.WitnessState, bool) {
+	b, ok := protocol.Contract[*contracts.BatchWitnessSC](r.Runtime, p, r.cfg.WitnessChain, r.cfg.BatchAddr, depth)
 	if !ok {
-		return 0, false
-	}
-	b, isB := ct.(*contracts.BatchWitnessSC)
-	if !isB {
 		return 0, false
 	}
 	d, ok := b.Decisions[r.scwAddr]
@@ -423,13 +420,8 @@ func (r *Run) readBatchDecision(client *miner.Client, depth int) (contracts.Witn
 }
 
 // readSCw reads the witness contract at the given depth.
-func (r *Run) readSCw(client *miner.Client, depth int) (*contracts.WitnessSC, bool) {
-	ct, ok := client.ContractNow(r.scwAddr, depth)
-	if !ok {
-		return nil, false
-	}
-	scw, isW := ct.(*contracts.WitnessSC)
-	return scw, isW
+func (r *Run) readSCw(p *xchain.Participant, depth int) (*contracts.WitnessSC, bool) {
+	return protocol.Contract[*contracts.WitnessSC](r.Runtime, p, r.cfg.WitnessChain, r.scwAddr, depth)
 }
 
 // verifySCw checks that the published coordinator matches the graph
@@ -587,7 +579,7 @@ func (r *Run) markSCwConfirmed() {
 // unbatched protocol, measures the per-AC2T decision transaction's
 // footprint on the witness chain (counted here, while the transaction
 // is still shallow — history retirement forbids deep scans later).
-func (r *Run) markDecision(outcome contracts.WitnessState, wclient *miner.Client) {
+func (r *Run) markDecision(outcome contracts.WitnessState, p *xchain.Participant) {
 	if r.DecidedAt != 0 {
 		return
 	}
@@ -600,7 +592,7 @@ func (r *Run) markDecision(outcome contracts.WitnessState, wclient *miner.Client
 		if outcome == contracts.WitnessRefundAuthorized {
 			fn = contracts.FnAuthorizeRefund
 		}
-		if tx, ok := protocol.FindCall(wclient.Chain(), r.scwAddr, fn); ok {
+		if tx, ok := r.FindCall(p, r.cfg.WitnessChain, r.scwAddr, fn, nil); ok {
 			r.witnessTxs = 1
 			r.witnessBytes = tx.EncodedLen()
 		}
@@ -621,14 +613,12 @@ func (r *Run) settle(p *xchain.Participant, commit bool) {
 		if !mine || r.Addr(i).IsZero() {
 			continue
 		}
-		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.Addr(i), 0)
+		sc, ok := protocol.Contract[*contracts.PermissionlessSC](r.Runtime, p, e.Chain, r.Addr(i), 0)
 		if !ok {
 			continue
 		}
-		sc, isSC := ct.(*contracts.PermissionlessSC)
-		if !isSC || sc.State != contracts.StatePublished {
-			r.noteTerminal(i, sc, isSC)
+		if sc.State != contracts.StatePublished {
+			r.noteTerminal(i, sc)
 			continue
 		}
 		i := i
@@ -638,7 +628,7 @@ func (r *Run) settle(p *xchain.Participant, commit bool) {
 				r.noteOrphanedAnchor(p, i, sc)
 				return
 			}
-			if _, err := client.Call(r.Addr(i), action, ev, 0); err == nil {
+			if _, err := p.Client(e.Chain).Call(r.Addr(i), action, ev, 0); err == nil {
 				p.Calls++
 				r.Event(i, action+" submitted")
 			}
@@ -647,8 +637,8 @@ func (r *Run) settle(p *xchain.Participant, commit bool) {
 }
 
 // noteTerminal records completion timestamps as contracts reach RD/RF.
-func (r *Run) noteTerminal(i int, sc *contracts.PermissionlessSC, ok bool) {
-	if !ok || r.terminalReported[i] {
+func (r *Run) noteTerminal(i int, sc *contracts.PermissionlessSC) {
+	if r.terminalReported[i] {
 		return
 	}
 	r.terminalReported[i] = true
@@ -708,15 +698,14 @@ func (r *Run) witnessEvidenceFor(p *xchain.Participant, sc *contracts.Permission
 	if err != nil {
 		return nil, err
 	}
-	wview := p.Client(r.cfg.WitnessChain).Chain()
 	if r.batched() {
-		return r.batchEvidenceFor(wview, hdr, fn)
+		return r.batchEvidenceFor(p, hdr, fn)
 	}
-	authTx, ok := findCallTx(wview, r.scwAddr, fn)
+	authTx, ok := r.FindCall(p, r.cfg.WitnessChain, r.scwAddr, fn, nil)
 	if !ok {
 		return nil, fmt.Errorf("core: no %s call found on witness chain", fn)
 	}
-	ev, err := spv.Build(wview, hdr.Hash(), authTx, r.cfg.WitnessDepth)
+	ev, err := spv.Build(p.Client(r.cfg.WitnessChain).Chain(), hdr.Hash(), authTx.ID(), r.cfg.WitnessDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -726,12 +715,12 @@ func (r *Run) witnessEvidenceFor(p *xchain.Participant, sc *contracts.Permission
 // batchEvidenceFor locates the canonical commit_batch transaction
 // whose decision set contains this AC2T's (SCw, decision) record and
 // packages SPV evidence of it plus the membership proof.
-func (r *Run) batchEvidenceFor(wview *chain.Chain, checkpoint *chain.Header, fn string) ([]byte, error) {
+func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, fn string) ([]byte, error) {
 	want := contracts.WitnessRedeemAuthorized
 	if fn == contracts.FnAuthorizeRefund {
 		want = contracts.WitnessRefundAuthorized
 	}
-	tx, ok := protocol.FindCallMatch(wview, r.cfg.BatchAddr, contracts.FnCommitBatch, func(tx *chain.Tx) bool {
+	tx, ok := r.FindCall(p, r.cfg.WitnessChain, r.cfg.BatchAddr, contracts.FnCommitBatch, func(tx *chain.Tx) bool {
 		bc, err := contracts.DecodeBatchCommit(tx.Args)
 		if err != nil {
 			return false
@@ -761,21 +750,11 @@ func (r *Run) batchEvidenceFor(wview *chain.Chain, checkpoint *chain.Header, fn 
 	if err != nil {
 		return nil, err
 	}
-	ev, err := spv.Build(wview, checkpoint.Hash(), tx.ID(), r.cfg.WitnessDepth)
+	ev, err := spv.Build(p.Client(r.cfg.WitnessChain).Chain(), checkpoint.Hash(), tx.ID(), r.cfg.WitnessDepth)
 	if err != nil {
 		return nil, err
 	}
 	return contracts.EncodeEvidenceList(ev, proof), nil
-}
-
-// findCallTx scans the canonical witness chain (newest first) for a
-// call of fn on the contract.
-func findCallTx(view *chain.Chain, contract crypto.Address, fn string) (crypto.Hash, bool) {
-	tx, ok := protocol.FindCall(view, contract, fn)
-	if !ok {
-		return crypto.Hash{}, false
-	}
-	return tx.ID(), true
 }
 
 // SCwAddr exposes the coordinator address.

@@ -97,7 +97,7 @@ func TestWitnessEvidenceCannotBeReplayedAcrossAC2Ts(t *testing.T) {
 	}
 	// Forge: use run 1's commit evidence on run 2's contract.
 	wview := w.View("witness")
-	authTx, ok := findCallTx(wview, r1.SCwAddr(), contracts.FnAuthorizeRedeem)
+	auth, ok := r1.FindCall(a1, "witness", r1.SCwAddr(), contracts.FnAuthorizeRedeem, nil)
 	if !ok {
 		t.Fatal("no authorize_redeem for run 1")
 	}
@@ -114,7 +114,7 @@ func TestWitnessEvidenceCannotBeReplayedAcrossAC2Ts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := spv.Build(wview, hdr.Hash(), authTx, 2)
+	ev, err := spv.Build(wview, hdr.Hash(), auth.ID(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

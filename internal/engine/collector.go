@@ -182,6 +182,13 @@ type ShardResult struct {
 	MaxReorgDepth int    `json:"max_reorg_depth"`
 	MsgsDropped   uint64 `json:"msgs_dropped"`
 
+	// Drives counts protocol step-function runs in the shard's world and
+	// WakeupsSkipped the tip-change wake-ups whose wait-set had nothing
+	// due (ADR-014). Host-side cost diagnostics: kept out of the JSON so
+	// aggregate bytes do not depend on how the reconcilers are woken.
+	Drives         uint64 `json:"-"`
+	WakeupsSkipped uint64 `json:"-"`
+
 	// Per-tx latency samples are NOT retained: every grading folds
 	// straight into the collector's shared histogram (and the phase
 	// table below), so shard memory is flat in transaction count —

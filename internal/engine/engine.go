@@ -239,6 +239,11 @@ type Aggregate struct {
 	MaxReorgDepth int    `json:"max_reorg_depth"`
 	MsgsDropped   uint64 `json:"msgs_dropped"`
 
+	// Drives and WakeupsSkipped sum the shards' reconciler counters (see
+	// ShardResult); diagnostics for stderr, not part of the aggregate.
+	Drives         uint64 `json:"-"`
+	WakeupsSkipped uint64 `json:"-"`
+
 	PerShard []ShardResult `json:"per_shard"`
 
 	// Trace is the run's merged trace when Config.Trace was set (nil
@@ -362,6 +367,8 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 			agg.MaxReorgDepth = r.MaxReorgDepth
 		}
 		agg.MsgsDropped += r.MsgsDropped
+		agg.Drives += r.Drives
+		agg.WakeupsSkipped += r.WakeupsSkipped
 		agg.StatesPruned += r.StatesPruned
 		agg.StatesLive += r.StatesLive
 		agg.StateReplays += r.StateReplays

@@ -183,6 +183,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	}
 	e.res.MakespanVirtualMs = int64(s.Now())
 	e.res.Events = s.Executed
+	e.res.Drives, e.res.WakeupsSkipped = e.w.Drives, e.w.WakeupsSkipped
 	if e.coord != nil {
 		// Batch accounting is read once at shard end (the counters are
 		// plain ints mutated on the shard's single goroutine), then the

@@ -28,10 +28,11 @@ var (
 //
 // All waiting is notification-driven on the attached node's tip-change
 // signal (OnTipChange): subscribers run only when the node's canonical
-// chain actually changed, never on a timer, and re-derive what they
-// wait for from chain state. Keeping a submitted transaction alive
-// across reorgs, mempool purges and crashed miners is the subscriber's
-// job too (protocol.Runtime.EnsureTx, batch.Coordinator), paced by
+// chain actually changed, never on a timer, are told what changed (a
+// TipSummary), and re-derive what they wait for from chain state.
+// Keeping a submitted transaction alive across reorgs, mempool purges
+// and crashed miners is the subscriber's job too
+// (protocol.Runtime.EnsureTx, batch.Coordinator), paced by
 // ResubmitEvery — so "submitted" eventually means "committed at depth
 // d" unless the client is halted, which is exactly the crash model the
 // paper's Section 1 failure scenario needs.
@@ -45,8 +46,16 @@ type Client struct {
 	nonce    uint64
 	reserved map[chain.OutPoint]bool
 
-	subs   []*Sub
-	waiter *sim.Waiter // armed on the node's tip signal while subscriptions exist
+	subs []*Sub
+	// waiter is the client's one registration on the node's tip signal,
+	// armed while subscriptions exist and re-armed, not re-allocated,
+	// after each dispatch (a fired waiter is kept; a canceled one is not).
+	waiter *sim.Waiter
+	armed  bool
+	// seen is the tip the subscribers last heard about (the tip when the
+	// waiter was armed); joined backs the summary of what came after it.
+	seen   *chain.Block
+	joined []*chain.Block
 	halted bool
 	closed bool
 
@@ -56,10 +65,25 @@ type Client struct {
 	ResubmitEvery sim.Time
 }
 
+// TipSummary is what one dispatch of the tip-change signal tells a
+// subscriber: how the canonical chain of the client's node moved since
+// the previous dispatch, however many tip changes the signal coalesced.
+// It is valid only during the callback.
+type TipSummary struct {
+	// Height is the canonical tip height now.
+	Height uint64
+	// Connected lists the blocks that joined above the previously
+	// reported tip, oldest first. Empty when Reorg is set.
+	Connected []*chain.Block
+	// Reorg reports that a block canonical at the previous dispatch has
+	// left the chain: everything read from it before may have changed.
+	Reorg bool
+}
+
 // Sub is a persistent tip-change subscription handle (see
 // Client.OnTipChange).
 type Sub struct {
-	fn       func() // nil on the inert handle a refused registration returns
+	fn       func(TipSummary) // nil on the inert handle a refused registration returns
 	canceled bool
 }
 
@@ -99,9 +123,9 @@ func (c *Client) ChainID() chain.ID { return c.net.Params.ID }
 // caller from waiting forever on a subscription that was never armed.
 func (c *Client) Halt() {
 	c.halted = true
-	if c.waiter != nil {
+	if c.armed {
 		c.waiter.Cancel()
-		c.waiter = nil
+		c.waiter, c.armed = nil, false
 	}
 	for _, s := range c.subs {
 		s.canceled = true
@@ -138,23 +162,33 @@ func (c *Client) Halted() bool { return c.halted }
 // the client has live subscriptions. One waiter serves them all: a tip
 // change costs the client a single pass, not one wakeup per subscriber.
 func (c *Client) ensureArmed() {
-	if c.waiter != nil || c.halted || len(c.subs) == 0 {
+	if c.armed || c.halted || len(c.subs) == 0 {
 		return
 	}
-	c.waiter = c.node.TipChanged().Wait(c.onTip)
+	if c.waiter == nil {
+		c.waiter = c.node.TipChanged().Wait(c.onTip)
+	} else {
+		c.node.TipChanged().Rearm(c.waiter)
+	}
+	c.armed = true
+	c.seen = c.node.Chain.Tip()
 }
 
-// onTip runs every subscriber after a tip change, dropping the canceled
-// ones, then re-arms. Callbacks may register new subscriptions; those
-// join the list for the next tip change.
+// onTip tells every subscriber what changed since the last dispatch,
+// dropping the canceled ones, then re-arms. Callbacks may register new
+// subscriptions; those join the list for the next tip change.
 func (c *Client) onTip() {
-	c.waiter = nil
+	c.armed = false
 	if c.halted {
 		return
 	}
+	view := c.node.Chain
+	sum := TipSummary{Height: view.Height()}
+	sum.Connected, sum.Reorg = view.Since(c.seen, c.joined[:0])
+	c.seen, c.joined = nil, sum.Connected
 	batch := c.subs
 	c.subs = nil // callbacks registering new subscriptions append to a fresh list
-	var kept []*Sub
+	kept := batch[:0]
 	for _, s := range batch {
 		if c.halted {
 			// A callback halted this client mid-pass; the batch is
@@ -165,9 +199,10 @@ func (c *Client) onTip() {
 		if s.canceled {
 			continue
 		}
-		s.fn()
+		s.fn(sum)
 		kept = append(kept, s)
 	}
+	clear(c.joined) // the summary is spent; do not pin its blocks
 	if c.halted {
 		for _, s := range append(kept, c.subs...) {
 			s.canceled = true
@@ -180,12 +215,13 @@ func (c *Client) onTip() {
 }
 
 // OnTipChange registers a persistent subscription: fn runs after every
-// canonical-tip change of the client's node until the subscription is
-// canceled or the client halts. This is what protocol reconcilers
-// drive on instead of a cadence poller. Registration on a halted or
-// closed client fails with ErrHalted/ErrClosed — the returned Sub is
-// inert but safe to Cancel, so recovery code may still hold it.
-func (c *Client) OnTipChange(fn func()) (*Sub, error) {
+// canonical-tip change of the client's node, with a summary of what
+// changed, until the subscription is canceled or the client halts. This
+// is what protocol reconcilers drive on instead of a cadence poller.
+// Registration on a halted or closed client fails with
+// ErrHalted/ErrClosed — the returned Sub is inert but safe to Cancel, so
+// recovery code may still hold it.
+func (c *Client) OnTipChange(fn func(TipSummary)) (*Sub, error) {
 	switch {
 	case c.closed:
 		return &Sub{}, ErrClosed

@@ -28,7 +28,7 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	alice.Halt()
 
 	fired := false
-	sub, err := alice.OnTipChange(func() { fired = true })
+	sub, err := alice.OnTipChange(func(TipSummary) { fired = true })
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("OnTipChange on halted client: err = %v, want ErrHalted", err)
 	}
@@ -63,7 +63,7 @@ func TestClosedClientWatchError(t *testing.T) {
 	_ = s
 
 	alice.Close()
-	if _, err := alice.OnTipChange(func() {}); !errors.Is(err, ErrClosed) {
+	if _, err := alice.OnTipChange(func(TipSummary) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("OnTipChange on closed client: err = %v, want ErrClosed", err)
 	}
 }

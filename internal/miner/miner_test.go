@@ -37,7 +37,7 @@ func testNet(t *testing.T, seed uint64, nMiners int, latency p2p.LatencyModel) (
 func whenTxAtDepth(t *testing.T, c *Client, tx *chain.Tx, depth int, fn func()) {
 	t.Helper()
 	var sub *Sub
-	sub, err := c.OnTipChange(func() {
+	sub, err := c.OnTipChange(func(TipSummary) {
 		if d, ok := c.Chain().TxDepth(tx.ID()); ok && d >= depth {
 			sub.Cancel()
 			fn()
@@ -245,7 +245,7 @@ func TestDeployAndCallThroughClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployed := false
-	_, err = alice.OnTipChange(func() {
+	_, err = alice.OnTipChange(func(TipSummary) {
 		if _, ok := alice.ContractNow(addr, 2); !ok || deployed {
 			return
 		}

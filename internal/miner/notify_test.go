@@ -120,14 +120,14 @@ func TestClosedClientDropsAndRefusesWatches(t *testing.T) {
 	alice.Close()
 	// The prior bug class: subscriptions registered after a Close must
 	// be dead on arrival, even across a Restart attempt.
-	if _, err := alice.OnTipChange(func() { fired = true }); err != ErrClosed {
+	if _, err := alice.OnTipChange(func(TipSummary) { fired = true }); err != ErrClosed {
 		t.Fatalf("subscription on closed client: err = %v, want ErrClosed", err)
 	}
 	alice.Restart()
 	if !alice.Halted() || !alice.Closed() {
 		t.Fatal("Restart revived a closed client")
 	}
-	if _, err := alice.OnTipChange(func() { fired = true }); err != ErrClosed {
+	if _, err := alice.OnTipChange(func(TipSummary) { fired = true }); err != ErrClosed {
 		t.Fatalf("subscription after failed Restart: err = %v, want ErrClosed", err)
 	}
 	alice.Close() // idempotent
@@ -168,7 +168,7 @@ func TestSubscriptionSurvivesUntilCanceled(t *testing.T) {
 	alice := NewClient(net, 0, crypto.MustGenerateKey(crypto.NewRandReader(s.RNG().Fork().Uint64)))
 
 	fires := 0
-	sub, err := alice.OnTipChange(func() { fires++ })
+	sub, err := alice.OnTipChange(func(TipSummary) { fires++ })
 	if err != nil {
 		t.Fatal(err)
 	}

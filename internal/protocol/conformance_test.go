@@ -168,6 +168,17 @@ func predicatesMatchLabels(t *testing.T, w *xchain.World, r core.Runner, openLab
 	})
 }
 
+// shadowed guards the shadow check (protocol.Shadow, installed on every
+// cell) against passing vacuously: the gate must have declined wake-ups
+// for it to have examined any.
+func shadowed(t *testing.T, w *xchain.World) {
+	t.Helper()
+	if w.WakeupsSkipped == 0 {
+		t.Error("the wake-up gate skipped nothing: the shadow conformance check examined no wake-up")
+	}
+	t.Logf("%d drives, %d wake-ups skipped and shadow-checked", w.Drives, w.WakeupsSkipped)
+}
+
 // crashThenResume crashes the victim when trigger first reports true,
 // and recovers (with Resume) after the downtime.
 func crashThenResume(w *xchain.World, r core.Runner, victim *xchain.Participant, trigger func() bool) {
@@ -212,6 +223,7 @@ func TestConformanceAC3WN(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				protocol.Shadow(t, r.Runtime)
 				r.Start()
 				switch scenario {
 				case "commit":
@@ -231,6 +243,7 @@ func TestConformanceAC3WN(t *testing.T) {
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
 				w.RunFor(sim.Minute)
+				shadowed(t, w)
 				out := r.Grade()
 				if out.AtomicityViolated() {
 					t.Fatalf("AC3WN violated atomicity under %s: %+v", scenario, out.Edges)
@@ -303,6 +316,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				protocol.Shadow(t, r.Runtime)
 				r.Start()
 				switch scenario {
 				case "commit":
@@ -332,6 +346,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
 				w.RunFor(sim.Minute)
+				shadowed(t, w)
 				out := r.Grade()
 				if out.AtomicityViolated() {
 					t.Fatalf("batched AC3WN violated atomicity under %s: %+v", scenario, out.Edges)
@@ -389,6 +404,7 @@ func TestConformanceAC3TW(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				protocol.Shadow(t, r.Runtime)
 				r.Start()
 				switch scenario {
 				case "commit":
@@ -439,6 +455,7 @@ func TestConformanceAC3TW(t *testing.T) {
 				}
 				w.StopMining()
 				w.RunFor(sim.Minute)
+				shadowed(t, w)
 				out := r.Grade()
 				if out.AtomicityViolated() {
 					t.Fatalf("AC3TW violated atomicity under %s: %+v", scenario, out.Edges)
@@ -485,6 +502,7 @@ func TestConformanceHTLC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				protocol.Shadow(t, r.Runtime)
 				r.Start()
 				switch scenario {
 				case "commit":
@@ -515,6 +533,7 @@ func TestConformanceHTLC(t *testing.T) {
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
 				w.RunFor(sim.Minute)
+				shadowed(t, w)
 				out := r.Grade()
 				switch scenario {
 				case "commit":

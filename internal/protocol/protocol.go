@@ -10,7 +10,11 @@
 //
 //   - per-participant tip-change subscriptions (one miner.Sub per
 //     chain the AC2T touches), armed at Start, torn down by crashes,
-//     and re-armed by Resume;
+//     and re-armed by Resume — gated by the wait-set the participant's
+//     last drive recorded (wait.go, ADR-014): a tip change runs the
+//     step function only if a fact it was waiting on can have flipped;
+//   - the reads a step function waits through — Contract, EnsureTx,
+//     FindCall — which record that wait-set as they answer;
 //   - the off-chain announcement inbox: messages are handed to the
 //     protocol's OnMessage and the recipient is re-driven;
 //   - throttled action keys, so an on-chain action that keeps failing
@@ -51,6 +55,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/miner"
 	"repro/internal/sim"
+	"repro/internal/vm"
 	"repro/internal/xchain"
 )
 
@@ -113,9 +118,13 @@ type Config struct {
 	// ignored.
 	Chains []chain.ID
 	// Drive is the protocol step function: inspect chain state through
-	// p's clients and take the next enabled action. It must be
-	// idempotent — the runtime calls it on every tip change, on every
-	// announcement, on timer expiry, at Start, and on Resume.
+	// the runtime's recording reads (Contract, EnsureTx, FindCall) and
+	// take the next enabled action. It must be idempotent — the runtime
+	// calls it on every announcement, on timer expiry, at Start, on
+	// Resume, and on a tip change after which one of those reads, a
+	// Throttle or the run's own state can answer differently. A drive
+	// whose outcome hangs on a chain read the runtime cannot index says
+	// so with WatchTips.
 	Drive func(p *xchain.Participant)
 	// OnMessage ingests one protocol-specific off-chain announcement
 	// delivered to p (the deploy announcement is the runtime's own); the
@@ -128,14 +137,16 @@ type Config struct {
 }
 
 // pstate is the runtime's per-participant bookkeeping: subscriptions,
-// throttle stamps, armed one-shot timers. Protocol state does not
-// belong here — protocols keep their own flags and re-derive what a
-// crash loses from the chains.
+// throttle stamps, armed one-shot timers, and what the last drive was
+// left waiting for. Protocol state does not belong here — protocols
+// keep their own flags and re-derive what a crash loses from the
+// chains.
 type pstate struct {
 	subs        []*miner.Sub
 	lastAttempt map[string]sim.Time
 	armed       map[string]bool
 	deployedOwn bool // DeployOwn ran to the end for this participant
+	wait        waitSet
 }
 
 // deployAnnounce is the off-chain "my contract for edge i is confirmed
@@ -169,6 +180,16 @@ type Runtime struct {
 	start   sim.Time
 	started bool
 	stopped bool
+
+	// version counts changes to the state every participant's step
+	// function reads besides the chains: timeline, marks, ledger,
+	// delivered announcements (and, through their events, the protocol's
+	// own flags). A participant that last drove at an older version is
+	// driven at its next wake-up whatever the chain did.
+	version uint64
+	// skipped, when set (tests only), observes every wake-up the gate
+	// declined to drive.
+	skipped func(p *xchain.Participant)
 }
 
 // New validates the wiring and prepares a runtime.
@@ -218,6 +239,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.states[p] = &pstate{
 			lastAttempt: make(map[string]sim.Time),
 			armed:       make(map[string]bool),
+			wait:        waitSet{ids: chains, chains: make([]chainWait, len(chains))},
 		}
 	}
 	return rt, nil
@@ -276,11 +298,14 @@ func (rt *Runtime) Now() sim.Time { return rt.cfg.World.Sim.Now() }
 func (rt *Runtime) StartedAt() sim.Time { return rt.start }
 
 // Drive runs the protocol step function for p unless the run is
-// stopped, not yet started, or p is down.
+// stopped, not yet started, or p is down. What p waits for afterwards
+// is recorded afresh by the reads the step makes.
 func (rt *Runtime) Drive(p *xchain.Participant) {
 	if rt.stopped || !rt.started || p.Crashed() {
 		return
 	}
+	rt.states[p].wait.reset(rt.version)
+	rt.cfg.World.Drives++
 	rt.cfg.Drive(p)
 }
 
@@ -293,8 +318,9 @@ func (rt *Runtime) DriveAll() {
 }
 
 // subscribe points p's reconciler at the notification bus: every
-// chain in the subscription set re-drives p when its canonical tip
-// changes. Existing subscriptions are canceled first, so subscribe is
+// chain in the subscription set wakes p when its canonical tip changes,
+// and wake decides whether that is worth a drive. Existing
+// subscriptions are canceled first, so subscribe is
 // safe to call again on Resume. A participant that is down subscribes
 // to nothing — its clients refuse watch registration while halted
 // (miner.ErrHalted), and Resume re-arms after recovery. This used to
@@ -309,8 +335,8 @@ func (rt *Runtime) subscribe(p *xchain.Participant) {
 	if p.Crashed() {
 		return
 	}
-	for _, id := range rt.chains {
-		sub, err := p.Client(id).OnTipChange(func() { rt.Drive(p) })
+	for ci, id := range rt.chains {
+		sub, err := p.Client(id).OnTipChange(func(sum miner.TipSummary) { rt.wake(p, st, ci, sum) })
 		if err != nil {
 			// A client halted independently of the participant (cannot
 			// happen through the Participant crash API, which halts all
@@ -322,12 +348,31 @@ func (rt *Runtime) subscribe(p *xchain.Participant) {
 	}
 }
 
+// wake is the gate between a tip change of chain ci and p's step
+// function: it drives p only if the summary can have flipped something
+// p's last drive recorded in its wait-set (see waitSet.due). A declined
+// wake-up costs a scan of the connected blocks' transactions. The
+// simulator event that carried it is spent either way, which is why
+// gating here moves no simulated byte. (Stop and crashes cancel the
+// subscriptions, so wake runs for live participants of live runs only.)
+func (rt *Runtime) wake(p *xchain.Participant, st *pstate, ci int, sum miner.TipSummary) {
+	if st.wait.due(ci, sum, rt.version, rt.Now()) {
+		rt.Drive(p)
+		return
+	}
+	rt.cfg.World.WakeupsSkipped++
+	if rt.skipped != nil {
+		rt.skipped(p)
+	}
+}
+
 // deliver hands an off-chain announcement to the protocol and
 // re-drives the recipient.
 func (rt *Runtime) deliver(p, from *xchain.Participant, msg any) {
 	if rt.stopped || p.Crashed() {
 		return
 	}
+	rt.version++ // announcements land in state the whole run reads
 	if m, ok := msg.(deployAnnounce); ok {
 		rt.noteConfirmed(m)
 	} else if rt.cfg.OnMessage != nil {
@@ -350,6 +395,7 @@ func (rt *Runtime) Broadcast(from *xchain.Participant, msg any) {
 
 // Event appends a timeline entry.
 func (rt *Runtime) Event(edge int, label string) {
+	rt.version++
 	rt.events = append(rt.events, Event{At: rt.Now(), Label: label, Edge: edge})
 }
 
@@ -361,6 +407,7 @@ func (rt *Runtime) Mark(p Point) {
 	if rt.marked[p] {
 		return
 	}
+	rt.version++
 	rt.marked[p] = true
 	rt.marks = append(rt.marks, Mark{Point: p, At: rt.Now()})
 }
@@ -392,14 +439,18 @@ func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
 
 // Throttle runs fn now unless it already ran for (p, key) within the
 // last interval — the guard that keeps a failing on-chain action from
-// being re-submitted on every wakeup.
+// being re-submitted on every wakeup. Either way p is due again at the
+// first wake-up after the window re-opens: that is when a step that
+// reaches this call once more would act.
 func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time, fn func()) {
 	st := rt.states[p]
 	now := rt.Now()
 	if last, ok := st.lastAttempt[key]; ok && now-last < interval {
+		st.wait.wakeBy(last + interval)
 		return
 	}
 	st.lastAttempt[key] = now
+	st.wait.wakeBy(now + interval)
 	fn()
 }
 
@@ -408,7 +459,8 @@ func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time
 // further arms are ignored — protocols can re-request a wake on every
 // drive without stacking events. This is how explicit protocol
 // deadlines (decision-push grace, refund timelocks) run without any
-// polling cadence.
+// polling cadence. The timer drives p itself, so a deadline needs no
+// entry in the wait-set.
 func (rt *Runtime) WakeAt(p *xchain.Participant, key string, t sim.Time) {
 	st := rt.states[p]
 	if st.armed[key] {
@@ -441,19 +493,24 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 // window (the client's ResubmitEvery) is re-multicast — covering
 // mempool wipes and fork losses. Because the check reads only chain
 // state, it survives crashes: a recovered participant's next drive
-// re-derives confirmation (or resubmits) with no watch to re-arm.
+// re-derives confirmation (or resubmits) with no watch to re-arm. A
+// false answer leaves p waiting for what can turn it: the block that
+// includes tx, the tip height that buries it, the resubmit window.
 func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, depth int) bool {
 	c := p.Client(id)
 	view := c.Chain()
 	txID := tx.ID()
+	st := rt.states[p]
 	if b, _, found := view.FindTx(txID); found {
-		d, ok := view.DepthOf(b.Hash())
-		return ok && d >= depth
+		if d, ok := view.DepthOf(b.Hash()); ok && d >= depth {
+			return true
+		}
+		st.wait.flipAt(id, b.Header.Height+uint64(depth))
+		return false
 	}
 	// Absent: in flight, purged, or dropped with a losing fork. The
 	// first observation opens the window; a resubmission happens only
 	// if the transaction is still absent a full window later.
-	st := rt.states[p]
 	key := "resubmit:" + string(txID[:])
 	now := rt.Now()
 	last, seen := st.lastAttempt[key]
@@ -462,9 +519,28 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 			c.Submit(tx)
 		}
 		st.lastAttempt[key] = now
+		last = now
 	}
+	st.wait.watchTx(id, txID)
+	st.wait.wakeBy(last + c.ResubmitEvery)
 	return false
 }
+
+// Contract reads the contract at addr, as a T, as of the block depth
+// under p's tip of chain id (0 = the tip) — how a step function reads
+// SCw, an asset contract or the batch ledger. False when there is no
+// contract there yet or it is not a T. The read leaves p waiting for
+// what can change its answer (waitSet.read).
+func Contract[T vm.Contract](rt *Runtime, p *xchain.Participant, id chain.ID, addr crypto.Address, depth int) (T, bool) {
+	t, ok := rt.states[p].wait.read(p.Client(id).Chain(), id, addr, depth).(T)
+	return t, ok
+}
+
+// WatchTips makes every tip change of every chain drive p until its
+// next drive says otherwise — for a step whose outcome hangs on chain
+// state no recording read covers (a checkpoint's canonicity, a chain
+// still too short to anchor on).
+func (rt *Runtime) WatchTips(p *xchain.Participant) { rt.states[p].wait.anyTip = true }
 
 // DeployOwn publishes p's outgoing asset contracts, once per
 // participant: params encodes the constructor parameters of p's
@@ -487,6 +563,7 @@ func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params 
 		enc, ok := params(p, i, e)
 		if !ok {
 			st.deployedOwn = false
+			rt.WatchTips(p) // whatever params is short of is chain state
 			return true
 		}
 		tx, addr, err := p.Client(e.Chain).Deploy(contractType, enc, e.Asset)
@@ -531,6 +608,7 @@ func (rt *Runtime) noteConfirmed(m deployAnnounce) {
 	if !rt.addrs[m.edge].IsZero() {
 		return
 	}
+	rt.version++
 	rt.addrs[m.edge], rt.txIDs[m.edge] = m.addr, m.txID
 	rt.confirmed++
 	if rt.AllConfirmed() {
@@ -614,22 +692,16 @@ func (rt *Runtime) Recover() {
 	rt.Resume(rt.victim())
 }
 
-// FindCall scans a canonical chain view newest-first for a call of fn
-// on the contract — how participants locate decision transactions
-// (AC3WN's authorize_* evidence) and extract revealed arguments
-// (HTLC's secret) from chain state alone.
-func FindCall(view *chain.Chain, contract crypto.Address, fn string) (*chain.Tx, bool) {
-	return FindCallMatch(view, contract, fn, nil)
-}
-
-// FindCallMatch is FindCall with an argument-level filter: among the
-// calls of fn on the contract, it returns the newest whose decoded
-// arguments satisfy match (nil matches everything). Batched AC3WN
-// participants use it to locate the commit_batch transaction whose
-// decision set contains their own SCw — re-derivable from chain state
-// alone, which is what makes crash/resume work without any local
-// batch bookkeeping.
-func FindCallMatch(view *chain.Chain, contract crypto.Address, fn string, match func(*chain.Tx) bool) (*chain.Tx, bool) {
+// FindCall scans p's canonical view of chain id newest-first for a call
+// of fn on the contract whose decoded arguments satisfy match (nil
+// matches everything) — how participants locate decision transactions
+// (AC3WN's authorize_* evidence, the commit_batch whose decision set
+// holds their own SCw) and extract revealed arguments (HTLC's secret)
+// from chain state alone, which is what makes crash/resume work without
+// local bookkeeping. A miss leaves p waiting for a call on the contract.
+func (rt *Runtime) FindCall(p *xchain.Participant, id chain.ID, contract crypto.Address, fn string, match func(*chain.Tx) bool) (*chain.Tx, bool) {
+	rt.states[p].wait.watchAddr(id, contract)
+	view := p.Client(id).Chain()
 	for h := view.Height(); ; h-- {
 		b, ok := view.CanonicalAt(h)
 		if !ok {

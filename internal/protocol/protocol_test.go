@@ -36,16 +36,19 @@ func swapOnC0(t *testing.T, alice, bob *xchain.Participant) *graph.Graph {
 	return g
 }
 
+// A step function that declares it watches the tips (WatchTips) is
+// driven by every tip change of every subscribed chain, once per chain.
 func TestRuntimeDrivesOnTipChanges(t *testing.T) {
 	w, alice, bob := world(t, 1)
 	drives := map[string]int{}
+	var rt *Runtime
 	rt, err := New(Config{
 		World:        w,
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Chains:       []chain.ID{"c0", "c0"}, // duplicate must collapse
-		Drive:        func(p *xchain.Participant) { drives[p.Name]++ },
+		Drive:        func(p *xchain.Participant) { drives[p.Name]++; rt.WatchTips(p) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +71,14 @@ func TestRuntimeDrivesOnTipChanges(t *testing.T) {
 func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 	w, alice, bob := world(t, 2)
 	drives := 0
+	var rt *Runtime
 	rt, err := New(Config{
 		World:        w,
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Drive: func(p *xchain.Participant) {
+			rt.WatchTips(p)
 			if p == bob {
 				drives++
 			}

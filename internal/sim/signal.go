@@ -23,6 +23,7 @@ package sim
 type Signal struct {
 	s         *Sim
 	waiters   []*Waiter
+	spare     []*Waiter // the previous dispatch's batch, emptied, for the next one to fill
 	scheduled bool
 }
 
@@ -47,6 +48,17 @@ func (g *Signal) Wait(fn func()) *Waiter {
 	return w
 }
 
+// Rearm registers w for the next notification again, reusing the
+// waiter and its callback: what a subscriber that waits on every
+// notification does instead of allocating a Wait per wake-up. w must
+// have fired — a waiter canceled before firing is still listed until the
+// next dispatch and would run twice. Ordering is Wait's: w joins at the
+// back.
+func (g *Signal) Rearm(w *Waiter) {
+	w.canceled = false
+	g.waiters = append(g.waiters, w)
+}
+
 // Notify schedules all registered waiters to run at the current
 // virtual instant, FIFO in registration order, and clears the list.
 // A notify with no waiters is a no-op and costs no simulator event;
@@ -59,13 +71,15 @@ func (g *Signal) Notify() {
 	g.s.After(0, func() {
 		g.scheduled = false
 		batch := g.waiters
-		g.waiters = nil
+		g.waiters = g.spare // waiters re-registering meanwhile fill the other buffer
 		for _, w := range batch {
 			if !w.canceled {
 				w.canceled = true // one-shot: mark fired
 				w.fn()
 			}
 		}
+		clear(batch)
+		g.spare = batch[:0]
 	})
 }
 

@@ -86,6 +86,40 @@ func TestSignalRearmsAcrossNotifies(t *testing.T) {
 	}
 }
 
+// TestSignalRearmReusesTheWaiter: a fired waiter re-registered with
+// Rearm behaves like a fresh Wait — runs once per notification, joins
+// at the back of the FIFO, can be canceled — without a new Waiter, and
+// the two dispatch buffers keep re-registration during a dispatch apart
+// from the batch being delivered.
+func TestSignalRearmReusesTheWaiter(t *testing.T) {
+	s := New(1)
+	g := s.NewSignal()
+	var order []string
+	var a, b *Waiter
+	a = g.Wait(func() { order = append(order, "a"); g.Rearm(a) })
+	b = g.Wait(func() {
+		order = append(order, "b")
+		if len(order) < 6 {
+			g.Rearm(b)
+		}
+	})
+	for at := Time(1); at <= 3; at++ {
+		s.After(at, g.Notify)
+	}
+	s.After(4, func() { a.Cancel(); g.Notify() })
+	s.Run()
+	if got, want := len(order), 6; got != want || order[0] != "a" || order[1] != "b" || order[4] != "a" || order[5] != "b" {
+		t.Fatalf("deliveries %v, want a b a b a b", order)
+	}
+	if g.Waiting() != 0 {
+		t.Fatalf("%d waiters left listed after a canceled dispatch", g.Waiting())
+	}
+	late := g.Wait(func() { order = append(order, "late") })
+	if late == a || late == b {
+		t.Fatal("Wait handed out a waiter still owned by a subscriber")
+	}
+}
+
 func TestSignalCancelIsIdempotent(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()

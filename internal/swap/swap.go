@@ -209,6 +209,11 @@ func (r *Run) incomingConfirmed(u crypto.Address) bool {
 	return true
 }
 
+// readHTLC reads edge i's contract on p's view at the given depth.
+func (r *Run) readHTLC(p *xchain.Participant, i, depth int) (*contracts.HTLC, bool) {
+	return protocol.Contract[*contracts.HTLC](r.Runtime, p, r.cfg.Graph.Edges[i].Chain, r.Addr(i), depth)
+}
+
 // learnSecret extracts s from a confirmed redemption of one of p's
 // outgoing contracts — how the secret travels along counterparty
 // edges once it is revealed on-chain.
@@ -217,15 +222,10 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 		if e.From != p.Addr() || r.Addr(i).IsZero() {
 			continue
 		}
-		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.Addr(i), r.cfg.ConfirmDepth)
-		if !ok {
+		if h, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); !ok || h.State != contracts.StateRedeemed {
 			continue
 		}
-		if h, isH := ct.(*contracts.HTLC); !isH || h.State != contracts.StateRedeemed {
-			continue
-		}
-		if tx, found := protocol.FindCall(client.Chain(), r.Addr(i), contracts.FnRedeem); found {
+		if tx, found := r.FindCall(p, e.Chain, r.Addr(i), contracts.FnRedeem, nil); found {
 			r.secrets[p] = tx.Args
 			return
 		}
@@ -241,25 +241,18 @@ func (r *Run) redeemIncoming(p *xchain.Participant, secret []byte) {
 		if e.To != p.Addr() || r.Addr(i).IsZero() {
 			continue
 		}
-		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.Addr(i), 0)
+		h, ok := r.readHTLC(p, i, 0)
 		if !ok {
-			continue
-		}
-		h, isH := ct.(*contracts.HTLC)
-		if !isH {
 			continue
 		}
 		if h.State == contracts.StateRedeemed {
 			if r.redeemConfirmed[i] {
 				continue
 			}
-			if deep, okDeep := client.ContractNow(r.Addr(i), r.cfg.ConfirmDepth); okDeep {
-				if hd, isHd := deep.(*contracts.HTLC); isHd && hd.State == contracts.StateRedeemed {
-					r.redeemConfirmed[i] = true
-					r.Mark(protocol.PointDecisionConfirmed)
-					r.Event(i, "redeem confirmed")
-				}
+			if deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); ok && deep.State == contracts.StateRedeemed {
+				r.redeemConfirmed[i] = true
+				r.Mark(protocol.PointDecisionConfirmed)
+				r.Event(i, "redeem confirmed")
 			}
 			continue
 		}
@@ -268,7 +261,7 @@ func (r *Run) redeemIncoming(p *xchain.Participant, secret []byte) {
 		}
 		i := i
 		r.Throttle(p, fmt.Sprintf("redeem-%d", i), r.retryEvery(), func() {
-			if _, err := client.Call(r.Addr(i), contracts.FnRedeem, secret, 0); err == nil {
+			if _, err := p.Client(e.Chain).Call(r.Addr(i), contracts.FnRedeem, secret, 0); err == nil {
 				p.Calls++
 				if !r.redeemSubmitted[i] {
 					r.redeemSubmitted[i] = true
@@ -297,17 +290,12 @@ func (r *Run) refundExpired(p *xchain.Participant, now sim.Time) {
 		if r.Addr(i).IsZero() {
 			continue
 		}
-		client := p.Client(e.Chain)
-		ct, ok := client.ContractNow(r.Addr(i), 0)
-		if !ok {
-			continue
-		}
-		if h, isH := ct.(*contracts.HTLC); !isH || h.State != contracts.StatePublished {
+		if h, ok := r.readHTLC(p, i, 0); !ok || h.State != contracts.StatePublished {
 			continue
 		}
 		i := i
 		r.Throttle(p, fmt.Sprintf("refund-%d", i), r.retryEvery(), func() {
-			if _, err := client.Call(r.Addr(i), contracts.FnRefund, nil, 0); err == nil {
+			if _, err := p.Client(e.Chain).Call(r.Addr(i), contracts.FnRefund, nil, 0); err == nil {
 				p.Calls++
 				if !r.refundSubmitted[i] {
 					r.refundSubmitted[i] = true

@@ -26,6 +26,12 @@ type World struct {
 	Sim  *sim.Sim
 	Nets map[chain.ID]*miner.Network
 	ids  []chain.ID
+
+	// Drives counts step-function runs and WakeupsSkipped the tip-change
+	// wake-ups a wait-set found nothing to do for, over every protocol
+	// run hosted here (protocol.Runtime keeps them; host-side
+	// diagnostics, not part of any graded result).
+	Drives, WakeupsSkipped uint64
 }
 
 // ChainSpec configures one chain of a world.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
+	"repro/internal/miner"
 	"repro/internal/sim"
 )
 
@@ -157,7 +158,7 @@ func TestCountContractOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	_, err = client.OnTipChange(func() {
+	_, err = client.OnTipChange(func(miner.TipSummary) {
 		if d, ok := client.Chain().TxDepth(tx.ID()); done || !ok || d < 2 {
 			return
 		}
