@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/chain"
@@ -30,17 +31,29 @@ import (
 	"repro/internal/xchain"
 )
 
-func main() {
-	protocol := flag.String("protocol", "ac3wn", "protocol: ac3wn|ac3tw|htlc")
-	parties := flag.Int("parties", 2, "number of participants (ring AC2T)")
-	seed := flag.Uint64("seed", 7, "simulation seed")
-	crash := flag.Bool("crash", false, "crash the protocol's critical failure point at the decision point")
-	recoverVictim := flag.Bool("recover", false, "recover what -crash took down, three virtual hours in")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the timeline and outcome go to stdout,
+// and the return value is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ac3sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	protocol := fs.String("protocol", "ac3wn", "protocol: ac3wn|ac3tw|htlc")
+	parties := fs.Int("parties", 2, "number of participants (ring AC2T)")
+	seed := fs.Uint64("seed", 7, "simulation seed")
+	crash := fs.Bool("crash", false, "crash the protocol's critical failure point at the decision point")
+	recoverVictim := fs.Bool("recover", false, "recover what -crash took down, three virtual hours in")
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *parties < 2 {
-		fmt.Fprintln(os.Stderr, "need at least 2 parties")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need at least 2 parties")
+		return 2
 	}
 
 	b := xchain.NewBuilder(*seed)
@@ -61,11 +74,15 @@ func main() {
 		edges[i] = graph.Edge{From: ps[i].Addr(), To: ps[(i+1)%*parties].Addr(), Asset: 10_000, Chain: ids[i]}
 	}
 	w, err := b.Build()
-	fatal(err)
+	if err != nil {
+		return fatal(err)
+	}
 	g, err := graph.New(int64(*seed), edges...)
-	fatal(err)
+	if err != nil {
+		return fatal(err)
+	}
 
-	fmt.Printf("AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
+	fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
 
 	var r core.Runner
 	switch *protocol {
@@ -95,10 +112,12 @@ func main() {
 			ConfirmDepth: 3,
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protocol)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown protocol %q\n", *protocol)
+		return 2
 	}
-	fatal(err)
+	if err != nil {
+		return fatal(err)
+	}
 
 	r.Start()
 	var crashed string
@@ -108,22 +127,23 @@ func main() {
 				return false
 			}
 			crashed, _ = r.Crash()
-			fmt.Printf("--- crashing %s ---\n", crashed)
+			fmt.Fprintf(stdout, "--- crashing %s ---\n", crashed)
 			return true
 		})
 	}
 	w.RunUntil(3 * sim.Hour) // every baseline timelock expires in here
 	if crashed != "" && *recoverVictim {
-		fmt.Printf("--- recovering %s after hours of downtime ---\n", crashed)
+		fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", crashed)
 		r.Recover()
 		w.RunFor(sim.Hour)
 	}
 	w.StopMining()
 	w.RunFor(sim.Minute)
 	for _, ev := range r.Events() {
-		fmt.Printf("t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
+		fmt.Fprintf(stdout, "t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
 	}
-	report(r.Grade())
+	report(stdout, r.Grade())
+	return 0
 }
 
 func label(s string, edge int) string {
@@ -133,21 +153,14 @@ func label(s string, edge int) string {
 	return s
 }
 
-func report(out *xchain.Outcome) {
-	fmt.Println()
-	fmt.Printf("outcome: committed=%v aborted=%v ATOMICITY-VIOLATED=%v\n",
+func report(w io.Writer, out *xchain.Outcome) {
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "outcome: committed=%v aborted=%v ATOMICITY-VIOLATED=%v\n",
 		out.Committed(), out.Aborted(), out.AtomicityViolated())
 	for i, e := range out.Edges {
-		fmt.Printf("  edge %d (%d on %s): deployed=%v state=%s\n",
+		fmt.Fprintf(w, "  edge %d (%d on %s): deployed=%v state=%s\n",
 			i, e.Edge.Asset, e.Edge.Chain, e.Deployed, e.State)
 	}
-	fmt.Printf("latency: %.1f virtual minutes, %d deploys + %d calls on-chain\n",
+	fmt.Fprintf(w, "latency: %.1f virtual minutes, %d deploys + %d calls on-chain\n",
 		float64(out.Latency())/60000, out.Deploys, out.Calls)
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,8 +11,25 @@ import (
 // real protocol workloads and hold its sanity assertions (OK). These
 // are the same entry points cmd/ac3bench and the root benchmarks use.
 
+// golden compares an experiment at seed 42 with
+// testdata/<id>.golden — the stdout of `ac3bench -seed 42 -experiment
+// <id>`, captured before the experiments' protocol construction and
+// run-out tail moved behind shared code, so those moves are checked to
+// be byte-invisible.
+func golden(t *testing.T, r *Result) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", r.ID+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.String() + "\n\n"; got != string(want) {
+		t.Errorf("%s differs from testdata/%s.golden:\n%s", r.ID, r.ID, got)
+	}
+}
+
 func TestFig8(t *testing.T) {
 	r := Fig8(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("fig8 failed:\n%s", r)
 	}
@@ -21,6 +40,7 @@ func TestFig8(t *testing.T) {
 
 func TestFig9(t *testing.T) {
 	r := Fig9(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("fig9 failed:\n%s", r)
 	}
@@ -41,6 +61,7 @@ func TestFig10SmallSweep(t *testing.T) {
 
 func TestCost(t *testing.T) {
 	r := Cost(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("cost failed:\n%s", r)
 	}
@@ -53,6 +74,7 @@ func TestCost(t *testing.T) {
 
 func TestWitnessChoice(t *testing.T) {
 	r := WitnessChoice(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("witness failed:\n%s", r)
 	}
@@ -63,6 +85,7 @@ func TestWitnessChoice(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	r := Table1(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("table1 failed:\n%s", r)
 	}
@@ -85,6 +108,7 @@ func TestAtomicityQuick(t *testing.T) {
 
 func TestComplex(t *testing.T) {
 	r := Complex(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("complex failed:\n%s", r)
 	}
@@ -95,6 +119,7 @@ func TestComplex(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	r := Scale(42)
+	golden(t, r)
 	if !r.OK {
 		t.Fatalf("scale failed:\n%s", r)
 	}
