@@ -25,9 +25,9 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/xchain"
 )
 
@@ -58,87 +58,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	b := xchain.NewBuilder(*seed)
 	ps := make([]*xchain.Participant, *parties)
+	ids := make([]chain.ID, *parties)
 	for i := range ps {
 		ps[i] = b.Participant(fmt.Sprintf("p%d", i))
-	}
-	var ids []chain.ID
-	for i := 0; i < *parties; i++ {
-		id := chain.ID(fmt.Sprintf("chain-%d", i))
-		ids = append(ids, id)
-		b.Chain(xchain.DefaultChainSpec(id))
+		ids[i] = chain.ID(fmt.Sprintf("chain-%d", i))
+		b.Chain(xchain.DefaultChainSpec(ids[i]))
 	}
 	b.Chain(xchain.DefaultChainSpec("witness"))
-	edges := make([]graph.Edge, *parties)
 	for i := range ps {
 		b.Fund(ps[i], ids[i], 1_000_000)
-		edges[i] = graph.Edge{From: ps[i].Addr(), To: ps[(i+1)%*parties].Addr(), Asset: 10_000, Chain: ids[i]}
 	}
 	w, err := b.Build()
 	if err != nil {
 		return fatal(err)
 	}
-	g, err := graph.New(int64(*seed), edges...)
+	g, err := graph.Ring(int64(*seed), xchain.Addrs(ps), 10_000, ids)
+	if err != nil {
+		return fatal(err)
+	}
+
+	r, err := engine.NewRunner(w, engine.Protocol(*protocol), engine.AC2T{
+		Graph:        g,
+		Participants: ps,
+		Witness:      "witness",
+		Depth:        3,
+		TrentSeed:    *seed + 1,
+		TrentLatency: 100 * sim.Millisecond,
+	})
 	if err != nil {
 		return fatal(err)
 	}
 
 	fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
-
-	var r core.Runner
-	switch *protocol {
-	case "ac3wn":
-		r, err = core.New(w, core.Config{
-			Graph:        g,
-			Participants: ps,
-			Initiator:    ps[0],
-			WitnessChain: "witness",
-			WitnessDepth: 3,
-			AssetDepth:   3,
-		})
-	case "ac3tw":
-		r, err = core.NewTW(w, core.TWConfig{
-			Graph:        g,
-			Participants: ps,
-			Initiator:    ps[0],
-			Trent:        core.NewTrent(w, *seed+1, 100*sim.Millisecond),
-			ConfirmDepth: 3,
-		})
-	case "htlc":
-		r, err = swap.New(w, swap.Config{
-			Graph:        g,
-			Participants: ps,
-			Leader:       ps[0],
-			Delta:        60 * sim.Second,
-			ConfirmDepth: 3,
-		})
-	default:
-		fmt.Fprintf(stderr, "unknown protocol %q\n", *protocol)
-		return 2
-	}
-	if err != nil {
-		return fatal(err)
-	}
-
 	r.Start()
 	var crashed string
 	if *crash {
-		w.Sim.Poll(100*sim.Millisecond, func() bool {
-			if !r.CommitPushed() {
-				return false
-			}
-			crashed, _ = r.Crash()
-			fmt.Fprintf(stdout, "--- crashing %s ---\n", crashed)
-			return true
-		})
+		w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(who string, _ bool) {
+			crashed = who
+			fmt.Fprintf(stdout, "--- crashing %s ---\n", who)
+		}))
 	}
-	w.RunUntil(3 * sim.Hour) // every baseline timelock expires in here
+	until := 3 * sim.Hour // every baseline timelock expires in here
+	w.RunUntil(until)
 	if crashed != "" && *recoverVictim {
 		fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", crashed)
 		r.Recover()
-		w.RunFor(sim.Hour)
+		until += sim.Hour
 	}
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(until)
 	for _, ev := range r.Events() {
 		fmt.Fprintf(stdout, "t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
 	}

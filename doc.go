@@ -10,16 +10,18 @@
 //
 //   - internal/sim — deterministic discrete-event simulator
 //   - internal/crypto, internal/merkle — hashing, signatures, ms(D),
-//     commitment schemes, Merkle proofs
+//     the witness-signature lock, Merkle proofs
 //   - internal/chain, internal/vm, internal/miner, internal/p2p —
 //     PoW blockchains with a UTXO ledger, smart contracts, miners,
 //     gossip, forks and reorgs
 //   - internal/wire — the one wire codec: exact-size append encoders
 //     and a bounds-checked cursor that decodes by aliasing its input
 //     (docs/architecture/ADR-012-one-wire-codec.md)
-//   - internal/spv — cross-chain evidence (Section 4.3)
+//   - internal/spv — cross-chain evidence (Section 4.3): checkpoint,
+//     header chain, inclusion proof; verified inside the contracts
 //   - internal/graph — AC2T graphs D = (V, E), Diam(D), ms(D)
-//   - internal/contracts — Algorithms 1–4 as contract objects
+//   - internal/contracts — Algorithms 1–4 as contract objects, plus
+//     the batch-decision ledger
 //   - internal/protocol — the reconciler runtime every commitment
 //     protocol is a thin instance over: subscriptions gated by
 //     wait-sets, announcement inbox, throttles, one-shot timers, the
@@ -35,8 +37,9 @@
 //   - internal/engine — sharded concurrent orchestration: thousands
 //     of AC2Ts driven in parallel across independent deterministic
 //     shard worlds, with backpressure, a protocol table and a scenario
-//     table, and aggregated results
-//     (docs/architecture/ADR-001-engine.md)
+//     table, and aggregated results; engine.NewRunner is the one way
+//     any driver stands an AC2T up
+//     (docs/architecture/ADR-001-engine.md, ADR-015-one-stand-up-path.md)
 //   - internal/lint — ac3lint, the static-analysis suite that
 //     machine-checks the determinism contract: no wall clocks, no
 //     ambient RNGs, no map-order leaks into serialized output, no

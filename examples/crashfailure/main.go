@@ -63,14 +63,9 @@ func buildWorld(seed uint64, withWitness bool) (*xchain.World, *xchain.Participa
 // crashBobAtCommit takes down the run's critical failure point — bob,
 // the last participant — the moment the commit is being pushed.
 func crashBobAtCommit(w *xchain.World, r core.Runner, why string) {
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		if !r.CommitPushed() {
-			return false
-		}
-		who, _ := r.Crash()
+	w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(who string, _ bool) {
 		fmt.Printf("t=%6.1fs  %s crashes (%s)\n", float64(w.Sim.Now())/1000, who, why)
-		return true
-	})
+	}))
 }
 
 func runBaseline() bool {
@@ -91,9 +86,7 @@ func runBaseline() bool {
 	w.RunUntil(2 * sim.Hour) // bob's timelock expires; alice refunds
 	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes and retries his redeem...\n", float64(w.Sim.Now())/1000)
 	r.Recover()
-	w.RunUntil(w.Sim.Now() + 30*sim.Minute)
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(w.Sim.Now() + 30*sim.Minute)
 
 	out := r.Grade()
 	for i, e := range out.Edges {
@@ -120,9 +113,7 @@ func runAC3WN() bool {
 	w.RunUntil(2 * sim.Hour) // same downtime as the baseline run
 	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes from chain state\n", float64(w.Sim.Now())/1000)
 	r.Recover()
-	w.RunUntil(w.Sim.Now() + 30*sim.Minute)
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(w.Sim.Now() + 30*sim.Minute)
 
 	out := r.Grade()
 	for i, e := range out.Edges {

@@ -77,9 +77,7 @@ func main() {
 		r.Start()
 	}
 
-	world.RunUntil(2 * sim.Hour)
-	world.StopMining()
-	world.RunFor(sim.Minute)
+	world.RunOut(2 * sim.Hour)
 
 	committed := 0
 	var last sim.Time

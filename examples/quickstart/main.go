@@ -59,9 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	run.Start()
-	world.RunUntil(1 * sim.Hour)
-	world.StopMining()
-	world.RunFor(sim.Minute)
+	world.RunOut(1 * sim.Hour)
 
 	// 4. Inspect the outcome from ground truth.
 	out := run.Grade()

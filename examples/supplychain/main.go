@@ -116,9 +116,7 @@ func run(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) {
 		log.Fatal(err)
 	}
 	r.Start()
-	w.RunUntil(2 * sim.Hour)
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(2 * sim.Hour)
 
 	out := r.Grade()
 	fmt.Printf("AC3WN outcome: committed=%v violated=%v (%d edges, %.1f virtual minutes)\n",

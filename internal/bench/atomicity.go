@@ -2,11 +2,12 @@ package bench
 
 import (
 	"repro/internal/chain"
+	"repro/internal/contracts"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/xchain"
 )
 
@@ -14,7 +15,7 @@ import (
 // safety experiment.
 type atomicityScenario struct {
 	name     string
-	protocol string // "htlc" or "ac3wn"
+	protocol engine.Protocol
 	crash    string // "none", "after-reveal", "after-reveal-recover"
 }
 
@@ -28,12 +29,12 @@ func Atomicity(seed uint64, runs int) *Result {
 		runs = 1
 	}
 	scenarios := []atomicityScenario{
-		{"HTLC, no failures", "htlc", "none"},
-		{"HTLC, victim crashes after reveal", "htlc", "after-reveal"},
-		{"HTLC, victim recovers too late", "htlc", "after-reveal-recover"},
-		{"AC3WN, no failures", "ac3wn", "none"},
-		{"AC3WN, victim crashes at decision", "ac3wn", "after-reveal"},
-		{"AC3WN, victim recovers later", "ac3wn", "after-reveal-recover"},
+		{"HTLC, no failures", engine.ProtoHTLC, "none"},
+		{"HTLC, victim crashes after reveal", engine.ProtoHTLC, "after-reveal"},
+		{"HTLC, victim recovers too late", engine.ProtoHTLC, "after-reveal-recover"},
+		{"AC3WN, no failures", engine.ProtoAC3WN, "none"},
+		{"AC3WN, victim crashes at decision", engine.ProtoAC3WN, "after-reveal"},
+		{"AC3WN, victim recovers later", engine.ProtoAC3WN, "after-reveal-recover"},
 	}
 
 	t := metrics.NewTable("Atomicity under crash failures (Section 1 scenario, N runs each)",
@@ -42,7 +43,7 @@ func Atomicity(seed uint64, runs int) *Result {
 	for _, sc := range scenarios {
 		var committed, aborted, stuck, violations, losses int
 		for i := 0; i < runs; i++ {
-			out, lost := runAtomicityCase(seed+uint64(i)*101, sc)
+			out := runAtomicityCase(seed+uint64(i)*101, sc)
 			switch {
 			case out.AtomicityViolated():
 				violations++
@@ -53,7 +54,7 @@ func Atomicity(seed uint64, runs int) *Result {
 			default:
 				stuck++
 			}
-			if lost {
+			if victimLost(out) {
 				losses++
 			}
 		}
@@ -61,11 +62,11 @@ func Atomicity(seed uint64, runs int) *Result {
 
 		// The paper's claims, checked hard:
 		switch {
-		case sc.protocol == "htlc" && sc.crash != "none" && violations != runs:
+		case sc.protocol == engine.ProtoHTLC && sc.crash != "none" && violations != runs:
 			ok = false // the baseline must lose atomicity on every crash run
-		case sc.protocol == "ac3wn" && violations != 0:
+		case sc.protocol == engine.ProtoAC3WN && violations != 0:
 			ok = false // AC3WN must never violate
-		case sc.protocol == "ac3wn" && sc.crash == "after-reveal-recover" && committed != runs:
+		case sc.protocol == engine.ProtoAC3WN && sc.crash == "after-reveal-recover" && committed != runs:
 			ok = false // commitment: recovery must complete the AC2T
 		case sc.crash == "none" && committed != runs:
 			ok = false
@@ -81,88 +82,69 @@ func Atomicity(seed uint64, runs int) *Result {
 	}
 }
 
-// runAtomicityCase runs one seeded two-party swap under the scenario
-// and reports the graded outcome plus whether the crash victim (bob)
-// lost assets: his outgoing contract refunded to the counterparty's
-// benefit while his incoming asset never arrived.
-func runAtomicityCase(seed uint64, sc atomicityScenario) (*xchain.Outcome, bool) {
+// runAtomicityCase runs one seeded two-party swap — edge 0 alice → bob
+// on bitcoin, edge 1 bob → alice on ethereum — under the scenario and
+// grades it.
+func runAtomicityCase(seed uint64, sc atomicityScenario) *xchain.Outcome {
 	b := xchain.NewBuilder(seed)
 	alice := b.Participant("alice")
 	bob := b.Participant("bob")
 	ids := []chain.ID{"bitcoin", "ethereum"}
-	if sc.protocol == "ac3wn" {
+	if sc.protocol == engine.ProtoAC3WN {
 		ids = append(ids, "witness")
 	}
 	for _, id := range ids {
-		b.Chain(spec(id))
+		b.Chain(xchain.DefaultChainSpec(id))
 	}
 	b.Fund(alice, "bitcoin", 1_000_000)
 	b.Fund(bob, "ethereum", 1_000_000)
 	w, err := b.Build()
 	if err != nil {
-		return &xchain.Outcome{}, false
+		return &xchain.Outcome{}
 	}
 	g, err := graph.TwoParty(int64(seed), alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
 	if err != nil {
-		return &xchain.Outcome{}, false
+		return &xchain.Outcome{}
 	}
-
-	var r core.Runner
-	switch sc.protocol {
-	case "htlc":
-		r, err = swap.New(w, swap.Config{
-			Graph:        g,
-			Participants: []*xchain.Participant{alice, bob},
-			Leader:       alice,
-			Delta:        deltaNominal + 2*blockInterval,
-			ConfirmDepth: confirmDepth,
-		})
-	case "ac3wn":
-		r, err = core.New(w, core.Config{
-			Graph:        g,
-			Participants: []*xchain.Participant{alice, bob},
-			Initiator:    alice,
-			WitnessChain: "witness",
-			WitnessDepth: confirmDepth,
-			AssetDepth:   confirmDepth,
-		})
-	}
+	r, err := engine.NewRunner(w, sc.protocol, engine.AC2T{
+		Graph:        g,
+		Participants: []*xchain.Participant{alice, bob},
+		Witness:      "witness",
+		Depth:        confirmDepth,
+	})
 	if err != nil {
-		return &xchain.Outcome{}, false
+		return &xchain.Outcome{}
 	}
 	r.Start()
 	if sc.crash != "none" {
 		// Crash the protocol's critical failure point — bob, the last
 		// participant — the moment the commit is pushed: the secret
 		// reveal for the baseline, authorize_redeem for AC3WN.
-		w.Sim.Poll(100*sim.Millisecond, func() bool {
-			if !r.CommitPushed() {
-				return false
-			}
-			r.Crash()
-			return true
-		})
+		w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(string, bool) {}))
 	}
 
-	w.RunUntil(2 * sim.Hour) // all baseline timelocks expire in here
+	until := 2 * sim.Hour // all baseline timelocks expire in here
 	if sc.crash == "after-reveal-recover" {
 		// Both protocols share the runtime's crash/resume lifecycle:
 		// the recovered reconciler re-derives its state from the
 		// chains and retries. AC3WN's retry redeems; the baseline's
 		// finds the timelocked refund already executed.
+		w.RunUntil(until)
 		r.Recover()
-		w.RunUntil(w.Sim.Now() + time90m)
+		until += 90 * sim.Minute
 	}
-	w.StopMining()
-	w.RunFor(sim.Minute)
-
-	out := r.Grade()
-	// Victim loss: bob's outgoing edge (index 1, ethereum) refunded
-	// is fine only if his incoming (index 0) is not redeemed by the
-	// counterparty; asset loss means edge 1 left bob's hands (RD by
-	// alice) while edge 0 never paid bob (RF to alice).
-	lost := out.AtomicityViolated()
-	return out, lost
+	w.RunOut(until)
+	return r.Grade()
 }
 
-const time90m = 90 * sim.Minute
+// victimLost reports whether the crash victim (bob) lost assets: what
+// he paid (edge 1) was redeemed by alice while what he was owed (edge
+// 0) was refunded to her or never locked. A violation the other way
+// round costs alice, not the victim.
+func victimLost(out *xchain.Outcome) bool {
+	if len(out.Edges) != 2 {
+		return false
+	}
+	in, paid := out.Edges[0], out.Edges[1]
+	return paid.State == contracts.StateRedeemed && (!in.Deployed || in.State == contracts.StateRefunded)
+}

@@ -13,11 +13,9 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/p2p"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/xchain"
 )
 
@@ -40,23 +38,14 @@ func (r *Result) String() string {
 	return fmt.Sprintf("== %s: %s [%s]\n%s", r.ID, r.Title, status, r.Output)
 }
 
-// Experiment parameters shared across runs. Block interval 10s,
-// confirmation depth 3: Δ = (depth+1)·interval = 40s of virtual time.
+// Experiment parameters shared across runs: every chain is an
+// xchain.DefaultChainSpec — block interval 10s, confirmation depth 3 —
+// so Δ = (depth+1)·interval = 40s of virtual time.
 const (
 	blockInterval = 10 * sim.Second
 	confirmDepth  = 3
 	deltaNominal  = sim.Time(confirmDepth+1) * blockInterval
 )
-
-// spec builds the standard chain spec used by latency experiments.
-func spec(id chain.ID) xchain.ChainSpec {
-	s := xchain.DefaultChainSpec(id)
-	s.Params.BlockInterval = blockInterval
-	s.Params.ConfirmDepth = confirmDepth
-	s.Miners = 3
-	s.Latency = p2p.LatencyModel{Base: 100, Jitter: 200}
-	return s
-}
 
 // ringWorld builds an n-party ring AC2T over two asset chains plus a
 // witness chain: participant i pays participant i+1 on chain c(i%2).
@@ -69,63 +58,33 @@ func ringWorld(seed uint64, n int) (*xchain.World, *graph.Graph, []*xchain.Parti
 	}
 	assetChains := []chain.ID{"asset-a", "asset-b"}
 	for _, id := range assetChains {
-		b.Chain(spec(id))
+		b.Chain(xchain.DefaultChainSpec(id))
 	}
-	b.Chain(spec("witness"))
-	edges := make([]graph.Edge, n)
+	b.Chain(xchain.DefaultChainSpec("witness"))
 	for i := range ps {
-		id := assetChains[i%2]
-		b.Fund(ps[i], id, 1_000_000)
-		edges[i] = graph.Edge{From: ps[i].Addr(), To: ps[(i+1)%n].Addr(), Asset: 10_000, Chain: id}
+		b.Fund(ps[i], assetChains[i%2], 1_000_000)
 	}
 	w, err := b.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	g, err := graph.New(int64(seed), edges...)
+	g, err := graph.Ring(int64(seed), xchain.Addrs(ps), 10_000, assetChains)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return w, g, ps, nil
 }
 
-// runHerlihy executes the baseline on the given world/graph and
-// returns the outcome (nil on failure to even start).
-func runHerlihy(w *xchain.World, g *graph.Graph, ps []*xchain.Participant, deadline sim.Time) (*swap.Run, *xchain.Outcome, error) {
-	r, err := swap.New(w, swap.Config{
-		Graph:        g,
-		Participants: ps,
-		Leader:       ps[0],
-		Delta:        deltaNominal + 2*blockInterval, // two blocks of slack
-		ConfirmDepth: confirmDepth,
-	})
+// runOne stands the AC2T up through the engine's protocol table (the
+// world's witness chain is "witness"), runs it out to the deadline and
+// grades it.
+func runOne(proto engine.Protocol, w *xchain.World, g *graph.Graph, ps []*xchain.Participant, deadline sim.Time) (core.Runner, *xchain.Outcome, error) {
+	r, err := engine.NewRunner(w, proto, engine.AC2T{Graph: g, Participants: ps, Witness: "witness", Depth: confirmDepth})
 	if err != nil {
 		return nil, nil, err
 	}
 	r.Start()
-	w.RunUntil(deadline)
-	w.StopMining()
-	w.RunFor(sim.Minute)
-	return r, r.Grade(), nil
-}
-
-// runAC3WN executes the contribution on the given world/graph.
-func runAC3WN(w *xchain.World, g *graph.Graph, ps []*xchain.Participant, witness chain.ID, deadline sim.Time) (*core.Run, *xchain.Outcome, error) {
-	r, err := core.New(w, core.Config{
-		Graph:        g,
-		Participants: ps,
-		Initiator:    ps[0],
-		WitnessChain: witness,
-		WitnessDepth: confirmDepth,
-		AssetDepth:   confirmDepth,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	r.Start()
-	w.RunUntil(deadline)
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(deadline)
 	return r, r.Grade(), nil
 }
 
@@ -159,6 +118,3 @@ func All(seed uint64) []*Result {
 		EngineLoad(seed),
 	}
 }
-
-// metricsFigure is re-exported for cmd wiring convenience.
-type metricsFigure = metrics.Figure

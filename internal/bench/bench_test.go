@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/contracts"
+	"repro/internal/xchain"
 )
 
 // The experiment drivers are exercised end to end: each must run its
@@ -137,5 +140,41 @@ func TestEngineLoad(t *testing.T) {
 		if !strings.Contains(r.Output, want) {
 			t.Fatalf("engine output missing %q:\n%s", want, r.Output)
 		}
+	}
+}
+
+// TestVictimLostIsNotJustAViolation: the atomicity table's last column
+// is about the crash victim — bob, who pays on edge 1 and is paid on
+// edge 0 — not a second name for VIOLATIONS. The two differ when the
+// violation costs alice, and when bob's payment is redeemed against an
+// incoming contract that never made it on-chain.
+func TestVictimLostIsNotJustAViolation(t *testing.T) {
+	const p, rd, rf = contracts.StatePublished, contracts.StateRedeemed, contracts.StateRefunded
+	for _, tc := range []struct {
+		name               string
+		in, paid           contracts.SwapState
+		inDeployed         bool
+		wantLost, violated bool
+	}{
+		{"bob paid, his incoming refunded", rf, rd, true, true, true},
+		{"bob paid, his incoming never deployed", p, rd, false, true, false},
+		{"alice paid, her incoming refunded", rd, rf, true, false, true},
+		{"committed", rd, rd, true, false, false},
+		{"aborted", rf, rf, true, false, false},
+		{"stuck safe", p, p, true, false, false},
+	} {
+		out := &xchain.Outcome{Edges: []xchain.EdgeOutcome{
+			{State: tc.in, Deployed: tc.inDeployed},
+			{State: tc.paid, Deployed: true},
+		}}
+		if got := out.AtomicityViolated(); got != tc.violated {
+			t.Errorf("%s: AtomicityViolated = %v, want %v", tc.name, got, tc.violated)
+		}
+		if got := victimLost(out); got != tc.wantLost {
+			t.Errorf("%s: victimLost = %v, want %v", tc.name, got, tc.wantLost)
+		}
+	}
+	if victimLost(&xchain.Outcome{}) {
+		t.Error("an ungraded run lost nothing")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/chain"
+	"repro/internal/crypto"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -28,9 +30,9 @@ func Complex(seed uint64) *Result {
 			name: "two-party swap (Figure 4)",
 			build: func(b *xchain.Builder) (*graph.Graph, []*xchain.Participant, error) {
 				alice, bob := b.Participant("alice"), b.Participant("bob")
-				b.Chain(spec("c0"))
-				b.Chain(spec("c1"))
-				b.Chain(spec("witness"))
+				b.Chain(xchain.DefaultChainSpec("c0"))
+				b.Chain(xchain.DefaultChainSpec("c1"))
+				b.Chain(xchain.DefaultChainSpec("witness"))
 				b.Fund(alice, "c0", 1_000_000)
 				b.Fund(bob, "c1", 1_000_000)
 				g, err := graph.TwoParty(int64(seed), alice.Addr(), bob.Addr(), 10_000, "c0", 10_000, "c1")
@@ -42,7 +44,7 @@ func Complex(seed uint64) *Result {
 			build: func(b *xchain.Builder) (*graph.Graph, []*xchain.Participant, error) {
 				ps := []*xchain.Participant{b.Participant("p0"), b.Participant("p1"), b.Participant("p2")}
 				for _, id := range []chain.ID{"c0", "c1", "c2", "witness"} {
-					b.Chain(spec(id))
+					b.Chain(xchain.DefaultChainSpec(id))
 				}
 				for i, p := range ps {
 					b.Fund(p, chain.ID(fmt.Sprintf("c%d", i)), 1_000_000)
@@ -68,17 +70,14 @@ func Complex(seed uint64) *Result {
 				}
 				ids := []chain.ID{"c0", "c1", "c2", "c3", "witness"}
 				for _, id := range ids {
-					b.Chain(spec(id))
+					b.Chain(xchain.DefaultChainSpec(id))
 				}
 				for i, p := range ps {
 					b.Fund(p, ids[i], 1_000_000)
 				}
-				g, err := graph.New(int64(seed),
-					graph.Edge{From: ps[0].Addr(), To: ps[1].Addr(), Asset: 1_000, Chain: "c0"},
-					graph.Edge{From: ps[1].Addr(), To: ps[0].Addr(), Asset: 1_000, Chain: "c1"},
-					graph.Edge{From: ps[2].Addr(), To: ps[3].Addr(), Asset: 1_000, Chain: "c2"},
-					graph.Edge{From: ps[3].Addr(), To: ps[2].Addr(), Asset: 1_000, Chain: "c3"},
-				)
+				g, err := graph.Disconnected(int64(seed), [][2]crypto.Address{
+					{ps[0].Addr(), ps[1].Addr()}, {ps[2].Addr(), ps[3].Addr()},
+				}, 1_000, ids[:4])
 				return g, ps, err
 			},
 		},
@@ -95,7 +94,7 @@ func Complex(seed uint64) *Result {
 			return &Result{ID: "complex", Title: "complex graphs", Output: err.Error()}
 		}
 		feasible, _ := g.HerlihyFeasible()
-		_, out, err := runAC3WN(w, g, ps, "witness", 3*sim.Hour)
+		_, out, err := runOne(engine.ProtoAC3WN, w, g, ps, 3*sim.Hour)
 		outcome := "FAILED"
 		if err == nil && out.Committed() && !out.AtomicityViolated() {
 			outcome = "committed atomically"

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -88,7 +89,7 @@ func Cost(seed uint64) *Result {
 			if err != nil {
 				return &Result{ID: "cost", Title: "fees", Output: err.Error()}
 			}
-			_, outH, err := runHerlihy(wH, gH, psH, sim.Time(n+4)*sim.Hour)
+			_, outH, err := runOne(engine.ProtoHTLC, wH, gH, psH, sim.Time(n+4)*sim.Hour)
 			if err != nil || !outH.Committed() {
 				ok = false
 			} else {
@@ -98,7 +99,7 @@ func Cost(seed uint64) *Result {
 			if err != nil {
 				return &Result{ID: "cost", Title: "fees", Output: err.Error()}
 			}
-			_, outW, err := runAC3WN(wW, gW, psW, "witness", 2*sim.Hour)
+			_, outW, err := runOne(engine.ProtoAC3WN, wW, gW, psW, 2*sim.Hour)
 			if err != nil || !outW.Committed() {
 				ok = false
 			} else {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/chain"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -27,9 +29,9 @@ func fig8Graph(seed uint64) (*xchain.World, *graph.Graph, []*xchain.Participant,
 	}
 	chains := []chain.ID{"c1", "c2", "c3", "c4", "c5"}
 	for _, id := range chains {
-		b.Chain(spec(id))
+		b.Chain(xchain.DefaultChainSpec(id))
 	}
-	b.Chain(spec("witness"))
+	b.Chain(xchain.DefaultChainSpec("witness"))
 	b.Fund(ps[0], "c1", 1_000_000) // A sends SC1
 	b.Fund(ps[1], "c2", 1_000_000) // B sends SC2, SC3
 	b.Fund(ps[1], "c3", 1_000_000)
@@ -61,7 +63,7 @@ func Fig8(seed uint64) *Result {
 		return &Result{ID: "fig8", Title: "Herlihy timeline", Output: err.Error()}
 	}
 	diam := g.Diameter()
-	run, out, err := runHerlihy(w, g, ps, 4*sim.Hour)
+	run, out, err := runOne(engine.ProtoHTLC, w, g, ps, 4*sim.Hour)
 	if err != nil {
 		return &Result{ID: "fig8", Title: "Herlihy timeline", Output: err.Error()}
 	}
@@ -98,10 +100,11 @@ func Fig9(seed uint64) *Result {
 	if err != nil {
 		return &Result{ID: "fig9", Title: "AC3WN timeline", Output: err.Error()}
 	}
-	run, out, err := runAC3WN(w, g, ps, "witness", 4*sim.Hour)
+	r, out, err := runOne(engine.ProtoAC3WN, w, g, ps, 4*sim.Hour)
 	if err != nil {
 		return &Result{ID: "fig9", Title: "AC3WN timeline", Output: err.Error()}
 	}
+	run := r.(*core.Run) // Figure 9's phase boundaries are AC3WN's own
 
 	tl := &metrics.Timeline{Title: "Figure 9 — AC3WN timeline (same 5-contract graph), time in Δ", Unit: "Δ"}
 	start := out.Start
@@ -159,7 +162,7 @@ func Fig10(seed uint64, maxDiam int) *Result {
 			if err != nil {
 				return &Result{ID: "fig10", Title: "latency vs diameter", Output: err.Error()}
 			}
-			_, outH, err := runHerlihy(wH, gH, psH, sim.Time(diam+4)*sim.Hour)
+			_, outH, err := runOne(engine.ProtoHTLC, wH, gH, psH, sim.Time(diam+4)*sim.Hour)
 			if err == nil && outH.Committed() {
 				hSum += inDeltas(outH.Latency())
 				hn++
@@ -170,7 +173,7 @@ func Fig10(seed uint64, maxDiam int) *Result {
 			if err != nil {
 				return &Result{ID: "fig10", Title: "latency vs diameter", Output: err.Error()}
 			}
-			_, outW, err := runAC3WN(wW, gW, psW, "witness", 2*sim.Hour)
+			_, outW, err := runOne(engine.ProtoAC3WN, wW, gW, psW, 2*sim.Hour)
 			if err == nil && outW.Committed() {
 				wSum += inDeltas(outW.Latency())
 				wn++

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -60,14 +61,14 @@ func Scale(seed uint64) *Result {
 func runScale(seed uint64, swaps, wn int) (sim.Time, int, error) {
 	b := xchain.NewBuilder(seed)
 
-	assetA := spec("asset-a")
-	assetB := spec("asset-b")
+	assetA := xchain.DefaultChainSpec("asset-a")
+	assetB := xchain.DefaultChainSpec("asset-b")
 	b.Chain(assetA)
 	b.Chain(assetB)
 	witnessIDs := make([]chain.ID, wn)
 	for i := range witnessIDs {
 		witnessIDs[i] = chain.ID(fmt.Sprintf("witness-%d", i))
-		ws := spec(witnessIDs[i])
+		ws := xchain.DefaultChainSpec(witnessIDs[i])
 		ws.Params.MaxBlockTxs = 1 // the deliberate bottleneck
 		b.Chain(ws)
 	}
@@ -87,20 +88,18 @@ func runScale(seed uint64, swaps, wn int) (sim.Time, int, error) {
 		return 0, 0, err
 	}
 
-	runs := make([]*core.Run, swaps)
+	runs := make([]core.Runner, swaps)
 	for i, p := range pairs {
 		g, err := graph.TwoParty(int64(seed)+int64(i), p.alice.Addr(), p.bob.Addr(),
 			10_000, "asset-a", 10_000, "asset-b")
 		if err != nil {
 			return 0, 0, err
 		}
-		r, err := core.New(w, core.Config{
+		r, err := engine.NewRunner(w, engine.ProtoAC3WN, engine.AC2T{
 			Graph:        g,
 			Participants: []*xchain.Participant{p.alice, p.bob},
-			Initiator:    p.alice,
-			WitnessChain: witnessIDs[i%wn],
-			WitnessDepth: 2,
-			AssetDepth:   2,
+			Witness:      witnessIDs[i%wn],
+			Depth:        2,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -108,19 +107,15 @@ func runScale(seed uint64, swaps, wn int) (sim.Time, int, error) {
 		runs[i] = r
 		r.Start()
 	}
-	w.RunUntil(6 * sim.Hour)
-	w.StopMining()
-	w.RunFor(sim.Minute)
+	w.RunOut(6 * sim.Hour)
 
 	var makespan sim.Time
 	committed := 0
 	for _, r := range runs {
-		out := r.Grade()
-		if out.Committed() {
+		// A committed AC3WN run's End is when its last contract redeemed.
+		if out := r.Grade(); out.Committed() {
 			committed++
-			if r.CompletedAt > makespan {
-				makespan = r.CompletedAt
-			}
+			makespan = max(makespan, out.End)
 		}
 	}
 	return makespan, committed, nil

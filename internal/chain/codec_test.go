@@ -61,11 +61,7 @@ func (v txVector) tx(t testing.TB) *Tx {
 	}
 	copy(tx.Contract[:], unhex(t, v.Contract))
 	for _, in := range v.Ins {
-		id, err := crypto.HashFromHex(in.TxID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx.Ins = append(tx.Ins, TxIn{Prev: OutPoint{TxID: id, Index: in.Index}})
+		tx.Ins = append(tx.Ins, TxIn{Prev: OutPoint{TxID: crypto.Hash(unhex(t, in.TxID)), Index: in.Index}})
 	}
 	for _, out := range v.Outs {
 		o := TxOut{Value: out.Value}

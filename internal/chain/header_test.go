@@ -32,17 +32,9 @@ type headerVector struct {
 
 func (v headerVector) header(t *testing.T) Header {
 	t.Helper()
-	parent, err := crypto.HashFromHex(v.Parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := crypto.HashFromHex(v.TxRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Header{
-		ChainID: ID(v.ChainID), Parent: parent, Height: v.Height, Time: sim.Time(v.Time),
-		TxRoot: root, Bits: v.Bits, Nonce: v.Nonce,
+		ChainID: ID(v.ChainID), Parent: crypto.Hash(unhex(t, v.Parent)), Height: v.Height, Time: sim.Time(v.Time),
+		TxRoot: crypto.Hash(unhex(t, v.TxRoot)), Bits: v.Bits, Nonce: v.Nonce,
 	}
 }
 

@@ -34,7 +34,6 @@ func sampleMultiSig() crypto.MultiSig {
 var (
 	sampleHTLC           = HTLCParams{Recipient: crypto.Address{0xa1}, Hashlock: crypto.Hash{0xb2}, Timelock: -5}
 	sampleCentralized    = CentralizedParams{Recipient: crypto.Address{0xa1}, MSDigest: crypto.Hash{0xb2}, Witness: crypto.Address{0xc3}}
-	sampleRelay          = RelayParams{ValidatedChain: "btc", Checkpoint: []byte{9, 8, 7}, TargetTx: crypto.Hash{0xe5}, MinDepth: -2}
 	samplePermissionless = PermissionlessParams{
 		Recipient: crypto.Address{0xa1}, WitnessChain: "witness", WitnessCheckpoint: []byte{9, 8},
 		SCw: crypto.Address{0xc3}, Depth: 6, Batch: crypto.Address{0xf6},
@@ -84,7 +83,6 @@ func TestParamEncodingsPinned(t *testing.T) {
 	}{
 		{"HTLCParams", sampleHTLC.Encode(), a(0xa1) + h(0xb2) + "fffffffffffffffb"},
 		{"CentralizedParams", sampleCentralized.Encode(), a(0xa1) + h(0xb2) + a(0xc3)},
-		{"RelayParams", sampleRelay.Encode(), "00000003" + "627463" + "00000003" + "090807" + h(0xe5) + "fffffffffffffffe"},
 		{"PermissionlessParams", samplePermissionless.Encode(),
 			a(0xa1) + "00000007" + hex.EncodeToString([]byte("witness")) + "00000002" + "0908" + a(0xc3) + "0000000000000006" + a(0xf6)},
 		{"WitnessParams", sampleWitness.Encode(),
@@ -143,7 +141,6 @@ func checkParamCodec[T any, P paramCodec[T]](t *testing.T, v *T) {
 func TestParamCodecs(t *testing.T) {
 	checkParamCodec(t, &sampleHTLC)
 	checkParamCodec(t, &sampleCentralized)
-	checkParamCodec(t, &sampleRelay)
 	checkParamCodec(t, &samplePermissionless)
 	checkParamCodec(t, &sampleWitness)
 	checkParamCodec(t, &sampleBatchWitness)
@@ -301,7 +298,6 @@ func fuzzParams[T any, P paramCodec[T]](f *testing.F, seed *T) {
 
 func FuzzHTLCParams(f *testing.F)           { fuzzParams(f, &sampleHTLC) }
 func FuzzCentralizedParams(f *testing.F)    { fuzzParams(f, &sampleCentralized) }
-func FuzzRelayParams(f *testing.F)          { fuzzParams(f, &sampleRelay) }
 func FuzzPermissionlessParams(f *testing.F) { fuzzParams(f, &samplePermissionless) }
 func FuzzWitnessParams(f *testing.F)        { fuzzParams(f, &sampleWitness) }
 func FuzzBatchWitnessParams(f *testing.F)   { fuzzParams(f, &sampleBatchWitness) }
@@ -334,24 +330,6 @@ func TestInitDetachesStateFromParams(t *testing.T) {
 		cl := sc.Clone().(*PermissionlessSC)
 		scribble(cl.WitnessCheckpoint)
 		if !bytes.Equal(sc.WitnessCheckpoint, hdr) {
-			t.Fatal("Clone shares the checkpoint bytes")
-		}
-	})
-
-	t.Run("HeaderRelay", func(t *testing.T) {
-		p := RelayParams{ValidatedChain: "btc", Checkpoint: hdr, TargetTx: crypto.Hash{1}, MinDepth: 2}
-		buf := p.Encode()
-		sc := &HeaderRelay{}
-		if err := sc.Init(ctxFor(alice.Addr, 0), buf); err != nil {
-			t.Fatal(err)
-		}
-		scribble(buf)
-		if sc.ValidatedChain != "btc" || !bytes.Equal(sc.Checkpoint, hdr) {
-			t.Fatalf("state follows the params buffer: %q %x", sc.ValidatedChain, sc.Checkpoint)
-		}
-		cl := sc.Clone().(*HeaderRelay)
-		scribble(cl.Checkpoint)
-		if !bytes.Equal(sc.Checkpoint, hdr) {
 			t.Fatal("Clone shares the checkpoint bytes")
 		}
 	})

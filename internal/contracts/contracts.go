@@ -10,13 +10,16 @@
 //   - PermissionlessSC — Algorithm 4, the AC3WN asset contract whose
 //     redeem/refund are conditioned on SPV evidence of WitnessSC's
 //     state at depth ≥ d.
-//   - HeaderRelay — the generic Section 4.3/Figure 6 validator: a
-//     contract that flips state when evidence proves a transaction
-//     occurred in another blockchain.
+//   - BatchWitnessSC — the shared witness-side ledger of batched
+//     decisions (batch.go), which PermissionlessSC settles against
+//     with a merkle membership proof instead of per-AC2T evidence.
 //
-// All five follow the AtomicSwapSC template of Algorithm 1: a sender,
-// a recipient, a locked asset, a state machine {P, RD, RF}, and
-// mutually exclusive redemption and refund commitment schemes.
+// The three asset contracts follow the AtomicSwapSC template of
+// Algorithm 1: a sender, a recipient, a locked asset, a state machine
+// {P, RD, RF}, and mutually exclusive redemption and refund commitment
+// schemes. WitnessSC and PermissionlessSC are also Section 4.3's
+// in-contract validator: each stores a stable-block checkpoint of the
+// chains it validates and verifies submitted SPV evidence against it.
 package contracts
 
 import (
@@ -31,7 +34,6 @@ const (
 	TypeCentralized    = "ac3tw.swap"
 	TypeWitness        = "ac3wn.witness"
 	TypePermissionless = "ac3wn.swap"
-	TypeHeaderRelay    = "relay"
 )
 
 // TypeBatchWitness ("ac3wn.batch") and FnCommitBatch are declared in
@@ -43,7 +45,6 @@ const (
 	FnRefund          = "refund"
 	FnAuthorizeRedeem = "authorize_redeem"
 	FnAuthorizeRefund = "authorize_refund"
-	FnSubmitEvidence  = "submit_evidence"
 )
 
 // SwapState is the asset-contract state machine of Algorithm 1.
@@ -102,6 +103,5 @@ func RegisterAll(reg *vm.Registry) {
 	reg.Register(TypeCentralized, func() vm.Contract { return &CentralizedSC{} })
 	reg.Register(TypeWitness, func() vm.Contract { return &WitnessSC{} })
 	reg.Register(TypePermissionless, func() vm.Contract { return &PermissionlessSC{} })
-	reg.Register(TypeHeaderRelay, func() vm.Contract { return &HeaderRelay{} })
 	reg.Register(TypeBatchWitness, func() vm.Contract { return &BatchWitnessSC{} })
 }

@@ -624,72 +624,6 @@ func TestWitnessConstructorRejectsMissingCheckpoint(t *testing.T) {
 	}
 }
 
-// --- HeaderRelay (Figure 6) ---
-
-func TestHeaderRelayFlow(t *testing.T) {
-	ks := keys(2)
-	alice, bob := ks[0], ks[1]
-	w := newWorld(t, []chain.ID{"chain1", "chain2"}, alice, bob)
-
-	// TX1 on chain1 (any transfer).
-	in, change := w.fund("chain1", alice, 100)
-	outs := []chain.TxOut{{Value: 100, Owner: bob.Addr}}
-	if change > 0 {
-		outs = append(outs, chain.TxOut{Value: change, Owner: alice.Addr})
-	}
-	tx1 := chain.NewTransfer(alice, 42, []chain.TxIn{in}, outs)
-
-	// Relay on chain2 anchored at chain1's genesis waits for TX1.
-	params := RelayParams{
-		ValidatedChain: "chain1",
-		Checkpoint:     w.chains["chain1"].Genesis().Header.Encode(),
-		TargetTx:       tx1.ID(),
-		MinDepth:       3,
-	}.Encode()
-	relay := w.deploy("chain2", bob, TypeHeaderRelay, params, 0)
-
-	// Evidence before TX1 even exists: must fail.
-	w.call("chain2", bob, relay.ContractAddr(), FnSubmitEvidence, []byte("junk"), false)
-
-	// Mine TX1 and bury it (labels 3–4 in Figure 6).
-	w.mine("chain1", tx1)
-	w.mineEmpty("chain1", 3)
-
-	// Submit evidence (labels 5–6).
-	ev := w.evidenceFor("chain1", tx1.ID(), 3)
-	w.call("chain2", bob, relay.ContractAddr(), FnSubmitEvidence, ev, true)
-	r := w.contractState("chain2", relay.ContractAddr()).(*HeaderRelay)
-	if r.State != RelayS2 || r.Verified != 1 {
-		t.Fatalf("relay state = %v verified=%d", r.State, r.Verified)
-	}
-	// Resubmission fails (already validated).
-	w.call("chain2", bob, relay.ContractAddr(), FnSubmitEvidence, ev, false)
-}
-
-func TestHeaderRelayRejectsWrongTx(t *testing.T) {
-	ks := keys(2)
-	alice, bob := ks[0], ks[1]
-	w := newWorld(t, []chain.ID{"chain1", "chain2"}, alice, bob)
-
-	in, change := w.fund("chain1", alice, 100)
-	outs := []chain.TxOut{{Value: 100, Owner: bob.Addr}}
-	if change > 0 {
-		outs = append(outs, chain.TxOut{Value: change, Owner: alice.Addr})
-	}
-	tx1 := chain.NewTransfer(alice, 42, []chain.TxIn{in}, outs)
-	params := RelayParams{
-		ValidatedChain: "chain1",
-		Checkpoint:     w.chains["chain1"].Genesis().Header.Encode(),
-		TargetTx:       crypto.Sum([]byte("some other tx")),
-		MinDepth:       2,
-	}.Encode()
-	relay := w.deploy("chain2", bob, TypeHeaderRelay, params, 0)
-	w.mine("chain1", tx1)
-	w.mineEmpty("chain1", 2)
-	ev := w.evidenceFor("chain1", tx1.ID(), 2)
-	w.call("chain2", bob, relay.ContractAddr(), FnSubmitEvidence, ev, false)
-}
-
 // raw puts already-encoded (or deliberately broken) bytes into an
 // evidence list; production code appends typed values instead.
 type raw []byte

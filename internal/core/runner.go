@@ -78,6 +78,22 @@ type Runner interface {
 	RaceRefund(rogue *xchain.Participant) bool
 }
 
+// CrashAtCommit is the Section 1 hazard as a watch every driver polls:
+// the returned predicate takes r's critical failure point down the
+// moment the commit is pushed, hands Crash's answer to crashed, and
+// reports done. It also reports done, with nobody crashed, once the run
+// decided without a commit push — it went to refund, and there is
+// nothing to crash.
+func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bool {
+	return func() bool {
+		if !r.CommitPushed() {
+			return r.Decided()
+		}
+		crashed(r.Crash())
+		return true
+	}
+}
+
 // Settled reports run quiescence for AC3WN: the commit/abort decision
 // is stable at depth d and every asset contract that made it on-chain
 // has settled (redeemed or refunded) on the ground-truth view. An

@@ -70,13 +70,3 @@ func BenchmarkMultiSigCompleteMissingSigner(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkHashLockVerify(b *testing.B) {
-	hl := NewHashLock([]byte("secret"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !hl.Verify([]byte("secret")) {
-			b.Fatal("hashlock rejected")
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package crypto
 
 import (
+	"encoding/hex"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,18 +35,15 @@ func TestSumDeterministicAndSensitive(t *testing.T) {
 
 func TestHashHexRoundTrip(t *testing.T) {
 	h := Sum([]byte("x"))
-	got, err := HashFromHex(h.Hex())
+	got, err := hex.DecodeString(h.Hex())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != h {
+	if Hash(got) != h {
 		t.Fatal("hex round trip mismatch")
 	}
-	if _, err := HashFromHex("zz"); err == nil {
-		t.Fatal("expected error on bad hex")
-	}
-	if _, err := HashFromHex("abcd"); err == nil {
-		t.Fatal("expected error on short digest")
+	if !strings.HasPrefix(h.Hex(), h.String()) || len(h.String()) != 16 {
+		t.Fatalf("String %q is not the first 8 bytes of Hex %q", h.String(), h.Hex())
 	}
 }
 
@@ -109,36 +108,6 @@ func TestKeyGenDeterministic(t *testing.T) {
 	b := testKey(t, 6)
 	if a.Addr != b.Addr {
 		t.Fatal("same seed produced different keys")
-	}
-}
-
-func TestHashLock(t *testing.T) {
-	secret := []byte("s3cr3t")
-	hl := NewHashLock(secret)
-	if !hl.Verify(secret) {
-		t.Fatal("hashlock rejected its own secret")
-	}
-	if hl.Verify([]byte("s3cr3u")) {
-		t.Fatal("hashlock accepted a wrong secret")
-	}
-	if hl.Describe() == "" {
-		t.Fatal("empty description")
-	}
-}
-
-func TestHashLockProperty(t *testing.T) {
-	f := func(secret []byte, other []byte) bool {
-		hl := NewHashLock(secret)
-		if !hl.Verify(secret) {
-			return false
-		}
-		if string(other) != string(secret) && hl.Verify(other) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

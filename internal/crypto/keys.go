@@ -76,20 +76,6 @@ func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 // Hex renders the full digest in hex.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 
-// HashFromHex parses a full-length hex digest.
-func HashFromHex(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("crypto: bad hex digest: %w", err)
-	}
-	if len(b) != HashSize {
-		return h, fmt.Errorf("crypto: digest length %d, want %d", len(b), HashSize)
-	}
-	copy(h[:], b)
-	return h, nil
-}
-
 // Address identifies an end-user (or a contract) on a chain. For users
 // it is the hash of the public key, as in the paper's data model where
 // "identities are typically implemented using public keys".

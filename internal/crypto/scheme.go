@@ -6,39 +6,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Scheme is the commitment-scheme primitive of Section 3: assets are
-// locked in a contract under an instance (the lock); revealing a
-// matching Secret (the key) unlocks them. The paper instantiates three
-// shapes, all implemented in this repository:
-//
-//   - HashLock: h = H(s), the Nolan/Herlihy hashlock (this package).
-//   - Trusted-witness signatures over (ms(D), RD|RF) — AC3TW,
-//     implemented by SigLock in this package.
-//   - Witness-chain state evidence — AC3WN, implemented by the
-//     contracts package on top of spv evidence (the "secret" there is
-//     a chain proof, so it does not flow through this interface).
-type Scheme interface {
-	// Verify reports whether secret opens this commitment instance.
-	Verify(secret []byte) bool
-	// Describe names the scheme for diagnostics.
-	Describe() string
-}
-
-// HashLock is the classic hashlock commitment: Lock = H(secret).
-type HashLock struct {
-	Lock Hash
-}
-
-// NewHashLock commits to secret and returns the lock.
-func NewHashLock(secret []byte) HashLock {
-	return HashLock{Lock: Sum(secret)}
-}
-
-// Verify reports whether H(secret) == Lock.
-func (h HashLock) Verify(secret []byte) bool { return Sum(secret) == h.Lock }
-
-// Describe implements Scheme.
-func (h HashLock) Describe() string { return fmt.Sprintf("hashlock(%s)", h.Lock) }
+// The commitment schemes of Section 3 — assets locked under an
+// instance, unlocked by revealing a matching secret — come in three
+// shapes here: the Nolan/Herlihy hashlock h = H(s), which
+// contracts.HTLC checks with Sum itself; trusted-witness signatures
+// over (ms(D), RD|RF) for AC3TW, which is SigLock below; and
+// witness-chain state evidence for AC3WN, which the contracts package
+// verifies on top of spv evidence.
 
 // Purpose tags what a witness signature authorizes, mirroring the
 // paper's (ms(D), RD) and (ms(D), RF) message pairs.
@@ -92,7 +66,8 @@ func (l SigLock) VerifySig(sig Signature) bool {
 	return sig.Signer() == l.WitnessPub
 }
 
-// Verify implements Scheme over an encoded signature (EncodeSignature).
+// Verify is VerifySig over an encoded signature (EncodeSignature), the
+// form in which the secret reaches a contract call.
 func (l SigLock) Verify(secret []byte) bool {
 	sig, err := DecodeSignature(secret)
 	if err != nil {
@@ -101,12 +76,7 @@ func (l SigLock) Verify(secret []byte) bool {
 	return l.VerifySig(sig)
 }
 
-// Describe implements Scheme.
-func (l SigLock) Describe() string {
-	return fmt.Sprintf("siglock(ms=%s, witness=%s, %s)", l.MSDigest, l.WitnessPub, l.Purpose)
-}
-
-// EncodeSignature serializes a Signature for use as a Scheme secret.
+// EncodeSignature serializes a Signature for use as a SigLock secret.
 func EncodeSignature(sig Signature) []byte {
 	return sig.AppendTo(make([]byte, 0, sig.EncodedLen()))
 }

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/batch"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/p2p"
@@ -22,6 +24,32 @@ import (
 // is one protocols entry (plus the Runner implementation), adding a
 // scenario is one scenarios entry (plus its Mix field).
 
+// AC2T is what it takes to stand one transaction up on a world. Every
+// driver — the shard executor, ac3sim, the ac3bench experiments — fills
+// one in and calls NewRunner (ADR-015); what a protocol does not use, it
+// ignores.
+type AC2T struct {
+	Graph *graph.Graph
+	// Participants[0] initiates (AC3WN, AC3TW) or leads (HTLC).
+	Participants []*xchain.Participant
+	// Witness is the chain AC3WN decides on.
+	Witness chain.ID
+	// Depth is the confirmation depth d, on every chain the AC2T touches.
+	// HTLC's Δ follows from it: publish and confirm at depth d plus two
+	// blocks of slack, (d+3) block intervals.
+	Depth int
+	// AbortAfter (>0) has the participants push the abort decision if
+	// the AC2T has not committed by then. HTLC has no decision to push;
+	// its timelocks are its deadline.
+	AbortAfter sim.Time
+	// Batcher, when set, carries AC3WN's decisions in shared batches.
+	Batcher *batch.Coordinator
+	// TrentSeed and TrentLatency give AC3TW's trusted witness his key
+	// and his request/response one-way delay.
+	TrentSeed    uint64
+	TrentLatency sim.Time
+}
+
 // protocolDef is one row of the protocol table.
 type protocolDef struct {
 	name Protocol
@@ -32,8 +60,8 @@ type protocolDef struct {
 	// that runs in its place. Downgraded draws are counted in the
 	// aggregates, never silent.
 	downgrade map[Scenario]Scenario
-	// newRunner constructs the runner for transaction i of the shard.
-	newRunner func(e *shardExec, i int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error)
+	// newRunner is the one place the protocol is constructed.
+	newRunner func(w *xchain.World, t AC2T) (core.Runner, error)
 }
 
 //ac3:globalstate the protocol table; written once here, read-only
@@ -54,23 +82,33 @@ func protocolOf(name Protocol) *protocolDef {
 	return nil
 }
 
-func newAC3WN(e *shardExec, _ int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error) {
+// NewRunner stands t up on w under the named protocol; the caller
+// Starts it.
+func NewRunner(w *xchain.World, name Protocol, t AC2T) (core.Runner, error) {
+	def := protocolOf(name)
+	if def == nil {
+		return nil, fmt.Errorf("engine: unknown protocol %q", name)
+	}
+	return def.newRunner(w, t)
+}
+
+func newAC3WN(w *xchain.World, t AC2T) (core.Runner, error) {
 	cfg := core.Config{
-		Graph:        g,
-		Participants: ps,
-		Initiator:    ps[0],
-		WitnessChain: e.witness,
-		WitnessDepth: shardConfirmDepth,
-		AssetDepth:   shardConfirmDepth,
-		AbortAfter:   abortAfter,
+		Graph:        t.Graph,
+		Participants: t.Participants,
+		Initiator:    t.Participants[0],
+		WitnessChain: t.Witness,
+		WitnessDepth: t.Depth,
+		AssetDepth:   t.Depth,
+		AbortAfter:   t.AbortAfter,
 	}
 	// Guarded assignment: a typed-nil *batch.Coordinator in the
 	// DecisionSink interface would read as "batching on".
-	if e.coord != nil {
-		cfg.Batcher = e.coord
-		cfg.BatchAddr = e.coord.Addr()
+	if t.Batcher != nil {
+		cfg.Batcher = t.Batcher
+		cfg.BatchAddr = t.Batcher.Addr()
 	}
-	return core.New(e.w, cfg)
+	return core.New(w, cfg)
 }
 
 // ownTrent is an AC3TW run with a witness of its own, closed when the
@@ -87,15 +125,15 @@ func (r ownTrent) Stop() {
 	r.trent.Close()
 }
 
-func newAC3TW(e *shardExec, i int, g *graph.Graph, ps []*xchain.Participant, abortAfter sim.Time) (core.Runner, error) {
-	trent := core.NewTrent(e.w, e.seed^uint64(e.graphStamp(i))*0x9e3779b97f4a7c15, 200*sim.Millisecond)
-	r, err := core.NewTW(e.w, core.TWConfig{
-		Graph:        g,
-		Participants: ps,
-		Initiator:    ps[0],
+func newAC3TW(w *xchain.World, t AC2T) (core.Runner, error) {
+	trent := core.NewTrent(w, t.TrentSeed, t.TrentLatency)
+	r, err := core.NewTW(w, core.TWConfig{
+		Graph:        t.Graph,
+		Participants: t.Participants,
+		Initiator:    t.Participants[0],
 		Trent:        trent,
-		ConfirmDepth: shardConfirmDepth,
-		AbortAfter:   abortAfter,
+		ConfirmDepth: t.Depth,
+		AbortAfter:   t.AbortAfter,
 	})
 	if err != nil {
 		return nil, err
@@ -103,14 +141,13 @@ func newAC3TW(e *shardExec, i int, g *graph.Graph, ps []*xchain.Participant, abo
 	return ownTrent{r, trent}, nil
 }
 
-func newHTLC(e *shardExec, _ int, g *graph.Graph, ps []*xchain.Participant, _ sim.Time) (core.Runner, error) {
-	return swap.New(e.w, swap.Config{
-		Graph:        g,
-		Participants: ps,
-		Leader:       ps[0],
-		// Δ: publish + confirm at depth d, plus two blocks slack.
-		Delta:        sim.Time(shardConfirmDepth+1)*10*sim.Second + 20*sim.Second,
-		ConfirmDepth: shardConfirmDepth,
+func newHTLC(w *xchain.World, t AC2T) (core.Runner, error) {
+	return swap.New(w, swap.Config{
+		Graph:        t.Graph,
+		Participants: t.Participants,
+		Leader:       t.Participants[0],
+		Delta:        sim.Time(t.Depth+3) * w.Net(t.Graph.Edges[0].Chain).Params.BlockInterval,
+		ConfirmDepth: t.Depth,
 	})
 }
 
@@ -222,21 +259,15 @@ func applyAbort(_ *shardExec, _ int, st *txState) {
 // witness, which stays down: the AC2T blocks and surfaces as stuck.
 func applyCrash(e *shardExec, _ int, st *txState) {
 	r := st.runner
-	st.hook = func() bool {
-		if !r.CommitPushed() {
-			// Decided without a commit push: it went to refund, and
-			// there is nothing to crash.
-			return r.Decided()
-		}
-		if _, comesBack := r.Crash(); comesBack {
+	st.hook = core.CrashAtCommit(r, func(_ string, comesBack bool) {
+		if comesBack {
 			e.s.After(crashDownFor, func() {
 				if !st.graded {
 					r.Recover()
 				}
 			})
 		}
-		return true
-	}
+	})
 }
 
 // applyRace: a rogue participant races the honest decision. Exactly one

@@ -371,7 +371,7 @@ func (e *shardExec) start(i int) {
 	for j := range chains {
 		chains[j] = e.chainOf(i, j)
 	}
-	g, err := ringGraph(e.graphStamp(i), ps, chains)
+	g, err := graph.Ring(e.graphStamp(i), xchain.Addrs(ps), 10_000, chains)
 	if err != nil {
 		// Generation bug — grade as stuck so the stream keeps moving.
 		e.finish(i, nil)
@@ -383,7 +383,16 @@ func (e *shardExec) start(i int) {
 	if sc.abortAfter > 0 {
 		abortAfter = sc.abortAfter
 	}
-	runner, err := e.proto.newRunner(e, i, g, ps, abortAfter)
+	runner, err := e.proto.newRunner(e.w, AC2T{
+		Graph:        g,
+		Participants: ps,
+		Witness:      e.witness,
+		Depth:        shardConfirmDepth,
+		AbortAfter:   abortAfter,
+		Batcher:      e.coord,
+		TrentSeed:    e.seed ^ uint64(e.graphStamp(i))*0x9e3779b97f4a7c15,
+		TrentLatency: 200 * sim.Millisecond,
+	})
 	if err != nil {
 		e.finish(i, nil)
 		return
@@ -611,18 +620,4 @@ func (e *shardExec) assetChainsOf(i int) []chain.ID {
 		}
 	}
 	return out
-}
-
-// ringGraph builds the AC2T ring over the participants' addresses.
-func ringGraph(stamp int64, ps []*xchain.Participant, chains []chain.ID) (*graph.Graph, error) {
-	edges := make([]graph.Edge, len(ps))
-	for j := range ps {
-		edges[j] = graph.Edge{
-			From:  ps[j].Addr(),
-			To:    ps[(j+1)%len(ps)].Addr(),
-			Asset: 10_000,
-			Chain: chains[j],
-		}
-	}
-	return graph.New(stamp, edges...)
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
-	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -58,31 +57,6 @@ func Disconnected(t int64, pairs [][2]crypto.Address, asset vm.Amount, chains []
 			Edge{From: p[0], To: p[1], Asset: asset, Chain: ca},
 			Edge{From: p[1], To: p[0], Asset: asset, Chain: cb},
 		)
-	}
-	return New(t, edges...)
-}
-
-// Random builds a connected random graph over parts: a spanning ring
-// (guaranteeing every vertex participates) plus extra random edges.
-// Useful for property tests over graph invariants.
-func Random(t int64, rng *sim.RNG, parts []crypto.Address, extraEdges int, chains []chain.ID) (*Graph, error) {
-	g, err := Ring(t, parts, 1, chains)
-	if err != nil {
-		return nil, err
-	}
-	edges := g.Edges
-	for i := 0; i < extraEdges; i++ {
-		u := rng.Intn(len(parts))
-		v := rng.Intn(len(parts))
-		if u == v {
-			continue
-		}
-		edges = append(edges, Edge{
-			From:  parts[u],
-			To:    parts[v],
-			Asset: vm.Amount(1 + rng.Intn(100)),
-			Chain: chains[rng.Intn(len(chains))],
-		})
 	}
 	return New(t, edges...)
 }

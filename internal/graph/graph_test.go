@@ -6,6 +6,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 func testKeys(n int) []*crypto.KeyPair {
@@ -201,12 +202,36 @@ func TestEdgesFromTo(t *testing.T) {
 	}
 }
 
+// random builds a connected random graph over parts: a spanning ring
+// (guaranteeing every vertex participates) plus extra random edges.
+func random(t int64, rng *sim.RNG, parts []crypto.Address, extraEdges int, chains []chain.ID) (*Graph, error) {
+	g, err := Ring(t, parts, 1, chains)
+	if err != nil {
+		return nil, err
+	}
+	edges := g.Edges
+	for i := 0; i < extraEdges; i++ {
+		u := rng.Intn(len(parts))
+		v := rng.Intn(len(parts))
+		if u == v {
+			continue
+		}
+		edges = append(edges, Edge{
+			From:  parts[u],
+			To:    parts[v],
+			Asset: vm.Amount(1 + rng.Intn(100)),
+			Chain: chains[rng.Intn(len(chains))],
+		})
+	}
+	return New(t, edges...)
+}
+
 func TestRandomGraphInvariants(t *testing.T) {
 	rng := sim.NewRNG(99)
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(8)
 		ks := testKeys(n)
-		g, err := Random(int64(trial), rng, addrs(ks), rng.Intn(10), []chain.ID{"c1", "c2"})
+		g, err := random(int64(trial), rng, addrs(ks), rng.Intn(10), []chain.ID{"c1", "c2"})
 		if err != nil {
 			t.Fatal(err)
 		}

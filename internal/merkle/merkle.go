@@ -55,15 +55,6 @@ func Root(leaves []crypto.Hash) crypto.Hash {
 	return level[0]
 }
 
-// RootOfData hashes raw leaf payloads and computes their root.
-func RootOfData(data [][]byte) crypto.Hash {
-	leaves := make([]crypto.Hash, len(data))
-	for i, d := range data {
-		leaves[i] = LeafHash(d)
-	}
-	return Root(leaves)
-}
-
 // Proof is an inclusion proof for one leaf: the sibling hashes from
 // the leaf to the root, plus each sibling's side.
 type Proof struct {

@@ -70,15 +70,6 @@ type HistSnapshot struct {
 	Max    int64    `json:"max"`
 }
 
-// Mean returns the arithmetic mean of the observed samples (0 when
-// empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Merge folds other into h. Both histograms must share identical
 // bucket bounds — they do when built from the same constructor, which
 // is how the engine folds per-shard histograms in shard order. Merge

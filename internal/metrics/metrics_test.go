@@ -154,9 +154,6 @@ func TestHistBuckets(t *testing.T) {
 	if s.Min != -5 || s.Max != 5000 || s.Sum != -5+10+11+100+101+5000 {
 		t.Fatalf("bad summary: %+v", s)
 	}
-	if s.Mean() == 0 {
-		t.Fatal("mean should be nonzero")
-	}
 }
 
 func TestHistQuantile(t *testing.T) {

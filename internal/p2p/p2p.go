@@ -49,7 +49,6 @@ type LatencyModel struct {
 // deployments see. Base/jitter scales are chosen against the 10s
 // block interval the experiments run at — Geo links make concurrent
 // blocks (and therefore forks and confirmation-depth races) routine.
-func LANLink() LatencyModel { return LatencyModel{Base: 5, Jitter: 20} }
 
 // WANLink models continental links.
 func WANLink() LatencyModel { return LatencyModel{Base: 150, Jitter: 350} }

@@ -316,11 +316,11 @@ func TestSchedulePartitionWindowAndSupersession(t *testing.T) {
 }
 
 func TestLinkClassPresetsOrdered(t *testing.T) {
-	lan, wan, geo := LANLink(), WANLink(), GeoLink()
-	if !(lan.Base < wan.Base && wan.Base < geo.Base) {
-		t.Fatalf("link classes out of order: %v %v %v", lan, wan, geo)
+	wan, geo := WANLink(), GeoLink()
+	if wan.Base >= geo.Base {
+		t.Fatalf("link classes out of order: %v %v", wan, geo)
 	}
-	if lan.Loss != 0 || wan.Loss != 0 || geo.Loss != 0 {
+	if wan.Loss != 0 || geo.Loss != 0 {
 		t.Fatal("presets must not bundle loss; loss is an explicit overlay")
 	}
 }

@@ -294,9 +294,6 @@ func (rt *Runtime) Stopped() bool { return rt.stopped }
 // Now returns the current virtual time.
 func (rt *Runtime) Now() sim.Time { return rt.cfg.World.Sim.Now() }
 
-// StartedAt returns the virtual time Start ran.
-func (rt *Runtime) StartedAt() sim.Time { return rt.start }
-
 // Drive runs the protocol step function for p unless the run is
 // stopped, not yet started, or p is down. What p waits for afterwards
 // is recorded afresh by the reads the step makes.

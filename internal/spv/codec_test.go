@@ -53,17 +53,9 @@ func (v evidenceVector) evidence(t testing.TB) *Evidence {
 		}
 		e.Headers = append(e.Headers, h)
 	}
-	leaf, err := crypto.HashFromHex(v.Proof.Leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Proof = &merkle.Proof{Index: v.Proof.Index, Leaf: leaf, Lefts: v.Proof.Lefts}
+	e.Proof = &merkle.Proof{Index: v.Proof.Index, Leaf: crypto.Hash(unhex(t, v.Proof.Leaf)), Lefts: v.Proof.Lefts}
 	for _, s := range v.Proof.Siblings {
-		h, err := crypto.HashFromHex(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Proof.Siblings = append(e.Proof.Siblings, h)
+		e.Proof.Siblings = append(e.Proof.Siblings, crypto.Hash(unhex(t, s)))
 	}
 	return e
 }

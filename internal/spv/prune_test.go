@@ -8,13 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TestEvidenceAndFollowAcrossPrunedStates pins the PR 8 tentpole's SPV
-// guarantee: evidence assembly, verification, and checkpoint followers
-// need headers and the tx index, never per-block states — so a chain
-// whose executor prunes states below its GC horizon still serves SPV
-// anchors buried far deeper than that horizon (the StableDepth-class
-// anchor distance of AC3WN, 30, vs a prune horizon of 8).
-func TestEvidenceAndFollowAcrossPrunedStates(t *testing.T) {
+// TestEvidenceAcrossPrunedStates pins the executor GC's SPV guarantee:
+// evidence assembly and verification need headers and the tx index,
+// never per-block states — so a chain whose executor prunes states
+// below its GC horizon still serves SPV anchors buried far deeper than
+// that horizon (the StableDepth-class anchor distance of AC3WN, 30, vs
+// a prune horizon of 8).
+func TestEvidenceAcrossPrunedStates(t *testing.T) {
 	rng := sim.NewRNG(43)
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 	params := chain.DefaultParams("pruned-validated")
@@ -67,21 +67,5 @@ func TestEvidenceAndFollowAcrossPrunedStates(t *testing.T) {
 	}
 	if got.ID() != tx.ID() {
 		t.Fatalf("evidence proves tx %s, want %s", got.ID(), tx.ID())
-	}
-
-	// A follower anchored at the buried checkpoint seeds from canonical
-	// headers and keeps tracking growth.
-	fl, err := FollowFrom(view, anchor.Hash())
-	if err != nil {
-		t.Fatalf("FollowFrom buried anchor: %v", err)
-	}
-	if fl.Tip().Hash() != view.Tip().Header.Hash() {
-		t.Fatal("follower not seeded to the tip")
-	}
-	for i := 0; i < 4; i++ {
-		mine()
-	}
-	if !fl.Synced() || fl.Tip().Hash() != view.Tip().Header.Hash() {
-		t.Fatal("follower lost the tip on a pruning chain")
 	}
 }

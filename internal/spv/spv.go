@@ -7,9 +7,9 @@
 // checkpoint stored in the validator, plus submitted evidence carrying
 // the header chain from that checkpoint through the block of interest
 // and d confirmation blocks, each header's proof of work verified, and
-// a Merkle inclusion proof of the transaction — together with the two
-// alternatives the paper discusses (full replication and light nodes)
-// so they can be compared.
+// a Merkle inclusion proof of the transaction. The two alternatives the
+// paper argues do not scale (full replication, light nodes) are not
+// implemented: the validators that run are the contracts themselves.
 package spv
 
 import (

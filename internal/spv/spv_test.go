@@ -237,94 +237,6 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-func TestLightNodeTracksLongestChain(t *testing.T) {
-	f := newFixture(t, 6)
-	ln := NewLightNode(f.view.Genesis().Header)
-	hs, _ := f.view.HeadersFrom(f.view.Genesis().Hash())
-	for _, h := range hs {
-		if err := ln.AddHeader(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ln.Tip().Hash() != f.view.Tip().Hash() {
-		t.Fatal("light node tip diverges from full node")
-	}
-
-	// Inclusion proof for the tx of interest.
-	b, idx, _ := f.view.FindTx(f.tx.ID())
-	proof, _ := b.ProveTx(idx)
-	tx, err := ln.VerifyInclusion(b.Hash(), proof, f.tx.Encode(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.ID() != f.tx.ID() {
-		t.Fatal("light node verified wrong tx")
-	}
-}
-
-func TestLightNodeRejectsBadHeaders(t *testing.T) {
-	f := newFixture(t, 2)
-	ln := NewLightNode(f.view.Genesis().Header)
-	hs, _ := f.view.HeadersFrom(f.view.Genesis().Hash())
-
-	// Unknown parent.
-	if err := ln.AddHeader(hs[1]); !errors.Is(err, ErrUnknownHeader) {
-		t.Fatalf("orphan header accepted: %v", err)
-	}
-	// Bad PoW.
-	bad := *hs[0]
-	for bad.CheckPoW() {
-		bad.Nonce++
-	}
-	if err := ln.AddHeader(&bad); err == nil {
-		t.Fatal("unsealed header accepted")
-	}
-	// Wrong chain.
-	wrong := *hs[0]
-	wrong.ChainID = "elsewhere"
-	if err := ln.AddHeader(&wrong); err == nil {
-		t.Fatal("wrong-chain header accepted")
-	}
-	// Valid sequence.
-	for _, h := range hs {
-		if err := ln.AddHeader(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ln.AddHeader(hs[0]); err != nil {
-		t.Fatalf("duplicate header errored: %v", err)
-	}
-}
-
-func TestLightNodeDepthEnforced(t *testing.T) {
-	f := newFixture(t, 2)
-	ln := NewLightNode(f.view.Genesis().Header)
-	hs, _ := f.view.HeadersFrom(f.view.Genesis().Hash())
-	for _, h := range hs {
-		_ = ln.AddHeader(h)
-	}
-	b, idx, _ := f.view.FindTx(f.tx.ID())
-	proof, _ := b.ProveTx(idx)
-	if _, err := ln.VerifyInclusion(b.Hash(), proof, f.tx.Encode(), 6); !errors.Is(err, ErrBadEvidence) {
-		t.Fatalf("depth-2 inclusion accepted at min 6: %v", err)
-	}
-}
-
-func TestStorageCostOrdering(t *testing.T) {
-	// The paper's scaling argument: full replica >> light node >>
-	// in-contract.
-	blocks, blockBytes, headerBytes := 100_000, 1_000_000, 100
-	full := StorageCost(StrategyFullReplica, blocks, blockBytes, headerBytes)
-	light := StorageCost(StrategyLightNode, blocks, blockBytes, headerBytes)
-	inc := StorageCost(StrategyInContract, blocks, blockBytes, headerBytes)
-	if !(full > light && light > inc) {
-		t.Fatalf("cost ordering violated: full=%d light=%d in-contract=%d", full, light, inc)
-	}
-	if StrategyFullReplica.String() == "" || Strategy(99).String() == "" {
-		t.Fatal("strategy names empty")
-	}
-}
-
 func TestVerifyNilSafety(t *testing.T) {
 	var e *Evidence
 	if _, err := e.Verify(nil, 0); !errors.Is(err, ErrBadEvidence) {

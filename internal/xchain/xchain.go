@@ -176,6 +176,15 @@ func (w *World) RunUntil(t sim.Time) { w.Sim.RunUntil(t) }
 // RunFor advances virtual time by d.
 func (w *World) RunFor(d sim.Time) { w.Sim.RunUntil(w.Sim.Now() + d) }
 
+// RunOut is how every single-AC2T driver ends a run: advance to until,
+// stop mining, and let one more minute of gossip drain, so node 0's
+// views — what a Runner's Grade reads — are the network's last word.
+func (w *World) RunOut(until sim.Time) {
+	w.RunUntil(until)
+	w.StopMining()
+	w.RunFor(sim.Minute)
+}
+
 // StopMining halts block production on every chain while keeping
 // nodes alive and relaying (used to quiesce before grading).
 func (w *World) StopMining() {
@@ -216,6 +225,16 @@ func (p *Participant) Client(id chain.ID) *miner.Client {
 
 // Addr is the participant's identity address (same on every chain).
 func (p *Participant) Addr() crypto.Address { return p.Key.Addr }
+
+// Addrs lists the participants' addresses in order — the vertex list
+// graph.Ring and graph.Disconnected take.
+func Addrs(ps []*Participant) []crypto.Address {
+	out := make([]crypto.Address, len(ps))
+	for i, p := range ps {
+		out[i] = p.Addr()
+	}
+	return out
+}
 
 // Crash stops the participant: all chain watches are canceled, the
 // inbox goes deaf, submissions stop. On-chain state is unaffected —
