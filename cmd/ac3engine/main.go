@@ -211,8 +211,12 @@ func main() {
 		(time.Duration(agg.MakespanVirtualMs) * time.Millisecond).Round(time.Second),
 		agg.SimEventsPerTx,
 		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped)
-	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%\n",
-		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate)
+	work := agg.Work
+	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%, %d of %d candidate applications rejected, %d signatures (%d graph multisig, %d deploy, %d call)\n",
+		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate,
+		work.Rejected, work.Candidates,
+		work.GraphSigs+work.DeploySigs+work.CallSigs,
+		work.GraphSigs, work.DeploySigs, work.CallSigs)
 	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped\n",
 		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped)
 	if wl.Protocol == engine.ProtoAC3WN {
@@ -223,13 +227,11 @@ func main() {
 	// Memory numbers are machine/GC-schedule dependent, so they live
 	// here on stderr with the other wall-clock diagnostics — never in
 	// the byte-compared JSON aggregates above.
-	allocsPerTx := 0.0
-	if agg.Graded > 0 {
-		allocsPerTx = float64(mem.Mallocs) / float64(agg.Graded)
-	}
-	fmt.Fprintf(os.Stderr, "memory: peak heap %.1f MiB, peak sys %.1f MiB, %.0f allocs per graded AC2T, states: %d pruned, %d live, %d replayed, %d blocks retired\n",
+	graded := float64(max(agg.Graded, 1))
+	fmt.Fprintf(os.Stderr, "memory: peak heap %.1f MiB, peak sys %.1f MiB, %.0f allocs per graded AC2T, %.1f KiB allocated per graded AC2T, states: %d pruned, %d live, %d replayed, %d blocks retired\n",
 		float64(mem.PeakHeapBytes)/(1<<20), float64(mem.PeakSysBytes)/(1<<20),
-		allocsPerTx, agg.StatesPruned, agg.StatesLive, agg.StateReplays, agg.BlocksRetired)
+		float64(mem.Mallocs)/graded, float64(mem.AllocBytes)/graded/(1<<10),
+		agg.StatesPruned, agg.StatesLive, agg.StateReplays, agg.BlocksRetired)
 	// Violations always fail AC3WN runs (the protocol's core claim);
 	// for the baselines they only fail under -strict, since producing
 	// them is often the point of the experiment.

@@ -20,8 +20,10 @@ type MemReport struct {
 	// RSS (the Go runtime returns memory to the OS lazily, so Sys is a
 	// stable upper bound).
 	PeakSysBytes uint64
-	// Mallocs counts heap allocations performed during the window.
-	Mallocs uint64
+	// Mallocs counts heap allocations performed during the window and
+	// AllocBytes their total size (the TotalAlloc delta).
+	Mallocs    uint64
+	AllocBytes uint64
 }
 
 // MemSampler polls runtime.ReadMemStats on a background goroutine and
@@ -32,6 +34,7 @@ type MemSampler struct {
 	peakHeap    atomic.Uint64
 	peakSys     atomic.Uint64
 	baseMallocs uint64
+	baseBytes   uint64
 	stop        chan struct{}
 	done        chan struct{}
 }
@@ -42,6 +45,7 @@ func StartMemSampler() *MemSampler {
 	runtime.ReadMemStats(&m)
 	s := &MemSampler{
 		baseMallocs: m.Mallocs,
+		baseBytes:   m.TotalAlloc,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -84,5 +88,6 @@ func (s *MemSampler) Stop() MemReport {
 		PeakHeapBytes: s.peakHeap.Load(),
 		PeakSysBytes:  s.peakSys.Load(),
 		Mallocs:       m.Mallocs - s.baseMallocs,
+		AllocBytes:    m.TotalAlloc - s.baseBytes,
 	}
 }

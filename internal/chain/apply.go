@@ -100,7 +100,7 @@ func consumeInputs(st *State, tx *Tx) (vm.Amount, error) {
 	if !tx.VerifySig() {
 		return 0, txErr("bad signature")
 	}
-	signer := tx.Sig.Signer()
+	signer := tx.Signer()
 	var total vm.Amount
 	seen := make(map[OutPoint]bool, len(tx.Ins))
 	for _, in := range tx.Ins {
@@ -195,7 +195,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	if err != nil {
 		return txErr("deploy: %v", err)
 	}
-	msg := vm.Msg{Sender: tx.Sig.Signer(), Value: tx.Value}
+	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), addr, height, blockTime, msg, tx.Value)
 	if err := c.Init(ctx, tx.Params); err != nil {
 		return txErr("constructor of %s failed: %v", tx.ContractType, err)
@@ -236,7 +236,7 @@ func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx) er
 		return txErr("no contract at %s", tx.Contract)
 	}
 	balance := st.Balance(tx.Contract) + tx.Value
-	msg := vm.Msg{Sender: tx.Sig.Signer(), Value: tx.Value}
+	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), tx.Contract, height, blockTime, msg, balance)
 	if err := c.Call(ctx, tx.Fn, tx.Args); err != nil {
 		return txErr("call %s.%s failed: %v", tx.Contract, tx.Fn, err)

@@ -469,7 +469,9 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 			// discarded wholesale instead of contaminating the block
 			// state under construction.
 			trial := st.overlay()
+			c.exec.stats.Candidates++
 			if err := ApplyTx(trial, c.exec.reg, params.ID, height, time, tx); err != nil {
+				c.exec.stats.Rejected++
 				trial.recycle()
 				failed = append(failed, tx)
 				continue

@@ -30,6 +30,17 @@ func snapshot(st *State) ledger {
 		layers = append(layers, cur)
 	}
 	for _, layer := range slices.Backward(layers) {
+		if b := layer.base; b != nil {
+			for k, o := range b.utxos.scan(utxoKey{}, 0) {
+				l.UTXOs[k.outPoint()] = o
+			}
+			for a, c := range b.contracts.scan(crypto.Address{}, 0) {
+				l.Contracts[a] = c
+			}
+			for a, v := range b.balances.scan(crypto.Address{}, 0) {
+				l.Balances[a] = v
+			}
+		}
 		for op := range layer.spent {
 			delete(l.UTXOs, op)
 		}
@@ -237,15 +248,16 @@ func TestOwnerIndexOnBaseLayer(t *testing.T) {
 		base.Spend(OutPoint{Index: i})
 	}
 	checkOwnerIndex(t, "emptied", base)
-	if len(base.byOwner) != 0 || len(base.spent) != 0 {
-		t.Fatalf("emptied base keeps %d index entries and %d tombstones", len(base.byOwner), len(base.spent))
+	if count(&base.base.owned) != 0 || len(base.spent) != 0 {
+		t.Fatalf("emptied base keeps %d index entries and %d tombstones", count(&base.base.owned), len(base.spent))
 	}
 }
 
 // TestOwnerIndexSiblingsDoNotAlias grows two forks from one base past
 // a flatten each, then keeps mutating one of the new bases in place:
-// the bases share index slices (clone is shallow), so a write through
-// one must never show in another.
+// the bases share table nodes (clone copies four roots), so a write
+// through one must never show in another. (TestStateAgainstMapModel
+// checks the same for every table under random histories.)
 func TestOwnerIndexSiblingsDoNotAlias(t *testing.T) {
 	owner, other := crypto.Address{1}, crypto.Address{2}
 	base := NewState()
@@ -475,8 +487,8 @@ func TestDeltaAndReexecutionAgree(t *testing.T) {
 		if !reflect.DeepEqual(snapshot(e.floor), want) {
 			t.Fatalf("%s: floor state differs from the archive's state at the checkpoint", name)
 		}
-		if len(e.floor.spent) != 0 || len(e.floor.utxos) != len(want.UTXOs) {
-			t.Fatalf("%s: floor holds %d tombstones and %d outputs, want 0 and %d", name, len(e.floor.spent), len(e.floor.utxos), len(want.UTXOs))
+		if len(e.floor.spent) != 0 || count(&e.floor.base.utxos) != len(want.UTXOs) {
+			t.Fatalf("%s: floor holds %d tombstones and %d outputs, want 0 and %d", name, len(e.floor.spent), count(&e.floor.base.utxos), len(want.UTXOs))
 		}
 		checkOwnerIndex(t, name+": floor", e.floor)
 	}

@@ -75,8 +75,9 @@ type Executor struct {
 	// advanced), ckpt the canonical block at that floor, and floor the
 	// ledger state after ckpt — a base private to the executor, advanced
 	// in place one delta at a time and therefore never handed out:
-	// stateOf serves copies. nil until retirement first advances (the
-	// genesis state in states is the base until then).
+	// stateOf serves snapshots of it (State.clone, O(1)). nil until
+	// retirement first advances (the genesis state in states is the base
+	// until then).
 	retireFloor uint64
 	ckpt        crypto.Hash
 	floor       *State
@@ -119,6 +120,11 @@ type ExecStats struct {
 	// StatesLive is the number of per-block states currently retained
 	// (a snapshot, filled by Stats).
 	StatesLive int
+	// Candidates counts the mempool transactions BuildBlock tried on a
+	// trial overlay, once per pass that tried them, and Rejected those
+	// that did not apply — work thrown away, most of it a transaction
+	// whose turn has not come or has passed.
+	Candidates, Rejected uint64
 }
 
 // NewExecutor builds a network's shared store with a deterministic
@@ -211,8 +217,8 @@ func (e *Executor) StateOf(h crypto.Hash) (*State, bool) {
 }
 
 // stateOf serves a per-block state. A pruned one is rebuilt from the
-// nearest retained ancestor state — or from a copy of the floor state
-// when the walk reaches the retire floor first — by mounting one
+// nearest retained ancestor state — or from a snapshot of the floor
+// state when the walk reaches the retire floor first — by mounting one
 // overlay per block on the way up and filling it from the block's
 // retained delta; only a block whose delta is gone is re-executed (and
 // its delta kept this time). The genesis state is never pruned, so the

@@ -2,11 +2,13 @@ package chain
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/crypto"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // pruneParams returns the executor-GC test configuration: a prune
@@ -277,5 +279,50 @@ func TestRetireReleasesHistory(t *testing.T) {
 	recent := blocks[len(blocks)-1]
 	if _, ok := v.Block(recent.Hash()); !ok {
 		t.Fatal("recent block lost")
+	}
+}
+
+// TestDeepReadSharesTheFloor: a read below every retained state starts
+// from a snapshot of the executor's floor, and the snapshot shares the
+// floor's tables instead of copying them — what the read allocates is
+// the path it mounts, whatever the ledger holds. (With map-backed bases
+// the 50,000-output ledger below cost megabytes per deep read.)
+func TestDeepReadSharesTheFloor(t *testing.T) {
+	miner := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(96).Uint64))
+	deepReadBytes := func(outputs int) uint64 {
+		alloc := make(GenesisAlloc, outputs)
+		for i := range outputs {
+			alloc[crypto.Address{0xD0, byte(i), byte(i >> 8), byte(i >> 16)}] = 1
+		}
+		exec, err := NewExecutor(pruneParams(8, 20), nil, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := exec.NewView()
+		mineChain(t, v, miner.Addr, 60, 10)
+		if exec.floor == nil || count(&exec.floor.base.utxos) < outputs {
+			t.Fatalf("the floor holds %d outputs, want at least %d", count(&exec.floor.base.utxos), outputs)
+		}
+		// The block above the checkpoint: pruned, not retired, one delta
+		// away from the floor.
+		b, _ := v.CanonicalAt(exec.retireFloor + 1)
+		h := b.Hash()
+		delete(exec.states, h)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, ok := exec.stateOf(h)
+		runtime.ReadMemStats(&after)
+		if !ok || st.TotalValue() != vm.Amount(outputs)+vm.Amount(b.Header.Height)*exec.params.BlockReward {
+			t.Fatalf("deep read at height %d: ok=%v, total value %d", b.Header.Height, ok, st.TotalValue())
+		}
+		if exec.Stats().Replays != 0 {
+			t.Fatal("the deep read re-executed a block")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := deepReadBytes(500), deepReadBytes(50_000)
+	t.Logf("a deep read allocates %d B over a ledger of 500 outputs, %d B over one of 50,000", small, large)
+	if large > 2*small+4096 {
+		t.Fatalf("a deep read allocates %d B over 50,000 outputs against %d B over 500: it copies the ledger", large, small)
 	}
 }

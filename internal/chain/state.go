@@ -1,7 +1,7 @@
 package chain
 
 import (
-	"maps"
+	"encoding/binary"
 	"slices"
 
 	"repro/internal/crypto"
@@ -9,8 +9,9 @@ import (
 )
 
 // flattenDepth bounds the overlay-chain length before the chain is
-// collapsed into a fresh base behind the next child. It trades copy
-// cost (BenchmarkFlatten) against lookup cost
+// collapsed into a fresh base behind the next child. It trades the cost
+// of a fold — O(the overlays' changes · log ledger), BenchmarkFlatten —
+// against the cost of a lookup that walks the overlays first
 // (BenchmarkStateLookupByOverlayDepth).
 const flattenDepth = 48
 
@@ -21,9 +22,10 @@ const flattenDepth = 48
 // (and therefore Lemma 5.3's fork analysis) natural to express.
 //
 // A layer with a parent is an overlay and holds exactly the changes
-// made on top of that parent — for a block's state, the block's own
-// delta (see blockDelta). A layer without a parent is a base: the whole
-// table, no tombstones, plus the owner index.
+// made on top of that parent, in four small maps — for a block's state,
+// the block's own delta (see blockDelta). A layer without a parent is a
+// base and holds the whole ledger, in persistent tables (see base): no
+// maps, no tombstones.
 type State struct {
 	parent *State
 	depth  int
@@ -32,32 +34,74 @@ type State struct {
 	// network's state tree shares the tree root's pool; see statePool.
 	pool *statePool
 
+	// An overlay's own changes; nil on a base.
 	utxos     map[OutPoint]TxOut
-	spent     map[OutPoint]bool // overlays only: tombstones masking the parent
+	spent     map[OutPoint]bool // tombstones masking the parent
 	contracts map[crypto.Address]vm.Contract
 	balances  map[crypto.Address]vm.Amount
 
-	// byOwner indexes every live output of a *base* layer by owner, so
-	// wallet reads (UTXOsOwnedBy, and through it SelectFunds/Balance on
-	// every client call) cost O(owned + overlay deltas) for any address
-	// — including one never seen before, which every AC2T's fresh
-	// wallets are. It is maintained eagerly by AddUTXO/Spend and cloned
-	// shallowly with the base: the per-owner slices are shared between
-	// base generations and copied on first write (ownedList.gen).
-	// Overlay layers stay unindexed (nil) — they are small and bounded
-	// by flattenDepth.
-	byOwner map[crypto.Address]ownedList
-	// gen names this base among the bases of its tree; an ownedList
-	// tagged with another generation is shared and must not be written.
-	gen uint64
+	// The whole ledger of a base; nil on an overlay.
+	base *base
 }
 
-// ownedList is one owner's slice of a base layer's index: 36 bytes per
-// output, no per-entry map overhead.
-type ownedList struct {
+// base is the ledger below an overlay chain. Bases of one tree share
+// structure: clone copies four roots, and from then on each side
+// allocates under a generation of its own (see table), so a base built
+// by folding a few overlays into a clone of the last one — flatten, the
+// executor's floor — costs what the overlays changed, not what the
+// ledger holds.
+type base struct {
+	// gen names this base among the bases of its tree. A table node
+	// tagged with another generation is shared and is copied before it
+	// is written.
 	gen uint64
-	ops []OutPoint
+
+	utxos     table[utxoKey, TxOut]
+	contracts table[crypto.Address, vm.Contract]
+	balances  table[crypto.Address, vm.Amount]
+
+	// owned indexes every live output by owner ‖ outpoint, so wallet
+	// reads (UTXOsOwnedBy, and through it SelectFunds/Balance on every
+	// client call) cost O(owned + overlay deltas) for any address —
+	// including one never seen before, which every AC2T's fresh wallets
+	// are — and adding to or removing from an owner's outputs costs the
+	// same for a miner holding thousands of coinbases as for a wallet
+	// holding one. It is maintained eagerly by AddUTXO/Spend. Overlay
+	// layers stay unindexed — they are small and bounded by
+	// flattenDepth.
+	owned table[ownedKey, struct{}]
 }
+
+// A utxoKey is an outpoint as bytes, transaction id first and the
+// output index big-endian after it, so byte order is OutPoint.Compare
+// order; an ownedKey puts the owner's address in front.
+const (
+	utxoKeyLen  = crypto.HashSize + 4
+	ownedKeyLen = crypto.AddressSize + utxoKeyLen
+)
+
+type (
+	utxoKey  [utxoKeyLen]byte
+	ownedKey [ownedKeyLen]byte
+)
+
+func (o OutPoint) key() (k utxoKey) {
+	copy(k[:], o.TxID[:])
+	binary.BigEndian.PutUint32(k[crypto.HashSize:], o.Index)
+	return k
+}
+
+func (k utxoKey) outPoint() OutPoint {
+	return OutPoint{TxID: crypto.Hash(k[:crypto.HashSize]), Index: binary.BigEndian.Uint32(k[crypto.HashSize:])}
+}
+
+func ownedBy(owner crypto.Address, op utxoKey) (k ownedKey) {
+	copy(k[:], owner[:])
+	copy(k[crypto.AddressSize:], op[:])
+	return k
+}
+
+func (k ownedKey) outPoint() OutPoint { return utxoKey(k[crypto.AddressSize:]).outPoint() }
 
 // statePool recycles overlay layers within one state tree. Block
 // building churns through one trial overlay per candidate transaction
@@ -121,14 +165,7 @@ func (s *State) recycle() {
 // fresh overlay pool).
 func NewState() *State {
 	pool := &statePool{}
-	return &State{
-		pool:      pool,
-		utxos:     make(map[OutPoint]TxOut),
-		contracts: make(map[crypto.Address]vm.Contract),
-		balances:  make(map[crypto.Address]vm.Amount),
-		byOwner:   make(map[crypto.Address]ownedList),
-		gen:       pool.nextGen(),
-	}
+	return &State{pool: pool, base: &base{gen: pool.nextGen()}}
 }
 
 // Child returns a fresh overlay on top of s. When the overlay chain
@@ -168,10 +205,10 @@ func (s *State) absorb(t *State) {
 		s.AddUTXO(op, o)
 	}
 	for a, c := range t.contracts {
-		s.contracts[a] = c
+		s.PutContract(a, c)
 	}
 	for a, v := range t.balances {
-		s.balances[a] = v
+		s.SetBalance(a, v)
 	}
 }
 
@@ -182,7 +219,7 @@ func (s *State) absorb(t *State) {
 // ContractForWrite's copy-on-write clone). The flattened base stays in
 // s's tree: it inherits the pool rather than rooting a new one.
 func (s *State) flatten() *State {
-	var layers []*State
+	layers := make([]*State, 0, s.depth)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
 		layers = append(layers, cur)
@@ -194,20 +231,15 @@ func (s *State) flatten() *State {
 	return out
 }
 
-// clone copies a base layer: pre-sized map copies, with the owner
-// index's slices shared. Both s and the copy get a fresh generation,
-// so whichever of them writes an owner's slice next copies it first.
+// clone snapshots a base layer in O(1): the copy shares every table
+// node with s. Both get a fresh generation, so whichever of them writes
+// next copies the nodes on its way first and the other never sees the
+// write.
 func (s *State) clone() *State {
-	out := &State{
-		pool:      s.pool,
-		utxos:     maps.Clone(s.utxos),
-		contracts: maps.Clone(s.contracts),
-		balances:  maps.Clone(s.balances),
-		byOwner:   maps.Clone(s.byOwner),
-		gen:       s.pool.nextGen(),
-	}
-	s.gen = s.pool.nextGen()
-	return out
+	b := *s.base
+	b.gen = s.pool.nextGen()
+	s.base.gen = s.pool.nextGen()
+	return &State{pool: s.pool, base: &b}
 }
 
 // blockDelta is what one block changed, as flat slices: the contents
@@ -272,16 +304,17 @@ func (s *State) apply(d *blockDelta) {
 		s.AddUTXO(e.op, e.out)
 	}
 	for _, e := range d.contracts {
-		s.contracts[e.addr] = e.c
+		s.PutContract(e.addr, e.c)
 	}
 	for _, e := range d.balances {
-		s.balances[e.addr] = e.v
+		s.SetBalance(e.addr, e.v)
 	}
 }
 
 // UTXO looks up an unspent output.
 func (s *State) UTXO(op OutPoint) (TxOut, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
 		if cur.spent[op] {
 			return TxOut{}, false
 		}
@@ -289,18 +322,18 @@ func (s *State) UTXO(op OutPoint) (TxOut, bool) {
 			return o, true
 		}
 	}
-	return TxOut{}, false
+	return cur.base.utxos.get(op.key())
 }
 
 // AddUTXO records a new unspent output.
 func (s *State) AddUTXO(op OutPoint, out TxOut) {
-	if s.parent == nil {
-		l := s.ownedForWrite(out.Owner)
-		l.ops = append(l.ops, op)
-		s.byOwner[out.Owner] = l
-	} else {
-		delete(s.spent, op)
+	if b := s.base; b != nil {
+		k := op.key()
+		b.utxos.put(b.gen, k, out)
+		b.owned.put(b.gen, ownedBy(out.Owner, k), struct{}{})
+		return
 	}
+	delete(s.spent, op)
 	s.utxos[op] = out
 }
 
@@ -308,10 +341,10 @@ func (s *State) AddUTXO(op OutPoint, out TxOut) {
 // An overlay records a tombstone masking its parent; a base has nothing
 // below it to mask, so the entry is simply gone.
 func (s *State) Spend(op OutPoint) {
-	if s.parent == nil {
-		if o, ok := s.utxos[op]; ok {
-			s.unindex(o.Owner, op)
-			delete(s.utxos, op)
+	if b := s.base; b != nil {
+		k := op.key()
+		if o, ok := b.utxos.del(b.gen, k); ok {
+			b.owned.del(b.gen, ownedBy(o.Owner, k))
 		}
 		return
 	}
@@ -319,45 +352,17 @@ func (s *State) Spend(op OutPoint) {
 	s.spent[op] = true
 }
 
-// ownedForWrite returns owner's index slice, private to this base
-// generation (copied first if an older generation still shares it).
-func (s *State) ownedForWrite(owner crypto.Address) ownedList {
-	l := s.byOwner[owner]
-	if l.gen != s.gen {
-		l = ownedList{gen: s.gen, ops: slices.Clone(l.ops)}
-	}
-	return l
-}
-
-// unindex removes op from owner's slice of the base index; an owner
-// with nothing left leaves the index.
-func (s *State) unindex(owner crypto.Address, op OutPoint) {
-	shared := s.byOwner[owner].ops
-	i := slices.Index(shared, op)
-	if i < 0 {
-		return
-	}
-	last := len(shared) - 1
-	if last == 0 {
-		delete(s.byOwner, owner)
-		return
-	}
-	l := s.ownedForWrite(owner)
-	l.ops[i] = l.ops[last]
-	l.ops = l.ops[:last]
-	s.byOwner[owner] = l
-}
-
 // Contract returns the live contract object at addr for *reading*.
 // Callers must not mutate the result; use ContractForWrite inside
 // block application.
 func (s *State) Contract(addr crypto.Address) (vm.Contract, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
 		if c, ok := cur.contracts[addr]; ok {
 			return c, true
 		}
 	}
-	return nil, false
+	return cur.base.contracts.get(addr)
 }
 
 // ContractForWrite returns a contract clone owned by this overlay
@@ -371,33 +376,44 @@ func (s *State) ContractForWrite(addr crypto.Address) (vm.Contract, bool) {
 		return nil, false
 	}
 	cl := c.Clone()
-	s.contracts[addr] = cl
+	s.PutContract(addr, cl)
 	return cl, true
 }
 
 // PutContract stores a freshly deployed contract.
 func (s *State) PutContract(addr crypto.Address, c vm.Contract) {
+	if b := s.base; b != nil {
+		b.contracts.put(b.gen, addr, c)
+		return
+	}
 	s.contracts[addr] = c
 }
 
 // Balance returns a contract's locked asset balance.
 func (s *State) Balance(addr crypto.Address) vm.Amount {
-	for cur := s; cur != nil; cur = cur.parent {
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
 		if v, ok := cur.balances[addr]; ok {
 			return v
 		}
 	}
-	return 0
+	v, _ := cur.base.balances.get(addr)
+	return v
 }
 
-// SetBalance records a contract balance in this overlay layer.
+// SetBalance records a contract balance in this layer.
 func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
+	if b := s.base; b != nil {
+		b.balances.put(b.gen, addr, v)
+		return
+	}
 	s.balances[addr] = v
 }
 
 // UTXOsOwnedBy collects the outputs owned by addr. Overlay layers are
 // scanned linearly (they are small and bounded by flattenDepth); the
-// base layer is read through byOwner, so wallet reads stay
+// base is read through its owner index — the entries under addr's
+// prefix, in outpoint order — so wallet reads stay
 // O(owned + overlay deltas) rather than O(UTXO set). Every candidate is
 // confirmed by a lookup from the top, which is what decides whether a
 // newer layer spent it. It is a test/client convenience (wallets), not
@@ -415,7 +431,8 @@ func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 			}
 		}
 	}
-	for _, op := range cur.byOwner[addr].ops {
+	for k := range cur.base.owned.scan(ownedBy(addr, utxoKey{}), 2*crypto.AddressSize) {
+		op := k.outPoint()
 		if live, ok := s.UTXO(op); ok {
 			out[op] = live
 		}
@@ -430,7 +447,8 @@ func (s *State) TotalValue() vm.Amount {
 	var total vm.Amount
 	seen := make(map[OutPoint]bool)
 	seenBal := make(map[crypto.Address]bool)
-	for cur := s; cur != nil; cur = cur.parent {
+	cur := s
+	for ; cur.parent != nil; cur = cur.parent {
 		for op := range cur.spent {
 			seen[op] = true
 		}
@@ -447,6 +465,16 @@ func (s *State) TotalValue() vm.Amount {
 			}
 			seenBal[a] = true
 			total += cur.balances[a]
+		}
+	}
+	for k, o := range cur.base.utxos.scan(utxoKey{}, 0) {
+		if !seen[k.outPoint()] {
+			total += o.Value
+		}
+	}
+	for a, v := range cur.base.balances.scan(crypto.Address{}, 0) {
+		if !seenBal[a] {
+			total += v
 		}
 	}
 	return total

@@ -121,11 +121,13 @@ type Tx struct {
 	// chain view in a simulated network — re-hashing the body and
 	// re-verifying the ed25519 signature per view dominated run time
 	// before these caches.
-	memoID      crypto.Hash
-	memoIDSet   bool
-	memoSigOK   int8 // 0 unknown, +1 valid, -1 invalid
-	memoAddr    crypto.Address
-	memoAddrSet bool
+	memoID        crypto.Hash
+	memoIDSet     bool
+	memoSigOK     int8 // 0 unknown, +1 valid, -1 invalid
+	memoAddr      crypto.Address
+	memoAddrSet   bool
+	memoSigner    crypto.Address
+	memoSignerSet bool
 }
 
 // Wire sizes of the fixed-width pieces of a transaction.
@@ -213,6 +215,17 @@ func (tx *Tx) VerifySig() bool {
 		}
 	}
 	return tx.memoSigOK > 0
+}
+
+// Signer returns the address of the key that signed the transaction —
+// a hash of the public key, derived once and cached: every validation
+// of every candidate asks for it, rejected candidates included.
+func (tx *Tx) Signer() crypto.Address {
+	if !tx.memoSignerSet {
+		tx.memoSigner = tx.Sig.Signer()
+		tx.memoSignerSet = true
+	}
+	return tx.memoSigner
 }
 
 // EncodedLen is the size of the full encoding (body + signature).

@@ -86,6 +86,25 @@ func TestVerifySigRunsOncePerObject(t *testing.T) {
 	}
 }
 
+// TestSignerDerivedOncePerObject: the signer's address is a hash of the
+// public key, asked for several times per validation of every
+// candidate; the transaction keeps the answer — shown, as above, by
+// changing the key after the first one.
+func TestSignerDerivedOncePerObject(t *testing.T) {
+	e := newEnv(t, "alice", "bob")
+	tx := e.transfer("alice", "bob", 100)
+	if tx.Signer() != e.keys["alice"].Addr {
+		t.Fatal("signer is not the signing key's address")
+	}
+	tx.Sig.Pub[0] ^= 1
+	if tx.Signer() != e.keys["alice"].Addr {
+		t.Fatal("second Signer re-derived the address")
+	}
+	if tx.Sig.Signer() == e.keys["alice"].Addr {
+		t.Fatal("the changed key still hashes to the old address")
+	}
+}
+
 func TestBlockTouches(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	deploy := e.deployVault(1)

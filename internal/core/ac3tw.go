@@ -87,7 +87,7 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 // everyone settles with Trent's signature as the secret.
 func (r *TWRun) Start() {
 	r.Event(-1, "ac3tw started")
-	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
+	r.ms = signGraph(r.w, r.cfg.Graph, r.cfg.Participants)
 	r.msID = r.ms.ID()
 	if r.cfg.AbortAfter > 0 {
 		r.After(r.cfg.AbortAfter, func() {

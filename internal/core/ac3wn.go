@@ -217,7 +217,7 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 // Start begins the run at the current virtual time.
 func (r *Run) Start() {
 	r.Event(-1, "ac3wn started")
-	r.ms = r.cfg.Graph.Sign(participantKeys(r.cfg.Participants)...)
+	r.ms = signGraph(r.w, r.cfg.Graph, r.cfg.Participants)
 	if r.cfg.AbortAfter > 0 {
 		r.After(r.cfg.AbortAfter, func() {
 			// The deadline only raises the abort flag; the step

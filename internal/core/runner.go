@@ -4,6 +4,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
+	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/xchain"
 )
@@ -133,4 +134,10 @@ func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
 		keys[i] = p.Key
 	}
 	return keys
+}
+
+// signGraph is that one Graph.Sign, counted on the world.
+func signGraph(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) *crypto.MultiSig {
+	w.GraphSigs += uint64(len(ps))
+	return g.Sign(participantKeys(ps)...)
 }

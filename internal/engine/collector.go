@@ -188,6 +188,7 @@ type ShardResult struct {
 	// aggregate bytes do not depend on how the reconcilers are woken.
 	Drives         uint64 `json:"-"`
 	WakeupsSkipped uint64 `json:"-"`
+	Work           Work   `json:"-"`
 
 	// Per-tx latency samples are NOT retained: every grading folds
 	// straight into the collector's shared histogram (and the phase
@@ -199,6 +200,29 @@ type ShardResult struct {
 	// order into the aggregate's phase table. Kept separate from the
 	// trace ring so eviction never skews the statistics.
 	phase map[phaseKey]*metrics.Hist
+}
+
+// Work counts host-side work a run's layers did that its results do not
+// show: how many candidate applications block building threw away, and
+// what the ed25519 signatures were for. Like Drives it stays out of the
+// JSON (ADR-016 records the numbers).
+type Work struct {
+	// Candidates counts transactions BuildBlock tried on a trial
+	// overlay and Rejected those that did not apply
+	// (chain.ExecStats).
+	Candidates, Rejected uint64
+	// GraphSigs counts signatures on graph multisignatures; DeploySigs
+	// and CallSigs the transactions clients signed, landed or not (the
+	// engine's participants make no plain transfers).
+	GraphSigs, DeploySigs, CallSigs uint64
+}
+
+func (w *Work) add(o Work) {
+	w.Candidates += o.Candidates
+	w.Rejected += o.Rejected
+	w.GraphSigs += o.GraphSigs
+	w.DeploySigs += o.DeploySigs
+	w.CallSigs += o.CallSigs
 }
 
 // observePhase folds one completed phase duration into the shard's

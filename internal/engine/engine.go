@@ -239,10 +239,11 @@ type Aggregate struct {
 	MaxReorgDepth int    `json:"max_reorg_depth"`
 	MsgsDropped   uint64 `json:"msgs_dropped"`
 
-	// Drives and WakeupsSkipped sum the shards' reconciler counters (see
+	// Drives, WakeupsSkipped and Work sum the shards' counters (see
 	// ShardResult); diagnostics for stderr, not part of the aggregate.
 	Drives         uint64 `json:"-"`
 	WakeupsSkipped uint64 `json:"-"`
+	Work           Work   `json:"-"`
 
 	PerShard []ShardResult `json:"per_shard"`
 
@@ -369,6 +370,7 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		agg.MsgsDropped += r.MsgsDropped
 		agg.Drives += r.Drives
 		agg.WakeupsSkipped += r.WakeupsSkipped
+		agg.Work.add(r.Work)
 		agg.StatesPruned += r.StatesPruned
 		agg.StatesLive += r.StatesLive
 		agg.StateReplays += r.StateReplays

@@ -184,6 +184,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	e.res.MakespanVirtualMs = int64(s.Now())
 	e.res.Events = s.Executed
 	e.res.Drives, e.res.WakeupsSkipped = e.w.Drives, e.w.WakeupsSkipped
+	e.res.Work.GraphSigs = e.w.GraphSigs
 	if e.coord != nil {
 		// Batch accounting is read once at shard end (the counters are
 		// plain ints mutated on the shard's single goroutine), then the
@@ -209,6 +210,10 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 		e.res.StatesLive += st.StatesLive
 		e.res.StateReplays += st.Replays
 		e.res.BlocksRetired += st.Retired
+		e.res.Work.add(Work{
+			Candidates: st.Candidates, Rejected: st.Rejected,
+			DeploySigs: net.Signed[chain.TxDeploy], CallSigs: net.Signed[chain.TxCall],
+		})
 		// Adversity accounting: how hard the network fought back.
 		e.res.ForksObserved += net.TotalReorgs()
 		if d := net.MaxReorgDepth(); d > e.res.MaxReorgDepth {

@@ -340,6 +340,7 @@ func (c *Client) Transfer(to crypto.Address, amount vm.Amount) (*chain.Tx, error
 	c.nonce++
 	outs := append([]chain.TxOut{{Value: amount, Owner: to}}, c.changeOuts(change)...)
 	tx := chain.NewTransfer(c.Key, c.nonce, ins, outs)
+	c.net.Signed[tx.Kind]++
 	c.Submit(tx)
 	return tx, nil
 }
@@ -358,6 +359,7 @@ func (c *Client) Deploy(contractType string, params []byte, value vm.Amount) (*c
 	}
 	c.nonce++
 	tx := chain.NewDeploy(c.Key, c.nonce, ins, c.changeOuts(change), contractType, params, value)
+	c.net.Signed[tx.Kind]++
 	c.Submit(tx)
 	return tx, tx.ContractAddr(), nil
 }
@@ -376,6 +378,7 @@ func (c *Client) Call(contract crypto.Address, fn string, args []byte, value vm.
 	}
 	c.nonce++
 	tx := chain.NewCall(c.Key, c.nonce, contract, fn, args, ins, c.changeOuts(change), value)
+	c.net.Signed[tx.Kind]++
 	c.Submit(tx)
 	return tx, nil
 }

@@ -24,6 +24,11 @@ type Network struct {
 	P2P    *p2p.Network
 	Nodes  []*Node
 
+	// Signed counts the transactions this network's clients built and
+	// signed, by kind — one ed25519 signature each, whether or not the
+	// transaction ever lands (a host-side diagnostic).
+	Signed [chain.TxCall + 1]uint64
+
 	exec *chain.Executor
 }
 

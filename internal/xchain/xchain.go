@@ -32,6 +32,9 @@ type World struct {
 	// run hosted here (protocol.Runtime keeps them; host-side
 	// diagnostics, not part of any graded result).
 	Drives, WakeupsSkipped uint64
+	// GraphSigs counts the signatures put on graph multisignatures
+	// ms(D) by the runs hosted here (same standing).
+	GraphSigs uint64
 }
 
 // ChainSpec configures one chain of a world.
