@@ -20,13 +20,13 @@
 //   - internal/spv — cross-chain evidence (Section 4.3): checkpoint,
 //     header chain, inclusion proof; verified inside the contracts
 //   - internal/graph — AC2T graphs D = (V, E), Diam(D), ms(D)
-//   - internal/contracts — Algorithms 1–4 as contract objects, plus
-//     the batch-decision ledger
+//   - internal/contracts — Algorithm 1 as one template, Algorithms 2–4
+//     and the HTLC as contract objects, plus the batch-decision ledger
 //   - internal/protocol — the reconciler runtime every commitment
 //     protocol is a thin instance over: subscriptions gated by
-//     wait-sets, announcement inbox, throttles, one-shot timers, the
-//     per-edge deploy ledger, crash → Resume lifecycle
-//     (docs/architecture/ADR-004-protocol-runtime.md, ADR-013, ADR-014)
+//     wait-sets, inbox, throttles, timers, the per-edge deploy ledger,
+//     the settle phase and its ledger, crash → Resume lifecycle
+//     (docs/architecture/ADR-004-protocol-runtime.md, ADR-013/014/017)
 //   - internal/swap — Nolan/Herlihy baselines
 //   - internal/core — AC3WN, AC3TW, and core.Runner: the lifecycle and
 //     typed fault surface every driver works through

@@ -53,12 +53,9 @@ func (p *CentralizedParams) Decode(b []byte) error {
 // signature over (ms(D), RF). Mutual exclusion of the two secrets is
 // Trent's key/value store discipline, not the contract's.
 type CentralizedSC struct {
-	Sender    crypto.Address
-	Recipient crypto.Address
-	Asset     vm.Amount
-	MSDigest  crypto.Hash
-	Witness   crypto.Address
-	State     SwapState
+	Swap
+	MSDigest crypto.Hash
+	Witness  crypto.Address
 }
 
 // Type implements vm.Contract.
@@ -73,63 +70,38 @@ func (c *CentralizedSC) Init(ctx *vm.Ctx, params []byte) error {
 	if p.Recipient.IsZero() || p.Witness.IsZero() {
 		return errors.New("ac3tw: zero recipient or witness")
 	}
-	if ctx.Msg.Value == 0 {
-		return errors.New("ac3tw: no asset locked")
+	if err := c.publish(ctx, "ac3tw", p.Recipient); err != nil {
+		return err
 	}
-	c.Sender = ctx.Msg.Sender
-	c.Recipient = p.Recipient
-	c.Asset = ctx.Msg.Value
-	c.MSDigest = p.MSDigest
-	c.Witness = p.Witness
-	c.State = StatePublished
+	c.MSDigest, c.Witness = p.MSDigest, p.Witness
 	return nil
 }
 
 // Call dispatches redeem/refund with an encoded witness signature as
 // the commitment-scheme secret.
 func (c *CentralizedSC) Call(ctx *vm.Ctx, fn string, args []byte) error {
-	switch fn {
-	case FnRedeem:
-		if c.State != StatePublished {
-			return fmt.Errorf("ac3tw: redeem in state %s", c.State)
-		}
-		if !c.isRedeemable(args) {
-			return errors.New("ac3tw: invalid redemption signature")
-		}
-		if err := ctx.Pay(c.Recipient, c.Asset); err != nil {
-			return err
-		}
-		c.State = StateRedeemed
-		return nil
-	case FnRefund:
-		if c.State != StatePublished {
-			return fmt.Errorf("ac3tw: refund in state %s", c.State)
-		}
-		if !c.isRefundable(args) {
-			return errors.New("ac3tw: invalid refund signature")
-		}
-		if err := ctx.Pay(c.Sender, c.Asset); err != nil {
-			return err
-		}
-		c.State = StateRefunded
-		return nil
-	default:
-		return vm.ErrUnknownFunction(TypeCentralized, fn)
+	return c.call(ctx, c, "ac3tw", fn, args)
+}
+
+// isRedeemable is Algorithm 2's IsRedeemable: Trent's signature over
+// (ms(D), RD).
+func (c *CentralizedSC) isRedeemable(_ *vm.Ctx, sig []byte) error {
+	return c.signedBy(sig, crypto.PurposeRedeem, "redemption")
+}
+
+// isRefundable is Algorithm 2's IsRefundable: Trent's signature over
+// (ms(D), RF).
+func (c *CentralizedSC) isRefundable(_ *vm.Ctx, sig []byte) error {
+	return c.signedBy(sig, crypto.PurposeRefund, "refund")
+}
+
+// signedBy verifies sig against the scheme instance (ms(D), PK_T).
+func (c *CentralizedSC) signedBy(sig []byte, p crypto.Purpose, what string) error {
+	lock := crypto.SigLock{MSDigest: c.MSDigest, WitnessPub: c.Witness, Purpose: p}
+	if !lock.Verify(sig) {
+		return errors.New("ac3tw: invalid " + what + " signature")
 	}
-}
-
-// isRedeemable is Algorithm 2's IsRedeemable: verify Trent's
-// signature over (ms(D), RD).
-func (c *CentralizedSC) isRedeemable(secret []byte) bool {
-	lock := crypto.SigLock{MSDigest: c.MSDigest, WitnessPub: c.Witness, Purpose: crypto.PurposeRedeem}
-	return lock.Verify(secret)
-}
-
-// isRefundable is Algorithm 2's IsRefundable: verify Trent's
-// signature over (ms(D), RF).
-func (c *CentralizedSC) isRefundable(secret []byte) bool {
-	lock := crypto.SigLock{MSDigest: c.MSDigest, WitnessPub: c.Witness, Purpose: crypto.PurposeRefund}
-	return lock.Verify(secret)
+	return nil
 }
 
 // Clone implements vm.Contract.

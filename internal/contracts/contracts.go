@@ -14,10 +14,10 @@
 //     decisions (batch.go), which PermissionlessSC settles against
 //     with a merkle membership proof instead of per-AC2T evidence.
 //
-// The three asset contracts follow the AtomicSwapSC template of
-// Algorithm 1: a sender, a recipient, a locked asset, a state machine
-// {P, RD, RF}, and mutually exclusive redemption and refund commitment
-// schemes. WitnessSC and PermissionlessSC are also Section 4.3's
+// The three asset contracts extend the AtomicSwapSC template of
+// Algorithm 1 (Swap, template.go): a sender, a recipient, a locked
+// asset, a state machine {P, RD, RF}, and mutually exclusive redemption
+// and refund schemes. WitnessSC and PermissionlessSC are also Section 4.3's
 // in-contract validator: each stores a stable-block checkpoint of the
 // chains it validates and verifies submitted SPV evidence against it.
 package contracts

@@ -56,12 +56,9 @@ func (p *HTLCParams) Decode(b []byte) error {
 // case against the current proposals); the AC3WN contracts in this
 // package exist to remove it.
 type HTLC struct {
-	Sender    crypto.Address
-	Recipient crypto.Address
-	Asset     vm.Amount
-	Hashlock  crypto.Hash
-	Timelock  int64
-	State     SwapState
+	Swap
+	Hashlock crypto.Hash
+	Timelock int64
 }
 
 // Type implements vm.Contract.
@@ -73,67 +70,38 @@ func (h *HTLC) Init(ctx *vm.Ctx, params []byte) error {
 	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("htlc: params: %w", err)
 	}
-	if p.Recipient.IsZero() {
-		return errors.New("htlc: zero recipient")
-	}
-	if ctx.Msg.Value == 0 {
-		return errors.New("htlc: no asset locked")
+	if err := h.publish(ctx, "htlc", p.Recipient); err != nil {
+		return err
 	}
 	if p.Timelock <= ctx.Time {
 		return errors.New("htlc: timelock not in the future")
 	}
-	h.Sender = ctx.Msg.Sender
-	h.Recipient = p.Recipient
-	h.Asset = ctx.Msg.Value
-	h.Hashlock = p.Hashlock
-	h.Timelock = p.Timelock
-	h.State = StatePublished
+	h.Hashlock, h.Timelock = p.Hashlock, p.Timelock
 	return nil
 }
 
 // Call dispatches redeem/refund.
 func (h *HTLC) Call(ctx *vm.Ctx, fn string, args []byte) error {
-	switch fn {
-	case FnRedeem:
-		return h.redeem(ctx, args)
-	case FnRefund:
-		return h.refund(ctx)
-	default:
-		return vm.ErrUnknownFunction(TypeHTLC, fn)
-	}
+	return h.call(ctx, h, "htlc", fn, args)
 }
 
-// redeem pays the recipient if the preimage matches before expiry.
-func (h *HTLC) redeem(ctx *vm.Ctx, secret []byte) error {
-	if h.State != StatePublished {
-		return fmt.Errorf("htlc: redeem in state %s", h.State)
-	}
+// isRedeemable accepts the hashlock's preimage before expiry.
+func (h *HTLC) isRedeemable(ctx *vm.Ctx, secret []byte) error {
 	if ctx.Time >= h.Timelock {
 		return errors.New("htlc: timelock expired")
 	}
 	if crypto.Sum(secret) != h.Hashlock {
 		return errors.New("htlc: wrong secret")
 	}
-	if err := ctx.Pay(h.Recipient, h.Asset); err != nil {
-		return err
-	}
-	h.State = StateRedeemed
 	return nil
 }
 
-// refund returns the asset to the sender after expiry. Anyone may
-// trigger it; the asset always goes back to the sender.
-func (h *HTLC) refund(ctx *vm.Ctx) error {
-	if h.State != StatePublished {
-		return fmt.Errorf("htlc: refund in state %s", h.State)
-	}
+// isRefundable needs no secret, only the hour: after expiry anyone may
+// send the asset back to the sender.
+func (h *HTLC) isRefundable(ctx *vm.Ctx, _ []byte) error {
 	if ctx.Time < h.Timelock {
 		return errors.New("htlc: timelock not yet expired")
 	}
-	if err := ctx.Pay(h.Sender, h.Asset); err != nil {
-		return err
-	}
-	h.State = StateRefunded
 	return nil
 }
 

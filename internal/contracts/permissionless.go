@@ -79,15 +79,12 @@ func (p *PermissionlessParams) Decode(b []byte) error {
 // crashed participant can recover and still redeem — the paper's
 // all-or-nothing guarantee.
 type PermissionlessSC struct {
-	Sender            crypto.Address
-	Recipient         crypto.Address
-	Asset             vm.Amount
+	Swap
 	WitnessChain      chain.ID
 	WitnessCheckpoint []byte
 	SCw               crypto.Address
 	Depth             int
 	Batch             crypto.Address // zero = per-AC2T SCw evidence
-	State             SwapState
 }
 
 // Type implements vm.Contract.
@@ -99,11 +96,8 @@ func (c *PermissionlessSC) Init(ctx *vm.Ctx, params []byte) error {
 	if err := p.Decode(params); err != nil {
 		return fmt.Errorf("ac3wn: params: %w", err)
 	}
-	if p.Recipient.IsZero() {
-		return errors.New("ac3wn: zero recipient")
-	}
-	if ctx.Msg.Value == 0 {
-		return errors.New("ac3wn: no asset locked")
+	if err := c.publish(ctx, "ac3wn", p.Recipient); err != nil {
+		return err
 	}
 	if p.SCw.IsZero() {
 		return errors.New("ac3wn: zero witness contract address")
@@ -114,56 +108,39 @@ func (c *PermissionlessSC) Init(ctx *vm.Ctx, params []byte) error {
 	if _, err := chain.DecodeHeader(p.WitnessCheckpoint); err != nil {
 		return fmt.Errorf("ac3wn: witness checkpoint: %w", err)
 	}
-	c.Sender = ctx.Msg.Sender
-	c.Recipient = p.Recipient
-	c.Asset = ctx.Msg.Value
 	// p views the deployment transaction; state keeps its own copies.
 	c.WitnessChain = chain.ID(strings.Clone(string(p.WitnessChain)))
 	c.WitnessCheckpoint = bytes.Clone(p.WitnessCheckpoint)
-	c.SCw = p.SCw
-	c.Depth = p.Depth
-	c.Batch = p.Batch
-	c.State = StatePublished
+	c.SCw, c.Depth, c.Batch = p.SCw, p.Depth, p.Batch
 	return nil
 }
 
 // Call dispatches redeem/refund with SPV evidence of the witness
 // contract's state as the argument.
 func (c *PermissionlessSC) Call(ctx *vm.Ctx, fn string, args []byte) error {
-	switch fn {
-	case FnRedeem:
-		if c.State != StatePublished {
-			return fmt.Errorf("ac3wn: redeem in state %s", c.State)
-		}
-		if err := c.verifyWitnessEvidence(args, FnAuthorizeRedeem); err != nil {
-			return fmt.Errorf("ac3wn: redeem: %w", err)
-		}
-		if err := ctx.Pay(c.Recipient, c.Asset); err != nil {
-			return err
-		}
-		c.State = StateRedeemed
-		return nil
-	case FnRefund:
-		if c.State != StatePublished {
-			return fmt.Errorf("ac3wn: refund in state %s", c.State)
-		}
-		if err := c.verifyWitnessEvidence(args, FnAuthorizeRefund); err != nil {
-			return fmt.Errorf("ac3wn: refund: %w", err)
-		}
-		if err := ctx.Pay(c.Sender, c.Asset); err != nil {
-			return err
-		}
-		c.State = StateRefunded
-		return nil
-	default:
-		return vm.ErrUnknownFunction(TypePermissionless, fn)
-	}
+	return c.call(ctx, c, "ac3wn", fn, args)
 }
 
-// verifyWitnessEvidence implements Algorithm 4's IsRedeemable /
-// IsRefundable: the evidence must prove that a successful call of
-// wantFn on SCw is included in the witness chain at depth ≥ d,
-// starting from the stored stable-block checkpoint. Because witness
+// isRedeemable is Algorithm 4's IsRedeemable: evidence of SCw in RDauth.
+func (c *PermissionlessSC) isRedeemable(_ *vm.Ctx, evidence []byte) error {
+	if err := c.verifyWitnessEvidence(evidence, FnAuthorizeRedeem); err != nil {
+		return fmt.Errorf("ac3wn: redeem: %w", err)
+	}
+	return nil
+}
+
+// isRefundable is Algorithm 4's IsRefundable: evidence of SCw in RFauth.
+func (c *PermissionlessSC) isRefundable(_ *vm.Ctx, evidence []byte) error {
+	if err := c.verifyWitnessEvidence(evidence, FnAuthorizeRefund); err != nil {
+		return fmt.Errorf("ac3wn: refund: %w", err)
+	}
+	return nil
+}
+
+// verifyWitnessEvidence is the check both predicates share: the
+// evidence must prove that a successful call of wantFn on SCw is
+// included in the witness chain at depth ≥ d, starting from the
+// stored stable-block checkpoint. Because witness
 // miners exclude failing calls from blocks, inclusion implies the
 // state transition took effect; because SCw only allows P→RDauth or
 // P→RFauth, at most one such call exists per fork; and because the

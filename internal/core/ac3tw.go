@@ -24,12 +24,13 @@ type TWConfig struct {
 	// AbortAfter (>0): the initiator requests a refund signature if
 	// the AC2T has not committed by then.
 	AbortAfter sim.Time
-	// RetryEvery is the base throttle interval for re-asking Trent:
-	// after a refusal ("contracts not deep enough yet at my view"), or
-	// after a request vanished into a crashed Trent — so the protocol
-	// unblocks by itself the moment the witness comes back.
-	RetryEvery sim.Time
 }
+
+// twRetryEvery is the base throttle interval for re-asking Trent: after
+// a refusal ("contracts not deep enough yet at my view"), or after a
+// request vanished into a crashed Trent — so the protocol unblocks by
+// itself the moment the witness comes back.
+const twRetryEvery = 5 * sim.Second
 
 // TWRun is one executing AC3TW commitment.
 type TWRun struct {
@@ -47,10 +48,6 @@ type TWRun struct {
 	abortDue        bool
 	decision        crypto.Purpose
 	decisionSig     crypto.Signature
-	terminal        []bool
-
-	DecidedAt   sim.Time
-	CompletedAt sim.Time
 }
 
 // twRegistered tells the other participants ms(D) is on file at
@@ -61,9 +58,6 @@ type twRegistered struct{}
 func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 	if cfg.Trent == nil {
 		return nil, fmt.Errorf("core: AC3TW needs a witness (Trent)")
-	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = 5 * sim.Second
 	}
 	r := &TWRun{w: w, cfg: cfg}
 	var err error
@@ -77,7 +71,6 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.terminal = make([]bool, len(cfg.Graph.Edges))
 	return r, nil
 }
 
@@ -136,7 +129,7 @@ func (r *TWRun) drive(p *xchain.Participant) {
 	// answers.
 	if !r.registered {
 		if p == r.cfg.Initiator {
-			r.Throttle(p, "register", 6*r.cfg.RetryEvery, func() { r.register() })
+			r.Throttle(p, "register", 6*twRetryEvery, func() { r.register() })
 		}
 		return
 	}
@@ -155,14 +148,24 @@ func (r *TWRun) drive(p *xchain.Participant) {
 		}
 		switch {
 		case r.abortDue:
-			r.Throttle(p, "request-refund", 6*r.cfg.RetryEvery, func() { r.requestRefund() })
+			r.Throttle(p, "request-refund", 6*twRetryEvery, func() { r.requestRefund() })
 		case r.AllConfirmed():
-			r.Throttle(p, "request-redeem", 6*r.cfg.RetryEvery, func() { r.requestRedeem() })
+			r.Throttle(p, "request-redeem", 6*twRetryEvery, func() { r.requestRedeem() })
 		}
 		return
 	}
-	// Phase 4: settle p's edges with Trent's signature.
-	r.settle(p)
+	// Phase 4: p redeems its incoming edges (RD) or refunds its outgoing
+	// ones (RF). The secret is Trent's signature.
+	fn := contracts.FnRedeem
+	if r.decision == crypto.PurposeRefund {
+		fn = contracts.FnRefund
+	}
+	protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.CentralizedSC]{
+		Fn: fn, Every: 6 * twRetryEvery,
+		Secret: func(int, *contracts.CentralizedSC) ([]byte, error) {
+			return crypto.EncodeSignature(r.decisionSig), nil
+		},
+	})
 }
 
 // register stores ms(D) at Trent. A duplicate-registration reply
@@ -221,7 +224,6 @@ func (r *TWRun) onDecision(p crypto.Purpose, sig crypto.Signature) {
 	}
 	r.decision = p
 	r.decisionSig = sig
-	r.DecidedAt = r.w.Sim.Now()
 	r.Mark(protocol.PointDecisionConfirmed)
 	r.Event(-1, "Trent decided "+p.String())
 	r.DriveAll()
@@ -235,41 +237,4 @@ func (r *TWRun) assetParams(_ *xchain.Participant, _ int, e graph.Edge) ([]byte,
 		MSDigest:  r.msID,
 		Witness:   r.cfg.Trent.Key.Addr,
 	}.Encode(), true
-}
-
-// settle makes p redeem its incoming edges (RD) or refund its
-// outgoing edges (RF) using Trent's signature as the secret, and
-// records terminal states as they land on p's view.
-func (r *TWRun) settle(p *xchain.Participant) {
-	secret := crypto.EncodeSignature(r.decisionSig)
-	fn := contracts.FnRedeem
-	if r.decision == crypto.PurposeRefund {
-		fn = contracts.FnRefund
-	}
-	for i, e := range r.cfg.Graph.Edges {
-		mine := (r.decision == crypto.PurposeRedeem && e.To == p.Addr()) ||
-			(r.decision == crypto.PurposeRefund && e.From == p.Addr())
-		if !mine || r.Addr(i).IsZero() {
-			continue
-		}
-		sc, ok := protocol.Contract[*contracts.CentralizedSC](r.Runtime, p, e.Chain, r.Addr(i), 0)
-		if !ok {
-			continue
-		}
-		if sc.State != contracts.StatePublished {
-			if !r.terminal[i] {
-				r.terminal[i] = true
-				r.Event(i, "terminal "+sc.State.String())
-				r.CompletedAt = r.w.Sim.Now()
-			}
-			continue
-		}
-		i := i
-		r.Throttle(p, fmt.Sprintf("%s-%d", fn, i), 6*r.cfg.RetryEvery, func() {
-			if _, err := p.Client(e.Chain).Call(r.Addr(i), fn, secret, 0); err == nil {
-				p.Calls++
-				r.Event(i, fn+" submitted")
-			}
-		})
-	}
 }

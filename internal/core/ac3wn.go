@@ -4,18 +4,17 @@
 // centralized-witness strawman it improves on).
 //
 // Both protocols are thin instances over the reconciler runtime in
-// internal/protocol: each is a step function (drive) plus chain-state
-// readers, while the embedded runtime owns subscriptions, the
-// announcement inbox, throttles, one-shot timers, the timeline, the
-// per-edge deploy ledger, and the uniform crash → Resume lifecycle. A
-// participant inspects the chains through
-// its clients and performs the next enabled action — deploy the
-// coordinator, verify it, deploy its own asset contracts, push the
-// commit/abort decision, redeem or refund. Because every step is
-// recoverable from on-chain state, a crashed participant that
-// restarts simply re-arms its subscriptions and resumes — which is
-// precisely the all-or-nothing property the paper proves and the
-// baselines lack.
+// internal/protocol: each is a step function (drive) holding the
+// decision logic, plus the secret its asset contracts open to, while the
+// embedded runtime owns subscriptions, the announcement inbox, throttles,
+// timers, the timeline, the deploy and settle ledgers, and the uniform
+// crash → Resume lifecycle. A participant inspects the chains through its
+// clients and performs the next enabled action — deploy the coordinator,
+// verify it, deploy its own asset contracts, push the commit/abort
+// decision, redeem or refund. Because every step is recoverable from
+// on-chain state, a crashed participant that restarts simply re-arms its
+// subscriptions and resumes — precisely the all-or-nothing property the
+// paper proves and the baselines lack.
 package core
 
 import (
@@ -74,12 +73,6 @@ type Config struct {
 	// AC2T has not committed by start+AbortAfter — the paper's "a
 	// participant changes her mind / declines" path.
 	AbortAfter sim.Time
-	// RetryEvery is the base interval for throttling retried on-chain
-	// actions (default: half the witness block interval). It does not
-	// drive the reconciler — notifications do — it only stops an
-	// action that keeps failing from being re-submitted on every
-	// wakeup.
-	RetryEvery sim.Time
 	// Batcher and BatchAddr enable witness-side decision batching:
 	// when both are set, participants submit decisions to the batching
 	// coordinator instead of calling SCw, read the decision from the
@@ -126,21 +119,25 @@ type Run struct {
 	// block hash evidence must be anchored at.
 	checkpointHash map[chain.ID]crypto.Hash
 
+	// retryEvery is the base interval for throttling retried on-chain
+	// actions: half the witness block interval. It does not drive the
+	// reconciler — notifications do — it only stops an action that
+	// keeps failing from being re-submitted on every wakeup.
+	retryEvery sim.Time
+
 	states   map[*xchain.Participant]*pstate
 	abortDue bool
 	// commitPushed: some participant submitted authorize_redeem.
 	commitPushed bool
 
 	// Phase boundaries for Figure 9: SCw confirmed, all asset
-	// contracts confirmed, decision buried d deep, all redeemed (or
-	// refunded).
-	SCwConfirmedAt   sim.Time
-	AllDeployedAt    sim.Time
-	DecidedAt        sim.Time
-	CompletedAt      sim.Time
-	DecidedOutcome   contracts.WitnessState
-	terminalReported map[int]bool
-	anchorReported   map[int]bool
+	// contracts confirmed, decision buried d deep. (All redeemed or
+	// refunded is the runtime's CompletedAt.)
+	SCwConfirmedAt sim.Time
+	AllDeployedAt  sim.Time
+	DecidedAt      sim.Time
+	DecidedOutcome contracts.WitnessState
+	anchorReported map[int]bool
 
 	// witnessTxs / witnessBytes measure this AC2T's decision traffic on
 	// the witness chain: the per-AC2T authorize_* transaction in the
@@ -154,7 +151,6 @@ type Run struct {
 // announceSCw is the initiator's off-chain "SCw is here" message.
 type announceSCw struct {
 	Addr        crypto.Address
-	TxID        crypto.Hash
 	Checkpoints map[chain.ID]crypto.Hash
 }
 
@@ -171,9 +167,6 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	if (cfg.Batcher == nil) != cfg.BatchAddr.IsZero() {
 		return nil, fmt.Errorf("core: batching needs both Batcher and BatchAddr")
 	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = w.Nets[cfg.WitnessChain].Params.BlockInterval / 2
-	}
 	if cfg.StableDepth <= 0 {
 		cfg.StableDepth = DefaultStableDepth
 	}
@@ -184,12 +177,12 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		cfg.StableDepth = cfg.AssetDepth
 	}
 	r := &Run{
-		w:                w,
-		cfg:              cfg,
-		checkpointHash:   make(map[chain.ID]crypto.Hash),
-		states:           make(map[*xchain.Participant]*pstate),
-		terminalReported: make(map[int]bool),
-		anchorReported:   make(map[int]bool),
+		w:              w,
+		cfg:            cfg,
+		retryEvery:     w.Nets[cfg.WitnessChain].Params.BlockInterval / 2,
+		checkpointHash: make(map[chain.ID]crypto.Hash),
+		states:         make(map[*xchain.Participant]*pstate),
+		anchorReported: make(map[int]bool),
 	}
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
@@ -252,7 +245,7 @@ func (r *Run) drive(p *xchain.Participant) {
 	// alive until it is buried (a fork race could drop it).
 	if r.scwAddr.IsZero() {
 		if p == r.cfg.Initiator {
-			r.Throttle(p, "deploy-scw", 4*r.cfg.RetryEvery, func() { r.deploySCw(p) })
+			r.Throttle(p, "deploy-scw", 4*r.retryEvery, func() { r.deploySCw(p) })
 		}
 		return
 	}
@@ -298,12 +291,9 @@ func (r *Run) drive(p *xchain.Participant) {
 	decision, decided, haveStable := r.readDecision(p)
 
 	switch {
-	case decided && decision == contracts.WitnessRedeemAuthorized:
-		r.markDecision(contracts.WitnessRedeemAuthorized, p)
-		r.settle(p, true)
-	case decided && decision == contracts.WitnessRefundAuthorized:
-		r.markDecision(contracts.WitnessRefundAuthorized, p)
-		r.settle(p, false)
+	case decided:
+		r.markDecision(decision, p)
+		r.settle(p, decision)
 	case scw.State == contracts.WitnessPublished:
 		// Still undecided at depth d.
 		if r.abortDue {
@@ -328,7 +318,7 @@ func (r *Run) drive(p *xchain.Participant) {
 		if r.AllConfirmed() && !st.submittedRD {
 			due := r.AllDeployedAt + r.pushGrace(p)
 			if now >= due {
-				r.Throttle(p, "authorize-redeem", 6*r.cfg.RetryEvery, func() {
+				r.Throttle(p, "authorize-redeem", 6*r.retryEvery, func() {
 					r.submitAuthorizeRedeem(p, st)
 				})
 			} else {
@@ -390,7 +380,7 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 	r.checkpointHash = cpHashes
 	r.Mark(protocol.PointDeploySubmitted)
 	r.Event(-1, "SCw deploy submitted")
-	r.Broadcast(p, announceSCw{Addr: addr, TxID: tx.ID(), Checkpoints: cpHashes})
+	r.Broadcast(p, announceSCw{Addr: addr, Checkpoints: cpHashes})
 }
 
 // heightAtDepth returns the canonical height depth blocks under the
@@ -556,7 +546,7 @@ func (r *Run) trySubmitRefund(p *xchain.Participant, st *pstate) {
 		r.Event(-1, "authorize_refund submitted by "+p.Name)
 		return
 	}
-	r.Throttle(p, "authorize-refund", 6*r.cfg.RetryEvery, func() {
+	r.Throttle(p, "authorize-refund", 6*r.retryEvery, func() {
 		client := p.Client(r.cfg.WitnessChain)
 		if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0); err == nil {
 			p.Calls++
@@ -600,51 +590,22 @@ func (r *Run) markDecision(outcome contracts.WitnessState, p *xchain.Participant
 }
 
 // settle redeems p's incoming edges (commit) or refunds p's outgoing
-// edges (abort), with evidence of SCw's stable state.
-func (r *Run) settle(p *xchain.Participant, commit bool) {
-	fn := contracts.FnAuthorizeRedeem
-	action := contracts.FnRedeem
-	if !commit {
-		fn = contracts.FnAuthorizeRefund
-		action = contracts.FnRefund
+// edges (abort). The secret is evidence of SCw's stable state.
+func (r *Run) settle(p *xchain.Participant, decision contracts.WitnessState) {
+	fn, auth := contracts.FnRedeem, contracts.FnAuthorizeRedeem
+	if decision == contracts.WitnessRefundAuthorized {
+		fn, auth = contracts.FnRefund, contracts.FnAuthorizeRefund
 	}
-	for i, e := range r.cfg.Graph.Edges {
-		mine := (commit && e.To == p.Addr()) || (!commit && e.From == p.Addr())
-		if !mine || r.Addr(i).IsZero() {
-			continue
-		}
-		sc, ok := protocol.Contract[*contracts.PermissionlessSC](r.Runtime, p, e.Chain, r.Addr(i), 0)
-		if !ok {
-			continue
-		}
-		if sc.State != contracts.StatePublished {
-			r.noteTerminal(i, sc)
-			continue
-		}
-		i := i
-		r.Throttle(p, fmt.Sprintf("%s-%d", action, i), 6*r.cfg.RetryEvery, func() {
-			ev, err := r.witnessEvidenceFor(p, sc, fn)
+	if protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.PermissionlessSC]{
+		Fn: fn, Every: 6 * r.retryEvery,
+		Secret: func(i int, sc *contracts.PermissionlessSC) ([]byte, error) {
+			ev, err := r.witnessEvidenceFor(p, sc, auth)
 			if err != nil {
 				r.noteOrphanedAnchor(p, i, sc)
-				return
 			}
-			if _, err := p.Client(e.Chain).Call(r.Addr(i), action, ev, 0); err == nil {
-				p.Calls++
-				r.Event(i, action+" submitted")
-			}
-		})
-	}
-}
-
-// noteTerminal records completion timestamps as contracts reach RD/RF.
-func (r *Run) noteTerminal(i int, sc *contracts.PermissionlessSC) {
-	if r.terminalReported[i] {
-		return
-	}
-	r.terminalReported[i] = true
-	r.Event(i, "terminal "+sc.State.String())
-	if len(r.terminalReported) == len(r.cfg.Graph.Edges) && r.CompletedAt == 0 {
-		r.CompletedAt = r.w.Sim.Now()
+			return ev, err
+		},
+	}) {
 		r.Event(-1, "all contracts settled")
 	}
 }
@@ -757,9 +718,6 @@ func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, 
 	return contracts.EncodeEvidenceList(ev, proof), nil
 }
 
-// SCwAddr exposes the coordinator address.
-func (r *Run) SCwAddr() crypto.Address { return r.scwAddr }
-
 // DecisionOpen reports that the decision window is open: SCw's address
 // is known, so a decision can be pushed at it.
 func (r *Run) DecisionOpen() bool { return !r.scwAddr.IsZero() }
@@ -798,8 +756,7 @@ func (r *Run) Grade() *xchain.Outcome {
 		out.End = r.CompletedAt
 	}
 	if !r.scwAddr.IsZero() {
-		d, c := xchain.CountContractOps(r.w.View(r.cfg.WitnessChain),
-			map[crypto.Address]bool{r.scwAddr: true})
+		d, c := r.w.View(r.cfg.WitnessChain).ContractOps(map[crypto.Address]bool{r.scwAddr: true})
 		out.Deploys += d
 		out.Calls += c
 	}

@@ -495,7 +495,7 @@ func TestAC3TWTrentCrashStallsProtocol(t *testing.T) {
 	r.Start()
 	w.RunUntil(60 * sim.Minute)
 
-	if r.DecidedAt != 0 {
+	if r.Decided() {
 		t.Fatal("decision reached while Trent was down")
 	}
 	out := r.Grade()

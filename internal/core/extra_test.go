@@ -97,7 +97,7 @@ func TestWitnessEvidenceCannotBeReplayedAcrossAC2Ts(t *testing.T) {
 	}
 	// Forge: use run 1's commit evidence on run 2's contract.
 	wview := w.View("witness")
-	auth, ok := r1.FindCall(a1, "witness", r1.SCwAddr(), contracts.FnAuthorizeRedeem, nil)
+	auth, ok := r1.FindCall(a1, "witness", r1.scwAddr, contracts.FnAuthorizeRedeem, nil)
 	if !ok {
 		t.Fatal("no authorize_redeem for run 1")
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/chain"
-	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/protocol"
@@ -93,36 +92,6 @@ func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bo
 		crashed(r.Crash())
 		return true
 	}
-}
-
-// Settled reports run quiescence for AC3WN: the commit/abort decision
-// is stable at depth d and every asset contract that made it on-chain
-// has settled (redeemed or refunded) on the ground-truth view. An
-// abort with nothing deployed is settled trivially — there is nothing
-// at stake. A deploy that was submitted but not yet confirmed blocks
-// quiescence: its transaction is kept alive across forks (EnsureTx),
-// so the contract can still materialize after a refund decision — and
-// must then be refunded, not stranded. Without this, a refund decided
-// faster than a deploy confirms (easy under decision batching, where
-// an AC2T can join a window that is already closing) reads as settled
-// during exactly the gap in which the late contract appears.
-func (r *Run) Settled() bool {
-	if !r.Decided() || r.DeployInFlight() {
-		return false
-	}
-	deployed, settled := r.AssetsSettled()
-	return settled && (deployed || r.DecidedOutcome == contracts.WitnessRefundAuthorized)
-}
-
-// Settled reports run quiescence for AC3TW, mirroring AC3WN: Trent
-// decided and every deployed contract left Published on the
-// ground-truth view.
-func (r *TWRun) Settled() bool {
-	if !r.Decided() {
-		return false
-	}
-	deployed, settled := r.AssetsSettled()
-	return settled && (deployed || r.decision == crypto.PurposeRefund)
 }
 
 // participantKeys lists the signing keys for the one Graph.Sign each

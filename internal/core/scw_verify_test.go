@@ -78,7 +78,7 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 			if refunds == 0 {
 				t.Fatalf("no participant pushed authorize_refund (events: %v)", r.Events())
 			}
-			ct, ok := w.View("witness").TipState().Contract(r.SCwAddr())
+			ct, ok := w.View("witness").TipState().Contract(r.scwAddr)
 			if !ok || ct.(*contracts.WitnessSC).State != contracts.WitnessRefundAuthorized {
 				t.Fatalf("forged SCw not driven to RFauth: %+v", ct)
 			}

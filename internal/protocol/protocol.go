@@ -34,23 +34,29 @@
 //     submission alive until it is buried, and announces its location
 //     to the other parties — one loop and one announcement message
 //     here, parameterised only by the contract each protocol deploys;
+//   - the settle phase (Settle): every protocol ends by presenting a
+//     commitment-scheme secret to redeem or refund — one loop over a
+//     participant's edges, one ledger of terminal states with the
+//     completion time, one quiescence rule (Settled), parameterised
+//     only by the secret;
 //   - the base of the core.Runner surface every protocol shares —
-//     Resume, Stop, Events, Marks, Addrs, Grade, Decided, and the
-//     defaults for protocols without a chain or party of their own to
-//     decide on: DecisionChain (the first edge's) and Crash/Recover
+//     Resume, Stop, Events, Marks, Addrs, Grade, Decided, Settled, and
+//     the defaults for protocols without a chain or party of their own
+//     to decide on: DecisionChain (the first edge's) and Crash/Recover
 //     (the last participant).
 //
 // The runtime owns no protocol semantics. It never decides what to
 // do — only when to ask the protocol, and it guarantees the protocol
 // is never asked on behalf of a crashed participant or after Stop.
 // Protocols embed *Runtime and add what differs: contract parameters,
-// decision logic, settle evidence.
+// decision logic, the secret.
 package protocol
 
 import (
 	"fmt"
 
 	"repro/internal/chain"
+	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/miner"
@@ -176,6 +182,15 @@ type Runtime struct {
 	ownAddr   []crypto.Address
 	confirmed int
 
+	// The settle ledger: which edges' contracts were seen in a terminal
+	// state (and how many), which "<fn>-<edge>" calls were submitted at
+	// least once, and CompletedAt, when the last edge turned terminal
+	// (zero until then).
+	terminal    []bool
+	terminals   int
+	submitted   map[string]bool
+	CompletedAt sim.Time
+
 	marked  map[Point]bool
 	start   sim.Time
 	started bool
@@ -226,14 +241,16 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	n := len(cfg.Graph.Edges)
 	rt := &Runtime{
-		cfg:     cfg,
-		chains:  chains,
-		states:  make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
-		marked:  make(map[Point]bool),
-		addrs:   make([]crypto.Address, n),
-		txIDs:   make([]crypto.Hash, n),
-		ownTx:   make([]*chain.Tx, n),
-		ownAddr: make([]crypto.Address, n),
+		cfg:       cfg,
+		chains:    chains,
+		states:    make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
+		marked:    make(map[Point]bool),
+		addrs:     make([]crypto.Address, n),
+		txIDs:     make([]crypto.Hash, n),
+		ownTx:     make([]*chain.Tx, n),
+		ownAddr:   make([]crypto.Address, n),
+		terminal:  make([]bool, n),
+		submitted: make(map[string]bool),
 	}
 	for _, p := range cfg.Participants {
 		rt.states[p] = &pstate{
@@ -412,19 +429,6 @@ func (rt *Runtime) Mark(p Point) {
 // Marks returns a copy of the recorded phase boundaries in the order
 // they occurred.
 func (rt *Runtime) Marks() []Mark { return append([]Mark(nil), rt.marks...) }
-
-// MarkTime returns when a point was marked (false if it never was).
-func (rt *Runtime) MarkTime(p Point) (sim.Time, bool) {
-	if !rt.marked[p] {
-		return 0, false
-	}
-	for _, m := range rt.marks {
-		if m.Point == p {
-			return m.At, true
-		}
-	}
-	return 0, false
-}
 
 // Events returns a snapshot of the run's timeline, safe to retain:
 // later appends neither show through nor reallocate under it.
@@ -629,36 +633,151 @@ func (rt *Runtime) DeployTxID(i int) crypto.Hash { return rt.txIDs[i] }
 // Addrs returns a copy of the per-edge contract addresses.
 func (rt *Runtime) Addrs() []crypto.Address { return append([]crypto.Address(nil), rt.addrs...) }
 
-// DeployInFlight reports whether some submitted deployment is not yet
-// confirmed. Its transaction is kept alive across forks, so the
-// contract can still materialize — a run with one is not quiescent.
-func (rt *Runtime) DeployInFlight() bool {
+// Asset is an asset contract as the runtime sees it: any contract built
+// on Algorithm 1's template (contracts.Swap). Grading, quiescence and the
+// settle phase read its state through this and name no concrete type.
+type Asset interface {
+	vm.Contract
+	SwapState() contracts.SwapState
+}
+
+// Settlement is what a protocol brings to the settle phase.
+type Settlement[T Asset] struct {
+	// Fn is what p calls: contracts.FnRedeem on the contracts of the
+	// edges it receives on, contracts.FnRefund on those it sent.
+	Fn string
+	// Every is the throttle window of one edge's call: one in flight, or
+	// one that keeps failing, is not repeated on every drive.
+	Every sim.Time
+	// Secret produces what opens edge i's contract sc to Fn: SPV
+	// evidence, Trent's signature, the hash preimage. It runs inside the
+	// window; an error submits nothing and spends it.
+	Secret func(i int, sc T) ([]byte, error)
+	// Submitted, when set, replaces the "<Fn> submitted" timeline entry
+	// of a call that went out; first: it is edge i's first call of Fn.
+	Submitted func(i int, first bool)
+	// Terminal, when set, replaces the "terminal <state>" entry: handed
+	// a contract out of P that the ledger does not hold yet, it reports
+	// whether that state is final (nil: any state out of P is).
+	Terminal func(i int, sc T) bool
+}
+
+// Settle is the last phase of every protocol, for participant p: on each
+// of p's confirmed edges in s.Fn's direction, read the asset contract at
+// p's tip; out of P, enter its terminal state in the ledger, once per
+// edge; still in P, call s.Fn with the edge's secret, once per s.Every.
+// It reports whether this step entered the last edge — the run's
+// completion, timed in CompletedAt.
+func Settle[T Asset](rt *Runtime, p *xchain.Participant, s Settlement[T]) (completed bool) {
+	for i, e := range rt.cfg.Graph.Edges {
+		mine := e.To
+		if s.Fn == contracts.FnRefund {
+			mine = e.From
+		}
+		if mine != p.Addr() || rt.addrs[i].IsZero() {
+			continue
+		}
+		sc, ok := Contract[T](rt, p, e.Chain, rt.addrs[i], 0)
+		if !ok {
+			continue
+		}
+		if sc.SwapState() != contracts.StatePublished {
+			if rt.terminal[i] || (s.Terminal != nil && !s.Terminal(i, sc)) {
+				continue
+			}
+			if s.Terminal == nil {
+				rt.Event(i, "terminal "+sc.SwapState().String())
+			}
+			rt.terminal[i] = true
+			if rt.terminals++; rt.terminals == len(rt.terminal) {
+				rt.CompletedAt, completed = rt.Now(), true
+			}
+			continue
+		}
+		key := fmt.Sprintf("%s-%d", s.Fn, i)
+		rt.Throttle(p, key, s.Every, func() {
+			secret, err := s.Secret(i, sc)
+			if err != nil {
+				return
+			}
+			if _, err := p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
+				return
+			}
+			p.Calls++
+			first := !rt.submitted[key]
+			rt.submitted[key] = true
+			if s.Submitted != nil {
+				s.Submitted(i, first)
+			} else {
+				rt.Event(i, s.Fn+" submitted")
+			}
+		})
+	}
+	return completed
+}
+
+// Settled reports quiescence: a decision is final, no submitted
+// deployment is still unconfirmed — EnsureTx keeps its transaction alive
+// across forks, so the contract can still materialize after a refund
+// decision (easily so under decision batching) and must then be refunded,
+// not stranded — and every confirmed asset contract has left P on the
+// ground-truth views. None confirmed is an abort with nothing at stake:
+// a commit takes every edge confirmed.
+func (rt *Runtime) Settled() bool {
+	if !rt.Decided() {
+		return false
+	}
 	for i, tx := range rt.ownTx {
 		if tx != nil && rt.addrs[i].IsZero() {
-			return true
+			return false // a deployment in flight
 		}
 	}
-	return false
+	_, settled := rt.AssetsSettled()
+	return settled
 }
 
 // AssetsSettled scans the confirmed asset contracts on the ground-truth
-// views (xchain.AllSettled): settled reports that each exists on-chain
-// and has left Published, deployed that there is at least one.
+// views: settled reports that each is on-chain and has left P, deployed
+// that there is at least one. Unconfirmed edges are skipped — they are
+// the caller's decision-semantics problem.
 func (rt *Runtime) AssetsSettled() (deployed, settled bool) {
-	return xchain.AllSettled(rt.cfg.World, rt.cfg.Graph, rt.addrs)
+	for i, e := range rt.cfg.Graph.Edges {
+		if rt.addrs[i].IsZero() {
+			continue
+		}
+		ct, _ := rt.cfg.World.View(e.Chain).TipState().Contract(rt.addrs[i])
+		if a, ok := ct.(Asset); !ok || a.SwapState() == contracts.StatePublished {
+			return deployed, false // not in the view yet, or still locked
+		}
+		deployed = true
+	}
+	return deployed, true
 }
 
-// Grade reads terminal contract states from ground-truth views and
-// counts the on-chain operations the asset contracts cost (N deploys
-// plus N redeem/refund calls — Section 6.2's baseline). The observation
-// ends at the latest timeline event.
+// Grade reads the asset contracts' terminal states from the ground-truth
+// views and counts their canonical-chain deployments and calls (N deploys
+// plus N redeem/refund calls — Section 6.2's baseline; miners exclude
+// failing transactions, so these are exactly the operations participants
+// paid fees for). The observation ends at the latest timeline event.
 func (rt *Runtime) Grade() *xchain.Outcome {
-	out := xchain.GradeGraph(rt.cfg.World, rt.cfg.Graph, rt.addrs)
-	out.Start, out.End = rt.start, rt.start
+	out := &xchain.Outcome{Start: rt.start, End: rt.start}
+	for i, e := range rt.cfg.Graph.Edges {
+		eo := xchain.EdgeOutcome{Edge: e}
+		if addr := rt.addrs[i]; !addr.IsZero() {
+			view := rt.cfg.World.View(e.Chain)
+			ct, ok := view.TipState().Contract(addr)
+			eo.Deployed = ok
+			if a, ok := ct.(Asset); ok {
+				eo.State = a.SwapState()
+			}
+			d, c := view.ContractOps(map[crypto.Address]bool{addr: true})
+			out.Deploys, out.Calls = out.Deploys+d, out.Calls+c
+		}
+		out.Edges = append(out.Edges, eo)
+	}
 	for _, ev := range rt.events {
 		out.End = max(out.End, ev.At)
 	}
-	out.Deploys, out.Calls = xchain.CountGraphOps(rt.cfg.World, rt.cfg.Graph, rt.addrs)
 	return out
 }
 

@@ -327,16 +327,37 @@ func TestMarkFirstWins(t *testing.T) {
 	if marks[1].Point != PointDeployConfirmed || marks[1].At != time30s {
 		t.Fatalf("second mark = %+v, want deploy_confirmed at t=30s", marks[1])
 	}
-	at, ok := rt.MarkTime(PointDeploySubmitted)
-	if !ok || at != 0 {
-		t.Fatalf("MarkTime(deploy_submitted) = %v,%v", at, ok)
-	}
-	if _, ok := rt.MarkTime(PointDecisionConfirmed); ok {
-		t.Fatal("MarkTime reports a point that was never marked")
+	if rt.Decided() {
+		t.Fatal("Decided reports a point that was never marked")
 	}
 	// The returned slice is a copy.
 	marks[0].Point = PointDecisionTriggered
 	if rt.Marks()[0].Point != PointDeploySubmitted {
 		t.Fatal("Marks() returned the live slice")
+	}
+}
+
+// Nothing deployed: no asset ever moved, which grades as a clean abort
+// (the nothing side of all-or-nothing), never as commit or violation.
+func TestGradeNothingDeployed(t *testing.T) {
+	w, alice, bob := world(t, 9)
+	rt, err := New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Drive:        func(p *xchain.Participant) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	w.RunFor(time30s)
+	out := rt.Grade()
+	if out.Committed() || out.AtomicityViolated() || !out.Aborted() {
+		t.Fatalf("empty grading misjudged: %+v", out.Edges)
+	}
+	if len(out.Edges) != 2 || out.Edges[0].Deployed || out.Edges[1].Deployed || out.Deploys+out.Calls != 0 {
+		t.Fatalf("phantom deployment: %+v, %d deploys, %d calls", out.Edges, out.Deploys, out.Calls)
 	}
 }

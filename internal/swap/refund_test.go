@@ -126,8 +126,8 @@ func TestTimelockOrderingInvariant(t *testing.T) {
 	// Layer k deploys edge k in this ring (leader = ps[0]); the
 	// timelock must strictly decrease with the layer.
 	for i := 0; i+1 < len(r.timelocks); i++ {
-		if r.layers[i+1] != r.layers[i]+1 {
-			t.Fatalf("ring layers not sequential: %v", r.layers)
+		if r.timelocks[i+1] != r.timelocks[i]-int64(60*sim.Second) {
+			t.Fatalf("ring layers not sequential: timelocks %v are not one Δ apart", r.timelocks)
 		}
 		if r.timelocks[i+1] >= r.timelocks[i] {
 			t.Fatalf("timelock ordering violated: t[%d]=%d <= t[%d]=%d",

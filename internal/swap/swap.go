@@ -4,12 +4,12 @@
 // hashlock/timelock (HTLC) contracts.
 //
 // The implementation is a thin instance over the shared reconciler
-// runtime (internal/protocol): the protocol is a step function driven
-// by tip-change notifications and announcements, the runtime keeps the
-// per-edge deploy ledger, and the only timers are
-// the protocol's own Δ-derived timelocks — the refunds of Nolan's
-// construction — armed as one-shot runtime wakes. It reproduces the
-// two properties the paper's evaluation leans on:
+// runtime (internal/protocol): the protocol is a step function driven by
+// tip-change notifications and announcements, the runtime keeps the
+// deploy ledger and makes the redeem and refund calls, and the only
+// timers are the protocol's own Δ-derived timelocks — the refunds of
+// Nolan's construction — armed as one-shot runtime wakes. It reproduces
+// the two properties the paper's evaluation leans on:
 //
 //   - Sequential structure: a participant publishes its outgoing
 //     contracts only after all its incoming contracts are confirmed,
@@ -60,14 +60,10 @@ type Run struct {
 
 	secret    []byte
 	hashlock  crypto.Hash
-	layers    []int   // deployment layer per edge (BFS distance of source from leader)
 	timelocks []int64 // absolute timelock per edge
 
 	secrets map[*xchain.Participant][]byte // who has learned s
 
-	redeemSubmitted []bool
-	redeemConfirmed []bool
-	refundSubmitted []bool
 	// revealed: some redeem was submitted, so s is on its way on-chain.
 	revealed bool
 }
@@ -93,10 +89,6 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("swap: Delta must be positive")
 	}
-	n := len(cfg.Graph.Edges)
-	r.redeemSubmitted = make([]bool, n)
-	r.redeemConfirmed = make([]bool, n)
-	r.refundSubmitted = make([]bool, n)
 	return r, nil
 }
 
@@ -113,16 +105,15 @@ func (r *Run) Start() {
 	r.Runtime.Start()
 }
 
-// computeSchedule derives deployment layers and timelocks: a contract
-// whose sender is at BFS distance k from the leader deploys in step k
-// and carries timelock start + (2·Diam − k + 1)·Δ, preserving
+// computeSchedule derives the timelocks: a contract whose sender is at
+// BFS distance k from the leader deploys in step k (its layer) and
+// carries timelock start + (2·Diam − k + 1)·Δ, preserving
 // Nolan's t1 > t2 ordering with a safety margin of one Δ.
 func (r *Run) computeSchedule() {
 	g := r.cfg.Graph
 	start := r.w.Sim.Now()
 	dist := bfsDistances(g, r.cfg.Leader.Addr())
 	diam := g.Diameter()
-	r.layers = make([]int, len(g.Edges))
 	r.timelocks = make([]int64, len(g.Edges))
 	for i, e := range g.Edges {
 		k := dist[e.From]
@@ -132,7 +123,6 @@ func (r *Run) computeSchedule() {
 			// leader); deploy last, defensively.
 			k = diam
 		}
-		r.layers[i] = k
 		r.timelocks[i] = int64(start) + int64(2*diam-k+1)*int64(r.cfg.Delta)
 	}
 }
@@ -182,11 +172,22 @@ func (r *Run) drive(p *xchain.Participant) {
 	// Redeem incoming contracts: the leader once everything is
 	// deployed, everyone else as soon as they know s.
 	if s := r.secrets[p]; s != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
-		r.redeemIncoming(p, s)
+		r.settle(p, contracts.FnRedeem, s)
 	}
-	// Refund own contracts whose timelock expired; arm one-shot wakes
-	// for the pending ones.
-	r.refundExpired(p, now)
+	// Refund own contracts once their timelock expired — a sender's
+	// contracts share one, a function of its layer — with a one-shot wake
+	// armed for each that is pending.
+	expired := true
+	for i, e := range r.cfg.Graph.Edges {
+		refundAt := r.timelocks[i] + int64(r.cfg.Delta)/4
+		if e.From == p.Addr() && now < refundAt {
+			r.WakeAt(p, fmt.Sprintf("refund-due-%d", i), refundAt)
+			expired = false
+		}
+	}
+	if expired {
+		r.settle(p, contracts.FnRefund, nil)
+	}
 }
 
 // assetParams encodes the HTLC constructor for edge i: the shared
@@ -232,79 +233,36 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 	}
 }
 
-// redeemIncoming makes p redeem its incoming contracts with the
-// secret, and records the Figure 8 redemption boundary as redeems are
-// publicly recognized (confirmed at depth d, the paper's Δ
-// semantics).
-func (r *Run) redeemIncoming(p *xchain.Participant, secret []byte) {
-	for i, e := range r.cfg.Graph.Edges {
-		if e.To != p.Addr() || r.Addr(i).IsZero() {
-			continue
-		}
-		h, ok := r.readHTLC(p, i, 0)
-		if !ok {
-			continue
-		}
-		if h.State == contracts.StateRedeemed {
-			if r.redeemConfirmed[i] {
-				continue
+// settle makes p redeem its incoming contracts with the secret, or
+// refund its own. Hashlocks have no decision apart from the settle
+// phase, so this is where the phase boundaries are marked: the first
+// call submitted on an edge triggers the decision, and a redeem publicly
+// recognized (confirmed at depth d, the paper's Δ semantics) is the
+// Figure 8 redemption boundary — the only terminal state a swap records.
+func (r *Run) settle(p *xchain.Participant, fn string, secret []byte) {
+	protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.HTLC]{
+		Fn: fn, Every: r.retryEvery(),
+		Secret: func(int, *contracts.HTLC) ([]byte, error) { return secret, nil },
+		Submitted: func(i int, first bool) {
+			if first {
+				r.revealed = r.revealed || fn == contracts.FnRedeem
+				r.Mark(protocol.PointDecisionTriggered)
+				r.Event(i, fn+" submitted")
 			}
-			if deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); ok && deep.State == contracts.StateRedeemed {
-				r.redeemConfirmed[i] = true
-				r.Mark(protocol.PointDecisionConfirmed)
-				r.Event(i, "redeem confirmed")
+		},
+		Terminal: func(i int, h *contracts.HTLC) bool {
+			if fn != contracts.FnRedeem || h.State != contracts.StateRedeemed {
+				return false
 			}
-			continue
-		}
-		if h.State != contracts.StatePublished {
-			continue
-		}
-		i := i
-		r.Throttle(p, fmt.Sprintf("redeem-%d", i), r.retryEvery(), func() {
-			if _, err := p.Client(e.Chain).Call(r.Addr(i), contracts.FnRedeem, secret, 0); err == nil {
-				p.Calls++
-				if !r.redeemSubmitted[i] {
-					r.redeemSubmitted[i] = true
-					r.revealed = true
-					r.Mark(protocol.PointDecisionTriggered)
-					r.Event(i, "redeem submitted")
-				}
+			deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth)
+			if !ok || deep.State != contracts.StateRedeemed {
+				return false
 			}
-		})
-	}
-}
-
-// refundExpired submits p's refunds for its own contracts whose
-// timelock has passed and which are still locked, arming a one-shot
-// wake for each pending deadline.
-func (r *Run) refundExpired(p *xchain.Participant, now sim.Time) {
-	for i, e := range r.cfg.Graph.Edges {
-		if e.From != p.Addr() {
-			continue
-		}
-		refundAt := r.timelocks[i] + int64(r.cfg.Delta)/4
-		if now < refundAt {
-			r.WakeAt(p, fmt.Sprintf("refund-due-%d", i), refundAt)
-			continue
-		}
-		if r.Addr(i).IsZero() {
-			continue
-		}
-		if h, ok := r.readHTLC(p, i, 0); !ok || h.State != contracts.StatePublished {
-			continue
-		}
-		i := i
-		r.Throttle(p, fmt.Sprintf("refund-%d", i), r.retryEvery(), func() {
-			if _, err := p.Client(e.Chain).Call(r.Addr(i), contracts.FnRefund, nil, 0); err == nil {
-				p.Calls++
-				if !r.refundSubmitted[i] {
-					r.refundSubmitted[i] = true
-					r.Mark(protocol.PointDecisionTriggered)
-					r.Event(i, "refund submitted")
-				}
-			}
-		})
-	}
+			r.Mark(protocol.PointDecisionConfirmed)
+			r.Event(i, "redeem confirmed")
+			return true
+		},
+	})
 }
 
 // retryEvery is the throttle interval for re-submitting redeem/refund
@@ -338,6 +296,3 @@ func (r *Run) CommitPushed() bool { return r.revealed }
 // hashlock contracts have no decision a rogue could race — refunds are
 // gated by timelocks alone.
 func (r *Run) RaceRefund(*xchain.Participant) bool { return true }
-
-// Secret exposes the leader's secret (tests verifying reveal flow).
-func (r *Run) Secret() []byte { return append([]byte(nil), r.secret...) }

@@ -434,93 +434,3 @@ func (o *Outcome) AtomicityViolated() bool {
 
 // Latency returns End-Start.
 func (o *Outcome) Latency() sim.Time { return o.End - o.Start }
-
-// GradeGraph reads the terminal states of all asset contracts of an
-// AC2T from ground-truth chain views. addrs maps edge index to the
-// contract address (zero address = never announced/deployed).
-func GradeGraph(w *World, g *graph.Graph, addrs []crypto.Address) *Outcome {
-	out := &Outcome{}
-	for i, e := range g.Edges {
-		eo := EdgeOutcome{Edge: e}
-		if i < len(addrs) && !addrs[i].IsZero() {
-			view := w.View(e.Chain)
-			if ct, ok := view.TipState().Contract(addrs[i]); ok {
-				eo.Deployed = true
-				eo.State = swapStateOf(ct)
-			}
-		}
-		out.Edges = append(out.Edges, eo)
-	}
-	return out
-}
-
-// CountContractOps counts canonical-chain deployments of and calls to
-// the given contracts. Because miners exclude failing transactions,
-// these are exactly the operations participants paid fees for — the
-// quantity Section 6.2's cost model is about. Served from the
-// executor's contract-op index (O(ops), not O(chain height)), which
-// pruning preserves for every block canonical in any live view.
-func CountContractOps(view *chain.Chain, addrs map[crypto.Address]bool) (deploys, calls int) {
-	return view.ContractOps(addrs)
-}
-
-// CountGraphOps totals CountContractOps over an AC2T's announced
-// asset contracts, grouped per chain — the shared fee-accounting core
-// behind every protocol's Grade.
-func CountGraphOps(w *World, g *graph.Graph, addrs []crypto.Address) (deploys, calls int) {
-	perChain := make(map[chain.ID]map[crypto.Address]bool)
-	for i, e := range g.Edges {
-		if i >= len(addrs) || addrs[i].IsZero() {
-			continue
-		}
-		if perChain[e.Chain] == nil {
-			perChain[e.Chain] = make(map[crypto.Address]bool)
-		}
-		perChain[e.Chain][addrs[i]] = true
-	}
-	for id, set := range perChain {
-		d, c := CountContractOps(w.View(id), set)
-		deploys += d
-		calls += c
-	}
-	return deploys, calls
-}
-
-// AllSettled scans an AC2T's announced asset contracts on the
-// ground-truth views: settled reports that every announced contract
-// exists on-chain and has left Published (redeemed or refunded);
-// deployed reports that at least one contract was announced and
-// found. Never-announced edges (zero address) are skipped — they are
-// the caller's decision-semantics problem. This is the shared
-// quiescence core behind the protocol runners' Settled methods.
-func AllSettled(w *World, g *graph.Graph, addrs []crypto.Address) (deployed, settled bool) {
-	for i, e := range g.Edges {
-		if i >= len(addrs) || addrs[i].IsZero() {
-			continue
-		}
-		ct, ok := w.View(e.Chain).TipState().Contract(addrs[i])
-		if !ok {
-			return deployed, false // announced but not in the view yet
-		}
-		if swapStateOf(ct) == contracts.StatePublished {
-			return deployed, false
-		}
-		deployed = true
-	}
-	return deployed, true
-}
-
-// swapStateOf extracts the Algorithm 1 state from any of the asset
-// contract types.
-func swapStateOf(ct vm.Contract) contracts.SwapState {
-	switch c := ct.(type) {
-	case *contracts.HTLC:
-		return c.State
-	case *contracts.PermissionlessSC:
-		return c.State
-	case *contracts.CentralizedSC:
-		return c.State
-	default:
-		return contracts.StatePublished
-	}
-}

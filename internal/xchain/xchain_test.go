@@ -3,10 +3,8 @@ package xchain
 import (
 	"testing"
 
-	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
-	"repro/internal/graph"
 	"repro/internal/miner"
 	"repro/internal/sim"
 )
@@ -174,39 +172,13 @@ func TestCountContractOps(t *testing.T) {
 	if !done {
 		t.Fatal("deploy never confirmed")
 	}
-	d, c := CountContractOps(w.View("c1"), map[crypto.Address]bool{addr: true})
+	d, c := w.View("c1").ContractOps(map[crypto.Address]bool{addr: true})
 	if d != 1 || c != 1 {
 		t.Fatalf("ops = %d deploys, %d calls; want 1/1", d, c)
 	}
 	// Unrelated contracts are not counted.
-	d, c = CountContractOps(w.View("c1"), map[crypto.Address]bool{{9, 9}: true})
+	d, c = w.View("c1").ContractOps(map[crypto.Address]bool{{9, 9}: true})
 	if d != 0 || c != 0 {
 		t.Fatalf("phantom ops counted: %d/%d", d, c)
 	}
-}
-
-func TestGradeGraphHandlesMissingContracts(t *testing.T) {
-	w, alice, bob := buildTwoChainWorld(t, 6)
-	g, err := graph.TwoParty(1, alice.Addr(), bob.Addr(), 1_000, "c1", 2_000, "c2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing deployed: no assets ever moved, which grades as a clean
-	// abort (the nothing side of all-or-nothing), never as commit or
-	// violation.
-	out := GradeGraph(w, g, make([]crypto.Address, 2))
-	if out.Committed() || out.AtomicityViolated() {
-		t.Fatalf("empty grading misjudged: %+v", out.Edges)
-	}
-	if !out.Aborted() {
-		t.Fatal("never-started AC2T should grade as aborted")
-	}
-	for _, e := range out.Edges {
-		if e.Deployed {
-			t.Fatal("phantom deployment")
-		}
-	}
-	// A shorter address slice than edges must not panic.
-	_ = GradeGraph(w, g, nil)
-	_ = chain.ID("c1") // keep chain import meaningful
 }
