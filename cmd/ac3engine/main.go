@@ -5,24 +5,25 @@
 // Usage:
 //
 //	ac3engine [-shards N] [-txs N] [-seed N] [-workers N]
-//	          [-protocol ac3wn|ac3tw|htlc] [-arrival sec] [-inflight N]
-//	          [-timeout min] [-chains N]
+//	          [-protocol ac3wn|ac3tw|htlc] [-timeout min]
 //	          [-mix commit,abort,crash,race[,partition,lossy,geo]]
-//	          [-loss P] [-partitionfor min]
-//	          [-batchwindow sec] [-batchwitnesses N] [-batchthreshold M]
-//	          [-sizes 2:6,3:3,4:1] [-progress] [-strict] [-execbudget N]
+//	          [-batchwindow sec] [-progress] [-strict] [-execbudget N]
 //	          [-prunedepth N] [-membudget MiB] [-memlimit MiB]
-//	          [-trace file] [-tracechrome file] [-tracecap N]
+//	          [-trace file] [-tracechrome file]
 //	          [-cpuprofile file] [-memprofile file]
+//
+// The rest of the workload (arrival rate, in-flight cap, chains per
+// world, graph sizes, loss, partition length, batching quorum, trace
+// ring) is engine.DefaultWorkload's; a sweep sets the field from Go.
 //
 // -trace writes the run's deterministic trace as NDJSON (one record
 // per line, virtual timestamps + per-shard sequence numbers, byte-
 // identical across worker counts); -tracechrome writes Chrome
 // trace_event JSON loadable in chrome://tracing or https://ui.perfetto.dev
 // (one process per shard, one track per transaction and per chain).
-// Either flag enables recording; -tracecap bounds the per-shard ring
-// buffer (0 = default 65536 records; older records evict first, so
-// memory stays flat at any -txs).
+// Either flag enables recording into a per-shard ring buffer of 65536
+// records (older records evict first, so memory stays flat at any
+// -txs).
 //
 // -batchwindow enables witness-side decision batching (AC3WN only):
 // instead of one witness-chain transaction per AC2T decision, each
@@ -31,14 +32,13 @@
 // commit_batch transaction; asset contracts then unlock against
 // membership proofs. Outcomes are unchanged — only the witness-chain
 // traffic columns (witness_decision_txs, batches_published,
-// witness_txs_per_commit, ...) move. -batchwitnesses/-batchthreshold
-// size the attestation quorum (defaults 4 and 3).
+// witness_txs_per_commit, ...) move. The attestation quorum is 3 of 4.
 //
 // The -mix flag takes four weights (the classic scenario matrix) or
 // seven, adding the network-adversity scenarios: partition splits the
 // transaction's decision chain during its decision window and heals
-// -partitionfor minutes later, lossy drops each gossip message with
-// probability -loss on every chain the AC2T touches, and geo skews
+// six minutes later, lossy drops each gossip message with probability
+// 0.25 on every chain the AC2T touches, and geo skews
 // the asset chains to intercontinental/WAN link classes so
 // confirmation depths race. Adversity outcomes surface in the JSON
 // aggregates as forks_observed, max_reorg_depth, and msgs_dropped.
@@ -59,7 +59,6 @@ import (
 	"os"
 	"runtime/debug"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -74,17 +73,9 @@ func main() {
 	seed := flag.Uint64("seed", 42, "master seed (results are a pure function of it)")
 	workers := flag.Int("workers", 0, "concurrent shard executors (0 = min(shards, GOMAXPROCS))")
 	protocol := flag.String("protocol", "ac3wn", "protocol: ac3wn|ac3tw|htlc")
-	arrival := flag.Float64("arrival", 20, "mean AC2T interarrival per shard, virtual seconds")
-	inflight := flag.Int("inflight", 8, "max concurrent AC2Ts per shard (backpressure cap)")
 	timeout := flag.Float64("timeout", 45, "per-transaction grading deadline, virtual minutes")
-	chains := flag.Int("chains", 2, "asset chains per shard world (plus one witness chain)")
 	mix := flag.String("mix", "7,2,1,1", "scenario weights: commit,abort,crash,race[,partition,lossy,geo]")
-	loss := flag.Float64("loss", 0.25, "lossy-scenario gossip drop probability in (0,1)")
-	partitionFor := flag.Float64("partitionfor", 6, "partition-scenario split duration, virtual minutes")
 	batchWindow := flag.Float64("batchwindow", 0, "witness decision-batching collection window, virtual seconds (0 = per-AC2T decisions; AC3WN only)")
-	batchWitnesses := flag.Int("batchwitnesses", 0, "batching attestation quorum size n (0 = default 4)")
-	batchThreshold := flag.Int("batchthreshold", 0, "batching attestation threshold m (0 = default 2n/3+1)")
-	sizes := flag.String("sizes", "2:6,3:3,4:1", "graph size distribution as size:weight,...")
 	progress := flag.Bool("progress", false, "report live progress to stderr")
 	strict := flag.Bool("strict", false, "exit non-zero unless every transaction settled (graded, none stuck) with zero atomicity violations")
 	execBudget := flag.Float64("execbudget", 0, "max blocks executed per settled AC2T (0 = unchecked); guards the shared-executor N-times-to-once win")
@@ -93,7 +84,6 @@ func main() {
 	memLimit := flag.Float64("memlimit", 0, "soft runtime memory limit in MiB (GOMEMLIMIT; 0 = none) — caps GC overshoot at the cost of more frequent collections")
 	traceOut := flag.String("trace", "", "write the deterministic trace as NDJSON to this file")
 	traceChrome := flag.String("tracechrome", "", "write the trace as Chrome trace_event JSON (Perfetto-loadable) to this file")
-	traceCap := flag.Int("tracecap", 0, "per-shard trace ring capacity (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
@@ -116,32 +106,21 @@ func main() {
 	wl := engine.DefaultWorkload()
 	wl.Protocol = engine.Protocol(*protocol)
 	wl.Txs = *txs
-	wl.ArrivalEvery = sim.Time(*arrival * float64(sim.Second))
-	wl.MaxInFlight = *inflight
 	wl.TxTimeout = sim.Time(*timeout * float64(sim.Minute))
-	wl.AssetChains = *chains
-	wl.Adversity.Loss = *loss
-	wl.Adversity.PartitionFor = sim.Time(*partitionFor * float64(sim.Minute))
 	wl.BatchWindow = sim.Time(*batchWindow * float64(sim.Second))
-	wl.BatchWitnesses = *batchWitnesses
-	wl.BatchThreshold = *batchThreshold
 
 	var err error
 	if wl.Mix, err = engine.ParseMix(*mix); err != nil {
 		fatal(err)
 	}
-	if wl.Sizes, err = parseSizes(*sizes); err != nil {
-		fatal(err)
-	}
 
 	eng, err := engine.New(engine.Config{
-		Seed:         *seed,
-		Shards:       *shards,
-		Workers:      *workers,
-		Workload:     wl,
-		PruneDepth:   *pruneDepth,
-		Trace:        *traceOut != "" || *traceChrome != "",
-		TraceRingCap: *traceCap,
+		Seed:       *seed,
+		Shards:     *shards,
+		Workers:    *workers,
+		Workload:   wl,
+		PruneDepth: *pruneDepth,
+		Trace:      *traceOut != "" || *traceChrome != "",
 	})
 	if err != nil {
 		fatal(err)
@@ -259,19 +238,6 @@ func main() {
 			float64(mem.PeakSysBytes)/(1<<20), *memBudget)
 		os.Exit(1)
 	}
-}
-
-// parseSizes parses "size:weight,..." into a distribution.
-func parseSizes(s string) ([]engine.SizeWeight, error) {
-	var out []engine.SizeWeight
-	for _, p := range strings.Split(s, ",") {
-		var sz, wt int
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d:%d", &sz, &wt); err != nil {
-			return nil, fmt.Errorf("bad size entry %q (want size:weight): %v", p, err)
-		}
-		out = append(out, engine.SizeWeight{Size: sz, Weight: wt})
-	}
-	return out, nil
 }
 
 // writeTrace exports the run's trace through the given writer.

@@ -43,16 +43,12 @@ type Config struct {
 	// StableDepth is how deep a published batch must be buried before
 	// the Coordinator stops watching it for reorgs.
 	StableDepth int
-	// OnEvent, when set, receives one-shot diagnostic labels (batch
-	// published / orphaned-republished).
-	OnEvent func(label string)
 }
 
 // trackedBatch is a published commitment not yet buried StableDepth.
 type trackedBatch struct {
 	tx       *chain.Tx
 	seen     bool // observed on the canonical chain at least once
-	reported bool // one-shot orphan event emitted
 	lastPush sim.Time
 }
 
@@ -214,12 +210,11 @@ func (c *Coordinator) flush() {
 	c.BatchDecisions += len(records)
 	c.BytesPublished += tx.EncodedLen()
 	c.tracked[tx.ID()] = &trackedBatch{tx: tx, lastPush: c.s.Now()}
-	c.event(fmt.Sprintf("batch committed: %d decisions", len(records)))
 }
 
 // check runs on every witness-chain tip change: published batches are
 // watched until StableDepth. A batch reorged off the canonical chain
-// is re-published (one one-shot event per batch) instead of silently
+// is re-published (counted in Republishes) instead of silently
 // stranding every AC2T whose proof hangs off its root; a batch that
 // never lands for a whole resubmit window (mempool wipe under
 // partition) is quietly re-multicast, mirroring EnsureTx. The handful of
@@ -252,10 +247,6 @@ func (c *Coordinator) check(miner.TipSummary) {
 			tb.seen = false
 			tb.lastPush = now
 			c.Republishes++
-			if !tb.reported {
-				tb.reported = true
-				c.event("batch commitment orphaned by reorg — republished")
-			}
 		case now-tb.lastPush >= c.client.ResubmitEvery:
 			c.client.Submit(tb.tx)
 			tb.lastPush = now
@@ -288,10 +279,4 @@ func (c *Coordinator) Close() {
 	c.pending = nil
 	c.decided = nil
 	c.tracked = nil
-}
-
-func (c *Coordinator) event(label string) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(label)
-	}
 }

@@ -12,10 +12,10 @@ import (
 
 // Chain is one node's *view* of a blockchain: which blocks the node
 // has seen, its canonical (longest-chain, first-seen-wins) tip choice,
-// and its TipEvent listeners. Block bodies, ledger states, and the
-// tx→block index live in the network's shared Executor — a view holds
-// only membership and ordering. Blocks and states are immutable and
-// shared across views.
+// and its TipEvent listeners. Block records (body, ledger state, own
+// changes) and the tx→block index live in the network's shared Executor
+// — a view holds only membership and ordering. Blocks and states are
+// immutable and shared across views.
 type Chain struct {
 	exec *Executor
 
@@ -103,7 +103,7 @@ func (c *Chain) Block(h crypto.Hash) (*Block, bool) {
 	if !c.have[h] {
 		return nil, false
 	}
-	return c.exec.blocks[h], true
+	return c.exec.block(h), true
 }
 
 // HasBlock reports whether the view already contains h.
@@ -117,7 +117,7 @@ func (c *Chain) CanonicalAt(height uint64) (*Block, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.exec.blocks[h], true
+	return c.exec.block(h), true
 }
 
 // IsCanonical reports whether the block with hash h is on the
@@ -126,7 +126,7 @@ func (c *Chain) IsCanonical(h crypto.Hash) bool {
 	if !c.have[h] {
 		return false
 	}
-	return c.canonical[c.exec.blocks[h].Header.Height] == h
+	return c.canonical[c.exec.block(h).Header.Height] == h
 }
 
 // DepthOf returns how many blocks are mined on top of block h on the
@@ -138,7 +138,7 @@ func (c *Chain) DepthOf(h crypto.Hash) (int, bool) {
 	if !c.IsCanonical(h) {
 		return 0, false
 	}
-	return int(c.tip.Header.Height - c.exec.blocks[h].Header.Height), true
+	return int(c.tip.Header.Height - c.exec.block(h).Header.Height), true
 }
 
 // StateAt returns the ledger state after the block with hash h. The
@@ -225,53 +225,38 @@ func (c *Chain) adopt(b *Block) (reorged bool) {
 
 // setTip switches the canonical chain to end at b, rebuilding the
 // canonical index along the changed suffix and publishing a TipEvent
-// describing exactly which blocks joined and left the canonical chain.
+// naming the blocks that left the canonical chain. (What joined it a
+// subscriber reads from Since.) b is higher than the old tip — adopt's
+// longest-chain rule — so no canonical entry sits above it.
 func (c *Chain) setTip(b *Block) {
 	old := c.tip
-	reorg := false
-	if b.Header.Parent != old.Hash() {
-		// Not a simple extension: count it as a reorg if the old tip
-		// is abandoned.
-		if !c.isAncestor(old, b) {
-			c.Reorgs++
-			reorg = true
-		}
+	// Not a simple extension: a reorg if the old tip is abandoned.
+	reorg := b.Header.Parent != old.Hash() && !c.isAncestor(old, b)
+	if reorg {
+		c.Reorgs++
 	}
 	c.tip = b
-	var connected, disconnected []*Block
-	for cur := b; ; {
+	var disconnected []*Block
+	for cur := b; ; cur = c.exec.block(cur.Header.Parent) {
 		h := cur.Hash()
-		if c.canonical[cur.Header.Height] == h {
+		prev, ok := c.canonical[cur.Header.Height]
+		if prev == h {
 			break
 		}
-		if prevHash, ok := c.canonical[cur.Header.Height]; ok {
-			disconnected = append(disconnected, c.exec.blocks[prevHash])
+		if ok {
+			disconnected = append(disconnected, c.exec.block(prev))
 		}
 		c.canonical[cur.Header.Height] = h
-		connected = append(connected, cur)
 		if cur.Header.Height == 0 {
 			break
 		}
-		cur = c.exec.blocks[cur.Header.Parent]
 	}
-	// The walk above collects newest-first; events report oldest-first.
-	slices.Reverse(connected)
+	// The walk above collects newest-first; the event reports oldest-first.
 	slices.Reverse(disconnected)
-	// Drop canonical entries above the new tip (after a reorg to a
-	// shorter-but-heavier chain; cannot happen with pure longest-chain
-	// but kept for safety). These leave the canonical chain too.
-	for hgt := b.Header.Height + 1; ; hgt++ {
-		h, ok := c.canonical[hgt]
-		if !ok {
-			break
-		}
-		disconnected = append(disconnected, c.exec.blocks[h])
-		delete(c.canonical, hgt)
-	}
 	if reorg && len(disconnected) > c.MaxReorgDepth {
 		c.MaxReorgDepth = len(disconnected)
 	}
-	ev := TipEvent{Old: old, New: b, Connected: connected, Disconnected: disconnected, Reorg: reorg}
+	ev := TipEvent{Disconnected: disconnected}
 	for _, fn := range c.listeners {
 		fn(ev)
 	}
@@ -297,7 +282,7 @@ func (c *Chain) isAncestor(a, b *Block) bool {
 		if cur.Header.Height == 0 {
 			return false
 		}
-		cur = c.exec.blocks[cur.Header.Parent]
+		cur = c.exec.block(cur.Header.Parent)
 	}
 	return false
 }
@@ -308,7 +293,7 @@ func (c *Chain) isAncestor(a, b *Block) bool {
 func (c *Chain) FindTx(id crypto.Hash) (*Block, int, bool) {
 	for _, bh := range c.exec.txIndex[id] {
 		if c.IsCanonical(bh) {
-			b := c.exec.blocks[bh]
+			b := c.exec.block(bh)
 			if i := b.FindTx(id); i >= 0 {
 				return b, i, true
 			}
@@ -372,7 +357,7 @@ func (c *Chain) Since(old *Block, buf []*Block) (connected []*Block, reorged boo
 		return buf, true
 	}
 	for h := old.Header.Height + 1; h <= c.tip.Header.Height; h++ {
-		buf = append(buf, c.exec.blocks[c.canonical[h]])
+		buf = append(buf, c.exec.block(c.canonical[h]))
 	}
 	return buf, false
 }

@@ -406,15 +406,45 @@ func (g *blockGen) mine(n int) []*Block {
 	return out
 }
 
+// checkRecords holds the record invariant without reading through the
+// executor (a read would memoize): StatesLive is the number of records
+// that hold a state, and every record above the retire floor can get one
+// back — it holds a state, or a delta to mount, or is replayable, and
+// for the last two its parent's record is still there. (At the floor
+// itself only the checkpoint is readable, from the floor state.)
+func checkRecords(t *testing.T, name string, e *Executor) {
+	t.Helper()
+	live := 0
+	for h, r := range e.blocks {
+		if r.block == nil || r.block.Hash() != h {
+			t.Fatalf("%s: record under %s holds another block", name, h)
+		}
+		if r.state != nil {
+			live++
+			continue
+		}
+		if height := r.block.Header.Height; height > e.retireFloor && e.blocks[r.block.Header.Parent] == nil {
+			t.Fatalf("%s: block at height %d above the floor %d has no state and no parent record to re-derive it from", name, height, e.retireFloor)
+		}
+	}
+	if got := e.Stats().StatesLive; got != live {
+		t.Fatalf("%s: StatesLive = %d, %d records hold a state", name, got, live)
+	}
+	if e.floor != nil && e.blocks[e.ckpt] == nil {
+		t.Fatalf("%s: the checkpoint block was retired", name)
+	}
+}
+
 // TestDeltaAndReexecutionAgree is the delta ≡ re-execution parity
 // test: one random block tree — a dead fork that is later revived into
 // a reorg deeper than PruneDepth, a second deep reorg off a canonical
 // ancestor, retirement running throughout — is fed to an executor that
-// keeps deltas, to a twin whose deltas the test throws away after every
-// block (so every re-derivation and every floor advance re-executes),
-// and to an archive that never collects anything. At every retained
-// height all three must hold the same UTXOs, contract objects, balances
-// and total value, and agree on every verdict.
+// keeps deltas, to a twin whose records' deltas the test throws away
+// after every block (so every re-derivation and every floor advance
+// re-executes), and to an archive that never collects anything. At every
+// retained height all three must hold the same UTXOs, contract objects,
+// balances and total value, and agree on every verdict; after every
+// block the two collecting executors hold the record invariant.
 func TestDeltaAndReexecutionAgree(t *testing.T) {
 	const prune, retire = 8, 24
 	rng := sim.NewRNG(95)
@@ -451,7 +481,11 @@ func TestDeltaAndReexecutionAgree(t *testing.T) {
 				t.Fatalf("block at height %d rejected: %v", b.Header.Height, err)
 			}
 		}
-		clear(reexec.deltas)
+		for _, r := range reexec.blocks {
+			r.delta = nil
+		}
+		checkRecords(t, "deltas", withDeltas)
+		checkRecords(t, "re-execution", reexec)
 		if vd.Tip().Hash() != va.Tip().Hash() || vr.Tip().Hash() != va.Tip().Hash() {
 			t.Fatalf("tips diverge after the block at height %d", b.Header.Height)
 		}
@@ -481,7 +515,7 @@ func TestDeltaAndReexecutionAgree(t *testing.T) {
 
 	// The floor states themselves, then every retained height through
 	// the public read path.
-	ckpt, _ := archive.StateOf(withDeltas.ckpt)
+	ckpt, _ := archive.stateOf(withDeltas.ckpt)
 	want := snapshot(ckpt)
 	for name, e := range map[string]*Executor{"deltas": withDeltas, "re-execution": reexec} {
 		if !reflect.DeepEqual(snapshot(e.floor), want) {

@@ -1,26 +1,16 @@
 package chain
 
-// TipEvent describes one canonical-tip change of a chain view — the
-// structured notification the storage layer publishes instead of
-// making every watcher re-scan TipState on a timer. Participants in
-// the paper's protocols are reactive: they act when SCw's state or a
-// redemption witness *becomes visible*, so the view tells them exactly
-// when visibility changed and what changed.
+// TipEvent is what a chain view publishes, synchronously, after every
+// change of its canonical tip. It carries what the node layer cannot
+// read off the view afterwards. What joined the chain and whether the
+// old tip was abandoned a subscriber derives with Since, for however
+// many tip changes its wake-up coalesced.
 type TipEvent struct {
-	// Old and New are the previous and new canonical tip blocks.
-	Old, New *Block
-	// Connected lists the blocks that joined the canonical chain,
-	// oldest first. On a plain extension it is just the new tip; on a
-	// reorg it is the whole adopted branch above the fork point.
-	Connected []*Block
 	// Disconnected lists the blocks that left the canonical chain,
 	// oldest first. Non-empty only when a fork was abandoned — their
 	// transactions are no longer confirmed and must be re-announced
 	// (the miner layer returns them to the mempool) or retracted.
 	Disconnected []*Block
-	// Reorg reports that the old tip itself was abandoned (the view's
-	// Reorgs counter incremented with this event).
-	Reorg bool
 }
 
 // OnTipChange registers fn to run synchronously whenever the canonical

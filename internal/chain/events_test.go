@@ -14,29 +14,21 @@ func TestTipEventOnExtension(t *testing.T) {
 	var events []TipEvent
 	e.chain.OnTipChange(func(ev TipEvent) { events = append(events, ev) })
 
-	genesis := e.chain.Genesis()
-	b1 := e.mine(e.transfer("alice", "bob", 100))
+	e.mine(e.transfer("alice", "bob", 100))
 
 	if len(events) != 1 {
 		t.Fatalf("got %d tip events, want 1", len(events))
 	}
-	ev := events[0]
-	if ev.Old != genesis || ev.New != b1 {
-		t.Fatalf("event Old/New = %s/%s, want genesis/b1", ev.Old.Hash(), ev.New.Hash())
-	}
-	if len(ev.Connected) != 1 || ev.Connected[0] != b1 {
-		t.Fatalf("Connected = %v, want [b1]", ev.Connected)
-	}
-	if len(ev.Disconnected) != 0 || ev.Reorg {
-		t.Fatalf("plain extension reported Disconnected=%v Reorg=%v", ev.Disconnected, ev.Reorg)
+	if ev := events[0]; len(ev.Disconnected) != 0 {
+		t.Fatalf("plain extension reported Disconnected=%v", ev.Disconnected)
 	}
 }
 
 // TestTipEventOnReorg is the reorg-notification contract: a
 // transaction confirmed on a fork that loses the canonical race must
 // be reported as disconnected when the tip switches (so the node layer
-// can re-announce it), the adopted branch must arrive oldest-first,
-// and the Reorgs counter must tick with the event.
+// can re-announce it), and the Reorgs counter must tick with the event.
+// (What joined the chain is Since's to report: TestSince.)
 func TestTipEventOnReorg(t *testing.T) {
 	e, f := forkEnv(t)
 	var events []TipEvent
@@ -68,17 +60,8 @@ func TestTipEventOnReorg(t *testing.T) {
 		t.Fatalf("got %d tip events, want 2", len(events))
 	}
 	ev := events[1]
-	if !ev.Reorg {
-		t.Fatal("fork switch not flagged as reorg")
-	}
 	if e.chain.Reorgs != 1 {
 		t.Fatalf("Reorgs = %d, want 1", e.chain.Reorgs)
-	}
-	if ev.Old != a1 || ev.New != b2 {
-		t.Fatalf("event Old/New mismatch")
-	}
-	if len(ev.Connected) != 2 || ev.Connected[0] != b1 || ev.Connected[1] != b2 {
-		t.Fatalf("Connected not the adopted branch oldest-first: %v", ev.Connected)
 	}
 	if len(ev.Disconnected) != 1 || ev.Disconnected[0] != a1 {
 		t.Fatalf("Disconnected = %v, want [a1]", ev.Disconnected)

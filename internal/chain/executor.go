@@ -9,16 +9,17 @@ import (
 )
 
 // Executor is one blockchain network's shared store and state machine:
-// the immutable block DAG, the per-block ledger states, the tx→block
-// index, and a memoized ApplyBlock outcome per block hash. The paper's
-// storage layer (Section 2.1) replicates a blockchain across N mining
-// nodes, but block validation is a deterministic function of the
-// (immutable) parent state and the (immutable) block — honest replicas
-// re-running it always reach the same verdict (the Section 2.3
-// deterministic-replay argument). The executor therefore runs every
-// state transition exactly once per network and serves the result —
-// success (a shared read-only child state) or failure (the cached
-// rejection) — to every replica view created with NewView.
+// one record per admitted block (the block, its ledger state, its own
+// changes), the tx→block index, and a memoized ApplyBlock outcome per
+// block hash. The paper's storage layer (Section 2.1) replicates a
+// blockchain across N mining nodes, but block validation is a
+// deterministic function of the (immutable) parent state and the
+// (immutable) block — honest replicas re-running it always reach the
+// same verdict (the Section 2.3 deterministic-replay argument). The
+// executor therefore runs every state transition exactly once per
+// network and serves the result — success (a shared read-only child
+// state) or failure (the cached rejection) — to every replica view
+// created with NewView.
 //
 // With Params.PruneDepth > 0 the executor additionally garbage-collects
 // ledger states: once a block is buried deeper than PruneDepth below
@@ -46,8 +47,7 @@ type Executor struct {
 	reg    *vm.Registry
 
 	genesis *Block
-	blocks  map[crypto.Hash]*Block        // valid blocks, any fork
-	states  map[crypto.Hash]*State        // state after each valid block
+	blocks  map[crypto.Hash]*record       // valid blocks, any fork
 	invalid map[crypto.Hash]error         // cached permanent rejections
 	txIndex map[crypto.Hash][]crypto.Hash // txid -> blocks containing it
 
@@ -64,25 +64,31 @@ type Executor struct {
 	byHeight   map[uint64][]crypto.Hash
 	pruneFloor uint64
 
-	// deltas holds the own changes of every pruned, not yet retired
-	// block that was canonical in some view when its state was dropped
-	// (or was re-executed since): what stateOf re-mounts and retire
-	// folds, instead of running the block again.
-	deltas map[crypto.Hash]*blockDelta
-
 	// History retirement (Params.RetireDepth): retireFloor is the
 	// lowest retained height (0 while retirement is disabled or hasn't
 	// advanced), ckpt the canonical block at that floor, and floor the
 	// ledger state after ckpt — a base private to the executor, advanced
 	// in place one delta at a time and therefore never handed out:
 	// stateOf serves snapshots of it (State.clone, O(1)). nil until
-	// retirement first advances (the genesis state in states is the base
+	// retirement first advances (the genesis record's state is the base
 	// until then).
 	retireFloor uint64
 	ckpt        crypto.Hash
 	floor       *State
 
 	stats ExecStats
+}
+
+// record is what the executor holds of one admitted block. The block
+// stays until retirement. state is dropped by pruning and set again on
+// the endpoint of a deep read. delta, the block's own changes, is kept
+// from the moment the state of a block canonical in some view is pruned
+// (or the block is re-executed) until the floor absorbs it: what stateOf
+// re-mounts and retire folds instead of running the block again.
+type record struct {
+	block *Block
+	state *State
+	delta *blockDelta
 }
 
 // opRef locates one contract operation: the block carrying it and
@@ -117,8 +123,7 @@ type ExecStats struct {
 	// Retired counts whole blocks released by history retirement
 	// (Params.RetireDepth).
 	Retired uint64
-	// StatesLive is the number of per-block states currently retained
-	// (a snapshot, filled by Stats).
+	// StatesLive is the number of per-block states currently retained.
 	StatesLive int
 	// Candidates counts the mempool transactions BuildBlock tried on a
 	// trial overlay, once per pass that tried them, and Rejected those
@@ -156,13 +161,11 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 		params:   params,
 		reg:      reg,
 		genesis:  genesis,
-		blocks:   make(map[crypto.Hash]*Block),
-		states:   make(map[crypto.Hash]*State),
+		blocks:   make(map[crypto.Hash]*record),
 		invalid:  make(map[crypto.Hash]error),
 		txIndex:  make(map[crypto.Hash][]crypto.Hash),
 		opIndex:  make(map[crypto.Address][]opRef),
 		byHeight: make(map[uint64][]crypto.Hash),
-		deltas:   make(map[crypto.Hash]*blockDelta),
 	}
 	e.stats.Executed++
 	e.admit(genesis.Hash(), genesis, st)
@@ -186,37 +189,37 @@ func (e *Executor) NewView() *Chain {
 	return c
 }
 
-// Params returns the network's chain configuration.
-func (e *Executor) Params() Params { return e.params }
-
-// Registry returns the contract registry.
-func (e *Executor) Registry() *vm.Registry { return e.reg }
-
-// Genesis returns the genesis block.
-func (e *Executor) Genesis() *Block { return e.genesis }
-
 // Stats returns the execution counters.
-func (e *Executor) Stats() ExecStats {
-	st := e.stats
-	st.StatesLive = len(e.states)
-	return st
+func (e *Executor) Stats() ExecStats { return e.stats }
+
+// block returns an admitted block from any fork, nil when the network
+// has not admitted it or has retired it.
+func (e *Executor) block(h crypto.Hash) *Block {
+	if r := e.blocks[h]; r != nil {
+		return r.block
+	}
+	return nil
 }
 
-// Block returns a valid block known to the network, from any fork.
-func (e *Executor) Block(h crypto.Hash) (*Block, bool) {
-	b, ok := e.blocks[h]
-	return b, ok
+// dropState releases a record's memoized state.
+func (e *Executor) dropState(r *record) {
+	r.state = nil
+	e.stats.StatesLive--
+	e.stats.Pruned++
 }
 
-// StateOf returns the ledger state after a valid block, re-deriving it
+// stateOf returns the ledger state after a valid block, re-deriving it
 // if pruning dropped it. The state is shared across every view —
 // callers must treat it as read-only and branch with Child() before
 // mutating.
-func (e *Executor) StateOf(h crypto.Hash) (*State, bool) {
-	return e.stateOf(h)
+func (e *Executor) stateOf(h crypto.Hash) (*State, bool) {
+	if r := e.blocks[h]; r != nil {
+		return e.stateFor(r)
+	}
+	return nil, false
 }
 
-// stateOf serves a per-block state. A pruned one is rebuilt from the
+// stateFor serves a record's state. A pruned one is rebuilt from the
 // nearest retained ancestor state — or from a snapshot of the floor
 // state when the walk reaches the retire floor first — by mounting one
 // overlay per block on the way up and filling it from the block's
@@ -226,45 +229,54 @@ func (e *Executor) StateOf(h crypto.Hash) (*State, bool) {
 // (it sits below the monotone prune floor and is never re-swept);
 // intermediate states are not, so one deep read re-inserts at most one
 // state.
-func (e *Executor) stateOf(h crypto.Hash) (*State, bool) {
-	if st, ok := e.states[h]; ok {
-		return st, true
+func (e *Executor) stateFor(end *record) (*State, bool) {
+	if end.state != nil {
+		return end.state, true
 	}
-	var path []*Block
+	var path []*record
 	var st *State
-	for at := h; st == nil; {
-		if retained, ok := e.states[at]; ok {
-			st = retained
-		} else if e.floor != nil && at == e.ckpt {
+	for r := end; st == nil; {
+		if r.state != nil {
+			st = r.state
+		} else if e.floor != nil && r.block.Hash() == e.ckpt {
 			st = e.floor.clone()
 		} else {
-			b, ok := e.blocks[at]
-			if !ok {
+			path = append(path, r)
+			if r = e.blocks[r.block.Header.Parent]; r == nil {
 				return nil, false
 			}
-			path = append(path, b)
-			at = b.Header.Parent
 		}
 	}
-	for _, b := range slices.Backward(path) {
-		bh := b.Hash()
-		if d, ok := e.deltas[bh]; ok {
+	for _, r := range slices.Backward(path) {
+		if r.delta != nil {
 			st = st.Child()
-			st.apply(d)
+			st.apply(r.delta)
 			continue
 		}
-		next, err := ApplyBlock(st, e.reg, e.params, b)
+		next, err := ApplyBlock(st, e.reg, e.params, r.block)
 		if err != nil {
 			// Unreachable: every stored block was validated once, and
 			// re-execution is deterministic.
-			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
+			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", r.block.Hash(), err))
 		}
 		e.stats.Replays++
-		e.deltas[bh] = next.delta()
+		r.delta = next.delta()
 		st = next
 	}
-	e.states[h] = st
+	end.state = st
+	e.stats.StatesLive++
 	return st, true
+}
+
+// memo answers for a block the network has judged before, counting the
+// hit: its record when it was admitted, the cached rejection when it was
+// not. Both are nil for a block seen for the first time.
+func (e *Executor) memo(h crypto.Hash) (*record, error) {
+	r, err := e.blocks[h], e.invalid[h]
+	if r != nil || err != nil {
+		e.stats.Hits++
+	}
+	return r, err
 }
 
 // Execute validates b against its parent and memoizes the outcome.
@@ -275,34 +287,27 @@ func (e *Executor) stateOf(h crypto.Hash) (*State, bool) {
 // simply not have arrived yet.
 func (e *Executor) Execute(b *Block) (*State, error) {
 	h := b.Hash()
-	if st, ok := e.states[h]; ok {
-		e.stats.Hits++
-		return st, nil
-	}
-	if err, ok := e.invalid[h]; ok {
-		e.stats.Hits++
+	if r, err := e.memo(h); err != nil {
 		return nil, err
-	}
-	if _, ok := e.blocks[h]; ok {
-		// Known-valid block whose state was pruned: the verdict is
-		// still memoized, only the state needs re-deriving. Count a
-		// hit so Executed/Hits are identical with pruning on or off.
-		e.stats.Hits++
-		st, ok := e.stateOf(h)
+	} else if r != nil {
+		// The verdict is memoized even when the state was pruned and
+		// has to be re-derived, so Executed/Hits are identical with
+		// pruning on or off.
+		st, ok := e.stateFor(r)
 		if !ok {
 			return nil, blockErr("pruned block %s lost its ancestry", h)
 		}
 		return st, nil
 	}
-	parent, ok := e.blocks[b.Header.Parent]
-	if !ok {
+	parent := e.blocks[b.Header.Parent]
+	if parent == nil {
 		return nil, blockErr("unknown parent %s", b.Header.Parent)
 	}
-	if err := checkLinkage(b, parent); err != nil {
+	if err := checkLinkage(b, parent.block); err != nil {
 		e.invalid[h] = err
 		return nil, err
 	}
-	ps, ok := e.stateOf(b.Header.Parent)
+	ps, ok := e.stateFor(parent)
 	if !ok {
 		return nil, blockErr("no state for parent %s", b.Header.Parent)
 	}
@@ -325,21 +330,11 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 // nonce; the transaction set is fixed).
 func (e *Executor) CommitBuilt(b *Block, built *State) error {
 	h := b.Hash()
-	if _, ok := e.states[h]; ok {
-		e.stats.Hits++
-		return nil
-	}
-	if err, ok := e.invalid[h]; ok {
-		e.stats.Hits++
+	if r, err := e.memo(h); r != nil || err != nil {
+		// Judged before; an admitted block's state is not needed back.
 		return err
 	}
-	if _, ok := e.blocks[h]; ok {
-		// Already admitted, state since pruned — a cache hit; the
-		// caller does not need the state back.
-		e.stats.Hits++
-		return nil
-	}
-	if _, ok := e.blocks[b.Header.Parent]; !ok {
+	if e.blocks[b.Header.Parent] == nil {
 		return blockErr("unknown parent %s", b.Header.Parent)
 	}
 	e.stats.Executed++
@@ -364,8 +359,8 @@ func checkLinkage(b, parent *Block) error {
 // admit records a validated block, its state, its transactions, and
 // its contract operations.
 func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
-	e.blocks[h] = b
-	e.states[h] = st
+	e.blocks[h] = &record{block: b, state: st}
+	e.stats.StatesLive++
 	height := b.Header.Height
 	e.byHeight[height] = append(e.byHeight[height], h)
 	for _, tx := range b.Txs {
@@ -409,16 +404,15 @@ func (e *Executor) prune() {
 	horizon := minTip - uint64(d)
 	for height := max(e.pruneFloor, 1); height < horizon; height++ {
 		for _, bh := range e.byHeight[height] {
-			dead := e.deadFork(bh, height)
-			if st, live := e.states[bh]; live {
+			r, dead := e.blocks[bh], e.deadFork(bh, height)
+			if r.state != nil {
 				if !dead {
-					e.deltas[bh] = st.delta()
+					r.delta = r.state.delta()
 				}
-				delete(e.states, bh)
-				e.stats.Pruned++
+				e.dropState(r)
 			}
 			if dead {
-				e.dropBlockIndexes(bh)
+				e.dropBlockIndexes(bh, r.block)
 			}
 		}
 	}
@@ -427,8 +421,8 @@ func (e *Executor) prune() {
 }
 
 // retire advances the history-GC sweep (Params.RetireDepth): whole
-// blocks below the retire horizon are released — bodies, headers, index
-// entries, deltas, and every view's have/canonical records — after the
+// blocks below the retire horizon are released — their records, index
+// entries, and every view's have/canonical entries — after the
 // floor state has been advanced to the new floor by folding the
 // canonical blocks' deltas into it, in height order and in place. This
 // is the pruned-full-node model: anything at or above the floor is
@@ -461,7 +455,7 @@ func (e *Executor) retire(minTip uint64) {
 	}
 	if e.floor == nil {
 		e.ckpt = e.genesis.Hash()
-		e.floor = e.states[e.ckpt].flatten()
+		e.floor = e.blocks[e.ckpt].state.flatten()
 	}
 	// Views agreeing on ck agree on all of its ancestors, so view 0's
 	// canonical index names the path from the old floor to the new one.
@@ -473,14 +467,13 @@ func (e *Executor) retire(minTip uint64) {
 			continue
 		}
 		for _, bh := range e.byHeight[height] {
-			if _, live := e.states[bh]; live {
+			r := e.blocks[bh]
+			if r.state != nil {
 				// Memoized deep-read endpoints and late-arriving fork
 				// blocks live below the prune floor; they die here.
-				delete(e.states, bh)
-				e.stats.Pruned++
+				e.dropState(r)
 			}
-			delete(e.deltas, bh)
-			e.dropBlockIndexes(bh)
+			e.dropBlockIndexes(bh, r.block)
 			delete(e.blocks, bh)
 			e.stats.Retired++
 			for _, v := range e.views {
@@ -501,13 +494,14 @@ func (e *Executor) retire(minTip uint64) {
 // never swept), else — the delta was dropped with a fork that looked
 // dead — by re-executing the block on the floor.
 func (e *Executor) advanceFloor(bh crypto.Hash) {
-	if d, ok := e.deltas[bh]; ok {
-		e.floor.apply(d)
-		delete(e.deltas, bh)
-	} else if st, ok := e.states[bh]; ok {
-		e.floor.absorb(st)
+	r := e.blocks[bh]
+	if r.delta != nil {
+		e.floor.apply(r.delta)
+		r.delta = nil
+	} else if r.state != nil {
+		e.floor.absorb(r.state)
 	} else {
-		st, err := ApplyBlock(e.floor, e.reg, e.params, e.blocks[bh])
+		st, err := ApplyBlock(e.floor, e.reg, e.params, r.block)
 		if err != nil {
 			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
 		}
@@ -533,8 +527,7 @@ func (e *Executor) deadFork(bh crypto.Hash, height uint64) bool {
 // dropBlockIndexes removes a dead fork block's tx→block and
 // contract-op index entries. The block itself stays (re-announcement
 // must still hit the verdict cache).
-func (e *Executor) dropBlockIndexes(bh crypto.Hash) {
-	b := e.blocks[bh]
+func (e *Executor) dropBlockIndexes(bh crypto.Hash, b *Block) {
 	for _, tx := range b.Txs {
 		id := tx.ID()
 		refs := e.txIndex[id]

@@ -25,8 +25,7 @@ type ID string
 
 // Params configures one simulated blockchain.
 type Params struct {
-	ID   ID
-	Name string
+	ID ID
 
 	// BlockInterval is the mean inter-block time of the whole network
 	// (exponentially distributed, split across miners by hash power).
@@ -108,7 +107,6 @@ func (p Params) Validate() error {
 func DefaultParams(id ID) Params {
 	return Params{
 		ID:             id,
-		Name:           string(id),
 		BlockInterval:  10 * sim.Second,
 		DifficultyBits: 12,
 		MaxBlockTxs:    1000,

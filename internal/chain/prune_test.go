@@ -59,7 +59,7 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 	}
 	// The state of a deeply buried block was pruned...
 	deep := blocks[4] // height 5, far below horizon 40-8=32
-	if _, live := exec.states[deep.Hash()]; live {
+	if exec.blocks[deep.Hash()].state != nil {
 		t.Fatalf("state at height %d survived pruning", deep.Header.Height)
 	}
 	// ...but reads re-derive it from the blocks' deltas, and the result
@@ -72,10 +72,10 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 	if got := exec.Stats(); got.Replays != 0 {
 		t.Fatalf("deep read re-executed blocks whose deltas are retained: %+v", got)
 	}
-	if _, memoized := exec.states[deep.Hash()]; !memoized {
+	if exec.blocks[deep.Hash()].state == nil {
 		t.Fatal("re-derived endpoint not memoized")
 	}
-	wantValue := uint64(100_000) + uint64(deep.Header.Height)*uint64(exec.Params().BlockReward)
+	wantValue := uint64(100_000) + uint64(deep.Header.Height)*uint64(exec.params.BlockReward)
 	if uint64(replayed.TotalValue()) != wantValue {
 		t.Fatalf("replayed state TotalValue = %d, want %d", replayed.TotalValue(), wantValue)
 	}
@@ -245,7 +245,7 @@ func TestRetireReleasesHistory(t *testing.T) {
 	if !ok {
 		t.Fatal("state above the retire floor not re-derivable")
 	}
-	wantValue := uint64(100_000) + uint64(tip-15)*uint64(exec.Params().BlockReward)
+	wantValue := uint64(100_000) + uint64(tip-15)*uint64(exec.params.BlockReward)
 	if uint64(mid.TotalValue()) != wantValue {
 		t.Fatalf("re-derived mid state TotalValue = %d, want %d", mid.TotalValue(), wantValue)
 	}
@@ -307,7 +307,7 @@ func TestDeepReadSharesTheFloor(t *testing.T) {
 		// away from the floor.
 		b, _ := v.CanonicalAt(exec.retireFloor + 1)
 		h := b.Hash()
-		delete(exec.states, h)
+		exec.dropState(exec.blocks[h])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		st, ok := exec.stateOf(h)

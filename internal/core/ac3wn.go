@@ -374,7 +374,6 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 		r.Event(-1, "SCw deploy failed: "+err.Error())
 		return
 	}
-	p.Deploys++
 	r.scwTx = tx
 	r.scwAddr = addr
 	r.checkpointHash = cpHashes
@@ -519,7 +518,6 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 	if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRedeem, contracts.EncodeEvidenceList(evs...), 0); err != nil {
 		return
 	}
-	p.Calls++
 	r.noteCommitPushed(p, st)
 }
 
@@ -549,7 +547,6 @@ func (r *Run) trySubmitRefund(p *xchain.Participant, st *pstate) {
 	r.Throttle(p, "authorize-refund", 6*r.retryEvery, func() {
 		client := p.Client(r.cfg.WitnessChain)
 		if _, err := client.Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0); err == nil {
-			p.Calls++
 			st.submittedRF = true
 			r.Mark(protocol.PointDecisionTriggered)
 			r.Event(-1, "authorize_refund submitted by "+p.Name)

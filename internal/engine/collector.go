@@ -49,10 +49,9 @@ type phaseKey struct {
 // guarantee. Everything order-sensitive stays in per-shard results
 // and is merged in shard order after the workers join.
 type Collector struct {
-	total    int64
-	graded   atomic.Int64
-	violated atomic.Int64
-	latency  *metrics.Hist
+	total   int64
+	graded  atomic.Int64
+	latency *metrics.Hist
 }
 
 func newCollector(total int) *Collector {
@@ -60,11 +59,8 @@ func newCollector(total int) *Collector {
 }
 
 // observe records one graded transaction.
-func (c *Collector) observe(lat sim.Time, violated bool) {
+func (c *Collector) observe(lat sim.Time) {
 	c.graded.Add(1)
-	if violated {
-		c.violated.Add(1)
-	}
 	c.latency.Observe(int64(lat))
 }
 

@@ -68,11 +68,14 @@ type Config struct {
 	PruneDepth int
 }
 
-// enginePruneDepth is the default state-GC horizon. It must exceed
-// every depth the system routinely reads after the fact: the deepest
-// confirmation depth in use (engineChainSpec sets 2), the AC3WN SPV
-// checkpoint distance (core.DefaultStableDepth, 30), and the deepest
-// reorg the adversity scenarios have produced (36, PR 5). Past it a
+// enginePruneDepth is the default state-GC horizon. It exceeds every
+// depth the system routinely reads after the fact: the deepest
+// confirmation depth in use (engineChainSpec sets 2) and the AC3WN SPV
+// checkpoint distance (core.DefaultStableDepth, 30). It does not exceed
+// the reorgs the adversity scenarios produce — max_reorg_depth measures
+// 40 at -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2 and 170 on the
+// hostile mix 4,1,1,1,2,2,2 at -txs 2000 (ROADMAP, "AC3WN breaks under
+// deep reorgs" (b)); those pivots are the deeper reads below. Past it a
 // block's overlay maps shrink to its retained delta — base layers have
 // been persistent tables sharing structure since ADR-016, so that is all
 // the horizon buys now: -prunedepth 512 costs +16 % peak sys both at

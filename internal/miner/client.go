@@ -113,9 +113,6 @@ func NewClient(net *Network, nodeIndex int, key *crypto.KeyPair) *Client {
 // Chain returns the attached node's chain view (reads only).
 func (c *Client) Chain() *chain.Chain { return c.node.Chain }
 
-// ChainID returns the id of the blockchain this client talks to.
-func (c *Client) ChainID() chain.ID { return c.net.Params.ID }
-
 // Halt models an end-user site crash: subscriptions stop firing and no
 // further submissions happen until Restart. Registration while halted
 // fails with ErrHalted — a recovering participant re-arms its protocol

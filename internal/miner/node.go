@@ -14,10 +14,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Messages exchanged between nodes and clients.
+// Messages exchanged between nodes (a client's transaction reaches the
+// miners through SubmitLocal, not the gossip fabric).
 type (
-	// MsgTx multicasts a transaction to miners.
-	MsgTx struct{ Tx *chain.Tx }
 	// MsgBlock gossips a mined or adopted block.
 	MsgBlock struct{ Block *chain.Block }
 	// MsgGetBlock asks a peer for a block by hash (orphan recovery).
@@ -191,8 +190,6 @@ func (n *Node) handle(from p2p.NodeID, payload any) {
 		return
 	}
 	switch m := payload.(type) {
-	case MsgTx:
-		n.acceptTx(m.Tx)
 	case MsgBlock:
 		n.acceptBlock(from, m.Block)
 	case MsgGetBlock:
@@ -202,9 +199,10 @@ func (n *Node) handle(from p2p.NodeID, payload any) {
 	}
 }
 
-// acceptTx admits a transaction to the mempool unless it is already
-// included on the canonical chain.
-func (n *Node) acceptTx(tx *chain.Tx) {
+// SubmitLocal admits a transaction to this node's mempool (clients
+// reach the nodes they can through it) unless it is already included on
+// the canonical chain.
+func (n *Node) SubmitLocal(tx *chain.Tx) {
 	if tx == nil {
 		return
 	}
@@ -266,10 +264,6 @@ func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 		}
 	}
 }
-
-// SubmitLocal injects a transaction directly into this node's mempool
-// (used by clients attached to the node).
-func (n *Node) SubmitLocal(tx *chain.Tx) { n.acceptTx(tx) }
 
 // MempoolSize reports the number of pending transactions.
 func (n *Node) MempoolSize() int { return n.mempool.size() }

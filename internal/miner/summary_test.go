@@ -113,8 +113,11 @@ func TestSignaturesVerifyOncePerTransaction(t *testing.T) {
 	// every block mined, since a miner adopts its own block as its tip.
 	blocks := make(map[crypto.Hash]*chain.Block)
 	for _, n := range net.Nodes {
-		n.Chain.OnTipChange(func(ev chain.TipEvent) {
-			for _, b := range ev.Connected {
+		view := n.Chain
+		view.OnTipChange(func(chain.TipEvent) {
+			// Down from the new tip to the first block already recorded,
+			// whose ancestors all are.
+			for b, ok := view.Tip(), true; ok && blocks[b.Hash()] == nil; b, ok = view.Block(b.Header.Parent) {
 				blocks[b.Hash()] = b
 			}
 		})

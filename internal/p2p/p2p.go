@@ -256,9 +256,6 @@ func (n *Network) Crash(id NodeID) { n.crashed[id] = true }
 // resubmit, as real wallets do).
 func (n *Network) Recover(id NodeID) { delete(n.crashed, id) }
 
-// Crashed reports whether a node is currently down.
-func (n *Network) Crashed(id NodeID) bool { return n.crashed[id] }
-
 // Partition splits the network into groups; nodes in different groups
 // cannot exchange messages. Nodes not mentioned in any group stay in
 // group 0 together — a node absent from every group is partitioned

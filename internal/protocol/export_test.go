@@ -9,14 +9,13 @@ import (
 )
 
 // footprint is everything a step function can leave behind that the
-// runtime can see: timeline, marks, ledger, run-state version, on-chain
-// operations paid for, scheduled simulator events (a submission, an
-// announcement and a timer each schedule one) and the participant's
-// throttle stamps and armed timers.
+// runtime can see: timeline, marks, ledger, run-state version,
+// scheduled simulator events (a submission, an announcement and a timer
+// each schedule one) and the participant's throttle stamps and armed
+// timers.
 type footprint struct {
 	events, marks, confirmed, owned int
 	version                         uint64
-	deploys, calls                  int
 	pending                         int
 	deployedOwn                     bool
 }
@@ -34,10 +33,6 @@ func (rt *Runtime) footprint(p *xchain.Participant) footprint {
 		if tx != nil {
 			f.owned++
 		}
-	}
-	for _, q := range rt.cfg.Participants {
-		f.deploys += q.Deploys
-		f.calls += q.Calls
 	}
 	return f
 }

@@ -572,7 +572,6 @@ func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params 
 			rt.Event(i, "deploy failed: "+err.Error())
 			continue
 		}
-		p.Deploys++
 		rt.ownTx[i], rt.ownAddr[i] = tx, addr
 		rt.Mark(PointDeploySubmitted)
 		rt.Event(i, "deploy submitted")
@@ -703,7 +702,6 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s Settlement[T]) (compl
 			if _, err := p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
 				return
 			}
-			p.Calls++
 			first := !rt.submitted[key]
 			rt.submitted[key] = true
 			if s.Submitted != nil {

@@ -2,7 +2,7 @@
 // (internal/swap for the Nolan/Herlihy baselines, internal/core for
 // AC3TW and AC3WN) build on: a World of independent simulated
 // blockchain networks sharing one virtual clock, Participants with a
-// client on every chain, an off-chain announcement bus (participants
+// client on every chain, off-chain messages between them (participants
 // exchanging contract locations, as any real swap does), and the
 // Outcome bookkeeping the experiments grade — including the
 // atomicity-violation check at the heart of the paper.
@@ -65,7 +65,6 @@ type Builder struct {
 	participants []*Participant
 	funding      map[string]map[chain.ID]vm.Amount
 	rng          *sim.RNG
-	msgLatency   sim.Time
 }
 
 // NewBuilder starts a world definition on a fresh simulator.
@@ -80,15 +79,11 @@ func NewBuilder(seed uint64) *Builder {
 // on a Reset(seed) sim is identical to one built with NewBuilder(seed).
 func NewBuilderOn(s *sim.Sim) *Builder {
 	return &Builder{
-		s:          s,
-		funding:    make(map[string]map[chain.ID]vm.Amount),
-		rng:        s.RNG().Fork(),
-		msgLatency: 200 * sim.Millisecond,
+		s:       s,
+		funding: make(map[string]map[chain.ID]vm.Amount),
+		rng:     s.RNG().Fork(),
 	}
 }
-
-// Sim exposes the simulator (for scheduling experiment events).
-func (b *Builder) Sim() *sim.Sim { return b.s }
 
 // Chain adds a blockchain network.
 func (b *Builder) Chain(spec ChainSpec) *Builder {
@@ -145,12 +140,8 @@ func (b *Builder) Build() (*World, error) {
 		w.Nets[spec.Params.ID] = net
 		w.ids = append(w.ids, spec.Params.ID)
 	}
-	bus := &Bus{s: b.s, latency: b.msgLatency}
 	for i, p := range b.participants {
-		p.world = w
-		p.bus = bus
-		p.busIdx = len(bus.members)
-		bus.members = append(bus.members, p)
+		p.sim = b.s
 		for _, id := range w.ids {
 			p.clients[id] = miner.NewClient(w.Nets[id], i%len(w.Nets[id].Nodes), p.Key)
 		}
@@ -167,11 +158,6 @@ func (w *World) Net(id chain.ID) *miner.Network { return w.Nets[id] }
 // View returns node 0's chain view — the "ground truth" observers
 // grade outcomes against after the network quiesces.
 func (w *World) View(id chain.ID) *chain.Chain { return w.Nets[id].Node(0).Chain }
-
-// Executor returns a chain's shared store: the per-network block DAG,
-// state, and ApplyBlock result cache every node view reads through.
-// Harnesses read its Stats to grade execution sharing.
-func (w *World) Executor(id chain.ID) *chain.Executor { return w.Nets[id].Executor() }
 
 // RunUntil advances virtual time.
 func (w *World) RunUntil(t sim.Time) { w.Sim.RunUntil(t) }
@@ -204,17 +190,10 @@ type Participant struct {
 	Name string
 	Key  *crypto.KeyPair
 
-	world   *World
-	bus     *Bus
-	busIdx  int // slot in bus.members; -1 once retired
+	sim     *sim.Sim
 	clients map[chain.ID]*miner.Client
 	inbox   func(from *Participant, msg any)
 	crashed bool
-
-	// Deploys and Calls count the on-chain operations this
-	// participant paid for (the Section 6.2 cost model).
-	Deploys int
-	Calls   int
 }
 
 // Client returns the participant's client on a chain.
@@ -265,101 +244,39 @@ func (p *Participant) Crashed() bool { return p.crashed }
 // Retire permanently releases the participant's runtime resources
 // once its AC2T is graded: crash-stop if still up, close every chain
 // client (idempotent and final — Recover/Restart after Close is a
-// no-op), and leave the broadcast bus so the world no longer holds a
-// reference. Retire schedules nothing and changes no chain state, so
-// it is invisible to event ordering; it exists purely so a
-// long-running engine shard's graded transactions become garbage
-// instead of accumulating for the world's lifetime.
+// no-op) and go deaf for good. Retire schedules nothing and changes no
+// chain state, so it is invisible to event ordering; it exists purely
+// so a long-running engine shard's graded transactions become garbage
+// instead of accumulating for the world's lifetime (the world keeps no
+// reference to its participants).
 func (p *Participant) Retire() {
-	if !p.crashed {
-		p.Crash()
-	}
+	p.crashed = true
 	for _, c := range p.clients {
-		c.Close()
+		c.Close() // halts it too
 	}
 	p.inbox = nil
-	if p.bus != nil {
-		p.bus.remove(p)
-		p.bus = nil
-	}
-	p.busIdx = -1
 }
+
+// msgLatency is how long an off-chain message travels.
+const msgLatency = 200 * sim.Millisecond
 
 // OnMessage installs the off-chain inbox handler.
 func (p *Participant) OnMessage(h func(from *Participant, msg any)) { p.inbox = h }
 
-// Announce sends an off-chain message to every other participant
-// (contract locations, abort notices — the coordination any real swap
-// does over the internet).
-func (p *Participant) Announce(msg any) {
-	if p.crashed {
-		return
-	}
-	p.bus.broadcast(p, msg)
-}
-
-// Tell sends an off-chain message to one participant.
+// Tell sends an off-chain message to one participant (contract
+// locations, abort notices — the coordination any real swap does over
+// the internet). It arrives msgLatency later unless the recipient is
+// down by then.
 func (p *Participant) Tell(to *Participant, msg any) {
 	if p.crashed {
 		return
 	}
-	p.bus.send(p, to, msg)
-}
-
-// Bus is the off-chain message channel between participants. Retired
-// members leave their slot nil (preserving broadcast order for the
-// survivors); the slice compacts once mostly dead, so a long-running
-// world's bus holds live participants, not its full history.
-type Bus struct {
-	s       *sim.Sim
-	latency sim.Time
-	members []*Participant
-	dead    int
-}
-
-func (b *Bus) send(from, to *Participant, msg any) {
-	b.s.After(b.latency, func() {
+	p.sim.After(msgLatency, func() {
 		if to.crashed || to.inbox == nil {
 			return
 		}
-		to.inbox(from, msg)
+		to.inbox(p, msg)
 	})
-}
-
-func (b *Bus) broadcast(from *Participant, msg any) {
-	for _, m := range b.members {
-		if m != nil && m != from {
-			b.send(from, m, msg)
-		}
-	}
-}
-
-// remove drops a retiring participant from the bus in O(1) via its
-// recorded slot. Compaction preserves member order, so broadcast
-// delivery order — and with it event scheduling — is unchanged.
-func (b *Bus) remove(p *Participant) {
-	if p.busIdx < 0 || p.busIdx >= len(b.members) || b.members[p.busIdx] != p {
-		return
-	}
-	b.members[p.busIdx] = nil
-	b.dead++
-	if b.dead*2 > len(b.members) && len(b.members) >= 16 {
-		kept := b.members[:0]
-		for _, m := range b.members {
-			if m != nil {
-				m.busIdx = len(kept)
-				kept = append(kept, m)
-			}
-		}
-		// Zero the tail so retired pointers do not linger past the
-		// compacted length.
-		tail := b.members[len(kept):]
-		for i := range tail {
-			tail[i] = nil
-		}
-		b.members = kept
-		b.dead = 0
-	}
 }
 
 // EdgeOutcome grades one sub-transaction after a run.

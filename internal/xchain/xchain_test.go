@@ -56,6 +56,9 @@ func TestParticipantClientPanicsOnUnknownChain(t *testing.T) {
 	alice.Client("nope")
 }
 
+// TestCrashHaltsClientsAndBusAndRecoverRestores: a Tell is delivered, a
+// crashed participant neither hears nor speaks until it recovers, and a
+// retired one is deaf for good with every client closed.
 func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 	w, alice, bob := buildTwoChainWorld(t, 3)
 	got := 0
@@ -69,7 +72,6 @@ func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 
 	bob.Crash()
 	alice.Tell(bob, "lost")
-	alice.Announce("lost too")
 	w.RunFor(sim.Second)
 	if got != 1 {
 		t.Fatal("crashed participant received messages")
@@ -86,29 +88,20 @@ func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("got %d after recovery, want 2", got)
 	}
-	if !alice.Crashed() == false && bob.Crashed() {
+	if alice.Crashed() || bob.Crashed() {
 		t.Fatal("crash state wrong")
 	}
-}
 
-func TestAnnounceReachesAllOthers(t *testing.T) {
-	b := NewBuilder(4)
-	p1 := b.Participant("p1")
-	p2 := b.Participant("p2")
-	p3 := b.Participant("p3")
-	b.Chain(DefaultChainSpec("c"))
-	w, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got2, got3 int
-	p2.OnMessage(func(*Participant, any) { got2++ })
-	p3.OnMessage(func(*Participant, any) { got3++ })
-	p1.OnMessage(func(*Participant, any) { t.Fatal("sender received own broadcast") })
-	p1.Announce("x")
+	bob.Retire()
+	alice.Tell(bob, "gone")
 	w.RunFor(sim.Second)
-	if got2 != 1 || got3 != 1 {
-		t.Fatalf("got2=%d got3=%d", got2, got3)
+	if got != 2 || !bob.Crashed() || !bob.Client("c1").Closed() || !bob.Client("c2").Closed() {
+		t.Fatalf("retired participant: %d messages, crashed %v, clients closed %v/%v",
+			got, bob.Crashed(), bob.Client("c1").Closed(), bob.Client("c2").Closed())
+	}
+	bob.Recover()
+	if !bob.Client("c2").Halted() {
+		t.Fatal("a retired participant's client came back")
 	}
 }
 
