@@ -1,13 +1,14 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation
+// One sub-benchmark per table and figure of the paper's evaluation
 // (Section 6), plus the safety and scalability claims of Sections 1
-// and 5. Each benchmark executes the full experiment — real protocol
-// runs on simulated blockchain networks — and fails if the
-// experiment's sanity assertions (the paper's qualitative claims) do
-// not hold. Run with:
+// and 5: bench.Experiments, in paper order. Each executes the full
+// experiment — real protocol runs on simulated blockchain networks —
+// and fails if the experiment's sanity assertions (the paper's
+// qualitative claims) do not hold. Run with:
 //
-//	go test -bench=. -benchmem .
+//	go test -bench=. -benchmem .          # all ten
+//	go test -bench=Experiments/fig10 .    # one
 //
 // For paper-style table output use cmd/ac3bench instead.
 
@@ -17,80 +18,17 @@ import (
 	"repro/internal/bench"
 )
 
-// runExperiment executes one experiment per iteration, varying the
-// seed so iterations are independent, and fails the benchmark if any
-// iteration's claims break.
-func runExperiment(b *testing.B, f func(seed uint64) *bench.Result) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := f(42 + uint64(i))
-		if !r.OK {
-			b.Fatalf("experiment %s failed its assertions:\n%s", r.ID, r)
-		}
+// BenchmarkExperiments runs each experiment once per iteration, varying
+// the seed so iterations are independent, and fails the sub-benchmark
+// if any iteration's claims break.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r := e.Result(42 + uint64(i)); !r.OK {
+					b.Fatalf("experiment %s failed its assertions:\n%s", r.ID, r)
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: the Herlihy single-leader
-// timeline with sequential deploy and redeem phases, 2·Δ·Diam(D).
-func BenchmarkFig8(b *testing.B) {
-	runExperiment(b, bench.Fig8)
-}
-
-// BenchmarkFig9 regenerates Figure 9: AC3WN's constant 4·Δ timeline
-// on the same 5-contract graph.
-func BenchmarkFig9(b *testing.B) {
-	runExperiment(b, bench.Fig9)
-}
-
-// BenchmarkFig10 regenerates Figure 10: AC2T latency in Δs versus
-// graph diameter — linear for the baseline, flat for AC3WN.
-func BenchmarkFig10(b *testing.B) {
-	runExperiment(b, func(seed uint64) *bench.Result { return bench.Fig10(seed, 8) })
-}
-
-// BenchmarkCost regenerates the Section 6.2 fee table: N·(fd+ffc)
-// versus (N+1)·(fd+ffc) with measured operation counts.
-func BenchmarkCost(b *testing.B) {
-	runExperiment(b, bench.Cost)
-}
-
-// BenchmarkWitnessChoice regenerates Section 6.3: minimum
-// confirmation depth d > Va·dh/Ch per witness network, plus fork-race
-// success probabilities (simulated vs analytic).
-func BenchmarkWitnessChoice(b *testing.B) {
-	runExperiment(b, bench.WitnessChoice)
-}
-
-// BenchmarkTable1 regenerates Table 1 (chain throughput) and the
-// Section 6.4 min() composition for AC2T throughput.
-func BenchmarkTable1(b *testing.B) {
-	runExperiment(b, bench.Table1)
-}
-
-// BenchmarkAtomicity regenerates the safety comparison: the HTLC
-// baseline violates all-or-nothing under crashes, AC3WN never does.
-func BenchmarkAtomicity(b *testing.B) {
-	runExperiment(b, func(seed uint64) *bench.Result { return bench.Atomicity(seed, 3) })
-}
-
-// BenchmarkComplexGraphs regenerates the Section 5.3 / Figure 7
-// demonstration: cyclic and disconnected AC2Ts commit under AC3WN.
-func BenchmarkComplexGraphs(b *testing.B) {
-	runExperiment(b, bench.Complex)
-}
-
-// BenchmarkScalability regenerates the Section 5.2 experiment:
-// aggregate AC2T throughput grows with the number of witness
-// networks.
-func BenchmarkScalability(b *testing.B) {
-	runExperiment(b, bench.Scale)
-}
-
-// BenchmarkEngineLoad runs the sharded orchestration engine's
-// throughput-under-load experiment: a sustained mixed AC2T stream
-// (commits, aborts, crash-recovery, decision races) across parallel
-// shard worlds, asserting zero atomicity violations and near-linear
-// shard scaling.
-func BenchmarkEngineLoad(b *testing.B) {
-	runExperiment(b, bench.EngineLoad)
 }

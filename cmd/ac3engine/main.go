@@ -61,7 +61,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -143,11 +142,11 @@ func main() {
 		}()
 	}
 
-	sampler := bench.StartMemSampler()
+	mem := startMemSampler()
 	start := time.Now()
 	agg, err := eng.Run()
 	wall := time.Since(start)
-	mem := sampler.Stop()
+	mem.Stop()
 	close(stop)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()

@@ -12,9 +12,9 @@
 // -crash takes down the protocol's critical failure point the moment
 // the commit decision is being pushed (the Section 1 hazard): the last
 // participant for ac3wn and htlc, the trusted witness for ac3tw.
-// -recover brings it back after three virtual hours. Watch the HTLC
-// baseline lose assets, AC3TW block until its witness returns, and
-// AC3WN recover.
+// -recover, which needs -crash, brings it back after three virtual
+// hours. Watch the HTLC baseline lose assets, AC3TW block until its
+// witness returns, and AC3WN recover.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -46,70 +45,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.Parse(args) != nil {
 		return 2
 	}
-	fatal := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
 	if *parties < 2 {
 		fmt.Fprintln(stderr, "need at least 2 parties")
 		return 2
 	}
+	if *recoverVictim && !*crash {
+		fmt.Fprintln(stderr, "-recover brings back what -crash took down; it needs -crash")
+		return 2
+	}
 
-	b := xchain.NewBuilder(*seed)
-	ps := make([]*xchain.Participant, *parties)
 	ids := make([]chain.ID, *parties)
-	for i := range ps {
-		ps[i] = b.Participant(fmt.Sprintf("p%d", i))
+	for i := range ids {
 		ids[i] = chain.ID(fmt.Sprintf("chain-%d", i))
-		b.Chain(xchain.DefaultChainSpec(ids[i]))
 	}
-	b.Chain(xchain.DefaultChainSpec("witness"))
-	for i := range ps {
-		b.Fund(ps[i], ids[i], 1_000_000)
+	faults := engine.Faults{
+		CrashAtCommit: *crash,
+		Started: func(g *graph.Graph) {
+			fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
+		},
+		OnCrash: func(who string, _ sim.Time) { fmt.Fprintf(stdout, "--- crashing %s ---\n", who) },
+		OnRecover: func(who string, _ sim.Time) {
+			fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", who)
+		},
 	}
-	w, err := b.Build()
-	if err != nil {
-		return fatal(err)
+	deadline := 3 * sim.Hour // every baseline timelock expires in here
+	if *recoverVictim {
+		faults.RecoverAt = deadline
+		deadline += sim.Hour
 	}
-	g, err := graph.Ring(int64(*seed), xchain.Addrs(ps), 10_000, ids)
-	if err != nil {
-		return fatal(err)
-	}
-
-	r, err := engine.NewRunner(w, engine.Protocol(*protocol), engine.AC2T{
-		Graph:        g,
-		Participants: ps,
+	lab, err := engine.RunOne(*seed, engine.Ring(int64(*seed), *parties, ids), engine.Protocol(*protocol), engine.AC2T{
 		Witness:      "witness",
 		Depth:        3,
 		TrentSeed:    *seed + 1,
 		TrentLatency: 100 * sim.Millisecond,
-	})
+	}, faults, deadline)
 	if err != nil {
-		return fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
-	fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
-	r.Start()
-	var crashed string
-	if *crash {
-		w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(who string, _ bool) {
-			crashed = who
-			fmt.Fprintf(stdout, "--- crashing %s ---\n", who)
-		}))
-	}
-	until := 3 * sim.Hour // every baseline timelock expires in here
-	w.RunUntil(until)
-	if crashed != "" && *recoverVictim {
-		fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", crashed)
-		r.Recover()
-		until += sim.Hour
-	}
-	w.RunOut(until)
-	for _, ev := range r.Events() {
+	for _, ev := range lab.Runner.Events() {
 		fmt.Fprintf(stdout, "t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))
 	}
-	report(stdout, r.Grade())
+	report(stdout, lab.Outcome)
 	return 0
 }
 

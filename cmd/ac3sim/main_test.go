@@ -34,3 +34,21 @@ func TestGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestUsageErrors: a flag combination that asks for nothing runnable is
+// exit 2 with the reason on stderr and nothing on stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-recover", "needs -crash"},
+		{"-parties 1", "at least 2 parties"},
+		{"-nosuchflag", "not defined"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if rc := run(strings.Fields(tc.args), &stdout, &stderr); rc != 2 {
+			t.Errorf("ac3sim %s: exit %d, want 2", tc.args, rc)
+		}
+		if !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+			t.Errorf("ac3sim %s: stderr %q (want %q), stdout %q (want none)", tc.args, stderr.String(), tc.want, stdout.String())
+		}
+	}
+}

@@ -32,14 +32,14 @@
 //     typed fault surface every driver works through
 //     (docs/architecture/ADR-013-thin-protocols.md)
 //   - internal/attack — the Section 6.3 analysis
-//   - internal/bench — one driver per table/figure of the evaluation,
+//   - internal/bench — the evaluation as one table of experiments,
 //     the Section 6.2 fee model next to its experiment
 //   - internal/engine — sharded concurrent orchestration: thousands
 //     of AC2Ts driven in parallel across independent deterministic
 //     shard worlds, with backpressure, a protocol table and a scenario
 //     table, and aggregated results; engine.NewRunner is the one way
-//     any driver stands an AC2T up
-//     (docs/architecture/ADR-001-engine.md, ADR-015-one-stand-up-path.md)
+//     any driver stands an AC2T up, engine.RunOne the single-AC2T lab
+//     (docs/architecture/ADR-001-engine.md, ADR-015, ADR-019)
 //   - internal/lint — ac3lint, the static-analysis suite that
 //     machine-checks the determinism contract: no wall clocks, no
 //     ambient RNGs, no map-order leaks into serialized output, no

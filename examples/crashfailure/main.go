@@ -16,109 +16,49 @@ import (
 	"log"
 
 	"repro/internal/chain"
-	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/engine"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/xchain"
 )
 
 func main() {
 	fmt.Println("=== HTLC baseline: Bob crashes after the secret is revealed ===")
-	htlcOutcome := runBaseline()
+	// Bob goes down the instant alice submits her redeem (revealing s);
+	// his timelock expires, alice refunds, and he comes back too late.
+	htlc := run(11, engine.ProtoHTLC, "alice's reveal is in flight",
+		"bob recovers; the reconciler resumes and retries his redeem...")
 	fmt.Println()
 	fmt.Println("=== AC3WN: same crash, same downtime, then recovery ===")
-	ac3wnOutcome := runAC3WN()
+	ac3wn := run(12, engine.ProtoAC3WN, "commit decision in flight",
+		"bob recovers; the reconciler resumes from chain state", "witness")
+	fmt.Printf("  committed = %v\n", ac3wn.Committed())
 
 	fmt.Println()
 	fmt.Println("=== verdict ===")
-	fmt.Printf("HTLC : atomicity violated = %v (Bob lost his assets while down)\n", htlcOutcome)
-	fmt.Printf("AC3WN: atomicity violated = %v (Bob redeemed after recovering)\n", ac3wnOutcome)
+	fmt.Printf("HTLC : atomicity violated = %v (Bob lost his assets while down)\n", htlc.AtomicityViolated())
+	fmt.Printf("AC3WN: atomicity violated = %v (Bob redeemed after recovering)\n", ac3wn.AtomicityViolated())
 }
 
-func buildWorld(seed uint64, withWitness bool) (*xchain.World, *xchain.Participant, *xchain.Participant, *graph.Graph) {
-	b := xchain.NewBuilder(seed)
-	alice := b.Participant("alice")
-	bob := b.Participant("bob")
-	ids := []chain.ID{"bitcoin", "ethereum"}
-	if withWitness {
-		ids = append(ids, "witness")
-	}
-	for _, id := range ids {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	b.Fund(alice, "bitcoin", 1_000_000)
-	b.Fund(bob, "ethereum", 1_000_000)
-	w, err := b.Build()
+// run swaps alice's 40,000 on bitcoin for bob's 90,000 on ethereum
+// under proto, takes down the run's critical failure point — bob, the
+// last participant — the moment the commit is being pushed, brings him
+// back two hours later, and grades the run half an hour after that.
+func run(seed uint64, proto engine.Protocol, crashing, recovering string, witness ...chain.ID) *xchain.Outcome {
+	at := func(t sim.Time) float64 { return float64(t) / 1000 }
+	lab, err := engine.RunOne(seed,
+		engine.Pair(int64(seed), 40_000, "bitcoin", 90_000, "ethereum", witness...),
+		proto, engine.AC2T{Witness: "witness", Depth: 3},
+		engine.Faults{
+			CrashAtCommit: true,
+			RecoverAt:     2 * sim.Hour,
+			OnCrash:       func(who string, t sim.Time) { fmt.Printf("t=%6.1fs  %s crashes (%s)\n", at(t), who, crashing) },
+			OnRecover:     func(_ string, t sim.Time) { fmt.Printf("t=%6.1fs  %s\n", at(t), recovering) },
+		}, 2*sim.Hour+30*sim.Minute)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := graph.TwoParty(int64(seed), alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
-	if err != nil {
-		log.Fatal(err)
-	}
-	return w, alice, bob, g
-}
-
-// crashBobAtCommit takes down the run's critical failure point — bob,
-// the last participant — the moment the commit is being pushed.
-func crashBobAtCommit(w *xchain.World, r core.Runner, why string) {
-	w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(who string, _ bool) {
-		fmt.Printf("t=%6.1fs  %s crashes (%s)\n", float64(w.Sim.Now())/1000, who, why)
-	}))
-}
-
-func runBaseline() bool {
-	w, alice, bob, g := buildWorld(11, false)
-	r, err := swap.New(w, swap.Config{
-		Graph:        g,
-		Participants: []*xchain.Participant{alice, bob},
-		Leader:       alice,
-		Delta:        60 * sim.Second,
-		ConfirmDepth: 3,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Start()
-	// Crash bob the instant alice submits her redeem (revealing s).
-	crashBobAtCommit(w, r, "alice's reveal is in flight")
-	w.RunUntil(2 * sim.Hour) // bob's timelock expires; alice refunds
-	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes and retries his redeem...\n", float64(w.Sim.Now())/1000)
-	r.Recover()
-	w.RunOut(w.Sim.Now() + 30*sim.Minute)
-
-	out := r.Grade()
-	for i, e := range out.Edges {
+	for i, e := range lab.Outcome.Edges {
 		fmt.Printf("  edge %d on %s: %s\n", i, e.Edge.Chain, e.State)
 	}
-	return out.AtomicityViolated()
-}
-
-func runAC3WN() bool {
-	w, alice, bob, g := buildWorld(12, true)
-	r, err := core.New(w, core.Config{
-		Graph:        g,
-		Participants: []*xchain.Participant{alice, bob},
-		Initiator:    alice,
-		WitnessChain: "witness",
-		WitnessDepth: 3,
-		AssetDepth:   3,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Start()
-	crashBobAtCommit(w, r, "commit decision in flight")
-	w.RunUntil(2 * sim.Hour) // same downtime as the baseline run
-	fmt.Printf("t=%6.1fs  bob recovers; the reconciler resumes from chain state\n", float64(w.Sim.Now())/1000)
-	r.Recover()
-	w.RunOut(w.Sim.Now() + 30*sim.Minute)
-
-	out := r.Grade()
-	for i, e := range out.Edges {
-		fmt.Printf("  edge %d on %s: %s\n", i, e.Edge.Chain, e.State)
-	}
-	fmt.Printf("  committed = %v\n", out.Committed())
-	return out.AtomicityViolated()
+	return lab.Outcome
 }

@@ -12,11 +12,8 @@ import (
 	"strings"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
 // Result is one experiment's printable outcome.
@@ -47,45 +44,17 @@ const (
 	deltaNominal  = sim.Time(confirmDepth+1) * blockInterval
 )
 
-// ringWorld builds an n-party ring AC2T over two asset chains plus a
-// witness chain: participant i pays participant i+1 on chain c(i%2).
-// Rings have Diam(D) = n, making them the Figure 10 workload.
-func ringWorld(seed uint64, n int) (*xchain.World, *graph.Graph, []*xchain.Participant, error) {
-	b := xchain.NewBuilder(seed)
-	ps := make([]*xchain.Participant, n)
-	for i := range ps {
-		ps[i] = b.Participant(fmt.Sprintf("p%d", i))
-	}
-	assetChains := []chain.ID{"asset-a", "asset-b"}
-	for _, id := range assetChains {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	b.Chain(xchain.DefaultChainSpec("witness"))
-	for i := range ps {
-		b.Fund(ps[i], assetChains[i%2], 1_000_000)
-	}
-	w, err := b.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := graph.Ring(int64(seed), xchain.Addrs(ps), 10_000, assetChains)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return w, g, ps, nil
+// runOne is engine.RunOne the way every laboratory experiment stands
+// its AC2T up: decided on the shape's chain "witness", depth d
+// everywhere.
+func runOne(seed uint64, sh engine.Shape, proto engine.Protocol, f engine.Faults, deadline sim.Time) (*engine.Lab, error) {
+	return engine.RunOne(seed, sh, proto, engine.AC2T{Witness: "witness", Depth: confirmDepth}, f, deadline)
 }
 
-// runOne stands the AC2T up through the engine's protocol table (the
-// world's witness chain is "witness"), runs it out to the deadline and
-// grades it.
-func runOne(proto engine.Protocol, w *xchain.World, g *graph.Graph, ps []*xchain.Participant, deadline sim.Time) (core.Runner, *xchain.Outcome, error) {
-	r, err := engine.NewRunner(w, proto, engine.AC2T{Graph: g, Participants: ps, Witness: "witness", Depth: confirmDepth})
-	if err != nil {
-		return nil, nil, err
-	}
-	r.Start()
-	w.RunOut(deadline)
-	return r, r.Grade(), nil
+// ringRun runs proto on Figure 10's workload: an n-party ring
+// (Diam(D) = n) alternating over two asset chains.
+func ringRun(seed uint64, n int, proto engine.Protocol, deadline sim.Time) (*engine.Lab, error) {
+	return runOne(seed, engine.Ring(int64(seed), n, []chain.ID{"asset-a", "asset-b"}), proto, engine.Faults{}, deadline)
 }
 
 // inDeltas converts a virtual duration to Δ units.
@@ -103,18 +72,40 @@ func section(parts ...string) string {
 	return b.String()
 }
 
-// All runs every experiment in paper order.
-func All(seed uint64) []*Result {
-	return []*Result{
-		Fig8(seed),
-		Fig9(seed),
-		Fig10(seed, 8),
-		Cost(seed),
-		WitnessChoice(seed),
-		Table1(seed),
-		Atomicity(seed, 5),
-		Complex(seed),
-		Scale(seed),
-		EngineLoad(seed),
+// Experiment is one row of the evaluation: Run executes it at a seed and
+// returns its rendered output and whether its sanity assertions — the
+// paper's qualitative claims — held, or the error that kept it from
+// running at all.
+type Experiment struct {
+	ID, Title string
+	Run       func(seed uint64) (output string, ok bool, err error)
+}
+
+// Experiments is the evaluation in paper order; cmd/ac3bench, the
+// repository-root benchmarks and this package's tests loop over it.
+//
+//ac3:globalstate the experiment table; written once here, read-only
+var Experiments = []Experiment{
+	{"fig8", "Herlihy single-leader timeline: 2·Δ·Diam(D)", fig8},
+	{"fig9", "AC3WN timeline: constant 4·Δ", fig9},
+	{"fig10", "AC2T latency vs Diam(D): linear baseline vs constant AC3WN",
+		func(seed uint64) (string, bool, error) { return fig10(seed, 8) }},
+	{"cost", "per-AC2T fees: N·(fd+ffc) vs (N+1)·(fd+ffc)", cost},
+	{"witness", "choosing the witness network (risk vs asset value)", witnessChoice},
+	{"table1", "chain throughput and AC2T min() composition", table1},
+	{"atomicity", "all-or-nothing under crashes: HTLC baseline vs AC3WN",
+		func(seed uint64) (string, bool, error) { return atomicity(seed, 5) }},
+	{"complex", "cyclic and disconnected AC2T graphs (Figure 7)", complexGraphs},
+	{"scale", "witness networks are horizontally scalable", scale},
+	{"engine", "sharded engine sustains concurrent AC2T load without atomicity violations", engineLoad},
+}
+
+// Result runs the experiment; an error is a failed result carrying the
+// message.
+func (e Experiment) Result(seed uint64) *Result {
+	out, ok, err := e.Run(seed)
+	if err != nil {
+		out, ok = err.Error(), false
 	}
+	return &Result{ID: e.ID, Title: e.Title, Output: out, OK: ok}
 }

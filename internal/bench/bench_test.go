@@ -3,142 +3,122 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/contracts"
+	"repro/internal/engine"
+	"repro/internal/sim"
 	"repro/internal/xchain"
 )
 
-// The experiment drivers are exercised end to end: each must run its
-// real protocol workloads and hold its sanity assertions (OK). These
-// are the same entry points cmd/ac3bench and the root benchmarks use.
+// The experiment drivers are exercised end to end through the table
+// cmd/ac3bench and the root benchmarks loop over: each must run its real
+// protocol workloads, hold its sanity assertions (OK) and print what
+// testdata/<id>.golden holds — the stdout of `ac3bench -seed 42
+// -experiment <id>`, captured before the experiments moved behind
+// engine.RunOne (fig8, fig9, cost, complex, scale, witness, table1 in PR
+// 17; fig10 and atomicity from this PR's parent, at the widths below),
+// so that move is checked to be byte-invisible. engine.golden was taken
+// when the table lost its two host-dependent columns (ADR-019).
+var experimentChecks = map[string]struct {
+	// run, when set, replaces the table's Run with a narrower sweep.
+	run  func(seed uint64) (string, bool, error)
+	want []string
+}{
+	"fig8":  {want: []string{"SC5", "Δ"}},
+	"fig9":  {want: []string{"PARALLEL"}},
+	"fig10": {run: func(seed uint64) (string, bool, error) { return fig10(seed, 5) }, want: []string{"Herlihy measured", "AC3WN measured"}},
+	"cost":  {want: []string{"3d+3c", "1/2 = 0.5", "measured", "analytic"}},
+	// 21: the paper's d > 20 example.
+	"witness":   {want: []string{"21"}},
+	"table1":    {want: []string{"Bitcoin", "Ethereum", "Litecoin", "Bitcoin Cash", "min("}},
+	"atomicity": {run: func(seed uint64) (string, bool, error) { return atomicity(seed, 2) }, want: []string{"VIOLATIONS"}},
+	"complex":   {want: []string{"committed atomically"}},
+	"scale":     {want: []string{"AC2T/hour"}},
+	"engine":    {want: []string{"shards", "violations", "throughput", "batching", "witness txs/commit"}},
+}
 
-// golden compares an experiment at seed 42 with
-// testdata/<id>.golden — the stdout of `ac3bench -seed 42 -experiment
-// <id>`, captured before the experiments' protocol construction and
-// run-out tail moved behind shared code, so those moves are checked to
-// be byte-invisible.
-func golden(t *testing.T, r *Result) {
+func checkExperiment(t *testing.T, id string) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", r.ID+".golden"))
+	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		t.Fatalf("no experiment %q in the table", id)
+	}
+	e, check := Experiments[i], experimentChecks[id]
+	if check.run != nil {
+		e.Run = check.run
+	}
+	r := e.Result(42)
+	want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.String() + "\n\n"; got != string(want) {
-		t.Errorf("%s differs from testdata/%s.golden:\n%s", r.ID, r.ID, got)
+		t.Errorf("%s differs from testdata/%s.golden:\n%s", id, id, got)
 	}
-}
-
-func TestFig8(t *testing.T) {
-	r := Fig8(42)
-	golden(t, r)
 	if !r.OK {
-		t.Fatalf("fig8 failed:\n%s", r)
+		t.Fatalf("%s failed:\n%s", id, r)
 	}
-	if !strings.Contains(r.Output, "SC5") || !strings.Contains(r.Output, "Δ") {
-		t.Fatalf("fig8 output incomplete:\n%s", r.Output)
-	}
-}
-
-func TestFig9(t *testing.T) {
-	r := Fig9(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("fig9 failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "PARALLEL") {
-		t.Fatalf("fig9 output incomplete:\n%s", r.Output)
-	}
-}
-
-func TestFig10SmallSweep(t *testing.T) {
-	r := Fig10(42, 5)
-	if !r.OK {
-		t.Fatalf("fig10 failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "Herlihy measured") || !strings.Contains(r.Output, "AC3WN measured") {
-		t.Fatalf("fig10 output incomplete:\n%s", r.Output)
-	}
-}
-
-func TestCost(t *testing.T) {
-	r := Cost(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("cost failed:\n%s", r)
-	}
-	for _, want := range []string{"3d+3c", "1/2 = 0.5", "measured", "analytic"} {
-		if !strings.Contains(r.Output, want) {
-			t.Fatalf("cost output missing %q:\n%s", want, r.Output)
+	for _, w := range check.want {
+		if !strings.Contains(r.Output, w) {
+			t.Fatalf("%s output missing %q:\n%s", id, w, r.Output)
 		}
 	}
 }
 
-func TestWitnessChoice(t *testing.T) {
-	r := WitnessChoice(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("witness failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "21") { // the paper's d > 20 example
-		t.Fatalf("witness output missing the paper example:\n%s", r.Output)
-	}
-}
+// One name per experiment, so each can be run and reported alone.
+func TestFig8(t *testing.T)            { checkExperiment(t, "fig8") }
+func TestFig9(t *testing.T)            { checkExperiment(t, "fig9") }
+func TestFig10SmallSweep(t *testing.T) { checkExperiment(t, "fig10") }
+func TestCost(t *testing.T)            { checkExperiment(t, "cost") }
+func TestWitnessChoice(t *testing.T)   { checkExperiment(t, "witness") }
+func TestTable1(t *testing.T)          { checkExperiment(t, "table1") }
+func TestAtomicityQuick(t *testing.T)  { checkExperiment(t, "atomicity") }
+func TestComplex(t *testing.T)         { checkExperiment(t, "complex") }
+func TestScale(t *testing.T)           { checkExperiment(t, "scale") }
+func TestEngineLoad(t *testing.T)      { checkExperiment(t, "engine") }
 
-func TestTable1(t *testing.T) {
-	r := Table1(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("table1 failed:\n%s", r)
-	}
-	for _, want := range []string{"Bitcoin", "Ethereum", "Litecoin", "Bitcoin Cash", "min("} {
-		if !strings.Contains(r.Output, want) {
-			t.Fatalf("table1 output missing %q:\n%s", want, r.Output)
+// TestEveryExperimentIsChecked: a row added to the table without a
+// golden and a check here fails.
+func TestEveryExperimentIsChecked(t *testing.T) {
+	for _, e := range Experiments {
+		if _, ok := experimentChecks[e.ID]; !ok {
+			t.Errorf("experiment %q has no entry in experimentChecks", e.ID)
 		}
 	}
-}
-
-func TestAtomicityQuick(t *testing.T) {
-	r := Atomicity(42, 2)
-	if !r.OK {
-		t.Fatalf("atomicity failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "VIOLATIONS") {
-		t.Fatalf("atomicity output incomplete:\n%s", r.Output)
+	if len(experimentChecks) != len(Experiments) {
+		t.Errorf("%d checks for %d experiments", len(experimentChecks), len(Experiments))
 	}
 }
 
-func TestComplex(t *testing.T) {
-	r := Complex(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("complex failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "committed atomically") {
-		t.Fatalf("complex output incomplete:\n%s", r.Output)
-	}
-}
-
-func TestScale(t *testing.T) {
-	r := Scale(42)
-	golden(t, r)
-	if !r.OK {
-		t.Fatalf("scale failed:\n%s", r)
-	}
-	if !strings.Contains(r.Output, "AC2T/hour") {
-		t.Fatalf("scale output incomplete:\n%s", r.Output)
-	}
-}
-
-func TestEngineLoad(t *testing.T) {
-	r := EngineLoad(42)
-	if !r.OK {
-		t.Fatalf("engine load failed:\n%s", r)
-	}
-	for _, want := range []string{"shards", "violations", "throughput", "batching", "witness txs/commit"} {
-		if !strings.Contains(r.Output, want) {
-			t.Fatalf("engine output missing %q:\n%s", want, r.Output)
+// TestBuildFailureIsTheExperimentsError: a world, graph or runner that
+// cannot be stood up is the experiment's error — a [FAILED] result
+// carrying the message, exit 1 from ac3bench — not a "stuck-safe" row
+// or a silently dropped sample.
+func TestBuildFailureIsTheExperimentsError(t *testing.T) {
+	unfunded := engine.Pair(42, 40_000, "bitcoin", 90_000, "ethereum")
+	unfunded.Funds = unfunded.Funds[:1] // bob owns nothing on ethereum
+	for _, tc := range []struct {
+		name, want string
+		run        func(uint64) (string, bool, error)
+	}{
+		{"atomicity, unknown protocol", `unknown protocol "nolan"`, func(seed uint64) (string, bool, error) {
+			return atomicityOver(seed, 1, []atomicityScenario{{"nolan", "nolan", true, false}})
+		}},
+		{"fig10's ring, unknown protocol", `unknown protocol "nolan"`, func(seed uint64) (string, bool, error) {
+			_, err := ringRun(seed, 3, "nolan", sim.Hour)
+			return "a row", true, err
+		}},
+		{"unfunded party", "edge 1: bob has no funds on ethereum", func(seed uint64) (string, bool, error) {
+			_, err := runOne(seed, unfunded, engine.ProtoHTLC, engine.Faults{}, sim.Hour)
+			return "a row", true, err
+		}},
+	} {
+		r := Experiment{ID: "x", Title: tc.name, Run: tc.run}.Result(42)
+		if r.OK || r.Output != "engine: "+tc.want || !strings.Contains(r.String(), "[FAILED]") {
+			t.Errorf("result %s, want FAILED with exactly the error %q", r, tc.want)
 		}
 	}
 }

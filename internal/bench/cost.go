@@ -66,13 +66,13 @@ func (c OpCost) String() string {
 	return fmt.Sprintf("%s: %d deploys + %d calls = $%.2f", c.Protocol, c.Deploys, c.Calls, c.USD)
 }
 
-// Cost reproduces Section 6.2's cost analysis: per-AC2T fees for
+// cost reproduces Section 6.2's cost analysis: per-AC2T fees for
 // Herlihy (N·(fd+ffc)) versus AC3WN ((N+1)·(fd+ffc)), with the
 // overhead 1/N, at the paper's two ETH/USD reference rates. For small
 // N the operation counts are *measured* from real protocol runs (the
 // on-chain transactions the participants actually paid for); larger N
 // rows are analytic.
-func Cost(seed uint64) *Result {
+func cost(seed uint64) (string, bool, error) {
 	t := metrics.NewTable("Section 6.2 — AC2T fee comparison",
 		"N (contracts)", "Herlihy ops", "AC3WN ops", "Herlihy $ @300", "AC3WN $ @300",
 		"Herlihy $ @140", "AC3WN $ @140", "overhead", "source")
@@ -85,25 +85,23 @@ func Cost(seed uint64) *Result {
 		if n <= 8 {
 			// Measure from real runs on an n-ring.
 			source = "measured"
-			wH, gH, psH, err := ringWorld(seed+uint64(n), n)
+			labH, err := ringRun(seed+uint64(n), n, engine.ProtoHTLC, sim.Time(n+4)*sim.Hour)
 			if err != nil {
-				return &Result{ID: "cost", Title: "fees", Output: err.Error()}
+				return "", false, err
 			}
-			_, outH, err := runOne(engine.ProtoHTLC, wH, gH, psH, sim.Time(n+4)*sim.Hour)
-			if err != nil || !outH.Committed() {
-				ok = false
-			} else {
+			if outH := labH.Outcome; outH.Committed() {
 				hD, hC = outH.Deploys, outH.Calls
-			}
-			wW, gW, psW, err := ringWorld(seed+uint64(n)*7, n)
-			if err != nil {
-				return &Result{ID: "cost", Title: "fees", Output: err.Error()}
-			}
-			_, outW, err := runOne(engine.ProtoAC3WN, wW, gW, psW, 2*sim.Hour)
-			if err != nil || !outW.Committed() {
-				ok = false
 			} else {
+				ok = false
+			}
+			labW, err := ringRun(seed+uint64(n)*7, n, engine.ProtoAC3WN, 2*sim.Hour)
+			if err != nil {
+				return "", false, err
+			}
+			if outW := labW.Outcome; outW.Committed() {
 				aD, aC = outW.Deploys, outW.Calls
+			} else {
+				ok = false
 			}
 			// The measured counts must equal the paper's formula.
 			if hD != n || hC != n || aD != n+1 || aC != n+1 {
@@ -124,10 +122,5 @@ func Cost(seed uint64) *Result {
 	}
 	t.Note("AC3WN pays for one extra contract (SCw) and one extra call (the state change): overhead 1/N of the baseline fee")
 	t.Note("fd = ffc ≈ $4 at $300/ETH and ≈ $2 at $140/ETH (Ryan [27], as cited in Section 6.2)")
-	return &Result{
-		ID:     "cost",
-		Title:  "per-AC2T fees: N·(fd+ffc) vs (N+1)·(fd+ffc)",
-		Output: t.String(),
-		OK:     ok,
-	}
+	return t.String(), ok, nil
 }

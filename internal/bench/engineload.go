@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// EngineLoad measures AC2T throughput under sustained concurrent load
+// engineLoad measures AC2T throughput under sustained concurrent load
 // — the workload regime the single-transaction experiments of Section
 // 6 cannot reach. A mixed stream (commits, declines, crash-recovery,
 // decision races) runs on the sharded orchestration engine at 1, 2
@@ -17,12 +17,12 @@ import (
 // throughput must scale near-linearly while atomicity violations stay
 // at zero — the Section 5.2 horizontal-scalability argument measured
 // under heavy traffic instead of a 24-swap batch.
-func EngineLoad(seed uint64) *Result {
+func engineLoad(seed uint64) (string, bool, error) {
 	const perShardTxs = 20
 	t := metrics.NewTable("Engine — AC2T throughput under sustained mixed load (AC3WN)",
 		"shards", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"p50 latency (min)", "makespan (min)", "throughput (AC2T/hour)", "events/AC2T", "blocks-exec/AC2T",
-		"peak-RSS (MiB)", "allocs/AC2T", "states-pruned")
+		"states-pruned")
 	ok := true
 	var tps1 float64
 	for _, shards := range []int{1, 2, 4} {
@@ -30,30 +30,17 @@ func EngineLoad(seed uint64) *Result {
 		wl.Txs = perShardTxs * shards
 		wl.ArrivalEvery = 15 * sim.Second
 		wl.Mix = engine.Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
-		e, err := engine.New(engine.Config{Seed: seed, Shards: shards, Workload: wl})
+		agg, row, err := loadRow(seed, shards, wl, shards)
 		if err != nil {
-			return &Result{ID: "engine", Title: "throughput under load", Output: err.Error()}
+			return "", false, err
 		}
-		sampler := StartMemSampler()
-		agg, err := e.Run()
-		mem := sampler.Stop()
-		if err != nil {
-			return &Result{ID: "engine", Title: "throughput under load", Output: err.Error()}
-		}
-		tpsHour := agg.ThroughputTPSVirtual * 3600
-		allocsPerTx := 0.0
-		if agg.Graded > 0 {
-			allocsPerTx = float64(mem.Mallocs) / float64(agg.Graded)
-		}
-		t.AddRow(shards, agg.Graded, agg.Commits, agg.Aborts, agg.Stuck, agg.Violations,
+		t.AddRow(append(row,
 			fmt.Sprintf("%.1f", float64(agg.LatencyP50Ms)/float64(sim.Minute)),
 			fmt.Sprintf("%.1f", float64(agg.MakespanVirtualMs)/float64(sim.Minute)),
-			fmt.Sprintf("%.0f", tpsHour),
+			fmt.Sprintf("%.0f", agg.ThroughputTPSVirtual*3600),
 			fmt.Sprintf("%.0f", agg.SimEventsPerTx),
 			fmt.Sprintf("%.1f", agg.BlocksExecutedPerTx),
-			fmt.Sprintf("%.1f", float64(mem.PeakSysBytes)/(1<<20)),
-			fmt.Sprintf("%.0f", allocsPerTx),
-			agg.StatesPruned)
+			agg.StatesPruned)...)
 		// The claims under test: everything settles, atomicity holds
 		// under every scenario, and shards add throughput.
 		if agg.Graded != wl.Txs || agg.Stuck != 0 || agg.Violations != 0 {
@@ -70,17 +57,32 @@ func EngineLoad(seed uint64) *Result {
 	t.Note("per-shard offered load held constant; shards are independent worlds, so throughput adds")
 	t.Note("events/AC2T: simulator events per settled transaction — the notification bus's cost metric")
 	t.Note("blocks-exec/AC2T: ApplyBlock runs per settled transaction — the shared executor's cost metric (≈ blocks mined, not N× for N-node networks)")
-	t.Note("peak-RSS / allocs/AC2T: sampled process memory (machine-dependent, see bench.MemSampler); states-pruned: executor state-GC work (deterministic)")
 
-	hz, hzOK := hazardTable(seed)
-	adv, advOK := adversityTable(seed)
-	wit, witOK := witnessTable(seed)
-	return &Result{
-		ID:     "engine",
-		Title:  "sharded engine sustains concurrent AC2T load without atomicity violations",
-		Output: t.String() + "\n" + hz + "\n" + adv + "\n" + wit,
-		OK:     ok && hzOK && advOK && witOK,
+	out := t.String()
+	for _, table := range []func(uint64) (string, bool, error){hazardTable, adversityTable, witnessTable} {
+		s, tableOK, err := table(seed)
+		if err != nil {
+			return "", false, err
+		}
+		out += "\n" + s
+		ok = ok && tableOK
 	}
+	return out, ok, nil
+}
+
+// loadRow runs wl on the engine and opens a table row with label and
+// the outcome columns every engine table shares; the caller appends its
+// own.
+func loadRow(seed uint64, shards int, wl engine.Workload, label any) (*engine.Aggregate, []any, error) {
+	e, err := engine.New(engine.Config{Seed: seed, Shards: shards, Workload: wl})
+	if err != nil {
+		return nil, nil, err
+	}
+	agg, err := e.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return agg, []any{label, agg.Graded, agg.Commits, agg.Aborts, agg.Stuck, agg.Violations}, nil
 }
 
 // witnessTable is the decision-batching before/after: the identical
@@ -94,48 +96,37 @@ func EngineLoad(seed uint64) *Result {
 // must cut witness transactions per commit at least 4× and bytes per
 // commit measurably. This is the perf claim of record; CI gates on the
 // same numbers via ac3engine -batchwindow.
-func witnessTable(seed uint64) (string, bool) {
+func witnessTable(seed uint64) (string, bool, error) {
 	const txs = 1000
 	t := metrics.NewTable("Engine — witness-chain decision batching: per-AC2T decisions vs one commit_batch per window (1,000 AC2Ts, 8 shards)",
 		"batching", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"witness decision txs", "batches", "republishes",
 		"witness txs/commit", "witness bytes/commit")
 	ok := true
-	var offAgg, onAgg *engine.Aggregate
-	for _, batched := range []bool{false, true} {
+	var aggs [2]*engine.Aggregate
+	for i, mode := range []struct {
+		label  string
+		window sim.Time
+	}{{"off (per-AC2T)", 0}, {"on (3 min window)", 3 * sim.Minute}} {
 		wl := engine.DefaultWorkload()
 		wl.Txs = txs
-		if batched {
-			wl.BatchWindow = 3 * sim.Minute
-		}
-		e, err := engine.New(engine.Config{Seed: seed, Shards: 8, Workload: wl})
+		wl.BatchWindow = mode.window
+		agg, row, err := loadRow(seed, 8, wl, mode.label)
 		if err != nil {
-			return err.Error(), false
+			return "", false, err
 		}
-		agg, err := e.Run()
-		if err != nil {
-			return err.Error(), false
-		}
-		label := "off (per-AC2T)"
-		if batched {
-			label = "on (3 min window)"
-			onAgg = agg
-		} else {
-			offAgg = agg
-		}
-		t.AddRow(label, agg.Graded, agg.Commits, agg.Aborts, agg.Stuck, agg.Violations,
+		aggs[i] = agg
+		t.AddRow(append(row,
 			agg.WitnessDecisionTxs, agg.BatchesPublished, agg.BatchRepublishes,
 			fmt.Sprintf("%.3f", agg.WitnessTxsPerCommit),
-			fmt.Sprintf("%.1f", agg.WitnessBytesPerCommit))
+			fmt.Sprintf("%.1f", agg.WitnessBytesPerCommit))...)
 		if agg.Graded != txs || agg.Stuck != 0 || agg.Violations != 0 {
 			ok = false
 		}
 	}
+	offAgg, onAgg := aggs[0], aggs[1]
 	// Batching must be outcome-invisible: the same AC2Ts settle the
 	// same way, only the witness-chain traffic shape changes.
-	if offAgg == nil || onAgg == nil {
-		return t.String(), false
-	}
 	if onAgg.Commits != offAgg.Commits || onAgg.Aborts != offAgg.Aborts {
 		ok = false
 	}
@@ -163,7 +154,7 @@ func witnessTable(seed uint64) (string, bool) {
 	t.Note("witness txs/commit = (per-AC2T decision txs + commit_batch txs) / commits; bytes/commit is the byte analog")
 	t.Note("batched decisions settle via merkle membership proofs against the committed root — per-AC2T work leaves the witness chain")
 	t.Note("republishes: batch commitments reorged off the canonical witness chain and re-multicast before StableDepth")
-	return t.String(), ok
+	return t.String(), ok, nil
 }
 
 // adversityTable runs an identical hostile-network workload —
@@ -177,7 +168,7 @@ func witnessTable(seed uint64) (string, bool) {
 // assets when the network stops cooperating. The forks/reorg-depth/
 // drops columns prove the runs actually left the friendly-network
 // regime.
-func adversityTable(seed uint64) (string, bool) {
+func adversityTable(seed uint64) (string, bool, error) {
 	t := metrics.NewTable("Engine — network adversity: partitions, gossip loss, geo links (identical workload)",
 		"protocol", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"partition viol", "lossy viol", "geo viol", "forks", "max reorg depth", "msgs dropped")
@@ -188,20 +179,15 @@ func adversityTable(seed uint64) (string, bool) {
 		wl.Txs = 40
 		wl.ArrivalEvery = 15 * sim.Second
 		wl.Mix = engine.Mix{Commit: 2, Abort: 1, Partition: 2, Lossy: 2, Geo: 2}
-		e, err := engine.New(engine.Config{Seed: seed + 2, Shards: 2, Workload: wl})
+		agg, row, err := loadRow(seed+2, 2, wl, string(proto))
 		if err != nil {
-			return err.Error(), false
-		}
-		agg, err := e.Run()
-		if err != nil {
-			return err.Error(), false
+			return "", false, err
 		}
 		part := agg.ByScenario[engine.ScenarioPartition]
 		lossy := agg.ByScenario[engine.ScenarioLossy]
 		geo := agg.ByScenario[engine.ScenarioGeo]
-		t.AddRow(string(proto), agg.Graded, agg.Commits, agg.Aborts, agg.Stuck, agg.Violations,
-			part.Violations, lossy.Violations, geo.Violations,
-			agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped)
+		t.AddRow(append(row, part.Violations, lossy.Violations, geo.Violations,
+			agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped)...)
 		if agg.Graded != wl.Txs {
 			ok = false
 		}
@@ -222,7 +208,7 @@ func adversityTable(seed uint64) (string, bool) {
 	t.Note("identical mixed workload: commits, declines, decision-window partitions, sustained gossip loss, geo-skewed links")
 	t.Note("partitions split one miner from the rest of a decision chain for 6 virtual minutes; loss drops 25%% of gossip; geo degrades asset chains to intercontinental links")
 	t.Note("forks / max reorg depth / msgs dropped: proof the runs left the friendly-network regime")
-	return t.String(), ok
+	return t.String(), ok, nil
 }
 
 // hazardTable runs the identical mixed workload against all three
@@ -232,7 +218,7 @@ func adversityTable(seed uint64) (string, bool) {
 // victim participant resumes and redeems (no hazard), AC3TW's
 // centralized witness stays down and the AC2T blocks (stuck), and
 // HTLC's victim recovers after its timelocks expired (asset loss).
-func hazardTable(seed uint64) (string, bool) {
+func hazardTable(seed uint64) (string, bool, error) {
 	t := metrics.NewTable("Engine — per-protocol hazards under the identical crash+race mixed workload",
 		"protocol", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"crash stuck", "crash violations", "downgraded draws")
@@ -244,17 +230,12 @@ func hazardTable(seed uint64) (string, bool) {
 		wl.ArrivalEvery = 15 * sim.Second
 		wl.TxTimeout = 30 * sim.Minute
 		wl.Mix = engine.Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
-		e, err := engine.New(engine.Config{Seed: seed + 1, Shards: 2, Workload: wl})
+		agg, row, err := loadRow(seed+1, 2, wl, string(proto))
 		if err != nil {
-			return err.Error(), false
-		}
-		agg, err := e.Run()
-		if err != nil {
-			return err.Error(), false
+			return "", false, err
 		}
 		crash := agg.ByScenario[engine.ScenarioCrash]
-		t.AddRow(string(proto), agg.Graded, agg.Commits, agg.Aborts, agg.Stuck, agg.Violations,
-			crash.Stuck, crash.Violations, agg.ScenariosDowngraded)
+		t.AddRow(append(row, crash.Stuck, crash.Violations, agg.ScenariosDowngraded)...)
 		// The paper's claims, checked hard per protocol.
 		switch proto {
 		case engine.ProtoAC3WN:
@@ -276,5 +257,5 @@ func hazardTable(seed uint64) (string, bool) {
 	}
 	t.Note("crash stuck / crash violations: hazard counts within the crash scenario — AC3TW blocking and HTLC asset loss as data")
 	t.Note("downgraded draws: scenario draws the protocol cannot express, run as commit (HTLC race only)")
-	return t.String(), ok
+	return t.String(), ok, nil
 }

@@ -6,13 +6,11 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
-// fig8Graph builds the 5-contract, Diam(D)=3 AC2T of Figure 8:
+// fig8Shape is the 5-contract, Diam(D)=3 AC2T of Figure 8:
 // SC1 = A→B, then the parallel bundle SC2 = B→C and SC3 = B→D, then
 // SC4 = C→A and SC5 = D→A closing both cycles. Every participant
 // both gives and receives (a well-formed swap); the single-leader
@@ -20,56 +18,35 @@ import (
 // with SC2/SC3 (and SC4/SC5) in parallel inside their layers —
 // exactly Figure 8's mix of parallel contracts within a sequential
 // critical path.
-func fig8Graph(seed uint64) (*xchain.World, *graph.Graph, []*xchain.Participant, error) {
-	b := xchain.NewBuilder(seed)
-	names := []string{"A", "B", "C", "D"}
-	ps := make([]*xchain.Participant, len(names))
-	for i, n := range names {
-		ps[i] = b.Participant(n)
+func fig8Shape(seed uint64) engine.Shape {
+	const A, B, C, D = 0, 1, 2, 3
+	return engine.Shape{
+		Parties:   []string{"A", "B", "C", "D"},
+		Chains:    []chain.ID{"c1", "c2", "c3", "c4", "c5", "witness"},
+		Funds:     [][]chain.ID{A: {"c1"}, B: {"c2", "c3"}, C: {"c4"}, D: {"c5"}},
+		Timestamp: int64(seed),
+		Edges: []engine.Transfer{
+			{From: A, To: B, Asset: 10_000, Chain: "c1"}, // SC1
+			{From: B, To: C, Asset: 10_000, Chain: "c2"}, // SC2
+			{From: B, To: D, Asset: 10_000, Chain: "c3"}, // SC3
+			{From: C, To: A, Asset: 10_000, Chain: "c4"}, // SC4
+			{From: D, To: A, Asset: 10_000, Chain: "c5"}, // SC5
+		},
 	}
-	chains := []chain.ID{"c1", "c2", "c3", "c4", "c5"}
-	for _, id := range chains {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	b.Chain(xchain.DefaultChainSpec("witness"))
-	b.Fund(ps[0], "c1", 1_000_000) // A sends SC1
-	b.Fund(ps[1], "c2", 1_000_000) // B sends SC2, SC3
-	b.Fund(ps[1], "c3", 1_000_000)
-	b.Fund(ps[2], "c4", 1_000_000) // C sends SC4
-	b.Fund(ps[3], "c5", 1_000_000) // D sends SC5
-	w, err := b.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := graph.New(int64(seed),
-		graph.Edge{From: ps[0].Addr(), To: ps[1].Addr(), Asset: 10_000, Chain: "c1"}, // SC1
-		graph.Edge{From: ps[1].Addr(), To: ps[2].Addr(), Asset: 10_000, Chain: "c2"}, // SC2
-		graph.Edge{From: ps[1].Addr(), To: ps[3].Addr(), Asset: 10_000, Chain: "c3"}, // SC3
-		graph.Edge{From: ps[2].Addr(), To: ps[0].Addr(), Asset: 10_000, Chain: "c4"}, // SC4
-		graph.Edge{From: ps[3].Addr(), To: ps[0].Addr(), Asset: 10_000, Chain: "c5"}, // SC5
-	)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return w, g, ps, nil
 }
 
-// Fig8 reproduces Figure 8: the phase timeline of Herlihy's
+// fig8 reproduces Figure 8: the phase timeline of Herlihy's
 // single-leader protocol on the 5-contract graph — sequential
 // deployment then sequential redemption, 2·Δ·Diam(D) total.
-func Fig8(seed uint64) *Result {
-	w, g, ps, err := fig8Graph(seed)
+func fig8(seed uint64) (string, bool, error) {
+	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoHTLC, engine.Faults{}, 4*sim.Hour)
 	if err != nil {
-		return &Result{ID: "fig8", Title: "Herlihy timeline", Output: err.Error()}
+		return "", false, err
 	}
-	diam := g.Diameter()
-	run, out, err := runOne(engine.ProtoHTLC, w, g, ps, 4*sim.Hour)
-	if err != nil {
-		return &Result{ID: "fig8", Title: "Herlihy timeline", Output: err.Error()}
-	}
+	out, diam := lab.Outcome, lab.Graph.Diameter()
 
 	tl := &metrics.Timeline{Title: fmt.Sprintf("Figure 8 — single-leader swap timeline (Diam(D)=%d, 5 contracts), time in Δ", diam), Unit: "Δ"}
-	for _, ev := range run.Events() {
+	for _, ev := range lab.Runner.Events() {
 		label := ev.Label
 		if ev.Edge >= 0 {
 			label = fmt.Sprintf("SC%d %s", ev.Edge+1, ev.Label)
@@ -84,27 +61,19 @@ func Fig8(seed uint64) *Result {
 		out.Committed(), measured, analytic)
 
 	ok := out.Committed() && measured >= analytic*0.7 && measured <= analytic*1.8
-	return &Result{
-		ID:     "fig8",
-		Title:  "Herlihy single-leader timeline: 2·Δ·Diam(D)",
-		Output: section(tl.String(), summary),
-		OK:     ok,
-	}
+	return section(tl.String(), summary), ok, nil
 }
 
-// Fig9 reproduces Figure 9: AC3WN's four-phase timeline on the same
+// fig9 reproduces Figure 9: AC3WN's four-phase timeline on the same
 // graph — SCw deployment, parallel contract deployment, SCw state
 // change, parallel redemption: 4·Δ total, independent of Diam(D).
-func Fig9(seed uint64) *Result {
-	w, g, ps, err := fig8Graph(seed)
+func fig9(seed uint64) (string, bool, error) {
+	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoAC3WN, engine.Faults{}, 4*sim.Hour)
 	if err != nil {
-		return &Result{ID: "fig9", Title: "AC3WN timeline", Output: err.Error()}
+		return "", false, err
 	}
-	r, out, err := runOne(engine.ProtoAC3WN, w, g, ps, 4*sim.Hour)
-	if err != nil {
-		return &Result{ID: "fig9", Title: "AC3WN timeline", Output: err.Error()}
-	}
-	run := r.(*core.Run) // Figure 9's phase boundaries are AC3WN's own
+	out := lab.Outcome
+	run := lab.Runner.(*core.Run) // Figure 9's phase boundaries are AC3WN's own
 
 	tl := &metrics.Timeline{Title: "Figure 9 — AC3WN timeline (same 5-contract graph), time in Δ", Unit: "Δ"}
 	start := out.Start
@@ -122,24 +91,16 @@ func Fig9(seed uint64) *Result {
 	measured := inDeltas(run.CompletedAt - start)
 	summary := fmt.Sprintf(
 		"committed=%v  measured latency = %.2fΔ   paper analysis = 4·Δ (constant in Diam(D)=%d)",
-		out.Committed(), measured, g.Diameter())
+		out.Committed(), measured, lab.Graph.Diameter())
 	ok := out.Committed() && measured >= 3 && measured <= 7
-	return &Result{
-		ID:     "fig9",
-		Title:  "AC3WN timeline: constant 4·Δ",
-		Output: section(tl.String(), summary),
-		OK:     ok,
-	}
+	return section(tl.String(), summary), ok, nil
 }
 
-// Fig10 reproduces Figure 10: AC2T latency in Δs as the graph
+// fig10 reproduces Figure 10: AC2T latency in Δs as the graph
 // diameter grows — the paper's headline comparison. Herlihy grows as
 // 2·Diam(D); AC3WN stays flat around 4. Each point averages several
 // seeded runs (confirmation times on Poisson chains are noisy).
-func Fig10(seed uint64, maxDiam int) *Result {
-	if maxDiam < 2 {
-		maxDiam = 2
-	}
+func fig10(seed uint64, maxDiam int) (string, bool, error) {
 	const samples = 3
 	fig := metrics.NewFigure("Figure 10 — AC2T latency vs graph diameter", "Diam(D)", "latency (Δ)")
 	analyticH := fig.AddSeries("Herlihy analytic 2·Diam")
@@ -158,24 +119,22 @@ func Fig10(seed uint64, maxDiam int) *Result {
 		hn, wn := 0, 0
 		for s := 0; s < samples; s++ {
 			// Herlihy on an n-ring (Diam = n).
-			wH, gH, psH, err := ringWorld(seed+uint64(diam)*17+uint64(s)*1009, diam)
+			labH, err := ringRun(seed+uint64(diam)*17+uint64(s)*1009, diam, engine.ProtoHTLC, sim.Time(diam+4)*sim.Hour)
 			if err != nil {
-				return &Result{ID: "fig10", Title: "latency vs diameter", Output: err.Error()}
+				return "", false, err
 			}
-			_, outH, err := runOne(engine.ProtoHTLC, wH, gH, psH, sim.Time(diam+4)*sim.Hour)
-			if err == nil && outH.Committed() {
-				hSum += inDeltas(outH.Latency())
+			if labH.Outcome.Committed() {
+				hSum += inDeltas(labH.Outcome.Latency())
 				hn++
 			}
 
 			// AC3WN on the same shape.
-			wW, gW, psW, err := ringWorld(seed+uint64(diam)*31+uint64(s)*2003, diam)
+			labW, err := ringRun(seed+uint64(diam)*31+uint64(s)*2003, diam, engine.ProtoAC3WN, 2*sim.Hour)
 			if err != nil {
-				return &Result{ID: "fig10", Title: "latency vs diameter", Output: err.Error()}
+				return "", false, err
 			}
-			_, outW, err := runOne(engine.ProtoAC3WN, wW, gW, psW, 2*sim.Hour)
-			if err == nil && outW.Committed() {
-				wSum += inDeltas(outW.Latency())
+			if labW.Outcome.Committed() {
+				wSum += inDeltas(labW.Outcome.Latency())
 				wn++
 			}
 		}
@@ -206,12 +165,7 @@ func Fig10(seed uint64, maxDiam int) *Result {
 		"shape: measured slopes — Herlihy %.2f Δ per diameter unit (analytic 2), AC3WN %.2f (analytic 0)\n"+
 			"crossover: AC3WN wins for every Diam ≥ 3, and the gap widens linearly — the paper's Figure 10.",
 		hSlope, wSlope)
-	return &Result{
-		ID:     "fig10",
-		Title:  "AC2T latency vs Diam(D): linear baseline vs constant AC3WN",
-		Output: section(fig.String(), summary),
-		OK:     okShape,
-	}
+	return section(fig.String(), summary), okShape, nil
 }
 
 // slope returns the least-squares slope of y on x.

@@ -12,14 +12,14 @@ import (
 	"repro/internal/xchain"
 )
 
-// Scale reproduces Section 5.2's scalability argument empirically:
+// scale reproduces Section 5.2's scalability argument empirically:
 // atomicity coordination is embarrassingly parallel across AC2Ts, so
 // adding witness networks raises aggregate AC2T throughput until the
 // asset chains themselves saturate. We make each witness chain a
 // deliberate bottleneck (1 transaction per block) and run a batch of
 // independent AC2Ts round-robined across W ∈ {1, 2, 4} witness
 // networks.
-func Scale(seed uint64) *Result {
+func scale(seed uint64) (string, bool, error) {
 	const swaps = 24
 	t := metrics.NewTable("Section 5.2 — aggregate AC2T throughput vs number of witness networks",
 		"witness networks", "AC2Ts", "committed", "makespan (min)", "throughput (AC2T/hour)")
@@ -28,7 +28,7 @@ func Scale(seed uint64) *Result {
 	for _, wn := range []int{1, 2, 4} {
 		makespan, committed, err := runScale(seed+uint64(wn)*97, swaps, wn)
 		if err != nil {
-			return &Result{ID: "scale", Title: "scalability", Output: err.Error()}
+			return "", false, err
 		}
 		if committed != swaps {
 			ok = false
@@ -48,12 +48,7 @@ func Scale(seed uint64) *Result {
 	}
 	t.Note("each witness chain is capacity-limited to 1 tx/block, making coordination the bottleneck")
 	t.Note("different AC2Ts need no coordination with each other, so witness networks add up (until asset chains saturate)")
-	return &Result{
-		ID:     "scale",
-		Title:  "witness networks are horizontally scalable",
-		Output: t.String(),
-		OK:     ok,
-	}
+	return t.String(), ok, nil
 }
 
 // runScale runs `swaps` independent two-party AC2Ts across `wn`

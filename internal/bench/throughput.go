@@ -95,12 +95,12 @@ func measureChainTPS(seed uint64, target tpsTarget, window sim.Time) (float64, e
 	return float64(included) / effective, nil
 }
 
-// Table1 reproduces Table 1 and the Section 6.4 throughput
+// table1 reproduces Table 1 and the Section 6.4 throughput
 // composition: chains calibrated to the paper's tps figures, raw
 // throughput measured under saturation, and the AC2T throughput
 // min(tps_i, …, tps_w) for an Ethereum+Litecoin AC2T under each
 // witness choice.
-func Table1(seed uint64) *Result {
+func table1(seed uint64) (string, bool, error) {
 	ok := true
 	measured := make(map[string]float64, len(table1Targets))
 
@@ -109,7 +109,7 @@ func Table1(seed uint64) *Result {
 	for i, target := range table1Targets {
 		tps, err := measureChainTPS(seed+uint64(i), target, 120*sim.Second)
 		if err != nil {
-			return &Result{ID: "table1", Title: "throughput", Output: err.Error()}
+			return "", false, err
 		}
 		measured[target.Name] = tps
 		t1.AddRow(target.Name, target.PaperTPS, fmt.Sprintf("%.1f", tps))
@@ -143,10 +143,5 @@ func Table1(seed uint64) *Result {
 	if btcBound > measured["Ethereum"] || btcBound > measured["Litecoin"] {
 		ok = false
 	}
-	return &Result{
-		ID:     "table1",
-		Title:  "chain throughput and AC2T min() composition",
-		Output: section(t1.String(), t2.String()),
-		OK:     ok,
-	}
+	return section(t1.String(), t2.String()), ok, nil
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// WitnessChoice reproduces Section 6.3: choosing the witness network.
+// witnessChoice reproduces Section 6.3: choosing the witness network.
 // For each candidate network and asset value Va, the minimum
 // confirmation depth d satisfying d > Va·dh/Ch, the resulting attack
 // cost, and — validating Lemma 5.3's ε — the simulated and analytic
 // success probability of a fork attack at several depths.
-func WitnessChoice(seed uint64) *Result {
+func witnessChoice(seed uint64) (string, bool, error) {
 	ok := true
 
 	// Part 1: minimum safe depth per (network, Va).
@@ -55,10 +55,5 @@ func WitnessChoice(seed uint64) *Result {
 
 	summary := "ε (Lemma 5.3) vanishes with depth: at d=6 a 10% attacker wins <0.1% of races;\n" +
 		"economic safety additionally requires d > Va·dh/Ch so renting 51% costs more than the assets at stake."
-	return &Result{
-		ID:     "witness",
-		Title:  "choosing the witness network (risk vs asset value)",
-		Output: section(t1.String(), fig.String(), summary),
-		OK:     ok,
-	}
+	return section(t1.String(), fig.String(), summary), ok, nil
 }

@@ -74,8 +74,8 @@ type Config struct {
 // checkpoint distance (core.DefaultStableDepth, 30). It does not exceed
 // the reorgs the adversity scenarios produce — max_reorg_depth measures
 // 40 at -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2 and 170 on the
-// hostile mix 4,1,1,1,2,2,2 at -txs 2000 (ROADMAP, "AC3WN breaks under
-// deep reorgs" (b)); those pivots are the deeper reads below. Past it a
+// hostile mix 4,1,1,1,2,2,2 at -txs 2000 (ROADMAP item 1(a) is to bound
+// it); those pivots are the deeper reads below. Past it a
 // block's overlay maps shrink to its retained delta — base layers have
 // been persistent tables sharing structure since ADR-016, so that is all
 // the horizon buys now: -prunedepth 512 costs +16 % peak sys both at

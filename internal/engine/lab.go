@@ -1,0 +1,176 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/chain"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/sim"
+	"repro/internal/vm"
+	"repro/internal/xchain"
+)
+
+// The laboratory: every single-AC2T experiment of the paper — Figures
+// 8 to 10, Section 6.2's fee counts, Figure 7's graphs, Section 1's
+// crash hazard, ac3sim, examples/crashfailure — is one function from
+// (seed, shape, protocol, fault schedule) to a graded outcome, and
+// RunOne is that function (ADR-019). The shard executor stands many
+// AC2Ts up on one world and keeps its own loop.
+
+// Shape is a single-AC2T world as data: who takes part, which chains
+// exist, who owns what, and the graph (D, t) over the parties. Parties
+// and chains are created in the order listed — that order decides which
+// keys and which mining randomness the seed hands out — and every chain
+// is an xchain.DefaultChainSpec.
+type Shape struct {
+	// Parties names the participants; Parties[0] initiates or leads.
+	Parties []string
+	// Chains lists every chain of the world, a witness chain included.
+	Chains []chain.ID
+	// Funds[i] lists the chains on which Parties[i] owns labFunds at
+	// genesis.
+	Funds [][]chain.ID
+	// Timestamp is the t of Equation 1; Edges are D's sub-transactions
+	// between parties, by index into Parties.
+	Timestamp int64
+	Edges     []Transfer
+}
+
+// Transfer is a graph.Edge between parties that have no address yet.
+type Transfer struct {
+	From, To int
+	Asset    vm.Amount
+	Chain    chain.ID
+}
+
+// labFunds is every Fund's amount: enough for any edge the experiments
+// draw, and part of the genesis blocks the goldens pin.
+const labFunds = 1_000_000
+
+// Ring is the n-party cycle p0 → p1 → … → p0 of 10,000 per edge, edge i
+// on chains[i % len(chains)] with its sender funded there, plus a chain
+// "witness". Diam(D) = n, which makes rings Figure 10's workload.
+func Ring(t int64, n int, chains []chain.ID) Shape {
+	sh := Shape{Chains: append(slices.Clone(chains), "witness"), Timestamp: t}
+	for i := range n {
+		on := chains[i%len(chains)]
+		sh.Parties = append(sh.Parties, fmt.Sprintf("p%d", i))
+		sh.Funds = append(sh.Funds, []chain.ID{on})
+		sh.Edges = append(sh.Edges, Transfer{i, (i + 1) % n, 10_000, on})
+	}
+	return sh
+}
+
+// Pair is Figure 4's swap: alice pays a on chainA, bob pays b on
+// chainB. Witness chains, if any, are created after the two.
+func Pair(t int64, a vm.Amount, chainA chain.ID, b vm.Amount, chainB chain.ID, witness ...chain.ID) Shape {
+	return Shape{
+		Parties:   []string{"alice", "bob"},
+		Chains:    append([]chain.ID{chainA, chainB}, witness...),
+		Funds:     [][]chain.ID{{chainA}, {chainB}},
+		Timestamp: t,
+		Edges:     []Transfer{{0, 1, a, chainA}, {1, 0, b, chainB}},
+	}
+}
+
+// Faults is a fault schedule as data, plus the hooks a driver that
+// narrates needs (each may be nil). Crashes at an event index and
+// injected reorgs are ROADMAP item 1(c)'s to add.
+type Faults struct {
+	// CrashAtCommit takes the protocol's critical failure point down
+	// the moment the commit is pushed (core.CrashAtCommit).
+	CrashAtCommit bool
+	// RecoverAt (>0) brings what crashed back at that virtual time; a
+	// run in which nothing crashed by then has nothing to recover.
+	RecoverAt sim.Time
+
+	// Started runs once the AC2T is stood up, before it starts.
+	Started func(*graph.Graph)
+	// OnCrash and OnRecover run as the fault strikes and just before
+	// the recovery, with who it is and the virtual time.
+	OnCrash, OnRecover func(who string, at sim.Time)
+}
+
+// Lab is what RunOne returns: the AC2T it stood up and its grade.
+type Lab struct {
+	World   *xchain.World
+	Graph   *graph.Graph
+	Runner  core.Runner
+	Outcome *xchain.Outcome
+}
+
+// crashPollEvery is how often the crash watch looks for the commit
+// push.
+const crashPollEvery = 100 * sim.Millisecond
+
+// RunOne builds sh on a fresh simulator seeded with seed, stands t up
+// under proto (t.Graph and t.Participants are RunOne's to fill), runs it
+// through f out to deadline and grades it. The sequence is what the
+// stdout goldens pin: Start, then the crash watch, RunUntil(RecoverAt)
+// → Recover, then World.RunOut. Anything that fails to build is the
+// first error; a run that merely goes badly is an Outcome.
+func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, f Faults, deadline sim.Time) (*Lab, error) {
+	b := xchain.NewBuilder(seed)
+	ps := make([]*xchain.Participant, len(sh.Parties))
+	for i, name := range sh.Parties {
+		ps[i] = b.Participant(name)
+	}
+	for _, id := range sh.Chains {
+		b.Chain(xchain.DefaultChainSpec(id))
+	}
+	for i, ids := range sh.Funds {
+		for _, id := range ids {
+			if !slices.Contains(sh.Chains, id) {
+				return nil, fmt.Errorf("engine: %s is funded on %s, which the shape does not list", sh.Parties[i], id)
+			}
+			b.Fund(ps[i], id, labFunds)
+		}
+	}
+	edges := make([]graph.Edge, len(sh.Edges))
+	for i, e := range sh.Edges {
+		if e.From >= len(sh.Funds) || !slices.Contains(sh.Funds[e.From], e.Chain) {
+			return nil, fmt.Errorf("engine: edge %d: %s has no funds on %s", i, sh.Parties[e.From], e.Chain)
+		}
+		edges[i] = graph.Edge{From: ps[e.From].Addr(), To: ps[e.To].Addr(), Asset: e.Asset, Chain: e.Chain}
+	}
+	g, err := graph.New(sh.Timestamp, edges...)
+	if err != nil {
+		return nil, err
+	}
+	w, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	t.Graph, t.Participants = g, ps
+	r, err := NewRunner(w, proto, t)
+	if err != nil {
+		return nil, err
+	}
+	if f.Started != nil {
+		f.Started(g)
+	}
+
+	r.Start()
+	var crashed string
+	if f.CrashAtCommit {
+		w.Sim.Poll(crashPollEvery, core.CrashAtCommit(r, func(who string, _ bool) {
+			crashed = who
+			if f.OnCrash != nil {
+				f.OnCrash(who, w.Sim.Now())
+			}
+		}))
+	}
+	if f.RecoverAt > 0 {
+		w.RunUntil(f.RecoverAt)
+		if crashed != "" {
+			if f.OnRecover != nil {
+				f.OnRecover(crashed, w.Sim.Now())
+			}
+			r.Recover()
+		}
+	}
+	w.RunOut(deadline)
+	return &Lab{World: w, Graph: g, Runner: r, Outcome: r.Grade()}, nil
+}

@@ -42,10 +42,10 @@ const (
 	// reorgs. 48 clears the partition + geo mix (max_reorg_depth 40 at
 	// -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2) and not the
 	// hostile one (170 at -mix 4,1,1,1,2,2,2 -txs 2000): a commitment
-	// rolled back from deeper is not republished, which ROADMAP's
-	// reorg-depth item ("AC3WN breaks under deep reorgs" (b)) owns. It
-	// must stay well inside the history-retirement horizon so the depth
-	// checks always see the transaction.
+	// rolled back from deeper is not republished, which ROADMAP item
+	// 1(a) (bound the reorg depth) owns. It must stay well inside the
+	// history-retirement horizon so the depth checks always see the
+	// transaction.
 	batchStableDepth = 48
 )
 

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/analysis"
 )
@@ -15,11 +14,8 @@ import (
 // simulated time flows through sim.Time / sim.Sim.
 //
 // Built-in allowlist: cmd/* front-ends (wall-time reporting is their
-// job — they are outside the deterministic scope by construction) and
-// bench.MemSampler (its whole purpose is sampling the real process on
-// a real clock; its measurements are reported out-of-band and never
-// enter the byte-compared aggregates). Anything else needs an
-// `//ac3:wallclock <justification>` annotation.
+// job — they are outside the deterministic scope by construction).
+// Anything else needs an `//ac3:wallclock <justification>` annotation.
 var Wallclock = &analysis.Analyzer{
 	Name: "wallclock",
 	Doc: "forbid wall-clock time (time.Now, time.Since, timers) in deterministic packages; " +
@@ -49,22 +45,13 @@ func runWallclock(pass *analysis.Pass) (any, error) {
 	dirs := collectDirectives(pass)
 	dirs.reportMissingJustifications()
 	for _, f := range pass.Files {
-		var stack funcStack
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack.pop()
-				return true
-			}
-			stack.push(n)
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeFunc(pass, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {
-				return true
-			}
-			if memSamplerMethod(pass, stack.enclosing()) {
 				return true
 			}
 			if dirs.allowed("wallclock", call.Pos()) {
@@ -76,54 +63,6 @@ func runWallclock(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-// memSamplerMethod reports whether decl belongs to bench.MemSampler —
-// the one deterministic-tree type whose job is observing the real
-// process on the real clock (its measurements stay out of the
-// byte-compared aggregates). Covers both methods on the type and its
-// StartMemSampler constructor.
-func memSamplerMethod(pass *analysis.Pass, decl *ast.FuncDecl) bool {
-	if pass.Pkg.Path() != "repro/internal/bench" || decl == nil {
-		return false
-	}
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return strings.Contains(decl.Name.Name, "MemSampler")
-	}
-	t := pass.TypesInfo.TypeOf(decl.Recv.List[0].Type)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "MemSampler"
-}
-
-// funcStack tracks the innermost enclosing *ast.FuncDecl during an
-// ast.Inspect walk (Inspect calls back with nil on exit).
-type funcStack struct {
-	nodes []ast.Node
-}
-
-func (s *funcStack) push(n ast.Node) { s.nodes = append(s.nodes, n) }
-func (s *funcStack) pop() {
-	if len(s.nodes) > 0 {
-		s.nodes = s.nodes[:len(s.nodes)-1]
-	}
-}
-
-// enclosing returns the nearest FuncDecl on the stack. Function
-// literals inside a method still belong to that method for allowlist
-// purposes (MemSampler's sampling loop runs in a func literal).
-func (s *funcStack) enclosing() *ast.FuncDecl {
-	for i := len(s.nodes) - 1; i >= 0; i-- {
-		if fd, ok := s.nodes[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil.
