@@ -190,13 +190,14 @@ func main() {
 		agg.SimEventsPerTx,
 		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped)
 	work := agg.Work
-	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%, %d of %d candidate applications rejected, %d signatures (%d graph multisig, %d deploy, %d call)\n",
+	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%, %d of %d candidate applications rejected, %d parked offers skipped (%d parked at most), %d signatures (%d graph multisig, %d deploy, %d call)\n",
 		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate,
-		work.Rejected, work.Candidates,
+		work.Rejected, work.Candidates, work.ParkedSkips, work.ParkedHigh,
 		work.GraphSigs+work.DeploySigs+work.CallSigs,
 		work.GraphSigs, work.DeploySigs, work.CallSigs)
-	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped\n",
-		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped)
+	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped, %d block requests sent, %d answered, orphan buffer high-water %d, mempool high-water %d\n",
+		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped,
+		work.GetBlockSent, work.GetBlockAnswered, work.OrphansHigh, work.MempoolHigh)
 	if wl.Protocol == engine.ProtoAC3WN {
 		fmt.Fprintf(os.Stderr, "witness: %d per-AC2T decision txs, %d batches (%d decisions, %d republishes), %.3f txs / %.1f bytes per committed AC2T\n",
 			agg.WitnessDecisionTxs, agg.BatchesPublished, agg.BatchDecisions,

@@ -23,6 +23,7 @@ var (
 type txRejection struct {
 	format string
 	args   []any
+	clock  bool // the refusing contract had read the block's height or time
 }
 
 func (e *txRejection) Error() string {
@@ -198,7 +199,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), addr, height, blockTime, msg, tx.Value)
 	if err := c.Init(ctx, tx.Params); err != nil {
-		return txErr("constructor of %s failed: %v", tx.ContractType, err)
+		return &txRejection{"constructor of %s failed: %v", []any{tx.ContractType, err}, ctx.ReadClock()}
 	}
 	if err := settlePayouts(st, ctx, tx.ID()); err != nil {
 		return err
@@ -239,7 +240,7 @@ func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx) er
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), tx.Contract, height, blockTime, msg, balance)
 	if err := c.Call(ctx, tx.Fn, tx.Args); err != nil {
-		return txErr("call %s.%s failed: %v", tx.Contract, tx.Fn, err)
+		return &txRejection{"call %s.%s failed: %v", []any{tx.Contract, tx.Fn, err}, ctx.ReadClock()}
 	}
 	if err := settlePayouts(st, ctx, tx.ID()); err != nil {
 		return err

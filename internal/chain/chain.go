@@ -26,6 +26,10 @@ type Chain struct {
 	// listeners receive a TipEvent after every canonical-tip change.
 	listeners []func(TipEvent)
 
+	// Candidates BuildBlock need not try again yet, by id and by key (parked.go).
+	parked   map[crypto.Hash]*Tx
+	parkedBy map[crypto.Hash][]crypto.Hash
+
 	// Reorgs counts canonical-tip switches to a non-descendant block;
 	// the fork experiments read it.
 	Reorgs int
@@ -245,8 +249,10 @@ func (c *Chain) setTip(b *Block) {
 		}
 		if ok {
 			disconnected = append(disconnected, c.exec.block(prev))
+			c.wrote(disconnected[len(disconnected)-1].Txs...)
 		}
 		c.canonical[cur.Header.Height] = h
+		c.wrote(cur.Txs...)
 		if cur.Header.Height == 0 {
 			break
 		}
@@ -414,6 +420,8 @@ func (c *Chain) HeadersFrom(ancestor crypto.Hash) ([]*Header, bool) {
 // while capacity remained — candidates for the miner to purge;
 // transactions merely skipped for capacity are not reported and should
 // stay in the mempool. time is the miner's current virtual time.
+// mempool is not retained. A rejected candidate is parked (ADR-020):
+// failed without a trial until something its verdict read is written.
 func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (b *Block, built *State, invalid []*Tx) {
 	parent := c.tip
 	if time < parent.Header.Time {
@@ -449,22 +457,34 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 				full = true
 				break
 			}
-			// Trial overlay: a failing transaction (e.g. a contract
-			// call rejected after its inputs were consumed) is
-			// discarded wholesale instead of contaminating the block
-			// state under construction.
-			trial := st.overlay()
-			c.exec.stats.Candidates++
-			if err := ApplyTx(trial, c.exec.reg, params.ID, height, time, tx); err != nil {
-				c.exec.stats.Rejected++
+			if c.parked[tx.ID()] != nil {
+				c.exec.stats.ParkedSkips++
+			} else {
+				// Trial overlay: a failing transaction (e.g. a contract
+				// call rejected after its inputs were consumed) is
+				// discarded wholesale instead of contaminating the block
+				// state under construction.
+				trial := st.overlay()
+				c.exec.stats.Candidates++
+				err := ApplyTx(trial, c.exec.reg, params.ID, height, time, tx)
+				if err == nil {
+					st.absorb(trial)
+					trial.recycle()
+					txs = append(txs, tx)
+					c.wrote(tx) // perhaps what a candidate parked earlier waits for
+					progress = true
+					continue
+				}
 				trial.recycle()
-				failed = append(failed, tx)
-				continue
+				c.exec.stats.Rejected++
+				if rej, ok := err.(*txRejection); ok && !rej.clock {
+					c.park(tx)
+				}
 			}
-			st.absorb(trial)
-			trial.recycle()
-			txs = append(txs, tx)
-			progress = true
+			if failed == nil {
+				failed = make([]*Tx, 0, len(pending))
+			}
+			failed = append(failed, tx)
 		}
 		if full {
 			// Nothing is purged when the block filled up: skipped
@@ -477,6 +497,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 		}
 		pending = failed
 	}
+	c.wrote(txs...) // the tip is still the parent: no verdict that read this block's writes may stay
 	blk := NewBlock(Header{
 		ChainID: params.ID,
 		Parent:  parent.Hash(),

@@ -128,8 +128,10 @@ type ExecStats struct {
 	// Candidates counts the mempool transactions BuildBlock tried on a
 	// trial overlay, once per pass that tried them, and Rejected those
 	// that did not apply — work thrown away, most of it a transaction
-	// whose turn has not come or has passed.
-	Candidates, Rejected uint64
+	// whose turn has not come or has passed. ParkedSkips counts offers
+	// of a parked candidate (ADR-020), ParkedHigh the most one view held.
+	Candidates, Rejected, ParkedSkips uint64
+	ParkedHigh                        int
 }
 
 // NewExecutor builds a network's shared store with a deterministic
@@ -184,6 +186,8 @@ func (e *Executor) NewView() *Chain {
 		have:      map[crypto.Hash]bool{gh: true},
 		tip:       e.genesis,
 		canonical: map[uint64]crypto.Hash{0: gh},
+		parked:    map[crypto.Hash]*Tx{},
+		parkedBy:  map[crypto.Hash][]crypto.Hash{},
 	}
 	e.views = append(e.views, c)
 	return c

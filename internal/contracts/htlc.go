@@ -73,7 +73,7 @@ func (h *HTLC) Init(ctx *vm.Ctx, params []byte) error {
 	if err := h.publish(ctx, "htlc", p.Recipient); err != nil {
 		return err
 	}
-	if p.Timelock <= ctx.Time {
+	if p.Timelock <= ctx.Time() {
 		return errors.New("htlc: timelock not in the future")
 	}
 	h.Hashlock, h.Timelock = p.Hashlock, p.Timelock
@@ -87,7 +87,7 @@ func (h *HTLC) Call(ctx *vm.Ctx, fn string, args []byte) error {
 
 // isRedeemable accepts the hashlock's preimage before expiry.
 func (h *HTLC) isRedeemable(ctx *vm.Ctx, secret []byte) error {
-	if ctx.Time >= h.Timelock {
+	if ctx.Time() >= h.Timelock {
 		return errors.New("htlc: timelock expired")
 	}
 	if crypto.Sum(secret) != h.Hashlock {
@@ -99,7 +99,7 @@ func (h *HTLC) isRedeemable(ctx *vm.Ctx, secret []byte) error {
 // isRefundable needs no secret, only the hour: after expiry anyone may
 // send the asset back to the sender.
 func (h *HTLC) isRefundable(ctx *vm.Ctx, _ []byte) error {
-	if ctx.Time < h.Timelock {
+	if ctx.Time() < h.Timelock {
 		return errors.New("htlc: timelock not yet expired")
 	}
 	return nil

@@ -199,14 +199,18 @@ type ShardResult struct {
 }
 
 // Work counts host-side work a run's layers did that its results do not
-// show: how many candidate applications block building threw away, and
-// what the ed25519 signatures were for. Like Drives it stays out of the
-// JSON (ADR-016 records the numbers).
+// show: how many candidate applications block building threw away, what
+// the ed25519 signatures were for, how full the miners' buffers got. Like
+// Drives it stays out of the JSON (ADR-016, ADR-020 record the numbers).
 type Work struct {
-	// Candidates counts transactions BuildBlock tried on a trial
-	// overlay and Rejected those that did not apply
-	// (chain.ExecStats).
-	Candidates, Rejected uint64
+	// Candidates counts transactions BuildBlock tried on a trial overlay,
+	// Rejected those that did not apply, ParkedSkips offers of a parked
+	// candidate, ParkedHigh the most one view held (chain.ExecStats).
+	Candidates, Rejected, ParkedSkips uint64
+	ParkedHigh                        int
+	// MsgGetBlock requests, and any node's fullest buffers (miner.Node).
+	GetBlockSent, GetBlockAnswered uint64
+	OrphansHigh, MempoolHigh       int
 	// GraphSigs counts signatures on graph multisignatures; DeploySigs
 	// and CallSigs the transactions clients signed, landed or not (the
 	// engine's participants make no plain transfers).
@@ -216,6 +220,12 @@ type Work struct {
 func (w *Work) add(o Work) {
 	w.Candidates += o.Candidates
 	w.Rejected += o.Rejected
+	w.ParkedSkips += o.ParkedSkips
+	w.ParkedHigh = max(w.ParkedHigh, o.ParkedHigh)
+	w.GetBlockSent += o.GetBlockSent
+	w.GetBlockAnswered += o.GetBlockAnswered
+	w.OrphansHigh = max(w.OrphansHigh, o.OrphansHigh)
+	w.MempoolHigh = max(w.MempoolHigh, o.MempoolHigh)
 	w.GraphSigs += o.GraphSigs
 	w.DeploySigs += o.DeploySigs
 	w.CallSigs += o.CallSigs

@@ -215,8 +215,13 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 		e.res.BlocksRetired += st.Retired
 		e.res.Work.add(Work{
 			Candidates: st.Candidates, Rejected: st.Rejected,
+			ParkedSkips: st.ParkedSkips, ParkedHigh: st.ParkedHigh,
 			DeploySigs: net.Signed[chain.TxDeploy], CallSigs: net.Signed[chain.TxCall],
 		})
+		for _, n := range net.Nodes {
+			e.res.Work.add(Work{GetBlockSent: n.GetBlockSent, GetBlockAnswered: n.GetBlockAnswered,
+				OrphansHigh: n.OrphansHigh, MempoolHigh: n.MempoolHigh})
+		}
 		// Adversity accounting: how hard the network fought back.
 		e.res.ForksObserved += net.TotalReorgs()
 		if d := net.MaxReorgDepth(); d > e.res.MaxReorgDepth {

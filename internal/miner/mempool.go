@@ -5,15 +5,18 @@ import (
 	"repro/internal/crypto"
 )
 
-// mempool holds pending transactions in arrival order.
+// mempool holds one view's pending transactions in arrival order.
 type mempool struct {
+	view     *chain.Chain // forgets what it remembers of a removed transaction
 	byID     map[crypto.Hash]*chain.Tx
 	order    []crypto.Hash
 	failures map[crypto.Hash]int
+	buf      []*chain.Tx // ordered's result, refilled by every call
 }
 
-func newMempool() *mempool {
+func newMempool(view *chain.Chain) *mempool {
 	return &mempool{
+		view:     view,
 		byID:     make(map[crypto.Hash]*chain.Tx),
 		failures: make(map[crypto.Hash]int),
 	}
@@ -31,6 +34,7 @@ func (m *mempool) add(tx *chain.Tx) {
 func (m *mempool) remove(id crypto.Hash) {
 	delete(m.byID, id)
 	delete(m.failures, id)
+	m.view.Forget(id)
 	// order is compacted lazily in ordered().
 }
 
@@ -41,9 +45,9 @@ func (m *mempool) fail(id crypto.Hash) int {
 }
 
 // ordered returns pending transactions in arrival order, compacting
-// tombstones.
+// tombstones. The result is valid until the next call.
 func (m *mempool) ordered() []*chain.Tx {
-	out := make([]*chain.Tx, 0, len(m.byID))
+	out := m.buf[:0]
 	live := m.order[:0]
 	for _, id := range m.order {
 		if tx, ok := m.byID[id]; ok {
@@ -52,6 +56,7 @@ func (m *mempool) ordered() []*chain.Tx {
 		}
 	}
 	m.order = live
+	m.buf = out
 	return out
 }
 

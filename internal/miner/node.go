@@ -48,6 +48,15 @@ type Node struct {
 	// Mined counts blocks this node mined; the throughput and attack
 	// experiments read it.
 	Mined int
+
+	// Sync and backlog counters (ROADMAP item 2(c)): MsgGetBlock requests
+	// this node sent and those it answered with a block, and the most
+	// orphans and pending transactions it ever held.
+	GetBlockSent     uint64
+	GetBlockAnswered uint64
+	OrphansHigh      int
+	MempoolHigh      int
+	orphaned         int // blocks in orphans now
 }
 
 // NewNode creates a node with its own chain view. share is the node's
@@ -62,7 +71,7 @@ func NewNode(s *sim.Sim, net *p2p.Network, id p2p.NodeID, c *chain.Chain, key *c
 		net:        net,
 		rng:        s.RNG().Fork(),
 		share:      share,
-		mempool:    newMempool(),
+		mempool:    newMempool(c),
 		orphans:    make(map[crypto.Hash][]*chain.Block),
 		alive:      true,
 		interval:   c.Params().BlockInterval,
@@ -98,6 +107,7 @@ func (n *Node) onTipEvent(ev chain.TipEvent) {
 				n.mempool.add(tx)
 			}
 		}
+		n.MempoolHigh = max(n.MempoolHigh, n.mempool.size())
 	}
 	n.tipChanged.Notify()
 }
@@ -161,7 +171,10 @@ func (n *Node) punishInvalid(invalid []*chain.Tx) {
 func (n *Node) Crash() {
 	n.alive = false
 	n.mining = false
-	n.mempool = newMempool()
+	for _, tx := range n.mempool.ordered() {
+		n.mempool.remove(tx.ID())
+	}
+	n.mempool = newMempool(n.Chain)
 	n.net.Crash(n.ID)
 }
 
@@ -194,6 +207,7 @@ func (n *Node) handle(from p2p.NodeID, payload any) {
 		n.acceptBlock(from, m.Block)
 	case MsgGetBlock:
 		if b, ok := n.Chain.Block(m.Hash); ok {
+			n.GetBlockAnswered++
 			n.net.Send(n.ID, from, MsgBlock{Block: b})
 		}
 	}
@@ -211,6 +225,7 @@ func (n *Node) SubmitLocal(tx *chain.Tx) {
 		return
 	}
 	n.mempool.add(tx)
+	n.MempoolHigh = max(n.MempoolHigh, n.mempool.size())
 }
 
 // acceptBlock validates and adopts a block, buffering orphans and
@@ -232,10 +247,13 @@ func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 		}
 		if !buffered {
 			n.orphans[b.Header.Parent] = append(n.orphans[b.Header.Parent], b)
+			n.orphaned++
+			n.OrphansHigh = max(n.OrphansHigh, n.orphaned)
 		}
 		// Re-request the parent even for an already-buffered orphan: the
 		// earlier MsgGetBlock may have gone to a peer that crashed before
 		// answering, and this re-arrival is the only retry signal.
+		n.GetBlockSent++
 		n.net.Send(n.ID, from, MsgGetBlock{Hash: b.Header.Parent})
 		return
 	}
@@ -259,6 +277,7 @@ func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 	// Every orphan waiting for this block can now be connected.
 	if children, ok := n.orphans[b.Hash()]; ok {
 		delete(n.orphans, b.Hash())
+		n.orphaned -= len(children)
 		for _, child := range children {
 			n.acceptBlock(from, child)
 		}

@@ -44,19 +44,35 @@ type Payout struct {
 type Ctx struct {
 	ChainID string
 	Self    crypto.Address // the contract's own address
-	Height  uint64         // height of the block being applied
-	Time    int64          // timestamp of the block being applied
 	Msg     Msg
 
-	balance Amount
-	payouts []Payout
+	height    uint64 // of the block being applied; read through Height
+	time      int64  // of the block being applied; read through Time
+	readClock bool   // the contract asked for either (ADR-020)
+	balance   Amount
+	payouts   []Payout
 }
 
 // NewCtx builds an execution context. balance is the contract's
 // balance before this call (including Msg.Value already credited).
 func NewCtx(chainID string, self crypto.Address, height uint64, time int64, msg Msg, balance Amount) *Ctx {
-	return &Ctx{ChainID: chainID, Self: self, Height: height, Time: time, Msg: msg, balance: balance}
+	return &Ctx{ChainID: chainID, Self: self, height: height, time: time, Msg: msg, balance: balance}
 }
+
+// Height returns the height of the block being applied.
+func (c *Ctx) Height() uint64 {
+	c.readClock = true
+	return c.height
+}
+
+// Time returns the timestamp of the block being applied.
+func (c *Ctx) Time() int64 {
+	c.readClock = true
+	return c.time
+}
+
+// ReadClock reports whether the contract asked for Height or Time.
+func (c *Ctx) ReadClock() bool { return c.readClock }
 
 // Balance returns the contract's remaining balance.
 func (c *Ctx) Balance() Amount { return c.balance }
