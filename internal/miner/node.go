@@ -71,7 +71,7 @@ func NewNode(s *sim.Sim, net *p2p.Network, id p2p.NodeID, c *chain.Chain, key *c
 		net:        net,
 		rng:        s.RNG().Fork(),
 		share:      share,
-		mempool:    newMempool(c),
+		mempool:    &mempool{view: c, byID: make(map[crypto.Hash]*entry)},
 		orphans:    make(map[crypto.Hash][]*chain.Block),
 		alive:      true,
 		interval:   c.Params().BlockInterval,
@@ -174,7 +174,6 @@ func (n *Node) Crash() {
 	for _, tx := range n.mempool.ordered() {
 		n.mempool.remove(tx.ID())
 	}
-	n.mempool = newMempool(n.Chain)
 	n.net.Crash(n.ID)
 }
 

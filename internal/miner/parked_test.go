@@ -98,3 +98,58 @@ func TestHTLCRefundBeforeTimelockIsRetriedEveryBlock(t *testing.T) {
 		t.Fatal("a crash loses the mempool; the records of its candidates must go with it")
 	}
 }
+
+// A transaction this node mined, lost to a reorg and got back before its
+// next build is one arrival, not two: it is offered once, so it fails
+// once per build and no block can carry it twice.
+func TestReannouncedTxIsOfferedOnce(t *testing.T) {
+	s, net, user := htlcNet(t)
+	node := net.Node(0)
+	// Valid on the node's first branch only: it spends the coinbase of
+	// the node's first block, so the reorg below strands it.
+	node.mineOne()
+	first := node.Chain.Tip()
+	coin := chain.OutPoint{TxID: first.Txs[0].ID()}
+	tx := chain.NewTransfer(node.Key, 1, []chain.TxIn{{Prev: coin}}, []chain.TxOut{{Value: first.Txs[0].Outs[0].Value, Owner: user.Addr}})
+	node.SubmitLocal(tx)
+	node.mineOne()
+	if _, _, ok := node.Chain.FindTx(tx.ID()); !ok || node.MempoolSize() != 0 {
+		t.Fatal("transfer not mined")
+	}
+	// A longer branch from genesis un-confirms both blocks; the transfer
+	// comes back through onTipEvent before the node builds again.
+	fv := forkView(t, net, user)
+	forger := crypto.MustGenerateKey(crypto.NewRandReader(s.RNG().Fork().Uint64))
+	for range 3 {
+		b, _, _ := fv.BuildBlock(forger.Addr, s.Now(), nil)
+		b.Header.Seal(1)
+		if _, err := fv.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.Chain.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if node.Chain.Reorgs != 1 || node.MempoolSize() != 1 {
+		t.Fatalf("%d reorgs, %d in the mempool; want 1, 1", node.Chain.Reorgs, node.MempoolSize())
+	}
+	if got := node.mempool.ordered(); len(got) != 1 {
+		t.Fatalf("re-announced transaction offered %d times per build", len(got))
+	}
+	for i := 1; i <= maxTxFailures+1; i++ {
+		if node.MempoolSize() != 1 {
+			t.Fatalf("purged after %d failed builds, want %d", i-1, maxTxFailures+1)
+		}
+		node.mineOne()
+		seen := map[crypto.Hash]bool{}
+		for _, btx := range node.Chain.Tip().Txs {
+			if seen[btx.ID()] {
+				t.Fatal("a mined block carries one id twice")
+			}
+			seen[btx.ID()] = true
+		}
+	}
+	if node.MempoolSize() != 0 {
+		t.Fatalf("still pending after %d failed builds", maxTxFailures+1)
+	}
+}
