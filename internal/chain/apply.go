@@ -50,6 +50,11 @@ func blockErr(format string, args ...any) error {
 // value is conserved (inputs = outputs + locked value; genesis and
 // coinbase mint by construction).
 func ApplyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx) error {
+	return applyTx(st, reg, chainID, height, blockTime, tx, &crypto.SigTally{})
+}
+
+// applyTx is ApplyTx noting in sigs how the signature verdict was come by.
+func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	switch tx.Kind {
 	case TxGenesis:
 		if height != 0 {
@@ -65,11 +70,11 @@ func ApplyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime i
 		}
 		return applyMint(st, tx)
 	case TxTransfer:
-		return applyTransfer(st, tx)
+		return applyTransfer(st, tx, sigs)
 	case TxDeploy:
-		return applyDeploy(st, reg, chainID, height, blockTime, tx)
+		return applyDeploy(st, reg, chainID, height, blockTime, tx, sigs)
 	case TxCall:
-		return applyCall(st, chainID, height, blockTime, tx)
+		return applyCall(st, chainID, height, blockTime, tx, sigs)
 	default:
 		return txErr("unknown kind %v", tx.Kind)
 	}
@@ -94,11 +99,11 @@ func applyMint(st *State, tx *Tx) error {
 // consumeInputs validates and spends tx.Ins, returning their total
 // value. Every input must exist, be unspent, and be owned by the
 // transaction's signer.
-func consumeInputs(st *State, tx *Tx) (vm.Amount, error) {
+func consumeInputs(st *State, tx *Tx, sigs *crypto.SigTally) (vm.Amount, error) {
 	if len(tx.Ins) == 0 {
 		return 0, nil
 	}
-	if !tx.VerifySig() {
+	if !tx.verifySig(sigs) {
 		return 0, txErr("bad signature")
 	}
 	signer := tx.Signer()
@@ -141,14 +146,14 @@ func creditOutputs(st *State, tx *Tx) (vm.Amount, error) {
 	return total, nil
 }
 
-func applyTransfer(st *State, tx *Tx) error {
+func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 	if len(tx.Ins) == 0 || len(tx.Outs) == 0 {
 		return txErr("transfer needs inputs and outputs")
 	}
 	if tx.Value != 0 || tx.ContractType != "" || tx.Fn != "" {
 		return txErr("transfer carries contract fields")
 	}
-	in, err := consumeInputs(st, tx)
+	in, err := consumeInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
@@ -162,7 +167,7 @@ func applyTransfer(st *State, tx *Tx) error {
 	return nil
 }
 
-func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx) error {
+func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	if tx.ContractType == "" {
 		return txErr("deploy without contract type")
 	}
@@ -171,10 +176,10 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	}
 	// Deployments without inputs still need a valid signature to
 	// establish msg.sender (the contract's owner).
-	if len(tx.Ins) == 0 && !tx.VerifySig() {
+	if len(tx.Ins) == 0 && !tx.verifySig(sigs) {
 		return txErr("bad signature")
 	}
-	in, err := consumeInputs(st, tx)
+	in, err := consumeInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
@@ -209,7 +214,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	return nil
 }
 
-func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx) error {
+func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	if tx.Fn == "" {
 		return txErr("call without function name")
 	}
@@ -218,10 +223,10 @@ func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx) er
 	}
 	// Calls without inputs still need a valid signature to establish
 	// msg.sender.
-	if len(tx.Ins) == 0 && !tx.VerifySig() {
+	if len(tx.Ins) == 0 && !tx.verifySig(sigs) {
 		return txErr("bad signature")
 	}
-	in, err := consumeInputs(st, tx)
+	in, err := consumeInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
@@ -268,6 +273,10 @@ func settlePayouts(st *State, ctx *vm.Ctx, txID crypto.Hash) error {
 // block — which is why on-chain inclusion of a contract call implies
 // the call succeeded (DESIGN.md decision 4).
 func ApplyBlock(parent *State, reg *vm.Registry, params Params, b *Block) (*State, error) {
+	return applyBlock(parent, reg, params, b, &crypto.SigTally{})
+}
+
+func applyBlock(parent *State, reg *vm.Registry, params Params, b *Block, sigs *crypto.SigTally) (*State, error) {
 	if b.Header.ChainID != params.ID {
 		return nil, blockErr("chain id %q, want %q", b.Header.ChainID, params.ID)
 	}
@@ -309,7 +318,7 @@ func ApplyBlock(parent *State, reg *vm.Registry, params Params, b *Block) (*Stat
 			return nil, blockErr("duplicate tx %s", id)
 		}
 		seen[id] = true
-		if err := ApplyTx(st, reg, params.ID, b.Header.Height, b.Header.Time, tx); err != nil {
+		if err := applyTx(st, reg, params.ID, b.Header.Height, b.Header.Time, tx, sigs); err != nil {
 			// The scratch child never escaped this call; reclaim it.
 			st.recycle()
 			return nil, fmt.Errorf("%w: tx %d (%s): %v", ErrBlockInvalid, i, tx.Kind, err)

@@ -466,7 +466,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 				// state under construction.
 				trial := st.overlay()
 				c.exec.stats.Candidates++
-				err := ApplyTx(trial, c.exec.reg, params.ID, height, time, tx)
+				err := applyTx(trial, c.exec.reg, params.ID, height, time, tx, &c.exec.stats.Sigs)
 				if err == nil {
 					st.absorb(trial)
 					trial.recycle()

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/crypto"
@@ -235,10 +236,14 @@ func TestValueNotConservedRejected(t *testing.T) {
 
 func TestTamperedSignatureRejected(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
-	tx := e.transfer("alice", "bob", 100)
-	tx.Sig.Sig[0] ^= 1
+	enc := e.transfer("alice", "bob", 100).Encode()
+	enc[len(enc)-1] ^= 1 // tamper on a copy: a signature is never rewritten in place (Tx.Sig)
+	tx, err := DecodeTx(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := e.chain.TipState().Child()
-	if err := ApplyTx(st, e.chain.Registry(), "testnet", 1, 0, tx); !errors.Is(err, ErrTxInvalid) {
+	if err := ApplyTx(st, e.chain.Registry(), "testnet", 1, 0, tx); !errors.Is(err, ErrTxInvalid) || !strings.Contains(err.Error(), "bad signature") {
 		t.Fatalf("tampered signature accepted: %v", err)
 	}
 }

@@ -132,6 +132,9 @@ type ExecStats struct {
 	// of a parked candidate (ADR-020), ParkedHigh the most one view held.
 	Candidates, Rejected, ParkedSkips uint64
 	ParkedHigh                        int
+	// Sigs counts the signature verdicts this network's views computed
+	// themselves and those they waited on a checker for (ADR-021).
+	Sigs crypto.SigTally
 }
 
 // NewExecutor builds a network's shared store with a deterministic
@@ -257,7 +260,7 @@ func (e *Executor) stateFor(end *record) (*State, bool) {
 			st.apply(r.delta)
 			continue
 		}
-		next, err := ApplyBlock(st, e.reg, e.params, r.block)
+		next, err := applyBlock(st, e.reg, e.params, r.block, &e.stats.Sigs)
 		if err != nil {
 			// Unreachable: every stored block was validated once, and
 			// re-execution is deterministic.
@@ -315,7 +318,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 	if !ok {
 		return nil, blockErr("no state for parent %s", b.Header.Parent)
 	}
-	st, err := ApplyBlock(ps, e.reg, e.params, b)
+	st, err := applyBlock(ps, e.reg, e.params, b, &e.stats.Sigs)
 	e.stats.Executed++
 	if err != nil {
 		e.invalid[h] = err
@@ -505,7 +508,7 @@ func (e *Executor) advanceFloor(bh crypto.Hash) {
 	} else if r.state != nil {
 		e.floor.absorb(r.state)
 	} else {
-		st, err := ApplyBlock(e.floor, e.reg, e.params, r.block)
+		st, err := applyBlock(e.floor, e.reg, e.params, r.block, &e.stats.Sigs)
 		if err != nil {
 			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
 		}

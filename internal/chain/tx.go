@@ -112,7 +112,9 @@ type Tx struct {
 	Value vm.Amount
 
 	// Sig signs SigHash(); its signer must own every input. Genesis
-	// and coinbase transactions are unsigned.
+	// and coinbase transactions are unsigned. After miner.Client.Submit
+	// the signature bytes belong to the network (a checker goroutine may
+	// be reading them): tamper on a DecodeTx copy, never in place.
 	Sig crypto.Signature
 
 	// Memoized pure derivations. Transactions are immutable once
@@ -122,8 +124,8 @@ type Tx struct {
 	// re-verifying the ed25519 signature per view dominated run time
 	// before these caches.
 	memoID        crypto.Hash
+	sigOK         crypto.Verdict // the one field a second goroutine touches; see VerifySig
 	memoIDSet     bool
-	memoSigOK     int8 // 0 unknown, +1 valid, -1 invalid
 	memoAddr      crypto.Address
 	memoAddrSet   bool
 	memoSigner    crypto.Address
@@ -199,22 +201,26 @@ func (tx *Tx) SigHash() crypto.Hash {
 // signature malleability is irrelevant in this simulation.
 func (tx *Tx) ID() crypto.Hash { return tx.SigHash() }
 
-// VerifySig reports whether Sig validly signs the transaction body,
-// caching the verdict: every chain view that applies this transaction
-// asks the same question about the same immutable value, and ed25519
-// verification is the single most expensive operation in the
-// simulation. Tampering with a transaction after its first
-// verification is not modeled (adversaries forge fresh transactions
-// instead).
-func (tx *Tx) VerifySig() bool {
-	if tx.memoSigOK == 0 {
-		if tx.Sig.Verify(tx.SigHash().Bytes()) {
-			tx.memoSigOK = 1
-		} else {
-			tx.memoSigOK = -1
-		}
+// VerifySig reports whether Sig validly signs the transaction body. The
+// verdict is computed once per object, by crypto.Signature.Verify, by
+// whoever claims it first — a checker the signature was offered to
+// (CheckSigAhead) or the first caller, inline — and every later caller
+// reads it: each chain view that applies this transaction asks the same
+// question about the same immutable value, and ed25519 verification is
+// the single most expensive operation in the simulation. A caller never
+// waits longer than one verification, and who computed the verdict is
+// invisible to the simulation (ADR-021).
+func (tx *Tx) VerifySig() bool { return tx.verifySig(&crypto.SigTally{}) }
+
+func (tx *Tx) verifySig(t *crypto.SigTally) bool { return tx.sigOK.Read(tx.Sig, tx.SigHash(), t) }
+
+// CheckSigAhead offers the signature to ck (nil: to nobody) so that the
+// verdict is ready when a block builder first asks. The digest is taken
+// here, on the caller's goroutine; ck never touches the transaction.
+func (tx *Tx) CheckSigAhead(ck *crypto.SigChecker) {
+	if len(tx.Sig.Sig) > 0 {
+		ck.Offer(&tx.sigOK, tx.Sig, tx.SigHash())
 	}
-	return tx.memoSigOK > 0
 }
 
 // Signer returns the address of the key that signed the transaction —

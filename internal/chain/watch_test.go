@@ -63,26 +63,29 @@ func TestRejectionFormatsLazily(t *testing.T) {
 	}
 }
 
-// TestVerifySigRunsOncePerObject: the verdict is cached on the
-// transaction, so a second question never reaches ed25519 — shown by
-// breaking the signature after the first answer. (What the miner
-// network's verify-once count rests on.)
+// TestVerifySigRunsOncePerObject: the verdict is kept on the
+// transaction, so a second question never reaches ed25519 — the tally
+// counts one verification however often it is asked — while another
+// object with the same id answers for itself. (What the miner network's
+// verify-once count rests on.)
 func TestVerifySigRunsOncePerObject(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	tx := e.transfer("alice", "bob", 100)
-	if !tx.VerifySig() {
+	var sigs crypto.SigTally
+	if !tx.verifySig(&sigs) || !tx.verifySig(&sigs) || !tx.VerifySig() {
 		t.Fatal("fresh signature rejected")
 	}
-	tx.Sig.Sig[0] ^= 1
-	if !tx.VerifySig() {
-		t.Fatal("second VerifySig re-ran the verification")
+	if sigs != (crypto.SigTally{Inline: 1}) {
+		t.Fatalf("three questions, tally %+v: want one verification", sigs)
 	}
-	fresh, err := DecodeTx(tx.Encode())
+	enc := tx.Encode()
+	enc[len(enc)-1] ^= 1
+	fresh, err := DecodeTx(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.VerifySig() {
-		t.Fatal("another object with the broken signature verified")
+	if fresh.ID() != tx.ID() || fresh.verifySig(&sigs) || sigs.Inline != 2 {
+		t.Fatalf("another object with the signature broken: verified, or not asked (tally %+v)", sigs)
 	}
 }
 

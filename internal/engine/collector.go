@@ -215,6 +215,11 @@ type Work struct {
 	// and CallSigs the transactions clients signed, landed or not (the
 	// engine's participants make no plain transfers).
 	GraphSigs, DeploySigs, CallSigs uint64
+	// Transaction signatures verified by the run's SigCheckers ahead of
+	// the first read, by that read inline (the sum is every transaction
+	// verified), and reads that waited out a checker (ADR-021).
+	SigAhead, SigInline, SigWaited uint64
+	SigCheckers                    int
 }
 
 func (w *Work) add(o Work) {
@@ -229,6 +234,8 @@ func (w *Work) add(o Work) {
 	w.GraphSigs += o.GraphSigs
 	w.DeploySigs += o.DeploySigs
 	w.CallSigs += o.CallSigs
+	w.SigInline += o.SigInline
+	w.SigWaited += o.SigWaited
 }
 
 // observePhase folds one completed phase duration into the shard's

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,6 +21,21 @@ import (
 type seedDigest struct {
 	Aggregate string `json:"aggregate_sha256"`
 	Trace     string `json:"trace_sha256"`
+}
+
+// artefacts renders a run's two byte-compared outputs: the JSON
+// aggregate as ac3engine prints it and the NDJSON trace.
+func artefacts(t *testing.T, agg *Aggregate) (aggregate, ndjson []byte) {
+	t.Helper()
+	aj, err := json.MarshalIndent(agg, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nd bytes.Buffer
+	if err := trace.WriteNDJSON(&nd, agg.Trace); err != nil {
+		t.Fatal(err)
+	}
+	return append(aj, '\n'), nd.Bytes()
 }
 
 // TestSeedDigests is the refactoring licence in test form: a small
@@ -66,16 +82,9 @@ func TestSeedDigests(t *testing.T) {
 			if tc.shards == 1 && agg.BlocksRetired == 0 {
 				t.Errorf("%s/seed%d: no block retired; the deep shape no longer reaches the retire horizon", tc.name, seed)
 			}
-			aj, err := json.MarshalIndent(agg, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var nd bytes.Buffer
-			if err := trace.WriteNDJSON(&nd, agg.Trace); err != nil {
-				t.Fatal(err)
-			}
-			as := sha256.Sum256(append(aj, '\n'))
-			ts := sha256.Sum256(nd.Bytes())
+			aj, nd := artefacts(t, agg)
+			as := sha256.Sum256(aj)
+			ts := sha256.Sum256(nd)
 			got[fmt.Sprintf("%s/seed%d", tc.name, seed)] = seedDigest{
 				Aggregate: hex.EncodeToString(as[:]),
 				Trace:     hex.EncodeToString(ts[:]),
@@ -108,5 +117,53 @@ func TestSeedDigests(t *testing.T) {
 		if w := want[name]; g != w {
 			t.Errorf("%s drifted from the pinned bytes:\n got %+v\nwant %+v", name, g, w)
 		}
+	}
+}
+
+// TestSigCheckersLeaveNoTrace (ADR-021): the cores a run's workers leave
+// idle check transaction signatures ahead of need — GOMAXPROCS − workers
+// checkers, none when there is no core to spare — and nothing the run
+// reports can tell. On the hostile mix (reorgs, re-announced and
+// resubmitted transactions) the aggregate and the trace are the same
+// bytes with 0, 1 and 3 checkers, and every signature is verified once:
+// what the checkers computed ahead plus what the worlds computed inline
+// is at least what the run without a checker verified — every
+// transaction a block builder asked about — and at most what the clients
+// signed (a checker also gets to the few a world submits and never
+// tries). How the sum splits is the host scheduler's business and stays
+// out of both artefacts.
+func TestSigCheckersLeaveNoTrace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	wl := DefaultWorkload()
+	wl.Txs = 60
+	wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
+	var wantAgg, wantTrace []byte
+	var verified uint64
+	for _, tc := range []struct{ procs, workers, checkers int }{{1, 1, 0}, {2, 1, 1}, {4, 1, 3}, {2, 2, 0}} {
+		runtime.GOMAXPROCS(tc.procs)
+		agg := run(t, Config{Seed: 42, Shards: 4, Workers: tc.workers, Workload: wl, Trace: true})
+		aj, nd := artefacts(t, agg)
+		w := agg.Work
+		t.Logf("GOMAXPROCS %d, %d workers: %d checkers, %d ahead of need, %d inline, %d waited", tc.procs, tc.workers, w.SigCheckers, w.SigAhead, w.SigInline, w.SigWaited)
+		if w.SigCheckers != tc.checkers {
+			t.Errorf("GOMAXPROCS %d, %d workers: %d checkers, want %d", tc.procs, tc.workers, w.SigCheckers, tc.checkers)
+		}
+		if tc.checkers == 0 && w.SigAhead+w.SigWaited != 0 {
+			t.Errorf("no checker, yet %d verdicts ahead of need and %d waits", w.SigAhead, w.SigWaited)
+		}
+		if wantAgg == nil {
+			wantAgg, wantTrace, verified = aj, nd, w.SigInline
+			continue
+		}
+		if !bytes.Equal(aj, wantAgg) || !bytes.Equal(nd, wantTrace) {
+			t.Errorf("GOMAXPROCS %d, %d workers: aggregate or trace differs from the run without a checker", tc.procs, tc.workers)
+		}
+		if got := w.SigAhead + w.SigInline; got < verified || got > w.DeploySigs+w.CallSigs {
+			t.Errorf("GOMAXPROCS %d, %d workers: %d ahead + %d inline, want between the %d the run without a checker verified and the %d the clients signed",
+				tc.procs, tc.workers, w.SigAhead, w.SigInline, verified, w.DeploySigs+w.CallSigs)
+		}
+	}
+	if verified == 0 {
+		t.Fatal("fixture: nothing was verified")
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/crypto"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -277,6 +278,12 @@ func (e *Engine) Run() (*Aggregate, error) {
 	if gp := runtime.GOMAXPROCS(0); cfg.Workers == 0 && workers > gp {
 		workers = gp
 	}
+	// The cores the shard workers leave idle check signatures ahead of
+	// need (ADR-021). With none to spare a hand-off is pure cost (14 %
+	// slower at -workers 2 on 2 cores), so then there is no checker: a
+	// property of the run, not a setting.
+	spare := max(runtime.GOMAXPROCS(0)-workers, 0)
+	sigs := crypto.NewSigChecker(spare)
 
 	// Shard seeds and transaction split derive deterministically from
 	// the master seed: the first Txs%Shards shards take one extra.
@@ -323,7 +330,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 				if recs != nil {
 					rec = recs[idx]
 				}
-				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg.Workload, txs[idx], cfg.pruneDepth(), e.col, rec)
+				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg.Workload, txs[idx], cfg.pruneDepth(), e.col, rec, sigs)
 			}
 		}()
 	}
@@ -332,13 +339,16 @@ func (e *Engine) Run() (*Aggregate, error) {
 	}
 	close(idxCh)
 	wg.Wait()
+	ahead := sigs.Close()
 
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return e.assemble(results, recs), nil
+	agg := e.assemble(results, recs)
+	agg.Work.SigAhead, agg.Work.SigCheckers = ahead, spare
+	return agg, nil
 }
 
 // assemble merges per-shard results in shard order.

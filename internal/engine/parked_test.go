@@ -25,7 +25,7 @@ func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 		col: newCollector(txCount), s: s, txs: make([]txState, txCount),
 		res: &ShardResult{Txs: txCount, ByScenario: make(map[Scenario]ScenarioStats)},
 	}
-	if err := e.buildWorld(txCount); err != nil {
+	if err := e.buildWorld(txCount, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range e.specs {

@@ -127,7 +127,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 			s: sim.New(9), txs: make([]txState, 1),
 			res: &ShardResult{ByScenario: make(map[Scenario]ScenarioStats)},
 		}
-		if err := e.buildWorld(1); err != nil {
+		if err := e.buildWorld(1, nil); err != nil {
 			t.Fatal(err)
 		}
 		f := &fakeRunner{decisionChain: e.witness}

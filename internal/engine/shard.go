@@ -6,6 +6,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -150,7 +151,7 @@ func (e *shardExec) sampleCounters() worldCounters {
 
 // runShard executes txCount transactions on a world derived from
 // seed, reusing (and Reset-ing) the provided simulator.
-func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int, col *Collector, rec *trace.Recorder) (*ShardResult, error) {
+func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int, col *Collector, rec *trace.Recorder, sigs *crypto.SigChecker) (*ShardResult, error) {
 	s.Reset(seed)
 	e := &shardExec{
 		idx:   idx,
@@ -164,7 +165,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 		res:   &ShardResult{Shard: idx, Seed: seed, Txs: txCount, ByScenario: make(map[Scenario]ScenarioStats)},
 		rec:   rec,
 	}
-	if err := e.buildWorld(txCount); err != nil {
+	if err := e.buildWorld(txCount, sigs); err != nil {
 		return nil, err
 	}
 	for i := range e.specs {
@@ -217,6 +218,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 			Candidates: st.Candidates, Rejected: st.Rejected,
 			ParkedSkips: st.ParkedSkips, ParkedHigh: st.ParkedHigh,
 			DeploySigs: net.Signed[chain.TxDeploy], CallSigs: net.Signed[chain.TxCall],
+			SigInline: st.Sigs.Inline, SigWaited: st.Sigs.Waited,
 		})
 		for _, n := range net.Nodes {
 			e.res.Work.add(Work{GetBlockSent: n.GetBlockSent, GetBlockAnswered: n.GetBlockAnswered,
@@ -253,9 +255,9 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 // chains and participants. Workload draws come from an RNG forked off
 // the shard seed, independent of the world's own entropy, so the
 // stream shape does not perturb mining randomness and vice versa.
-func (e *shardExec) buildWorld(txCount int) error {
+func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	wlRNG := sim.NewRNG(e.seed ^ 0x9e3779b97f4a7c15) //ac3:globalrand derives from the shard seed; the xor constant decorrelates workload draws from world entropy
-	b := xchain.NewBuilderOn(e.s)
+	b := xchain.NewBuilderOn(e.s, sigs)
 	e.assetIDs = make([]chain.ID, e.wl.AssetChains)
 	for i := range e.assetIDs {
 		e.assetIDs[i] = chain.ID(fmt.Sprintf("asset-%d", i))

@@ -243,6 +243,10 @@ func (c *Client) OnTipChange(fn func(TipSummary)) (*Sub, error) {
 // after heal, so a transaction submitted into a minority partition
 // still commits eventually.
 //
+// After Submit the signature bytes belong to the network: it offers them
+// to its signature checker, if it has one, so nothing may write tx.Sig
+// again (tamper on a chain.DecodeTx copy).
+//
 // Deliberately NOT modeled: the miner overlay's loss and latency
 // overlays. Client-to-miner submission is a reliable RPC with its own
 // small delay (submitDelay), distinct from the gossip fabric —
@@ -253,6 +257,7 @@ func (c *Client) Submit(tx *chain.Tx) {
 	if c.halted || tx == nil {
 		return
 	}
+	tx.CheckSigAhead(c.net.Sigs)
 	c.sim.After(c.submitDelay(), func() {
 		for _, n := range c.net.Nodes {
 			if n.Alive() && c.net.P2P.Reachable(c.node.ID, n.ID) {

@@ -28,6 +28,9 @@ type Network struct {
 	// signed, by kind — one ed25519 signature each, whether or not the
 	// transaction ever lands (a host-side diagnostic).
 	Signed [chain.TxCall + 1]uint64
+	// Sigs, when not nil, checks submitted transactions' signatures ahead
+	// of the block that first asks (ADR-021); Config.Sigs sets it.
+	Sigs *crypto.SigChecker
 
 	exec *chain.Executor
 }
@@ -40,6 +43,7 @@ type Config struct {
 	Alloc   chain.GenesisAlloc
 	// Registry configures deployable contract types; nil means none.
 	Registry *vm.Registry
+	Sigs     *crypto.SigChecker // nil: signatures are verified where first read
 }
 
 // NewNetwork builds and starts a blockchain network. Every node gets
@@ -53,7 +57,7 @@ func NewNetwork(s *sim.Sim, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := &Network{Params: cfg.Params, Sim: s, P2P: p2pNet, exec: exec}
+	net := &Network{Params: cfg.Params, Sim: s, P2P: p2pNet, Sigs: cfg.Sigs, exec: exec}
 	share := 1.0 / float64(cfg.Miners)
 	rng := s.RNG().Fork()
 	for i := 0; i < cfg.Miners; i++ {

@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -84,10 +85,19 @@ func TestTipSummaryAccountsForEveryTipChange(t *testing.T) {
 // mempool and mines them a second time, every transaction id is one
 // *chain.Tx object network-wide, and the verdict is cached on the
 // object (chain.TestVerifySigRunsOncePerObject) — so verifications per
-// unique transaction id are exactly 1. A verification is counted per
-// object whose cached verdict exists, probed by breaking the signature
-// after the run: only a cache answers "valid" then.
+// unique transaction id are exactly 1. Verifications are counted where
+// they happen (ADR-021): by the network's views when they compute a
+// verdict inline, by the signature checker when it got there first —
+// with a checker attached the sum is the same 1.0 per id, however the
+// host scheduler splits it. A submitted transaction's signature is not
+// ours to break any more, so the forgery is a decoded copy: a second
+// object, whose verdict nobody has computed.
 func TestSignaturesVerifyOncePerTransaction(t *testing.T) {
+	t.Run("no checker", func(t *testing.T) { verifyOncePerTransaction(t, nil) })
+	t.Run("checker attached", func(t *testing.T) { verifyOncePerTransaction(t, crypto.NewSigChecker(1)) })
+}
+
+func verifyOncePerTransaction(t *testing.T, ck *crypto.SigChecker) {
 	s := sim.New(4242)
 	rng := s.RNG().Fork()
 	const nUsers = 6
@@ -100,7 +110,7 @@ func TestSignaturesVerifyOncePerTransaction(t *testing.T) {
 	params := chain.DefaultParams("testnet")
 	params.DifficultyBits = 6
 	params.BlockInterval = 10 * sim.Second
-	net, err := NewNetwork(s, Config{Params: params, Miners: 3, Latency: p2p.LatencyModel{Base: 100, Jitter: 200}, Alloc: alloc})
+	net, err := NewNetwork(s, Config{Params: params, Miners: 3, Latency: p2p.LatencyModel{Base: 100, Jitter: 200}, Alloc: alloc, Sigs: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +202,85 @@ func TestSignaturesVerifyOncePerTransaction(t *testing.T) {
 		t.Fatal("fixture: no transaction was mined on the losing fork and again after the reorg")
 	}
 
-	verified := 0
+	ahead := ck.Close()
+	sigs := net.Executor().Stats().Sigs
+	verified := ahead + sigs.Inline
+	if len(objects) != len(submitted) || verified != uint64(len(objects)) {
+		t.Fatalf("%d verifications (%d by the checker, %d inline) over %d transaction objects for %d unique ids: want exactly 1.0 per id",
+			verified, ahead, sigs.Inline, len(objects), len(submitted))
+	}
+	if ck == nil && (ahead != 0 || sigs.Waited != 0) {
+		t.Fatalf("no checker, yet %d verdicts ahead and %d waits", ahead, sigs.Waited)
+	}
 	for _, tx := range objects {
-		tx.Sig.Sig[0] ^= 1
-		if tx.VerifySig() {
-			verified++ // only a cached verdict still says valid
+		if !tx.VerifySig() {
+			t.Fatalf("settled transaction %s has an invalid signature", tx.ID())
+		}
+		enc := tx.Encode()
+		enc[len(enc)-1] ^= 1 // the signature's last byte
+		forged, err := chain.DecodeTx(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forged.ID() != tx.ID() || forged.VerifySig() {
+			t.Fatalf("a copy of %s with a broken signature: id %s, verified %v", tx.ID(), forged.ID(), forged.VerifySig())
 		}
 	}
-	if len(objects) != len(submitted) || verified != len(objects) {
-		t.Fatalf("%d verifications over %d transaction objects for %d unique ids: want exactly 1.0 per id",
-			verified, len(objects), len(submitted))
+	if again := net.Executor().Stats().Sigs; again != sigs {
+		t.Fatalf("reading stored verdicts moved the tally: %+v, then %+v", sigs, again)
 	}
-	t.Logf("%d signature verifications for %d unique transactions (%d mined twice across the reorg, %d blocks, reorg depth %d): %.1f per id",
-		verified, len(submitted), remined, len(blocks), net.MaxReorgDepth(), float64(verified)/float64(len(submitted)))
+	t.Logf("%d signature verifications (%d ahead of need, %d inline, %d reads waited) for %d unique transactions (%d mined twice across the reorg, %d blocks, reorg depth %d): %.1f per id",
+		verified, ahead, sigs.Inline, sigs.Waited, len(submitted), remined, len(blocks), net.MaxReorgDepth(), float64(verified)/float64(len(submitted)))
+}
+
+// A forged transaction that comes in through Client.Submit — the door
+// the checker stands at — is rejected as "bad signature" by the first
+// build that tries it, reported invalid by every build after, and purged
+// by the build that takes its failures past maxTxFailures: with a checker
+// attached exactly as without one, whoever computed the verdict.
+func TestForgedSubmissionRejectedAndPurgedWithChecker(t *testing.T) {
+	for name, checkers := range map[string]int{"no checker": 0, "checker attached": 1} {
+		t.Run(name, func(t *testing.T) {
+			s, net, user := htlcNet(t)
+			ck := crypto.NewSigChecker(checkers) // nil for 0
+			net.Sigs = ck
+			node, c := net.Node(0), NewClient(net, 0, user)
+			ins, change, err := c.SelectFunds(1_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := chain.NewTransfer(user, 1, ins, []chain.TxOut{{Value: 1_000, Owner: crypto.Address{7}}, {Value: change, Owner: user.Addr}}).Encode()
+			enc[len(enc)-1] ^= 1
+			forged, err := chain.DecodeTx(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(forged)
+			s.RunUntil(sim.Second) // the multicast lands
+			if node.MempoolSize() != 1 {
+				t.Fatalf("%d in the mempool after submission, want 1", node.MempoolSize())
+			}
+			for i := 1; i <= maxTxFailures+1; i++ {
+				if node.MempoolSize() != 1 {
+					t.Fatalf("purged after %d failed builds, want %d", i-1, maxTxFailures+1)
+				}
+				node.mineOne()
+			}
+			if node.MempoolSize() != 0 || node.Chain.Parked() != 0 {
+				t.Fatalf("after %d failed builds: %d in the mempool, %d parked; want 0, 0", maxTxFailures+1, node.MempoolSize(), node.Chain.Parked())
+			}
+			st := node.Chain.Executor().Stats()
+			if ahead := ck.Close(); st.Rejected != 1 || st.ParkedSkips != maxTxFailures || ahead+st.Sigs.Inline != 1 {
+				t.Fatalf("tried %d times, skipped %d, verified %d ahead + %d inline; want 1, %d, and one verification",
+					st.Rejected, st.ParkedSkips, ahead, st.Sigs.Inline, maxTxFailures)
+			}
+			err = chain.ApplyTx(node.Chain.TipState().Child(), node.Chain.Registry(), net.Params.ID, node.Chain.Height()+1, 0, forged)
+			if err == nil || !strings.Contains(err.Error(), "bad signature") {
+				t.Fatalf("forged transfer: %v, want bad signature", err)
+			}
+			if _, _, ok := node.Chain.FindTx(forged.ID()); ok {
+				t.Fatal("forged transfer was mined")
+			}
+		})
+	}
 }

@@ -65,11 +65,12 @@ type Builder struct {
 	participants []*Participant
 	funding      map[string]map[chain.ID]vm.Amount
 	rng          *sim.RNG
+	sigs         *crypto.SigChecker
 }
 
 // NewBuilder starts a world definition on a fresh simulator.
 func NewBuilder(seed uint64) *Builder {
-	return NewBuilderOn(sim.New(seed))
+	return NewBuilderOn(sim.New(seed), nil)
 }
 
 // NewBuilderOn starts a world definition on an existing simulator —
@@ -77,9 +78,11 @@ func NewBuilder(seed uint64) *Builder {
 // sequence (the engine's shard workers) can reuse one Sim value. The
 // builder consumes entropy from the simulator's RNG, so a world built
 // on a Reset(seed) sim is identical to one built with NewBuilder(seed).
-func NewBuilderOn(s *sim.Sim) *Builder {
+// sigs, which may be nil, becomes every chain's miner.Config.Sigs.
+func NewBuilderOn(s *sim.Sim, sigs *crypto.SigChecker) *Builder {
 	return &Builder{
 		s:       s,
+		sigs:    sigs,
 		funding: make(map[string]map[chain.ID]vm.Amount),
 		rng:     s.RNG().Fork(),
 	}
@@ -132,6 +135,7 @@ func (b *Builder) Build() (*World, error) {
 			Latency:  spec.Latency,
 			Alloc:    alloc,
 			Registry: reg,
+			Sigs:     b.sigs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("xchain: chain %s: %w", spec.Params.ID, err)
