@@ -48,10 +48,9 @@
 //
 // Command entry points: cmd/ac3bench regenerates the paper's tables
 // and figures, cmd/ac3sim runs one configurable AC2T end to end,
-// cmd/ac3calc evaluates the analytic models, cmd/ac3engine runs
-// high-throughput mixed workloads on the engine and emits JSON
-// aggregates, and cmd/ac3lint runs the determinism-contract analyzers
-// (a blocking CI gate).
+// cmd/ac3engine runs high-throughput mixed workloads on the engine and
+// emits JSON aggregates, and cmd/ac3lint runs the determinism-contract
+// analyzers (a blocking CI gate).
 //
 // Hot-path discipline (docs/architecture/ADR-010-hash-and-sign-once.md):
 // every hash and signature on the AC2T path is computed once — a block

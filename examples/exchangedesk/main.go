@@ -13,9 +13,9 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
 const (
@@ -24,57 +24,37 @@ const (
 )
 
 func main() {
-	b := xchain.NewBuilder(99)
-
-	// Two busy asset chains and three independent witness networks.
-	b.Chain(xchain.DefaultChainSpec("dex-a"))
-	b.Chain(xchain.DefaultChainSpec("dex-b"))
-	witnessIDs := make([]chain.ID, witnesses)
-	for i := range witnessIDs {
-		witnessIDs[i] = chain.ID(fmt.Sprintf("witness-%d", i))
-		b.Chain(xchain.DefaultChainSpec(witnessIDs[i]))
+	// Two busy asset chains, three independent witness networks, and
+	// the order book: maker i sells on dex-a, taker i on dex-b.
+	sh := engine.Shape{Chains: []chain.ID{"dex-a", "dex-b"}}
+	for i := range witnesses {
+		sh.Chains = append(sh.Chains, chain.ID(fmt.Sprintf("witness-%d", i)))
 	}
-
-	type order struct {
-		maker, taker *xchain.Participant
-		amount       uint64
+	for i := range swaps {
+		sh.Parties = append(sh.Parties, fmt.Sprintf("maker-%d", i), fmt.Sprintf("taker-%d", i))
+		sh.Funds = append(sh.Funds, []chain.ID{"dex-a"}, []chain.ID{"dex-b"})
 	}
-	book := make([]order, swaps)
-	for i := range book {
-		book[i] = order{
-			maker:  b.Participant(fmt.Sprintf("maker-%d", i)),
-			taker:  b.Participant(fmt.Sprintf("taker-%d", i)),
-			amount: uint64(10_000 + 1_000*i),
-		}
-		b.Fund(book[i].maker, "dex-a", 1_000_000)
-		b.Fund(book[i].taker, "dex-b", 1_000_000)
-	}
-	world, err := b.Build()
+	world, ps, err := sh.Build(99)
 	if err != nil {
 		log.Fatal(err)
 	}
+	witnessOf := func(i int) chain.ID { return sh.Chains[2+i%witnesses] }
 
 	// Launch every swap; witness networks assigned round-robin.
-	runs := make([]*core.Run, swaps)
-	for i, o := range book {
-		g, err := graph.TwoParty(int64(i), o.maker.Addr(), o.taker.Addr(),
-			o.amount, "dex-a", o.amount*3, "dex-b")
+	runs := make([]core.Runner, swaps)
+	for i := range runs {
+		maker, taker, amount := ps[2*i], ps[2*i+1], uint64(10_000+1_000*i)
+		g, err := graph.TwoParty(int64(i), maker.Addr(), taker.Addr(), amount, "dex-a", amount*3, "dex-b")
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := core.New(world, core.Config{
-			Graph:        g,
-			Participants: []*xchain.Participant{o.maker, o.taker},
-			Initiator:    o.maker,
-			WitnessChain: witnessIDs[i%witnesses],
-			WitnessDepth: 3,
-			AssetDepth:   3,
+		runs[i], err = engine.NewRunner(world, engine.ProtoAC3WN, engine.AC2T{
+			Graph: g, Participants: ps[2*i : 2*i+2], Witness: witnessOf(i), Depth: 3,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		runs[i] = r
-		r.Start()
+		runs[i].Start()
 	}
 
 	world.RunOut(2 * sim.Hour)
@@ -82,18 +62,14 @@ func main() {
 	committed := 0
 	var last sim.Time
 	for i, r := range runs {
-		out := r.Grade()
-		status := "committed"
-		if !out.Committed() {
-			status = "NOT COMMITTED"
-		} else {
+		out, status := r.Grade(), "NOT COMMITTED"
+		if out.Committed() { // then End is when its last contract redeemed
+			status = "committed"
 			committed++
-			if r.CompletedAt > last {
-				last = r.CompletedAt
-			}
+			last = max(last, out.End)
 		}
 		fmt.Printf("swap %2d via %-9s: %s in %.1f min (%d ops)\n",
-			i, witnessIDs[i%witnesses], status,
+			i, witnessOf(i), status,
 			float64(out.Latency())/60000, out.Deploys+out.Calls)
 	}
 	fmt.Printf("\n%d/%d swaps committed; whole book settled in %.1f virtual minutes\n",

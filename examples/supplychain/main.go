@@ -18,107 +18,60 @@ import (
 	"log"
 
 	"repro/internal/chain"
-	"repro/internal/core"
-	"repro/internal/crypto"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
 func main() {
-	fmt.Println("=== Figure 7a: cyclic settlement among manufacturer, carrier, retailer ===")
-	runCyclic()
+	run("Figure 7a: cyclic settlement among manufacturer, carrier, retailer", 71, engine.Shape{
+		Parties: []string{"manufacturer", "carrier", "retailer"},
+		Chains:  []chain.ID{"parts-ledger", "freight-ledger", "retail-ledger", "witness"},
+		// Everyone both pays and is paid, on two ledgers each.
+		Funds:     [][]chain.ID{{"parts-ledger", "freight-ledger"}, {"freight-ledger", "retail-ledger"}, {"retail-ledger", "parts-ledger"}},
+		Timestamp: 1,
+		Edges: []engine.Transfer{
+			// forward cycle: parts → freight → retail → parts
+			{From: 0, To: 1, Asset: 30_000, Chain: "parts-ledger"},
+			{From: 1, To: 2, Asset: 20_000, Chain: "freight-ledger"},
+			{From: 2, To: 0, Asset: 50_000, Chain: "retail-ledger"},
+			// reverse rebate cycle, overlapping the first
+			{From: 0, To: 2, Asset: 5_000, Chain: "freight-ledger"},
+			{From: 2, To: 1, Asset: 4_000, Chain: "parts-ledger"},
+			{From: 1, To: 0, Asset: 3_000, Chain: "retail-ledger"},
+		},
+	}, "cyclic", (*graph.Graph).IsCyclic)
 	fmt.Println()
-	fmt.Println("=== Figure 7b: disconnected batch settlement ===")
-	runDisconnected()
+	run("Figure 7b: disconnected batch settlement", 72, engine.Shape{
+		Parties:   []string{"farm", "mill", "mine", "smelter"},
+		Chains:    []chain.ID{"grain-ledger", "flour-ledger", "ore-ledger", "metal-ledger", "witness"},
+		Funds:     [][]chain.ID{{"grain-ledger"}, {"flour-ledger"}, {"ore-ledger"}, {"metal-ledger"}},
+		Timestamp: 2,
+		Edges: []engine.Transfer{
+			// grain-for-flour swap
+			{From: 0, To: 1, Asset: 25_000, Chain: "grain-ledger"},
+			{From: 1, To: 0, Asset: 25_000, Chain: "flour-ledger"},
+			// ore-for-metal swap
+			{From: 2, To: 3, Asset: 25_000, Chain: "ore-ledger"},
+			{From: 3, To: 2, Asset: 25_000, Chain: "metal-ledger"},
+		},
+	}, "connected", (*graph.Graph).IsWeaklyConnected)
 }
 
-func runCyclic() {
-	b := xchain.NewBuilder(71)
-	manufacturer := b.Participant("manufacturer")
-	carrier := b.Participant("carrier")
-	retailer := b.Participant("retailer")
-	for _, id := range []chain.ID{"parts-ledger", "freight-ledger", "retail-ledger", "witness"} {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	// Everyone both pays and is paid, on two ledgers each.
-	b.Fund(manufacturer, "parts-ledger", 1_000_000)
-	b.Fund(manufacturer, "freight-ledger", 1_000_000)
-	b.Fund(carrier, "freight-ledger", 1_000_000)
-	b.Fund(carrier, "retail-ledger", 1_000_000)
-	b.Fund(retailer, "retail-ledger", 1_000_000)
-	b.Fund(retailer, "parts-ledger", 1_000_000)
-	w, err := b.Build()
+// run settles sh under AC3WN, first printing its graph with the named
+// property that puts it out of a single leader's reach.
+func run(title string, seed uint64, sh engine.Shape, property string, holds func(*graph.Graph) bool) {
+	fmt.Printf("=== %s ===\n", title)
+	lab, err := engine.RunOne(seed, sh, engine.ProtoAC3WN, engine.AC2T{Witness: "witness", Depth: 3},
+		engine.Faults{Started: func(g *graph.Graph) {
+			feasible, _ := g.HerlihyFeasible()
+			fmt.Printf("graph: %s, %s=%v, single-leader feasible=%v\n", g, property, holds(g), feasible)
+		}}, 2*sim.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	g, err := graph.New(1,
-		// forward cycle: parts → freight → retail → parts
-		graph.Edge{From: manufacturer.Addr(), To: carrier.Addr(), Asset: 30_000, Chain: "parts-ledger"},
-		graph.Edge{From: carrier.Addr(), To: retailer.Addr(), Asset: 20_000, Chain: "freight-ledger"},
-		graph.Edge{From: retailer.Addr(), To: manufacturer.Addr(), Asset: 50_000, Chain: "retail-ledger"},
-		// reverse rebate cycle, overlapping the first
-		graph.Edge{From: manufacturer.Addr(), To: retailer.Addr(), Asset: 5_000, Chain: "freight-ledger"},
-		graph.Edge{From: retailer.Addr(), To: carrier.Addr(), Asset: 4_000, Chain: "parts-ledger"},
-		graph.Edge{From: carrier.Addr(), To: manufacturer.Addr(), Asset: 3_000, Chain: "retail-ledger"},
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	feasible, _ := g.HerlihyFeasible()
-	fmt.Printf("graph: %s, cyclic=%v, single-leader feasible=%v\n", g, g.IsCyclic(), feasible)
-
-	run(w, g, []*xchain.Participant{manufacturer, carrier, retailer})
-}
-
-func runDisconnected() {
-	b := xchain.NewBuilder(72)
-	ps := []*xchain.Participant{
-		b.Participant("farm"), b.Participant("mill"),
-		b.Participant("mine"), b.Participant("smelter"),
-	}
-	ids := []chain.ID{"grain-ledger", "flour-ledger", "ore-ledger", "metal-ledger", "witness"}
-	for _, id := range ids {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	for i, p := range ps {
-		b.Fund(p, ids[i], 1_000_000)
-	}
-	w, err := b.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := graph.Disconnected(2, [][2]crypto.Address{
-		{ps[0].Addr(), ps[1].Addr()}, // grain-for-flour swap
-		{ps[2].Addr(), ps[3].Addr()}, // ore-for-metal swap
-	}, 25_000, []chain.ID{"grain-ledger", "flour-ledger", "ore-ledger", "metal-ledger"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	feasible, _ := g.HerlihyFeasible()
-	fmt.Printf("graph: %s, connected=%v, single-leader feasible=%v\n",
-		g, g.IsWeaklyConnected(), feasible)
-
-	run(w, g, ps)
-}
-
-func run(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) {
-	r, err := core.New(w, core.Config{
-		Graph:        g,
-		Participants: ps,
-		Initiator:    ps[0],
-		WitnessChain: "witness",
-		WitnessDepth: 3,
-		AssetDepth:   3,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Start()
-	w.RunOut(2 * sim.Hour)
-
-	out := r.Grade()
+	out := lab.Outcome
 	fmt.Printf("AC3WN outcome: committed=%v violated=%v (%d edges, %.1f virtual minutes)\n",
 		out.Committed(), out.AtomicityViolated(), len(out.Edges), float64(out.Latency())/60000)
 	for i, e := range out.Edges {

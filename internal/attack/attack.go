@@ -5,8 +5,8 @@
 // at stake — d > Va·dh/Ch. The package provides the analytic bound,
 // the crypto51-style cost table the paper cites, the classic
 // private-fork success probability (Nakamoto/Rosenfeld), and a
-// discrete-event double-spend race simulator that validates the
-// analytics against the actual chain implementation.
+// double-spend race simulator that checks the analytics by flipping a
+// q-weighted coin per block; it never touches the chain implementation.
 package attack
 
 import (
@@ -166,8 +166,8 @@ type RaceResult struct {
 //
 // The result tracks Nakamoto's SuccessProbability(q, d+1) (the
 // attacker must erase the decision block itself plus its d burials);
-// the atomicity experiment uses it to show the violation probability
-// ε vanishing with d (Lemma 5.3).
+// the witness experiment uses it to show the violation probability ε
+// vanishing with d (Lemma 5.3).
 func SimulateRace(rng *sim.RNG, q float64, d int, trials int, maxLag int) RaceResult {
 	if maxLag <= 0 {
 		maxLag = 40

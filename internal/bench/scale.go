@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
 // scale reproduces Section 5.2's scalability argument empirically:
@@ -54,53 +53,38 @@ func scale(seed uint64) (string, bool, error) {
 // runScale runs `swaps` independent two-party AC2Ts across `wn`
 // witness chains and returns the makespan until the last commit.
 func runScale(seed uint64, swaps, wn int) (sim.Time, int, error) {
-	b := xchain.NewBuilder(seed)
-
-	assetA := xchain.DefaultChainSpec("asset-a")
-	assetB := xchain.DefaultChainSpec("asset-b")
-	b.Chain(assetA)
-	b.Chain(assetB)
-	witnessIDs := make([]chain.ID, wn)
-	for i := range witnessIDs {
-		witnessIDs[i] = chain.ID(fmt.Sprintf("witness-%d", i))
-		ws := xchain.DefaultChainSpec(witnessIDs[i])
-		ws.Params.MaxBlockTxs = 1 // the deliberate bottleneck
-		b.Chain(ws)
+	sh := engine.Shape{Chains: []chain.ID{"asset-a", "asset-b"}, MaxBlockTxs: map[chain.ID]int{}}
+	for i := range wn {
+		id := chain.ID(fmt.Sprintf("witness-%d", i))
+		sh.Chains = append(sh.Chains, id)
+		sh.MaxBlockTxs[id] = 1 // the deliberate bottleneck
 	}
-
-	type pair struct{ alice, bob *xchain.Participant }
-	pairs := make([]pair, swaps)
-	for i := range pairs {
-		pairs[i] = pair{
-			alice: b.Participant(fmt.Sprintf("alice%d", i)),
-			bob:   b.Participant(fmt.Sprintf("bob%d", i)),
-		}
-		b.Fund(pairs[i].alice, "asset-a", 1_000_000)
-		b.Fund(pairs[i].bob, "asset-b", 1_000_000)
+	for i := range swaps {
+		sh.Parties = append(sh.Parties, fmt.Sprintf("alice%d", i), fmt.Sprintf("bob%d", i))
+		sh.Funds = append(sh.Funds, []chain.ID{"asset-a"}, []chain.ID{"asset-b"})
 	}
-	w, err := b.Build()
+	w, ps, err := sh.Build(seed)
 	if err != nil {
 		return 0, 0, err
 	}
 
 	runs := make([]core.Runner, swaps)
-	for i, p := range pairs {
-		g, err := graph.TwoParty(int64(seed)+int64(i), p.alice.Addr(), p.bob.Addr(),
+	for i := range runs {
+		g, err := graph.TwoParty(int64(seed)+int64(i), ps[2*i].Addr(), ps[2*i+1].Addr(),
 			10_000, "asset-a", 10_000, "asset-b")
 		if err != nil {
 			return 0, 0, err
 		}
-		r, err := engine.NewRunner(w, engine.ProtoAC3WN, engine.AC2T{
+		runs[i], err = engine.NewRunner(w, engine.ProtoAC3WN, engine.AC2T{
 			Graph:        g,
-			Participants: []*xchain.Participant{p.alice, p.bob},
-			Witness:      witnessIDs[i%wn],
+			Participants: ps[2*i : 2*i+2],
+			Witness:      sh.Chains[2+i%wn],
 			Depth:        2,
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		runs[i] = r
-		r.Start()
+		runs[i].Start()
 	}
 	w.RunOut(6 * sim.Hour)
 

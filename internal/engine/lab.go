@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/chain"
@@ -12,18 +13,20 @@ import (
 	"repro/internal/xchain"
 )
 
-// The laboratory: every single-AC2T experiment of the paper — Figures
-// 8 to 10, Section 6.2's fee counts, Figure 7's graphs, Section 1's
-// crash hazard, ac3sim, examples/crashfailure — is one function from
-// (seed, shape, protocol, fault schedule) to a graded outcome, and
-// RunOne is that function (ADR-019). The shard executor stands many
-// AC2Ts up on one world and keeps its own loop.
+// The laboratory: every world outside the shard executor is a Shape,
+// and every single-AC2T experiment of the paper — Figures 8 to 10,
+// Section 6.2's fee counts, Figure 7's graphs, Section 1's crash hazard
+// — is RunOne, one function from (seed, shape, protocol, fault
+// schedule) to a graded outcome (ADR-019). Its callers: bench's fig8,
+// fig9, fig10, cost, complex and atomicity, cmd/ac3sim and three
+// examples. bench's scale and examples/exchangedesk run many AC2Ts on
+// one Shape.Build world in a NewRunner loop of their own.
 
-// Shape is a single-AC2T world as data: who takes part, which chains
-// exist, who owns what, and the graph (D, t) over the parties. Parties
-// and chains are created in the order listed — that order decides which
-// keys and which mining randomness the seed hands out — and every chain
-// is an xchain.DefaultChainSpec.
+// Shape is a world as data: who takes part, which chains exist, who
+// owns what, and the graph (D, t) over the parties. Parties and chains
+// are created in the order listed — that order decides which keys and
+// which mining randomness the seed hands out — and every chain is an
+// xchain.DefaultChainSpec, capped where MaxBlockTxs says.
 type Shape struct {
 	// Parties names the participants; Parties[0] initiates or leads.
 	Parties []string
@@ -36,6 +39,9 @@ type Shape struct {
 	// between parties, by index into Parties.
 	Timestamp int64
 	Edges     []Transfer
+	// MaxBlockTxs caps the blocks of the chains it names; every other
+	// chain keeps DefaultChainSpec's 1,000.
+	MaxBlockTxs map[chain.ID]int
 }
 
 // Transfer is a graph.Edge between parties that have no address yet.
@@ -77,7 +83,7 @@ func Pair(t int64, a vm.Amount, chainA chain.ID, b vm.Amount, chainB chain.ID, w
 
 // Faults is a fault schedule as data, plus the hooks a driver that
 // narrates needs (each may be nil). Crashes at an event index and
-// injected reorgs are ROADMAP item 1(c)'s to add.
+// injected reorgs are ROADMAP item 3(b)'s to add.
 type Faults struct {
 	// CrashAtCommit takes the protocol's critical failure point down
 	// the moment the commit is pushed (core.CrashAtCommit).
@@ -105,6 +111,50 @@ type Lab struct {
 // push.
 const crashPollEvery = 100 * sim.Millisecond
 
+// Build creates sh's parties, chains and genesis funds on a fresh
+// simulator seeded with seed, in the order listed, and builds the world;
+// the participants come back in Parties' order. A fund or a cap on a
+// chain the shape does not list is an error, and nothing is built.
+func (sh Shape) Build(seed uint64) (*xchain.World, []*xchain.Participant, error) {
+	if len(sh.Funds) > len(sh.Parties) {
+		return nil, nil, fmt.Errorf("engine: %d parties are funded, but the shape lists %d", len(sh.Funds), len(sh.Parties))
+	}
+	for i, ids := range sh.Funds {
+		for _, id := range ids {
+			if !slices.Contains(sh.Chains, id) {
+				return nil, nil, fmt.Errorf("engine: %s is funded on %s, which the shape does not list", sh.Parties[i], id)
+			}
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(sh.MaxBlockTxs)) {
+		if !slices.Contains(sh.Chains, id) {
+			return nil, nil, fmt.Errorf("engine: %s is capped, but the shape does not list it", id)
+		}
+	}
+	b := xchain.NewBuilder(seed)
+	ps := make([]*xchain.Participant, len(sh.Parties))
+	for i, name := range sh.Parties {
+		ps[i] = b.Participant(name)
+	}
+	for _, id := range sh.Chains {
+		spec := xchain.DefaultChainSpec(id)
+		if n, ok := sh.MaxBlockTxs[id]; ok {
+			spec.Params.MaxBlockTxs = n
+		}
+		b.Chain(spec)
+	}
+	for i, ids := range sh.Funds {
+		for _, id := range ids {
+			b.Fund(ps[i], id, labFunds)
+		}
+	}
+	w, err := b.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, ps, nil
+}
+
 // RunOne builds sh on a fresh simulator seeded with seed, stands t up
 // under proto (t.Graph and t.Participants are RunOne's to fill), runs it
 // through f out to deadline and grades it. The sequence is what the
@@ -112,34 +162,23 @@ const crashPollEvery = 100 * sim.Millisecond
 // → Recover, then World.RunOut. Anything that fails to build is the
 // first error; a run that merely goes badly is an Outcome.
 func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, f Faults, deadline sim.Time) (*Lab, error) {
-	b := xchain.NewBuilder(seed)
-	ps := make([]*xchain.Participant, len(sh.Parties))
-	for i, name := range sh.Parties {
-		ps[i] = b.Participant(name)
-	}
-	for _, id := range sh.Chains {
-		b.Chain(xchain.DefaultChainSpec(id))
-	}
-	for i, ids := range sh.Funds {
-		for _, id := range ids {
-			if !slices.Contains(sh.Chains, id) {
-				return nil, fmt.Errorf("engine: %s is funded on %s, which the shape does not list", sh.Parties[i], id)
-			}
-			b.Fund(ps[i], id, labFunds)
-		}
-	}
-	edges := make([]graph.Edge, len(sh.Edges))
 	for i, e := range sh.Edges {
-		if e.From >= len(sh.Funds) || !slices.Contains(sh.Funds[e.From], e.Chain) {
+		switch {
+		case min(e.From, e.To) < 0 || max(e.From, e.To) >= len(sh.Parties):
+			return nil, fmt.Errorf("engine: edge %d runs from party %d to %d, but the shape lists %d", i, e.From, e.To, len(sh.Parties))
+		case e.From >= len(sh.Funds) || !slices.Contains(sh.Funds[e.From], e.Chain):
 			return nil, fmt.Errorf("engine: edge %d: %s has no funds on %s", i, sh.Parties[e.From], e.Chain)
 		}
-		edges[i] = graph.Edge{From: ps[e.From].Addr(), To: ps[e.To].Addr(), Asset: e.Asset, Chain: e.Chain}
 	}
-	g, err := graph.New(sh.Timestamp, edges...)
+	w, ps, err := sh.Build(seed)
 	if err != nil {
 		return nil, err
 	}
-	w, err := b.Build()
+	edges := make([]graph.Edge, len(sh.Edges))
+	for i, e := range sh.Edges {
+		edges[i] = graph.Edge{From: ps[e.From].Addr(), To: ps[e.To].Addr(), Asset: e.Asset, Chain: e.Chain}
+	}
+	g, err := graph.New(sh.Timestamp, edges...)
 	if err != nil {
 		return nil, err
 	}

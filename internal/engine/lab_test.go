@@ -15,7 +15,7 @@ import (
 // TestRunOneIsAFunctionOfItsArguments: the same (seed, shape, protocol,
 // fault schedule) yields the same grade, timeline and narration, run
 // after run — what lets a sweep call RunOne at every fault point and
-// compare (ROADMAP item 1(c)) — and the schedule does what it says:
+// compare (ROADMAP item 3(b)) — and the schedule does what it says:
 // the crash strikes the protocol's critical failure point, the recovery
 // happens at RecoverAt, and nothing is recovered that never crashed.
 func TestRunOneIsAFunctionOfItsArguments(t *testing.T) {
@@ -111,6 +111,11 @@ func TestRunOneBuildErrors(t *testing.T) {
 		{"funded on an unlisted chain", "alice is funded on c, which the shape does not list", ProtoAC3WN, pair(func(sh *Shape) { sh.Funds[0] = []chain.ID{"a", "c"} })},
 		{"no edges", "graph: no edges", ProtoHTLC, pair(func(sh *Shape) { sh.Edges = nil })},
 		{"self-transfer", "graph: edge 0 is a self-transfer", ProtoHTLC, pair(func(sh *Shape) { sh.Edges[0].To = 0 })},
+		{"sender out of range", "edge 1 runs from party 2 to 0, but the shape lists 2", ProtoAC3WN, pair(func(sh *Shape) { sh.Edges[1].From = 2 })},
+		{"recipient out of range", "edge 0 runs from party 0 to 5, but the shape lists 2", ProtoAC3WN, pair(func(sh *Shape) { sh.Edges[0].To = 5 })},
+		{"negative index", "edge 0 runs from party -1 to 1, but the shape lists 2", ProtoAC3WN, pair(func(sh *Shape) { sh.Edges[0].From = -1 })},
+		{"more funds than parties", "3 parties are funded, but the shape lists 2", ProtoAC3WN, pair(func(sh *Shape) { sh.Funds = append(sh.Funds, []chain.ID{"a"}) })},
+		{"capped an unlisted chain", "c is capped, but the shape does not list it", ProtoAC3WN, pair(func(sh *Shape) { sh.MaxBlockTxs = map[chain.ID]int{"a": 1, "c": 1} })},
 	} {
 		started := false
 		lab, err := RunOne(1, tc.shape, tc.proto, AC2T{Witness: "witness", Depth: 2},
