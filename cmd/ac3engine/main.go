@@ -198,8 +198,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped, %d block requests sent, %d answered, orphan buffer high-water %d, mempool high-water %d\n",
 		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped,
 		work.GetBlockSent, work.GetBlockAnswered, work.OrphansHigh, work.MempoolHigh)
-	fmt.Fprintf(os.Stderr, "sigcheck: %d ahead of need, %d inline, %d waited, %d checkers\n",
-		work.SigAhead, work.SigInline, work.SigWaited, work.SigCheckers)
+	fmt.Fprintf(os.Stderr, "sigcheck: %d ahead of need, %d inline, %d never read (transactions); %d ahead, %d inline (graph); %d ready, %d inline (multisig); %d waited, %d checkers\n",
+		work.SigAhead, work.SigInline, work.DeploySigs+work.CallSigs-work.SigAhead-work.SigInline,
+		work.GraphAhead, work.GraphInline, work.MultisigReady, work.MultisigInline, work.SigWaited, work.SigCheckers)
 	if wl.Protocol == engine.ProtoAC3WN {
 		fmt.Fprintf(os.Stderr, "witness: %d per-AC2T decision txs, %d batches (%d decisions, %d republishes), %.3f txs / %.1f bytes per committed AC2T\n",
 			agg.WitnessDecisionTxs, agg.BatchesPublished, agg.BatchDecisions,

@@ -203,6 +203,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	}
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), addr, height, blockTime, msg, tx.Value)
+	ctx.Sigs = reg.Sigs
 	if err := c.Init(ctx, tx.Params); err != nil {
 		return &txRejection{"constructor of %s failed: %v", []any{tx.ContractType, err}, ctx.ReadClock()}
 	}

@@ -1,8 +1,11 @@
 package chain
 
 import (
+	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math/bits"
 	"slices"
 
@@ -118,6 +121,36 @@ func (h *Header) Seal(start uint64) {
 	for h.Nonce = start; ; h.Nonce++ {
 		binary.BigEndian.PutUint64(nonce, h.Nonce)
 		if MeetsTarget(crypto.Sum(enc), h.Bits) {
+			return
+		}
+	}
+}
+
+// Sealer is Seal for a miner, which seals many headers: each attempt
+// resumes from the SHA-256 midstate of the bytes before the last 64-byte
+// boundary ahead of the nonce, one compression instead of two. It lands
+// where Seal lands and allocates nothing after its first call.
+type Sealer struct {
+	h        hash.Hash
+	enc, mid [headerStackLen]byte // the header; its midstate, marshalled
+	sum      crypto.Hash
+}
+
+// Seal grinds h's nonce from start, as h.Seal(start) does.
+func (s *Sealer) Seal(h *Header, start uint64) {
+	if s.h == nil {
+		s.h = sha256.New()
+	}
+	enc := h.AppendTo(s.enc[:0])
+	cut := (len(enc) - 8) &^ 63
+	s.h.Reset()
+	s.h.Write(enc[:cut])
+	mid, _ := s.h.(encoding.BinaryAppender).AppendBinary(s.mid[:0])
+	for h.Nonce = start; ; h.Nonce++ {
+		binary.BigEndian.PutUint64(enc[len(enc)-8:], h.Nonce)
+		_ = s.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(mid)
+		s.h.Write(enc[cut:])
+		if MeetsTarget(crypto.Hash(s.h.Sum(s.sum[:0])), h.Bits) {
 			return
 		}
 	}

@@ -117,6 +117,32 @@ func TestTxGoldenVectors(t *testing.T) {
 	}
 }
 
+// TestTxEncodedBeforeVerified: a transaction whose signature is still
+// its verdict's to write (SignLater, as NewTransfer, NewDeploy and
+// NewCall leave it) and that nobody has verified encodes to the golden
+// body followed by its key's signature: Encode claims the verdict and
+// writes the bytes first, and the verdict is the one VerifySig then reads.
+func TestTxEncodedBeforeVerified(t *testing.T) {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(8).Uint64))
+	for i, v := range goldenTxs(t) {
+		tx := v.tx(t)
+		if len(tx.Sig.Sig) == 0 {
+			continue // genesis and coinbase: unsigned
+		}
+		golden := unhex(t, v.Encode)
+		body := golden[:len(golden)-tx.Sig.EncodedLen()]
+		tx.Sig = tx.sigOK.SignLater(key)
+		want := key.Sign(tx.SigHash().Bytes()).AppendTo(bytes.Clone(body))
+		if got := tx.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("vector %d: encoded before verified:\n got %x\nwant %x", i, got, want)
+		}
+		var sigs crypto.SigTally
+		if !tx.verifySig(&sigs) || sigs != (crypto.SigTally{}) {
+			t.Fatalf("vector %d: verdict after Encode: tally %+v, want the stored one", i, sigs)
+		}
+	}
+}
+
 // FuzzDecodeTx: DecodeTx never panics, and whatever it accepts it
 // re-encodes to the very bytes it was given.
 func FuzzDecodeTx(f *testing.F) {

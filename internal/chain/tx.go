@@ -111,14 +111,16 @@ type Tx struct {
 	// sent with the call (msg.val). Funded from Ins minus change Outs.
 	Value vm.Amount
 
-	// Sig signs SigHash(); its signer must own every input. Genesis
-	// and coinbase transactions are unsigned. After miner.Client.Submit
-	// the signature bytes belong to the network (a checker goroutine may
-	// be reading them): tamper on a DecodeTx copy, never in place.
+	// Sig signs SigHash(); its signer must own every input. Genesis and
+	// coinbase transactions are unsigned. The constructors below leave its
+	// bytes to the verdict (sigOK): its claimant writes them — a checker
+	// offered it at miner.Client.Submit, or the first reader inline — and
+	// everyone else reads them through Encode or VerifySig. Tamper on a
+	// DecodeTx copy.
 	Sig crypto.Signature
 
 	// Memoized pure derivations. Transactions are immutable once
-	// constructed (builders sign as the last step, DecodeTx returns
+	// constructed (but for the signature bytes above; DecodeTx returns
 	// finished values), and the same *Tx is validated by every node's
 	// chain view in a simulated network — re-hashing the body and
 	// re-verifying the ed25519 signature per view dominated run time
@@ -202,14 +204,14 @@ func (tx *Tx) SigHash() crypto.Hash {
 func (tx *Tx) ID() crypto.Hash { return tx.SigHash() }
 
 // VerifySig reports whether Sig validly signs the transaction body. The
-// verdict is computed once per object, by crypto.Signature.Verify, by
-// whoever claims it first — a checker the signature was offered to
-// (CheckSigAhead) or the first caller, inline — and every later caller
-// reads it: each chain view that applies this transaction asks the same
-// question about the same immutable value, and ed25519 verification is
-// the single most expensive operation in the simulation. A caller never
-// waits longer than one verification, and who computed the verdict is
-// invisible to the simulation (ADR-021).
+// verdict (and, for a transaction built here, the signature) is computed
+// once per object, by crypto.Signature.Verify, by whoever claims it first
+// — a checker the signature was offered to (CheckSigAhead) or the first
+// caller, inline — and every later caller reads it: each chain view that
+// applies this transaction asks the same question about the same value,
+// and ed25519 is the single most expensive operation in the simulation.
+// A caller never waits longer than one computation, and who computed the
+// verdict is invisible to the simulation (ADR-021).
 func (tx *Tx) VerifySig() bool { return tx.verifySig(&crypto.SigTally{}) }
 
 func (tx *Tx) verifySig(t *crypto.SigTally) bool { return tx.sigOK.Read(tx.Sig, tx.SigHash(), t) }
@@ -239,6 +241,7 @@ func (tx *Tx) EncodedLen() int { return tx.bodyLen() + tx.Sig.EncodedLen() }
 
 // AppendTo appends the full encoding to dst.
 func (tx *Tx) AppendTo(dst []byte) []byte {
+	tx.VerifySig() // the signature bytes are final once the verdict is
 	dst = append(tx.appendHead(dst), tx.Params...)
 	dst = append(tx.appendMid(dst), tx.Args...)
 	return tx.Sig.AppendTo(tx.appendTail(dst))
@@ -281,17 +284,17 @@ func DecodeTx(b []byte) (*Tx, error) {
 	return tx, nil
 }
 
-// NewTransfer builds a signed transfer spending ins (owned by key)
-// into outs.
+// NewTransfer builds a transfer spending ins (owned by key) into outs,
+// signed by key when its verdict is first claimed (Sig).
 func NewTransfer(key *crypto.KeyPair, nonce uint64, ins []TxIn, outs []TxOut) *Tx {
 	tx := &Tx{Kind: TxTransfer, Nonce: nonce, Ins: ins, Outs: outs}
-	tx.Sig = key.Sign(tx.SigHash().Bytes())
+	tx.Sig = tx.sigOK.SignLater(key)
 	return tx
 }
 
-// NewDeploy builds a signed contract deployment locking value into a
-// new contract of the given registry type. change receives any excess
-// input value.
+// NewDeploy builds a contract deployment, signed like NewTransfer's,
+// locking value into a new contract of the given registry type. change
+// receives any excess input value.
 func NewDeploy(key *crypto.KeyPair, nonce uint64, ins []TxIn, change []TxOut, contractType string, params []byte, value vm.Amount) *Tx {
 	tx := &Tx{
 		Kind:         TxDeploy,
@@ -302,12 +305,12 @@ func NewDeploy(key *crypto.KeyPair, nonce uint64, ins []TxIn, change []TxOut, co
 		Params:       params,
 		Value:        value,
 	}
-	tx.Sig = key.Sign(tx.SigHash().Bytes())
+	tx.Sig = tx.sigOK.SignLater(key)
 	return tx
 }
 
-// NewCall builds a signed contract function call. ins/change fund
-// value when non-zero.
+// NewCall builds a contract function call, signed like NewTransfer's.
+// ins/change fund value when non-zero.
 func NewCall(key *crypto.KeyPair, nonce uint64, contract crypto.Address, fn string, args []byte, ins []TxIn, change []TxOut, value vm.Amount) *Tx {
 	tx := &Tx{
 		Kind:     TxCall,
@@ -319,7 +322,7 @@ func NewCall(key *crypto.KeyPair, nonce uint64, contract crypto.Address, fn stri
 		Args:     args,
 		Value:    value,
 	}
-	tx.Sig = key.Sign(tx.SigHash().Bytes())
+	tx.Sig = tx.sigOK.SignLater(key)
 	return tx
 }
 

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -65,18 +66,23 @@ func TestRejectionFormatsLazily(t *testing.T) {
 
 // TestVerifySigRunsOncePerObject: the verdict is kept on the
 // transaction, so a second question never reaches ed25519 — the tally
-// counts one verification however often it is asked — while another
-// object with the same id answers for itself. (What the miner network's
-// verify-once count rests on.)
+// counts one signing and one verification however often it is asked —
+// while another object with the same id answers for itself. (What the
+// miner network's verify-once count rests on.) The signature is written
+// by the first question, and is the one the key gives.
 func TestVerifySigRunsOncePerObject(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
-	tx := e.transfer("alice", "bob", 100)
+	op, o := e.utxoOf("alice", 100)
+	tx := NewTransfer(e.keys["alice"], 1, []TxIn{{Prev: op}}, []TxOut{{Value: o.Value, Owner: e.keys["bob"].Addr}})
+	if !bytes.Equal(tx.Sig.Sig, make([]byte, 64)) {
+		t.Fatal("the signature was written before anyone asked")
+	}
 	var sigs crypto.SigTally
 	if !tx.verifySig(&sigs) || !tx.verifySig(&sigs) || !tx.VerifySig() {
 		t.Fatal("fresh signature rejected")
 	}
-	if sigs != (crypto.SigTally{Inline: 1}) {
-		t.Fatalf("three questions, tally %+v: want one verification", sigs)
+	if sigs != (crypto.SigTally{Inline: 1}) || !tx.Sig.Equal(e.keys["alice"].Sign(tx.SigHash().Bytes())) {
+		t.Fatalf("three questions, tally %+v: want one signing and verification, by the key", sigs)
 	}
 	enc := tx.Encode()
 	enc[len(enc)-1] ^= 1

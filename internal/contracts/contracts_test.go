@@ -624,6 +624,49 @@ func TestWitnessConstructorRejectsMissingCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWitnessConstructorReadsPresignedVerdicts: with a signature book on
+// its context (ADR-021) the constructor takes the verdict a presigned
+// signature was written with instead of verifying it again — but only
+// for the bytes that verdict was computed on. An ms(D) carrying other
+// bytes for a (signer, digest) pair the book holds is verified inline and
+// rejected.
+func TestWitnessConstructorReadsPresignedVerdicts(t *testing.T) {
+	ks := keys(2)
+	alice, bob := ks[0], ks[1]
+	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
+	g, _ := graph.TwoParty(1, alice.Addr, bob.Addr, 10, "btc", 20, "eth")
+	book := crypto.NewSigBook()
+	ms := crypto.NewMultiSig(g.Digest())
+	for _, k := range ks {
+		book.Add(ms.Digest, k)
+		ms.Sigs = append(ms.Sigs, book.Sign(k, ms.Digest))
+	}
+	initSCw := func(ms *crypto.MultiSig) error {
+		wp := WitnessParams{
+			Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
+			Checkpoints: []ChainCheckpoint{
+				{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
+				{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: 1},
+			},
+			WitnessDepth: 1,
+		}
+		ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
+		ctx.Sigs = book
+		return (&WitnessSC{}).Init(ctx, wp.Encode())
+	}
+	if err := initSCw(ms); err != nil || book.Ready != 2 || book.Checked.Inline != 0 {
+		t.Fatalf("presigned ms(D): %v, %d verdicts read, %d verified inline; want accepted from 2 verdicts", err, book.Ready, book.Checked.Inline)
+	}
+	forged := ms.Clone()
+	forged.Sigs[1].Sig[0] ^= 1 // bob's pair is in the book; these are not its bytes
+	if err := initSCw(forged); err == nil || !strings.Contains(err.Error(), "multisignature") {
+		t.Fatalf("ms(D) with other bytes under a presigned pair accepted: %v", err)
+	}
+	if book.Ready != 3 || book.Checked.Inline != 1 {
+		t.Fatalf("%d verdicts read, %d verified inline; want alice's read, bob's verified", book.Ready, book.Checked.Inline)
+	}
+}
+
 // raw puts already-encoded (or deliberately broken) bytes into an
 // evidence list; production code appends typed values instead.
 type raw []byte

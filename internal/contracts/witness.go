@@ -135,7 +135,7 @@ func (w *WitnessSC) Init(ctx *vm.Ctx, params []byte) error {
 	if err != nil {
 		return fmt.Errorf("witness: graph: %w", err)
 	}
-	if !g.VerifyMultisig(&p.Multisig) {
+	if !g.VerifyMultisig(&p.Multisig, ctx.Sigs) {
 		return errors.New("witness: multisignature incomplete or invalid")
 	}
 	if p.WitnessDepth < 0 {

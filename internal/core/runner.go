@@ -94,19 +94,15 @@ func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bo
 	}
 }
 
-// participantKeys lists the signing keys for the one Graph.Sign each
-// run performs at Start — every party contributing its own signature
-// to ms(GD). No later step touches another party's key.
-func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
-	keys := make([]*crypto.KeyPair, len(ps))
-	for i, p := range ps {
-		keys[i] = p.Key
-	}
-	return keys
-}
-
-// signGraph is that one Graph.Sign, counted on the world.
+// signGraph is the one Graph.Sign each run performs at Start — every
+// party contributing its own signature to ms(GD) — counted on the world.
+// It takes the signatures written ahead of need (xchain.Builder.Presign)
+// and writes here any that are not written yet.
 func signGraph(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) *crypto.MultiSig {
 	w.GraphSigs += uint64(len(ps))
-	return g.Sign(participantKeys(ps)...)
+	ms := crypto.NewMultiSig(g.Digest())
+	for _, p := range ps {
+		ms.Sigs = append(ms.Sigs, w.Sigs.Sign(p.Key, ms.Digest))
+	}
+	return ms
 }

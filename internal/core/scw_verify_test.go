@@ -4,11 +4,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/xchain"
 )
+
+// participantKeys lists the parties' signing keys, in order.
+func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
+	keys := make([]*crypto.KeyPair, len(ps))
+	for i, p := range ps {
+		keys[i] = p.Key
+	}
+	return keys
+}
 
 // TestAC3WNRejectsSCwWithForeignMultisig: a participant accepts SCw
 // only if it carries the ms(GD) it took part in — the id it computes
@@ -135,5 +146,53 @@ func TestVerifySCwMultisigID(t *testing.T) {
 		if err := r.verifySCw(bob, scw(msid)); err == nil || err.Error() != "multisig mismatch" {
 			t.Errorf("%s: verifySCw = %v, want multisig mismatch", name, err)
 		}
+	}
+}
+
+// TestAC3WNPresignedMultisig (ADR-021): in a world whose graph signatures
+// were written ahead of need, signGraph takes them — the bytes Graph.Sign
+// gives — and SCw's constructor reads their verdicts instead of
+// verifying them again. An initiator that publishes other bytes for a
+// pair the world presigned has them verified inline, and no miner admits
+// that SCw.
+func TestAC3WNPresignedMultisig(t *testing.T) {
+	for _, forge := range []bool{false, true} {
+		t.Run(map[bool]string{false: "presigned bytes", true: "other bytes"}[forge], func(t *testing.T) {
+			ck := crypto.NewSigChecker(1)
+			defer ck.Close()
+			b := xchain.NewBuilderOn(sim.New(540), ck)
+			alice, bob := b.Participant("alice"), b.Participant("bob")
+			for _, id := range []chain.ID{"bitcoin", "ethereum", "witness"} {
+				b.Chain(xchain.DefaultChainSpec(id))
+			}
+			b.Fund(alice, "bitcoin", 1_000_000)
+			b.Fund(bob, "ethereum", 1_000_000)
+			g, err := graph.TwoParty(1, alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Presign(g.Digest(), []*xchain.Participant{alice, bob})
+			w, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := twoPartyRun(t, w, alice, bob, 0)
+			r.ms = signGraph(w, r.cfg.Graph, r.cfg.Participants)
+			for i, s := range g.Sign(alice.Key, bob.Key).Sigs {
+				if !r.ms.Sigs[i].Equal(s) {
+					t.Fatalf("presigned signature %d differs from Graph.Sign's", i)
+				}
+			}
+			if forge {
+				r.ms = r.ms.Clone()
+				r.ms.Sigs[1].Sig[0] ^= 1
+			}
+			r.Runtime.Start()
+			w.RunUntil(5 * sim.Minute)
+			_, deployed := w.View("witness").TipState().Contract(r.scwAddr)
+			if deployed == forge || (w.Sigs.Checked.Inline > 0) != forge || w.Sigs.Ready == 0 {
+				t.Fatalf("SCw deployed %v, %d signatures verified inline, %d verdicts read", deployed, w.Sigs.Checked.Inline, w.Sigs.Ready)
+			}
+		})
 	}
 }

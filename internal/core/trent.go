@@ -26,6 +26,7 @@ type Trent struct {
 	Key *crypto.KeyPair
 
 	s       *sim.Sim
+	sigs    *crypto.SigBook // the world's: ms(D) verdicts computed ahead
 	latency sim.Time
 	clients map[chain.ID]*miner.Client
 	store   map[crypto.Hash]*trentEntry
@@ -55,6 +56,7 @@ func NewTrent(w *xchain.World, seed uint64, latency sim.Time) *Trent {
 	t := &Trent{
 		Key:     key,
 		s:       w.Sim,
+		sigs:    w.Sigs,
 		latency: latency,
 		clients: make(map[chain.ID]*miner.Client),
 		store:   make(map[crypto.Hash]*trentEntry),
@@ -91,7 +93,7 @@ func (t *Trent) Close() {
 // outcome. All methods respond asynchronously after the RPC latency.
 func (t *Trent) Register(g *graph.Graph, ms *crypto.MultiSig, cb func(error)) {
 	t.rpc(func() {
-		if !g.VerifyMultisig(ms) {
+		if !g.VerifyMultisig(ms, t.sigs) {
 			t.reply(cb, fmt.Errorf("trent: invalid multisignature"))
 			return
 		}

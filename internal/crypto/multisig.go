@@ -78,10 +78,11 @@ func (m *MultiSig) signerSet() (map[Address]bool, bool) {
 	return have, true
 }
 
-// allValid reports whether every carried signature verifies.
-func (m *MultiSig) allValid() bool {
+// allValid reports whether every carried signature verifies, reading
+// the verdicts b holds (nil: none) for the bytes they were computed on.
+func (m *MultiSig) allValid(b *SigBook) bool {
 	for _, s := range m.Sigs {
-		if !s.Verify(m.Digest[:]) {
+		if !b.Verify(s, m.Digest) {
 			return false
 		}
 	}
@@ -92,7 +93,11 @@ func (m *MultiSig) allValid() bool {
 // signed the digest. Extra signatures from non-participants do not
 // make an incomplete multisignature complete, but are tolerated (the
 // paper only requires that all participants agree).
-func (m *MultiSig) Complete(required []Address) bool {
+func (m *MultiSig) Complete(required []Address) bool { return m.CompleteWith(required, nil) }
+
+// CompleteWith is Complete taking the verdicts b holds (nil: none) for
+// signatures that carry the bytes they were computed on (ADR-021).
+func (m *MultiSig) CompleteWith(required []Address, b *SigBook) bool {
 	have, ok := m.signerSet()
 	if !ok {
 		return false
@@ -102,7 +107,7 @@ func (m *MultiSig) Complete(required []Address) bool {
 			return false
 		}
 	}
-	return m.allValid()
+	return m.allValid(b)
 }
 
 // CompleteThreshold reports whether at least m of the required
@@ -128,7 +133,7 @@ func (m *MultiSig) CompleteThreshold(required []Address, threshold int) bool {
 			count++
 		}
 	}
-	return count >= threshold && m.allValid()
+	return count >= threshold && m.allValid(nil)
 }
 
 // ID returns an order-independent identifier for this ms(D): the hash

@@ -1,16 +1,22 @@
 package crypto
 
 import (
+	"crypto/ed25519"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Verdict is one signature check that two goroutines may share
-// (ADR-021): computed exactly once, by Signature.Verify, by whoever
-// claims the cell first — a SigChecker ahead of need or the first reader
-// inline. The signed bytes are final before the first Offer or Read.
-type Verdict struct{ state atomic.Uint32 }
+// Verdict is one signature that two goroutines may share (ADR-021):
+// written, when its signer's key came with it (SignLater), then checked by
+// Signature.Verify — both exactly once, by whoever claims the cell first:
+// a SigChecker ahead of need or the first reader inline. Until the verdict
+// is published the signature's bytes are the claimant's; everyone else
+// reads them after Read returns.
+type Verdict struct {
+	state atomic.Uint32
+	key   *KeyPair // writes the signature on claim; nil when its bytes came final
+}
 
 const (
 	verdictClaimed = iota + 1 // zero is unclaimed
@@ -18,14 +24,27 @@ const (
 	verdictValid
 )
 
-// SigTally counts a reader's own verifications and its waits for a
+// SigTally counts a reader's own computations and its waits for a
 // checker's: the host scheduler's doing, so diagnostics, never results.
 type SigTally struct{ Inline, Waited uint64 }
 
-// compute claims the cell, verifies and publishes; false if it was claimed.
+// SignLater makes v's claimant write k's signature and returns it
+// unwritten: k's public key and a signature buffer of zeros.
+func (v *Verdict) SignLater(k *KeyPair) Signature {
+	v.key = k
+	buf := make([]byte, ed25519.PublicKeySize+ed25519.SignatureSize)
+	return Signature{Pub: append(buf[:0:ed25519.PublicKeySize], k.Pub...), Sig: buf[ed25519.PublicKeySize:]}
+}
+
+// compute claims the cell, signs if it holds a key, verifies and
+// publishes; false if it was claimed.
 func (v *Verdict) compute(sig Signature, msg Hash) bool {
 	if !v.state.CompareAndSwap(0, verdictClaimed) {
 		return false
+	}
+	if v.key != nil {
+		copy(sig.Sig, ed25519.Sign(v.key.priv, msg[:]))
+		v.key = nil // only the claimant reads it; a signed cell holds no key alive
 	}
 	if sig.Verify(msg[:]) {
 		v.state.Store(verdictValid)
@@ -35,9 +54,9 @@ func (v *Verdict) compute(sig Signature, msg Hash) bool {
 	return true
 }
 
-// Read returns sig.Verify(msg), computing it if nobody has, and yielding
-// for what is left of one verification (≈ 60 µs; parking on a sync.Cond
-// measured no cheaper) if a checker is on it just now.
+// Read returns sig.Verify(msg), computing it (and sig) if nobody has, and
+// yielding for what is left of one computation (≈ 60 µs; parking on a
+// sync.Cond measured no cheaper) if a checker is on it just now.
 func (v *Verdict) Read(sig Signature, msg Hash, t *SigTally) bool {
 	if v.compute(sig, msg) {
 		t.Inline++
@@ -50,14 +69,85 @@ func (v *Verdict) Read(sig Signature, msg Hash, t *SigTally) bool {
 	return v.state.Load() == verdictValid
 }
 
+// SigBook holds the signatures a world's participants will put on graph
+// digests, one signing Verdict per (signer, digest), filled before the
+// world runs. Written counts the cells Sign wrote or waited for, Ready the
+// multisig checks a cell's verdict answered, and Checked what those
+// checks computed here or waited for.
+type SigBook struct {
+	cells            map[bookKey]*sigJob
+	order            []*sigJob // as added, until Background hands them on
+	Written, Checked SigTally
+	Ready            uint64
+}
+
+type bookKey struct {
+	signer Address
+	digest Hash
+}
+
+// NewSigBook returns an empty book.
+func NewSigBook() *SigBook { return &SigBook{cells: make(map[bookKey]*sigJob)} }
+
+// Add gives k a cell that signs digest.
+func (b *SigBook) Add(digest Hash, k *KeyPair) {
+	if b.cells[bookKey{k.Addr, digest}] == nil {
+		j := &sigJob{cell: new(Verdict), msg: digest}
+		j.sig = j.cell.SignLater(k)
+		b.cells[bookKey{k.Addr, digest}] = j
+		b.order = append(b.order, j)
+	}
+}
+
+// Forget drops k's cell for digest (nil book: none) once nothing should
+// need it: a check that still comes verifies inline.
+func (b *SigBook) Forget(digest Hash, k *KeyPair) {
+	if b != nil {
+		delete(b.cells, bookKey{k.Addr, digest})
+	}
+}
+
+// Sign returns k's signature over digest: its cell's once written — here,
+// if no checker got to it — or k.Sign's if the book (nil: none) has no
+// cell for the pair.
+func (b *SigBook) Sign(k *KeyPair, digest Hash) Signature {
+	if b != nil {
+		if j := b.cells[bookKey{k.Addr, digest}]; j != nil {
+			j.cell.Read(j.sig, digest, &b.Written)
+			return j.sig
+		}
+	}
+	return k.Sign(digest[:])
+}
+
+// Verify reports sig.Verify(digest[:]), read from the cell for (sig's
+// signer, digest) when sig carries the bytes that cell wrote; any other
+// signature is verified here.
+func (b *SigBook) Verify(sig Signature, digest Hash) bool {
+	if b == nil {
+		return sig.Verify(digest[:])
+	}
+	if j := b.cells[bookKey{sig.Signer(), digest}]; j != nil {
+		valid := j.cell.Read(j.sig, digest, &b.Checked) // j.sig is final from here on
+		if j.sig.Equal(sig) {
+			b.Ready++
+			return valid
+		}
+	}
+	b.Checked.Inline++
+	return sig.Verify(digest[:])
+}
+
 // SigChecker computes verdicts on goroutines of its own, between a
-// signature's last write and its verdict's first read. A nil one checks
+// signature's hand-off and its verdict's first read. A nil one checks
 // nothing: first readers compute inline, the arm that always exists.
 type SigChecker struct {
-	jobs  chan sigJob // by value: a hand-off allocates nothing
+	jobs  chan sigJob    // offers, by value: a hand-off allocates nothing
+	books chan []*sigJob // background work, taken cell by cell between offers
 	stop  chan struct{}
 	wg    sync.WaitGroup
-	ahead atomic.Uint64
+	// offered and background count the verdicts computed ahead of need.
+	offered, background atomic.Uint64
 }
 
 // sigJob is all a checker sees of the object the cell lives in.
@@ -67,15 +157,17 @@ type sigJob struct {
 	msg  Hash
 }
 
-// NewSigChecker starts n checkers, or none (nil) if n <= 0. The queue is
-// short: a checker that keeps up is a job behind, and one that does not
-// should stay on recent offers — older ones are computed inline before
-// it would reach them.
+// NewSigChecker starts n checkers, or none (nil) if n <= 0. The offer
+// queue is short: a checker that keeps up is a job behind, and one that
+// does not should stay on recent offers — older ones are computed inline
+// before it would reach them. A book is a whole shard world's graph
+// signatures, and a worker builds one world at a time: a few books queued
+// is a backlog the checkers will not work off before those worlds end.
 func NewSigChecker(n int) *SigChecker {
 	if n <= 0 {
 		return nil
 	}
-	c := &SigChecker{jobs: make(chan sigJob, 64), stop: make(chan struct{})}
+	c := &SigChecker{jobs: make(chan sigJob, 64), books: make(chan []*sigJob, 4), stop: make(chan struct{})}
 	c.wg.Add(n)
 	for ; n > 0; n-- {
 		go c.run()
@@ -83,17 +175,33 @@ func NewSigChecker(n int) *SigChecker {
 	return c
 }
 
-// run drains the queue and parks only when it is empty.
+// run takes a queued offer first, the next cell of the book in hand
+// second, and parks only when there is neither.
 func (c *SigChecker) run() {
 	defer c.wg.Done()
+	var later []*sigJob // the book in hand, from its next cell on
 	for {
+		j, n := sigJob{}, &c.offered
 		select {
-		case j := <-c.jobs:
-			if j.cell.compute(j.sig, j.msg) {
-				c.ahead.Add(1)
-			}
+		case j = <-c.jobs:
 		case <-c.stop:
 			return
+		default:
+			if len(later) > 0 {
+				j, later, n = *later[0], later[1:], &c.background
+			} else {
+				later = nil // let the walked book go
+				select {
+				case j = <-c.jobs:
+				case later = <-c.books:
+					continue
+				case <-c.stop:
+					return
+				}
+			}
+		}
+		if j.cell.compute(j.sig, j.msg) {
+			n.Add(1)
 		}
 	}
 }
@@ -111,13 +219,27 @@ func (c *SigChecker) Offer(v *Verdict, sig Signature, msg Hash) {
 	}
 }
 
+// Background queues b's cells (nil: none) as background work, in the
+// order they were added. Like Offer it never blocks: cells the queue
+// cannot hold are written by their first readers.
+func (c *SigChecker) Background(b *SigBook) {
+	if c == nil || b == nil {
+		return
+	}
+	select {
+	case c.books <- b.order:
+	default:
+	}
+	b.order = nil // the book keeps the cells until it forgets them
+}
+
 // Close stops and joins the checkers and returns how many verdicts they
-// computed ahead of the first read.
-func (c *SigChecker) Close() uint64 {
+// computed ahead of the first read: offered ones and background ones.
+func (c *SigChecker) Close() (offered, background uint64) {
 	if c == nil {
-		return 0
+		return 0, 0
 	}
 	close(c.stop)
 	c.wg.Wait()
-	return c.ahead.Load()
+	return c.offered.Load(), c.background.Load()
 }

@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ func TestVerdictOneVerificationWhoeverClaims(t *testing.T) {
 		ck.Offer(&c.v, c.sig, msg)
 	}
 	wg.Wait()
-	verified := ck.Close()
+	verified, _ := ck.Close()
 	var waited uint64
 	for _, tl := range tallies {
 		verified += tl.Inline
@@ -69,7 +70,7 @@ func TestVerdictOneVerificationWhoeverClaims(t *testing.T) {
 	if verified != uint64(len(cells)) {
 		t.Fatalf("%d verifications for %d cells", verified, len(cells))
 	}
-	t.Logf("%d cells: %d verified by readers inline, %d reads waited on a checker", len(cells), verified-ck.ahead.Load(), waited)
+	t.Logf("%d cells: %d verified by readers inline, %d reads waited on a checker", len(cells), verified-ck.offered.Load(), waited)
 	var again SigTally
 	for _, c := range cells {
 		if c.v.Read(c.sig, msg, &again) != c.want {
@@ -117,7 +118,7 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 		for i := range cells[:100] {
 			ck.Offer(&cells[i], bad, msg)
 		}
-		ahead := ck.Close()
+		ahead, _ := ck.Close()
 		for i := range cells[100:] {
 			ck.Offer(&cells[100+i], bad, msg) // lands in the queue or is dropped; nobody will come
 		}
@@ -137,7 +138,7 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 		var v Verdict
 		ck.Offer(&v, good, msg)
 		var tl SigTally
-		if !v.Read(good, msg, &tl) || tl.Inline != 1 || ck.Close() != 0 {
+		if offered, background := ck.Close(); !v.Read(good, msg, &tl) || tl.Inline != 1 || offered+background != 0 {
 			t.Fatalf("tally %+v", tl)
 		}
 		if NewSigChecker(0) != nil || NewSigChecker(-1) != nil {
@@ -185,5 +186,142 @@ func TestSigHandOffDoesNotAllocate(t *testing.T) {
 		v.Read(good, msg, &tl)
 	}); n > 1 { // the cell itself, which escapes into the job
 		t.Fatalf("a hand-off and a read allocate %.0f times", n)
+	}
+}
+
+// TestSigningCellClaimedOnce: a cell that came with its signer's key
+// (SignLater) is written and verified once, by whoever claims it — a
+// checker or one of the readers racing it — and every reader sees the
+// signature KeyPair.Sign gives. Until then the bytes are zeros.
+func TestSigningCellClaimedOnce(t *testing.T) {
+	const cells, readers = 120, 4
+	type cell struct {
+		v   Verdict
+		sig Signature
+		msg Hash
+		key *KeyPair
+	}
+	cs := make([]*cell, cells)
+	for i := range cs {
+		c := &cell{key: testKey(t, uint64(70+i%3)), msg: Sum([]byte{byte(i)})}
+		c.sig = c.v.SignLater(c.key)
+		if !bytes.Equal(c.sig.Pub, c.key.Pub) || !bytes.Equal(c.sig.Sig, make([]byte, 64)) {
+			t.Fatal("an unclaimed cell's signature is not the key and 64 zeros")
+		}
+		cs[i] = c
+	}
+	ck := NewSigChecker(2)
+	tallies := make([]SigTally, readers)
+	var wg sync.WaitGroup
+	for r := range tallies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cs {
+				c := cs[(i+r*cells/readers)%cells]
+				if !c.v.Read(c.sig, c.msg, &tallies[r]) || !c.sig.Equal(c.key.Sign(c.msg[:])) {
+					t.Errorf("cell %d: rejected, or not the key's signature", i)
+				}
+			}
+		}()
+	}
+	for _, c := range cs {
+		ck.Offer(&c.v, c.sig, c.msg)
+	}
+	wg.Wait()
+	computed, _ := ck.Close()
+	for _, tl := range tallies {
+		computed += tl.Inline
+	}
+	if computed != cells {
+		t.Fatalf("%d cells written and verified %d times", cells, computed)
+	}
+}
+
+// TestBackgroundNeverDelaysAnOffer: a book's cells are the checker's
+// background work, taken one at a time and only while no offer is
+// queued. An offer made behind a thousand of them is computed while
+// most are still unclaimed, not after them. A Background that finds the
+// queue full drops the book instead of blocking, and its cells are then
+// written by their readers.
+func TestBackgroundNeverDelaysAnOffer(t *testing.T) {
+	const cells = 1000
+	msg, cases := sigCases(t)
+	key := testKey(t, 80)
+	digest := func(i int) Hash { return Sum([]byte{byte(i), byte(i >> 8)}) }
+	book := NewSigBook()
+	for i := 0; i < cells; i++ {
+		book.Add(digest(i), key)
+	}
+	jobs := book.order
+	ck := NewSigChecker(1)
+	ck.Background(book)
+	var v Verdict
+	ck.Offer(&v, cases["valid"], msg)
+	for v.state.Load() != verdictValid {
+		runtime.Gosched()
+	}
+	unclaimed := 0
+	for _, j := range jobs {
+		if j.cell.state.Load() == 0 {
+			unclaimed++
+		}
+	}
+	offered, background := ck.Close()
+	if offered != 1 || unclaimed < cells/2 {
+		t.Fatalf("%d offers computed with %d of %d background cells unclaimed; want 1 with most of them", offered, unclaimed, cells)
+	}
+
+	idle := &SigChecker{books: make(chan []*sigJob, 1)}
+	idle.Background(book)
+	book.order = jobs
+	idle.Background(book) // dropped: the queue is full
+	for i := 0; i < cells; i++ {
+		d := digest(i)
+		if sig := book.Sign(key, d); i%100 == 0 && !sig.Equal(key.Sign(d[:])) {
+			t.Fatal("a book's signature is not the key's")
+		}
+	}
+	if w := book.Written; background+w.Inline != cells || w.Waited != 0 {
+		t.Fatalf("%d background + %d written by the reader (%d waited) for %d cells", background, w.Inline, w.Waited, cells)
+	}
+}
+
+// TestSigBookAnswersOnlyForItsBytes: Verify reads a cell's verdict for
+// the bytes that cell wrote and verifies anything else inline — other
+// bytes under a known (signer, digest), a signer or digest the book does
+// not hold, any signature given a nil book.
+func TestSigBookAnswersOnlyForItsBytes(t *testing.T) {
+	alice, bob := testKey(t, 81), testKey(t, 82)
+	digest := Sum([]byte("(D, t)"))
+	book := NewSigBook()
+	book.Add(digest, alice)
+	sig := book.Sign(alice, digest)
+	forged := sig.Clone()
+	forged.Sig[5] ^= 1
+	other := Sum([]byte("(D', t)"))
+	for _, c := range []struct {
+		name          string
+		sig           Signature
+		digest        Hash
+		want          bool
+		ready, inline uint64
+	}{
+		{"its bytes", sig, digest, true, 1, 0},
+		{"other bytes, same signer and digest", forged, digest, false, 0, 1},
+		{"signer not in the book", bob.Sign(digest[:]), digest, true, 0, 1},
+		{"digest not in the book", alice.Sign(other[:]), other, true, 0, 1},
+	} {
+		ready, inline := book.Ready, book.Checked.Inline
+		if got := book.Verify(c.sig, c.digest); got != c.want || book.Ready-ready != c.ready || book.Checked.Inline-inline != c.inline {
+			t.Errorf("%s: Verify = %v, %d ready, %d inline; want %v, %d, %d", c.name, got, book.Ready-ready, book.Checked.Inline-inline, c.want, c.ready, c.inline)
+		}
+	}
+	var none *SigBook
+	if !none.Verify(sig, digest) || none.Verify(forged, digest) || !none.Sign(bob, digest).Equal(bob.Sign(digest[:])) {
+		t.Fatal("a nil book does not verify or sign inline")
+	}
+	if book.Written != (SigTally{Inline: 1}) {
+		t.Fatalf("tally %+v: want the book's one cell written here", book.Written)
 	}
 }

@@ -215,11 +215,14 @@ type Work struct {
 	// and CallSigs the transactions clients signed, landed or not (the
 	// engine's participants make no plain transfers).
 	GraphSigs, DeploySigs, CallSigs uint64
-	// Transaction signatures verified by the run's SigCheckers ahead of
-	// the first read, by that read inline (the sum is every transaction
-	// verified), and reads that waited out a checker (ADR-021).
-	SigAhead, SigInline, SigWaited uint64
-	SigCheckers                    int
+	// Where ed25519 ran (ADR-021): transaction signatures written ahead
+	// of need by the run's SigCheckers or inline by their first read (the
+	// rest of DeploySigs + CallSigs nobody read, so nobody wrote), graph
+	// signatures ahead or at Start, multisig checks a presigned verdict
+	// answered or that verified inline, and reads that waited.
+	SigAhead, SigInline, GraphAhead, GraphInline uint64
+	MultisigReady, MultisigInline, SigWaited     uint64
+	SigCheckers                                  int
 }
 
 func (w *Work) add(o Work) {
@@ -235,6 +238,9 @@ func (w *Work) add(o Work) {
 	w.DeploySigs += o.DeploySigs
 	w.CallSigs += o.CallSigs
 	w.SigInline += o.SigInline
+	w.GraphInline += o.GraphInline
+	w.MultisigReady += o.MultisigReady
+	w.MultisigInline += o.MultisigInline
 	w.SigWaited += o.SigWaited
 }
 

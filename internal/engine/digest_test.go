@@ -121,49 +121,73 @@ func TestSeedDigests(t *testing.T) {
 }
 
 // TestSigCheckersLeaveNoTrace (ADR-021): the cores a run's workers leave
-// idle check transaction signatures ahead of need — GOMAXPROCS − workers
+// idle write and check signatures ahead of need — GOMAXPROCS − workers
 // checkers, none when there is no core to spare — and nothing the run
-// reports can tell. On the hostile mix (reorgs, re-announced and
-// resubmitted transactions) the aggregate and the trace are the same
-// bytes with 0, 1 and 3 checkers, and every signature is verified once:
-// what the checkers computed ahead plus what the worlds computed inline
-// is at least what the run without a checker verified — every
-// transaction a block builder asked about — and at most what the clients
-// signed (a checker also gets to the few a world submits and never
-// tries). How the sum splits is the host scheduler's business and stays
-// out of both artefacts.
+// reports can tell. For each protocol (AC3WN on the hostile mix, with its
+// reorgs, re-announced and resubmitted transactions, and with a 180 s
+// batch window; AC3TW; HTLC) the aggregate and the trace are the same
+// bytes at GOMAXPROCS 1, 2 and 4 with one and two workers. Every
+// transaction signature is written and verified once: what the checkers
+// did ahead plus what the worlds did inline is at least what the run
+// without a checker did — every transaction a block builder asked about —
+// and at most what the clients signed (a checker also gets to the few a
+// world submits and never tries). Every graph signature is written once,
+// ahead or when ms(D) is signed, and with a checker the constructors and
+// Trent read its verdict. How the sums split is the host scheduler's
+// business and stays out of both artefacts.
 func TestSigCheckersLeaveNoTrace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	wl := DefaultWorkload()
-	wl.Txs = 60
-	wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
-	var wantAgg, wantTrace []byte
-	var verified uint64
-	for _, tc := range []struct{ procs, workers, checkers int }{{1, 1, 0}, {2, 1, 1}, {4, 1, 3}, {2, 2, 0}} {
-		runtime.GOMAXPROCS(tc.procs)
-		agg := run(t, Config{Seed: 42, Shards: 4, Workers: tc.workers, Workload: wl, Trace: true})
-		aj, nd := artefacts(t, agg)
-		w := agg.Work
-		t.Logf("GOMAXPROCS %d, %d workers: %d checkers, %d ahead of need, %d inline, %d waited", tc.procs, tc.workers, w.SigCheckers, w.SigAhead, w.SigInline, w.SigWaited)
-		if w.SigCheckers != tc.checkers {
-			t.Errorf("GOMAXPROCS %d, %d workers: %d checkers, want %d", tc.procs, tc.workers, w.SigCheckers, tc.checkers)
-		}
-		if tc.checkers == 0 && w.SigAhead+w.SigWaited != 0 {
-			t.Errorf("no checker, yet %d verdicts ahead of need and %d waits", w.SigAhead, w.SigWaited)
-		}
-		if wantAgg == nil {
-			wantAgg, wantTrace, verified = aj, nd, w.SigInline
-			continue
-		}
-		if !bytes.Equal(aj, wantAgg) || !bytes.Equal(nd, wantTrace) {
-			t.Errorf("GOMAXPROCS %d, %d workers: aggregate or trace differs from the run without a checker", tc.procs, tc.workers)
-		}
-		if got := w.SigAhead + w.SigInline; got < verified || got > w.DeploySigs+w.CallSigs {
-			t.Errorf("GOMAXPROCS %d, %d workers: %d ahead + %d inline, want between the %d the run without a checker verified and the %d the clients signed",
-				tc.procs, tc.workers, w.SigAhead, w.SigInline, verified, w.DeploySigs+w.CallSigs)
-		}
-	}
-	if verified == 0 {
-		t.Fatal("fixture: nothing was verified")
+	hostile := Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
+	baseline := Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*Workload)
+	}{
+		{"ac3wn-hostile", func(wl *Workload) { wl.Mix = hostile }},
+		{"ac3wn-batch180", func(wl *Workload) { wl.BatchWindow = 180 * sim.Second }},
+		{"ac3tw", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoAC3TW, baseline, 30*sim.Minute }},
+		{"htlc", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoHTLC, baseline, 30*sim.Minute }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := DefaultWorkload()
+			wl.Txs = 60
+			tc.edit(&wl)
+			signsGraph := protocolOf(wl.Protocol).signsGraph
+			var wantAgg, wantTrace []byte
+			var verified uint64
+			for _, procs := range []int{1, 2, 4} {
+				for _, workers := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					agg := run(t, Config{Seed: 42, Shards: 4, Workers: workers, Workload: wl, Trace: true})
+					aj, nd := artefacts(t, agg)
+					w, checkers := agg.Work, max(procs-workers, 0)
+					at := fmt.Sprintf("GOMAXPROCS %d, %d workers", procs, workers)
+					t.Logf("%s: %+v", at, w)
+					if w.SigCheckers != checkers {
+						t.Errorf("%s: %d checkers, want %d", at, w.SigCheckers, checkers)
+					}
+					if checkers == 0 && w.SigAhead+w.GraphAhead+w.SigWaited+w.MultisigReady != 0 {
+						t.Errorf("%s: no checker, yet work ahead of need, waits or presigned verdicts: %+v", at, w)
+					}
+					if w.GraphAhead+w.GraphInline != w.GraphSigs || (checkers > 0 && signsGraph) != (w.MultisigReady > 0) {
+						t.Errorf("%s: %d graph signatures written ahead + %d inline of %d signed, %d presigned verdicts read", at, w.GraphAhead, w.GraphInline, w.GraphSigs, w.MultisigReady)
+					}
+					if wantAgg == nil {
+						wantAgg, wantTrace, verified = aj, nd, w.SigInline
+						continue
+					}
+					if !bytes.Equal(aj, wantAgg) || !bytes.Equal(nd, wantTrace) {
+						t.Errorf("%s: aggregate or trace differs from the run without a checker", at)
+					}
+					if got := w.SigAhead + w.SigInline; got < verified || got > w.DeploySigs+w.CallSigs {
+						t.Errorf("%s: %d ahead + %d inline, want between the %d the run without a checker verified and the %d the clients signed",
+							at, w.SigAhead, w.SigInline, verified, w.DeploySigs+w.CallSigs)
+					}
+				}
+			}
+			if verified == 0 {
+				t.Fatal("fixture: nothing was verified")
+			}
+		})
 	}
 }

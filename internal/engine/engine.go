@@ -339,7 +339,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 	}
 	close(idxCh)
 	wg.Wait()
-	ahead := sigs.Close()
+	ahead, graphAhead := sigs.Close()
 
 	for _, err := range errs {
 		if err != nil {
@@ -347,7 +347,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 		}
 	}
 	agg := e.assemble(results, recs)
-	agg.Work.SigAhead, agg.Work.SigCheckers = ahead, spare
+	agg.Work.SigAhead, agg.Work.GraphAhead, agg.Work.SigCheckers = ahead, graphAhead, spare
 	return agg, nil
 }
 

@@ -56,6 +56,9 @@ type protocolDef struct {
 	// batches: the protocol decides on a witness chain, so a shard-wide
 	// batching coordinator can carry its decisions (BatchWindow > 0).
 	batches bool
+	// signsGraph: the runner puts ms(D) on the graph at Start, so the
+	// shard presigns every AC2T's graph when it builds the world.
+	signsGraph bool
 	// downgrade maps a scenario the protocol cannot express to the one
 	// that runs in its place. Downgraded draws are counted in the
 	// aggregates, never silent.
@@ -66,8 +69,8 @@ type protocolDef struct {
 
 //ac3:globalstate the protocol table; written once here, read-only
 var protocols = []protocolDef{
-	{name: ProtoAC3WN, batches: true, newRunner: newAC3WN},
-	{name: ProtoAC3TW, newRunner: newAC3TW},
+	{name: ProtoAC3WN, batches: true, signsGraph: true, newRunner: newAC3WN},
+	{name: ProtoAC3TW, signsGraph: true, newRunner: newAC3TW},
 	// Hashlock contracts have no decision to race.
 	{name: ProtoHTLC, newRunner: newHTLC, downgrade: map[Scenario]Scenario{ScenarioRace: ScenarioCommit}},
 }

@@ -50,11 +50,13 @@ const (
 	batchStableDepth = 48
 )
 
-// txSpec is one generated AC2T: arrival offset, ring size, scenario.
+// txSpec is one generated AC2T: arrival offset, ring size, scenario,
+// and the graph over its parties (nil if it could not be built).
 type txSpec struct {
 	arrival  sim.Time
 	size     int
 	scenario Scenario
+	graph    *graph.Graph
 }
 
 // txState tracks one admitted AC2T through grading.
@@ -188,7 +190,11 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	e.res.MakespanVirtualMs = int64(s.Now())
 	e.res.Events = s.Executed
 	e.res.Drives, e.res.WakeupsSkipped = e.w.Drives, e.w.WakeupsSkipped
-	e.res.Work.GraphSigs = e.w.GraphSigs
+	e.res.Work.GraphSigs, e.res.Work.GraphInline = e.w.GraphSigs, e.w.GraphSigs // no book: all at Start
+	if b := e.w.Sigs; b != nil {
+		e.res.Work.GraphInline, e.res.Work.MultisigReady, e.res.Work.MultisigInline = b.Written.Inline, b.Ready, b.Checked.Inline
+		e.res.Work.SigWaited = b.Written.Waited + b.Checked.Waited
+	}
 	if e.coord != nil {
 		// Batch accounting is read once at shard end (the counters are
 		// plain ints mutated on the shard's single goroutine), then the
@@ -288,11 +294,21 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	e.parts = make([][]*xchain.Participant, txCount)
 	for i, spec := range e.specs {
 		ps := make([]*xchain.Participant, spec.size)
+		chains := make([]chain.ID, spec.size)
 		for j := range ps {
 			ps[j] = b.Participant(fmt.Sprintf("s%d-t%d-p%d", e.idx, i, j))
-			b.Fund(ps[j], e.chainOf(i, j), 200_000)
+			chains[j] = e.chainOf(i, j)
+			b.Fund(ps[j], chains[j], 200_000)
 		}
 		e.parts[i] = ps
+		// The graph is fixed here, so its signatures have the whole
+		// shard's lead time (ADR-021).
+		if g, err := graph.Ring(e.graphStamp(i), xchain.Addrs(ps), 10_000, chains); err == nil {
+			e.specs[i].graph = g
+			if e.proto.signsGraph {
+				b.Presign(g.Digest(), ps)
+			}
+		}
 	}
 	w, err := b.Build()
 	if err != nil {
@@ -382,12 +398,8 @@ func (e *shardExec) start(i int) {
 		st.base = e.sampleCounters()
 	}
 
-	chains := make([]chain.ID, spec.size)
-	for j := range chains {
-		chains[j] = e.chainOf(i, j)
-	}
-	g, err := graph.Ring(e.graphStamp(i), xchain.Addrs(ps), 10_000, chains)
-	if err != nil {
+	g := spec.graph
+	if g == nil {
 		// Generation bug — grade as stuck so the stream keeps moving.
 		e.finish(i, nil)
 		return
@@ -478,6 +490,13 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 	}
 	st.graded = true
 	st.hook = nil
+	if g := e.specs[i].graph; g != nil && e.w.Sigs != nil {
+		d := g.Digest()
+		for _, p := range e.parts[i] { // its presigned verdicts are spent
+			e.w.Sigs.Forget(d, p.Key)
+		}
+	}
+	e.specs[i].graph = nil
 	for _, fn := range st.cleanup {
 		fn()
 	}

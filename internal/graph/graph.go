@@ -146,12 +146,13 @@ func (g *Graph) Sign(keys ...*crypto.KeyPair) *crypto.MultiSig {
 }
 
 // VerifyMultisig reports whether ms is a complete, valid
-// multisignature of this graph by all its participants.
-func (g *Graph) VerifyMultisig(ms *crypto.MultiSig) bool {
+// multisignature of this graph by all its participants, taking the
+// verdicts sigs holds (nil: none) for the bytes they were computed on.
+func (g *Graph) VerifyMultisig(ms *crypto.MultiSig, sigs *crypto.SigBook) bool {
 	if ms == nil || ms.Digest != g.Digest() {
 		return false
 	}
-	return ms.Complete(g.Participants)
+	return ms.CompleteWith(g.Participants, sigs)
 }
 
 // index maps participants to dense ids for traversal.

@@ -175,19 +175,19 @@ func TestMultisigCompleteOnlyWithAllParticipants(t *testing.T) {
 	ks := testKeys(3)
 	g, _ := Ring(1, addrs(ks), 5, []chain.ID{"c"})
 	ms := g.Sign(ks[0], ks[1])
-	if g.VerifyMultisig(ms) {
+	if g.VerifyMultisig(ms, nil) {
 		t.Fatal("incomplete multisig verified")
 	}
 	ms.Add(ks[2])
-	if !g.VerifyMultisig(ms) {
+	if !g.VerifyMultisig(ms, nil) {
 		t.Fatal("complete multisig rejected")
 	}
 	// A multisig over a different graph does not verify.
 	other, _ := Ring(2, addrs(ks), 5, []chain.ID{"c"})
-	if other.VerifyMultisig(ms) {
+	if other.VerifyMultisig(ms, nil) {
 		t.Fatal("multisig verified against wrong graph")
 	}
-	if g.VerifyMultisig(nil) {
+	if g.VerifyMultisig(nil, nil) {
 		t.Fatal("nil multisig verified")
 	}
 }

@@ -243,9 +243,9 @@ func (c *Client) OnTipChange(fn func(TipSummary)) (*Sub, error) {
 // after heal, so a transaction submitted into a minority partition
 // still commits eventually.
 //
-// After Submit the signature bytes belong to the network: it offers them
-// to its signature checker, if it has one, so nothing may write tx.Sig
-// again (tamper on a chain.DecodeTx copy).
+// Submit offers the verdict to the network's signature checker, if any:
+// its claimant writes tx.Sig's bytes, everyone else reads them through
+// Encode or VerifySig (tamper on a chain.DecodeTx copy).
 //
 // Deliberately NOT modeled: the miner overlay's loss and latency
 // overlays. Client-to-miner submission is a reliable RPC with its own

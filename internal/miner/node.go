@@ -39,6 +39,7 @@ type Node struct {
 	share float64 // fraction of total hash power
 
 	mempool    *mempool
+	sealer     chain.Sealer
 	orphans    map[crypto.Hash][]*chain.Block // parent hash -> waiting blocks
 	alive      bool
 	mining     bool
@@ -143,7 +144,7 @@ func (n *Node) mineOne() {
 	txs := n.mempool.ordered()
 	b, built, invalid := n.Chain.BuildBlock(n.Key.Addr, n.sim.Now(), txs)
 	n.punishInvalid(invalid)
-	b.Header.Seal(n.rng.Uint64())
+	n.sealer.Seal(b.Header, n.rng.Uint64())
 	if _, err := n.Chain.AddMinedBlock(b, built); err != nil {
 		// Racing our own view cannot happen in a sequential sim.
 		panic(fmt.Sprintf("miner: own block rejected: %v", err))

@@ -89,7 +89,9 @@ func TestTipSummaryAccountsForEveryTipChange(t *testing.T) {
 // they happen (ADR-021): by the network's views when they compute a
 // verdict inline, by the signature checker when it got there first —
 // with a checker attached the sum is the same 1.0 per id, however the
-// host scheduler splits it. A submitted transaction's signature is not
+// host scheduler splits it. Each of those computations also writes the
+// signature (the client's transactions leave it to their verdict), so
+// the count is one signing and one verification per id. A submitted transaction's signature is not
 // ours to break any more, so the forgery is a decoded copy: a second
 // object, whose verdict nobody has computed.
 func TestSignaturesVerifyOncePerTransaction(t *testing.T) {
@@ -202,7 +204,7 @@ func verifyOncePerTransaction(t *testing.T, ck *crypto.SigChecker) {
 		t.Fatal("fixture: no transaction was mined on the losing fork and again after the reorg")
 	}
 
-	ahead := ck.Close()
+	ahead, _ := ck.Close()
 	sigs := net.Executor().Stats().Sigs
 	verified := ahead + sigs.Inline
 	if len(objects) != len(submitted) || verified != uint64(len(objects)) {
@@ -270,7 +272,7 @@ func TestForgedSubmissionRejectedAndPurgedWithChecker(t *testing.T) {
 				t.Fatalf("after %d failed builds: %d in the mempool, %d parked; want 0, 0", maxTxFailures+1, node.MempoolSize(), node.Chain.Parked())
 			}
 			st := node.Chain.Executor().Stats()
-			if ahead := ck.Close(); st.Rejected != 1 || st.ParkedSkips != maxTxFailures || ahead+st.Sigs.Inline != 1 {
+			if ahead, _ := ck.Close(); st.Rejected != 1 || st.ParkedSkips != maxTxFailures || ahead+st.Sigs.Inline != 1 {
 				t.Fatalf("tried %d times, skipped %d, verified %d ahead + %d inline; want 1, %d, and one verification",
 					st.Rejected, st.ParkedSkips, ahead, st.Sigs.Inline, maxTxFailures)
 			}

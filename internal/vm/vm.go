@@ -45,6 +45,7 @@ type Ctx struct {
 	ChainID string
 	Self    crypto.Address // the contract's own address
 	Msg     Msg
+	Sigs    *crypto.SigBook // read-only verdicts computed ahead of need (Registry.Sigs)
 
 	height    uint64 // of the block being applied; read through Height
 	time      int64  // of the block being applied; read through Time
@@ -122,6 +123,8 @@ func ErrUnknownFunction(typ, fn string) error {
 // fails validation, like sending initcode a node refuses to run.
 type Registry struct {
 	factories map[string]func() Contract
+	// Sigs is every deployment's Ctx.Sigs on the chain (nil: none).
+	Sigs *crypto.SigBook
 }
 
 // NewRegistry returns an empty registry.

@@ -33,8 +33,10 @@ type World struct {
 	// diagnostics, not part of any graded result).
 	Drives, WakeupsSkipped uint64
 	// GraphSigs counts the signatures put on graph multisignatures
-	// ms(D) by the runs hosted here (same standing).
+	// ms(D) by the runs hosted here (same standing). Sigs holds the ones
+	// written ahead of need (Builder.Presign; nil: none).
 	GraphSigs uint64
+	Sigs      *crypto.SigBook
 }
 
 // ChainSpec configures one chain of a world.
@@ -66,6 +68,7 @@ type Builder struct {
 	funding      map[string]map[chain.ID]vm.Amount
 	rng          *sim.RNG
 	sigs         *crypto.SigChecker
+	book         *crypto.SigBook
 }
 
 // NewBuilder starts a world definition on a fresh simulator.
@@ -116,10 +119,25 @@ func (b *Builder) Fund(p *Participant, id chain.ID, amount vm.Amount) *Builder {
 	return b
 }
 
+// Presign has ps sign digest ahead of need: Build queues the signatures
+// as the checker's background work, in this order (ADR-021). Without a
+// checker it does nothing.
+func (b *Builder) Presign(digest crypto.Hash, ps []*Participant) {
+	if b.sigs == nil {
+		return
+	}
+	if b.book == nil {
+		b.book = crypto.NewSigBook()
+	}
+	for _, p := range ps {
+		b.book.Add(digest, p.Key)
+	}
+}
+
 // Build wires the networks, attaches a client per participant per
 // chain, starts mining on every chain, and returns the world.
 func (b *Builder) Build() (*World, error) {
-	w := &World{Sim: b.s, Nets: make(map[chain.ID]*miner.Network)}
+	w := &World{Sim: b.s, Nets: make(map[chain.ID]*miner.Network), Sigs: b.book}
 	for _, spec := range b.specs {
 		alloc := chain.GenesisAlloc{}
 		for _, p := range b.participants {
@@ -129,6 +147,7 @@ func (b *Builder) Build() (*World, error) {
 		}
 		reg := vm.NewRegistry()
 		contracts.RegisterAll(reg)
+		reg.Sigs = b.book
 		net, err := miner.NewNetwork(b.s, miner.Config{
 			Params:   spec.Params,
 			Miners:   spec.Miners,
@@ -150,6 +169,7 @@ func (b *Builder) Build() (*World, error) {
 			p.clients[id] = miner.NewClient(w.Nets[id], i%len(w.Nets[id].Nodes), p.Key)
 		}
 	}
+	b.sigs.Background(b.book)
 	return w, nil
 }
 
