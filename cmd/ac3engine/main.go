@@ -195,9 +195,10 @@ func main() {
 		work.Rejected, work.Candidates, work.ParkedSkips, work.ParkedHigh,
 		work.GraphSigs+work.DeploySigs+work.CallSigs,
 		work.GraphSigs, work.DeploySigs, work.CallSigs)
-	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped, %d block requests sent, %d answered, orphan buffer high-water %d, mempool high-water %d\n",
+	fmt.Fprintf(os.Stderr, "adversity: %d forks observed, max reorg depth %d, %d msgs dropped, %d sync requests sent (%d retries), %d answered with %d blocks, orphan buffer high-water %d (%d evicted), mempool high-water %d\n",
 		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped,
-		work.GetBlockSent, work.GetBlockAnswered, work.OrphansHigh, work.MempoolHigh)
+		work.SyncSent, work.SyncRetries, work.SyncAnswered, work.BlocksServed,
+		work.OrphansHigh, work.OrphansEvicted, work.MempoolHigh)
 	fmt.Fprintf(os.Stderr, "sigcheck: %d ahead of need, %d inline, %d never read (transactions); %d ahead, %d inline (graph); %d ready, %d inline (multisig); %d waited, %d checkers\n",
 		work.SigAhead, work.SigInline, work.DeploySigs+work.CallSigs-work.SigAhead-work.SigInline,
 		work.GraphAhead, work.GraphInline, work.MultisigReady, work.MultisigInline, work.SigWaited, work.SigCheckers)

@@ -408,6 +408,42 @@ func (c *Chain) HeadersFrom(ancestor crypto.Hash) ([]*Header, bool) {
 	return out, true
 }
 
+// Locator names this view's canonical chain for a sync request, newest
+// first: the tip, its parent and grandparent, then the blocks 4, 8,
+// 16, … below the tip, ending with the lowest block the network still
+// holds — genesis, or the retire floor once history retires (every view
+// has released the blocks under it). Bitcoin's getheaders locator.
+func (c *Chain) Locator() []crypto.Hash {
+	tip, floor := c.tip.Header.Height, c.exec.retireFloor
+	var loc []crypto.Hash
+	for back := uint64(0); ; back = max(1, 2*back) {
+		if back >= tip-floor {
+			return append(loc, c.canonical[floor])
+		}
+		loc = append(loc, c.canonical[tip-back])
+	}
+}
+
+// BlocksAfter answers a sync request: the branch ending at want from
+// just after the newest block on it that locator names, oldest first,
+// at most limit blocks. For a want this view has not seen the branch
+// ends at its tip instead. Nil when the branch does not meet the
+// locator before leaving what this view holds.
+func (c *Chain) BlocksAfter(locator []crypto.Hash, want crypto.Hash, limit int) []*Block {
+	if !c.have[want] {
+		want = c.tip.Hash()
+	}
+	var branch []*Block
+	for b := c.exec.block(want); !slices.Contains(locator, b.Hash()); b = c.exec.block(b.Header.Parent) {
+		if !c.have[b.Header.Parent] {
+			return nil
+		}
+		branch = append(branch, b)
+	}
+	slices.Reverse(branch)
+	return branch[:min(len(branch), limit)]
+}
+
 // BuildBlock assembles a block extending the canonical tip with as
 // many valid mempool transactions as fit (the header is left unsealed;
 // the miner grinds it), working directly on an overlay of the

@@ -208,9 +208,9 @@ type Work struct {
 	// candidate, ParkedHigh the most one view held (chain.ExecStats).
 	Candidates, Rejected, ParkedSkips uint64
 	ParkedHigh                        int
-	// MsgGetBlock requests, and any node's fullest buffers (miner.Node).
-	GetBlockSent, GetBlockAnswered uint64
-	OrphansHigh, MempoolHigh       int
+	// Block sync and any node's fullest buffers (miner.Node).
+	SyncSent, SyncAnswered, BlocksServed, SyncRetries uint64
+	OrphansHigh, OrphansEvicted, MempoolHigh          int
 	// GraphSigs counts signatures on graph multisignatures; DeploySigs
 	// and CallSigs the transactions clients signed, landed or not (the
 	// engine's participants make no plain transfers).
@@ -230,9 +230,12 @@ func (w *Work) add(o Work) {
 	w.Rejected += o.Rejected
 	w.ParkedSkips += o.ParkedSkips
 	w.ParkedHigh = max(w.ParkedHigh, o.ParkedHigh)
-	w.GetBlockSent += o.GetBlockSent
-	w.GetBlockAnswered += o.GetBlockAnswered
+	w.SyncSent += o.SyncSent
+	w.SyncAnswered += o.SyncAnswered
+	w.BlocksServed += o.BlocksServed
+	w.SyncRetries += o.SyncRetries
 	w.OrphansHigh = max(w.OrphansHigh, o.OrphansHigh)
+	w.OrphansEvicted += o.OrphansEvicted
 	w.MempoolHigh = max(w.MempoolHigh, o.MempoolHigh)
 	w.GraphSigs += o.GraphSigs
 	w.DeploySigs += o.DeploySigs

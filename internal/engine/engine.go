@@ -72,11 +72,11 @@ type Config struct {
 // enginePruneDepth is the default state-GC horizon. It exceeds every
 // depth the system routinely reads after the fact: the deepest
 // confirmation depth in use (engineChainSpec sets 2) and the AC3WN SPV
-// checkpoint distance (core.DefaultStableDepth, 30). It does not exceed
-// the reorgs the adversity scenarios produce — max_reorg_depth measures
-// 40 at -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2 and 170 on the
-// hostile mix 4,1,1,1,2,2,2 at -txs 2000 (ROADMAP item 1(a) is to bound
-// it); those pivots are the deeper reads below. Past it a
+// checkpoint distance (core.DefaultStableDepth, 30). It is about the
+// deepest reorg the adversity scenarios produce since block sync went by
+// locator (ADR-022): max_reorg_depth measures 37 at -shards 8 -txs 1600
+// -seed 42 -mix 4,1,1,1,2,0,2 and 41 on the hostile mix 4,1,1,1,2,2,2
+// at -txs 2000; deeper pivots are the reads below. Past it a
 // block's overlay maps shrink to its retained delta — base layers have
 // been persistent tables sharing structure since ADR-016, so that is all
 // the horizon buys now: -prunedepth 512 costs +16 % peak sys both at

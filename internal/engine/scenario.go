@@ -326,8 +326,8 @@ func checkPartition(wl *Workload) error {
 }
 
 // applyLossy imposes sustained gossip loss on every network the AC2T
-// touches: blocks vanish in flight, so the orphan re-request
-// (MsgGetBlock) and EnsureTx resubmission paths must carry the run. The
+// touches: blocks vanish in flight, so locator sync and EnsureTx carry
+// the run (ADR-022: reorgs reach 6 blocks on -mix 4,1,1,1,0,2,0). The
 // overlay lifts when the transaction grades or after LossyFor,
 // whichever comes first — Overlay.Remove is idempotent, so the timer
 // and the grading cleanup can both fire.

@@ -40,11 +40,11 @@ const (
 	quiesceCheckEvery = sim.Minute
 	// batchStableDepth is how deep a published batch commitment must be
 	// buried before the shard's coordinator stops watching it for
-	// reorgs. 48 clears the partition + geo mix (max_reorg_depth 40 at
-	// -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2) and not the
-	// hostile one (170 at -mix 4,1,1,1,2,2,2 -txs 2000): a commitment
-	// rolled back from deeper is not republished, which ROADMAP item
-	// 1(a) (bound the reorg depth) owns. It must stay well inside the
+	// reorgs. 48 clears the partition + geo mix (max_reorg_depth 37 at
+	// -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2) and, since block
+	// sync went by locator (ADR-022), the hostile one too (41 at -mix
+	// 4,1,1,1,2,2,2 -txs 2000): a commitment rolled back from deeper is
+	// not republished. It must stay well inside the
 	// history-retirement horizon so the depth checks always see the
 	// transaction.
 	batchStableDepth = 48
@@ -227,8 +227,9 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 			SigInline: st.Sigs.Inline, SigWaited: st.Sigs.Waited,
 		})
 		for _, n := range net.Nodes {
-			e.res.Work.add(Work{GetBlockSent: n.GetBlockSent, GetBlockAnswered: n.GetBlockAnswered,
-				OrphansHigh: n.OrphansHigh, MempoolHigh: n.MempoolHigh})
+			e.res.Work.add(Work{SyncSent: n.SyncSent, SyncAnswered: n.SyncAnswered,
+				BlocksServed: n.BlocksServed, SyncRetries: n.SyncRetries,
+				OrphansHigh: n.OrphansHigh, OrphansEvicted: n.OrphansEvicted, MempoolHigh: n.MempoolHigh})
 		}
 		// Adversity accounting: how hard the network fought back.
 		e.res.ForksObserved += net.TotalReorgs()

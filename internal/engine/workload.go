@@ -58,9 +58,8 @@ type Mix struct {
 // function of the master seed.
 type Adversity struct {
 	// Loss is the per-message gossip drop probability a lossy-scenario
-	// AC2T imposes on every network it touches while in flight. The
-	// orphan re-request and EnsureTx resubmission paths must carry the
-	// run.
+	// AC2T imposes on every network it touches while in flight. Block
+	// sync and EnsureTx resubmission must carry the run.
 	Loss float64 `json:"loss"`
 	// LossyFor bounds a lossy window: the overlay lifts when the
 	// transaction grades or LossyFor elapses, whichever comes first —

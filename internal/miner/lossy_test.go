@@ -8,14 +8,14 @@ import (
 )
 
 // TestLossyGossipSelfHealsThroughOrphanRequests is the end-to-end
-// regression for the orphan-recovery path under the loss model: with
-// a sustained loss overlay on the miner gossip links, MsgBlock
-// broadcasts vanish in flight, nodes fall behind and buffer orphans,
-// and the only way back is the MsgGetBlock re-request path (itself
-// lossy, retried on every orphan re-arrival). After the overlay lifts
-// the network must reconverge on one canonical chain — proving the
-// re-request path carries real workloads, not just the hand-fed
-// chain-layer unit tests.
+// regression for block sync under the loss model: with a sustained loss
+// overlay on the miner gossip links, MsgBlock broadcasts vanish in
+// flight, nodes fall behind and buffer orphans, and the way back is a
+// locator request per orphan (MsgGetBlocks, itself lossy, retried at the
+// next peer when its round trip has passed). After the overlay lifts the
+// network must reconverge on one canonical chain, and the requests stay
+// fewer than the messages the loss model dropped: one round trip heals
+// a gap of any depth.
 func TestLossyGossipSelfHealsThroughOrphanRequests(t *testing.T) {
 	s, net, _ := testNet(t, 77, 3, p2p.LatencyModel{Base: 100, Jitter: 200})
 	net.Start()
@@ -31,8 +31,8 @@ func TestLossyGossipSelfHealsThroughOrphanRequests(t *testing.T) {
 		t.Fatal("loss overlay dropped nothing — the test exercised no adversity")
 	}
 
-	// Clean catch-up: every gap is healed by the next block's orphan
-	// re-request. Then stop mining and drain in-flight gossip.
+	// Clean catch-up: every gap is healed by the next block's sync
+	// request. Then stop mining and drain in-flight gossip.
 	s.RunUntil(12 * sim.Minute)
 	for _, n := range net.Nodes {
 		n.StopMining()
@@ -55,6 +55,13 @@ func TestLossyGossipSelfHealsThroughOrphanRequests(t *testing.T) {
 	}
 	if net.MsgsDropped() != net.P2P.Dropped {
 		t.Fatal("Network.MsgsDropped disagrees with the p2p counter")
+	}
+	var requests uint64
+	for _, n := range net.Nodes {
+		requests += n.SyncSent
+	}
+	if requests == 0 || requests > net.P2P.Dropped {
+		t.Fatalf("%d sync requests for %d dropped messages, want between 1 and the drops", requests, net.P2P.Dropped)
 	}
 }
 

@@ -7,6 +7,7 @@ package miner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
@@ -19,13 +20,41 @@ import (
 type (
 	// MsgBlock gossips a mined or adopted block.
 	MsgBlock struct{ Block *chain.Block }
-	// MsgGetBlock asks a peer for a block by hash (orphan recovery).
-	MsgGetBlock struct{ Hash crypto.Hash }
+	// MsgGetBlocks asks a peer for the blocks that lead from the sender's
+	// chain, named by its Chain.Locator, to Want: an orphan's parent.
+	MsgGetBlocks struct {
+		Locator []crypto.Hash
+		Want    crypto.Hash
+	}
+	// MsgBlocks answers MsgGetBlocks with consecutive blocks, oldest first.
+	MsgBlocks struct{ Blocks []*chain.Block }
 )
 
-// maxTxFailures bounds how often a mempool transaction may fail
-// validation during block building before the node purges it.
-const maxTxFailures = 25
+const (
+	// maxTxFailures bounds how often a mempool transaction may fail
+	// validation during block building before the node purges it.
+	maxTxFailures = 25
+
+	// maxSyncBlocks caps one MsgBlocks reply, which its receiver executes
+	// in the one event that delivers it. At twice the default stable depth
+	// (30) one round trip heals any fork the protocols are meant to
+	// survive; a node further behind asks again from the reply's end.
+	maxSyncBlocks = 64
+	// maxOrphans caps the orphan buffer; the oldest entry goes first. An
+	// orphan waits one round trip for its ancestry and an evicted one
+	// comes back in a sync reply, so the cap only binds on a node fed
+	// blocks it cannot connect.
+	maxOrphans = 64
+	// orphanTTL, in block intervals, ages out an orphan whose ancestry
+	// never came: by then its request has been retried at several peers.
+	orphanTTL = 10
+)
+
+// orphan is a buffered block whose parent the node has not seen.
+type orphan struct {
+	block *chain.Block
+	at    sim.Time // arrival
+}
 
 // Node is one mining node.
 type Node struct {
@@ -40,7 +69,10 @@ type Node struct {
 
 	mempool    *mempool
 	sealer     chain.Sealer
-	orphans    map[crypto.Hash][]*chain.Block // parent hash -> waiting blocks
+	orphans    []orphan    // oldest first
+	want       crypto.Hash // the latest sync request's: from whom, since when
+	wantFrom   p2p.NodeID
+	wantSince  sim.Time
 	alive      bool
 	mining     bool
 	interval   sim.Time    // network-wide mean block interval
@@ -50,14 +82,12 @@ type Node struct {
 	// experiments read it.
 	Mined int
 
-	// Sync and backlog counters (ROADMAP item 2(c)): MsgGetBlock requests
-	// this node sent and those it answered with a block, and the most
-	// orphans and pending transactions it ever held.
-	GetBlockSent     uint64
-	GetBlockAnswered uint64
-	OrphansHigh      int
-	MempoolHigh      int
-	orphaned         int // blocks in orphans now
+	// Sync and backlog counters: MsgGetBlocks sent (retries included),
+	// answered, the blocks served in the answers, retries to the next peer
+	// after a timeout, the most orphans and pending transactions held, and
+	// orphans evicted by the cap or by age.
+	SyncSent, SyncAnswered, BlocksServed, SyncRetries uint64
+	OrphansHigh, OrphansEvicted, MempoolHigh          int
 }
 
 // NewNode creates a node with its own chain view. share is the node's
@@ -73,7 +103,6 @@ func NewNode(s *sim.Sim, net *p2p.Network, id p2p.NodeID, c *chain.Chain, key *c
 		rng:        s.RNG().Fork(),
 		share:      share,
 		mempool:    &mempool{view: c, byID: make(map[crypto.Hash]*entry)},
-		orphans:    make(map[crypto.Hash][]*chain.Block),
 		alive:      true,
 		interval:   c.Params().BlockInterval,
 		tipChanged: s.NewSignal(),
@@ -131,6 +160,7 @@ func (n *Node) scheduleMining() {
 		if !n.alive || !n.mining {
 			return
 		}
+		n.tend()
 		n.mineOne()
 		n.scheduleMining()
 	})
@@ -167,19 +197,20 @@ func (n *Node) punishInvalid(invalid []*chain.Tx) {
 }
 
 // Crash stops the node (crash-stop): mining halts, messages are
-// dropped, the mempool is lost. The chain view (persistent storage)
-// survives.
+// dropped, the mempool, the orphan buffer and the pending sync request
+// are lost. The chain view (persistent storage) survives.
 func (n *Node) Crash() {
 	n.alive = false
 	n.mining = false
 	for _, tx := range n.mempool.ordered() {
 		n.mempool.remove(tx.ID())
 	}
+	n.orphans, n.want = nil, crypto.Hash{}
 	n.net.Crash(n.ID)
 }
 
 // Recover restarts a crashed node and its mining loop. The node
-// catches up on the chain through normal gossip (orphan requests).
+// catches up on the chain through normal gossip (sync requests).
 func (n *Node) Recover() {
 	if n.alive {
 		return
@@ -205,11 +236,16 @@ func (n *Node) handle(from p2p.NodeID, payload any) {
 	switch m := payload.(type) {
 	case MsgBlock:
 		n.acceptBlock(from, m.Block)
-	case MsgGetBlock:
-		if b, ok := n.Chain.Block(m.Hash); ok {
-			n.GetBlockAnswered++
-			n.net.Send(n.ID, from, MsgBlock{Block: b})
+		n.tend()
+	case MsgGetBlocks:
+		if bs := n.Chain.BlocksAfter(m.Locator, m.Want, maxSyncBlocks); len(bs) > 0 {
+			n.SyncAnswered++
+			n.BlocksServed += uint64(len(bs))
+			n.net.Send(n.ID, from, MsgBlocks{Blocks: bs})
 		}
+	case MsgBlocks:
+		n.acceptBlocks(from, m.Blocks)
+		n.tend()
 	}
 }
 
@@ -228,33 +264,19 @@ func (n *Node) SubmitLocal(tx *chain.Tx) {
 	n.MempoolHigh = max(n.MempoolHigh, n.mempool.size())
 }
 
-// acceptBlock validates and adopts a block, buffering orphans and
-// requesting their missing ancestors from the sender. Several orphans
-// may wait on one parent (competing fork children, or gossip racing
-// ahead of a catch-up), so the buffer keeps them all.
+// acceptBlock validates and adopts a block, buffering an orphan and
+// asking the sender for the blocks that lead to it. Several orphans may
+// wait on one parent (competing fork children, or gossip racing ahead of
+// a catch-up), so the buffer keeps them all.
 func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 	if b == nil || n.Chain.HasBlock(b.Hash()) {
 		return
 	}
 	if !n.Chain.HasBlock(b.Header.Parent) {
-		h := b.Hash()
-		buffered := false
-		for _, o := range n.orphans[b.Header.Parent] {
-			if o.Hash() == h {
-				buffered = true
-				break
-			}
-		}
-		if !buffered {
-			n.orphans[b.Header.Parent] = append(n.orphans[b.Header.Parent], b)
-			n.orphaned++
-			n.OrphansHigh = max(n.OrphansHigh, n.orphaned)
-		}
-		// Re-request the parent even for an already-buffered orphan: the
-		// earlier MsgGetBlock may have gone to a peer that crashed before
-		// answering, and this re-arrival is the only retry signal.
-		n.GetBlockSent++
-		n.net.Send(n.ID, from, MsgGetBlock{Hash: b.Header.Parent})
+		n.buffer(b)
+		// Ask again even for an already-buffered orphan: its re-arrival may
+		// come from a peer that can answer where the last one did not.
+		n.requestSync(from, b.Header.Parent, nil)
 		return
 	}
 	oldTip := n.Chain.Tip()
@@ -267,7 +289,7 @@ func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 		// already broadcast by its miner to every reachable node;
 		// re-flooding it would double the network's block traffic for
 		// nothing. Nodes that missed it (crashed, partitioned) catch up
-		// through the orphan-request path when the next block arrives.
+		// through a sync request when the next block arrives.
 		n.net.Broadcast(n.ID, MsgBlock{Block: b})
 	}
 	// Retire included transactions from the mempool.
@@ -275,13 +297,99 @@ func (n *Node) acceptBlock(from p2p.NodeID, b *chain.Block) {
 		n.mempool.remove(tx.ID())
 	}
 	// Every orphan waiting for this block can now be connected.
-	if children, ok := n.orphans[b.Hash()]; ok {
-		delete(n.orphans, b.Hash())
-		n.orphaned -= len(children)
-		for _, child := range children {
-			n.acceptBlock(from, child)
+	var children []*chain.Block
+	n.orphans = slices.DeleteFunc(n.orphans, func(o orphan) bool {
+		if o.block.Header.Parent != b.Hash() {
+			return false
 		}
+		children = append(children, o.block)
+		return true
+	})
+	for _, child := range children {
+		n.acceptBlock(from, child)
 	}
+}
+
+// buffer keeps an orphan until its parent connects, evicting the oldest
+// entry when the buffer is full.
+func (n *Node) buffer(b *chain.Block) {
+	if slices.ContainsFunc(n.orphans, func(o orphan) bool { return o.block.Hash() == b.Hash() }) {
+		return
+	}
+	if len(n.orphans) == maxOrphans {
+		n.evict(1)
+	}
+	n.orphans = append(n.orphans, orphan{block: b, at: n.sim.Now()})
+	n.OrphansHigh = max(n.OrphansHigh, len(n.orphans))
+}
+
+// evict drops the k oldest orphans.
+func (n *Node) evict(k int) {
+	n.OrphansEvicted += k
+	n.orphans = slices.Delete(n.orphans, 0, k)
+}
+
+// awaits reports whether a buffered orphan waits on block h.
+func (n *Node) awaits(h crypto.Hash) bool {
+	return slices.ContainsFunc(n.orphans, func(o orphan) bool { return o.block.Header.Parent == h })
+}
+
+// requestSync asks peer for the blocks that lead from this node's chain
+// to want. A non-nil after heads the locator: the end of a capped reply,
+// which need not have become canonical here.
+func (n *Node) requestSync(peer p2p.NodeID, want crypto.Hash, after *chain.Block) {
+	loc := n.Chain.Locator()
+	if after != nil {
+		loc = append([]crypto.Hash{after.Hash()}, loc...)
+	}
+	n.SyncSent++
+	n.want, n.wantFrom, n.wantSince = want, peer, n.sim.Now()
+	n.net.Send(n.ID, peer, MsgGetBlocks{Locator: loc, Want: want})
+}
+
+// acceptBlocks adopts a sync reply in order, stopping at the first block
+// that does not connect, and asks the same peer for the rest when a full
+// reply stopped short of what the latest request wants.
+func (n *Node) acceptBlocks(from p2p.NodeID, bs []*chain.Block) {
+	for _, b := range bs {
+		if !n.Chain.HasBlock(b.Header.Parent) {
+			return
+		}
+		n.acceptBlock(from, b)
+	}
+	if len(bs) == maxSyncBlocks && n.awaits(n.want) {
+		n.requestSync(from, n.want, bs[len(bs)-1])
+	}
+}
+
+// tend runs on events the node has anyway — a block arriving, its own
+// mining tick — so recovery arms no timer: orphans older than orphanTTL
+// go, and a sync request still unanswered after the longest round trip
+// the links allow is sent again, to the next peer. A retry across a
+// partition is dropped at send time.
+func (n *Node) tend() {
+	now := n.sim.Now()
+	fresh := slices.IndexFunc(n.orphans, func(o orphan) bool { return now-o.at <= orphanTTL*n.interval })
+	if fresh < 0 {
+		fresh = len(n.orphans)
+	}
+	n.evict(fresh)
+	link := n.net.Effective()
+	if now-n.wantSince > 2*(link.Base+link.Jitter) && n.awaits(n.want) {
+		n.SyncRetries++
+		n.requestSync(n.nextPeer(n.wantFrom), n.want, nil)
+	}
+}
+
+// nextPeer is the node after peer in the network's registration order,
+// skipping this one.
+func (n *Node) nextPeer(peer p2p.NodeID) p2p.NodeID {
+	ids := n.net.Nodes()
+	i := slices.Index(ids, peer) + 1
+	if ids[i%len(ids)] == n.ID {
+		i++
+	}
+	return ids[i%len(ids)]
 }
 
 // MempoolSize reports the number of pending transactions.

@@ -38,12 +38,12 @@ func TestOrphansSharingParentAllConnect(t *testing.T) {
 	// Children first: both buffer as orphans under the same parent.
 	node.acceptBlock(node.ID, b2a)
 	node.acceptBlock(node.ID, b2b)
-	if len(node.orphans[b1.Hash()]) != 2 {
-		t.Fatalf("orphan buffer holds %d children of b1, want 2", len(node.orphans[b1.Hash()]))
+	if len(node.orphans) != 2 || !node.awaits(b1.Hash()) {
+		t.Fatalf("orphan buffer holds %d blocks, want b1's 2 children", len(node.orphans))
 	}
 	// Re-delivery must not duplicate the buffered orphan.
 	node.acceptBlock(node.ID, b2a)
-	if len(node.orphans[b1.Hash()]) != 2 {
+	if len(node.orphans) != 2 {
 		t.Fatal("re-delivered orphan duplicated in buffer")
 	}
 
