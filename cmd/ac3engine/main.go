@@ -8,7 +8,7 @@
 //	          [-protocol ac3wn|ac3tw|htlc] [-timeout min]
 //	          [-mix commit,abort,crash,race[,partition,lossy,geo]]
 //	          [-batchwindow sec] [-progress] [-strict] [-execbudget N]
-//	          [-prunedepth N] [-membudget MiB] [-memlimit MiB]
+//	          [-prunedepth N] [-membudget MiB]
 //	          [-trace file] [-tracechrome file]
 //	          [-cpuprofile file] [-memprofile file]
 //
@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"runtime/pprof"
 	"time"
 
@@ -80,16 +79,12 @@ func main() {
 	execBudget := flag.Float64("execbudget", 0, "max blocks executed per settled AC2T (0 = unchecked); guards the shared-executor N-times-to-once win")
 	pruneDepth := flag.Int("prunedepth", 0, "executor state-GC horizon in blocks (0 = engine default, negative = retain every state)")
 	memBudget := flag.Float64("membudget", 0, "max peak process memory in MiB via runtime sampling (0 = unchecked); guards the flat-memory-in-tx-count invariant")
-	memLimit := flag.Float64("memlimit", 0, "soft runtime memory limit in MiB (GOMEMLIMIT; 0 = none) — caps GC overshoot at the cost of more frequent collections")
 	traceOut := flag.String("trace", "", "write the deterministic trace as NDJSON to this file")
 	traceChrome := flag.String("tracechrome", "", "write the trace as Chrome trace_event JSON (Perfetto-loadable) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
 
-	if *memLimit > 0 {
-		debug.SetMemoryLimit(int64(*memLimit * (1 << 20)))
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

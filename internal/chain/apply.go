@@ -40,20 +40,23 @@ func blockErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBlockInvalid, fmt.Sprintf(format, args...))
 }
 
-// ApplyTx validates tx against st and, if valid, mutates st with its
-// effects. st must be the overlay layer being built for the current
-// block. height/time describe that block. The registry instantiates
-// deployed contracts.
+// ApplyTx validates tx against st and, if valid, writes its effects to
+// st. st is any writable state — the overlay layer being built for the
+// current block, or a private base. height/time describe that block.
+// The registry instantiates deployed contracts.
 //
 // The miner-side rule of Section 2.3 is enforced here: signatures must
 // be by the owner of every input, double spends are rejected, and
 // value is conserved (inputs = outputs + locked value; genesis and
-// coinbase mint by construction).
+// coinbase mint by construction). A transaction is applied all or
+// nothing — one ApplyTx rejects leaves st as it found it — so a block
+// that carries a contract call proves the call succeeded.
 func ApplyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx) error {
 	return applyTx(st, reg, chainID, height, blockTime, tx, &crypto.SigTally{})
 }
 
 // applyTx is ApplyTx noting in sigs how the signature verdict was come by.
+// Every check reads st and none writes it; commit writes once they pass.
 func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	switch tx.Kind {
 	case TxGenesis:
@@ -86,20 +89,19 @@ func applyMint(st *State, tx *Tx) error {
 	if len(tx.Outs) == 0 {
 		return txErr("mint with no outputs")
 	}
-	id := tx.ID()
 	for i, out := range tx.Outs {
 		if out.Owner.IsZero() {
 			return txErr("mint output %d to zero address", i)
 		}
-		st.AddUTXO(OutPoint{TxID: id, Index: uint32(i)}, out)
 	}
+	addOutputs(st, tx)
 	return nil
 }
 
-// consumeInputs validates and spends tx.Ins, returning their total
-// value. Every input must exist, be unspent, and be owned by the
-// transaction's signer.
-func consumeInputs(st *State, tx *Tx, sigs *crypto.SigTally) (vm.Amount, error) {
+// checkInputs validates tx.Ins and returns their total value. Every
+// input must exist, be unspent, and be owned by the transaction's
+// signer.
+func checkInputs(st *State, tx *Tx, sigs *crypto.SigTally) (vm.Amount, error) {
 	if len(tx.Ins) == 0 {
 		return 0, nil
 	}
@@ -123,15 +125,11 @@ func consumeInputs(st *State, tx *Tx, sigs *crypto.SigTally) (vm.Amount, error) 
 		}
 		total += out.Value
 	}
-	for _, in := range tx.Ins {
-		st.Spend(in.Prev)
-	}
 	return total, nil
 }
 
-// creditOutputs adds tx.Outs as new UTXOs.
-func creditOutputs(st *State, tx *Tx) (vm.Amount, error) {
-	id := tx.ID()
+// checkOutputs validates tx.Outs and returns their total value.
+func checkOutputs(tx *Tx) (vm.Amount, error) {
 	var total vm.Amount
 	for i, out := range tx.Outs {
 		if out.Owner.IsZero() {
@@ -140,7 +138,6 @@ func creditOutputs(st *State, tx *Tx) (vm.Amount, error) {
 		if out.Value == 0 {
 			return 0, txErr("output %d has zero value", i)
 		}
-		st.AddUTXO(OutPoint{TxID: id, Index: uint32(i)}, out)
 		total += out.Value
 	}
 	return total, nil
@@ -153,17 +150,18 @@ func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 	if tx.Value != 0 || tx.ContractType != "" || tx.Fn != "" {
 		return txErr("transfer carries contract fields")
 	}
-	in, err := consumeInputs(st, tx, sigs)
+	in, err := checkInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
-	out, err := creditOutputs(st, tx)
+	out, err := checkOutputs(tx)
 	if err != nil {
 		return err
 	}
 	if in != out {
 		return txErr("value not conserved: in=%d out=%d", in, out)
 	}
+	commit(st, tx, nil, nil)
 	return nil
 }
 
@@ -179,11 +177,11 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	if len(tx.Ins) == 0 && !tx.verifySig(sigs) {
 		return txErr("bad signature")
 	}
-	in, err := consumeInputs(st, tx, sigs)
+	in, err := checkInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
-	change, err := creditOutputs(st, tx)
+	change, err := checkOutputs(tx)
 	if err != nil {
 		return err
 	}
@@ -207,11 +205,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	if err := c.Init(ctx, tx.Params); err != nil {
 		return &txRejection{"constructor of %s failed: %v", []any{tx.ContractType, err}, ctx.ReadClock()}
 	}
-	if err := settlePayouts(st, ctx, tx.ID()); err != nil {
-		return err
-	}
-	st.PutContract(addr, c)
-	st.SetBalance(addr, ctx.Balance())
+	commit(st, tx, c, ctx)
 	return nil
 }
 
@@ -227,46 +221,65 @@ func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx, si
 	if len(tx.Ins) == 0 && !tx.verifySig(sigs) {
 		return txErr("bad signature")
 	}
-	in, err := consumeInputs(st, tx, sigs)
+	in, err := checkInputs(st, tx, sigs)
 	if err != nil {
 		return err
 	}
-	change, err := creditOutputs(st, tx)
+	change, err := checkOutputs(tx)
 	if err != nil {
 		return err
 	}
 	if in != change+tx.Value {
 		return txErr("call value not conserved: in=%d change=%d sent=%d", in, change, tx.Value)
 	}
-	c, ok := st.ContractForWrite(tx.Contract)
+	stored, ok := st.Contract(tx.Contract)
 	if !ok {
 		return txErr("no contract at %s", tx.Contract)
 	}
+	// A stored contract object is shared by every state that holds it
+	// and never written: the call runs on a copy, stored if it succeeds.
+	c := stored.Clone()
 	balance := st.Balance(tx.Contract) + tx.Value
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
 	ctx := vm.NewCtx(string(chainID), tx.Contract, height, blockTime, msg, balance)
 	if err := c.Call(ctx, tx.Fn, tx.Args); err != nil {
 		return &txRejection{"call %s.%s failed: %v", []any{tx.Contract, tx.Fn, err}, ctx.ReadClock()}
 	}
-	if err := settlePayouts(st, ctx, tx.ID()); err != nil {
-		return err
-	}
-	st.SetBalance(tx.Contract, ctx.Balance())
+	commit(st, tx, c, ctx)
 	return nil
 }
 
-// settlePayouts materializes contract payouts as UTXOs owned by the
-// recipients, indexed after the transaction's own outputs so the two
-// ranges never collide.
-func settlePayouts(st *State, ctx *vm.Ctx, txID crypto.Hash) error {
+// commit writes the effects of a transaction that passed every check:
+// its inputs spent and its outputs added, then — for a deploy or a call,
+// whose contract object c ran in ctx — the contract's payouts as UTXOs
+// owned by the recipients, indexed after the transaction's own outputs
+// so the two ranges never collide, and the contract and its balance
+// stored at its address.
+func commit(st *State, tx *Tx, c vm.Contract, ctx *vm.Ctx) {
+	for _, in := range tx.Ins {
+		st.Spend(in.Prev)
+	}
+	addOutputs(st, tx)
+	if c == nil {
+		return
+	}
+	id := tx.ID()
 	base := uint32(1 << 16) // payout index space, disjoint from tx.Outs
 	for i, p := range ctx.Payouts() {
-		if p.Value == 0 {
-			continue
+		if p.Value != 0 {
+			st.AddUTXO(OutPoint{TxID: id, Index: base + uint32(i)}, TxOut{Value: p.Value, Owner: p.To})
 		}
-		st.AddUTXO(OutPoint{TxID: txID, Index: base + uint32(i)}, TxOut{Value: p.Value, Owner: p.To})
 	}
-	return nil
+	st.PutContract(ctx.Self, c)
+	st.SetBalance(ctx.Self, ctx.Balance())
+}
+
+// addOutputs adds tx.Outs as new UTXOs.
+func addOutputs(st *State, tx *Tx) {
+	id := tx.ID()
+	for i, out := range tx.Outs {
+		st.AddUTXO(OutPoint{TxID: id, Index: uint32(i)}, out)
+	}
 }
 
 // ApplyBlock validates the block against the parent state and returns
@@ -310,18 +323,14 @@ func applyBlock(parent *State, reg *vm.Registry, params Params, b *Block, sigs *
 	seen := make(map[crypto.Hash]bool, len(b.Txs))
 	for i, tx := range b.Txs {
 		if i > 0 && tx.Kind == TxCoinbase {
-			st.recycle()
 			return nil, blockErr("coinbase at index %d", i)
 		}
 		id := tx.ID()
 		if seen[id] {
-			st.recycle()
 			return nil, blockErr("duplicate tx %s", id)
 		}
 		seen[id] = true
 		if err := applyTx(st, reg, params.ID, b.Header.Height, b.Header.Time, tx, sigs); err != nil {
-			// The scratch child never escaped this call; reclaim it.
-			st.recycle()
 			return nil, fmt.Errorf("%w: tx %d (%s): %v", ErrBlockInvalid, i, tx.Kind, err)
 		}
 	}

@@ -117,7 +117,7 @@ func benchState(n int) *State {
 		st.AddUTXO(OutPoint{Index: uint32(i)}, TxOut{Value: 1, Owner: owner(i / 4)})
 	}
 	for layer := range flattenDepth {
-		st = st.overlay()
+		st = st.Child()
 		for j := range 4 {
 			i := n + layer*4 + j
 			st.AddUTXO(OutPoint{Index: uint32(i)}, TxOut{Value: 1, Owner: owner(i / 4)})

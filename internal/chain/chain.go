@@ -448,14 +448,13 @@ func (c *Chain) BlocksAfter(locator []crypto.Hash, want crypto.Hash, limit int) 
 // many valid mempool transactions as fit (the header is left unsealed;
 // the miner grinds it), working directly on an overlay of the
 // executor's shared tip state. Each candidate transaction is applied
-// to a scratch overlay first and only folded in on success, so a
-// failing transaction leaves no partial effects behind and the
-// returned state is exactly ApplyBlock's verdict on the returned block
-// — miners hand both to AddMinedBlock and the network never executes
-// the block again. invalid lists transactions that failed validation
-// while capacity remained — candidates for the miner to purge;
-// transactions merely skipped for capacity are not reported and should
-// stay in the mempool. time is the miner's current virtual time.
+// straight to that layer — ApplyTx writes nothing for one it rejects —
+// so the returned state is exactly ApplyBlock's verdict on the returned
+// block: miners hand both to AddMinedBlock and the network never
+// executes the block again. invalid lists transactions that failed
+// validation while capacity remained — candidates for the miner to
+// purge; transactions merely skipped for capacity are not reported and
+// should stay in the mempool. time is the miner's current virtual time.
 // mempool is not retained. A rejected candidate is parked (ADR-020):
 // failed without a trial until something its verdict read is written.
 func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (b *Block, built *State, invalid []*Tx) {
@@ -496,22 +495,14 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 			if c.parked[tx.ID()] != nil {
 				c.exec.stats.ParkedSkips++
 			} else {
-				// Trial overlay: a failing transaction (e.g. a contract
-				// call rejected after its inputs were consumed) is
-				// discarded wholesale instead of contaminating the block
-				// state under construction.
-				trial := st.overlay()
 				c.exec.stats.Candidates++
-				err := applyTx(trial, c.exec.reg, params.ID, height, time, tx, &c.exec.stats.Sigs)
+				err := applyTx(st, c.exec.reg, params.ID, height, time, tx, &c.exec.stats.Sigs)
 				if err == nil {
-					st.absorb(trial)
-					trial.recycle()
 					txs = append(txs, tx)
 					c.wrote(tx) // perhaps what a candidate parked earlier waits for
 					progress = true
 					continue
 				}
-				trial.recycle()
 				c.exec.stats.Rejected++
 				if rej, ok := err.(*txRejection); ok && !rej.clock {
 					c.park(tx)

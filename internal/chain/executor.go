@@ -125,11 +125,12 @@ type ExecStats struct {
 	Retired uint64
 	// StatesLive is the number of per-block states currently retained.
 	StatesLive int
-	// Candidates counts the mempool transactions BuildBlock tried on a
-	// trial overlay, once per pass that tried them, and Rejected those
-	// that did not apply — work thrown away, most of it a transaction
-	// whose turn has not come or has passed. ParkedSkips counts offers
-	// of a parked candidate (ADR-020), ParkedHigh the most one view held.
+	// Candidates counts the mempool transactions BuildBlock applied to
+	// the block under construction, once per pass that tried them, and
+	// Rejected those that did not apply — work thrown away, most of it a
+	// transaction whose turn has not come or has passed. ParkedSkips
+	// counts offers of a parked candidate (ADR-020), ParkedHigh the most
+	// one view held.
 	Candidates, Rejected, ParkedSkips uint64
 	ParkedHigh                        int
 	// Sigs counts the signature verdicts this network's views computed
@@ -514,7 +515,6 @@ func (e *Executor) advanceFloor(bh crypto.Hash) {
 		}
 		e.stats.Replays++
 		e.floor.absorb(st)
-		st.recycle()
 	}
 	e.ckpt = bh
 }

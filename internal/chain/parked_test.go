@@ -40,14 +40,10 @@ func buildReference(c *Chain, miner crypto.Address, time sim.Time, mempool []*Tx
 				full = true
 				break
 			}
-			trial := st.overlay()
-			if err := ApplyTx(trial, c.exec.reg, params.ID, height, time, tx); err != nil {
-				trial.recycle()
+			if err := ApplyTx(st, c.exec.reg, params.ID, height, time, tx); err != nil {
 				failed = append(failed, tx)
 				continue
 			}
-			st.absorb(trial)
-			trial.recycle()
 			txs = append(txs, tx)
 			progress = true
 		}

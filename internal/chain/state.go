@@ -23,16 +23,14 @@ const flattenDepth = 48
 //
 // A layer with a parent is an overlay and holds exactly the changes
 // made on top of that parent, in four small maps — for a block's state,
-// the block's own delta (see blockDelta). A layer without a parent is a
-// base and holds the whole ledger, in persistent tables (see base): no
-// maps, no tombstones.
+// the block's own delta (see blockDelta); it is the only layer a block
+// writes. A layer without a parent is a base and holds the whole ledger,
+// in persistent tables (see base): no maps, no tombstones. Every contract
+// object a state holds is immutable once stored — a call runs on a
+// Clone (ApplyTx) — so layers and bases share them freely.
 type State struct {
 	parent *State
 	depth  int
-
-	// pool recycles this tree's overlay layers. Every layer of one
-	// network's state tree shares the tree root's pool; see statePool.
-	pool *statePool
 
 	// An overlay's own changes; nil on a base.
 	utxos     map[OutPoint]TxOut
@@ -53,8 +51,10 @@ type State struct {
 type base struct {
 	// gen names this base among the bases of its tree. A table node
 	// tagged with another generation is shared and is copied before it
-	// is written.
-	gen uint64
+	// is written. gens counts the generations handed out in the tree;
+	// every base of one tree shares it.
+	gen  uint64
+	gens *uint64
 
 	utxos     table[utxoKey, TxOut]
 	contracts table[crypto.Address, vm.Contract]
@@ -103,76 +103,24 @@ func ownedBy(owner crypto.Address, op utxoKey) (k ownedKey) {
 
 func (k ownedKey) outPoint() OutPoint { return utxoKey(k[crypto.AddressSize:]).outPoint() }
 
-// statePool recycles overlay layers within one state tree. Block
-// building churns through one trial overlay per candidate transaction
-// (discarded on failure, absorbed and discarded on success), which at
-// 100k+ AC2Ts dominates the allocation profile; recycling the four
-// little maps keeps allocs-per-AC2T flat. Only provably unshared
-// layers may be recycled — states admitted to an executor are shared
-// across views and must never re-enter the pool.
-//
-// The pool is per tree (one per network's genesis base), not process-
-// global: recycling used to go through a shared sync.Pool, which was
-// the one piece of cross-shard-world mutable state in this package —
-// exactly what the determinism contract forbids (ac3lint: shardworld,
-// globalstate). A plain free list is also cheaper here, because
-// everything in one tree runs on its shard world's single goroutine.
-type statePool struct {
-	free []*State
-	gens uint64 // base generations handed out in this tree
+// nextGen hands out a generation no base of b's tree has held.
+func (b *base) nextGen() uint64 {
+	*b.gens++
+	return *b.gens
 }
 
-func (p *statePool) get() *State {
-	if n := len(p.free) - 1; n >= 0 {
-		s := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		return s
-	}
-	return &State{
-		pool:      p,
-		utxos:     make(map[OutPoint]TxOut),
-		spent:     make(map[OutPoint]bool),
-		contracts: make(map[crypto.Address]vm.Contract),
-		balances:  make(map[crypto.Address]vm.Amount),
-	}
-}
-
-func (p *statePool) put(s *State) {
-	p.free = append(p.free, s)
-}
-
-func (p *statePool) nextGen() uint64 {
-	p.gens++
-	return p.gens
-}
-
-// recycle clears s and returns it to the pool. The caller asserts it
-// holds the last reference (true for BuildBlock trial overlays and for
-// ApplyBlock's error-path scratch child — both are invisible outside
-// the call that created them).
-func (s *State) recycle() {
-	s.parent = nil
-	s.depth = 0
-	clear(s.utxos)
-	clear(s.spent)
-	clear(s.contracts)
-	clear(s.balances)
-	s.pool.put(s)
-}
-
-// NewState returns an empty base state rooting a fresh tree (and a
-// fresh overlay pool).
+// NewState returns an empty base state rooting a fresh tree.
 func NewState() *State {
-	pool := &statePool{}
-	return &State{pool: pool, base: &base{gen: pool.nextGen()}}
+	b := &base{gens: new(uint64)}
+	b.gen = b.nextGen()
+	return &State{base: b}
 }
 
 // Child returns a fresh overlay on top of s. When the overlay chain
 // has grown to flattenDepth it is collapsed *behind* the child: the
 // child is still an empty overlay (so whatever is applied to it is
-// exactly its own delta, and ContractForWrite clones before writing),
-// on a new base instead of on s. s itself is never modified.
+// exactly its own delta), on a new base instead of on s. s itself is
+// never modified.
 func (s *State) Child() *State {
 	if s.depth >= flattenDepth {
 		return s.flatten().overlay()
@@ -181,22 +129,23 @@ func (s *State) Child() *State {
 }
 
 // overlay returns a direct child layer unconditionally — no flatten
-// check. Block building uses it for per-transaction trial layers,
-// which are either discarded (the transaction failed) or folded back
-// into s with absorb, so they must never turn into deep copies. The
-// layer comes from statePool; recycle() returns it.
+// check; Child is its caller.
 func (s *State) overlay() *State {
-	c := s.pool.get()
-	c.parent = s
-	c.depth = s.depth + 1
-	return c
+	return &State{
+		parent:    s,
+		depth:     s.depth + 1,
+		utxos:     make(map[OutPoint]TxOut),
+		spent:     make(map[OutPoint]bool),
+		contracts: make(map[crypto.Address]vm.Contract),
+		balances:  make(map[crypto.Address]vm.Amount),
+	}
 }
 
-// absorb folds a direct child overlay's deltas into s. t must have
-// been created by s.overlay() (or be the next layer up when s is a
-// base under construction) and is left untouched. Within one layer an
-// outpoint lands in at most one of the utxo/spent maps, so the fold
-// order is immaterial.
+// absorb folds overlay t's own changes into s, a base under
+// construction (flatten, the executor's floor) that reads as t's
+// parent does. t is left untouched. Within one layer an outpoint lands
+// in at most one of the utxo/spent maps, so the fold order is
+// immaterial.
 func (s *State) absorb(t *State) {
 	for op := range t.spent {
 		s.Spend(op)
@@ -215,9 +164,8 @@ func (s *State) absorb(t *State) {
 // flatten collapses the overlay chain into a single base state: a
 // clone of the bottom base with the overlays above it absorbed oldest
 // first. Contract objects are shared, not cloned — they are immutable
-// once written to a layer (every mutation path goes through
-// ContractForWrite's copy-on-write clone). The flattened base stays in
-// s's tree: it inherits the pool rather than rooting a new one.
+// once stored. The flattened base stays in s's tree and shares its
+// generation counter.
 func (s *State) flatten() *State {
 	layers := make([]*State, 0, s.depth)
 	cur := s
@@ -237,9 +185,9 @@ func (s *State) flatten() *State {
 // write.
 func (s *State) clone() *State {
 	b := *s.base
-	b.gen = s.pool.nextGen()
-	s.base.gen = s.pool.nextGen()
-	return &State{pool: s.pool, base: &b}
+	b.gen = b.nextGen()
+	s.base.gen = b.nextGen()
+	return &State{base: &b}
 }
 
 // blockDelta is what one block changed, as flat slices: the contents
@@ -353,8 +301,8 @@ func (s *State) Spend(op OutPoint) {
 }
 
 // Contract returns the live contract object at addr for *reading*.
-// Callers must not mutate the result; use ContractForWrite inside
-// block application.
+// It is shared by every state that holds it: to change it, store a
+// Clone with PutContract, as ApplyTx does for a call.
 func (s *State) Contract(addr crypto.Address) (vm.Contract, bool) {
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
@@ -365,22 +313,8 @@ func (s *State) Contract(addr crypto.Address) (vm.Contract, bool) {
 	return cur.base.contracts.get(addr)
 }
 
-// ContractForWrite returns a contract clone owned by this overlay
-// layer, creating the copy-on-write entry on first access.
-func (s *State) ContractForWrite(addr crypto.Address) (vm.Contract, bool) {
-	if c, ok := s.contracts[addr]; ok {
-		return c, true
-	}
-	c, ok := s.Contract(addr)
-	if !ok {
-		return nil, false
-	}
-	cl := c.Clone()
-	s.PutContract(addr, cl)
-	return cl, true
-}
-
-// PutContract stores a freshly deployed contract.
+// PutContract stores a contract object at addr: a freshly deployed one,
+// or a called one's clone. It must not be written afterwards.
 func (s *State) PutContract(addr crypto.Address, c vm.Contract) {
 	if b := s.base; b != nil {
 		b.contracts.put(b.gen, addr, c)

@@ -114,19 +114,20 @@ func (m *stateModel) write(st *State, ref modelLedger) {
 			ref.contracts[a] = v
 			st.SetBalance(a, 7)
 			ref.balances[a] = 7
-		case 6:
+		case 6: // a call: the stored object is cloned, the clone written and stored
 			if len(m.addrs) == 0 {
 				continue
 			}
 			a := m.addrs[m.rng.Intn(len(m.addrs))]
-			c, ok := st.ContractForWrite(a)
+			c, ok := st.Contract(a)
 			if _, want := ref.contracts[a]; ok != want {
-				m.t.Fatalf("ContractForWrite(%s) found=%v, the model says %v", a, ok, want)
+				m.t.Fatalf("Contract(%s) found=%v, the model says %v", a, ok, want)
 			}
 			if ok {
-				v := c.(*vault)
+				v := c.Clone().(*vault)
 				v.Key++
 				v.Open = !v.Open
+				st.PutContract(a, v)
 				ref.contracts[a] = *v
 			}
 		default:
@@ -157,26 +158,15 @@ func (m *stateModel) step() {
 		if i == m.tip {
 			m.tip = len(m.nodes) - 1 // so overlay chains grow past flattenDepth
 		}
-	case 3, 4: // write the layer under construction (or a private base) directly
+	case 3, 4, 5, 6: // write the layer under construction (or a private base)
 		if _, n := m.pick(isOpen); n != nil {
 			m.write(n.st, n.ref)
-		}
-	case 5, 6: // block building: a trial overlay, folded in or thrown away
-		if _, n := m.pick(isOpen); n != nil {
-			trial, ref := n.st.overlay(), n.ref.clone()
-			m.write(trial, ref)
-			if m.rng.Intn(3) > 0 {
-				n.st.absorb(trial)
-				n.ref = ref
-			}
-			trial.recycle()
 		}
 	case 7: // collapse a chain into a base of its own
 		if _, p := m.pick(any); p != nil {
 			// The new base shares the contract objects of p's layers,
-			// which an overlay under construction still writes in place:
-			// only a finished overlay is ever flattened.
-			p.open = p.open && isBase(p)
+			// which are never written once stored: p stays as open as
+			// it was.
 			m.add(p.st.flatten(), p.ref.clone(), -1, true)
 		}
 	case 8, 9: // snapshot a base; both sides may keep writing
@@ -188,16 +178,14 @@ func (m *stateModel) step() {
 		if c == nil {
 			return
 		}
-		c.open = false // a delta shares its layer's contract objects
 		p, d := m.nodes[c.parent], c.st.delta()
 		if m.rng.Intn(2) == 0 {
 			// On a fresh overlay. It shares the delta's contract
-			// objects, as the executor's re-derived states do, so it is
-			// read-only.
+			// objects, as the executor's re-derived states do.
 			p.open = false
 			st := p.st.Child()
 			st.apply(d)
-			m.add(st, c.ref.clone(), c.parent, false)
+			m.add(st, c.ref.clone(), c.parent, true)
 		} else {
 			// Folded into a base, as the executor's floor advances.
 			st := p.st.flatten()
@@ -253,13 +241,13 @@ func (m *stateModel) check(n *modelNode) {
 	}
 }
 
-// TestStateAgainstMapModel drives random Child / overlay+absorb /
-// flatten / clone / delta+apply sequences with random AddUTXO, Spend,
-// PutContract, ContractForWrite and SetBalance writes over a forked
-// tree of states and, as it goes and at the end, compares every node —
-// siblings, snapshots and the bases they were taken from included —
-// with a plain-map copy of what it should hold: a write through one
-// state must show in no other.
+// TestStateAgainstMapModel drives random Child / flatten / clone /
+// delta+apply sequences with random AddUTXO, Spend, PutContract (of a
+// fresh object or a stored one's written clone) and SetBalance writes
+// over a forked tree of states and, as it goes and at the end, compares
+// every node — siblings, snapshots and the bases they were taken from
+// included — with a plain-map copy of what it should hold: a write
+// through one state must show in no other.
 func TestStateAgainstMapModel(t *testing.T) {
 	for seed := range uint64(6) {
 		m := &stateModel{t: t, rng: sim.NewRNG(100 + seed)}

@@ -22,34 +22,40 @@ func stripGC(a *Aggregate) {
 // seeded workload runs with GC disabled (PruneDepth -1) and at the
 // engine default, and the aggregates — outcome counts, latency
 // percentiles, phase attribution, per-shard results — must be
-// byte-identical once the four GC work counters are zeroed.
+// byte-identical once the four GC work counters are zeroed. The second
+// workload is the small hostile world whose GC re-executes blocks
+// (TestSmallHostileWorldsPinned), so the replayed states are held to
+// the same contract.
 func TestPruningInvisibleInAggregates(t *testing.T) {
-	cfg := Config{Seed: 42, Shards: 4, Workload: testWorkload(24)}
+	for _, cfg := range []Config{
+		{Seed: 42, Shards: 4, Workload: testWorkload(24)},
+		smallHostileWorld(20),
+	} {
+		cfg.PruneDepth = -1 // disabled: every state and block retained
+		full := run(t, cfg)
+		cfg.PruneDepth = 0 // engine default horizon + retirement
+		pruned := run(t, cfg)
 
-	cfg.PruneDepth = -1 // disabled: every state and block retained
-	full := run(t, cfg)
-	cfg.PruneDepth = 0 // engine default horizon + retirement
-	pruned := run(t, cfg)
+		if pruned.StatesPruned == 0 {
+			t.Fatalf("seed %d: default config pruned nothing; the comparison proves nothing", cfg.Seed)
+		}
+		if full.StatesPruned != 0 || full.StateReplays != 0 || full.BlocksRetired != 0 {
+			t.Fatalf("seed %d: disabled GC still did GC work: %d pruned, %d replays, %d retired",
+				cfg.Seed, full.StatesPruned, full.StateReplays, full.BlocksRetired)
+		}
 
-	if pruned.StatesPruned == 0 {
-		t.Fatal("default config pruned nothing; the comparison proves nothing")
-	}
-	if full.StatesPruned != 0 || full.StateReplays != 0 || full.BlocksRetired != 0 {
-		t.Fatalf("disabled GC still did GC work: %d pruned, %d replays, %d retired",
-			full.StatesPruned, full.StateReplays, full.BlocksRetired)
-	}
-
-	stripGC(full)
-	stripGC(pruned)
-	fj, err := json.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(pruned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fj) != string(pj) {
-		t.Fatalf("pruning changed protocol outcomes:\n%s\n----\n%s", fj, pj)
+		stripGC(full)
+		stripGC(pruned)
+		fj, err := json.Marshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pj, err := json.Marshal(pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(fj) != string(pj) {
+			t.Fatalf("seed %d: pruning changed protocol outcomes:\n%s\n----\n%s", cfg.Seed, fj, pj)
+		}
 	}
 }
