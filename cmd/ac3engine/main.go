@@ -12,9 +12,10 @@
 //	          [-trace file] [-tracechrome file]
 //	          [-cpuprofile file] [-memprofile file]
 //
-// The rest of the workload (arrival rate, in-flight cap, chains per
-// world, graph sizes, loss, partition length, batching quorum, trace
-// ring) is engine.DefaultWorkload's; a sweep sets the field from Go.
+// The rest of the workload (arrival rate, graph sizes, gossip loss) is
+// engine.DefaultWorkload's; a sweep sets the field from Go. In-flight
+// cap, chains per world, adversity windows, batching quorum and trace
+// ring are constants of the engine.
 //
 // -trace writes the run's deterministic trace as NDJSON (one record
 // per line, virtual timestamps + per-shard sequence numbers, byte-

@@ -31,15 +31,18 @@ import (
 	"repro/internal/xchain"
 )
 
+// The witness quorum: n witnesses, of which exactly m attest each
+// batch (a 2/3+ majority).
+const (
+	witnesses = 4
+	threshold = 3
+)
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Window is the collection window: a batch is published Window
 	// after its first pending decision arrived.
 	Window sim.Time
-	// Witnesses is the quorum size n, Threshold the attestation
-	// quorum m. Defaults: 4 and 3 (a 2/3+ majority).
-	Witnesses int
-	Threshold int
 	// StableDepth is how deep a published batch must be buried before
 	// the Coordinator stops watching it for reorgs.
 	StableDepth int
@@ -83,19 +86,8 @@ type Coordinator struct {
 // available immediately (before confirmation) for wiring into asset
 // contract parameters.
 func New(w *xchain.World, witnessChain chain.ID, seed uint64, cfg Config) (*Coordinator, error) {
-	if cfg.Witnesses <= 0 {
-		cfg.Witnesses = 4
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = (2*cfg.Witnesses)/3 + 1
-	}
-	if cfg.Threshold > cfg.Witnesses {
-		return nil, fmt.Errorf("batch: threshold %d above quorum size %d", cfg.Threshold, cfg.Witnesses)
-	}
 	if cfg.StableDepth <= 0 {
-		// Default well past routine fork races; callers facing deep
-		// adversarial reorgs should raise it.
-		cfg.StableDepth = 30
+		return nil, errors.New("batch: non-positive stable depth")
 	}
 	if cfg.Window <= 0 {
 		return nil, errors.New("batch: non-positive window")
@@ -104,8 +96,8 @@ func New(w *xchain.World, witnessChain chain.ID, seed uint64, cfg Config) (*Coor
 	c := &Coordinator{
 		cfg:     cfg,
 		s:       w.Sim,
-		keys:    make([]*crypto.KeyPair, cfg.Witnesses),
-		addrs:   make([]crypto.Address, cfg.Witnesses),
+		keys:    make([]*crypto.KeyPair, witnesses),
+		addrs:   make([]crypto.Address, witnesses),
 		pending: make(map[crypto.Address]contracts.WitnessState),
 		decided: make(map[crypto.Address]contracts.WitnessState),
 		tracked: make(map[crypto.Hash]*trackedBatch),
@@ -117,7 +109,7 @@ func New(w *xchain.World, witnessChain chain.ID, seed uint64, cfg Config) (*Coor
 	c.client = miner.NewClient(w.Net(witnessChain), 0, c.keys[0])
 	_, addr, err := c.client.Deploy(contracts.TypeBatchWitness, contracts.BatchWitnessParams{
 		Witnesses: c.addrs,
-		Threshold: cfg.Threshold,
+		Threshold: threshold,
 	}.Encode(), 0)
 	if err != nil {
 		c.client.Close()
@@ -186,7 +178,7 @@ func (c *Coordinator) flush() {
 	ms := crypto.NewMultiSig(root)
 	// Exactly m of n witnesses attest: the threshold check is the
 	// security boundary, so the model never over-signs past it.
-	for _, k := range c.keys[:c.cfg.Threshold] {
+	for _, k := range c.keys[:threshold] {
 		ms.Add(k)
 	}
 	args := contracts.EncodeBatchCommit(&contracts.BatchCommit{

@@ -22,7 +22,7 @@ func newCoordinator(t *testing.T, seed uint64) (*xchain.World, *Coordinator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(w, "witness", seed+1, Config{Window: 30 * sim.Second})
+	c, err := New(w, "witness", seed+1, Config{Window: 30 * sim.Second, StableDepth: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPublishedBatchAccounting(t *testing.T) {
 	if bc.Root != contracts.BatchRoot(want) || bc.Attestation.Digest != bc.Root {
 		t.Fatal("root is not the merkle root of the records, or not what the quorum attested")
 	}
-	if !bc.Attestation.CompleteThreshold(c.addrs, c.cfg.Threshold) {
+	if !bc.Attestation.CompleteThreshold(c.addrs, threshold) {
 		t.Fatal("attestation does not meet the quorum threshold")
 	}
 	if !bytes.Equal(contracts.EncodeBatchCommit(bc), tx.Args) {
@@ -123,5 +123,21 @@ func TestPublishedBatchAccounting(t *testing.T) {
 	}
 	if d, ok := c.Decided(hi); !ok || d != contracts.WitnessRefundAuthorized {
 		t.Fatalf("Decided(hi) = %v, %v", d, ok)
+	}
+}
+
+// TestNewRejectsNonPositiveSettings: a zero window or stable depth is a
+// caller's mistake, not a request for a default.
+func TestNewRejectsNonPositiveSettings(t *testing.T) {
+	b := xchain.NewBuilder(7)
+	b.Chain(xchain.DefaultChainSpec("witness"))
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{Window: 30 * sim.Second}, {StableDepth: 30}} {
+		if _, err := New(w, "witness", 8, cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
 	}
 }

@@ -12,22 +12,24 @@
 // world — its own chains, miners and witness network, seeded from the
 // master seed — and executes its transaction stream through the
 // protocol's core.Runner (a table of constructors, scenario.go) with per-shard
-// backpressure (MaxInFlight) and per-transaction timeouts. Shards run
+// backpressure (an in-flight cap) and per-transaction timeouts. Shards run
 // concurrently on a worker pool of goroutines; within a shard
 // everything stays on one virtual clock and one goroutine, so a shard
 // is a pure function of (seed, workload) and the whole run is a pure
-// function of the master seed and shard count. The collector
-// aggregates commit/abort/atomicity-violation counts, latency
-// histograms and virtual throughput; aggregation is integer-only and
-// merged in shard order, so two runs with the same configuration
-// produce byte-identical results no matter how the scheduler
-// interleaves workers.
+// function of the master seed and shard count. Each shard keeps its
+// own results — commit/abort/atomicity-violation counts, latency
+// histograms, virtual makespan — and the engine merges them in shard
+// order after the workers join; aggregation is integer-only, so two
+// runs with the same configuration produce byte-identical results no
+// matter how the scheduler interleaves workers. The only value shards
+// share while they run is the graded count Progress reads.
 package engine
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/crypto"
 	"repro/internal/metrics"
@@ -54,10 +56,9 @@ type Config struct {
 	// trace for export. Off by default; the per-phase latency table is
 	// collected regardless (fixed-size histograms, negligible cost).
 	Trace bool
-	// TraceRingCap overrides the per-shard ring capacity (0 =
-	// trace.DefaultRingCap). Small caps bound memory on huge runs at
-	// the price of exporting only the most recent records per shard.
-	TraceRingCap int
+	// traceRingCap overrides the per-shard ring capacity (0 =
+	// trace.DefaultRingCap); tests shrink it to force eviction.
+	traceRingCap int
 	// PruneDepth sets the chain executors' state-GC horizon: per-block
 	// ledger states buried deeper than this below every node view's
 	// tip are dropped and re-derived from the blocks' retained deltas if
@@ -98,8 +99,8 @@ func (cfg Config) pruneDepth() int {
 
 // Engine partitions and executes a workload.
 type Engine struct {
-	cfg Config
-	col *Collector
+	cfg    Config
+	graded atomic.Int64
 }
 
 // New validates the configuration and prepares an engine.
@@ -116,12 +117,14 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workload.Txs < cfg.Shards {
 		return nil, fmt.Errorf("engine: %d txs cannot cover %d shards", cfg.Workload.Txs, cfg.Shards)
 	}
-	return &Engine{cfg: cfg, col: newCollector(cfg.Workload.Txs)}, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Progress reports graded and total transactions; safe to call from
 // any goroutine while Run executes.
-func (e *Engine) Progress() (graded, total int64) { return e.col.Progress() }
+func (e *Engine) Progress() (graded, total int64) {
+	return e.graded.Load(), int64(e.cfg.Workload.Txs)
+}
 
 // Aggregate is the engine's machine-readable result. Integer-only
 // accounting and shard-ordered merging make it byte-identical across
@@ -309,10 +312,11 @@ func (e *Engine) Run() (*Aggregate, error) {
 	if cfg.Trace {
 		recs = make([]*trace.Recorder, shards)
 		for i := range recs {
-			recs[i] = trace.NewRecorder(i, cfg.TraceRingCap)
+			recs[i] = trace.NewRecorder(i, cfg.traceRingCap)
 		}
 	}
 
+	graded := func() { e.graded.Add(1) }
 	results := make([]*ShardResult, shards)
 	errs := make([]error, shards)
 	idxCh := make(chan int)
@@ -330,7 +334,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 				if recs != nil {
 					rec = recs[idx]
 				}
-				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg.Workload, txs[idx], cfg.pruneDepth(), e.col, rec, sigs)
+				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg.Workload, txs[idx], cfg.pruneDepth(), graded, rec, sigs)
 			}
 		}()
 	}
@@ -359,9 +363,10 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		Shards:     e.cfg.Shards,
 		Txs:        e.cfg.Workload.Txs,
 		ByScenario: make(map[Scenario]ScenarioStats),
-		LatencyMs:  e.col.latency.Snapshot(),
 	}
+	latency := metrics.NewHist(latencyBounds...)
 	for _, r := range results {
+		latency.Merge(r.latency)
 		agg.Graded += r.Graded
 		agg.Commits += r.Commits
 		agg.Aborts += r.Aborts
@@ -403,8 +408,9 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		}
 		agg.PerShard = append(agg.PerShard, *r)
 	}
-	// Percentiles straight from the streamed histogram — no merged
-	// sample slice exists anymore.
+	// Percentiles straight from the merged histogram — no sample slice
+	// exists.
+	agg.LatencyMs = latency.Snapshot()
 	agg.LatencyP50Ms = agg.LatencyMs.Quantile(0.50)
 	agg.LatencyP95Ms = agg.LatencyMs.Quantile(0.95)
 	agg.LatencyP99Ms = agg.LatencyMs.Quantile(0.99)

@@ -100,10 +100,10 @@ func TestMixedScenarioAtomicity(t *testing.T) {
 	if agg.Commits+agg.Aborts+agg.Stuck != agg.Graded {
 		t.Fatalf("outcome counts do not add up: %+v", agg)
 	}
-	// Shared-executor accounting: each shard world runs AssetChains+1
+	// Shared-executor accounting: each shard world runs assetChains+1
 	// networks, and each network executes exactly mined+genesis blocks
 	// — not N× mined as the per-view stores did.
-	networks := uint64(agg.Shards * (DefaultWorkload().AssetChains + 1))
+	networks := uint64(agg.Shards * (assetChains + 1))
 	if agg.BlocksExecuted != uint64(agg.BlocksMined)+networks {
 		t.Fatalf("blocks executed = %d, want mined %d + %d genesis: redundant execution",
 			agg.BlocksExecuted, agg.BlocksMined, networks)
@@ -188,26 +188,26 @@ func TestAdversityAtomicity(t *testing.T) {
 }
 
 // TestBackpressureQueues proves the in-flight cap actually defers
-// arrivals: with a cap of 1 and a fast arrival process, later
-// transactions must start (and therefore finish) strictly after
-// earlier ones, stretching the makespan well beyond the arrival span.
+// arrivals: 3 × maxInFlight transactions arriving almost at once run in
+// at least three waves, stretching the makespan well beyond the arrival
+// span.
 func TestBackpressureQueues(t *testing.T) {
+	const txs = 3 * maxInFlight
 	wl := DefaultWorkload()
-	wl.Txs = 6
-	wl.ArrivalEvery = 2 * sim.Second // all arrive almost at once
-	wl.MaxInFlight = 1
-	wl.Mix = Mix{Commit: 1} // only commits: deterministic service times
+	wl.Txs = txs
+	wl.ArrivalEvery = sim.Second // all arrive almost at once
+	wl.Mix = Mix{Commit: 1}      // only commits: deterministic service times
 	wl.Sizes = []SizeWeight{{Size: 2, Weight: 1}}
 	agg := run(t, Config{Seed: 11, Shards: 1, Workload: wl})
-	if agg.Graded != 6 || agg.Stuck != 0 {
+	if agg.Graded != txs || agg.Stuck != 0 {
 		t.Fatalf("graded=%d stuck=%d", agg.Graded, agg.Stuck)
 	}
-	// Six strictly serialized commits take at least 6 minimum
-	// commit latencies; concurrent execution would overlap them.
-	minSerial := 6 * agg.LatencyMs.Min
+	// Three waves one after the other take at least 3 minimum commit
+	// latencies; admitting every arrival at once would overlap them.
+	minSerial := 3 * agg.LatencyMs.Min
 	if agg.MakespanVirtualMs < minSerial {
-		t.Fatalf("makespan %dms < %dms: cap of 1 did not serialize",
-			agg.MakespanVirtualMs, minSerial)
+		t.Fatalf("makespan %dms < %dms: the cap of %d did not queue arrivals",
+			agg.MakespanVirtualMs, minSerial, maxInFlight)
 	}
 }
 
@@ -256,12 +256,8 @@ func TestConfigValidation(t *testing.T) {
 	bad = append(bad, Config{Seed: 1, Shards: 1, Workload: wl5})
 	wl6 := DefaultWorkload()
 	wl6.Mix = Mix{Partition: 1}
-	wl6.Adversity.PartitionFor = wl6.TxTimeout + sim.Minute // heals after grading
+	wl6.TxTimeout = partitionFor // graded before the split heals
 	bad = append(bad, Config{Seed: 1, Shards: 1, Workload: wl6})
-	wl7 := DefaultWorkload()
-	wl7.Mix = Mix{Lossy: 1}
-	wl7.Adversity.LossyFor = 0
-	bad = append(bad, Config{Seed: 1, Shards: 1, Workload: wl7})
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)

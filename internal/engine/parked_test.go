@@ -22,8 +22,7 @@ func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 	s.Reset(43)
 	e := &shardExec{
 		seed: 43, wl: wl, proto: protocolOf(wl.Protocol), prune: Config{}.pruneDepth(),
-		col: newCollector(txCount), s: s, txs: make([]txState, txCount),
-		res: &ShardResult{Txs: txCount, ByScenario: make(map[Scenario]ScenarioStats)},
+		graded: func() {}, s: s, txs: make([]txState, txCount), res: newShardResult(0, 43, txCount),
 	}
 	if err := e.buildWorld(txCount, nil); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -50,5 +51,43 @@ func TestMultiWorkerAdversityBatchedDeterminism(t *testing.T) {
 	}
 	if a.WitnessDecisionTxs != 0 {
 		t.Fatalf("batched mode posted %d per-AC2T decision txs", a.WitnessDecisionTxs)
+	}
+}
+
+// TestProgressWhileRunning reads Progress from another goroutine while
+// four workers grade: the graded count is the one value shards share as
+// they run. It never goes backwards or past the total, and after Run it
+// equals the graded count of the aggregate.
+func TestProgressWhileRunning(t *testing.T) {
+	e, err := New(Config{Seed: 3, Shards: 4, Workers: 4, Workload: testWorkload(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g, total := e.Progress()
+			if g < last || g > total {
+				t.Errorf("progress went from %d to %d of %d", last, g, total)
+			}
+			last = g
+			runtime.Gosched()
+		}
+	}()
+	agg, err := e.Run()
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, total := e.Progress(); g != int64(agg.Graded) || total != 16 {
+		t.Fatalf("Progress() = %d/%d after a run that graded %d of 16", g, total, agg.Graded)
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -39,35 +37,6 @@ var phaseBounds = []int64{
 type phaseKey struct {
 	phase    string
 	scenario Scenario
-}
-
-// Collector is the engine's shared result sink. Shard goroutines feed
-// it concurrently: live counters let a progress reporter watch a run
-// without locks, and the latency histogram (metrics.Hist, itself
-// concurrency-safe and integer-valued) accumulates in any
-// interleaving without breaking the engine's byte-identical-output
-// guarantee. Everything order-sensitive stays in per-shard results
-// and is merged in shard order after the workers join.
-type Collector struct {
-	total   int64
-	graded  atomic.Int64
-	latency *metrics.Hist
-}
-
-func newCollector(total int) *Collector {
-	return &Collector{total: int64(total), latency: metrics.NewHist(latencyBounds...)}
-}
-
-// observe records one graded transaction.
-func (c *Collector) observe(lat sim.Time) {
-	c.graded.Add(1)
-	c.latency.Observe(int64(lat))
-}
-
-// Progress reports graded and total transaction counts; safe to call
-// from any goroutine while the engine runs.
-func (c *Collector) Progress() (graded, total int64) {
-	return c.graded.Load(), c.total
 }
 
 // ScenarioStats aggregates outcomes for one scenario.
@@ -186,16 +155,15 @@ type ShardResult struct {
 	WakeupsSkipped uint64 `json:"-"`
 	Work           Work   `json:"-"`
 
-	// Per-tx latency samples are NOT retained: every grading folds
-	// straight into the collector's shared histogram (and the phase
-	// table below), so shard memory is flat in transaction count —
-	// the property the 100k/1M scale rungs depend on.
-
-	// phase holds the shard's per-(phase, scenario) latency histograms
-	// — always collected (fixed-size, integer-only), folded in shard
-	// order into the aggregate's phase table. Kept separate from the
-	// trace ring so eviction never skews the statistics.
-	phase map[phaseKey]*metrics.Hist
+	// latency is the shard's commit-latency histogram and phase its
+	// per-(phase, scenario) histograms — always collected (fixed-size,
+	// integer-only), folded in shard order into the aggregate's latency
+	// and phase tables. Per-tx samples are NOT retained, so shard memory
+	// is flat in transaction count (the property the 100k/1M scale rungs
+	// depend on), and the histograms are kept apart from the trace ring
+	// so eviction never skews the statistics.
+	latency *metrics.Hist
+	phase   map[phaseKey]*metrics.Hist
 }
 
 // Work counts host-side work a run's layers did that its results do not
@@ -247,6 +215,12 @@ func (w *Work) add(o Work) {
 	w.SigWaited += o.SigWaited
 }
 
+// newShardResult starts shard's result for txs transactions.
+func newShardResult(shard int, seed uint64, txs int) *ShardResult {
+	return &ShardResult{Shard: shard, Seed: seed, Txs: txs,
+		ByScenario: make(map[Scenario]ScenarioStats), latency: metrics.NewHist(latencyBounds...)}
+}
+
 // observePhase folds one completed phase duration into the shard's
 // per-(phase, scenario) histogram.
 func (r *ShardResult) observePhase(phase string, sc Scenario, d sim.Time) {
@@ -281,6 +255,7 @@ func (r *ShardResult) record(sc Scenario, committed, aborted, violated bool, lat
 	}
 	r.Deploys += deploys
 	r.Calls += calls
+	r.latency.Observe(int64(lat))
 	st := r.ByScenario[sc]
 	st.add(committed, aborted, violated)
 	r.ByScenario[sc] = st

@@ -188,6 +188,24 @@ var scenarios = []scenarioDef{
 
 const classicMix = 4
 
+// The adversity windows, both well inside the default 45-minute grading
+// deadline.
+const (
+	// lossyFor bounds a lossy window: the overlay lifts when the
+	// transaction grades or lossyFor elapses, whichever comes first — a
+	// struggling lossy AC2T must not keep degrading the shared chains
+	// all the way to its grading deadline.
+	lossyFor = 10 * sim.Minute
+	// partitionFor is how long a partition-scenario split lasts: the
+	// transaction's decision chain is divided (one miner against the
+	// rest) when its decision window opens and healed partitionFor
+	// later. The shard clamps the window so the heal always lands with
+	// room to reconcile before the grading deadline — AC3WN's
+	// non-blocking claim is what is actually under test, not
+	// grading-while-split.
+	partitionFor = 6 * sim.Minute
+)
+
 // scenarioOf finds a scenario's table row (nil if unknown).
 func scenarioOf(name Scenario) *scenarioDef {
 	for i := range scenarios {
@@ -284,7 +302,7 @@ func applyRace(_ *shardExec, _ int, st *txState) {
 
 // applyPartition splits the transaction's decision chain the moment its
 // decision window opens — one miner isolated against the rest — and
-// heals PartitionFor later, before the grading deadline. The minority
+// heals partitionFor later, before the grading deadline. The minority
 // side keeps mining its own fork, so the heal forces a deep reorg and
 // every re-announce/re-request/EnsureTx path runs in anger. AC3WN must
 // stay atomic and settle (the paper's claim under exactly this hazard);
@@ -303,7 +321,7 @@ func applyPartition(e *shardExec, i int, st *txState) {
 		// never actually under test. The isolated miner rotates by
 		// transaction index so repeated draws starve different replicas
 		// (and only sometimes the node-0 ground-truth view).
-		dur := e.wl.Adversity.PartitionFor
+		dur := partitionFor
 		if maxDur := st.deadline - e.s.Now() - 2*sim.Minute; dur > maxDur {
 			dur = max(maxDur, 0)
 		}
@@ -313,14 +331,11 @@ func applyPartition(e *shardExec, i int, st *txState) {
 }
 
 func checkPartition(wl *Workload) error {
-	if wl.Adversity.PartitionFor <= 0 {
-		return fmt.Errorf("engine: partition scenario needs Adversity.PartitionFor > 0")
-	}
 	// Sanity bound; the shard additionally clamps each window at trigger
 	// time so the heal lands before that transaction's own deadline.
-	if wl.Adversity.PartitionFor >= wl.TxTimeout {
+	if partitionFor >= wl.TxTimeout {
 		return fmt.Errorf("engine: partition window %dms cannot cover the whole %dms grading deadline",
-			wl.Adversity.PartitionFor, wl.TxTimeout)
+			partitionFor, wl.TxTimeout)
 	}
 	return nil
 }
@@ -328,7 +343,7 @@ func checkPartition(wl *Workload) error {
 // applyLossy imposes sustained gossip loss on every network the AC2T
 // touches: blocks vanish in flight, so locator sync and EnsureTx carry
 // the run (ADR-022: reorgs reach 6 blocks on -mix 4,1,1,1,0,2,0). The
-// overlay lifts when the transaction grades or after LossyFor,
+// overlay lifts when the transaction grades or after lossyFor,
 // whichever comes first — Overlay.Remove is idempotent, so the timer
 // and the grading cleanup can both fire.
 func applyLossy(e *shardExec, i int, st *txState) {
@@ -340,16 +355,13 @@ func applyLossy(e *shardExec, i int, st *txState) {
 	for _, id := range chains {
 		ov := e.w.Net(id).P2P.PushOverlay(loss)
 		st.cleanup = append(st.cleanup, ov.Remove)
-		e.s.After(e.wl.Adversity.LossyFor, ov.Remove)
+		e.s.After(lossyFor, ov.Remove)
 	}
 }
 
 func checkLossy(wl *Workload) error {
 	if wl.Adversity.Loss <= 0 || wl.Adversity.Loss >= 1 {
 		return fmt.Errorf("engine: lossy scenario needs Adversity.Loss in (0,1), got %g", wl.Adversity.Loss)
-	}
-	if wl.Adversity.LossyFor <= 0 {
-		return fmt.Errorf("engine: lossy scenario needs Adversity.LossyFor > 0")
 	}
 	return nil
 }

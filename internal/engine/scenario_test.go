@@ -197,7 +197,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 				t.Errorf("chain %s partitioned = %v, want %v (only the runner's decision chain splits)", id, got, want)
 			}
 		}
-		e.s.RunUntil(e.wl.Adversity.PartitionFor + 2*sim.Second)
+		e.s.RunUntil(partitionFor + 2*sim.Second)
 		if e.w.Net(f.decisionChain).P2P.Partitioned() {
 			t.Error("split never healed")
 		}

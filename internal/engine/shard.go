@@ -48,6 +48,12 @@ const (
 	// history-retirement horizon so the depth checks always see the
 	// transaction.
 	batchStableDepth = 48
+	// maxInFlight bounds concurrently executing AC2Ts per shard;
+	// arrivals beyond it queue (backpressure) until a slot frees.
+	maxInFlight = 8
+	// assetChains is how many asset blockchains each shard world hosts
+	// (plus one witness chain).
+	assetChains = 2
 )
 
 // txSpec is one generated AC2T: arrival offset, ring size, scenario,
@@ -100,7 +106,8 @@ type shardExec struct {
 	wl    Workload
 	proto *protocolDef // wl.Protocol's table row
 	prune int          // executor state-GC horizon (0 = retain everything)
-	col   *Collector
+	// graded bumps the engine's live progress count once per grading.
+	graded func()
 
 	s        *sim.Sim
 	w        *xchain.World
@@ -153,19 +160,19 @@ func (e *shardExec) sampleCounters() worldCounters {
 
 // runShard executes txCount transactions on a world derived from
 // seed, reusing (and Reset-ing) the provided simulator.
-func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int, col *Collector, rec *trace.Recorder, sigs *crypto.SigChecker) (*ShardResult, error) {
+func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int, graded func(), rec *trace.Recorder, sigs *crypto.SigChecker) (*ShardResult, error) {
 	s.Reset(seed)
 	e := &shardExec{
-		idx:   idx,
-		seed:  seed,
-		wl:    wl,
-		proto: protocolOf(wl.Protocol),
-		prune: prune,
-		col:   col,
-		s:     s,
-		txs:   make([]txState, txCount),
-		res:   &ShardResult{Shard: idx, Seed: seed, Txs: txCount, ByScenario: make(map[Scenario]ScenarioStats)},
-		rec:   rec,
+		idx:    idx,
+		seed:   seed,
+		wl:     wl,
+		proto:  protocolOf(wl.Protocol),
+		prune:  prune,
+		graded: graded,
+		s:      s,
+		txs:    make([]txState, txCount),
+		res:    newShardResult(idx, seed, txCount),
+		rec:    rec,
 	}
 	if err := e.buildWorld(txCount, sigs); err != nil {
 		return nil, err
@@ -180,7 +187,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	// transaction grades); the coarse RunUntilDone check is only the
 	// safety net for a world that stops producing notifications.
 	last := e.specs[len(e.specs)-1].arrival
-	batches := sim.Time((txCount+wl.MaxInFlight-1)/wl.MaxInFlight + 2)
+	batches := sim.Time((txCount+maxInFlight-1)/maxInFlight + 2)
 	deadline := last + batches*(wl.TxTimeout+settleGrace+sim.Minute)
 	done := func() bool { return e.res.Graded == txCount }
 	if !s.RunUntilDone(done, quiesceCheckEvery, deadline) {
@@ -265,7 +272,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	wlRNG := sim.NewRNG(e.seed ^ 0x9e3779b97f4a7c15) //ac3:globalrand derives from the shard seed; the xor constant decorrelates workload draws from world entropy
 	b := xchain.NewBuilderOn(e.s, sigs)
-	e.assetIDs = make([]chain.ID, e.wl.AssetChains)
+	e.assetIDs = make([]chain.ID, assetChains)
 	for i := range e.assetIDs {
 		e.assetIDs[i] = chain.ID(fmt.Sprintf("asset-%d", i))
 		b.Chain(engineChainSpec(e.assetIDs[i], e.prune))
@@ -323,8 +330,6 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 		// workload draws nor mining randomness.
 		coord, err := batch.New(w, e.witness, e.seed^0xb5297a4d3f84d5a3, batch.Config{
 			Window:      e.wl.BatchWindow,
-			Witnesses:   e.wl.BatchWitnesses,
-			Threshold:   e.wl.BatchThreshold,
 			StableDepth: batchStableDepth,
 		})
 		if err != nil {
@@ -376,7 +381,7 @@ func (e *shardExec) chainOf(i, j int) chain.ID {
 // admit starts transaction i or queues it when the shard is at its
 // in-flight cap (backpressure).
 func (e *shardExec) admit(i int) {
-	if e.inFlight >= e.wl.MaxInFlight {
+	if e.inFlight >= maxInFlight {
 		e.queue = append(e.queue, i)
 		return
 	}
@@ -526,7 +531,7 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 		e.res.WitnessDecisionBytes += out.WitnessBytes
 	}
 	e.res.record(sc, committed, aborted, violated, lat, deploys, calls)
-	e.col.observe(lat)
+	e.graded()
 	e.observeTx(i, runner, committed, aborted, violated, deploys, calls)
 
 	// Retire: stop the runner (every protocol implements it through

@@ -78,7 +78,7 @@ func TestTraceDeterminism(t *testing.T) {
 // they fold into histograms independent of the ring.
 func TestTraceRingEvictionBounded(t *testing.T) {
 	const cap = 64
-	cfg := Config{Seed: 5, Shards: 2, Workload: testWorkload(16), Trace: true, TraceRingCap: cap}
+	cfg := Config{Seed: 5, Shards: 2, Workload: testWorkload(16), Trace: true, traceRingCap: cap}
 	agg := run(t, cfg)
 	if agg.Trace == nil {
 		t.Fatal("no trace carried")
@@ -182,7 +182,7 @@ func TestTraceSpanShape(t *testing.T) {
 	if instants == 0 {
 		t.Fatal("no timeline instants recorded")
 	}
-	if want := DefaultWorkload().AssetChains + 1; chains != want {
+	if want := assetChains + 1; chains != want {
 		t.Fatalf("%d chain summary spans, want %d", chains, want)
 	}
 }

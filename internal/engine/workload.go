@@ -51,37 +51,17 @@ type Mix struct {
 	Geo       int `json:"geo"`
 }
 
-// Adversity configures the network-hostility scenarios. The knobs
-// only matter for transactions that draw partition/lossy/geo; the
-// draws themselves (and every loss decision they cause) come from the
-// per-shard forked RNGs, so enabling adversity keeps runs a pure
-// function of the master seed.
+// Adversity configures the network-hostility scenarios. The knob only
+// matters for transactions that draw lossy; the draws themselves (and
+// every loss decision they cause) come from the per-shard forked RNGs,
+// so enabling adversity keeps runs a pure function of the master seed.
+// How long a lossy window or a partition lasts is a constant of the
+// scenario table (lossyFor, partitionFor).
 type Adversity struct {
 	// Loss is the per-message gossip drop probability a lossy-scenario
 	// AC2T imposes on every network it touches while in flight. Block
 	// sync and EnsureTx resubmission must carry the run.
 	Loss float64 `json:"loss"`
-	// LossyFor bounds a lossy window: the overlay lifts when the
-	// transaction grades or LossyFor elapses, whichever comes first —
-	// a struggling lossy AC2T must not keep degrading the shared
-	// chains all the way to its grading deadline.
-	LossyFor sim.Time `json:"lossy_for_ms"`
-	// PartitionFor is how long a partition-scenario split lasts: the
-	// transaction's decision chain is divided (one miner against the
-	// rest) when its decision window opens and healed PartitionFor
-	// later. The shard clamps the window so the heal always lands
-	// with room to reconcile before the grading deadline — AC3WN's
-	// non-blocking claim is what is actually under test, not
-	// grading-while-split.
-	PartitionFor sim.Time `json:"partition_for_ms"`
-}
-
-// DefaultAdversity returns the standard hostile-network knobs: 25%
-// gossip loss sustained for up to 10 minutes, and a 6-minute
-// partition window (both well inside the default 45-minute grading
-// deadline).
-func DefaultAdversity() Adversity {
-	return Adversity{Loss: 0.25, LossyFor: 10 * sim.Minute, PartitionFor: 6 * sim.Minute}
 }
 
 // SizeWeight weighs one AC2T graph size (ring participant count) in
@@ -101,16 +81,10 @@ type Workload struct {
 	// ArrivalEvery is the mean exponential interarrival time of AC2Ts
 	// within one shard (the per-shard offered load).
 	ArrivalEvery sim.Time `json:"arrival_every_ms"`
-	// MaxInFlight bounds concurrently executing AC2Ts per shard;
-	// arrivals beyond it queue (backpressure) until a slot frees.
-	MaxInFlight int `json:"max_in_flight"`
 	// TxTimeout is the per-transaction grading deadline: a run that
 	// has not settled by then is graded as-is (stuck counts surface
 	// in the aggregate rather than hanging the shard).
 	TxTimeout sim.Time `json:"tx_timeout_ms"`
-	// AssetChains is how many asset blockchains each shard world
-	// hosts (plus one witness chain).
-	AssetChains int `json:"asset_chains"`
 	// Sizes is the AC2T graph-size distribution.
 	Sizes []SizeWeight `json:"sizes"`
 	// Mix weighs the scenarios.
@@ -123,26 +97,20 @@ type Workload struct {
 	// merkle-committed, threshold-attested commit_batch transaction
 	// per decision set. Zero keeps the per-AC2T SCw decision path.
 	BatchWindow sim.Time `json:"batch_window_ms"`
-	// BatchWitnesses / BatchThreshold size the attestation quorum
-	// (m-of-n). Zero means the coordinator defaults (4 and 2n/3+1).
-	BatchWitnesses int `json:"batch_witnesses"`
-	BatchThreshold int `json:"batch_threshold"`
 }
 
 // DefaultWorkload returns a mixed AC3WN workload: mostly commits,
 // with aborts, one crash-recovery participant, and adversarial
-// decision races sprinkled in.
+// decision races sprinkled in; a lossy draw drops 25 % of gossip.
 func DefaultWorkload() Workload {
 	return Workload{
 		Protocol:     ProtoAC3WN,
 		Txs:          100,
 		ArrivalEvery: 20 * sim.Second,
-		MaxInFlight:  8,
 		TxTimeout:    45 * sim.Minute,
-		AssetChains:  2,
 		Sizes:        []SizeWeight{{Size: 2, Weight: 6}, {Size: 3, Weight: 3}, {Size: 4, Weight: 1}},
 		Mix:          Mix{Commit: 7, Abort: 2, Crash: 1, Race: 1},
-		Adversity:    DefaultAdversity(),
+		Adversity:    Adversity{Loss: 0.25},
 	}
 }
 
@@ -157,12 +125,6 @@ func (wl *Workload) validate() error {
 	}
 	if wl.ArrivalEvery <= 0 || wl.TxTimeout <= 0 {
 		return fmt.Errorf("engine: non-positive workload times")
-	}
-	if wl.MaxInFlight <= 0 {
-		return fmt.Errorf("engine: MaxInFlight must be positive")
-	}
-	if wl.AssetChains < 2 {
-		return fmt.Errorf("engine: need >= 2 asset chains, got %d", wl.AssetChains)
 	}
 	if len(wl.Sizes) == 0 {
 		return fmt.Errorf("engine: empty size distribution")
@@ -204,13 +166,6 @@ func (wl *Workload) validate() error {
 		if wl.BatchWindow >= wl.TxTimeout {
 			return fmt.Errorf("engine: batch window %dms cannot cover the whole %dms grading deadline",
 				wl.BatchWindow, wl.TxTimeout)
-		}
-		bn, bm := wl.BatchWitnesses, wl.BatchThreshold
-		if bn < 0 || bm < 0 {
-			return fmt.Errorf("engine: negative batch quorum sizes")
-		}
-		if bn > 0 && bm > bn {
-			return fmt.Errorf("engine: batch threshold %d above quorum size %d", bm, bn)
 		}
 	}
 	return nil

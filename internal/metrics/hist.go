@@ -2,19 +2,17 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Hist is a fixed-bucket histogram over int64 samples (virtual
-// milliseconds, counts, fees — anything integral), safe for
-// concurrent use. Integer arithmetic keeps aggregation deterministic
-// regardless of the order concurrent observers interleave in, which
-// is what lets the engine promise byte-identical aggregates across
-// runs while still collecting from many shard goroutines at once.
+// milliseconds, counts, fees — anything integral). Integer arithmetic
+// makes Merge commutative and exact, so the engine can give every shard
+// its own histograms and fold them afterwards with byte-identical
+// results, whatever order the shards finished in.
 type Hist struct {
-	mu     sync.Mutex
 	bounds []int64  // ascending inclusive upper bounds; +Inf implicit
 	counts []uint64 // len(bounds)+1
 	n      uint64
@@ -45,7 +43,6 @@ func NewHist(bounds ...int64) *Hist {
 // Observe records one sample.
 func (h *Hist) Observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.mu.Lock()
 	h.counts[i]++
 	if h.n == 0 || v < h.min {
 		h.min = v
@@ -55,7 +52,6 @@ func (h *Hist) Observe(v int64) {
 	}
 	h.n++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // HistSnapshot is an immutable, JSON-friendly view of a histogram.
@@ -78,37 +74,27 @@ func (h *Hist) Merge(other *Hist) {
 	if other == nil {
 		return
 	}
-	os := other.Snapshot()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(os.Bounds) != len(h.bounds) {
+	if !slices.Equal(h.bounds, other.bounds) {
 		panic("metrics: Merge with mismatched bucket bounds")
 	}
-	for i, b := range h.bounds {
-		if os.Bounds[i] != b {
-			panic("metrics: Merge with mismatched bucket bounds")
-		}
-	}
-	if os.Count == 0 {
+	if other.n == 0 {
 		return
 	}
-	for i, c := range os.Counts {
+	for i, c := range other.counts {
 		h.counts[i] += c
 	}
-	if h.n == 0 || os.Min < h.min {
-		h.min = os.Min
+	if h.n == 0 || other.min < h.min {
+		h.min = other.min
 	}
-	if h.n == 0 || os.Max > h.max {
-		h.max = os.Max
+	if h.n == 0 || other.max > h.max {
+		h.max = other.max
 	}
-	h.n += os.Count
-	h.sum += os.Sum
+	h.n += other.n
+	h.sum += other.sum
 }
 
-// Snapshot returns a consistent copy of the histogram's state.
+// Snapshot returns a copy of the histogram's state.
 func (h *Hist) Snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return HistSnapshot{
 		Bounds: append([]int64(nil), h.bounds...),
 		Counts: append([]uint64(nil), h.counts...),

@@ -1,25 +1,20 @@
 // Package metrics provides the small result-collection and
 // text-rendering layer the benchmark harness uses to print
 // paper-style tables and series: aligned columns for tables (Table 1,
-// the cost and witness-choice tables) and x/y series for figures
-// (Figures 8–10).
+// the cost and witness-choice tables), x/y series for figures
+// (Figures 8–10), and the integer histograms the engine's shards keep.
+// Nothing here is safe for concurrent use, and nothing needs it: each
+// container is filled and rendered by one goroutine, and the engine
+// merges its shards' histograms after the workers join.
 package metrics
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
-
-// All mutating and rendering methods in this package are safe for
-// concurrent use: the engine's collector aggregates results from many
-// shard goroutines into shared tables, figures and histograms, so
-// every container guards its state with a mutex. Rendering takes the
-// same lock and therefore sees a consistent snapshot.
 
 // Table is an aligned text table.
 type Table struct {
-	mu      sync.Mutex
 	Title   string
 	Columns []string
 	Rows    [][]string
@@ -43,17 +38,12 @@ func (t *Table) AddRow(values ...any) {
 			row[i] = fmt.Sprintf("%v", v)
 		}
 	}
-	t.mu.Lock()
 	t.Rows = append(t.Rows, row)
-	t.mu.Unlock()
 }
 
 // Note appends a footnote.
 func (t *Table) Note(format string, args ...any) {
-	note := fmt.Sprintf(format, args...)
-	t.mu.Lock()
-	t.Notes = append(t.Notes, note)
-	t.mu.Unlock()
+	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
 // trimFloat renders floats compactly.
@@ -69,8 +59,6 @@ func trimFloat(f float64) string {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -112,7 +100,6 @@ func (t *Table) String() string {
 
 // Series is a named sequence of (x, y) points — one line of a figure.
 type Series struct {
-	mu     sync.Mutex
 	Name   string
 	Points []Point
 }
@@ -124,21 +111,11 @@ type Point struct {
 
 // Add appends a point.
 func (s *Series) Add(x, y float64) {
-	s.mu.Lock()
 	s.Points = append(s.Points, Point{X: x, Y: y})
-	s.mu.Unlock()
-}
-
-// points returns a consistent snapshot for rendering.
-func (s *Series) points() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Point(nil), s.Points...)
 }
 
 // Figure is a set of series sharing axes.
 type Figure struct {
-	mu     sync.Mutex
 	Title  string
 	XLabel string
 	YLabel string
@@ -153,31 +130,23 @@ func NewFigure(title, xlabel, ylabel string) *Figure {
 // AddSeries creates and attaches a new series.
 func (f *Figure) AddSeries(name string) *Series {
 	s := &Series{Name: name}
-	f.mu.Lock()
 	f.Series = append(f.Series, s)
-	f.mu.Unlock()
 	return s
 }
 
 // String renders the figure as a table of x vs per-series y — the
 // exact numbers a plotting script would consume.
 func (f *Figure) String() string {
-	f.mu.Lock()
-	series := append([]*Series(nil), f.Series...)
-	title, xlabel, ylabel := f.Title, f.XLabel, f.YLabel
-	f.mu.Unlock()
-	cols := []string{xlabel}
-	snapshots := make([][]Point, len(series))
-	for i, s := range series {
+	cols := []string{f.XLabel}
+	for _, s := range f.Series {
 		cols = append(cols, s.Name)
-		snapshots[i] = s.points()
 	}
-	t := NewTable(fmt.Sprintf("%s  (y: %s)", title, ylabel), cols...)
+	t := NewTable(fmt.Sprintf("%s  (y: %s)", f.Title, f.YLabel), cols...)
 	// Collect the union of x values in first-series order.
 	seen := make(map[float64]bool)
 	var xs []float64
-	for _, pts := range snapshots {
-		for _, p := range pts {
+	for _, s := range f.Series {
+		for _, p := range s.Points {
 			if !seen[p.X] {
 				seen[p.X] = true
 				xs = append(xs, p.X)
@@ -186,9 +155,9 @@ func (f *Figure) String() string {
 	}
 	for _, x := range xs {
 		row := []any{trimFloat(x)}
-		for _, pts := range snapshots {
+		for _, s := range f.Series {
 			cell := ""
-			for _, p := range pts {
+			for _, p := range s.Points {
 				if p.X == x {
 					cell = trimFloat(p.Y)
 					break
@@ -204,7 +173,6 @@ func (f *Figure) String() string {
 // Timeline renders labeled events as a simple time-ordered listing
 // (the textual form of Figures 8 and 9).
 type Timeline struct {
-	mu     sync.Mutex
 	Title  string
 	Unit   string // e.g. "Δ" or "s"
 	Events []TimelineEvent
@@ -218,15 +186,11 @@ type TimelineEvent struct {
 
 // Add appends an event.
 func (tl *Timeline) Add(at float64, label string) {
-	tl.mu.Lock()
 	tl.Events = append(tl.Events, TimelineEvent{At: at, Label: label})
-	tl.mu.Unlock()
 }
 
 // String renders the timeline.
 func (tl *Timeline) String() string {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	var b strings.Builder
 	if tl.Title != "" {
 		fmt.Fprintf(&b, "%s\n", tl.Title)

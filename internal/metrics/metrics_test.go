@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -82,60 +80,6 @@ func TestTimelineRendering(t *testing.T) {
 	s := tl.String()
 	if !strings.Contains(s, "SCw deployed") || !strings.Contains(s, "t=") {
 		t.Fatalf("timeline rendering wrong:\n%s", s)
-	}
-}
-
-// TestConcurrentUse hammers every container from many goroutines.
-// Run with -race (the CI does): the collector layer of the
-// orchestration engine feeds these from concurrent shard workers, so
-// any unguarded state here is a real bug, not a theoretical one.
-func TestConcurrentUse(t *testing.T) {
-	table := NewTable("concurrent", "a", "b")
-	fig := NewFigure("fig", "x", "y")
-	tl := &Timeline{Title: "tl", Unit: "s"}
-	hist := NewHist(10, 100, 1000)
-
-	const workers = 8
-	const perWorker = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			series := fig.AddSeries(fmt.Sprintf("s%d", w))
-			for i := 0; i < perWorker; i++ {
-				table.AddRow(w, i)
-				table.Note("worker %d note %d", w, i)
-				series.Add(float64(i), float64(w))
-				tl.Add(float64(i), "event")
-				hist.Observe(int64(i * w))
-				// Concurrent rendering must also be safe: progress
-				// reporters print while shards still collect.
-				if i%50 == 0 {
-					_ = table.String()
-					_ = fig.String()
-					_ = tl.String()
-					_ = hist.Snapshot()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := len(table.Rows); got != workers*perWorker {
-		t.Fatalf("table rows = %d, want %d", got, workers*perWorker)
-	}
-	snap := hist.Snapshot()
-	if snap.Count != workers*perWorker {
-		t.Fatalf("hist count = %d, want %d", snap.Count, workers*perWorker)
-	}
-	var bucketTotal uint64
-	for _, c := range snap.Counts {
-		bucketTotal += c
-	}
-	if bucketTotal != snap.Count {
-		t.Fatalf("bucket total %d != count %d", bucketTotal, snap.Count)
 	}
 }
 
