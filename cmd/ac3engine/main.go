@@ -179,12 +179,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "chrome trace -> %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceChrome)
 	}
-	fmt.Fprintf(os.Stderr, "wall: %s (%.1f tx/s real time), virtual makespan: %s, %.1f sim events/tx, %.1f drives per graded AC2T (%d wake-ups skipped)\n",
+	fmt.Fprintf(os.Stderr, "wall: %s (%.1f tx/s real time), virtual makespan: %s, %.1f sim events/tx, %.1f drives per graded AC2T (%d wake-ups skipped), %d resubmits (%d after a window, %d after a reorg drop)\n",
 		wall.Round(time.Millisecond),
 		float64(agg.Graded)/wall.Seconds(),
 		(time.Duration(agg.MakespanVirtualMs) * time.Millisecond).Round(time.Second),
 		agg.SimEventsPerTx,
-		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped)
+		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped,
+		agg.Resubmits.Window+agg.Resubmits.Dropped, agg.Resubmits.Window, agg.Resubmits.Dropped)
 	work := agg.Work
 	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%, %d of %d candidate applications rejected, %d parked offers skipped (%d parked at most), %d signatures (%d graph multisig, %d deploy, %d call)\n",
 		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate,

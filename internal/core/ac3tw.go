@@ -48,6 +48,10 @@ type TWRun struct {
 	abortDue        bool
 	decision        crypto.Purpose
 	decisionSig     crypto.Signature
+
+	// redeem and refund are the settle phase's two directions, built
+	// once in NewTW; both present Trent's signature.
+	redeem, refund protocol.Settlement[*contracts.CentralizedSC]
 }
 
 // twRegistered tells the other participants ms(D) is on file at
@@ -60,6 +64,8 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 		return nil, fmt.Errorf("core: AC3TW needs a witness (Trent)")
 	}
 	r := &TWRun{w: w, cfg: cfg}
+	r.redeem = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRedeem, Every: 6 * twRetryEvery, Secret: r.trentSig}
+	r.refund = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRefund, Every: 6 * twRetryEvery, Secret: r.trentSig}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
@@ -156,16 +162,16 @@ func (r *TWRun) drive(p *xchain.Participant) {
 	}
 	// Phase 4: p redeems its incoming edges (RD) or refunds its outgoing
 	// ones (RF). The secret is Trent's signature.
-	fn := contracts.FnRedeem
+	s := &r.redeem
 	if r.decision == crypto.PurposeRefund {
-		fn = contracts.FnRefund
+		s = &r.refund
 	}
-	protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.CentralizedSC]{
-		Fn: fn, Every: 6 * twRetryEvery,
-		Secret: func(int, *contracts.CentralizedSC) ([]byte, error) {
-			return crypto.EncodeSignature(r.decisionSig), nil
-		},
-	})
+	protocol.Settle(r.Runtime, p, s)
+}
+
+// trentSig is the secret of either direction: Trent's signature.
+func (r *TWRun) trentSig(*xchain.Participant, int, *contracts.CentralizedSC) ([]byte, error) {
+	return crypto.EncodeSignature(r.decisionSig), nil
 }
 
 // register stores ms(D) at Trent. A duplicate-registration reply

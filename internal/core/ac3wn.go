@@ -128,6 +128,10 @@ type Run struct {
 	// keeps failing from being re-submitted on every wakeup.
 	retryEvery sim.Time
 
+	// redeem and refund are the settle phase's two directions, built
+	// once in New.
+	redeem, refund protocol.Settlement[*contracts.PermissionlessSC]
+
 	states   map[*xchain.Participant]*pstate
 	abortDue bool
 	// commitPushed: some participant submitted authorize_redeem.
@@ -190,6 +194,8 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
 	}
+	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Every: 6 * r.retryEvery, Secret: r.evidence(contracts.FnAuthorizeRedeem)}
+	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Every: 6 * r.retryEvery, Secret: r.evidence(contracts.FnAuthorizeRefund)}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
@@ -592,21 +598,24 @@ func (r *Run) markDecision(outcome contracts.WitnessState, p *xchain.Participant
 // settle redeems p's incoming edges (commit) or refunds p's outgoing
 // edges (abort). The secret is evidence of SCw's stable state.
 func (r *Run) settle(p *xchain.Participant, decision contracts.WitnessState) {
-	fn, auth := contracts.FnRedeem, contracts.FnAuthorizeRedeem
+	s := &r.redeem
 	if decision == contracts.WitnessRefundAuthorized {
-		fn, auth = contracts.FnRefund, contracts.FnAuthorizeRefund
+		s = &r.refund
 	}
-	if protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.PermissionlessSC]{
-		Fn: fn, Every: 6 * r.retryEvery,
-		Secret: func(i int, sc *contracts.PermissionlessSC) ([]byte, error) {
-			ev, err := r.witnessEvidenceFor(p, sc, auth)
-			if err != nil {
-				r.noteOrphanedAnchor(p, i, sc)
-			}
-			return ev, err
-		},
-	}) {
+	if protocol.Settle(r.Runtime, p, s) {
 		r.Event(-1, "all contracts settled")
+	}
+}
+
+// evidence is the secret of the settle direction the decision auth
+// opens: witnessEvidenceFor it, noting an orphaned anchor on failure.
+func (r *Run) evidence(auth string) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
+	return func(p *xchain.Participant, i int, sc *contracts.PermissionlessSC) ([]byte, error) {
+		ev, err := r.witnessEvidenceFor(p, sc, auth)
+		if err != nil {
+			r.noteOrphanedAnchor(p, i, sc)
+		}
+		return ev, err
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/xchain"
 )
 
 // Config configures an engine run.
@@ -245,11 +246,12 @@ type Aggregate struct {
 	MaxReorgDepth int    `json:"max_reorg_depth"`
 	MsgsDropped   uint64 `json:"msgs_dropped"`
 
-	// Drives, WakeupsSkipped and Work sum the shards' counters (see
-	// ShardResult); diagnostics for stderr, not part of the aggregate.
-	Drives         uint64 `json:"-"`
-	WakeupsSkipped uint64 `json:"-"`
-	Work           Work   `json:"-"`
+	// Drives, WakeupsSkipped, Resubmits and Work sum the shards' counters
+	// (see ShardResult); diagnostics for stderr, not part of the aggregate.
+	Drives         uint64           `json:"-"`
+	WakeupsSkipped uint64           `json:"-"`
+	Resubmits      xchain.Resubmits `json:"-"`
+	Work           Work             `json:"-"`
 
 	PerShard []ShardResult `json:"per_shard"`
 
@@ -387,6 +389,8 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		agg.MsgsDropped += r.MsgsDropped
 		agg.Drives += r.Drives
 		agg.WakeupsSkipped += r.WakeupsSkipped
+		agg.Resubmits.Window += r.Resubmits.Window
+		agg.Resubmits.Dropped += r.Resubmits.Dropped
 		agg.Work.add(r.Work)
 		agg.StatesPruned += r.StatesPruned
 		agg.StatesLive += r.StatesLive

@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/xchain"
 )
 
 // latencyBounds are the aggregate latency histogram's inclusive upper
@@ -149,11 +150,13 @@ type ShardResult struct {
 
 	// Drives counts protocol step-function runs in the shard's world and
 	// WakeupsSkipped the tip-change wake-ups whose wait-set had nothing
-	// due (ADR-014). Host-side cost diagnostics: kept out of the JSON so
-	// aggregate bytes do not depend on how the reconcilers are woken.
-	Drives         uint64 `json:"-"`
-	WakeupsSkipped uint64 `json:"-"`
-	Work           Work   `json:"-"`
+	// due (ADR-014), and Resubmits the transactions EnsureTx re-multicast.
+	// Host-side cost diagnostics: kept out of the JSON so aggregate bytes
+	// do not depend on how the reconcilers are woken.
+	Drives         uint64           `json:"-"`
+	WakeupsSkipped uint64           `json:"-"`
+	Resubmits      xchain.Resubmits `json:"-"`
+	Work           Work             `json:"-"`
 
 	// latency is the shard's commit-latency histogram and phase its
 	// per-(phase, scenario) histograms — always collected (fixed-size,

@@ -9,10 +9,10 @@ import (
 )
 
 // footprint is everything a step function can leave behind that the
-// runtime can see: timeline, marks, ledger, run-state version,
-// scheduled simulator events (a submission, an announcement and a timer
-// each schedule one) and the participant's throttle stamps and armed
-// timers.
+// runtime can see besides the participant's stamps, ledgers and armed
+// timers (Shadow compares those): timeline, marks, deploy ledger,
+// run-state version and scheduled simulator events (a submission, an
+// announcement and a timer each schedule one).
 type footprint struct {
 	events, marks, confirmed, owned int
 	version                         uint64
@@ -49,7 +49,8 @@ func Shadow(t testing.TB, rt *Runtime) {
 	rt.skipped = func(p *xchain.Participant) {
 		st := rt.states[p]
 		before := rt.footprint(p)
-		stamps, armed := maps.Clone(st.lastAttempt), maps.Clone(st.armed)
+		stamps, kept, armed := maps.Clone(st.lastAttempt), maps.Clone(st.kept), maps.Clone(st.armed)
+		calls := [2][]settleCall{slices.Clone(rt.calls[0]), slices.Clone(rt.calls[1])}
 		wait := st.wait
 		wait.chains = slices.Clone(st.wait.chains)
 		for i, cw := range wait.chains {
@@ -65,6 +66,9 @@ func Shadow(t testing.TB, rt *Runtime) {
 		}
 		if !maps.Equal(stamps, st.lastAttempt) {
 			t.Errorf("t=%d: skipped wake-up of %s would have moved a throttle stamp:\n before %q\n after  %q", rt.Now(), p.Name, stamps, st.lastAttempt)
+		}
+		if !maps.Equal(kept, st.kept) || !slices.Equal(calls[0], rt.calls[0]) || !slices.Equal(calls[1], rt.calls[1]) {
+			t.Errorf("t=%d: skipped wake-up of %s would have moved the resubmit or settle ledger", rt.Now(), p.Name)
 		}
 		if !maps.Equal(armed, st.armed) {
 			t.Errorf("t=%d: skipped wake-up of %s would have armed a timer: %v -> %v", rt.Now(), p.Name, armed, st.armed)

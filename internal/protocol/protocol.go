@@ -24,7 +24,8 @@
 //     absolute virtual time;
 //   - the timeline event log the experiments render;
 //   - transaction keep-alive (EnsureTx): a submitted transaction is
-//     re-multicast if it falls off the canonical chain, and its
+//     re-multicast if it stays off the canonical chain for a window, or
+//     at once if a reorg dropped it after it was seen there, and its
 //     confirmation depth is re-derived from chain state on every
 //     drive — which is what makes crash/resume uniform: a recovered
 //     participant re-arms subscriptions and re-reads the chains, and
@@ -36,9 +37,9 @@
 //     here, parameterised only by the contract each protocol deploys;
 //   - the settle phase (Settle): every protocol ends by presenting a
 //     commitment-scheme secret to redeem or refund — one loop over a
-//     participant's edges, one ledger of terminal states with the
-//     completion time, one quiescence rule (Settled), parameterised
-//     only by the secret;
+//     participant's edges, one call signed per edge and kept alive, one
+//     ledger of terminal states with the completion time, one quiescence
+//     rule (Settled), parameterised only by the secret;
 //   - the base of the core.Runner surface every protocol shares —
 //     Resume, Stop, Events, Marks, Addrs, Grade, Decided, Settled, and
 //     the defaults for protocols without a chain or party of their own
@@ -150,9 +151,28 @@ type Config struct {
 type pstate struct {
 	subs        []*miner.Sub
 	lastAttempt map[string]sim.Time
+	kept        map[crypto.Hash]keepAlive // EnsureTx's resubmit ledger
 	armed       map[string]bool
 	deployedOwn bool // DeployOwn ran to the end for this participant
 	wait        waitSet
+}
+
+// keepAlive is EnsureTx's record of one transaction on a participant's
+// view: when its resubmit window opened (open: it has one), and whether
+// the participant has seen it canonical since it was last multicast.
+type keepAlive struct {
+	at        sim.Time
+	open      bool
+	canonical bool
+}
+
+// settleCall is the settle ledger's entry for one edge in one direction:
+// the call signed for it, or, while there is none, when the last attempt
+// to sign one found no secret (tried: one did).
+type settleCall struct {
+	tx      *chain.Tx
+	tried   bool
+	triedAt sim.Time
 }
 
 // deployAnnounce is the off-chain "my contract for edge i is confirmed
@@ -183,12 +203,12 @@ type Runtime struct {
 	confirmed int
 
 	// The settle ledger: which edges' contracts were seen in a terminal
-	// state (and how many), which "<fn>-<edge>" calls were submitted at
-	// least once, and CompletedAt, when the last edge turned terminal
+	// state (and how many), the redeem ([0]) and refund ([1]) call of
+	// each edge, and CompletedAt, when the last edge turned terminal
 	// (zero until then).
 	terminal    []bool
 	terminals   int
-	submitted   map[string]bool
+	calls       [2][]settleCall
 	CompletedAt sim.Time
 
 	marked  map[Point]bool
@@ -240,21 +260,23 @@ func New(cfg Config) (*Runtime, error) {
 		chains = append(chains, id)
 	}
 	n := len(cfg.Graph.Edges)
+	calls := make([]settleCall, 2*n)
 	rt := &Runtime{
-		cfg:       cfg,
-		chains:    chains,
-		states:    make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
-		marked:    make(map[Point]bool),
-		addrs:     make([]crypto.Address, n),
-		txIDs:     make([]crypto.Hash, n),
-		ownTx:     make([]*chain.Tx, n),
-		ownAddr:   make([]crypto.Address, n),
-		terminal:  make([]bool, n),
-		submitted: make(map[string]bool),
+		cfg:      cfg,
+		chains:   chains,
+		states:   make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
+		marked:   make(map[Point]bool),
+		addrs:    make([]crypto.Address, n),
+		txIDs:    make([]crypto.Hash, n),
+		ownTx:    make([]*chain.Tx, n),
+		ownAddr:  make([]crypto.Address, n),
+		terminal: make([]bool, n),
+		calls:    [2][]settleCall{calls[:n], calls[n:]},
 	}
 	for _, p := range cfg.Participants {
 		rt.states[p] = &pstate{
 			lastAttempt: make(map[string]sim.Time),
+			kept:        make(map[crypto.Hash]keepAlive),
 			armed:       make(map[string]bool),
 			wait:        waitSet{ids: chains, chains: make([]chainWait, len(chains))},
 		}
@@ -445,14 +467,25 @@ func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
 // reaches this call once more would act.
 func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time, fn func()) {
 	st := rt.states[p]
-	now := rt.Now()
-	if last, ok := st.lastAttempt[key]; ok && now-last < interval {
-		st.wait.wakeBy(last + interval)
+	last, ok := st.lastAttempt[key]
+	if rt.inWindow(st, last, ok, interval) {
 		return
 	}
-	st.lastAttempt[key] = now
-	st.wait.wakeBy(now + interval)
+	st.lastAttempt[key] = rt.Now()
 	fn()
+}
+
+// inWindow reports whether an attempt made at last (tried: one was) is
+// still inside its window, and leaves p due at the first wake-up after
+// the window re-opens: last's, or else the one an attempt now opens.
+func (rt *Runtime) inWindow(st *pstate, last sim.Time, tried bool, interval sim.Time) bool {
+	now := rt.Now()
+	if tried && now-last < interval {
+		st.wait.wakeBy(last + interval)
+		return true
+	}
+	st.wait.wakeBy(now + interval)
+	return false
 }
 
 // WakeAt arms a one-shot timer that re-drives p at absolute virtual
@@ -489,42 +522,68 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 }
 
 // EnsureTx reports whether tx is canonical at the given depth on p's
-// view of the chain, and keeps the submission alive meanwhile: a
-// transaction absent from the canonical chain for a whole resubmit
-// window (the client's ResubmitEvery) is re-multicast — covering
-// mempool wipes and fork losses. Because the check reads only chain
-// state, it survives crashes: a recovered participant's next drive
-// re-derives confirmation (or resubmits) with no watch to re-arm. A
-// false answer leaves p waiting for what can turn it: the block that
-// includes tx, the tip height that buries it, the resubmit window.
+// view of the chain, and keeps the submission alive meanwhile. A
+// transaction p has seen canonical and then finds absent was dropped by
+// a reorg, and is re-multicast at once; one absent from the canonical
+// chain for a whole resubmit window (the client's ResubmitEvery) — a
+// mempool wipe, a fork loss p never saw — is re-multicast then. Because
+// the check reads only chain state and the ledger beside it, it survives
+// crashes: a recovered participant's next drive re-derives confirmation
+// (or resubmits) with no watch to re-arm. A false answer leaves p
+// waiting for what can turn it: the block that includes tx, the tip
+// height that buries it, the resubmit window.
 func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, depth int) bool {
 	c := p.Client(id)
 	view := c.Chain()
 	txID := tx.ID()
 	st := rt.states[p]
+	k := st.kept[txID]
 	if b, _, found := view.FindTx(txID); found {
+		if !k.canonical {
+			k.canonical = true
+			st.kept[txID] = k
+		}
 		if d, ok := view.DepthOf(b.Hash()); ok && d >= depth {
 			return true
 		}
 		st.wait.flipAt(id, b.Header.Height+uint64(depth))
 		return false
 	}
-	// Absent: in flight, purged, or dropped with a losing fork. The
-	// first observation opens the window; a resubmission happens only
-	// if the transaction is still absent a full window later.
-	key := "resubmit:" + string(txID[:])
+	// Absent: in flight, purged, or dropped with a losing fork. A known
+	// drop goes out again now and opens a window; otherwise the first
+	// observation opens it, and a resubmission happens only if the
+	// transaction is still absent a full window later.
 	now := rt.Now()
-	last, seen := st.lastAttempt[key]
-	if !seen || now-last >= c.ResubmitEvery {
-		if seen {
-			c.Submit(tx)
-		}
-		st.lastAttempt[key] = now
-		last = now
+	switch {
+	case k.canonical:
+		c.Submit(tx)
+		rt.cfg.World.Resubmits.Dropped++
+		k = keepAlive{at: now, open: true}
+		st.kept[txID] = k
+	case !k.open:
+		k.at, k.open = now, true
+		st.kept[txID] = k
+	case now-k.at >= c.ResubmitEvery:
+		c.Submit(tx)
+		rt.cfg.World.Resubmits.Window++
+		k.at = now
+		st.kept[txID] = k
 	}
 	st.wait.watchTx(id, txID)
-	st.wait.wakeBy(last + c.ResubmitEvery)
+	st.wait.wakeBy(k.at + c.ResubmitEvery)
 	return false
+}
+
+// sawLanded records in EnsureTx's ledger that tx is canonical on p's
+// view, if it is: a reorg that drops it later is then a known drop.
+func (rt *Runtime) sawLanded(p *xchain.Participant, id chain.ID, tx *chain.Tx) {
+	st, txID := rt.states[p], tx.ID()
+	if k := st.kept[txID]; !k.canonical {
+		if _, _, found := p.Client(id).Chain().FindTx(txID); found {
+			k.canonical = true
+			st.kept[txID] = k
+		}
+	}
 }
 
 // Contract reads the contract at addr, as a T, as of the block depth
@@ -640,37 +699,47 @@ type Asset interface {
 	SwapState() contracts.SwapState
 }
 
-// Settlement is what a protocol brings to the settle phase.
+// Settlement is what a protocol brings to the settle phase: one per
+// direction, built once per run. Its hooks are handed the participant
+// settling.
 type Settlement[T Asset] struct {
 	// Fn is what p calls: contracts.FnRedeem on the contracts of the
 	// edges it receives on, contracts.FnRefund on those it sent.
 	Fn string
-	// Every is the throttle window of one edge's call: one in flight, or
-	// one that keeps failing, is not repeated on every drive.
+	// Every is the window after a Secret failed: an edge whose secret is
+	// not to be had yet is not asked again on every drive.
 	Every sim.Time
 	// Secret produces what opens edge i's contract sc to Fn: SPV
-	// evidence, Trent's signature, the hash preimage. It runs inside the
-	// window; an error submits nothing and spends it.
-	Secret func(i int, sc T) ([]byte, error)
+	// evidence, Trent's signature, the hash preimage. It runs outside a
+	// failure's window; an error submits nothing and opens one.
+	Secret func(p *xchain.Participant, i int, sc T) ([]byte, error)
 	// Submitted, when set, replaces the "<Fn> submitted" timeline entry
 	// of a call that went out; first: it is edge i's first call of Fn.
-	Submitted func(i int, first bool)
+	Submitted func(p *xchain.Participant, i int, first bool)
 	// Terminal, when set, replaces the "terminal <state>" entry: handed
 	// a contract out of P that the ledger does not hold yet, it reports
 	// whether that state is final (nil: any state out of P is).
-	Terminal func(i int, sc T) bool
+	Terminal func(p *xchain.Participant, i int, sc T) bool
 }
 
 // Settle is the last phase of every protocol, for participant p: on each
 // of p's confirmed edges in s.Fn's direction, read the asset contract at
 // p's tip; out of P, enter its terminal state in the ledger, once per
-// edge; still in P, call s.Fn with the edge's secret, once per s.Every.
-// It reports whether this step entered the last edge — the run's
+// edge; still in P, call s.Fn with the edge's secret, once, and keep that
+// call alive with EnsureTx — a call p saw land is a known drop when a
+// reorg puts the contract back in P, and goes out again at once. Every
+// protocol's secret is fixed once known and opens the contract whenever
+// the call lands, so a second signature could never open what the first
+// cannot. It reports whether this step entered the last edge — the run's
 // completion, timed in CompletedAt.
-func Settle[T Asset](rt *Runtime, p *xchain.Participant, s Settlement[T]) (completed bool) {
+func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (completed bool) {
+	calls, refund := rt.calls[0], s.Fn == contracts.FnRefund
+	if refund {
+		calls = rt.calls[1]
+	}
 	for i, e := range rt.cfg.Graph.Edges {
 		mine := e.To
-		if s.Fn == contracts.FnRefund {
+		if refund {
 			mine = e.From
 		}
 		if mine != p.Addr() || rt.addrs[i].IsZero() {
@@ -681,7 +750,10 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s Settlement[T]) (compl
 			continue
 		}
 		if sc.SwapState() != contracts.StatePublished {
-			if rt.terminal[i] || (s.Terminal != nil && !s.Terminal(i, sc)) {
+			if c := calls[i].tx; c != nil && !rt.terminal[i] {
+				rt.sawLanded(p, e.Chain, c)
+			}
+			if rt.terminal[i] || (s.Terminal != nil && !s.Terminal(p, i, sc)) {
 				continue
 			}
 			if s.Terminal == nil {
@@ -693,23 +765,26 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s Settlement[T]) (compl
 			}
 			continue
 		}
-		key := fmt.Sprintf("%s-%d", s.Fn, i)
-		rt.Throttle(p, key, s.Every, func() {
-			secret, err := s.Secret(i, sc)
+		c := &calls[i]
+		if c.tx == nil {
+			if rt.inWindow(rt.states[p], c.triedAt, c.tried, s.Every) {
+				continue
+			}
+			c.tried, c.triedAt = true, rt.Now()
+			secret, err := s.Secret(p, i, sc)
 			if err != nil {
-				return
+				continue
 			}
-			if _, err := p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
-				return
+			if c.tx, err = p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
+				continue
 			}
-			first := !rt.submitted[key]
-			rt.submitted[key] = true
 			if s.Submitted != nil {
-				s.Submitted(i, first)
+				s.Submitted(p, i, true)
 			} else {
 				rt.Event(i, s.Fn+" submitted")
 			}
-		})
+		}
+		rt.EnsureTx(p, e.Chain, c.tx, 0)
 	}
 	return completed
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/graph"
+	"repro/internal/p2p"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -257,6 +258,74 @@ func TestEnsureTxConfirmsAndResubmits(t *testing.T) {
 	}
 	if _, _, found := client.Chain().FindTx(tx.ID()); !found {
 		t.Fatal("transaction not on the canonical chain")
+	}
+}
+
+// TestEnsureTxResubmitsAReorgDropAtOnce: a transaction the participant
+// saw canonical and then finds gone was dropped by a reorg, not delayed
+// in flight, so the drive that sees it gone multicasts it again — with
+// the resubmit window an hour long, a window-paced keep-alive would sit
+// on it. Alice's node mines alone on the minority side of a partition,
+// so her payment lands on a fork the heal throws away; the majority's
+// miners hear of it only from her resubmission.
+func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
+	w, alice, bob := world(t, 5)
+	client := alice.Client("c0") // attached to node 0
+	client.ResubmitEvery = sim.Hour
+	net := w.Net("c0")
+	net.P2P.Partition([]p2p.NodeID{0}, []p2p.NodeID{1, 2})
+	tx, err := client.Transfer(bob.Addr(), 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		rt        *Runtime
+		sawIt     bool     // alice's last drive found tx canonical
+		droppedAt sim.Time // the drive that found it gone after that
+		resubmits xchain.Resubmits
+	)
+	rt, err = New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Drive: func(p *xchain.Participant) {
+			if p != alice {
+				return
+			}
+			rt.EnsureTx(p, "c0", tx, 1000) // never deep enough: kept alive throughout
+			_, _, found := client.Chain().FindTx(tx.ID())
+			if sawIt && !found && droppedAt == 0 {
+				droppedAt, resubmits = rt.Now(), w.Resubmits
+			}
+			sawIt = found
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	w.RunFor(5 * sim.Minute)
+	if _, _, found := client.Chain().FindTx(tx.ID()); !found {
+		t.Fatal("fixture: the payment did not land on the minority side")
+	}
+	net.P2P.Heal()
+	for i := 0; i < 60 && droppedAt == 0; i++ {
+		w.RunFor(10 * sim.Second)
+	}
+	if droppedAt == 0 {
+		t.Fatal("fixture: the heal never reorged the payment out of alice's view")
+	}
+	if resubmits != (xchain.Resubmits{Dropped: 1}) {
+		t.Fatalf("the drive that found the payment dropped left %+v resubmits; want one, for the drop", resubmits)
+	}
+	w.RunFor(sim.Second)
+	for _, i := range []int{1, 2} {
+		n := net.Node(i)
+		if _, _, onChain := n.Chain.FindTx(tx.ID()); !onChain && n.MempoolSize() == 0 {
+			t.Errorf("majority node %d has not heard of the payment a second after the drop", i)
+		}
 	}
 }
 

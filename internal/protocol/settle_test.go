@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
@@ -12,56 +13,74 @@ import (
 )
 
 // TestSettle drives the settle phase by itself, over the plainest
-// template contract there is (a hashlock with a far timelock) and a
-// secret the test controls: what the runtime promises every protocol
-// about submissions, the terminal ledger, completion and quiescence.
+// template contract there is (a hashlock; edge 1's timelock runs out
+// mid-test) and secrets the test controls: what the runtime promises
+// every protocol about submissions, keep-alive, the terminal ledger,
+// completion and quiescence.
 func TestSettle(t *testing.T) {
 	w, alice, bob := world(t, 11)
 	g := swapOnC0(t, alice, bob) // edge 0: alice → bob, edge 1: bob → alice
 	preimage := []byte("s")
 	const window = 40 * sim.Second
+	timelock := [2]int64{int64(10 * sim.Hour), int64(20 * sim.Minute)}
 
 	var (
 		rt          *Runtime
 		settling    bool
-		noSecret    = true     // the secret is not to be had yet
-		wrongFor1   = true     // edge 1 is opened with the wrong preimage
+		noSecret    = true     // no redeem secret is to be had yet
+		refundOpen  bool       // the refund's secret (none: the timelock) is to be had
 		completions []sim.Time // when Settle reported the last terminal state
 		submits     = [2]int{} // "redeem submitted" per edge, through the hook
-		firsts      = [2]int{} // … of which flagged first
-		terminals   = [2]int{} // default "terminal RD" entries per edge
+		secrets     = [2]int{} // redeem secrets handed out per edge
+		terminals   = [2]int{} // default "terminal <state>" entries per edge
 		counted     = 0        // timeline entries already counted
 	)
+	redeem := Settlement[*contracts.HTLC]{
+		Fn: contracts.FnRedeem, Every: window,
+		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
+			switch {
+			case sc.Recipient != p.Addr():
+				t.Errorf("%s asked to redeem edge %d, which pays %s", p.Name, i, sc.Recipient)
+			case noSecret:
+				return nil, errors.New("no secret yet")
+			}
+			secrets[i]++
+			if i == 1 {
+				return []byte("wrong"), nil
+			}
+			return preimage, nil
+		},
+		Submitted: func(_ *xchain.Participant, i int, first bool) {
+			if !first {
+				t.Errorf("edge %d: a second redeem call", i)
+			}
+			submits[i]++
+		},
+	}
+	refund := Settlement[*contracts.HTLC]{
+		Fn: contracts.FnRefund, Every: window,
+		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
+			if sc.Sender != p.Addr() {
+				t.Errorf("%s asked to refund edge %d, which %s sent", p.Name, i, sc.Sender)
+			}
+			if !refundOpen {
+				return nil, errors.New("timelock not passed")
+			}
+			return nil, nil
+		},
+	}
 	rt, err := New(Config{
 		World: w, Graph: g, Participants: []*xchain.Participant{alice, bob}, Initiator: alice,
 		Drive: func(p *xchain.Participant) {
-			rt.DeployOwn(p, contracts.TypeHTLC, func(_ *xchain.Participant, _ int, e graph.Edge) ([]byte, bool) {
-				return contracts.HTLCParams{Recipient: e.To, Hashlock: crypto.Sum(preimage), Timelock: int64(10 * sim.Hour)}.Encode(), true
+			rt.DeployOwn(p, contracts.TypeHTLC, func(_ *xchain.Participant, i int, e graph.Edge) ([]byte, bool) {
+				return contracts.HTLCParams{Recipient: e.To, Hashlock: crypto.Sum(preimage), Timelock: timelock[i]}.Encode(), true
 			})
 			rt.ConfirmOwn(p, 1)
 			if !settling {
 				return
 			}
-			if Settle(rt, p, Settlement[*contracts.HTLC]{
-				Fn: contracts.FnRedeem, Every: window,
-				Secret: func(i int, sc *contracts.HTLC) ([]byte, error) {
-					switch {
-					case sc.Recipient != p.Addr():
-						t.Errorf("%s asked to redeem edge %d, which pays %s", p.Name, i, sc.Recipient)
-					case noSecret:
-						return nil, errors.New("no secret yet")
-					case i == 1 && wrongFor1:
-						return []byte("wrong"), nil
-					}
-					return preimage, nil
-				},
-				Submitted: func(i int, first bool) {
-					submits[i]++
-					if first {
-						firsts[i]++
-					}
-				},
-			}) {
+			done := Settle(rt, p, &redeem)
+			if Settle(rt, p, &refund) || done {
 				completions = append(completions, rt.Now())
 			}
 		},
@@ -72,12 +91,13 @@ func TestSettle(t *testing.T) {
 	count := func() { // scans the timeline entries added since the last call
 		evs := rt.Events()
 		for _, ev := range evs[counted:] {
-			if ev.Label == "terminal RD" {
+			if ev.Label == "terminal RD" || ev.Label == "terminal RF" {
 				terminals[ev.Edge]++
 			}
 		}
 		counted = len(evs)
 	}
+	calls := func() uint64 { return w.Net("c0").Signed[chain.TxCall] }
 	rt.Start()
 	w.RunFor(2 * sim.Minute)
 	if !rt.AllConfirmed() {
@@ -87,46 +107,54 @@ func TestSettle(t *testing.T) {
 		t.Fatal("settled with no decision and both contracts in P")
 	}
 
-	// A secret that cannot be produced submits nothing — and spends the
-	// window, like any other attempt.
+	// A secret that cannot be produced submits nothing — and opens a
+	// window in which it is not asked for again.
 	settling = true
 	rt.DriveAll()
 	noSecret = false
 	rt.DriveAll()
-	if submits != [2]int{} {
-		t.Fatalf("submitted without a secret, or inside the window it spent: hook %v", submits)
+	if submits != [2]int{} || secrets != [2]int{} || calls() != 0 {
+		t.Fatalf("submitted without a secret, or inside the window it opened: hook %v, secrets %v, %d calls signed", submits, secrets, calls())
 	}
 
 	// With the window open again each edge's recipient calls redeem once,
-	// and a second drive inside the window adds nothing.
+	// and a second drive adds nothing.
 	w.RunFor(window)
 	rt.DriveAll()
 	rt.DriveAll()
-	if submits != [2]int{1, 1} || firsts != [2]int{1, 1} {
-		t.Fatalf("after one open window: hook %v (first %v)", submits, firsts)
+	if submits != [2]int{1, 1} || secrets != [2]int{1, 1} || calls() != 2 {
+		t.Fatalf("after one open window: hook %v, secrets %v, %d calls signed", submits, secrets, calls())
 	}
+	held := rt.calls[0][1].tx
 
-	// Edge 0 redeems; edge 1 was called with the wrong preimage, stays in
-	// P and is retried window after window. One terminal state is not
-	// completion.
+	// Edge 0 redeems. Edge 1 was called with the wrong preimage and stays
+	// in P: its call is kept alive — re-multicast, window after window,
+	// as the same transaction — and never signed again, nor its secret
+	// asked for. One terminal state is not completion.
 	w.RunFor(3 * sim.Minute)
+	rt.DriveAll()
 	count()
 	if terminals != [2]int{1, 0} || len(completions) != 0 || rt.CompletedAt != 0 {
 		t.Fatalf("terminal entries %v, completions %v, CompletedAt %d; want edge 0 alone, once", terminals, completions, rt.CompletedAt)
 	}
-	if submits[0] != 1 || submits[1] < 2 || firsts != [2]int{1, 1} {
-		t.Fatalf("hook saw %v submissions (first %v); want edge 0 once, edge 1 retried, one first each", submits, firsts)
+	if submits != [2]int{1, 1} || secrets != [2]int{1, 1} || calls() != 2 {
+		t.Fatalf("edge 1 re-signed: hook %v, secrets %v, %d calls signed", submits, secrets, calls())
+	}
+	if rt.calls[0][1].tx != held || w.Resubmits.Window < 2 {
+		t.Fatalf("edge 1's call not kept alive: held %v (was %v), %+v resubmits", rt.calls[0][1].tx.ID(), held.ID(), w.Resubmits)
 	}
 	rt.Mark(PointDecisionConfirmed)
 	if rt.Settled() {
 		t.Fatal("settled with edge 1 still in P")
 	}
 
-	// The right preimage closes edge 1: the step that sees it reports
-	// completion, once, and the ledger keeps one entry per edge however
-	// often the participants are driven afterwards.
-	wrongFor1 = false
-	w.RunFor(3 * sim.Minute)
+	// Edge 1 closes with a secret that only becomes available later: its
+	// sender's refund, once the timelock has passed. The step that sees it
+	// reports completion, once, and the ledger keeps one entry per edge
+	// however often the participants are driven afterwards.
+	w.RunFor(20 * sim.Minute)
+	refundOpen = true
+	w.RunFor(window + 3*sim.Minute)
 	rt.DriveAll()
 	count()
 	if terminals != [2]int{1, 1} {
@@ -138,7 +166,7 @@ func TestSettle(t *testing.T) {
 	if !rt.Settled() {
 		t.Fatal("decided, nothing in flight, every contract out of P: not settled")
 	}
-	if out := rt.Grade(); !out.Committed() || out.Calls != 2 {
-		t.Fatalf("graded %+v with %d calls on-chain", out.Edges, out.Calls)
+	if out := rt.Grade(); out.Edges[0].State != contracts.StateRedeemed || out.Edges[1].State != contracts.StateRefunded || out.Calls != 2 || calls() != 3 {
+		t.Fatalf("graded %+v with %d calls on-chain, %d signed", out.Edges, out.Calls, calls())
 	}
 }

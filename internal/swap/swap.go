@@ -64,6 +64,15 @@ type Run struct {
 
 	secrets map[*xchain.Participant][]byte // who has learned s
 
+	// redeem and refund are the settle phase's two directions, built
+	// once in New. Hashlocks have no decision apart from the settle
+	// phase, so their hooks mark the phase boundaries: the first call
+	// submitted on an edge triggers the decision, and a redeem publicly
+	// recognized (confirmed at depth d, the paper's Δ semantics) is the
+	// Figure 8 redemption boundary — the only terminal state a swap
+	// records.
+	redeem, refund protocol.Settlement[*contracts.HTLC]
+
 	// revealed: some redeem was submitted, so s is on its way on-chain.
 	revealed bool
 }
@@ -88,6 +97,18 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	}
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("swap: Delta must be positive")
+	}
+	r.redeem = protocol.Settlement[*contracts.HTLC]{
+		Fn: contracts.FnRedeem, Every: r.retryEvery(),
+		Secret:    func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) { return r.secrets[p], nil },
+		Submitted: r.submitted(contracts.FnRedeem),
+		Terminal:  r.redeemConfirmed,
+	}
+	r.refund = protocol.Settlement[*contracts.HTLC]{
+		Fn: contracts.FnRefund, Every: r.retryEvery(),
+		Secret:    func(*xchain.Participant, int, *contracts.HTLC) ([]byte, error) { return nil, nil },
+		Submitted: r.submitted(contracts.FnRefund),
+		Terminal:  func(*xchain.Participant, int, *contracts.HTLC) bool { return false },
 	}
 	return r, nil
 }
@@ -171,8 +192,8 @@ func (r *Run) drive(p *xchain.Participant) {
 	}
 	// Redeem incoming contracts: the leader once everything is
 	// deployed, everyone else as soon as they know s.
-	if s := r.secrets[p]; s != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
-		r.settle(p, contracts.FnRedeem, s)
+	if r.secrets[p] != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
+		protocol.Settle(r.Runtime, p, &r.redeem)
 	}
 	// Refund own contracts once their timelock expired — a sender's
 	// contracts share one, a function of its layer — with a one-shot wake
@@ -181,12 +202,12 @@ func (r *Run) drive(p *xchain.Participant) {
 	for i, e := range r.cfg.Graph.Edges {
 		refundAt := r.timelocks[i] + int64(r.cfg.Delta)/4
 		if e.From == p.Addr() && now < refundAt {
-			r.WakeAt(p, fmt.Sprintf("refund-due-%d", i), refundAt)
+			r.WakeAt(p, "refund-due", refundAt)
 			expired = false
 		}
 	}
 	if expired {
-		r.settle(p, contracts.FnRefund, nil)
+		protocol.Settle(r.Runtime, p, &r.refund)
 	}
 }
 
@@ -233,36 +254,31 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 	}
 }
 
-// settle makes p redeem its incoming contracts with the secret, or
-// refund its own. Hashlocks have no decision apart from the settle
-// phase, so this is where the phase boundaries are marked: the first
-// call submitted on an edge triggers the decision, and a redeem publicly
-// recognized (confirmed at depth d, the paper's Δ semantics) is the
-// Figure 8 redemption boundary — the only terminal state a swap records.
-func (r *Run) settle(p *xchain.Participant, fn string, secret []byte) {
-	protocol.Settle(r.Runtime, p, protocol.Settlement[*contracts.HTLC]{
-		Fn: fn, Every: r.retryEvery(),
-		Secret: func(int, *contracts.HTLC) ([]byte, error) { return secret, nil },
-		Submitted: func(i int, first bool) {
-			if first {
-				r.revealed = r.revealed || fn == contracts.FnRedeem
-				r.Mark(protocol.PointDecisionTriggered)
-				r.Event(i, fn+" submitted")
-			}
-		},
-		Terminal: func(i int, h *contracts.HTLC) bool {
-			if fn != contracts.FnRedeem || h.State != contracts.StateRedeemed {
-				return false
-			}
-			deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth)
-			if !ok || deep.State != contracts.StateRedeemed {
-				return false
-			}
-			r.Mark(protocol.PointDecisionConfirmed)
-			r.Event(i, "redeem confirmed")
-			return true
-		},
-	})
+// submitted is the settle hook that marks and logs fn's first call on an
+// edge.
+func (r *Run) submitted(fn string) func(*xchain.Participant, int, bool) {
+	return func(_ *xchain.Participant, i int, first bool) {
+		if first {
+			r.revealed = r.revealed || fn == contracts.FnRedeem
+			r.Mark(protocol.PointDecisionTriggered)
+			r.Event(i, fn+" submitted")
+		}
+	}
+}
+
+// redeemConfirmed is the redeem direction's terminal hook: edge i counts
+// once its redemption is confirmed on p's view.
+func (r *Run) redeemConfirmed(p *xchain.Participant, i int, h *contracts.HTLC) bool {
+	if h.State != contracts.StateRedeemed {
+		return false
+	}
+	deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth)
+	if !ok || deep.State != contracts.StateRedeemed {
+		return false
+	}
+	r.Mark(protocol.PointDecisionConfirmed)
+	r.Event(i, "redeem confirmed")
+	return true
 }
 
 // retryEvery is the throttle interval for re-submitting redeem/refund

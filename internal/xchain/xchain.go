@@ -32,12 +32,20 @@ type World struct {
 	// run hosted here (protocol.Runtime keeps them; host-side
 	// diagnostics, not part of any graded result).
 	Drives, WakeupsSkipped uint64
+	// Resubmits counts the transactions protocol.Runtime.EnsureTx
+	// re-multicast (same standing).
+	Resubmits Resubmits
 	// GraphSigs counts the signatures put on graph multisignatures
 	// ms(D) by the runs hosted here (same standing). Sigs holds the ones
 	// written ahead of need (Builder.Presign; nil: none).
 	GraphSigs uint64
 	Sigs      *crypto.SigBook
 }
+
+// Resubmits splits EnsureTx's re-multicasts by what prompted them: a
+// transaction still absent a whole resubmit window after it was first
+// missed, or one a reorg dropped after its sender had seen it canonical.
+type Resubmits struct{ Window, Dropped uint64 }
 
 // ChainSpec configures one chain of a world.
 type ChainSpec struct {
