@@ -49,8 +49,7 @@ type TWRun struct {
 	decision        crypto.Purpose
 	decisionSig     crypto.Signature
 
-	// redeem and refund are the settle phase's two directions, built
-	// once in NewTW; both present Trent's signature.
+	// redeem and refund: the settle phase, built once; Trent's signature.
 	redeem, refund protocol.Settlement[*contracts.CentralizedSC]
 }
 
@@ -64,8 +63,11 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 		return nil, fmt.Errorf("core: AC3TW needs a witness (Trent)")
 	}
 	r := &TWRun{w: w, cfg: cfg}
-	r.redeem = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRedeem, Every: 6 * twRetryEvery, Secret: r.trentSig}
-	r.refund = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRefund, Every: 6 * twRetryEvery, Secret: r.trentSig}
+	sig := func(*xchain.Participant, int, *contracts.CentralizedSC) ([]byte, error) {
+		return crypto.EncodeSignature(r.decisionSig), nil
+	}
+	r.redeem = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRedeem, Secret: sig}
+	r.refund = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRefund, Secret: sig}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
@@ -167,11 +169,6 @@ func (r *TWRun) drive(p *xchain.Participant) {
 		s = &r.refund
 	}
 	protocol.Settle(r.Runtime, p, s)
-}
-
-// trentSig is the secret of either direction: Trent's signature.
-func (r *TWRun) trentSig(*xchain.Participant, int, *contracts.CentralizedSC) ([]byte, error) {
-	return crypto.EncodeSignature(r.decisionSig), nil
 }
 
 // register stores ms(D) at Trent. A duplicate-registration reply

@@ -122,14 +122,13 @@ type Run struct {
 	// block hash evidence must be anchored at.
 	checkpointHash map[chain.ID]crypto.Hash
 
-	// retryEvery is the base interval for throttling retried on-chain
-	// actions: half the witness block interval. It does not drive the
-	// reconciler — notifications do — it only stops an action that
-	// keeps failing from being re-submitted on every wakeup.
+	// retryEvery is the base interval for throttling the SCw deploy and
+	// the authorize_* pushes: half the witness block interval. It does
+	// not drive the reconciler — notifications do — it only stops an
+	// action that keeps failing from being re-submitted on every wakeup.
 	retryEvery sim.Time
 
-	// redeem and refund are the settle phase's two directions, built
-	// once in New.
+	// redeem and refund: the settle phase, built once.
 	redeem, refund protocol.Settlement[*contracts.PermissionlessSC]
 
 	states   map[*xchain.Participant]*pstate
@@ -194,8 +193,8 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
 	}
-	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Every: 6 * r.retryEvery, Secret: r.evidence(contracts.FnAuthorizeRedeem)}
-	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Every: 6 * r.retryEvery, Secret: r.evidence(contracts.FnAuthorizeRefund)}
+	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: r.evidence(contracts.FnAuthorizeRedeem)}
+	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: r.evidence(contracts.FnAuthorizeRefund)}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,

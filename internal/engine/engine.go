@@ -35,7 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/xchain"
 )
 
 // Config configures an engine run.
@@ -248,10 +247,10 @@ type Aggregate struct {
 
 	// Drives, WakeupsSkipped, Resubmits and Work sum the shards' counters
 	// (see ShardResult); diagnostics for stderr, not part of the aggregate.
-	Drives         uint64           `json:"-"`
-	WakeupsSkipped uint64           `json:"-"`
-	Resubmits      xchain.Resubmits `json:"-"`
-	Work           Work             `json:"-"`
+	Drives         uint64                           `json:"-"`
+	WakeupsSkipped uint64                           `json:"-"`
+	Resubmits      struct{ Window, Dropped uint64 } `json:"-"`
+	Work           Work                             `json:"-"`
 
 	PerShard []ShardResult `json:"per_shard"`
 

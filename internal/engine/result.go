@@ -3,7 +3,6 @@ package engine
 import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/xchain"
 )
 
 // latencyBounds are the aggregate latency histogram's inclusive upper
@@ -153,10 +152,10 @@ type ShardResult struct {
 	// due (ADR-014), and Resubmits the transactions EnsureTx re-multicast.
 	// Host-side cost diagnostics: kept out of the JSON so aggregate bytes
 	// do not depend on how the reconcilers are woken.
-	Drives         uint64           `json:"-"`
-	WakeupsSkipped uint64           `json:"-"`
-	Resubmits      xchain.Resubmits `json:"-"`
-	Work           Work             `json:"-"`
+	Drives         uint64                           `json:"-"`
+	WakeupsSkipped uint64                           `json:"-"`
+	Resubmits      struct{ Window, Dropped uint64 } `json:"-"`
+	Work           Work                             `json:"-"`
 
 	// latency is the shard's commit-latency histogram and phase its
 	// per-(phase, scenario) histograms — always collected (fixed-size,

@@ -157,22 +157,18 @@ type pstate struct {
 	wait        waitSet
 }
 
-// keepAlive is EnsureTx's record of one transaction on a participant's
-// view: when its resubmit window opened (open: it has one), and whether
-// the participant has seen it canonical since it was last multicast.
+// keepAlive is EnsureTx's record of a transaction (none: no window yet):
+// when its window opened, and whether it was seen canonical since.
 type keepAlive struct {
 	at        sim.Time
-	open      bool
 	canonical bool
 }
 
-// settleCall is the settle ledger's entry for one edge in one direction:
-// the call signed for it, or, while there is none, when the last attempt
-// to sign one found no secret (tried: one did).
+// settleCall is the call signed for one edge and direction, or, while
+// there is none, when the next attempt may ask for its secret.
 type settleCall struct {
 	tx      *chain.Tx
-	tried   bool
-	triedAt sim.Time
+	retryAt sim.Time
 }
 
 // deployAnnounce is the off-chain "my contract for edge i is confirmed
@@ -467,25 +463,14 @@ func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
 // reaches this call once more would act.
 func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time, fn func()) {
 	st := rt.states[p]
-	last, ok := st.lastAttempt[key]
-	if rt.inWindow(st, last, ok, interval) {
+	now := rt.Now()
+	if last, ok := st.lastAttempt[key]; ok && now-last < interval {
+		st.wait.wakeBy(last + interval)
 		return
 	}
-	st.lastAttempt[key] = rt.Now()
-	fn()
-}
-
-// inWindow reports whether an attempt made at last (tried: one was) is
-// still inside its window, and leaves p due at the first wake-up after
-// the window re-opens: last's, or else the one an attempt now opens.
-func (rt *Runtime) inWindow(st *pstate, last sim.Time, tried bool, interval sim.Time) bool {
-	now := rt.Now()
-	if tried && now-last < interval {
-		st.wait.wakeBy(last + interval)
-		return true
-	}
+	st.lastAttempt[key] = now
 	st.wait.wakeBy(now + interval)
-	return false
+	fn()
 }
 
 // WakeAt arms a one-shot timer that re-drives p at absolute virtual
@@ -522,68 +507,55 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 }
 
 // EnsureTx reports whether tx is canonical at the given depth on p's
-// view of the chain, and keeps the submission alive meanwhile. A
-// transaction p has seen canonical and then finds absent was dropped by
-// a reorg, and is re-multicast at once; one absent from the canonical
-// chain for a whole resubmit window (the client's ResubmitEvery) — a
-// mempool wipe, a fork loss p never saw — is re-multicast then. Because
-// the check reads only chain state and the ledger beside it, it survives
-// crashes: a recovered participant's next drive re-derives confirmation
-// (or resubmits) with no watch to re-arm. A false answer leaves p
-// waiting for what can turn it: the block that includes tx, the tip
-// height that buries it, the resubmit window.
+// view of the chain, and keeps the submission alive meanwhile: one p saw
+// canonical and finds gone was dropped by a reorg and is re-multicast at
+// once, one absent for a whole resubmit window (the client's
+// ResubmitEvery) then. Because the check reads only chain state, it
+// survives crashes: a recovered participant's next drive re-derives
+// confirmation (or resubmits) with no watch to re-arm. A false answer
+// leaves p waiting for what can turn it: the block that includes tx, the
+// tip height that buries it, the resubmit window.
 func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, depth int) bool {
-	c := p.Client(id)
-	view := c.Chain()
-	txID := tx.ID()
-	st := rt.states[p]
-	k := st.kept[txID]
-	if b, _, found := view.FindTx(txID); found {
-		if !k.canonical {
-			k.canonical = true
-			st.kept[txID] = k
-		}
-		if d, ok := view.DepthOf(b.Hash()); ok && d >= depth {
+	c, st, txID := p.Client(id), rt.states[p], tx.ID()
+	if b, found := rt.seen(p, id, tx); found {
+		if d, ok := c.Chain().DepthOf(b.Hash()); ok && d >= depth {
 			return true
 		}
 		st.wait.flipAt(id, b.Header.Height+uint64(depth))
 		return false
 	}
 	// Absent: in flight, purged, or dropped with a losing fork. A known
-	// drop goes out again now and opens a window; otherwise the first
-	// observation opens it, and a resubmission happens only if the
-	// transaction is still absent a full window later.
+	// drop goes out now; otherwise the first observation opens the window.
 	now := rt.Now()
+	k, open := st.kept[txID]
 	switch {
 	case k.canonical:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Dropped++
-		k = keepAlive{at: now, open: true}
-		st.kept[txID] = k
-	case !k.open:
-		k.at, k.open = now, true
-		st.kept[txID] = k
+		k = keepAlive{at: now}
+	case !open:
+		k.at = now
 	case now-k.at >= c.ResubmitEvery:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Window++
 		k.at = now
-		st.kept[txID] = k
 	}
+	st.kept[txID] = k
 	st.wait.watchTx(id, txID)
 	st.wait.wakeBy(k.at + c.ResubmitEvery)
 	return false
 }
 
-// sawLanded records in EnsureTx's ledger that tx is canonical on p's
-// view, if it is: a reorg that drops it later is then a known drop.
-func (rt *Runtime) sawLanded(p *xchain.Participant, id chain.ID, tx *chain.Tx) {
+// seen finds tx on p's canonical view of chain id and notes in EnsureTx's
+// ledger that p saw it there: a reorg that drops it later is a known drop.
+func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chain.Block, bool) {
 	st, txID := rt.states[p], tx.ID()
-	if k := st.kept[txID]; !k.canonical {
-		if _, _, found := p.Client(id).Chain().FindTx(txID); found {
-			k.canonical = true
-			st.kept[txID] = k
-		}
+	b, _, found := p.Client(id).Chain().FindTx(txID)
+	if k := st.kept[txID]; found && !k.canonical {
+		k.canonical = true
+		st.kept[txID] = k
 	}
+	return b, found
 }
 
 // Contract reads the contract at addr, as a T, as of the block depth
@@ -699,23 +671,20 @@ type Asset interface {
 	SwapState() contracts.SwapState
 }
 
-// Settlement is what a protocol brings to the settle phase: one per
-// direction, built once per run. Its hooks are handed the participant
-// settling.
+// Settlement is what a protocol brings to the settle phase, built once
+// per run and direction; its hooks are handed the participant settling.
 type Settlement[T Asset] struct {
 	// Fn is what p calls: contracts.FnRedeem on the contracts of the
 	// edges it receives on, contracts.FnRefund on those it sent.
 	Fn string
-	// Every is the window after a Secret failed: an edge whose secret is
-	// not to be had yet is not asked again on every drive.
-	Every sim.Time
 	// Secret produces what opens edge i's contract sc to Fn: SPV
-	// evidence, Trent's signature, the hash preimage. It runs outside a
-	// failure's window; an error submits nothing and opens one.
+	// evidence, Trent's signature, the hash preimage. An error submits
+	// nothing, and the edge is not asked again for a resubmit window of
+	// its chain's client.
 	Secret func(p *xchain.Participant, i int, sc T) ([]byte, error)
-	// Submitted, when set, replaces the "<Fn> submitted" timeline entry
-	// of a call that went out; first: it is edge i's first call of Fn.
-	Submitted func(p *xchain.Participant, i int, first bool)
+	// Submitted, when set, runs after edge i's call went out and its
+	// "<Fn> submitted" timeline entry was written.
+	Submitted func(p *xchain.Participant, i int)
 	// Terminal, when set, replaces the "terminal <state>" entry: handed
 	// a contract out of P that the ledger does not hold yet, it reports
 	// whether that state is final (nil: any state out of P is).
@@ -725,13 +694,12 @@ type Settlement[T Asset] struct {
 // Settle is the last phase of every protocol, for participant p: on each
 // of p's confirmed edges in s.Fn's direction, read the asset contract at
 // p's tip; out of P, enter its terminal state in the ledger, once per
-// edge; still in P, call s.Fn with the edge's secret, once, and keep that
-// call alive with EnsureTx — a call p saw land is a known drop when a
-// reorg puts the contract back in P, and goes out again at once. Every
-// protocol's secret is fixed once known and opens the contract whenever
-// the call lands, so a second signature could never open what the first
-// cannot. It reports whether this step entered the last edge — the run's
-// completion, timed in CompletedAt.
+// edge; still in P, call s.Fn with the edge's secret once and keep that
+// call alive with EnsureTx (one p saw land is a known drop if a reorg
+// takes it). Every protocol's secret is fixed once known, so a second
+// signature could never open what the first cannot. It reports whether
+// this step entered the last edge — the run's completion, timed in
+// CompletedAt.
 func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (completed bool) {
 	calls, refund := rt.calls[0], s.Fn == contracts.FnRefund
 	if refund {
@@ -751,7 +719,7 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 		}
 		if sc.SwapState() != contracts.StatePublished {
 			if c := calls[i].tx; c != nil && !rt.terminal[i] {
-				rt.sawLanded(p, e.Chain, c)
+				rt.seen(p, e.Chain, c)
 			}
 			if rt.terminal[i] || (s.Terminal != nil && !s.Terminal(p, i, sc)) {
 				continue
@@ -767,10 +735,13 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 		}
 		c := &calls[i]
 		if c.tx == nil {
-			if rt.inWindow(rt.states[p], c.triedAt, c.tried, s.Every) {
+			now, wait := rt.Now(), &rt.states[p].wait
+			if now < c.retryAt {
+				wait.wakeBy(c.retryAt)
 				continue
 			}
-			c.tried, c.triedAt = true, rt.Now()
+			c.retryAt = now + p.Client(e.Chain).ResubmitEvery
+			wait.wakeBy(c.retryAt)
 			secret, err := s.Secret(p, i, sc)
 			if err != nil {
 				continue
@@ -778,10 +749,9 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 			if c.tx, err = p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
 				continue
 			}
+			rt.Event(i, s.Fn+" submitted")
 			if s.Submitted != nil {
-				s.Submitted(p, i, true)
-			} else {
-				rt.Event(i, s.Fn+" submitted")
+				s.Submitted(p, i)
 			}
 		}
 		rt.EnsureTx(p, e.Chain, c.tx, 0)

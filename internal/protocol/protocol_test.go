@@ -283,7 +283,7 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 		rt        *Runtime
 		sawIt     bool     // alice's last drive found tx canonical
 		droppedAt sim.Time // the drive that found it gone after that
-		resubmits xchain.Resubmits
+		resubmits struct{ Window, Dropped uint64 }
 	)
 	rt, err = New(Config{
 		World:        w,
@@ -317,7 +317,7 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 	if droppedAt == 0 {
 		t.Fatal("fixture: the heal never reorged the payment out of alice's view")
 	}
-	if resubmits != (xchain.Resubmits{Dropped: 1}) {
+	if resubmits.Window != 0 || resubmits.Dropped != 1 {
 		t.Fatalf("the drive that found the payment dropped left %+v resubmits; want one, for the drop", resubmits)
 	}
 	w.RunFor(sim.Second)

@@ -21,7 +21,7 @@ func TestSettle(t *testing.T) {
 	w, alice, bob := world(t, 11)
 	g := swapOnC0(t, alice, bob) // edge 0: alice → bob, edge 1: bob → alice
 	preimage := []byte("s")
-	const window = 40 * sim.Second
+	window := alice.Client("c0").ResubmitEvery // after a secret failed
 	timelock := [2]int64{int64(10 * sim.Hour), int64(20 * sim.Minute)}
 
 	var (
@@ -36,7 +36,7 @@ func TestSettle(t *testing.T) {
 		counted     = 0        // timeline entries already counted
 	)
 	redeem := Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRedeem, Every: window,
+		Fn: contracts.FnRedeem,
 		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
 			switch {
 			case sc.Recipient != p.Addr():
@@ -50,15 +50,10 @@ func TestSettle(t *testing.T) {
 			}
 			return preimage, nil
 		},
-		Submitted: func(_ *xchain.Participant, i int, first bool) {
-			if !first {
-				t.Errorf("edge %d: a second redeem call", i)
-			}
-			submits[i]++
-		},
+		Submitted: func(_ *xchain.Participant, i int) { submits[i]++ },
 	}
 	refund := Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRefund, Every: window,
+		Fn: contracts.FnRefund,
 		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
 			if sc.Sender != p.Addr() {
 				t.Errorf("%s asked to refund edge %d, which %s sent", p.Name, i, sc.Sender)

@@ -64,13 +64,10 @@ type Run struct {
 
 	secrets map[*xchain.Participant][]byte // who has learned s
 
-	// redeem and refund are the settle phase's two directions, built
-	// once in New. Hashlocks have no decision apart from the settle
-	// phase, so their hooks mark the phase boundaries: the first call
-	// submitted on an edge triggers the decision, and a redeem publicly
-	// recognized (confirmed at depth d, the paper's Δ semantics) is the
-	// Figure 8 redemption boundary — the only terminal state a swap
-	// records.
+	// redeem and refund are the settle phase, built once. Hashlocks have
+	// no other decision, so their hooks mark its boundaries: a call
+	// triggers it, and a redeem confirmed at depth d (the paper's Δ) is
+	// Figure 8's redemption boundary — the only terminal state recorded.
 	redeem, refund protocol.Settlement[*contracts.HTLC]
 
 	// revealed: some redeem was submitted, so s is on its way on-chain.
@@ -99,15 +96,15 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		return nil, fmt.Errorf("swap: Delta must be positive")
 	}
 	r.redeem = protocol.Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRedeem, Every: r.retryEvery(),
+		Fn:        contracts.FnRedeem,
 		Secret:    func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) { return r.secrets[p], nil },
-		Submitted: r.submitted(contracts.FnRedeem),
+		Submitted: func(*xchain.Participant, int) { r.revealed = true; r.Mark(protocol.PointDecisionTriggered) },
 		Terminal:  r.redeemConfirmed,
 	}
 	r.refund = protocol.Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRefund, Every: r.retryEvery(),
+		Fn:        contracts.FnRefund,
 		Secret:    func(*xchain.Participant, int, *contracts.HTLC) ([]byte, error) { return nil, nil },
-		Submitted: r.submitted(contracts.FnRefund),
+		Submitted: func(*xchain.Participant, int) { r.Mark(protocol.PointDecisionTriggered) },
 		Terminal:  func(*xchain.Participant, int, *contracts.HTLC) bool { return false },
 	}
 	return r, nil
@@ -254,18 +251,6 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 	}
 }
 
-// submitted is the settle hook that marks and logs fn's first call on an
-// edge.
-func (r *Run) submitted(fn string) func(*xchain.Participant, int, bool) {
-	return func(_ *xchain.Participant, i int, first bool) {
-		if first {
-			r.revealed = r.revealed || fn == contracts.FnRedeem
-			r.Mark(protocol.PointDecisionTriggered)
-			r.Event(i, fn+" submitted")
-		}
-	}
-}
-
 // redeemConfirmed is the redeem direction's terminal hook: edge i counts
 // once its redemption is confirmed on p's view.
 func (r *Run) redeemConfirmed(p *xchain.Participant, i int, h *contracts.HTLC) bool {
@@ -279,15 +264,6 @@ func (r *Run) redeemConfirmed(p *xchain.Participant, i int, h *contracts.HTLC) b
 	r.Mark(protocol.PointDecisionConfirmed)
 	r.Event(i, "redeem confirmed")
 	return true
-}
-
-// retryEvery is the throttle interval for re-submitting redeem/refund
-// calls that have not landed yet (a quarter Δ, at least a second).
-func (r *Run) retryEvery() sim.Time {
-	if d := r.cfg.Delta / 4; d > sim.Second {
-		return d
-	}
-	return sim.Second
 }
 
 // Settled reports run quiescence for the engine's core.Runner

@@ -33,19 +33,15 @@ type World struct {
 	// diagnostics, not part of any graded result).
 	Drives, WakeupsSkipped uint64
 	// Resubmits counts the transactions protocol.Runtime.EnsureTx
-	// re-multicast (same standing).
-	Resubmits Resubmits
+	// re-multicast (same standing): still absent a whole window after they
+	// were first missed, or dropped by a reorg after they were seen.
+	Resubmits struct{ Window, Dropped uint64 }
 	// GraphSigs counts the signatures put on graph multisignatures
 	// ms(D) by the runs hosted here (same standing). Sigs holds the ones
 	// written ahead of need (Builder.Presign; nil: none).
 	GraphSigs uint64
 	Sigs      *crypto.SigBook
 }
-
-// Resubmits splits EnsureTx's re-multicasts by what prompted them: a
-// transaction still absent a whole resubmit window after it was first
-// missed, or one a reorg dropped after its sender had seen it canonical.
-type Resubmits struct{ Window, Dropped uint64 }
 
 // ChainSpec configures one chain of a world.
 type ChainSpec struct {
