@@ -185,7 +185,7 @@ func main() {
 		(time.Duration(agg.MakespanVirtualMs) * time.Millisecond).Round(time.Second),
 		agg.SimEventsPerTx,
 		float64(agg.Drives)/float64(max(agg.Graded, 1)), agg.WakeupsSkipped,
-		agg.Resubmits.Window+agg.Resubmits.Dropped, agg.Resubmits.Window, agg.Resubmits.Dropped)
+		agg.Work.Resubmits.Window+agg.Work.Resubmits.Dropped, agg.Work.Resubmits.Window, agg.Work.Resubmits.Dropped)
 	work := agg.Work
 	fmt.Fprintf(os.Stderr, "blocks: %d mined, %d executed (%.1f per settled AC2T), exec cache hit rate %.1f%%, %d of %d candidate applications rejected, %d parked offers skipped (%d parked at most), %d signatures (%d graph multisig, %d deploy, %d call)\n",
 		agg.BlocksMined, agg.BlocksExecuted, agg.BlocksExecutedPerTx, 100*agg.ExecHitRate,

@@ -193,8 +193,18 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
 	}
-	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: r.evidence(contracts.FnAuthorizeRedeem)}
-	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: r.evidence(contracts.FnAuthorizeRefund)}
+	// The secret is evidence of the decision that opens the direction.
+	evidence := func(auth string) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
+		return func(p *xchain.Participant, i int, sc *contracts.PermissionlessSC) ([]byte, error) {
+			ev, err := r.witnessEvidenceFor(p, sc, auth)
+			if err != nil {
+				r.noteOrphanedAnchor(p, i, sc)
+			}
+			return ev, err
+		}
+	}
+	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: evidence(contracts.FnAuthorizeRedeem)}
+	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: evidence(contracts.FnAuthorizeRefund)}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
@@ -603,18 +613,6 @@ func (r *Run) settle(p *xchain.Participant, decision contracts.WitnessState) {
 	}
 	if protocol.Settle(r.Runtime, p, s) {
 		r.Event(-1, "all contracts settled")
-	}
-}
-
-// evidence is the secret of the settle direction the decision auth
-// opens: witnessEvidenceFor it, noting an orphaned anchor on failure.
-func (r *Run) evidence(auth string) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
-	return func(p *xchain.Participant, i int, sc *contracts.PermissionlessSC) ([]byte, error) {
-		ev, err := r.witnessEvidenceFor(p, sc, auth)
-		if err != nil {
-			r.noteOrphanedAnchor(p, i, sc)
-		}
-		return ev, err
 	}
 }
 

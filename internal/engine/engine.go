@@ -245,12 +245,11 @@ type Aggregate struct {
 	MaxReorgDepth int    `json:"max_reorg_depth"`
 	MsgsDropped   uint64 `json:"msgs_dropped"`
 
-	// Drives, WakeupsSkipped, Resubmits and Work sum the shards' counters
-	// (see ShardResult); diagnostics for stderr, not part of the aggregate.
-	Drives         uint64                           `json:"-"`
-	WakeupsSkipped uint64                           `json:"-"`
-	Resubmits      struct{ Window, Dropped uint64 } `json:"-"`
-	Work           Work                             `json:"-"`
+	// Drives, WakeupsSkipped and Work sum the shards' counters (see
+	// ShardResult); diagnostics for stderr, not part of the aggregate.
+	Drives         uint64 `json:"-"`
+	WakeupsSkipped uint64 `json:"-"`
+	Work           Work   `json:"-"`
 
 	PerShard []ShardResult `json:"per_shard"`
 
@@ -388,8 +387,6 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		agg.MsgsDropped += r.MsgsDropped
 		agg.Drives += r.Drives
 		agg.WakeupsSkipped += r.WakeupsSkipped
-		agg.Resubmits.Window += r.Resubmits.Window
-		agg.Resubmits.Dropped += r.Resubmits.Dropped
 		agg.Work.add(r.Work)
 		agg.StatesPruned += r.StatesPruned
 		agg.StatesLive += r.StatesLive

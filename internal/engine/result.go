@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/xchain"
 )
 
 // latencyBounds are the aggregate latency histogram's inclusive upper
@@ -149,13 +150,11 @@ type ShardResult struct {
 
 	// Drives counts protocol step-function runs in the shard's world and
 	// WakeupsSkipped the tip-change wake-ups whose wait-set had nothing
-	// due (ADR-014), and Resubmits the transactions EnsureTx re-multicast.
-	// Host-side cost diagnostics: kept out of the JSON so aggregate bytes
-	// do not depend on how the reconcilers are woken.
-	Drives         uint64                           `json:"-"`
-	WakeupsSkipped uint64                           `json:"-"`
-	Resubmits      struct{ Window, Dropped uint64 } `json:"-"`
-	Work           Work                             `json:"-"`
+	// due (ADR-014). Host-side cost diagnostics: kept out of the JSON so
+	// aggregate bytes do not depend on how the reconcilers are woken.
+	Drives         uint64 `json:"-"`
+	WakeupsSkipped uint64 `json:"-"`
+	Work           Work   `json:"-"`
 
 	// latency is the shard's commit-latency histogram and phase its
 	// per-(phase, scenario) histograms — always collected (fixed-size,
@@ -193,6 +192,7 @@ type Work struct {
 	SigAhead, SigInline, GraphAhead, GraphInline uint64
 	MultisigReady, MultisigInline, SigWaited     uint64
 	SigCheckers                                  int
+	Resubmits                                    xchain.Resubmits // xchain.World's
 }
 
 func (w *Work) add(o Work) {
@@ -215,6 +215,8 @@ func (w *Work) add(o Work) {
 	w.MultisigReady += o.MultisigReady
 	w.MultisigInline += o.MultisigInline
 	w.SigWaited += o.SigWaited
+	w.Resubmits.Window += o.Resubmits.Window
+	w.Resubmits.Dropped += o.Resubmits.Dropped
 }
 
 // newShardResult starts shard's result for txs transactions.

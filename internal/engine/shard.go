@@ -196,7 +196,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	}
 	e.res.MakespanVirtualMs = int64(s.Now())
 	e.res.Events = s.Executed
-	e.res.Drives, e.res.WakeupsSkipped, e.res.Resubmits = e.w.Drives, e.w.WakeupsSkipped, e.w.Resubmits
+	e.res.Drives, e.res.WakeupsSkipped, e.res.Work.Resubmits = e.w.Drives, e.w.WakeupsSkipped, e.w.Resubmits
 	e.res.Work.GraphSigs, e.res.Work.GraphInline = e.w.GraphSigs, e.w.GraphSigs // no book: all at Start
 	if b := e.w.Sigs; b != nil {
 		e.res.Work.GraphInline, e.res.Work.MultisigReady, e.res.Work.MultisigInline = b.Written.Inline, b.Ready, b.Checked.Inline

@@ -61,8 +61,7 @@ type Client struct {
 
 	// ResubmitEvery is the resubmission cadence subscribers keep a
 	// transaction alive at: one absent from the canonical chain for a
-	// whole interval is re-multicast (protocol.Runtime.EnsureTx sends one
-	// a reorg dropped at once). Defaults to three block intervals.
+	// whole interval is re-multicast. Defaults to three block intervals.
 	ResubmitEvery sim.Time
 }
 

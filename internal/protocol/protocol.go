@@ -24,8 +24,7 @@
 //     absolute virtual time;
 //   - the timeline event log the experiments render;
 //   - transaction keep-alive (EnsureTx): a submitted transaction is
-//     re-multicast if it stays off the canonical chain for a window, or
-//     at once if a reorg dropped it after it was seen there, and its
+//     re-multicast if it falls off the canonical chain, and its
 //     confirmation depth is re-derived from chain state on every
 //     drive — which is what makes crash/resume uniform: a recovered
 //     participant re-arms subscriptions and re-reads the chains, and
@@ -151,18 +150,14 @@ type Config struct {
 type pstate struct {
 	subs        []*miner.Sub
 	lastAttempt map[string]sim.Time
-	kept        map[crypto.Hash]keepAlive // EnsureTx's resubmit ledger
+	kept        map[crypto.Hash]sim.Time // EnsureTx's resubmit ledger: when a window opened, or keptCanonical
 	armed       map[string]bool
 	deployedOwn bool // DeployOwn ran to the end for this participant
 	wait        waitSet
 }
 
-// keepAlive is EnsureTx's record of a transaction (none: no window yet):
-// when its window opened, and whether it was seen canonical since.
-type keepAlive struct {
-	at        sim.Time
-	canonical bool
-}
+// keptCanonical marks a transaction p saw canonical: missing, it was dropped.
+const keptCanonical sim.Time = -1
 
 // settleCall is the call signed for one edge and direction, or, while
 // there is none, when the next attempt may ask for its secret.
@@ -272,7 +267,7 @@ func New(cfg Config) (*Runtime, error) {
 	for _, p := range cfg.Participants {
 		rt.states[p] = &pstate{
 			lastAttempt: make(map[string]sim.Time),
-			kept:        make(map[crypto.Hash]keepAlive),
+			kept:        make(map[crypto.Hash]sim.Time),
 			armed:       make(map[string]bool),
 			wait:        waitSet{ids: chains, chains: make([]chainWait, len(chains))},
 		}
@@ -527,33 +522,31 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 	// Absent: in flight, purged, or dropped with a losing fork. A known
 	// drop goes out now; otherwise the first observation opens the window.
 	now := rt.Now()
-	k, open := st.kept[txID]
+	at, open := st.kept[txID]
 	switch {
-	case k.canonical:
+	case at == keptCanonical:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Dropped++
-		k = keepAlive{at: now}
+		at = now
 	case !open:
-		k.at = now
-	case now-k.at >= c.ResubmitEvery:
+		at = now
+	case now-at >= c.ResubmitEvery:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Window++
-		k.at = now
+		at = now
 	}
-	st.kept[txID] = k
+	st.kept[txID] = at
 	st.wait.watchTx(id, txID)
-	st.wait.wakeBy(k.at + c.ResubmitEvery)
+	st.wait.wakeBy(at + c.ResubmitEvery)
 	return false
 }
 
 // seen finds tx on p's canonical view of chain id and notes in EnsureTx's
 // ledger that p saw it there: a reorg that drops it later is a known drop.
 func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chain.Block, bool) {
-	st, txID := rt.states[p], tx.ID()
-	b, _, found := p.Client(id).Chain().FindTx(txID)
-	if k := st.kept[txID]; found && !k.canonical {
-		k.canonical = true
-		st.kept[txID] = k
+	b, _, found := p.Client(id).Chain().FindTx(tx.ID())
+	if found {
+		rt.states[p].kept[tx.ID()] = keptCanonical
 	}
 	return b, found
 }
@@ -694,12 +687,9 @@ type Settlement[T Asset] struct {
 // Settle is the last phase of every protocol, for participant p: on each
 // of p's confirmed edges in s.Fn's direction, read the asset contract at
 // p's tip; out of P, enter its terminal state in the ledger, once per
-// edge; still in P, call s.Fn with the edge's secret once and keep that
-// call alive with EnsureTx (one p saw land is a known drop if a reorg
-// takes it). Every protocol's secret is fixed once known, so a second
-// signature could never open what the first cannot. It reports whether
-// this step entered the last edge — the run's completion, timed in
-// CompletedAt.
+// edge; still in P, call s.Fn with the edge's secret once (a secret is
+// fixed once known) and keep the call alive with EnsureTx. It reports
+// whether this step entered the last edge, at CompletedAt.
 func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (completed bool) {
 	calls, refund := rt.calls[0], s.Fn == contracts.FnRefund
 	if refund {
@@ -734,25 +724,19 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 			continue
 		}
 		c := &calls[i]
+		if c.tx == nil && rt.Now() >= c.retryAt {
+			c.retryAt = rt.Now() + p.Client(e.Chain).ResubmitEvery
+			if secret, err := s.Secret(p, i, sc); err == nil {
+				c.tx, _ = p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0) // no value: cannot fail
+				rt.Event(i, s.Fn+" submitted")
+				if s.Submitted != nil {
+					s.Submitted(p, i)
+				}
+			}
+		}
 		if c.tx == nil {
-			now, wait := rt.Now(), &rt.states[p].wait
-			if now < c.retryAt {
-				wait.wakeBy(c.retryAt)
-				continue
-			}
-			c.retryAt = now + p.Client(e.Chain).ResubmitEvery
-			wait.wakeBy(c.retryAt)
-			secret, err := s.Secret(p, i, sc)
-			if err != nil {
-				continue
-			}
-			if c.tx, err = p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0); err != nil {
-				continue
-			}
-			rt.Event(i, s.Fn+" submitted")
-			if s.Submitted != nil {
-				s.Submitted(p, i)
-			}
+			rt.states[p].wait.wakeBy(c.retryAt)
+			continue
 		}
 		rt.EnsureTx(p, e.Chain, c.tx, 0)
 	}

@@ -283,7 +283,7 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 		rt        *Runtime
 		sawIt     bool     // alice's last drive found tx canonical
 		droppedAt sim.Time // the drive that found it gone after that
-		resubmits struct{ Window, Dropped uint64 }
+		resubmits xchain.Resubmits
 	)
 	rt, err = New(Config{
 		World:        w,

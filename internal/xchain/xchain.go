@@ -32,16 +32,17 @@ type World struct {
 	// run hosted here (protocol.Runtime keeps them; host-side
 	// diagnostics, not part of any graded result).
 	Drives, WakeupsSkipped uint64
-	// Resubmits counts the transactions protocol.Runtime.EnsureTx
-	// re-multicast (same standing): still absent a whole window after they
-	// were first missed, or dropped by a reorg after they were seen.
-	Resubmits struct{ Window, Dropped uint64 }
+	Resubmits              Resubmits // same standing
 	// GraphSigs counts the signatures put on graph multisignatures
 	// ms(D) by the runs hosted here (same standing). Sigs holds the ones
 	// written ahead of need (Builder.Presign; nil: none).
 	GraphSigs uint64
 	Sigs      *crypto.SigBook
 }
+
+// Resubmits counts protocol.Runtime.EnsureTx's re-multicasts: a window after
+// a transaction was first missed, or at once after a reorg dropped it.
+type Resubmits struct{ Window, Dropped uint64 }
 
 // ChainSpec configures one chain of a world.
 type ChainSpec struct {
