@@ -193,9 +193,17 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	for _, p := range cfg.Participants {
 		r.states[p] = &pstate{}
 	}
-	// The secret is evidence of the decision that opens the direction.
-	evidence := func(auth string) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
+	// The secret is evidence of the decision that opens the direction, and
+	// there is none while an edge went the other way: a reorg deeper than d
+	// flipped the decision p reads, and acting on it breaks atomicity.
+	evidence := func(auth string, other contracts.SwapState) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
 		return func(p *xchain.Participant, i int, sc *contracts.PermissionlessSC) ([]byte, error) {
+			for j, e := range cfg.Graph.Edges {
+				ct, _ := p.Client(e.Chain).ContractNow(r.Addr(j), 0)
+				if a, ok := ct.(protocol.Asset); ok && a.SwapState() == other {
+					return nil, fmt.Errorf("core: edge %d is already %s", j, other)
+				}
+			}
 			ev, err := r.witnessEvidenceFor(p, sc, auth)
 			if err != nil {
 				r.noteOrphanedAnchor(p, i, sc)
@@ -203,8 +211,8 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 			return ev, err
 		}
 	}
-	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: evidence(contracts.FnAuthorizeRedeem)}
-	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: evidence(contracts.FnAuthorizeRefund)}
+	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: evidence(contracts.FnAuthorizeRedeem, contracts.StateRefunded)}
+	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: evidence(contracts.FnAuthorizeRefund, contracts.StateRedeemed)}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,

@@ -23,13 +23,18 @@ func smallHostileWorld(seed uint64) Config {
 // tip (ROADMAP item 1's fixture). Since settle calls are signed once and
 // kept alive, fewer transactions exist, so every world's blocks differ:
 // seed 15's lossy-row AC2T no longer grades stuck, and seed 20, which
-// replayed 16 states, replays none.
+// replayed 16 states, replays none. Seed 10's race row violated: a
+// witness reorg 13 deep flipped the refund decision after edge 1 was
+// refunded, and edge 0's recipient redeemed on the flip. An AC3WN
+// participant now has no secret for a decision an edge already went
+// against, so the AC2T is graded stuck, not violated.
 func TestSmallHostileWorldsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		seed, replays            uint64
 		stuck, violations, reorg int
 	}{
 		{seed: 4, stuck: 0, violations: 0, reorg: 21, replays: 0},
+		{seed: 10, stuck: 1, violations: 0, reorg: 13, replays: 0},
 		{seed: 15, stuck: 0, violations: 0, reorg: 28, replays: 0},
 		{seed: 16, stuck: 0, violations: 0, reorg: 32, replays: 10},
 		{seed: 20, stuck: 1, violations: 0, reorg: 30, replays: 0},

@@ -159,8 +159,7 @@ type pstate struct {
 // keptCanonical marks a transaction p saw canonical: missing, it was dropped.
 const keptCanonical sim.Time = -1
 
-// settleCall is the call signed for one edge and direction, or, while
-// there is none, when the next attempt may ask for its secret.
+// settleCall is an edge's call in one direction, or when to ask its secret.
 type settleCall struct {
 	tx      *chain.Tx
 	retryAt sim.Time
@@ -502,14 +501,13 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 }
 
 // EnsureTx reports whether tx is canonical at the given depth on p's
-// view of the chain, and keeps the submission alive meanwhile: one p saw
-// canonical and finds gone was dropped by a reorg and is re-multicast at
-// once, one absent for a whole resubmit window (the client's
-// ResubmitEvery) then. Because the check reads only chain state, it
-// survives crashes: a recovered participant's next drive re-derives
-// confirmation (or resubmits) with no watch to re-arm. A false answer
-// leaves p waiting for what can turn it: the block that includes tx, the
-// tip height that buries it, the resubmit window.
+// view of the chain, and keeps the submission alive meanwhile: re-multicast
+// at once if p saw it canonical before (a reorg dropped it), else once absent
+// a whole window (the client's ResubmitEvery). The check reads only chain
+// state, so it survives crashes: a recovered participant's next drive
+// re-derives confirmation (or resubmits) with no watch to re-arm. A false
+// answer leaves p waiting for what can turn it: the block that includes tx,
+// the tip height that buries it, the resubmit window.
 func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, depth int) bool {
 	c, st, txID := p.Client(id), rt.states[p], tx.ID()
 	if b, found := rt.seen(p, id, tx); found {
@@ -541,8 +539,7 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 	return false
 }
 
-// seen finds tx on p's canonical view of chain id and notes in EnsureTx's
-// ledger that p saw it there: a reorg that drops it later is a known drop.
+// seen finds tx on p's canonical view of chain id, noting so in EnsureTx's ledger.
 func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chain.Block, bool) {
 	b, _, found := p.Client(id).Chain().FindTx(tx.ID())
 	if found {
@@ -664,8 +661,7 @@ type Asset interface {
 	SwapState() contracts.SwapState
 }
 
-// Settlement is what a protocol brings to the settle phase, built once
-// per run and direction; its hooks are handed the participant settling.
+// Settlement is what a protocol brings to the settle phase, once per direction.
 type Settlement[T Asset] struct {
 	// Fn is what p calls: contracts.FnRedeem on the contracts of the
 	// edges it receives on, contracts.FnRefund on those it sent.

@@ -99,7 +99,17 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		Fn:        contracts.FnRedeem,
 		Secret:    func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) { return r.secrets[p], nil },
 		Submitted: func(*xchain.Participant, int) { r.revealed = true; r.Mark(protocol.PointDecisionTriggered) },
-		Terminal:  r.redeemConfirmed,
+		Terminal: func(p *xchain.Participant, i int, h *contracts.HTLC) bool {
+			if h.State != contracts.StateRedeemed {
+				return false
+			}
+			if deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); !ok || deep.State != contracts.StateRedeemed {
+				return false
+			}
+			r.Mark(protocol.PointDecisionConfirmed)
+			r.Event(i, "redeem confirmed")
+			return true
+		},
 	}
 	r.refund = protocol.Settlement[*contracts.HTLC]{
 		Fn:        contracts.FnRefund,
@@ -249,21 +259,6 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 			return
 		}
 	}
-}
-
-// redeemConfirmed is the redeem direction's terminal hook: edge i counts
-// once its redemption is confirmed on p's view.
-func (r *Run) redeemConfirmed(p *xchain.Participant, i int, h *contracts.HTLC) bool {
-	if h.State != contracts.StateRedeemed {
-		return false
-	}
-	deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth)
-	if !ok || deep.State != contracts.StateRedeemed {
-		return false
-	}
-	r.Mark(protocol.PointDecisionConfirmed)
-	r.Event(i, "redeem confirmed")
-	return true
 }
 
 // Settled reports run quiescence for the engine's core.Runner
