@@ -24,8 +24,8 @@ func smallHostileWorld(seed uint64) Config {
 // kept alive, fewer transactions exist, so every world's blocks differ:
 // seed 15's lossy-row AC2T no longer grades stuck, and seed 20, which
 // replayed 16 states, replays none. Seed 10's race row violated: a
-// witness reorg 13 deep flipped the refund decision after edge 1 was
-// refunded, and edge 0's recipient redeemed on the flip. An AC3WN
+// witness reorg deeper than d flipped the refund decision after edge 1
+// was refunded, and edge 0's recipient redeemed on the flip. An AC3WN
 // participant now has no secret for a decision an edge already went
 // against, so the AC2T is graded stuck, not violated.
 func TestSmallHostileWorldsPinned(t *testing.T) {
