@@ -5,17 +5,35 @@
 // Usage:
 //
 //	ac3engine [-shards N] [-txs N] [-seed N] [-workers N]
-//	          [-protocol ac3wn|ac3tw|htlc] [-timeout min]
-//	          [-mix commit,abort,crash,race[,partition,lossy,geo]]
-//	          [-batchwindow sec] [-progress] [-strict] [-execbudget N]
+//	          [-workload name] [-protocol ac3wn|ac3tw|htlc]
+//	          [-progress] [-strict] [-execbudget N]
 //	          [-prunedepth N] [-membudget MiB]
 //	          [-trace file] [-tracechrome file]
 //	          [-cpuprofile file] [-memprofile file]
 //
-// The rest of the workload (arrival rate, graph sizes, gossip loss) is
-// engine.DefaultWorkload's; a sweep sets the field from Go. In-flight
-// cap, chains per world, adversity windows, batching quorum and trace
-// ring are constants of the engine.
+// -workload picks one of engine.Named's shapes (scenario weights in
+// the order commit,abort,crash,race,partition,lossy,geo); -txs and
+// -protocol set its scale and protocol:
+//
+//   - default: mix 7,2,1,1.
+//   - batched: the default, with each shard's witness quorum putting
+//     3 minutes of AC3WN decisions in one merkle-committed, 3-of-4
+//     attested commit_batch. Outcomes are unchanged; only the
+//     witness-chain traffic columns move.
+//   - hazard: mix 5,2,2,1, arrivals every 15 s, a 30-minute deadline.
+//   - hostile: mix 4,1,1,1,2,2,2.
+//   - lossy: mix 4,1,1,1,0,2,0.
+//   - friendly: mix 7,2.
+//   - adversity: mix 2,1,0,0,2,2,2, arrivals every 15 s.
+//
+// A partition splits the transaction's decision chain during its
+// decision window and heals six minutes later, lossy drops each gossip
+// message with probability 0.25 on every chain the AC2T touches, and
+// geo skews the asset chains to intercontinental/WAN link classes so
+// confirmation depths race. Adversity outcomes surface in the JSON
+// aggregates as forks_observed, max_reorg_depth, and msgs_dropped.
+// The rest of the workload is engine.DefaultWorkload's or a constant
+// of the engine.
 //
 // -trace writes the run's deterministic trace as NDJSON (one record
 // per line, virtual timestamps + per-shard sequence numbers, byte-
@@ -25,24 +43,6 @@
 // Either flag enables recording into a per-shard ring buffer of 65536
 // records (older records evict first, so memory stays flat at any
 // -txs).
-//
-// -batchwindow enables witness-side decision batching (AC3WN only):
-// instead of one witness-chain transaction per AC2T decision, each
-// shard's witness quorum collects the decisions arriving within the
-// window and publishes one merkle-committed, threshold-attested
-// commit_batch transaction; asset contracts then unlock against
-// membership proofs. Outcomes are unchanged — only the witness-chain
-// traffic columns (witness_decision_txs, batches_published,
-// witness_txs_per_commit, ...) move. The attestation quorum is 3 of 4.
-//
-// The -mix flag takes four weights (the classic scenario matrix) or
-// seven, adding the network-adversity scenarios: partition splits the
-// transaction's decision chain during its decision window and heals
-// six minutes later, lossy drops each gossip message with probability
-// 0.25 on every chain the AC2T touches, and geo skews
-// the asset chains to intercontinental/WAN link classes so
-// confirmation depths race. Adversity outcomes surface in the JSON
-// aggregates as forks_observed, max_reorg_depth, and msgs_dropped.
 //
 // The run is deterministic: the same flags always produce
 // byte-identical JSON aggregates, regardless of worker scheduling —
@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -71,10 +70,8 @@ func main() {
 	txs := flag.Int("txs", 1000, "total AC2Ts across all shards")
 	seed := flag.Uint64("seed", 42, "master seed (results are a pure function of it)")
 	workers := flag.Int("workers", 0, "concurrent shard executors (0 = min(shards, GOMAXPROCS))")
+	workload := flag.String("workload", "default", "named workload (engine.Named): default, batched, hazard, hostile, lossy, friendly or adversity")
 	protocol := flag.String("protocol", "ac3wn", "protocol: ac3wn|ac3tw|htlc")
-	timeout := flag.Float64("timeout", 45, "per-transaction grading deadline, virtual minutes")
-	mix := flag.String("mix", "7,2,1,1", "scenario weights: commit,abort,crash,race[,partition,lossy,geo]")
-	batchWindow := flag.Float64("batchwindow", 0, "witness decision-batching collection window, virtual seconds (0 = per-AC2T decisions; AC3WN only)")
 	progress := flag.Bool("progress", false, "report live progress to stderr")
 	strict := flag.Bool("strict", false, "exit non-zero unless every transaction settled (graded, none stuck) with zero atomicity violations")
 	execBudget := flag.Float64("execbudget", 0, "max blocks executed per settled AC2T (0 = unchecked); guards the shared-executor N-times-to-once win")
@@ -98,16 +95,12 @@ func main() {
 		// os.Exit, which would skip a deferred stop.
 	}
 
-	wl := engine.DefaultWorkload()
-	wl.Protocol = engine.Protocol(*protocol)
-	wl.Txs = *txs
-	wl.TxTimeout = sim.Time(*timeout * float64(sim.Minute))
-	wl.BatchWindow = sim.Time(*batchWindow * float64(sim.Second))
-
-	var err error
-	if wl.Mix, err = engine.ParseMix(*mix); err != nil {
+	wl, err := engine.Named(*workload)
+	if err != nil {
 		fatal(err)
 	}
+	wl.Protocol = engine.Protocol(*protocol)
+	wl.Txs = *txs
 
 	eng, err := engine.New(engine.Config{
 		Seed:       *seed,

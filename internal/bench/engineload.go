@@ -26,11 +26,8 @@ func engineLoad(seed uint64) (string, bool, error) {
 	ok := true
 	var tps1 float64
 	for _, shards := range []int{1, 2, 4} {
-		wl := engine.DefaultWorkload()
-		wl.Txs = perShardTxs * shards
-		wl.ArrivalEvery = 15 * sim.Second
-		wl.Mix = engine.Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
-		agg, row, err := loadRow(seed, shards, wl, shards)
+		txs := perShardTxs * shards
+		agg, row, err := loadRow(seed, shards, "hazard", engine.ProtoAC3WN, txs, shards)
 		if err != nil {
 			return "", false, err
 		}
@@ -43,7 +40,7 @@ func engineLoad(seed uint64) (string, bool, error) {
 			agg.StatesPruned)...)
 		// The claims under test: everything settles, atomicity holds
 		// under every scenario, and shards add throughput.
-		if agg.Graded != wl.Txs || agg.Stuck != 0 || agg.Violations != 0 {
+		if agg.Graded != txs || agg.Stuck != 0 || agg.Violations != 0 {
 			ok = false
 		}
 		if shards == 1 {
@@ -70,10 +67,15 @@ func engineLoad(seed uint64) (string, bool, error) {
 	return out, ok, nil
 }
 
-// loadRow runs wl on the engine and opens a table row with label and
-// the outcome columns every engine table shares; the caller appends its
-// own.
-func loadRow(seed uint64, shards int, wl engine.Workload, label any) (*engine.Aggregate, []any, error) {
+// loadRow runs txs AC2Ts of the named workload under proto on the
+// engine and opens a table row with label and the outcome columns every
+// engine table shares; the caller appends its own.
+func loadRow(seed uint64, shards int, name string, proto engine.Protocol, txs int, label any) (*engine.Aggregate, []any, error) {
+	wl, err := engine.Named(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	wl.Protocol, wl.Txs = proto, txs
 	e, err := engine.New(engine.Config{Seed: seed, Shards: shards, Workload: wl})
 	if err != nil {
 		return nil, nil, err
@@ -95,7 +97,7 @@ func loadRow(seed uint64, shards int, wl engine.Workload, label any) (*engine.Ag
 // while witness-chain traffic per committed AC2T collapses: batching
 // must cut witness transactions per commit at least 4× and bytes per
 // commit measurably. This is the perf claim of record; CI gates on the
-// same numbers via ac3engine -batchwindow.
+// same numbers via ac3engine -workload batched.
 func witnessTable(seed uint64) (string, bool, error) {
 	const txs = 1000
 	t := metrics.NewTable("Engine — witness-chain decision batching: per-AC2T decisions vs one commit_batch per window (1,000 AC2Ts, 8 shards)",
@@ -104,14 +106,10 @@ func witnessTable(seed uint64) (string, bool, error) {
 		"witness txs/commit", "witness bytes/commit")
 	ok := true
 	var aggs [2]*engine.Aggregate
-	for i, mode := range []struct {
-		label  string
-		window sim.Time
-	}{{"off (per-AC2T)", 0}, {"on (3 min window)", 3 * sim.Minute}} {
-		wl := engine.DefaultWorkload()
-		wl.Txs = txs
-		wl.BatchWindow = mode.window
-		agg, row, err := loadRow(seed, 8, wl, mode.label)
+	for i, mode := range []struct{ label, workload string }{
+		{"off (per-AC2T)", "default"}, {"on (3 min window)", "batched"},
+	} {
+		agg, row, err := loadRow(seed, 8, mode.workload, engine.ProtoAC3WN, txs, mode.label)
 		if err != nil {
 			return "", false, err
 		}
@@ -172,14 +170,10 @@ func adversityTable(seed uint64) (string, bool, error) {
 	t := metrics.NewTable("Engine — network adversity: partitions, gossip loss, geo links (identical workload)",
 		"protocol", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"partition viol", "lossy viol", "geo viol", "forks", "max reorg depth", "msgs dropped")
+	const txs = 40
 	ok := true
 	for _, proto := range []engine.Protocol{engine.ProtoAC3WN, engine.ProtoAC3TW, engine.ProtoHTLC} {
-		wl := engine.DefaultWorkload()
-		wl.Protocol = proto
-		wl.Txs = 40
-		wl.ArrivalEvery = 15 * sim.Second
-		wl.Mix = engine.Mix{Commit: 2, Abort: 1, Partition: 2, Lossy: 2, Geo: 2}
-		agg, row, err := loadRow(seed+2, 2, wl, string(proto))
+		agg, row, err := loadRow(seed+2, 2, "adversity", proto, txs, string(proto))
 		if err != nil {
 			return "", false, err
 		}
@@ -188,7 +182,7 @@ func adversityTable(seed uint64) (string, bool, error) {
 		geo := agg.ByScenario[engine.ScenarioGeo]
 		t.AddRow(append(row, part.Violations, lossy.Violations, geo.Violations,
 			agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped)...)
-		if agg.Graded != wl.Txs {
+		if agg.Graded != txs {
 			ok = false
 		}
 		if agg.MsgsDropped == 0 || agg.ForksObserved == 0 {
@@ -222,15 +216,10 @@ func hazardTable(seed uint64) (string, bool, error) {
 	t := metrics.NewTable("Engine — per-protocol hazards under the identical crash+race mixed workload",
 		"protocol", "AC2Ts", "committed", "aborted", "stuck", "violations",
 		"crash stuck", "crash violations", "downgraded draws")
+	const txs = 40
 	ok := true
 	for _, proto := range []engine.Protocol{engine.ProtoAC3WN, engine.ProtoAC3TW, engine.ProtoHTLC} {
-		wl := engine.DefaultWorkload()
-		wl.Protocol = proto
-		wl.Txs = 40
-		wl.ArrivalEvery = 15 * sim.Second
-		wl.TxTimeout = 30 * sim.Minute
-		wl.Mix = engine.Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
-		agg, row, err := loadRow(seed+1, 2, wl, string(proto))
+		agg, row, err := loadRow(seed+1, 2, "hazard", proto, txs, string(proto))
 		if err != nil {
 			return "", false, err
 		}
@@ -251,7 +240,7 @@ func hazardTable(seed uint64) (string, bool, error) {
 				ok = false // the baseline must lose assets under crash
 			}
 		}
-		if agg.Graded != wl.Txs {
+		if agg.Graded != txs {
 			ok = false
 		}
 	}

@@ -37,11 +37,11 @@ import (
 // reorg of a friendly network; chains shorter than 30 blocks simply
 // anchor at genesis. It is not deeper than every reorg the adversity
 // scenarios produce: with block sync by locator (ADR-022) the simulator
-// measures max_reorg_depth 37 on partition + geo (-shards 8 -txs 1600
-// -seed 42 -mix 4,1,1,1,2,0,2) and 41 on the hostile mix (-mix
-// 4,1,1,1,2,2,2 -txs 2000; 11 of the 24 shards at seeds 42, 43 and 7
-// exceed 30, by at most 11, where partitions outlast it), so an anchor
-// can still be rolled back there.
+// measures max_reorg_depth 37 on partition + geo (the benchmark's
+// wn-adverse shape, 8 × 1,600 at seed 42) and 41 on the hostile mix
+// (ac3engine -workload hostile -txs 2000; 11 of the 24 shards at
+// seeds 42, 43 and 7 exceed 30, by at most 11, where partitions outlast
+// it), so an anchor can still be rolled back there.
 const DefaultStableDepth = 30
 
 // Config configures one AC3WN run.

@@ -49,25 +49,26 @@ func artefacts(t *testing.T, agg *Aggregate) (aggregate, ndjson []byte) {
 // passes unmodified; one that means to change it refreshes the file
 // with -update-golden and explains the diff.
 func TestSeedDigests(t *testing.T) {
-	hostile := Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
 	adverse := Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Geo: 2}
+	// The ac3tw and htlc rows keep the hazard mix and deadline at the
+	// default 20 s arrivals, which is what their digests pin.
 	baseline := Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
 	cases := []struct {
-		name        string
-		shards, txs int
-		edit        func(*Workload)
+		name, workload string
+		shards, txs    int
+		edit           func(*Workload)
 	}{
-		{"ac3wn-default", 4, 60, func(*Workload) {}},
-		{"ac3wn-hostile", 4, 60, func(wl *Workload) { wl.Mix = hostile }},
-		{"ac3wn-adverse", 4, 60, func(wl *Workload) { wl.Mix = adverse }},
-		{"ac3wn-batch120", 4, 60, func(wl *Workload) { wl.BatchWindow = 120 * sim.Second }},
-		{"ac3wn-batch180", 4, 60, func(wl *Workload) { wl.BatchWindow = 180 * sim.Second }},
+		{"ac3wn-default", "default", 4, 60, func(*Workload) {}},
+		{"ac3wn-hostile", "hostile", 4, 60, func(*Workload) {}},
+		{"ac3wn-adverse", "default", 4, 60, func(wl *Workload) { wl.Mix = adverse }},
+		{"ac3wn-batch120", "default", 4, 60, func(wl *Workload) { wl.BatchWindow = 120 * sim.Second }},
+		{"ac3wn-batch180", "batched", 4, 60, func(*Workload) {}},
 		// One world long enough for history retirement to advance.
-		{"ac3wn-deep", 1, 420, func(*Workload) {}},
-		{"ac3tw-5221-t30", 4, 60, func(wl *Workload) {
+		{"ac3wn-deep", "default", 1, 420, func(*Workload) {}},
+		{"ac3tw-5221-t30", "default", 4, 60, func(wl *Workload) {
 			wl.Protocol, wl.Mix, wl.TxTimeout = ProtoAC3TW, baseline, 30*sim.Minute
 		}},
-		{"htlc-5221-t30", 4, 60, func(wl *Workload) {
+		{"htlc-5221-t30", "default", 4, 60, func(wl *Workload) {
 			wl.Protocol, wl.Mix, wl.TxTimeout = ProtoHTLC, baseline, 30*sim.Minute
 		}},
 	}
@@ -75,8 +76,7 @@ func TestSeedDigests(t *testing.T) {
 	got := make(map[string]seedDigest)
 	for _, tc := range cases {
 		for _, seed := range []uint64{42, 7, 43} {
-			wl := DefaultWorkload()
-			wl.Txs = tc.txs
+			wl := named(t, tc.workload, tc.txs)
 			tc.edit(&wl)
 			agg := run(t, Config{Seed: seed, Shards: tc.shards, Workload: wl, Trace: true})
 			if tc.shards == 1 && agg.BlocksRetired == 0 {
@@ -137,20 +137,18 @@ func TestSeedDigests(t *testing.T) {
 // business and stays out of both artefacts.
 func TestSigCheckersLeaveNoTrace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	hostile := Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
 	baseline := Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
 	for _, tc := range []struct {
-		name string
-		edit func(*Workload)
+		name, workload string
+		edit           func(*Workload)
 	}{
-		{"ac3wn-hostile", func(wl *Workload) { wl.Mix = hostile }},
-		{"ac3wn-batch180", func(wl *Workload) { wl.BatchWindow = 180 * sim.Second }},
-		{"ac3tw", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoAC3TW, baseline, 30*sim.Minute }},
-		{"htlc", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoHTLC, baseline, 30*sim.Minute }},
+		{"ac3wn-hostile", "hostile", func(*Workload) {}},
+		{"ac3wn-batch180", "batched", func(*Workload) {}},
+		{"ac3tw", "default", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoAC3TW, baseline, 30*sim.Minute }},
+		{"htlc", "default", func(wl *Workload) { wl.Protocol, wl.Mix, wl.TxTimeout = ProtoHTLC, baseline, 30*sim.Minute }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wl := DefaultWorkload()
-			wl.Txs = 60
+			wl := named(t, tc.workload, 60)
 			tc.edit(&wl)
 			signsGraph := protocolOf(wl.Protocol).signsGraph
 			var wantAgg, wantTrace []byte

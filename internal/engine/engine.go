@@ -75,14 +75,14 @@ type Config struct {
 // confirmation depth in use (engineChainSpec sets 2) and the AC3WN SPV
 // checkpoint distance (core.DefaultStableDepth, 30). It is about the
 // deepest reorg the adversity scenarios produce since block sync went by
-// locator (ADR-022): max_reorg_depth measures 37 at -shards 8 -txs 1600
-// -seed 42 -mix 4,1,1,1,2,0,2 and 41 on the hostile mix 4,1,1,1,2,2,2
-// at -txs 2000; deeper pivots are the reads below. Past it a
-// block's overlay maps shrink to its retained delta — base layers have
-// been persistent tables sharing structure since ADR-016, so that is all
-// the horizon buys now: -prunedepth 512 costs +16 % peak sys both at
-// 8 × 1,000 and at 1 × 1,500 (seed 42, one run each). Deeper reads remain
-// correct (the executor re-mounts retained block deltas), just not free.
+// locator (ADR-022): max_reorg_depth measures 37 on the benchmark's
+// wn-adverse shape (partition + geo, 8 × 1,600 at seed 42) and 41 on
+// -workload hostile at -txs 2000; deeper pivots are the reads below.
+// Past it a block's overlay maps shrink to its retained delta — base
+// layers have been persistent tables sharing structure since ADR-016, so
+// that is all the horizon buys now: -prunedepth 512 costs +16 % peak sys
+// both at 8 × 1,000 and at 1 × 1,500 (seed 42, one run each). Deeper
+// reads remain correct, just not free: the executor re-mounts deltas.
 const enginePruneDepth = 40
 
 // pruneDepth resolves the configured horizon.

@@ -19,6 +19,17 @@ func testWorkload(txs int) Workload {
 	return wl
 }
 
+// named is Named(name) with txs AC2Ts; an unknown name fails the test.
+func named(t *testing.T, name string, txs int) Workload {
+	t.Helper()
+	wl, err := Named(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl.Txs = txs
+	return wl
+}
+
 func run(t *testing.T, cfg Config) *Aggregate {
 	t.Helper()
 	e, err := New(cfg)
@@ -250,10 +261,6 @@ func TestConfigValidation(t *testing.T) {
 	wl4 := DefaultWorkload()
 	wl4.Sizes = []SizeWeight{{Size: 1, Weight: 1}}
 	bad = append(bad, Config{Seed: 1, Shards: 1, Workload: wl4})
-	wl5 := DefaultWorkload()
-	wl5.Mix = Mix{Lossy: 1}
-	wl5.Adversity.Loss = 1.5 // probability out of range
-	bad = append(bad, Config{Seed: 1, Shards: 1, Workload: wl5})
 	wl6 := DefaultWorkload()
 	wl6.Mix = Mix{Partition: 1}
 	wl6.TxTimeout = partitionFor // graded before the split heals

@@ -15,9 +15,7 @@ import (
 // after a crash took the mempool away.
 func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 	const txCount = 48
-	wl := DefaultWorkload()
-	wl.Txs = txCount
-	wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
+	wl := named(t, "hostile", txCount)
 	s := sim.New(0)
 	s.Reset(43)
 	e := &shardExec{

@@ -29,7 +29,7 @@ func stripGC(a *Aggregate) {
 func TestPruningInvisibleInAggregates(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 42, Shards: 4, Workload: testWorkload(24)},
-		smallHostileWorld(20),
+		smallHostileWorld(t, 20),
 	} {
 		cfg.PruneDepth = -1 // disabled: every state and block retained
 		full := run(t, cfg)

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/batch"
 	"repro/internal/chain"
@@ -161,9 +159,6 @@ type scenarioDef struct {
 	weight func(*Mix) *int
 	// abortAfter is the AC2T's abort deadline (0 = safetyAbortAfter).
 	abortAfter sim.Time
-	// check validates the Adversity knobs the scenario needs; nil for
-	// scenarios without any.
-	check func(*Workload) error
 	// apply installs the fault on the started transaction; nil for the
 	// well-behaved commit. Faults that wait for a protocol moment set
 	// st.hook, which rides the shard's activity feed (evaluated after
@@ -171,9 +166,9 @@ type scenarioDef struct {
 	apply func(e *shardExec, i int, st *txState)
 }
 
-// scenarios is the scenario table, in the order -mix lists weights,
+// scenarios is the scenario table, in the order Mix lists weights,
 // draws walk the cumulative distribution, and the phase table emits
-// rows. The first classicMix entries are the four-weight -mix form.
+// rows.
 //
 //ac3:globalstate the scenario table; written once here, read-only
 var scenarios = []scenarioDef{
@@ -181,16 +176,18 @@ var scenarios = []scenarioDef{
 	{name: ScenarioAbort, weight: func(m *Mix) *int { return &m.Abort }, abortAfter: declineAbortAfter, apply: applyAbort},
 	{name: ScenarioCrash, weight: func(m *Mix) *int { return &m.Crash }, apply: applyCrash},
 	{name: ScenarioRace, weight: func(m *Mix) *int { return &m.Race }, apply: applyRace},
-	{name: ScenarioPartition, weight: func(m *Mix) *int { return &m.Partition }, check: checkPartition, apply: applyPartition},
-	{name: ScenarioLossy, weight: func(m *Mix) *int { return &m.Lossy }, check: checkLossy, apply: applyLossy},
+	{name: ScenarioPartition, weight: func(m *Mix) *int { return &m.Partition }, apply: applyPartition},
+	{name: ScenarioLossy, weight: func(m *Mix) *int { return &m.Lossy }, apply: applyLossy},
 	{name: ScenarioGeo, weight: func(m *Mix) *int { return &m.Geo }, apply: applyGeo},
 }
 
-const classicMix = 4
-
-// The adversity windows, both well inside the default 45-minute grading
-// deadline.
+// The adversity settings. Both windows are well inside the default
+// 45-minute grading deadline.
 const (
+	// lossyLoss is the per-message gossip drop probability a lossy AC2T
+	// imposes on every network it touches while in flight. Block sync
+	// and EnsureTx resubmission must carry the run.
+	lossyLoss = 0.25
 	// lossyFor bounds a lossy window: the overlay lifts when the
 	// transaction grades or lossyFor elapses, whichever comes first — a
 	// struggling lossy AC2T must not keep degrading the shared chains
@@ -223,25 +220,6 @@ func (m Mix) total() int {
 		n += *sc.weight(&m)
 	}
 	return n
-}
-
-// ParseMix parses the comma-separated scenario weights of a -mix flag
-// in table order: either the classic four (commit,abort,crash,race) or
-// one per scenario.
-func ParseMix(s string) (Mix, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != classicMix && len(parts) != len(scenarios) {
-		return Mix{}, fmt.Errorf("mix must be %d or %d comma-separated weights, got %q", classicMix, len(scenarios), s)
-	}
-	var m Mix
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return Mix{}, fmt.Errorf("bad mix weight %q: %v", p, err)
-		}
-		*scenarios[i].weight(&m) = v
-	}
-	return m, nil
 }
 
 // drawScenario samples the scenario mix. Every protocol runs the full
@@ -330,24 +308,14 @@ func applyPartition(e *shardExec, i int, st *txState) {
 	}
 }
 
-func checkPartition(wl *Workload) error {
-	// Sanity bound; the shard additionally clamps each window at trigger
-	// time so the heal lands before that transaction's own deadline.
-	if partitionFor >= wl.TxTimeout {
-		return fmt.Errorf("engine: partition window %dms cannot cover the whole %dms grading deadline",
-			partitionFor, wl.TxTimeout)
-	}
-	return nil
-}
-
 // applyLossy imposes sustained gossip loss on every network the AC2T
 // touches: blocks vanish in flight, so locator sync and EnsureTx carry
-// the run (ADR-022: reorgs reach 6 blocks on -mix 4,1,1,1,0,2,0). The
+// the run (ADR-022: reorgs reach 6 blocks on -workload lossy). The
 // overlay lifts when the transaction grades or after lossyFor,
 // whichever comes first — Overlay.Remove is idempotent, so the timer
 // and the grading cleanup can both fire.
 func applyLossy(e *shardExec, i int, st *txState) {
-	loss := p2p.LatencyModel{Loss: e.wl.Adversity.Loss}
+	loss := p2p.LatencyModel{Loss: lossyLoss}
 	chains := e.assetChainsOf(i)
 	if dc := st.runner.DecisionChain(); !slices.Contains(chains, dc) {
 		chains = append(chains, dc) // a witness chain of its own
@@ -357,13 +325,6 @@ func applyLossy(e *shardExec, i int, st *txState) {
 		st.cleanup = append(st.cleanup, ov.Remove)
 		e.s.After(lossyFor, ov.Remove)
 	}
-}
-
-func checkLossy(wl *Workload) error {
-	if wl.Adversity.Loss <= 0 || wl.Adversity.Loss >= 1 {
-		return fmt.Errorf("engine: lossy scenario needs Adversity.Loss in (0,1), got %g", wl.Adversity.Loss)
-	}
-	return nil
 }
 
 // applyGeo degrades the first asset chain (in edge order) to

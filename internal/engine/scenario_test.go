@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -64,18 +65,29 @@ func TestMatrixResolves(t *testing.T) {
 	}
 }
 
-// TestParseMix: the -mix forms follow the scenario table.
-func TestParseMix(t *testing.T) {
-	if m, err := ParseMix("7, 2,1,1"); err != nil || m != (Mix{Commit: 7, Abort: 2, Crash: 1, Race: 1}) {
-		t.Fatalf("classic form: %+v, %v", m, err)
+// TestNamedWorkloads: an unknown name is refused with the list of the
+// valid ones, and every name on that list is a workload New accepts.
+func TestNamedWorkloads(t *testing.T) {
+	_, err := Named("nope")
+	if err == nil {
+		t.Fatal("unknown workload accepted")
 	}
-	want := Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 3, Geo: 5}
-	if m, err := ParseMix("4,1,1,1,2,3,5"); err != nil || m != want {
-		t.Fatalf("full form: %+v, %v", m, err)
+	_, list, ok := strings.Cut(err.Error(), "want one of: ")
+	if !ok {
+		t.Fatalf("error names no valid workloads: %v", err)
 	}
-	for _, bad := range []string{"", "1,2,3", "1,2,3,4,5", "1,2,x,4", "1,2,3,4,5,6,7,8"} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("ParseMix(%q) accepted", bad)
+	names := strings.Split(strings.TrimSuffix(list, ")"), ", ")
+	if len(names) != 7 {
+		t.Fatalf("%d names listed (%q); update this test's expectations with Named", len(names), names)
+	}
+	for _, name := range names {
+		wl, err := Named(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if _, err := New(Config{Seed: 1, Shards: 1, Workload: wl}); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
@@ -208,7 +220,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 		// A 3-ring starting at tx 0 touches asset-0 and asset-1, plus
 		// the runner's decision chain.
 		for _, id := range e.w.Chains() {
-			if e.w.Net(id).P2P.Effective().Loss != e.wl.Adversity.Loss {
+			if e.w.Net(id).P2P.Effective().Loss != lossyLoss {
 				t.Errorf("lossy: chain %s carries no loss overlay", id)
 			}
 		}

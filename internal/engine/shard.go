@@ -40,11 +40,11 @@ const (
 	quiesceCheckEvery = sim.Minute
 	// batchStableDepth is how deep a published batch commitment must be
 	// buried before the shard's coordinator stops watching it for
-	// reorgs. 48 clears the partition + geo mix (max_reorg_depth 37 at
-	// -shards 8 -txs 1600 -seed 42 -mix 4,1,1,1,2,0,2) and, since block
-	// sync went by locator (ADR-022), the hostile one too (41 at -mix
-	// 4,1,1,1,2,2,2 -txs 2000): a commitment rolled back from deeper is
-	// not republished. It must stay well inside the
+	// reorgs. 48 clears the partition + geo mix (max_reorg_depth 37 on
+	// the benchmark's wn-adverse shape, 8 × 1,600 at seed 42) and, since
+	// block sync went by locator (ADR-022), the hostile one too (41 at
+	// -workload hostile -txs 2000): a commitment rolled back from deeper
+	// is not republished. It must stay well inside the
 	// history-retirement horizon so the depth checks always see the
 	// transaction.
 	batchStableDepth = 48

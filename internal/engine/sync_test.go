@@ -2,13 +2,10 @@ package engine
 
 import "testing"
 
-// smallHostileWorld is `ac3engine -shards 1 -txs 60 -mix 4,1,1,1,2,2,2
+// smallHostileWorld is `ac3engine -shards 1 -txs 60 -workload hostile
 // -seed seed -workers 1`.
-func smallHostileWorld(seed uint64) Config {
-	wl := DefaultWorkload()
-	wl.Txs = 60
-	wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
-	return Config{Seed: seed, Shards: 1, Workers: 1, Workload: wl}
+func smallHostileWorld(t *testing.T, seed uint64) Config {
+	return Config{Seed: seed, Shards: 1, Workers: 1, Workload: named(t, "hostile", 60)}
 }
 
 // TestSmallHostileWorldsPinned pins the two smallest worlds that broke
@@ -39,7 +36,7 @@ func TestSmallHostileWorldsPinned(t *testing.T) {
 		{seed: 16, stuck: 0, violations: 0, reorg: 32, replays: 10},
 		{seed: 20, stuck: 1, violations: 0, reorg: 30, replays: 0},
 	} {
-		agg := run(t, smallHostileWorld(tc.seed))
+		agg := run(t, smallHostileWorld(t, tc.seed))
 		if agg.Stuck != tc.stuck || agg.Violations != tc.violations || agg.MaxReorgDepth != tc.reorg || agg.StateReplays != tc.replays {
 			t.Errorf("seed %d: %d stuck, %d violations, max reorg %d, %d state replays; want %d, %d, %d, %d",
 				tc.seed, agg.Stuck, agg.Violations, agg.MaxReorgDepth, agg.StateReplays, tc.stuck, tc.violations, tc.reorg, tc.replays)

@@ -51,19 +51,6 @@ type Mix struct {
 	Geo       int `json:"geo"`
 }
 
-// Adversity configures the network-hostility scenarios. The knob only
-// matters for transactions that draw lossy; the draws themselves (and
-// every loss decision they cause) come from the per-shard forked RNGs,
-// so enabling adversity keeps runs a pure function of the master seed.
-// How long a lossy window or a partition lasts is a constant of the
-// scenario table (lossyFor, partitionFor).
-type Adversity struct {
-	// Loss is the per-message gossip drop probability a lossy-scenario
-	// AC2T imposes on every network it touches while in flight. Block
-	// sync and EnsureTx resubmission must carry the run.
-	Loss float64 `json:"loss"`
-}
-
 // SizeWeight weighs one AC2T graph size (ring participant count) in
 // the workload's size distribution.
 type SizeWeight struct {
@@ -89,8 +76,6 @@ type Workload struct {
 	Sizes []SizeWeight `json:"sizes"`
 	// Mix weighs the scenarios.
 	Mix Mix `json:"mix"`
-	// Adversity configures the partition/lossy/geo scenarios.
-	Adversity Adversity `json:"adversity"`
 	// BatchWindow enables witness-side decision batching (AC3WN only):
 	// each shard runs one batching coordinator that collects the AC2T
 	// decisions arriving within the window and publishes one
@@ -101,7 +86,7 @@ type Workload struct {
 
 // DefaultWorkload returns a mixed AC3WN workload: mostly commits,
 // with aborts, one crash-recovery participant, and adversarial
-// decision races sprinkled in; a lossy draw drops 25 % of gossip.
+// decision races sprinkled in.
 func DefaultWorkload() Workload {
 	return Workload{
 		Protocol:     ProtoAC3WN,
@@ -110,8 +95,38 @@ func DefaultWorkload() Workload {
 		TxTimeout:    45 * sim.Minute,
 		Sizes:        []SizeWeight{{Size: 2, Weight: 6}, {Size: 3, Weight: 3}, {Size: 4, Weight: 1}},
 		Mix:          Mix{Commit: 7, Abort: 2, Crash: 1, Race: 1},
-		Adversity:    Adversity{Loss: 0.25},
 	}
+}
+
+// workloadNames lists the names Named knows, in its switch's order.
+const workloadNames = "default, batched, hazard, hostile, lossy, friendly, adversity"
+
+// Named returns DefaultWorkload with the few settings the name changes,
+// one case per shape a command or experiment here runs. The caller picks
+// the scale (Txs) and, where it wants another, the protocol.
+func Named(name string) (Workload, error) {
+	wl := DefaultWorkload()
+	switch name {
+	case "default":
+	case "batched":
+		wl.BatchWindow = 3 * sim.Minute
+	case "hazard": // crash-heavy, to compare the protocols' hazards
+		wl.Mix = Mix{Commit: 5, Abort: 2, Crash: 2, Race: 1}
+		wl.TxTimeout = 30 * sim.Minute
+		wl.ArrivalEvery = 15 * sim.Second
+	case "hostile":
+		wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Partition: 2, Lossy: 2, Geo: 2}
+	case "lossy":
+		wl.Mix = Mix{Commit: 4, Abort: 1, Crash: 1, Race: 1, Lossy: 2}
+	case "friendly":
+		wl.Mix = Mix{Commit: 7, Abort: 2}
+	case "adversity": // the network scenarios without crashes or races
+		wl.Mix = Mix{Commit: 2, Abort: 1, Partition: 2, Lossy: 2, Geo: 2}
+		wl.ArrivalEvery = 15 * sim.Second
+	default:
+		return Workload{}, fmt.Errorf("engine: unknown workload %q (want one of: %s)", name, workloadNames)
+	}
+	return wl, nil
 }
 
 // validate rejects unusable workloads.
@@ -143,18 +158,18 @@ func (wl *Workload) validate() error {
 		return fmt.Errorf("engine: all size weights zero")
 	}
 	for _, sc := range scenarios {
-		w := *sc.weight(&wl.Mix)
-		if w < 0 {
+		if *sc.weight(&wl.Mix) < 0 {
 			return fmt.Errorf("engine: negative mix weight")
-		}
-		if w > 0 && sc.check != nil {
-			if err := sc.check(wl); err != nil {
-				return err
-			}
 		}
 	}
 	if wl.Mix.total() == 0 {
 		return fmt.Errorf("engine: all mix weights zero")
+	}
+	// A sanity bound; the shard also clamps each partition at trigger
+	// time so the heal lands before that transaction's own deadline.
+	if wl.Mix.Partition > 0 && partitionFor >= wl.TxTimeout {
+		return fmt.Errorf("engine: partition window %dms cannot cover the whole %dms grading deadline",
+			partitionFor, wl.TxTimeout)
 	}
 	if wl.BatchWindow < 0 {
 		return fmt.Errorf("engine: negative batch window")
