@@ -134,7 +134,7 @@ type ExecStats struct {
 	Candidates, Rejected, ParkedSkips uint64
 	ParkedHigh                        int
 	// Sigs counts the signature verdicts this network's views computed
-	// themselves and those they waited on a checker for (ADR-021).
+	// themselves, waited on a checker for, assumed and settled (ADR-021).
 	Sigs crypto.SigTally
 }
 
@@ -199,6 +199,10 @@ func (e *Executor) NewView() *Chain {
 
 // Stats returns the execution counters.
 func (e *Executor) Stats() ExecStats { return e.stats }
+
+// SigTally is the tally every signature read of applyTx goes through: the
+// engine makes it settle later, and settles it, when a checker runs.
+func (e *Executor) SigTally() *crypto.SigTally { return &e.stats.Sigs }
 
 // block returns an admitted block from any fork, nil when the network
 // has not admitted it or has retired it.

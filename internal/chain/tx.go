@@ -214,7 +214,7 @@ func (tx *Tx) ID() crypto.Hash { return tx.SigHash() }
 // verdict is invisible to the simulation (ADR-021).
 func (tx *Tx) VerifySig() bool { return tx.verifySig(&crypto.SigTally{}) }
 
-func (tx *Tx) verifySig(t *crypto.SigTally) bool { return tx.sigOK.Read(tx.Sig, tx.SigHash(), t) }
+func (tx *Tx) verifySig(t *crypto.SigTally) bool { return tx.sigOK.Assume(tx.Sig, tx.SigHash(), t) }
 
 // CheckSigAhead offers the signature to ck (nil: to nobody) so that the
 // verdict is ready when a block builder first asks. The digest is taken

@@ -10,11 +10,12 @@ import (
 // Verdict is one signature that two goroutines may share (ADR-021):
 // written, when its signer's key came with it (SignLater), then checked by
 // Signature.Verify — both exactly once, by whoever claims the cell first:
-// a SigChecker ahead of need or the first reader inline. Until the verdict
-// is published the signature's bytes are the claimant's; everyone else
-// reads them after Read returns.
+// a SigChecker ahead of need, the first reader inline or a settle. Until
+// the verdict is published the signature's bytes are the claimant's;
+// everyone else reads them after Read returns.
 type Verdict struct {
 	state atomic.Uint32
+	own   uint8    // zero, or how far an own cell (SignLater's) has got: the world goroutine's alone
 	key   *KeyPair // writes the signature on claim; nil when its bytes came final
 }
 
@@ -24,14 +25,31 @@ const (
 	verdictValid
 )
 
-// SigTally counts a reader's own computations and its waits for a
-// checker's: the host scheduler's doing, so diagnostics, never results.
-type SigTally struct{ Inline, Waited uint64 }
+// An own cell is valid unless its key pair's halves disagree. A settling
+// tally may hold it in its ledger, and a read outside that tally compute it
+// meanwhile.
+const (
+	ownSigned = iota + 1
+	ownHeld
+	ownHeldRead
+)
+
+// sigQueue bounds both a checker's offer queue and a tally's ledger.
+const sigQueue = 64
+
+// SigTally counts a reader's own computations, its waits for a checker's,
+// the reads it answered before publication (Assumed) and the cells its
+// Settle computed or waited for: the host scheduler's doing, so
+// diagnostics, never results.
+type SigTally struct {
+	Inline, Waited, Assumed, Settled uint64
+	ledger                           *[]sigJob // the cells assumed; nil: nothing is
+}
 
 // SignLater makes v's claimant write k's signature and returns it
 // unwritten: k's public key and a signature buffer of zeros.
 func (v *Verdict) SignLater(k *KeyPair) Signature {
-	v.key = k
+	v.key, v.own = k, ownSigned
 	buf := make([]byte, ed25519.PublicKeySize+ed25519.SignatureSize)
 	return Signature{Pub: append(buf[:0:ed25519.PublicKeySize], k.Pub...), Sig: buf[ed25519.PublicKeySize:]}
 }
@@ -56,10 +74,15 @@ func (v *Verdict) compute(sig Signature, msg Hash) bool {
 
 // Read returns sig.Verify(msg), computing it (and sig) if nobody has, and
 // yielding for what is left of one computation (≈ 60 µs; parking on a
-// sync.Cond measured no cheaper) if a checker is on it just now.
+// sync.Cond measured no cheaper) if a checker is on it just now. A held
+// cell's computation is counted by the tally that holds it.
 func (v *Verdict) Read(sig Signature, msg Hash, t *SigTally) bool {
 	if v.compute(sig, msg) {
-		t.Inline++
+		if v.own == ownHeld {
+			v.own = ownHeldRead
+		} else {
+			t.Inline++
+		}
 	} else if v.state.Load() == verdictClaimed {
 		t.Waited++
 		for v.state.Load() == verdictClaimed {
@@ -67,6 +90,72 @@ func (v *Verdict) Read(sig Signature, msg Hash, t *SigTally) bool {
 		}
 	}
 	return v.state.Load() == verdictValid
+}
+
+// Assume is Read, except that through a tally that settles later an own
+// signature nobody has published a verdict for is valid, and its cell goes
+// to the tally's ledger: Settle finds the one way it can be invalid.
+func (v *Verdict) Assume(sig Signature, msg Hash, t *SigTally) bool {
+	if v.state.Load() > verdictClaimed || v.own == 0 || t.ledger == nil || !t.hold(v, sig, msg) {
+		return v.Read(sig, msg, t)
+	}
+	t.Assumed++
+	return true
+}
+
+// SettleLater makes reads through t assume until Settle, which its caller
+// runs before any result built on those reads exists.
+func (t *SigTally) SettleLater() { t.ledger = &[]sigJob{} }
+
+// hold keeps v in t's ledger. A full one lets go of the cells published
+// valid; false if none was, and the world computes v, the newest cell,
+// itself while a checker works from the oldest offer.
+func (t *SigTally) hold(v *Verdict, sig Signature, msg Hash) bool {
+	if v.own != ownSigned {
+		return true // held already
+	}
+	l := *t.ledger
+	if len(l) == sigQueue {
+		l = t.release(l)
+	}
+	if *t.ledger = l; len(l) == sigQueue {
+		return false
+	}
+	v.own, *t.ledger = ownHeld, append(l, sigJob{v, sig, msg})
+	return true
+}
+
+// release lets go of the cells in l, t's ledger, published valid, counting
+// as t's those a read outside t computed.
+func (t *SigTally) release(l []sigJob) []sigJob {
+	n := 0
+	for _, j := range l {
+		if j.cell.state.Load() != verdictValid {
+			l[n], n = j, n+1
+		} else if j.cell.own == ownHeldRead {
+			t.Inline++
+		}
+	}
+	clear(l[n:])
+	return l[:n]
+}
+
+// Settle computes or waits for the verdict of every cell t assumed, the
+// newest first (a checker works from the oldest), and reports whether all
+// are valid. A tally that does not settle later has none.
+func (t *SigTally) Settle() bool {
+	if t.ledger == nil {
+		return true
+	}
+	l, valid := *t.ledger, true
+	for i := len(l) - 1; i >= 0; i-- {
+		if l[i].cell.state.Load() <= verdictClaimed {
+			t.Settled++
+		}
+		valid = l[i].cell.Read(l[i].sig, l[i].msg, t) && valid
+	}
+	*t.ledger = t.release(l)
+	return valid
 }
 
 // SigBook holds the signatures a world's participants will put on graph
@@ -167,7 +256,7 @@ func NewSigChecker(n int) *SigChecker {
 	if n <= 0 {
 		return nil
 	}
-	c := &SigChecker{jobs: make(chan sigJob, 64), books: make(chan []*sigJob, 4), stop: make(chan struct{})}
+	c := &SigChecker{jobs: make(chan sigJob, sigQueue), books: make(chan []*sigJob, 4), stop: make(chan struct{})}
 	c.wg.Add(n)
 	for ; n > 0; n-- {
 		go c.run()

@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -156,12 +157,12 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 		var tl SigTally
 		done := make(chan bool)
 		go func() { done <- v.Read(good, msg, &tl) }()
-		for i := 0; i < 1000; i++ {
-			runtime.Gosched()
+		for !yieldingIn("(*Verdict).Read") {
 			select {
 			case <-done:
 				t.Fatal("Read returned while the verdict was still being computed")
 			default:
+				runtime.Gosched()
 			}
 		}
 		v.state.Store(verdictInvalid) // the claimant's verdict, not the reader's
@@ -172,6 +173,18 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 			t.Fatalf("tally %+v, want one wait", tl)
 		}
 	})
+}
+
+// yieldingIn reports whether some goroutine is yielding in runtime.Gosched
+// called from fn: observably waiting there, not merely about to.
+func yieldingIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if i := strings.Index(g, "runtime.Gosched("); i >= 0 && strings.Contains(g[i:], fn) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSigHandOffDoesNotAllocate(t *testing.T) {
@@ -323,5 +336,167 @@ func TestSigBookAnswersOnlyForItsBytes(t *testing.T) {
 	}
 	if book.Written != (SigTally{Inline: 1}) {
 		t.Fatalf("tally %+v: want the book's one cell written here", book.Written)
+	}
+}
+
+// TestAssumeOnlyOwnSignaturesOfASettlingTally: a tally that settles later
+// takes an own signature (SignLater's) nobody has published a verdict for
+// as valid, computing nothing and holding the cell once however often it
+// is asked. Foreign bytes — a cell without a key — and every read through
+// a tally that does not settle are read strictly, a published verdict is
+// returned as it is, and a held cell that a strict reader computed is
+// counted by the tally that holds it, when it lets go.
+func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
+	msg, cases := sigCases(t)
+	key := testKey(t, 90)
+	var settling, strict SigTally
+	settling.SettleLater()
+
+	var own Verdict
+	sig := own.SignLater(key)
+	for range 2 {
+		if !own.Assume(sig, msg, &settling) {
+			t.Fatal("own signature rejected before its verdict exists")
+		}
+	}
+	if settling.Assumed != 2 || settling.Inline != 0 || len(*settling.ledger) != 1 || !bytes.Equal(sig.Sig, make([]byte, 64)) {
+		t.Fatalf("tally %+v, %d held: want two reads assumed, one cell held, nothing written", settling, len(*settling.ledger))
+	}
+	var foreign Verdict
+	if foreign.Assume(cases["forged sig"], msg, &settling) || settling.Inline != 1 || len(*settling.ledger) != 1 {
+		t.Fatalf("foreign bytes assumed: tally %+v", settling)
+	}
+	var strictOwn Verdict
+	if !strictOwn.Assume(strictOwn.SignLater(key), msg, &strict) || strict != (SigTally{Inline: 1}) {
+		t.Fatalf("a tally that does not settle assumed: %+v", strict)
+	}
+
+	if !settling.Settle() || settling.Settled != 1 || settling.Inline != 2 || !sig.Equal(key.Sign(msg[:])) {
+		t.Fatalf("settle: tally %+v; want the held cell computed, and the key's signature", settling)
+	}
+	if !own.Assume(sig, msg, &settling) || settling.Assumed != 2 || len(*settling.ledger) != 0 {
+		t.Fatalf("a published verdict was assumed again: %+v", settling)
+	}
+
+	var read Verdict
+	rsig := read.SignLater(key)
+	read.Assume(rsig, msg, &settling)
+	var other SigTally
+	if !read.Read(rsig, msg, &other) || other != (SigTally{}) || !rsig.Equal(key.Sign(msg[:])) {
+		t.Fatalf("a strict read of a held cell: tally %+v, want it computed and counted where the cell is held", other)
+	}
+	if inline := settling.Inline; !settling.Settle() || settling.Inline != inline+1 || settling.Settled != 1 {
+		t.Fatalf("tally %+v: the strict read's computation is not counted where the cell was held", settling)
+	}
+}
+
+// TestSettleFindsAnInvalidOwnSignature: the one way an own signature is
+// invalid — a key pair whose halves disagree — is assumed valid like any
+// other, and the settle says so, whether it computes the verdict or a
+// checker published it before and the ledger has filled since. The cell
+// stays in the ledger: every later settle says so too.
+func TestSettleFindsAnInvalidOwnSignature(t *testing.T) {
+	msg := Sum([]byte("body"))
+	good, bad := testKey(t, 91), *testKey(t, 91)
+	bad.Pub = testKey(t, 92).Pub
+
+	var tl SigTally
+	tl.SettleLater()
+	var v Verdict
+	sig := v.SignLater(&bad)
+	if !v.Assume(sig, msg, &tl) {
+		t.Fatal("own signature rejected before its verdict exists")
+	}
+	if tl.Settle() || v.Assume(sig, msg, &tl) || tl.Settle() {
+		t.Fatal("a disagreeing key pair's signature settled valid, or left the ledger")
+	}
+
+	tl = SigTally{}
+	tl.SettleLater()
+	var w Verdict
+	wsig := w.SignLater(&bad)
+	w.Assume(wsig, msg, &tl)
+	w.compute(wsig, msg) // what a checker does with the cell's offer
+	cells := make([]Verdict, 2*sigQueue)
+	for i := range cells {
+		cells[i].Assume(cells[i].SignLater(good), msg, &tl)
+	}
+	if tl.Settle() {
+		t.Fatal("an invalid verdict published after its cell was assumed left the ledger")
+	}
+}
+
+// TestLedgerHoldsAtMostTheQueue: a settling tally holds at most sigQueue
+// cells nobody has published. Past that a read is strict — the world
+// computes the newest cell itself — until a checker publishes held cells
+// and the full ledger lets go of them, wherever they sit; the settle
+// computes what is left. One computation per cell.
+func TestLedgerHoldsAtMostTheQueue(t *testing.T) {
+	msg := Sum([]byte("body"))
+	key := testKey(t, 93)
+	var tl SigTally
+	tl.SettleLater()
+	cells := make([]Verdict, 3*sigQueue)
+	sigs := make([]Signature, len(cells))
+	read := func(from, to int) {
+		for i := from; i < to; i++ {
+			sigs[i] = cells[i].SignLater(key)
+			if !cells[i].Assume(sigs[i], msg, &tl) || len(*tl.ledger) > sigQueue {
+				t.Fatalf("cell %d: rejected, or %d cells held", i, len(*tl.ledger))
+			}
+		}
+	}
+	read(0, 2*sigQueue)
+	if tl.Assumed != sigQueue || tl.Inline != sigQueue || tl.Waited != 0 {
+		t.Fatalf("tally %+v: want the first %d reads assumed and the rest computed", tl, sigQueue)
+	}
+	for i := 1; i < sigQueue; i += 2 {
+		cells[i].compute(sigs[i], msg) // a checker publishes every other held cell
+	}
+	read(2*sigQueue, len(cells))
+	if tl.Assumed != sigQueue+sigQueue/2 || tl.Inline != sigQueue+sigQueue/2 {
+		t.Fatalf("tally %+v: want the published half let go and as many reads assumed again", tl)
+	}
+	if !tl.Settle() || tl.Settled != sigQueue || tl.Inline+sigQueue/2 != uint64(len(cells)) {
+		t.Fatalf("tally %+v after the settle", tl)
+	}
+	for i := range cells {
+		if !sigs[i].Equal(key.Sign(msg[:])) {
+			t.Fatalf("cell %d: not the key's signature after the settle", i)
+		}
+	}
+}
+
+// TestSettleRacesAChecker: a world reading every cell through a settling
+// tally while a checker works the same cells from the oldest offer, then
+// settling. Every cell is computed once, by one side, and is the key's
+// signature; the checker may still hold a claim when the settle comes.
+func TestSettleRacesAChecker(t *testing.T) {
+	const cells = 400
+	msg := Sum([]byte("body"))
+	key := testKey(t, 94)
+	vs := make([]Verdict, cells)
+	sigs := make([]Signature, cells)
+	ck := NewSigChecker(1)
+	var tl SigTally
+	tl.SettleLater()
+	for i := range vs {
+		sigs[i] = vs[i].SignLater(key)
+		ck.Offer(&vs[i], sigs[i], msg)
+		if !vs[i].Assume(sigs[i], msg, &tl) {
+			t.Fatalf("cell %d rejected", i)
+		}
+	}
+	if !tl.Settle() {
+		t.Fatal("valid signatures did not settle")
+	}
+	ahead, _ := ck.Close()
+	if ahead+tl.Inline != cells {
+		t.Fatalf("%d ahead + %d inline for %d cells (tally %+v)", ahead, tl.Inline, cells, tl)
+	}
+	for i := range vs {
+		if !sigs[i].Equal(key.Sign(msg[:])) {
+			t.Fatalf("cell %d: not the key's signature", i)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -187,5 +188,41 @@ func TestSigCheckersLeaveNoTrace(t *testing.T) {
 				t.Fatal("fixture: nothing was verified")
 			}
 		})
+	}
+}
+
+// TestUnsettledShardRunsAgainStrict (ADR-021's amendment): a shard whose
+// settle finds that block building took an invalid own signature as valid
+// is thrown away and run again with no checker. What the run reports —
+// aggregate, trace and every shard's counters, the ones that say who
+// computed which signature included — is then what the run that never had
+// a checker reports, and progress counts each AC2T once.
+func TestUnsettledShardRunsAgainStrict(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	wl := named(t, "hostile", 40)
+	strict := run(t, Config{Seed: 42, Shards: 2, Workers: 2, Workload: wl, Trace: true}) // no core to spare
+	e, err := New(Config{Seed: 42, Shards: 2, Workers: 1, Workload: wl, Trace: true, unsettled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Work.SigCheckers != 1 || strict.Work.SigCheckers != 0 {
+		t.Fatalf("fixture: %d and %d checkers, want 1 and 0", agg.Work.SigCheckers, strict.Work.SigCheckers)
+	}
+	aj, nd := artefacts(t, agg)
+	sj, snd := artefacts(t, strict)
+	if !bytes.Equal(aj, sj) || !bytes.Equal(nd, snd) {
+		t.Error("aggregate or trace differs from the run without a checker")
+	}
+	for i := range agg.PerShard {
+		if w, want := agg.PerShard[i].Work, strict.PerShard[i].Work; !reflect.DeepEqual(w, want) {
+			t.Errorf("shard %d: counters %+v, want the strict run's %+v", i, w, want)
+		}
+	}
+	if g, total := e.Progress(); g != int64(agg.Graded) || g != total {
+		t.Errorf("progress %d/%d after grading %d", g, total, agg.Graded)
 	}
 }

@@ -59,6 +59,9 @@ type Config struct {
 	// traceRingCap overrides the per-shard ring capacity (0 =
 	// trace.DefaultRingCap); tests shrink it to force eviction.
 	traceRingCap int
+	// unsettled makes every settle of a run with a checker fail, as an
+	// invalid own signature would; tests force the strict rerun.
+	unsettled bool
 	// PruneDepth sets the chain executors' state-GC horizon: per-block
 	// ledger states buried deeper than this below every node view's
 	// tip are dropped and re-derived from the blocks' retained deltas if
@@ -304,18 +307,6 @@ func (e *Engine) Run() (*Aggregate, error) {
 		}
 	}
 
-	// Per-shard trace recorders (nil when tracing is off): each lives
-	// on its shard's goroutine while the shard runs, and the engine
-	// merges them in shard order after the workers join — worker count
-	// never shows in the merged stream.
-	var recs []*trace.Recorder
-	if cfg.Trace {
-		recs = make([]*trace.Recorder, shards)
-		for i := range recs {
-			recs[i] = trace.NewRecorder(i, cfg.traceRingCap)
-		}
-	}
-
 	graded := func() { e.graded.Add(1) }
 	results := make([]*ShardResult, shards)
 	errs := make([]error, shards)
@@ -330,11 +321,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 			// independent without reallocating the simulator.
 			s := sim.New(0)
 			for idx := range idxCh {
-				var rec *trace.Recorder
-				if recs != nil {
-					rec = recs[idx]
-				}
-				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg.Workload, txs[idx], cfg.pruneDepth(), graded, rec, sigs)
+				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg, txs[idx], graded, sigs)
 			}
 		}()
 	}
@@ -350,13 +337,13 @@ func (e *Engine) Run() (*Aggregate, error) {
 			return nil, err
 		}
 	}
-	agg := e.assemble(results, recs)
+	agg := e.assemble(results)
 	agg.Work.SigAhead, agg.Work.GraphAhead, agg.Work.SigCheckers = ahead, graphAhead, spare
 	return agg, nil
 }
 
 // assemble merges per-shard results in shard order.
-func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggregate {
+func (e *Engine) assemble(results []*ShardResult) *Aggregate {
 	agg := &Aggregate{
 		Protocol:   e.cfg.Workload.Protocol,
 		Seed:       e.cfg.Seed,
@@ -446,13 +433,14 @@ func (e *Engine) assemble(results []*ShardResult, recs []*trace.Recorder) *Aggre
 		}
 	}
 
-	// Merge per-shard trace streams in shard order.
-	if recs != nil {
-		tr := &trace.Trace{}
-		for _, r := range recs {
-			tr.Merge(r)
+	// Merge per-shard trace streams in shard order: each recorder lived
+	// on its shard's goroutine, so worker count never shows in the merged
+	// stream.
+	if e.cfg.Trace {
+		agg.Trace = &trace.Trace{}
+		for _, r := range results {
+			agg.Trace.Merge(r.rec)
 		}
-		agg.Trace = tr
 	}
 	if agg.MakespanVirtualMs > 0 {
 		agg.ThroughputTPSVirtual = float64(agg.Graded) / (float64(agg.MakespanVirtualMs) / 1000)

@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/xchain"
 )
 
@@ -165,6 +166,7 @@ type ShardResult struct {
 	// so eviction never skews the statistics.
 	latency *metrics.Hist
 	phase   map[phaseKey]*metrics.Hist
+	rec     *trace.Recorder // the shard's trace; nil when tracing is off
 }
 
 // Work counts host-side work a run's layers did that its results do not
@@ -185,12 +187,15 @@ type Work struct {
 	// engine's participants make no plain transfers).
 	GraphSigs, DeploySigs, CallSigs uint64
 	// Where ed25519 ran (ADR-021): transaction signatures written ahead
-	// of need by the run's SigCheckers or inline by their first read (the
-	// rest of DeploySigs + CallSigs nobody read, so nobody wrote), graph
-	// signatures ahead or at Start, multisig checks a presigned verdict
-	// answered or that verified inline, and reads that waited.
+	// of need by the run's SigCheckers or inline by their first read or a
+	// settle (the rest of DeploySigs + CallSigs nobody read, so nobody
+	// wrote), graph signatures ahead or at Start, multisig checks a
+	// presigned verdict answered or that verified inline, reads that
+	// waited, reads answered before publication (assumed) and the cells
+	// settles computed or waited for.
 	SigAhead, SigInline, GraphAhead, GraphInline uint64
 	MultisigReady, MultisigInline, SigWaited     uint64
+	SigAssumed, SigSettled                       uint64
 	SigCheckers                                  int
 	Resubmits                                    xchain.Resubmits // xchain.World's
 }
@@ -215,6 +220,8 @@ func (w *Work) add(o Work) {
 	w.MultisigReady += o.MultisigReady
 	w.MultisigInline += o.MultisigInline
 	w.SigWaited += o.SigWaited
+	w.SigAssumed += o.SigAssumed
+	w.SigSettled += o.SigSettled
 	w.Resubmits.Window += o.Resubmits.Window
 	w.Resubmits.Dropped += o.Resubmits.Dropped
 }

@@ -160,19 +160,22 @@ func (e *shardExec) sampleCounters() worldCounters {
 
 // runShard executes txCount transactions on a world derived from
 // seed, reusing (and Reset-ing) the provided simulator.
-func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int, graded func(), rec *trace.Recorder, sigs *crypto.SigChecker) (*ShardResult, error) {
+func runShard(s *sim.Sim, idx int, seed uint64, cfg Config, txCount int, graded func(), sigs *crypto.SigChecker) (*ShardResult, error) {
 	s.Reset(seed)
+	wl := cfg.Workload
 	e := &shardExec{
 		idx:    idx,
 		seed:   seed,
 		wl:     wl,
 		proto:  protocolOf(wl.Protocol),
-		prune:  prune,
+		prune:  cfg.pruneDepth(),
 		graded: graded,
 		s:      s,
 		txs:    make([]txState, txCount),
 		res:    newShardResult(idx, seed, txCount),
-		rec:    rec,
+	}
+	if cfg.Trace {
+		e.rec = trace.NewRecorder(idx, cfg.traceRingCap)
 	}
 	if err := e.buildWorld(txCount, sigs); err != nil {
 		return nil, err
@@ -190,7 +193,24 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	batches := sim.Time((txCount+maxInFlight-1)/maxInFlight + 2)
 	deadline := last + batches*(wl.TxTimeout+settleGrace+sim.Minute)
 	done := func() bool { return e.res.Graded == txCount }
-	if !s.RunUntilDone(done, quiesceCheckEvery, deadline) {
+	quiesced := s.RunUntilDone(done, quiesceCheckEvery, deadline)
+	// Every verdict block building assumed is in before anything of the
+	// run is read (ADR-021's second amendment). If one is invalid, nothing
+	// of the run stands: the shard runs again strict, with no checker, and
+	// progress counts only what this run did not grade.
+	settled := !cfg.unsettled || sigs == nil
+	for _, id := range e.w.Chains() {
+		settled = e.w.Net(id).Executor().SigTally().Settle() && settled
+	}
+	if !settled {
+		n := e.res.Graded
+		return runShard(s, idx, seed, cfg, txCount, func() {
+			if n--; n < 0 {
+				graded()
+			}
+		}, nil)
+	}
+	if !quiesced {
 		return nil, fmt.Errorf("engine: shard %d did not quiesce by virtual deadline (graded %d/%d)",
 			idx, e.res.Graded, txCount)
 	}
@@ -232,6 +252,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 			ParkedSkips: st.ParkedSkips, ParkedHigh: st.ParkedHigh,
 			DeploySigs: net.Signed[chain.TxDeploy], CallSigs: net.Signed[chain.TxCall],
 			SigInline: st.Sigs.Inline, SigWaited: st.Sigs.Waited,
+			SigAssumed: st.Sigs.Assumed, SigSettled: st.Sigs.Settled,
 		})
 		for _, n := range net.Nodes {
 			e.res.Work.add(Work{SyncSent: n.SyncSent, SyncAnswered: n.SyncAnswered,
@@ -262,6 +283,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, wl Workload, txCount, prune int,
 	// reclaimable while other shards are still executing.
 	e.s.Reset(0)
 	e.w = nil
+	e.res.rec = e.rec
 	return e.res, nil
 }
 
@@ -323,6 +345,11 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 		return fmt.Errorf("engine: shard %d world: %w", e.idx, err)
 	}
 	e.w = w
+	if sigs != nil { // block building need not wait for the checker: runShard settles
+		for _, id := range w.Chains() {
+			w.Net(id).Executor().SigTally().SettleLater()
+		}
+	}
 	if e.wl.BatchWindow > 0 {
 		// One batching coordinator per shard world (validate admits a
 		// window only for protocols that batch), its witness quorum

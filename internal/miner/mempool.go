@@ -6,33 +6,35 @@ import (
 )
 
 // mempool holds one view's pending transactions in arrival order, one
-// entry per arrival: one that left and came back is offered once.
+// slot per arrival, by value: one that left and came back is offered
+// once, from the slot of its latest arrival.
 type mempool struct {
 	view  *chain.Chain // forgets what it remembers of a removed transaction
-	byID  map[crypto.Hash]*entry
-	order []*entry
+	byID  map[crypto.Hash]held
+	order []slot
+	seq   int         // arrivals so far
 	buf   []*chain.Tx // ordered's result, refilled by every call
 }
 
-type entry struct {
-	tx       *chain.Tx
-	failures int
-	dead     bool // removed; the next ordered() drops it from order
+// held is a pending transaction's latest arrival and its failure count.
+type held struct{ seq, failures int }
+
+// slot is one arrival, live while it is its transaction's latest.
+type slot struct {
+	tx  *chain.Tx
+	seq int
 }
 
 func (m *mempool) add(tx *chain.Tx) {
-	id := tx.ID()
-	if m.byID[id] != nil {
-		return
+	if _, ok := m.byID[tx.ID()]; !ok {
+		m.seq++
+		m.byID[tx.ID()] = held{seq: m.seq}
+		m.order = append(m.order, slot{tx, m.seq})
 	}
-	e := &entry{tx: tx}
-	m.byID[id] = e
-	m.order = append(m.order, e)
 }
 
 func (m *mempool) remove(id crypto.Hash) {
-	if e := m.byID[id]; e != nil {
-		e.dead = true
+	if _, ok := m.byID[id]; ok {
 		delete(m.byID, id)
 		m.view.Forget(id)
 	}
@@ -40,23 +42,24 @@ func (m *mempool) remove(id crypto.Hash) {
 
 // fail records a validation failure and returns the running count.
 func (m *mempool) fail(id crypto.Hash) int {
-	e := m.byID[id]
-	if e == nil {
+	h, ok := m.byID[id]
+	if !ok {
 		return 0
 	}
-	e.failures++
-	return e.failures
+	h.failures++
+	m.byID[id] = h
+	return h.failures
 }
 
 // ordered returns pending transactions in arrival order, compacting
-// removed entries away. The result is valid until the next call.
+// removed arrivals away. The result is valid until the next call.
 func (m *mempool) ordered() []*chain.Tx {
 	out := m.buf[:0]
 	live := m.order[:0]
-	for _, e := range m.order {
-		if !e.dead {
-			out = append(out, e.tx)
-			live = append(live, e)
+	for _, s := range m.order {
+		if h, ok := m.byID[s.tx.ID()]; ok && h.seq == s.seq {
+			out = append(out, s.tx)
+			live = append(live, s)
 		}
 	}
 	clear(m.order[len(live):])

@@ -102,7 +102,7 @@ func NewNode(s *sim.Sim, net *p2p.Network, id p2p.NodeID, c *chain.Chain, key *c
 		net:        net,
 		rng:        s.RNG().Fork(),
 		share:      share,
-		mempool:    &mempool{view: c, byID: make(map[crypto.Hash]*entry)},
+		mempool:    &mempool{view: c, byID: make(map[crypto.Hash]held)},
 		alive:      true,
 		interval:   c.Params().BlockInterval,
 		tipChanged: s.NewSignal(),
