@@ -189,10 +189,10 @@ func main() {
 		agg.ForksObserved, agg.MaxReorgDepth, agg.MsgsDropped,
 		work.SyncSent, work.SyncRetries, work.SyncAnswered, work.BlocksServed,
 		work.OrphansHigh, work.OrphansEvicted, work.MempoolHigh)
-	fmt.Fprintf(os.Stderr, "sigcheck: %d ahead of need, %d inline, %d never read (transactions); %d ahead, %d inline (graph); %d ready, %d inline (multisig); %d waited, %d checkers, %d assumed, %d settled\n",
+	fmt.Fprintf(os.Stderr, "sigcheck: %d ahead of need, %d inline, %d never read (transactions); %d ahead, %d inline (graph); %d ready, %d inline (multisig); %d waited, %d checkers, %d assumed, %d settled, %d keys ahead\n",
 		work.SigAhead, work.SigInline, work.DeploySigs+work.CallSigs-work.SigAhead-work.SigInline,
 		work.GraphAhead, work.GraphInline, work.MultisigReady, work.MultisigInline, work.SigWaited, work.SigCheckers,
-		work.SigAssumed, work.SigSettled)
+		work.SigAssumed, work.SigSettled, work.KeysAhead)
 	if wl.Protocol == engine.ProtoAC3WN {
 		fmt.Fprintf(os.Stderr, "witness: %d per-AC2T decision txs, %d batches (%d decisions, %d republishes), %.3f txs / %.1f bytes per committed AC2T\n",
 			agg.WitnessDecisionTxs, agg.BatchesPublished, agg.BatchDecisions,

@@ -29,7 +29,7 @@ func TestBlockBuiltBeforeOwnVerdicts(t *testing.T) {
 	if sigs.Assumed != 2 || sigs.Inline != 0 {
 		t.Fatalf("tally %+v: want both verdicts assumed, none computed", *sigs)
 	}
-	if !sigs.Settle() || sigs.Settled != 2 || sigs.Inline != 2 {
+	if !sigs.Settle(nil) || sigs.Settled != 2 || sigs.Inline != 2 {
 		t.Fatalf("settle: tally %+v, want both verdicts computed and valid", *sigs)
 	}
 	for i, tx := range txs {
@@ -49,7 +49,7 @@ func TestBlockBuiltBeforeOwnVerdicts(t *testing.T) {
 	if b, _, _ := e.chain.BuildBlock(e.miner.Addr, e.chain.Params().BlockInterval, []*Tx{tx}); len(b.Txs) != 2 {
 		t.Fatal("an own transaction was not built in before its verdict")
 	}
-	if sigs.Settle() {
+	if sigs.Settle(nil) {
 		t.Fatal("a disagreeing key pair's signature settled valid")
 	}
 	strict := newEnv(t, "alice", "bob", "carol")

@@ -1,8 +1,10 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -141,13 +143,15 @@ func (t *SigTally) release(l []sigJob) []sigJob {
 }
 
 // Settle computes or waits for the verdict of every cell t assumed, the
-// newest first (a checker works from the oldest), and reports whether all
-// are valid. A tally that does not settle later has none.
-func (t *SigTally) Settle() bool {
+// newest first while the checkers c (nil: none) start at the oldest, and
+// reports whether all are valid. A tally that does not settle later has none.
+func (t *SigTally) Settle(c *SigChecker) bool {
 	if t.ledger == nil {
 		return true
 	}
 	l, valid := *t.ledger, true
+	cp := slices.Clone(l) // the checkers' copy: letting go of a cell clears its slot
+	c.queue(&batch{n: int64(len(cp)), kind: aheadTx, do: func(i int) bool { return cp[i].cell.compute(cp[i].sig, cp[i].msg) }})
 	for i := len(l) - 1; i >= 0; i-- {
 		if l[i].cell.state.Load() <= verdictClaimed {
 			t.Settled++
@@ -227,17 +231,18 @@ func (b *SigBook) Verify(sig Signature, digest Hash) bool {
 	return sig.Verify(digest[:])
 }
 
-// SigChecker computes verdicts on goroutines of its own, between a
-// signature's hand-off and its verdict's first read. A nil one checks
-// nothing: first readers compute inline, the arm that always exists.
+// SigChecker computes verdicts and key pairs on goroutines of its own,
+// ahead of their first read. A nil one checks nothing: first readers
+// compute inline, the arm that always exists.
 type SigChecker struct {
-	jobs  chan sigJob    // offers, by value: a hand-off allocates nothing
-	books chan []*sigJob // background work, taken cell by cell between offers
+	jobs  chan sigJob // offers, by value: a hand-off allocates nothing
+	later chan *batch // background work, taken item by item between offers
 	stop  chan struct{}
 	wg    sync.WaitGroup
-	// offered and background count the verdicts computed ahead of need.
-	offered, background atomic.Uint64
+	ahead [3]atomic.Uint64 // what the checkers computed: transaction and graph signatures, key pairs
 }
+
+const aheadTx, aheadGraph, aheadKeys = 0, 1, 2
 
 // sigJob is all a checker sees of the object the cell lives in.
 type sigJob struct {
@@ -246,17 +251,40 @@ type sigJob struct {
 	msg  Hash
 }
 
+// batch is background work whose n items the checkers, and the caller of
+// Keys, claim one at a time from one counter; done counts those finished.
+type batch struct {
+	next, done atomic.Int64
+	n          int64
+	kind       int
+	do         func(i int) bool // true if it computed item i
+}
+
+// step does the next unclaimed item, counting it on ahead (nil: nowhere)
+// if it computed it; false once none is left.
+func (b *batch) step(ahead *atomic.Uint64) bool {
+	i := b.next.Add(1) - 1
+	if i >= b.n {
+		return false
+	}
+	if b.do(int(i)) && ahead != nil {
+		ahead.Add(1)
+	}
+	b.done.Add(1)
+	return true
+}
+
 // NewSigChecker starts n checkers, or none (nil) if n <= 0. The offer
 // queue is short: a checker that keeps up is a job behind, and one that
 // does not should stay on recent offers — older ones are computed inline
-// before it would reach them. A book is a whole shard world's graph
-// signatures, and a worker builds one world at a time: a few books queued
-// is a backlog the checkers will not work off before those worlds end.
+// before it would reach them. Batches queue four deep: a settling shard
+// hands over a ledger per chain, the next one a key batch and a book, and
+// a checker has one in hand; more is a backlog it will not work off.
 func NewSigChecker(n int) *SigChecker {
 	if n <= 0 {
 		return nil
 	}
-	c := &SigChecker{jobs: make(chan sigJob, sigQueue), books: make(chan []*sigJob, 4), stop: make(chan struct{})}
+	c := &SigChecker{jobs: make(chan sigJob, sigQueue), later: make(chan *batch, 4), stop: make(chan struct{})}
 	c.wg.Add(n)
 	for ; n > 0; n-- {
 		go c.run()
@@ -264,33 +292,32 @@ func NewSigChecker(n int) *SigChecker {
 	return c
 }
 
-// run takes a queued offer first, the next cell of the book in hand
+// run takes a queued offer first, the next item of the batch in hand
 // second, and parks only when there is neither.
 func (c *SigChecker) run() {
 	defer c.wg.Done()
-	var later []*sigJob // the book in hand, from its next cell on
+	var b *batch // the batch in hand
 	for {
-		j, n := sigJob{}, &c.offered
+		var j sigJob
 		select {
 		case j = <-c.jobs:
 		case <-c.stop:
 			return
 		default:
-			if len(later) > 0 {
-				j, later, n = *later[0], later[1:], &c.background
-			} else {
-				later = nil // let the walked book go
-				select {
-				case j = <-c.jobs:
-				case later = <-c.books:
-					continue
-				case <-c.stop:
-					return
-				}
+			if b != nil && b.step(&c.ahead[b.kind]) {
+				continue
+			}
+			b = nil // let the walked batch go
+			select {
+			case j = <-c.jobs:
+			case b = <-c.later:
+				continue
+			case <-c.stop:
+				return
 			}
 		}
 		if j.cell.compute(j.sig, j.msg) {
-			n.Add(1)
+			c.ahead[aheadTx].Add(1)
 		}
 	}
 }
@@ -308,27 +335,52 @@ func (c *SigChecker) Offer(v *Verdict, sig Signature, msg Hash) {
 	}
 }
 
-// Background queues b's cells (nil: none) as background work, in the
-// order they were added. Like Offer it never blocks: cells the queue
-// cannot hold are written by their first readers.
-func (c *SigChecker) Background(b *SigBook) {
-	if c == nil || b == nil {
-		return
+// queue hands b to the checkers (nil: none), never blocking: a full queue drops it.
+func (c *SigChecker) queue(b *batch) {
+	if c != nil {
+		select {
+		case c.later <- b:
+		default:
+		}
 	}
-	select {
-	case c.books <- b.order:
-	default:
-	}
-	b.order = nil // the book keeps the cells until it forgets them
 }
 
-// Close stops and joins the checkers and returns how many verdicts they
-// computed ahead of the first read: offered ones and background ones.
-func (c *SigChecker) Close() (offered, background uint64) {
+// Background queues b's cells (nil: none) as background work, in the
+// order they were added.
+func (c *SigChecker) Background(b *SigBook) {
+	if c != nil && b != nil {
+		order := b.order
+		c.queue(&batch{n: int64(len(order)), kind: aheadGraph, do: func(i int) bool { return order[i].cell.compute(order[i].sig, order[i].msg) }})
+		b.order = nil // the book keeps the cells until it forgets them
+	}
+}
+
+// Keys returns what n MustGenerateKey(NewRandReader(next)) calls would, the
+// checkers (nil: none) deriving from the caller's queue too; the caller then
+// waits for what a checker still holds, one derivation at most.
+func (c *SigChecker) Keys(next func() uint64, n int) []*KeyPair {
+	seeds, keys := make([]byte, n*ed25519.SeedSize), make([]*KeyPair, n)
+	NewRandReader(next).Read(seeds) // never fails
+	b := &batch{n: int64(n), kind: aheadKeys, do: func(i int) bool {
+		keys[i] = MustGenerateKey(bytes.NewReader(seeds[i*ed25519.SeedSize:]))
+		return true
+	}}
+	c.queue(b)
+	for b.step(nil) {
+	}
+	for b.done.Load() < b.n {
+		runtime.Gosched()
+	}
+	return keys
+}
+
+// Close stops and joins the checkers and returns what they computed ahead
+// of the first read: transaction and graph signatures, and key pairs.
+func (c *SigChecker) Close() (tx, graph, keys uint64) {
 	if c == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	close(c.stop)
 	c.wg.Wait()
-	return c.offered.Load(), c.background.Load()
+	return c.ahead[aheadTx].Load(), c.ahead[aheadGraph].Load(), c.ahead[aheadKeys].Load()
 }

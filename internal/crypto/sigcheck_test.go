@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // sigCases are the signatures a verdict cell must judge as
@@ -62,7 +64,7 @@ func TestVerdictOneVerificationWhoeverClaims(t *testing.T) {
 		ck.Offer(&c.v, c.sig, msg)
 	}
 	wg.Wait()
-	verified, _ := ck.Close()
+	verified, _, _ := ck.Close()
 	var waited uint64
 	for _, tl := range tallies {
 		verified += tl.Inline
@@ -71,7 +73,7 @@ func TestVerdictOneVerificationWhoeverClaims(t *testing.T) {
 	if verified != uint64(len(cells)) {
 		t.Fatalf("%d verifications for %d cells", verified, len(cells))
 	}
-	t.Logf("%d cells: %d verified by readers inline, %d reads waited on a checker", len(cells), verified-ck.offered.Load(), waited)
+	t.Logf("%d cells: %d verified by readers inline, %d reads waited on a checker", len(cells), verified-ck.ahead[aheadTx].Load(), waited)
 	var again SigTally
 	for _, c := range cells {
 		if c.v.Read(c.sig, msg, &again) != c.want {
@@ -119,7 +121,7 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 		for i := range cells[:100] {
 			ck.Offer(&cells[i], bad, msg)
 		}
-		ahead, _ := ck.Close()
+		ahead, _, _ := ck.Close()
 		for i := range cells[100:] {
 			ck.Offer(&cells[100+i], bad, msg) // lands in the queue or is dropped; nobody will come
 		}
@@ -139,7 +141,7 @@ func TestVerdictReaderNeverBlocksOnTheQueue(t *testing.T) {
 		var v Verdict
 		ck.Offer(&v, good, msg)
 		var tl SigTally
-		if offered, background := ck.Close(); !v.Read(good, msg, &tl) || tl.Inline != 1 || offered+background != 0 {
+		if offered, background, _ := ck.Close(); !v.Read(good, msg, &tl) || tl.Inline != 1 || offered+background != 0 {
 			t.Fatalf("tally %+v", tl)
 		}
 		if NewSigChecker(0) != nil || NewSigChecker(-1) != nil {
@@ -242,7 +244,7 @@ func TestSigningCellClaimedOnce(t *testing.T) {
 		ck.Offer(&c.v, c.sig, c.msg)
 	}
 	wg.Wait()
-	computed, _ := ck.Close()
+	computed, _, _ := ck.Close()
 	for _, tl := range tallies {
 		computed += tl.Inline
 	}
@@ -280,12 +282,12 @@ func TestBackgroundNeverDelaysAnOffer(t *testing.T) {
 			unclaimed++
 		}
 	}
-	offered, background := ck.Close()
+	offered, background, _ := ck.Close()
 	if offered != 1 || unclaimed < cells/2 {
 		t.Fatalf("%d offers computed with %d of %d background cells unclaimed; want 1 with most of them", offered, unclaimed, cells)
 	}
 
-	idle := &SigChecker{books: make(chan []*sigJob, 1)}
+	idle := &SigChecker{later: make(chan *batch, 1)}
 	idle.Background(book)
 	book.order = jobs
 	idle.Background(book) // dropped: the queue is full
@@ -371,7 +373,7 @@ func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
 		t.Fatalf("a tally that does not settle assumed: %+v", strict)
 	}
 
-	if !settling.Settle() || settling.Settled != 1 || settling.Inline != 2 || !sig.Equal(key.Sign(msg[:])) {
+	if !settling.Settle(nil) || settling.Settled != 1 || settling.Inline != 2 || !sig.Equal(key.Sign(msg[:])) {
 		t.Fatalf("settle: tally %+v; want the held cell computed, and the key's signature", settling)
 	}
 	if !own.Assume(sig, msg, &settling) || settling.Assumed != 2 || len(*settling.ledger) != 0 {
@@ -385,7 +387,7 @@ func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
 	if !read.Read(rsig, msg, &other) || other != (SigTally{}) || !rsig.Equal(key.Sign(msg[:])) {
 		t.Fatalf("a strict read of a held cell: tally %+v, want it computed and counted where the cell is held", other)
 	}
-	if inline := settling.Inline; !settling.Settle() || settling.Inline != inline+1 || settling.Settled != 1 {
+	if inline := settling.Inline; !settling.Settle(nil) || settling.Inline != inline+1 || settling.Settled != 1 {
 		t.Fatalf("tally %+v: the strict read's computation is not counted where the cell was held", settling)
 	}
 }
@@ -407,7 +409,7 @@ func TestSettleFindsAnInvalidOwnSignature(t *testing.T) {
 	if !v.Assume(sig, msg, &tl) {
 		t.Fatal("own signature rejected before its verdict exists")
 	}
-	if tl.Settle() || v.Assume(sig, msg, &tl) || tl.Settle() {
+	if tl.Settle(nil) || v.Assume(sig, msg, &tl) || tl.Settle(nil) {
 		t.Fatal("a disagreeing key pair's signature settled valid, or left the ledger")
 	}
 
@@ -421,7 +423,7 @@ func TestSettleFindsAnInvalidOwnSignature(t *testing.T) {
 	for i := range cells {
 		cells[i].Assume(cells[i].SignLater(good), msg, &tl)
 	}
-	if tl.Settle() {
+	if tl.Settle(nil) {
 		t.Fatal("an invalid verdict published after its cell was assumed left the ledger")
 	}
 }
@@ -457,7 +459,7 @@ func TestLedgerHoldsAtMostTheQueue(t *testing.T) {
 	if tl.Assumed != sigQueue+sigQueue/2 || tl.Inline != sigQueue+sigQueue/2 {
 		t.Fatalf("tally %+v: want the published half let go and as many reads assumed again", tl)
 	}
-	if !tl.Settle() || tl.Settled != sigQueue || tl.Inline+sigQueue/2 != uint64(len(cells)) {
+	if !tl.Settle(nil) || tl.Settled != sigQueue || tl.Inline+sigQueue/2 != uint64(len(cells)) {
 		t.Fatalf("tally %+v after the settle", tl)
 	}
 	for i := range cells {
@@ -487,10 +489,10 @@ func TestSettleRacesAChecker(t *testing.T) {
 			t.Fatalf("cell %d rejected", i)
 		}
 	}
-	if !tl.Settle() {
+	if !tl.Settle(nil) {
 		t.Fatal("valid signatures did not settle")
 	}
-	ahead, _ := ck.Close()
+	ahead, _, _ := ck.Close()
 	if ahead+tl.Inline != cells {
 		t.Fatalf("%d ahead + %d inline for %d cells (tally %+v)", ahead, tl.Inline, cells, tl)
 	}
@@ -499,4 +501,89 @@ func TestSettleRacesAChecker(t *testing.T) {
 			t.Fatalf("cell %d: not the key's signature", i)
 		}
 	}
+}
+
+// TestKeysMatchTheSerialPath: a key batch, derived alone, shared with a
+// checker or handed to a checker that has stopped, is n serial
+// MustGenerateKey(NewRandReader(next)) calls: the same public keys,
+// addresses and signatures, and the RNG left where those calls leave it.
+func TestKeysMatchTheSerialPath(t *testing.T) {
+	digest := Sum([]byte("(D, t)"))
+	closed := NewSigChecker(1)
+	closed.Close()
+	for _, c := range []struct {
+		name string
+		ck   func() *SigChecker
+	}{
+		{"no checker", func() *SigChecker { return nil }},
+		{"one checker", func() *SigChecker { return NewSigChecker(1) }},
+		{"a stopped checker", func() *SigChecker { return closed }},
+	} {
+		for _, n := range []int{0, 1, 2, 65} {
+			serial, batched := sim.NewRNG(uint64(n)), sim.NewRNG(uint64(n))
+			ck := c.ck()
+			keys := ck.Keys(batched.Uint64, n)
+			var ahead uint64 // final once Keys returns
+			if ck != nil {
+				ahead = ck.ahead[aheadKeys].Load()
+			}
+			if ck != closed {
+				ck.Close()
+			}
+			if len(keys) != n || ahead > uint64(n) || (ck == nil && ahead != 0) {
+				t.Fatalf("%s, n=%d: %d keys, %d derived ahead", c.name, n, len(keys), ahead)
+			}
+			for i, k := range keys {
+				want := MustGenerateKey(NewRandReader(serial.Uint64))
+				if !bytes.Equal(k.Pub, want.Pub) || k.Addr != want.Addr || !k.Sign(digest[:]).Equal(want.Sign(digest[:])) {
+					t.Fatalf("%s, n=%d: key %d is not the serial path's", c.name, n, i)
+				}
+			}
+			if serial.Uint64() != batched.Uint64() {
+				t.Fatalf("%s, n=%d: the RNG is not where the serial path leaves it", c.name, n)
+			}
+			t.Logf("%s, n=%d: %d of %d derived by the checker", c.name, n, ahead, n)
+		}
+	}
+}
+
+// TestSettleSharesItsLedger: a settle hands a checker its held cells and
+// walks them from the newest end while the checker starts at the oldest.
+// Every held cell is computed once, by one side, and is its key's
+// signature: the checker's count and the tally's add up to the cells
+// held. The settle then lets go of the cells, clearing their slots in the
+// ledger, while the checker may still be walking; it walks a copy, so it
+// never reads a cleared slot.
+func TestSettleSharesItsLedger(t *testing.T) {
+	const rounds = 50
+	msg := Sum([]byte("body"))
+	key := testKey(t, 95)
+	want := key.Sign(msg[:])
+	ck := NewSigChecker(1)
+	var tl SigTally
+	for range rounds {
+		tl.SettleLater()
+		cells := make([]Verdict, sigQueue)
+		sigs := make([]Signature, len(cells))
+		for i := range cells {
+			sigs[i] = cells[i].SignLater(key)
+			cells[i].Assume(sigs[i], msg, &tl)
+		}
+		if len(*tl.ledger) != sigQueue {
+			t.Fatalf("%d cells held, want %d", len(*tl.ledger), sigQueue)
+		}
+		if !tl.Settle(ck) || len(*tl.ledger) != 0 {
+			t.Fatalf("valid signatures did not settle, or %d cells are still held", len(*tl.ledger))
+		}
+		for i := range sigs {
+			if !sigs[i].Equal(want) {
+				t.Fatalf("cell %d: not the key's signature after the settle", i)
+			}
+		}
+	}
+	ahead, _, _ := ck.Close()
+	if ahead+tl.Inline != rounds*sigQueue || tl.Assumed != rounds*sigQueue {
+		t.Fatalf("%d computed by the checker + %d by the settle for %d cells held (tally %+v)", ahead, tl.Inline, rounds*sigQueue, tl)
+	}
+	t.Logf("%d cells held: %d computed by the checker, %d by the settle, %d waited for", rounds*sigQueue, ahead, tl.Inline, tl.Waited)
 }

@@ -165,7 +165,7 @@ func TestSigCheckersLeaveNoTrace(t *testing.T) {
 					if w.SigCheckers != checkers {
 						t.Errorf("%s: %d checkers, want %d", at, w.SigCheckers, checkers)
 					}
-					if checkers == 0 && w.SigAhead+w.GraphAhead+w.SigWaited+w.MultisigReady != 0 {
+					if checkers == 0 && w.SigAhead+w.GraphAhead+w.KeysAhead+w.SigWaited+w.MultisigReady != 0 {
 						t.Errorf("%s: no checker, yet work ahead of need, waits or presigned verdicts: %+v", at, w)
 					}
 					if w.GraphAhead+w.GraphInline != w.GraphSigs || (checkers > 0 && signsGraph) != (w.MultisigReady > 0) {

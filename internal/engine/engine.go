@@ -321,6 +321,8 @@ func (e *Engine) Run() (*Aggregate, error) {
 			// independent without reallocating the simulator.
 			s := sim.New(0)
 			for idx := range idxCh {
+				wg.Add(1) // the world s ran last, if any, is dead: free it beside the next, not under it
+				go func() { defer wg.Done(); runtime.GC() }()
 				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg, txs[idx], graded, sigs)
 			}
 		}()
@@ -330,7 +332,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 	}
 	close(idxCh)
 	wg.Wait()
-	ahead, graphAhead := sigs.Close()
+	ahead, graphAhead, keysAhead := sigs.Close()
 
 	for _, err := range errs {
 		if err != nil {
@@ -338,7 +340,7 @@ func (e *Engine) Run() (*Aggregate, error) {
 		}
 	}
 	agg := e.assemble(results)
-	agg.Work.SigAhead, agg.Work.GraphAhead, agg.Work.SigCheckers = ahead, graphAhead, spare
+	agg.Work.SigAhead, agg.Work.GraphAhead, agg.Work.KeysAhead, agg.Work.SigCheckers = ahead, graphAhead, keysAhead, spare
 	return agg, nil
 }
 

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -65,6 +67,32 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Graded != 24 {
 		t.Fatalf("graded %d/24", a.Graded)
+	}
+}
+
+// TestRunLeavesNothingRunning: Run collects each finished shard's world
+// on a goroutine of its own, and neither those nor the checker outlive
+// it. With a checker (two cores, one worker) and without (one core), a
+// collection was forced and the goroutines Run started are gone.
+func TestRunLeavesNothingRunning(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := runtime.NumGoroutine()
+		run(t, Config{Seed: 42, Shards: 4, Workers: 1, Workload: testWorkload(40)})
+		runtime.ReadMemStats(&after)
+		if after.NumForcedGC == before.NumForcedGC {
+			t.Fatalf("GOMAXPROCS %d: no collection forced", procs)
+		}
+		// A joined goroutine may still be returning from its deferred Done.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if g := runtime.NumGoroutine(); g != n {
+			t.Fatalf("GOMAXPROCS %d: %d goroutines before Run, %d after", procs, n, g)
+		}
 	}
 }
 

@@ -132,10 +132,7 @@ func (sh Shape) Build(seed uint64) (*xchain.World, []*xchain.Participant, error)
 		}
 	}
 	b := xchain.NewBuilder(seed)
-	ps := make([]*xchain.Participant, len(sh.Parties))
-	for i, name := range sh.Parties {
-		ps[i] = b.Participant(name)
-	}
+	ps := b.Participants(sh.Parties...)
 	for _, id := range sh.Chains {
 		spec := xchain.DefaultChainSpec(id)
 		if n, ok := sh.MaxBlockTxs[id]; ok {

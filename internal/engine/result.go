@@ -191,11 +191,11 @@ type Work struct {
 	// settle (the rest of DeploySigs + CallSigs nobody read, so nobody
 	// wrote), graph signatures ahead or at Start, multisig checks a
 	// presigned verdict answered or that verified inline, reads that
-	// waited, reads answered before publication (assumed) and the cells
-	// settles computed or waited for.
+	// waited, reads answered before publication (assumed), the cells
+	// settles computed or waited for and the key pairs the checkers derived.
 	SigAhead, SigInline, GraphAhead, GraphInline uint64
 	MultisigReady, MultisigInline, SigWaited     uint64
-	SigAssumed, SigSettled                       uint64
+	SigAssumed, SigSettled, KeysAhead            uint64
 	SigCheckers                                  int
 	Resubmits                                    xchain.Resubmits // xchain.World's
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/batch"
 	"repro/internal/chain"
@@ -200,7 +201,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, cfg Config, txCount int, graded 
 	// progress counts only what this run did not grade.
 	settled := !cfg.unsettled || sigs == nil
 	for _, id := range e.w.Chains() {
-		settled = e.w.Net(id).Executor().SigTally().Settle() && settled
+		settled = e.w.Net(id).Executor().SigTally().Settle(sigs) && settled
 	}
 	if !settled {
 		n := e.res.Graded
@@ -303,6 +304,7 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	b.Chain(engineChainSpec(e.witness, e.prune))
 
 	e.specs = make([]txSpec, txCount)
+	var names []string
 	var at sim.Time
 	for i := range e.specs {
 		at += wlRNG.ExpTime(e.wl.ArrivalEvery)
@@ -316,17 +318,21 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 		if downgraded {
 			e.res.ScenariosDowngraded++
 		}
+		for j := range e.specs[i].size {
+			names = append(names, fmt.Sprintf("s%d-t%d-p%d", e.idx, i, j))
+		}
 	}
 	// Every AC2T gets disjoint, pre-funded participants: concurrent
 	// transactions on shared chains must not share identities (the
 	// paper's AC2Ts need no coordination with each other, and the
-	// engine preserves that).
+	// engine preserves that). Their keys derive in one batch.
+	all := b.Participants(names...)
 	e.parts = make([][]*xchain.Participant, txCount)
 	for i, spec := range e.specs {
-		ps := make([]*xchain.Participant, spec.size)
+		ps := slices.Clone(all[:spec.size]) // an array of its own: garbage once this AC2T grades
+		all = all[spec.size:]
 		chains := make([]chain.ID, spec.size)
 		for j := range ps {
-			ps[j] = b.Participant(fmt.Sprintf("s%d-t%d-p%d", e.idx, i, j))
 			chains[j] = e.chainOf(i, j)
 			b.Fund(ps[j], chains[j], 200_000)
 		}

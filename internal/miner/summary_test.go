@@ -204,7 +204,7 @@ func verifyOncePerTransaction(t *testing.T, ck *crypto.SigChecker) {
 		t.Fatal("fixture: no transaction was mined on the losing fork and again after the reorg")
 	}
 
-	ahead, _ := ck.Close()
+	ahead, _, _ := ck.Close()
 	sigs := net.Executor().Stats().Sigs
 	verified := ahead + sigs.Inline
 	if len(objects) != len(submitted) || verified != uint64(len(objects)) {
@@ -272,7 +272,7 @@ func TestForgedSubmissionRejectedAndPurgedWithChecker(t *testing.T) {
 				t.Fatalf("after %d failed builds: %d in the mempool, %d parked; want 0, 0", maxTxFailures+1, node.MempoolSize(), node.Chain.Parked())
 			}
 			st := node.Chain.Executor().Stats()
-			if ahead, _ := ck.Close(); st.Rejected != 1 || st.ParkedSkips != maxTxFailures || ahead+st.Sigs.Inline != 1 {
+			if ahead, _, _ := ck.Close(); st.Rejected != 1 || st.ParkedSkips != maxTxFailures || ahead+st.Sigs.Inline != 1 {
 				t.Fatalf("tried %d times, skipped %d, verified %d ahead + %d inline; want 1, %d, and one verification",
 					st.Rejected, st.ParkedSkips, ahead, st.Sigs.Inline, maxTxFailures)
 			}

@@ -103,14 +103,17 @@ func (b *Builder) Chain(spec ChainSpec) *Builder {
 }
 
 // Participant creates a named participant with a fresh identity.
-func (b *Builder) Participant(name string) *Participant {
-	p := &Participant{
-		Name:    name,
-		Key:     crypto.MustGenerateKey(crypto.NewRandReader(b.rng.Uint64)),
-		clients: make(map[chain.ID]*miner.Client),
+func (b *Builder) Participant(name string) *Participant { return b.Participants(name)[0] }
+
+// Participants creates named participants with fresh identities, their
+// key pairs derived in one batch that the builder's checker shares.
+func (b *Builder) Participants(names ...string) []*Participant {
+	ps := make([]*Participant, len(names))
+	for i, k := range b.sigs.Keys(b.rng.Uint64, len(names)) {
+		ps[i] = &Participant{Name: names[i], Key: k, clients: make(map[chain.ID]*miner.Client)}
 	}
-	b.participants = append(b.participants, p)
-	return p
+	b.participants = append(b.participants, ps...)
+	return ps
 }
 
 // Fund allocates genesis balance to a participant on a chain.

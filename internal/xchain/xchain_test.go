@@ -175,3 +175,23 @@ func TestCountContractOps(t *testing.T) {
 		t.Fatalf("phantom ops counted: %d/%d", d, c)
 	}
 }
+
+// TestParticipantsInOneBatch: participants created in one batch, shared
+// with a checker, are the ones created one at a time: same names, same
+// identities, in order, and the builder's RNG is left where those calls
+// leave it.
+func TestParticipantsInOneBatch(t *testing.T) {
+	names := []string{"alice", "bob", "carol", "dave", "erin"}
+	ck := crypto.NewSigChecker(1)
+	defer ck.Close()
+	batch, serial := NewBuilderOn(sim.New(7), ck), NewBuilder(7)
+	ps := batch.Participants(names...)
+	for i, name := range names {
+		if p := serial.Participant(name); ps[i].Name != name || ps[i].Addr() != p.Addr() {
+			t.Fatalf("participant %d: %s %s, want %s %s", i, ps[i].Name, ps[i].Addr(), name, p.Addr())
+		}
+	}
+	if a, b := batch.Participant("frank"), serial.Participant("frank"); a.Addr() != b.Addr() || len(batch.participants) != len(names)+1 {
+		t.Fatal("the builders' RNGs part after a batch")
+	}
+}
