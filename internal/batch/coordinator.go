@@ -21,7 +21,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
@@ -221,7 +221,7 @@ func (c *Coordinator) check(miner.TipSummary) {
 	for id := range c.tracked {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return bytes.Compare(ids[i][:], ids[j][:]) < 0 })
+	slices.SortFunc(ids, func(a, b crypto.Hash) int { return bytes.Compare(a[:], b[:]) })
 	now := c.s.Now()
 	for _, id := range ids {
 		tb := c.tracked[id]

@@ -127,8 +127,10 @@ type shardExec struct {
 	// activity fires when any chain's ground-truth view changes tip;
 	// it drives all in-flight quiescence checks and scenario hooks.
 	activity  *sim.Signal
-	actWaiter *sim.Waiter
+	actWaiter *sim.Waiter // made on the first arm, re-armed after that
+	armed     bool
 	activeIdx []int // in-flight transaction indices, admission order
+	scratch   []int // onActivity's copy of activeIdx
 
 	inFlight int
 	queue    []int
@@ -477,17 +479,23 @@ func (e *shardExec) start(i int) {
 // armActivity keeps exactly one waiter on the shard's activity signal
 // while transactions are in flight.
 func (e *shardExec) armActivity() {
-	if e.actWaiter != nil || len(e.activeIdx) == 0 {
+	if e.armed || len(e.activeIdx) == 0 {
 		return
 	}
-	e.actWaiter = e.activity.Wait(e.onActivity)
+	if e.actWaiter == nil {
+		e.actWaiter = e.activity.Wait(e.onActivity)
+	} else {
+		e.activity.Rearm(e.actWaiter)
+	}
+	e.armed = true
 }
 
 // onActivity re-evaluates every in-flight transaction after a
 // ground-truth tip change, then re-arms.
 func (e *shardExec) onActivity() {
-	e.actWaiter = nil
-	for _, i := range append([]int(nil), e.activeIdx...) {
+	e.armed = false
+	e.scratch = append(e.scratch[:0], e.activeIdx...)
+	for _, i := range e.scratch {
 		e.checkTx(i)
 	}
 	e.armActivity()

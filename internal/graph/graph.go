@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
@@ -93,11 +92,9 @@ func New(timestamp int64, edges ...Edge) (*Graph, error) {
 			}
 		}
 	}
-	sort.Slice(parts, func(i, j int) bool { return lessAddr(parts[i], parts[j]) })
+	slices.SortFunc(parts, func(a, b crypto.Address) int { return bytes.Compare(a[:], b[:]) })
 	return &Graph{Edges: append([]Edge(nil), edges...), Participants: parts, Timestamp: timestamp}, nil
 }
-
-func lessAddr(a, b crypto.Address) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
 // compareEdges is the canonical edge order of the digest: by source,
 // destination, blockchain, then asset.
@@ -357,7 +354,7 @@ func (g *Graph) Chains() []chain.ID {
 			out = append(out, e.Chain)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -71,19 +71,6 @@ func (r *RNG) ExpTime(mean Time) Time {
 	return d
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Bytes fills b with random bytes.
 func (r *RNG) Bytes(b []byte) {
 	for i := 0; i < len(b); i += 8 {

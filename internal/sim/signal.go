@@ -24,6 +24,7 @@ type Signal struct {
 	s         *Sim
 	waiters   []*Waiter
 	spare     []*Waiter // the previous dispatch's batch, emptied, for the next one to fill
+	dispatch  func()    // g.run, made once so that a Notify allocates nothing
 	scheduled bool
 }
 
@@ -35,7 +36,11 @@ type Waiter struct {
 }
 
 // NewSignal creates a signal bound to the simulator's clock.
-func (s *Sim) NewSignal() *Signal { return &Signal{s: s} }
+func (s *Sim) NewSignal() *Signal {
+	g := &Signal{s: s}
+	g.dispatch = g.run
+	return g
+}
 
 // Wait registers fn to run at the next notification. The returned
 // Waiter cancels the registration; a fired or canceled waiter is inert.
@@ -68,19 +73,22 @@ func (g *Signal) Notify() {
 		return
 	}
 	g.scheduled = true
-	g.s.After(0, func() {
-		g.scheduled = false
-		batch := g.waiters
-		g.waiters = g.spare // waiters re-registering meanwhile fill the other buffer
-		for _, w := range batch {
-			if !w.canceled {
-				w.canceled = true // one-shot: mark fired
-				w.fn()
-			}
+	g.s.After(0, g.dispatch)
+}
+
+// run is the dispatch event a Notify schedules.
+func (g *Signal) run() {
+	g.scheduled = false
+	batch := g.waiters
+	g.waiters = g.spare // waiters re-registering meanwhile fill the other buffer
+	for _, w := range batch {
+		if !w.canceled {
+			w.canceled = true // one-shot: mark fired
+			w.fn()
 		}
-		clear(batch)
-		g.spare = batch[:0]
-	})
+	}
+	clear(batch)
+	g.spare = batch[:0]
 }
 
 // Waiting reports the number of registered waiters (diagnostics).

@@ -13,10 +13,7 @@
 // this clock, not a constant baked in here.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a virtual timestamp in milliseconds since the start of the
 // simulation.
@@ -38,24 +35,40 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
+// eventHeap is a binary min-heap ordered by (at, seq). It holds events
+// by value: once grown, scheduling one allocates nothing.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0 && q.less(i, (i-1)/2); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+}
+
+// pop removes and returns the earliest event. The vacated slot is
+// zeroed so the backing array does not keep a dispatched closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	e, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{}
+	*h = q[:n]
+	for i := 0; 2*i+1 < n; {
+		m := 2*i + 1
+		if m+1 < n && q.less(m+1, m) {
+			m++
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
 	return e
 }
 
@@ -116,7 +129,7 @@ func (s *Sim) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling in the past (t=%d, now=%d)", t, s.now))
 	}
 	s.seq++
-	heap.Push(&s.pending, &event{at: t, seq: s.seq, fn: fn})
+	s.pending.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run d milliseconds from now. Negative d panics.
@@ -186,7 +199,7 @@ func (s *Sim) RunUntilDone(done func() bool, checkEvery Time, deadline Time) boo
 
 // step executes the earliest pending event.
 func (s *Sim) step() {
-	e := heap.Pop(&s.pending).(*event)
+	e := s.pending.pop()
 	if e.at > s.now {
 		s.now = e.at
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,6 +248,19 @@ func TestRNGIntnBounds(t *testing.T) {
 	}
 }
 
+// Perm returns a random permutation of [0, n). Only tests shuffle.
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(11)
 	f := func(n uint8) bool {
@@ -377,5 +392,106 @@ func TestRunUntilDoneAlreadyDone(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("dispatched events although already done")
+	}
+}
+
+// TestHeapDispatchesInAtSeqOrder schedules events at random times — few
+// distinct instants, so ties are common — from the top level and from
+// inside callbacks (at Now() and later), drains them through random
+// RunUntil deadlines, and compares the dispatch order with a stable sort
+// of the schedule by time: FIFO among ties is (at, seq) order.
+func TestHeapDispatchesInAtSeqOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		s := New(seed)
+		r := NewRNG(seed)
+		type rec struct {
+			at Time
+			id int
+		}
+		var scheduled, dispatched []rec
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			ev := rec{at, len(scheduled)}
+			scheduled = append(scheduled, ev)
+			s.At(at, func() {
+				if s.Now() != ev.at {
+					t.Fatalf("seed %d: event %d for t=%d ran at t=%d", seed, ev.id, ev.at, s.Now())
+				}
+				dispatched = append(dispatched, ev)
+				for k := r.Intn(3); k > 0 && len(scheduled) < 2000; k-- {
+					schedule(s.Now() + Time(r.Intn(3))*Time(r.Intn(4))) // Now() itself half the time
+				}
+			})
+		}
+		for _, i := range r.Perm(100) {
+			schedule(Time(i % 13))
+		}
+		for s.Pending() > 0 {
+			s.RunUntil(s.Now() + Time(r.Intn(5)))
+		}
+		want := slices.Clone(scheduled)
+		slices.SortStableFunc(want, func(a, b rec) int { return int(a.at - b.at) })
+		if len(dispatched) != len(want) {
+			t.Fatalf("seed %d: %d of %d events dispatched", seed, len(dispatched), len(want))
+		}
+		for k := range want {
+			if dispatched[k] != want[k] {
+				t.Fatalf("seed %d: dispatch %d is event %d at t=%d, want event %d at t=%d", seed, k, dispatched[k].id, dispatched[k].at, want[k].id, want[k].at)
+			}
+		}
+	}
+}
+
+// TestAtAndDispatchAllocateNothing pins the value heap's cost: once the
+// heap has grown, scheduling a preallocated callback and dispatching it
+// allocates nothing, and neither does notifying a signal whose waiter
+// re-arms itself.
+func TestAtAndDispatchAllocateNothing(t *testing.T) {
+	s := New(1)
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < 64; i++ {
+		s.After(Time(i), fn)
+	}
+	s.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			s.At(s.Now()+Time(i%7), fn)
+		}
+		s.Run()
+	}); n != 0 {
+		t.Fatalf("At + dispatch: %v allocations per 64 events, want 0", n)
+	}
+
+	g := s.NewSignal()
+	var w *Waiter
+	w = g.Wait(func() { fired++; g.Rearm(w) })
+	g.Notify()
+	s.Run() // both dispatch buffers now have room for w
+	before := fired
+	if n := testing.AllocsPerRun(100, func() { g.Notify(); s.Run() }); n != 0 {
+		t.Fatalf("Notify + dispatch of a re-armed waiter: %v allocations, want 0", n)
+	}
+	if fired-before != 101 { // AllocsPerRun runs the function once more to warm up
+		t.Fatalf("re-armed waiter fired %d times in 101 notifies", fired-before)
+	}
+}
+
+// BenchmarkDispatch times one step of a steady queue: a callback that
+// reschedules itself at a random later time, with n events pending.
+func BenchmarkDispatch(b *testing.B) {
+	for _, n := range []int{64, 1500} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, r := New(1), NewRNG(2)
+			var fn func()
+			fn = func() { s.After(1+r.Int63n(100000), fn) }
+			for i := 0; i < n; i++ {
+				s.After(r.Int63n(100000), fn)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				s.step()
+			}
+		})
 	}
 }
