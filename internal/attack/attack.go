@@ -4,13 +4,12 @@
 // the confirmation depth d must make the attack cost exceed the value
 // at stake — d > Va·dh/Ch. The package provides the analytic bound,
 // the crypto51-style cost table the paper cites, the classic
-// private-fork success probability (Nakamoto/Rosenfeld), and a
+// private-fork success probability (Nakamoto), and a
 // double-spend race simulator that checks the analytics by flipping a
 // q-weighted coin per block; it never touches the chain implementation.
 package attack
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -98,54 +97,6 @@ func SuccessProbability(q float64, z int) float64 {
 	return pr
 }
 
-// SuccessProbabilityExact returns the exact double-spend success
-// probability under the race model (Rosenfeld's analysis): while the
-// honest chain mines its z blocks, the attacker's progress k follows
-// a negative-binomial distribution (each block is the attacker's with
-// probability q), after which it must close the remaining z−k gap —
-// a gambler's ruin with per-step success q. Nakamoto's formula
-// (SuccessProbability) approximates the same quantity with a Poisson
-// and undershoots in the deep tail; the race simulator matches this
-// exact form.
-func SuccessProbabilityExact(q float64, z int) float64 {
-	if q <= 0 {
-		return 0
-	}
-	if q >= 0.5 {
-		return 1
-	}
-	if z <= 0 {
-		return 1
-	}
-	p := 1 - q
-	// P(k attacker blocks while honest mines z) = C(z+k-1, k) p^z q^k.
-	// Work in log space: p^z underflows for the thousand-block depths
-	// Section 6.3's inequality produces on high-rate chains.
-	logNB := float64(z) * math.Log(p) // k = 0 term
-	logRatio := math.Log(q / p)
-	success := 0.0
-	total := 0.0
-	for k := 0; k <= z; k++ {
-		if k > 0 {
-			logNB += math.Log(q) + math.Log(float64(z+k-1)/float64(k))
-		}
-		total += math.Exp(logNB)
-		success += math.Exp(logNB + float64(z-k)*logRatio)
-	}
-	// Remaining mass (k > z): attacker is already ahead, success
-	// certain. total can exceed 1 by rounding; clamp.
-	if rest := 1 - total; rest > 0 {
-		success += rest
-	}
-	if success < 0 {
-		return 0
-	}
-	if success > 1 {
-		return 1
-	}
-	return success
-}
-
 // RaceResult aggregates a simulated double-spend race campaign.
 type RaceResult struct {
 	Trials    int
@@ -201,9 +152,4 @@ func SimulateRace(rng *sim.RNG, q float64, d int, trials int, maxLag int) RaceRe
 	}
 	res.Rate = float64(res.Successes) / float64(res.Trials)
 	return res
-}
-
-// String renders a race result.
-func (r RaceResult) String() string {
-	return fmt.Sprintf("%d/%d succeeded (%.4f)", r.Successes, r.Trials, r.Rate)
 }

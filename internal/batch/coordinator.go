@@ -246,17 +246,6 @@ func (c *Coordinator) check(miner.TipSummary) {
 	}
 }
 
-// Pending returns the number of decisions waiting for the window to
-// close (diagnostics and tests).
-func (c *Coordinator) Pending() int { return len(c.pending) }
-
-// Decided reports the decision recorded for scw, if any reached a
-// published batch.
-func (c *Coordinator) Decided(scw crypto.Address) (contracts.WitnessState, bool) {
-	d, ok := c.decided[scw]
-	return d, ok
-}
-
 // Close releases the coordinator's client and watches at engine
 // retirement. Terminal, like Trent.Close.
 func (c *Coordinator) Close() {

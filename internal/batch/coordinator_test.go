@@ -61,8 +61,8 @@ func TestPublishedBatchAccounting(t *testing.T) {
 	c.Submit(hi, contracts.WitnessRefundAuthorized)
 	c.Submit(lo, contracts.WitnessRedeemAuthorized)
 	c.Submit(hi, contracts.WitnessRedeemAuthorized) // conflicting: first wins
-	if c.Pending() != 2 {
-		t.Fatalf("%d pending decisions, want 2", c.Pending())
+	if len(c.pending) != 2 {
+		t.Fatalf("%d pending decisions, want 2", len(c.pending))
 	}
 	c.flush()
 	if c.BatchesPublished != 1 || c.BatchDecisions != 2 || len(c.tracked) != 1 {
@@ -121,8 +121,8 @@ func TestPublishedBatchAccounting(t *testing.T) {
 	if len(ledger) != 2 || ledger[lo] != contracts.WitnessRedeemAuthorized || ledger[hi] != contracts.WitnessRefundAuthorized {
 		t.Fatalf("decision ledger = %v", ledger)
 	}
-	if d, ok := c.Decided(hi); !ok || d != contracts.WitnessRefundAuthorized {
-		t.Fatalf("Decided(hi) = %v, %v", d, ok)
+	if d, ok := c.decided[hi]; !ok || d != contracts.WitnessRefundAuthorized {
+		t.Fatalf("decided[hi] = %v, %v", d, ok)
 	}
 }
 

@@ -61,11 +61,6 @@ func MeasuredCost(s Schedule, protocol string, deploys, calls int) OpCost {
 	return OpCost{Protocol: protocol, Deploys: deploys, Calls: calls, USD: s.Price(deploys, calls)}
 }
 
-// String renders a cost row.
-func (c OpCost) String() string {
-	return fmt.Sprintf("%s: %d deploys + %d calls = $%.2f", c.Protocol, c.Deploys, c.Calls, c.USD)
-}
-
 // cost reproduces Section 6.2's cost analysis: per-AC2T fees for
 // Herlihy (N·(fd+ffc)) versus AC3WN ((N+1)·(fd+ffc)), with the
 // overhead 1/N, at the paper's two ETH/USD reference rates. For small

@@ -23,7 +23,7 @@ var (
 type txRejection struct {
 	format string
 	args   []any
-	clock  bool // the refusing contract had read the block's height or time
+	clock  bool // the refusing contract had read the block's time
 }
 
 func (e *txRejection) Error() string {
@@ -75,9 +75,9 @@ func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime i
 	case TxTransfer:
 		return applyTransfer(st, tx, sigs)
 	case TxDeploy:
-		return applyDeploy(st, reg, chainID, height, blockTime, tx, sigs)
+		return applyDeploy(st, reg, chainID, blockTime, tx, sigs)
 	case TxCall:
-		return applyCall(st, chainID, height, blockTime, tx, sigs)
+		return applyCall(st, chainID, blockTime, tx, sigs)
 	default:
 		return txErr("unknown kind %v", tx.Kind)
 	}
@@ -165,7 +165,7 @@ func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 	return nil
 }
 
-func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
+func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	if tx.ContractType == "" {
 		return txErr("deploy without contract type")
 	}
@@ -200,7 +200,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 		return txErr("deploy: %v", err)
 	}
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
-	ctx := vm.NewCtx(string(chainID), addr, height, blockTime, msg, tx.Value)
+	ctx := vm.NewCtx(string(chainID), addr, blockTime, msg, tx.Value)
 	ctx.Sigs = reg.Sigs
 	if err := c.Init(ctx, tx.Params); err != nil {
 		return &txRejection{"constructor of %s failed: %v", []any{tx.ContractType, err}, ctx.ReadClock()}
@@ -209,7 +209,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, height uint64, blockTi
 	return nil
 }
 
-func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
+func applyCall(st *State, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
 	if tx.Fn == "" {
 		return txErr("call without function name")
 	}
@@ -241,7 +241,7 @@ func applyCall(st *State, chainID ID, height uint64, blockTime int64, tx *Tx, si
 	c := stored.Clone()
 	balance := st.Balance(tx.Contract) + tx.Value
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
-	ctx := vm.NewCtx(string(chainID), tx.Contract, height, blockTime, msg, balance)
+	ctx := vm.NewCtx(string(chainID), tx.Contract, blockTime, msg, balance)
 	if err := c.Call(ctx, tx.Fn, tx.Args); err != nil {
 		return &txRejection{"call %s.%s failed: %v", []any{tx.Contract, tx.Fn, err}, ctx.ReadClock()}
 	}

@@ -18,10 +18,11 @@ func benchFixture(b *testing.B, blocks, txsPerBlock int) (*Chain, *crypto.KeyPai
 	params := DefaultParams("bench")
 	params.DifficultyBits = 0 // isolate what each benchmark measures
 	params.MaxBlockTxs = txsPerBlock + 1
-	c, err := NewChain(params, nil, GenesisAlloc{key.Addr: 1 << 40})
+	exec, err := NewExecutor(params, nil, GenesisAlloc{key.Addr: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := exec.NewView()
 	// Pre-split so every block has txsPerBlock independent outputs.
 	var prev OutPoint
 	var total vm.Amount

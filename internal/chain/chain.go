@@ -44,21 +44,6 @@ type Chain struct {
 // genesis block.
 type GenesisAlloc map[crypto.Address]vm.Amount
 
-// NewChain builds a single-view chain with its own private executor —
-// the convenience constructor for tests and single-node uses. Networks
-// replicating one blockchain across several nodes should build one
-// Executor and hand each node a NewView, so every block executes once.
-// Two NewChain calls with equal params and alloc produce the identical
-// genesis, so independently constructed views share one chain
-// identity.
-func NewChain(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Chain, error) {
-	exec, err := NewExecutor(params, reg, alloc)
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewView(), nil
-}
-
 // genesisTx mints the initial allocation deterministically (sorted by
 // address so every node builds the same genesis).
 func genesisTx(alloc GenesisAlloc) *Tx {
@@ -92,9 +77,6 @@ func (c *Chain) Params() Params { return c.exec.params }
 
 // Registry returns the contract registry.
 func (c *Chain) Registry() *vm.Registry { return c.exec.reg }
-
-// Genesis returns the genesis block.
-func (c *Chain) Genesis() *Block { return c.exec.genesis }
 
 // Tip returns the canonical head block.
 func (c *Chain) Tip() *Block { return c.tip }

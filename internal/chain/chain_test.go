@@ -37,11 +37,11 @@ func newEnv(t *testing.T, names ...string) *testEnv {
 	params.DifficultyBits = 8 // keep sealing cheap in tests
 	reg := vm.NewRegistry()
 	reg.Register("vault", func() vm.Contract { return &vault{} })
-	c, err := NewChain(params, reg, alloc)
+	exec, err := NewExecutor(params, reg, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testEnv{t: t, chain: c, keys: keys, miner: miner, rng: rng}
+	return &testEnv{t: t, chain: exec.NewView(), keys: keys, miner: miner, rng: rng}
 }
 
 // vault is a test contract: locks value, releases to a fixed
@@ -138,7 +138,7 @@ func (e *testEnv) transfer(from, to string, amt vm.Amount) *Tx {
 func TestGenesisDeterministic(t *testing.T) {
 	a := newEnv(t, "alice", "bob")
 	b := newEnv(t, "alice", "bob")
-	if a.chain.Genesis().Hash() != b.chain.Genesis().Hash() {
+	if a.chain.exec.genesis.Hash() != b.chain.exec.genesis.Hash() {
 		t.Fatal("two identically configured chains disagree on genesis")
 	}
 }
@@ -362,13 +362,7 @@ func TestForkChoiceLongestChainAndReorg(t *testing.T) {
 		t.Fatal("tip should be block A")
 	}
 
-	// Branch B: two blocks built on base (constructed on a second
-	// view of the same chain).
-	other, err := NewChain(e.chain.Params(), e.chain.Registry(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = other
+	// Branch B: two blocks built on base.
 	// Build B1/B2 manually on top of base using the same view's data.
 	stBase, _ := e.chain.StateAt(base.Hash())
 	_ = stBase
@@ -448,7 +442,7 @@ func TestFindTxAndTxDepth(t *testing.T) {
 
 func TestHeadersFrom(t *testing.T) {
 	e := newEnv(t, "alice")
-	g := e.chain.Genesis()
+	g := e.chain.exec.genesis
 	var mined []*Block
 	for i := 0; i < 5; i++ {
 		mined = append(mined, e.mine())
@@ -584,10 +578,11 @@ func TestBuildBlockRespectsCapacity(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	params := e.chain.Params()
 	params.MaxBlockTxs = 2
-	small, err := NewChain(params, e.chain.Registry(), GenesisAlloc{e.keys["alice"].Addr: 10_000})
+	exec, err := NewExecutor(params, e.chain.Registry(), GenesisAlloc{e.keys["alice"].Addr: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	small := exec.NewView()
 	// Split alice's funds so she has several outputs.
 	op, o := small.TipState().UTXOsOwnedBy(e.keys["alice"].Addr), TxOut{}
 	_ = o

@@ -98,7 +98,8 @@ func TestTxGoldenVectors(t *testing.T) {
 		if len(enc) != tx.EncodedLen() {
 			t.Fatalf("vector %d: EncodedLen = %d, Encode wrote %d", i, tx.EncodedLen(), len(enc))
 		}
-		if got := tx.SigHash().Hex(); got != v.SigHash {
+		sigHash := tx.SigHash()
+		if got := hex.EncodeToString(sigHash[:]); got != v.SigHash {
 			t.Fatalf("vector %d: SigHash = %s, want %s", i, got, v.SigHash)
 		}
 		if tx.bodyLen() > 256 {

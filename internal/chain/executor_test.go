@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/crypto"
@@ -164,6 +165,47 @@ func TestSharedExecutorCachedInvalidRejection(t *testing.T) {
 	}
 }
 
+// TestExecutorRejectsBrokenLinkage: a block whose height skips its
+// parent's, and one whose time runs back before its parent's, are
+// rejected before any state is applied, each with its own cause — and
+// the verdict is cached, so a second Execute of either answers from the
+// cache without running it.
+func TestExecutorRejectsBrokenLinkage(t *testing.T) {
+	exec, views, _ := execEnv(t, 1)
+	v := views[0]
+	m := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(81).Uint64))
+	parent := mineOn(t, v, m.Addr, 20)
+
+	skip, _, _ := v.BuildBlock(m.Addr, 30, nil)
+	skip.Header.Height = parent.Header.Height + 2
+	back, _, _ := v.BuildBlock(m.Addr, 30, nil)
+	back.Header.Time = parent.Header.Time - 1
+	for _, c := range []struct {
+		name  string
+		block *Block
+		cause string
+	}{
+		{"height skip", skip, "height 3 after parent height 1"},
+		{"time backwards", back, "time goes backwards"},
+	} {
+		before := exec.Stats()
+		_, err := exec.Execute(c.block)
+		if !errors.Is(err, ErrBlockInvalid) || !strings.HasSuffix(err.Error(), ": "+c.cause) {
+			t.Fatalf("%s: Execute = %v, want %v: %s", c.name, err, ErrBlockInvalid, c.cause)
+		}
+		mid := exec.Stats()
+		if mid.Executed != before.Executed {
+			t.Fatalf("%s: a broken linkage ran the block: Executed %d -> %d", c.name, before.Executed, mid.Executed)
+		}
+		if _, again := exec.Execute(c.block); again != err {
+			t.Fatalf("%s: second Execute = %v, want the cached %v", c.name, again, err)
+		}
+		if after := exec.Stats(); after.Executed != mid.Executed || after.Hits != mid.Hits+1 {
+			t.Fatalf("%s: second rejection not served from the cache: %+v -> %+v", c.name, mid, after)
+		}
+	}
+}
+
 // TestBuildBlockFailedTxLeavesNoTrace pins the trial-overlay build:
 // a contract call that fails mid-application (inputs consumed, then
 // the call rejected) must not contaminate the block state under
@@ -209,7 +251,7 @@ func TestNewChainViewsInteroperate(t *testing.T) {
 	_, views1, _ := execEnv(t, 1)
 	_, views2, _ := execEnv(t, 1)
 	v1, v2 := views1[0], views2[0]
-	if v1.Genesis().Hash() != v2.Genesis().Hash() {
+	if v1.exec.genesis.Hash() != v2.exec.genesis.Hash() {
 		t.Fatal("equal configs produced different genesis")
 	}
 	rng := sim.NewRNG(80)
@@ -239,10 +281,11 @@ func BenchmarkBlockPropagation(b *testing.B) {
 	alloc := GenesisAlloc{key.Addr: 1 << 40}
 
 	// Pre-build the block stream once on a scratch network.
-	builder, err := NewChain(params, nil, alloc)
+	exec, err := NewExecutor(params, nil, alloc)
 	if err != nil {
 		b.Fatal(err)
 	}
+	builder := exec.NewView()
 	var blocks []*Block
 	nonce := uint64(0)
 	now := sim.Time(10)
@@ -299,11 +342,11 @@ func BenchmarkBlockPropagation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			views := make([]*Chain, replicas)
 			for j := range views {
-				v, err := NewChain(params, nil, alloc)
+				exec, err := NewExecutor(params, nil, alloc)
 				if err != nil {
 					b.Fatal(err)
 				}
-				views[j] = v
+				views[j] = exec.NewView()
 			}
 			propagate(b, views)
 		}

@@ -57,7 +57,8 @@ func TestHeaderGoldenVectors(t *testing.T) {
 		if got := hex.EncodeToString(h.Encode()); got != v.Encode {
 			t.Fatalf("vector %d: Encode = %s, want %s", i, got, v.Encode)
 		}
-		if got := h.Hash().Hex(); got != v.Hash {
+		hash := h.Hash()
+		if got := hex.EncodeToString(hash[:]); got != v.Hash {
 			t.Fatalf("vector %d: Hash = %s, want %s", i, got, v.Hash)
 		}
 		dec, err := DecodeHeader(h.Encode())
@@ -70,7 +71,8 @@ func TestHeaderGoldenVectors(t *testing.T) {
 		if h.Nonce != v.SealedNonce || mid.Nonce != v.SealedNonce {
 			t.Fatalf("vector %d: Seal(%d) landed on nonce %d, a Sealer on %d, want %d", i, v.SealStart, h.Nonce, mid.Nonce, v.SealedNonce)
 		}
-		if got := h.Hash().Hex(); got != v.SealedHash {
+		hash = h.Hash()
+		if got := hex.EncodeToString(hash[:]); got != v.SealedHash {
 			t.Fatalf("vector %d: sealed hash = %s, want %s", i, got, v.SealedHash)
 		}
 		if !h.CheckPoW() {

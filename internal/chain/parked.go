@@ -79,4 +79,6 @@ func (c *Chain) Forget(id crypto.Hash) {
 }
 
 // Parked reports how many rejected candidates the view is holding back.
+// kept: observed across packages by the engine's
+// TestParkedRecordsNeverOutliveTheirMempoolEntry.
 func (c *Chain) Parked() int { return len(c.parked) }

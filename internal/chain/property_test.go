@@ -25,10 +25,11 @@ func TestPropertyValueConservation(t *testing.T) {
 
 		params := DefaultParams("prop")
 		params.DifficultyBits = 4
-		c, err := NewChain(params, nil, GenesisAlloc{alice.Addr: 50_000, bob.Addr: 50_000})
+		exec, err := NewExecutor(params, nil, GenesisAlloc{alice.Addr: 50_000, bob.Addr: 50_000})
 		if err != nil {
 			return false
 		}
+		c := exec.NewView()
 		genesisTotal := c.TipState().TotalValue()
 
 		now := sim.Time(0)

@@ -103,16 +103,17 @@ func TestDeepReorgAcrossPruneHorizon(t *testing.T) {
 
 	// One scratch chain builds the shared 40-block main line; a second,
 	// forked at height 28, builds a 15-block overtaking branch.
-	scratch, err := NewChain(pruneParams(0, 0), nil, alloc)
+	scratch, err := NewExecutor(pruneParams(0, 0), nil, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	main := mineChain(t, scratch, miner.Addr, 40, 0)
+	main := mineChain(t, scratch.NewView(), miner.Addr, 40, 0)
 
-	forker, err := NewChain(pruneParams(0, 0), nil, alloc)
+	forkExec, err := NewExecutor(pruneParams(0, 0), nil, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	forker := forkExec.NewView()
 	for _, b := range main[:28] {
 		if _, err := forker.AddBlock(b); err != nil {
 			t.Fatal(err)
@@ -229,7 +230,7 @@ func TestRetireReleasesHistory(t *testing.T) {
 		t.Fatal("retired state still readable")
 	}
 	// Genesis survives retirement as the chain-identity anchor.
-	if _, ok := v.Block(v.Genesis().Hash()); !ok {
+	if _, ok := v.Block(v.exec.genesis.Hash()); !ok {
 		t.Fatal("genesis retired")
 	}
 	// Everything at/above the retire floor is re-derivable: a read

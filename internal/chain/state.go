@@ -350,8 +350,7 @@ func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
 // prefix, in outpoint order — so wallet reads stay
 // O(owned + overlay deltas) rather than O(UTXO set). Every candidate is
 // confirmed by a lookup from the top, which is what decides whether a
-// newer layer spent it. It is a test/client convenience (wallets), not
-// a consensus operation.
+// newer layer spent it. It serves clients (wallets), not consensus.
 func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 	out := make(map[OutPoint]TxOut)
 	cur := s
@@ -374,9 +373,10 @@ func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 	return out
 }
 
-// TotalValue sums every unspent output plus every contract balance —
-// the conserved quantity the property tests check (minting via
+// TotalValue sums every unspent output plus every contract balance:
+// the quantity every transaction but a mint conserves (minting via
 // genesis/coinbase is accounted by the caller).
+// kept: ROADMAP item 3(a), the oracle's per-chain value conservation.
 func (s *State) TotalValue() vm.Amount {
 	var total vm.Amount
 	seen := make(map[OutPoint]bool)
@@ -415,5 +415,5 @@ func (s *State) TotalValue() vm.Amount {
 }
 
 // OverlayDepth reports how many overlay layers sit above the base
-// state (exported for the flattening ablation benchmark).
+// state.
 func (s *State) OverlayDepth() int { return s.depth }

@@ -60,9 +60,10 @@ type OutPoint struct {
 func (o OutPoint) String() string { return fmt.Sprintf("%s:%d", o.TxID, o.Index) }
 
 // Compare orders outpoints canonically: by transaction id bytes, then
-// output index. Every place a set of outpoints becomes a sequence
-// (funding selection, genesis layout) must sort with this, never rely
-// on map iteration order.
+// output index. Where a set of outpoints becomes a sequence (a client's
+// funding selection) it is sorted with this, never left in map
+// iteration order. (Genesis layout sorts addresses, not outpoints:
+// genesisTx has its own comparator.)
 func (o OutPoint) Compare(p OutPoint) int {
 	if c := bytes.Compare(o.TxID[:], p.TxID[:]); c != 0 {
 		return c

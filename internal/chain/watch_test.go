@@ -153,7 +153,7 @@ func TestBlockTouches(t *testing.T) {
 // exactly when the earlier tip was abandoned.
 func TestSince(t *testing.T) {
 	e, f := forkEnv(t)
-	genesis := e.chain.Genesis()
+	genesis := e.chain.exec.genesis
 	a1 := e.mine(e.transfer("alice", "bob", 100)) // the twin view's empty blocks must differ
 	a2 := e.mine()
 

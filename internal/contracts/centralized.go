@@ -23,10 +23,6 @@ type CentralizedParams struct {
 
 const centralizedParamsLen = crypto.AddressSize + crypto.HashSize + crypto.AddressSize
 
-// EncodedLen is the size of the wire form: Recipient, MSDigest,
-// Witness.
-func (p CentralizedParams) EncodedLen() int { return centralizedParamsLen }
-
 // AppendTo appends the wire form to dst.
 func (p CentralizedParams) AppendTo(dst []byte) []byte {
 	dst = append(dst, p.Recipient[:]...)

@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,11 +41,11 @@ func newWorld(t *testing.T, ids []chain.ID, funded ...*crypto.KeyPair) *world {
 		params.DifficultyBits = 8
 		reg := vm.NewRegistry()
 		RegisterAll(reg)
-		c, err := chain.NewChain(params, reg, alloc)
+		exec, err := chain.NewExecutor(params, reg, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.chains[id] = c
+		w.chains[id] = exec.NewView()
 	}
 	return w
 }
@@ -155,7 +156,7 @@ func (w *world) balanceOf(id chain.ID, key *crypto.KeyPair) vm.Amount {
 func (w *world) evidenceFor(id chain.ID, txID crypto.Hash, minDepth int) []byte {
 	w.t.Helper()
 	c := w.chains[id]
-	ev, err := spv.Build(c, c.Genesis().Hash(), txID, minDepth)
+	ev, err := spv.Build(c, genesis(c).Hash(), txID, minDepth)
 	if err != nil {
 		w.t.Fatalf("evidence on %s: %v", id, err)
 	}
@@ -265,7 +266,7 @@ func TestHTLCNoDoubleSpendAcrossOutcomes(t *testing.T) {
 func TestHTLCInitValidation(t *testing.T) {
 	ks := keys(2)
 	alice, bob := ks[0], ks[1]
-	ctx := vm.NewCtx("btc", crypto.Address{1}, 1, 100, vm.Msg{Sender: alice.Addr, Value: 10}, 10)
+	ctx := vm.NewCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr, Value: 10}, 10)
 	h := &HTLC{}
 	if err := h.Init(ctx, HTLCParams{Recipient: bob.Addr, Timelock: 50}.Encode()); err == nil {
 		t.Fatal("past timelock accepted")
@@ -273,7 +274,7 @@ func TestHTLCInitValidation(t *testing.T) {
 	if err := h.Init(ctx, HTLCParams{Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero recipient accepted")
 	}
-	noValue := vm.NewCtx("btc", crypto.Address{1}, 1, 100, vm.Msg{Sender: alice.Addr}, 0)
+	noValue := vm.NewCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr}, 0)
 	if err := h.Init(noValue, HTLCParams{Recipient: bob.Addr, Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero-value HTLC accepted")
 	}
@@ -373,14 +374,14 @@ func newAC3WNFixture(t *testing.T) *ac3wnFixture {
 
 	// Step 1–2: multisign the graph, register it in SCw on the
 	// witness network.
-	ms := g.Sign(alice, bob)
+	ms := multisig(g.Digest(), alice, bob)
 	wp := WitnessParams{
 		Edges:     g.Edges,
 		Timestamp: g.Timestamp,
 		Multisig:  *ms,
 		Checkpoints: []ChainCheckpoint{
-			{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: f.assetDepth},
-			{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: f.assetDepth},
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: f.assetDepth},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: f.assetDepth},
 		},
 		WitnessDepth: f.witnessDepth,
 	}
@@ -390,7 +391,7 @@ func newAC3WNFixture(t *testing.T) *ac3wnFixture {
 	// Step 3–4: both participants deploy their asset contracts
 	// concurrently (no ordering requirement — the paper's latency
 	// win).
-	witnessCp := w.chains["witness"].Genesis().Header.Encode()
+	witnessCp := genesis(w.chains["witness"]).Header.Encode()
 	p1 := PermissionlessParams{
 		Recipient: bob.Addr, WitnessChain: "witness",
 		WitnessCheckpoint: witnessCp, SCw: f.scwAddr, Depth: f.witnessDepth,
@@ -523,17 +524,17 @@ func TestAuthorizeRedeemRejectsMismatchedContract(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
 	g, _ := graph.TwoParty(1, alice.Addr, bob.Addr, assetX, "btc", assetY, "eth")
-	ms := g.Sign(alice, bob)
+	ms := multisig(g.Digest(), alice, bob)
 	wp := WitnessParams{
 		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
 		Checkpoints: []ChainCheckpoint{
-			{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
-			{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: 1},
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
 		},
 		WitnessDepth: 1,
 	}
 	scw := w.deploy("witness", alice, TypeWitness, wp.Encode(), 0)
-	witnessCp := w.chains["witness"].Genesis().Header.Encode()
+	witnessCp := genesis(w.chains["witness"]).Header.Encode()
 
 	// Alice locks the WRONG amount (half of what the edge says).
 	p1 := PermissionlessParams{
@@ -565,7 +566,7 @@ func TestPermissionlessRejectsShallowWitnessEvidence(t *testing.T) {
 	authTx := w.call("witness", f.bob, f.scwAddr, FnAuthorizeRedeem, f.deployEvidence(t), true)
 	// Only bury it 1 deep; contracts demand 2.
 	w.mineEmpty("witness", 1)
-	ev, err := spv.Build(w.chains["witness"], w.chains["witness"].Genesis().Hash(), authTx.ID(), 1)
+	ev, err := spv.Build(w.chains["witness"], genesis(w.chains["witness"]).Hash(), authTx.ID(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,17 +588,17 @@ func TestWitnessConstructorRejectsIncompleteMultisig(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
 	g, _ := graph.TwoParty(1, alice.Addr, bob.Addr, 10, "btc", 20, "eth")
-	ms := g.Sign(alice) // bob missing
+	ms := multisig(g.Digest(), alice) // bob missing
 	wp := WitnessParams{
 		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
 		Checkpoints: []ChainCheckpoint{
-			{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
-			{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: 1},
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
 		},
 		WitnessDepth: 1,
 	}
 	scw := &WitnessSC{}
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
+	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "multisignature") {
 		t.Fatalf("incomplete multisig accepted: %v", err)
 	}
@@ -608,17 +609,17 @@ func TestWitnessConstructorRejectsMissingCheckpoint(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
 	g, _ := graph.TwoParty(1, alice.Addr, bob.Addr, 10, "btc", 20, "eth")
-	ms := g.Sign(alice, bob)
+	ms := multisig(g.Digest(), alice, bob)
 	wp := WitnessParams{
 		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
 		Checkpoints: []ChainCheckpoint{
-			{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
 			// eth checkpoint missing
 		},
 		WitnessDepth: 1,
 	}
 	scw := &WitnessSC{}
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
+	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("missing checkpoint accepted: %v", err)
 	}
@@ -645,19 +646,20 @@ func TestWitnessConstructorReadsPresignedVerdicts(t *testing.T) {
 		wp := WitnessParams{
 			Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
 			Checkpoints: []ChainCheckpoint{
-				{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
-				{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: 1},
+				{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+				{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
 			},
 			WitnessDepth: 1,
 		}
-		ctx := vm.NewCtx("witness", crypto.Address{9}, 1, 10, vm.Msg{Sender: alice.Addr}, 0)
+		ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 		ctx.Sigs = book
 		return (&WitnessSC{}).Init(ctx, wp.Encode())
 	}
 	if err := initSCw(ms); err != nil || book.Ready != 2 || book.Checked.Inline != 0 {
 		t.Fatalf("presigned ms(D): %v, %d verdicts read, %d verified inline; want accepted from 2 verdicts", err, book.Ready, book.Checked.Inline)
 	}
-	forged := ms.Clone()
+	forged := &crypto.MultiSig{Digest: ms.Digest, Sigs: slices.Clone(ms.Sigs)}
+	forged.Sigs[1].Sig = slices.Clone(forged.Sigs[1].Sig)
 	forged.Sigs[1].Sig[0] ^= 1 // bob's pair is in the book; these are not its bytes
 	if err := initSCw(forged); err == nil || !strings.Contains(err.Error(), "multisignature") {
 		t.Fatalf("ms(D) with other bytes under a presigned pair accepted: %v", err)

@@ -12,18 +12,34 @@ import (
 
 // ctxFor builds a minimal execution context for constructor tests.
 func ctxFor(sender crypto.Address, value vm.Amount) *vm.Ctx {
-	return vm.NewCtx("test", crypto.Address{7}, 3, 1000, vm.Msg{Sender: sender, Value: value}, value)
+	return vm.NewCtx("test", crypto.Address{7}, 1000, vm.Msg{Sender: sender, Value: value}, value)
+}
+
+// multisig is ms(D) over digest by keys, each signing with
+// MultiSig.Add.
+func multisig(digest crypto.Hash, keys ...*crypto.KeyPair) *crypto.MultiSig {
+	ms := crypto.NewMultiSig(digest)
+	for _, k := range keys {
+		ms.Add(k)
+	}
+	return ms
+}
+
+// genesis returns c's genesis block: its canonical block at height 0.
+func genesis(c *chain.Chain) *chain.Block {
+	b, _ := c.CanonicalAt(0)
+	return b
 }
 
 func validHeaderBytes(t *testing.T) []byte {
 	t.Helper()
 	params := chain.DefaultParams("any")
 	params.DifficultyBits = 4
-	c, err := chain.NewChain(params, nil, nil)
+	exec, err := chain.NewExecutor(params, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Genesis().Header.Encode()
+	return genesis(exec.NewView()).Header.Encode()
 }
 
 func TestPermissionlessInitValidation(t *testing.T) {
@@ -83,12 +99,12 @@ func TestWitnessInitValidation(t *testing.T) {
 	alice, bob := ks[0], ks[1]
 	w := newWorld(t, []chain.ID{"btc", "eth"}, alice, bob)
 	g := mustTwoParty(t, alice, bob)
-	ms := g.Sign(alice, bob)
+	ms := multisig(g.Digest(), alice, bob)
 	good := WitnessParams{
 		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *ms,
 		Checkpoints: []ChainCheckpoint{
-			{Chain: "btc", Header: w.chains["btc"].Genesis().Header.Encode(), EvidenceDepth: 1},
-			{Chain: "eth", Header: w.chains["eth"].Genesis().Header.Encode(), EvidenceDepth: 1},
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
 		},
 		WitnessDepth: 2,
 	}

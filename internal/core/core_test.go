@@ -293,10 +293,12 @@ func TestAC3WNDisconnectedGraphCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.Disconnected(1, [][2]crypto.Address{
-		{ps[0].Addr(), ps[1].Addr()},
-		{ps[2].Addr(), ps[3].Addr()},
-	}, 1_000, []chain.ID{"c0", "c1", "c2", "c3"})
+	g, err := graph.New(1,
+		graph.Edge{From: ps[0].Addr(), To: ps[1].Addr(), Asset: 1_000, Chain: "c0"},
+		graph.Edge{From: ps[1].Addr(), To: ps[0].Addr(), Asset: 1_000, Chain: "c1"},
+		graph.Edge{From: ps[2].Addr(), To: ps[3].Addr(), Asset: 1_000, Chain: "c2"},
+		graph.Edge{From: ps[3].Addr(), To: ps[2].Addr(), Asset: 1_000, Chain: "c3"},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,8 @@ func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bo
 	}
 }
 
-// signGraph is the one Graph.Sign each run performs at Start — every
-// party contributing its own signature to ms(GD) — counted on the world.
+// signGraph is the one signing of ms(GD) each run performs at Start —
+// every party contributing its own signature — counted on the world.
 // It takes the signatures written ahead of need (xchain.Builder.Presign)
 // and writes here any that are not written yet.
 func signGraph(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) *crypto.MultiSig {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,16 @@ import (
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
+
+// multisig is ms(D) over digest by keys, each signing with
+// MultiSig.Add.
+func multisig(digest crypto.Hash, keys ...*crypto.KeyPair) *crypto.MultiSig {
+	ms := crypto.NewMultiSig(digest)
+	for _, k := range keys {
+		ms.Add(k)
+	}
+	return ms
+}
 
 // participantKeys lists the parties' signing keys, in order.
 func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
@@ -32,7 +43,7 @@ func participantKeys(ps []*xchain.Participant) []*crypto.KeyPair {
 func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 	cases := []struct {
 		name string
-		// forge stands in for Start's Graph.Sign: it leaves in r.ms (or
+		// forge stands in for Start's signGraph: it leaves in r.ms (or
 		// publishes itself) what a dishonest initiator would.
 		forge  func(t *testing.T, r *Run, mallory *crypto.KeyPair)
 		reason string
@@ -41,7 +52,7 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 			name: "different signer set",
 			forge: func(t *testing.T, r *Run, mallory *crypto.KeyPair) {
 				keys := append(participantKeys(r.cfg.Participants), mallory)
-				r.ms = r.cfg.Graph.Sign(keys...)
+				r.ms = multisig(r.cfg.Graph.Digest(), keys...)
 			},
 			reason: "multisig mismatch",
 		},
@@ -57,7 +68,7 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 				// it is published with, so the forger has to publish the
 				// other graph whole; verifySCw then stops at the
 				// timestamp, one line before the multisig id.
-				r.cfg.Graph, r.ms = other, other.Sign(participantKeys(r.cfg.Participants)...)
+				r.cfg.Graph, r.ms = other, multisig(other.Digest(), participantKeys(r.cfg.Participants)...)
 				r.deploySCw(r.cfg.Initiator)
 				r.cfg.Graph = agreed
 			},
@@ -129,7 +140,7 @@ func TestVerifySCwMultisigID(t *testing.T) {
 	scw := func(msid crypto.Hash) *contracts.WitnessSC {
 		return &contracts.WitnessSC{Edges: g.Edges, Timestamp: g.Timestamp, WitnessDepth: r.cfg.WitnessDepth, MSID: msid}
 	}
-	if err := r.verifySCw(bob, scw(g.Sign(alice.Key, bob.Key).ID())); err != nil {
+	if err := r.verifySCw(bob, scw(crypto.MultiSigID(g.Digest(), addrs))); err != nil {
 		t.Fatalf("genuine ms(GD) rejected: %v", err)
 	}
 	later, err := graph.New(g.Timestamp+1, g.Edges...)
@@ -139,7 +150,7 @@ func TestVerifySCwMultisigID(t *testing.T) {
 	mallory := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(9).Uint64))
 	for name, msid := range map[string]crypto.Hash{
 		"other timestamp": crypto.MultiSigID(later.Digest(), addrs),
-		"extra signer":    g.Sign(alice.Key, bob.Key, mallory).ID(),
+		"extra signer":    crypto.MultiSigID(g.Digest(), append(addrs, mallory.Addr)),
 		"missing signer":  crypto.MultiSigID(g.Digest(), addrs[:1]),
 		"zero":            {},
 	} {
@@ -150,8 +161,8 @@ func TestVerifySCwMultisigID(t *testing.T) {
 }
 
 // TestAC3WNPresignedMultisig (ADR-021): in a world whose graph signatures
-// were written ahead of need, signGraph takes them — the bytes Graph.Sign
-// gives — and SCw's constructor reads their verdicts instead of
+// were written ahead of need, signGraph takes them — the bytes
+// MultiSig.Add gives — and SCw's constructor reads their verdicts instead of
 // verifying them again. An initiator that publishes other bytes for a
 // pair the world presigned has them verified inline, and no miner admits
 // that SCw.
@@ -178,13 +189,14 @@ func TestAC3WNPresignedMultisig(t *testing.T) {
 			}
 			r := twoPartyRun(t, w, alice, bob, 0)
 			r.ms = signGraph(w, r.cfg.Graph, r.cfg.Participants)
-			for i, s := range g.Sign(alice.Key, bob.Key).Sigs {
+			for i, s := range multisig(g.Digest(), alice.Key, bob.Key).Sigs {
 				if !r.ms.Sigs[i].Equal(s) {
-					t.Fatalf("presigned signature %d differs from Graph.Sign's", i)
+					t.Fatalf("presigned signature %d differs from MultiSig.Add's", i)
 				}
 			}
 			if forge {
-				r.ms = r.ms.Clone()
+				r.ms = &crypto.MultiSig{Digest: r.ms.Digest, Sigs: slices.Clone(r.ms.Sigs)}
+				r.ms.Sigs[1].Sig = slices.Clone(r.ms.Sigs[1].Sig)
 				r.ms.Sigs[1].Sig[0] ^= 1
 			}
 			r.Runtime.Start()

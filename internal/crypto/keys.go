@@ -73,9 +73,6 @@ func (h Hash) IsZero() bool { return h == ZeroHash }
 // in logs and test failures.
 func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 
-// Hex renders the full digest in hex.
-func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
-
 // Address identifies an end-user (or a contract) on a chain. For users
 // it is the hash of the public key, as in the paper's data model where
 // "identities are typically implemented using public keys".
@@ -179,14 +176,6 @@ func (s Signature) AppendTo(dst []byte) []byte {
 func (s *Signature) DecodeFrom(r *wire.Reader) {
 	s.Pub = r.Bytes()
 	s.Sig = r.Bytes()
-}
-
-// Clone returns a deep copy.
-func (s Signature) Clone() Signature {
-	return Signature{
-		Pub: append(ed25519.PublicKey(nil), s.Pub...),
-		Sig: append([]byte(nil), s.Sig...),
-	}
 }
 
 // RandReader adapts any Uint64 source (such as *sim.RNG) into an

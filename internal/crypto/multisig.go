@@ -3,7 +3,6 @@ package crypto
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/wire"
@@ -34,23 +33,6 @@ func (m *MultiSig) Add(k *KeyPair) {
 		}
 	}
 	m.Sigs = append(m.Sigs, k.Sign(m.Digest[:]))
-}
-
-// AddSignature appends an externally produced signature (for
-// participants signing on remote sites). Invalid or duplicate
-// signatures are rejected — duplicate and malformed ones before any
-// curve arithmetic is spent on them.
-func (m *MultiSig) AddSignature(sig Signature) error {
-	for _, s := range m.Sigs {
-		if s.Signer() == sig.Signer() {
-			return fmt.Errorf("crypto: multisig: duplicate signer %s", sig.Signer())
-		}
-	}
-	if !sig.Verify(m.Digest[:]) {
-		return fmt.Errorf("crypto: multisig: invalid signature from %s", sig.Signer())
-	}
-	m.Sigs = append(m.Sigs, sig.Clone())
-	return nil
 }
 
 // Signers returns the sorted addresses that have signed.
@@ -189,15 +171,6 @@ func (m *MultiSig) DecodeFrom(r *wire.Reader) {
 	for i := range m.Sigs {
 		m.Sigs[i].DecodeFrom(r)
 	}
-}
-
-// Clone deep-copies the multisignature.
-func (m *MultiSig) Clone() *MultiSig {
-	out := &MultiSig{Digest: m.Digest, Sigs: make([]Signature, len(m.Sigs))}
-	for i, s := range m.Sigs {
-		out.Sigs[i] = s.Clone()
-	}
-	return out
 }
 
 func sortAddresses(as []Address) {

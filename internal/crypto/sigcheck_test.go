@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,10 +18,11 @@ func sigCases(t *testing.T) (msg Hash, cases map[string]Signature) {
 	key := testKey(t, 60)
 	msg = Sum([]byte("body"))
 	good := key.Sign(msg[:])
-	forgedSig, forgedPub, truncated := good.Clone(), good.Clone(), good.Clone()
+	forgedSig := Signature{Pub: good.Pub, Sig: slices.Clone(good.Sig)}
 	forgedSig.Sig[0] ^= 1
+	forgedPub := Signature{Pub: slices.Clone(good.Pub), Sig: good.Sig}
 	forgedPub.Pub[0] ^= 1
-	truncated.Sig = truncated.Sig[:63]
+	truncated := Signature{Pub: good.Pub, Sig: good.Sig[:63]}
 	return msg, map[string]Signature{
 		"valid": good, "forged sig": forgedSig, "forged pub": forgedPub, "truncated": truncated, "empty": {},
 	}
@@ -312,7 +314,7 @@ func TestSigBookAnswersOnlyForItsBytes(t *testing.T) {
 	book := NewSigBook()
 	book.Add(digest, alice)
 	sig := book.Sign(alice, digest)
-	forged := sig.Clone()
+	forged := Signature{Pub: sig.Pub, Sig: slices.Clone(sig.Sig)}
 	forged.Sig[5] ^= 1
 	other := Sum([]byte("(D', t)"))
 	for _, c := range []struct {

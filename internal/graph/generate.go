@@ -39,24 +39,3 @@ func Ring(t int64, parts []crypto.Address, asset vm.Amount, chains []chain.ID) (
 	}
 	return New(t, edges...)
 }
-
-// Disconnected builds Figure 7b's shape: the union of independent
-// two-party swaps, one per pair, with no edge between pairs.
-func Disconnected(t int64, pairs [][2]crypto.Address, asset vm.Amount, chains []chain.ID) (*Graph, error) {
-	if len(pairs) < 2 {
-		return nil, fmt.Errorf("graph: need >= 2 pairs to be disconnected")
-	}
-	if len(chains) < 2 {
-		return nil, fmt.Errorf("graph: need >= 2 chains")
-	}
-	var edges []Edge
-	for i, p := range pairs {
-		ca := chains[(2*i)%len(chains)]
-		cb := chains[(2*i+1)%len(chains)]
-		edges = append(edges,
-			Edge{From: p[0], To: p[1], Asset: asset, Chain: ca},
-			Edge{From: p[1], To: p[0], Asset: asset, Chain: cb},
-		)
-	}
-	return New(t, edges...)
-}

@@ -131,17 +131,6 @@ func (g *Graph) Digest() crypto.Hash {
 	return crypto.Sum(buf)
 }
 
-// Sign builds the multisignature ms(D) with the given keys. Every
-// participant must be among the signers for the result to be
-// Complete.
-func (g *Graph) Sign(keys ...*crypto.KeyPair) *crypto.MultiSig {
-	ms := crypto.NewMultiSig(g.Digest())
-	for _, k := range keys {
-		ms.Add(k)
-	}
-	return ms
-}
-
 // VerifyMultisig reports whether ms is a complete, valid
 // multisignature of this graph by all its participants, taking the
 // verdicts sigs holds (nil: none) for the bytes they were computed on.
@@ -327,17 +316,6 @@ func (g *Graph) EdgesFrom(u crypto.Address) []Edge {
 	var out []Edge
 	for _, e := range g.Edges {
 		if e.From == u {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// EdgesTo returns the edges whose recipient is u.
-func (g *Graph) EdgesTo(u crypto.Address) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.To == u {
 			out = append(out, e)
 		}
 	}

@@ -178,17 +178,3 @@ func DecodeProof(b []byte) (*Proof, error) {
 	}
 	return p, nil
 }
-
-// Clone deep-copies the proof (evidence is embedded in transactions
-// and must not alias caller state).
-func (p *Proof) Clone() *Proof {
-	if p == nil {
-		return nil
-	}
-	return &Proof{
-		Index:    p.Index,
-		Leaf:     p.Leaf,
-		Siblings: append([]crypto.Hash(nil), p.Siblings...),
-		Lefts:    append([]bool(nil), p.Lefts...),
-	}
-}

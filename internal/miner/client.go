@@ -92,9 +92,6 @@ type Sub struct {
 // client was halted.
 func (s *Sub) Cancel() { s.canceled = true }
 
-// Active reports whether the subscription can still fire.
-func (s *Sub) Active() bool { return s.fn != nil && !s.canceled }
-
 // NewClient attaches a fresh client identity to node i of the
 // network.
 func NewClient(net *Network, nodeIndex int, key *crypto.KeyPair) *Client {
@@ -139,9 +136,6 @@ func (c *Client) Close() {
 	c.Halt()
 }
 
-// Closed reports whether the client was permanently shut down.
-func (c *Client) Closed() bool { return c.closed }
-
 // Restart recovers a halted client. Subscriptions must be re-established by
 // the caller (a recovering participant re-drives its protocol). A
 // closed client cannot restart.
@@ -151,9 +145,6 @@ func (c *Client) Restart() {
 	}
 	c.halted = false
 }
-
-// Halted reports whether the client is down.
-func (c *Client) Halted() bool { return c.halted }
 
 // ensureArmed keeps exactly one waiter on the node's tip signal while
 // the client has live subscriptions. One waiter serves them all: a tip
@@ -272,17 +263,6 @@ func (c *Client) submitDelay() sim.Time {
 	return 1 + c.rng.Int63n(50)
 }
 
-// Balance sums the unreserved outputs the client owns at the tip.
-func (c *Client) Balance() vm.Amount {
-	var total vm.Amount
-	for op, out := range c.Chain().TipState().UTXOsOwnedBy(c.Key.Addr) {
-		if !c.reserved[op] {
-			total += out.Value
-		}
-	}
-	return total
-}
-
 // SelectFunds reserves unspent outputs totalling at least amount and
 // returns them with the change value. Reservations of already-spent
 // outputs are pruned first.
@@ -331,20 +311,6 @@ func (c *Client) changeOuts(change vm.Amount) []chain.TxOut {
 		return nil
 	}
 	return []chain.TxOut{{Value: change, Owner: c.Key.Addr}}
-}
-
-// Transfer builds, signs and submits a payment of amount to to.
-func (c *Client) Transfer(to crypto.Address, amount vm.Amount) (*chain.Tx, error) {
-	ins, change, err := c.SelectFunds(amount)
-	if err != nil {
-		return nil, err
-	}
-	c.nonce++
-	outs := append([]chain.TxOut{{Value: amount, Owner: to}}, c.changeOuts(change)...)
-	tx := chain.NewTransfer(c.Key, c.nonce, ins, outs)
-	c.net.Signed[tx.Kind]++
-	c.Submit(tx)
-	return tx, nil
 }
 
 // Deploy builds, signs and submits a contract deployment locking

@@ -21,7 +21,7 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	rng := s.RNG().Fork()
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
-	tx, err := alice.Transfer(bob.Addr, 100)
+	tx, err := transfer(alice, bob.Addr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("OnTipChange on halted client: err = %v, want ErrHalted", err)
 	}
-	if sub.Active() {
+	if sub.fn != nil {
 		t.Fatal("subscription refused with ErrHalted reports active")
 	}
 	sub.Cancel() // must stay safe on the inert handle

@@ -39,7 +39,7 @@ func TestLossyGossipSelfHealsThroughOrphanRequests(t *testing.T) {
 	}
 	s.RunUntil(s.Now() + sim.Minute)
 
-	if !net.Converged() {
+	if !converged(net) {
 		heights := make([]uint64, len(net.Nodes))
 		for i, n := range net.Nodes {
 			heights[i] = n.Chain.Height()
@@ -77,7 +77,7 @@ func TestLossyDeterminism(t *testing.T) {
 		s.RunUntil(5 * sim.Minute)
 		ov.Remove()
 		s.RunUntil(8 * sim.Minute)
-		return net.Height(), net.P2P.Dropped, net.TotalReorgs(), net.MaxReorgDepth()
+		return net.Node(0).Chain.Height(), net.P2P.Dropped, net.TotalReorgs(), net.MaxReorgDepth()
 	}
 	h1, d1, r1, m1 := run()
 	h2, d2, r2, m2 := run()

@@ -31,6 +31,41 @@ func testNet(t *testing.T, seed uint64, nMiners int, latency p2p.LatencyModel) (
 	return s, net, user
 }
 
+// transfer builds, signs and submits a payment of amount from c's key
+// to to, the way Deploy and Call fund and submit theirs.
+func transfer(c *Client, to crypto.Address, amount vm.Amount) (*chain.Tx, error) {
+	ins, change, err := c.SelectFunds(amount)
+	if err != nil {
+		return nil, err
+	}
+	c.nonce++
+	outs := append([]chain.TxOut{{Value: amount, Owner: to}}, c.changeOuts(change)...)
+	tx := chain.NewTransfer(c.Key, c.nonce, ins, outs)
+	c.net.Signed[tx.Kind]++
+	c.Submit(tx)
+	return tx, nil
+}
+
+// converged reports whether all live nodes agree on the canonical tip.
+func converged(n *Network) bool {
+	var tip crypto.Hash
+	first := true
+	for _, node := range n.Nodes {
+		if !node.Alive() {
+			continue
+		}
+		h := node.Chain.Tip().Hash()
+		if first {
+			tip, first = h, false
+			continue
+		}
+		if h != tip {
+			return false
+		}
+	}
+	return true
+}
+
 // whenTxAtDepth runs fn once tx is canonical and buried at least depth
 // blocks on the client's view, re-checking on every tip change — the
 // wait a reconciler builds from OnTipChange plus a chain read.
@@ -52,8 +87,8 @@ func TestMiningAdvancesChain(t *testing.T) {
 	s, net, _ := testNet(t, 1, 3, p2p.LatencyModel{Base: 100})
 	net.Start()
 	s.RunUntil(10 * sim.Minute)
-	if net.Height() < 30 { // ~60 expected at 10s interval
-		t.Fatalf("height %d after 10 virtual minutes, want >= 30", net.Height())
+	if net.Node(0).Chain.Height() < 30 { // ~60 expected at 10s interval
+		t.Fatalf("height %d after 10 virtual minutes, want >= 30", net.Node(0).Chain.Height())
 	}
 }
 
@@ -66,7 +101,7 @@ func TestNetworkConverges(t *testing.T) {
 		n.mining = false
 	}
 	s.RunUntil(s.Now() + 10*sim.Second)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatal("nodes disagree on tip after quiescence")
 	}
 	// All views should agree on canonical history, not just the tip.
@@ -94,7 +129,7 @@ func TestHighLatencyCausesForksButConverges(t *testing.T) {
 		n.mining = false
 	}
 	s.RunUntil(s.Now() + sim.Minute)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatal("network did not converge after mining stopped")
 	}
 }
@@ -107,7 +142,7 @@ func TestTransferThroughClient(t *testing.T) {
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
 	var confirmedAt sim.Time
-	tx, err := alice.Transfer(bob.Addr, 5_000)
+	tx, err := transfer(alice, bob.Addr, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +164,12 @@ func TestTransferThroughClient(t *testing.T) {
 func TestClientBalanceAndFundSelection(t *testing.T) {
 	_, net, user := testNet(t, 5, 1, p2p.LatencyModel{Base: 1})
 	alice := NewClient(net, 0, user)
-	if alice.Balance() != 1_000_000 {
-		t.Fatalf("balance = %d", alice.Balance())
+	var funds vm.Amount
+	for _, out := range alice.Chain().TipState().UTXOsOwnedBy(user.Addr) {
+		funds += out.Value
+	}
+	if funds != 1_000_000 {
+		t.Fatalf("balance = %d", funds)
 	}
 	ins, change, err := alice.SelectFunds(400_000)
 	if err != nil || len(ins) == 0 {
@@ -163,7 +202,7 @@ func TestCrashedMinerStopsAndRecovers(t *testing.T) {
 		n.mining = false
 	}
 	s.RunUntil(s.Now() + sim.Minute)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatalf("recovered miner did not converge: victim height %d, peer height %d",
 			victim.Chain.Height(), net.Node(1).Chain.Height())
 	}
@@ -187,7 +226,7 @@ func TestPartitionDivergesThenHeals(t *testing.T) {
 		n.mining = false
 	}
 	s.RunUntil(s.Now() + sim.Minute)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatalf("network did not converge after heal: %d vs %d",
 			net.Node(0).Chain.Height(), net.Node(2).Chain.Height())
 	}
@@ -200,7 +239,7 @@ func TestHaltedClientStopsWatching(t *testing.T) {
 	rng := s.RNG().Fork()
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
-	tx, _ := alice.Transfer(bob.Addr, 100)
+	tx, _ := transfer(alice, bob.Addr, 100)
 	fired := false
 	whenTxAtDepth(t, alice, tx, 1, func() { fired = true })
 	alice.Halt()
@@ -208,7 +247,7 @@ func TestHaltedClientStopsWatching(t *testing.T) {
 	if fired {
 		t.Fatal("halted client's watch fired")
 	}
-	if _, err := alice.Transfer(bob.Addr, 100); err == nil {
+	if _, err := transfer(alice, bob.Addr, 100); err == nil {
 		// Transfer builds but Submit is suppressed; ensure no watch
 		// can fire and no panic occurred. The tx must not confirm.
 		if _, _, found := net.Node(0).Chain.FindTx(tx.ID()); found {

@@ -92,31 +92,6 @@ func (n *Network) Start() {
 // Node returns the i-th mining node.
 func (n *Network) Node(i int) *Node { return n.Nodes[i] }
 
-// Height returns the canonical height at node 0 (convenience for
-// tests and experiments).
-func (n *Network) Height() uint64 { return n.Nodes[0].Chain.Height() }
-
-// Converged reports whether all live nodes agree on the canonical
-// tip.
-func (n *Network) Converged() bool {
-	var tip crypto.Hash
-	first := true
-	for _, node := range n.Nodes {
-		if !node.Alive() {
-			continue
-		}
-		h := node.Chain.Tip().Hash()
-		if first {
-			tip, first = h, false
-			continue
-		}
-		if h != tip {
-			return false
-		}
-	}
-	return true
-}
-
 // TotalReorgs sums reorg counts across nodes.
 func (n *Network) TotalReorgs() int {
 	total := 0

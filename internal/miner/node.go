@@ -199,6 +199,7 @@ func (n *Node) punishInvalid(invalid []*chain.Tx) {
 // Crash stops the node (crash-stop): mining halts, messages are
 // dropped, the mempool, the orphan buffer and the pending sync request
 // are lost. The chain view (persistent storage) survives.
+// kept: ROADMAP items 3(b) and 9, a crash at an event index.
 func (n *Node) Crash() {
 	n.alive = false
 	n.mining = false
@@ -393,4 +394,6 @@ func (n *Node) nextPeer(peer p2p.NodeID) p2p.NodeID {
 }
 
 // MempoolSize reports the number of pending transactions.
+// kept: observed across packages by the engine's parked-record test and
+// protocol's TestEnsureTxResubmitsAReorgDropAtOnce.
 func (n *Node) MempoolSize() int { return n.mempool.size() }

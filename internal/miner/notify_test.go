@@ -9,15 +9,22 @@ import (
 	"repro/internal/sim"
 )
 
+// genesis returns c's genesis block: its canonical block at height 0.
+func genesis(c *chain.Chain) *chain.Block {
+	b, _ := c.CanonicalAt(0)
+	return b
+}
+
 // forkView builds a chain view sharing the network's genesis identity,
 // for hand-crafting competing fork blocks in tests.
 func forkView(t *testing.T, net *Network, user *crypto.KeyPair) *chain.Chain {
 	t.Helper()
-	c, err := chain.NewChain(net.Params, nil, chain.GenesisAlloc{user.Addr: 1_000_000})
+	exec, err := chain.NewExecutor(net.Params, nil, chain.GenesisAlloc{user.Addr: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Genesis().Hash() != net.Node(0).Chain.Genesis().Hash() {
+	c := exec.NewView()
+	if genesis(c).Hash() != genesis(net.Node(0).Chain).Hash() {
 		t.Fatal("fork view disagrees on genesis")
 	}
 	return c
@@ -36,7 +43,7 @@ func TestReorgReannouncesTxAndWatchRecovers(t *testing.T) {
 	rng := s.RNG().Fork()
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
-	tx, err := alice.Transfer(bob.Addr, 5_000)
+	tx, err := transfer(alice, bob.Addr, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +117,7 @@ func TestClosedClientDropsAndRefusesWatches(t *testing.T) {
 	rng := s.RNG().Fork()
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
-	tx, err := alice.Transfer(bob.Addr, 100)
+	tx, err := transfer(alice, bob.Addr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestClosedClientDropsAndRefusesWatches(t *testing.T) {
 		t.Fatalf("subscription on closed client: err = %v, want ErrClosed", err)
 	}
 	alice.Restart()
-	if !alice.Halted() || !alice.Closed() {
+	if !alice.halted || !alice.closed {
 		t.Fatal("Restart revived a closed client")
 	}
 	if _, err := alice.OnTipChange(func(TipSummary) { fired = true }); err != ErrClosed {
@@ -145,7 +152,7 @@ func TestHaltCancelsWatchesRegisteredAfterRestart(t *testing.T) {
 	rng := s.RNG().Fork()
 	bob := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 
-	tx, err := alice.Transfer(bob.Addr, 100)
+	tx, err := transfer(alice, bob.Addr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +183,7 @@ func TestSubscriptionSurvivesUntilCanceled(t *testing.T) {
 	if fires == 0 {
 		t.Fatal("subscription never fired while blocks were mined")
 	}
-	if !sub.Active() {
+	if sub.fn == nil || sub.canceled {
 		t.Fatal("live subscription reports inactive")
 	}
 	at := fires

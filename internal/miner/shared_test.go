@@ -72,7 +72,7 @@ func TestNetworkExecutesEveryBlockOnce(t *testing.T) {
 		n.mining = false
 	}
 	s.RunUntil(s.Now() + sim.Minute)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatal("network did not converge")
 	}
 	mined := net.BlocksMined()
@@ -109,7 +109,7 @@ func TestCrashRecoveryResyncThroughSharedStore(t *testing.T) {
 	}
 	s.RunUntil(s.Now() + sim.Minute)
 
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatalf("recovered node did not converge: %d vs %d",
 			victim.Chain.Height(), net.Node(1).Chain.Height())
 	}

@@ -138,7 +138,7 @@ func verifyOncePerTransaction(t *testing.T, ck *crypto.SigChecker) {
 	var submitted []*chain.Tx
 	round := func() {
 		for i, c := range clients {
-			tx, err := c.Transfer(users[(i+1)%nUsers].Addr, 1_000)
+			tx, err := transfer(c, users[(i+1)%nUsers].Addr, 1_000)
 			if err != nil {
 				t.Fatalf("t=%d: user %d: %v", s.Now(), i, err)
 			}
@@ -158,7 +158,7 @@ func verifyOncePerTransaction(t *testing.T, ck *crypto.SigChecker) {
 		n.StopMining()
 	}
 	s.RunUntil(s.Now() + sim.Minute)
-	if !net.Converged() {
+	if !converged(net) {
 		t.Fatal("fixture: network did not reconverge")
 	}
 	if net.MaxReorgDepth() == 0 {

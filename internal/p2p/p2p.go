@@ -163,11 +163,6 @@ func (n *Network) Nodes() []NodeID {
 	return append([]NodeID(nil), n.order...)
 }
 
-// Latency returns the network's base link model (without overlays).
-// Temporary changes go through overlays, which compose and remove
-// cleanly; the base model is fixed at construction.
-func (n *Network) Latency() LatencyModel { return n.latency }
-
 // PushOverlay installs an adversity window and returns its handle;
 // the caller removes it when the window closes. See Overlay.
 func (n *Network) PushOverlay(m LatencyModel) *Overlay {
@@ -249,6 +244,7 @@ func (n *Network) Broadcast(from NodeID, payload any) {
 
 // Crash stops a node: it receives nothing until Recover. In-flight
 // messages to it are lost.
+// kept: ROADMAP items 3(b) and 9, through miner.Node.Crash.
 func (n *Network) Crash(id NodeID) { n.crashed[id] = true }
 
 // Recover restarts a crashed node. It resumes receiving new messages;
@@ -277,6 +273,7 @@ func (n *Network) Heal() {
 }
 
 // Partitioned reports whether any partition is currently in force.
+// kept: ROADMAP items 3(b) and 9, the sweep's check that a fault row lifted.
 func (n *Network) Partitioned() bool { return len(n.group) > 0 }
 
 // SchedulePartition installs a timed partition window on the

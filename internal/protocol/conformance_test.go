@@ -23,7 +23,9 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/chain"
+	"repro/internal/contracts"
 	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/p2p"
 	"repro/internal/protocol"
@@ -71,6 +73,19 @@ func splitNetAt(w *xchain.World, id chain.ID, isolate int, trigger func() bool) 
 		w.Net(id).P2P.ScheduleIsolation(w.Sim.Now(), confPartitionFor, isolate)
 		return true
 	})
+}
+
+// decisionsSeen hands decisions on to the batch coordinator and notes
+// that one arrived: from then until the window closes, a decision is
+// pending there.
+type decisionsSeen struct {
+	*batch.Coordinator
+	any bool
+}
+
+func (d *decisionsSeen) Submit(scw crypto.Address, decision contracts.WitnessState) {
+	d.any = true
+	d.Coordinator.Submit(scw, decision)
 }
 
 // lossyWorld pushes a loss overlay on every network and lifts it at
@@ -296,6 +311,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				sink := &decisionsSeen{Coordinator: coord}
 				victim := ps[n-1]
 				abortAfter := sim.Time(0)
 				if scenario == "abort" {
@@ -310,7 +326,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 					WitnessDepth: confDepth,
 					AssetDepth:   confDepth,
 					AbortAfter:   abortAfter,
-					Batcher:      coord,
+					Batcher:      sink,
 					BatchAddr:    coord.Addr(),
 				})
 				if err != nil {
@@ -341,7 +357,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 					// minority fork (the coordinator's node is the one
 					// isolated). The heal reorgs the commitment out and
 					// the coordinator must republish it.
-					splitNet(w, "witness", func() bool { return coord.Pending() > 0 })
+					splitNet(w, "witness", func() bool { return sink.any })
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/p2p"
 	"repro/internal/sim"
+	"repro/internal/vm"
 	"repro/internal/xchain"
 )
 
@@ -24,6 +25,20 @@ func world(t *testing.T, seed uint64) (*xchain.World, *xchain.Participant, *xcha
 		t.Fatal(err)
 	}
 	return w, alice, bob
+}
+
+// pay submits a payment of amount from p to to on chain c0, funded and
+// submitted through p's client the way its deploys and calls are.
+func pay(t *testing.T, p, to *xchain.Participant, amount vm.Amount) *chain.Tx {
+	t.Helper()
+	c := p.Client("c0")
+	ins, change, err := c.SelectFunds(amount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := chain.NewTransfer(c.Key, 0, ins, []chain.TxOut{{Value: amount, Owner: to.Addr()}, {Value: change, Owner: p.Addr()}})
+	c.Submit(tx)
+	return tx
 }
 
 // swapOnC0 is the two-party AC2T the runtime tests run on: both edges
@@ -274,13 +289,11 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 	client.ResubmitEvery = sim.Hour
 	net := w.Net("c0")
 	net.P2P.Partition([]p2p.NodeID{0}, []p2p.NodeID{1, 2})
-	tx, err := client.Transfer(bob.Addr(), 1_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := pay(t, alice, bob, 1_000)
 
 	var (
 		rt        *Runtime
+		err       error
 		sawIt     bool     // alice's last drive found tx canonical
 		droppedAt sim.Time // the drive that found it gone after that
 		resubmits xchain.Resubmits

@@ -29,11 +29,8 @@ func TestWaitSetDue(t *testing.T) {
 		t.Fatal("fixture: transaction never mined")
 		return nil
 	}
-	pay, err := alice.Client("c0").Transfer(bob.Addr(), 1_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payBlock := mined(pay)
+	payment := pay(t, alice, bob, 1_000)
+	payBlock := mined(payment)
 	deploy, addr, err := bob.Client("c0").Deploy(contracts.TypeHTLC, contracts.HTLCParams{
 		Recipient: alice.Addr(), Hashlock: crypto.Sum([]byte("s")), Timelock: int64(sim.Hour),
 	}.Encode(), 1_000)
@@ -74,9 +71,9 @@ func TestWaitSetDue(t *testing.T) {
 		{"unindexed read: every tip", func(ws *waitSet) { ws.anyTip = true }, 0, extend(quiet), version, now, true},
 		{"read on an unsubscribed chain: every tip", func(ws *waitSet) { ws.watchAddr("elsewhere", addr) }, 0, extend(quiet), version, now, true},
 
-		{"awaited tx arrives", func(ws *waitSet) { ws.watchTx("c0", pay.ID()) }, 1, extend(quiet, payBlock), version, now, true},
-		{"awaited tx, other blocks", func(ws *waitSet) { ws.watchTx("c0", pay.ID()) }, 1, extend(quiet, deployBlock), version, now, false},
-		{"awaited tx, wrong chain's tip", func(ws *waitSet) { ws.watchTx("c0", pay.ID()) }, 0, extend(payBlock), version, now, false},
+		{"awaited tx arrives", func(ws *waitSet) { ws.watchTx("c0", payment.ID()) }, 1, extend(quiet, payBlock), version, now, true},
+		{"awaited tx, other blocks", func(ws *waitSet) { ws.watchTx("c0", payment.ID()) }, 1, extend(quiet, deployBlock), version, now, false},
+		{"awaited tx, wrong chain's tip", func(ws *waitSet) { ws.watchTx("c0", payment.ID()) }, 0, extend(payBlock), version, now, false},
 		{"watched contract deployed", func(ws *waitSet) { ws.watchAddr("c0", addr) }, 1, extend(deployBlock), version, now, true},
 		{"watched contract untouched", func(ws *waitSet) { ws.watchAddr("c0", addr) }, 1, extend(payBlock, quiet), version, now, false},
 
@@ -97,7 +94,7 @@ func TestWaitSetDue(t *testing.T) {
 
 	// A drive starts from an empty set.
 	ws := fresh()
-	ws.watchTx("c0", pay.ID())
+	ws.watchTx("c0", payment.ID())
 	ws.watchAddr("c0", addr)
 	ws.flipAt("c0", 3)
 	ws.wakeBy(0)

@@ -71,16 +71,6 @@ func (r *RNG) ExpTime(mean Time) Time {
 	return d
 }
 
-// Bytes fills b with random bytes.
-func (r *RNG) Bytes(b []byte) {
-	for i := 0; i < len(b); i += 8 {
-		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(b); j++ {
-			b[i+j] = byte(v >> (8 * j))
-		}
-	}
-}
-
 // Fork derives an independent RNG stream from this one, for components
 // that need their own entropy without perturbing the parent sequence
 // ordering guarantees.

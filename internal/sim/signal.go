@@ -91,7 +91,9 @@ func (g *Signal) run() {
 	g.spare = batch[:0]
 }
 
-// Waiting reports the number of registered waiters (diagnostics).
+// Waiting reports the number of registered waiters.
+// kept: observed across packages by the engine's
+// TestShardActivityListsOneWaiter.
 func (g *Signal) Waiting() int { return len(g.waiters) }
 
 // Cancel removes the waiter from its signal's next dispatch. Idempotent:

@@ -157,7 +157,7 @@ func TestPollerCancelIdempotent(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("poll ran %d times, want 2", n)
 	}
-	if p.Active() {
+	if !p.canceled {
 		t.Fatal("completed poller reports active")
 	}
 	// Re-canceling a completed poller (the recovery-path pattern) must

@@ -81,8 +81,8 @@ type Sim struct {
 	rng     *RNG
 	stopped bool
 
-	// Executed counts events dispatched so far; useful as a progress
-	// and runaway guard in tests.
+	// Executed counts events dispatched so far: a shard's event count,
+	// and what MaxEvents bounds.
 	Executed uint64
 
 	// MaxEvents aborts the run (via panic) when exceeded, guarding
@@ -211,6 +211,7 @@ func (s *Sim) step() {
 }
 
 // Pending reports the number of queued events.
+// kept: observed across packages by protocol.Shadow's footprint.
 func (s *Sim) Pending() int { return len(s.pending) }
 
 // Poller repeatedly runs a condition until it reports done. It is the
@@ -256,7 +257,3 @@ func (p *Poller) arm() {
 // already completed, is a harmless no-op — recovery paths may blindly
 // re-cancel whatever handles they hold.
 func (p *Poller) Cancel() { p.canceled = true }
-
-// Active reports whether the poller may still fire (not canceled and
-// not completed).
-func (p *Poller) Active() bool { return !p.canceled }

@@ -283,27 +283,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRNGBytesDeterministic(t *testing.T) {
-	a := make([]byte, 37)
-	b := make([]byte, 37)
-	NewRNG(5).Bytes(a)
-	NewRNG(5).Bytes(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Bytes not deterministic at %d", i)
-		}
-	}
-	allZero := true
-	for _, v := range a {
-		if v != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		t.Fatal("Bytes produced all zeros")
-	}
-}
-
 func TestRNGForkIndependence(t *testing.T) {
 	r := NewRNG(3)
 	f := r.Fork()

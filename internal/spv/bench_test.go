@@ -13,11 +13,11 @@ func BenchmarkEvidenceVerify(b *testing.B) {
 	for _, span := range []int{6, 16, 48, 96} {
 		b.Run(fmt.Sprintf("headers=%d", span), func(b *testing.B) {
 			f := newBenchFixture(b, span)
-			ev, err := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
+			ev, err := Build(f.view, genesis(f.view).Hash(), f.tx.ID(), 6)
 			if err != nil {
 				b.Fatal(err)
 			}
-			checkpoint := f.view.Genesis().Header
+			checkpoint := genesis(f.view).Header
 			b.ReportMetric(float64(len(ev.Encode())), "evidence-bytes")
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -34,7 +34,7 @@ func BenchmarkEvidenceVerify(b *testing.B) {
 // view (header collection + Merkle proof).
 func BenchmarkEvidenceBuild(b *testing.B) {
 	f := newBenchFixture(b, 32)
-	cp := f.view.Genesis().Hash()
+	cp := genesis(f.view).Hash()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(f.view, cp, f.tx.ID(), 6); err != nil {
@@ -47,7 +47,7 @@ func BenchmarkEvidenceBuild(b *testing.B) {
 // every call argument.
 func BenchmarkEvidenceDecode(b *testing.B) {
 	f := newBenchFixture(b, 32)
-	ev, err := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
+	ev, err := Build(f.view, genesis(f.view).Hash(), f.tx.ID(), 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func BenchmarkEvidenceDecode(b *testing.B) {
 // argument: one exact-size allocation.
 func BenchmarkEvidenceEncode(b *testing.B) {
 	f := newBenchFixture(b, 32)
-	ev, err := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
+	ev, err := Build(f.view, genesis(f.view).Hash(), f.tx.ID(), 6)
 	if err != nil {
 		b.Fatal(err)
 	}

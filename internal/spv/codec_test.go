@@ -126,7 +126,7 @@ func FuzzDecode(f *testing.F) {
 func realEvidence(t fixtureTB, headers int) *Evidence {
 	t.Helper()
 	f := newFixtureAny(t, headers-1)
-	ev, err := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
+	ev, err := Build(f.view, genesis(f.view).Hash(), f.tx.ID(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

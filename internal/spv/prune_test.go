@@ -20,10 +20,11 @@ func TestEvidenceAcrossPrunedStates(t *testing.T) {
 	params := chain.DefaultParams("pruned-validated")
 	params.DifficultyBits = 8
 	params.PruneDepth = 8
-	view, err := chain.NewChain(params, nil, chain.GenesisAlloc{key.Addr: 1_000})
+	exec, err := chain.NewExecutor(params, nil, chain.GenesisAlloc{key.Addr: 1_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := exec.NewView()
 	var now sim.Time
 	mine := func(txs ...*chain.Tx) *chain.Block {
 		now += 10 * sim.Second

@@ -39,10 +39,11 @@ func newFixtureAny(t fixtureTB, blocksAfterTx int) *fixture {
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 	params := chain.DefaultParams("validated")
 	params.DifficultyBits = 8
-	view, err := chain.NewChain(params, nil, chain.GenesisAlloc{key.Addr: 1_000})
+	exec, err := chain.NewExecutor(params, nil, chain.GenesisAlloc{key.Addr: 1_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := exec.NewView()
 	f := &fixture{view: view, key: key, rng: rng}
 
 	// The transaction of interest.
@@ -71,7 +72,7 @@ func (f *fixture) mine(txs ...*chain.Tx) *chain.Block {
 
 func TestBuildAndVerifyEvidence(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, err := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestBuildAndVerifyEvidence(t *testing.T) {
 
 func TestEvidenceEncodeDecodeRoundTrip(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, err := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestEvidenceEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEvidenceInsufficientDepth(t *testing.T) {
 	f := newFixture(t, 3)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	if _, err := Build(f.view, cp.Hash(), f.tx.ID(), 6); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("Build at depth 3 with min 6 succeeded: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestEvidenceInsufficientDepth(t *testing.T) {
 
 func TestEvidenceBrokenLinkRejected(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, _ := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	// Remove a middle header: the chain no longer links.
 	ev.Headers = append(ev.Headers[:2], ev.Headers[3:]...)
@@ -130,7 +131,7 @@ func TestEvidenceBrokenLinkRejected(t *testing.T) {
 
 func TestEvidenceForgedPoWRejected(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, _ := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	// Forge the last header: re-link it correctly but skip sealing.
 	forged := *ev.Headers[len(ev.Headers)-1]
@@ -150,7 +151,7 @@ func TestEvidenceForgedPoWRejected(t *testing.T) {
 // before the link check of its successor could mask it.
 func TestEvidenceBadPoWMidChainRejectedAtItsIndex(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, _ := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	const mid = 3
 	forged := *ev.Headers[mid]
@@ -166,7 +167,7 @@ func TestEvidenceBadPoWMidChainRejectedAtItsIndex(t *testing.T) {
 
 func TestEvidenceWrongTxRejected(t *testing.T) {
 	f := newFixture(t, 6)
-	cp := f.view.Genesis()
+	cp := genesis(f.view)
 	ev, _ := Build(f.view, cp.Hash(), f.tx.ID(), 6)
 	// Swap in a different transaction's bytes.
 	other := chain.NewTransfer(f.key, 99, ev.decodeTxForTest(t).Ins, ev.decodeTxForTest(t).Outs)
@@ -187,13 +188,19 @@ func (e *Evidence) decodeTxForTest(t *testing.T) *chain.Tx {
 	return tx
 }
 
+// genesis returns c's genesis block: its canonical block at height 0.
+func genesis(c *chain.Chain) *chain.Block {
+	b, _ := c.CanonicalAt(0)
+	return b
+}
+
 func TestEvidenceWrongChainRejected(t *testing.T) {
 	f := newFixture(t, 6)
 	otherParams := chain.DefaultParams("other")
 	otherParams.DifficultyBits = 8
-	other, _ := chain.NewChain(otherParams, nil, nil)
-	ev, _ := Build(f.view, f.view.Genesis().Hash(), f.tx.ID(), 6)
-	if _, err := ev.Verify(other.Genesis().Header, 6); !errors.Is(err, ErrBadEvidence) {
+	other, _ := chain.NewExecutor(otherParams, nil, nil)
+	ev, _ := Build(f.view, genesis(f.view).Hash(), f.tx.ID(), 6)
+	if _, err := ev.Verify(genesis(other.NewView()).Header, 6); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("evidence verified against wrong chain checkpoint: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
-	"repro/internal/crypto"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/xchain"
@@ -341,10 +340,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Disconnected graphs are rejected (Section 5.3).
 	ks := []*xchain.Participant{alice, bob, b.Participant("x"), b.Participant("y")}
-	dg, err := graph.Disconnected(2, [][2]crypto.Address{
-		{ks[0].Addr(), ks[1].Addr()},
-		{ks[2].Addr(), ks[3].Addr()},
-	}, 5, []chain.ID{"c1", "c2"})
+	dg, err := graph.New(2,
+		graph.Edge{From: ks[0].Addr(), To: ks[1].Addr(), Asset: 5, Chain: "c1"},
+		graph.Edge{From: ks[1].Addr(), To: ks[0].Addr(), Asset: 5, Chain: "c2"},
+		graph.Edge{From: ks[2].Addr(), To: ks[3].Addr(), Asset: 5, Chain: "c1"},
+		graph.Edge{From: ks[3].Addr(), To: ks[2].Addr(), Asset: 5, Chain: "c2"},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

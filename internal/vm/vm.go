@@ -15,7 +15,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/crypto"
 )
@@ -39,7 +38,7 @@ type Payout struct {
 }
 
 // Ctx is the execution context handed to a contract function. It
-// exposes the chain environment (height, time), the message, and the
+// exposes the chain environment (the block's time), the message, and the
 // contract's balance, and collects payouts.
 type Ctx struct {
 	ChainID string
@@ -47,23 +46,16 @@ type Ctx struct {
 	Msg     Msg
 	Sigs    *crypto.SigBook // read-only verdicts computed ahead of need (Registry.Sigs)
 
-	height    uint64 // of the block being applied; read through Height
-	time      int64  // of the block being applied; read through Time
-	readClock bool   // the contract asked for either (ADR-020)
+	time      int64 // of the block being applied; read through Time
+	readClock bool  // the contract asked for it (ADR-020)
 	balance   Amount
 	payouts   []Payout
 }
 
 // NewCtx builds an execution context. balance is the contract's
 // balance before this call (including Msg.Value already credited).
-func NewCtx(chainID string, self crypto.Address, height uint64, time int64, msg Msg, balance Amount) *Ctx {
-	return &Ctx{ChainID: chainID, Self: self, height: height, time: time, Msg: msg, balance: balance}
-}
-
-// Height returns the height of the block being applied.
-func (c *Ctx) Height() uint64 {
-	c.readClock = true
-	return c.height
+func NewCtx(chainID string, self crypto.Address, time int64, msg Msg, balance Amount) *Ctx {
+	return &Ctx{ChainID: chainID, Self: self, time: time, Msg: msg, balance: balance}
 }
 
 // Time returns the timestamp of the block being applied.
@@ -72,7 +64,7 @@ func (c *Ctx) Time() int64 {
 	return c.time
 }
 
-// ReadClock reports whether the contract asked for Height or Time.
+// ReadClock reports whether the contract asked for Time.
 func (c *Ctx) ReadClock() bool { return c.readClock }
 
 // Balance returns the contract's remaining balance.
@@ -151,16 +143,6 @@ func (r *Registry) New(typ string) (Contract, error) {
 		return nil, fmt.Errorf("vm: unknown contract type %q", typ)
 	}
 	return f(), nil
-}
-
-// Types returns the registered type names, sorted.
-func (r *Registry) Types() []string {
-	out := make([]string, 0, len(r.factories))
-	for t := range r.factories {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ContractAddress derives the address of a contract deployed by the

@@ -241,7 +241,7 @@ func (p *Participant) Client(id chain.ID) *miner.Client {
 func (p *Participant) Addr() crypto.Address { return p.Key.Addr }
 
 // Addrs lists the participants' addresses in order — the vertex list
-// graph.Ring and graph.Disconnected take.
+// graph.Ring takes.
 func Addrs(ps []*Participant) []crypto.Address {
 	out := make([]crypto.Address, len(ps))
 	for i, p := range ps {

@@ -1,12 +1,15 @@
 package xchain
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/miner"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 func buildTwoChainWorld(t *testing.T, seed uint64) (*World, *Participant, *Participant) {
@@ -25,18 +28,36 @@ func buildTwoChainWorld(t *testing.T, seed uint64) (*World, *Participant, *Parti
 	return w, alice, bob
 }
 
+// funds sums the outputs p owns at the tip of chain id.
+func funds(w *World, id chain.ID, p *Participant) vm.Amount {
+	var total vm.Amount
+	for _, out := range w.View(id).TipState().UTXOsOwnedBy(p.Addr()) {
+		total += out.Value
+	}
+	return total
+}
+
+// refused is the error p's client on chain id answers a subscription
+// with: miner.ErrHalted or miner.ErrClosed when it is down, nil when it
+// is up (the probe subscription is canceled at once).
+func refused(p *Participant, id chain.ID) error {
+	sub, err := p.Client(id).OnTipChange(func(miner.TipSummary) {})
+	sub.Cancel()
+	return err
+}
+
 func TestBuilderWiresClientsAndFunding(t *testing.T) {
 	w, alice, bob := buildTwoChainWorld(t, 1)
 	if len(w.Chains()) != 2 {
 		t.Fatalf("chains = %v", w.Chains())
 	}
-	if alice.Client("c1").Balance() != 100_000 {
-		t.Fatalf("alice c1 balance = %d", alice.Client("c1").Balance())
+	if got := funds(w, "c1", alice); got != 100_000 {
+		t.Fatalf("alice c1 balance = %d", got)
 	}
-	if alice.Client("c2").Balance() != 0 {
+	if funds(w, "c2", alice) != 0 {
 		t.Fatal("alice funded on the wrong chain")
 	}
-	if bob.Client("c2").Balance() != 100_000 {
+	if funds(w, "c2", bob) != 100_000 {
 		t.Fatal("bob not funded")
 	}
 	// Mining started.
@@ -76,8 +97,8 @@ func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 	if got != 1 {
 		t.Fatal("crashed participant received messages")
 	}
-	if !bob.Client("c2").Halted() {
-		t.Fatal("crash did not halt clients")
+	if err := refused(bob, "c2"); !errors.Is(err, miner.ErrHalted) {
+		t.Fatalf("crash did not halt clients: a subscription met %v", err)
 	}
 	// Crashed participants cannot send either.
 	bob.Tell(alice, "ghost")
@@ -95,13 +116,13 @@ func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 	bob.Retire()
 	alice.Tell(bob, "gone")
 	w.RunFor(sim.Second)
-	if got != 2 || !bob.Crashed() || !bob.Client("c1").Closed() || !bob.Client("c2").Closed() {
-		t.Fatalf("retired participant: %d messages, crashed %v, clients closed %v/%v",
-			got, bob.Crashed(), bob.Client("c1").Closed(), bob.Client("c2").Closed())
+	if got != 2 || !bob.Crashed() || !errors.Is(refused(bob, "c1"), miner.ErrClosed) || !errors.Is(refused(bob, "c2"), miner.ErrClosed) {
+		t.Fatalf("retired participant: %d messages, crashed %v, subscriptions met %v/%v",
+			got, bob.Crashed(), refused(bob, "c1"), refused(bob, "c2"))
 	}
 	bob.Recover()
-	if !bob.Client("c2").Halted() {
-		t.Fatal("a retired participant's client came back")
+	if err := refused(bob, "c2"); !errors.Is(err, miner.ErrClosed) {
+		t.Fatalf("a retired participant's client came back: a subscription met %v", err)
 	}
 }
 
