@@ -70,7 +70,7 @@ type Coordinator struct {
 	decided    map[crypto.Address]contracts.WitnessState
 	tracked    map[crypto.Hash]*trackedBatch
 	flushArmed bool
-	sub        *miner.Sub
+	sub        miner.Sub
 	closed     bool
 
 	// Deterministic counters, read by the engine at shard end.
@@ -116,12 +116,10 @@ func New(w *xchain.World, witnessChain chain.ID, seed uint64, cfg Config) (*Coor
 		return nil, fmt.Errorf("batch: deploy: %w", err)
 	}
 	c.contract = addr
-	sub, err := c.client.OnTipChange(c.check)
-	if err != nil {
+	if err := c.client.Watch(&c.sub, miner.TipFunc(c.check)); err != nil {
 		c.client.Close()
 		return nil, fmt.Errorf("batch: watch: %w", err)
 	}
-	c.sub = sub
 	return c, nil
 }
 
@@ -253,9 +251,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	if c.sub != nil {
-		c.sub.Cancel()
-	}
+	c.sub.Cancel()
 	c.client.Close()
 	c.pending = nil
 	c.decided = nil

@@ -63,6 +63,8 @@ type Executor struct {
 	views      []*Chain
 	byHeight   map[uint64][]crypto.Hash
 	pruneFloor uint64
+	hashSlab   []crypto.Hash // what is left of the slabs index carves slots from
+	opSlab     []opRef
 
 	// History retirement (Params.RetireDepth): retireFloor is the
 	// lowest retained height (0 while retirement is disabled or hasn't
@@ -374,18 +376,30 @@ func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
 	e.blocks[h] = &record{block: b, state: st}
 	e.stats.StatesLive++
 	height := b.Header.Height
-	e.byHeight[height] = append(e.byHeight[height], h)
+	index(e.byHeight, height, h, &e.hashSlab)
 	for _, tx := range b.Txs {
-		id := tx.ID()
-		e.txIndex[id] = append(e.txIndex[id], h)
+		index(e.txIndex, tx.ID(), h, &e.hashSlab)
 		switch tx.Kind {
 		case TxDeploy:
-			addr := tx.ContractAddr()
-			e.opIndex[addr] = append(e.opIndex[addr], opRef{block: h, height: height, call: false})
+			index(e.opIndex, tx.ContractAddr(), opRef{block: h, height: height, call: false}, &e.opSlab)
 		case TxCall:
-			e.opIndex[tx.Contract] = append(e.opIndex[tx.Contract], opRef{block: h, height: height, call: true})
+			index(e.opIndex, tx.Contract, opRef{block: h, height: height, call: true}, &e.opSlab)
 		}
 	}
+}
+
+// index appends v to m[k]. A new key's list starts in a slot carved from
+// *slab with capacity one, so a second entry moves it out by append and a
+// removal (dropBlockIndexes) stays inside it (ADR-003).
+func index[K comparable, V any](m map[K][]V, k K, v V, slab *[]V) {
+	refs, ok := m[k]
+	if !ok {
+		if len(*slab) == 0 {
+			*slab = make([]V, 64)
+		}
+		refs, *slab = (*slab)[:0:1], (*slab)[1:]
+	}
+	m[k] = append(refs, v)
 }
 
 // prune advances the state-GC sweep. The horizon is

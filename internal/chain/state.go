@@ -22,7 +22,8 @@ const flattenDepth = 48
 // (and therefore Lemma 5.3's fork analysis) natural to express.
 //
 // A layer with a parent is an overlay and holds exactly the changes
-// made on top of that parent, in four small maps — for a block's state,
+// made on top of that parent, in four small maps, each made on the
+// layer's first write to it — for a block's state,
 // the block's own delta (see blockDelta); it is the only layer a block
 // writes. A layer without a parent is a base and holds the whole ledger,
 // in persistent tables (see base): no maps, no tombstones. Every contract
@@ -32,7 +33,7 @@ type State struct {
 	parent *State
 	depth  int
 
-	// An overlay's own changes; nil on a base.
+	// An overlay's own changes; nil on a base and until first written.
 	utxos     map[OutPoint]TxOut
 	spent     map[OutPoint]bool // tombstones masking the parent
 	contracts map[crypto.Address]vm.Contract
@@ -129,16 +130,17 @@ func (s *State) Child() *State {
 }
 
 // overlay returns a direct child layer unconditionally — no flatten
-// check; Child is its caller.
+// check; Child is its caller. Its maps are made on first write.
 func (s *State) overlay() *State {
-	return &State{
-		parent:    s,
-		depth:     s.depth + 1,
-		utxos:     make(map[OutPoint]TxOut),
-		spent:     make(map[OutPoint]bool),
-		contracts: make(map[crypto.Address]vm.Contract),
-		balances:  make(map[crypto.Address]vm.Amount),
+	return &State{parent: s, depth: s.depth + 1}
+}
+
+// put writes m[k] = v, making m first if the layer has not written it yet.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
 	}
+	(*m)[k] = v
 }
 
 // absorb folds overlay t's own changes into s, a base under
@@ -282,7 +284,7 @@ func (s *State) AddUTXO(op OutPoint, out TxOut) {
 		return
 	}
 	delete(s.spent, op)
-	s.utxos[op] = out
+	put(&s.utxos, op, out)
 }
 
 // Spend marks an output spent. The caller must have checked existence.
@@ -297,7 +299,7 @@ func (s *State) Spend(op OutPoint) {
 		return
 	}
 	delete(s.utxos, op)
-	s.spent[op] = true
+	put(&s.spent, op, true)
 }
 
 // Contract returns the live contract object at addr for *reading*.
@@ -320,7 +322,7 @@ func (s *State) PutContract(addr crypto.Address, c vm.Contract) {
 		b.contracts.put(b.gen, addr, c)
 		return
 	}
-	s.contracts[addr] = c
+	put(&s.contracts, addr, c)
 }
 
 // Balance returns a contract's locked asset balance.
@@ -341,7 +343,7 @@ func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
 		b.balances.put(b.gen, addr, v)
 		return
 	}
-	s.balances[addr] = v
+	put(&s.balances, addr, v)
 }
 
 // UTXOsOwnedBy collects the outputs owned by addr. Overlay layers are

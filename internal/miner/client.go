@@ -27,7 +27,7 @@ var (
 // depths, and manages a simple UTXO wallet.
 //
 // All waiting is notification-driven on the attached node's tip-change
-// signal (OnTipChange): subscribers run only when the node's canonical
+// signal (Watch): subscribers run only when the node's canonical
 // chain actually changed, never on a timer, are told what changed (a
 // TipSummary), and re-derive what they wait for from chain state.
 // Keeping a submitted transaction alive across reorgs, mempool purges
@@ -44,13 +44,13 @@ type Client struct {
 	rng  *sim.RNG
 
 	nonce    uint64
-	reserved map[chain.OutPoint]bool
+	reserved map[chain.OutPoint]bool // made on first use
 
 	subs []*Sub
+	one  [1]*Sub // subs' first backing array
 	// waiter is the client's one registration on the node's tip signal,
-	// armed while subscriptions exist and re-armed, not re-allocated,
-	// after each dispatch (a fired waiter is kept; a canceled one is not).
-	waiter *sim.Waiter
+	// made with the client and armed while subscriptions exist.
+	waiter sim.Waiter
 	armed  bool
 	// seen is the tip the subscribers last heard about (the tip when the
 	// waiter was armed); joined backs the summary of what came after it.
@@ -80,12 +80,22 @@ type TipSummary struct {
 	Reorg bool
 }
 
-// Sub is a persistent tip-change subscription handle (see
-// Client.OnTipChange).
+// Sub is a persistent tip-change subscription (Client.Watch), owned by its
+// caller: the zero value is ready, and a canceled Sub may be watched again.
 type Sub struct {
-	fn       func(TipSummary) // nil on the inert handle a refused registration returns
+	l        Listener
+	c        *Client // the client listing it; nil while unlisted
 	canceled bool
 }
+
+// Listener is told what each tip change of a Sub's client changed.
+type Listener interface{ OnTip(TipSummary) }
+
+// TipFunc adapts a func to a Listener.
+type TipFunc func(TipSummary)
+
+// OnTip calls f.
+func (f TipFunc) OnTip(sum TipSummary) { f(sum) }
 
 // Cancel detaches the subscription. Safe to call repeatedly, on an
 // already-dead subscription, or on one that was registered while the
@@ -95,16 +105,16 @@ func (s *Sub) Cancel() { s.canceled = true }
 // NewClient attaches a fresh client identity to node i of the
 // network.
 func NewClient(net *Network, nodeIndex int, key *crypto.KeyPair) *Client {
-	n := net.Node(nodeIndex)
-	return &Client{
+	c := &Client{
 		Key:           key,
-		node:          n,
+		node:          net.Node(nodeIndex),
 		net:           net,
 		sim:           net.Sim,
 		rng:           net.Sim.RNG().Fork(),
-		reserved:      make(map[chain.OutPoint]bool),
 		ResubmitEvery: 3 * net.Params.BlockInterval,
 	}
+	c.subs, c.waiter = c.one[:0], sim.NewWaiter(c.onTip)
+	return c
 }
 
 // Chain returns the attached node's chain view (reads only).
@@ -119,10 +129,10 @@ func (c *Client) Halt() {
 	c.halted = true
 	if c.armed {
 		c.waiter.Cancel()
-		c.waiter, c.armed = nil, false
+		c.armed = false
 	}
 	for _, s := range c.subs {
-		s.canceled = true
+		s.canceled, s.c = true, nil
 	}
 	c.subs = nil
 }
@@ -153,11 +163,7 @@ func (c *Client) ensureArmed() {
 	if c.armed || c.halted || len(c.subs) == 0 {
 		return
 	}
-	if c.waiter == nil {
-		c.waiter = c.node.TipChanged().Wait(c.onTip)
-	} else {
-		c.node.TipChanged().Rearm(c.waiter)
-	}
+	c.node.TipChanged().Rearm(&c.waiter)
 	c.armed = true
 	c.seen = c.node.Chain.Tip()
 }
@@ -178,22 +184,19 @@ func (c *Client) onTip() {
 	c.subs = nil // callbacks registering new subscriptions append to a fresh list
 	kept := batch[:0]
 	for _, s := range batch {
-		if c.halted {
-			// A callback halted this client mid-pass; the batch is
-			// detached from c.subs, so retire the rest here.
-			s.canceled = true
+		if c.halted || s.canceled {
+			// A callback may halt this client mid-pass; the batch is
+			// detached from c.subs, so the rest is retired here.
+			s.canceled, s.c = true, nil
 			continue
 		}
-		if s.canceled {
-			continue
-		}
-		s.fn(sum)
+		s.l.OnTip(sum)
 		kept = append(kept, s)
 	}
 	clear(c.joined) // the summary is spent; do not pin its blocks
 	if c.halted {
 		for _, s := range append(kept, c.subs...) {
-			s.canceled = true
+			s.canceled, s.c = true, nil
 		}
 		c.subs = nil
 		return
@@ -202,24 +205,27 @@ func (c *Client) onTip() {
 	c.ensureArmed()
 }
 
-// OnTipChange registers a persistent subscription: fn runs after every
+// Watch registers s, a persistent subscription: l runs after every
 // canonical-tip change of the client's node, with a summary of what
-// changed, until the subscription is canceled or the client halts. This
-// is what protocol reconcilers drive on instead of a cadence poller.
-// Registration on a halted or closed client fails with
-// ErrHalted/ErrClosed — the returned Sub is inert but safe to Cancel, so
-// recovery code may still hold it.
-func (c *Client) OnTipChange(fn func(TipSummary)) (*Sub, error) {
+// changed, until s is canceled or the client halts. This is what
+// protocol reconcilers drive on instead of a cadence poller. A Sub this
+// client still lists (canceled, not yet dropped) is revived in place, so
+// it is never told twice; s must not be listed at another client. On a
+// halted or closed client Watch fails with ErrHalted/ErrClosed.
+func (c *Client) Watch(s *Sub, l Listener) error {
 	switch {
 	case c.closed:
-		return &Sub{}, ErrClosed
+		return ErrClosed
 	case c.halted:
-		return &Sub{}, ErrHalted
+		return ErrHalted
 	}
-	s := &Sub{fn: fn}
-	c.subs = append(c.subs, s)
+	s.l, s.canceled = l, false
+	if s.c != c {
+		s.c = c
+		c.subs = append(c.subs, s)
+	}
 	c.ensureArmed()
-	return s, nil
+	return nil
 }
 
 // Submit multicasts a signed transaction to the mining nodes,
@@ -249,13 +255,7 @@ func (c *Client) Submit(tx *chain.Tx) {
 		return
 	}
 	tx.CheckSigAhead(c.net.Sigs)
-	c.sim.After(c.submitDelay(), func() {
-		for _, n := range c.net.Nodes {
-			if n.Alive() && c.net.P2P.Reachable(c.node.ID, n.ID) {
-				n.SubmitLocal(tx)
-			}
-		}
-	})
+	c.net.submits.After(c.submitDelay(), submission{c, tx})
 }
 
 // submitDelay samples a small client-to-miner latency.
@@ -298,6 +298,9 @@ func (c *Client) SelectFunds(amount vm.Amount) ([]chain.TxIn, vm.Amount, error) 
 	}
 	if total < amount {
 		return nil, 0, fmt.Errorf("miner: %s has %d available, needs %d", c.Key.Addr, total, amount)
+	}
+	if c.reserved == nil {
+		c.reserved = make(map[chain.OutPoint]bool, len(ins))
 	}
 	for _, in := range ins {
 		c.reserved[in.Prev] = true

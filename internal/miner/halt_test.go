@@ -28,14 +28,15 @@ func TestHaltedClientRefusesWatches(t *testing.T) {
 	alice.Halt()
 
 	fired := false
-	sub, err := alice.OnTipChange(func(TipSummary) { fired = true })
+	var sub Sub
+	err = alice.Watch(&sub, TipFunc(func(TipSummary) { fired = true }))
 	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("OnTipChange on halted client: err = %v, want ErrHalted", err)
+		t.Fatalf("Watch on halted client: err = %v, want ErrHalted", err)
 	}
-	if sub.fn != nil {
-		t.Fatal("subscription refused with ErrHalted reports active")
+	if sub.l != nil || sub.c != nil {
+		t.Fatal("subscription refused with ErrHalted is listed")
 	}
-	sub.Cancel() // must stay safe on the inert handle
+	sub.Cancel() // must stay safe on the refused handle
 
 	s.RunUntil(10 * sim.Minute)
 	if fired {
@@ -63,7 +64,7 @@ func TestClosedClientWatchError(t *testing.T) {
 	_ = s
 
 	alice.Close()
-	if _, err := alice.OnTipChange(func(TipSummary) {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("OnTipChange on closed client: err = %v, want ErrClosed", err)
+	if err := alice.Watch(new(Sub), TipFunc(func(TipSummary) {})); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Watch on closed client: err = %v, want ErrClosed", err)
 	}
 }

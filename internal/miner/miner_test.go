@@ -68,16 +68,16 @@ func converged(n *Network) bool {
 
 // whenTxAtDepth runs fn once tx is canonical and buried at least depth
 // blocks on the client's view, re-checking on every tip change — the
-// wait a reconciler builds from OnTipChange plus a chain read.
+// wait a reconciler builds from Watch plus a chain read.
 func whenTxAtDepth(t *testing.T, c *Client, tx *chain.Tx, depth int, fn func()) {
 	t.Helper()
-	var sub *Sub
-	sub, err := c.OnTipChange(func(TipSummary) {
+	sub := new(Sub)
+	err := c.Watch(sub, TipFunc(func(TipSummary) {
 		if d, ok := c.Chain().TxDepth(tx.ID()); ok && d >= depth {
 			sub.Cancel()
 			fn()
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDeployAndCallThroughClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployed := false
-	_, err = alice.OnTipChange(func(TipSummary) {
+	err = alice.Watch(new(Sub), TipFunc(func(TipSummary) {
 		if _, ok := alice.ContractNow(addr, 2); !ok || deployed {
 			return
 		}
@@ -292,7 +292,7 @@ func TestDeployAndCallThroughClient(t *testing.T) {
 		if _, err := alice.Call(addr, "set", []byte{42}, 0); err != nil {
 			t.Errorf("call: %v", err)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,13 @@ type Network struct {
 	// of the block that first asks (ADR-021); Config.Sigs sets it.
 	Sigs *crypto.SigChecker
 
-	exec *chain.Executor
+	exec    *chain.Executor
+	submits *sim.Pool[submission] // clients' multicasts in flight
+}
+
+type submission struct {
+	c  *Client
+	tx *chain.Tx
 }
 
 // Config describes a blockchain network to build.
@@ -57,7 +63,7 @@ func NewNetwork(s *sim.Sim, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := &Network{Params: cfg.Params, Sim: s, P2P: p2pNet, Sigs: cfg.Sigs, exec: exec}
+	net := &Network{Params: cfg.Params, Sim: s, P2P: p2pNet, Sigs: cfg.Sigs, exec: exec, submits: sim.NewPool(s, submission.deliver)}
 	share := 1.0 / float64(cfg.Miners)
 	rng := s.RNG().Fork()
 	for i := 0; i < cfg.Miners; i++ {
@@ -66,6 +72,15 @@ func NewNetwork(s *sim.Sim, cfg Config) (*Network, error) {
 		net.Nodes = append(net.Nodes, n)
 	}
 	return net, nil
+}
+
+// deliver hands a client's multicast to every node it can reach.
+func (m submission) deliver() {
+	for _, n := range m.c.net.Nodes {
+		if n.Alive() && m.c.net.P2P.Reachable(m.c.node.ID, n.ID) {
+			n.SubmitLocal(m.tx)
+		}
+	}
 }
 
 // Executor returns the network's shared chain store (block bodies,

@@ -77,6 +77,7 @@ type Node struct {
 	mining     bool
 	interval   sim.Time    // network-wide mean block interval
 	tipChanged *sim.Signal // notified after every canonical-tip change
+	tick       func()      // n.mine
 
 	// Mined counts blocks this node mined; the throughput and attack
 	// experiments read it.
@@ -107,6 +108,7 @@ func NewNode(s *sim.Sim, net *p2p.Network, id p2p.NodeID, c *chain.Chain, key *c
 		interval:   c.Params().BlockInterval,
 		tipChanged: s.NewSignal(),
 	}
+	n.tick = n.mine
 	c.OnTipChange(n.onTipEvent)
 	net.Register(id, n.handle)
 	return n
@@ -155,15 +157,17 @@ func (n *Node) Start() {
 // exponential distribution with mean interval/share — a Poisson
 // process, so the memoryless draw stays valid across tip changes.
 func (n *Node) scheduleMining() {
-	mean := sim.Time(float64(n.interval) / n.share)
-	n.sim.After(n.rng.ExpTime(mean), func() {
-		if !n.alive || !n.mining {
-			return
-		}
-		n.tend()
-		n.mineOne()
-		n.scheduleMining()
-	})
+	n.sim.After(n.rng.ExpTime(sim.Time(float64(n.interval)/n.share)), n.tick)
+}
+
+// mine is the mining tick; n.tick holds it, made once.
+func (n *Node) mine() {
+	if !n.alive || !n.mining {
+		return
+	}
+	n.tend()
+	n.mineOne()
+	n.scheduleMining()
 }
 
 // mineOne assembles, seals, adopts and gossips one block on the
@@ -378,19 +382,8 @@ func (n *Node) tend() {
 	link := n.net.Effective()
 	if now-n.wantSince > 2*(link.Base+link.Jitter) && n.awaits(n.want) {
 		n.SyncRetries++
-		n.requestSync(n.nextPeer(n.wantFrom), n.want, nil)
+		n.requestSync(n.net.Next(n.wantFrom, n.ID), n.want, nil)
 	}
-}
-
-// nextPeer is the node after peer in the network's registration order,
-// skipping this one.
-func (n *Node) nextPeer(peer p2p.NodeID) p2p.NodeID {
-	ids := n.net.Nodes()
-	i := slices.Index(ids, peer) + 1
-	if ids[i%len(ids)] == n.ID {
-		i++
-	}
-	return ids[i%len(ids)]
 }
 
 // MempoolSize reports the number of pending transactions.

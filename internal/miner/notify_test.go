@@ -127,14 +127,14 @@ func TestClosedClientDropsAndRefusesWatches(t *testing.T) {
 	alice.Close()
 	// The prior bug class: subscriptions registered after a Close must
 	// be dead on arrival, even across a Restart attempt.
-	if _, err := alice.OnTipChange(func(TipSummary) { fired = true }); err != ErrClosed {
+	if err := alice.Watch(new(Sub), TipFunc(func(TipSummary) { fired = true })); err != ErrClosed {
 		t.Fatalf("subscription on closed client: err = %v, want ErrClosed", err)
 	}
 	alice.Restart()
 	if !alice.halted || !alice.closed {
 		t.Fatal("Restart revived a closed client")
 	}
-	if _, err := alice.OnTipChange(func(TipSummary) { fired = true }); err != ErrClosed {
+	if err := alice.Watch(new(Sub), TipFunc(func(TipSummary) { fired = true })); err != ErrClosed {
 		t.Fatalf("subscription after failed Restart: err = %v, want ErrClosed", err)
 	}
 	alice.Close() // idempotent
@@ -175,15 +175,15 @@ func TestSubscriptionSurvivesUntilCanceled(t *testing.T) {
 	alice := NewClient(net, 0, crypto.MustGenerateKey(crypto.NewRandReader(s.RNG().Fork().Uint64)))
 
 	fires := 0
-	sub, err := alice.OnTipChange(func(TipSummary) { fires++ })
-	if err != nil {
+	var sub Sub
+	if err := alice.Watch(&sub, TipFunc(func(TipSummary) { fires++ })); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(2 * sim.Minute)
 	if fires == 0 {
 		t.Fatal("subscription never fired while blocks were mined")
 	}
-	if sub.fn == nil || sub.canceled {
+	if sub.c != alice || sub.canceled {
 		t.Fatal("live subscription reports inactive")
 	}
 	at := fires

@@ -23,7 +23,7 @@ func TestTipSummaryAccountsForEveryTipChange(t *testing.T) {
 
 	last := view.Tip()
 	var dispatches, multi, reorgs int
-	_, err := alice.OnTipChange(func(sum TipSummary) {
+	err := alice.Watch(new(Sub), TipFunc(func(sum TipSummary) {
 		dispatches++
 		if sum.Height != view.Height() {
 			t.Fatalf("t=%d: summary height %d, view at %d", s.Now(), sum.Height, view.Height())
@@ -54,7 +54,7 @@ func TestTipSummaryAccountsForEveryTipChange(t *testing.T) {
 			}
 		}
 		last = view.Tip()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ package p2p
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -120,7 +121,8 @@ type Network struct {
 	crashed  map[NodeID]bool
 	group    map[NodeID]int // partition group; nodes in different groups cannot talk
 
-	overlays []*Overlay
+	overlays   []*Overlay
+	deliveries *sim.Pool[delivery] // messages in flight
 	// partEpoch increments on every partition-topology change; a
 	// scheduled heal fires only if its own partition is still the
 	// latest, so overlapping windows never un-split a newer partition.
@@ -134,15 +136,22 @@ type Network struct {
 	Dropped   uint64
 }
 
+type delivery struct {
+	n        *Network
+	from, to NodeID
+	payload  any
+}
+
 // NewNetwork creates a network on the given simulator.
 func NewNetwork(s *sim.Sim, latency LatencyModel) *Network {
 	return &Network{
-		sim:      s,
-		rng:      s.RNG().Fork(),
-		latency:  latency,
-		handlers: make(map[NodeID]Handler),
-		crashed:  make(map[NodeID]bool),
-		group:    make(map[NodeID]int),
+		sim:        s,
+		rng:        s.RNG().Fork(),
+		latency:    latency,
+		handlers:   make(map[NodeID]Handler),
+		crashed:    make(map[NodeID]bool),
+		group:      make(map[NodeID]int),
+		deliveries: sim.NewPool(s, delivery.deliver),
 	}
 }
 
@@ -158,9 +167,13 @@ func (n *Network) Register(id NodeID, h Handler) {
 	n.order = append(n.order, id)
 }
 
-// Nodes returns the registered node ids in registration order.
-func (n *Network) Nodes() []NodeID {
-	return append([]NodeID(nil), n.order...)
+// Next is the node after peer in registration order, skipping self.
+func (n *Network) Next(peer, self NodeID) NodeID {
+	i := slices.Index(n.order, peer) + 1
+	if n.order[i%len(n.order)] == self {
+		i++
+	}
+	return n.order[i%len(n.order)]
 }
 
 // PushOverlay installs an adversity window and returns its handle;
@@ -221,15 +234,17 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		n.Dropped++
 		return
 	}
-	delay := eff.Sample(n.rng)
-	n.sim.After(delay, func() {
-		if n.crashed[to] || !n.reachable(from, to) {
-			n.Dropped++
-			return
-		}
-		n.Delivered++
-		n.handlers[to](from, payload)
-	})
+	n.deliveries.After(eff.Sample(n.rng), delivery{n, from, to, payload})
+}
+
+// deliver hands a message to its receiver unless a crash or a partition came between.
+func (d delivery) deliver() {
+	if d.n.crashed[d.to] || !d.n.reachable(d.from, d.to) {
+		d.n.Dropped++
+		return
+	}
+	d.n.Delivered++
+	d.n.handlers[d.to](d.from, d.payload)
 }
 
 // Broadcast sends payload from 'from' to every other registered node.

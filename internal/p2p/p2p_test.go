@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -377,11 +379,66 @@ func TestNodesOrder(t *testing.T) {
 	for i := 5; i >= 1; i-- {
 		net.Register(NodeID(i), func(NodeID, any) {})
 	}
-	nodes := net.Nodes()
-	want := []NodeID{5, 4, 3, 2, 1}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("Nodes() = %v", nodes)
+	// Next walks registration order, wrapping and skipping self.
+	for _, c := range []struct{ peer, self, want NodeID }{
+		{5, 1, 4}, {4, 1, 3}, {2, 3, 1}, {1, 3, 5}, {1, 5, 4}, {3, 2, 1},
+	} {
+		if got := net.Next(c.peer, c.self); got != c.want {
+			t.Fatalf("Next(%d, self %d) = %d, want %d", c.peer, c.self, got, c.want)
 		}
+	}
+}
+
+// TestSendAndDeliveryAllocateNothing: a message in flight rides a
+// recycled record, so once the pool is warm a Send and its delivery
+// allocate nothing.
+func TestSendAndDeliveryAllocateNothing(t *testing.T) {
+	s := sim.New(1)
+	net := NewNetwork(s, LatencyModel{Base: 5, Jitter: 10})
+	got := 0
+	net.Register(1, func(NodeID, any) {})
+	net.Register(2, func(NodeID, any) { got++ })
+	var payload any = &recorder{}
+	net.Send(1, 2, payload)
+	s.Run()
+	if n := testing.AllocsPerRun(100, func() { net.Send(1, 2, payload); s.Run() }); n != 0 {
+		t.Fatalf("Send + delivery: %v allocations, want 0", n)
+	}
+	if got != 102 || net.Delivered != 102 {
+		t.Fatalf("%d handled, %d delivered, want 102", got, net.Delivered)
+	}
+}
+
+// TestHandlerSendingInItsOwnDelivery: a handler that sends inside its
+// own delivery gets the record that delivery came on, while the
+// delivery's sender and payload stay its own; a crash between a send and
+// its delivery still counts the message dropped.
+func TestHandlerSendingInItsOwnDelivery(t *testing.T) {
+	s := sim.New(1)
+	net := NewNetwork(s, LatencyModel{Base: 10})
+	var log []string
+	ping := func(self NodeID) Handler {
+		return func(from NodeID, payload any) {
+			n := payload.(int)
+			if n < 6 {
+				net.Send(self, from, n+1)
+			}
+			log = append(log, fmt.Sprintf("%d->%d:%d", from, self, payload.(int)))
+		}
+	}
+	net.Register(1, ping(1))
+	net.Register(2, ping(2))
+	net.Send(1, 2, 0)
+	s.Run()
+	want := []string{"1->2:0", "2->1:1", "1->2:2", "2->1:3", "1->2:4", "2->1:5", "1->2:6"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("deliveries %v, want %v", log, want)
+	}
+
+	net.Send(1, 2, 100)
+	s.At(s.Now()+5, func() { net.Crash(2) })
+	s.Run()
+	if net.Dropped != 1 || net.Delivered != 7 || net.Sent != 8 {
+		t.Fatalf("Sent %d Delivered %d Dropped %d, want 8/7/1", net.Sent, net.Delivered, net.Dropped)
 	}
 }

@@ -148,13 +148,25 @@ type Config struct {
 // keep their own flags and re-derive what a crash loses from the
 // chains.
 type pstate struct {
-	subs        []*miner.Sub
+	watches     []watch // one per chain of the subscription set
 	lastAttempt map[string]sim.Time
 	kept        map[crypto.Hash]sim.Time // EnsureTx's resubmit ledger: when a window opened, or keptCanonical
 	armed       map[string]bool
 	deployedOwn bool // DeployOwn ran to the end for this participant
 	wait        waitSet
 }
+
+// watch is p's subscription to the tip changes of chain ci of the set.
+type watch struct {
+	miner.Sub
+	rt *Runtime
+	p  *xchain.Participant
+	st *pstate
+	ci int
+}
+
+// OnTip wakes p's reconciler.
+func (w *watch) OnTip(sum miner.TipSummary) { w.rt.wake(w.p, w.st, w.ci, sum) }
 
 // keptCanonical marks a transaction p saw canonical: missing, it was dropped.
 const keptCanonical sim.Time = -1
@@ -263,13 +275,19 @@ func New(cfg Config) (*Runtime, error) {
 		terminal: make([]bool, n),
 		calls:    [2][]settleCall{calls[:n], calls[n:]},
 	}
-	for _, p := range cfg.Participants {
-		rt.states[p] = &pstate{
+	watches := make([]watch, len(cfg.Participants)*len(chains))
+	for i, p := range cfg.Participants {
+		st := &pstate{
+			watches:     watches[i*len(chains) : (i+1)*len(chains)],
 			lastAttempt: make(map[string]sim.Time),
 			kept:        make(map[crypto.Hash]sim.Time),
 			armed:       make(map[string]bool),
 			wait:        waitSet{ids: chains, chains: make([]chainWait, len(chains))},
 		}
+		for ci := range st.watches {
+			st.watches[ci] = watch{rt: rt, p: p, st: st, ci: ci}
+		}
+		rt.states[p] = st
 	}
 	return rt, nil
 }
@@ -309,11 +327,9 @@ func (rt *Runtime) Resume(p *xchain.Participant) {
 func (rt *Runtime) Stop() {
 	rt.stopped = true
 	for _, p := range rt.cfg.Participants {
-		st := rt.states[p]
-		for _, sub := range st.subs {
-			sub.Cancel()
+		for i := range rt.states[p].watches {
+			rt.states[p].watches[i].Cancel()
 		}
-		st.subs = nil
 	}
 }
 
@@ -345,32 +361,23 @@ func (rt *Runtime) DriveAll() {
 
 // subscribe points p's reconciler at the notification bus: every
 // chain in the subscription set wakes p when its canonical tip changes,
-// and wake decides whether that is worth a drive. Existing
-// subscriptions are canceled first, so subscribe is
-// safe to call again on Resume. A participant that is down subscribes
-// to nothing — its clients refuse watch registration while halted
-// (miner.ErrHalted), and Resume re-arms after recovery. This used to
-// lean on the clients silently swallowing registrations from crashed
-// participants; now the runtime skips them explicitly.
+// and wake decides whether that is worth a drive. p's watches are
+// canceled first and watched again, so subscribe is safe to call again
+// on Resume: a watch its client still lists is revived there, never
+// listed twice. A participant that is down subscribes to nothing — its
+// clients refuse watch registration while halted (miner.ErrHalted), and
+// Resume re-arms after recovery.
 func (rt *Runtime) subscribe(p *xchain.Participant) {
 	st := rt.states[p]
-	for _, sub := range st.subs {
-		sub.Cancel()
+	for i := range st.watches {
+		st.watches[i].Cancel()
 	}
-	st.subs = st.subs[:0]
 	if p.Crashed() {
 		return
 	}
 	for ci, id := range rt.chains {
-		sub, err := p.Client(id).OnTipChange(func(sum miner.TipSummary) { rt.wake(p, st, ci, sum) })
-		if err != nil {
-			// A client halted independently of the participant (cannot
-			// happen through the Participant crash API, which halts all
-			// clients and flags the participant): drop this chain's
-			// subscription; the others still drive p.
-			continue
-		}
-		st.subs = append(st.subs, sub)
+		// Refused only by a client halted on its own: that watch stays canceled.
+		_ = p.Client(id).Watch(&st.watches[ci].Sub, &st.watches[ci])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/graph"
+	"repro/internal/miner"
 	"repro/internal/p2p"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -126,7 +127,7 @@ func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 // them — and a later Recover+Resume arms real ones.
 func TestRuntimeStartWithCrashedParticipant(t *testing.T) {
 	w, alice, bob := world(t, 6)
-	drives := 0
+	drives, skipped := 0, 0
 	rt, err := New(Config{
 		World:        w,
 		Graph:        swapOnC0(t, alice, bob),
@@ -141,23 +142,94 @@ func TestRuntimeStartWithCrashedParticipant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.skipped = func(p *xchain.Participant) {
+		if p == bob {
+			skipped++
+		}
+	}
 	bob.Crash() // declines before the run begins
 	rt.Start()
-	if n := len(rt.states[bob].subs); n != 0 {
-		t.Fatalf("crashed participant holds %d subscriptions after Start", n)
-	}
 	w.RunFor(2 * sim.Minute)
-	if drives != 0 {
-		t.Fatalf("crashed participant driven %d times", drives)
+	if drives+skipped != 0 {
+		t.Fatalf("crashed participant woken %d times (%d driven): it holds subscriptions", drives+skipped, drives)
 	}
 	bob.Recover()
-	rt.Resume(bob)
-	if n := len(rt.states[bob].subs); n == 0 {
+	rt.Resume(bob) // drives once itself
+	w.RunFor(2 * sim.Minute)
+	if drives+skipped <= 1 {
 		t.Fatal("Resume armed no subscriptions for the recovered participant")
 	}
-	w.RunFor(2 * sim.Minute)
 	if drives == 0 {
 		t.Fatal("recovered participant never driven")
+	}
+}
+
+// TestResumeOfALiveParticipantWakesOncePerChain pins the hazard of
+// caller-owned subscriptions: Resume on a participant that never
+// crashed watches again the subscriptions its clients still list. Each
+// tip change must still wake it at most once per chain — exactly as
+// often as a probe subscription on the same client is told — and none
+// after Stop.
+func TestResumeOfALiveParticipantWakesOncePerChain(t *testing.T) {
+	b := xchain.NewBuilder(8)
+	alice, bob := b.Participant("alice"), b.Participant("bob")
+	b.Chain(xchain.DefaultChainSpec("c0"))
+	b.Chain(xchain.DefaultChainSpec("c1"))
+	b.Fund(alice, "c0", 1_000_000)
+	b.Fund(bob, "c0", 1_000_000)
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wakes counts bob's drives and the wake-ups the gate declined, asked
+	// the drives Start and Resume make themselves, told what his probes
+	// heard.
+	wakes, asked, told := 0, 0, 0
+	rt, err := New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Chains:       []chain.ID{"c1"},
+		Drive: func(p *xchain.Participant) {
+			if p == bob {
+				wakes++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.skipped = func(p *xchain.Participant) {
+		if p == bob {
+			wakes++
+		}
+	}
+	probe := miner.TipFunc(func(miner.TipSummary) { told++ })
+	for _, id := range []chain.ID{"c0", "c1"} {
+		if err := bob.Client(id).Watch(new(miner.Sub), probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Start()
+	asked++
+	for i := 0; i < 4; i++ {
+		rt.Resume(bob)
+		rt.Resume(bob)
+		asked += 2
+		w.RunFor(sim.Minute)
+		if wakes-asked != told {
+			t.Fatalf("after %d double resumes: bob woken %d times, his clients told %d", i+1, wakes-asked, told)
+		}
+	}
+	if told == 0 {
+		t.Fatal("no tip change reached the clients")
+	}
+	rt.Stop()
+	at, toldAt := wakes, told
+	w.RunFor(2 * sim.Minute)
+	if wakes != at || told == toldAt {
+		t.Fatalf("after Stop: %d more wake-ups over %d tip changes told, want none", wakes-at, told-toldAt)
 	}
 }
 

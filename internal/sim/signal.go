@@ -22,8 +22,8 @@ package sim
 //     (time, seq) event heap via After(0).
 type Signal struct {
 	s         *Sim
-	waiters   []*Waiter
-	spare     []*Waiter // the previous dispatch's batch, emptied, for the next one to fill
+	waiters   []listing
+	spare     []listing // the previous dispatch's batch, emptied, for the next one to fill
 	dispatch  func()    // g.run, made once so that a Notify allocates nothing
 	scheduled bool
 }
@@ -32,7 +32,13 @@ type Signal struct {
 // safe at any time, including after the waiter fired.
 type Waiter struct {
 	fn       func()
+	gen      uint32 // bumped by Rearm: a listing of an older gen is stale
 	canceled bool
+}
+
+type listing struct {
+	w   *Waiter
+	gen uint32
 }
 
 // NewSignal creates a signal bound to the simulator's clock.
@@ -49,19 +55,22 @@ func (g *Signal) Wait(fn func()) *Waiter {
 		panic("sim: Signal.Wait with nil fn")
 	}
 	w := &Waiter{fn: fn}
-	g.waiters = append(g.waiters, w)
+	g.waiters = append(g.waiters, listing{w: w})
 	return w
 }
 
+// NewWaiter returns an unlisted waiter, for a caller to keep by value and Rearm.
+func NewWaiter(fn func()) Waiter { return Waiter{fn: fn} }
+
 // Rearm registers w for the next notification again, reusing the
 // waiter and its callback: what a subscriber that waits on every
-// notification does instead of allocating a Wait per wake-up. w must
-// have fired — a waiter canceled before firing is still listed until the
-// next dispatch and would run twice. Ordering is Wait's: w joins at the
-// back.
+// notification does instead of allocating a Wait per wake-up. Ordering
+// is Wait's: w joins at the back. Any earlier listing of w — a waiter
+// canceled or re-armed before it fired — goes stale, so w runs once.
 func (g *Signal) Rearm(w *Waiter) {
+	w.gen++
 	w.canceled = false
-	g.waiters = append(g.waiters, w)
+	g.waiters = append(g.waiters, listing{w, w.gen})
 }
 
 // Notify schedules all registered waiters to run at the current
@@ -81,8 +90,8 @@ func (g *Signal) run() {
 	g.scheduled = false
 	batch := g.waiters
 	g.waiters = g.spare // waiters re-registering meanwhile fill the other buffer
-	for _, w := range batch {
-		if !w.canceled {
+	for _, l := range batch {
+		if w := l.w; l.gen == w.gen && !w.canceled {
 			w.canceled = true // one-shot: mark fired
 			w.fn()
 		}
@@ -91,7 +100,7 @@ func (g *Signal) run() {
 	g.spare = batch[:0]
 }
 
-// Waiting reports the number of registered waiters.
+// Waiting reports the number of listed registrations, stale ones included.
 // kept: observed across packages by the engine's
 // TestShardActivityListsOneWaiter.
 func (g *Signal) Waiting() int { return len(g.waiters) }

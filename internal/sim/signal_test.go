@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestSignalDeliversFIFO(t *testing.T) {
 	s := New(1)
@@ -168,5 +171,30 @@ func TestPollerCancelIdempotent(t *testing.T) {
 	s.Run()
 	if n != 2 {
 		t.Fatalf("poller fired after completion+cancel: %d", n)
+	}
+}
+
+// TestRearmOfAListedWaiterRunsOnceAtTheBack: a waiter re-armed while an
+// earlier listing of it is still waiting — canceled or not — runs once
+// per dispatch, where a fresh Wait would: at the back.
+func TestRearmOfAListedWaiterRunsOnceAtTheBack(t *testing.T) {
+	s := New(1)
+	g := s.NewSignal()
+	var order []string
+	a := g.Wait(func() { order = append(order, "a") })
+	g.Wait(func() { order = append(order, "b") })
+	c := g.Wait(func() { order = append(order, "c") })
+	a.Cancel()
+	g.Rearm(a) // canceled, still listed
+	g.Rearm(c) // live, still listed
+	g.Notify()
+	s.Run()
+	if want := []string{"b", "a", "c"}; !slices.Equal(order, want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+	g.Notify()
+	s.Run()
+	if len(order) != 3 {
+		t.Fatalf("a stale listing survived the dispatch: %v", order)
 	}
 }

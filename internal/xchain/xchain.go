@@ -171,8 +171,9 @@ func (b *Builder) Build() (*World, error) {
 		w.Nets[spec.Params.ID] = net
 		w.ids = append(w.ids, spec.Params.ID)
 	}
+	tells := sim.NewPool(b.s, tell.deliver)
 	for i, p := range b.participants {
-		p.sim = b.s
+		p.tells = tells
 		for _, id := range w.ids {
 			p.clients[id] = miner.NewClient(w.Nets[id], i%len(w.Nets[id].Nodes), p.Key)
 		}
@@ -222,7 +223,7 @@ type Participant struct {
 	Name string
 	Key  *crypto.KeyPair
 
-	sim     *sim.Sim
+	tells   *sim.Pool[tell]
 	clients map[chain.ID]*miner.Client
 	inbox   func(from *Participant, msg any)
 	crashed bool
@@ -300,15 +301,20 @@ func (p *Participant) OnMessage(h func(from *Participant, msg any)) { p.inbox = 
 // the internet). It arrives msgLatency later unless the recipient is
 // down by then.
 func (p *Participant) Tell(to *Participant, msg any) {
-	if p.crashed {
-		return
+	if !p.crashed {
+		p.tells.After(msgLatency, tell{p, to, msg})
 	}
-	p.sim.After(msgLatency, func() {
-		if to.crashed || to.inbox == nil {
-			return
-		}
-		to.inbox(p, msg)
-	})
+}
+
+type tell struct { // an off-chain message in flight
+	from, to *Participant
+	msg      any
+}
+
+func (t tell) deliver() {
+	if !t.to.crashed && t.to.inbox != nil {
+		t.to.inbox(t.from, t.msg)
+	}
 }
 
 // EdgeOutcome grades one sub-transaction after a run.

@@ -41,7 +41,8 @@ func funds(w *World, id chain.ID, p *Participant) vm.Amount {
 // with: miner.ErrHalted or miner.ErrClosed when it is down, nil when it
 // is up (the probe subscription is canceled at once).
 func refused(p *Participant, id chain.ID) error {
-	sub, err := p.Client(id).OnTipChange(func(miner.TipSummary) {})
+	var sub miner.Sub
+	err := p.Client(id).Watch(&sub, miner.TipFunc(func(miner.TipSummary) {}))
 	sub.Cancel()
 	return err
 }
@@ -170,7 +171,7 @@ func TestCountContractOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	_, err = client.OnTipChange(func(miner.TipSummary) {
+	err = client.Watch(new(miner.Sub), miner.TipFunc(func(miner.TipSummary) {
 		if d, ok := client.Chain().TxDepth(tx.ID()); done || !ok || d < 2 {
 			return
 		}
@@ -178,7 +179,7 @@ func TestCountContractOps(t *testing.T) {
 			t.Errorf("redeem: %v", err)
 		}
 		done = true
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +215,36 @@ func TestParticipantsInOneBatch(t *testing.T) {
 	}
 	if a, b := batch.Participant("frank"), serial.Participant("frank"); a.Addr() != b.Addr() || len(batch.participants) != len(names)+1 {
 		t.Fatal("the builders' RNGs part after a batch")
+	}
+}
+
+// TestTellAndDeliveryAllocateNothing: an off-chain message rides the
+// world's recycled records, so once warm a Tell and its delivery
+// allocate nothing; a recipient down at delivery time hears nothing.
+func TestTellAndDeliveryAllocateNothing(t *testing.T) {
+	w, alice, bob := buildTwoChainWorld(t, 9)
+	w.StopMining()
+	w.Sim.Run() // drain: every pending tick returns without another
+	heard := 0
+	bob.OnMessage(func(from *Participant, msg any) {
+		if from != alice || msg != any(alice) {
+			t.Fatalf("bob heard %v from %s", msg, from.Name)
+		}
+		heard++
+	})
+	var msg any = alice
+	alice.Tell(bob, msg)
+	w.Sim.Run()
+	if n := testing.AllocsPerRun(100, func() { alice.Tell(bob, msg); w.Sim.Run() }); n != 0 {
+		t.Fatalf("Tell + delivery: %v allocations, want 0", n)
+	}
+	if heard != 102 {
+		t.Fatalf("bob heard %d messages, want 102", heard)
+	}
+	alice.Tell(bob, msg)
+	bob.Crash()
+	w.Sim.Run()
+	if heard != 102 {
+		t.Fatal("a crashed recipient heard a message in flight")
 	}
 }
