@@ -67,15 +67,23 @@ func (h *Header) DecodeFrom(r *wire.Reader) {
 	h.Nonce = r.U64()
 }
 
-// DecodeHeader reverses Encode.
+// DecodeHeader reverses Encode. It inlines, so a caller that does not
+// keep the header holds it on its stack.
 func DecodeHeader(b []byte) (*Header, error) {
-	h := &Header{}
+	h := new(Header)
+	if err := h.decode(b); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+func (h *Header) decode(b []byte) error {
 	r := wire.NewReader(b)
 	h.DecodeFrom(&r)
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("chain: decode header: %w", err)
+		return fmt.Errorf("chain: decode header: %w", err)
 	}
-	return h, nil
+	return nil
 }
 
 // Hash returns the proof-of-work digest of the header. It is computed
@@ -166,31 +174,36 @@ type Block struct {
 }
 
 // NewBlock assembles a block and computes its transaction root. The
-// header is not sealed; call Header.Seal.
+// header is not sealed; call Header.Seal. Block and header are one
+// allocation.
 func NewBlock(header Header, txs []*Tx) *Block {
 	header.TxRoot = TxRoot(txs)
-	return &Block{Header: &header, Txs: txs}
+	bh := &struct {
+		b Block
+		h Header
+	}{h: header}
+	bh.b.Header, bh.b.Txs = &bh.h, txs
+	return &bh.b
 }
 
 // TxRoot computes the Merkle root over the transactions' ids.
 func TxRoot(txs []*Tx) crypto.Hash {
-	leaves := make([]crypto.Hash, len(txs))
-	for i, tx := range txs {
-		id := tx.ID()
-		leaves[i] = merkle.LeafHash(id[:])
-	}
-	return merkle.Root(leaves)
+	var stack [txLeavesOnStack]crypto.Hash
+	return merkle.Fold(appendTxLeaves(stack[:0], txs))
 }
 
-// TxLeaves returns the Merkle leaves for the block's transactions,
-// used when constructing inclusion proofs for evidence.
-func (b *Block) TxLeaves() []crypto.Hash {
-	leaves := make([]crypto.Hash, len(b.Txs))
-	for i, tx := range b.Txs {
+// txLeavesOnStack is how many Merkle leaves TxRoot and ProveTx build on
+// the stack; a larger block builds them on the heap.
+const txLeavesOnStack = 16
+
+// appendTxLeaves appends the Merkle leaves of txs, their leaf-hashed
+// ids, to dst.
+func appendTxLeaves(dst []crypto.Hash, txs []*Tx) []crypto.Hash {
+	for _, tx := range txs {
 		id := tx.ID()
-		leaves[i] = merkle.LeafHash(id[:])
+		dst = append(dst, merkle.LeafHash(id[:]))
 	}
-	return leaves
+	return dst
 }
 
 // Hash returns the block's (memoized) header hash.
@@ -238,5 +251,6 @@ func (b *Block) ProveTx(index int) (*merkle.Proof, error) {
 	if index < 0 || index >= len(b.Txs) {
 		return nil, fmt.Errorf("chain: tx index %d out of range", index)
 	}
-	return merkle.Prove(b.TxLeaves(), index)
+	var stack [txLeavesOnStack]crypto.Hash
+	return merkle.Prove(appendTxLeaves(stack[:0], b.Txs), index)
 }

@@ -208,18 +208,19 @@ func (w *WitnessSC) Call(ctx *vm.Ctx, fn string, args []byte) error {
 	}
 }
 
-// checkpointFor finds the anchor for a chain.
-func (w *WitnessSC) checkpointFor(id chain.ID) (*chain.Header, int, error) {
+// checkpointFor finds the anchor for a chain. The header is returned by
+// value, so the caller holds it on its stack.
+func (w *WitnessSC) checkpointFor(id chain.ID) (chain.Header, int, error) {
 	for _, cp := range w.Checkpoints {
 		if cp.Chain == id {
 			h, err := chain.DecodeHeader(cp.Header)
 			if err != nil {
-				return nil, 0, err
+				return chain.Header{}, 0, err
 			}
-			return h, cp.EvidenceDepth, nil
+			return *h, cp.EvidenceDepth, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("no checkpoint for chain %s", id)
+	return chain.Header{}, 0, fmt.Errorf("no checkpoint for chain %s", id)
 }
 
 // verifyContracts is Algorithm 3's VerifyContracts: the evidence must
@@ -247,7 +248,7 @@ func (w *WitnessSC) verifyContracts(ctx *vm.Ctx, args []byte) error {
 		if ev.ChainID != e.Chain {
 			return fmt.Errorf("edge %d: evidence from chain %s, want %s", i, ev.ChainID, e.Chain)
 		}
-		tx, err := ev.Verify(cp, depth)
+		tx, err := ev.Verify(&cp, depth)
 		if err != nil {
 			return fmt.Errorf("edge %d: %w", i, err)
 		}

@@ -8,6 +8,7 @@ package merkle
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/crypto"
 	"repro/internal/wire"
@@ -33,26 +34,42 @@ func nodeHash(l, r crypto.Hash) crypto.Hash {
 	return crypto.Sum(nodePrefix, l[:], r[:])
 }
 
+// stackLeaves is how many leaves Root and Prove copy on the stack; a
+// larger tree copies to the heap once.
+const stackLeaves = 16
+
 // Root computes the Merkle root over the leaves. An empty leaf set has
 // the zero root (an empty block). Odd levels promote the unpaired node
-// (no duplication, avoiding Bitcoin's CVE-2012-2459 ambiguity).
+// (no duplication, avoiding Bitcoin's CVE-2012-2459 ambiguity). leaves
+// is not modified.
 func Root(leaves []crypto.Hash) crypto.Hash {
-	if len(leaves) == 0 {
+	var stack [stackLeaves]crypto.Hash
+	return Fold(append(stack[:0], leaves...))
+}
+
+// Fold is Root computed in place: each level overwrites the front of
+// the one below it, so level holds garbage afterwards.
+func Fold(level []crypto.Hash) crypto.Hash {
+	if len(level) == 0 {
 		return crypto.ZeroHash
 	}
-	level := append([]crypto.Hash(nil), leaves...)
 	for len(level) > 1 {
-		next := make([]crypto.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
+		level = up(level)
 	}
 	return level[0]
+}
+
+// up overwrites the front of level with the level above it.
+func up(level []crypto.Hash) []crypto.Hash {
+	n := 0
+	for i := 0; i < len(level); i, n = i+2, n+1 {
+		if i+1 < len(level) {
+			level[n] = nodeHash(level[i], level[i+1])
+		} else {
+			level[n] = level[i]
+		}
+	}
+	return level[:n]
 }
 
 // Proof is an inclusion proof for one leaf: the sibling hashes from
@@ -64,29 +81,27 @@ type Proof struct {
 	Lefts    []bool        // Lefts[i] == true when Siblings[i] is a left sibling
 }
 
-// Prove builds an inclusion proof for leaves[index].
+// Prove builds an inclusion proof for leaves[index]. It folds one copy
+// of the leaves as Fold does, reading each level's sibling before the
+// level is folded; the path is sized to the tree's depth.
 func Prove(leaves []crypto.Hash, index int) (*Proof, error) {
 	if index < 0 || index >= len(leaves) {
 		return nil, fmt.Errorf("merkle: index %d out of range [0,%d)", index, len(leaves))
 	}
 	p := &Proof{Index: index, Leaf: leaves[index]}
-	level := append([]crypto.Hash(nil), leaves...)
-	pos := index
-	for len(level) > 1 {
-		var next []crypto.Hash
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
+	if len(leaves) == 1 {
+		return p, nil
+	}
+	var stack [stackLeaves]crypto.Hash
+	level := append(stack[:0], leaves...)
+	depth := bits.Len(uint(len(leaves) - 1))
+	p.Siblings, p.Lefts = make([]crypto.Hash, 0, depth), make([]bool, 0, depth)
+	for pos := index; len(level) > 1; pos /= 2 {
 		if sib := pos ^ 1; sib < len(level) {
 			p.Siblings = append(p.Siblings, level[sib])
 			p.Lefts = append(p.Lefts, sib < pos)
 		}
-		pos /= 2
-		level = next
+		level = up(level)
 	}
 	return p, nil
 }

@@ -1,7 +1,9 @@
 package merkle
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +319,78 @@ func TestNodeAndLeafHashingDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink = LeafHash(id[:]) }); n != 0 {
 		t.Errorf("LeafHash of a tx id allocates %.0f times per call", n)
+	}
+	_ = sink
+}
+
+// levelByLevel is the tree as Root and Prove first built it, a fresh
+// slice per level: the root of leaves and the proof of leaves[index].
+// Fold, Root and Prove must match it byte for byte.
+func levelByLevel(leaves []crypto.Hash, index int) (crypto.Hash, *Proof) {
+	p := &Proof{Index: index, Leaf: leaves[index]}
+	level := append([]crypto.Hash(nil), leaves...)
+	pos := index
+	for len(level) > 1 {
+		var next []crypto.Hash
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, nodeHash(level[i], level[i+1]))
+			} else {
+				next = append(next, level[i])
+			}
+		}
+		if sib := pos ^ 1; sib < len(level) {
+			p.Siblings = append(p.Siblings, level[sib])
+			p.Lefts = append(p.Lefts, sib < pos)
+		}
+		pos /= 2
+		level = next
+	}
+	return level[0], p
+}
+
+// TestFoldMatchesLevelByLevel holds the in-place fold to the reference
+// on every tree size from 1 to 70 — past the 16 leaves Root and Prove
+// copy on the stack — and every leaf: same root, same proof bytes, nil
+// Siblings for a one-leaf tree, and the caller's leaves untouched.
+func TestFoldMatchesLevelByLevel(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		leaves := mkLeaves(n)
+		orig := slices.Clone(leaves)
+		want, _ := levelByLevel(leaves, 0)
+		if got := Root(leaves); got != want {
+			t.Fatalf("n=%d: Root %x, want %x", n, got, want)
+		}
+		if got := Fold(slices.Clone(leaves)); got != want {
+			t.Fatalf("n=%d: Fold %x, want %x", n, got, want)
+		}
+		for i := range leaves {
+			_, wantP := levelByLevel(leaves, i)
+			p, err := Prove(leaves, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.Encode(), wantP.Encode()) || (p.Siblings == nil) != (wantP.Siblings == nil) {
+				t.Fatalf("n=%d i=%d: proof %+v, want %+v", n, i, p, wantP)
+			}
+		}
+		if !slices.Equal(leaves, orig) {
+			t.Fatalf("n=%d: Root or Prove mutated its input", n)
+		}
+	}
+}
+
+// TestRootAndProveAllocations pins what an SPV proof and a tx root cost
+// on a tree of up to 16 leaves: Root folds a stack copy and allocates
+// nothing, Prove allocates the proof and its two path slices.
+func TestRootAndProveAllocations(t *testing.T) {
+	leaves := mkLeaves(16)
+	var sink crypto.Hash
+	if n := testing.AllocsPerRun(100, func() { sink = Root(leaves) }); n != 0 {
+		t.Errorf("Root of 16 leaves allocates %.0f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { p, _ := Prove(leaves, 5); sink = p.Siblings[0] }); n != 3 {
+		t.Errorf("Prove of 16 leaves allocates %.0f times per call, want 3", n)
 	}
 	_ = sink
 }

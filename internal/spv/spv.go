@@ -3,13 +3,14 @@
 // blockchain) verifies that a transaction took place in a validated
 // blockchain without maintaining a copy of it.
 //
-// The package provides the paper's proposed technique — a stable-block
+// The package provides the paper's proposed technique: a stable-block
 // checkpoint stored in the validator, plus submitted evidence carrying
-// the header chain from that checkpoint through the block of interest
-// and d confirmation blocks, each header's proof of work verified, and
-// a Merkle inclusion proof of the transaction. The two alternatives the
-// paper argues do not scale (full replication, light nodes) are not
-// implemented: the validators that run are the contracts themselves.
+// the header chain from that checkpoint to the validated chain's tip,
+// each header's proof of work verified, and a Merkle inclusion proof of
+// the transaction, whose block at least d of those headers bury. The
+// two alternatives the paper argues do not scale (full replication,
+// light nodes) are not implemented: the validators that run are the
+// contracts themselves.
 package spv
 
 import (
