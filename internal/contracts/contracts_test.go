@@ -557,6 +557,52 @@ func TestAuthorizeRedeemRejectsMismatchedContract(t *testing.T) {
 	w.call("witness", f2key(bob), scw.ContractAddr(), FnAuthorizeRedeem, evs, false)
 }
 
+// TestAuthorizeRedeemRejectsOneDeploymentForTwoEdges: two identical
+// edges need two deployments. Proving both with one would let the
+// source lock 40k where the graph promises 80k and still redeem the
+// 90k coming back.
+func TestAuthorizeRedeemRejectsOneDeploymentForTwoEdges(t *testing.T) {
+	ks := keys(2)
+	alice, bob := ks[0], ks[1]
+	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
+	g, err := graph.New(1,
+		graph.Edge{From: alice.Addr, To: bob.Addr, Asset: assetX, Chain: "btc"},
+		graph.Edge{From: alice.Addr, To: bob.Addr, Asset: assetX, Chain: "btc"},
+		graph.Edge{From: bob.Addr, To: alice.Addr, Asset: assetY, Chain: "eth"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := WitnessParams{
+		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *multisig(g.Digest(), alice, bob),
+		Checkpoints: []ChainCheckpoint{
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
+		},
+		WitnessDepth: 1,
+	}
+	scw := w.deploy("witness", alice, TypeWitness, wp.Encode(), 0).ContractAddr()
+	params := func(to crypto.Address) []byte {
+		return PermissionlessParams{
+			Recipient: to, WitnessChain: "witness",
+			WitnessCheckpoint: genesis(w.chains["witness"]).Header.Encode(), SCw: scw, Depth: 1,
+		}.Encode()
+	}
+	sc1 := w.deploy("btc", alice, TypePermissionless, params(bob.Addr), assetX)
+	sc2 := w.deploy("eth", bob, TypePermissionless, params(alice.Addr), assetY)
+	w.mineEmpty("btc", 1)
+	w.mineEmpty("eth", 1)
+
+	ev1, ev2 := w.evidenceFor("btc", sc1.ID(), 1), w.evidenceFor("eth", sc2.ID(), 1)
+	w.call("witness", bob, scw, FnAuthorizeRedeem, rawList(ev1, ev1, ev2), false)
+
+	// The same edges proven by two deployments pass.
+	sc1b := w.deploy("btc", alice, TypePermissionless, params(bob.Addr), assetX)
+	w.mineEmpty("btc", 1)
+	evs := rawList(w.evidenceFor("btc", sc1.ID(), 1), w.evidenceFor("btc", sc1b.ID(), 1), w.evidenceFor("eth", sc2.ID(), 1))
+	w.call("witness", bob, scw, FnAuthorizeRedeem, evs, true)
+}
+
 // f2key is an identity helper making intent explicit at call sites.
 func f2key(k *crypto.KeyPair) *crypto.KeyPair { return k }
 

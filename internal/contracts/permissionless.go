@@ -150,11 +150,7 @@ func (c *PermissionlessSC) verifyWitnessEvidence(args []byte, wantFn string) err
 	if !c.Batch.IsZero() {
 		return c.verifyBatchEvidence(args, wantFn)
 	}
-	ev, err := spv.Decode(args)
-	if err != nil {
-		return err
-	}
-	tx, err := c.verifyWitnessTx(ev)
+	tx, err := c.verifyWitnessTx(args)
 	if err != nil {
 		return err
 	}
@@ -184,11 +180,7 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 	if len(parts) != 2 {
 		return fmt.Errorf("batched evidence has %d parts, want [spv, proof]", len(parts))
 	}
-	ev, err := spv.Decode(parts[0])
-	if err != nil {
-		return err
-	}
-	tx, err := c.verifyWitnessTx(ev)
+	tx, err := c.verifyWitnessTx(parts[0])
 	if err != nil {
 		return err
 	}
@@ -199,8 +191,9 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 	if err != nil {
 		return err
 	}
-	proof, err := merkle.DecodeProof(parts[1])
-	if err != nil {
+	r := wire.NewReader(parts[1])
+	leaf, root := merkle.ReadRoot(&r)
+	if err := r.Finish(); err != nil {
 		return fmt.Errorf("membership proof: %w", err)
 	}
 	var want WitnessState
@@ -209,7 +202,7 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 	} else {
 		want = WitnessRefundAuthorized
 	}
-	if !proof.VerifyData(bc.Root, DecisionLeaf(c.SCw, want)) {
+	if leaf != merkle.LeafHash(DecisionLeaf(c.SCw, want)) || root != bc.Root {
 		return fmt.Errorf("membership proof does not tie (SCw, %s) to the committed root", want)
 	}
 	return nil
@@ -218,15 +211,12 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 // verifyWitnessTx runs the chain-level part of evidence verification
 // shared by both paths: right witness chain, valid header path from
 // the stored stable checkpoint, and burial depth ≥ d (Lemma 5.3).
-func (c *PermissionlessSC) verifyWitnessTx(ev *spv.Evidence) (*chain.Tx, error) {
+func (c *PermissionlessSC) verifyWitnessTx(evidence []byte) (*chain.Tx, error) {
 	checkpoint, err := chain.DecodeHeader(c.WitnessCheckpoint)
 	if err != nil {
 		return nil, fmt.Errorf("stored checkpoint corrupt: %w", err)
 	}
-	if ev.ChainID != c.WitnessChain {
-		return nil, fmt.Errorf("evidence from chain %s, want %s", ev.ChainID, c.WitnessChain)
-	}
-	return ev.Verify(checkpoint, c.Depth)
+	return spv.Verify(evidence, c.WitnessChain, checkpoint, c.Depth)
 }
 
 // Clone implements vm.Contract.

@@ -236,25 +236,26 @@ func (w *WitnessSC) verifyContracts(ctx *vm.Ctx, args []byte) error {
 		return fmt.Errorf("evidence for %d contracts, need %d", len(evs), len(w.Edges))
 	}
 	selfAddr := ctx.Self
+	var stack [8]crypto.Hash
+	proven := stack[:0] // edge j's deployment, so that no two edges share one
 	for i, e := range w.Edges {
-		ev, err := spv.Decode(evs[i])
-		if err != nil {
-			return fmt.Errorf("edge %d: %w", i, err)
-		}
 		cp, depth, err := w.checkpointFor(e.Chain)
 		if err != nil {
 			return fmt.Errorf("edge %d: %w", i, err)
 		}
-		if ev.ChainID != e.Chain {
-			return fmt.Errorf("edge %d: evidence from chain %s, want %s", i, ev.ChainID, e.Chain)
-		}
-		tx, err := ev.Verify(&cp, depth)
+		tx, err := spv.Verify(evs[i], e.Chain, &cp, depth)
 		if err != nil {
 			return fmt.Errorf("edge %d: %w", i, err)
 		}
 		if err := matchDeployToEdge(tx, e, selfAddr, string(ctx.ChainID), w.WitnessDepth); err != nil {
 			return fmt.Errorf("edge %d: %w", i, err)
 		}
+		for j, id := range proven {
+			if id == tx.ID() && w.Edges[j].Chain == e.Chain {
+				return fmt.Errorf("edge %d: deployment %s already proves edge %d", i, id, j)
+			}
+		}
+		proven = append(proven, tx.ID())
 	}
 	return nil
 }

@@ -221,6 +221,60 @@ func TestTrentRejectsRedeemBeforeDeploysConfirm(t *testing.T) {
 	}
 }
 
+// TestTrentRejectsOneContractForTwoEdges: two identical edges need two
+// contracts. Naming one for both would let the source lock half of
+// what the graph promises and still be paid in full.
+func TestTrentRejectsOneContractForTwoEdges(t *testing.T) {
+	w, alice, bob := twoPartyWorld(t, 609)
+	trent := NewTrent(w, 4322, 100*sim.Millisecond)
+	g, err := graph.New(1,
+		graph.Edge{From: alice.Addr(), To: bob.Addr(), Asset: 1_000, Chain: "bitcoin"},
+		graph.Edge{From: alice.Addr(), To: bob.Addr(), Asset: 1_000, Chain: "bitcoin"},
+		graph.Edge{From: bob.Addr(), To: alice.Addr(), Asset: 2_000, Chain: "ethereum"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := crypto.NewMultiSig(g.Digest())
+	ms.Add(alice.Key)
+	ms.Add(bob.Key)
+	trent.Register(g, ms, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	deploy := func(p *xchain.Participant, e graph.Edge) crypto.Address {
+		params := contracts.CentralizedParams{Recipient: e.To, MSDigest: ms.ID(), Witness: trent.Key.Addr}.Encode()
+		_, addr, err := p.Client(e.Chain).Deploy(contracts.TypeCentralized, params, e.Asset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.RunFor(10 * sim.Minute) // mined, and the change spendable again
+		return addr
+	}
+	a1, a2, b := deploy(alice, g.Edges[0]), deploy(alice, g.Edges[1]), deploy(bob, g.Edges[2])
+	w.RunFor(30 * sim.Minute)
+
+	request := func(addrs ...crypto.Address) error {
+		var got error
+		responded := false
+		trent.RequestRedeem(ms.ID(), addrs, 2, func(_ crypto.Signature, _ crypto.Purpose, err error) {
+			responded, got = true, err
+		})
+		w.RunFor(sim.Minute)
+		if !responded {
+			t.Fatal("trent never responded")
+		}
+		return got
+	}
+	if err := request(a1, a1, b); err == nil || trent.SignedRD != 0 {
+		t.Fatalf("one contract for two edges: err = %v, %d signed", err, trent.SignedRD)
+	}
+	if err := request(a1, a2, b); err != nil || trent.SignedRD != 1 {
+		t.Fatalf("two contracts for two edges: err = %v, %d signed", err, trent.SignedRD)
+	}
+}
+
 // BenchmarkAC3TWvsAC3WNLatency is the centralization ablation: the
 // trusted witness decides instantly (no witness-chain confirmation
 // waits), quantifying the latency AC3WN pays for decentralization.

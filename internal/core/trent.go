@@ -154,8 +154,8 @@ func (t *Trent) RequestRefund(msID crypto.Hash, cb func(crypto.Signature, crypto
 	})
 }
 
-// verifyContracts checks every edge has a matching CentralizedSC in
-// state P at the required depth, with both schemes set to
+// verifyContracts checks every edge has a matching CentralizedSC of its
+// own in state P at the required depth, with both schemes set to
 // (ms(D), PK_T).
 func (t *Trent) verifyContracts(g *graph.Graph, msID crypto.Hash, addrs []crypto.Address, depth int) error {
 	if len(addrs) != len(g.Edges) {
@@ -185,6 +185,11 @@ func (t *Trent) verifyContracts(g *graph.Graph, msID crypto.Hash, addrs []crypto
 			return fmt.Errorf("trent: edge %d committed to a different ms(D)", i)
 		case sc.Witness != t.Key.Addr:
 			return fmt.Errorf("trent: edge %d trusts a different witness", i)
+		}
+		for j := range i {
+			if addrs[j] == addrs[i] && g.Edges[j].Chain == e.Chain {
+				return fmt.Errorf("trent: edge %d's contract already serves edge %d", i, j)
+			}
 		}
 	}
 	return nil

@@ -2,8 +2,22 @@ package merkle
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"repro/internal/wire"
 )
+
+// DecodeProof reverses Encode.
+func DecodeProof(b []byte) (*Proof, error) {
+	p := &Proof{}
+	r := wire.NewReader(b)
+	p.DecodeFrom(&r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("merkle: proof: %w", err)
+	}
+	return p, nil
+}
 
 func TestProofCodecRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 33} {

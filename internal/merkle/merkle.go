@@ -108,10 +108,10 @@ func Prove(leaves []crypto.Hash, index int) (*Proof, error) {
 
 // Verify reports whether the proof links its leaf to root. Leaf is
 // trusted as a genuine leaf hash: a caller holding untrusted data must
-// use VerifyData, which recomputes LeafHash(data) and so gets the
-// leaf/node domain separation that blocks interior-node-as-leaf
-// second-preimage forgeries. Verify alone cannot distinguish a leaf
-// from an interior node.
+// also compare Leaf with LeafHash(data), as the callers of ReadRoot do,
+// and so gets the leaf/node domain separation that blocks
+// interior-node-as-leaf second-preimage forgeries. Verify alone cannot
+// distinguish a leaf from an interior node.
 func (p *Proof) Verify(root crypto.Hash) bool {
 	if p == nil || len(p.Siblings) != len(p.Lefts) {
 		return false
@@ -127,15 +127,6 @@ func (p *Proof) Verify(root crypto.Hash) bool {
 	return h == root
 }
 
-// VerifyData reports whether the proof proves the raw payload data
-// under root.
-func (p *Proof) VerifyData(root crypto.Hash, data []byte) bool {
-	if p == nil || p.Leaf != LeafHash(data) {
-		return false
-	}
-	return p.Verify(root)
-}
-
 // siblingLen is the wire size of one path step: the sibling hash and
 // its side byte.
 const siblingLen = crypto.HashSize + 1
@@ -148,7 +139,7 @@ func (p *Proof) EncodedLen() int {
 }
 
 // AppendTo appends the wire form to dst. The proof must be well formed
-// (one side per sibling), as every proof from Prove or DecodeProof is.
+// (one side per sibling), as every proof from Prove or DecodeFrom is.
 func (p *Proof) AppendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(p.Index))
 	dst = append(dst, p.Leaf[:]...)
@@ -183,13 +174,21 @@ func (p *Proof) DecodeFrom(r *wire.Reader) {
 	}
 }
 
-// DecodeProof reverses Encode.
-func DecodeProof(b []byte) (*Proof, error) {
-	p := &Proof{}
-	r := wire.NewReader(b)
-	p.DecodeFrom(&r)
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("merkle: proof: %w", err)
+// ReadRoot reads a proof's wire form as strictly as DecodeFrom and
+// keeps no path, allocating nothing: it returns the proof's leaf and the
+// root its path folds the leaf to. The proof proves data under a root
+// when leaf is LeafHash(data) and root is that root.
+func ReadRoot(r *wire.Reader) (leaf, root crypto.Hash) {
+	r.U32() // the leaf index, which verification does not read
+	r.Fill(leaf[:])
+	root = leaf
+	for n := r.Count(siblingLen); n > 0; n-- {
+		var sib crypto.Hash
+		r.Fill(sib[:])
+		if r.Bool() { // a left sibling is hashed first
+			sib, root = root, sib
+		}
+		root = nodeHash(root, sib)
 	}
-	return p, nil
+	return leaf, root
 }

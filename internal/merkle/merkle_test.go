@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/crypto"
+	"repro/internal/wire"
 )
 
 func mkLeaves(n int) []crypto.Hash {
@@ -118,7 +119,8 @@ func TestSecondPreimageForgedInteriorProof(t *testing.T) {
 	// (the concatenated children) that was never committed. The bare
 	// hash-chain in Verify cannot tell — it trusts the caller-supplied
 	// Leaf — which is exactly why every untrusted-data verification in
-	// this repo goes through VerifyData, where domain separation (0x00
+	// this repo compares the leaf with LeafHash(data) (VerifyData, the
+	// callers of ReadRoot), where domain separation (0x00
 	// leaf prefix vs 0x01 node prefix) closes the attack: no raw
 	// payload can leaf-hash to an interior node value without a
 	// preimage break.
@@ -228,6 +230,18 @@ func TestProveOutOfRange(t *testing.T) {
 	if _, err := Prove(leaves, 4); err == nil {
 		t.Fatal("expected error for index == len")
 	}
+}
+
+// VerifyData checks p as the callers of ReadRoot check a proof's wire
+// form: the leaf must be LeafHash(data) and the path must fold it to
+// root.
+func (p *Proof) VerifyData(root crypto.Hash, data []byte) bool {
+	if p == nil || len(p.Siblings) != len(p.Lefts) {
+		return false
+	}
+	r := wire.NewReader(p.Encode())
+	leaf, got := ReadRoot(&r)
+	return r.Finish() == nil && leaf == LeafHash(data) && got == root
 }
 
 func TestNilAndMalformedProofRejected(t *testing.T) {

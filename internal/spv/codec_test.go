@@ -177,10 +177,38 @@ func TestDecodeStrictness(t *testing.T) {
 }
 
 func TestEvidenceCodecAllocations(t *testing.T) {
-	ev := realEvidence(t, 40)
+	f := newFixture(t, 39)
+	cp := genesis(f.view)
+	ev, err := Build(f.view, cp.Hash(), f.tx.ID(), 6)
+	if err != nil || len(ev.Headers) != 40 {
+		t.Fatalf("built %d headers: %v", len(ev.Headers), err)
+	}
 	enc := ev.Encode()
 	if n := testing.AllocsPerRun(100, func() { _ = ev.Encode() }); n != 1 {
 		t.Errorf("Encode allocates %.0f times, want exactly 1", n)
+	}
+	// The evidence, its header list, the proof and its two slices: the
+	// transaction is encoded only into the evidence's own encoding.
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Build(f.view, cp.Hash(), f.tx.ID(), 6); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 5 {
+		t.Errorf("Build allocates %.0f times, want 5 (6 with a copy of the transaction's encoding)", n)
+	}
+	// Verifying from the bytes allocates the proven transaction and no
+	// header: every header is decoded onto the stack.
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txAllocs := testing.AllocsPerRun(100, func() { _, _ = chain.DecodeTx(dec.TxBytes) })
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Verify(enc, ev.ChainID, cp.Header, 6); err != nil {
+			t.Fatal(err)
+		}
+	}); n != txAllocs {
+		t.Errorf("Verify of a 40-header blob allocates %.0f times, want %.0f (the transaction's)", n, txAllocs)
 	}
 	// The evidence, one header array, its pointer slice, the proof and
 	// its two slices.

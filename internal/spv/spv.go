@@ -42,11 +42,14 @@ type Evidence struct {
 	TxBlockOffset int
 	// TxBytes is the full encoded transaction (the verifier decodes
 	// and inspects it — e.g. the witness contract checks an asset
-	// contract's constructor parameters).
+	// contract's constructor parameters). Decode sets it; Build keeps
+	// the block's transaction instead, encoded in place unless TxBytes
+	// is set.
 	TxBytes []byte
 	// Proof is the Merkle inclusion proof of the transaction id under
 	// the block's TxRoot.
 	Proof *merkle.Proof
+	tx    *chain.Tx // the proven transaction, from Build
 }
 
 // Verification errors.
@@ -58,29 +61,48 @@ func evErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadEvidence, fmt.Sprintf(format, args...))
 }
 
-// Verify checks the evidence against a trusted checkpoint header (the
-// "stable block" stored in the validator smart contract) and a
-// required confirmation depth d. On success it returns the decoded
-// transaction of interest.
+// Verify checks evidence where it lies, in its wire form b, against the
+// chain it must come from, a trusted checkpoint header (the "stable
+// block" stored in the validator smart contract) and a required
+// confirmation depth d. On success it returns the decoded transaction.
 //
-// Checks, in the order the paper gives them: the headers follow the
-// checkpoint hash-to-hash; each header's proof of work is valid; the
-// transaction is Merkle-included in one of them; and that block is
-// buried under at least minDepth following headers.
-func (e *Evidence) Verify(checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
-	if e == nil || checkpoint == nil {
-		return nil, evErr("missing evidence or checkpoint")
+// After a pass that reads b as strictly as Decode, the checks, in the
+// order the paper gives them: the headers follow the checkpoint
+// hash-to-hash; each header's proof of work is valid; the transaction
+// is Merkle-included in one of them; and that block is buried under at
+// least minDepth following headers. Each header is decoded onto the
+// stack, so only the transaction is allocated.
+func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
+	r := wire.NewReader(b)
+	id := chain.ID(r.String())
+	n := r.Count(minHeaderLen)
+	headers := r // the second pass starts here
+	for i := 0; i < n; i++ {
+		if _, err := nextHeader(&r); err != nil {
+			r.Failf("header %d: %v", i, err)
+		}
 	}
-	if e.ChainID != checkpoint.ChainID {
-		return nil, evErr("evidence for chain %q, checkpoint for %q", e.ChainID, checkpoint.ChainID)
+	offset := int(r.U32())
+	txBytes := r.Bytes()
+	leaf, root := merkle.ReadRoot(&r)
+	if err := r.Finish(); err != nil {
+		return nil, evErr("%v", err)
 	}
-	if len(e.Headers) == 0 {
+	if id != want {
+		return nil, evErr("evidence from chain %s, want %s", id, want)
+	}
+	if id != checkpoint.ChainID {
+		return nil, evErr("evidence for chain %q, checkpoint for %q", id, checkpoint.ChainID)
+	}
+	if n == 0 {
 		return nil, evErr("no headers")
 	}
 	prevHash := checkpoint.Hash()
 	prevHeight := checkpoint.Height
-	for i, h := range e.Headers {
-		if h.ChainID != e.ChainID {
+	var txRoot crypto.Hash
+	for i := 0; i < n; i++ {
+		h, _ := nextHeader(&headers)
+		if h.ChainID != id {
 			return nil, evErr("header %d from chain %q", i, h.ChainID)
 		}
 		if h.Parent != prevHash {
@@ -93,25 +115,42 @@ func (e *Evidence) Verify(checkpoint *chain.Header, minDepth int) (*chain.Tx, er
 		if !chain.MeetsTarget(hash, h.Bits) {
 			return nil, evErr("header %d fails proof of work", i)
 		}
+		if i == offset {
+			txRoot = h.TxRoot
+		}
 		prevHash = hash
 		prevHeight = h.Height
 	}
-	if e.TxBlockOffset < 0 || e.TxBlockOffset >= len(e.Headers) {
-		return nil, evErr("tx block offset %d out of range", e.TxBlockOffset)
+	if offset >= n {
+		return nil, evErr("tx block offset %d out of range", offset)
 	}
-	depth := len(e.Headers) - 1 - e.TxBlockOffset
-	if depth < minDepth {
+	if depth := n - 1 - offset; depth < minDepth {
 		return nil, evErr("tx buried %d deep, need %d", depth, minDepth)
 	}
-	tx, err := chain.DecodeTx(e.TxBytes)
+	tx, err := chain.DecodeTx(txBytes)
 	if err != nil {
 		return nil, evErr("tx bytes: %v", err)
 	}
-	id := tx.ID()
-	if !e.Proof.VerifyData(e.Headers[e.TxBlockOffset].TxRoot, id[:]) {
-		return nil, evErr("merkle proof fails for tx %s", id)
+	txID := tx.ID()
+	if leaf != merkle.LeafHash(txID[:]) || root != txRoot {
+		return nil, evErr("merkle proof fails for tx %s", txID)
 	}
 	return tx, nil
+}
+
+// Verify is the package's Verify over the evidence's own encoding.
+func (e *Evidence) Verify(checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
+	if e == nil || e.Proof == nil || checkpoint == nil {
+		return nil, evErr("missing evidence or checkpoint")
+	}
+	return Verify(e.Encode(), e.ChainID, checkpoint, minDepth)
+}
+
+// nextHeader decodes the length-prefixed header r is at.
+func nextHeader(r *wire.Reader) (h chain.Header, err error) {
+	hr := wire.NewReader(r.Bytes())
+	h.DecodeFrom(&hr)
+	return h, hr.Finish()
 }
 
 // Build assembles evidence for txID from a node's chain view, anchored
@@ -148,24 +187,27 @@ func Build(view *chain.Chain, checkpointHash crypto.Hash, txID crypto.Hash, minD
 		ChainID:       view.Params().ID,
 		Headers:       headers,
 		TxBlockOffset: int(b.Header.Height - cp.Header.Height - 1),
-		TxBytes:       b.Txs[txIdx].Encode(),
 		Proof:         proof,
+		tx:            b.Txs[txIdx],
 	}, nil
 }
 
 // EncodedLen is the size of the evidence's wire form: chain id, u32
 // header count, each header behind its u32 length, u32 block offset,
-// the transaction bytes, then the merkle proof.
+// the transaction bytes behind their u32 length, then the merkle proof.
 func (e *Evidence) EncodedLen() int {
 	n := wire.LenPrefix + len(e.ChainID) + wire.LenPrefix
 	for _, h := range e.Headers {
 		n += wire.LenPrefix + h.EncodedLen()
 	}
+	if e.TxBytes == nil && e.tx != nil {
+		n += e.tx.EncodedLen()
+	}
 	return n + wire.LenPrefix + wire.LenPrefix + len(e.TxBytes) + e.Proof.EncodedLen()
 }
 
-// AppendTo appends the wire form to dst; headers and proof are written
-// straight into it.
+// AppendTo appends the wire form to dst; headers, the transaction and
+// the proof are written straight into it.
 func (e *Evidence) AppendTo(dst []byte) []byte {
 	dst = wire.AppendString(dst, string(e.ChainID))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Headers)))
@@ -174,7 +216,11 @@ func (e *Evidence) AppendTo(dst []byte) []byte {
 		dst = h.AppendTo(dst)
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(e.TxBlockOffset))
-	dst = wire.AppendBytes(dst, e.TxBytes)
+	if e.TxBytes == nil && e.tx != nil {
+		dst = e.tx.AppendTo(binary.BigEndian.AppendUint32(dst, uint32(e.tx.EncodedLen())))
+	} else {
+		dst = wire.AppendBytes(dst, e.TxBytes)
+	}
 	return e.Proof.AppendTo(dst)
 }
 

@@ -177,11 +177,15 @@ func TestEvidenceWrongTxRejected(t *testing.T) {
 	}
 }
 
-// decodeTxForTest decodes the evidence transaction, failing the test
-// on error.
+// decodeTxForTest decodes the evidence transaction from the evidence's
+// encoding (built evidence holds no TxBytes), failing the test on error.
 func (e *Evidence) decodeTxForTest(t *testing.T) *chain.Tx {
 	t.Helper()
-	tx, err := chain.DecodeTx(e.TxBytes)
+	dec, err := Decode(e.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := chain.DecodeTx(dec.TxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
