@@ -119,7 +119,7 @@ type Run struct {
 	scwTx   *chain.Tx
 	scwAddr crypto.Address
 	// Checkpoints registered in SCw, per asset chain: the stable
-	// block hash evidence must be anchored at.
+	// block hash evidence must be anchored at. Never written once set.
 	checkpointHash map[chain.ID]crypto.Hash
 
 	// retryEvery is the base interval for throttling the SCw deploy and
@@ -131,7 +131,7 @@ type Run struct {
 	// redeem and refund: the settle phase, built once.
 	redeem, refund protocol.Settlement[*contracts.PermissionlessSC]
 
-	states   map[*xchain.Participant]*pstate
+	states   []pstate // by participant index (Runtime.Index)
 	abortDue bool
 	// commitPushed: some participant submitted authorize_redeem.
 	commitPushed bool
@@ -143,7 +143,7 @@ type Run struct {
 	AllDeployedAt  sim.Time
 	DecidedAt      sim.Time
 	DecidedOutcome contracts.WitnessState
-	anchorReported map[int]bool
+	anchorReported map[int]bool // made on the first report
 
 	// witnessTxs / witnessBytes measure this AC2T's decision traffic on
 	// the witness chain: the per-AC2T authorize_* transaction in the
@@ -183,15 +183,10 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		cfg.StableDepth = cfg.AssetDepth
 	}
 	r := &Run{
-		w:              w,
-		cfg:            cfg,
-		retryEvery:     w.Nets[cfg.WitnessChain].Params.BlockInterval / 2,
-		checkpointHash: make(map[chain.ID]crypto.Hash),
-		states:         make(map[*xchain.Participant]*pstate),
-		anchorReported: make(map[int]bool),
-	}
-	for _, p := range cfg.Participants {
-		r.states[p] = &pstate{}
+		w:          w,
+		cfg:        cfg,
+		retryEvery: w.Nets[cfg.WitnessChain].Params.BlockInterval / 2,
+		states:     make([]pstate, len(cfg.Participants)),
 	}
 	// The secret is evidence of the decision that opens the direction, and
 	// there is none while an edge went the other way: a reorg deeper than d
@@ -252,10 +247,7 @@ func (r *Run) Start() {
 // recipient afterwards).
 func (r *Run) onMessage(p, from *xchain.Participant, msg any) {
 	if m, ok := msg.(announceSCw); ok && r.scwAddr.IsZero() {
-		r.scwAddr = m.Addr
-		for id, h := range m.Checkpoints {
-			r.checkpointHash[id] = h
-		}
+		r.scwAddr, r.checkpointHash = m.Addr, m.Checkpoints
 	}
 }
 
@@ -264,7 +256,7 @@ func (r *Run) onMessage(p, from *xchain.Participant, msg any) {
 // runtime calls it on tip-change notifications, announcement arrival,
 // timer expiry, and resume.
 func (r *Run) drive(p *xchain.Participant) {
-	st := r.states[p]
+	st := &r.states[r.Index(p)]
 	now := r.w.Sim.Now()
 
 	// Phase 1: the initiator publishes SCw and keeps the deployment
@@ -637,8 +629,7 @@ func (r *Run) noteOrphanedAnchor(p *xchain.Participant, i int, sc *contracts.Per
 	}
 	hdr, err := chain.DecodeHeader(sc.WitnessCheckpoint)
 	if err != nil {
-		r.anchorReported[i] = true
-		r.Event(i, "witness checkpoint corrupt — asset unrecoverable")
+		r.reportAnchor(i, "witness checkpoint corrupt — asset unrecoverable")
 		return
 	}
 	wview := p.Client(r.cfg.WitnessChain).Chain()
@@ -657,8 +648,16 @@ func (r *Run) noteOrphanedAnchor(p *xchain.Participant, i int, sc *contracts.Per
 	if cb, ok := wview.CanonicalAt(hdr.Height); !ok || cb.Hash() == hdr.Hash() {
 		return
 	}
+	r.reportAnchor(i, "witness checkpoint orphaned — asset unrecoverable")
+}
+
+// reportAnchor puts edge i's anchor failure on the timeline, once.
+func (r *Run) reportAnchor(i int, label string) {
+	if r.anchorReported == nil {
+		r.anchorReported = make(map[int]bool)
+	}
 	r.anchorReported[i] = true
-	r.Event(i, "witness checkpoint orphaned — asset unrecoverable")
+	r.Event(i, label)
 }
 
 // witnessEvidenceFor builds SPV evidence that SCw's state-changing

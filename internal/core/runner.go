@@ -100,7 +100,7 @@ func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bo
 // and writes here any that are not written yet.
 func signGraph(w *xchain.World, g *graph.Graph, ps []*xchain.Participant) *crypto.MultiSig {
 	w.GraphSigs += uint64(len(ps))
-	ms := crypto.NewMultiSig(g.Digest())
+	ms := &crypto.MultiSig{Digest: g.Digest(), Sigs: make([]crypto.Signature, 0, len(ps))}
 	for _, p := range ps {
 		ms.Sigs = append(ms.Sigs, w.Sigs.Sign(p.Key, ms.Digest))
 	}

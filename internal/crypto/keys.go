@@ -103,32 +103,33 @@ func AddressFromPub(pub ed25519.PublicKey) Address {
 
 // KeyPair is an end-user identity: an Ed25519 key pair plus its
 // derived address. Participants hold one KeyPair per blockchain they
-// transact on (the paper's application-layer end-users).
+// transact on (the paper's application-layer end-users). Pub is a view
+// of the private key's second half, as in ed25519.PrivateKey.
 type KeyPair struct {
 	Pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 	Addr Address
 }
 
-// GenerateKey creates a key pair from the given randomness source.
-// Deterministic sources (sim.RNG via an io.Reader adapter) make whole
-// simulations reproducible.
-func GenerateKey(rand io.Reader) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: generate key: %w", err)
+// MustGenerateKey creates a key pair from the given randomness source,
+// as ed25519.GenerateKey would from it, and panics if the source fails.
+// Deterministic sources (sim.RNG via an io.Reader adapter) cannot fail
+// and make whole simulations reproducible.
+func MustGenerateKey(rand io.Reader) *KeyPair {
+	k, priv := new(KeyPair), make([]byte, ed25519.PrivateKeySize)
+	if _, err := io.ReadFull(rand, priv[:ed25519.SeedSize]); err != nil {
+		panic(fmt.Errorf("crypto: generate key: %w", err))
 	}
-	return &KeyPair{Pub: pub, priv: priv, Addr: AddressFromPub(pub)}, nil
+	k.derive(priv)
+	return k
 }
 
-// MustGenerateKey is GenerateKey for deterministic sources that cannot
-// fail; it panics on error.
-func MustGenerateKey(rand io.Reader) *KeyPair {
-	kp, err := GenerateKey(rand)
-	if err != nil {
-		panic(err)
-	}
-	return kp
+// derive makes k the key pair whose seed is priv's first half, writing
+// the private key into priv.
+func (k *KeyPair) derive(priv []byte) {
+	copy(priv, ed25519.NewKeyFromSeed(priv[:ed25519.SeedSize]))
+	k.priv, k.Pub = priv, priv[ed25519.SeedSize:]
+	k.Addr = AddressFromPub(k.Pub)
 }
 
 // Sign signs msg with the private key.

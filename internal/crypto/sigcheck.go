@@ -1,7 +1,6 @@
 package crypto
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"runtime"
 	"slices"
@@ -355,14 +354,18 @@ func (c *SigChecker) Background(b *SigBook) {
 	}
 }
 
-// Keys returns what n MustGenerateKey(NewRandReader(next)) calls would, the
-// checkers (nil: none) deriving from the caller's queue too; the caller then
-// waits for what a checker still holds, one derivation at most.
-func (c *SigChecker) Keys(next func() uint64, n int) []*KeyPair {
-	seeds, keys := make([]byte, n*ed25519.SeedSize), make([]*KeyPair, n)
-	NewRandReader(next).Read(seeds) // never fails
+// Keys returns what n MustGenerateKey(NewRandReader(next)) calls would, in
+// one array of key pairs over one array of private keys; the checkers (nil:
+// none) derive from the caller's queue too, and the caller then waits for
+// what a checker still holds, one derivation at most.
+func (c *SigChecker) Keys(next func() uint64, n int) []KeyPair {
+	privs, keys := make([]byte, n*ed25519.PrivateKeySize), make([]KeyPair, n)
+	rand := NewRandReader(next)
+	for i := range keys {
+		rand.Read(privs[i*ed25519.PrivateKeySize:][:ed25519.SeedSize]) // never fails
+	}
 	b := &batch{n: int64(n), kind: aheadKeys, do: func(i int) bool {
-		keys[i] = MustGenerateKey(bytes.NewReader(seeds[i*ed25519.SeedSize:]))
+		keys[i].derive(privs[i*ed25519.PrivateKeySize:][:ed25519.PrivateKeySize:ed25519.PrivateKeySize]) // Pub ends where its key does
 		return true
 	}}
 	c.queue(b)

@@ -509,6 +509,7 @@ func TestSettleRacesAChecker(t *testing.T) {
 // checker or handed to a checker that has stopped, is n serial
 // MustGenerateKey(NewRandReader(next)) calls: the same public keys,
 // addresses and signatures, and the RNG left where those calls leave it.
+// Each public key ends where its key's slot of the batch's array does.
 func TestKeysMatchTheSerialPath(t *testing.T) {
 	digest := Sum([]byte("(D, t)"))
 	closed := NewSigChecker(1)
@@ -539,6 +540,9 @@ func TestKeysMatchTheSerialPath(t *testing.T) {
 				want := MustGenerateKey(NewRandReader(serial.Uint64))
 				if !bytes.Equal(k.Pub, want.Pub) || k.Addr != want.Addr || !k.Sign(digest[:]).Equal(want.Sign(digest[:])) {
 					t.Fatalf("%s, n=%d: key %d is not the serial path's", c.name, n, i)
+				}
+				if cap(k.Pub) != len(k.Pub) {
+					t.Fatalf("%s, n=%d: key %d's public key runs into its neighbour's", c.name, n, i)
 				}
 			}
 			if serial.Uint64() != batched.Uint64() {

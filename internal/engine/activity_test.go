@@ -26,9 +26,7 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 	if err := e.buildWorld(txCount, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range e.specs {
-		s.At(e.specs[i].arrival, func() { e.admit(i) })
-	}
+	e.scheduleArrivals()
 	dispatches, midPass := 0, 0
 	var probe *sim.Waiter
 	// The probe rides the same signal; its check runs as a later event of

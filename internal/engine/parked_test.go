@@ -25,9 +25,7 @@ func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 	if err := e.buildWorld(txCount, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range e.specs {
-		s.At(e.specs[i].arrival, func() { e.admit(i) })
-	}
+	e.scheduleArrivals()
 	var nodes []*miner.Node
 	for _, id := range e.w.Chains() {
 		nodes = append(nodes, e.w.Net(id).Nodes...)

@@ -66,11 +66,15 @@ type txSpec struct {
 	graph    *graph.Graph
 }
 
-// txState tracks one admitted AC2T through grading.
+// txState tracks one AC2T from its arrival through grading.
 type txState struct {
-	runner core.Runner
-	parts  []*xchain.Participant
-	graded bool
+	// due is the one callback of the AC2T's arrival, deadline and
+	// settle-grace events, which tell them apart by arrived and expired.
+	due              func()
+	arrived, expired bool
+	runner           core.Runner
+	parts            []*xchain.Participant
+	graded           bool
 	// finishing: Settled held and the settle-grace finish is pending.
 	finishing bool
 	// startedAt/settledAt bound the root span: admission, and the
@@ -183,10 +187,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, cfg Config, txCount int, graded 
 	if err := e.buildWorld(txCount, sigs); err != nil {
 		return nil, err
 	}
-	for i := range e.specs {
-		i := i
-		s.At(e.specs[i].arrival, func() { e.admit(i) })
-	}
+	e.scheduleArrivals()
 	// Hard virtual-time cap: even if every transaction runs to its
 	// timeout in maximally backpressured batches, the stream fits.
 	// Quiescence is signaled (finish stops the sim when the last
@@ -270,13 +271,15 @@ func runShard(s *sim.Sim, idx int, seed uint64, cfg Config, txCount int, graded 
 		e.res.MsgsDropped += net.MsgsDropped()
 		// One summary span per chain: the whole shard makespan on its
 		// own track, annotated with the chain's lifetime counters.
-		e.rec.Span("chain:"+string(id), "chain "+string(id), 0, int64(s.Now()), -1,
-			trace.Attr{K: "blocks_mined", V: int64(net.BlocksMined())},
-			trace.Attr{K: "blocks_executed", V: int64(st.Executed)},
-			trace.Attr{K: "exec_cache_hits", V: int64(st.Hits)},
-			trace.Attr{K: "forks_observed", V: int64(net.TotalReorgs())},
-			trace.Attr{K: "max_reorg_depth", V: int64(net.MaxReorgDepth())},
-			trace.Attr{K: "msgs_dropped", V: int64(net.MsgsDropped())})
+		if e.rec.Enabled() {
+			e.rec.Span("chain:"+string(id), "chain "+string(id), 0, int64(s.Now()), -1,
+				trace.Attr{K: "blocks_mined", V: int64(net.BlocksMined())},
+				trace.Attr{K: "blocks_executed", V: int64(st.Executed)},
+				trace.Attr{K: "exec_cache_hits", V: int64(st.Hits)},
+				trace.Attr{K: "forks_observed", V: int64(net.TotalReorgs())},
+				trace.Attr{K: "max_reorg_depth", V: int64(net.MaxReorgDepth())},
+				trace.Attr{K: "msgs_dropped", V: int64(net.MsgsDropped())})
+		}
 	}
 	// Retire the world: the simulator's queue still holds mining
 	// timers and residual pollers whose closures pin every chain,
@@ -382,6 +385,27 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	return nil
 }
 
+// scheduleArrivals makes each AC2T's callback and schedules its arrival.
+// A deadline event runs before a settle-grace event of the same instant.
+func (e *shardExec) scheduleArrivals() {
+	for i := range e.specs {
+		st := &e.txs[i]
+		st.due = func() {
+			switch {
+			case !st.arrived:
+				st.arrived = true
+				e.admit(i)
+			case !st.expired && e.s.Now() == st.deadline:
+				st.expired = true
+				e.checkTx(i)
+			default:
+				e.finish(i, st.runner)
+			}
+		}
+		e.s.At(e.specs[i].arrival, st.due)
+	}
+}
+
 // engineRetireDepth is the default history-GC horizon: whole blocks
 // (whose bodies carry the SPV evidence blobs dominating memory at
 // scale) are released this deep below every view's tip. It must exceed
@@ -472,7 +496,7 @@ func (e *shardExec) start(i int) {
 	if sc.apply != nil {
 		sc.apply(e, i, st)
 	}
-	e.s.At(st.deadline, func() { e.checkTx(i) })
+	e.s.At(st.deadline, st.due)
 	e.armActivity()
 }
 
@@ -515,7 +539,7 @@ func (e *shardExec) checkTx(i int) {
 	if st.runner != nil && st.runner.Settled() {
 		st.finishing = true
 		st.settledAt = e.s.Now()
-		e.s.After(settleGrace, func() { e.finish(i, st.runner) })
+		e.s.After(settleGrace, st.due)
 		return
 	}
 	if e.s.Now() >= st.deadline {
@@ -645,8 +669,9 @@ func (e *shardExec) observeTx(i int, runner core.Runner, committed, aborted, vio
 		{trace.PhaseSettle, dd, st.settledAt, okDD && st.settledAt != 0},
 	}
 
-	track := fmt.Sprintf("tx:%d", i)
+	var track string // named only for a trace
 	if e.rec.Enabled() {
+		track = fmt.Sprintf("tx:%d", i)
 		outcome := "stuck"
 		switch {
 		case committed:

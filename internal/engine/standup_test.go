@@ -94,3 +94,56 @@ func TestNewRunnerUnknownProtocol(t *testing.T) {
 		t.Fatalf("NewRunner(2pc) = %v, %v; want an error", r, err)
 	}
 }
+
+// TestStandUpAllocations pins the heap objects one 2-party AC2T costs to
+// stand up — NewRunner and Start, on a built world, with participants no
+// earlier run touched — under each protocol (ADR-024): the runtime, its
+// ledgers and wait-sets, the protocol's own state and its opening moves.
+// Participants, their clients and keys are the world's, built once.
+func TestStandUpAllocations(t *testing.T) {
+	const runs = 20
+	for _, c := range []struct {
+		proto   Protocol
+		ceiling float64
+	}{{ProtoAC3WN, 47}, {ProtoAC3TW, 45}, {ProtoHTLC, 69}} {
+		t.Run(string(c.proto), func(t *testing.T) {
+			b := xchain.NewBuilder(47000)
+			ids := []chain.ID{"c0", "c1"}
+			for _, id := range []chain.ID{"c0", "c1", "witness"} {
+				b.Chain(xchain.DefaultChainSpec(id))
+			}
+			pairs, graphs := make([][]*xchain.Participant, runs+1), make([]*graph.Graph, runs+1)
+			for i := range pairs {
+				pairs[i] = b.Participants(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+				for j, p := range pairs[i] {
+					b.Fund(p, ids[j], 1_000_000)
+				}
+			}
+			w, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range graphs {
+				if graphs[i], err = graph.Ring(int64(i+1), xchain.Addrs(pairs[i]), 10_000, ids); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			n := testing.AllocsPerRun(runs, func() {
+				r, err := NewRunner(w, c.proto, AC2T{
+					Graph: graphs[i], Participants: pairs[i], Witness: "witness", Depth: 2,
+					AbortAfter: safetyAbortAfter, TrentSeed: uint64(i), TrentLatency: 100 * sim.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Start()
+				i++
+			})
+			t.Logf("%s: %v allocations to stand a 2-party AC2T up", c.proto, n)
+			if n > c.ceiling {
+				t.Fatalf("%s: %v allocations to stand a 2-party AC2T up, ceiling %v", c.proto, n, c.ceiling)
+			}
+		})
+	}
+}

@@ -59,11 +59,12 @@ func (e *Edge) DecodeFrom(r *wire.Reader) {
 }
 
 // Graph is a timestamped AC2T graph (D, t). Construct with New, which
-// validates shape and derives the participant set.
+// validates shape and derives the participant and chain sets.
 type Graph struct {
 	Edges        []Edge
 	Participants []crypto.Address // derived from edges, sorted, unique
 	Timestamp    int64            // the t of Equation 1
+	chains       []chain.ID       // derived from edges, sorted, unique
 }
 
 // New validates the edges and builds the graph. The timestamp
@@ -72,8 +73,8 @@ func New(timestamp int64, edges ...Edge) (*Graph, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("graph: no edges")
 	}
-	seen := make(map[crypto.Address]bool)
-	var parts []crypto.Address
+	parts := make([]crypto.Address, 0, 2*len(edges))
+	chains := make([]chain.ID, 0, len(edges))
 	for i, e := range edges {
 		switch {
 		case e.From == e.To:
@@ -85,15 +86,17 @@ func New(timestamp int64, edges ...Edge) (*Graph, error) {
 		case e.Chain == "":
 			return nil, fmt.Errorf("graph: edge %d has no blockchain", i)
 		}
-		for _, a := range []crypto.Address{e.From, e.To} {
-			if !seen[a] {
-				seen[a] = true
-				parts = append(parts, a)
-			}
-		}
+		parts = append(parts, e.From, e.To)
+		chains = append(chains, e.Chain)
 	}
 	slices.SortFunc(parts, func(a, b crypto.Address) int { return bytes.Compare(a[:], b[:]) })
-	return &Graph{Edges: append([]Edge(nil), edges...), Participants: parts, Timestamp: timestamp}, nil
+	slices.Sort(chains)
+	return &Graph{
+		Edges:        append([]Edge(nil), edges...),
+		Participants: slices.Clip(slices.Compact(parts)),
+		Timestamp:    timestamp,
+		chains:       slices.Clip(slices.Compact(chains)),
+	}, nil
 }
 
 // compareEdges is the canonical edge order of the digest: by source,
@@ -113,9 +116,11 @@ func compareEdges(a, b Edge) int {
 
 // Digest canonically encodes (D, t) and hashes it — the message every
 // participant signs to form ms(D). Edge order does not affect the
-// digest.
+// digest. The edges are sorted in a stack copy (one on the heap past
+// eight edges).
 func (g *Graph) Digest() crypto.Hash {
-	edges := slices.Clone(g.Edges)
+	var sorted [8]Edge
+	edges := append(sorted[:0], g.Edges...)
 	slices.SortFunc(edges, compareEdges)
 	var stack [512]byte // a two-party graph encodes to ~150 bytes
 	buf := append(stack[:0], "ac2t-graph/v1"...)
@@ -322,19 +327,9 @@ func (g *Graph) EdgesFrom(u crypto.Address) []Edge {
 	return out
 }
 
-// Chains returns the distinct blockchains the AC2T touches.
-func (g *Graph) Chains() []chain.ID {
-	seen := make(map[chain.ID]bool)
-	var out []chain.ID
-	for _, e := range g.Edges {
-		if !seen[e.Chain] {
-			seen[e.Chain] = true
-			out = append(out, e.Chain)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
+// Chains returns the distinct blockchains the AC2T touches, sorted:
+// computed once by New and shared, so callers must not modify it.
+func (g *Graph) Chains() []chain.ID { return g.chains }
 
 // String summarizes the graph for logs.
 func (g *Graph) String() string {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/chain"
@@ -265,6 +266,17 @@ func TestRandomGraphInvariants(t *testing.T) {
 		if len(touched) != len(g.Participants) {
 			t.Fatal("isolated participant")
 		}
+		// Chains is the distinct edge chains, sorted.
+		var chains []chain.ID
+		for _, e := range g.Edges {
+			if !slices.Contains(chains, e.Chain) {
+				chains = append(chains, e.Chain)
+			}
+		}
+		slices.Sort(chains)
+		if !slices.Equal(g.Chains(), chains) {
+			t.Fatalf("Chains() = %v, the edges' chains are %v", g.Chains(), chains)
+		}
 		// Digest stability.
 		if g.Digest() != g.Digest() {
 			t.Fatal("digest not deterministic")
@@ -293,7 +305,8 @@ func TestStringRendering(t *testing.T) {
 // TestDigestGoldenVectors pins Digest to the bytes of the commit before
 // the wire codec (ADR-012): ms(D) signs it, so a change would alter
 // every SCw deployment. The second graph's encoding (12 edges) runs
-// past Digest's stack buffer.
+// past Digest's stack buffer, and its edges past the stack copy Digest
+// sorts them in: given in reverse, they hash the same.
 func TestDigestGoldenVectors(t *testing.T) {
 	a, b, c := crypto.Address{1}, crypto.Address{2}, crypto.Address{3}
 	g, err := New(-7, Edge{From: a, To: b, Asset: 10, Chain: "btc"}, Edge{From: b, To: c, Asset: 1 << 40, Chain: "eth"},
@@ -315,5 +328,26 @@ func TestDigestGoldenVectors(t *testing.T) {
 	d = g.Digest()
 	if got := hex.EncodeToString(d[:]); got != "b505c5024850083fa9a0a7af501d53101ace64b317d6391c33293ff6f0fbb4e7" {
 		t.Fatalf("12-edge digest = %s", got)
+	}
+	slices.Reverse(edges)
+	if g, err = New(1<<40, edges...); err != nil {
+		t.Fatal(err)
+	}
+	d = g.Digest()
+	if got := hex.EncodeToString(d[:]); got != "b505c5024850083fa9a0a7af501d53101ace64b317d6391c33293ff6f0fbb4e7" {
+		t.Fatalf("12-edge digest, edges reversed = %s", got)
+	}
+}
+
+// TestDigestAndChainsAllocateNothing: Digest sorts up to eight edges in
+// a stack copy, and Chains is computed once, by New.
+func TestDigestAndChainsAllocateNothing(t *testing.T) {
+	ks := testKeys(8)
+	g, err := Ring(1, addrs(ks), 10, []chain.ID{"c2", "c1", "c3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Digest(); g.Chains() }); n != 0 {
+		t.Fatalf("Digest + Chains of an 8-edge graph: %v allocations, want 0", n)
 	}
 }

@@ -41,7 +41,7 @@ type Client struct {
 	node *Node
 	net  *Network
 	sim  *sim.Sim
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	nonce    uint64
 	reserved map[chain.OutPoint]bool // made on first use
@@ -49,8 +49,10 @@ type Client struct {
 	subs []*Sub
 	one  [1]*Sub // subs' first backing array
 	// waiter is the client's one registration on the node's tip signal,
-	// made with the client and armed while subscriptions exist.
+	// made on the first arm (a client nobody watches never makes it) and
+	// armed while subscriptions exist.
 	waiter sim.Waiter
+	made   bool
 	armed  bool
 	// seen is the tip the subscribers last heard about (the tip when the
 	// waiter was armed); joined backs the summary of what came after it.
@@ -105,16 +107,23 @@ func (s *Sub) Cancel() { s.canceled = true }
 // NewClient attaches a fresh client identity to node i of the
 // network.
 func NewClient(net *Network, nodeIndex int, key *crypto.KeyPair) *Client {
-	c := &Client{
+	c := new(Client)
+	c.Init(net, nodeIndex, key)
+	return c
+}
+
+// Init is NewClient in place: it attaches c, a Client its caller holds by
+// value, to node i of the network.
+func (c *Client) Init(net *Network, nodeIndex int, key *crypto.KeyPair) {
+	*c = Client{
 		Key:           key,
 		node:          net.Node(nodeIndex),
 		net:           net,
 		sim:           net.Sim,
-		rng:           net.Sim.RNG().Fork(),
+		rng:           *net.Sim.RNG().Fork(),
 		ResubmitEvery: 3 * net.Params.BlockInterval,
 	}
-	c.subs, c.waiter = c.one[:0], sim.NewWaiter(c.onTip)
-	return c
+	c.subs = c.one[:0]
 }
 
 // Chain returns the attached node's chain view (reads only).
@@ -162,6 +171,9 @@ func (c *Client) Restart() {
 func (c *Client) ensureArmed() {
 	if c.armed || c.halted || len(c.subs) == 0 {
 		return
+	}
+	if !c.made {
+		c.waiter, c.made = sim.NewWaiter(c.onTip), true
 	}
 	c.node.TipChanged().Rearm(&c.waiter)
 	c.armed = true

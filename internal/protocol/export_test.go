@@ -27,10 +27,10 @@ func (rt *Runtime) footprint(p *xchain.Participant) footprint {
 		confirmed:   rt.confirmed,
 		version:     rt.version,
 		pending:     rt.cfg.World.Sim.Pending(),
-		deployedOwn: rt.states[p].deployedOwn,
+		deployedOwn: rt.state(p).deployedOwn,
 	}
-	for _, tx := range rt.ownTx {
-		if tx != nil {
+	for _, l := range rt.edges {
+		if l.ownTx != nil {
 			f.owned++
 		}
 	}
@@ -47,10 +47,10 @@ func (rt *Runtime) footprint(p *xchain.Participant) footprint {
 // under Shadow gates exactly like one without.
 func Shadow(t testing.TB, rt *Runtime) {
 	rt.skipped = func(p *xchain.Participant) {
-		st := rt.states[p]
+		st := rt.state(p)
 		before := rt.footprint(p)
 		stamps, kept, armed := maps.Clone(st.lastAttempt), maps.Clone(st.kept), maps.Clone(st.armed)
-		calls := [2][]settleCall{slices.Clone(rt.calls[0]), slices.Clone(rt.calls[1])}
+		ledger := slices.Clone(rt.edges)
 		wait := st.wait
 		wait.chains = slices.Clone(st.wait.chains)
 		for i, cw := range wait.chains {
@@ -67,7 +67,7 @@ func Shadow(t testing.TB, rt *Runtime) {
 		if !maps.Equal(stamps, st.lastAttempt) {
 			t.Errorf("t=%d: skipped wake-up of %s would have moved a throttle stamp:\n before %q\n after  %q", rt.Now(), p.Name, stamps, st.lastAttempt)
 		}
-		if !maps.Equal(kept, st.kept) || !slices.Equal(calls[0], rt.calls[0]) || !slices.Equal(calls[1], rt.calls[1]) {
+		if !maps.Equal(kept, st.kept) || !slices.Equal(ledger, rt.edges) {
 			t.Errorf("t=%d: skipped wake-up of %s would have moved the resubmit or settle ledger", rt.Now(), p.Name)
 		}
 		if !maps.Equal(armed, st.armed) {

@@ -54,6 +54,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
@@ -146,7 +147,7 @@ type Config struct {
 // throttle stamps, armed one-shot timers, and what the last drive was
 // left waiting for. Protocol state does not belong here — protocols
 // keep their own flags and re-derive what a crash loses from the
-// chains.
+// chains. The maps are made on their first write.
 type pstate struct {
 	watches     []watch // one per chain of the subscription set
 	lastAttempt map[string]sim.Time
@@ -177,6 +178,19 @@ type settleCall struct {
 	retryAt sim.Time
 }
 
+// edgeLedger is the runtime's ledger of one graph edge: the confirmed
+// (and announced) contract, set exactly when the edge is confirmed; the
+// sender's own submission, from which ConfirmOwn re-derives confirmation
+// after a crash; and the settle phase's record.
+type edgeLedger struct {
+	addr     crypto.Address
+	txID     crypto.Hash
+	ownTx    *chain.Tx
+	ownAddr  crypto.Address
+	terminal bool          // the contract was seen out of P
+	calls    [2]settleCall // redeem, refund
+}
+
 // deployAnnounce is the off-chain "my contract for edge i is confirmed
 // at this address" message, the one announcement every protocol sends.
 type deployAnnounce struct {
@@ -189,31 +203,18 @@ type deployAnnounce struct {
 type Runtime struct {
 	cfg    Config
 	chains []chain.ID // deduplicated subscription set
-	states map[*xchain.Participant]*pstate
+	states []pstate   // parallel to cfg.Participants
 	events []Event
-	marks  []Mark
-
-	// The per-edge deploy ledger. addrs/txIDs hold confirmed (and
-	// announced) contracts; ownTx/ownAddr track the sender's own
-	// submissions so ConfirmOwn can re-derive confirmation from chain
-	// state after a crash. An edge is confirmed exactly when its addrs
-	// entry is set; confirmed counts them.
-	addrs     []crypto.Address
-	txIDs     []crypto.Hash
-	ownTx     []*chain.Tx
-	ownAddr   []crypto.Address
-	confirmed int
-
-	// The settle ledger: which edges' contracts were seen in a terminal
-	// state (and how many), the redeem ([0]) and refund ([1]) call of
-	// each edge, and CompletedAt, when the last edge turned terminal
-	// (zero until then).
-	terminal    []bool
+	marks  []Mark // in markBuf while there are at most four
+	// edges is the per-edge ledger, parallel to the graph's edges;
+	// confirmed and terminals count its confirmed and terminal edges, and
+	// CompletedAt is when the last one turned terminal (zero until then).
+	edges       []edgeLedger
+	confirmed   int
 	terminals   int
-	calls       [2][]settleCall
 	CompletedAt sim.Time
 
-	marked  map[Point]bool
+	markBuf [4]Mark
 	start   sim.Time
 	started bool
 	stopped bool
@@ -234,63 +235,55 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.World == nil || cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil || cfg.Drive == nil {
 		return nil, fmt.Errorf("protocol: incomplete config")
 	}
-	byAddr := make(map[crypto.Address]bool, len(cfg.Participants))
-	initiatorListed := false
-	for _, p := range cfg.Participants {
-		byAddr[p.Addr()] = true
-		initiatorListed = initiatorListed || p == cfg.Initiator
-	}
-	if !initiatorListed {
+	if !slices.Contains(cfg.Participants, cfg.Initiator) {
 		return nil, fmt.Errorf("protocol: initiator %s is not one of the participants", cfg.Initiator.Name)
 	}
 	for _, v := range cfg.Graph.Participants {
-		if !byAddr[v] {
+		if !slices.ContainsFunc(cfg.Participants, func(p *xchain.Participant) bool { return p.Addr() == v }) {
 			return nil, fmt.Errorf("protocol: no participant object for vertex %s", v)
 		}
 	}
-	all := append(append([]chain.ID(nil), cfg.Chains...), cfg.Graph.Chains()...)
-	seen := make(map[chain.ID]bool, len(all))
-	var chains []chain.ID
-	for _, id := range all {
-		if seen[id] {
-			continue
+	chains := make([]chain.ID, 0, len(cfg.Chains)+len(cfg.Graph.Chains()))
+	for _, ids := range [2][]chain.ID{cfg.Chains, cfg.Graph.Chains()} {
+		for _, id := range ids {
+			if slices.Contains(chains, id) {
+				continue
+			}
+			if _, ok := cfg.World.Nets[id]; !ok {
+				return nil, fmt.Errorf("protocol: unknown chain %q", id)
+			}
+			chains = append(chains, id)
 		}
-		if _, ok := cfg.World.Nets[id]; !ok {
-			return nil, fmt.Errorf("protocol: unknown chain %q", id)
-		}
-		seen[id] = true
-		chains = append(chains, id)
 	}
-	n := len(cfg.Graph.Edges)
-	calls := make([]settleCall, 2*n)
+	n, nc := len(cfg.Participants), len(chains)
 	rt := &Runtime{
-		cfg:      cfg,
-		chains:   chains,
-		states:   make(map[*xchain.Participant]*pstate, len(cfg.Participants)),
-		marked:   make(map[Point]bool),
-		addrs:    make([]crypto.Address, n),
-		txIDs:    make([]crypto.Hash, n),
-		ownTx:    make([]*chain.Tx, n),
-		ownAddr:  make([]crypto.Address, n),
-		terminal: make([]bool, n),
-		calls:    [2][]settleCall{calls[:n], calls[n:]},
+		cfg:    cfg,
+		chains: chains,
+		states: make([]pstate, n),
+		edges:  make([]edgeLedger, len(cfg.Graph.Edges)),
+		events: make([]Event, 0, 4*len(cfg.Graph.Edges)+8), // an edge writes about 4
 	}
-	watches := make([]watch, len(cfg.Participants)*len(chains))
+	rt.marks = rt.markBuf[:0]
+	watches, waits := make([]watch, n*nc), make([]chainWait, n*nc)
 	for i, p := range cfg.Participants {
-		st := &pstate{
-			watches:     watches[i*len(chains) : (i+1)*len(chains)],
-			lastAttempt: make(map[string]sim.Time),
-			kept:        make(map[crypto.Hash]sim.Time),
-			armed:       make(map[string]bool),
-			wait:        waitSet{ids: chains, chains: make([]chainWait, len(chains))},
-		}
+		st := &rt.states[i]
+		st.watches = watches[i*nc : (i+1)*nc]
+		st.wait = waitSet{ids: chains, chains: waits[i*nc : (i+1)*nc]}
 		for ci := range st.watches {
 			st.watches[ci] = watch{rt: rt, p: p, st: st, ci: ci}
+			cw := &st.wait.chains[ci]
+			cw.addrs, cw.atTip, cw.txs = cw.oneAddr[:0], cw.oneTip[:0], cw.oneTx[:0]
 		}
-		rt.states[p] = st
 	}
 	return rt, nil
 }
+
+// state returns p's bookkeeping; p must be one of the participants.
+func (rt *Runtime) state(p *xchain.Participant) *pstate { return &rt.states[rt.Index(p)] }
+
+// Index returns p's position among the run's participants, or -1: the
+// slot a protocol keeps its own per-participant state in.
+func (rt *Runtime) Index(p *xchain.Participant) int { return slices.Index(rt.cfg.Participants, p) }
 
 // Start records the start time, installs every participant's
 // announcement inbox, arms their chain subscriptions, and drives each
@@ -299,9 +292,9 @@ func New(cfg Config) (*Runtime, error) {
 func (rt *Runtime) Start() {
 	rt.start = rt.cfg.World.Sim.Now()
 	rt.started = true
+	deliver := rt.deliver // one inbox for every participant
 	for _, p := range rt.cfg.Participants {
-		p := p
-		p.OnMessage(func(from *xchain.Participant, msg any) { rt.deliver(p, from, msg) })
+		p.OnMessage(deliver)
 		rt.subscribe(p)
 	}
 	for _, p := range rt.cfg.Participants {
@@ -326,9 +319,9 @@ func (rt *Runtime) Resume(p *xchain.Participant) {
 // after crashes already tore subscriptions down.
 func (rt *Runtime) Stop() {
 	rt.stopped = true
-	for _, p := range rt.cfg.Participants {
-		for i := range rt.states[p].watches {
-			rt.states[p].watches[i].Cancel()
+	for _, st := range rt.states {
+		for i := range st.watches {
+			st.watches[i].Cancel()
 		}
 	}
 }
@@ -346,7 +339,7 @@ func (rt *Runtime) Drive(p *xchain.Participant) {
 	if rt.stopped || !rt.started || p.Crashed() {
 		return
 	}
-	rt.states[p].wait.reset(rt.version)
+	rt.state(p).wait.reset(rt.version)
 	rt.cfg.World.Drives++
 	rt.cfg.Drive(p)
 }
@@ -368,7 +361,7 @@ func (rt *Runtime) DriveAll() {
 // clients refuse watch registration while halted (miner.ErrHalted), and
 // Resume re-arms after recovery.
 func (rt *Runtime) subscribe(p *xchain.Participant) {
-	st := rt.states[p]
+	st := rt.state(p)
 	for i := range st.watches {
 		st.watches[i].Cancel()
 	}
@@ -437,12 +430,16 @@ func (rt *Runtime) Event(edge int, label string) {
 // boundary that "happens again" (a retry, a second participant
 // observing the same stable state) is the same boundary.
 func (rt *Runtime) Mark(p Point) {
-	if rt.marked[p] {
+	if rt.marked(p) {
 		return
 	}
 	rt.version++
-	rt.marked[p] = true
 	rt.marks = append(rt.marks, Mark{Point: p, At: rt.Now()})
+}
+
+// marked reports whether p was marked.
+func (rt *Runtime) marked(p Point) bool {
+	return slices.ContainsFunc(rt.marks, func(m Mark) bool { return m.Point == p })
 }
 
 // Marks returns a copy of the recorded phase boundaries in the order
@@ -455,7 +452,7 @@ func (rt *Runtime) Events() []Event { return append([]Event(nil), rt.events...) 
 
 // Decided reports whether the run reached a final decision (the
 // PointDecisionConfirmed boundary), whichever way it went.
-func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
+func (rt *Runtime) Decided() bool { return rt.marked(PointDecisionConfirmed) }
 
 // Throttle runs fn now unless it already ran for (p, key) within the
 // last interval — the guard that keeps a failing on-chain action from
@@ -463,13 +460,13 @@ func (rt *Runtime) Decided() bool { return rt.marked[PointDecisionConfirmed] }
 // first wake-up after the window re-opens: that is when a step that
 // reaches this call once more would act.
 func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time, fn func()) {
-	st := rt.states[p]
+	st := rt.state(p)
 	now := rt.Now()
 	if last, ok := st.lastAttempt[key]; ok && now-last < interval {
 		st.wait.wakeBy(last + interval)
 		return
 	}
-	st.lastAttempt[key] = now
+	put(&st.lastAttempt, key, now)
 	st.wait.wakeBy(now + interval)
 	fn()
 }
@@ -482,11 +479,11 @@ func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time
 // polling cadence. The timer drives p itself, so a deadline needs no
 // entry in the wait-set.
 func (rt *Runtime) WakeAt(p *xchain.Participant, key string, t sim.Time) {
-	st := rt.states[p]
+	st := rt.state(p)
 	if st.armed[key] {
 		return
 	}
-	st.armed[key] = true
+	put(&st.armed, key, true)
 	s := rt.cfg.World.Sim
 	if t < s.Now() {
 		t = s.Now()
@@ -516,7 +513,7 @@ func (rt *Runtime) After(d sim.Time, fn func()) {
 // answer leaves p waiting for what can turn it: the block that includes tx,
 // the tip height that buries it, the resubmit window.
 func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, depth int) bool {
-	c, st, txID := p.Client(id), rt.states[p], tx.ID()
+	c, st, txID := p.Client(id), rt.state(p), tx.ID()
 	if b, found := rt.seen(p, id, tx); found {
 		if d, ok := c.Chain().DepthOf(b.Hash()); ok && d >= depth {
 			return true
@@ -540,7 +537,7 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 		rt.cfg.World.Resubmits.Window++
 		at = now
 	}
-	st.kept[txID] = at
+	put(&st.kept, txID, at)
 	st.wait.watchTx(id, txID)
 	st.wait.wakeBy(at + c.ResubmitEvery)
 	return false
@@ -550,9 +547,17 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chain.Block, bool) {
 	b, _, found := p.Client(id).Chain().FindTx(tx.ID())
 	if found {
-		rt.states[p].kept[tx.ID()] = keptCanonical
+		put(&rt.state(p).kept, tx.ID(), keptCanonical)
 	}
 	return b, found
+}
+
+// put sets (*m)[k] = v, making *m on its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // Contract reads the contract at addr, as a T, as of the block depth
@@ -561,7 +566,7 @@ func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chai
 // contract there yet or it is not a T. The read leaves p waiting for
 // what can change its answer (waitSet.read).
 func Contract[T vm.Contract](rt *Runtime, p *xchain.Participant, id chain.ID, addr crypto.Address, depth int) (T, bool) {
-	t, ok := rt.states[p].wait.read(p.Client(id).Chain(), id, addr, depth).(T)
+	t, ok := rt.state(p).wait.read(p.Client(id).Chain(), id, addr, depth).(T)
 	return t, ok
 }
 
@@ -569,7 +574,7 @@ func Contract[T vm.Contract](rt *Runtime, p *xchain.Participant, id chain.ID, ad
 // next drive says otherwise — for a step whose outcome hangs on chain
 // state no recording read covers (a checkpoint's canonicity, a chain
 // still too short to anchor on).
-func (rt *Runtime) WatchTips(p *xchain.Participant) { rt.states[p].wait.anyTip = true }
+func (rt *Runtime) WatchTips(p *xchain.Participant) { rt.state(p).wait.anyTip = true }
 
 // DeployOwn publishes p's outgoing asset contracts, once per
 // participant: params encodes the constructor parameters of p's
@@ -580,13 +585,13 @@ func (rt *Runtime) WatchTips(p *xchain.Participant) { rt.states[p].wait.anyTip =
 // this call made an attempt, so a step function can follow it with
 // ConfirmOwn in the same drive.
 func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params func(p *xchain.Participant, i int, e graph.Edge) ([]byte, bool)) bool {
-	st := rt.states[p]
+	st := rt.state(p)
 	if st.deployedOwn {
 		return false
 	}
 	st.deployedOwn = true
 	for i, e := range rt.cfg.Graph.Edges {
-		if e.From != p.Addr() || rt.ownTx[i] != nil {
+		if e.From != p.Addr() || rt.edges[i].ownTx != nil {
 			continue
 		}
 		enc, ok := params(p, i, e)
@@ -600,7 +605,7 @@ func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params 
 			rt.Event(i, "deploy failed: "+err.Error())
 			continue
 		}
-		rt.ownTx[i], rt.ownAddr[i] = tx, addr
+		rt.edges[i].ownTx, rt.edges[i].ownAddr = tx, addr
 		rt.Mark(PointDeploySubmitted)
 		rt.Event(i, "deploy submitted")
 	}
@@ -616,14 +621,15 @@ func (rt *Runtime) DeployOwn(p *xchain.Participant, contractType string, params 
 // announced (and then refunded or redeemed), not strand its asset.
 func (rt *Runtime) ConfirmOwn(p *xchain.Participant, depth int) {
 	for i, e := range rt.cfg.Graph.Edges {
-		if e.From != p.Addr() || rt.ownTx[i] == nil || !rt.addrs[i].IsZero() {
+		l := &rt.edges[i]
+		if e.From != p.Addr() || l.ownTx == nil || !l.addr.IsZero() {
 			continue
 		}
-		if !rt.EnsureTx(p, e.Chain, rt.ownTx[i], depth) {
+		if !rt.EnsureTx(p, e.Chain, l.ownTx, depth) {
 			continue
 		}
 		rt.Event(i, "deploy confirmed")
-		m := deployAnnounce{edge: i, addr: rt.ownAddr[i], txID: rt.ownTx[i].ID()}
+		m := deployAnnounce{edge: i, addr: l.ownAddr, txID: l.ownTx.ID()}
 		rt.noteConfirmed(m)
 		rt.Broadcast(p, m)
 	}
@@ -633,11 +639,12 @@ func (rt *Runtime) ConfirmOwn(p *xchain.Participant, depth int) {
 // own view or a peer's announcement, whichever comes first — and marks
 // the lock-phase boundary when it was the last one.
 func (rt *Runtime) noteConfirmed(m deployAnnounce) {
-	if !rt.addrs[m.edge].IsZero() {
+	l := &rt.edges[m.edge]
+	if !l.addr.IsZero() {
 		return
 	}
 	rt.version++
-	rt.addrs[m.edge], rt.txIDs[m.edge] = m.addr, m.txID
+	l.addr, l.txID = m.addr, m.txID
 	rt.confirmed++
 	if rt.AllConfirmed() {
 		rt.Mark(PointDeployConfirmed)
@@ -648,17 +655,23 @@ func (rt *Runtime) noteConfirmed(m deployAnnounce) {
 }
 
 // AllConfirmed reports whether every edge's contract is confirmed.
-func (rt *Runtime) AllConfirmed() bool { return rt.confirmed == len(rt.addrs) }
+func (rt *Runtime) AllConfirmed() bool { return rt.confirmed == len(rt.edges) }
 
 // Addr returns edge i's confirmed contract address (zero until then).
-func (rt *Runtime) Addr(i int) crypto.Address { return rt.addrs[i] }
+func (rt *Runtime) Addr(i int) crypto.Address { return rt.edges[i].addr }
 
 // DeployTxID returns the transaction that deployed edge i's confirmed
 // contract.
-func (rt *Runtime) DeployTxID(i int) crypto.Hash { return rt.txIDs[i] }
+func (rt *Runtime) DeployTxID(i int) crypto.Hash { return rt.edges[i].txID }
 
 // Addrs returns a copy of the per-edge contract addresses.
-func (rt *Runtime) Addrs() []crypto.Address { return append([]crypto.Address(nil), rt.addrs...) }
+func (rt *Runtime) Addrs() []crypto.Address {
+	out := make([]crypto.Address, len(rt.edges))
+	for i := range rt.edges {
+		out[i] = rt.edges[i].addr
+	}
+	return out
+}
 
 // Asset is an asset contract as the runtime sees it: any contract built
 // on Algorithm 1's template (contracts.Swap). Grading, quiescence and the
@@ -694,43 +707,44 @@ type Settlement[T Asset] struct {
 // fixed once known) and keep the call alive with EnsureTx. It reports
 // whether this step entered the last edge, at CompletedAt.
 func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (completed bool) {
-	calls, refund := rt.calls[0], s.Fn == contracts.FnRefund
+	dir, refund := 0, s.Fn == contracts.FnRefund
 	if refund {
-		calls = rt.calls[1]
+		dir = 1
 	}
 	for i, e := range rt.cfg.Graph.Edges {
+		l := &rt.edges[i]
 		mine := e.To
 		if refund {
 			mine = e.From
 		}
-		if mine != p.Addr() || rt.addrs[i].IsZero() {
+		if mine != p.Addr() || l.addr.IsZero() {
 			continue
 		}
-		sc, ok := Contract[T](rt, p, e.Chain, rt.addrs[i], 0)
+		sc, ok := Contract[T](rt, p, e.Chain, l.addr, 0)
 		if !ok {
 			continue
 		}
+		c := &l.calls[dir]
 		if sc.SwapState() != contracts.StatePublished {
-			if c := calls[i].tx; c != nil && !rt.terminal[i] {
-				rt.seen(p, e.Chain, c)
+			if c.tx != nil && !l.terminal {
+				rt.seen(p, e.Chain, c.tx)
 			}
-			if rt.terminal[i] || (s.Terminal != nil && !s.Terminal(p, i, sc)) {
+			if l.terminal || (s.Terminal != nil && !s.Terminal(p, i, sc)) {
 				continue
 			}
 			if s.Terminal == nil {
 				rt.Event(i, "terminal "+sc.SwapState().String())
 			}
-			rt.terminal[i] = true
-			if rt.terminals++; rt.terminals == len(rt.terminal) {
+			l.terminal = true
+			if rt.terminals++; rt.terminals == len(rt.edges) {
 				rt.CompletedAt, completed = rt.Now(), true
 			}
 			continue
 		}
-		c := &calls[i]
 		if c.tx == nil && rt.Now() >= c.retryAt {
 			c.retryAt = rt.Now() + p.Client(e.Chain).ResubmitEvery
 			if secret, err := s.Secret(p, i, sc); err == nil {
-				c.tx, _ = p.Client(e.Chain).Call(rt.addrs[i], s.Fn, secret, 0) // no value: cannot fail
+				c.tx, _ = p.Client(e.Chain).Call(l.addr, s.Fn, secret, 0) // no value: cannot fail
 				rt.Event(i, s.Fn+" submitted")
 				if s.Submitted != nil {
 					s.Submitted(p, i)
@@ -738,7 +752,7 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 			}
 		}
 		if c.tx == nil {
-			rt.states[p].wait.wakeBy(c.retryAt)
+			rt.state(p).wait.wakeBy(c.retryAt)
 			continue
 		}
 		rt.EnsureTx(p, e.Chain, c.tx, 0)
@@ -757,8 +771,8 @@ func (rt *Runtime) Settled() bool {
 	if !rt.Decided() {
 		return false
 	}
-	for i, tx := range rt.ownTx {
-		if tx != nil && rt.addrs[i].IsZero() {
+	for _, l := range rt.edges {
+		if l.ownTx != nil && l.addr.IsZero() {
 			return false // a deployment in flight
 		}
 	}
@@ -772,10 +786,10 @@ func (rt *Runtime) Settled() bool {
 // the caller's decision-semantics problem.
 func (rt *Runtime) AssetsSettled() (deployed, settled bool) {
 	for i, e := range rt.cfg.Graph.Edges {
-		if rt.addrs[i].IsZero() {
+		if rt.edges[i].addr.IsZero() {
 			continue
 		}
-		ct, _ := rt.cfg.World.View(e.Chain).TipState().Contract(rt.addrs[i])
+		ct, _ := rt.cfg.World.View(e.Chain).TipState().Contract(rt.edges[i].addr)
 		if a, ok := ct.(Asset); !ok || a.SwapState() == contracts.StatePublished {
 			return deployed, false // not in the view yet, or still locked
 		}
@@ -790,10 +804,10 @@ func (rt *Runtime) AssetsSettled() (deployed, settled bool) {
 // failing transactions, so these are exactly the operations participants
 // paid fees for). The observation ends at the latest timeline event.
 func (rt *Runtime) Grade() *xchain.Outcome {
-	out := &xchain.Outcome{Start: rt.start, End: rt.start}
+	out := &xchain.Outcome{Start: rt.start, End: rt.start, Edges: make([]xchain.EdgeOutcome, 0, len(rt.edges))}
 	for i, e := range rt.cfg.Graph.Edges {
 		eo := xchain.EdgeOutcome{Edge: e}
-		if addr := rt.addrs[i]; !addr.IsZero() {
+		if addr := rt.edges[i].addr; !addr.IsZero() {
 			view := rt.cfg.World.View(e.Chain)
 			ct, ok := view.TipState().Contract(addr)
 			eo.Deployed = ok
@@ -846,7 +860,7 @@ func (rt *Runtime) Recover() {
 // from chain state alone, which is what makes crash/resume work without
 // local bookkeeping. A miss leaves p waiting for a call on the contract.
 func (rt *Runtime) FindCall(p *xchain.Participant, id chain.ID, contract crypto.Address, fn string, match func(*chain.Tx) bool) (*chain.Tx, bool) {
-	rt.states[p].wait.watchAddr(id, contract)
+	rt.state(p).wait.watchAddr(id, contract)
 	view := p.Client(id).Chain()
 	for h := view.Height(); ; h-- {
 		b, ok := view.CanonicalAt(h)

@@ -120,7 +120,7 @@ func TestSettle(t *testing.T) {
 	if submits != [2]int{1, 1} || secrets != [2]int{1, 1} || calls() != 2 {
 		t.Fatalf("after one open window: hook %v, secrets %v, %d calls signed", submits, secrets, calls())
 	}
-	held := rt.calls[0][1].tx
+	held := rt.edges[1].calls[0].tx
 
 	// Edge 0 redeems. Edge 1 was called with the wrong preimage and stays
 	// in P: its call is kept alive — re-multicast, window after window,
@@ -135,8 +135,8 @@ func TestSettle(t *testing.T) {
 	if submits != [2]int{1, 1} || secrets != [2]int{1, 1} || calls() != 2 {
 		t.Fatalf("edge 1 re-signed: hook %v, secrets %v, %d calls signed", submits, secrets, calls())
 	}
-	if rt.calls[0][1].tx != held || w.Resubmits.Window < 2 {
-		t.Fatalf("edge 1's call not kept alive: held %v (was %v), %+v resubmits", rt.calls[0][1].tx.ID(), held.ID(), w.Resubmits)
+	if rt.edges[1].calls[0].tx != held || w.Resubmits.Window < 2 {
+		t.Fatalf("edge 1's call not kept alive: held %v (was %v), %+v resubmits", rt.edges[1].calls[0].tx.ID(), held.ID(), w.Resubmits)
 	}
 	rt.Mark(PointDecisionConfirmed)
 	if rt.Settled() {

@@ -51,6 +51,11 @@ type chainWait struct {
 	// by burial alone — inclusion or operation height + depth
 	// (noHeight: none pending).
 	height uint64
+	// The slices' first backing arrays: no measured drive reads two
+	// contracts or awaits two transactions on one chain (ADR-024).
+	oneAddr [1]crypto.Address
+	oneTip  [1]tipRead
+	oneTx   [1]crypto.Hash
 }
 
 // tipRead is one contract's state (nil: none) as read when at was the

@@ -13,10 +13,9 @@ type RNG struct {
 // independent-looking streams; the same seed always yields the same
 // stream.
 func NewRNG(seed uint64) *RNG {
-	// Avoid the all-zero state pathologies by mixing the seed once.
-	r := &RNG{state: seed + 0x9e3779b97f4a7c15}
-	r.Uint64()
-	return r
+	// Avoid the all-zero state pathologies: start one draw into seed's
+	// stream (twice the increment, mod 2^64). Inlined, a Fork can stay off the heap.
+	return &RNG{state: seed + 0x3c6ef372fe94f82a}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

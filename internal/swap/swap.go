@@ -27,6 +27,7 @@ package swap
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/contracts"
 	"repro/internal/crypto"
@@ -62,7 +63,7 @@ type Run struct {
 	hashlock  crypto.Hash
 	timelocks []int64 // absolute timelock per edge
 
-	secrets map[*xchain.Participant][]byte // who has learned s
+	secrets [][]byte // who has learned s, by participant index (Runtime.Index)
 
 	// redeem and refund are the settle phase, built once. Hashlocks have
 	// no other decision, so their hooks mark its boundaries: a call
@@ -76,7 +77,7 @@ type Run struct {
 
 // New validates the configuration and prepares a run.
 func New(w *xchain.World, cfg Config) (*Run, error) {
-	r := &Run{w: w, cfg: cfg, secrets: make(map[*xchain.Participant][]byte)}
+	r := &Run{w: w, cfg: cfg, secrets: make([][]byte, len(cfg.Participants))}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
@@ -96,8 +97,10 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		return nil, fmt.Errorf("swap: Delta must be positive")
 	}
 	r.redeem = protocol.Settlement[*contracts.HTLC]{
-		Fn:        contracts.FnRedeem,
-		Secret:    func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) { return r.secrets[p], nil },
+		Fn: contracts.FnRedeem,
+		Secret: func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) {
+			return r.secrets[r.Index(p)], nil
+		},
 		Submitted: func(*xchain.Participant, int) { r.revealed = true; r.Mark(protocol.PointDecisionTriggered) },
 		Terminal: func(p *xchain.Participant, i int, h *contracts.HTLC) bool {
 			if h.State != contracts.StateRedeemed {
@@ -122,9 +125,9 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 
 // Start begins the swap at the current virtual time.
 func (r *Run) Start() {
-	r.secret = []byte(fmt.Sprintf("herlihy-secret-%d", r.cfg.Graph.Timestamp))
+	r.secret = strconv.AppendInt(append(make([]byte, 0, 40), "herlihy-secret-"...), r.cfg.Graph.Timestamp, 10)
 	r.hashlock = crypto.Sum(r.secret)
-	r.secrets[r.cfg.Leader] = r.secret
+	r.secrets[r.Index(r.cfg.Leader)] = r.secret
 	r.computeSchedule()
 	r.Event(-1, "swap started")
 	// The runtime's initial drive makes the leader deploy
@@ -194,12 +197,12 @@ func (r *Run) drive(p *xchain.Participant) {
 	// a *confirmed* redemption extracts the secret from the redeem
 	// call. Each hop therefore costs one Δ — the backward propagation
 	// that makes the redemption phase sequential in Diam(D) (Figure 8).
-	if r.secrets[p] == nil {
+	if r.secrets[r.Index(p)] == nil {
 		r.learnSecret(p)
 	}
 	// Redeem incoming contracts: the leader once everything is
 	// deployed, everyone else as soon as they know s.
-	if r.secrets[p] != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
+	if r.secrets[r.Index(p)] != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
 		protocol.Settle(r.Runtime, p, &r.redeem)
 	}
 	// Refund own contracts once their timelock expired — a sender's
@@ -255,7 +258,7 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 			continue
 		}
 		if tx, found := r.FindCall(p, e.Chain, r.Addr(i), contracts.FnRedeem, nil); found {
-			r.secrets[p] = tx.Args
+			r.secrets[r.Index(p)] = tx.Args
 			return
 		}
 	}

@@ -10,6 +10,7 @@ package xchain
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
@@ -70,7 +71,7 @@ type Builder struct {
 	s            *sim.Sim
 	specs        []ChainSpec
 	participants []*Participant
-	funding      map[string]map[chain.ID]vm.Amount
+	funding      []funding
 	rng          *sim.RNG
 	sigs         *crypto.SigChecker
 	book         *crypto.SigBook
@@ -88,12 +89,14 @@ func NewBuilder(seed uint64) *Builder {
 // on a Reset(seed) sim is identical to one built with NewBuilder(seed).
 // sigs, which may be nil, becomes every chain's miner.Config.Sigs.
 func NewBuilderOn(s *sim.Sim, sigs *crypto.SigChecker) *Builder {
-	return &Builder{
-		s:       s,
-		sigs:    sigs,
-		funding: make(map[string]map[chain.ID]vm.Amount),
-		rng:     s.RNG().Fork(),
-	}
+	return &Builder{s: s, sigs: sigs, rng: s.RNG().Fork()}
+}
+
+// funding is one genesis allocation Fund asked for.
+type funding struct {
+	p      *Participant
+	id     chain.ID
+	amount vm.Amount
 }
 
 // Chain adds a blockchain network.
@@ -108,9 +111,9 @@ func (b *Builder) Participant(name string) *Participant { return b.Participants(
 // Participants creates named participants with fresh identities, their
 // key pairs derived in one batch that the builder's checker shares.
 func (b *Builder) Participants(names ...string) []*Participant {
-	ps := make([]*Participant, len(names))
-	for i, k := range b.sigs.Keys(b.rng.Uint64, len(names)) {
-		ps[i] = &Participant{Name: names[i], Key: k, clients: make(map[chain.ID]*miner.Client)}
+	ps, keys := make([]*Participant, len(names)), b.sigs.Keys(b.rng.Uint64, len(names))
+	for i := range keys {
+		ps[i] = &Participant{Name: names[i], Key: &keys[i]}
 	}
 	b.participants = append(b.participants, ps...)
 	return ps
@@ -118,12 +121,7 @@ func (b *Builder) Participants(names ...string) []*Participant {
 
 // Fund allocates genesis balance to a participant on a chain.
 func (b *Builder) Fund(p *Participant, id chain.ID, amount vm.Amount) *Builder {
-	m, ok := b.funding[p.Name]
-	if !ok {
-		m = make(map[chain.ID]vm.Amount)
-		b.funding[p.Name] = m
-	}
-	m[id] += amount
+	b.funding = append(b.funding, funding{p, id, amount})
 	return b
 }
 
@@ -148,9 +146,9 @@ func (b *Builder) Build() (*World, error) {
 	w := &World{Sim: b.s, Nets: make(map[chain.ID]*miner.Network), Sigs: b.book}
 	for _, spec := range b.specs {
 		alloc := chain.GenesisAlloc{}
-		for _, p := range b.participants {
-			if amt := b.funding[p.Name][spec.Params.ID]; amt > 0 {
-				alloc[p.Key.Addr] = amt
+		for _, f := range b.funding {
+			if f.id == spec.Params.ID && f.amount > 0 {
+				alloc[f.p.Key.Addr] += f.amount
 			}
 		}
 		reg := vm.NewRegistry()
@@ -173,9 +171,9 @@ func (b *Builder) Build() (*World, error) {
 	}
 	tells := sim.NewPool(b.s, tell.deliver)
 	for i, p := range b.participants {
-		p.tells = tells
-		for _, id := range w.ids {
-			p.clients[id] = miner.NewClient(w.Nets[id], i%len(w.Nets[id].Nodes), p.Key)
+		p.tells, p.chains, p.clients = tells, w.ids, make([]miner.Client, len(w.ids))
+		for j, id := range w.ids {
+			p.clients[j].Init(w.Nets[id], i%len(w.Nets[id].Nodes), p.Key)
 		}
 	}
 	b.sigs.Background(b.book)
@@ -223,19 +221,22 @@ type Participant struct {
 	Name string
 	Key  *crypto.KeyPair
 
-	tells   *sim.Pool[tell]
-	clients map[chain.ID]*miner.Client
-	inbox   func(from *Participant, msg any)
+	tells *sim.Pool[tell]
+	// clients holds a client per chain by value, in the world's chain
+	// order, in an array of its own: a retired client pins a block.
+	chains  []chain.ID
+	clients []miner.Client
+	inbox   func(to, from *Participant, msg any)
 	crashed bool
 }
 
 // Client returns the participant's client on a chain.
 func (p *Participant) Client(id chain.ID) *miner.Client {
-	c, ok := p.clients[id]
-	if !ok {
+	i := slices.Index(p.chains, id)
+	if i < 0 {
 		panic(fmt.Sprintf("xchain: %s has no client for chain %s", p.Name, id))
 	}
-	return c
+	return &p.clients[i]
 }
 
 // Addr is the participant's identity address (same on every chain).
@@ -257,8 +258,8 @@ func Addrs(ps []*Participant) []crypto.Address {
 // participants while AC3WN contracts wait for them.
 func (p *Participant) Crash() {
 	p.crashed = true
-	for _, c := range p.clients {
-		c.Halt()
+	for i := range p.clients {
+		p.clients[i].Halt()
 	}
 }
 
@@ -266,8 +267,8 @@ func (p *Participant) Crash() {
 // re-arm its watches (protocol resume logic).
 func (p *Participant) Recover() {
 	p.crashed = false
-	for _, c := range p.clients {
-		c.Restart()
+	for i := range p.clients {
+		p.clients[i].Restart()
 	}
 }
 
@@ -284,8 +285,8 @@ func (p *Participant) Crashed() bool { return p.crashed }
 // reference to its participants).
 func (p *Participant) Retire() {
 	p.crashed = true
-	for _, c := range p.clients {
-		c.Close() // halts it too
+	for i := range p.clients {
+		p.clients[i].Close() // halts it too
 	}
 	p.inbox = nil
 }
@@ -293,8 +294,9 @@ func (p *Participant) Retire() {
 // msgLatency is how long an off-chain message travels.
 const msgLatency = 200 * sim.Millisecond
 
-// OnMessage installs the off-chain inbox handler.
-func (p *Participant) OnMessage(h func(from *Participant, msg any)) { p.inbox = h }
+// OnMessage installs the off-chain inbox handler; it is told the
+// recipient too, so one handler can serve every participant of a run.
+func (p *Participant) OnMessage(h func(to, from *Participant, msg any)) { p.inbox = h }
 
 // Tell sends an off-chain message to one participant (contract
 // locations, abort notices — the coordination any real swap does over
@@ -313,7 +315,7 @@ type tell struct { // an off-chain message in flight
 
 func (t tell) deliver() {
 	if !t.to.crashed && t.to.inbox != nil {
-		t.to.inbox(t.from, t.msg)
+		t.to.inbox(t.to, t.from, t.msg)
 	}
 }
 

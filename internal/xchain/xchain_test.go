@@ -68,6 +68,58 @@ func TestBuilderWiresClientsAndFunding(t *testing.T) {
 	}
 }
 
+// TestFundIsPerParticipant: genesis funds go to the participant Fund
+// names, not to every participant of that name.
+func TestFundIsPerParticipant(t *testing.T) {
+	b := NewBuilder(4)
+	x1, x2 := b.Participant("x"), b.Participant("x")
+	b.Chain(DefaultChainSpec("a"))
+	b.Fund(x1, "a", 100)
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, other := funds(w, "a", x1), funds(w, "a", x2); got != 100 || other != 0 {
+		t.Fatalf("funded x owns %d, the other x %d; want 100 and 0", got, other)
+	}
+}
+
+// TestLifecycleReachesEveryChain: a participant's client on each chain
+// of the world is the one attached to that chain's network, and Crash,
+// Recover and Retire reach every one of them.
+func TestLifecycleReachesEveryChain(t *testing.T) {
+	b := NewBuilder(5)
+	p := b.Participant("p")
+	ids := []chain.ID{"e", "b", "d", "a", "c"}
+	for _, id := range ids {
+		b.Chain(DefaultChainSpec(id))
+	}
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := func(want error) {
+		t.Helper()
+		for _, id := range ids {
+			if err := refused(p, id); !errors.Is(err, want) {
+				t.Fatalf("chain %s: a subscription met %v, want %v", id, err, want)
+			}
+		}
+	}
+	for _, id := range ids {
+		if c := p.Client(id); c.Chain() != w.Net(id).Node(0).Chain {
+			t.Fatalf("chain %s: the client reads another network's view", id)
+		}
+	}
+	every(nil)
+	p.Crash()
+	every(miner.ErrHalted)
+	p.Recover()
+	every(nil)
+	p.Retire()
+	every(miner.ErrClosed)
+}
+
 func TestParticipantClientPanicsOnUnknownChain(t *testing.T) {
 	_, alice, _ := buildTwoChainWorld(t, 2)
 	defer func() {
@@ -84,7 +136,7 @@ func TestParticipantClientPanicsOnUnknownChain(t *testing.T) {
 func TestCrashHaltsClientsAndBusAndRecoverRestores(t *testing.T) {
 	w, alice, bob := buildTwoChainWorld(t, 3)
 	got := 0
-	bob.OnMessage(func(from *Participant, msg any) { got++ })
+	bob.OnMessage(func(_, from *Participant, msg any) { got++ })
 
 	alice.Tell(bob, "hello")
 	w.RunFor(sim.Second)
@@ -226,8 +278,8 @@ func TestTellAndDeliveryAllocateNothing(t *testing.T) {
 	w.StopMining()
 	w.Sim.Run() // drain: every pending tick returns without another
 	heard := 0
-	bob.OnMessage(func(from *Participant, msg any) {
-		if from != alice || msg != any(alice) {
+	bob.OnMessage(func(to, from *Participant, msg any) {
+		if to != bob || from != alice || msg != any(alice) {
 			t.Fatalf("bob heard %v from %s", msg, from.Name)
 		}
 		heard++
