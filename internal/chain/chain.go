@@ -455,6 +455,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 		panic(fmt.Sprintf("chain: no state for canonical tip %s", parent.Hash()))
 	}
 	st := parentState.Child()
+	st.own, c.exec.layer = c.exec.layer, blockDelta{} // sealed exact below
 	height := parent.Header.Height + 1
 
 	// The coinbase, its output and the block's first transaction slots
@@ -515,6 +516,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 		}
 		pending = failed
 	}
+	c.exec.layer = st.own.seal()
 	c.wrote(txs...) // the tip is still the parent: no verdict that read this block's writes may stay
 	blk := NewBlock(Header{
 		ChainID: params.ID,

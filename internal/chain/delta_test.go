@@ -41,17 +41,17 @@ func snapshot(st *State) ledger {
 				l.Balances[a] = v
 			}
 		}
-		for op := range layer.spent {
+		for _, op := range layer.own.spent {
 			delete(l.UTXOs, op)
 		}
-		for op, o := range layer.utxos {
-			l.UTXOs[op] = o
+		for _, e := range layer.own.added {
+			l.UTXOs[e.op] = e.out
 		}
-		for a, c := range layer.contracts {
-			l.Contracts[a] = c
+		for _, e := range layer.own.contracts {
+			l.Contracts[e.addr] = e.c
 		}
-		for a, v := range layer.balances {
-			l.Balances[a] = v
+		for _, e := range layer.own.balances {
+			l.Balances[e.addr] = e.v
 		}
 	}
 	return l
@@ -170,7 +170,7 @@ func TestChildIsAlwaysAnOverlay(t *testing.T) {
 	for i := range 3 * flattenDepth {
 		before := snapshot(st)
 		c := st.Child()
-		if c.parent == nil || len(c.utxos)+len(c.spent)+len(c.contracts)+len(c.balances) != 0 {
+		if d := c.own; c.parent == nil || len(d.added)+len(d.spent)+len(d.contracts)+len(d.balances) != 0 || d.keys != (fingerprint{}) {
 			t.Fatalf("Child of a state at overlay depth %d is not an empty overlay", st.OverlayDepth())
 		}
 		if c.OverlayDepth() < 1 || c.OverlayDepth() > flattenDepth {
@@ -248,8 +248,8 @@ func TestOwnerIndexOnBaseLayer(t *testing.T) {
 		base.Spend(OutPoint{Index: i})
 	}
 	checkOwnerIndex(t, "emptied", base)
-	if count(&base.base.owned) != 0 || len(base.spent) != 0 {
-		t.Fatalf("emptied base keeps %d index entries and %d tombstones", count(&base.base.owned), len(base.spent))
+	if count(&base.base.owned) != 0 || len(base.own.spent) != 0 {
+		t.Fatalf("emptied base keeps %d index entries and %d tombstones", count(&base.base.owned), len(base.own.spent))
 	}
 }
 
@@ -482,7 +482,7 @@ func TestDeltaAndReexecutionAgree(t *testing.T) {
 			}
 		}
 		for _, r := range reexec.blocks {
-			r.delta = nil
+			r.delta, r.kept = blockDelta{}, false
 		}
 		checkRecords(t, "deltas", withDeltas)
 		checkRecords(t, "re-execution", reexec)
@@ -521,8 +521,8 @@ func TestDeltaAndReexecutionAgree(t *testing.T) {
 		if !reflect.DeepEqual(snapshot(e.floor), want) {
 			t.Fatalf("%s: floor state differs from the archive's state at the checkpoint", name)
 		}
-		if len(e.floor.spent) != 0 || count(&e.floor.base.utxos) != len(want.UTXOs) {
-			t.Fatalf("%s: floor holds %d tombstones and %d outputs, want 0 and %d", name, len(e.floor.spent), count(&e.floor.base.utxos), len(want.UTXOs))
+		if len(e.floor.own.spent) != 0 || count(&e.floor.base.utxos) != len(want.UTXOs) {
+			t.Fatalf("%s: floor holds %d tombstones and %d outputs, want 0 and %d", name, len(e.floor.own.spent), count(&e.floor.base.utxos), len(want.UTXOs))
 		}
 		checkOwnerIndex(t, name+": floor", e.floor)
 	}

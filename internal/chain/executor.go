@@ -79,18 +79,24 @@ type Executor struct {
 	floor       *State
 
 	stats ExecStats
+
+	// layer is the buffers BuildBlock writes a block's layer in before
+	// sealing it into slices of the layer's exact size.
+	layer blockDelta
 }
 
 // record is what the executor holds of one admitted block. The block
 // stays until retirement. state is dropped by pruning and set again on
-// the endpoint of a deep read. delta, the block's own changes, is kept
-// from the moment the state of a block canonical in some view is pruned
-// (or the block is re-executed) until the floor absorbs it: what stateOf
-// re-mounts and retire folds instead of running the block again.
+// the endpoint of a deep read. delta, the block's own changes — its
+// state's layer, taken by value — is kept from the moment the state of
+// a block canonical in some view is pruned (or the block is
+// re-executed) until the floor applies it: what stateOf re-mounts and
+// retire folds instead of running the block again.
 type record struct {
 	block *Block
 	state *State
-	delta *blockDelta
+	delta blockDelta
+	kept  bool // delta holds the block's changes
 }
 
 // opRef locates one contract operation: the block carrying it and
@@ -165,6 +171,8 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 	if err != nil {
 		return nil, fmt.Errorf("chain: genesis invalid: %w", err)
 	}
+	// The genesis state is a base: every later block is a small layer.
+	st = st.flatten()
 	e := &Executor{
 		params:   params,
 		reg:      reg,
@@ -262,9 +270,9 @@ func (e *Executor) stateFor(end *record) (*State, bool) {
 		}
 	}
 	for _, r := range slices.Backward(path) {
-		if r.delta != nil {
+		if r.kept { // re-mounted: the layer is the delta
 			st = st.Child()
-			st.apply(r.delta)
+			st.own = r.delta
 			continue
 		}
 		next, err := applyBlock(st, e.reg, e.params, r.block, &e.stats.Sigs)
@@ -274,7 +282,7 @@ func (e *Executor) stateFor(end *record) (*State, bool) {
 			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", r.block.Hash(), err))
 		}
 		e.stats.Replays++
-		r.delta = next.delta()
+		r.delta, r.kept = next.own, true
 		st = next
 	}
 	end.state = st
@@ -433,7 +441,7 @@ func (e *Executor) prune() {
 			r, dead := e.blocks[bh], e.deadFork(bh, height)
 			if r.state != nil {
 				if !dead {
-					r.delta = r.state.delta()
+					r.delta, r.kept = r.state.own, true // nothing is copied
 				}
 				e.dropState(r)
 			}
@@ -521,18 +529,19 @@ func (e *Executor) retire(minTip uint64) {
 // dead — by re-executing the block on the floor.
 func (e *Executor) advanceFloor(bh crypto.Hash) {
 	r := e.blocks[bh]
-	if r.delta != nil {
-		e.floor.apply(r.delta)
-		r.delta = nil
-	} else if r.state != nil {
-		e.floor.absorb(r.state)
-	} else {
+	switch {
+	case r.kept:
+		e.floor.apply(&r.delta)
+		r.delta, r.kept = blockDelta{}, false
+	case r.state != nil:
+		e.floor.apply(&r.state.own)
+	default:
 		st, err := applyBlock(e.floor, e.reg, e.params, r.block, &e.stats.Sigs)
 		if err != nil {
 			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
 		}
 		e.stats.Replays++
-		e.floor.absorb(st)
+		e.floor.apply(&st.own)
 	}
 	e.ckpt = bh
 }

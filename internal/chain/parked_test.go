@@ -233,8 +233,7 @@ func (n *parkNode) build() (*Block, *State, []*Tx) {
 	if *b.Header != *rb.Header {
 		n.w.t.Fatalf("height %d: headers differ", b.Header.Height)
 	}
-	if !reflect.DeepEqual(st.utxos, rst.utxos) || !reflect.DeepEqual(st.spent, rst.spent) ||
-		!reflect.DeepEqual(st.contracts, rst.contracts) || !reflect.DeepEqual(st.balances, rst.balances) {
+	if !reflect.DeepEqual(st.own, rst.own) {
 		n.w.t.Fatalf("height %d: built states differ", b.Header.Height)
 	}
 	n.checkParked()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"repro/internal/crypto"
 	"repro/internal/sim"
@@ -83,6 +84,36 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 	// pruning on or off.
 	if got := exec.Stats(); got.Executed != uint64(len(blocks))+1 {
 		t.Fatalf("Executed = %d, want %d (replays must not count)", got.Executed, len(blocks)+1)
+	}
+}
+
+// TestPrunedStateIsCollected: once no live state rests on it, a pruned
+// block's State is garbage even though the executor keeps the block's
+// delta — the delta is the layer's slices, allocated apart from the
+// State, and pins neither it nor its parents.
+func TestPrunedStateIsCollected(t *testing.T) {
+	rng := sim.NewRNG(91)
+	miner := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	exec, err := NewExecutor(pruneParams(8, 0), nil, GenesisAlloc{miner.Addr: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := exec.NewView()
+	b := mineChain(t, v, miner.Addr, 3, 0)[1]
+	r := exec.blocks[b.Hash()]
+	held := weak.Make(r.state)
+	// Past a flatten and the prune horizon: the live states rest on a
+	// base of their own.
+	mineChain(t, v, miner.Addr, 2*flattenDepth, 30)
+	runtime.GC()
+	if r.state != nil || !r.kept || len(r.delta.added) != 1 {
+		t.Fatalf("block at height 2: state %p, delta kept %v with %d outputs; want pruned to its coinbase output", r.state, r.kept, len(r.delta.added))
+	}
+	if held.Value() != nil {
+		t.Fatal("the pruned block's State survived a collection while its delta was kept")
+	}
+	if st, ok := exec.stateOf(b.Hash()); !ok || st.OverlayDepth() == 0 {
+		t.Fatal("the pruned block's state was not re-mounted from its delta")
 	}
 }
 
@@ -260,8 +291,8 @@ func TestRetireReleasesHistory(t *testing.T) {
 			t.Fatal("a served state is layered on the executor's floor state")
 		}
 	}
-	if len(exec.floor.spent) != 0 {
-		t.Fatalf("floor state accumulated %d tombstones", len(exec.floor.spent))
+	if len(exec.floor.own.spent) != 0 {
+		t.Fatalf("floor state accumulated %d tombstones", len(exec.floor.own.spent))
 	}
 	// The floor is monotone: more mining advances it and retires more.
 	before := exec.Stats().Retired

@@ -22,22 +22,20 @@ const flattenDepth = 48
 // (and therefore Lemma 5.3's fork analysis) natural to express.
 //
 // A layer with a parent is an overlay and holds exactly the changes
-// made on top of that parent, in four small maps, each made on the
-// layer's first write to it — for a block's state,
-// the block's own delta (see blockDelta); it is the only layer a block
-// writes. A layer without a parent is a base and holds the whole ledger,
-// in persistent tables (see base): no maps, no tombstones. Every contract
-// object a state holds is immutable once stored — a call runs on a
-// Clone (ApplyTx) — so layers and bases share them freely.
+// made on top of that parent, as a blockDelta: four flat slices and a
+// fingerprint of the keys in them. For a block's state it is the
+// block's own delta, the only layer a block writes, and what the
+// executor keeps when it prunes the state. A layer without a parent is
+// a base and holds the whole ledger, in persistent tables (see base):
+// no slices, no tombstones. Every contract object a state holds is
+// immutable once stored — a call runs on a Clone (ApplyTx) — so layers
+// and bases share them freely.
 type State struct {
 	parent *State
 	depth  int
 
-	// An overlay's own changes; nil on a base and until first written.
-	utxos     map[OutPoint]TxOut
-	spent     map[OutPoint]bool // tombstones masking the parent
-	contracts map[crypto.Address]vm.Contract
-	balances  map[crypto.Address]vm.Amount
+	// An overlay's own changes; empty on a base.
+	own blockDelta
 
 	// The whole ledger of a base; nil on an overlay.
 	base *base
@@ -130,41 +128,13 @@ func (s *State) Child() *State {
 }
 
 // overlay returns a direct child layer unconditionally — no flatten
-// check; Child is its caller. Its maps are made on first write.
+// check; Child is its caller.
 func (s *State) overlay() *State {
 	return &State{parent: s, depth: s.depth + 1}
 }
 
-// put writes m[k] = v, making m first if the layer has not written it yet.
-func put[K comparable, V any](m *map[K]V, k K, v V) {
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[k] = v
-}
-
-// absorb folds overlay t's own changes into s, a base under
-// construction (flatten, the executor's floor) that reads as t's
-// parent does. t is left untouched. Within one layer an outpoint lands
-// in at most one of the utxo/spent maps, so the fold order is
-// immaterial.
-func (s *State) absorb(t *State) {
-	for op := range t.spent {
-		s.Spend(op)
-	}
-	for op, o := range t.utxos {
-		s.AddUTXO(op, o)
-	}
-	for a, c := range t.contracts {
-		s.PutContract(a, c)
-	}
-	for a, v := range t.balances {
-		s.SetBalance(a, v)
-	}
-}
-
 // flatten collapses the overlay chain into a single base state: a
-// clone of the bottom base with the overlays above it absorbed oldest
+// clone of the bottom base with the overlays above it applied oldest
 // first. Contract objects are shared, not cloned — they are immutable
 // once stored. The flattened base stays in s's tree and shares its
 // generation counter.
@@ -176,7 +146,7 @@ func (s *State) flatten() *State {
 	}
 	out := cur.clone()
 	for _, layer := range slices.Backward(layers) {
-		out.absorb(layer)
+		out.apply(&layer.own)
 	}
 	return out
 }
@@ -192,16 +162,24 @@ func (s *State) clone() *State {
 	return &State{base: &b}
 }
 
-// blockDelta is what one block changed, as flat slices: the contents
-// of the block's own overlay layer once the executor has pruned the
-// layer itself. It is immutable, holds no maps (a pruned layer's four
-// maps cost several times their payload), and shares contract objects
-// with the layer it was taken from.
+// blockDelta is what one block changed: an overlay layer's contents.
+// Within one delta an outpoint is in at most one of added and spent, and
+// an address at most once in contracts and once in balances, so the
+// order of the slices is never observed. A layer is written only while
+// its block is built or applied; after that the executor may take it by
+// value, sharing the slices, to keep when it prunes the state or to
+// re-mount under a new State. The backing arrays are allocated apart
+// from the State that wrote them, so a kept delta does not pin the
+// state or its parents.
 type blockDelta struct {
 	added     []utxoEntry
-	spent     []OutPoint
+	spent     []OutPoint // tombstones masking the parent
 	contracts []contractEntry
 	balances  []balanceEntry
+	// keys has the bit of every outpoint and address the slices have
+	// held (see bitOf). A lookup skips a layer without its key's bit,
+	// which is most layers: a block touches a few dozen keys at most.
+	keys fingerprint
 }
 
 type utxoEntry struct {
@@ -219,33 +197,89 @@ type balanceEntry struct {
 	v    vm.Amount
 }
 
-// delta extracts an overlay layer's own changes. s must be an overlay
-// whose every change is the block's (true of ApplyBlock and BuildBlock
-// results and of layers rebuilt by apply).
-func (s *State) delta() *blockDelta {
-	d := &blockDelta{
-		added:     make([]utxoEntry, 0, len(s.utxos)),
-		spent:     make([]OutPoint, 0, len(s.spent)),
-		contracts: make([]contractEntry, 0, len(s.contracts)),
-		balances:  make([]balanceEntry, 0, len(s.balances)),
-	}
-	for op, o := range s.utxos { //ac3:maporder a delta is only ever folded back into maps by apply; its order is never observed
-		d.added = append(d.added, utxoEntry{op, o})
-	}
-	for op := range s.spent { //ac3:maporder as above
-		d.spent = append(d.spent, op)
-	}
-	for a, c := range s.contracts { //ac3:maporder as above
-		d.contracts = append(d.contracts, contractEntry{a, c})
-	}
-	for a, v := range s.balances { //ac3:maporder as above
-		d.balances = append(d.balances, balanceEntry{a, v})
-	}
-	return d
+// fingerprint is a 256-bit set of key bits.
+type fingerprint [4]uint64
+
+func (f *fingerprint) has(bit uint8) bool { return f[bit>>6]&(1<<(bit&63)) != 0 }
+
+// mark sets bit and reports whether it was set before.
+func (f *fingerprint) mark(bit uint8) bool {
+	had := f.has(bit)
+	f[bit>>6] |= 1 << (bit & 63)
+	return had
 }
 
-// apply folds a block delta into s — into a fresh overlay to re-mount
-// a pruned block's state, or into a base to advance it by one block.
+// bitOf picks a key's fingerprint bit from its first eight bytes and,
+// for an outpoint, its index, spread by a multiplicative hash: ids and
+// addresses are digests, and the outpoints of one transaction differ
+// only in their index.
+func bitOf(id []byte, index uint32) uint8 {
+	return uint8((binary.LittleEndian.Uint64(id) ^ uint64(index)) * 0x9E3779B97F4A7C15 >> 56)
+}
+
+// sameOut and sameAddr compare keys the cheap way first: the index and
+// the first eight bytes, where two keys of one layer almost always
+// already differ.
+func sameOut(a, b *OutPoint) bool {
+	return a.Index == b.Index && binary.LittleEndian.Uint64(a.TxID[:]) == binary.LittleEndian.Uint64(b.TxID[:]) && a.TxID == b.TxID
+}
+
+func sameAddr(a, b *crypto.Address) bool {
+	return binary.LittleEndian.Uint64(a[:]) == binary.LittleEndian.Uint64(b[:]) && *a == *b
+}
+
+// addedAt, spentAt, contractAt and balanceAt return the index of a key
+// in one of the layer's slices, -1 when it is not there. They are plain
+// loops: slices.IndexFunc copies each entry out and measured twice as
+// slow on a lookup.
+func (d *blockDelta) addedAt(op *OutPoint) int {
+	for i := range d.added {
+		if sameOut(&d.added[i].op, op) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *blockDelta) spentAt(op *OutPoint) int {
+	for i := range d.spent {
+		if sameOut(&d.spent[i], op) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *blockDelta) contractAt(a *crypto.Address) int {
+	for i := range d.contracts {
+		if sameAddr(&d.contracts[i].addr, a) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *blockDelta) balanceAt(a *crypto.Address) int {
+	for i := range d.balances {
+		if sameAddr(&d.balances[i].addr, a) {
+			return i
+		}
+	}
+	return -1
+}
+
+// seal moves a layer written into reused buffers (BuildBlock's) into
+// exact-sized slices of its own, and returns the buffers emptied.
+func (d *blockDelta) seal() blockDelta {
+	buf := *d
+	*d = blockDelta{append([]utxoEntry(nil), buf.added...), append([]OutPoint(nil), buf.spent...),
+		append([]contractEntry(nil), buf.contracts...), append([]balanceEntry(nil), buf.balances...), buf.keys}
+	clear(buf.contracts)
+	return blockDelta{added: buf.added[:0], spent: buf.spent[:0], contracts: buf.contracts[:0], balances: buf.balances[:0]}
+}
+
+// apply folds a block delta into s, a base: flatten, and the executor's
+// floor advancing by one block.
 func (s *State) apply(d *blockDelta) {
 	for _, op := range d.spent {
 		s.Spend(op)
@@ -263,13 +297,16 @@ func (s *State) apply(d *blockDelta) {
 
 // UTXO looks up an unspent output.
 func (s *State) UTXO(op OutPoint) (TxOut, bool) {
+	bit := bitOf(op.TxID[:], op.Index)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
-		if cur.spent[op] {
-			return TxOut{}, false
-		}
-		if o, ok := cur.utxos[op]; ok {
-			return o, true
+		if d := &cur.own; d.keys.has(bit) { // added first: op is in one slice at most
+			if i := d.addedAt(&op); i >= 0 {
+				return d.added[i].out, true
+			}
+			if d.spentAt(&op) >= 0 {
+				return TxOut{}, false
+			}
 		}
 	}
 	return cur.base.utxos.get(op.key())
@@ -283,8 +320,17 @@ func (s *State) AddUTXO(op OutPoint, out TxOut) {
 		b.owned.put(b.gen, ownedBy(out.Owner, k), struct{}{})
 		return
 	}
-	delete(s.spent, op)
-	put(&s.utxos, op, out)
+	d := &s.own
+	if d.keys.mark(bitOf(op.TxID[:], op.Index)) {
+		if i := d.spentAt(&op); i >= 0 {
+			d.spent[i] = d.spent[len(d.spent)-1]
+			d.spent = d.spent[:len(d.spent)-1]
+		} else if i := d.addedAt(&op); i >= 0 {
+			d.added[i].out = out
+			return
+		}
+	}
+	d.added = append(d.added, utxoEntry{op, out})
 }
 
 // Spend marks an output spent. The caller must have checked existence.
@@ -298,18 +344,27 @@ func (s *State) Spend(op OutPoint) {
 		}
 		return
 	}
-	delete(s.utxos, op)
-	put(&s.spent, op, true)
+	d := &s.own
+	if d.keys.mark(bitOf(op.TxID[:], op.Index)) {
+		if i := d.addedAt(&op); i >= 0 {
+			d.added[i] = d.added[len(d.added)-1]
+			d.added = d.added[:len(d.added)-1]
+		}
+	}
+	d.spent = append(d.spent, op)
 }
 
 // Contract returns the live contract object at addr for *reading*.
 // It is shared by every state that holds it: to change it, store a
 // Clone with PutContract, as ApplyTx does for a call.
 func (s *State) Contract(addr crypto.Address) (vm.Contract, bool) {
+	bit := bitOf(addr[:], 0)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
-		if c, ok := cur.contracts[addr]; ok {
-			return c, true
+		if d := &cur.own; d.keys.has(bit) {
+			if i := d.contractAt(&addr); i >= 0 {
+				return d.contracts[i].c, true
+			}
 		}
 	}
 	return cur.base.contracts.get(addr)
@@ -322,15 +377,25 @@ func (s *State) PutContract(addr crypto.Address, c vm.Contract) {
 		b.contracts.put(b.gen, addr, c)
 		return
 	}
-	put(&s.contracts, addr, c)
+	d := &s.own
+	if d.keys.mark(bitOf(addr[:], 0)) {
+		if i := d.contractAt(&addr); i >= 0 {
+			d.contracts[i].c = c
+			return
+		}
+	}
+	d.contracts = append(d.contracts, contractEntry{addr, c})
 }
 
 // Balance returns a contract's locked asset balance.
 func (s *State) Balance(addr crypto.Address) vm.Amount {
+	bit := bitOf(addr[:], 0)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
-		if v, ok := cur.balances[addr]; ok {
-			return v
+		if d := &cur.own; d.keys.has(bit) {
+			if i := d.balanceAt(&addr); i >= 0 {
+				return d.balances[i].v
+			}
 		}
 	}
 	v, _ := cur.base.balances.get(addr)
@@ -343,7 +408,14 @@ func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
 		b.balances.put(b.gen, addr, v)
 		return
 	}
-	put(&s.balances, addr, v)
+	d := &s.own
+	if d.keys.mark(bitOf(addr[:], 0)) {
+		if i := d.balanceAt(&addr); i >= 0 {
+			d.balances[i].v = v
+			return
+		}
+	}
+	d.balances = append(d.balances, balanceEntry{addr, v})
 }
 
 // UTXOsOwnedBy collects the outputs owned by addr. Overlay layers are
@@ -357,12 +429,12 @@ func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 	out := make(map[OutPoint]TxOut)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
-		for op, o := range cur.utxos {
-			if o.Owner != addr {
+		for _, e := range cur.own.added {
+			if e.out.Owner != addr {
 				continue
 			}
-			if live, ok := s.UTXO(op); ok {
-				out[op] = live
+			if live, ok := s.UTXO(e.op); ok {
+				out[e.op] = live
 			}
 		}
 	}
@@ -385,22 +457,22 @@ func (s *State) TotalValue() vm.Amount {
 	seenBal := make(map[crypto.Address]bool)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
-		for op := range cur.spent {
+		for _, op := range cur.own.spent {
 			seen[op] = true
 		}
-		for op, o := range cur.utxos {
-			if seen[op] {
+		for _, e := range cur.own.added {
+			if seen[e.op] {
 				continue
 			}
-			seen[op] = true
-			total += o.Value
+			seen[e.op] = true
+			total += e.out.Value
 		}
-		for a := range cur.balances {
-			if seenBal[a] {
+		for _, e := range cur.own.balances {
+			if seenBal[e.addr] {
 				continue
 			}
-			seenBal[a] = true
-			total += cur.balances[a]
+			seenBal[e.addr] = true
+			total += e.v
 		}
 	}
 	for k, o := range cur.base.utxos.scan(utxoKey{}, 0) {

@@ -39,11 +39,13 @@ type stateModel struct {
 	t      *testing.T
 	rng    *sim.RNG
 	nodes  []*modelNode
-	ops    []OutPoint       // every outpoint ever added
-	addrs  []crypto.Address // every contract address ever used
+	ops    []OutPoint         // every outpoint ever added
+	outs   map[OutPoint]TxOut // what each was added with
+	addrs  []crypto.Address   // every contract address ever used
 	owners []crypto.Address
 	serial uint32
-	tip    int // the end of the longest chain, extended more often than not
+	tip    int        // the end of the longest chain, extended more often than not
+	buf    blockDelta // the buffers built layers are written in
 }
 
 func (m *stateModel) add(st *State, ref modelLedger, parent int, open bool) *modelNode {
@@ -65,16 +67,50 @@ func (m *stateModel) pick(ok func(*modelNode) bool) (int, *modelNode) {
 func (m *stateModel) freshOutPoint() OutPoint {
 	m.serial++
 	op := OutPoint{Index: m.serial % 3}
-	switch m.rng.Intn(3) {
+	switch m.rng.Intn(4) {
 	case 0: // low entropy: a counter and nothing else
 		op.Index = m.serial
 	case 1: // several outputs of one transaction
 		op.TxID = crypto.Sum([]byte{byte(m.serial / 3), byte(m.serial / 768)})
+	case 2: // on the fingerprint bit every such key shares; some on its id's first eight bytes too
+		if m.rng.Intn(2) == 0 {
+			op.TxID = crypto.Hash{0: 0x5A, 7: 0xA5, 30: byte(m.serial >> 8), 31: byte(m.serial)}
+			break
+		}
+		for i := uint32(0); ; i++ {
+			op.TxID = crypto.Sum([]byte{byte(m.serial), byte(m.serial >> 8), byte(i), byte(i >> 8), 2})
+			if bitOf(op.TxID[:], op.Index) == sharedBit {
+				break
+			}
+		}
 	default:
 		op.TxID = crypto.Sum([]byte{byte(m.serial), byte(m.serial >> 8), 1})
 	}
 	m.ops = append(m.ops, op)
 	return op
+}
+
+// sharedBit is the fingerprint bit some of the model's outpoints and
+// addresses are made to share, so that one layer's lookups for them
+// never skip it and must tell them apart by comparing keys.
+const sharedBit = 0xA5
+
+// freshAddr returns a new contract address: a digest, one on the
+// shared fingerprint bit, or one differing from the others like it
+// only past its first eight bytes.
+func (m *stateModel) freshAddr() crypto.Address {
+	var a crypto.Address
+	a[0], a[18], a[19] = 0xC0, byte(len(m.addrs)), byte(len(m.addrs)>>8)
+	switch m.rng.Intn(3) {
+	case 0:
+		a = crypto.Address(crypto.Sum(a[:]).Bytes()[:crypto.AddressSize])
+	case 1:
+		for a[2] = 0; bitOf(a[:], 0) != sharedBit; a[2]++ {
+			a[3] += byte(m.rng.Intn(256))
+		}
+	}
+	m.addrs = append(m.addrs, a)
+	return a
 }
 
 // write performs a few random writes on st and mirrors them in ref.
@@ -84,8 +120,13 @@ func (m *stateModel) write(st *State, ref modelLedger) {
 		case 0, 1, 2:
 			op := m.freshOutPoint()
 			out := TxOut{Value: vm.Amount(1 + m.rng.Intn(50)), Owner: m.owners[m.rng.Intn(len(m.owners))]}
+			m.outs[op] = out
 			st.AddUTXO(op, out)
 			ref.utxos[op] = out
+			if m.rng.Intn(4) == 0 { // spent by a later transaction of the same block
+				st.Spend(op)
+				delete(ref.utxos, op)
+			}
 		case 3, 4:
 			// Spend something live — or, now and then, put back an
 			// output this state once held (a layer may re-add what a
@@ -101,19 +142,26 @@ func (m *stateModel) write(st *State, ref modelLedger) {
 					st.AddUTXO(op, out)
 					ref.utxos[op] = out
 				}
+			} else if m.rng.Intn(3) == 0 {
+				// Re-added over a tombstone, this layer's or one below.
+				st.AddUTXO(op, m.outs[op])
+				ref.utxos[op] = m.outs[op]
 			}
 		case 5:
-			var a crypto.Address
-			a[0], a[1], a[19] = 0xC0, byte(len(m.addrs)), byte(len(m.addrs)>>8)
-			if m.rng.Intn(2) == 0 {
-				a = crypto.Address(crypto.Sum(a[:]).Bytes()[:crypto.AddressSize])
-			}
-			m.addrs = append(m.addrs, a)
+			a := m.freshAddr()
 			v := vault{Key: byte(m.rng.Intn(256))}
 			st.PutContract(a, &v)
 			ref.contracts[a] = v
 			st.SetBalance(a, 7)
 			ref.balances[a] = 7
+			if m.rng.Intn(3) == 0 { // called in the same block: both overwritten in the layer
+				w := v
+				w.Key++
+				st.PutContract(a, &w)
+				ref.contracts[a] = w
+				st.SetBalance(a, 9)
+				ref.balances[a] = 9
+			}
 		case 6: // a call: the stored object is cloned, the clone written and stored
 			if len(m.addrs) == 0 {
 				continue
@@ -154,7 +202,11 @@ func (m *stateModel) step() {
 		}
 		p.open = false
 		c := m.add(p.st.Child(), p.ref.clone(), i, true)
+		// Written in buffers every built layer reuses, then sealed, as
+		// BuildBlock's layers are: no layer may see another's writes.
+		c.st.own, m.buf = m.buf, blockDelta{}
 		m.write(c.st, c.ref)
+		m.buf = c.st.own.seal()
 		if i == m.tip {
 			m.tip = len(m.nodes) - 1 // so overlay chains grow past flattenDepth
 		}
@@ -173,25 +225,60 @@ func (m *stateModel) step() {
 		if _, b := m.pick(isBase); b != nil {
 			m.add(b.st.clone(), b.ref.clone(), -1, true)
 		}
-	default: // a pruned block's state, re-mounted from its delta
+	default: // a block's state pruned to its delta, then re-mounted
 		_, c := m.pick(func(n *modelNode) bool { return n.parent >= 0 })
 		if c == nil {
 			return
 		}
-		p, d := m.nodes[c.parent], c.st.delta()
+		// The delta is the layer itself: neither it nor the layer
+		// re-mounted from it is written again.
+		c.open = false
+		p, d := m.nodes[c.parent], c.st.own
 		if m.rng.Intn(2) == 0 {
-			// On a fresh overlay. It shares the delta's contract
-			// objects, as the executor's re-derived states do.
+			// On the parent, as the executor re-derives a pruned state.
 			p.open = false
 			st := p.st.Child()
-			st.apply(d)
-			m.add(st, c.ref.clone(), c.parent, true)
+			st.own = d
+			m.add(st, c.ref.clone(), c.parent, false)
 		} else {
 			// Folded into a base, as the executor's floor advances.
 			st := p.st.flatten()
-			st.apply(d)
+			st.apply(&d)
 			m.add(st, c.ref.clone(), -1, true)
 		}
+	}
+}
+
+// checkLayer holds a layer's own invariants: every key it holds has
+// its fingerprint bit, an outpoint is added or spent at most once and
+// never both, and an address has at most one contract and one balance.
+func checkLayer(t *testing.T, d *blockDelta) {
+	t.Helper()
+	ops := make(map[OutPoint]bool)
+	for _, e := range d.added {
+		if ops[e.op] || !d.keys.has(bitOf(e.op.TxID[:], e.op.Index)) {
+			t.Fatalf("layer holds output %s twice or without its bit", e.op)
+		}
+		ops[e.op] = true
+	}
+	for _, op := range d.spent {
+		if ops[op] || !d.keys.has(bitOf(op.TxID[:], op.Index)) {
+			t.Fatalf("layer holds tombstone %s twice, beside its output or without its bit", op)
+		}
+		ops[op] = true
+	}
+	contracts, balances := make(map[crypto.Address]bool), make(map[crypto.Address]bool)
+	for _, e := range d.contracts {
+		if contracts[e.addr] || !d.keys.has(bitOf(e.addr[:], 0)) {
+			t.Fatalf("layer holds contract %s twice or without its bit", e.addr)
+		}
+		contracts[e.addr] = true
+	}
+	for _, e := range d.balances {
+		if balances[e.addr] || !d.keys.has(bitOf(e.addr[:], 0)) {
+			t.Fatalf("layer holds balance %s twice or without its bit", e.addr)
+		}
+		balances[e.addr] = true
 	}
 }
 
@@ -233,6 +320,9 @@ func (m *stateModel) check(n *modelNode) {
 	if got := n.st.TotalValue(); got != total {
 		m.t.Fatalf("TotalValue = %d, the model sums %d", got, total)
 	}
+	if n.st.base == nil {
+		checkLayer(m.t, &n.st.own)
+	}
 	if b := n.st.base; b != nil {
 		checkShape(m.t, &b.utxos)
 		checkShape(m.t, &b.owned)
@@ -242,15 +332,18 @@ func (m *stateModel) check(n *modelNode) {
 }
 
 // TestStateAgainstMapModel drives random Child / flatten / clone /
-// delta+apply sequences with random AddUTXO, Spend, PutContract (of a
-// fresh object or a stored one's written clone) and SetBalance writes
-// over a forked tree of states and, as it goes and at the end, compares
-// every node — siblings, snapshots and the bases they were taken from
-// included — with a plain-map copy of what it should hold: a write
-// through one state must show in no other.
+// delta+mount / delta+apply sequences with random AddUTXO, Spend,
+// PutContract (of a fresh object or a stored one's written clone) and
+// SetBalance writes over a forked tree of states and, as it goes and at
+// the end, compares every node — siblings, snapshots and the bases they
+// were taken from included — with a plain-map copy of what it should
+// hold: a write through one state must show in no other. The writes
+// include an output spent in the layer that added it, one re-added over
+// a tombstone, a contract and its balance overwritten within one layer,
+// and keys made to share one fingerprint bit.
 func TestStateAgainstMapModel(t *testing.T) {
 	for seed := range uint64(6) {
-		m := &stateModel{t: t, rng: sim.NewRNG(100 + seed)}
+		m := &stateModel{t: t, rng: sim.NewRNG(100 + seed), outs: make(map[OutPoint]TxOut)}
 		for i := range 5 {
 			m.owners = append(m.owners, crypto.Address{0xA0, byte(i)})
 		}

@@ -146,24 +146,44 @@ func (g *Graph) VerifyMultisig(ms *crypto.MultiSig, sigs *crypto.SigBook) bool {
 	return ms.CompleteWith(g.Participants, sigs)
 }
 
-// index maps participants to dense ids for traversal.
-func (g *Graph) index() map[crypto.Address]int {
-	idx := make(map[crypto.Address]int, len(g.Participants))
-	for i, p := range g.Participants {
-		idx[p] = i
-	}
-	return idx
+// id is a participant's dense vertex id, its index in Participants.
+func (g *Graph) id(a crypto.Address) int {
+	i, _ := slices.BinarySearchFunc(g.Participants, a, func(p, a crypto.Address) int { return bytes.Compare(p[:], a[:]) })
+	return i
 }
 
-// adjacency builds out-edges by participant id.
-func (g *Graph) adjacency() [][]int {
-	idx := g.index()
-	adj := make([][]int, len(g.Participants))
-	for _, e := range g.Edges {
-		u, v := idx[e.From], idx[e.To]
-		adj[u] = append(adj[u], v)
+// paths returns the n×n matrix of shortest directed path lengths over
+// the edges, those touching vertex skip left out (-1: none), each also
+// taken backwards when undirected: row u holds the paths from u, and
+// the diagonal the shortest cycle through each vertex; a length above n
+// means there is none. It is one Floyd–Warshall pass, in buf up to eight
+// participants and on the heap past them.
+func (g *Graph) paths(buf *[64]int, skip int, undirected bool) []int {
+	n := len(g.Participants)
+	d := buf[:]
+	if n*n > len(d) {
+		d = make([]int, n*n)
 	}
-	return adj
+	d = d[:n*n]
+	for i := range d {
+		d[i] = n + 1
+	}
+	for _, e := range g.Edges {
+		if u, v := g.id(e.From), g.id(e.To); u != skip && v != skip {
+			d[u*n+v] = 1
+			if undirected {
+				d[v*n+u] = 1
+			}
+		}
+	}
+	for k := range n {
+		for u := range n {
+			for v := range n {
+				d[u*n+v] = min(d[u*n+v], d[u*n+k]+d[k*n+v])
+			}
+		}
+	}
+	return d
 }
 
 // Diameter returns Diam(D): "the length of the longest path from any
@@ -174,121 +194,54 @@ func (g *Graph) adjacency() [][]int {
 // (two parties exchanging assets) has diameter 2, matching Figure 10's
 // x-axis.
 func (g *Graph) Diameter() int {
-	adj := g.adjacency()
-	n := len(g.Participants)
-	diam := 0
-	for s := 0; s < n; s++ {
-		dist := bfsFrom(adj, n, s)
-		for v, d := range dist {
-			if d < 0 {
-				continue // unreachable
-			}
-			if v == s && d == 0 {
-				continue // replaced by cycle length below
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-		// Shortest cycle through s: 1 + shortest path from any
-		// out-neighbour back to s.
-		best := -1
-		for _, nb := range adj[s] {
-			back := bfsFrom(adj, n, nb)
-			if back[s] >= 0 {
-				if c := 1 + back[s]; best < 0 || c < best {
-					best = c
-				}
-			}
-		}
-		if best > diam {
-			diam = best
+	var buf [64]int
+	diam, n := 0, len(g.Participants)
+	for _, l := range g.paths(&buf, -1, false) {
+		if l <= n {
+			diam = max(diam, l)
 		}
 	}
 	return diam
 }
 
-// bfsFrom returns shortest path lengths from s (-1 = unreachable).
-func bfsFrom(adj [][]int, n, s int) []int {
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
+// Layers appends to layers, for each edge in Edges order, the step in
+// which a single-leader protocol deploys it: the length of the shortest
+// directed path from leader to the edge's source (-1: unreachable).
+func (g *Graph) Layers(leader crypto.Address, layers []int) []int {
+	var buf [64]int
+	n, l := len(g.Participants), g.id(leader)
+	d := g.paths(&buf, -1, false)[l*n : (l+1)*n]
+	d[l] = 0 // the leader itself, not the cycle through it
+	for _, e := range g.Edges {
+		if k := d[g.id(e.From)]; k <= n {
+			layers = append(layers, k)
+		} else {
+			layers = append(layers, -1)
 		}
 	}
-	return dist
+	return layers
 }
 
 // IsWeaklyConnected reports whether the graph is connected ignoring
 // edge direction. Figure 7b's disconnected graphs return false.
 func (g *Graph) IsWeaklyConnected() bool {
+	var buf [64]int
 	n := len(g.Participants)
-	if n == 0 {
-		return true
-	}
-	idx := g.index()
-	und := make([][]int, n)
-	for _, e := range g.Edges {
-		u, v := idx[e.From], idx[e.To]
-		und[u] = append(und[u], v)
-		und[v] = append(und[v], u)
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range und[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
+	for _, l := range g.paths(&buf, -1, true)[:n] {
+		if l > n {
+			return false
 		}
 	}
-	return count == n
+	return true
 }
 
-// hasCycleExcluding reports whether the directed graph contains a
-// cycle after removing vertex `skip` (-1 removes nothing).
-func (g *Graph) hasCycleExcluding(skip int) bool {
-	adj := g.adjacency()
+// cyclicWithout reports whether the directed graph has a cycle that
+// avoids vertex skip (-1: any cycle).
+func (g *Graph) cyclicWithout(buf *[64]int, skip int) bool {
 	n := len(g.Participants)
-	color := make([]int, n) // 0 white, 1 gray, 2 black
-	var visit func(int) bool
-	visit = func(u int) bool {
-		color[u] = 1
-		for _, v := range adj[u] {
-			if v == skip {
-				continue
-			}
-			if color[v] == 1 {
-				return true
-			}
-			if color[v] == 0 && visit(v) {
-				return true
-			}
-		}
-		color[u] = 2
-		return false
-	}
-	for u := 0; u < n; u++ {
-		if u == skip || color[u] != 0 {
-			continue
-		}
-		if visit(u) {
+	d := g.paths(buf, skip, false)
+	for u := range n {
+		if d[u*n+u] <= n {
 			return true
 		}
 	}
@@ -296,7 +249,10 @@ func (g *Graph) hasCycleExcluding(skip int) bool {
 }
 
 // IsCyclic reports whether the directed graph contains any cycle.
-func (g *Graph) IsCyclic() bool { return g.hasCycleExcluding(-1) }
+func (g *Graph) IsCyclic() bool {
+	var buf [64]int
+	return g.cyclicWithout(&buf, -1)
+}
 
 // HerlihyFeasible reports whether Herlihy's single-leader protocol can
 // execute this graph: it must be weakly connected, and some leader
@@ -308,23 +264,13 @@ func (g *Graph) HerlihyFeasible() (bool, crypto.Address) {
 	if !g.IsWeaklyConnected() {
 		return false, crypto.Address{}
 	}
+	var buf [64]int
 	for i, p := range g.Participants {
-		if !g.hasCycleExcluding(i) {
+		if !g.cyclicWithout(&buf, i) {
 			return true, p
 		}
 	}
 	return false, crypto.Address{}
-}
-
-// EdgesFrom returns the edges whose source is u.
-func (g *Graph) EdgesFrom(u crypto.Address) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == u {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Chains returns the distinct blockchains the AC2T touches, sorted:

@@ -199,22 +199,152 @@ func TestMultisigCompleteOnlyWithAllParticipants(t *testing.T) {
 	}
 }
 
-func TestEdgesFromTo(t *testing.T) {
-	ks := testKeys(3)
+// TestLayersOnARing: on a ring every vertex sends one edge and
+// receives one, and the edge from the vertex k hops past the leader
+// deploys in step k.
+func TestLayersOnARing(t *testing.T) {
+	ks := testKeys(5)
 	g, _ := Ring(1, addrs(ks), 5, []chain.ID{"c"})
-	in := make(map[crypto.Address]int)
-	for _, p := range g.Participants {
-		out := g.EdgesFrom(p)
-		if len(out) != 1 {
-			t.Fatalf("ring vertex %s has %d out edges, want 1", p, len(out))
-		}
-		in[out[0].To]++
+	in, out := make(map[crypto.Address]int), make(map[crypto.Address]int)
+	for _, e := range g.Edges {
+		out[e.From]++
+		in[e.To]++
 	}
 	for _, p := range g.Participants {
-		if in[p] != 1 {
-			t.Fatalf("ring vertex %s has %d in edges, want 1", p, in[p])
+		if in[p] != 1 || out[p] != 1 {
+			t.Fatalf("ring vertex %s has %d in and %d out edges, want 1 and 1", p, in[p], out[p])
 		}
 	}
+	leader := g.Participants[2]
+	layers := g.Layers(leader, nil)
+	for i, e := range g.Edges {
+		hops, at := 0, leader
+		for at != e.From {
+			at = g.Edges[slices.IndexFunc(g.Edges, func(f Edge) bool { return f.From == at })].To
+			hops++
+		}
+		if layers[i] != hops {
+			t.Fatalf("edge %d leaves a vertex %d hops past the leader, deploys in step %d", i, hops, layers[i])
+		}
+	}
+}
+
+// refAdjacency, refBFS, refDiameter and refHasCycleExcluding are the
+// analyses as first written — an index map, adjacency lists and a queue
+// per search, a recursive depth-first search — kept as the reference
+// the stack-buffered ones are held to.
+func refAdjacency(g *Graph) (map[crypto.Address]int, [][]int) {
+	idx := make(map[crypto.Address]int)
+	for i, p := range g.Participants {
+		idx[p] = i
+	}
+	adj := make([][]int, len(g.Participants))
+	for _, e := range g.Edges {
+		adj[idx[e.From]] = append(adj[idx[e.From]], idx[e.To])
+	}
+	return idx, adj
+}
+
+func refBFS(adj [][]int, s int) []int {
+	dist := make([]int, len(adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[s] = 0
+	for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+		for _, v := range adj[queue[0]] {
+			if dist[v] < 0 {
+				dist[v] = dist[queue[0]] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+func refDiameter(adj [][]int) int {
+	diam := 0
+	for s := range adj {
+		for v, d := range refBFS(adj, s) {
+			if v != s && d > diam {
+				diam = d
+			}
+		}
+		best := -1
+		for _, nb := range adj[s] {
+			if back := refBFS(adj, nb)[s]; back >= 0 && (best < 0 || back+1 < best) {
+				best = back + 1
+			}
+		}
+		diam = max(diam, best)
+	}
+	return diam
+}
+
+func refHasCycleExcluding(adj [][]int, skip int) bool {
+	color := make([]int, len(adj)) // 0 white, 1 gray, 2 black
+	var visit func(int) bool
+	visit = func(u int) bool {
+		color[u] = 1
+		for _, v := range adj[u] {
+			if v != skip && (color[v] == 1 || color[v] == 0 && visit(v)) {
+				return true
+			}
+		}
+		color[u] = 2
+		return false
+	}
+	for u := range adj {
+		if u != skip && color[u] == 0 && visit(u) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainstReference holds every analysis of g to the reference.
+func checkAgainstReference(t *testing.T, g *Graph) {
+	t.Helper()
+	idx, adj := refAdjacency(g)
+	if got, want := g.Diameter(), refDiameter(adj); got != want {
+		t.Fatalf("%s: Diameter %d, the reference %d", g, got, want)
+	}
+	for _, p := range g.Participants {
+		dist, layers := refBFS(adj, idx[p]), g.Layers(p, nil)
+		for i, e := range g.Edges {
+			if layers[i] != dist[idx[e.From]] {
+				t.Fatalf("%s: edge %d in layer %d from %s, the reference's BFS distance is %d", g, i, layers[i], p, dist[idx[e.From]])
+			}
+		}
+	}
+	if got, want := g.IsCyclic(), refHasCycleExcluding(adj, -1); got != want {
+		t.Fatalf("%s: IsCyclic %v, the reference %v", g, got, want)
+	}
+	connected := !slices.Contains(refBFS(adjUndirected(adj), 0), -1)
+	if g.IsWeaklyConnected() != connected {
+		t.Fatalf("%s: IsWeaklyConnected %v, the reference %v", g, !connected, connected)
+	}
+	feasible, leader := g.HerlihyFeasible()
+	want := -1
+	for i := range adj {
+		if connected && !refHasCycleExcluding(adj, i) {
+			want = i
+			break
+		}
+	}
+	if feasible != (want >= 0) || feasible && leader != g.Participants[want] {
+		t.Fatalf("%s: HerlihyFeasible %v, %s; the reference's first leader is %d", g, feasible, leader, want)
+	}
+}
+
+func adjUndirected(adj [][]int) [][]int {
+	und := make([][]int, len(adj))
+	for u, vs := range adj {
+		for _, v := range vs {
+			und[u], und[v] = append(und[u], v), append(und[v], u)
+		}
+	}
+	return und
 }
 
 // random builds a connected random graph over parts: a spanning ring
@@ -280,6 +410,22 @@ func TestRandomGraphInvariants(t *testing.T) {
 		// Digest stability.
 		if g.Digest() != g.Digest() {
 			t.Fatal("digest not deterministic")
+		}
+		// Every analysis against the reference: on the graph, on one
+		// with a second component beside it, and on the two joined by
+		// one edge either way (weakly connected, not strongly).
+		checkAgainstReference(t, g)
+		other, err := random(int64(trial), rng, addrs(testKeys(11)[9:]), rng.Intn(3), []chain.ID{"c3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, v := g.Participants[rng.Intn(len(g.Participants))], other.Participants[rng.Intn(2)]
+		for _, join := range [][]Edge{nil, {{From: u, To: v, Asset: 1, Chain: "c3"}}, {{From: v, To: u, Asset: 1, Chain: "c3"}}} {
+			two, err := New(g.Timestamp, slices.Concat(g.Edges, other.Edges, join)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, two)
 		}
 	}
 }
@@ -349,5 +495,24 @@ func TestDigestAndChainsAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { g.Digest(); g.Chains() }); n != 0 {
 		t.Fatalf("Digest + Chains of an 8-edge graph: %v allocations, want 0", n)
+	}
+}
+
+// TestAnalysesAllocateNothing: up to eight participants, every
+// analysis runs in buffers on its own stack.
+func TestAnalysesAllocateNothing(t *testing.T) {
+	ks := testKeys(8)
+	g, err := random(1, sim.NewRNG(3), addrs(ks), 8, []chain.ID{"c1", "c2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [16]int
+	if n := testing.AllocsPerRun(100, func() {
+		g.Diameter()
+		g.IsCyclic()
+		g.HerlihyFeasible()
+		g.Layers(ks[0].Addr, buf[:0])
+	}); n != 0 {
+		t.Fatalf("the analyses of an 8-party, %d-edge graph: %v allocations, want 0", len(g.Edges), n)
 	}
 }

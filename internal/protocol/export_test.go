@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"maps"
 	"slices"
 	"testing"
 
@@ -49,7 +48,7 @@ func Shadow(t testing.TB, rt *Runtime) {
 	rt.skipped = func(p *xchain.Participant) {
 		st := rt.state(p)
 		before := rt.footprint(p)
-		stamps, kept, armed := maps.Clone(st.lastAttempt), maps.Clone(st.kept), maps.Clone(st.armed)
+		stamps, kept, armed := slices.Clone(st.lastAttempt), slices.Clone(st.kept), slices.Clone(st.armed)
 		ledger := slices.Clone(rt.edges)
 		wait := st.wait
 		wait.chains = slices.Clone(st.wait.chains)
@@ -64,13 +63,13 @@ func Shadow(t testing.TB, rt *Runtime) {
 			t.Errorf("t=%d: skipped wake-up of %s would have acted:\n before %+v\n after  %+v\n last event %+v",
 				rt.Now(), p.Name, before, after, rt.events[len(rt.events)-1])
 		}
-		if !maps.Equal(stamps, st.lastAttempt) {
-			t.Errorf("t=%d: skipped wake-up of %s would have moved a throttle stamp:\n before %q\n after  %q", rt.Now(), p.Name, stamps, st.lastAttempt)
+		if !slices.Equal(stamps, st.lastAttempt) {
+			t.Errorf("t=%d: skipped wake-up of %s would have moved a throttle stamp:\n before %v\n after  %v", rt.Now(), p.Name, stamps, st.lastAttempt)
 		}
-		if !maps.Equal(kept, st.kept) || !slices.Equal(ledger, rt.edges) {
+		if !slices.Equal(kept, st.kept) || !slices.Equal(ledger, rt.edges) {
 			t.Errorf("t=%d: skipped wake-up of %s would have moved the resubmit or settle ledger", rt.Now(), p.Name)
 		}
-		if !maps.Equal(armed, st.armed) {
+		if !slices.Equal(armed, st.armed) {
 			t.Errorf("t=%d: skipped wake-up of %s would have armed a timer: %v -> %v", rt.Now(), p.Name, armed, st.armed)
 		}
 	}

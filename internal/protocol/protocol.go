@@ -147,14 +147,37 @@ type Config struct {
 // throttle stamps, armed one-shot timers, and what the last drive was
 // left waiting for. Protocol state does not belong here — protocols
 // keep their own flags and re-derive what a crash loses from the
-// chains. The maps are made on their first write.
+// chains. A participant has a handful of each, so they are short
+// slices whose first slots are inline (pstate is allocated once per
+// run, in a slice).
 type pstate struct {
-	watches     []watch // one per chain of the subscription set
-	lastAttempt map[string]sim.Time
-	kept        map[crypto.Hash]sim.Time // EnsureTx's resubmit ledger: when a window opened, or keptCanonical
-	armed       map[string]bool
-	deployedOwn bool // DeployOwn ran to the end for this participant
+	watches     []watch                // one per chain of the subscription set
+	lastAttempt []stamped[string]      // when Throttle last ran each key
+	kept        []stamped[crypto.Hash] // EnsureTx's resubmit ledger: when a window opened, or keptCanonical
+	armed       []string               // WakeAt keys with a timer pending
+	deployedOwn bool                   // DeployOwn ran to the end for this participant
 	wait        waitSet
+	oneStamp    [1]stamped[string] // the slices' first slots
+	twoKept     [2]stamped[crypto.Hash]
+	oneArmed    [1]string
+}
+
+// stamped is a key's time in one of pstate's ledgers.
+type stamped[K comparable] struct {
+	key K
+	at  sim.Time
+}
+
+// stamp returns k's time in ledger l, added at 0 if it was not there,
+// and whether it was.
+func stamp[K comparable](l *[]stamped[K], k K) (*sim.Time, bool) {
+	for i := range *l {
+		if (*l)[i].key == k {
+			return &(*l)[i].at, true
+		}
+	}
+	*l = append(*l, stamped[K]{key: k})
+	return &(*l)[len(*l)-1].at, false
 }
 
 // watch is p's subscription to the tip changes of chain ci of the set.
@@ -269,6 +292,7 @@ func New(cfg Config) (*Runtime, error) {
 		st := &rt.states[i]
 		st.watches = watches[i*nc : (i+1)*nc]
 		st.wait = waitSet{ids: chains, chains: waits[i*nc : (i+1)*nc]}
+		st.lastAttempt, st.kept, st.armed = st.oneStamp[:0], st.twoKept[:0], st.oneArmed[:0]
 		for ci := range st.watches {
 			st.watches[ci] = watch{rt: rt, p: p, st: st, ci: ci}
 			cw := &st.wait.chains[ci]
@@ -462,11 +486,12 @@ func (rt *Runtime) Decided() bool { return rt.marked(PointDecisionConfirmed) }
 func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time, fn func()) {
 	st := rt.state(p)
 	now := rt.Now()
-	if last, ok := st.lastAttempt[key]; ok && now-last < interval {
-		st.wait.wakeBy(last + interval)
+	last, ok := stamp(&st.lastAttempt, key)
+	if ok && now-*last < interval {
+		st.wait.wakeBy(*last + interval)
 		return
 	}
-	put(&st.lastAttempt, key, now)
+	*last = now
 	st.wait.wakeBy(now + interval)
 	fn()
 }
@@ -480,16 +505,17 @@ func (rt *Runtime) Throttle(p *xchain.Participant, key string, interval sim.Time
 // entry in the wait-set.
 func (rt *Runtime) WakeAt(p *xchain.Participant, key string, t sim.Time) {
 	st := rt.state(p)
-	if st.armed[key] {
+	if slices.Contains(st.armed, key) {
 		return
 	}
-	put(&st.armed, key, true)
+	st.armed = append(st.armed, key)
 	s := rt.cfg.World.Sim
 	if t < s.Now() {
 		t = s.Now()
 	}
 	s.At(t, func() {
-		st.armed[key] = false
+		i := slices.Index(st.armed, key)
+		st.armed = slices.Delete(st.armed, i, i+1)
 		rt.Drive(p)
 	})
 }
@@ -524,22 +550,21 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 	// Absent: in flight, purged, or dropped with a losing fork. A known
 	// drop goes out now; otherwise the first observation opens the window.
 	now := rt.Now()
-	at, open := st.kept[txID]
+	at, open := stamp(&st.kept, txID)
 	switch {
-	case at == keptCanonical:
+	case *at == keptCanonical:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Dropped++
-		at = now
+		*at = now
 	case !open:
-		at = now
-	case now-at >= c.ResubmitEvery:
+		*at = now
+	case now-*at >= c.ResubmitEvery:
 		c.Submit(tx)
 		rt.cfg.World.Resubmits.Window++
-		at = now
+		*at = now
 	}
-	put(&st.kept, txID, at)
 	st.wait.watchTx(id, txID)
-	st.wait.wakeBy(at + c.ResubmitEvery)
+	st.wait.wakeBy(*at + c.ResubmitEvery)
 	return false
 }
 
@@ -547,17 +572,10 @@ func (rt *Runtime) EnsureTx(p *xchain.Participant, id chain.ID, tx *chain.Tx, de
 func (rt *Runtime) seen(p *xchain.Participant, id chain.ID, tx *chain.Tx) (*chain.Block, bool) {
 	b, _, found := p.Client(id).Chain().FindTx(tx.ID())
 	if found {
-		put(&rt.state(p).kept, tx.ID(), keptCanonical)
+		at, _ := stamp(&rt.state(p).kept, tx.ID())
+		*at = keptCanonical
 	}
 	return b, found
-}
-
-// put sets (*m)[k] = v, making *m on its first write.
-func put[K comparable, V any](m *map[K]V, k K, v V) {
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[k] = v
 }
 
 // Contract reads the contract at addr, as a T, as of the block depth

@@ -143,11 +143,11 @@ func (r *Run) Start() {
 func (r *Run) computeSchedule() {
 	g := r.cfg.Graph
 	start := r.w.Sim.Now()
-	dist := bfsDistances(g, r.cfg.Leader.Addr())
+	var buf [8]int
+	layers := g.Layers(r.cfg.Leader.Addr(), buf[:0])
 	diam := g.Diameter()
 	r.timelocks = make([]int64, len(g.Edges))
-	for i, e := range g.Edges {
-		k := dist[e.From]
+	for i, k := range layers {
 		if k < 0 {
 			// Unreachable from the leader (cannot happen for feasible
 			// graphs, which are weakly connected with a working
@@ -156,28 +156,6 @@ func (r *Run) computeSchedule() {
 		}
 		r.timelocks[i] = int64(start) + int64(2*diam-k+1)*int64(r.cfg.Delta)
 	}
-}
-
-// bfsDistances computes directed BFS distance from src over the
-// graph's edges (-1 = unreachable).
-func bfsDistances(g *graph.Graph, src crypto.Address) map[crypto.Address]int {
-	dist := make(map[crypto.Address]int, len(g.Participants))
-	for _, p := range g.Participants {
-		dist[p] = -1
-	}
-	dist[src] = 0
-	queue := []crypto.Address{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.EdgesFrom(u) {
-			if dist[e.To] < 0 {
-				dist[e.To] = dist[u] + 1
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return dist
 }
 
 // drive is the reconciler step function.
