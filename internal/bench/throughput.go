@@ -60,8 +60,8 @@ func measureChainTPS(seed uint64, target tpsTarget, window sim.Time) (float64, e
 	view := node.Chain
 	var prev chain.OutPoint
 	var amount vm.Amount
-	for op, out := range view.TipState().UTXOsOwnedBy(user.Addr) {
-		prev, amount = op, out.Value
+	for _, o := range view.TipState().AppendOwned(nil, user.Addr) {
+		prev, amount = o.Op, o.Out.Value
 	}
 	offered := int(float64(target.PaperTPS) * float64(window) / float64(sim.Second) * 1.5)
 	for i := 0; i < offered; i++ {

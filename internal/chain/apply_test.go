@@ -12,7 +12,7 @@ import (
 
 // TestApplyTxIsAllOrNothing applies one transaction per rejection path
 // of ApplyTx and compares the state it was refused on with a twin that
-// never saw it, through every read a caller has: UTXO, UTXOsOwnedBy,
+// never saw it, through every read a caller has: UTXO, AppendOwned,
 // Contract, Balance and TotalValue. Each row runs on a fresh overlay
 // (block building) and on a private base (the executor's floor). Seven
 // rows reject only after the inputs and outputs were checked — a bad
@@ -140,8 +140,8 @@ func TestApplyTxIsAllOrNothing(t *testing.T) {
 				}
 			}
 			for _, a := range addrs {
-				if got, want := st.UTXOsOwnedBy(a), twin.UTXOsOwnedBy(a); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: UTXOsOwnedBy(%s) holds %d outputs, the twin %d", where, a, len(got), len(want))
+				if got, want := ownedMap(st, a), ownedMap(twin, a); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: AppendOwned(%s) holds %d outputs, the twin %d", where, a, len(got), len(want))
 				}
 			}
 			for _, a := range []crypto.Address{vaultAddr, bare.ContractAddr(), row.tx.Contract, row.tx.ContractAddr()} {

@@ -26,7 +26,7 @@ func benchFixture(b *testing.B, blocks, txsPerBlock int) (*Chain, *crypto.KeyPai
 	// Pre-split so every block has txsPerBlock independent outputs.
 	var prev OutPoint
 	var total vm.Amount
-	for op, o := range c.TipState().UTXOsOwnedBy(key.Addr) {
+	for op, o := range ownedMap(c.TipState(), key.Addr) {
 		prev, total = op, o.Value
 	}
 	outs := make([]TxOut, txsPerBlock)
@@ -46,7 +46,7 @@ func benchFixture(b *testing.B, blocks, txsPerBlock int) (*Chain, *crypto.KeyPai
 	now := sim.Time(10)
 	for n := 0; n < blocks; n++ {
 		var txs []*Tx
-		for op, o := range c.TipState().UTXOsOwnedBy(key.Addr) {
+		for op, o := range ownedMap(c.TipState(), key.Addr) {
 			nonce++
 			txs = append(txs, NewTransfer(key, nonce, []TxIn{{Prev: op}},
 				[]TxOut{{Value: o.Value, Owner: key.Addr}}))
@@ -91,7 +91,7 @@ func BenchmarkStateLookupByOverlayDepth(b *testing.B) {
 			c, key := benchFixture(b, blocks, 8)
 			st := c.TipState()
 			var ops []OutPoint
-			for op := range st.UTXOsOwnedBy(key.Addr) {
+			for op := range ownedMap(st, key.Addr) {
 				ops = append(ops, op)
 			}
 			b.ReportMetric(float64(st.OverlayDepth()), "overlay-depth")
@@ -174,20 +174,21 @@ func TestFlattenCostIndependentOfLedgerSize(t *testing.T) {
 	}
 }
 
-// BenchmarkUTXOsOwnedByColdOwner measures a wallet read for an address
+// BenchmarkAppendOwnedColdOwner measures a wallet read for an address
 // the state has never been asked about — every AC2T's fresh wallets —
 // under a full overlay chain: the overlays' deltas plus one index
 // lookup, independent of the base's size.
-func BenchmarkUTXOsOwnedByColdOwner(b *testing.B) {
+func BenchmarkAppendOwnedColdOwner(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
 			st := benchState(n)
+			var buf []Owned
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// A different owner every time; three in four own
 				// nothing at all.
-				st.UTXOsOwnedBy(crypto.Address{byte(i), byte(i >> 8), byte(i >> 16), byte(i & 3)})
+				buf = st.AppendOwned(buf[:0], crypto.Address{byte(i), byte(i >> 8), byte(i >> 16), byte(i & 3)})
 			}
 		})
 	}
@@ -265,7 +266,7 @@ func BenchmarkApplyBlock(b *testing.B) {
 	c, key := benchFixture(b, 1, 64)
 	var txs []*Tx
 	nonce := uint64(1 << 20)
-	for op, o := range c.TipState().UTXOsOwnedBy(key.Addr) {
+	for op, o := range ownedMap(c.TipState(), key.Addr) {
 		nonce++
 		txs = append(txs, NewTransfer(key, nonce, []TxIn{{Prev: op}},
 			[]TxOut{{Value: o.Value, Owner: key.Addr}}))

@@ -177,13 +177,21 @@ type Block struct {
 // header is not sealed; call Header.Seal. Block and header are one
 // allocation.
 func NewBlock(header Header, txs []*Tx) *Block {
-	header.TxRoot = TxRoot(txs)
-	bh := &struct {
+	bh := new(struct {
 		b Block
 		h Header
-	}{h: header}
-	bh.b.Header, bh.b.Txs = &bh.h, txs
-	return &bh.b
+	})
+	return bh.b.assemble(&bh.h, header, txs)
+}
+
+// assemble fills b, whose header is to live at h, with header and txs,
+// and computes the transaction root: the one way a block is put
+// together (NewBlock, BuildBlock).
+func (b *Block) assemble(h *Header, header Header, txs []*Tx) *Block {
+	header.TxRoot = TxRoot(txs)
+	*h = header
+	b.Header, b.Txs = h, txs
+	return b
 }
 
 // TxRoot computes the Merkle root over the transactions' ids.

@@ -95,7 +95,7 @@ func (v *vault) Clone() vm.Contract { cp := *v; return &cp }
 // utxoOf finds one UTXO of at least want owned by name.
 func (e *testEnv) utxoOf(name string, want vm.Amount) (OutPoint, TxOut) {
 	e.t.Helper()
-	owned := e.chain.TipState().UTXOsOwnedBy(e.keys[name].Addr)
+	owned := ownedMap(e.chain.TipState(), e.keys[name].Addr)
 	for op, o := range owned {
 		if o.Value >= want {
 			return op, o
@@ -146,7 +146,7 @@ func TestGenesisDeterministic(t *testing.T) {
 func TestGenesisAllocSpendable(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	e.mine(e.transfer("alice", "bob", 2_500))
-	bobOwned := e.chain.TipState().UTXOsOwnedBy(e.keys["bob"].Addr)
+	bobOwned := ownedMap(e.chain.TipState(), e.keys["bob"].Addr)
 	var total vm.Amount
 	for _, o := range bobOwned {
 		total += o.Value
@@ -169,7 +169,7 @@ func TestTransferMergeAndSplit(t *testing.T) {
 	e.mine(split)
 
 	// Merge the three back into one for bob (Figure 2, TX1).
-	owned := e.chain.TipState().UTXOsOwnedBy(e.keys["alice"].Addr)
+	owned := ownedMap(e.chain.TipState(), e.keys["alice"].Addr)
 	var ins []TxIn
 	var total vm.Amount
 	for opn, out := range owned {
@@ -180,7 +180,7 @@ func TestTransferMergeAndSplit(t *testing.T) {
 	merge := NewTransfer(e.keys["alice"], e.nonce, ins, []TxOut{{Value: total, Owner: e.keys["bob"].Addr}})
 	e.mine(merge)
 
-	if got := len(e.chain.TipState().UTXOsOwnedBy(e.keys["alice"].Addr)); got != 0 {
+	if got := len(ownedMap(e.chain.TipState(), e.keys["alice"].Addr)); got != 0 {
 		t.Fatalf("alice still owns %d outputs", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestContractCallPaysOut(t *testing.T) {
 		t.Fatalf("contract balance = %d after open, want 0", st.Balance(addr))
 	}
 	var bobTotal vm.Amount
-	for _, out := range st.UTXOsOwnedBy(e.keys["bob"].Addr) {
+	for _, out := range ownedMap(st, e.keys["bob"].Addr) {
 		bobTotal += out.Value
 	}
 	if bobTotal != 11_000 {
@@ -542,7 +542,7 @@ func TestOverlayFlattenPreservesState(t *testing.T) {
 		e.mine(e.transfer("alice", "bob", 1))
 	}
 	var bobTotal vm.Amount
-	for _, o := range e.chain.TipState().UTXOsOwnedBy(e.keys["bob"].Addr) {
+	for _, o := range ownedMap(e.chain.TipState(), e.keys["bob"].Addr) {
 		bobTotal += o.Value
 	}
 	if bobTotal != 10_000+120 {
@@ -564,8 +564,8 @@ func TestStateAtDepth(t *testing.T) {
 	if !ok {
 		t.Fatal("StateAtDepth(3) failed")
 	}
-	bobNow := stNow.UTXOsOwnedBy(e.keys["bob"].Addr)
-	bobOld := stOld.UTXOsOwnedBy(e.keys["bob"].Addr)
+	bobNow := ownedMap(stNow, e.keys["bob"].Addr)
+	bobOld := ownedMap(stOld, e.keys["bob"].Addr)
 	if len(bobNow) <= len(bobOld) {
 		t.Fatal("deep state should predate the transfer")
 	}
@@ -584,7 +584,7 @@ func TestBuildBlockRespectsCapacity(t *testing.T) {
 	}
 	small := exec.NewView()
 	// Split alice's funds so she has several outputs.
-	op, o := small.TipState().UTXOsOwnedBy(e.keys["alice"].Addr), TxOut{}
+	op, o := ownedMap(small.TipState(), e.keys["alice"].Addr), TxOut{}
 	_ = o
 	var prev OutPoint
 	for p := range op {
@@ -604,7 +604,7 @@ func TestBuildBlockRespectsCapacity(t *testing.T) {
 
 	var txs []*Tx
 	n := uint64(10)
-	for p, out := range small.TipState().UTXOsOwnedBy(e.keys["alice"].Addr) {
+	for p, out := range ownedMap(small.TipState(), e.keys["alice"].Addr) {
 		n++
 		txs = append(txs, NewTransfer(e.keys["alice"], n, []TxIn{{Prev: p}},
 			[]TxOut{{Value: out.Value, Owner: e.keys["bob"].Addr}}))

@@ -79,14 +79,14 @@ func (l ledger) owners() []crypto.Address {
 	return out
 }
 
-// checkOwnerIndex compares UTXOsOwnedBy with the brute-force scan for
+// checkOwnerIndex compares AppendOwned with the brute-force scan for
 // every owner in st plus one address that owns nothing.
 func checkOwnerIndex(t *testing.T, what string, st *State) {
 	t.Helper()
 	l := snapshot(st)
 	for _, a := range append(l.owners(), crypto.Address{0xEE}) {
-		if got, want := st.UTXOsOwnedBy(a), l.ownedBy(a); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: UTXOsOwnedBy(%s) = %d outputs, brute-force scan finds %d", what, a, len(got), len(want))
+		if got, want := ownedMap(st, a), l.ownedBy(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: AppendOwned(%s) = %d outputs, brute-force scan finds %d", what, a, len(got), len(want))
 		}
 	}
 }
@@ -207,10 +207,10 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 	// base having heard of it, and the miner — thousands of coinbases at
 	// scale, never queried by the engine — is served from the index too.
 	st := e.chain.TipState()
-	if got := st.UTXOsOwnedBy(crypto.Address{0xAB}); len(got) != 0 {
+	if got := ownedMap(st, crypto.Address{0xAB}); len(got) != 0 {
 		t.Fatalf("unknown owner holds %d outputs", len(got))
 	}
-	if got := st.UTXOsOwnedBy(e.miner.Addr); len(got) != int(e.chain.Height()) {
+	if got := ownedMap(st, e.miner.Addr); len(got) != int(e.chain.Height()) {
 		t.Fatalf("miner holds %d coinbases, want %d", len(got), e.chain.Height())
 	}
 }
@@ -367,7 +367,7 @@ func (g *blockGen) mine(n int) []*Block {
 		var deployed *Tx
 		// The funding output: the smallest outpoint worth spending, so
 		// the choice does not depend on map order.
-		owned := g.view.TipState().UTXOsOwnedBy(g.key.Addr)
+		owned := ownedMap(g.view.TipState(), g.key.Addr)
 		ops := make([]OutPoint, 0, len(owned))
 		for op, o := range owned {
 			if o.Value >= 100 {

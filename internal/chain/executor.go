@@ -65,6 +65,7 @@ type Executor struct {
 	pruneFloor uint64
 	hashSlab   []crypto.Hash // what is left of the slabs index carves slots from
 	opSlab     []opRef
+	recordSlab []record // and of the one admit carves records from
 
 	// History retirement (Params.RetireDepth): retireFloor is the
 	// lowest retained height (0 while retirement is disabled or hasn't
@@ -379,9 +380,17 @@ func checkLinkage(b, parent *Block) error {
 }
 
 // admit records a validated block, its state, its transactions, and
-// its contract operations.
+// its contract operations. The record is a slot carved from a slab of
+// 64 (ADR-003); retire zeroes the slot, so a slab that lives on for its
+// other records pins no retired block.
 func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
-	e.blocks[h] = &record{block: b, state: st}
+	if len(e.recordSlab) == 0 {
+		e.recordSlab = make([]record, 64)
+	}
+	r := &e.recordSlab[0]
+	e.recordSlab = e.recordSlab[1:]
+	*r = record{block: b, state: st}
+	e.blocks[h] = r
 	e.stats.StatesLive++
 	height := b.Header.Height
 	index(e.byHeight, height, h, &e.hashSlab)
@@ -509,6 +518,7 @@ func (e *Executor) retire(minTip uint64) {
 			}
 			e.dropBlockIndexes(bh, r.block)
 			delete(e.blocks, bh)
+			*r = record{}
 			e.stats.Retired++
 			for _, v := range e.views {
 				delete(v.have, bh)

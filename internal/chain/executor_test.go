@@ -116,7 +116,7 @@ func TestSharedExecutorDivergentViews(t *testing.T) {
 // v's tip state.
 func mustTransfer(t *testing.T, v *Chain, key *crypto.KeyPair, nonce uint64, amt vm.Amount) *Tx {
 	t.Helper()
-	for op, o := range v.TipState().UTXOsOwnedBy(key.Addr) {
+	for op, o := range ownedMap(v.TipState(), key.Addr) {
 		if o.Value >= amt {
 			return NewTransfer(key, nonce, []TxIn{{Prev: op}},
 				[]TxOut{{Value: o.Value, Owner: key.Addr}})
@@ -291,7 +291,7 @@ func BenchmarkBlockPropagation(b *testing.B) {
 	now := sim.Time(10)
 	for n := 0; n < 32; n++ {
 		var txs []*Tx
-		for op, o := range builder.TipState().UTXOsOwnedBy(key.Addr) {
+		for op, o := range ownedMap(builder.TipState(), key.Addr) {
 			nonce++
 			outs := []TxOut{{Value: o.Value / 2, Owner: key.Addr}, {Value: o.Value - o.Value/2, Owner: key.Addr}}
 			if o.Value < 2 {

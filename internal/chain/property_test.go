@@ -44,7 +44,7 @@ func TestPropertyValueConservation(t *testing.T) {
 			} else {
 				owner = bob
 			}
-			owned := st.UTXOsOwnedBy(owner.Addr)
+			owned := ownedMap(st, owner.Addr)
 			if len(owned) == 0 {
 				continue
 			}

@@ -117,6 +117,98 @@ func TestPrunedStateIsCollected(t *testing.T) {
 	}
 }
 
+// TestRetiredBlockIsCollected: a retired block is garbage even though
+// the slab its record was carved from lives on — here because the test
+// holds the record's slot, in a run because the records of the blocks
+// above it share the slab. Retire zeroes the slot.
+func TestRetiredBlockIsCollected(t *testing.T) {
+	rng := sim.NewRNG(92)
+	miner := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	exec, err := NewExecutor(pruneParams(8, 16), nil, GenesisAlloc{miner.Addr: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := exec.NewView()
+	r, held := func() (*record, weak.Pointer[Block]) {
+		b := mineChain(t, v, miner.Addr, 3, 0)[1]
+		return exec.blocks[b.Hash()], weak.Make(b)
+	}()
+	// Past a flatten and the retire horizon: no live state's overlay
+	// chain reaches down to the block's.
+	mineChain(t, v, miner.Addr, 2*flattenDepth, 30)
+	runtime.GC()
+	if exec.retireFloor <= 2 || exec.Stats().Retired == 0 {
+		t.Fatalf("retire floor %d: the block at height 2 was not retired", exec.retireFloor)
+	}
+	if !reflect.DeepEqual(*r, record{}) {
+		t.Fatalf("the retired block's record slot still holds %+v", *r)
+	}
+	if held.Value() != nil {
+		t.Fatal("the retired block survived a collection while its record's slab lived on")
+	}
+}
+
+// TestSealedDeltaSurvivesPruneAndRemount: a built block's delta, sealed
+// into the block's own slots or, past them, into exact slices, is kept
+// unchanged when its state is pruned — while later blocks are built in
+// the buffers it was written in — and re-mounted as it was sealed.
+func TestSealedDeltaSurvivesPruneAndRemount(t *testing.T) {
+	rng := sim.NewRNG(93)
+	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	miner := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	exec, err := NewExecutor(pruneParams(8, 0), nil, GenesisAlloc{key.Addr: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := exec.NewView()
+	var grant OutPoint
+	for op := range ownedMap(v.TipState(), key.Addr) {
+		grant = op
+	}
+	split := NewTransfer(key, 1, []TxIn{{Prev: grant}}, []TxOut{
+		{Value: 40_000, Owner: key.Addr}, {Value: 30_000, Owner: key.Addr}, {Value: 30_000, Owner: key.Addr}})
+	// The coinbase alone fits the block's slot; the split's three
+	// outputs beside it do not.
+	var blocks []*Block
+	var sealed []blockDelta
+	for i, txs := range [][]*Tx{nil, {split}} {
+		b, built, _ := v.BuildBlock(miner.Addr, sim.Time(i+1)*10, txs)
+		b.Header.Seal(0)
+		if _, err := v.AddMinedBlock(b, built); err != nil {
+			t.Fatal(err)
+		}
+		d := built.own
+		sealed = append(sealed, blockDelta{slices.Clone(d.added), slices.Clone(d.spent),
+			slices.Clone(d.contracts), slices.Clone(d.balances), d.keys})
+		blocks = append(blocks, b)
+	}
+	if n := len(sealed[1].added); n != 4 {
+		t.Fatalf("the split's block adds %d outputs, want 4", n)
+	}
+	mineChain(t, v, miner.Addr, 20, 30)
+	for i, b := range blocks {
+		r := exec.blocks[b.Hash()]
+		if r.state != nil || !r.kept {
+			t.Fatalf("block %d: state %p, delta kept %v; want pruned to its delta", i, r.state, r.kept)
+		}
+		if !reflect.DeepEqual(r.delta, sealed[i]) {
+			t.Fatalf("block %d: kept delta %+v, sealed %+v", i, r.delta, sealed[i])
+		}
+		st, ok := exec.stateOf(b.Hash())
+		if !ok || !reflect.DeepEqual(st.own, sealed[i]) {
+			t.Fatalf("block %d: re-mounted layer %+v, sealed %+v", i, st.own, sealed[i])
+		}
+		for _, e := range sealed[i].added {
+			if out, ok := st.UTXO(e.op); !ok || out != e.out {
+				t.Fatalf("block %d: re-mounted state reads %v, %v for %v; want %v", i, out, ok, e.op, e.out)
+			}
+		}
+	}
+	if got := exec.Stats().Replays; got != 0 {
+		t.Fatalf("%d blocks re-executed; their deltas were kept", got)
+	}
+}
+
 // TestDeepReorgAcrossPruneHorizon is the tentpole's correctness
 // regression: a fork branching below the prune horizon overtakes the
 // canonical chain. The pruning executor must re-derive the fork

@@ -60,8 +60,8 @@ type base struct {
 	balances  table[crypto.Address, vm.Amount]
 
 	// owned indexes every live output by owner ‖ outpoint, so wallet
-	// reads (UTXOsOwnedBy, and through it SelectFunds/Balance on every
-	// client call) cost O(owned + overlay deltas) for any address —
+	// reads (AppendOwned, and through it SelectFunds on every client
+	// call) cost O(owned + overlay deltas) for any address —
 	// including one never seen before, which every AC2T's fresh wallets
 	// are — and adding to or removing from an owner's outputs costs the
 	// same for a miner holding thousands of coinbases as for a wallet
@@ -168,9 +168,9 @@ func (s *State) clone() *State {
 // order of the slices is never observed. A layer is written only while
 // its block is built or applied; after that the executor may take it by
 // value, sharing the slices, to keep when it prunes the state or to
-// re-mount under a new State. The backing arrays are allocated apart
-// from the State that wrote them, so a kept delta does not pin the
-// state or its parents.
+// re-mount under a new State. Its backing arrays lie apart from the
+// State that wrote them (a built block's added outputs, when they fit,
+// in the block's own allocation), so a kept delta pins no state.
 type blockDelta struct {
 	added     []utxoEntry
 	spent     []OutPoint // tombstones masking the parent
@@ -269,10 +269,19 @@ func (d *blockDelta) balanceAt(a *crypto.Address) int {
 }
 
 // seal moves a layer written into reused buffers (BuildBlock's) into
-// exact-sized slices of its own, and returns the buffers emptied.
-func (d *blockDelta) seal() blockDelta {
+// slices of its own, and returns the buffers emptied: the added outputs
+// into slots when they fit there (BuildBlock's, in the block's own
+// allocation), every other slice exact-sized.
+func (d *blockDelta) seal(slots []utxoEntry) blockDelta {
 	buf := *d
-	*d = blockDelta{append([]utxoEntry(nil), buf.added...), append([]OutPoint(nil), buf.spent...),
+	var added []utxoEntry
+	if n := len(buf.added); n <= len(slots) {
+		added = slots[:n:n]
+		copy(added, buf.added)
+	} else {
+		added = append(added, buf.added...)
+	}
+	*d = blockDelta{added, append([]OutPoint(nil), buf.spent...),
 		append([]contractEntry(nil), buf.contracts...), append([]balanceEntry(nil), buf.balances...), buf.keys}
 	clear(buf.contracts)
 	return blockDelta{added: buf.added[:0], spent: buf.spent[:0], contracts: buf.contracts[:0], balances: buf.balances[:0]}
@@ -418,15 +427,22 @@ func (s *State) SetBalance(addr crypto.Address, v vm.Amount) {
 	d.balances = append(d.balances, balanceEntry{addr, v})
 }
 
-// UTXOsOwnedBy collects the outputs owned by addr. Overlay layers are
-// scanned linearly (they are small and bounded by flattenDepth); the
-// base is read through its owner index — the entries under addr's
-// prefix, in outpoint order — so wallet reads stay
-// O(owned + overlay deltas) rather than O(UTXO set). Every candidate is
-// confirmed by a lookup from the top, which is what decides whether a
-// newer layer spent it. It serves clients (wallets), not consensus.
-func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
-	out := make(map[OutPoint]TxOut)
+// Owned is one output of a wallet read (AppendOwned).
+type Owned struct {
+	Op  OutPoint
+	Out TxOut
+}
+
+// AppendOwned appends the unspent outputs owned by addr to dst, in
+// outpoint order, each once. Overlay layers are scanned linearly (they
+// are small and bounded by flattenDepth); the base is read through its
+// owner index — the entries under addr's prefix, in outpoint order — so
+// wallet reads stay O(owned + overlay deltas) rather than O(UTXO set).
+// Every candidate is confirmed by a lookup from the top, which is what
+// decides whether a newer layer spent it. It serves clients (wallets),
+// not consensus.
+func (s *State) AppendOwned(dst []Owned, addr crypto.Address) []Owned {
+	start := len(dst)
 	cur := s
 	for ; cur.parent != nil; cur = cur.parent {
 		for _, e := range cur.own.added {
@@ -434,17 +450,22 @@ func (s *State) UTXOsOwnedBy(addr crypto.Address) map[OutPoint]TxOut {
 				continue
 			}
 			if live, ok := s.UTXO(e.op); ok {
-				out[e.op] = live
+				dst = append(dst, Owned{e.op, live})
 			}
 		}
 	}
 	for k := range cur.base.owned.scan(ownedBy(addr, utxoKey{}), 2*crypto.AddressSize) {
 		op := k.outPoint()
 		if live, ok := s.UTXO(op); ok {
-			out[op] = live
+			dst = append(dst, Owned{op, live})
 		}
 	}
-	return out
+	// The overlays' finds come unordered, and an output re-added over
+	// its own tombstone is found in two layers.
+	owned := dst[start:]
+	slices.SortFunc(owned, func(a, b Owned) int { return a.Op.Compare(b.Op) })
+	owned = slices.CompactFunc(owned, func(a, b Owned) bool { return a.Op == b.Op })
+	return dst[:start+len(owned)]
 }
 
 // TotalValue sums every unspent output plus every contract balance:

@@ -206,7 +206,7 @@ func (m *stateModel) step() {
 		// BuildBlock's layers are: no layer may see another's writes.
 		c.st.own, m.buf = m.buf, blockDelta{}
 		m.write(c.st, c.ref)
-		m.buf = c.st.own.seal()
+		m.buf = c.st.own.seal(nil)
 		if i == m.tip {
 			m.tip = len(m.nodes) - 1 // so overlay chains grow past flattenDepth
 		}
@@ -247,6 +247,16 @@ func (m *stateModel) step() {
 			m.add(st, c.ref.clone(), -1, true)
 		}
 	}
+}
+
+// ownedMap is a wallet read collected into a map, what tests compare
+// with their models.
+func ownedMap(st *State, a crypto.Address) map[OutPoint]TxOut {
+	m := make(map[OutPoint]TxOut)
+	for _, o := range st.AppendOwned(nil, a) {
+		m[o.Op] = o.Out
+	}
+	return m
 }
 
 // checkLayer holds a layer's own invariants: every key it holds has
@@ -313,8 +323,18 @@ func (m *stateModel) check(n *modelNode) {
 		total += v
 	}
 	for _, a := range m.owners {
-		if got := n.st.UTXOsOwnedBy(a); !reflect.DeepEqual(got, owned[a]) {
-			m.t.Fatalf("UTXOsOwnedBy(%s) holds %d outputs, the model %d", a, len(got), len(owned[a]))
+		// Appended after a prefix it keeps, in outpoint order, each once.
+		list := n.st.AppendOwned([]Owned{{Out: TxOut{Value: 7}}}, a)
+		if list[0].Out.Value != 7 {
+			m.t.Fatalf("AppendOwned(%s) overwrote its destination's prefix", a)
+		}
+		for i := 2; i < len(list); i++ {
+			if list[i-1].Op.Compare(list[i].Op) >= 0 {
+				m.t.Fatalf("AppendOwned(%s) lists %v before %v", a, list[i-1].Op, list[i].Op)
+			}
+		}
+		if got := ownedMap(n.st, a); !reflect.DeepEqual(got, owned[a]) {
+			m.t.Fatalf("AppendOwned(%s) holds %d outputs, the model %d", a, len(got), len(owned[a]))
 		}
 	}
 	if got := n.st.TotalValue(); got != total {

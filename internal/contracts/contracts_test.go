@@ -85,9 +85,9 @@ func (w *world) mineEmpty(id chain.ID, n int) {
 // fund selects one UTXO of key worth at least amt on the chain.
 func (w *world) fund(id chain.ID, key *crypto.KeyPair, amt vm.Amount) (chain.TxIn, vm.Amount) {
 	w.t.Helper()
-	for op, o := range w.chains[id].TipState().UTXOsOwnedBy(key.Addr) {
-		if o.Value >= amt {
-			return chain.TxIn{Prev: op}, o.Value - amt
+	for _, o := range w.chains[id].TipState().AppendOwned(nil, key.Addr) {
+		if o.Out.Value >= amt {
+			return chain.TxIn{Prev: o.Op}, o.Out.Value - amt
 		}
 	}
 	w.t.Fatalf("%s lacks %d on %s", key.Addr, amt, id)
@@ -145,8 +145,8 @@ func (w *world) contractState(id chain.ID, addr crypto.Address) vm.Contract {
 // balanceOf sums key's UTXOs on a chain.
 func (w *world) balanceOf(id chain.ID, key *crypto.KeyPair) vm.Amount {
 	var total vm.Amount
-	for _, o := range w.chains[id].TipState().UTXOsOwnedBy(key.Addr) {
-		total += o.Value
+	for _, o := range w.chains[id].TipState().AppendOwned(nil, key.Addr) {
+		total += o.Out.Value
 	}
 	return total
 }

@@ -53,8 +53,8 @@ func twoPartyRun(t *testing.T, w *xchain.World, alice, bob *xchain.Participant, 
 
 func ownedTotal(w *xchain.World, id chain.ID, a crypto.Address) uint64 {
 	var total uint64
-	for _, o := range w.View(id).TipState().UTXOsOwnedBy(a) {
-		total += o.Value
+	for _, o := range w.View(id).TipState().AppendOwned(nil, a) {
+		total += o.Out.Value
 	}
 	return total
 }

@@ -105,7 +105,7 @@ func TestStandUpAllocations(t *testing.T) {
 	for _, c := range []struct {
 		proto   Protocol
 		ceiling float64
-	}{{ProtoAC3WN, 45}, {ProtoAC3TW, 43}, {ProtoHTLC, 37}} {
+	}{{ProtoAC3WN, 45}, {ProtoAC3TW, 43}, {ProtoHTLC, 35}} {
 		t.Run(string(c.proto), func(t *testing.T) {
 			b := xchain.NewBuilder(47000)
 			ids := []chain.ID{"c0", "c1"}

@@ -44,7 +44,7 @@ type Client struct {
 	rng  sim.RNG
 
 	nonce    uint64
-	reserved map[chain.OutPoint]bool // made on first use
+	reserved []chain.OutPoint // inputs SelectFunds handed out, until spent
 
 	subs []*Sub
 	one  [1]*Sub // subs' first backing array
@@ -56,10 +56,11 @@ type Client struct {
 	armed  bool
 	// seen is the tip the subscribers last heard about (the tip when the
 	// waiter was armed); joined backs the summary of what came after it.
-	seen   *chain.Block
-	joined []*chain.Block
-	halted bool
-	closed bool
+	seen      *chain.Block
+	joined    []*chain.Block
+	oneJoined [1]*chain.Block // joined's first backing array
+	halted    bool
+	closed    bool
 
 	// ResubmitEvery is the resubmission cadence subscribers keep a
 	// transaction alive at: one absent from the canonical chain for a
@@ -123,7 +124,7 @@ func (c *Client) Init(net *Network, nodeIndex int, key *crypto.KeyPair) {
 		rng:           *net.Sim.RNG().Fork(),
 		ResubmitEvery: 3 * net.Params.BlockInterval,
 	}
-	c.subs = c.one[:0]
+	c.subs, c.joined = c.one[:0], c.oneJoined[:0]
 }
 
 // Chain returns the attached node's chain view (reads only).
@@ -280,30 +281,22 @@ func (c *Client) submitDelay() sim.Time {
 // outputs are pruned first.
 func (c *Client) SelectFunds(amount vm.Amount) ([]chain.TxIn, vm.Amount, error) {
 	st := c.Chain().TipState()
-	for op := range c.reserved {
-		if _, live := st.UTXO(op); !live {
-			delete(c.reserved, op)
+	c.reserved = slices.DeleteFunc(c.reserved, func(op chain.OutPoint) bool {
+		_, live := st.UTXO(op)
+		return !live
+	})
+	// Select in canonical outpoint order, AppendOwned's: the chosen
+	// inputs are wire-visible (they pick the transaction's bytes, its
+	// id, and any contract address derived from it), so they must not
+	// depend on anything but the wallet's outputs.
+	var stack [8]chain.Owned
+	owned := st.AppendOwned(stack[:0], c.Key.Addr)
+	picked, total := owned[:0], vm.Amount(0)
+	for _, o := range owned {
+		if slices.Contains(c.reserved, o.Op) {
+			continue
 		}
-	}
-	// Select in canonical outpoint order, never map iteration order:
-	// the chosen inputs are wire-visible (they pick the transaction's
-	// bytes, its id, and any contract address derived from it), so a
-	// map-order selection would make all of those a function of the
-	// runtime's per-process map seed the moment a wallet holds more
-	// than one spendable output.
-	owned := st.UTXOsOwnedBy(c.Key.Addr)
-	cands := make([]chain.OutPoint, 0, len(owned))
-	for op := range owned {
-		if !c.reserved[op] {
-			cands = append(cands, op)
-		}
-	}
-	slices.SortFunc(cands, chain.OutPoint.Compare)
-	var ins []chain.TxIn
-	var total vm.Amount
-	for _, op := range cands {
-		ins = append(ins, chain.TxIn{Prev: op})
-		total += owned[op].Value
+		picked, total = append(picked, o), total+o.Out.Value
 		if total >= amount {
 			break
 		}
@@ -311,11 +304,10 @@ func (c *Client) SelectFunds(amount vm.Amount) ([]chain.TxIn, vm.Amount, error) 
 	if total < amount {
 		return nil, 0, fmt.Errorf("miner: %s has %d available, needs %d", c.Key.Addr, total, amount)
 	}
-	if c.reserved == nil {
-		c.reserved = make(map[chain.OutPoint]bool, len(ins))
-	}
-	for _, in := range ins {
-		c.reserved[in.Prev] = true
+	ins := make([]chain.TxIn, len(picked))
+	for i, o := range picked {
+		ins[i] = chain.TxIn{Prev: o.Op}
+		c.reserved = append(c.reserved, o.Op)
 	}
 	return ins, total - amount, nil
 }

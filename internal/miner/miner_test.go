@@ -153,8 +153,8 @@ func TestTransferThroughClient(t *testing.T) {
 		t.Fatal("transfer never confirmed at depth 3")
 	}
 	var bobTotal vm.Amount
-	for _, o := range net.Node(1).Chain.TipState().UTXOsOwnedBy(bob.Addr) {
-		bobTotal += o.Value
+	for _, o := range net.Node(1).Chain.TipState().AppendOwned(nil, bob.Addr) {
+		bobTotal += o.Out.Value
 	}
 	if bobTotal != 5_000 {
 		t.Fatalf("bob owns %d, want 5000", bobTotal)
@@ -165,8 +165,8 @@ func TestClientBalanceAndFundSelection(t *testing.T) {
 	_, net, user := testNet(t, 5, 1, p2p.LatencyModel{Base: 1})
 	alice := NewClient(net, 0, user)
 	var funds vm.Amount
-	for _, out := range alice.Chain().TipState().UTXOsOwnedBy(user.Addr) {
-		funds += out.Value
+	for _, o := range alice.Chain().TipState().AppendOwned(nil, user.Addr) {
+		funds += o.Out.Value
 	}
 	if funds != 1_000_000 {
 		t.Fatalf("balance = %d", funds)

@@ -61,10 +61,9 @@ func TestHTLCRefundBeforeTimelockIsRetriedEveryBlock(t *testing.T) {
 	node := net.Node(0)
 	timelock := 45 * sim.Second
 	params := contracts.HTLCParams{Recipient: crypto.Address{7}, Hashlock: crypto.Sum([]byte("s")), Timelock: int64(timelock)}
-	funds := node.Chain.TipState().UTXOsOwnedBy(user.Addr)
 	var ins []chain.TxIn
-	for op := range funds {
-		ins = append(ins, chain.TxIn{Prev: op})
+	for _, o := range node.Chain.TipState().AppendOwned(nil, user.Addr) {
+		ins = append(ins, chain.TxIn{Prev: o.Op})
 	}
 	deploy := chain.NewDeploy(user, 1, ins, nil, contracts.TypeHTLC, params.Encode(), 1_000_000)
 	refund := chain.NewCall(user, 2, deploy.ContractAddr(), contracts.FnRefund, nil, nil, nil, 0)

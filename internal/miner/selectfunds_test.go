@@ -55,3 +55,43 @@ func TestSelectFundsCanonicalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectFundsAllocatesItsInputs: a wallet read appends into a
+// buffer on SelectFunds' stack and the reservations are a slice the
+// client keeps, so selecting two of a three-output wallet's outputs
+// allocates the returned inputs and nothing else — one exact slice.
+func TestSelectFundsAllocatesItsInputs(t *testing.T) {
+	s, net, user := testNet(t, 17, 1, p2p.LatencyModel{Base: 1})
+	net.Start()
+	alice := NewClient(net, 0, user)
+	ins, _, err := alice.SelectFunds(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := chain.NewTransfer(user, 1, ins, []chain.TxOut{
+		{Value: 300_000, Owner: user.Addr}, {Value: 300_000, Owner: user.Addr}, {Value: 400_000, Owner: user.Addr}})
+	alice.Submit(split)
+	mined := false
+	whenTxAtDepth(t, alice, split, 0, func() { mined = true })
+	s.RunUntil(2 * sim.Minute)
+	if !mined {
+		t.Fatal("the split was never mined")
+	}
+	net.Node(0).StopMining()
+	s.Run()
+	if owned := alice.Chain().TipState().AppendOwned(nil, user.Addr); len(owned) != 3 {
+		t.Fatalf("the wallet holds %d outputs, want 3", len(owned))
+	}
+
+	var got []chain.TxIn
+	n := testing.AllocsPerRun(100, func() {
+		alice.reserved = alice.reserved[:0]
+		got, _, err = alice.SelectFunds(500_000)
+	})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("SelectFunds(500000) = %d inputs, %v; want 2", len(got), err)
+	}
+	if n != 1 {
+		t.Errorf("SelectFunds on a three-output wallet: %v allocations, want 1", n)
+	}
+}

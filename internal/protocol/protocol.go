@@ -509,15 +509,16 @@ func (rt *Runtime) WakeAt(p *xchain.Participant, key string, t sim.Time) {
 		return
 	}
 	st.armed = append(st.armed, key)
-	s := rt.cfg.World.Sim
-	if t < s.Now() {
-		t = s.Now()
-	}
-	s.At(t, func() {
-		i := slices.Index(st.armed, key)
-		st.armed = slices.Delete(st.armed, i, i+1)
-		rt.Drive(p)
-	})
+	rt.cfg.World.WakeAt(rt, p, key, t)
+}
+
+// Woken is the firing of the timer WakeAt armed for (p, key): it
+// disarms it and drives p.
+func (rt *Runtime) Woken(p *xchain.Participant, key string) {
+	st := rt.state(p)
+	i := slices.Index(st.armed, key)
+	st.armed = slices.Delete(st.armed, i, i+1)
+	rt.Drive(p)
 }
 
 // After schedules a run-level one-shot callback d from now, dropped

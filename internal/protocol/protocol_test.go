@@ -307,6 +307,44 @@ func TestThrottleAndWakeAt(t *testing.T) {
 	}
 }
 
+// TestWarmWakeAtAllocatesNothing: WakeAt's timers ride the world's
+// pool, so once a timer has fired, arming and firing the next allocates
+// nothing, and an arm while one is pending is still ignored.
+func TestWarmWakeAtAllocatesNothing(t *testing.T) {
+	w, alice, bob := world(t, 6)
+	drives := 0
+	rt, err := New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Drive: func(p *xchain.Participant) {
+			if p == alice {
+				drives++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	w.StopMining()
+	w.Sim.Run() // nothing left scheduled
+	wake := func() {
+		rt.WakeAt(alice, "due", w.Sim.Now()+sim.Second)
+		rt.WakeAt(alice, "due", w.Sim.Now()) // pending: ignored
+		w.Sim.Run()
+	}
+	wake()
+	before := drives
+	if n := testing.AllocsPerRun(100, wake); n != 0 {
+		t.Errorf("warm WakeAt armed and fired: %v allocations, want 0", n)
+	}
+	if got := drives - before; got != 101 {
+		t.Fatalf("101 timers armed twice each drove alice %d times, want once each", got)
+	}
+}
+
 func TestEnsureTxConfirmsAndResubmits(t *testing.T) {
 	w, alice, bob := world(t, 5)
 	client := alice.Client("c0")

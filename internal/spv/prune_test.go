@@ -44,9 +44,9 @@ func TestEvidenceAcrossPrunedStates(t *testing.T) {
 	}
 	anchor := view.Tip()
 	var prev chain.OutPoint
-	for op, out := range view.TipState().UTXOsOwnedBy(key.Addr) {
-		if out.Value == 1_000 { // the genesis grant, not a coinbase
-			prev = op
+	for _, o := range view.TipState().AppendOwned(nil, key.Addr) {
+		if o.Out.Value == 1_000 { // the genesis grant, not a coinbase
+			prev = o.Op
 		}
 	}
 	tx := chain.NewTransfer(key, 1, []chain.TxIn{{Prev: prev}},

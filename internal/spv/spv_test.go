@@ -48,8 +48,8 @@ func newFixtureAny(t fixtureTB, blocksAfterTx int) *fixture {
 
 	// The transaction of interest.
 	var prev chain.OutPoint
-	for op := range view.TipState().UTXOsOwnedBy(key.Addr) {
-		prev = op
+	for _, o := range view.TipState().AppendOwned(nil, key.Addr) {
+		prev = o.Op
 	}
 	f.tx = chain.NewTransfer(key, 1, []chain.TxIn{{Prev: prev}},
 		[]chain.TxOut{{Value: 1_000, Owner: key.Addr}})
@@ -216,9 +216,9 @@ func TestEvidenceFromMidChainCheckpoint(t *testing.T) {
 	f.mine()
 	cpBlock, _ := f.view.CanonicalAt(2)
 	var prev chain.OutPoint
-	for op, o := range f.view.TipState().UTXOsOwnedBy(f.key.Addr) {
-		if o.Value == 1_000 {
-			prev = op
+	for _, o := range f.view.TipState().AppendOwned(nil, f.key.Addr) {
+		if o.Out.Value == 1_000 {
+			prev = o.Op
 		}
 	}
 	tx2 := chain.NewTransfer(f.key, 2, []chain.TxIn{{Prev: prev}},

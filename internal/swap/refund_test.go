@@ -74,8 +74,8 @@ func TestRefundCascadeWhenMidChainParticipantDefects(t *testing.T) {
 			continue // the defector never spent anything
 		}
 		var total uint64
-		for _, o := range w.View(ids[i]).TipState().UTXOsOwnedBy(p.Addr()) {
-			total += o.Value
+		for _, o := range w.View(ids[i]).TipState().AppendOwned(nil, p.Addr()) {
+			total += o.Out.Value
 		}
 		if total != 1_000_000 {
 			t.Fatalf("participant %d ended with %d on %s, want full restore", i, total, ids[i])

@@ -62,16 +62,16 @@ func TestNolanTwoPartyHappyPath(t *testing.T) {
 	// the ethereum-side asset.
 	btcView := w.View("bitcoin")
 	var bobBTC uint64
-	for _, o := range btcView.TipState().UTXOsOwnedBy(bob.Addr()) {
-		bobBTC += o.Value
+	for _, o := range btcView.TipState().AppendOwned(nil, bob.Addr()) {
+		bobBTC += o.Out.Value
 	}
 	if bobBTC != 40_000 {
 		t.Fatalf("bob owns %d on bitcoin, want 40000", bobBTC)
 	}
 	ethView := w.View("ethereum")
 	var aliceETH uint64
-	for _, o := range ethView.TipState().UTXOsOwnedBy(alice.Addr()) {
-		aliceETH += o.Value
+	for _, o := range ethView.TipState().AppendOwned(nil, alice.Addr()) {
+		aliceETH += o.Out.Value
 	}
 	if aliceETH != 90_000 {
 		t.Fatalf("alice owns %d on ethereum, want 90000", aliceETH)
@@ -125,8 +125,8 @@ func TestSwapAbortsWhenCounterpartyNeverDeploys(t *testing.T) {
 	}
 	// Alice got her asset back.
 	var aliceBTC uint64
-	for _, o := range w.View("bitcoin").TipState().UTXOsOwnedBy(alice.Addr()) {
-		aliceBTC += o.Value
+	for _, o := range w.View("bitcoin").TipState().AppendOwned(nil, alice.Addr()) {
+		aliceBTC += o.Out.Value
 	}
 	if aliceBTC != 1_000_000 {
 		t.Fatalf("alice owns %d on bitcoin after refund, want 1000000", aliceBTC)
@@ -205,8 +205,8 @@ func TestSwapCrashedBobRecoversTooLate(t *testing.T) {
 	}
 	// Alice ended up with both assets.
 	var aliceBTC uint64
-	for _, o := range w.View("bitcoin").TipState().UTXOsOwnedBy(alice.Addr()) {
-		aliceBTC += o.Value
+	for _, o := range w.View("bitcoin").TipState().AppendOwned(nil, alice.Addr()) {
+		aliceBTC += o.Out.Value
 	}
 	if aliceBTC != 1_000_000 {
 		t.Fatalf("alice btc = %d, want her full refund", aliceBTC)

@@ -39,6 +39,8 @@ type World struct {
 	// written ahead of need (Builder.Presign; nil: none).
 	GraphSigs uint64
 	Sigs      *crypto.SigBook
+
+	wakes *sim.Pool[wake] // WakeAt's timers in flight
 }
 
 // Resubmits counts protocol.Runtime.EnsureTx's re-multicasts: a window after
@@ -143,7 +145,7 @@ func (b *Builder) Presign(digest crypto.Hash, ps []*Participant) {
 // Build wires the networks, attaches a client per participant per
 // chain, starts mining on every chain, and returns the world.
 func (b *Builder) Build() (*World, error) {
-	w := &World{Sim: b.s, Nets: make(map[chain.ID]*miner.Network), Sigs: b.book}
+	w := &World{Sim: b.s, Nets: make(map[chain.ID]*miner.Network), Sigs: b.book, wakes: sim.NewPool(b.s, wake.fire)}
 	for _, spec := range b.specs {
 		alloc := chain.GenesisAlloc{}
 		for _, f := range b.funding {
@@ -178,6 +180,26 @@ func (b *Builder) Build() (*World, error) {
 	}
 	b.sigs.Background(b.book)
 	return w, nil
+}
+
+// A Waker is what a timer armed by World.WakeAt calls when it fires.
+type Waker interface {
+	Woken(p *Participant, key string)
+}
+
+type wake struct { // a WakeAt timer in flight
+	to  Waker
+	p   *Participant
+	key string
+}
+
+func (w wake) fire() { w.to.Woken(w.p, w.key) }
+
+// WakeAt has to.Woken(p, key) called at virtual time t, no earlier than
+// now. The timers of every run hosted here share one pool, so arming
+// one allocates nothing once the pool is warm.
+func (w *World) WakeAt(to Waker, p *Participant, key string, t sim.Time) {
+	w.wakes.After(max(t-w.Sim.Now(), 0), wake{to, p, key})
 }
 
 // Chains returns the world's chain ids in creation order.

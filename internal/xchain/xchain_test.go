@@ -31,8 +31,8 @@ func buildTwoChainWorld(t *testing.T, seed uint64) (*World, *Participant, *Parti
 // funds sums the outputs p owns at the tip of chain id.
 func funds(w *World, id chain.ID, p *Participant) vm.Amount {
 	var total vm.Amount
-	for _, out := range w.View(id).TipState().UTXOsOwnedBy(p.Addr()) {
-		total += out.Value
+	for _, o := range w.View(id).TipState().AppendOwned(nil, p.Addr()) {
+		total += o.Out.Value
 	}
 	return total
 }
