@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -58,19 +57,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range ids {
 		ids[i] = chain.ID(fmt.Sprintf("chain-%d", i))
 	}
-	faults := engine.Faults{
-		CrashAtCommit: *crash,
-		Started: func(g *graph.Graph) {
-			fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", g, *parties, *protocol)
-		},
-		OnCrash: func(who string, _ sim.Time) { fmt.Fprintf(stdout, "--- crashing %s ---\n", who) },
-		OnRecover: func(who string, _ sim.Time) {
-			fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", who)
-		},
+	sc := engine.ScenarioCommit
+	if *crash {
+		sc = engine.ScenarioCrash
 	}
+	var recoverAt sim.Time
 	deadline := 3 * sim.Hour // every baseline timelock expires in here
 	if *recoverVictim {
-		faults.RecoverAt = deadline
+		recoverAt = deadline
 		deadline += sim.Hour
 	}
 	lab, err := engine.RunOne(*seed, engine.Ring(int64(*seed), *parties, ids), engine.Protocol(*protocol), engine.AC2T{
@@ -78,10 +72,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Depth:        3,
 		TrentSeed:    *seed + 1,
 		TrentLatency: 100 * sim.Millisecond,
-	}, faults, deadline)
+	}, sc, recoverAt, deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
+	}
+	fmt.Fprintf(stdout, "AC2T: %s over %d chains, protocol %s\n\n", lab.Graph, *parties, *protocol)
+	if lab.Crashed != "" {
+		fmt.Fprintf(stdout, "--- crashing %s ---\n", lab.Crashed)
+	}
+	if lab.RecoveredAt > 0 {
+		fmt.Fprintf(stdout, "--- recovering %s after hours of downtime ---\n", lab.Crashed)
 	}
 	for _, ev := range lab.Runner.Events() {
 		fmt.Fprintf(stdout, "t=%8.1fs  %s\n", float64(ev.At)/1000, label(ev.Label, ev.Edge))

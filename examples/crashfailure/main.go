@@ -48,14 +48,15 @@ func run(seed uint64, proto engine.Protocol, crashing, recovering string, witnes
 	lab, err := engine.RunOne(seed,
 		engine.Pair(int64(seed), 40_000, "bitcoin", 90_000, "ethereum", witness...),
 		proto, engine.AC2T{Witness: "witness", Depth: 3},
-		engine.Faults{
-			CrashAtCommit: true,
-			RecoverAt:     2 * sim.Hour,
-			OnCrash:       func(who string, t sim.Time) { fmt.Printf("t=%6.1fs  %s crashes (%s)\n", at(t), who, crashing) },
-			OnRecover:     func(_ string, t sim.Time) { fmt.Printf("t=%6.1fs  %s\n", at(t), recovering) },
-		}, 2*sim.Hour+30*sim.Minute)
+		engine.ScenarioCrash, 2*sim.Hour, 2*sim.Hour+30*sim.Minute)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if lab.Crashed != "" {
+		fmt.Printf("t=%6.1fs  %s crashes (%s)\n", at(lab.CrashedAt), lab.Crashed, crashing)
+	}
+	if lab.RecoveredAt > 0 {
+		fmt.Printf("t=%6.1fs  %s\n", at(lab.RecoveredAt), recovering)
 	}
 	for i, e := range lab.Outcome.Edges {
 		fmt.Printf("  edge %d on %s: %s\n", i, e.Edge.Chain, e.State)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -29,12 +28,11 @@ func main() {
 	const x, y = 250_000, 600_000
 	lab, err := engine.RunOne(2026, engine.Pair(1, x, "bitcoin", y, "ethereum", "witness"),
 		engine.ProtoAC3WN, engine.AC2T{Witness: "witness", Depth: 3},
-		engine.Faults{Started: func(g *graph.Graph) {
-			fmt.Printf("AC2T %s: %d sat Alice→Bob, %d wei Bob→Alice\n", g, uint64(x), uint64(y))
-		}}, 1*sim.Hour)
+		engine.ScenarioCommit, 0, 1*sim.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("AC2T %s: %d sat Alice→Bob, %d wei Bob→Alice\n", lab.Graph, uint64(x), uint64(y))
 
 	// Inspect the outcome from ground truth.
 	out, edges := lab.Outcome, lab.Graph.Edges

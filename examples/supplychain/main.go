@@ -63,13 +63,13 @@ func main() {
 func run(title string, seed uint64, sh engine.Shape, property string, holds func(*graph.Graph) bool) {
 	fmt.Printf("=== %s ===\n", title)
 	lab, err := engine.RunOne(seed, sh, engine.ProtoAC3WN, engine.AC2T{Witness: "witness", Depth: 3},
-		engine.Faults{Started: func(g *graph.Graph) {
-			feasible, _ := g.HerlihyFeasible()
-			fmt.Printf("graph: %s, %s=%v, single-leader feasible=%v\n", g, property, holds(g), feasible)
-		}}, 2*sim.Hour)
+		engine.ScenarioCommit, 0, 2*sim.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
+	g := lab.Graph
+	feasible, _ := g.HerlihyFeasible()
+	fmt.Printf("graph: %s, %s=%v, single-leader feasible=%v\n", g, property, holds(g), feasible)
 
 	out := lab.Outcome
 	fmt.Printf("AC3WN outcome: committed=%v violated=%v (%d edges, %.1f virtual minutes)\n",

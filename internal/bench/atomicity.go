@@ -10,14 +10,15 @@ import (
 )
 
 // atomicityScenario is one (protocol, failure schedule) cell of the
-// safety experiment. crash takes down the protocol's critical failure
-// point — bob, the last participant — the moment the commit is pushed:
-// the secret reveal for the baseline, authorize_redeem for AC3WN;
-// recover brings him back two hours in.
+// safety experiment. The crash row takes down the protocol's critical
+// failure point — bob, the last participant — the moment the commit is
+// pushed: the secret reveal for the baseline, authorize_redeem for
+// AC3WN; recover brings him back two hours in.
 type atomicityScenario struct {
-	name           string
-	protocol       engine.Protocol
-	crash, recover bool
+	name     string
+	protocol engine.Protocol
+	row      engine.Scenario
+	recover  bool
 }
 
 // atomicity reproduces the paper's safety argument empirically
@@ -27,12 +28,12 @@ type atomicityScenario struct {
 // AC3WN under crash schedules.
 func atomicity(seed uint64, runs int) (string, bool, error) {
 	return atomicityOver(seed, runs, []atomicityScenario{
-		{"HTLC, no failures", engine.ProtoHTLC, false, false},
-		{"HTLC, victim crashes after reveal", engine.ProtoHTLC, true, false},
-		{"HTLC, victim recovers too late", engine.ProtoHTLC, true, true},
-		{"AC3WN, no failures", engine.ProtoAC3WN, false, false},
-		{"AC3WN, victim crashes at decision", engine.ProtoAC3WN, true, false},
-		{"AC3WN, victim recovers later", engine.ProtoAC3WN, true, true},
+		{"HTLC, no failures", engine.ProtoHTLC, engine.ScenarioCommit, false},
+		{"HTLC, victim crashes after reveal", engine.ProtoHTLC, engine.ScenarioCrash, false},
+		{"HTLC, victim recovers too late", engine.ProtoHTLC, engine.ScenarioCrash, true},
+		{"AC3WN, no failures", engine.ProtoAC3WN, engine.ScenarioCommit, false},
+		{"AC3WN, victim crashes at decision", engine.ProtoAC3WN, engine.ScenarioCrash, false},
+		{"AC3WN, victim recovers later", engine.ProtoAC3WN, engine.ScenarioCrash, true},
 	})
 }
 
@@ -48,20 +49,20 @@ func atomicityOver(seed uint64, runs int, scenarios []atomicityScenario) (string
 		if sc.protocol == engine.ProtoAC3WN {
 			witness = []chain.ID{"witness"}
 		}
-		f := engine.Faults{CrashAtCommit: sc.crash}
+		var recoverAt sim.Time
 		deadline := 2 * sim.Hour // all baseline timelocks expire in here
 		if sc.recover {
 			// Both protocols share the runtime's crash/resume lifecycle:
 			// the recovered reconciler re-derives its state from the
 			// chains and retries. AC3WN's retry redeems; the baseline's
 			// finds the timelocked refund already executed.
-			f.RecoverAt = deadline
+			recoverAt = deadline
 			deadline += 90 * sim.Minute
 		}
 		var committed, aborted, stuck, violations, losses int
 		for i := 0; i < runs; i++ {
 			s := seed + uint64(i)*101
-			lab, err := runOne(s, engine.Pair(int64(s), 40_000, "bitcoin", 90_000, "ethereum", witness...), sc.protocol, f, deadline)
+			lab, err := runOne(s, engine.Pair(int64(s), 40_000, "bitcoin", 90_000, "ethereum", witness...), sc.protocol, sc.row, recoverAt, deadline)
 			if err != nil {
 				return "", false, err
 			}
@@ -84,13 +85,13 @@ func atomicityOver(seed uint64, runs int, scenarios []atomicityScenario) (string
 
 		// The paper's claims, checked hard:
 		switch {
-		case sc.protocol == engine.ProtoHTLC && sc.crash && violations != runs:
+		case sc.protocol == engine.ProtoHTLC && sc.row == engine.ScenarioCrash && violations != runs:
 			ok = false // the baseline must lose atomicity on every crash run
 		case sc.protocol == engine.ProtoAC3WN && violations != 0:
 			ok = false // AC3WN must never violate
 		case sc.protocol == engine.ProtoAC3WN && sc.recover && committed != runs:
 			ok = false // commitment: recovery must complete the AC2T
-		case !sc.crash && committed != runs:
+		case sc.row != engine.ScenarioCrash && committed != runs:
 			ok = false
 		}
 	}

@@ -47,14 +47,14 @@ const (
 // runOne is engine.RunOne the way every laboratory experiment stands
 // its AC2T up: decided on the shape's chain "witness", depth d
 // everywhere.
-func runOne(seed uint64, sh engine.Shape, proto engine.Protocol, f engine.Faults, deadline sim.Time) (*engine.Lab, error) {
-	return engine.RunOne(seed, sh, proto, engine.AC2T{Witness: "witness", Depth: confirmDepth}, f, deadline)
+func runOne(seed uint64, sh engine.Shape, proto engine.Protocol, sc engine.Scenario, recoverAt, deadline sim.Time) (*engine.Lab, error) {
+	return engine.RunOne(seed, sh, proto, engine.AC2T{Witness: "witness", Depth: confirmDepth}, sc, recoverAt, deadline)
 }
 
 // ringRun runs proto on Figure 10's workload: an n-party ring
 // (Diam(D) = n) alternating over two asset chains.
 func ringRun(seed uint64, n int, proto engine.Protocol, deadline sim.Time) (*engine.Lab, error) {
-	return runOne(seed, engine.Ring(int64(seed), n, []chain.ID{"asset-a", "asset-b"}), proto, engine.Faults{}, deadline)
+	return runOne(seed, engine.Ring(int64(seed), n, []chain.ID{"asset-a", "asset-b"}), proto, engine.ScenarioCommit, 0, deadline)
 }
 
 // inDeltas converts a virtual duration to Δ units.

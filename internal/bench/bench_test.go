@@ -105,14 +105,14 @@ func TestBuildFailureIsTheExperimentsError(t *testing.T) {
 		run        func(uint64) (string, bool, error)
 	}{
 		{"atomicity, unknown protocol", `unknown protocol "nolan"`, func(seed uint64) (string, bool, error) {
-			return atomicityOver(seed, 1, []atomicityScenario{{"nolan", "nolan", true, false}})
+			return atomicityOver(seed, 1, []atomicityScenario{{"nolan", "nolan", engine.ScenarioCrash, false}})
 		}},
 		{"fig10's ring, unknown protocol", `unknown protocol "nolan"`, func(seed uint64) (string, bool, error) {
 			_, err := ringRun(seed, 3, "nolan", sim.Hour)
 			return "a row", true, err
 		}},
 		{"unfunded party", "edge 1: bob has no funds on ethereum", func(seed uint64) (string, bool, error) {
-			_, err := runOne(seed, unfunded, engine.ProtoHTLC, engine.Faults{}, sim.Hour)
+			_, err := runOne(seed, unfunded, engine.ProtoHTLC, engine.ScenarioCommit, 0, sim.Hour)
 			return "a row", true, err
 		}},
 	} {

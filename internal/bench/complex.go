@@ -51,7 +51,7 @@ func complexGraphs(seed uint64) (string, bool, error) {
 	}
 
 	for i, tc := range cases {
-		lab, err := runOne(seed+uint64(i)*37, tc.shape, engine.ProtoAC3WN, engine.Faults{}, 3*sim.Hour)
+		lab, err := runOne(seed+uint64(i)*37, tc.shape, engine.ProtoAC3WN, engine.ScenarioCommit, 0, 3*sim.Hour)
 		if err != nil {
 			return "", false, err
 		}

@@ -39,7 +39,7 @@ func fig8Shape(seed uint64) engine.Shape {
 // single-leader protocol on the 5-contract graph — sequential
 // deployment then sequential redemption, 2·Δ·Diam(D) total.
 func fig8(seed uint64) (string, bool, error) {
-	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoHTLC, engine.Faults{}, 4*sim.Hour)
+	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoHTLC, engine.ScenarioCommit, 0, 4*sim.Hour)
 	if err != nil {
 		return "", false, err
 	}
@@ -68,7 +68,7 @@ func fig8(seed uint64) (string, bool, error) {
 // graph — SCw deployment, parallel contract deployment, SCw state
 // change, parallel redemption: 4·Δ total, independent of Diam(D).
 func fig9(seed uint64) (string, bool, error) {
-	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoAC3WN, engine.Faults{}, 4*sim.Hour)
+	lab, err := runOne(seed, fig8Shape(seed), engine.ProtoAC3WN, engine.ScenarioCommit, 0, 4*sim.Hour)
 	if err != nil {
 		return "", false, err
 	}

@@ -78,7 +78,7 @@ type Runner interface {
 	RaceRefund(rogue *xchain.Participant) bool
 }
 
-// CrashAtCommit is the Section 1 hazard as a watch every driver polls:
+// CrashAtCommit is the Section 1 hazard as the crash scenario's watch:
 // the returned predicate takes r's critical failure point down the
 // moment the commit is pushed, hands Crash's answer to crashed, and
 // reports done. It also reports done, with nobody crashed, once the run

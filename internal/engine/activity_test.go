@@ -11,7 +11,7 @@ import (
 // One re-armed waiter serves every in-flight AC2T, so a second entry is
 // a double arm, and onActivity would then run twice per tip change. To
 // cover the arm that happens mid-pass, every third in-flight AC2T gets a
-// hook that grades it from inside onActivity, which admits a queued
+// watch that grades it from inside onActivity, which admits a queued
 // arrival and so calls armActivity before the pass has ended.
 func TestShardActivityListsOneWaiter(t *testing.T) {
 	const txCount = 48
@@ -38,8 +38,8 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 			t.Fatalf("t=%d: %d waiters on the shard's activity signal after a dispatch, want at most 1", s.Now(), n)
 		}
 		for _, i := range e.activeIdx {
-			if st := &e.txs[i]; st.hook == nil && i%3 == 0 {
-				st.hook = func() bool {
+			if st := &e.txs[i]; st.watch == nil && i%3 == 0 {
+				st.watch = func() bool {
 					queued := len(e.queue)
 					e.finish(i, st.runner)
 					if len(e.queue) < queued {

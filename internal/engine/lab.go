@@ -16,9 +16,9 @@ import (
 // The laboratory: every world outside the shard executor is a Shape,
 // and every single-AC2T experiment of the paper — Figures 8 to 10,
 // Section 6.2's fee counts, Figure 7's graphs, Section 1's crash hazard
-// — is RunOne, one function from (seed, shape, protocol, fault
-// schedule) to a graded outcome (ADR-019). Its callers: bench's fig8,
-// fig9, fig10, cost, complex and atomicity, cmd/ac3sim and three
+// — is RunOne, one function from (seed, shape, protocol, scenario row,
+// recovery time) to a graded outcome (ADR-019). Its callers: bench's
+// fig8, fig9, fig10, cost, complex and atomicity, cmd/ac3sim and three
 // examples. bench's scale and examples/exchangedesk run many AC2Ts on
 // one Shape.Build world in a NewRunner loop of their own.
 
@@ -81,35 +81,22 @@ func Pair(t int64, a vm.Amount, chainA chain.ID, b vm.Amount, chainB chain.ID, w
 	}
 }
 
-// Faults is a fault schedule as data, plus the hooks a driver that
-// narrates needs (each may be nil). Crashes at an event index and
-// injected reorgs are ROADMAP item 3(b)'s to add.
-type Faults struct {
-	// CrashAtCommit takes the protocol's critical failure point down
-	// the moment the commit is pushed (core.CrashAtCommit).
-	CrashAtCommit bool
-	// RecoverAt (>0) brings what crashed back at that virtual time; a
-	// run in which nothing crashed by then has nothing to recover.
-	RecoverAt sim.Time
-
-	// Started runs once the AC2T is stood up, before it starts.
-	Started func(*graph.Graph)
-	// OnCrash and OnRecover run as the fault strikes and just before
-	// the recovery, with who it is and the virtual time.
-	OnCrash, OnRecover func(who string, at sim.Time)
-}
-
-// Lab is what RunOne returns: the AC2T it stood up and its grade.
+// Lab is what RunOne returns: the AC2T it stood up, its grade, and
+// what its scenario row did to it — who crashed and when ("" and 0 if
+// nobody), and when RunOne brought the victim back (0 if it did not).
 type Lab struct {
-	World   *xchain.World
-	Graph   *graph.Graph
-	Runner  core.Runner
-	Outcome *xchain.Outcome
+	World                  *xchain.World
+	Graph                  *graph.Graph
+	Runner                 core.Runner
+	Outcome                *xchain.Outcome
+	Crashed                string
+	CrashedAt, RecoveredAt sim.Time
 }
 
-// crashPollEvery is how often the crash watch looks for the commit
-// push.
-const crashPollEvery = 100 * sim.Millisecond
+// watchEvery is how often RunOne evaluates a row's watch: on tip
+// changes, as the shard does, AC3TW's commit push can pass between two
+// of them unseen (ADR-019's amendment).
+const watchEvery = 100 * sim.Millisecond
 
 // Build creates sh's parties, chains and genesis funds on a fresh
 // simulator seeded with seed, in the order listed, and builds the world;
@@ -153,12 +140,19 @@ func (sh Shape) Build(seed uint64) (*xchain.World, []*xchain.Participant, error)
 }
 
 // RunOne builds sh on a fresh simulator seeded with seed, stands t up
-// under proto (t.Graph and t.Participants are RunOne's to fill), runs it
-// through f out to deadline and grades it. The sequence is what the
-// stdout goldens pin: Start, then the crash watch, RunUntil(RecoverAt)
-// → Recover, then World.RunOut. Anything that fails to build is the
-// first error; a run that merely goes badly is an Outcome.
-func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, f Faults, deadline sim.Time) (*Lab, error) {
+// under proto (t.Graph and t.Participants are RunOne's to fill, and
+// t.AbortAfter is the row's where it sets one), arms sc's scenario row,
+// runs it out to deadline and grades it. What the crash row took down
+// by recoverAt (>0) comes back then. The sequence is what the stdout
+// goldens pin: Start, the row's arm and its watch on a watchEvery poll,
+// RunUntil(recoverAt) → Recover, then World.RunOut. Anything that fails
+// to build, an unknown scenario included, is the first error; a run
+// that merely goes badly is an Outcome.
+func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, sc Scenario, recoverAt, deadline sim.Time) (*Lab, error) {
+	row := scenarioOf(sc)
+	if row == nil {
+		return nil, fmt.Errorf("engine: unknown scenario %q", sc)
+	}
 	for i, e := range sh.Edges {
 		switch {
 		case min(e.From, e.To) < 0 || max(e.From, e.To) >= len(sh.Parties):
@@ -180,33 +174,31 @@ func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, f Faults, deadline si
 		return nil, err
 	}
 	t.Graph, t.Participants = g, ps
+	if row.abortAfter > 0 {
+		t.AbortAfter = row.abortAfter
+	}
 	r, err := NewRunner(w, proto, t)
 	if err != nil {
 		return nil, err
 	}
-	if f.Started != nil {
-		f.Started(g)
-	}
 
 	r.Start()
-	var crashed string
-	if f.CrashAtCommit {
-		w.Sim.Poll(crashPollEvery, core.CrashAtCommit(r, func(who string, _ bool) {
-			crashed = who
-			if f.OnCrash != nil {
-				f.OnCrash(who, w.Sim.Now())
-			}
-		}))
+	f := fault{w: w, runner: r, parts: ps, g: g, deadline: deadline}
+	if row.arm != nil {
+		row.arm(&f)
 	}
-	if f.RecoverAt > 0 {
-		w.RunUntil(f.RecoverAt)
-		if crashed != "" {
-			if f.OnRecover != nil {
-				f.OnRecover(crashed, w.Sim.Now())
-			}
+	if f.watch != nil {
+		w.Sim.Poll(watchEvery, f.watch)
+	}
+	lab := &Lab{World: w, Graph: g, Runner: r}
+	if recoverAt > 0 {
+		w.RunUntil(recoverAt)
+		if f.victim != "" {
+			lab.RecoveredAt = w.Sim.Now()
 			r.Recover()
 		}
 	}
 	w.RunOut(deadline)
-	return &Lab{World: w, Graph: g, Runner: r, Outcome: r.Grade()}, nil
+	lab.Outcome, lab.Crashed, lab.CrashedAt = r.Grade(), f.victim, f.crashedAt
+	return lab, nil
 }

@@ -17,7 +17,8 @@ import (
 // The engine's protocol × hazard matrix is two tables. protocols maps a
 // name to a constructor returning a core.Runner; scenarios is the
 // ordered list of behavioral templates, each a Mix weight plus a fault
-// installed through the Runner's typed fault surface. Nothing below
+// installed through the Runner's typed fault surface — the one fault
+// vocabulary, armed by the shard executor and by RunOne. Nothing below
 // inspects a runner's concrete type or its timeline: adding a protocol
 // is one protocols entry (plus the Runner implementation), adding a
 // scenario is one scenarios entry (plus its Mix field).
@@ -152,18 +153,38 @@ func newHTLC(w *xchain.World, t AC2T) (core.Runner, error) {
 	})
 }
 
+// fault is one AC2T as a scenario row arms it. A driver — the shard
+// per AC2T, RunOne for its one — fills in the first six fields. A row
+// that waits for a protocol moment sets watch, which the driver
+// evaluates until it reports done (the shard on its activity feed,
+// RunOne on a poll); a row that degrades the network appends lift
+// funcs, which the shard runs once the AC2T grades (RunOne's world ends
+// with its AC2T). The crash row records its victim; when the victim
+// comes back is the driver's rule.
+type fault struct {
+	w         *xchain.World
+	runner    core.Runner
+	parts     []*xchain.Participant
+	g         *graph.Graph
+	i         int      // the AC2T's index: a partition isolates a miner by it
+	deadline  sim.Time // the absolute grading deadline
+	watch     func() bool
+	lift      []func()
+	victim    string // "" if nobody crashed
+	crashedAt sim.Time
+	comesBack bool
+}
+
 // scenarioDef is one row of the scenario table.
 type scenarioDef struct {
 	name Scenario
 	// weight selects the scenario's Mix field.
 	weight func(*Mix) *int
-	// abortAfter is the AC2T's abort deadline (0 = safetyAbortAfter).
+	// abortAfter is the AC2T's abort deadline (0 = the driver's own).
 	abortAfter sim.Time
-	// apply installs the fault on the started transaction; nil for the
-	// well-behaved commit. Faults that wait for a protocol moment set
-	// st.hook, which rides the shard's activity feed (evaluated after
-	// every ground-truth tip change) until it reports done.
-	apply func(e *shardExec, i int, st *txState)
+	// arm installs the fault on the started AC2T; nil for the
+	// well-behaved commit.
+	arm func(f *fault)
 }
 
 // scenarios is the scenario table, in the order Mix lists weights,
@@ -173,12 +194,12 @@ type scenarioDef struct {
 //ac3:globalstate the scenario table; written once here, read-only
 var scenarios = []scenarioDef{
 	{name: ScenarioCommit, weight: func(m *Mix) *int { return &m.Commit }},
-	{name: ScenarioAbort, weight: func(m *Mix) *int { return &m.Abort }, abortAfter: declineAbortAfter, apply: applyAbort},
-	{name: ScenarioCrash, weight: func(m *Mix) *int { return &m.Crash }, apply: applyCrash},
-	{name: ScenarioRace, weight: func(m *Mix) *int { return &m.Race }, apply: applyRace},
-	{name: ScenarioPartition, weight: func(m *Mix) *int { return &m.Partition }, apply: applyPartition},
-	{name: ScenarioLossy, weight: func(m *Mix) *int { return &m.Lossy }, apply: applyLossy},
-	{name: ScenarioGeo, weight: func(m *Mix) *int { return &m.Geo }, apply: applyGeo},
+	{name: ScenarioAbort, weight: func(m *Mix) *int { return &m.Abort }, abortAfter: declineAbortAfter, arm: armAbort},
+	{name: ScenarioCrash, weight: func(m *Mix) *int { return &m.Crash }, arm: armCrash},
+	{name: ScenarioRace, weight: func(m *Mix) *int { return &m.Race }, arm: armRace},
+	{name: ScenarioPartition, weight: func(m *Mix) *int { return &m.Partition }, arm: armPartition},
+	{name: ScenarioLossy, weight: func(m *Mix) *int { return &m.Lossy }, arm: armLossy},
+	{name: ScenarioGeo, weight: func(m *Mix) *int { return &m.Geo }, arm: armGeo},
 }
 
 // The adversity settings. Both windows are well inside the default
@@ -244,41 +265,34 @@ func (wl *Workload) drawScenario(rng *sim.RNG) (sc Scenario, downgraded bool) {
 	return sc, false
 }
 
-// applyAbort: the victim declines. It never deploys, so the AC2T cannot
+// armAbort: the victim declines. It never deploys, so the AC2T cannot
 // gather full deployment evidence and aborts at the (early) deadline.
-func applyAbort(_ *shardExec, _ int, st *txState) {
-	st.parts[len(st.parts)-1].Crash()
+func armAbort(f *fault) {
+	f.parts[len(f.parts)-1].Crash()
 }
 
-// applyCrash is the Section 1 hazard, aimed at the protocol's critical
-// failure point the moment the commit decision is pushed. A crashed
-// participant (AC3WN, HTLC) recovers after crashDownFor and resumes —
-// AC3WN completes the AC2T, HTLC's victim finds its timelocks expired
-// and has lost assets. AC3TW's critical point is the centralized
-// witness, which stays down: the AC2T blocks and surfaces as stuck.
-func applyCrash(e *shardExec, _ int, st *txState) {
-	r := st.runner
-	st.hook = core.CrashAtCommit(r, func(_ string, comesBack bool) {
-		if comesBack {
-			e.s.After(crashDownFor, func() {
-				if !st.graded {
-					r.Recover()
-				}
-			})
-		}
+// armCrash is the Section 1 hazard, aimed at the protocol's critical
+// failure point the moment the commit decision is pushed, and the one
+// caller of core.CrashAtCommit. A crashed participant (AC3WN, HTLC)
+// comes back — AC3WN then completes the AC2T, HTLC's victim finds its
+// timelocks expired and has lost assets. AC3TW's critical point is the
+// centralized witness, which stays down: the AC2T blocks.
+func armCrash(f *fault) {
+	f.watch = core.CrashAtCommit(f.runner, func(who string, comesBack bool) {
+		f.victim, f.crashedAt, f.comesBack = who, f.w.Sim.Now(), comesBack
 	})
 }
 
-// applyRace: a rogue participant races the honest decision. Exactly one
+// armRace: a rogue participant races the honest decision. Exactly one
 // decision can stick — buried at depth d on the witness chain for
 // AC3WN, stored at Trent for AC3TW — so the AC2T stays atomic whichever
 // way it goes.
-func applyRace(_ *shardExec, _ int, st *txState) {
-	r, rogue := st.runner, st.parts[len(st.parts)-1]
-	st.hook = func() bool { return r.RaceRefund(rogue) }
+func armRace(f *fault) {
+	r, rogue := f.runner, f.parts[len(f.parts)-1]
+	f.watch = func() bool { return r.RaceRefund(rogue) }
 }
 
-// applyPartition splits the transaction's decision chain the moment its
+// armPartition splits the transaction's decision chain the moment its
 // decision window opens — one miner isolated against the rest — and
 // heals partitionFor later, before the grading deadline. The minority
 // side keeps mining its own fork, so the heal forces a deep reorg and
@@ -286,10 +300,9 @@ func applyRace(_ *shardExec, _ int, st *txState) {
 // stay atomic and settle (the paper's claim under exactly this hazard);
 // AC3TW blocking and HTLC expiry loss surface in the by-scenario
 // aggregates as data.
-func applyPartition(e *shardExec, i int, st *txState) {
-	r := st.runner
-	st.hook = func() bool {
-		if !r.DecisionOpen() {
+func armPartition(f *fault) {
+	f.watch = func() bool {
+		if !f.runner.DecisionOpen() {
 			return false
 		}
 		// The window starts at the decision trigger, not at tx start,
@@ -300,44 +313,57 @@ func applyPartition(e *shardExec, i int, st *txState) {
 		// transaction index so repeated draws starve different replicas
 		// (and only sometimes the node-0 ground-truth view).
 		dur := partitionFor
-		if maxDur := st.deadline - e.s.Now() - 2*sim.Minute; dur > maxDur {
+		if maxDur := f.deadline - f.w.Sim.Now() - 2*sim.Minute; dur > maxDur {
 			dur = max(maxDur, 0)
 		}
-		e.w.Net(r.DecisionChain()).P2P.ScheduleIsolation(e.s.Now(), dur, i)
+		f.w.Net(f.runner.DecisionChain()).P2P.ScheduleIsolation(f.w.Sim.Now(), dur, f.i)
 		return true
 	}
 }
 
-// applyLossy imposes sustained gossip loss on every network the AC2T
+// armLossy imposes sustained gossip loss on every network the AC2T
 // touches: blocks vanish in flight, so locator sync and EnsureTx carry
 // the run (ADR-022: reorgs reach 6 blocks on -workload lossy). The
 // overlay lifts when the transaction grades or after lossyFor,
 // whichever comes first — Overlay.Remove is idempotent, so the timer
-// and the grading cleanup can both fire.
-func applyLossy(e *shardExec, i int, st *txState) {
+// and the lift can both fire.
+func armLossy(f *fault) {
 	loss := p2p.LatencyModel{Loss: lossyLoss}
-	chains := e.assetChainsOf(i)
-	if dc := st.runner.DecisionChain(); !slices.Contains(chains, dc) {
+	chains := edgeChains(f.g)
+	if dc := f.runner.DecisionChain(); !slices.Contains(chains, dc) {
 		chains = append(chains, dc) // a witness chain of its own
 	}
 	for _, id := range chains {
-		ov := e.w.Net(id).P2P.PushOverlay(loss)
-		st.cleanup = append(st.cleanup, ov.Remove)
-		e.s.After(lossyFor, ov.Remove)
+		ov := f.w.Net(id).P2P.PushOverlay(loss)
+		f.lift = append(f.lift, ov.Remove)
+		f.w.Sim.After(lossyFor, ov.Remove)
 	}
 }
 
-// applyGeo degrades the first asset chain (in edge order) to
+// armGeo degrades the first asset chain (in edge order) to
 // intercontinental gossip and the second to WAN, so the chains'
 // confirmation depths advance at visibly different rates and every
 // cross-chain wait races realistically skewed clocks.
-func applyGeo(e *shardExec, i int, st *txState) {
+func armGeo(f *fault) {
 	classes := []p2p.LatencyModel{p2p.GeoLink(), p2p.WANLink()}
-	for k, id := range e.assetChainsOf(i) {
+	for k, id := range edgeChains(f.g) {
 		if k >= len(classes) {
 			break
 		}
-		ov := e.w.Net(id).P2P.PushOverlay(classes[k])
-		st.cleanup = append(st.cleanup, ov.Remove)
+		ov := f.w.Net(id).P2P.PushOverlay(classes[k])
+		f.lift = append(f.lift, ov.Remove)
 	}
+}
+
+// edgeChains lists g's distinct asset chains in edge order. The geo
+// row's latency classes follow that order, which Graph.Chains, sorted,
+// does not keep.
+func edgeChains(g *graph.Graph) []chain.ID {
+	var out []chain.ID
+	for _, e := range g.Edges {
+		if !slices.Contains(out, e.Chain) {
+			out = append(out, e.Chain)
+		}
+	}
+	return out
 }

@@ -40,7 +40,7 @@ func TestMatrixResolves(t *testing.T) {
 				t.Errorf("%s/%s: drew %q, which has no table row", proto.name, def.name, got)
 				continue
 			}
-			if (row.apply == nil) != (got == ScenarioCommit) {
+			if (row.arm == nil) != (got == ScenarioCommit) {
 				t.Errorf("%s: only the well-behaved commit may install no fault", got)
 			}
 			wantDowngrade := proto.name == ProtoHTLC && def.name == ScenarioRace
@@ -125,11 +125,12 @@ func (f *fakeRunner) RaceRefund(rogue *xchain.Participant) bool {
 	return f.raceReady
 }
 
-// TestScenariosNeedOnlyTheRunnerInterface installs every scenario's
-// fault on a runner that is nothing but the interface: the engine must
-// drive crash, race and partition off the typed predicates and actions
-// alone, and aim the network faults at the chains the runner and the
-// transaction's own edges name.
+// TestScenariosNeedOnlyTheRunnerInterface arms every scenario's fault on
+// a runner that is nothing but the interface: the engine must drive
+// crash, race and partition off the typed predicates and actions alone,
+// and aim the network faults at the chains the runner and the
+// transaction's own edges name. The crash subtest drives the watch
+// through the shard's checkTx, which owns the shard's recovery rule.
 func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	setup := func(t *testing.T) (*shardExec, *txState, *fakeRunner) {
 		wl := DefaultWorkload()
@@ -144,16 +145,16 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 		}
 		f := &fakeRunner{decisionChain: e.witness}
 		st := &e.txs[0]
-		st.runner, st.parts, st.deadline = f, e.parts[0], wl.TxTimeout
+		st.w, st.runner, st.deadline = e.w, f, wl.TxTimeout
 		return e, st, f
 	}
-	apply := func(e *shardExec, st *txState, sc Scenario) { scenarioOf(sc).apply(e, 0, st) }
+	arm := func(st *txState, sc Scenario) { scenarioOf(sc).arm(&st.fault) }
 	last := func(st *txState) *xchain.Participant { return st.parts[len(st.parts)-1] }
 
 	t.Run("abort", func(t *testing.T) {
-		e, st, _ := setup(t)
-		apply(e, st, ScenarioAbort)
-		if !last(st).Crashed() || st.parts[0].Crashed() || st.hook != nil {
+		_, st, _ := setup(t)
+		arm(st, ScenarioAbort)
+		if !last(st).Crashed() || st.parts[0].Crashed() || st.watch != nil {
 			t.Fatal("abort must take down exactly the last participant, at once")
 		}
 	})
@@ -161,13 +162,14 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 		for _, comesBack := range []bool{true, false} {
 			e, st, f := setup(t)
 			f.comesBack = comesBack
-			apply(e, st, ScenarioCrash)
-			if st.hook() || f.crashes != 0 {
+			arm(st, ScenarioCrash)
+			if e.checkTx(0); st.watch == nil || f.crashes != 0 {
 				t.Fatal("crashed before the commit was pushed")
 			}
 			f.pushed = true
-			if !st.hook() || f.crashes != 1 {
-				t.Fatalf("commit pushed: hook done/crashes = %d, want one crash", f.crashes)
+			if e.checkTx(0); st.watch != nil || f.crashes != 1 || st.victim != "fake" || st.comesBack != comesBack {
+				t.Fatalf("commit pushed: watch left %v, %d crashes, victim %q (comes back %v); want one crash of fake, recorded",
+					st.watch != nil, f.crashes, st.victim, st.comesBack)
 			}
 			e.s.RunUntil(crashDownFor + sim.Second)
 			if want := map[bool]int{true: 1, false: 0}[comesBack]; f.recovers != want {
@@ -175,33 +177,33 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 			}
 		}
 		// A refund decision leaves nothing to crash.
-		e, st, f := setup(t)
-		apply(e, st, ScenarioCrash)
+		_, st, f := setup(t)
+		arm(st, ScenarioCrash)
 		f.decided = true
-		if !st.hook() || f.crashes != 0 {
-			t.Fatal("decided without a commit push: the hook must detach without crashing")
+		if !st.watch() || f.crashes != 0 || st.victim != "" {
+			t.Fatal("decided without a commit push: the watch must detach without crashing")
 		}
 	})
 	t.Run("race", func(t *testing.T) {
-		e, st, f := setup(t)
-		apply(e, st, ScenarioRace)
-		if st.hook() {
+		_, st, f := setup(t)
+		arm(st, ScenarioRace)
+		if st.watch() {
 			t.Fatal("race reported placed before the runner accepted it")
 		}
 		f.raceReady = true
-		if !st.hook() || len(f.raced) != 2 || f.raced[1] != last(st) {
+		if !st.watch() || len(f.raced) != 2 || f.raced[1] != last(st) {
 			t.Fatalf("race: rogue must be the last participant, retried until placed (calls: %d)", len(f.raced))
 		}
 	})
 	t.Run("partition", func(t *testing.T) {
 		e, st, f := setup(t)
-		apply(e, st, ScenarioPartition)
-		if st.hook() {
+		arm(st, ScenarioPartition)
+		if st.watch() {
 			t.Fatal("partitioned before the decision window opened")
 		}
 		f.open = true
-		if !st.hook() {
-			t.Fatal("decision window open: hook must fire")
+		if !st.watch() {
+			t.Fatal("decision window open: watch must fire")
 		}
 		e.s.RunUntil(sim.Second)
 		for _, id := range e.w.Chains() {
@@ -216,7 +218,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	})
 	t.Run("lossy and geo", func(t *testing.T) {
 		e, st, _ := setup(t)
-		apply(e, st, ScenarioLossy)
+		arm(st, ScenarioLossy)
 		// A 3-ring starting at tx 0 touches asset-0 and asset-1, plus
 		// the runner's decision chain.
 		for _, id := range e.w.Chains() {
@@ -224,14 +226,14 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 				t.Errorf("lossy: chain %s carries no loss overlay", id)
 			}
 		}
-		if len(st.cleanup) != 3 {
-			t.Fatalf("lossy registered %d cleanups, want 3", len(st.cleanup))
+		if len(st.lift) != 3 {
+			t.Fatalf("lossy registered %d lifts, want 3", len(st.lift))
 		}
-		for _, fn := range st.cleanup {
-			fn()
+		for _, lift := range st.lift {
+			lift()
 		}
-		st.cleanup = nil
-		apply(e, st, ScenarioGeo)
+		st.lift = nil
+		arm(st, ScenarioGeo)
 		// Edge order, not sorted order: tx 0's first edge is on asset-0.
 		if got := e.w.Net("asset-0").P2P.Effective().Base; got != 800 {
 			t.Errorf("geo: first asset chain base latency %d, want the intercontinental 800", got)
@@ -240,7 +242,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 			t.Errorf("geo: second asset chain base latency %d, want the WAN 150", got)
 		}
 		if got := e.w.Net(e.witness).P2P.Effective().Loss; got != 0 {
-			t.Errorf("lossy overlay survived its cleanup: loss %g", got)
+			t.Errorf("lossy overlay survived its lift: loss %g", got)
 		}
 	})
 }

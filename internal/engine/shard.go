@@ -28,8 +28,7 @@ const (
 	// "participant changed her mind" deadline.
 	declineAbortAfter = 4 * sim.Minute
 	// crashDownFor is how long the crash scenario's victim stays down
-	// after the decision is pushed — far beyond any HTLC timelock
-	// scale, which is the point.
+	// after the decision is pushed (checkTx).
 	crashDownFor = 8 * sim.Minute
 	// settleGrace delays grading after quiescence so depth-0 reads
 	// cannot be flipped back by a late fork race.
@@ -57,13 +56,11 @@ const (
 	assetChains = 2
 )
 
-// txSpec is one generated AC2T: arrival offset, ring size, scenario,
-// and the graph over its parties (nil if it could not be built).
+// txSpec is one generated AC2T: arrival offset, ring size, scenario.
 type txSpec struct {
 	arrival  sim.Time
 	size     int
 	scenario Scenario
-	graph    *graph.Graph
 }
 
 // txState tracks one AC2T from its arrival through grading.
@@ -72,9 +69,11 @@ type txState struct {
 	// settle-grace events, which tell them apart by arrived and expired.
 	due              func()
 	arrived, expired bool
-	runner           core.Runner
-	parts            []*xchain.Participant
-	graded           bool
+	// fault is the AC2T as its scenario row arms it. Its participants
+	// (disjoint per AC2T) and its graph (nil if it could not be built)
+	// are fixed with the world; the rest is filled in at start.
+	fault
+	graded bool
 	// finishing: Settled held and the settle-grace finish is pending.
 	finishing bool
 	// startedAt/settledAt bound the root span: admission, and the
@@ -87,16 +86,6 @@ type txState struct {
 	// base samples the shard's world counters at admission (tracing
 	// only); finish attaches the deltas to the root span.
 	base worldCounters
-	// deadline is the absolute grading deadline.
-	deadline sim.Time
-	// hook is the scenario's chain-watch (crash victims, decision
-	// racers, partition triggers), evaluated on every shard activity
-	// notification until it reports done.
-	hook func() bool
-	// cleanup tears down this transaction's adversity (lossy/geo
-	// overlays) when it grades, so the world stops degrading once the
-	// hostile AC2T is done.
-	cleanup []func()
 }
 
 // shardExec executes one shard: an independent deterministic world
@@ -125,11 +114,10 @@ type shardExec struct {
 	coord *batch.Coordinator
 
 	specs []txSpec
-	parts [][]*xchain.Participant // per tx, disjoint
 	txs   []txState
 
 	// activity fires when any chain's ground-truth view changes tip;
-	// it drives all in-flight quiescence checks and scenario hooks.
+	// it drives all in-flight quiescence checks and scenario watches.
 	activity  *sim.Signal
 	actWaiter *sim.Waiter // made on the first arm, re-armed after that
 	armed     bool
@@ -332,7 +320,6 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	// paper's AC2Ts need no coordination with each other, and the
 	// engine preserves that). Their keys derive in one batch.
 	all := b.Participants(names...)
-	e.parts = make([][]*xchain.Participant, txCount)
 	for i, spec := range e.specs {
 		ps := slices.Clone(all[:spec.size]) // an array of its own: garbage once this AC2T grades
 		all = all[spec.size:]
@@ -341,11 +328,11 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 			chains[j] = e.chainOf(i, j)
 			b.Fund(ps[j], chains[j], 200_000)
 		}
-		e.parts[i] = ps
+		e.txs[i].parts = ps
 		// The graph is fixed here, so its signatures have the whole
 		// shard's lead time (ADR-021).
 		if g, err := graph.Ring(e.graphStamp(i), xchain.Addrs(ps), 10_000, chains); err == nil {
-			e.specs[i].graph = g
+			e.txs[i].g = g
 			if e.proto.signsGraph {
 				b.Presign(g.Digest(), ps)
 			}
@@ -447,37 +434,33 @@ func (e *shardExec) admit(i int) {
 	e.start(i)
 }
 
-// start builds the graph and runner for transaction i, applies its
-// scenario, and joins it to the shard's notification-driven
-// quiescence watch: progress is re-checked whenever a ground-truth
-// view changes tip, and the grading deadline is an explicit one-shot
-// timer.
+// start builds the runner for transaction i, arms its scenario row,
+// and joins it to the shard's notification-driven quiescence watch:
+// progress is re-checked whenever a ground-truth view changes tip, and
+// the grading deadline is an explicit one-shot timer.
 func (e *shardExec) start(i int) {
 	e.inFlight++
-	spec := e.specs[i]
-	ps := e.parts[i]
 	st := &e.txs[i]
-	st.parts = ps
+	st.w, st.i = e.w, i
 	st.startedAt = e.s.Now()
 	if e.rec.Enabled() {
 		st.base = e.sampleCounters()
 	}
 
-	g := spec.graph
-	if g == nil {
+	if st.g == nil {
 		// Generation bug — grade as stuck so the stream keeps moving.
 		e.finish(i, nil)
 		return
 	}
 
-	sc := scenarioOf(spec.scenario)
+	sc := scenarioOf(e.specs[i].scenario)
 	abortAfter := safetyAbortAfter
 	if sc.abortAfter > 0 {
 		abortAfter = sc.abortAfter
 	}
 	runner, err := e.proto.newRunner(e.w, AC2T{
-		Graph:        g,
-		Participants: ps,
+		Graph:        st.g,
+		Participants: st.parts,
 		Witness:      e.witness,
 		Depth:        shardConfirmDepth,
 		AbortAfter:   abortAfter,
@@ -493,8 +476,8 @@ func (e *shardExec) start(i int) {
 	st.deadline = e.s.Now() + e.wl.TxTimeout
 	e.activeIdx = append(e.activeIdx, i)
 	runner.Start()
-	if sc.apply != nil {
-		sc.apply(e, i, st)
+	if sc.arm != nil {
+		sc.arm(&st.fault)
 	}
 	e.s.At(st.deadline, st.due)
 	e.armActivity()
@@ -525,16 +508,25 @@ func (e *shardExec) onActivity() {
 	e.armActivity()
 }
 
-// checkTx advances transaction i's lifecycle: run its scenario hook,
+// checkTx advances transaction i's lifecycle: run its scenario watch,
 // schedule the settle-grace finish once the runner quiesced, or grade
-// it as-is at the deadline.
+// it as-is at the deadline. A crash victim that comes back recovers
+// crashDownFor after the crash — far beyond any HTLC timelock scale,
+// which is the point — unless its AC2T has graded by then.
 func (e *shardExec) checkTx(i int) {
 	st := &e.txs[i]
 	if st.graded || st.finishing {
 		return
 	}
-	if st.hook != nil && st.hook() {
-		st.hook = nil
+	if st.watch != nil && st.watch() {
+		st.watch = nil
+		if st.comesBack {
+			e.s.After(crashDownFor, func() {
+				if !st.graded {
+					st.runner.Recover()
+				}
+			})
+		}
 	}
 	if st.runner != nil && st.runner.Settled() {
 		st.finishing = true
@@ -560,18 +552,17 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 		return
 	}
 	st.graded = true
-	st.hook = nil
-	if g := e.specs[i].graph; g != nil && e.w.Sigs != nil {
-		d := g.Digest()
-		for _, p := range e.parts[i] { // its presigned verdicts are spent
+	st.watch = nil
+	if st.g != nil && e.w.Sigs != nil {
+		d := st.g.Digest()
+		for _, p := range st.parts { // its presigned verdicts are spent
 			e.w.Sigs.Forget(d, p.Key)
 		}
 	}
-	e.specs[i].graph = nil
-	for _, fn := range st.cleanup {
-		fn()
+	for _, lift := range st.lift {
+		lift()
 	}
-	st.cleanup = nil
+	st.lift = nil
 	for k, idx := range e.activeIdx {
 		if idx == i {
 			e.activeIdx = append(e.activeIdx[:k], e.activeIdx[k+1:]...)
@@ -615,9 +606,7 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 	for _, p := range st.parts {
 		p.Retire()
 	}
-	st.parts = nil
-	st.runner = nil
-	e.parts[i] = nil
+	st.parts, st.runner, st.g = nil, nil, nil
 
 	e.inFlight--
 	if len(e.queue) > 0 {
@@ -711,19 +700,4 @@ func (e *shardExec) observeTx(i int, runner core.Runner, committed, aborted, vio
 			e.rec.Instant(track, ev.Label, int64(ev.At), i, trace.Attr{K: "edge", V: int64(ev.Edge)})
 		}
 	}
-}
-
-// assetChainsOf returns transaction i's distinct asset chains in edge
-// order.
-func (e *shardExec) assetChainsOf(i int) []chain.ID {
-	var out []chain.ID
-	seen := make(map[chain.ID]bool)
-	for j := 0; j < e.specs[i].size; j++ {
-		id := e.chainOf(i, j)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

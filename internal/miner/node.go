@@ -203,7 +203,7 @@ func (n *Node) punishInvalid(invalid []*chain.Tx) {
 // Crash stops the node (crash-stop): mining halts, messages are
 // dropped, the mempool, the orphan buffer and the pending sync request
 // are lost. The chain view (persistent storage) survives.
-// kept: ROADMAP items 3(b) and 9, a crash at an event index.
+// kept: ROADMAP items 3(b) and 2(d), a crash at an event index.
 func (n *Node) Crash() {
 	n.alive = false
 	n.mining = false

@@ -259,7 +259,7 @@ func (n *Network) Broadcast(from NodeID, payload any) {
 
 // Crash stops a node: it receives nothing until Recover. In-flight
 // messages to it are lost.
-// kept: ROADMAP items 3(b) and 9, through miner.Node.Crash.
+// kept: ROADMAP items 3(b) and 2(d), through miner.Node.Crash.
 func (n *Network) Crash(id NodeID) { n.crashed[id] = true }
 
 // Recover restarts a crashed node. It resumes receiving new messages;
@@ -288,7 +288,7 @@ func (n *Network) Heal() {
 }
 
 // Partitioned reports whether any partition is currently in force.
-// kept: ROADMAP items 3(b) and 9, the sweep's check that a fault row lifted.
+// kept: ROADMAP items 3(b) and 2(d), the sweep's check that a fault row lifted.
 func (n *Network) Partitioned() bool { return len(n.group) > 0 }
 
 // SchedulePartition installs a timed partition window on the

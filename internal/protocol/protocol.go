@@ -67,7 +67,7 @@ import (
 )
 
 // Event is a timestamped timeline entry (the Figure 8/9 phase
-// renderings and the engine's scenario hooks consume these).
+// renderings and the engine's scenario watches consume these).
 type Event struct {
 	At    sim.Time
 	Label string
