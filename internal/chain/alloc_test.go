@@ -13,10 +13,14 @@ import (
 // and a decoded header that is only hashed stay on the stack, the
 // headers of evidence are one exact slice, a block built on an empty
 // mempool is two objects — the block's state layer, and the block with
-// its header, coinbase, first transaction slots and the one output its
-// layer adds — and an executor admitting 64 mined blocks carves their
-// records from one slab, beside the two slabs its height and
-// transaction indexes carve 128 slots from.
+// its header, coinbase, first transaction and contract slots — its
+// layer's outputs carved from a slab; a block carrying a deploy and a
+// call adds the deployed contract and the call's clone, its spends,
+// payout and balance carved too; a call applied in the executor's
+// scratch context to a layer with room is the clone alone; and an
+// executor admitting 64 mined blocks carves their records from one
+// slab, beside the two slabs its height and transaction indexes carve
+// 128 slots from.
 func TestBlockAndEvidenceAllocations(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	g := e.chain.exec.genesis
@@ -28,6 +32,18 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 		e.mine()
 	}
 	enc := e.chain.tip.Header.Encode()
+
+	// A vault's deploy and a call that opens it, never mined: every
+	// BuildBlock below packs them anew on the same tip.
+	op, o := e.utxoOf("alice", 1_000)
+	deploy := NewDeploy(e.keys["alice"], 101, []TxIn{{Prev: op}},
+		[]TxOut{{Value: o.Value - 1_000, Owner: e.keys["alice"].Addr}},
+		"vault", vaultParams{Recipient: e.keys["bob"].Addr, Key: 7}.Encode(), 1_000)
+	open := NewCall(e.keys["bob"], 102, deploy.ContractAddr(), "open", []byte{7}, nil, nil, 0)
+	_, withVault, _ := e.chain.BuildBlock(e.miner.Addr, e.now, []*Tx{deploy})
+	layer := withVault.Child()
+	room := blockDelta{added: make([]utxoEntry, 0, 4), contracts: make([]contractEntry, 0, 4), balances: make([]balanceEntry, 0, 4)}
+	var sigs crypto.SigTally
 
 	// Sixty-four mined blocks and their built states, admitted below into
 	// executors of the same genesis whose maps already have room for them.
@@ -67,6 +83,18 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 		{"DecodeHeader(...).Hash()", 0, func() { h, _ := DecodeHeader(enc); sink = h.Hash() }},
 		{"HeadersFrom over 5 blocks", 1, func() { hs, _ := e.chain.HeadersFrom(g.Hash()); sink = hs[4].TxRoot }},
 		{"BuildBlock on an empty mempool", 2, func() { b, _, _ := e.chain.BuildBlock(e.miner.Addr, e.now, nil); sink = b.Header.TxRoot }},
+		{"BuildBlock carrying a deploy and a call", 4, func() {
+			b, _, invalid := e.chain.BuildBlock(e.miner.Addr, e.now, []*Tx{deploy, open})
+			if len(b.Txs) != 3 || len(invalid) != 0 {
+				t.Fatalf("built %d transactions, %d invalid; want the coinbase, the deploy and the call", len(b.Txs), len(invalid))
+			}
+		}},
+		{"applying a call in the executor's scratch", 1, func() {
+			layer.own = room
+			if err := applyTx(layer, e.chain.exec.reg, "testnet", 9, int64(e.now), open, &sigs, &e.chain.exec.ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"admitting 64 mined blocks", 3, func() {
 			x := fresh[0]
 			fresh = fresh[1:]

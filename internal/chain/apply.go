@@ -52,12 +52,13 @@ func blockErr(format string, args ...any) error {
 // nothing — one ApplyTx rejects leaves st as it found it — so a block
 // that carries a contract call proves the call succeeded.
 func ApplyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx) error {
-	return applyTx(st, reg, chainID, height, blockTime, tx, &crypto.SigTally{})
+	return applyTx(st, reg, chainID, height, blockTime, tx, &crypto.SigTally{}, new(vm.Ctx))
 }
 
-// applyTx is ApplyTx noting in sigs how the signature verdict was come by.
+// applyTx is ApplyTx noting in sigs how the signature verdict was come by
+// and running a deploy or call in ctx, made anew (NewCtx) each time.
 // Every check reads st and none writes it; commit writes once they pass.
-func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
+func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
 	switch tx.Kind {
 	case TxGenesis:
 		if height != 0 {
@@ -75,9 +76,9 @@ func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime i
 	case TxTransfer:
 		return applyTransfer(st, tx, sigs)
 	case TxDeploy:
-		return applyDeploy(st, reg, chainID, blockTime, tx, sigs)
+		return applyDeploy(st, reg, chainID, blockTime, tx, sigs, ctx)
 	case TxCall:
-		return applyCall(st, chainID, blockTime, tx, sigs)
+		return applyCall(st, chainID, blockTime, tx, sigs, ctx)
 	default:
 		return txErr("unknown kind %v", tx.Kind)
 	}
@@ -165,7 +166,7 @@ func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 	return nil
 }
 
-func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
+func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
 	if tx.ContractType == "" {
 		return txErr("deploy without contract type")
 	}
@@ -200,7 +201,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *T
 		return txErr("deploy: %v", err)
 	}
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
-	ctx := vm.NewCtx(string(chainID), addr, blockTime, msg, tx.Value)
+	*ctx = vm.NewCtx(string(chainID), addr, blockTime, msg, tx.Value)
 	ctx.Sigs = reg.Sigs
 	if err := c.Init(ctx, tx.Params); err != nil {
 		return &txRejection{"constructor of %s failed: %v", []any{tx.ContractType, err}, ctx.ReadClock()}
@@ -209,7 +210,7 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *T
 	return nil
 }
 
-func applyCall(st *State, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally) error {
+func applyCall(st *State, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
 	if tx.Fn == "" {
 		return txErr("call without function name")
 	}
@@ -241,7 +242,7 @@ func applyCall(st *State, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigT
 	c := stored.Clone()
 	balance := st.Balance(tx.Contract) + tx.Value
 	msg := vm.Msg{Sender: tx.Signer(), Value: tx.Value}
-	ctx := vm.NewCtx(string(chainID), tx.Contract, blockTime, msg, balance)
+	*ctx = vm.NewCtx(string(chainID), tx.Contract, blockTime, msg, balance)
 	if err := c.Call(ctx, tx.Fn, tx.Args); err != nil {
 		return &txRejection{"call %s.%s failed: %v", []any{tx.Contract, tx.Fn, err}, ctx.ReadClock()}
 	}
@@ -287,10 +288,10 @@ func addOutputs(st *State, tx *Tx) {
 // block — which is why on-chain inclusion of a contract call implies
 // the call succeeded (DESIGN.md decision 4).
 func ApplyBlock(parent *State, reg *vm.Registry, params Params, b *Block) (*State, error) {
-	return applyBlock(parent, reg, params, b, &crypto.SigTally{})
+	return applyBlock(parent, reg, params, b, &crypto.SigTally{}, new(vm.Ctx))
 }
 
-func applyBlock(parent *State, reg *vm.Registry, params Params, b *Block, sigs *crypto.SigTally) (*State, error) {
+func applyBlock(parent *State, reg *vm.Registry, params Params, b *Block, sigs *crypto.SigTally, ctx *vm.Ctx) (*State, error) {
 	if b.Header.ChainID != params.ID {
 		return nil, blockErr("chain id %q, want %q", b.Header.ChainID, params.ID)
 	}
@@ -330,7 +331,7 @@ func applyBlock(parent *State, reg *vm.Registry, params Params, b *Block, sigs *
 			return nil, blockErr("duplicate tx %s", id)
 		}
 		seen[id] = true
-		if err := applyTx(st, reg, params.ID, b.Header.Height, b.Header.Time, tx, sigs); err != nil {
+		if err := applyTx(st, reg, params.ID, b.Header.Height, b.Header.Time, tx, sigs, ctx); err != nil {
 			return nil, fmt.Errorf("%w: tx %d (%s): %v", ErrBlockInvalid, i, tx.Kind, err)
 		}
 	}

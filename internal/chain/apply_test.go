@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/crypto"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -158,5 +159,83 @@ func TestApplyTxIsAllOrNothing(t *testing.T) {
 				t.Errorf("%s: TotalValue = %d, the twin sums %d", where, got, want)
 			}
 		}
+	}
+}
+
+// probe is a test contract that records what its call context shows
+// before it acts — payouts already queued, whether the clock was read,
+// the balance — and then, for "pay", reads the clock and pays its whole
+// balance to the caller; "refuse" fails.
+type probe struct {
+	Payouts int
+	Clock   bool
+	Balance vm.Amount
+}
+
+func (p *probe) Type() string               { return "probe" }
+func (p *probe) Init(*vm.Ctx, []byte) error { return nil }
+func (p *probe) Clone() vm.Contract         { cp := *p; return &cp }
+func (p *probe) Call(ctx *vm.Ctx, fn string, _ []byte) error {
+	p.Payouts, p.Clock, p.Balance = len(ctx.Payouts()), ctx.ReadClock(), ctx.Balance()
+	switch fn {
+	case "pay":
+		_ = ctx.Time()
+		return ctx.Pay(ctx.Msg.Sender, ctx.Balance())
+	case "refuse":
+		return errors.New("refused")
+	}
+	return nil
+}
+
+// TestCallContextIsFreshPerCall: every deploy and call runs in one
+// scratch context, and none sees what the one before it left there — a
+// call after another that read the clock and paid out sees no payout,
+// an unread clock and its own balance, and its rejection is not marked
+// as a clock read (which would keep it from being parked, ADR-020).
+func TestCallContextIsFreshPerCall(t *testing.T) {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(95).Uint64))
+	reg := vm.NewRegistry()
+	reg.Register("probe", func() vm.Contract { return &probe{} })
+	exec, err := NewExecutor(pruneParams(0, 0), reg, GenesisAlloc{key.Addr: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := exec.NewView().TipState().Child()
+	var grant OutPoint
+	for op := range ownedMap(st, key.Addr) {
+		grant = op
+	}
+	var (
+		ctx  vm.Ctx
+		sigs crypto.SigTally
+	)
+	apply := func(tx *Tx) error { return applyTx(st, reg, "prunenet", 1, 77, tx, &sigs, &ctx) }
+	rich := NewDeploy(key, 1, []TxIn{{Prev: grant}}, []TxOut{{Value: 9_000, Owner: key.Addr}}, "probe", nil, 1_000)
+	poor := NewDeploy(key, 2, []TxIn{{Prev: OutPoint{TxID: rich.ID()}}}, []TxOut{{Value: 8_700, Owner: key.Addr}}, "probe", nil, 300)
+	pay := NewCall(key, 3, rich.ContractAddr(), "pay", nil, nil, nil, 0)
+	for _, tx := range []*Tx{rich, poor, pay, NewCall(key, 4, poor.ContractAddr(), "look", nil, nil, nil, 0)} {
+		if err := apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ctx.Payouts()) != 0 || ctx.ReadClock() || ctx.Balance() != 300 {
+		t.Fatalf("after the second call the context holds %d payouts, clock read %v, balance %d; want 0, false, 300",
+			len(ctx.Payouts()), ctx.ReadClock(), ctx.Balance())
+	}
+	for addr, want := range map[crypto.Address]probe{rich.ContractAddr(): {Balance: 1_000}, poor.ContractAddr(): {Balance: 300}} {
+		if c, _ := st.Contract(addr); *c.(*probe) != want {
+			t.Fatalf("contract %s saw %+v, want %+v", addr, *c.(*probe), want)
+		}
+	}
+	if out, ok := st.UTXO(OutPoint{TxID: pay.ID(), Index: 1 << 16}); !ok || out.Value != 1_000 {
+		t.Fatalf("the paying call's payout reads %v, %v; want 1000", out, ok)
+	}
+	if err := apply(NewCall(key, 5, rich.ContractAddr(), "pay", nil, nil, nil, 0)); err != nil { // reads the clock
+		t.Fatal(err)
+	}
+	err = apply(NewCall(key, 6, poor.ContractAddr(), "refuse", nil, nil, nil, 0))
+	var rej *txRejection
+	if !errors.As(err, &rej) || rej.clock {
+		t.Fatalf("a refusing call after one that read the clock: %v; want a rejection without a clock read", err)
 	}
 }

@@ -427,14 +427,14 @@ func (c *Chain) BlocksAfter(locator []crypto.Hash, want crypto.Hash, limit int) 
 }
 
 // A block BuildBlock makes is one allocation with slots for its first
-// transactions, coinbase included, and the first outputs its layer
-// adds. It is 632 bytes, so with the 8-byte malloc header of a
-// pointerful object over 512 bytes it fills the 640-byte size class; a
+// transactions, coinbase included, and the first contract its layer
+// writes (seal). It is 600 bytes, so with the 8-byte malloc header of a
+// pointerful object over 512 bytes it fits the 640-byte size class; a
 // fourth transaction slot would take the 704-byte one. Of the friendly
 // HTLC run's blocks 69 % are the coinbase alone, 92 % hold three or fewer.
 const (
-	firstTxSlots = 3
-	addedSlots   = 1
+	firstTxSlots  = 3
+	contractSlots = 1
 )
 
 // BuildBlock assembles a block extending the canonical tip with as
@@ -465,20 +465,20 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 	height := parent.Header.Height + 1
 
 	// The block, its header, the coinbase and its output, and the first
-	// slots of the block's transactions and added outputs are one
+	// slots of the block's transactions and written contracts are one
 	// allocation.
 	mined := &struct {
-		b        Block
-		h        Header
-		coinbase Tx
-		out      [1]TxOut
-		txs      [firstTxSlots]*Tx
-		added    [addedSlots]utxoEntry
+		b         Block
+		h         Header
+		coinbase  Tx
+		out       [1]TxOut
+		txs       [firstTxSlots]*Tx
+		contracts [contractSlots]contractEntry
 	}{out: [1]TxOut{{Value: params.BlockReward, Owner: miner}}}
 	coinbase := &mined.coinbase
 	*coinbase = Tx{Kind: TxCoinbase, Nonce: height, Outs: mined.out[:]} // a nonce per height: coinbase ids differ
 	txs := append(mined.txs[:0], coinbase)
-	if err := ApplyTx(st, c.exec.reg, params.ID, height, time, coinbase); err != nil {
+	if err := applyTx(st, c.exec.reg, params.ID, height, time, coinbase, &c.exec.stats.Sigs, &c.exec.ctx); err != nil {
 		// Cannot happen with a well-formed coinbase; treat as fatal.
 		panic(fmt.Sprintf("chain: coinbase rejected: %v", err))
 	}
@@ -498,7 +498,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 				c.exec.stats.ParkedSkips++
 			} else {
 				c.exec.stats.Candidates++
-				err := applyTx(st, c.exec.reg, params.ID, height, time, tx, &c.exec.stats.Sigs)
+				err := applyTx(st, c.exec.reg, params.ID, height, time, tx, &c.exec.stats.Sigs, &c.exec.ctx)
 				if err == nil {
 					txs = append(txs, tx)
 					c.wrote(tx) // perhaps what a candidate parked earlier waits for
@@ -526,7 +526,7 @@ func (c *Chain) BuildBlock(miner crypto.Address, time sim.Time, mempool []*Tx) (
 		}
 		pending = failed
 	}
-	c.exec.layer = st.own.seal(mined.added[:])
+	c.exec.layer = st.own.seal(&c.exec.slabs, mined.contracts[:])
 	c.wrote(txs...) // the tip is still the parent: no verdict that read this block's writes may stay
 	blk := mined.b.assemble(&mined.h, Header{
 		ChainID: params.ID,

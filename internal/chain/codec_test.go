@@ -132,7 +132,7 @@ func TestTxEncodedBeforeVerified(t *testing.T) {
 		}
 		golden := unhex(t, v.Encode)
 		body := golden[:len(golden)-tx.Sig.EncodedLen()]
-		tx.Sig = tx.sigOK.SignLater(key)
+		tx.Sig = tx.sigOK.SignLater(key, new([crypto.SignedLen]byte))
 		want := key.Sign(tx.SigHash().Bytes()).AppendTo(bytes.Clone(body))
 		if got := tx.Encode(); !bytes.Equal(got, want) {
 			t.Fatalf("vector %d: encoded before verified:\n got %x\nwant %x", i, got, want)

@@ -81,9 +81,11 @@ type Executor struct {
 
 	stats ExecStats
 
-	// layer is the buffers BuildBlock writes a block's layer in before
-	// sealing it into slices of the layer's exact size.
-	layer blockDelta
+	// layer is the buffers BuildBlock writes a block's layer in, slabs
+	// what is left of the slabs it is sealed into, ctx the context every
+	// deploy and call the executor applies runs in.
+	layer, slabs blockDelta
+	ctx          vm.Ctx
 }
 
 // record is what the executor holds of one admitted block. The block
@@ -276,7 +278,7 @@ func (e *Executor) stateFor(end *record) (*State, bool) {
 			st.own = r.delta
 			continue
 		}
-		next, err := applyBlock(st, e.reg, e.params, r.block, &e.stats.Sigs)
+		next, err := applyBlock(st, e.reg, e.params, r.block, &e.stats.Sigs, &e.ctx)
 		if err != nil {
 			// Unreachable: every stored block was validated once, and
 			// re-execution is deterministic.
@@ -334,7 +336,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 	if !ok {
 		return nil, blockErr("no state for parent %s", b.Header.Parent)
 	}
-	st, err := applyBlock(ps, e.reg, e.params, b, &e.stats.Sigs)
+	st, err := applyBlock(ps, e.reg, e.params, b, &e.stats.Sigs, &e.ctx)
 	e.stats.Executed++
 	if err != nil {
 		e.invalid[h] = err
@@ -546,7 +548,7 @@ func (e *Executor) advanceFloor(bh crypto.Hash) {
 	case r.state != nil:
 		e.floor.apply(&r.state.own)
 	default:
-		st, err := applyBlock(e.floor, e.reg, e.params, r.block, &e.stats.Sigs)
+		st, err := applyBlock(e.floor, e.reg, e.params, r.block, &e.stats.Sigs, &e.ctx)
 		if err != nil {
 			panic(fmt.Sprintf("chain: replay of valid block %s failed: %v", bh, err))
 		}

@@ -87,27 +87,52 @@ func TestPruneDropsBuriedStates(t *testing.T) {
 	}
 }
 
-// TestPrunedStateIsCollected: once no live state rests on it, a pruned
-// block's State is garbage even though the executor keeps the block's
-// delta — the delta is the layer's slices, allocated apart from the
-// State, and pins neither it nor its parents.
-func TestPrunedStateIsCollected(t *testing.T) {
-	rng := sim.NewRNG(91)
-	miner := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
-	exec, err := NewExecutor(pruneParams(8, 0), nil, GenesisAlloc{miner.Addr: 100_000})
+// vaultChain returns a view of a pruning executor whose registry knows
+// the vault, its block at height 2 deploying one with the miner's
+// genesis grant and the block above opening it: the first spends,
+// adds, stores a contract and sets its balance, so its layer holds a
+// slice of each kind, carved from the executor's slabs but for the
+// contract, which lies in its block.
+func vaultChain(t *testing.T, seed uint64, retire int) (exec *Executor, v *Chain, miner *crypto.KeyPair, deploy *Block) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	miner = crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	reg := vm.NewRegistry()
+	reg.Register("vault", func() vm.Contract { return &vault{} })
+	exec, err := NewExecutor(pruneParams(8, retire), reg, GenesisAlloc{miner.Addr: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := exec.NewView()
-	b := mineChain(t, v, miner.Addr, 3, 0)[1]
+	v = exec.NewView()
+	var grant OutPoint
+	for op := range ownedMap(v.TipState(), miner.Addr) {
+		grant = op
+	}
+	tx := NewDeploy(miner, 1, []TxIn{{Prev: grant}}, []TxOut{{Value: 99_000, Owner: miner.Addr}},
+		"vault", vaultParams{Recipient: miner.Addr, Key: 7}.Encode(), 1_000)
+	mineChain(t, v, miner.Addr, 1, 0)
+	deploy = mineOn(t, v, miner.Addr, 20, tx)
+	mineOn(t, v, miner.Addr, 30, NewCall(miner, 2, tx.ContractAddr(), "open", []byte{7}, nil, nil, 0))
+	return exec, v, miner, deploy
+}
+
+// TestPrunedStateIsCollected: once no live state rests on it, a pruned
+// block's State is garbage even though the executor keeps the block's
+// delta — the delta is the layer's slices, carved from the executor's
+// slabs or lying in the block, apart from the State, and pins neither
+// it nor its parents.
+func TestPrunedStateIsCollected(t *testing.T) {
+	exec, v, miner, b := vaultChain(t, 91, 0)
 	r := exec.blocks[b.Hash()]
 	held := weak.Make(r.state)
 	// Past a flatten and the prune horizon: the live states rest on a
 	// base of their own.
-	mineChain(t, v, miner.Addr, 2*flattenDepth, 30)
+	mineChain(t, v, miner.Addr, 2*flattenDepth, 40)
 	runtime.GC()
-	if r.state != nil || !r.kept || len(r.delta.added) != 1 {
-		t.Fatalf("block at height 2: state %p, delta kept %v with %d outputs; want pruned to its coinbase output", r.state, r.kept, len(r.delta.added))
+	d := r.delta
+	if r.state != nil || !r.kept || len(d.added) != 2 || len(d.spent) != 1 || len(d.contracts) != 1 || len(d.balances) != 1 {
+		t.Fatalf("block at height 2: state %p, delta kept %v with %d added, %d spent, %d contracts, %d balances; want pruned to 2, 1, 1, 1",
+			r.state, r.kept, len(d.added), len(d.spent), len(d.contracts), len(d.balances))
 	}
 	if held.Value() != nil {
 		t.Fatal("the pruned block's State survived a collection while its delta was kept")
@@ -117,28 +142,29 @@ func TestPrunedStateIsCollected(t *testing.T) {
 	}
 }
 
-// TestRetiredBlockIsCollected: a retired block is garbage even though
-// the slab its record was carved from lives on — here because the test
-// holds the record's slot, in a run because the records of the blocks
-// above it share the slab. Retire zeroes the slot.
+// TestRetiredBlockIsCollected: a retired block, and the contract its
+// layer stored — since replaced by the call above it — are garbage even
+// though the slabs its record and its layer's slices were carved from
+// live on: here because the test holds the record's slot and the
+// slices, and a live block stores a second contract, in a run because
+// the blocks above share the slabs. Retire zeroes the record's slot;
+// the layer's slabs hold no pointer.
 func TestRetiredBlockIsCollected(t *testing.T) {
-	rng := sim.NewRNG(92)
-	miner := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
-	exec, err := NewExecutor(pruneParams(8, 16), nil, GenesisAlloc{miner.Addr: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := exec.NewView()
-	r, held := func() (*record, weak.Pointer[Block]) {
-		b := mineChain(t, v, miner.Addr, 3, 0)[1]
-		return exec.blocks[b.Hash()], weak.Make(b)
+	exec, v, miner, r, change, carved, held, stored := func() (*Executor, *Chain, *crypto.KeyPair, *record, OutPoint, blockDelta, weak.Pointer[Block], weak.Pointer[vault]) {
+		exec, v, miner, b := vaultChain(t, 92, 16)
+		r := exec.blocks[b.Hash()]
+		d := r.state.own
+		return exec, v, miner, r, OutPoint{TxID: b.Txs[1].ID()}, blockDelta{added: d.added, spent: d.spent, balances: d.balances},
+			weak.Make(b), weak.Make(d.contracts[0].c.(*vault))
 	}()
 	// Past a flatten and the retire horizon: no live state's overlay
 	// chain reaches down to the block's.
-	mineChain(t, v, miner.Addr, 2*flattenDepth, 30)
+	mineChain(t, v, miner.Addr, 2*flattenDepth, 40)
+	mineOn(t, v, miner.Addr, sim.Time(50+20*flattenDepth), NewDeploy(miner, 3, []TxIn{{Prev: change}},
+		[]TxOut{{Value: 98_000, Owner: miner.Addr}}, "vault", vaultParams{Recipient: miner.Addr, Key: 8}.Encode(), 1_000))
 	runtime.GC()
-	if exec.retireFloor <= 2 || exec.Stats().Retired == 0 {
-		t.Fatalf("retire floor %d: the block at height 2 was not retired", exec.retireFloor)
+	if exec.retireFloor <= 3 || exec.Stats().Retired == 0 {
+		t.Fatalf("retire floor %d: the blocks at heights 2 and 3 were not retired", exec.retireFloor)
 	}
 	if !reflect.DeepEqual(*r, record{}) {
 		t.Fatalf("the retired block's record slot still holds %+v", *r)
@@ -146,10 +172,16 @@ func TestRetiredBlockIsCollected(t *testing.T) {
 	if held.Value() != nil {
 		t.Fatal("the retired block survived a collection while its record's slab lived on")
 	}
+	if stored.Value() != nil {
+		t.Fatal("the retired block's contract survived a collection while its layer's slabs lived on")
+	}
+	if len(carved.spent) != 1 || len(carved.balances) != 1 {
+		t.Fatalf("the carved slices changed under the test: %+v", carved)
+	}
 }
 
 // TestSealedDeltaSurvivesPruneAndRemount: a built block's delta, sealed
-// into the block's own slots or, past them, into exact slices, is kept
+// into slices carved from the executor's slabs, is kept
 // unchanged when its state is pruned — while later blocks are built in
 // the buffers it was written in — and re-mounted as it was sealed.
 func TestSealedDeltaSurvivesPruneAndRemount(t *testing.T) {

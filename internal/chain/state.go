@@ -169,8 +169,8 @@ func (s *State) clone() *State {
 // its block is built or applied; after that the executor may take it by
 // value, sharing the slices, to keep when it prunes the state or to
 // re-mount under a new State. Its backing arrays lie apart from the
-// State that wrote them (a built block's added outputs, when they fit,
-// in the block's own allocation), so a kept delta pins no state.
+// State that wrote them (a built block's in slabs and in the block's
+// own allocation), so a kept delta pins no state.
 type blockDelta struct {
 	added     []utxoEntry
 	spent     []OutPoint // tombstones masking the parent
@@ -269,22 +269,31 @@ func (d *blockDelta) balanceAt(a *crypto.Address) int {
 }
 
 // seal moves a layer written into reused buffers (BuildBlock's) into
-// slices of its own, and returns the buffers emptied: the added outputs
-// into slots when they fit there (BuildBlock's, in the block's own
-// allocation), every other slice exact-sized.
-func (d *blockDelta) seal(slots []utxoEntry) blockDelta {
+// slices of its own, and returns the buffers emptied: the contracts into
+// slots when they fit (BuildBlock's, in the block's own allocation), the
+// pointer-free slices carved from slabs, so a slab that outlives layers
+// carved from it pins bytes, never a state, a block or a contract.
+func (d *blockDelta) seal(slabs *blockDelta, slots []contractEntry) blockDelta {
 	buf := *d
-	var added []utxoEntry
-	if n := len(buf.added); n <= len(slots) {
-		added = slots[:n:n]
-		copy(added, buf.added)
-	} else {
-		added = append(added, buf.added...)
-	}
-	*d = blockDelta{added, append([]OutPoint(nil), buf.spent...),
-		append([]contractEntry(nil), buf.contracts...), append([]balanceEntry(nil), buf.balances...), buf.keys}
+	*d = blockDelta{carve(&slabs.added, buf.added, 64), carve(&slabs.spent, buf.spent, 64),
+		carve(&slots, buf.contracts, 0), carve(&slabs.balances, buf.balances, 64), buf.keys}
 	clear(buf.contracts)
 	return blockDelta{added: buf.added[:0], spent: buf.spent[:0], contracts: buf.contracts[:0], balances: buf.balances[:0]}
+}
+
+// carve copies src into a slice of its own length and capacity cut from
+// *slab, renewed at renew entries or src's length when what is left is
+// short (ADR-003); nil when src is empty.
+func carve[T any](slab *[]T, src []T, renew int) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	if len(src) > len(*slab) {
+		*slab = make([]T, max(len(src), renew))
+	}
+	s := append((*slab)[:0:len(src)], src...)
+	*slab = (*slab)[len(src):]
+	return s
 }
 
 // apply folds a block delta into s, a base: flatten, and the executor's

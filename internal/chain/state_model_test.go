@@ -46,6 +46,7 @@ type stateModel struct {
 	serial uint32
 	tip    int        // the end of the longest chain, extended more often than not
 	buf    blockDelta // the buffers built layers are written in
+	slabs  blockDelta // and the slabs they are sealed into
 }
 
 func (m *stateModel) add(st *State, ref modelLedger, parent int, open bool) *modelNode {
@@ -206,7 +207,7 @@ func (m *stateModel) step() {
 		// BuildBlock's layers are: no layer may see another's writes.
 		c.st.own, m.buf = m.buf, blockDelta{}
 		m.write(c.st, c.ref)
-		m.buf = c.st.own.seal(nil)
+		m.buf = c.st.own.seal(&m.slabs, nil)
 		if i == m.tip {
 			m.tip = len(m.nodes) - 1 // so overlay chains grow past flattenDepth
 		}

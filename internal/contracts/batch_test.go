@@ -56,7 +56,7 @@ func batchRecords(n int) []DecisionRecord {
 
 func TestBatchWitnessInitValidation(t *testing.T) {
 	_, addrs := witnessSet(4)
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
 	cases := []struct {
 		name   string
 		params BatchWitnessParams
@@ -84,7 +84,7 @@ func TestBatchWitnessInitValidation(t *testing.T) {
 
 func TestCommitBatchHappyPath(t *testing.T) {
 	ks, addrs := witnessSet(4)
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
 	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestCommitBatchHappyPath(t *testing.T) {
 
 func TestCommitBatchRejections(t *testing.T) {
 	ks, addrs := witnessSet(4)
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
 	newSC := func() *BatchWitnessSC {
 		var sc BatchWitnessSC
 		if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
@@ -201,7 +201,7 @@ func TestCommitBatchRejections(t *testing.T) {
 
 func TestCommitBatchConflictRejectsWholeBatch(t *testing.T) {
 	ks, addrs := witnessSet(4)
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
 	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestCommitBatchConflictRejectsWholeBatch(t *testing.T) {
 
 func TestBatchWitnessCloneIndependent(t *testing.T) {
 	ks, addrs := witnessSet(4)
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{}, 0)
 	var sc BatchWitnessSC
 	if err := sc.Init(ctx, BatchWitnessParams{Witnesses: addrs, Threshold: 3}.Encode()); err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func TestHTLCNoDoubleSpendAcrossOutcomes(t *testing.T) {
 func TestHTLCInitValidation(t *testing.T) {
 	ks := keys(2)
 	alice, bob := ks[0], ks[1]
-	ctx := vm.NewCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr, Value: 10}, 10)
+	ctx := testCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr, Value: 10}, 10)
 	h := &HTLC{}
 	if err := h.Init(ctx, HTLCParams{Recipient: bob.Addr, Timelock: 50}.Encode()); err == nil {
 		t.Fatal("past timelock accepted")
@@ -274,7 +274,7 @@ func TestHTLCInitValidation(t *testing.T) {
 	if err := h.Init(ctx, HTLCParams{Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero recipient accepted")
 	}
-	noValue := vm.NewCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr}, 0)
+	noValue := testCtx("btc", crypto.Address{1}, 100, vm.Msg{Sender: alice.Addr}, 0)
 	if err := h.Init(noValue, HTLCParams{Recipient: bob.Addr, Timelock: 500}.Encode()); err == nil {
 		t.Fatal("zero-value HTLC accepted")
 	}
@@ -644,7 +644,7 @@ func TestWitnessConstructorRejectsIncompleteMultisig(t *testing.T) {
 		WitnessDepth: 1,
 	}
 	scw := &WitnessSC{}
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "multisignature") {
 		t.Fatalf("incomplete multisig accepted: %v", err)
 	}
@@ -665,7 +665,7 @@ func TestWitnessConstructorRejectsMissingCheckpoint(t *testing.T) {
 		WitnessDepth: 1,
 	}
 	scw := &WitnessSC{}
-	ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
+	ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 	if err := scw.Init(ctx, wp.Encode()); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("missing checkpoint accepted: %v", err)
 	}
@@ -697,7 +697,7 @@ func TestWitnessConstructorReadsPresignedVerdicts(t *testing.T) {
 			},
 			WitnessDepth: 1,
 		}
-		ctx := vm.NewCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
+		ctx := testCtx("witness", crypto.Address{9}, 10, vm.Msg{Sender: alice.Addr}, 0)
 		ctx.Sigs = book
 		return (&WitnessSC{}).Init(ctx, wp.Encode())
 	}

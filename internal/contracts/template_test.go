@@ -129,7 +129,7 @@ func TestAssetContractTemplate(t *testing.T) {
 			// deployed returns a contract in P holding asset.
 			deployed := func() vm.Contract {
 				c := f.fresh()
-				if err := c.Init(vm.NewCtx("c", crypto.Address{7}, f.now, vm.Msg{Sender: sender, Value: asset}, asset), f.params(recipient)); err != nil {
+				if err := c.Init(testCtx("c", crypto.Address{7}, f.now, vm.Msg{Sender: sender, Value: asset}, asset), f.params(recipient)); err != nil {
 					t.Fatalf("init: %v", err)
 				}
 				if f.state(c) != StatePublished {
@@ -140,7 +140,7 @@ func TestAssetContractTemplate(t *testing.T) {
 			// call runs fn at block time at and returns the error text and
 			// the payouts.
 			call := func(c vm.Contract, at int64, fn string, secret []byte) (string, []vm.Payout) {
-				ctx := vm.NewCtx("c", crypto.Address{7}, at, vm.Msg{Sender: recipient}, asset)
+				ctx := testCtx("c", crypto.Address{7}, at, vm.Msg{Sender: recipient}, asset)
 				if err := c.Call(ctx, fn, secret); err != nil {
 					if len(ctx.Payouts()) != 0 {
 						t.Errorf("%s failed and still paid %v", fn, ctx.Payouts())
@@ -199,7 +199,7 @@ func TestAssetContractTemplate(t *testing.T) {
 
 			// Constructor: the checks every asset contract makes.
 			initErr := func(to crypto.Address, value vm.Amount) string {
-				err := f.fresh().Init(vm.NewCtx("c", crypto.Address{7}, f.now, vm.Msg{Sender: sender, Value: value}, value), f.params(to))
+				err := f.fresh().Init(testCtx("c", crypto.Address{7}, f.now, vm.Msg{Sender: sender, Value: value}, value), f.params(to))
 				if err == nil {
 					return ""
 				}

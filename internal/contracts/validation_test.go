@@ -10,9 +10,15 @@ import (
 	"repro/internal/vm"
 )
 
+// testCtx is vm.NewCtx as the pointer a contract is handed.
+func testCtx(chainID string, self crypto.Address, time int64, msg vm.Msg, balance vm.Amount) *vm.Ctx {
+	ctx := vm.NewCtx(chainID, self, time, msg, balance)
+	return &ctx
+}
+
 // ctxFor builds a minimal execution context for constructor tests.
 func ctxFor(sender crypto.Address, value vm.Amount) *vm.Ctx {
-	return vm.NewCtx("test", crypto.Address{7}, 1000, vm.Msg{Sender: sender, Value: value}, value)
+	return testCtx("test", crypto.Address{7}, 1000, vm.Msg{Sender: sender, Value: value}, value)
 }
 
 // multisig is ms(D) over digest by keys, each signing with

@@ -48,9 +48,6 @@ type TWRun struct {
 	abortDue        bool
 	decision        crypto.Purpose
 	decisionSig     crypto.Signature
-
-	// redeem and refund: the settle phase, built once; Trent's signature.
-	redeem, refund protocol.Settlement[*contracts.CentralizedSC]
 }
 
 // twRegistered tells the other participants ms(D) is on file at
@@ -63,23 +60,23 @@ func NewTW(w *xchain.World, cfg TWConfig) (*TWRun, error) {
 		return nil, fmt.Errorf("core: AC3TW needs a witness (Trent)")
 	}
 	r := &TWRun{w: w, cfg: cfg}
-	sig := func(*xchain.Participant, int, *contracts.CentralizedSC) ([]byte, error) {
-		return crypto.EncodeSignature(r.decisionSig), nil
-	}
-	r.redeem = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRedeem, Secret: sig}
-	r.refund = protocol.Settlement[*contracts.CentralizedSC]{Fn: contracts.FnRefund, Secret: sig}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
 		Graph:        cfg.Graph,
 		Participants: cfg.Participants,
 		Initiator:    cfg.Initiator,
-		Drive:        r.drive,
+		Protocol:     r,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Secret is the settle phase's secret either way: Trent's signature.
+func (r *TWRun) Secret(*xchain.Participant, string, int, protocol.Asset) ([]byte, error) {
+	return crypto.EncodeSignature(r.decisionSig), nil
 }
 
 // Start begins the run: the initiator registers ms(D) at Trent, all
@@ -131,8 +128,8 @@ func (r *TWRun) RaceRefund(*xchain.Participant) bool {
 	return true
 }
 
-// drive is the reconciler step function.
-func (r *TWRun) drive(p *xchain.Participant) {
+// Step is the reconciler step function.
+func (r *TWRun) Step(p *xchain.Participant) {
 	// Phase 0: registration, initiator-driven and retried until Trent
 	// answers.
 	if !r.registered {
@@ -164,11 +161,11 @@ func (r *TWRun) drive(p *xchain.Participant) {
 	}
 	// Phase 4: p redeems its incoming edges (RD) or refunds its outgoing
 	// ones (RF). The secret is Trent's signature.
-	s := &r.redeem
+	fn := contracts.FnRedeem
 	if r.decision == crypto.PurposeRefund {
-		s = &r.refund
+		fn = contracts.FnRefund
 	}
-	protocol.Settle(r.Runtime, p, s)
+	protocol.Settle(r.Runtime, p, fn)
 }
 
 // register stores ms(D) at Trent. A duplicate-registration reply

@@ -128,8 +128,7 @@ type Run struct {
 	// action that keeps failing from being re-submitted on every wakeup.
 	retryEvery sim.Time
 
-	// redeem and refund: the settle phase, built once.
-	redeem, refund protocol.Settlement[*contracts.PermissionlessSC]
+	witness [1]chain.ID // the chain the runtime subscribes to besides the graph's
 
 	states   []pstate // by participant index (Runtime.Index)
 	abortDue bool
@@ -186,46 +185,51 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		w:          w,
 		cfg:        cfg,
 		retryEvery: w.Nets[cfg.WitnessChain].Params.BlockInterval / 2,
+		witness:    [1]chain.ID{cfg.WitnessChain},
 		states:     make([]pstate, len(cfg.Participants)),
 	}
-	// The secret is evidence of the decision that opens the direction, and
-	// there is none while an edge went the other way: a reorg deeper than d
-	// flipped the decision p reads, and acting on it breaks atomicity.
-	evidence := func(auth string, other contracts.SwapState) func(*xchain.Participant, int, *contracts.PermissionlessSC) ([]byte, error) {
-		return func(p *xchain.Participant, i int, sc *contracts.PermissionlessSC) ([]byte, error) {
-			for j, e := range cfg.Graph.Edges {
-				ct, _ := p.Client(e.Chain).ContractNow(r.Addr(j), 0)
-				if a, ok := ct.(protocol.Asset); ok && a.SwapState() == other {
-					return nil, fmt.Errorf("core: edge %d is already %s", j, other)
-				}
-			}
-			ev, err := r.witnessEvidenceFor(p, sc, auth)
-			if err != nil {
-				r.noteOrphanedAnchor(p, i, sc)
-			}
-			return ev, err
-		}
-	}
-	r.redeem = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRedeem, Secret: evidence(contracts.FnAuthorizeRedeem, contracts.StateRefunded)}
-	r.refund = protocol.Settlement[*contracts.PermissionlessSC]{Fn: contracts.FnRefund, Secret: evidence(contracts.FnAuthorizeRefund, contracts.StateRedeemed)}
 	var err error
 	r.Runtime, err = protocol.New(protocol.Config{
 		World:        w,
 		Graph:        cfg.Graph,
 		Participants: cfg.Participants,
 		Initiator:    cfg.Initiator,
-		Chains:       []chain.ID{cfg.WitnessChain},
-		Drive:        r.drive,
-		OnMessage:    r.onMessage,
-		AllConfirmed: func() {
-			r.AllDeployedAt = w.Sim.Now()
-			r.Event(-1, "all asset contracts confirmed")
-		},
+		Chains:       r.witness[:],
+		Protocol:     r,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// OnAllConfirmed records Figure 9's lock-phase boundary.
+func (r *Run) OnAllConfirmed() {
+	r.AllDeployedAt = r.w.Sim.Now()
+	r.Event(-1, "all asset contracts confirmed")
+}
+
+// Secret is the settle phase's secret: evidence of the decision that
+// opens fn's direction. There is none while an edge went the other way:
+// a reorg deeper than d flipped the decision p reads, and acting on it
+// breaks atomicity.
+func (r *Run) Secret(p *xchain.Participant, fn string, i int, sc protocol.Asset) ([]byte, error) {
+	auth, other := contracts.FnAuthorizeRedeem, contracts.StateRefunded
+	if fn == contracts.FnRefund {
+		auth, other = contracts.FnAuthorizeRefund, contracts.StateRedeemed
+	}
+	for j, e := range r.cfg.Graph.Edges {
+		ct, _ := p.Client(e.Chain).ContractNow(r.Addr(j), 0)
+		if a, ok := ct.(protocol.Asset); ok && a.SwapState() == other {
+			return nil, fmt.Errorf("core: edge %d is already %s", j, other)
+		}
+	}
+	psc := sc.(*contracts.PermissionlessSC)
+	ev, err := r.witnessEvidenceFor(p, psc, auth)
+	if err != nil {
+		r.noteOrphanedAnchor(p, i, psc)
+	}
+	return ev, err
 }
 
 // Start begins the run at the current virtual time.
@@ -243,19 +247,19 @@ func (r *Run) Start() {
 	r.Runtime.Start()
 }
 
-// onMessage ingests the SCw announcement (the runtime re-drives the
+// OnMessage ingests the SCw announcement (the runtime re-drives the
 // recipient afterwards).
-func (r *Run) onMessage(p, from *xchain.Participant, msg any) {
+func (r *Run) OnMessage(p, from *xchain.Participant, msg any) {
 	if m, ok := msg.(announceSCw); ok && r.scwAddr.IsZero() {
 		r.scwAddr, r.checkpointHash = m.Addr, m.Checkpoints
 	}
 }
 
-// drive is the reconciler step function: inspect the world through
+// Step is the reconciler step function: inspect the world through
 // p's clients and take the next enabled action. Idempotent; the
 // runtime calls it on tip-change notifications, announcement arrival,
 // timer expiry, and resume.
-func (r *Run) drive(p *xchain.Participant) {
+func (r *Run) Step(p *xchain.Participant) {
 	st := &r.states[r.Index(p)]
 	now := r.w.Sim.Now()
 
@@ -607,11 +611,11 @@ func (r *Run) markDecision(outcome contracts.WitnessState, p *xchain.Participant
 // settle redeems p's incoming edges (commit) or refunds p's outgoing
 // edges (abort). The secret is evidence of SCw's stable state.
 func (r *Run) settle(p *xchain.Participant, decision contracts.WitnessState) {
-	s := &r.redeem
+	fn := contracts.FnRedeem
 	if decision == contracts.WitnessRefundAuthorized {
-		s = &r.refund
+		fn = contracts.FnRefund
 	}
-	if protocol.Settle(r.Runtime, p, s) {
+	if protocol.Settle(r.Runtime, p, fn) {
 		r.Event(-1, "all contracts settled")
 	}
 }

@@ -129,7 +129,8 @@ func (m *MultiSig) ID() Hash { return MultiSigID(m.Digest, m.Signers()) }
 // digest from their addresses alone, so a participant can check a
 // published multisignature's identity without anyone's private key.
 func MultiSigID(digest Hash, signers []Address) Hash {
-	sorted := append([]Address(nil), signers...)
+	var onStack [8]Address // an AC2T's signers, unless it has more than eight
+	sorted := append(onStack[:0], signers...)
 	sortAddresses(sorted)
 	var stack [256]byte
 	buf := append(stack[:0], digest[:]...)

@@ -47,11 +47,13 @@ type SigTally struct {
 	ledger                           *[]sigJob // the cells assumed; nil: nothing is
 }
 
+// SignedLen is what SignLater writes: the public key, then the signature.
+const SignedLen = ed25519.PublicKeySize + ed25519.SignatureSize
+
 // SignLater makes v's claimant write k's signature and returns it
-// unwritten: k's public key and a signature buffer of zeros.
-func (v *Verdict) SignLater(k *KeyPair) Signature {
+// unwritten, in buf (the caller's): k's public key and zeros.
+func (v *Verdict) SignLater(k *KeyPair, buf *[SignedLen]byte) Signature {
 	v.key, v.own = k, ownSigned
-	buf := make([]byte, ed25519.PublicKeySize+ed25519.SignatureSize)
 	return Signature{Pub: append(buf[:0:ed25519.PublicKeySize], k.Pub...), Sig: buf[ed25519.PublicKeySize:]}
 }
 
@@ -184,8 +186,13 @@ func NewSigBook() *SigBook { return &SigBook{cells: make(map[bookKey]*sigJob)} }
 // Add gives k a cell that signs digest.
 func (b *SigBook) Add(digest Hash, k *KeyPair) {
 	if b.cells[bookKey{k.Addr, digest}] == nil {
-		j := &sigJob{cell: new(Verdict), msg: digest}
-		j.sig = j.cell.SignLater(k)
+		a := &struct { // the job, its cell and the signature's bytes: one allocation
+			job  sigJob
+			cell Verdict
+			buf  [SignedLen]byte
+		}{job: sigJob{msg: digest}}
+		j := &a.job
+		j.cell, j.sig = &a.cell, a.cell.SignLater(k, &a.buf)
 		b.cells[bookKey{k.Addr, digest}] = j
 		b.order = append(b.order, j)
 	}

@@ -221,7 +221,7 @@ func TestSigningCellClaimedOnce(t *testing.T) {
 	cs := make([]*cell, cells)
 	for i := range cs {
 		c := &cell{key: testKey(t, uint64(70+i%3)), msg: Sum([]byte{byte(i)})}
-		c.sig = c.v.SignLater(c.key)
+		c.sig = c.v.SignLater(c.key, new([SignedLen]byte))
 		if !bytes.Equal(c.sig.Pub, c.key.Pub) || !bytes.Equal(c.sig.Sig, make([]byte, 64)) {
 			t.Fatal("an unclaimed cell's signature is not the key and 64 zeros")
 		}
@@ -357,7 +357,7 @@ func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
 	settling.SettleLater()
 
 	var own Verdict
-	sig := own.SignLater(key)
+	sig := own.SignLater(key, new([SignedLen]byte))
 	for range 2 {
 		if !own.Assume(sig, msg, &settling) {
 			t.Fatal("own signature rejected before its verdict exists")
@@ -371,7 +371,7 @@ func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
 		t.Fatalf("foreign bytes assumed: tally %+v", settling)
 	}
 	var strictOwn Verdict
-	if !strictOwn.Assume(strictOwn.SignLater(key), msg, &strict) || strict != (SigTally{Inline: 1}) {
+	if !strictOwn.Assume(strictOwn.SignLater(key, new([SignedLen]byte)), msg, &strict) || strict != (SigTally{Inline: 1}) {
 		t.Fatalf("a tally that does not settle assumed: %+v", strict)
 	}
 
@@ -383,7 +383,7 @@ func TestAssumeOnlyOwnSignaturesOfASettlingTally(t *testing.T) {
 	}
 
 	var read Verdict
-	rsig := read.SignLater(key)
+	rsig := read.SignLater(key, new([SignedLen]byte))
 	read.Assume(rsig, msg, &settling)
 	var other SigTally
 	if !read.Read(rsig, msg, &other) || other != (SigTally{}) || !rsig.Equal(key.Sign(msg[:])) {
@@ -407,7 +407,7 @@ func TestSettleFindsAnInvalidOwnSignature(t *testing.T) {
 	var tl SigTally
 	tl.SettleLater()
 	var v Verdict
-	sig := v.SignLater(&bad)
+	sig := v.SignLater(&bad, new([SignedLen]byte))
 	if !v.Assume(sig, msg, &tl) {
 		t.Fatal("own signature rejected before its verdict exists")
 	}
@@ -418,12 +418,12 @@ func TestSettleFindsAnInvalidOwnSignature(t *testing.T) {
 	tl = SigTally{}
 	tl.SettleLater()
 	var w Verdict
-	wsig := w.SignLater(&bad)
+	wsig := w.SignLater(&bad, new([SignedLen]byte))
 	w.Assume(wsig, msg, &tl)
 	w.compute(wsig, msg) // what a checker does with the cell's offer
 	cells := make([]Verdict, 2*sigQueue)
 	for i := range cells {
-		cells[i].Assume(cells[i].SignLater(good), msg, &tl)
+		cells[i].Assume(cells[i].SignLater(good, new([SignedLen]byte)), msg, &tl)
 	}
 	if tl.Settle(nil) {
 		t.Fatal("an invalid verdict published after its cell was assumed left the ledger")
@@ -444,7 +444,7 @@ func TestLedgerHoldsAtMostTheQueue(t *testing.T) {
 	sigs := make([]Signature, len(cells))
 	read := func(from, to int) {
 		for i := from; i < to; i++ {
-			sigs[i] = cells[i].SignLater(key)
+			sigs[i] = cells[i].SignLater(key, new([SignedLen]byte))
 			if !cells[i].Assume(sigs[i], msg, &tl) || len(*tl.ledger) > sigQueue {
 				t.Fatalf("cell %d: rejected, or %d cells held", i, len(*tl.ledger))
 			}
@@ -485,7 +485,7 @@ func TestSettleRacesAChecker(t *testing.T) {
 	var tl SigTally
 	tl.SettleLater()
 	for i := range vs {
-		sigs[i] = vs[i].SignLater(key)
+		sigs[i] = vs[i].SignLater(key, new([SignedLen]byte))
 		ck.Offer(&vs[i], sigs[i], msg)
 		if !vs[i].Assume(sigs[i], msg, &tl) {
 			t.Fatalf("cell %d rejected", i)
@@ -572,7 +572,7 @@ func TestSettleSharesItsLedger(t *testing.T) {
 		cells := make([]Verdict, sigQueue)
 		sigs := make([]Signature, len(cells))
 		for i := range cells {
-			sigs[i] = cells[i].SignLater(key)
+			sigs[i] = cells[i].SignLater(key, new([SignedLen]byte))
 			cells[i].Assume(sigs[i], msg, &tl)
 		}
 		if len(*tl.ledger) != sigQueue {

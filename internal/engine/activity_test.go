@@ -9,9 +9,9 @@ import (
 // TestShardActivityListsOneWaiter runs one shard the way runShard does
 // and counts the waiters on its activity signal after every dispatch.
 // One re-armed waiter serves every in-flight AC2T, so a second entry is
-// a double arm, and onActivity would then run twice per tip change. To
+// a double arm, and Wake would then run twice per tip change. To
 // cover the arm that happens mid-pass, every third in-flight AC2T gets a
-// watch that grades it from inside onActivity, which admits a queued
+// watch that grades it from inside Wake, which admits a queued
 // arrival and so calls armActivity before the pass has ended.
 func TestShardActivityListsOneWaiter(t *testing.T) {
 	const txCount = 48
@@ -28,9 +28,9 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 	}
 	e.scheduleArrivals()
 	dispatches, midPass := 0, 0
-	var probe *sim.Waiter
+	var probe sim.Waiter
 	// The probe rides the same signal; its check runs as a later event of
-	// the same instant, once the whole batch (the shard's onActivity
+	// the same instant, once the whole batch (the shard's Wake
 	// included) has been delivered, and before the probe is listed again.
 	check := func() {
 		dispatches++
@@ -49,13 +49,19 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 				}
 			}
 		}
-		e.activity.Rearm(probe)
+		e.activity.Rearm(&probe)
 	}
-	probe = e.activity.Wait(func() { s.After(0, check) })
+	probe = sim.NewWaiter(wakeFunc(func() { s.After(0, check) }))
+	e.activity.Rearm(&probe)
 	if !s.RunUntilDone(func() bool { return e.res.Graded == txCount }, quiesceCheckEvery, 12*sim.Hour) {
 		t.Fatalf("graded %d of %d", e.res.Graded, txCount)
 	}
 	if dispatches < 100 || midPass == 0 {
-		t.Fatalf("vacuous run: %d dispatches, %d arrivals admitted from inside onActivity", dispatches, midPass)
+		t.Fatalf("vacuous run: %d dispatches, %d arrivals admitted from inside Wake", dispatches, midPass)
 	}
 }
+
+// wakeFunc adapts a func to a sim.Waker.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }

@@ -321,8 +321,8 @@ func (e *Engine) Run() (*Aggregate, error) {
 			// independent without reallocating the simulator.
 			s := sim.New(0)
 			for idx := range idxCh {
-				wg.Add(1) // the world s ran last, if any, is dead: free it beside the next, not under it
-				go func() { defer wg.Done(); runtime.GC() }()
+				s.Reset(seeds[idx]) // the world s ran last, if any, is dead now: free it before the next is built
+				runtime.GC()        // here, not beside the build, whose preempted frame may hold a stale word into it (ADR-021)
 				results[idx], errs[idx] = runShard(s, idx, seeds[idx], cfg, txs[idx], graded, sigs)
 			}
 		}()

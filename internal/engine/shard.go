@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/batch"
 	"repro/internal/chain"
@@ -119,10 +120,10 @@ type shardExec struct {
 	// activity fires when any chain's ground-truth view changes tip;
 	// it drives all in-flight quiescence checks and scenario watches.
 	activity  *sim.Signal
-	actWaiter *sim.Waiter // made on the first arm, re-armed after that
+	actWaiter sim.Waiter // wakes the shard (Wake)
 	armed     bool
 	activeIdx []int // in-flight transaction indices, admission order
-	scratch   []int // onActivity's copy of activeIdx
+	scratch   []int // Wake's copy of activeIdx
 
 	inFlight int
 	queue    []int
@@ -298,6 +299,7 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 
 	e.specs = make([]txSpec, txCount)
 	var names []string
+	name, ends := []byte(nil), []int(nil) // an AC2T's names, one after the other; ends[j] closes name j
 	var at sim.Time
 	for i := range e.specs {
 		at += wlRNG.ExpTime(e.wl.ArrivalEvery)
@@ -311,8 +313,16 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 		if downgraded {
 			e.res.ScenariosDowngraded++
 		}
+		name, ends = name[:0], ends[:0] // s<shard>-t<tx>-p<j>, cut from one string below
 		for j := range e.specs[i].size {
-			names = append(names, fmt.Sprintf("s%d-t%d-p%d", e.idx, i, j))
+			name = strconv.AppendInt(append(name, 's'), int64(e.idx), 10)
+			name = strconv.AppendInt(append(name, "-t"...), int64(i), 10)
+			name = strconv.AppendInt(append(name, "-p"...), int64(j), 10)
+			ends = append(ends, len(name))
+		}
+		all, start := string(name), 0
+		for _, end := range ends {
+			names, start = append(names, all[start:end]), end
 		}
 	}
 	// Every AC2T gets disjoint, pre-funded participants: concurrent
@@ -365,7 +375,7 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 	// The shard's own notification feed: any tip change of any chain's
 	// ground-truth view (same-instant changes coalesce into one event)
 	// re-evaluates the in-flight transactions.
-	e.activity = e.s.NewSignal()
+	e.activity, e.actWaiter = e.s.NewSignal(), sim.NewWaiter(e)
 	for _, id := range w.Chains() {
 		w.View(id).OnTipChange(func(chain.TipEvent) { e.activity.Notify() })
 	}
@@ -489,17 +499,13 @@ func (e *shardExec) armActivity() {
 	if e.armed || len(e.activeIdx) == 0 {
 		return
 	}
-	if e.actWaiter == nil {
-		e.actWaiter = e.activity.Wait(e.onActivity)
-	} else {
-		e.activity.Rearm(e.actWaiter)
-	}
+	e.activity.Rearm(&e.actWaiter)
 	e.armed = true
 }
 
-// onActivity re-evaluates every in-flight transaction after a
-// ground-truth tip change, then re-arms.
-func (e *shardExec) onActivity() {
+// Wake re-evaluates every in-flight transaction after a ground-truth
+// tip change, then re-arms.
+func (e *shardExec) Wake() {
 	e.armed = false
 	e.scratch = append(e.scratch[:0], e.activeIdx...)
 	for _, i := range e.scratch {

@@ -100,19 +100,24 @@ func TestNewRunnerUnknownProtocol(t *testing.T) {
 // earlier run touched — under each protocol (ADR-024): the runtime, its
 // ledgers and wait-sets, the protocol's own state and its opening moves.
 // Participants, their clients and keys are the world's, built once.
+// NewRunner alone is counted exactly: core.New and swap.New make the run
+// and its per-participant state, protocol.New the runtime, its
+// participants' states, edge ledgers, timeline and watches; the run is
+// its own Protocol, so no hook is an object (ADR-023's third amendment).
 func TestStandUpAllocations(t *testing.T) {
 	const runs = 20
 	for _, c := range []struct {
-		proto   Protocol
-		ceiling float64
-	}{{ProtoAC3WN, 45}, {ProtoAC3TW, 43}, {ProtoHTLC, 35}} {
+		proto       Protocol
+		constructor float64
+		ceiling     float64
+	}{{ProtoAC3WN, 7, 30}, {ProtoAC3TW, 20, 34}, {ProtoHTLC, 7, 22}} {
 		t.Run(string(c.proto), func(t *testing.T) {
 			b := xchain.NewBuilder(47000)
 			ids := []chain.ID{"c0", "c1"}
 			for _, id := range []chain.ID{"c0", "c1", "witness"} {
 				b.Chain(xchain.DefaultChainSpec(id))
 			}
-			pairs, graphs := make([][]*xchain.Participant, runs+1), make([]*graph.Graph, runs+1)
+			pairs, graphs := make([][]*xchain.Participant, 2*(runs+1)), make([]*graph.Graph, 2*(runs+1))
 			for i := range pairs {
 				pairs[i] = b.Participants(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
 				for j, p := range pairs[i] {
@@ -129,7 +134,7 @@ func TestStandUpAllocations(t *testing.T) {
 				}
 			}
 			i := 0
-			n := testing.AllocsPerRun(runs, func() {
+			stand := func(start bool) {
 				r, err := NewRunner(w, c.proto, AC2T{
 					Graph: graphs[i], Participants: pairs[i], Witness: "witness", Depth: 2,
 					AbortAfter: safetyAbortAfter, TrentSeed: uint64(i), TrentLatency: 100 * sim.Millisecond,
@@ -137,9 +142,15 @@ func TestStandUpAllocations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.Start()
+				if start {
+					r.Start()
+				}
 				i++
-			})
+			}
+			if n := testing.AllocsPerRun(runs, func() { stand(false) }); n != c.constructor {
+				t.Errorf("%s: NewRunner makes %v objects, want %v", c.proto, n, c.constructor)
+			}
+			n := testing.AllocsPerRun(runs, func() { stand(true) })
 			t.Logf("%s: %v allocations to stand a 2-party AC2T up", c.proto, n)
 			if n > c.ceiling {
 				t.Fatalf("%s: %v allocations to stand a 2-party AC2T up, ceiling %v", c.proto, n, c.ceiling)

@@ -87,3 +87,44 @@ func TestWatchOfAListedSubTellsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestArmingAllocatesNothing: a client's waiter is made with the client
+// and wakes the client itself, so a new client's first Watch arms it for
+// nothing, and so does each dispatch that re-arms it.
+func TestArmingAllocatesNothing(t *testing.T) {
+	s, net, user := testNet(t, 33, 1, p2p.LatencyModel{Base: 10})
+	node := net.Node(0)
+	const runs = 100
+	clients, subs := make([]*Client, runs+1), make([]Sub, runs+1) // AllocsPerRun's warm-up run, then runs
+	for i := range clients {
+		clients[i] = NewClient(net, 0, user)
+	}
+	fired := 0
+	once := TipFunc(func(TipSummary) { fired++ })
+	i := 0
+	firstArm := func() {
+		if err := clients[i].Watch(&subs[i], once); err != nil {
+			t.Fatal(err)
+		}
+		node.TipChanged().Notify()
+		s.Run() // fires, and re-arms
+		subs[i].Cancel()
+		node.TipChanged().Notify()
+		s.Run() // drops it: the client disarms
+		i++
+	}
+	if n := testing.AllocsPerRun(runs, firstArm); n != 0 {
+		t.Errorf("a new client's first arm: %v allocations, want 0", n)
+	}
+	var sub Sub
+	if err := clients[0].Watch(&sub, once); err != nil {
+		t.Fatal(err)
+	}
+	before := fired
+	if n := testing.AllocsPerRun(runs, func() { node.TipChanged().Notify(); s.Run() }); n != 0 {
+		t.Errorf("a warm re-arm: %v allocations, want 0", n)
+	}
+	if before != runs+1 || fired != 2*(runs+1) {
+		t.Fatalf("fired %d times on first arms and %d re-armed; want %d each", before, fired-before, runs+1)
+	}
+}

@@ -49,10 +49,8 @@ type Client struct {
 	subs []*Sub
 	one  [1]*Sub // subs' first backing array
 	// waiter is the client's one registration on the node's tip signal,
-	// made on the first arm (a client nobody watches never makes it) and
-	// armed while subscriptions exist.
+	// armed while subscriptions exist; it wakes the client (Wake).
 	waiter sim.Waiter
-	made   bool
 	armed  bool
 	// seen is the tip the subscribers last heard about (the tip when the
 	// waiter was armed); joined backs the summary of what came after it.
@@ -125,6 +123,7 @@ func (c *Client) Init(net *Network, nodeIndex int, key *crypto.KeyPair) {
 		ResubmitEvery: 3 * net.Params.BlockInterval,
 	}
 	c.subs, c.joined = c.one[:0], c.oneJoined[:0]
+	c.waiter = sim.NewWaiter(c)
 }
 
 // Chain returns the attached node's chain view (reads only).
@@ -173,18 +172,16 @@ func (c *Client) ensureArmed() {
 	if c.armed || c.halted || len(c.subs) == 0 {
 		return
 	}
-	if !c.made {
-		c.waiter, c.made = sim.NewWaiter(c.onTip), true
-	}
 	c.node.TipChanged().Rearm(&c.waiter)
 	c.armed = true
 	c.seen = c.node.Chain.Tip()
 }
 
-// onTip tells every subscriber what changed since the last dispatch,
-// dropping the canceled ones, then re-arms. Callbacks may register new
-// subscriptions; those join the list for the next tip change.
-func (c *Client) onTip() {
+// Wake, the client's waiter's dispatch, tells every subscriber what
+// changed since the last dispatch, dropping the canceled ones, then
+// re-arms. Callbacks may register new subscriptions; those join the list
+// for the next tip change.
+func (c *Client) Wake() {
 	c.armed = false
 	if c.halted {
 		return

@@ -51,14 +51,19 @@ func Shadow(t testing.TB, rt *Runtime) {
 		stamps, kept, armed := slices.Clone(st.lastAttempt), slices.Clone(st.kept), slices.Clone(st.armed)
 		ledger := slices.Clone(rt.edges)
 		wait := st.wait
-		wait.chains = slices.Clone(st.wait.chains)
-		for i, cw := range wait.chains {
-			wait.chains[i].addrs, wait.chains[i].txs, wait.chains[i].atTip = slices.Clone(cw.addrs), slices.Clone(cw.txs), slices.Clone(cw.atTip)
+		chains := make([]chainWait, len(wait.chains)) // the watches stay listed where they are
+		for i := range chains {
+			cw := wait.chains[i].chainWait
+			cw.addrs, cw.txs, cw.atTip = slices.Clone(cw.addrs), slices.Clone(cw.txs), slices.Clone(cw.atTip)
+			chains[i] = cw
 		}
 
-		rt.cfg.Drive(p)
+		rt.cfg.Protocol.Step(p)
 
 		st.wait = wait
+		for i, cw := range chains {
+			st.wait.chains[i].chainWait = cw
+		}
 		if after := rt.footprint(p); after != before {
 			t.Errorf("t=%d: skipped wake-up of %s would have acted:\n before %+v\n after  %+v\n last event %+v",
 				rt.Now(), p.Name, before, after, rt.events[len(rt.events)-1])
@@ -73,4 +78,35 @@ func Shadow(t testing.TB, rt *Runtime) {
 			t.Errorf("t=%d: skipped wake-up of %s would have armed a timer: %v -> %v", rt.Now(), p.Name, armed, st.armed)
 		}
 	}
+}
+
+// testRun is a Protocol for tests: a step function, and optional secret
+// and submit hooks; Terminal is the runtime's default, reached through
+// rt once New has returned it (only Settle asks for it).
+type testRun struct {
+	rt        *Runtime
+	step      func(p *xchain.Participant)
+	secret    func(p *xchain.Participant, fn string, i int, sc Asset) ([]byte, error)
+	submitted func(p *xchain.Participant, fn string, i int)
+}
+
+// steps makes a step function a Protocol.
+func steps(step func(p *xchain.Participant)) *testRun { return &testRun{step: step} }
+
+func (r *testRun) Step(p *xchain.Participant)                     { r.step(p) }
+func (r *testRun) OnMessage(p, from *xchain.Participant, msg any) {}
+func (r *testRun) OnAllConfirmed()                                {}
+
+func (r *testRun) Secret(p *xchain.Participant, fn string, i int, sc Asset) ([]byte, error) {
+	return r.secret(p, fn, i, sc)
+}
+
+func (r *testRun) OnSubmitted(p *xchain.Participant, fn string, i int) {
+	if r.submitted != nil {
+		r.submitted(p, fn, i)
+	}
+}
+
+func (r *testRun) Terminal(p *xchain.Participant, fn string, i int, sc Asset) bool {
+	return r.rt.Terminal(p, fn, i, sc)
 }

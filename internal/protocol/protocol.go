@@ -48,8 +48,8 @@
 // The runtime owns no protocol semantics. It never decides what to
 // do — only when to ask the protocol, and it guarantees the protocol
 // is never asked on behalf of a crashed participant or after Stop.
-// Protocols embed *Runtime and add what differs: contract parameters,
-// decision logic, the secret.
+// Protocols embed *Runtime, implement Protocol and add what differs:
+// contract parameters, decision logic, the secret.
 package protocol
 
 import (
@@ -124,23 +124,52 @@ type Config struct {
 	// chain. Subscribed ahead of the asset chains; duplicates are
 	// ignored.
 	Chains []chain.ID
-	// Drive is the protocol step function: inspect chain state through
+	// Protocol is the run itself: its pointer in the interface is no
+	// object of its own, as a func per hook would be.
+	Protocol Protocol
+}
+
+// Protocol is a run's step function and the hooks the runtime calls. A
+// run embeds *Runtime, whose hooks of the same names are its defaults.
+type Protocol interface {
+	// Step is the protocol step function: inspect chain state through
 	// the runtime's recording reads (Contract, EnsureTx, FindCall) and
 	// take the next enabled action. It must be idempotent — the runtime
 	// calls it on every announcement, on timer expiry, at Start, on
 	// Resume, and on a tip change after which one of those reads, a
-	// Throttle or the run's own state can answer differently. A drive
+	// Throttle or the run's own state can answer differently. A step
 	// whose outcome hangs on a chain read the runtime cannot index says
 	// so with WatchTips.
-	Drive func(p *xchain.Participant)
+	Step(p *xchain.Participant)
 	// OnMessage ingests one protocol-specific off-chain announcement
 	// delivered to p (the deploy announcement is the runtime's own); the
-	// runtime re-drives p afterwards. Optional.
-	OnMessage func(p, from *xchain.Participant, msg any)
-	// AllConfirmed runs once, when the last edge's contract is
+	// runtime re-drives p afterwards.
+	OnMessage(p, from *xchain.Participant, msg any)
+	// OnAllConfirmed runs once, when the last edge's contract is
 	// confirmed, right after PointDeployConfirmed is marked — where a
-	// protocol records its own phase boundary. Optional.
-	AllConfirmed func()
+	// protocol records its own phase boundary.
+	OnAllConfirmed()
+	// Secret produces what opens edge i's contract sc to fn (Settle): SPV
+	// evidence, Trent's signature, the hash preimage. An error submits
+	// nothing, and the edge is not asked again for a resubmit window.
+	Secret(p *xchain.Participant, fn string, i int, sc Asset) ([]byte, error)
+	// OnSubmitted runs after edge i's fn call went out and its
+	// "<fn> submitted" timeline entry was written.
+	OnSubmitted(p *xchain.Participant, fn string, i int)
+	// Terminal is handed edge i's contract sc, out of P and not in the
+	// ledger yet: it records what the protocol records of that state and
+	// reports whether it is final.
+	Terminal(p *xchain.Participant, fn string, i int, sc Asset) bool
+}
+
+// The default hooks do nothing, but for Terminal: any state out of P is
+// final, entered in the timeline as "terminal <state>".
+func (rt *Runtime) OnMessage(p, from *xchain.Participant, msg any)      {}
+func (rt *Runtime) OnAllConfirmed()                                     {}
+func (rt *Runtime) OnSubmitted(p *xchain.Participant, fn string, i int) {}
+func (rt *Runtime) Terminal(_ *xchain.Participant, _ string, i int, sc Asset) bool {
+	rt.Event(i, "terminal "+sc.SwapState().String())
+	return true
 }
 
 // pstate is the runtime's per-participant bookkeeping: subscriptions,
@@ -151,13 +180,12 @@ type Config struct {
 // slices whose first slots are inline (pstate is allocated once per
 // run, in a slice).
 type pstate struct {
-	watches     []watch                // one per chain of the subscription set
 	lastAttempt []stamped[string]      // when Throttle last ran each key
 	kept        []stamped[crypto.Hash] // EnsureTx's resubmit ledger: when a window opened, or keptCanonical
 	armed       []string               // WakeAt keys with a timer pending
 	deployedOwn bool                   // DeployOwn ran to the end for this participant
-	wait        waitSet
-	oneStamp    [1]stamped[string] // the slices' first slots
+	wait        waitSet                // and its watches, one per chain of the subscription set
+	oneStamp    [1]stamped[string]     // the slices' first slots
 	twoKept     [2]stamped[crypto.Hash]
 	oneArmed    [1]string
 }
@@ -180,13 +208,15 @@ func stamp[K comparable](l *[]stamped[K], k K) (*sim.Time, bool) {
 	return &(*l)[len(*l)-1].at, false
 }
 
-// watch is p's subscription to the tip changes of chain ci of the set.
+// watch is p's subscription to the tip changes of chain ci of the set,
+// and what p's last drive left it waiting for there.
 type watch struct {
 	miner.Sub
 	rt *Runtime
 	p  *xchain.Participant
 	st *pstate
 	ci int
+	chainWait
 }
 
 // OnTip wakes p's reconciler.
@@ -225,7 +255,7 @@ type deployAnnounce struct {
 // Runtime drives one protocol run's reconcilers.
 type Runtime struct {
 	cfg    Config
-	chains []chain.ID // deduplicated subscription set
+	chains []chain.ID // deduplicated subscription set, in chainBuf while there are at most four
 	states []pstate   // parallel to cfg.Participants
 	events []Event
 	marks  []Mark // in markBuf while there are at most four
@@ -237,10 +267,11 @@ type Runtime struct {
 	terminals   int
 	CompletedAt sim.Time
 
-	markBuf [4]Mark
-	start   sim.Time
-	started bool
-	stopped bool
+	markBuf  [4]Mark
+	chainBuf [4]chain.ID
+	start    sim.Time
+	started  bool
+	stopped  bool
 
 	// version counts changes to the state every participant's step
 	// function reads besides the chains: timeline, marks, ledger,
@@ -255,7 +286,7 @@ type Runtime struct {
 
 // New validates the wiring and prepares a runtime.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.World == nil || cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil || cfg.Drive == nil {
+	if cfg.World == nil || cfg.Graph == nil || len(cfg.Participants) == 0 || cfg.Initiator == nil || cfg.Protocol == nil {
 		return nil, fmt.Errorf("protocol: incomplete config")
 	}
 	if !slices.Contains(cfg.Participants, cfg.Initiator) {
@@ -266,37 +297,34 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("protocol: no participant object for vertex %s", v)
 		}
 	}
-	chains := make([]chain.ID, 0, len(cfg.Chains)+len(cfg.Graph.Chains()))
+	rt := &Runtime{
+		cfg:    cfg,
+		states: make([]pstate, len(cfg.Participants)),
+		edges:  make([]edgeLedger, len(cfg.Graph.Edges)),
+		events: make([]Event, 0, 4*len(cfg.Graph.Edges)+8), // an edge writes about 4
+	}
+	rt.chains, rt.marks = rt.chainBuf[:0], rt.markBuf[:0]
 	for _, ids := range [2][]chain.ID{cfg.Chains, cfg.Graph.Chains()} {
 		for _, id := range ids {
-			if slices.Contains(chains, id) {
+			if slices.Contains(rt.chains, id) {
 				continue
 			}
 			if _, ok := cfg.World.Nets[id]; !ok {
 				return nil, fmt.Errorf("protocol: unknown chain %q", id)
 			}
-			chains = append(chains, id)
+			rt.chains = append(rt.chains, id)
 		}
 	}
-	n, nc := len(cfg.Participants), len(chains)
-	rt := &Runtime{
-		cfg:    cfg,
-		chains: chains,
-		states: make([]pstate, n),
-		edges:  make([]edgeLedger, len(cfg.Graph.Edges)),
-		events: make([]Event, 0, 4*len(cfg.Graph.Edges)+8), // an edge writes about 4
-	}
-	rt.marks = rt.markBuf[:0]
-	watches, waits := make([]watch, n*nc), make([]chainWait, n*nc)
+	nc := len(rt.chains)
+	watches := make([]watch, len(cfg.Participants)*nc)
 	for i, p := range cfg.Participants {
 		st := &rt.states[i]
-		st.watches = watches[i*nc : (i+1)*nc]
-		st.wait = waitSet{ids: chains, chains: waits[i*nc : (i+1)*nc]}
+		st.wait = waitSet{ids: rt.chains, chains: watches[i*nc : (i+1)*nc]}
 		st.lastAttempt, st.kept, st.armed = st.oneStamp[:0], st.twoKept[:0], st.oneArmed[:0]
-		for ci := range st.watches {
-			st.watches[ci] = watch{rt: rt, p: p, st: st, ci: ci}
-			cw := &st.wait.chains[ci]
-			cw.addrs, cw.atTip, cw.txs = cw.oneAddr[:0], cw.oneTip[:0], cw.oneTx[:0]
+		for ci := range st.wait.chains {
+			w := &st.wait.chains[ci]
+			w.rt, w.p, w.st, w.ci = rt, p, st, ci
+			w.addrs, w.atTip, w.txs = w.oneAddr[:0], w.oneTip[:0], w.oneTx[:0]
 		}
 	}
 	return rt, nil
@@ -344,8 +372,8 @@ func (rt *Runtime) Resume(p *xchain.Participant) {
 func (rt *Runtime) Stop() {
 	rt.stopped = true
 	for _, st := range rt.states {
-		for i := range st.watches {
-			st.watches[i].Cancel()
+		for i := range st.wait.chains {
+			st.wait.chains[i].Cancel()
 		}
 	}
 }
@@ -365,7 +393,7 @@ func (rt *Runtime) Drive(p *xchain.Participant) {
 	}
 	rt.state(p).wait.reset(rt.version)
 	rt.cfg.World.Drives++
-	rt.cfg.Drive(p)
+	rt.cfg.Protocol.Step(p)
 }
 
 // DriveAll drives every live participant (in configuration order, so
@@ -386,15 +414,16 @@ func (rt *Runtime) DriveAll() {
 // Resume re-arms after recovery.
 func (rt *Runtime) subscribe(p *xchain.Participant) {
 	st := rt.state(p)
-	for i := range st.watches {
-		st.watches[i].Cancel()
+	for i := range st.wait.chains {
+		st.wait.chains[i].Cancel()
 	}
 	if p.Crashed() {
 		return
 	}
 	for ci, id := range rt.chains {
 		// Refused only by a client halted on its own: that watch stays canceled.
-		_ = p.Client(id).Watch(&st.watches[ci].Sub, &st.watches[ci])
+		w := &st.wait.chains[ci]
+		_ = p.Client(id).Watch(&w.Sub, w)
 	}
 }
 
@@ -425,8 +454,8 @@ func (rt *Runtime) deliver(p, from *xchain.Participant, msg any) {
 	rt.version++ // announcements land in state the whole run reads
 	if m, ok := msg.(deployAnnounce); ok {
 		rt.noteConfirmed(m)
-	} else if rt.cfg.OnMessage != nil {
-		rt.cfg.OnMessage(p, from, msg)
+	} else {
+		rt.cfg.Protocol.OnMessage(p, from, msg)
 	}
 	rt.Drive(p)
 }
@@ -667,9 +696,7 @@ func (rt *Runtime) noteConfirmed(m deployAnnounce) {
 	rt.confirmed++
 	if rt.AllConfirmed() {
 		rt.Mark(PointDeployConfirmed)
-		if rt.cfg.AllConfirmed != nil {
-			rt.cfg.AllConfirmed()
-		}
+		rt.cfg.Protocol.OnAllConfirmed()
 	}
 }
 
@@ -700,33 +727,15 @@ type Asset interface {
 	SwapState() contracts.SwapState
 }
 
-// Settlement is what a protocol brings to the settle phase, once per direction.
-type Settlement[T Asset] struct {
-	// Fn is what p calls: contracts.FnRedeem on the contracts of the
-	// edges it receives on, contracts.FnRefund on those it sent.
-	Fn string
-	// Secret produces what opens edge i's contract sc to Fn: SPV
-	// evidence, Trent's signature, the hash preimage. An error submits
-	// nothing, and the edge is not asked again for a resubmit window of
-	// its chain's client.
-	Secret func(p *xchain.Participant, i int, sc T) ([]byte, error)
-	// Submitted, when set, runs after edge i's call went out and its
-	// "<Fn> submitted" timeline entry was written.
-	Submitted func(p *xchain.Participant, i int)
-	// Terminal, when set, replaces the "terminal <state>" entry: handed
-	// a contract out of P that the ledger does not hold yet, it reports
-	// whether that state is final (nil: any state out of P is).
-	Terminal func(p *xchain.Participant, i int, sc T) bool
-}
-
 // Settle is the last phase of every protocol, for participant p: on each
-// of p's confirmed edges in s.Fn's direction, read the asset contract at
-// p's tip; out of P, enter its terminal state in the ledger, once per
-// edge; still in P, call s.Fn with the edge's secret once (a secret is
-// fixed once known) and keep the call alive with EnsureTx. It reports
-// whether this step entered the last edge, at CompletedAt.
-func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (completed bool) {
-	dir, refund := 0, s.Fn == contracts.FnRefund
+// of p's confirmed edges in fn's direction (FnRedeem: those it receives
+// on, FnRefund: those it sent), read the asset contract at p's tip; out
+// of P, enter its terminal state in the ledger, once per edge; still in
+// P, call fn with the edge's Secret once (a secret is fixed once known)
+// and keep the call alive with EnsureTx. It reports whether this step
+// entered the last edge, at CompletedAt.
+func Settle(rt *Runtime, p *xchain.Participant, fn string) (completed bool) {
+	dir, refund := 0, fn == contracts.FnRefund
 	if refund {
 		dir = 1
 	}
@@ -739,7 +748,7 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 		if mine != p.Addr() || l.addr.IsZero() {
 			continue
 		}
-		sc, ok := Contract[T](rt, p, e.Chain, l.addr, 0)
+		sc, ok := Contract[Asset](rt, p, e.Chain, l.addr, 0)
 		if !ok {
 			continue
 		}
@@ -748,11 +757,8 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 			if c.tx != nil && !l.terminal {
 				rt.seen(p, e.Chain, c.tx)
 			}
-			if l.terminal || (s.Terminal != nil && !s.Terminal(p, i, sc)) {
+			if l.terminal || !rt.cfg.Protocol.Terminal(p, fn, i, sc) {
 				continue
-			}
-			if s.Terminal == nil {
-				rt.Event(i, "terminal "+sc.SwapState().String())
 			}
 			l.terminal = true
 			if rt.terminals++; rt.terminals == len(rt.edges) {
@@ -762,12 +768,10 @@ func Settle[T Asset](rt *Runtime, p *xchain.Participant, s *Settlement[T]) (comp
 		}
 		if c.tx == nil && rt.Now() >= c.retryAt {
 			c.retryAt = rt.Now() + p.Client(e.Chain).ResubmitEvery
-			if secret, err := s.Secret(p, i, sc); err == nil {
-				c.tx, _ = p.Client(e.Chain).Call(l.addr, s.Fn, secret, 0) // no value: cannot fail
-				rt.Event(i, s.Fn+" submitted")
-				if s.Submitted != nil {
-					s.Submitted(p, i)
-				}
+			if secret, err := rt.cfg.Protocol.Secret(p, fn, i, sc); err == nil {
+				c.tx, _ = p.Client(e.Chain).Call(l.addr, fn, secret, 0) // no value: cannot fail
+				rt.Event(i, fn+" submitted")
+				rt.cfg.Protocol.OnSubmitted(p, fn, i)
 			}
 		}
 		if c.tx == nil {

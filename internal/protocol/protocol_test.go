@@ -65,7 +65,7 @@ func TestRuntimeDrivesOnTipChanges(t *testing.T) {
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Chains:       []chain.ID{"c0", "c0"}, // duplicate must collapse
-		Drive:        func(p *xchain.Participant) { drives[p.Name]++; rt.WatchTips(p) },
+		Protocol:     steps(func(p *xchain.Participant) { drives[p.Name]++; rt.WatchTips(p) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +94,12 @@ func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			rt.WatchTips(p)
 			if p == bob {
 				drives++
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +133,11 @@ func TestRuntimeStartWithCrashedParticipant(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p == bob {
 				drives++
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,11 +191,11 @@ func TestResumeOfALiveParticipantWakesOncePerChain(t *testing.T) {
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Chains:       []chain.ID{"c1"},
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p == bob {
 				wakes++
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,10 +242,10 @@ func TestRuntimeStopRetiresEverything(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			drives++
 			rt.WakeAt(p, "later", rt.Now()+time30s)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestThrottleAndWakeAt(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p != alice {
 				return
 			}
@@ -288,7 +288,7 @@ func TestThrottleAndWakeAt(t *testing.T) {
 				// Re-armed on every drive; must stay one pending timer.
 				rt.WakeAt(p, "due", due)
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,11 +318,11 @@ func TestWarmWakeAtAllocatesNothing(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p == alice {
 				drives++
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,11 +367,11 @@ func TestEnsureTxConfirmsAndResubmits(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p == alice && !confirmed {
 				confirmed = rt.EnsureTx(p, "c0", tx, 2)
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p != alice {
 				return
 			}
@@ -423,7 +423,7 @@ func TestEnsureTxResubmitsAReorgDropAtOnce(t *testing.T) {
 				droppedAt, resubmits = rt.Now(), w.Resubmits
 			}
 			sawIt = found
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestTimelineReturnsCopy(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive:        func(p *xchain.Participant) {},
+		Protocol:     steps(func(p *xchain.Participant) {}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +500,7 @@ func TestMarkFirstWins(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive:        func(p *xchain.Participant) {},
+		Protocol:     steps(func(p *xchain.Participant) {}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -538,7 +538,7 @@ func TestGradeNothingDeployed(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive:        func(p *xchain.Participant) {},
+		Protocol:     steps(func(p *xchain.Participant) {}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,54 +35,52 @@ func TestSettle(t *testing.T) {
 		terminals   = [2]int{} // default "terminal <state>" entries per edge
 		counted     = 0        // timeline entries already counted
 	)
-	redeem := Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRedeem,
-		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
-			switch {
-			case sc.Recipient != p.Addr():
-				t.Errorf("%s asked to redeem edge %d, which pays %s", p.Name, i, sc.Recipient)
-			case noSecret:
-				return nil, errors.New("no secret yet")
-			}
-			secrets[i]++
-			if i == 1 {
-				return []byte("wrong"), nil
-			}
-			return preimage, nil
-		},
-		Submitted: func(_ *xchain.Participant, i int) { submits[i]++ },
-	}
-	refund := Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRefund,
-		Secret: func(p *xchain.Participant, i int, sc *contracts.HTLC) ([]byte, error) {
-			if sc.Sender != p.Addr() {
-				t.Errorf("%s asked to refund edge %d, which %s sent", p.Name, i, sc.Sender)
+	run := steps(func(p *xchain.Participant) {
+		rt.DeployOwn(p, contracts.TypeHTLC, func(_ *xchain.Participant, i int, e graph.Edge) ([]byte, bool) {
+			return contracts.HTLCParams{Recipient: e.To, Hashlock: crypto.Sum(preimage), Timelock: timelock[i]}.Encode(), true
+		})
+		rt.ConfirmOwn(p, 1)
+		if !settling {
+			return
+		}
+		done := Settle(rt, p, contracts.FnRedeem)
+		if Settle(rt, p, contracts.FnRefund) || done {
+			completions = append(completions, rt.Now())
+		}
+	})
+	run.secret = func(p *xchain.Participant, fn string, i int, sc Asset) ([]byte, error) {
+		h := sc.(*contracts.HTLC)
+		if fn == contracts.FnRefund {
+			if h.Sender != p.Addr() {
+				t.Errorf("%s asked to refund edge %d, which %s sent", p.Name, i, h.Sender)
 			}
 			if !refundOpen {
 				return nil, errors.New("timelock not passed")
 			}
 			return nil, nil
-		},
+		}
+		switch {
+		case h.Recipient != p.Addr():
+			t.Errorf("%s asked to redeem edge %d, which pays %s", p.Name, i, h.Recipient)
+		case noSecret:
+			return nil, errors.New("no secret yet")
+		}
+		secrets[i]++
+		if i == 1 {
+			return []byte("wrong"), nil
+		}
+		return preimage, nil
 	}
-	rt, err := New(Config{
-		World: w, Graph: g, Participants: []*xchain.Participant{alice, bob}, Initiator: alice,
-		Drive: func(p *xchain.Participant) {
-			rt.DeployOwn(p, contracts.TypeHTLC, func(_ *xchain.Participant, i int, e graph.Edge) ([]byte, bool) {
-				return contracts.HTLCParams{Recipient: e.To, Hashlock: crypto.Sum(preimage), Timelock: timelock[i]}.Encode(), true
-			})
-			rt.ConfirmOwn(p, 1)
-			if !settling {
-				return
-			}
-			done := Settle(rt, p, &redeem)
-			if Settle(rt, p, &refund) || done {
-				completions = append(completions, rt.Now())
-			}
-		},
-	})
+	run.submitted = func(_ *xchain.Participant, fn string, i int) {
+		if fn == contracts.FnRedeem {
+			submits[i]++
+		}
+	}
+	rt, err := New(Config{World: w, Graph: g, Participants: []*xchain.Participant{alice, bob}, Initiator: alice, Protocol: run})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run.rt = rt
 	count := func() { // scans the timeline entries added since the last call
 		evs := rt.Events()
 		for _, ev := range evs[counted:] {

@@ -21,9 +21,10 @@ import (
 // computed against. ADR-014 has the predicate → alarm table.
 type waitSet struct {
 	// ids is the runtime's subscription set (shared, read-only) and
-	// chains the per-chain part of the set, parallel to it.
+	// chains the participant's watches of those chains, parallel to it,
+	// each holding the per-chain part of the set.
 	ids    []chain.ID
-	chains []chainWait
+	chains []watch
 	// at is the earliest virtual time a throttle or resubmit window
 	// re-opens (noTime: none pending). Not a timer — checked at the
 	// first wake-up past it, exactly when an ungated drive would have
@@ -73,7 +74,7 @@ const (
 // reset empties the set at the start of a drive.
 func (w *waitSet) reset(version uint64) {
 	for i := range w.chains {
-		cw := &w.chains[i]
+		cw := &w.chains[i].chainWait
 		clear(cw.atTip) // do not pin contract states past the drive
 		cw.addrs, cw.txs, cw.atTip, cw.height = cw.addrs[:0], cw.txs[:0], cw.atTip[:0], noHeight
 	}
@@ -85,7 +86,7 @@ func (w *waitSet) reset(version uint64) {
 // degrades to waking on every tip change there is.
 func (w *waitSet) on(id chain.ID) *chainWait {
 	if i := slices.Index(w.ids, id); i >= 0 {
-		return &w.chains[i]
+		return &w.chains[i].chainWait
 	}
 	w.anyTip = true
 	return &chainWait{}
@@ -145,7 +146,7 @@ func (w *waitSet) wakeBy(t sim.Time) { w.at = min(w.at, t) }
 // reached, or a connected block that touches a watched contract or
 // transaction.
 func (w *waitSet) due(ci int, sum miner.TipSummary, version uint64, now sim.Time) bool {
-	cw := &w.chains[ci]
+	cw := &w.chains[ci].chainWait
 	if sum.Reorg || w.anyTip || w.version != version || now >= w.at || sum.Height >= cw.height {
 		return true
 	}

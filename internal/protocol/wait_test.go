@@ -48,7 +48,7 @@ func TestWaitSetDue(t *testing.T) {
 
 	const version, now = 7, 50 * sim.Second
 	fresh := func() *waitSet {
-		ws := &waitSet{ids: []chain.ID{"w", "c0"}, chains: make([]chainWait, 2)}
+		ws := &waitSet{ids: []chain.ID{"w", "c0"}, chains: make([]watch, 2)}
 		ws.reset(version)
 		return ws
 	}
@@ -131,7 +131,7 @@ func TestGateDrivesOnlyWhenAnAnswerCanFlip(t *testing.T) {
 		Graph:        swapOnC0(t, alice, bob),
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
-		Drive: func(p *xchain.Participant) {
+		Protocol: steps(func(p *xchain.Participant) {
 			if p != alice {
 				return
 			}
@@ -161,7 +161,7 @@ func TestGateDrivesOnlyWhenAnAnswerCanFlip(t *testing.T) {
 			if _, ok := Contract[*contracts.CentralizedSC](rt, p, "c0", addr, 0); ok {
 				t.Error("an HTLC read as a CentralizedSC")
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,15 @@ type Signal struct {
 // Waiter is one registered one-shot callback. Cancel is idempotent and
 // safe at any time, including after the waiter fired.
 type Waiter struct {
-	fn       func()
+	target   Waker
 	gen      uint32 // bumped by Rearm: a listing of an older gen is stale
 	canceled bool
 }
+
+// Waker is what a waiter wakes. A pointer held in the interface costs
+// no allocation, so a subscriber keeping its waiter by value arms it for
+// nothing.
+type Waker interface{ Wake() }
 
 type listing struct {
 	w   *Waiter
@@ -48,25 +53,15 @@ func (s *Sim) NewSignal() *Signal {
 	return g
 }
 
-// Wait registers fn to run at the next notification. The returned
-// Waiter cancels the registration; a fired or canceled waiter is inert.
-func (g *Signal) Wait(fn func()) *Waiter {
-	if fn == nil {
-		panic("sim: Signal.Wait with nil fn")
-	}
-	w := &Waiter{fn: fn}
-	g.waiters = append(g.waiters, listing{w: w})
-	return w
-}
+// NewWaiter returns an unlisted waiter that wakes t, for a caller to
+// keep by value and register with Rearm. Cancel deregisters it; a fired
+// or canceled waiter is inert.
+func NewWaiter(t Waker) Waiter { return Waiter{target: t} }
 
-// NewWaiter returns an unlisted waiter, for a caller to keep by value and Rearm.
-func NewWaiter(fn func()) Waiter { return Waiter{fn: fn} }
-
-// Rearm registers w for the next notification again, reusing the
-// waiter and its callback: what a subscriber that waits on every
-// notification does instead of allocating a Wait per wake-up. Ordering
-// is Wait's: w joins at the back. Any earlier listing of w — a waiter
-// canceled or re-armed before it fired — goes stale, so w runs once.
+// Rearm registers w for the next notification, again after the first
+// time: a subscriber that waits on every notification keeps one waiter.
+// w joins at the back. Any earlier listing of w — a waiter canceled or
+// re-armed before it fired — goes stale, so w runs once.
 func (g *Signal) Rearm(w *Waiter) {
 	w.gen++
 	w.canceled = false
@@ -93,7 +88,7 @@ func (g *Signal) run() {
 	for _, l := range batch {
 		if w := l.w; l.gen == w.gen && !w.canceled {
 			w.canceled = true // one-shot: mark fired
-			w.fn()
+			w.target.Wake()
 		}
 	}
 	clear(batch)

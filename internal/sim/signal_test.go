@@ -5,13 +5,25 @@ import (
 	"testing"
 )
 
+// wakeFunc adapts a func to a Waker.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }
+
+// listen lists a waiter of its own that runs fn at g's next notification.
+func listen(g *Signal, fn func()) *Waiter {
+	w := NewWaiter(wakeFunc(fn))
+	g.Rearm(&w)
+	return &w
+}
+
 func TestSignalDeliversFIFO(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		g.Wait(func() { order = append(order, i) })
+		listen(g, func() { order = append(order, i) })
 	}
 	s.After(10, g.Notify)
 	s.Run()
@@ -39,7 +51,7 @@ func TestSignalNotifyCoalesces(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()
 	fired := 0
-	g.Wait(func() { fired++ })
+	listen(g, func() { fired++ })
 	s.After(1, func() {
 		g.Notify()
 		g.Notify()
@@ -59,7 +71,7 @@ func TestSignalWaiterIsOneShot(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()
 	fired := 0
-	g.Wait(func() { fired++ })
+	listen(g, func() { fired++ })
 	s.After(1, g.Notify)
 	s.After(2, g.Notify)
 	s.Run()
@@ -74,7 +86,7 @@ func TestSignalRearmsAcrossNotifies(t *testing.T) {
 	fired := 0
 	var wait func()
 	wait = func() {
-		g.Wait(func() {
+		listen(g, func() {
 			fired++
 			wait() // persistent subscription pattern: re-arm on fire
 		})
@@ -99,8 +111,8 @@ func TestSignalRearmReusesTheWaiter(t *testing.T) {
 	g := s.NewSignal()
 	var order []string
 	var a, b *Waiter
-	a = g.Wait(func() { order = append(order, "a"); g.Rearm(a) })
-	b = g.Wait(func() {
+	a = listen(g, func() { order = append(order, "a"); g.Rearm(a) })
+	b = listen(g, func() {
 		order = append(order, "b")
 		if len(order) < 6 {
 			g.Rearm(b)
@@ -117,7 +129,7 @@ func TestSignalRearmReusesTheWaiter(t *testing.T) {
 	if g.Waiting() != 0 {
 		t.Fatalf("%d waiters left listed after a canceled dispatch", g.Waiting())
 	}
-	late := g.Wait(func() { order = append(order, "late") })
+	late := listen(g, func() { order = append(order, "late") })
 	if late == a || late == b {
 		t.Fatal("Wait handed out a waiter still owned by a subscriber")
 	}
@@ -127,7 +139,7 @@ func TestSignalCancelIsIdempotent(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()
 	fired := false
-	w := g.Wait(func() { fired = true })
+	w := listen(g, func() { fired = true })
 	w.Cancel()
 	w.Cancel() // re-cancel must be harmless
 	s.After(1, g.Notify)
@@ -143,8 +155,8 @@ func TestSignalCancelDuringDispatch(t *testing.T) {
 	g := s.NewSignal()
 	var second *Waiter
 	fired := false
-	g.Wait(func() { second.Cancel() })
-	second = g.Wait(func() { fired = true })
+	listen(g, func() { second.Cancel() })
+	second = listen(g, func() { fired = true })
 	s.After(1, g.Notify)
 	s.Run()
 	if fired {
@@ -181,9 +193,9 @@ func TestRearmOfAListedWaiterRunsOnceAtTheBack(t *testing.T) {
 	s := New(1)
 	g := s.NewSignal()
 	var order []string
-	a := g.Wait(func() { order = append(order, "a") })
-	g.Wait(func() { order = append(order, "b") })
-	c := g.Wait(func() { order = append(order, "c") })
+	a := listen(g, func() { order = append(order, "a") })
+	listen(g, func() { order = append(order, "b") })
+	c := listen(g, func() { order = append(order, "c") })
 	a.Cancel()
 	g.Rearm(a) // canceled, still listed
 	g.Rearm(c) // live, still listed

@@ -444,7 +444,7 @@ func TestAtAndDispatchAllocateNothing(t *testing.T) {
 
 	g := s.NewSignal()
 	var w *Waiter
-	w = g.Wait(func() { fired++; g.Rearm(w) })
+	w = listen(g, func() { fired++; g.Rearm(w) })
 	g.Notify()
 	s.Run() // both dispatch buffers now have room for w
 	before := fired

@@ -65,12 +65,6 @@ type Run struct {
 
 	secrets [][]byte // who has learned s, by participant index (Runtime.Index)
 
-	// redeem and refund are the settle phase, built once. Hashlocks have
-	// no other decision, so their hooks mark its boundaries: a call
-	// triggers it, and a redeem confirmed at depth d (the paper's Δ) is
-	// Figure 8's redemption boundary — the only terminal state recorded.
-	redeem, refund protocol.Settlement[*contracts.HTLC]
-
 	// revealed: some redeem was submitted, so s is on its way on-chain.
 	revealed bool
 }
@@ -84,8 +78,7 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 		Graph:        cfg.Graph,
 		Participants: cfg.Participants,
 		Initiator:    cfg.Leader,
-		Drive:        r.drive,
-		AllConfirmed: func() { r.Event(-1, "all contracts deployed") },
+		Protocol:     r,
 	})
 	if err != nil {
 		return nil, err
@@ -96,31 +89,42 @@ func New(w *xchain.World, cfg Config) (*Run, error) {
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("swap: Delta must be positive")
 	}
-	r.redeem = protocol.Settlement[*contracts.HTLC]{
-		Fn: contracts.FnRedeem,
-		Secret: func(p *xchain.Participant, _ int, _ *contracts.HTLC) ([]byte, error) {
-			return r.secrets[r.Index(p)], nil
-		},
-		Submitted: func(*xchain.Participant, int) { r.revealed = true; r.Mark(protocol.PointDecisionTriggered) },
-		Terminal: func(p *xchain.Participant, i int, h *contracts.HTLC) bool {
-			if h.State != contracts.StateRedeemed {
-				return false
-			}
-			if deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); !ok || deep.State != contracts.StateRedeemed {
-				return false
-			}
-			r.Mark(protocol.PointDecisionConfirmed)
-			r.Event(i, "redeem confirmed")
-			return true
-		},
-	}
-	r.refund = protocol.Settlement[*contracts.HTLC]{
-		Fn:        contracts.FnRefund,
-		Secret:    func(*xchain.Participant, int, *contracts.HTLC) ([]byte, error) { return nil, nil },
-		Submitted: func(*xchain.Participant, int) { r.Mark(protocol.PointDecisionTriggered) },
-		Terminal:  func(*xchain.Participant, int, *contracts.HTLC) bool { return false },
-	}
 	return r, nil
+}
+
+// OnAllConfirmed notes the lock phase's end on the timeline.
+func (r *Run) OnAllConfirmed() { r.Event(-1, "all contracts deployed") }
+
+// Secret is the settle phase's secret: for a redeem, s once p has
+// learned it; a refund needs none, its timelock having passed.
+func (r *Run) Secret(p *xchain.Participant, fn string, _ int, _ protocol.Asset) ([]byte, error) {
+	if fn == contracts.FnRefund {
+		return nil, nil
+	}
+	return r.secrets[r.Index(p)], nil
+}
+
+// OnSubmitted marks the decision triggered: hashlocks have no other
+// decision than their calls, and a redeem reveals s.
+func (r *Run) OnSubmitted(_ *xchain.Participant, fn string, _ int) {
+	if fn == contracts.FnRedeem {
+		r.revealed = true
+	}
+	r.Mark(protocol.PointDecisionTriggered)
+}
+
+// Terminal records a redeem confirmed at depth d (the paper's Δ), Figure
+// 8's redemption boundary: the only terminal state recorded.
+func (r *Run) Terminal(p *xchain.Participant, fn string, i int, sc protocol.Asset) bool {
+	if fn == contracts.FnRefund || sc.SwapState() != contracts.StateRedeemed {
+		return false
+	}
+	if deep, ok := r.readHTLC(p, i, r.cfg.ConfirmDepth); !ok || deep.State != contracts.StateRedeemed {
+		return false
+	}
+	r.Mark(protocol.PointDecisionConfirmed)
+	r.Event(i, "redeem confirmed")
+	return true
 }
 
 // Start begins the swap at the current virtual time.
@@ -158,8 +162,8 @@ func (r *Run) computeSchedule() {
 	}
 }
 
-// drive is the reconciler step function.
-func (r *Run) drive(p *xchain.Participant) {
+// Step is the reconciler step function.
+func (r *Run) Step(p *xchain.Participant) {
 	now := r.w.Sim.Now()
 	// Sequential rule: the leader deploys unconditionally; everyone
 	// else once every incoming edge is confirmed.
@@ -181,7 +185,7 @@ func (r *Run) drive(p *xchain.Participant) {
 	// Redeem incoming contracts: the leader once everything is
 	// deployed, everyone else as soon as they know s.
 	if r.secrets[r.Index(p)] != nil && (p != r.cfg.Leader || r.AllConfirmed()) {
-		protocol.Settle(r.Runtime, p, &r.redeem)
+		protocol.Settle(r.Runtime, p, contracts.FnRedeem)
 	}
 	// Refund own contracts once their timelock expired — a sender's
 	// contracts share one, a function of its layer — with a one-shot wake
@@ -195,7 +199,7 @@ func (r *Run) drive(p *xchain.Participant) {
 		}
 	}
 	if expired {
-		protocol.Settle(r.Runtime, p, &r.refund)
+		protocol.Settle(r.Runtime, p, contracts.FnRefund)
 	}
 }
 

@@ -39,7 +39,7 @@ type Payout struct {
 
 // Ctx is the execution context handed to a contract function. It
 // exposes the chain environment (the block's time), the message, and the
-// contract's balance, and collects payouts.
+// contract's balance, and collects payouts. A contract must not keep it.
 type Ctx struct {
 	ChainID string
 	Self    crypto.Address // the contract's own address
@@ -50,12 +50,13 @@ type Ctx struct {
 	readClock bool  // the contract asked for it (ADR-020)
 	balance   Amount
 	payouts   []Payout
+	onePayout [1]Payout // payouts' first backing array: a redeem or refund pays once
 }
 
 // NewCtx builds an execution context. balance is the contract's
 // balance before this call (including Msg.Value already credited).
-func NewCtx(chainID string, self crypto.Address, time int64, msg Msg, balance Amount) *Ctx {
-	return &Ctx{ChainID: chainID, Self: self, time: time, Msg: msg, balance: balance}
+func NewCtx(chainID string, self crypto.Address, time int64, msg Msg, balance Amount) Ctx {
+	return Ctx{ChainID: chainID, Self: self, time: time, Msg: msg, balance: balance}
 }
 
 // Time returns the timestamp of the block being applied.
@@ -81,6 +82,9 @@ func (c *Ctx) Pay(to crypto.Address, amt Amount) error {
 		return fmt.Errorf("vm: payout %d exceeds contract balance %d", amt, c.balance)
 	}
 	c.balance -= amt
+	if c.payouts == nil {
+		c.payouts = c.onePayout[:0]
+	}
 	c.payouts = append(c.payouts, Payout{To: to, Value: amt})
 	return nil
 }

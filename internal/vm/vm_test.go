@@ -44,9 +44,15 @@ func addr(seed uint64) crypto.Address {
 	return crypto.MustGenerateKey(crypto.NewRandReader(r.Uint64)).Addr
 }
 
+// testCtx is NewCtx as the pointer a contract is handed.
+func testCtx(chainID string, self crypto.Address, time int64, msg Msg, balance Amount) *Ctx {
+	ctx := NewCtx(chainID, self, time, msg, balance)
+	return &ctx
+}
+
 func TestCtxPayDeductsBalance(t *testing.T) {
 	to := addr(1)
-	ctx := NewCtx("btc", addr(2), 100, Msg{}, 100)
+	ctx := testCtx("btc", addr(2), 100, Msg{}, 100)
 	if err := ctx.Pay(to, 60); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +72,7 @@ func TestCtxPayDeductsBalance(t *testing.T) {
 }
 
 func TestCtxPayZeroAddressRejected(t *testing.T) {
-	ctx := NewCtx("btc", addr(1), 0, Msg{}, 10)
+	ctx := testCtx("btc", addr(1), 0, Msg{}, 10)
 	if err := ctx.Pay(crypto.ZeroAddress, 1); err == nil {
 		t.Fatal("payout to zero address allowed")
 	}
@@ -110,9 +116,9 @@ func TestRegistryBadArgsPanics(t *testing.T) {
 func TestContractCloneIsolation(t *testing.T) {
 	c := &counter{}
 	owner := addr(3)
-	_ = c.Init(NewCtx("btc", addr(4), 0, Msg{Sender: owner}, 0), nil)
+	_ = c.Init(testCtx("btc", addr(4), 0, Msg{Sender: owner}, 0), nil)
 	cl := c.Clone().(*counter)
-	_ = cl.Call(NewCtx("btc", addr(4), 1, Msg{}, 0), "inc", nil)
+	_ = cl.Call(testCtx("btc", addr(4), 1, Msg{}, 0), "inc", nil)
 	if c.N != 0 || cl.N != 1 {
 		t.Fatalf("clone not isolated: c.N=%d cl.N=%d", c.N, cl.N)
 	}
@@ -120,7 +126,7 @@ func TestContractCloneIsolation(t *testing.T) {
 
 func TestErrUnknownFunction(t *testing.T) {
 	c := &counter{}
-	err := c.Call(NewCtx("btc", addr(5), 0, Msg{}, 0), "nope", nil)
+	err := c.Call(testCtx("btc", addr(5), 0, Msg{}, 0), "nope", nil)
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v", err)
 	}
@@ -210,8 +216,8 @@ func TestDecodeGobError(t *testing.T) {
 func TestPayFromDrainFunction(t *testing.T) {
 	c := &counter{}
 	owner := addr(7)
-	_ = c.Init(NewCtx("btc", addr(8), 0, Msg{Sender: owner, Value: 500}, 500), nil)
-	ctx := NewCtx("btc", addr(8), 30, Msg{Sender: owner}, 500)
+	_ = c.Init(testCtx("btc", addr(8), 0, Msg{Sender: owner, Value: 500}, 500), nil)
+	ctx := testCtx("btc", addr(8), 30, Msg{Sender: owner}, 500)
 	if err := c.Call(ctx, "drain", nil); err != nil {
 		t.Fatal(err)
 	}
