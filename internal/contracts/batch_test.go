@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/crypto"
+	"repro/internal/graph"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -147,6 +148,17 @@ func TestCommitBatchRejections(t *testing.T) {
 		args := EncodeBatchCommit(&BatchCommit{Records: dup, Root: BatchRoot(dup), Attestation: attest(dup, ks, 3)})
 		if newSC().Call(ctx, FnCommitBatch, args) == nil {
 			t.Fatal("duplicate SCw accepted")
+		}
+	})
+	// Miners exclude failing calls, so a mined batch holds at most one
+	// record per SCw: the one a participant's batch evidence proves.
+	t.Run("one SCw with both decisions", func(t *testing.T) {
+		both := append([]DecisionRecord(nil), records...)
+		both[0].Decision = WitnessRedeemAuthorized
+		both[1] = DecisionRecord{SCw: both[0].SCw, Decision: WitnessRefundAuthorized}
+		args := EncodeBatchCommit(&BatchCommit{Records: both, Root: BatchRoot(both), Attestation: attest(both, ks, 3)})
+		if newSC().Call(ctx, FnCommitBatch, args) == nil {
+			t.Fatal("RDauth and RFauth for one SCw accepted in one batch")
 		}
 	})
 	t.Run("wrong root", func(t *testing.T) {
@@ -362,5 +374,61 @@ func TestBatchedPermissionlessRejectsForgedProof(t *testing.T) {
 	sc := w.contractState("eth", assetAddr).(*PermissionlessSC)
 	if sc.State != StatePublished {
 		t.Fatalf("state = %s, want P", sc.State)
+	}
+}
+
+// TestAuthorizeRedeemRejectsBatchBoundDeployment: SCw's authorize_redeem
+// runs only in the unbatched protocol, so a deployment that names a
+// batch contract cannot prove an edge. Otherwise A could condition her
+// contract on a batch contract she controls alone, let SCw reach RDauth,
+// redeem B's 90k with SCw's evidence and refund her own 40k through her
+// batch: an atomicity violation.
+func TestAuthorizeRedeemRejectsBatchBoundDeployment(t *testing.T) {
+	ks := keys(2)
+	alice, bob := ks[0], ks[1]
+	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
+	g, err := graph.TwoParty(1, alice.Addr, bob.Addr, assetX, "btc", assetY, "eth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scw := w.deploy("witness", alice, TypeWitness, WitnessParams{
+		Edges: g.Edges, Timestamp: g.Timestamp, Multisig: *multisig(g.Digest(), alice, bob),
+		Checkpoints: []ChainCheckpoint{
+			{Chain: "btc", Header: genesis(w.chains["btc"]).Header.Encode(), EvidenceDepth: 1},
+			{Chain: "eth", Header: genesis(w.chains["eth"]).Header.Encode(), EvidenceDepth: 1},
+		},
+		WitnessDepth: 1,
+	}.Encode(), 0).ContractAddr()
+	// A's own batch contract: she is its one witness.
+	mine := w.deploy("witness", alice, TypeBatchWitness,
+		BatchWitnessParams{Witnesses: []crypto.Address{alice.Addr}, Threshold: 1}.Encode(), 0).ContractAddr()
+	params := func(to, batch crypto.Address) []byte {
+		return PermissionlessParams{
+			Recipient: to, WitnessChain: "witness",
+			WitnessCheckpoint: genesis(w.chains["witness"]).Header.Encode(), SCw: scw, Depth: 1, Batch: batch,
+		}.Encode()
+	}
+	sc1 := w.deploy("btc", alice, TypePermissionless, params(bob.Addr, mine), assetX)
+	sc2 := w.deploy("eth", bob, TypePermissionless, params(alice.Addr, crypto.Address{}), assetY)
+	w.mineEmpty("btc", 1)
+	w.mineEmpty("eth", 1)
+
+	evs := rawList(w.evidenceFor("btc", sc1.ID(), 1), w.evidenceFor("eth", sc2.ID(), 1))
+	w.call("witness", bob, scw, FnAuthorizeRedeem, evs, false)
+
+	// The AC2T can still abort, and does so atomically: SCw's RFauth
+	// refunds B, A's batch refunds A.
+	abort := w.call("witness", bob, scw, FnAuthorizeRefund, nil, true)
+	records := []DecisionRecord{{SCw: scw, Decision: WitnessRefundAuthorized}}
+	commit := w.call("witness", alice, mine, FnCommitBatch, commitArgs(records, []*crypto.KeyPair{alice}, 1), true)
+	w.mineEmpty("witness", 1)
+	proof, err := merkle.Prove(BatchLeaves(records), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.call("eth", bob, sc2.ContractAddr(), FnRefund, w.evidenceFor("witness", abort.ID(), 1), true)
+	w.call("btc", alice, sc1.ContractAddr(), FnRefund, rawList(w.evidenceFor("witness", commit.ID(), 1), proof.Encode()), true)
+	if a, b := w.balanceOf("btc", alice), w.balanceOf("eth", bob); a != 1_000_000 || b != 1_000_000 {
+		t.Fatalf("after the abort A holds %d btc, B %d eth; want both refunded", a, b)
 	}
 }

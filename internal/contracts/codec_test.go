@@ -391,7 +391,7 @@ func BenchmarkWitnessParamsCodec(b *testing.B) {
 }
 
 // BenchmarkPermissionlessParamsDecode measures the decode every
-// PermissionlessSC deployment and every matchDeployToEdge runs.
+// PermissionlessSC deployment and every lock SCw proves run.
 func BenchmarkPermissionlessParamsDecode(b *testing.B) {
 	p := PermissionlessParams{Recipient: crypto.Address{1}, WitnessChain: "witness", WitnessCheckpoint: sampleHeader(), SCw: crypto.Address{2}, Depth: 6}
 	enc := p.Encode()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/chain"
@@ -208,25 +209,10 @@ func (w *WitnessSC) Call(ctx *vm.Ctx, fn string, args []byte) error {
 	}
 }
 
-// checkpointFor finds the anchor for a chain. The header is returned by
-// value, so the caller holds it on its stack.
-func (w *WitnessSC) checkpointFor(id chain.ID) (chain.Header, int, error) {
-	for _, cp := range w.Checkpoints {
-		if cp.Chain == id {
-			h, err := chain.DecodeHeader(cp.Header)
-			if err != nil {
-				return chain.Header{}, 0, err
-			}
-			return *h, cp.EvidenceDepth, nil
-		}
-	}
-	return chain.Header{}, 0, fmt.Errorf("no checkpoint for chain %s", id)
-}
-
 // verifyContracts is Algorithm 3's VerifyContracts: the evidence must
-// prove, for every edge e ∈ D.E, that a matching PermissionlessSC is
-// published on e.BC — right asset, right sender and recipient, and
-// redemption/refund conditioned on *this* SCw at the agreed depth.
+// prove, for every edge e ∈ D.E, a PermissionlessSC deployment on e.BC
+// whose lock MatchEdges accepts — conditioned on *this* SCw, on this
+// witness chain, at the agreed depth, and on no batch contract.
 func (w *WitnessSC) verifyContracts(ctx *vm.Ctx, args []byte) error {
 	evs, err := DecodeEvidenceList(args)
 	if err != nil {
@@ -235,56 +221,93 @@ func (w *WitnessSC) verifyContracts(ctx *vm.Ctx, args []byte) error {
 	if len(evs) != len(w.Edges) {
 		return fmt.Errorf("evidence for %d contracts, need %d", len(evs), len(w.Edges))
 	}
-	selfAddr := ctx.Self
-	var stack [8]crypto.Hash
-	proven := stack[:0] // edge j's deployment, so that no two edges share one
+	var stack [8]Lock
+	locks := stack[:0]
 	for i, e := range w.Edges {
-		cp, depth, err := w.checkpointFor(e.Chain)
+		l, err := w.provenLock(e.Chain, evs[i])
 		if err != nil {
 			return fmt.Errorf("edge %d: %w", i, err)
 		}
-		tx, err := spv.Verify(evs[i], e.Chain, &cp, depth)
-		if err != nil {
-			return fmt.Errorf("edge %d: %w", i, err)
-		}
-		if err := matchDeployToEdge(tx, e, selfAddr, string(ctx.ChainID), w.WitnessDepth); err != nil {
-			return fmt.Errorf("edge %d: %w", i, err)
-		}
-		for j, id := range proven {
-			if id == tx.ID() && w.Edges[j].Chain == e.Chain {
-				return fmt.Errorf("edge %d: deployment %s already proves edge %d", i, id, j)
-			}
-		}
-		proven = append(proven, tx.ID())
+		locks = append(locks, l)
 	}
-	return nil
+	return MatchEdges(w.Edges, locks, Binding{Witness: ctx.Self, Chain: chain.ID(ctx.ChainID), Depth: w.WitnessDepth})
 }
 
-// matchDeployToEdge checks a proven deployment transaction against
-// its edge specification.
-func matchDeployToEdge(tx *chain.Tx, e graph.Edge, scw crypto.Address, witnessChain string, witnessDepth int) error {
+// provenLock is the lock a PermissionlessSC deployment on chain id
+// makes, as ev proves it against SCw's checkpoint for that chain.
+func (w *WitnessSC) provenLock(id chain.ID, ev []byte) (Lock, error) {
+	k := slices.IndexFunc(w.Checkpoints, func(cp ChainCheckpoint) bool { return cp.Chain == id })
+	if k < 0 {
+		return Lock{}, fmt.Errorf("no checkpoint for chain %s", id)
+	}
+	h, err := chain.DecodeHeader(w.Checkpoints[k].Header)
+	if err != nil {
+		return Lock{}, err
+	}
+	tx, err := spv.Verify(ev, id, h, w.Checkpoints[k].EvidenceDepth)
+	if err != nil {
+		return Lock{}, err
+	}
 	if tx.Kind != chain.TxDeploy || tx.ContractType != TypePermissionless {
-		return fmt.Errorf("not a %s deployment", TypePermissionless)
-	}
-	if tx.Value != e.Asset {
-		return fmt.Errorf("locks %d, edge specifies %d", tx.Value, e.Asset)
-	}
-	if tx.Sig.Signer() != e.From {
-		return fmt.Errorf("deployed by %s, edge source is %s", tx.Sig.Signer(), e.From)
+		return Lock{}, fmt.Errorf("not a %s deployment", TypePermissionless)
 	}
 	var p PermissionlessParams
 	if err := p.Decode(tx.Params); err != nil {
-		return fmt.Errorf("constructor params: %w", err)
+		return Lock{}, fmt.Errorf("constructor params: %w", err)
 	}
-	switch {
-	case p.Recipient != e.To:
-		return fmt.Errorf("recipient %s, edge specifies %s", p.Recipient, e.To)
-	case p.SCw != scw:
-		return errors.New("conditioned on a different witness contract")
-	case string(p.WitnessChain) != witnessChain:
-		return fmt.Errorf("conditioned on witness chain %s, want %s", p.WitnessChain, witnessChain)
-	case p.Depth != witnessDepth:
-		return fmt.Errorf("uses witness depth %d, agreed %d", p.Depth, witnessDepth)
+	return Lock{
+		ID: tx.ContractAddr(), Sender: tx.Sig.Signer(), Recipient: p.Recipient, Asset: tx.Value,
+		Binding: Binding{Witness: p.SCw, Chain: p.WitnessChain, Depth: p.Depth, Batch: p.Batch},
+	}, nil
+}
+
+// Lock is one asset contract as Algorithm 3's validator sees it, on
+// its edge's chain: SCw fills one from each deployment SPV-proven on
+// that chain, Trent from each CentralizedSC he reads there at depth.
+type Lock struct {
+	ID        crypto.Address // the contract's address on its chain
+	Sender    crypto.Address
+	Recipient crypto.Address
+	Asset     vm.Amount
+	Binding   Binding
+}
+
+// Binding is what a contract's redeem and refund are conditioned on:
+// SCw, its witness chain and d (AC3WN), or Trent's key and ms(D)
+// (AC3TW) — and, for a batched AC3WN contract, a batch contract.
+type Binding struct {
+	Witness crypto.Address // SCw's address, or Trent's key
+	MSID    crypto.Hash    // ms(D)'s id (AC3TW)
+	Chain   chain.ID       // the witness chain (AC3WN)
+	Depth   int            // d (AC3WN)
+	Batch   crypto.Address // zero in every binding SCw and Trent want
+}
+
+// MatchEdges is the rule SCw and Trent both decide by (ADR-025): lock i
+// proves edge i — same sender, recipient and asset, and bound exactly
+// as want — and no contract proves two edges on one chain. Its checks
+// run in that order, so the first failing one names the error.
+func MatchEdges(edges []graph.Edge, locks []Lock, want Binding) error {
+	if len(locks) != len(edges) {
+		return fmt.Errorf("%d contracts for %d edges", len(locks), len(edges))
+	}
+	for i, e := range edges {
+		l := &locks[i]
+		switch {
+		case l.Sender != e.From:
+			return fmt.Errorf("edge %d: locked by %s, edge source is %s", i, l.Sender, e.From)
+		case l.Recipient != e.To:
+			return fmt.Errorf("edge %d: recipient %s, edge specifies %s", i, l.Recipient, e.To)
+		case l.Asset != e.Asset:
+			return fmt.Errorf("edge %d: locks %d, edge specifies %d", i, l.Asset, e.Asset)
+		case l.Binding != want:
+			return fmt.Errorf("edge %d: conditioned on %+v, agreed %+v", i, l.Binding, want)
+		}
+		for j := range i {
+			if locks[j].ID == l.ID && edges[j].Chain == e.Chain {
+				return fmt.Errorf("edge %d: contract %s already proves edge %d", i, l.ID, j)
+			}
+		}
 	}
 	return nil
 }

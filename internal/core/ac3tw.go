@@ -17,10 +17,9 @@ type TWConfig struct {
 	Graph        *graph.Graph
 	Participants []*xchain.Participant
 	Initiator    *xchain.Participant
-	Trent        *Trent
-	// ConfirmDepth is the depth at which contracts count as deployed
-	// (both for Trent's verification and participants').
-	ConfirmDepth int
+	// Trent also sets the depth at which contracts count as deployed,
+	// both for his verification and participants'.
+	Trent *Trent
 	// AbortAfter (>0): the initiator requests a refund signature if
 	// the AC2T has not committed by then.
 	AbortAfter sim.Time
@@ -142,7 +141,7 @@ func (r *TWRun) Step(p *xchain.Participant) {
 	r.DeployOwn(p, contracts.TypeCentralized, r.assetParams)
 	// Phase 2: re-derive own-deploy confirmations from chain state and
 	// announce them (crash-safe: no watch to lose).
-	r.ConfirmOwn(p, r.cfg.ConfirmDepth)
+	r.ConfirmOwn(p, r.cfg.Trent.depth)
 	// Phase 3: the initiator asks Trent to witness — redeem once every
 	// contract is confirmed, refund once the abort deadline passed.
 	// Both are throttled retries: a refusal or a request lost in a
@@ -192,7 +191,7 @@ func (r *TWRun) requestRedeem() {
 	r.redeemRequested = true
 	r.Mark(protocol.PointDecisionTriggered)
 	r.Event(-1, "redeem signature requested from Trent")
-	r.cfg.Trent.RequestRedeem(r.msID, r.Addrs(), r.cfg.ConfirmDepth, func(sig crypto.Signature, p crypto.Purpose, err error) {
+	r.cfg.Trent.RequestRedeem(r.msID, r.Addrs(), func(sig crypto.Signature, p crypto.Purpose, err error) {
 		if r.Stopped() {
 			return
 		}

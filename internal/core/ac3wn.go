@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
@@ -437,7 +438,8 @@ func (r *Run) readSCw(p *xchain.Participant, depth int) (*contracts.WitnessSC, b
 
 // verifySCw checks that the published coordinator matches the graph
 // the participant signed and anchors checkpoints the participant's
-// own views recognize as canonical and stable.
+// own views recognize as canonical and stable, each demanding deploy
+// evidence at the agreed asset depth.
 func (r *Run) verifySCw(p *xchain.Participant, scw *contracts.WitnessSC) error {
 	g := r.cfg.Graph
 	if scw.Timestamp != g.Timestamp || len(scw.Edges) != len(g.Edges) {
@@ -461,6 +463,9 @@ func (r *Run) verifySCw(p *xchain.Participant, scw *contracts.WitnessSC) error {
 		return fmt.Errorf("multisig mismatch")
 	}
 	for _, cp := range scw.Checkpoints {
+		if cp.EvidenceDepth != r.cfg.AssetDepth {
+			return fmt.Errorf("checkpoint %s evidence depth %d, agreed %d", cp.Chain, cp.EvidenceDepth, r.cfg.AssetDepth)
+		}
 		hdr, err := chain.DecodeHeader(cp.Header)
 		if err != nil {
 			return fmt.Errorf("checkpoint %s: %w", cp.Chain, err)
@@ -698,33 +703,21 @@ func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, 
 	if fn == contracts.FnAuthorizeRefund {
 		want = contracts.WitnessRefundAuthorized
 	}
+	var records []contracts.DecisionRecord
+	idx := -1
 	tx, ok := r.FindCall(p, r.cfg.WitnessChain, r.cfg.BatchAddr, contracts.FnCommitBatch, func(tx *chain.Tx) bool {
 		bc, err := contracts.DecodeBatchCommit(tx.Args)
 		if err != nil {
 			return false
 		}
-		for _, rec := range bc.Records {
-			if rec.SCw == r.scwAddr && rec.Decision == want {
-				return true
-			}
-		}
-		return false
+		records = bc.Records
+		idx = slices.Index(records, contracts.DecisionRecord{SCw: r.scwAddr, Decision: want})
+		return idx >= 0
 	})
 	if !ok {
 		return nil, fmt.Errorf("core: no committed batch holds %s for this SCw", want)
 	}
-	bc, err := contracts.DecodeBatchCommit(tx.Args)
-	if err != nil {
-		return nil, err
-	}
-	idx := -1
-	for i, rec := range bc.Records {
-		if rec.SCw == r.scwAddr {
-			idx = i
-			break
-		}
-	}
-	proof, err := merkle.Prove(contracts.BatchLeaves(bc.Records), idx)
+	proof, err := merkle.Prove(contracts.BatchLeaves(records), idx)
 	if err != nil {
 		return nil, err
 	}

@@ -383,14 +383,13 @@ func TestAC3WNConfigValidation(t *testing.T) {
 
 func TestAC3TWTwoPartyCommit(t *testing.T) {
 	w, alice, bob := twoPartyWorld(t, 508)
-	trent := NewTrent(w, 9999, 100*sim.Millisecond)
+	trent := NewTrent(w, 9999, 100*sim.Millisecond, 2)
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
 	r, err := NewTW(w, TWConfig{
 		Graph:        g,
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Trent:        trent,
-		ConfirmDepth: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +413,7 @@ func TestAC3TWTwoPartyCommit(t *testing.T) {
 
 func TestAC3TWAbortRefundsEveryone(t *testing.T) {
 	w, alice, bob := twoPartyWorld(t, 509)
-	trent := NewTrent(w, 9999, 100*sim.Millisecond)
+	trent := NewTrent(w, 9999, 100*sim.Millisecond, 2)
 	bob.Crash()
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
 	r, err := NewTW(w, TWConfig{
@@ -422,7 +421,6 @@ func TestAC3TWAbortRefundsEveryone(t *testing.T) {
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Trent:        trent,
-		ConfirmDepth: 2,
 		AbortAfter:   20 * sim.Minute,
 	})
 	if err != nil {
@@ -449,14 +447,13 @@ func TestAC3TWMutualExclusion(t *testing.T) {
 	// Once Trent signs RD, a refund request returns the RD decision
 	// rather than a refund signature.
 	w, alice, bob := twoPartyWorld(t, 510)
-	trent := NewTrent(w, 9999, 100*sim.Millisecond)
+	trent := NewTrent(w, 9999, 100*sim.Millisecond, 2)
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
 	r, _ := NewTW(w, TWConfig{
 		Graph:        g,
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Trent:        trent,
-		ConfirmDepth: 2,
 	})
 	r.Start()
 	w.RunUntil(40 * sim.Minute)
@@ -482,14 +479,13 @@ func TestAC3TWTrentCrashStallsProtocol(t *testing.T) {
 	// The availability weakness of the centralized design: with Trent
 	// down, nothing can be decided. (AC3WN has no such single point.)
 	w, alice, bob := twoPartyWorld(t, 511)
-	trent := NewTrent(w, 9999, 100*sim.Millisecond)
+	trent := NewTrent(w, 9999, 100*sim.Millisecond, 2)
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 40_000, "bitcoin", 90_000, "ethereum")
 	r, _ := NewTW(w, TWConfig{
 		Graph:        g,
 		Participants: []*xchain.Participant{alice, bob},
 		Initiator:    alice,
 		Trent:        trent,
-		ConfirmDepth: 2,
 	})
 	// Trent crashes after registration (sub-second) but before the
 	// contracts confirm (~40s), so no decision can have been made.
@@ -519,7 +515,7 @@ func TestAC3TWTrentCrashStallsProtocol(t *testing.T) {
 
 func TestAC3TWRegisterDuplicateRejected(t *testing.T) {
 	w, alice, bob := twoPartyWorld(t, 512)
-	trent := NewTrent(w, 9999, 100*sim.Millisecond)
+	trent := NewTrent(w, 9999, 100*sim.Millisecond, 2)
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 1, "bitcoin", 2, "ethereum")
 	ms := crypto.NewMultiSig(g.Digest())
 	ms.Add(alice.Key)

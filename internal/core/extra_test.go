@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -167,13 +168,12 @@ func TestAC3TWHandlesComplexGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trent := NewTrent(w, 1234, 100*sim.Millisecond)
+	trent := NewTrent(w, 1234, 100*sim.Millisecond, 2)
 	r, err := NewTW(w, TWConfig{
 		Graph:        g,
 		Participants: ps,
 		Initiator:    ps[0],
 		Trent:        trent,
-		ConfirmDepth: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +189,12 @@ func TestAC3TWHandlesComplexGraphs(t *testing.T) {
 
 // TestTrentRejectsRedeemBeforeDeploysConfirm: Trent must refuse to
 // sign RD while any contract is missing (Section 4.1's verification
-// role).
+// role), or mined but shallower than his own depth — the one he was
+// made with, since no requester names it.
 func TestTrentRejectsRedeemBeforeDeploysConfirm(t *testing.T) {
 	w, alice, bob := twoPartyWorld(t, 608)
-	trent := NewTrent(w, 4321, 100*sim.Millisecond)
+	const depth = 6
+	trent := NewTrent(w, 4321, 100*sim.Millisecond, depth)
 	g, _ := graph.TwoParty(1, alice.Addr(), bob.Addr(), 1_000, "bitcoin", 2_000, "ethereum")
 	ms := crypto.NewMultiSig(g.Digest())
 	ms.Add(alice.Key)
@@ -203,21 +205,57 @@ func TestTrentRejectsRedeemBeforeDeploysConfirm(t *testing.T) {
 	if regErr != nil {
 		t.Fatal(regErr)
 	}
-	var gotErr error
-	responded := false
-	trent.RequestRedeem(ms.ID(), []crypto.Address{{1}, {2}}, 2, func(sig crypto.Signature, p crypto.Purpose, err error) {
-		responded = true
-		gotErr = err
-	})
-	w.RunFor(sim.Minute)
-	if !responded {
-		t.Fatal("trent never responded")
+	request := func(addrs ...crypto.Address) error {
+		var got error
+		responded := false
+		trent.RequestRedeem(ms.ID(), addrs, func(_ crypto.Signature, _ crypto.Purpose, err error) {
+			responded, got = true, err
+		})
+		w.RunFor(sim.Second)
+		if !responded {
+			t.Fatal("trent never responded")
+		}
+		return got
 	}
-	if gotErr == nil {
+	if err := request(crypto.Address{1}, crypto.Address{2}); err == nil || trent.SignedRD != 0 {
 		t.Fatal("trent signed RD with no contracts on chain")
 	}
-	if trent.SignedRD != 0 {
-		t.Fatal("signature issued despite failed verification")
+
+	addrs := make([]crypto.Address, len(g.Edges))
+	for i, e := range g.Edges {
+		p := alice
+		if e.From == bob.Addr() {
+			p = bob
+		}
+		params := contracts.CentralizedParams{Recipient: e.To, MSDigest: ms.ID(), Witness: trent.Key.Addr}.Encode()
+		var err error
+		if _, addrs[i], err = p.Client(e.Chain).Deploy(contracts.TypeCentralized, params, e.Asset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buried := func(d int) bool {
+		for i, e := range g.Edges {
+			if _, ok := alice.Client(e.Chain).ContractNow(addrs[i], d); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for !buried(1) {
+		w.RunFor(sim.Second)
+	}
+	want := fmt.Sprintf("contract not found at depth %d", depth)
+	if err := request(addrs...); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("contracts mined but shallower than %d: err = %v, want …%q", depth, err, want)
+	}
+	for !buried(depth) {
+		w.RunFor(sim.Second)
+	}
+	if err := request(addrs...); err != nil {
+		t.Fatalf("contracts %d deep: %v", depth, err)
+	}
+	if trent.SignedRD != 1 {
+		t.Fatalf("%d RD signatures, want 1", trent.SignedRD)
 	}
 }
 
@@ -226,7 +264,7 @@ func TestTrentRejectsRedeemBeforeDeploysConfirm(t *testing.T) {
 // what the graph promises and still be paid in full.
 func TestTrentRejectsOneContractForTwoEdges(t *testing.T) {
 	w, alice, bob := twoPartyWorld(t, 609)
-	trent := NewTrent(w, 4322, 100*sim.Millisecond)
+	trent := NewTrent(w, 4322, 100*sim.Millisecond, 2)
 	g, err := graph.New(1,
 		graph.Edge{From: alice.Addr(), To: bob.Addr(), Asset: 1_000, Chain: "bitcoin"},
 		graph.Edge{From: alice.Addr(), To: bob.Addr(), Asset: 1_000, Chain: "bitcoin"},
@@ -258,7 +296,7 @@ func TestTrentRejectsOneContractForTwoEdges(t *testing.T) {
 	request := func(addrs ...crypto.Address) error {
 		var got error
 		responded := false
-		trent.RequestRedeem(ms.ID(), addrs, 2, func(_ crypto.Signature, _ crypto.Purpose, err error) {
+		trent.RequestRedeem(ms.ID(), addrs, func(_ crypto.Signature, _ crypto.Purpose, err error) {
 			responded, got = true, err
 		})
 		w.RunFor(sim.Minute)
@@ -292,11 +330,11 @@ func BenchmarkAC3TWvsAC3WNLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		trent := NewTrent(w, seed+1, 100*sim.Millisecond)
+		trent := NewTrent(w, seed+1, 100*sim.Millisecond, 3)
 		g, _ := graph.TwoParty(int64(seed), alice.Addr(), bob.Addr(), 1_000, "bitcoin", 2_000, "ethereum")
 		r, err := NewTW(w, TWConfig{
 			Graph: g, Participants: []*xchain.Participant{alice, bob},
-			Initiator: alice, Trent: trent, ConfirmDepth: 3,
+			Initiator: alice, Trent: trent,
 		})
 		if err != nil {
 			b.Fatal(err)

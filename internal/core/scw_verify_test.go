@@ -74,6 +74,20 @@ func TestAC3WNRejectsSCwWithForeignMultisig(t *testing.T) {
 			},
 			reason: "graph mismatch",
 		},
+		{
+			name: "tip-level deploy evidence",
+			forge: func(t *testing.T, r *Run, _ *crypto.KeyPair) {
+				// Checkpoints that accept deploy evidence at depth 0
+				// would let SCw reach RDauth on contracts a reorg can
+				// still drop.
+				r.ms = multisig(r.cfg.Graph.Digest(), participantKeys(r.cfg.Participants)...)
+				agreed := r.cfg.AssetDepth
+				r.cfg.AssetDepth = 0
+				r.deploySCw(r.cfg.Initiator)
+				r.cfg.AssetDepth = agreed
+			},
+			reason: "checkpoint bitcoin evidence depth 0, agreed",
+		},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

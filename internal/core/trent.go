@@ -28,6 +28,7 @@ type Trent struct {
 	s       *sim.Sim
 	sigs    *crypto.SigBook // the world's: ms(D) verdicts computed ahead
 	latency sim.Time
+	depth   int // contracts count as deployed this deep, whoever asks
 	clients map[chain.ID]*miner.Client
 	store   map[crypto.Hash]*trentEntry
 	crashed bool
@@ -49,8 +50,9 @@ type trentEntry struct {
 }
 
 // NewTrent creates the witness with read clients on the given world's
-// chains. latency is the request/response one-way delay.
-func NewTrent(w *xchain.World, seed uint64, latency sim.Time) *Trent {
+// chains. latency is the request/response one-way delay; depth is how
+// deep he requires every contract buried before he signs RD.
+func NewTrent(w *xchain.World, seed uint64, latency sim.Time, depth int) *Trent {
 	rng := sim.NewRNG(seed) //ac3:globalrand seed parameter descends from the world seed (runners derive it; engine forks per shard)
 	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
 	t := &Trent{
@@ -58,6 +60,7 @@ func NewTrent(w *xchain.World, seed uint64, latency sim.Time) *Trent {
 		s:       w.Sim,
 		sigs:    w.Sigs,
 		latency: latency,
+		depth:   depth,
 		clients: make(map[chain.ID]*miner.Client),
 		store:   make(map[crypto.Hash]*trentEntry),
 	}
@@ -93,17 +96,16 @@ func (t *Trent) Close() {
 // outcome. All methods respond asynchronously after the RPC latency.
 func (t *Trent) Register(g *graph.Graph, ms *crypto.MultiSig, cb func(error)) {
 	t.rpc(func() {
-		if !g.VerifyMultisig(ms, t.sigs) {
-			t.reply(cb, fmt.Errorf("trent: invalid multisignature"))
-			return
+		var err error
+		switch id := ms.ID(); {
+		case !g.VerifyMultisig(ms, t.sigs):
+			err = fmt.Errorf("trent: invalid multisignature")
+		case t.store[id] != nil:
+			err = ErrAlreadyRegistered
+		default:
+			t.store[id] = &trentEntry{g: g}
 		}
-		id := ms.ID()
-		if _, dup := t.store[id]; dup {
-			t.reply(cb, ErrAlreadyRegistered)
-			return
-		}
-		t.store[id] = &trentEntry{g: g}
-		t.reply(cb, nil)
+		t.s.After(t.latency, func() { cb(err) })
 	})
 }
 
@@ -112,85 +114,77 @@ func (t *Trent) Register(g *graph.Graph, ms *crypto.MultiSig, cb func(error)) {
 // AC2T was already decided, the stored value is returned (matching
 // the paper: Trent "responds ... with the value corresponding to
 // ms(D) in the key/value store").
-func (t *Trent) RequestRedeem(msID crypto.Hash, addrs []crypto.Address, depth int, cb func(crypto.Signature, crypto.Purpose, error)) {
-	t.rpc(func() {
-		e, ok := t.store[msID]
-		if !ok {
-			t.replySig(cb, crypto.Signature{}, 0, fmt.Errorf("trent: unknown ms(D)"))
-			return
-		}
-		if e.decision != 0 {
-			t.replySig(cb, e.sig, e.decision, nil)
-			return
-		}
-		if err := t.verifyContracts(e.g, msID, addrs, depth); err != nil {
-			t.replySig(cb, crypto.Signature{}, 0, err)
-			return
-		}
-		e.decision = crypto.PurposeRedeem
-		e.sig = t.Key.Sign(crypto.WitnessMessage(msID, crypto.PurposeRedeem))
-		t.SignedRD++
-		t.replySig(cb, e.sig, e.decision, nil)
-	})
+func (t *Trent) RequestRedeem(msID crypto.Hash, addrs []crypto.Address, cb func(crypto.Signature, crypto.Purpose, error)) {
+	t.decide(msID, crypto.PurposeRedeem, addrs, cb)
 }
 
 // RequestRefund asks Trent to witness the abort. He signs (ms(D), RF)
 // only if no decision exists yet.
 func (t *Trent) RequestRefund(msID crypto.Hash, cb func(crypto.Signature, crypto.Purpose, error)) {
+	t.decide(msID, crypto.PurposeRefund, nil, cb)
+}
+
+// decide answers a request for decision p after the RPC latency.
+func (t *Trent) decide(msID crypto.Hash, p crypto.Purpose, addrs []crypto.Address, cb func(crypto.Signature, crypto.Purpose, error)) {
 	t.rpc(func() {
-		e, ok := t.store[msID]
-		if !ok {
-			t.replySig(cb, crypto.Signature{}, 0, fmt.Errorf("trent: unknown ms(D)"))
-			return
-		}
-		if e.decision != 0 {
-			t.replySig(cb, e.sig, e.decision, nil)
-			return
-		}
-		e.decision = crypto.PurposeRefund
-		e.sig = t.Key.Sign(crypto.WitnessMessage(msID, crypto.PurposeRefund))
-		t.SignedRF++
-		t.replySig(cb, e.sig, e.decision, nil)
+		sig, d, err := t.decision(msID, p, addrs)
+		t.s.After(t.latency, func() { cb(sig, d, err) })
 	})
 }
 
-// verifyContracts checks every edge has a matching CentralizedSC of its
-// own in state P at the required depth, with both schemes set to
-// (ms(D), PK_T).
-func (t *Trent) verifyContracts(g *graph.Graph, msID crypto.Hash, addrs []crypto.Address, depth int) error {
+// decision is the stored decision, made p first if there is none yet —
+// RD only once every contract checks out.
+func (t *Trent) decision(msID crypto.Hash, p crypto.Purpose, addrs []crypto.Address) (crypto.Signature, crypto.Purpose, error) {
+	e, ok := t.store[msID]
+	if !ok {
+		return crypto.Signature{}, 0, fmt.Errorf("trent: unknown ms(D)")
+	}
+	if e.decision == 0 {
+		if p == crypto.PurposeRedeem {
+			if err := t.verifyContracts(e.g, msID, addrs); err != nil {
+				return crypto.Signature{}, 0, err
+			}
+			t.SignedRD++
+		} else {
+			t.SignedRF++
+		}
+		e.decision, e.sig = p, t.Key.Sign(crypto.WitnessMessage(msID, p))
+	}
+	return e.sig, e.decision, nil
+}
+
+// verifyContracts reads every edge's contract at Trent's depth, in
+// state P, and has MatchEdges check it against the edge with both
+// schemes set to (ms(D), PK_T).
+func (t *Trent) verifyContracts(g *graph.Graph, msID crypto.Hash, addrs []crypto.Address) error {
 	if len(addrs) != len(g.Edges) {
 		return fmt.Errorf("trent: %d addresses for %d edges", len(addrs), len(g.Edges))
 	}
+	var stack [8]contracts.Lock
+	locks := stack[:0]
 	for i, e := range g.Edges {
 		client, ok := t.clients[e.Chain]
 		if !ok {
 			return fmt.Errorf("trent: no client for chain %s", e.Chain)
 		}
-		ct, ok := client.ContractNow(addrs[i], depth)
+		ct, ok := client.ContractNow(addrs[i], t.depth)
 		if !ok {
-			return fmt.Errorf("trent: edge %d contract not found at depth %d", i, depth)
+			return fmt.Errorf("trent: edge %d contract not found at depth %d", i, t.depth)
 		}
 		sc, isC := ct.(*contracts.CentralizedSC)
 		if !isC {
 			return fmt.Errorf("trent: edge %d is not a CentralizedSC", i)
 		}
-		switch {
-		case sc.State != contracts.StatePublished:
+		if sc.State != contracts.StatePublished {
 			return fmt.Errorf("trent: edge %d in state %s", i, sc.State)
-		case sc.Sender != e.From || sc.Recipient != e.To:
-			return fmt.Errorf("trent: edge %d parties mismatch", i)
-		case sc.Asset != e.Asset:
-			return fmt.Errorf("trent: edge %d locks %d, want %d", i, sc.Asset, e.Asset)
-		case sc.MSDigest != msID:
-			return fmt.Errorf("trent: edge %d committed to a different ms(D)", i)
-		case sc.Witness != t.Key.Addr:
-			return fmt.Errorf("trent: edge %d trusts a different witness", i)
 		}
-		for j := range i {
-			if addrs[j] == addrs[i] && g.Edges[j].Chain == e.Chain {
-				return fmt.Errorf("trent: edge %d's contract already serves edge %d", i, j)
-			}
-		}
+		locks = append(locks, contracts.Lock{
+			ID: addrs[i], Sender: sc.Sender, Recipient: sc.Recipient, Asset: sc.Asset,
+			Binding: contracts.Binding{Witness: sc.Witness, MSID: sc.MSDigest},
+		})
+	}
+	if err := contracts.MatchEdges(g.Edges, locks, contracts.Binding{Witness: t.Key.Addr, MSID: msID}); err != nil {
+		return fmt.Errorf("trent: %w", err)
 	}
 	return nil
 }
@@ -203,13 +197,4 @@ func (t *Trent) rpc(fn func()) {
 		}
 		fn()
 	})
-}
-
-// reply responds after the response latency.
-func (t *Trent) reply(cb func(error), err error) {
-	t.s.After(t.latency, func() { cb(err) })
-}
-
-func (t *Trent) replySig(cb func(crypto.Signature, crypto.Purpose, error), sig crypto.Signature, p crypto.Purpose, err error) {
-	t.s.After(t.latency, func() { cb(sig, p, err) })
 }

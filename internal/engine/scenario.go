@@ -128,13 +128,12 @@ func (r ownTrent) Stop() {
 }
 
 func newAC3TW(w *xchain.World, t AC2T) (core.Runner, error) {
-	trent := core.NewTrent(w, t.TrentSeed, t.TrentLatency)
+	trent := core.NewTrent(w, t.TrentSeed, t.TrentLatency, t.Depth)
 	r, err := core.NewTW(w, core.TWConfig{
 		Graph:        t.Graph,
 		Participants: t.Participants,
 		Initiator:    t.Participants[0],
 		Trent:        trent,
-		ConfirmDepth: t.Depth,
 		AbortAfter:   t.AbortAfter,
 	})
 	if err != nil {

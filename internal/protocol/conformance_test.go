@@ -399,7 +399,7 @@ func TestConformanceAC3TW(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%d", scenario, n), func(t *testing.T) {
 				seed := uint64(42000 + n*100)
 				w, ps, g := gridWorld(t, seed, n)
-				trent := core.NewTrent(w, seed+7, 100*sim.Millisecond)
+				trent := core.NewTrent(w, seed+7, 100*sim.Millisecond, confDepth)
 				victim := ps[n-1]
 				abortAfter := sim.Time(0)
 				if scenario == "abort" {
@@ -414,7 +414,6 @@ func TestConformanceAC3TW(t *testing.T) {
 					Participants: ps,
 					Initiator:    ps[0],
 					Trent:        trent,
-					ConfirmDepth: confDepth,
 					AbortAfter:   abortAfter,
 				})
 				if err != nil {
@@ -603,7 +602,7 @@ func TestInitiatorMustParticipate(t *testing.T) {
 			return err
 		}},
 		{"ac3tw", func(p *xchain.Participant) error {
-			_, err := core.NewTW(w, core.TWConfig{Graph: g, Participants: ps, Initiator: p, Trent: core.NewTrent(w, 1, sim.Millisecond)})
+			_, err := core.NewTW(w, core.TWConfig{Graph: g, Participants: ps, Initiator: p, Trent: core.NewTrent(w, 1, sim.Millisecond, 0)})
 			return err
 		}},
 		{"htlc", func(p *xchain.Participant) error {
