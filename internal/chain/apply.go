@@ -59,6 +59,9 @@ func ApplyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime i
 // and running a deploy or call in ctx, made anew (NewCtx) each time.
 // Every check reads st and none writes it; commit writes once they pass.
 func applyTx(st *State, reg *vm.Registry, chainID ID, height uint64, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
+	if tx.form != 0 { // same id and signature, but the call would run without its arguments
+		return txErr("id form: arguments replaced by their digest")
+	}
 	switch tx.Kind {
 	case TxGenesis:
 		if height != 0 {

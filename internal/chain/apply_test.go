@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -237,5 +238,54 @@ func TestCallContextIsFreshPerCall(t *testing.T) {
 	var rej *txRejection
 	if !errors.As(err, &rej) || rej.clock {
 		t.Fatalf("a refusing call after one that read the clock: %v; want a rejection without a clock read", err)
+	}
+}
+
+// TestIDFormNeverApplied: a call decoded from its id form has the
+// call's id and a valid signature, so a block that carries it in the
+// call's place keeps its TxRoot and its hash. ApplyTx refuses it all
+// the same — the call would run without its arguments — and so does a
+// network that receives that block. The full form decodes to the same
+// id and its arguments.
+func TestIDFormNeverApplied(t *testing.T) {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(96).Uint64))
+	reg := vm.NewRegistry()
+	reg.Register("probe", func() vm.Contract { return &probe{} })
+	execs := [2]*Executor{}
+	for i := range execs {
+		exec, err := NewExecutor(pruneParams(0, 0), reg, GenesisAlloc{key.Addr: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs[i] = exec
+	}
+	v, relayed := execs[0].NewView(), execs[1].NewView()
+	var grant OutPoint
+	for op := range ownedMap(v.TipState(), key.Addr) {
+		grant = op
+	}
+	dep := NewDeploy(key, 1, []TxIn{{Prev: grant}}, []TxOut{{Value: 9_000, Owner: key.Addr}}, "probe", nil, 1_000)
+	call := NewCall(key, 2, dep.ContractAddr(), "look", make([]byte, 100), nil, nil, 0) // probe ignores its arguments
+	idForm, err := DecodeTx(call.AppendIDForm(nil))
+	if err != nil || len(idForm.Args) != crypto.HashSize || idForm.ID() != call.ID() || !idForm.VerifySig() {
+		t.Fatalf("the id form does not prove the call: %v", err)
+	}
+	if full, err := DecodeTx(call.Encode()); err != nil || full.ID() != call.ID() || !bytes.Equal(full.Args, call.Args) {
+		t.Fatalf("the full form does not round-trip: %v", err)
+	}
+	if _, err := relayed.AddBlock(mineOn(t, v, key.Addr, 10, dep)); err != nil {
+		t.Fatal(err)
+	}
+	st := v.TipState().Child()
+	if err := ApplyTx(st, reg, "prunenet", 2, 20, idForm); !errors.Is(err, ErrTxInvalid) || !strings.Contains(err.Error(), "id form") {
+		t.Fatalf("ApplyTx of the id form: %v", err)
+	}
+	b := mineOn(t, v, key.Addr, 20, call)
+	swapped := NewBlock(*b.Header, []*Tx{b.Txs[0], idForm})
+	if swapped.Hash() != b.Hash() {
+		t.Fatal("swapping the call for its id form changed the block's hash")
+	}
+	if _, err := relayed.AddBlock(swapped); err == nil || !strings.Contains(err.Error(), "id form") || relayed.Tip().Hash() == b.Hash() {
+		t.Fatalf("a block carrying an id form was adopted: %v", err)
 	}
 }

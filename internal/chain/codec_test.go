@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"unsafe"
 
 	"repro/internal/crypto"
 	"repro/internal/sim"
@@ -16,7 +17,11 @@ import (
 // commit before the wire codec (ADR-012) by encoding generated
 // transactions with the bytes.Buffer encoder it replaced: Encode and
 // SigHash must never change, because transaction ids, block hashes,
-// evidence bytes and every seed-42 aggregate derive from them.
+// evidence bytes and every seed-42 aggregate derive from them. They
+// changed once, for the two vectors whose Args are longer than a
+// digest, when the id began to commit to Args by their SHA-256 digest
+// (ADR-026); those two carry their id form (AppendIDForm), which the
+// others' Encode is.
 type txVector struct {
 	Kind  byte   `json:"kind"`
 	Nonce uint64 `json:"nonce"`
@@ -38,6 +43,16 @@ type txVector struct {
 	SigSig       string `json:"sig_sig"`
 	Encode       string `json:"encode"`
 	SigHash      string `json:"sig_hash"`
+	IDForm       string `json:"id_form"`
+}
+
+// idForm is the vector's id form: its encoding unless Args are longer
+// than a digest.
+func (v txVector) idForm() string {
+	if v.IDForm == "" {
+		return v.Encode
+	}
+	return v.IDForm
 }
 
 func unhex(t testing.TB, s string) []byte {
@@ -112,6 +127,19 @@ func TestTxGoldenVectors(t *testing.T) {
 		if dec.ID() != tx.ID() || !bytes.Equal(dec.Encode(), enc) {
 			t.Fatalf("vector %d: decode round trip changed the transaction", i)
 		}
+		idf := tx.AppendIDForm(nil)
+		if got := hex.EncodeToString(idf); got != v.idForm() || len(idf) != tx.IDFormLen() {
+			t.Fatalf("vector %d: id form %s (IDFormLen %d), want %s", i, got, tx.IDFormLen(), v.idForm())
+		}
+		// The id is the hash of the id form's body, and the id form
+		// decodes to the same id and re-encodes to itself.
+		if crypto.Sum(idf[:len(idf)-tx.Sig.EncodedLen()]) != sigHash {
+			t.Fatalf("vector %d: the id is not the hash of the id form's body", i)
+		}
+		short, err := DecodeTx(idf)
+		if err != nil || short.ID() != sigHash || !bytes.Equal(short.Encode(), idf) {
+			t.Fatalf("vector %d: id form decoded to %v (%v)", i, short, err)
+		}
 	}
 	if streamed == 0 {
 		t.Fatal("no vector is long enough to take SigHash's streaming path")
@@ -149,6 +177,7 @@ func TestTxEncodedBeforeVerified(t *testing.T) {
 func FuzzDecodeTx(f *testing.F) {
 	for _, v := range goldenTxs(f) {
 		f.Add(unhex(f, v.Encode))
+		f.Add(unhex(f, v.idForm()))
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -248,5 +277,14 @@ func TestTxCodecAllocations(t *testing.T) {
 		if n > 1 {
 			t.Errorf("%s: SigHash allocates %.0f times, want at most 1", name, n)
 		}
+	}
+}
+
+// TestSignedTxSizeClass: the id form's marker lives in Tx's padding, so
+// a transaction built here and its signature's bytes stay one object of
+// the 416-byte size class.
+func TestSignedTxSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(signedTx{}); n > 416 {
+		t.Fatalf("signedTx is %d bytes, past the 416-byte size class", n)
 	}
 }

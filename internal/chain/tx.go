@@ -133,9 +133,10 @@ type Tx struct {
 	memoAddrSet   bool
 	memoSigner    crypto.Address
 	memoSignerSet bool
+	form          byte // idForm when decoded from an id form: Args hold their digest, and ApplyTx refuses it
 }
 
-// Wire sizes of the fixed-width pieces of a transaction.
+// Wire sizes of the fixed-width pieces of a transaction, and the id form's flag.
 const (
 	txInLen  = crypto.HashSize + 4    // previous tx id, output index
 	txOutLen = 8 + crypto.AddressSize // value, owner
@@ -143,6 +144,7 @@ const (
 	// input and output counts, four length prefixes (contract type,
 	// params, fn, args), the contract address and the value.
 	txBaseLen = 1 + 8 + 6*wire.LenPrefix + crypto.AddressSize + 8
+	idForm    = 0x80 // flags the kind byte of an id form (AppendIDForm)
 )
 
 // bodyLen is the size of the signed portion of the encoding.
@@ -151,12 +153,22 @@ func (tx *Tx) bodyLen() int {
 		len(tx.ContractType) + len(tx.Params) + len(tx.Fn) + len(tx.Args)
 }
 
+// idArgs returns the id form's arguments and kind byte: Args no longer
+// than a digest, else their SHA-256 digest, written to d, flagged idForm.
+func (tx *Tx) idArgs(d *crypto.Hash) ([]byte, byte) {
+	if tx.form == 0 && len(tx.Args) > crypto.HashSize {
+		*d = crypto.Sum(tx.Args)
+		return d[:], byte(tx.Kind) | idForm
+	}
+	return tx.Args, byte(tx.Kind) | tx.form
+}
+
 // appendHead appends the body up to and including the length prefix of
-// Params, appendMid the part between Params and Args (with the length
-// prefix of Args), appendTail what follows Args. The split lets SigHash
-// hash Params and Args where they lie.
-func (tx *Tx) appendHead(dst []byte) []byte {
-	dst = append(dst, byte(tx.Kind))
+// Params, appendMid the part between Params and args (with the length
+// prefix of args), appendTail what follows args. The split lets SigHash
+// hash Params and args where they lie.
+func (tx *Tx) appendHead(dst []byte, kind byte) []byte {
+	dst = append(dst, kind)
 	dst = binary.BigEndian.AppendUint64(dst, tx.Nonce)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tx.Ins)))
 	for i := range tx.Ins {
@@ -172,10 +184,10 @@ func (tx *Tx) appendHead(dst []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(len(tx.Params)))
 }
 
-func (tx *Tx) appendMid(dst []byte) []byte {
+func (tx *Tx) appendMid(dst, args []byte) []byte {
 	dst = append(dst, tx.Contract[:]...)
 	dst = wire.AppendString(dst, tx.Fn)
-	return binary.BigEndian.AppendUint32(dst, uint32(len(tx.Args)))
+	return binary.BigEndian.AppendUint32(dst, uint32(len(args)))
 }
 
 func (tx *Tx) appendTail(dst []byte) []byte {
@@ -183,17 +195,18 @@ func (tx *Tx) appendTail(dst []byte) []byte {
 }
 
 // SigHash returns the digest the transaction signature covers,
-// computed once and cached (the body is immutable after
-// construction). Params and Args — tens of kilobytes of evidence on a
-// decision or redeem call — are hashed in place; only the few fixed
-// fields around them are laid out, on the stack.
+// computed once and cached (the body is immutable after construction):
+// the hash of the id form's body. Params are hashed in place; Args —
+// kilobytes of evidence on a decision or redeem call — by their digest.
 func (tx *Tx) SigHash() crypto.Hash {
 	if !tx.memoIDSet {
 		var stack [256]byte
-		head := tx.appendHead(stack[:0])
-		mid := tx.appendMid(head[len(head):])
+		var d crypto.Hash
+		args, kind := tx.idArgs(&d)
+		head := tx.appendHead(stack[:0], kind)
+		mid := tx.appendMid(head[len(head):], args)
 		tail := tx.appendTail(mid[len(mid):])
-		tx.memoID = crypto.Sum(head, tx.Params, mid, tx.Args, tail)
+		tx.memoID = crypto.Sum(head, tx.Params, mid, args, tail)
 		tx.memoIDSet = true
 	}
 	return tx.memoID
@@ -240,11 +253,27 @@ func (tx *Tx) Signer() crypto.Address {
 // EncodedLen is the size of the full encoding (body + signature).
 func (tx *Tx) EncodedLen() int { return tx.bodyLen() + tx.Sig.EncodedLen() }
 
-// AppendTo appends the full encoding to dst.
-func (tx *Tx) AppendTo(dst []byte) []byte {
+// AppendTo appends the full encoding to dst (or the id form it was decoded from).
+func (tx *Tx) AppendTo(dst []byte) []byte { return tx.appendForm(dst, tx.Args, byte(tx.Kind)|tx.form) }
+
+// IDFormLen is the size of the id form (AppendIDForm).
+func (tx *Tx) IDFormLen() int {
+	return tx.EncodedLen() - len(tx.Args) + min(len(tx.Args), crypto.HashSize)
+}
+
+// AppendIDForm appends the id form: the encoding with Args longer than a
+// digest replaced by their digest. The id is the hash of its body, so it
+// proves the transaction; DecodeTx reads it, ApplyTx refuses it.
+func (tx *Tx) AppendIDForm(dst []byte) []byte {
+	var d crypto.Hash
+	args, kind := tx.idArgs(&d)
+	return tx.appendForm(dst, args, kind)
+}
+
+func (tx *Tx) appendForm(dst, args []byte, kind byte) []byte {
 	tx.VerifySig() // the signature bytes are final once the verdict is
-	dst = append(tx.appendHead(dst), tx.Params...)
-	dst = append(tx.appendMid(dst), tx.Args...)
+	dst = append(tx.appendHead(dst, kind), tx.Params...)
+	dst = append(tx.appendMid(dst, args), args...)
 	return tx.Sig.AppendTo(tx.appendTail(dst))
 }
 
@@ -252,12 +281,13 @@ func (tx *Tx) AppendTo(dst []byte) []byte {
 // embedding in blocks and SPV evidence, in one exact-size allocation.
 func (tx *Tx) Encode() []byte { return tx.AppendTo(make([]byte, 0, tx.EncodedLen())) }
 
-// DecodeTx reverses Encode. The transaction aliases b — Params, Args,
-// the signature and the two names are views into it — so b must not be
-// written to while the transaction is in use (package wire).
+// DecodeTx reverses Encode and AppendIDForm. The transaction aliases b
+// — Params, Args, the signature and the two names are views into it —
+// so b must not be written to while it is in use (package wire).
 func DecodeTx(b []byte) (*Tx, error) {
 	r := wire.NewReader(b)
-	tx := &Tx{Kind: TxKind(r.U8()), Nonce: r.U64()}
+	k := r.U8()
+	tx := &Tx{Kind: TxKind(k &^ idForm), form: k & idForm, Nonce: r.U64()}
 	if n := r.Count(txInLen); n > 0 {
 		tx.Ins = make([]TxIn, n)
 		for i := range tx.Ins {

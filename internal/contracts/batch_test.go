@@ -301,7 +301,8 @@ func TestBatchedPermissionlessRedeem(t *testing.T) {
 	commitTx := w.call("witness", alice, batchAddr, FnCommitBatch, commitArgs(records, ksW, 3), true)
 	w.mineEmpty("witness", 3)
 
-	// Evidence: SPV of the commit tx + membership proof of our leaf.
+	// Evidence: SPV of the commit tx, membership proof of our leaf and
+	// the commit's arguments, which the SPV's id form proves by digest.
 	leaves := BatchLeaves(records)
 	idx := -1
 	for i, r := range records {
@@ -314,7 +315,7 @@ func TestBatchedPermissionlessRedeem(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := w.evidenceFor("witness", commitTx.ID(), 2)
-	redeemArgs := rawList(ev, proof.Encode())
+	redeemArgs := rawList(ev, proof.Encode(), commitTx.Args)
 
 	// The committed decision is RD: refund must fail, redeem must pay.
 	w.call("eth", alice, assetAddr, FnRefund, redeemArgs, false)
@@ -366,9 +367,20 @@ func TestBatchedPermissionlessRejectsForgedProof(t *testing.T) {
 	}
 	// The only committed leaf belongs to a different SCw: VerifyData
 	// recomputes our leaf payload and must reject.
-	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev, proof.Encode()), false)
+	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev, proof.Encode(), commitTx.Args), false)
+
+	// Arguments that are not the proven call's cannot stand in for it:
+	// a batch root that does hold scw's leaf, revealed beside the proof
+	// of a commit that does not.
+	mine := []DecisionRecord{{SCw: scw, Decision: WitnessRedeemAuthorized}}
+	forged, err := merkle.Prove(BatchLeaves(mine), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev, forged.Encode(), commitArgs(mine, ksW, 3)), false)
 
 	// Malformed evidence shapes fail cleanly too.
+	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev, proof.Encode()), false)
 	w.call("eth", bob, assetAddr, FnRedeem, rawList(ev), false)
 	w.call("eth", bob, assetAddr, FnRedeem, ev, false)
 	sc := w.contractState("eth", assetAddr).(*PermissionlessSC)
@@ -427,7 +439,7 @@ func TestAuthorizeRedeemRejectsBatchBoundDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.call("eth", bob, sc2.ContractAddr(), FnRefund, w.evidenceFor("witness", abort.ID(), 1), true)
-	w.call("btc", alice, sc1.ContractAddr(), FnRefund, rawList(w.evidenceFor("witness", commit.ID(), 1), proof.Encode()), true)
+	w.call("btc", alice, sc1.ContractAddr(), FnRefund, rawList(w.evidenceFor("witness", commit.ID(), 1), proof.Encode(), commit.Args), true)
 	if a, b := w.balanceOf("btc", alice), w.balanceOf("eth", bob); a != 1_000_000 || b != 1_000_000 {
 		t.Fatalf("after the abort A holds %d btc, B %d eth; want both refunded", a, b)
 	}

@@ -362,8 +362,12 @@ const (
 
 func newAC3WNFixture(t *testing.T) *ac3wnFixture {
 	ks := keys(2)
-	alice, bob := ks[0], ks[1]
-	w := newWorld(t, []chain.ID{"btc", "eth", "witness"}, alice, bob)
+	return setUpAC3WN(t, newWorld(t, []chain.ID{"btc", "eth", "witness"}, ks[0], ks[1]), ks[0], ks[1])
+}
+
+// setUpAC3WN sets up one AC2T in w: its SCw and both asset contracts,
+// buried to the agreed depth. A second call sets up a second AC2T.
+func setUpAC3WN(t *testing.T, w *world, alice, bob *crypto.KeyPair) *ac3wnFixture {
 	f := &ac3wnFixture{w: w, alice: alice, bob: bob, witnessDepth: 2, assetDepth: 2}
 
 	g, err := graph.TwoParty(1, alice.Addr, bob.Addr, assetX, "btc", assetY, "eth")
@@ -626,6 +630,10 @@ func TestPermissionlessRejectsWrongFunctionEvidence(t *testing.T) {
 	abortTx := w.call("witness", f.alice, f.scwAddr, FnAuthorizeRefund, nil, true)
 	w.mineEmpty("witness", f.witnessDepth)
 	abortEv := w.evidenceFor("witness", abortTx.ID(), f.witnessDepth)
+	sc := w.contractState("btc", f.sc1Addr).(*PermissionlessSC)
+	if err := sc.isRedeemable(nil, abortEv); err == nil || !strings.Contains(err.Error(), "not authorize_redeem") {
+		t.Fatalf("refund evidence at a redeem: %v", err)
+	}
 	w.call("btc", f.bob, f.sc1Addr, FnRedeem, abortEv, false)
 }
 

@@ -161,24 +161,24 @@ func (c *PermissionlessSC) verifyWitnessEvidence(args []byte, wantFn string) err
 }
 
 // verifyBatchEvidence is the batched variant of IsRedeemable /
-// IsRefundable: the argument is an evidence pair [SPV evidence,
-// encoded merkle proof]. The SPV evidence must prove a successful
-// commit_batch call on the agreed batch contract at depth ≥ d; since
-// miners exclude failing calls, inclusion implies the batch contract
-// verified canonical order, root, threshold attestation, and
-// conflict-freedom against its decision ledger. The merkle proof then
-// ties this contract's (SCw, decision) leaf to the committed root —
-// per-AC2T membership without a per-AC2T witness transaction. Mutual
-// exclusion carries over: a conflicting record can never appear in a
-// later committed batch (whole-batch rejection), so at most one
-// decision leaf per SCw exists under any committed root per fork.
+// IsRefundable: the argument is [SPV evidence, merkle proof, the call's
+// arguments]. The SPV evidence must prove a successful commit_batch
+// call on the agreed batch contract at depth ≥ d; since miners exclude
+// failing calls, inclusion implies the batch contract verified
+// canonical order, root, threshold attestation, and conflict-freedom
+// against its decision ledger. Its id form proves the arguments by
+// digest; the merkle proof ties this contract's (SCw, decision) leaf to
+// their root — per-AC2T membership without a per-AC2T witness
+// transaction. Mutual exclusion carries over: a conflicting record can
+// never appear in a later committed batch (whole-batch rejection), so
+// at most one decision leaf per SCw exists under any root per fork.
 func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error {
 	parts, err := DecodeEvidenceList(args)
 	if err != nil {
 		return err
 	}
-	if len(parts) != 2 {
-		return fmt.Errorf("batched evidence has %d parts, want [spv, proof]", len(parts))
+	if len(parts) != 3 {
+		return fmt.Errorf("batched evidence has %d parts, want [spv, proof, commit]", len(parts))
 	}
 	tx, err := c.verifyWitnessTx(parts[0])
 	if err != nil {
@@ -187,7 +187,10 @@ func (c *PermissionlessSC) verifyBatchEvidence(args []byte, wantFn string) error
 	if tx.Kind != chain.TxCall || tx.Contract != c.Batch || tx.Fn != FnCommitBatch {
 		return errors.New("proven tx is not commit_batch on the agreed batch contract")
 	}
-	bc, err := DecodeBatchCommit(tx.Args)
+	if d := crypto.Sum(parts[2]); !bytes.Equal(d[:], tx.Args) { // the id form's Args are their digest
+		return errors.New("revealed commit_batch arguments are not the proven call's")
+	}
+	bc, err := DecodeBatchCommit(parts[2])
 	if err != nil {
 		return err
 	}

@@ -671,9 +671,10 @@ func (r *Run) reportAnchor(i int, label string) {
 
 // witnessEvidenceFor builds SPV evidence that SCw's state-changing
 // call is buried d deep, anchored at the checkpoint stored in the
-// asset contract. Batched, the evidence is the pair [SPV of the
-// commit_batch transaction containing this AC2T's decision, merkle
-// membership proof of the (SCw, decision) leaf] — both re-derived
+// asset contract, in the id form: the deploy evidence SCw read stays
+// behind as a digest. Batched, the evidence is [SPV of the commit_batch
+// transaction containing this AC2T's decision, merkle membership proof
+// of the (SCw, decision) leaf, that call's arguments] — all re-derived
 // from chain state alone, so a participant that died mid-batch finds
 // its proof again on resume with no local bookkeeping.
 func (r *Run) witnessEvidenceFor(p *xchain.Participant, sc *contracts.PermissionlessSC, fn string) ([]byte, error) {
@@ -697,27 +698,27 @@ func (r *Run) witnessEvidenceFor(p *xchain.Participant, sc *contracts.Permission
 
 // batchEvidenceFor locates the canonical commit_batch transaction
 // whose decision set contains this AC2T's (SCw, decision) record and
-// packages SPV evidence of it plus the membership proof.
+// packages SPV evidence of it, the membership proof and its arguments.
 func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, fn string) ([]byte, error) {
 	want := contracts.WitnessRedeemAuthorized
 	if fn == contracts.FnAuthorizeRefund {
 		want = contracts.WitnessRefundAuthorized
 	}
-	var records []contracts.DecisionRecord
+	var commit *contracts.BatchCommit
 	idx := -1
 	tx, ok := r.FindCall(p, r.cfg.WitnessChain, r.cfg.BatchAddr, contracts.FnCommitBatch, func(tx *chain.Tx) bool {
 		bc, err := contracts.DecodeBatchCommit(tx.Args)
 		if err != nil {
 			return false
 		}
-		records = bc.Records
-		idx = slices.Index(records, contracts.DecisionRecord{SCw: r.scwAddr, Decision: want})
+		commit = bc
+		idx = slices.Index(bc.Records, contracts.DecisionRecord{SCw: r.scwAddr, Decision: want})
 		return idx >= 0
 	})
 	if !ok {
 		return nil, fmt.Errorf("core: no committed batch holds %s for this SCw", want)
 	}
-	proof, err := merkle.Prove(contracts.BatchLeaves(records), idx)
+	proof, err := merkle.Prove(contracts.BatchLeaves(commit.Records), idx)
 	if err != nil {
 		return nil, err
 	}
@@ -725,7 +726,7 @@ func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, 
 	if err != nil {
 		return nil, err
 	}
-	return contracts.EncodeEvidenceList(ev, proof), nil
+	return contracts.EncodeEvidenceList(ev, proof, commit), nil
 }
 
 // DecisionOpen reports that the decision window is open: SCw's address

@@ -16,7 +16,10 @@ import (
 // evidenceVector is one record of testdata/evidence_golden.json,
 // captured from the commit before the wire codec (ADR-012): evidence
 // bytes are consensus data (contracts verify them, the benchmark
-// rebuilds them byte for byte), so Encode must never change.
+// rebuilds them byte for byte), so Encode must never change. One
+// vector changed once, when evidence began to carry its transaction
+// in the id form (ADR-026): the last, whose transaction carries 200
+// bytes of arguments, now carries their digest.
 type evidenceVector struct {
 	ChainID       string   `json:"chain_id"`
 	Headers       []string `json:"headers"`

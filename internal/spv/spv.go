@@ -40,11 +40,11 @@ type Evidence struct {
 	// block at Headers[TxBlockOffset] contains it at index
 	// TxIndexInBlock.
 	TxBlockOffset int
-	// TxBytes is the full encoded transaction (the verifier decodes
-	// and inspects it — e.g. the witness contract checks an asset
-	// contract's constructor parameters). Decode sets it; Build keeps
-	// the block's transaction instead, encoded in place unless TxBytes
-	// is set.
+	// TxBytes is the transaction's id form (chain.Tx.AppendIDForm):
+	// what the verifier inspects — a deployment's parameters, a call's
+	// target and function — with a call's arguments as their digest.
+	// Decode sets it; Build keeps the block's transaction instead,
+	// encoded in place unless TxBytes is set.
 	TxBytes []byte
 	// Proof is the Merkle inclusion proof of the transaction id under
 	// the block's TxRoot.
@@ -68,10 +68,10 @@ func evErr(format string, args ...any) error {
 //
 // After a pass that reads b as strictly as Decode, the checks, in the
 // order the paper gives them: the headers follow the checkpoint
-// hash-to-hash; each header's proof of work is valid; the transaction
-// is Merkle-included in one of them; and that block is buried under at
-// least minDepth following headers. Each header is decoded onto the
-// stack, so only the transaction is allocated.
+// hash-to-hash; each header's proof of work is valid; the transaction,
+// its id recomputed from the id form, is Merkle-included in one of them;
+// and that block is buried under at least minDepth following headers.
+// Each header is decoded onto the stack: only the transaction allocates.
 func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
 	r := wire.NewReader(b)
 	id := chain.ID(r.String())
@@ -130,6 +130,9 @@ func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*c
 	tx, err := chain.DecodeTx(txBytes)
 	if err != nil {
 		return nil, evErr("tx bytes: %v", err)
+	}
+	if tx.IDFormLen() != len(txBytes) {
+		return nil, evErr("tx bytes carry the call's arguments, not the id form")
 	}
 	txID := tx.ID()
 	if leaf != merkle.LeafHash(txID[:]) || root != txRoot {
@@ -201,7 +204,7 @@ func (e *Evidence) EncodedLen() int {
 		n += wire.LenPrefix + h.EncodedLen()
 	}
 	if e.TxBytes == nil && e.tx != nil {
-		n += e.tx.EncodedLen()
+		n += e.tx.IDFormLen()
 	}
 	return n + wire.LenPrefix + wire.LenPrefix + len(e.TxBytes) + e.Proof.EncodedLen()
 }
@@ -217,7 +220,7 @@ func (e *Evidence) AppendTo(dst []byte) []byte {
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(e.TxBlockOffset))
 	if e.TxBytes == nil && e.tx != nil {
-		dst = e.tx.AppendTo(binary.BigEndian.AppendUint32(dst, uint32(e.tx.EncodedLen())))
+		dst = e.tx.AppendIDForm(binary.BigEndian.AppendUint32(dst, uint32(e.tx.IDFormLen())))
 	} else {
 		dst = wire.AppendBytes(dst, e.TxBytes)
 	}

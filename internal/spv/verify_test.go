@@ -2,16 +2,87 @@ package spv
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/crypto"
 	"repro/internal/merkle"
+	"repro/internal/sim"
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
+// sink is a contract whose every call succeeds, whatever it carries.
+type sink struct{}
+
+func (sink) Type() string                       { return "sink" }
+func (sink) Init(*vm.Ctx, []byte) error         { return nil }
+func (sink) Call(*vm.Ctx, string, []byte) error { return nil }
+func (s sink) Clone() vm.Contract               { return s }
+
+// callEvidence is evidence, 6 deep, of a call carrying 1 KB of
+// arguments, on a chain with the fixture's genesis.
+func callEvidence(t fixtureTB) (*chain.Tx, *Evidence) {
+	t.Helper()
+	rng := sim.NewRNG(42)
+	key := crypto.MustGenerateKey(crypto.NewRandReader(rng.Uint64))
+	params := chain.DefaultParams("validated")
+	params.DifficultyBits = 8
+	reg := vm.NewRegistry()
+	reg.Register("sink", func() vm.Contract { return sink{} })
+	exec, err := chain.NewExecutor(params, reg, chain.GenesisAlloc{key.Addr: 1_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fixture{view: exec.NewView(), key: key, rng: rng}
+	dep := chain.NewDeploy(key, 1, nil, nil, "sink", nil, 0)
+	call := chain.NewCall(key, 2, dep.ContractAddr(), "note", bytes.Repeat([]byte{7}, 1<<10), nil, nil, 0)
+	f.mine(dep)
+	f.mine(call)
+	for range 6 {
+		f.mine()
+	}
+	ev, err := Build(f.view, genesis(f.view).Hash(), call.ID(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return call, ev
+}
+
+// TestEvidenceCarriesIDForm: evidence of a call carries it in its id
+// form — the arguments' digest, not the arguments — and proves the
+// call's id, target and function. The same evidence carrying the call
+// whole would prove the same transaction, and is refused: evidence has
+// one form.
+func TestEvidenceCarriesIDForm(t *testing.T) {
+	call, ev := callEvidence(t)
+	checkpoint := genesis(newFixture(t, 0).view).Header // the genesis both chains share
+	dec, err := Decode(ev.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dec.TxBytes, call.AppendIDForm(nil)) || len(dec.TxBytes) != call.EncodedLen()-len(call.Args)+crypto.HashSize {
+		t.Fatalf("evidence carries %d transaction bytes, want the %d of the id form", len(dec.TxBytes), call.IDFormLen())
+	}
+	tx, err := dec.Verify(checkpoint, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx.ID() != call.ID() || tx.Contract != call.Contract || tx.Fn != call.Fn || crypto.Hash(tx.Args) != crypto.Sum(call.Args) {
+		t.Fatalf("proved %s: %s.%s, want the call %s", tx.ID(), tx.Contract, tx.Fn, call.ID())
+	}
+	dec.TxBytes = call.Encode()
+	if _, err := dec.Verify(checkpoint, 6); err == nil || !strings.Contains(err.Error(), "not the id form") {
+		t.Fatalf("evidence carrying the whole call: %v", err)
+	}
+}
+
 // oracleVerify is the verifier before Verify read evidence where it
 // lies: Decode into a header array, the chain the validator wants, then
-// the checks over that array. FuzzVerify holds Verify to it.
+// the checks over that array. FuzzVerify holds Verify to it. It
+// recomputes the id on its own, as the hash of the id form's body: the
+// transaction bytes but for the signature.
 func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
 	e, err := Decode(b)
 	if err != nil {
@@ -56,7 +127,10 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 	if err != nil {
 		return nil, evErr("tx bytes: %v", err)
 	}
-	id := tx.ID()
+	if !bytes.Equal(tx.AppendIDForm(nil), e.TxBytes) {
+		return nil, evErr("tx bytes carry the call's arguments, not the id form")
+	}
+	id := crypto.Sum(e.TxBytes[:len(e.TxBytes)-tx.Sig.EncodedLen()])
 	if e.Proof.Leaf != merkle.LeafHash(id[:]) || !e.Proof.Verify(e.Headers[e.TxBlockOffset].TxRoot) {
 		return nil, evErr("merkle proof fails for tx %s", id)
 	}
@@ -67,7 +141,9 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 // and re-encodes to themselves, and returns what the oracle returns —
 // the same error, or the same transaction. The seeds are the golden
 // vectors, and real evidence from a chain whose genesis is the
-// checkpoint with each of its bits flipped in turn.
+// checkpoint — of a transfer, and of a call whose id form digests its
+// arguments, that call also carried whole — with each of its bits
+// flipped in turn.
 func FuzzVerify(f *testing.F) {
 	fx := newFixtureAny(f, 7)
 	checkpoint := genesis(fx.view).Header
@@ -78,15 +154,22 @@ func FuzzVerify(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc := ev.Encode()
-	for _, d := range []uint8{0, 6, 7, 8} {
-		f.Add(enc, d)
+	call, callEv := callEvidence(f)
+	if callEv.Headers[0].Parent != checkpoint.Hash() {
+		f.Fatal("the call's chain has another genesis")
 	}
-	for i := range enc { // every one-bit corruption, so plain go test reaches every check
-		bad := bytes.Clone(enc)
-		bad[i] ^= 1
-		f.Add(bad, uint8(6))
+	for _, enc := range [][]byte{ev.Encode(), callEv.Encode()} {
+		for _, d := range []uint8{0, 6, 7, 8} {
+			f.Add(enc, d)
+		}
+		for i := range enc { // every one-bit corruption, so plain go test reaches every check
+			bad := bytes.Clone(enc)
+			bad[i] ^= 1
+			f.Add(bad, uint8(6))
+		}
 	}
+	callEv.TxBytes = call.Encode()
+	f.Add(callEv.Encode(), uint8(6))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, b []byte, minDepth uint8) {
 		claimed := wire.NewReader(b) // wanting the chain b claims reaches the checkpoint's check
