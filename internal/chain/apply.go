@@ -151,7 +151,7 @@ func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 	if len(tx.Ins) == 0 || len(tx.Outs) == 0 {
 		return txErr("transfer needs inputs and outputs")
 	}
-	if tx.Value != 0 || tx.ContractType != "" || tx.Fn != "" {
+	if tx.Value != 0 || tx.ContractType != "" || len(tx.Params) != 0 || !tx.Contract.IsZero() || tx.Fn != "" || len(tx.Args) != 0 {
 		return txErr("transfer carries contract fields")
 	}
 	in, err := checkInputs(st, tx, sigs)
@@ -172,6 +172,9 @@ func applyTransfer(st *State, tx *Tx, sigs *crypto.SigTally) error {
 func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
 	if tx.ContractType == "" {
 		return txErr("deploy without contract type")
+	}
+	if !tx.Contract.IsZero() || tx.Fn != "" || len(tx.Args) != 0 {
+		return txErr("deploy carries call fields")
 	}
 	if len(tx.Sig.Sig) == 0 {
 		return txErr("unsigned deploy")
@@ -216,6 +219,9 @@ func applyDeploy(st *State, reg *vm.Registry, chainID ID, blockTime int64, tx *T
 func applyCall(st *State, chainID ID, blockTime int64, tx *Tx, sigs *crypto.SigTally, ctx *vm.Ctx) error {
 	if tx.Fn == "" {
 		return txErr("call without function name")
+	}
+	if tx.ContractType != "" || len(tx.Params) != 0 {
+		return txErr("call carries deploy fields")
 	}
 	if len(tx.Sig.Sig) == 0 {
 		return txErr("unsigned call")

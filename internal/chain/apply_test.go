@@ -289,3 +289,63 @@ func TestIDFormNeverApplied(t *testing.T) {
 		t.Fatalf("a block carrying an id form was adopted: %v", err)
 	}
 }
+
+// TestApplyTxRefusesFieldsItsKindNeverReads: each kind of transaction
+// is refused when it carries a field only another kind reads — bytes
+// that a block would carry and its id commit to, for nothing. Per kind, the
+// genuine transaction applies, and each row sets one foreign field on
+// it, signed afresh.
+func TestApplyTxRefusesFieldsItsKindNeverReads(t *testing.T) {
+	e := newEnv(t, "alice", "bob")
+	alice, bob := e.keys["alice"], e.keys["bob"]
+	bare := NewDeploy(alice, 1, nil, nil, "vault", vaultParams{Recipient: bob.Addr, Key: 7}.Encode(), 0)
+	e.mine(bare)
+	op, o := e.utxoOf("alice", 10_000)
+	junk := bytes.Repeat([]byte{0xAB}, 4<<10)
+	// signed builds a transaction afresh on each call, edit setting a
+	// foreign field before it is signed.
+	signed := func(tx *Tx) func(edit func(*Tx)) *Tx {
+		return func(edit func(*Tx)) *Tx {
+			s := &signedTx{tx: Tx{Kind: tx.Kind, Nonce: tx.Nonce, Ins: tx.Ins, Outs: tx.Outs, ContractType: tx.ContractType, Params: tx.Params, Contract: tx.Contract, Fn: tx.Fn, Args: tx.Args}}
+			edit(&s.tx)
+			return s.sign(alice)
+		}
+	}
+	for _, kind := range []struct {
+		name, err string
+		build     func(edit func(*Tx)) *Tx
+		rows      map[string]func(*Tx)
+	}{
+		{"transfer", "transfer carries contract fields", signed(&Tx{Kind: TxTransfer, Nonce: 2, Ins: []TxIn{{Prev: op}}, Outs: []TxOut{{Value: o.Value, Owner: bob.Addr}}}),
+			map[string]func(*Tx){
+				"4 KiB of params": func(tx *Tx) { tx.Params = junk },
+				"4 KiB of args":   func(tx *Tx) { tx.Args = junk },
+				"a contract":      func(tx *Tx) { tx.Contract = bare.ContractAddr() },
+				"a contract type": func(tx *Tx) { tx.ContractType = "vault" },
+				"a function":      func(tx *Tx) { tx.Fn = "open" },
+			}},
+		{"deploy", "deploy carries call fields", signed(&Tx{Kind: TxDeploy, Nonce: 3, ContractType: "vault", Params: vaultParams{Recipient: bob.Addr, Key: 8}.Encode()}),
+			map[string]func(*Tx){
+				"a function":    func(tx *Tx) { tx.Fn = "open" },
+				"4 KiB of args": func(tx *Tx) { tx.Args = junk },
+				"a contract":    func(tx *Tx) { tx.Contract = bare.ContractAddr() },
+			}},
+		{"call", "call carries deploy fields", signed(&Tx{Kind: TxCall, Nonce: 4, Contract: bare.ContractAddr(), Fn: "open", Args: []byte{7}}),
+			map[string]func(*Tx){
+				"a contract type": func(tx *Tx) { tx.ContractType = "vault" },
+				"4 KiB of params": func(tx *Tx) { tx.Params = junk },
+			}},
+	} {
+		apply := func(tx *Tx) error {
+			return ApplyTx(e.chain.TipState().Child(), e.chain.Registry(), e.chain.Params().ID, e.chain.Height()+1, int64(e.now), tx)
+		}
+		if err := apply(kind.build(func(*Tx) {})); err != nil {
+			t.Fatalf("the genuine %s: %v", kind.name, err)
+		}
+		for name, edit := range kind.rows {
+			if err := apply(kind.build(edit)); !errors.Is(err, ErrTxInvalid) || !strings.Contains(err.Error(), kind.err) {
+				t.Errorf("a %s carrying %s: %v, want an error containing %q", kind.name, name, err, kind.err)
+			}
+		}
+	}
+}

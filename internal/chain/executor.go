@@ -48,7 +48,7 @@ type Executor struct {
 
 	genesis *Block
 	blocks  map[crypto.Hash]*record       // valid blocks, any fork
-	invalid map[crypto.Hash]error         // cached permanent rejections
+	invalid map[*Block]error              // cached rejections, by block object
 	txIndex map[crypto.Hash][]crypto.Hash // txid -> blocks containing it
 
 	// opIndex maps a contract address to the blocks whose transactions
@@ -181,7 +181,7 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 		reg:      reg,
 		genesis:  genesis,
 		blocks:   make(map[crypto.Hash]*record),
-		invalid:  make(map[crypto.Hash]error),
+		invalid:  make(map[*Block]error),
 		txIndex:  make(map[crypto.Hash][]crypto.Hash),
 		opIndex:  make(map[crypto.Address][]opRef),
 		byHeight: make(map[uint64][]crypto.Hash),
@@ -294,10 +294,13 @@ func (e *Executor) stateFor(end *record) (*State, bool) {
 }
 
 // memo answers for a block the network has judged before, counting the
-// hit: its record when it was admitted, the cached rejection when it was
-// not. Both are nil for a block seen for the first time.
-func (e *Executor) memo(h crypto.Hash) (*record, error) {
-	r, err := e.blocks[h], e.invalid[h]
+// hit: the record of its hash h when it was admitted, the cached
+// rejection of this very object when it was not. A rejection is not the
+// hash's: a copy whose transaction carries another signature, or its id
+// form, hashes alike, and its refusal must not refuse the honest block.
+// Both are nil for a block seen for the first time.
+func (e *Executor) memo(h crypto.Hash, b *Block) (*record, error) {
+	r, err := e.blocks[h], e.invalid[b]
 	if r != nil || err != nil {
 		e.stats.Hits++
 	}
@@ -307,12 +310,13 @@ func (e *Executor) memo(h crypto.Hash) (*record, error) {
 // Execute validates b against its parent and memoizes the outcome.
 // The first call per block hash runs the full state transition
 // (structural header checks + ApplyBlock); every later call — from any
-// view — returns the cached child state or the cached rejection.
+// view — returns the cached child state, or the cached rejection when
+// it offers the very block object refused.
 // An unknown parent is the one non-cacheable error: the parent may
 // simply not have arrived yet.
 func (e *Executor) Execute(b *Block) (*State, error) {
 	h := b.Hash()
-	if r, err := e.memo(h); err != nil {
+	if r, err := e.memo(h, b); err != nil {
 		return nil, err
 	} else if r != nil {
 		// The verdict is memoized even when the state was pruned and
@@ -329,7 +333,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 		return nil, blockErr("unknown parent %s", b.Header.Parent)
 	}
 	if err := checkLinkage(b, parent.block); err != nil {
-		e.invalid[h] = err
+		e.invalid[b] = err
 		return nil, err
 	}
 	ps, ok := e.stateFor(parent)
@@ -339,7 +343,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 	st, err := applyBlock(ps, e.reg, e.params, b, &e.stats.Sigs, &e.ctx)
 	e.stats.Executed++
 	if err != nil {
-		e.invalid[h] = err
+		e.invalid[b] = err
 		return nil, err
 	}
 	e.admit(h, b, st)
@@ -355,7 +359,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 // nonce; the transaction set is fixed).
 func (e *Executor) CommitBuilt(b *Block, built *State) error {
 	h := b.Hash()
-	if r, err := e.memo(h); r != nil || err != nil {
+	if r, err := e.memo(h, b); r != nil || err != nil {
 		// Judged before; an admitted block's state is not needed back.
 		return err
 	}

@@ -352,3 +352,56 @@ func BenchmarkBlockPropagation(b *testing.B) {
 		}
 	})
 }
+
+// TestRejectedCopyDoesNotPoisonItsBlock: a block's hash covers its
+// transactions' ids, and an id covers neither the signature nor whether
+// the arguments travel whole. A relayed copy of an honest block carrying
+// a transaction with another signature, or in its id form, hashes alike
+// and is refused — and the honest block, offered next to the same view,
+// is still adopted: the refusal is the copy's, not the hash's.
+func TestRejectedCopyDoesNotPoisonItsBlock(t *testing.T) {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(97).Uint64))
+	reg := vm.NewRegistry()
+	reg.Register("probe", func() vm.Contract { return &probe{} })
+	for _, row := range []struct {
+		name, err string
+		copyOf    func(call *Tx) []byte
+	}{
+		{"a swapped signature", "bad signature", func(call *Tx) []byte {
+			enc := call.Encode()
+			enc[len(enc)-1] ^= 1
+			return enc
+		}},
+		{"the id form", "id form", func(call *Tx) []byte { return call.AppendIDForm(nil) }},
+	} {
+		var execs [2]*Executor
+		for i := range execs {
+			exec, err := NewExecutor(pruneParams(0, 0), reg, GenesisAlloc{key.Addr: 10_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			execs[i] = exec
+		}
+		v, relayed := execs[0].NewView(), execs[1].NewView()
+		dep := NewDeploy(key, 1, nil, nil, "probe", nil, 0)
+		call := NewCall(key, 2, dep.ContractAddr(), "look", make([]byte, 100), nil, nil, 0)
+		if _, err := relayed.AddBlock(mineOn(t, v, key.Addr, 10, dep)); err != nil {
+			t.Fatal(err)
+		}
+		honest := mineOn(t, v, key.Addr, 20, call)
+		tx, err := DecodeTx(row.copyOf(call))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := NewBlock(*honest.Header, []*Tx{honest.Txs[0], tx})
+		if forged.Hash() != honest.Hash() {
+			t.Fatalf("%s: the copy hashes differently", row.name)
+		}
+		if _, err := relayed.AddBlock(forged); err == nil || !strings.Contains(err.Error(), row.err) {
+			t.Fatalf("%s: the copy was not refused for %q: %v", row.name, row.err, err)
+		}
+		if _, err := relayed.AddBlock(honest); err != nil || relayed.Tip().Hash() != honest.Hash() {
+			t.Errorf("%s: the honest block, offered after its refused copy: %v", row.name, err)
+		}
+	}
+}

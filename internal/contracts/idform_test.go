@@ -80,7 +80,7 @@ func TestRedeemRejectsMutatedIDFormEvidence(t *testing.T) {
 		{"arguments carried whole", "not the id form", mutate(func(e *spv.Evidence) { e.TxBytes = authTx.Encode() })},
 		{"another AC2T's authorize_redeem", "not authorize_redeem on the agreed SCw", w.evidenceFor("witness", otherAuth.ID(), f.witnessDepth)},
 		{"header chain from a sibling fork", "merkle proof fails", mutate(func(e *spv.Evidence) { e.Headers = siblings })},
-		{"a sibling fork's headers past the call's block", "does not link", mutate(func(e *spv.Evidence) {
+		{"a sibling fork's headers past the call's block", "fails proof of work", mutate(func(e *spv.Evidence) {
 			copy(e.Headers[e.TxBlockOffset+1:], siblings[e.TxBlockOffset+1:])
 		})},
 		{"burial shallower than d", "buried 1 deep, need 2", mutate(func(e *spv.Evidence) { e.Headers = e.Headers[:e.TxBlockOffset+f.witnessDepth] })},

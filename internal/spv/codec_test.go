@@ -19,7 +19,12 @@ import (
 // rebuilds them byte for byte), so Encode must never change. One
 // vector changed once, when evidence began to carry its transaction
 // in the id form (ADR-026): the last, whose transaction carries 200
-// bytes of arguments, now carries their digest.
+// bytes of arguments, now carries their digest. Every vector of two or
+// more headers changed when headers after the first began to travel as
+// links (ADR-027): their headers were re-linked, each onto the hash,
+// height, chain id and difficulty of the one before it, keeping its
+// own time, tx root and nonce. The vectors of at most one header kept
+// their bytes.
 type evidenceVector struct {
 	ChainID       string   `json:"chain_id"`
 	Headers       []string `json:"headers"`
@@ -159,7 +164,7 @@ func TestDecodeStrictness(t *testing.T) {
 		t.Fatalf("header count at offset %d is %d", headerCountAt, got)
 	}
 	rest := len(enc) - headerCountAt - 4
-	for _, n := range []int{rest/minHeaderLen + 1, rest, 1 << 31} {
+	for _, n := range []int{rest/linkLen + 1, rest, 1 << 31} {
 		bad := bytes.Clone(enc)
 		binary.BigEndian.PutUint32(bad[headerCountAt:], uint32(n))
 		if _, err := Decode(bad); err == nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/crypto"
 	"repro/internal/merkle"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -34,7 +35,10 @@ type Evidence struct {
 	// Headers is the canonical header chain starting at the child of
 	// the checkpoint and ending at the validated chain's tip, oldest
 	// first. It must connect hash-to-hash and each header must meet
-	// its proof-of-work target.
+	// its proof-of-work target. Only the first travels whole (ADR-027):
+	// every later header is its link — time, tx root, nonce — and the
+	// header before it implies the rest, so a list that does not
+	// connect has no wire form.
 	Headers []*chain.Header
 	// TxIndexInBlock and TxBlockOffset locate the transaction: the
 	// block at Headers[TxBlockOffset] contains it at index
@@ -68,19 +72,20 @@ func evErr(format string, args ...any) error {
 //
 // After a pass that reads b as strictly as Decode, the checks, in the
 // order the paper gives them: the headers follow the checkpoint
-// hash-to-hash; each header's proof of work is valid; the transaction,
-// its id recomputed from the id form, is Merkle-included in one of them;
-// and that block is buried under at least minDepth following headers.
+// hash-to-hash at its difficulty (a later header is rebuilt from its link
+// onto the hash of the one before it, so only the first can fail to);
+// each header's proof of work is valid; the transaction, its id
+// recomputed from the id form, is Merkle-included in one of them; and
+// that block is buried under at least minDepth following headers.
 // Each header is decoded onto the stack: only the transaction allocates.
 func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
 	r := wire.NewReader(b)
 	id := chain.ID(r.String())
-	n := r.Count(minHeaderLen)
+	n := r.Count(linkLen)
 	headers := r // the second pass starts here
+	var h chain.Header
 	for i := 0; i < n; i++ {
-		if _, err := nextHeader(&r); err != nil {
-			r.Failf("header %d: %v", i, err)
-		}
+		readHeader(&r, &h, i, crypto.Hash{})
 	}
 	offset := int(r.U32())
 	txBytes := r.Bytes()
@@ -98,20 +103,22 @@ func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*c
 		return nil, evErr("no headers")
 	}
 	prevHash := checkpoint.Hash()
-	prevHeight := checkpoint.Height
 	var txRoot crypto.Hash
 	for i := 0; i < n; i++ {
-		h, _ := nextHeader(&headers)
-		if h.ChainID != id {
-			return nil, evErr("header %d from chain %q", i, h.ChainID)
+		readHeader(&headers, &h, i, prevHash)
+		if i == 0 {
+			switch {
+			case h.ChainID != id:
+				return nil, evErr("header 0 from chain %q", h.ChainID)
+			case h.Parent != prevHash:
+				return nil, evErr("header 0 does not link to the checkpoint")
+			case h.Height != checkpoint.Height+1:
+				return nil, evErr("header 0 height %d, want %d", h.Height, checkpoint.Height+1)
+			case h.Bits != checkpoint.Bits: // a chain's difficulty is fixed: the links inherit it
+				return nil, evErr("header 0 difficulty %d, want the checkpoint's %d", h.Bits, checkpoint.Bits)
+			}
 		}
-		if h.Parent != prevHash {
-			return nil, evErr("header %d does not link to its parent", i)
-		}
-		if h.Height != prevHeight+1 {
-			return nil, evErr("header %d height %d, want %d", i, h.Height, prevHeight+1)
-		}
-		hash := h.Hash() // once: the PoW digest is also the next link
+		hash := h.Hash() // once: the PoW digest is also the next link's parent
 		if !chain.MeetsTarget(hash, h.Bits) {
 			return nil, evErr("header %d fails proof of work", i)
 		}
@@ -119,7 +126,6 @@ func Verify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*c
 			txRoot = h.TxRoot
 		}
 		prevHash = hash
-		prevHeight = h.Height
 	}
 	if offset >= n {
 		return nil, evErr("tx block offset %d out of range", offset)
@@ -149,11 +155,23 @@ func (e *Evidence) Verify(checkpoint *chain.Header, minDepth int) (*chain.Tx, er
 	return Verify(e.Encode(), e.ChainID, checkpoint, minDepth)
 }
 
-// nextHeader decodes the length-prefixed header r is at.
-func nextHeader(r *wire.Reader) (h chain.Header, err error) {
-	hr := wire.NewReader(r.Bytes())
-	h.DecodeFrom(&hr)
-	return h, hr.Finish()
+// readHeader reads header i of an evidence chain into h, which holds
+// header i-1: header 0 whole behind its length, a later one as its link,
+// completed by the fields header i-1 implies and its hash, parent.
+func readHeader(r *wire.Reader, h *chain.Header, i int, parent crypto.Hash) {
+	if i == 0 {
+		hr := wire.NewReader(r.Bytes())
+		h.DecodeFrom(&hr)
+		if err := hr.Finish(); err != nil {
+			r.Failf("header 0: %v", err)
+		}
+		return
+	}
+	h.Parent = parent
+	h.Height++
+	h.Time = sim.Time(r.U64())
+	r.Fill(h.TxRoot[:])
+	h.Nonce = r.U64()
 }
 
 // Build assembles evidence for txID from a node's chain view, anchored
@@ -196,12 +214,13 @@ func Build(view *chain.Chain, checkpointHash crypto.Hash, txID crypto.Hash, minD
 }
 
 // EncodedLen is the size of the evidence's wire form: chain id, u32
-// header count, each header behind its u32 length, u32 block offset,
-// the transaction bytes behind their u32 length, then the merkle proof.
+// header count, the first header behind its u32 length and every later
+// one as its link, u32 block offset, the transaction bytes behind their
+// u32 length, then the merkle proof.
 func (e *Evidence) EncodedLen() int {
 	n := wire.LenPrefix + len(e.ChainID) + wire.LenPrefix
-	for _, h := range e.Headers {
-		n += wire.LenPrefix + h.EncodedLen()
+	if len(e.Headers) > 0 {
+		n += wire.LenPrefix + e.Headers[0].EncodedLen() + (len(e.Headers)-1)*linkLen
 	}
 	if e.TxBytes == nil && e.tx != nil {
 		n += e.tx.IDFormLen()
@@ -214,9 +233,14 @@ func (e *Evidence) EncodedLen() int {
 func (e *Evidence) AppendTo(dst []byte) []byte {
 	dst = wire.AppendString(dst, string(e.ChainID))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Headers)))
-	for _, h := range e.Headers {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(h.EncodedLen()))
-		dst = h.AppendTo(dst)
+	for i, h := range e.Headers {
+		if i == 0 {
+			dst = h.AppendTo(binary.BigEndian.AppendUint32(dst, uint32(h.EncodedLen())))
+			continue
+		}
+		dst = binary.BigEndian.AppendUint64(dst, uint64(h.Time))
+		dst = append(dst, h.TxRoot[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, h.Nonce)
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(e.TxBlockOffset))
 	if e.TxBytes == nil && e.tx != nil {
@@ -232,25 +256,29 @@ func (e *Evidence) AppendTo(dst []byte) []byte {
 // bytes, mirroring calldata.
 func (e *Evidence) Encode() []byte { return e.AppendTo(make([]byte, 0, e.EncodedLen())) }
 
-// minHeaderLen is the least one carried header occupies: its length
-// prefix and a header with an empty chain id.
-const minHeaderLen = wire.LenPrefix + chain.HeaderFixedLen
+// linkLen is the size of a header after the first on the wire: the
+// fields the header before it does not imply, its time, tx root and
+// nonce. Chain id, difficulty and height are the previous header's, and
+// the parent is its hash.
+const linkLen = 8 + crypto.HashSize + 8
 
 // Decode reverses Encode. The evidence aliases b (package wire): the
 // transaction bytes and the chain ids are views into it. The headers
-// land in one backing array.
+// land in one backing array, each link completed by hashing the header
+// before it.
 func Decode(b []byte) (*Evidence, error) {
 	r := wire.NewReader(b)
 	e := &Evidence{ChainID: chain.ID(r.String())}
-	if n := r.Count(minHeaderLen); n > 0 {
+	if n := r.Count(linkLen); n > 0 {
 		headers := make([]chain.Header, n)
 		e.Headers = make([]*chain.Header, n)
 		for i := range headers {
-			hr := wire.NewReader(r.Bytes())
-			headers[i].DecodeFrom(&hr)
-			if err := hr.Finish(); err != nil {
-				r.Failf("header %d: %v", i, err)
+			var parent crypto.Hash
+			if i > 0 {
+				headers[i] = headers[i-1]
+				parent = headers[i-1].Hash()
 			}
+			readHeader(&r, &headers[i], i, parent)
 			e.Headers[i] = &headers[i]
 		}
 	}

@@ -2,6 +2,9 @@ package spv
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -79,10 +82,15 @@ func TestEvidenceCarriesIDForm(t *testing.T) {
 }
 
 // oracleVerify is the verifier before Verify read evidence where it
-// lies: Decode into a header array, the chain the validator wants, then
-// the checks over that array. FuzzVerify holds Verify to it. It
-// recomputes the id on its own, as the hash of the id form's body: the
-// transaction bytes but for the signature.
+// lies and before headers travelled as links: it expands the links
+// itself — each header after the first is the one before it with the
+// parent set to that one's hash, the height one higher, and the time,
+// tx root and nonce read from the link's fixed place in b — then runs
+// the checks over that header list, every header checked against its
+// parent and the checkpoint's difficulty. Decode must expand the links
+// to the same headers. FuzzVerify holds Verify to it. It recomputes the
+// id on its own, as the hash of the id form's body: the transaction
+// bytes but for the signature.
 func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth int) (*chain.Tx, error) {
 	e, err := Decode(b)
 	if err != nil {
@@ -97,17 +105,35 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 	if len(e.Headers) == 0 {
 		return nil, evErr("no headers")
 	}
+	headers := []chain.Header{*e.Headers[0]}
+	links := b[4+len(e.ChainID)+4+4+e.Headers[0].EncodedLen():]
+	for i := 1; i < len(e.Headers); i++ {
+		h := headers[i-1]
+		h.Parent = crypto.Sum(headers[i-1].Encode())
+		h.Height++
+		link := links[(i-1)*48 : i*48]
+		h.Time = sim.Time(binary.BigEndian.Uint64(link))
+		h.TxRoot = crypto.Hash(link[8:40])
+		h.Nonce = binary.BigEndian.Uint64(link[40:])
+		if h != *e.Headers[i] {
+			return nil, fmt.Errorf("oracle: Decode expanded header %d as %+v, want %+v", i, *e.Headers[i], h)
+		}
+		headers = append(headers, h)
+	}
 	prevHash := checkpoint.Hash()
 	prevHeight := checkpoint.Height
-	for i, h := range e.Headers {
+	for i, h := range headers {
 		if h.ChainID != e.ChainID {
 			return nil, evErr("header %d from chain %q", i, h.ChainID)
 		}
 		if h.Parent != prevHash {
-			return nil, evErr("header %d does not link to its parent", i)
+			return nil, evErr("header %d does not link to the checkpoint", i)
 		}
 		if h.Height != prevHeight+1 {
 			return nil, evErr("header %d height %d, want %d", i, h.Height, prevHeight+1)
+		}
+		if h.Bits != checkpoint.Bits {
+			return nil, evErr("header %d difficulty %d, want the checkpoint's %d", i, h.Bits, checkpoint.Bits)
 		}
 		hash := h.Hash()
 		if !chain.MeetsTarget(hash, h.Bits) {
@@ -116,10 +142,10 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 		prevHash = hash
 		prevHeight = h.Height
 	}
-	if e.TxBlockOffset < 0 || e.TxBlockOffset >= len(e.Headers) {
+	if e.TxBlockOffset < 0 || e.TxBlockOffset >= len(headers) {
 		return nil, evErr("tx block offset %d out of range", e.TxBlockOffset)
 	}
-	depth := len(e.Headers) - 1 - e.TxBlockOffset
+	depth := len(headers) - 1 - e.TxBlockOffset
 	if depth < minDepth {
 		return nil, evErr("tx buried %d deep, need %d", depth, minDepth)
 	}
@@ -131,7 +157,7 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 		return nil, evErr("tx bytes carry the call's arguments, not the id form")
 	}
 	id := crypto.Sum(e.TxBytes[:len(e.TxBytes)-tx.Sig.EncodedLen()])
-	if e.Proof.Leaf != merkle.LeafHash(id[:]) || !e.Proof.Verify(e.Headers[e.TxBlockOffset].TxRoot) {
+	if e.Proof.Leaf != merkle.LeafHash(id[:]) || !e.Proof.Verify(headers[e.TxBlockOffset].TxRoot) {
 		return nil, evErr("merkle proof fails for tx %s", id)
 	}
 	return tx, nil
@@ -141,11 +167,13 @@ func oracleVerify(b []byte, want chain.ID, checkpoint *chain.Header, minDepth in
 // and re-encodes to themselves, and returns what the oracle returns —
 // the same error, or the same transaction. The seeds are the golden
 // vectors, and real evidence from a chain whose genesis is the
-// checkpoint — of a transfer, and of a call whose id form digests its
-// arguments, that call also carried whole — with each of its bits
-// flipped in turn.
+// checkpoint — of a transfer, 38 headers long like evidence from a
+// checkpoint core.DefaultStableDepth back, and of a call whose id form
+// digests its arguments, that call also carried whole — with the low
+// bit of each byte flipped in turn, so every link is corrupted in every
+// field.
 func FuzzVerify(f *testing.F) {
-	fx := newFixtureAny(f, 7)
+	fx := newFixtureAny(f, 37)
 	checkpoint := genesis(fx.view).Header
 	for _, v := range goldenEvidence(f) {
 		f.Add(unhex(f, v.Encode), uint8(0))
@@ -189,4 +217,86 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestZeroDifficultyForgeryRejected: a header's own difficulty cannot
+// lower the bar its proof of work meets. Seven headers of difficulty 0
+// on the fixture's genesis, the first committing to a call that was
+// never mined, prove that call 6 deep unless the first header must carry
+// the checkpoint's difficulty, which the links then inherit — and such
+// evidence would let anyone forge SCw's authorize_redeem.
+func TestZeroDifficultyForgeryRejected(t *testing.T) {
+	f := newFixture(t, 0)
+	cp := genesis(f.view).Header
+	call := chain.NewCall(f.key, 7, crypto.Address{1}, "authorize_redeem", nil, nil, nil, 0)
+	forged := chain.NewBlock(chain.Header{ChainID: cp.ChainID, Parent: cp.Hash(), Height: 1, Time: 10 * sim.Second}, []*chain.Tx{call})
+	proof, err := forged.ProveTx(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &Evidence{ChainID: cp.ChainID, Headers: []*chain.Header{forged.Header}, Proof: proof, TxBytes: call.AppendIDForm(nil)}
+	for len(ev.Headers) < 7 {
+		prev := ev.Headers[len(ev.Headers)-1]
+		ev.Headers = append(ev.Headers, &chain.Header{ChainID: cp.ChainID, Parent: prev.Hash(), Height: prev.Height + 1, Time: prev.Time + 10*sim.Second})
+	}
+	_, err = ev.Verify(cp, 6)
+	if want := "header 0 difficulty 0, want the checkpoint's 8"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("zero-difficulty headers proving an unmined call: %v, want an error naming %q", err, want)
+	}
+}
+
+// TestVerifyRejectsMutatedHeaderChain mutates genuine evidence where it
+// lies, in its links, and each row must be refused for the reason it
+// names: a link can only be rebuilt onto the header before it, so one
+// spliced in from a sibling fork, dropped or inserted fails its proof of
+// work at its index.
+func TestVerifyRejectsMutatedHeaderChain(t *testing.T) {
+	f := newFixture(t, 8)
+	cp := genesis(f.view)
+	ev, err := Build(f.view, cp.Hash(), f.tx.ID(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := ev.Encode()
+	if _, err := Verify(genuine, ev.ChainID, cp.Header, 6); err != nil {
+		t.Fatal(err)
+	}
+	// A sibling fork of the same height, mined on another view.
+	fork := f.view.Executor().NewView()
+	for fork.Height() < f.view.Height() {
+		b, _, _ := fork.BuildBlock(f.key.Addr, sim.Time(fork.Height()+1)*7*sim.Second, nil)
+		b.Header.Seal(f.rng.Uint64())
+		if _, err := fork.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	siblings, _ := fork.HeadersFrom(cp.Hash())
+	sibling := (&Evidence{ChainID: ev.ChainID, Headers: siblings, Proof: ev.Proof}).Encode()
+
+	countAt := 4 + len(ev.ChainID)
+	linkAt := func(i int) int { return countAt + 4 + 4 + ev.Headers[0].EncodedLen() + (i-1)*linkLen }
+	edit := func(count int, from, to int, with []byte) []byte {
+		b := append(append(bytes.Clone(genuine[:from]), with...), genuine[to:]...)
+		binary.BigEndian.PutUint32(b[countAt:], uint32(len(ev.Headers)+count))
+		return b
+	}
+	const k = 3
+	for _, row := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"a sibling fork's link spliced in", "header 3 fails proof of work", edit(0, linkAt(k), linkAt(k+1), sibling[linkAt(k):linkAt(k+1)])},
+		{"a link dropped", "header 3 fails proof of work", edit(-1, linkAt(k), linkAt(k+1), nil)},
+		{"a link inserted", "header 4 fails proof of work", edit(+1, linkAt(k+1), linkAt(k+1), genuine[linkAt(k):linkAt(k+1)])},
+		{"a difficulty other than the checkpoint's", "header 0 difficulty 7, want the checkpoint's 8", edit(0, linkAt(1)-9, linkAt(1)-8, []byte{7})},
+		{"a link cut short", "truncated", edit(0, linkAt(len(ev.Headers))-20, linkAt(len(ev.Headers)), nil)},
+	} {
+		_, err := Verify(row.b, ev.ChainID, cp.Header, 6)
+		if !errors.Is(err, ErrBadEvidence) || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: %v, want an error naming %q", row.name, err, row.want)
+		}
+		if _, oerr := oracleVerify(row.b, ev.ChainID, cp.Header, 6); fmt.Sprint(oerr) != fmt.Sprint(err) {
+			t.Errorf("%s: the oracle says %v", row.name, oerr)
+		}
+	}
 }
