@@ -9,9 +9,9 @@
 //	ac3sim [-protocol ac3wn|ac3tw|htlc] [-parties N] [-seed N]
 //	       [-crash] [-recover]
 //
-// -crash takes down the protocol's critical failure point the moment
-// the commit decision is being pushed (the Section 1 hazard): the last
-// participant for ac3wn and htlc, the trusted witness for ac3tw.
+// -crash takes down the protocol's critical failure point as it pushes
+// the commit (the Section 1 hazard): the last participant for ac3wn and
+// htlc, the trusted witness for ac3tw.
 // -recover, which needs -crash, brings it back after three virtual
 // hours. Watch the HTLC baseline lose assets, AC3TW block until its
 // witness returns, and AC3WN recover.

@@ -176,7 +176,9 @@ func (c *Chain) AddBlock(b *Block) (reorged bool, err error) {
 	if _, err := c.exec.Execute(b); err != nil {
 		return false, err
 	}
-	return c.adopt(b), nil
+	// The executor's admitted block, not b: a copy that hashes alike but
+	// carries other bytes (a tampered signature) is not what was run.
+	return c.adopt(c.exec.block(h)), nil
 }
 
 // AddMinedBlock adopts a block this node built itself, seeding the

@@ -405,3 +405,41 @@ func TestRejectedCopyDoesNotPoisonItsBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestViewAdoptsTheAdmittedBlock: once the honest block is admitted
+// through one view, a copy with a tampered signature offered to
+// another view of the same executor hashes alike and hits the cache —
+// and that view's tip must be the honest object the executor ran, not
+// the copy it was handed.
+func TestViewAdoptsTheAdmittedBlock(t *testing.T) {
+	key := crypto.MustGenerateKey(crypto.NewRandReader(sim.NewRNG(97).Uint64))
+	reg := vm.NewRegistry()
+	reg.Register("probe", func() vm.Contract { return &probe{} })
+	exec, err := NewExecutor(pruneParams(0, 0), reg, GenesisAlloc{key.Addr: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, relayed := exec.NewView(), exec.NewView()
+	dep := NewDeploy(key, 1, nil, nil, "probe", nil, 0)
+	call := NewCall(key, 2, dep.ContractAddr(), "look", nil, nil, nil, 0)
+	if _, err := relayed.AddBlock(mineOn(t, v, key.Addr, 10, dep)); err != nil {
+		t.Fatal(err)
+	}
+	honest := mineOn(t, v, key.Addr, 20, call)
+	enc := call.Encode()
+	enc[len(enc)-1] ^= 1
+	tx, err := DecodeTx(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := NewBlock(*honest.Header, []*Tx{honest.Txs[0], tx})
+	if forged.Hash() != honest.Hash() || tx.VerifySig() {
+		t.Fatal("the copy must hash alike and carry a bad signature")
+	}
+	if _, err := relayed.AddBlock(forged); err != nil {
+		t.Fatalf("a copy of an admitted block: %v", err)
+	}
+	if relayed.Tip() != honest {
+		t.Fatal("the view adopted the copy it was handed, not the block the executor admitted")
+	}
+}

@@ -40,13 +40,10 @@ type TWRun struct {
 	ms   *crypto.MultiSig
 	msID crypto.Hash
 
-	registered bool
-	// redeemRequested: the initiator asked Trent for the redeem
-	// signature at least once.
-	redeemRequested bool
-	abortDue        bool
-	decision        crypto.Purpose
-	decisionSig     crypto.Signature
+	registered  bool
+	abortDue    bool
+	decision    crypto.Purpose
+	decisionSig crypto.Signature
 }
 
 // twRegistered tells the other participants ms(D) is on file at
@@ -100,9 +97,6 @@ func (r *TWRun) Start() {
 // DecisionOpen reports that ms(D) is on file at Trent: from here on he
 // can be asked to decide.
 func (r *TWRun) DecisionOpen() bool { return r.registered }
-
-// CommitPushed reports that the redeem signature was requested.
-func (r *TWRun) CommitPushed() bool { return r.redeemRequested }
 
 // Crash takes Trent offline — AC3TW's single point of failure. It
 // tolerates participant crashes the way AC3WN does; under denial of
@@ -186,11 +180,12 @@ func (r *TWRun) register() {
 	})
 }
 
-// requestRedeem asks Trent for the redemption signature.
+// requestRedeem asks Trent for the redemption signature: the commit's
+// push, where an armed crash fires.
 func (r *TWRun) requestRedeem() {
-	r.redeemRequested = true
 	r.Mark(protocol.PointDecisionTriggered)
 	r.Event(-1, "redeem signature requested from Trent")
+	r.FireCrash()
 	r.cfg.Trent.RequestRedeem(r.msID, r.Addrs(), func(sig crypto.Signature, p crypto.Purpose, err error) {
 		if r.Stopped() {
 			return

@@ -133,8 +133,6 @@ type Run struct {
 
 	states   []pstate // by participant index (Runtime.Index)
 	abortDue bool
-	// commitPushed: some participant submitted authorize_redeem.
-	commitPushed bool
 
 	// Phase boundaries for Figure 9: SCw confirmed, all asset
 	// contracts confirmed, decision buried d deep. (All redeemed or
@@ -548,12 +546,13 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 	r.noteCommitPushed(p, st)
 }
 
-// noteCommitPushed records p's authorize_redeem submission.
+// noteCommitPushed records p's authorize_redeem submission: the
+// commit's push, where an armed crash fires.
 func (r *Run) noteCommitPushed(p *xchain.Participant, st *pstate) {
 	st.submittedRD = true
-	r.commitPushed = true
 	r.Mark(protocol.PointDecisionTriggered)
 	r.Event(-1, "authorize_redeem submitted by "+p.Name)
+	r.FireCrash()
 }
 
 // trySubmitRefund pushes SCw to RFauth (no evidence required). Called
@@ -732,9 +731,6 @@ func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, 
 // DecisionOpen reports that the decision window is open: SCw's address
 // is known, so a decision can be pushed at it.
 func (r *Run) DecisionOpen() bool { return !r.scwAddr.IsZero() }
-
-// CommitPushed reports that some participant submitted authorize_redeem.
-func (r *Run) CommitPushed() bool { return r.commitPushed }
 
 // DecisionChain is the witness chain: where the decision is made.
 func (r *Run) DecisionChain() chain.ID { return r.cfg.WitnessChain }

@@ -46,52 +46,31 @@ type Runner interface {
 	// phase spans from.
 	Marks() []protocol.Mark
 
-	// Resume re-arms a recovered participant's subscriptions and
-	// re-drives it; it re-learns everything else from the chains.
-	Resume(p *xchain.Participant)
 	// DecisionOpen reports that the decision window is open — the
 	// moment Section 1's hazard analysis says network behavior decides
 	// the outcome: SCw's address is known (AC3WN), ms(D) is registered
 	// at Trent (AC3TW), the secret reveal was submitted (HTLC).
 	DecisionOpen() bool
-	// CommitPushed reports that the commit decision is being pushed:
-	// authorize_redeem was submitted (AC3WN), the redeem signature was
-	// requested (AC3TW), the first redeem was submitted (HTLC).
-	CommitPushed() bool
-	// Decided reports that a decision is final, whichever way it went.
-	Decided() bool
 	// DecisionChain is the blockchain the decision's fate rides on: the
 	// witness chain for AC3WN, the first edge's asset chain otherwise.
 	DecisionChain() chain.ID
-	// Crash takes down the protocol's Section 1 critical failure point
-	// — the last participant for AC3WN and HTLC, the trusted witness
-	// for AC3TW — and reports who that is and whether the hazard has it
-	// come back (a participant's site restarts) or stay down (the
-	// witness under denial of service). Recover brings it back either
+	// ArmCrash arms the Section 1 hazard at the commit push: the
+	// moment authorize_redeem is submitted (AC3WN), the redeem
+	// signature is requested (AC3TW) or the first redeem is submitted
+	// (HTLC), the protocol's critical failure point goes down — the last
+	// participant for AC3WN and HTLC, the trusted witness for AC3TW —
+	// and crashed is told who that is and whether the hazard has it come
+	// back (a participant's site restarts) or stay down (the witness
+	// under denial of service). It fires at most once, and never on a
+	// run that pushes no commit. Recover brings the victim back either
 	// way and resumes it.
-	Crash() (who string, comesBack bool)
+	ArmCrash(crashed func(who string, comesBack bool))
 	Recover()
 	// RaceRefund makes rogue race the honest decision with a
 	// conflicting refund. It reports whether the race is placed (or the
 	// protocol has no decision to race: hashlocks); false means not yet
 	// possible — call again later.
 	RaceRefund(rogue *xchain.Participant) bool
-}
-
-// CrashAtCommit is the Section 1 hazard as the crash scenario's watch:
-// the returned predicate takes r's critical failure point down the
-// moment the commit is pushed, hands Crash's answer to crashed, and
-// reports done. It also reports done, with nobody crashed, once the run
-// decided without a commit push — it went to refund, and there is
-// nothing to crash.
-func CrashAtCommit(r Runner, crashed func(who string, comesBack bool)) func() bool {
-	return func() bool {
-		if !r.CommitPushed() {
-			return r.Decided()
-		}
-		crashed(r.Crash())
-		return true
-	}
 }
 
 // signGraph is the one signing of ms(GD) each run performs at Start —

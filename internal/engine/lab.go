@@ -93,9 +93,9 @@ type Lab struct {
 	CrashedAt, RecoveredAt sim.Time
 }
 
-// watchEvery is how often RunOne evaluates a row's watch: on tip
-// changes, as the shard does, AC3TW's commit push can pass between two
-// of them unseen (ADR-019's amendment).
+// watchEvery is how often RunOne evaluates a row's watch — the race
+// and partition rows'; the crash row fires at the protocol's push and
+// needs none (ADR-019).
 const watchEvery = 100 * sim.Millisecond
 
 // Build creates sh's parties, chains and genesis funds on a fresh
@@ -144,7 +144,7 @@ func (sh Shape) Build(seed uint64) (*xchain.World, []*xchain.Participant, error)
 // t.AbortAfter is the row's where it sets one), arms sc's scenario row,
 // runs it out to deadline and grades it. What the crash row took down
 // by recoverAt (>0) comes back then. The sequence is what the stdout
-// goldens pin: Start, the row's arm and its watch on a watchEvery poll,
+// goldens pin: Start, the row's arm and any watch on a watchEvery poll,
 // RunUntil(recoverAt) → Recover, then World.RunOut. Anything that fails
 // to build, an unknown scenario included, is the first error; a run
 // that merely goes badly is an Outcome.

@@ -188,3 +188,28 @@ func TestEveryRowRunsThroughRunOne(t *testing.T) {
 			lab.Crashed, lab.RecoveredAt, lab.Outcome.Edges)
 	}
 }
+
+// TestAC3TWCrashRowBlocks: the crash row takes Trent down at the redeem
+// request itself, so he never signs RD and the AC2T grades stuck,
+// however fast he would have answered. Seeds 2, 3, 6 and 11 are where a
+// watch on tip changes saw the push only after Trent had answered
+// (ADR-019); a Trent who answers in 10 ms beats a 100 ms poll at all of
+// them.
+func TestAC3TWCrashRowBlocks(t *testing.T) {
+	for _, seed := range []uint64{2, 3, 6, 11, 42} {
+		lab, err := RunOne(seed, Ring(int64(seed), 2, []chain.ID{"chain-0", "chain-1"}), ProtoAC3TW, AC2T{
+			Witness:      "witness",
+			Depth:        3,
+			TrentSeed:    seed + 1,
+			TrentLatency: 10 * sim.Millisecond,
+		}, ScenarioCrash, 0, 3*sim.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, signed := lab.Outcome, lab.Runner.(ownTrent).trent.SignedRD
+		if out.Committed() || out.Aborted() || out.AtomicityViolated() || signed != 0 || lab.Crashed != "Trent" {
+			t.Errorf("seed %d: crashed %q, Trent signed RD %d times, %+v; want Trent down before he signs and the AC2T stuck",
+				seed, lab.Crashed, signed, out.Edges)
+		}
+	}
+}

@@ -153,20 +153,24 @@ func newHTLC(w *xchain.World, t AC2T) (core.Runner, error) {
 }
 
 // fault is one AC2T as a scenario row arms it. A driver — the shard
-// per AC2T, RunOne for its one — fills in the first six fields. A row
+// per AC2T, RunOne for its one — fills in the first seven fields. A row
 // that waits for a protocol moment sets watch, which the driver
 // evaluates until it reports done (the shard on its activity feed,
 // RunOne on a poll); a row that degrades the network appends lift
 // funcs, which the shard runs once the AC2T grades (RunOne's world ends
-// with its AC2T). The crash row records its victim; when the victim
-// comes back is the driver's rule.
+// with its AC2T). The crash row records its victim when the protocol
+// crashes it; when the victim comes back is the driver's rule, downFor.
 type fault struct {
-	w         *xchain.World
-	runner    core.Runner
-	parts     []*xchain.Participant
-	g         *graph.Graph
-	i         int      // the AC2T's index: a partition isolates a miner by it
-	deadline  sim.Time // the absolute grading deadline
+	w        *xchain.World
+	runner   core.Runner // nil once the shard graded the AC2T
+	parts    []*xchain.Participant
+	g        *graph.Graph
+	i        int      // the AC2T's index: a partition isolates a miner by it
+	deadline sim.Time // the absolute grading deadline
+	// downFor (>0) brings a crash victim that comes back up this long
+	// after the crash, while the AC2T is in flight: the shard's rule.
+	// RunOne leaves it 0 and recovers at its own recoverAt.
+	downFor   sim.Time
 	watch     func() bool
 	lift      []func()
 	victim    string // "" if nobody crashed
@@ -271,14 +275,21 @@ func armAbort(f *fault) {
 }
 
 // armCrash is the Section 1 hazard, aimed at the protocol's critical
-// failure point the moment the commit decision is pushed, and the one
-// caller of core.CrashAtCommit. A crashed participant (AC3WN, HTLC)
-// comes back — AC3WN then completes the AC2T, HTLC's victim finds its
+// failure point in the instant the commit decision is pushed, and the
+// one caller of ArmCrash. A crashed participant (AC3WN, HTLC) comes
+// back — AC3WN then completes the AC2T, HTLC's victim finds its
 // timelocks expired and has lost assets. AC3TW's critical point is the
 // centralized witness, which stays down: the AC2T blocks.
 func armCrash(f *fault) {
-	f.watch = core.CrashAtCommit(f.runner, func(who string, comesBack bool) {
+	f.runner.ArmCrash(func(who string, comesBack bool) {
 		f.victim, f.crashedAt, f.comesBack = who, f.w.Sim.Now(), comesBack
+		if comesBack && f.downFor > 0 {
+			f.w.Sim.After(f.downFor, func() {
+				if f.runner != nil {
+					f.runner.Recover()
+				}
+			})
+		}
 	})
 }
 

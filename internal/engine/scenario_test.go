@@ -95,31 +95,25 @@ func TestNamedWorkloads(t *testing.T) {
 // fakeRunner is a core.Runner with no protocol behind it: scripted
 // predicates, recorded actions.
 type fakeRunner struct {
-	open, pushed, decided bool
-	decisionChain         chain.ID
-	comesBack             bool
-	raceReady             bool
+	open          bool
+	decisionChain chain.ID
+	raceReady     bool
 
-	crashes, recovers int
-	raced             []*xchain.Participant
+	crashed  func(who string, comesBack bool) // the armed crash
+	recovers int
+	raced    []*xchain.Participant
 }
 
-func (f *fakeRunner) Start()                     {}
-func (f *fakeRunner) Settled() bool              { return false }
-func (f *fakeRunner) Stop()                      {}
-func (f *fakeRunner) Grade() *xchain.Outcome     { return &xchain.Outcome{} }
-func (f *fakeRunner) Events() []protocol.Event   { return nil }
-func (f *fakeRunner) Marks() []protocol.Mark     { return nil }
-func (f *fakeRunner) Resume(*xchain.Participant) {}
-func (f *fakeRunner) DecisionOpen() bool         { return f.open }
-func (f *fakeRunner) CommitPushed() bool         { return f.pushed }
-func (f *fakeRunner) Decided() bool              { return f.decided }
-func (f *fakeRunner) DecisionChain() chain.ID    { return f.decisionChain }
-func (f *fakeRunner) Recover()                   { f.recovers++ }
-func (f *fakeRunner) Crash() (string, bool) {
-	f.crashes++
-	return "fake", f.comesBack
-}
+func (f *fakeRunner) Start()                              {}
+func (f *fakeRunner) Settled() bool                       { return false }
+func (f *fakeRunner) Stop()                               {}
+func (f *fakeRunner) Grade() *xchain.Outcome              { return &xchain.Outcome{} }
+func (f *fakeRunner) Events() []protocol.Event            { return nil }
+func (f *fakeRunner) Marks() []protocol.Mark              { return nil }
+func (f *fakeRunner) DecisionOpen() bool                  { return f.open }
+func (f *fakeRunner) DecisionChain() chain.ID             { return f.decisionChain }
+func (f *fakeRunner) ArmCrash(crashed func(string, bool)) { f.crashed = crashed }
+func (f *fakeRunner) Recover()                            { f.recovers++ }
 func (f *fakeRunner) RaceRefund(rogue *xchain.Participant) bool {
 	f.raced = append(f.raced, rogue)
 	return f.raceReady
@@ -129,8 +123,8 @@ func (f *fakeRunner) RaceRefund(rogue *xchain.Participant) bool {
 // a runner that is nothing but the interface: the engine must drive
 // crash, race and partition off the typed predicates and actions alone,
 // and aim the network faults at the chains the runner and the
-// transaction's own edges name. The crash subtest drives the watch
-// through the shard's checkTx, which owns the shard's recovery rule.
+// transaction's own edges name. The crash subtest fires the armed
+// crash itself and checks the shard's recovery rule, downFor.
 func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	setup := func(t *testing.T) (*shardExec, *txState, *fakeRunner) {
 		wl := DefaultWorkload()
@@ -145,7 +139,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 		}
 		f := &fakeRunner{decisionChain: e.witness}
 		st := &e.txs[0]
-		st.w, st.runner, st.deadline = e.w, f, wl.TxTimeout
+		st.w, st.runner, st.deadline, st.downFor = e.w, f, wl.TxTimeout, crashDownFor
 		return e, st, f
 	}
 	arm := func(st *txState, sc Scenario) { scenarioOf(sc).arm(&st.fault) }
@@ -161,27 +155,32 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		for _, comesBack := range []bool{true, false} {
 			e, st, f := setup(t)
-			f.comesBack = comesBack
 			arm(st, ScenarioCrash)
-			if e.checkTx(0); st.watch == nil || f.crashes != 0 {
-				t.Fatal("crashed before the commit was pushed")
+			if f.crashed == nil || st.watch != nil || st.victim != "" {
+				t.Fatal("the crash row must arm the runner's crash, and set no watch")
 			}
-			f.pushed = true
-			if e.checkTx(0); st.watch != nil || f.crashes != 1 || st.victim != "fake" || st.comesBack != comesBack {
-				t.Fatalf("commit pushed: watch left %v, %d crashes, victim %q (comes back %v); want one crash of fake, recorded",
-					st.watch != nil, f.crashes, st.victim, st.comesBack)
+			e.s.RunUntil(sim.Minute)
+			f.crashed("fake", comesBack) // the protocol's push
+			if st.victim != "fake" || st.crashedAt != sim.Minute || st.comesBack != comesBack {
+				t.Fatalf("crash not recorded: victim %q at %d (comes back %v)", st.victim, st.crashedAt, st.comesBack)
 			}
-			e.s.RunUntil(crashDownFor + sim.Second)
+			e.s.RunUntil(sim.Minute + crashDownFor - 1)
+			if f.recovers != 0 {
+				t.Fatal("recovered before crashDownFor elapsed")
+			}
+			e.s.RunUntil(sim.Minute + crashDownFor)
 			if want := map[bool]int{true: 1, false: 0}[comesBack]; f.recovers != want {
 				t.Fatalf("comesBack=%v: %d recoveries, want %d", comesBack, f.recovers, want)
 			}
 		}
-		// A refund decision leaves nothing to crash.
-		_, st, f := setup(t)
+		// An AC2T graded while its victim is down keeps it down.
+		e, st, f := setup(t)
 		arm(st, ScenarioCrash)
-		f.decided = true
-		if !st.watch() || f.crashes != 0 || st.victim != "" {
-			t.Fatal("decided without a commit push: the watch must detach without crashing")
+		f.crashed("fake", true)
+		st.runner = nil // as finish leaves it
+		e.s.RunUntil(crashDownFor + sim.Second)
+		if f.recovers != 0 {
+			t.Fatal("recovered the victim of a graded AC2T")
 		}
 	})
 	t.Run("race", func(t *testing.T) {

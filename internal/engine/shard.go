@@ -29,7 +29,9 @@ const (
 	// "participant changed her mind" deadline.
 	declineAbortAfter = 4 * sim.Minute
 	// crashDownFor is how long the crash scenario's victim stays down
-	// after the decision is pushed (checkTx).
+	// after the decision is pushed (fault.downFor) — far beyond any HTLC
+	// timelock scale, which is the point — unless its AC2T has graded
+	// by then.
 	crashDownFor = 8 * sim.Minute
 	// settleGrace delays grading after quiescence so depth-0 reads
 	// cannot be flipped back by a late fork race.
@@ -451,7 +453,7 @@ func (e *shardExec) admit(i int) {
 func (e *shardExec) start(i int) {
 	e.inFlight++
 	st := &e.txs[i]
-	st.w, st.i = e.w, i
+	st.w, st.i, st.downFor = e.w, i, crashDownFor
 	st.startedAt = e.s.Now()
 	if e.rec.Enabled() {
 		st.base = e.sampleCounters()
@@ -516,9 +518,7 @@ func (e *shardExec) Wake() {
 
 // checkTx advances transaction i's lifecycle: run its scenario watch,
 // schedule the settle-grace finish once the runner quiesced, or grade
-// it as-is at the deadline. A crash victim that comes back recovers
-// crashDownFor after the crash — far beyond any HTLC timelock scale,
-// which is the point — unless its AC2T has graded by then.
+// it as-is at the deadline.
 func (e *shardExec) checkTx(i int) {
 	st := &e.txs[i]
 	if st.graded || st.finishing {
@@ -526,13 +526,6 @@ func (e *shardExec) checkTx(i int) {
 	}
 	if st.watch != nil && st.watch() {
 		st.watch = nil
-		if st.comesBack {
-			e.s.After(crashDownFor, func() {
-				if !st.graded {
-					st.runner.Recover()
-				}
-			})
-		}
 	}
 	if st.runner != nil && st.runner.Settled() {
 		st.finishing = true

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/xchain"
@@ -13,7 +12,7 @@ import (
 
 // TestStandUpCrashRow drives the paper's Section 1 row the way every
 // single-AC2T driver stands a transaction up (ADR-015): the protocol
-// table's constructor, the shared crash-at-commit watch, and the
+// table's constructor, the runner's crash armed at the commit push, and the
 // world's run-out tail, on a 2-party and a 3-ring world. With the
 // critical failure point down, AC3WN and AC3TW hold every asset locked
 // — stuck, never violated — and commit once it recovers; HTLC's
@@ -54,7 +53,7 @@ func TestStandUpCrashRow(t *testing.T) {
 				}
 				r.Start()
 				var crashed string
-				w.Sim.Poll(100*sim.Millisecond, core.CrashAtCommit(r, func(who string, _ bool) { crashed = who }))
+				r.ArmCrash(func(who string, _ bool) { crashed = who })
 				w.RunUntil(2 * sim.Hour) // far beyond every HTLC timelock
 
 				wantCrashed := ps[n-1].Name

@@ -18,6 +18,7 @@ package protocol_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,48 +138,59 @@ func firstEvent(events []protocol.Event, prefix string) (sim.Time, bool) {
 	return 0, false
 }
 
-// predicatesMatchLabels ties the Runner's typed fault predicates to the
+// openMatchesLabel ties the Runner's DecisionOpen predicate to the
 // timeline wording the drivers used to scan for: sampled at every
-// instant of the virtual clock (its resolution is a millisecond),
-// DecisionOpen and CommitPushed must agree with "their label is on the
-// timeline" — so they first report true in the very event that logs
-// it — and both must have fired by the end of a committing run.
-func predicatesMatchLabels(t *testing.T, w *xchain.World, r core.Runner, openLabel, pushLabel string) {
+// instant of the virtual clock (its resolution is a millisecond), it
+// must agree with "the label is on the timeline" — so it first reports
+// true in the very event that logs it — and it must have fired by the
+// end of a committing run.
+func openMatchesLabel(t *testing.T, w *xchain.World, r core.Runner, label string) {
 	t.Helper()
-	checks := []struct {
-		name  string
-		pred  func() bool
-		label string
-		at    sim.Time
-	}{
-		{"DecisionOpen", r.DecisionOpen, openLabel, -1},
-		{"CommitPushed", r.CommitPushed, pushLabel, -1},
-	}
+	seen := sim.Time(-1)
 	w.Sim.Poll(sim.Millisecond, func() bool {
-		done := true
-		for i := range checks {
-			c := &checks[i]
-			_, logged := firstEvent(r.Events(), c.label)
-			if got := c.pred(); got != logged {
-				t.Errorf("t=%d: %s() = %v but %q logged = %v", w.Sim.Now(), c.name, got, c.label, logged)
-				return true
-			}
-			if logged && c.at < 0 {
-				c.at = w.Sim.Now()
-			}
-			done = done && logged
+		_, logged := firstEvent(r.Events(), label)
+		if got := r.DecisionOpen(); got != logged {
+			t.Errorf("t=%d: DecisionOpen() = %v but %q logged = %v", w.Sim.Now(), got, label, logged)
+			return true
 		}
-		return done
+		if logged {
+			seen = w.Sim.Now()
+		}
+		return logged
 	})
 	t.Cleanup(func() {
-		for _, c := range checks {
-			at, logged := firstEvent(r.Events(), c.label)
-			// The sampler may run before or after the protocol's event
-			// within one instant, so it sees the flip at the label's
-			// instant or the next.
-			if !logged || c.at < at || c.at > at+sim.Millisecond {
-				t.Errorf("%s first seen true at t=%d, %q first logged at t=%d (logged=%v)", c.name, c.at, c.label, at, logged)
-			}
+		at, logged := firstEvent(r.Events(), label)
+		// The sampler may run before or after the protocol's event
+		// within one instant, so it sees the flip at the label's
+		// instant or the next.
+		if !logged || seen < at || seen > at+sim.Millisecond {
+			t.Errorf("DecisionOpen first seen true at t=%d, %q first logged at t=%d (logged=%v)", seen, label, at, logged)
+		}
+	})
+}
+
+// crashAtPush arms r's crash as the engine's crash row does — a victim
+// that comes back is recovered confDowntime later — and checks at the
+// end that it took down who exactly once, in the instant pushLabel was
+// first logged; with who "", that it never fired: a refund-only run
+// pushes no commit.
+func crashAtPush(t *testing.T, w *xchain.World, r core.Runner, who, pushLabel string) {
+	t.Helper()
+	var fired []string
+	r.ArmCrash(func(victim string, comesBack bool) {
+		fired = append(fired, fmt.Sprintf("%s at t=%d", victim, w.Sim.Now()))
+		if comesBack {
+			w.Sim.After(confDowntime, r.Recover)
+		}
+	})
+	t.Cleanup(func() {
+		var want []string
+		if who != "" {
+			at, _ := firstEvent(r.Events(), pushLabel)
+			want = append(want, fmt.Sprintf("%s at t=%d", who, at))
+		}
+		if !slices.Equal(fired, want) {
+			t.Errorf("the armed crash took down %q, want %q (the push %q)", fired, want, pushLabel)
 		}
 	})
 }
@@ -192,22 +204,6 @@ func shadowed(t *testing.T, w *xchain.World) {
 		t.Error("the wake-up gate skipped nothing: the shadow conformance check examined no wake-up")
 	}
 	t.Logf("%d drives, %d wake-ups skipped and shadow-checked", w.Drives, w.WakeupsSkipped)
-}
-
-// crashThenResume crashes the victim when trigger first reports true,
-// and recovers (with Resume) after the downtime.
-func crashThenResume(w *xchain.World, r core.Runner, victim *xchain.Participant, trigger func() bool) {
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		if !trigger() {
-			return false
-		}
-		victim.Crash()
-		w.Sim.After(confDowntime, func() {
-			victim.Recover()
-			r.Resume(victim)
-		})
-		return true
-	})
 }
 
 func TestConformanceAC3WN(t *testing.T) {
@@ -242,9 +238,11 @@ func TestConformanceAC3WN(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					predicatesMatchLabels(t, w, r, "SCw deploy submitted", "authorize_redeem submitted")
+					openMatchesLabel(t, w, r, "SCw deploy submitted")
+				case "abort":
+					crashAtPush(t, w, r, "", "")
 				case "crash":
-					crashThenResume(w, r, victim, r.CommitPushed)
+					crashAtPush(t, w, r, victim.Name, "authorize_redeem submitted")
 				case "race":
 					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
 				case "partition":
@@ -279,6 +277,65 @@ func TestConformanceAC3WN(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCrashedPusherResumes makes the crash victim the participant who
+// pushes authorize_redeem: the initiator, here the last participant.
+// The armed crash must land between its steps, not inside the one that
+// pushes, so the push still reaches the witness chain (unbatched: the
+// canonical authorize_redeem is the victim's) and decides the AC2T;
+// the victim resumes after the downtime and redeems.
+func TestCrashedPusherResumes(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			const seed = 45100
+			w, ps, g := gridWorld(t, seed, 2)
+			victim := ps[1]
+			cfg := core.Config{
+				Graph:        g,
+				Participants: ps,
+				Initiator:    victim,
+				WitnessChain: "witness",
+				WitnessDepth: confDepth,
+				AssetDepth:   confDepth,
+			}
+			if batched {
+				coord, err := batch.New(w, "witness", seed+99, batch.Config{Window: 90 * sim.Second, StableDepth: 48})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Batcher, cfg.BatchAddr = coord, coord.Addr()
+			}
+			r, err := core.New(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Start()
+			crashAtPush(t, w, r, victim.Name, "authorize_redeem submitted by "+victim.Name)
+			w.RunUntil(2 * sim.Hour)
+			w.StopMining()
+			w.RunFor(sim.Minute)
+			if out := r.Grade(); !out.Committed() || out.AtomicityViolated() {
+				t.Fatalf("the crashed pusher did not resume to a commit: %+v", out.Edges)
+			}
+			if batched {
+				return
+			}
+			view := w.View("witness")
+			var pushers []crypto.Address
+			for h := uint64(0); h <= view.Height(); h++ {
+				b, _ := view.CanonicalAt(h)
+				for _, tx := range b.Txs {
+					if tx.Kind == chain.TxCall && tx.Fn == contracts.FnAuthorizeRedeem {
+						pushers = append(pushers, tx.Signer())
+					}
+				}
+			}
+			if len(pushers) == 0 || pushers[0] != victim.Addr() {
+				t.Fatalf("canonical authorize_redeem calls signed by %v; want the first by the victim %v", pushers, victim.Addr())
+			}
+		})
 	}
 }
 
@@ -336,14 +393,16 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					predicatesMatchLabels(t, w, r, "SCw deploy submitted", "authorize_redeem submitted")
+					openMatchesLabel(t, w, r, "SCw deploy submitted")
+				case "abort":
+					crashAtPush(t, w, r, "", "")
 				case "crash":
 					// The victim dies the moment the redeem decision
 					// enters the batching layer and stays down far past
 					// the window: the batch commits without it, and
 					// Resume must rebuild the membership proof from the
 					// chain's commit_batch record alone.
-					crashThenResume(w, r, victim, r.CommitPushed)
+					crashAtPush(t, w, r, victim.Name, "authorize_redeem submitted")
 				case "race":
 					// The rogue races the honest decision inside the
 					// batching layer: first-wins at the coordinator (and
@@ -423,28 +482,33 @@ func TestConformanceAC3TW(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					predicatesMatchLabels(t, w, r, "ms(D) registered at Trent", "redeem signature requested")
+					openMatchesLabel(t, w, r, "ms(D) registered at Trent")
+				case "abort":
+					crashAtPush(t, w, r, "", "")
 				case "crash":
 					// A participant crashes at decision time and
 					// resumes: AC3TW absorbs this like AC3WN does.
-					crashThenResume(w, r, victim, r.CommitPushed)
+					w.Sim.Poll(100*sim.Millisecond, func() bool {
+						if _, pushed := firstEvent(r.Events(), "redeem signature requested"); !pushed {
+							return false
+						}
+						victim.Crash()
+						w.Sim.After(confDowntime, func() {
+							victim.Recover()
+							r.Resume(victim)
+						})
+						return true
+					})
 				case "race":
 					// A rogue races the honest decision at Trent; the
 					// store's at-most-one-signature guard keeps the
 					// outcome atomic (here: the refund wins).
 					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
 				case "witness-crash":
-					// Trent crashes before he can decide: the AC2T
-					// blocks — the availability hazard AC3WN removes.
-					w.Sim.Poll(50*sim.Millisecond, func() bool {
-						if !r.AllConfirmed() {
-							return false
-						}
-						if who, comesBack := r.Crash(); who != "Trent" || comesBack {
-							t.Errorf("AC3TW's critical failure point = %q (comes back: %v), want Trent staying down", who, comesBack)
-						}
-						return true
-					})
+					// Trent crashes the moment he is asked to decide,
+					// and stays down: the AC2T blocks — the
+					// availability hazard AC3WN removes.
+					crashAtPush(t, w, r, "Trent", "redeem signature requested")
 				case "partition":
 					// Split the first asset chain once the AC2T is
 					// registered at Trent: deposit confirmations and the
@@ -521,14 +585,16 @@ func TestConformanceHTLC(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					predicatesMatchLabels(t, w, r, "redeem submitted", "redeem submitted")
+					openMatchesLabel(t, w, r, "redeem submitted")
+				case "abort":
+					crashAtPush(t, w, r, "", "")
 				case "crash":
 					// The victim crashes the moment the secret reveal
 					// is submitted and recovers long after every
 					// timelock: Resume re-derives s from chain state
 					// and retries, but the refunds already executed —
 					// the asset loss is permanent.
-					crashThenResume(w, r, victim, r.CommitPushed)
+					crashAtPush(t, w, r, victim.Name, "redeem submitted")
 				case "partition":
 					// The leader's reveal lands on chain c{n-1}; the
 					// downstream participant p{n-1} learns s only by

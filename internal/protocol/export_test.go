@@ -110,3 +110,5 @@ func (r *testRun) OnSubmitted(p *xchain.Participant, fn string, i int) {
 func (r *testRun) Terminal(p *xchain.Participant, fn string, i int, sc Asset) bool {
 	return r.rt.Terminal(p, fn, i, sc)
 }
+
+func (r *testRun) Crash() (string, bool) { return r.rt.Crash() }

@@ -160,6 +160,10 @@ type Protocol interface {
 	// ledger yet: it records what the protocol records of that state and
 	// reports whether it is final.
 	Terminal(p *xchain.Participant, fn string, i int, sc Asset) bool
+	// Crash takes down the run's Section 1 critical failure point when
+	// an armed crash fires (ArmCrash), and reports who that is and
+	// whether the hazard has it come back.
+	Crash() (who string, comesBack bool)
 }
 
 // The default hooks do nothing, but for Terminal: any state out of P is
@@ -282,6 +286,8 @@ type Runtime struct {
 	// skipped, when set (tests only), observes every wake-up the gate
 	// declined to drive.
 	skipped func(p *xchain.Participant)
+	// crashed is the armed crash's report (ArmCrash), nil once fired.
+	crashed func(who string, comesBack bool)
 }
 
 // New validates the wiring and prepares a runtime.
@@ -867,6 +873,22 @@ func (rt *Runtime) victim() *xchain.Participant {
 func (rt *Runtime) Crash() (who string, comesBack bool) {
 	rt.victim().Crash()
 	return rt.victim().Name, true
+}
+
+// ArmCrash arms the Section 1 hazard (core.Runner): the protocol's
+// Crash runs at its commit push (FireCrash) and its answer goes to
+// crashed. At most one crash is armed; arming again replaces it.
+func (rt *Runtime) ArmCrash(crashed func(who string, comesBack bool)) { rt.crashed = crashed }
+
+// FireCrash is a protocol's commit push site: the armed crash, if any,
+// fires once, in this virtual instant but after the step that pushed —
+// a victim that pushed itself goes down between its steps, before
+// anything carrying the push is delivered.
+func (rt *Runtime) FireCrash() {
+	if crashed := rt.crashed; crashed != nil {
+		rt.crashed = nil
+		rt.After(0, func() { crashed(rt.cfg.Protocol.Crash()) })
+	}
 }
 
 // Recover restarts the participant Crash took down and resumes it.

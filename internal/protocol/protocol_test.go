@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chain"
@@ -117,6 +119,52 @@ func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 	w.RunFor(sim.Minute)
 	if drives <= at+1 {
 		t.Fatal("resume did not re-arm subscriptions")
+	}
+}
+
+// TestFireCrashLandsBetweenSteps: an armed crash fires once, at the
+// first push (FireCrash), in the same virtual instant but after the
+// step that pushed — a victim that pushed itself is still up for the
+// rest of its step — and a later push fires nothing.
+func TestFireCrashLandsBetweenSteps(t *testing.T) {
+	w, alice, bob := world(t, 3)
+	run := steps(nil)
+	var upAfterPush []bool
+	run.step = func(p *xchain.Participant) {
+		if p == bob {
+			run.rt.FireCrash()
+			upAfterPush = append(upAfterPush, !bob.Crashed())
+		}
+	}
+	rt, err := New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Protocol:     run,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.rt = rt
+	var fired []string
+	rt.ArmCrash(func(who string, comesBack bool) {
+		fired = append(fired, fmt.Sprintf("%s at %d, back %v", who, w.Sim.Now(), comesBack))
+	})
+	pushedAt := w.Sim.Now()
+	rt.Start() // bob's first drive pushes
+	if len(fired) != 0 || !slices.Equal(upAfterPush, []bool{true}) {
+		t.Fatalf("the crash ran inside the pushing step: fired %q, up after the push %v", fired, upAfterPush)
+	}
+	w.RunFor(sim.Second)
+	if want := []string{fmt.Sprintf("bob at %d, back true", pushedAt)}; !slices.Equal(fired, want) || !bob.Crashed() {
+		t.Fatalf("fired %q (bob down: %v), want %q", fired, bob.Crashed(), want)
+	}
+	bob.Recover()
+	rt.Resume(bob) // pushes again
+	w.RunFor(sim.Second)
+	if len(fired) != 1 || bob.Crashed() {
+		t.Fatalf("a second push fired the crash again: %q", fired)
 	}
 }
 

@@ -105,10 +105,12 @@ func (r *Run) Secret(p *xchain.Participant, fn string, _ int, _ protocol.Asset) 
 }
 
 // OnSubmitted marks the decision triggered: hashlocks have no other
-// decision than their calls, and a redeem reveals s.
+// decision than their calls, and a redeem reveals s — the first is the
+// commit's push, where an armed crash fires.
 func (r *Run) OnSubmitted(_ *xchain.Participant, fn string, _ int) {
 	if fn == contracts.FnRedeem {
 		r.revealed = true
+		r.FireCrash()
 	}
 	r.Mark(protocol.PointDecisionTriggered)
 }
@@ -259,10 +261,9 @@ func (r *Run) Settled() bool {
 	return deployed && settled
 }
 
-// DecisionOpen and CommitPushed coincide for hashlocks: the first
-// submitted redeem reveals s, which is both the decision and its push.
+// DecisionOpen reports the reveal: the first submitted redeem carries
+// s, which is both the decision and its push.
 func (r *Run) DecisionOpen() bool { return r.revealed }
-func (r *Run) CommitPushed() bool { return r.revealed }
 
 // RaceRefund reports the race as placed without doing anything:
 // hashlock contracts have no decision a rogue could race — refunds are
