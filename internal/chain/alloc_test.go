@@ -2,6 +2,7 @@ package chain
 
 import (
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/crypto"
@@ -17,10 +18,12 @@ import (
 // layer's outputs carved from a slab; a block carrying a deploy and a
 // call adds the deployed contract and the call's clone, its spends,
 // payout and balance carved too; a call applied in the executor's
-// scratch context to a layer with room is the clone alone; and an
+// scratch context to a layer with room is the clone alone; an
 // executor admitting 64 mined blocks carves their records from one
-// slab, beside the two slabs its height and transaction indexes carve
-// 128 slots from.
+// slab, beside the one slab its height list carves 64 slots from (a
+// coinbase is not in the transaction index); and a second view adopting
+// those blocks grows its list of canonical hashes, 32 bytes a height, by
+// doubling — no map.
 func TestBlockAndEvidenceAllocations(t *testing.T) {
 	e := newEnv(t, "alice", "bob")
 	g := e.chain.exec.genesis
@@ -46,7 +49,8 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 	var sigs crypto.SigTally
 
 	// Sixty-four mined blocks and their built states, admitted below into
-	// executors of the same genesis whose maps already have room for them.
+	// executors of the same genesis whose block map and height list
+	// already have room for them.
 	src, err := NewExecutor(pruneParams(0, 0), nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +73,7 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.blocks, x.byHeight, x.txIndex = roomy(x.blocks), roomy(x.byHeight), roomy(x.txIndex)
+		x.blocks, x.byHeight.s = roomy(x.blocks), slices.Grow(x.byHeight.s, 64)
 		fresh = append(fresh, x)
 	}
 
@@ -95,7 +99,7 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"admitting 64 mined blocks", 3, func() {
+		{"admitting 64 mined blocks", 2, func() {
 			x := fresh[0]
 			fresh = fresh[1:]
 			for i, b := range mined {
@@ -110,6 +114,24 @@ func TestBlockAndEvidenceAllocations(t *testing.T) {
 		}
 	}
 	_ = sink
+
+	// Views each take a bit of the executor's 64, so this row runs 10
+	// times, on a view of its own each time.
+	var views []*Chain
+	for range 11 {
+		views = append(views, src.NewView())
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		w := views[0]
+		views = views[1:]
+		for _, b := range mined {
+			if _, err := w.AddBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 7 {
+		t.Errorf("a second view adopting 64 admitted blocks: %.0f allocations, want 7", n)
+	}
 }
 
 // roomy returns a copy of m with room for 128 more entries.

@@ -13,15 +13,15 @@ import (
 // Chain is one node's *view* of a blockchain: which blocks the node
 // has seen, its canonical (longest-chain, first-seen-wins) tip choice,
 // and its TipEvent listeners. Block records (body, ledger state, own
-// changes) and the tx→block index live in the network's shared Executor
-// — a view holds only membership and ordering. Blocks and states are
-// immutable and shared across views.
+// changes, and which views hold the block) and the tx→block index live
+// in the network's shared Executor — a view holds only its bit and its
+// ordering. Blocks and states are immutable and shared across views.
 type Chain struct {
 	exec *Executor
 
-	have      map[crypto.Hash]bool   // blocks this view has accepted
-	tip       *Block                 // canonical head
-	canonical map[uint64]crypto.Hash // height -> canonical block hash
+	bit       uint64               // this view's bit in a record's views
+	tip       *Block               // canonical head
+	canonical heights[crypto.Hash] // canonical block hash by height
 
 	// listeners receive a TipEvent after every canonical-tip change.
 	listeners []func(TipEvent)
@@ -84,9 +84,18 @@ func (c *Chain) Tip() *Block { return c.tip }
 // Height returns the canonical head height.
 func (c *Chain) Height() uint64 { return c.tip.Header.Height }
 
+// canonicalAt is the canonical block's hash at height, zero for none.
+// Genesis stays canonical at 0 when history retires.
+func (c *Chain) canonicalAt(height uint64) crypto.Hash {
+	if height == 0 {
+		return c.exec.genesis.Hash()
+	}
+	return c.canonical.at(c.exec.retireFloor, height)
+}
+
 // Block returns a block by hash from any fork this view has seen.
 func (c *Chain) Block(h crypto.Hash) (*Block, bool) {
-	if !c.have[h] {
+	if !c.HasBlock(h) {
 		return nil, false
 	}
 	return c.exec.block(h), true
@@ -94,13 +103,14 @@ func (c *Chain) Block(h crypto.Hash) (*Block, bool) {
 
 // HasBlock reports whether the view already contains h.
 func (c *Chain) HasBlock(h crypto.Hash) bool {
-	return c.have[h]
+	r := c.exec.blocks[h]
+	return r != nil && r.views&c.bit != 0
 }
 
 // CanonicalAt returns the canonical block at the given height.
 func (c *Chain) CanonicalAt(height uint64) (*Block, bool) {
-	h, ok := c.canonical[height]
-	if !ok {
+	h := c.canonicalAt(height)
+	if h == (crypto.Hash{}) {
 		return nil, false
 	}
 	return c.exec.block(h), true
@@ -109,10 +119,10 @@ func (c *Chain) CanonicalAt(height uint64) (*Block, bool) {
 // IsCanonical reports whether the block with hash h is on the
 // canonical chain.
 func (c *Chain) IsCanonical(h crypto.Hash) bool {
-	if !c.have[h] {
+	if !c.HasBlock(h) {
 		return false
 	}
-	return c.canonical[c.exec.block(h).Header.Height] == h
+	return c.canonicalAt(c.exec.block(h).Header.Height) == h
 }
 
 // DepthOf returns how many blocks are mined on top of block h on the
@@ -132,7 +142,7 @@ func (c *Chain) DepthOf(h crypto.Hash) (int, bool) {
 // Child() before mutating. A state pruned by the executor's GC is
 // re-derived transparently from the retained block deltas.
 func (c *Chain) StateAt(h crypto.Hash) (*State, bool) {
-	if !c.have[h] {
+	if !c.HasBlock(h) {
 		return nil, false
 	}
 	return c.exec.stateOf(h)
@@ -167,18 +177,16 @@ func (c *Chain) StateAtDepth(depth int) (*State, bool) {
 // changed.
 func (c *Chain) AddBlock(b *Block) (reorged bool, err error) {
 	h := b.Hash()
-	if c.have[h] {
+	if c.HasBlock(h) {
 		return false, nil
 	}
-	if !c.have[b.Header.Parent] {
+	if !c.HasBlock(b.Header.Parent) {
 		return false, blockErr("unknown parent %s", b.Header.Parent)
 	}
 	if _, err := c.exec.Execute(b); err != nil {
 		return false, err
 	}
-	// The executor's admitted block, not b: a copy that hashes alike but
-	// carries other bytes (a tampered signature) is not what was run.
-	return c.adopt(c.exec.block(h)), nil
+	return c.adopt(h), nil
 }
 
 // AddMinedBlock adopts a block this node built itself, seeding the
@@ -188,54 +196,51 @@ func (c *Chain) AddBlock(b *Block) (reorged bool, err error) {
 // state BuildBlock returned alongside b, with b sealed afterwards.
 func (c *Chain) AddMinedBlock(b *Block, built *State) (reorged bool, err error) {
 	h := b.Hash()
-	if c.have[h] {
+	if c.HasBlock(h) {
 		return false, nil
 	}
-	if !c.have[b.Header.Parent] {
+	if !c.HasBlock(b.Header.Parent) {
 		return false, blockErr("unknown parent %s", b.Header.Parent)
 	}
 	if err := c.exec.CommitBuilt(b, built); err != nil {
 		return false, err
 	}
-	return c.adopt(b), nil
+	return c.adopt(h), nil
 }
 
-// adopt records an executor-validated block in this view and applies
-// the longest-chain rule.
-func (c *Chain) adopt(b *Block) (reorged bool) {
-	c.have[b.Hash()] = true
-	if b.Header.Height > c.tip.Header.Height {
+// adopt records the executor's admitted block of hash h in this view
+// and applies the longest-chain rule. The admitted block, not the one
+// offered: a copy that hashes alike but carries other bytes (a
+// tampered signature) is not what was run.
+func (c *Chain) adopt(h crypto.Hash) (reorged bool) {
+	r := c.exec.blocks[h]
+	r.views |= c.bit
+	if b := r.block; b.Header.Height > c.tip.Header.Height {
 		c.setTip(b)
 		return true
 	}
 	return false
 }
 
-// setTip switches the canonical chain to end at b, rebuilding the
-// canonical index along the changed suffix and publishing a TipEvent
-// naming the blocks that left the canonical chain. (What joined it a
-// subscriber reads from Since.) b is higher than the old tip — adopt's
-// longest-chain rule — so no canonical entry sits above it.
+// setTip switches the canonical chain to end at b, rewriting the
+// canonical hashes along the changed suffix and publishing a TipEvent
+// naming the blocks that left the canonical chain — a reorg when there
+// are any. (What joined it a subscriber reads from Since.) b is higher
+// than the old tip — adopt's longest-chain rule — so no hash sits above it.
 func (c *Chain) setTip(b *Block) {
-	old := c.tip
-	// Not a simple extension: a reorg if the old tip is abandoned.
-	reorg := b.Header.Parent != old.Hash() && !c.isAncestor(old, b)
-	if reorg {
-		c.Reorgs++
-	}
 	c.tip = b
 	var disconnected []*Block
 	for cur := b; ; cur = c.exec.block(cur.Header.Parent) {
 		h := cur.Hash()
-		prev, ok := c.canonical[cur.Header.Height]
+		prev := c.canonicalAt(cur.Header.Height)
 		if prev == h {
 			break
 		}
-		if ok {
+		if prev != (crypto.Hash{}) {
 			disconnected = append(disconnected, c.exec.block(prev))
 			c.wrote(disconnected[len(disconnected)-1].Txs...)
 		}
-		c.canonical[cur.Header.Height] = h
+		*c.canonical.slot(c.exec.retireFloor, cur.Header.Height) = h
 		c.wrote(cur.Txs...)
 		if cur.Header.Height == 0 {
 			break
@@ -243,8 +248,9 @@ func (c *Chain) setTip(b *Block) {
 	}
 	// The walk above collects newest-first; the event reports oldest-first.
 	slices.Reverse(disconnected)
-	if reorg && len(disconnected) > c.MaxReorgDepth {
-		c.MaxReorgDepth = len(disconnected)
+	if len(disconnected) > 0 { // the old tip was abandoned: a reorg
+		c.Reorgs++
+		c.MaxReorgDepth = max(c.MaxReorgDepth, len(disconnected))
 	}
 	ev := TipEvent{Disconnected: disconnected}
 	for _, fn := range c.listeners {
@@ -256,30 +262,10 @@ func (c *Chain) setTip(b *Block) {
 	c.exec.prune()
 }
 
-// isAncestor reports whether a is an ancestor of (or equal to) b. The
-// walk stops as soon as it descends below a's height — an ancestor of
-// b at a's height can only be a itself — so a true reorg costs
-// O(fork length), not O(chain height).
-func (c *Chain) isAncestor(a, b *Block) bool {
-	target := a.Hash()
-	for cur := b; cur != nil; {
-		if cur.Header.Height < a.Header.Height {
-			return false
-		}
-		if cur.Hash() == target {
-			return true
-		}
-		if cur.Header.Height == 0 {
-			return false
-		}
-		cur = c.exec.block(cur.Header.Parent)
-	}
-	return false
-}
-
 // FindTx locates a transaction on the canonical chain, returning its
 // block and index within it. The index is network-wide (shared), so
 // candidate blocks are filtered down to this view's canonical chain.
+// Coinbases are not indexed: FindTx does not find one.
 func (c *Chain) FindTx(id crypto.Hash) (*Block, int, bool) {
 	for _, bh := range c.exec.txIndex[id] {
 		if c.IsCanonical(bh) {
@@ -310,7 +296,7 @@ func (c *Chain) TxDepth(id crypto.Hash) (int, bool) {
 func (c *Chain) ContractOps(addrs map[crypto.Address]bool) (deploys, calls int) {
 	for a := range addrs {
 		for _, ref := range c.exec.opIndex[a] {
-			if c.canonical[ref.height] != ref.block {
+			if c.canonicalAt(ref.height) != ref.block {
 				continue
 			}
 			if ref.call {
@@ -347,7 +333,7 @@ func (c *Chain) Since(old *Block, buf []*Block) (connected []*Block, reorged boo
 		return buf, true
 	}
 	for h := old.Header.Height + 1; h <= c.tip.Header.Height; h++ {
-		buf = append(buf, c.exec.block(c.canonical[h]))
+		buf = append(buf, c.exec.block(c.canonicalAt(h)))
 	}
 	return buf, false
 }
@@ -366,7 +352,7 @@ func (c *Chain) NextBurial(addr crypto.Address, depth int) (uint64, bool) {
 	var next uint64
 	found := false
 	for _, ref := range c.exec.opIndex[addr] {
-		if int64(ref.height) > shown && c.canonical[ref.height] == ref.block && (!found || ref.height < next) {
+		if int64(ref.height) > shown && c.canonicalAt(ref.height) == ref.block && (!found || ref.height < next) {
 			next, found = ref.height, true
 		}
 	}
@@ -402,9 +388,9 @@ func (c *Chain) Locator() []crypto.Hash {
 	var loc []crypto.Hash
 	for back := uint64(0); ; back = max(1, 2*back) {
 		if back >= tip-floor {
-			return append(loc, c.canonical[floor])
+			return append(loc, c.canonicalAt(floor))
 		}
-		loc = append(loc, c.canonical[tip-back])
+		loc = append(loc, c.canonicalAt(tip-back))
 	}
 }
 
@@ -414,12 +400,12 @@ func (c *Chain) Locator() []crypto.Hash {
 // ends at its tip instead. Nil when the branch does not meet the
 // locator before leaving what this view holds.
 func (c *Chain) BlocksAfter(locator []crypto.Hash, want crypto.Hash, limit int) []*Block {
-	if !c.have[want] {
+	if !c.HasBlock(want) {
 		want = c.tip.Hash()
 	}
 	var branch []*Block
 	for b := c.exec.block(want); !slices.Contains(locator, b.Hash()); b = c.exec.block(b.Header.Parent) {
-		if !c.have[b.Header.Parent] {
+		if !c.HasBlock(b.Header.Parent) {
 			return nil
 		}
 		branch = append(branch, b)

@@ -39,9 +39,10 @@ import (
 //
 // The executor is deliberately lock-free: it inherits the simulation's
 // single-goroutine-per-world discipline (the engine's shards each own
-// their worlds outright), so sharing is free. Everything that makes
-// replicas *different* — tip choice, the canonical index, TipEvent
-// listeners — stays in the per-node Chain view.
+// their worlds outright), so sharing is free. Which views hold a block
+// is a bit each on its record; the rest that makes replicas *different*
+// — tip choice, canonical hashes by height, TipEvent listeners — stays in
+// the per-node Chain view (ADR-028).
 type Executor struct {
 	params Params
 	reg    *vm.Registry
@@ -49,7 +50,7 @@ type Executor struct {
 	genesis *Block
 	blocks  map[crypto.Hash]*record       // valid blocks, any fork
 	invalid map[*Block]error              // cached rejections, by block object
-	txIndex map[crypto.Hash][]crypto.Hash // txid -> blocks containing it
+	txIndex map[crypto.Hash][]crypto.Hash // txid -> blocks containing it; no coinbase
 
 	// opIndex maps a contract address to the blocks whose transactions
 	// deployed or called it, so contract-activity accounting (grading)
@@ -58,12 +59,12 @@ type Executor struct {
 
 	// Pruning machinery: every live view (NewView) registers here so
 	// the prune horizon can be computed as min(tip height) over views;
-	// byHeight drives the monotone sweeps from pruneFloor (states) and
-	// retireFloor (whole blocks) upward.
+	// byHeight (blocks by height) drives the monotone sweeps from
+	// pruneFloor (states) and retireFloor (whole blocks) upward.
 	views      []*Chain
-	byHeight   map[uint64][]crypto.Hash
+	byHeight   heights[[]crypto.Hash]
 	pruneFloor uint64
-	hashSlab   []crypto.Hash // what is left of the slabs index carves slots from
+	hashSlab   []crypto.Hash // what is left of the slabs addRef cuts index slots from
 	opSlab     []opRef
 	recordSlab []record // and of the one admit carves records from
 
@@ -99,8 +100,12 @@ type record struct {
 	block *Block
 	state *State
 	delta blockDelta
-	kept  bool // delta holds the block's changes
+	kept  bool   // delta holds the block's changes
+	views uint64 // a bit (Chain.bit) per view that holds the block
 }
+
+// MaxViews is how many views one executor holds: a bit each in a record.
+const MaxViews = 64
 
 // opRef locates one contract operation: the block carrying it and
 // whether it was a call (false = deploy).
@@ -177,14 +182,13 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 	// The genesis state is a base: every later block is a small layer.
 	st = st.flatten()
 	e := &Executor{
-		params:   params,
-		reg:      reg,
-		genesis:  genesis,
-		blocks:   make(map[crypto.Hash]*record),
-		invalid:  make(map[*Block]error),
-		txIndex:  make(map[crypto.Hash][]crypto.Hash),
-		opIndex:  make(map[crypto.Address][]opRef),
-		byHeight: make(map[uint64][]crypto.Hash),
+		params:  params,
+		reg:     reg,
+		genesis: genesis,
+		blocks:  make(map[crypto.Hash]*record),
+		invalid: make(map[*Block]error),
+		txIndex: make(map[crypto.Hash][]crypto.Hash),
+		opIndex: make(map[crypto.Address][]opRef),
 	}
 	e.stats.Executed++
 	e.admit(genesis.Hash(), genesis, st)
@@ -195,17 +199,18 @@ func NewExecutor(params Params, reg *vm.Registry, alloc GenesisAlloc) (*Executor
 // executor's blocks and states but choose tips independently — two
 // views over one executor can sit on different forks. Each view also
 // pins the prune horizon: nothing is pruned above
-// min(view tips) − PruneDepth.
+// min(view tips) − PruneDepth. At most MaxViews, made before retirement.
 func (e *Executor) NewView() *Chain {
 	gh := e.genesis.Hash()
 	c := &Chain{
 		exec:      e,
-		have:      map[crypto.Hash]bool{gh: true},
+		bit:       1 << len(e.views),
 		tip:       e.genesis,
-		canonical: map[uint64]crypto.Hash{0: gh},
+		canonical: heights[crypto.Hash]{s: []crypto.Hash{gh}},
 		parked:    map[crypto.Hash]*Tx{},
 		parkedBy:  map[crypto.Hash][]crypto.Hash{},
 	}
+	e.blocks[gh].views |= c.bit
 	e.views = append(e.views, c)
 	return c
 }
@@ -329,7 +334,7 @@ func (e *Executor) Execute(b *Block) (*State, error) {
 		return st, nil
 	}
 	parent := e.blocks[b.Header.Parent]
-	if parent == nil {
+	if parent == nil || b.Header.Height < e.retireFloor { // under the floor: only genesis is held
 		return nil, blockErr("unknown parent %s", b.Header.Parent)
 	}
 	if err := checkLinkage(b, parent.block); err != nil {
@@ -363,7 +368,7 @@ func (e *Executor) CommitBuilt(b *Block, built *State) error {
 		// Judged before; an admitted block's state is not needed back.
 		return err
 	}
-	if e.blocks[b.Header.Parent] == nil {
+	if e.blocks[b.Header.Parent] == nil || b.Header.Height < e.retireFloor {
 		return blockErr("unknown parent %s", b.Header.Parent)
 	}
 	e.stats.Executed++
@@ -388,7 +393,8 @@ func checkLinkage(b, parent *Block) error {
 // admit records a validated block, its state, its transactions, and
 // its contract operations. The record is a slot carved from a slab of
 // 64 (ADR-003); retire zeroes the slot, so a slab that lives on for its
-// other records pins no retired block.
+// other records pins no retired block. Coinbases are not indexed: no
+// FindTx caller asks for one.
 func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
 	if len(e.recordSlab) == 0 {
 		e.recordSlab = make([]record, 64)
@@ -399,30 +405,70 @@ func (e *Executor) admit(h crypto.Hash, b *Block, st *State) {
 	e.blocks[h] = r
 	e.stats.StatesLive++
 	height := b.Header.Height
-	index(e.byHeight, height, h, &e.hashSlab)
+	at := e.byHeight.slot(e.retireFloor, height)
+	*at = addRef(*at, h, &e.hashSlab)
 	for _, tx := range b.Txs {
-		index(e.txIndex, tx.ID(), h, &e.hashSlab)
 		switch tx.Kind {
+		case TxCoinbase:
+			continue
 		case TxDeploy:
-			index(e.opIndex, tx.ContractAddr(), opRef{block: h, height: height, call: false}, &e.opSlab)
+			a := tx.ContractAddr()
+			e.opIndex[a] = addRef(e.opIndex[a], opRef{block: h, height: height, call: false}, &e.opSlab)
 		case TxCall:
-			index(e.opIndex, tx.Contract, opRef{block: h, height: height, call: true}, &e.opSlab)
+			e.opIndex[tx.Contract] = addRef(e.opIndex[tx.Contract], opRef{block: h, height: height, call: true}, &e.opSlab)
 		}
+		id := tx.ID()
+		e.txIndex[id] = addRef(e.txIndex[id], h, &e.hashSlab)
 	}
 }
 
-// index appends v to m[k]. A new key's list starts in a slot carved from
-// *slab with capacity one, so a second entry moves it out by append and a
-// removal (dropBlockIndexes) stays inside it (ADR-003).
-func index[K comparable, V any](m map[K][]V, k K, v V, slab *[]V) {
-	refs, ok := m[k]
-	if !ok {
+// addRef appends v to an index list. A new list starts in a slot carved
+// from *slab with capacity one, so a second entry moves it out by append
+// and a removal (dropBlockIndexes) stays inside it (ADR-003).
+func addRef[V any](list []V, v V, slab *[]V) []V {
+	if list == nil {
 		if len(*slab) == 0 {
 			*slab = make([]V, 64)
 		}
-		refs, *slab = (*slab)[:0:1], (*slab)[1:]
+		list, *slab = (*slab)[:0:1], (*slab)[1:]
 	}
-	m[k] = append(refs, v)
+	return append(list, v)
+}
+
+// heights is a list by block height from the retire floor up: height h
+// is entry h − floor of s[dead:]; at reads the zero T outside it. cut
+// clears the entries retire releases and, once they are half of s, moves
+// the live ones down over them: a long-lived world appends into one array.
+type heights[T any] struct {
+	s    []T
+	dead int
+}
+
+func (l heights[T]) at(floor, h uint64) (t T) {
+	if live := l.s[l.dead:]; h >= floor && h-floor < uint64(len(live)) {
+		t = live[h-floor]
+	}
+	return t
+}
+
+// slot returns the entry at height h ≥ floor, growing the list to it.
+func (l *heights[T]) slot(floor, h uint64) *T {
+	for uint64(len(l.s)-l.dead) <= h-floor {
+		l.s = append(l.s, *new(T))
+	}
+	return &l.s[l.dead+int(h-floor)]
+}
+
+// cut drops the entries under height to, cleared so they pin nothing.
+func (l *heights[T]) cut(floor, to uint64) {
+	n := l.dead + int(min(to-floor, uint64(len(l.s)-l.dead)))
+	clear(l.s[l.dead:n])
+	l.dead = n
+	if 2*n >= len(l.s) {
+		live := copy(l.s, l.s[n:])
+		clear(l.s[live:])
+		l.s, l.dead = l.s[:live], 0
+	}
 }
 
 // prune advances the state-GC sweep. The horizon is
@@ -452,7 +498,7 @@ func (e *Executor) prune() {
 	}
 	horizon := minTip - uint64(d)
 	for height := max(e.pruneFloor, 1); height < horizon; height++ {
-		for _, bh := range e.byHeight[height] {
+		for _, bh := range e.byHeight.at(e.retireFloor, height) {
 			r, dead := e.blocks[bh], e.deadFork(bh, height)
 			if r.state != nil {
 				if !dead {
@@ -470,15 +516,15 @@ func (e *Executor) prune() {
 }
 
 // retire advances the history-GC sweep (Params.RetireDepth): whole
-// blocks below the retire horizon are released — their records, index
-// entries, and every view's have/canonical entries — after the
-// floor state has been advanced to the new floor by folding the
-// canonical blocks' deltas into it, in height order and in place. This
-// is the pruned-full-node model: anything at or above the floor is
-// re-derivable (floor state + retained deltas, bodies as the fallback),
-// anything below it is gone, and a reorg attempting to cross the floor
-// is rejected as an unknown parent. The genesis block is exempt (it
-// anchors chain identity and deterministic reconstruction).
+// blocks below the retire horizon are released — their records (the
+// views' bits with them), index entries, and every view's canonical
+// hashes — after the floor state has been advanced to the new floor by
+// folding the canonical blocks' deltas into it, in height order and in
+// place. This is the pruned-full-node model: anything at or above the
+// floor is re-derivable (floor state + retained deltas, bodies as the
+// fallback), anything below it is gone, and a reorg attempting to cross
+// the floor is rejected as an unknown parent. The genesis block is
+// exempt (it anchors chain identity and deterministic reconstruction).
 func (e *Executor) retire(minTip uint64) {
 	rd := e.params.RetireDepth
 	if rd <= 0 || minTip <= uint64(rd) {
@@ -492,13 +538,13 @@ func (e *Executor) retire(minTip uint64) {
 	// RetireDepth exceeding every plausible reorg makes disagreement
 	// pathological; if it happens anyway, retirement stalls (safe)
 	// rather than guessing.
-	canonical := e.views[0].canonical
-	ck, ok := canonical[horizon]
-	if !ok {
+	first := e.views[0]
+	ck := first.canonicalAt(horizon)
+	if ck == (crypto.Hash{}) {
 		return
 	}
 	for _, v := range e.views[1:] {
-		if v.canonical[horizon] != ck {
+		if v.canonicalAt(horizon) != ck {
 			return
 		}
 	}
@@ -507,15 +553,12 @@ func (e *Executor) retire(minTip uint64) {
 		e.floor = e.blocks[e.ckpt].state.flatten()
 	}
 	// Views agreeing on ck agree on all of its ancestors, so view 0's
-	// canonical index names the path from the old floor to the new one.
+	// canonical hashes name the path from the old floor to the new one.
 	for height := e.retireFloor + 1; height <= horizon; height++ {
-		e.advanceFloor(canonical[height])
+		e.advanceFloor(first.canonicalAt(height))
 	}
-	for height := e.retireFloor; height < horizon; height++ {
-		if height == 0 {
-			continue
-		}
-		for _, bh := range e.byHeight[height] {
+	for height := max(e.retireFloor, 1); height < horizon; height++ {
+		for _, bh := range e.byHeight.at(e.retireFloor, height) {
 			r := e.blocks[bh]
 			if r.state != nil {
 				// Memoized deep-read endpoints and late-arriving fork
@@ -526,14 +569,11 @@ func (e *Executor) retire(minTip uint64) {
 			delete(e.blocks, bh)
 			*r = record{}
 			e.stats.Retired++
-			for _, v := range e.views {
-				delete(v.have, bh)
-			}
 		}
-		delete(e.byHeight, height)
-		for _, v := range e.views {
-			delete(v.canonical, height)
-		}
+	}
+	e.byHeight.cut(e.retireFloor, horizon)
+	for _, v := range e.views {
+		v.canonical.cut(e.retireFloor, horizon)
 	}
 	e.retireFloor = horizon
 }
@@ -567,7 +607,7 @@ func (e *Executor) advanceFloor(bh crypto.Hash) {
 // accounting serve canonical history forever).
 func (e *Executor) deadFork(bh crypto.Hash, height uint64) bool {
 	for _, v := range e.views {
-		if v.canonical[height] == bh {
+		if v.canonicalAt(height) == bh {
 			return false
 		}
 	}
@@ -579,6 +619,14 @@ func (e *Executor) deadFork(bh crypto.Hash, height uint64) bool {
 // must still hit the verdict cache).
 func (e *Executor) dropBlockIndexes(bh crypto.Hash, b *Block) {
 	for _, tx := range b.Txs {
+		switch tx.Kind {
+		case TxCoinbase:
+			continue
+		case TxDeploy:
+			e.dropOpRef(tx.ContractAddr(), bh)
+		case TxCall:
+			e.dropOpRef(tx.Contract, bh)
+		}
 		id := tx.ID()
 		refs := e.txIndex[id]
 		for i, r := range refs {
@@ -591,12 +639,6 @@ func (e *Executor) dropBlockIndexes(bh crypto.Hash, b *Block) {
 			delete(e.txIndex, id)
 		} else {
 			e.txIndex[id] = refs
-		}
-		switch tx.Kind {
-		case TxDeploy:
-			e.dropOpRef(tx.ContractAddr(), bh)
-		case TxCall:
-			e.dropOpRef(tx.Contract, bh)
 		}
 	}
 }

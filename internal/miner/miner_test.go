@@ -92,6 +92,31 @@ func TestMiningAdvancesChain(t *testing.T) {
 	}
 }
 
+// TestNewNetworkBoundsMiners holds NewNetwork to the views one executor
+// can hold: each miner's view is a bit on the executor's records, so 64
+// miners stand up, each view holding only what it adopted, and 0 or 65
+// are refused with an error.
+func TestNewNetworkBoundsMiners(t *testing.T) {
+	for _, n := range []int{0, chain.MaxViews + 1} {
+		if _, err := NewNetwork(sim.New(1), Config{Params: chain.DefaultParams("testnet"), Miners: n}); err == nil {
+			t.Errorf("NewNetwork with %d miners: no error", n)
+		}
+	}
+	_, net, _ := testNet(t, 1, chain.MaxViews, p2p.LatencyModel{Base: 100})
+	last := net.Node(chain.MaxViews - 1).Chain
+	b, built, _ := last.BuildBlock(crypto.Address{1}, 10*sim.Second, nil)
+	b.Header.Seal(0)
+	if _, err := last.AddMinedBlock(b, built); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range net.Nodes {
+		got, genesis, want := n.Chain.HasBlock(b.Hash()), n.Chain.HasBlock(b.Header.Parent), i == chain.MaxViews-1
+		if got != want || !genesis {
+			t.Fatalf("view %d holds the new block: %v, genesis: %v; want %v and true", i, got, genesis, want)
+		}
+	}
+}
+
 func TestNetworkConverges(t *testing.T) {
 	s, net, _ := testNet(t, 2, 5, p2p.LatencyModel{Base: 50, Jitter: 100})
 	net.Start()

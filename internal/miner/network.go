@@ -55,8 +55,8 @@ type Config struct {
 // NewNetwork builds and starts a blockchain network. Every node gets
 // an equal hash-power share.
 func NewNetwork(s *sim.Sim, cfg Config) (*Network, error) {
-	if cfg.Miners <= 0 {
-		return nil, fmt.Errorf("miner: need at least one miner")
+	if cfg.Miners <= 0 || cfg.Miners > chain.MaxViews {
+		return nil, fmt.Errorf("miner: %d miners, want 1 to %d (a view each on one executor)", cfg.Miners, chain.MaxViews)
 	}
 	p2pNet := p2p.NewNetwork(s, cfg.Latency)
 	exec, err := chain.NewExecutor(cfg.Params, cfg.Registry, cfg.Alloc)
