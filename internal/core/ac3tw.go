@@ -94,10 +94,6 @@ func (r *TWRun) Start() {
 	r.Runtime.Start()
 }
 
-// DecisionOpen reports that ms(D) is on file at Trent: from here on he
-// can be asked to decide.
-func (r *TWRun) DecisionOpen() bool { return r.registered }
-
 // Crash takes Trent offline — AC3TW's single point of failure. It
 // tolerates participant crashes the way AC3WN does; under denial of
 // service the witness stays down and the AC2T blocks.
@@ -110,15 +106,11 @@ func (r *TWRun) Crash() (who string, comesBack bool) {
 // him on its next drive and the run unblocks by itself.
 func (r *TWRun) Recover() { r.cfg.Trent.Recover() }
 
-// RaceRefund has a rogue ask Trent to witness the abort. His store's
+// Race has a rogue ask Trent to witness the abort. His store's
 // at-most-one-signature guard keeps the outcome atomic whichever
 // request lands first.
-func (r *TWRun) RaceRefund(*xchain.Participant) bool {
-	if !r.registered {
-		return false
-	}
+func (r *TWRun) Race() {
 	r.cfg.Trent.RequestRefund(r.msID, func(crypto.Signature, crypto.Purpose, error) {})
-	return true
 }
 
 // Step is the reconciler step function.
@@ -174,6 +166,7 @@ func (r *TWRun) register() {
 			return
 		}
 		r.registered = true
+		r.Reach(protocol.AtDecisionWindow)
 		r.Event(-1, "ms(D) registered at Trent")
 		r.Broadcast(r.cfg.Initiator, twRegistered{})
 		r.DriveAll()
@@ -181,11 +174,11 @@ func (r *TWRun) register() {
 }
 
 // requestRedeem asks Trent for the redemption signature: the commit's
-// push, where an armed crash fires.
+// push, where a row armed there fires.
 func (r *TWRun) requestRedeem() {
 	r.Mark(protocol.PointDecisionTriggered)
 	r.Event(-1, "redeem signature requested from Trent")
-	r.FireCrash()
+	r.Reach(protocol.AtCommitPush)
 	r.cfg.Trent.RequestRedeem(r.msID, r.Addrs(), func(sig crypto.Signature, p crypto.Purpose, err error) {
 		if r.Stopped() {
 			return

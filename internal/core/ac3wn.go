@@ -397,6 +397,7 @@ func (r *Run) deploySCw(p *xchain.Participant) {
 	}
 	r.scwTx = tx
 	r.scwAddr = addr
+	r.Reach(protocol.AtDecisionWindow)
 	r.checkpointHash = cpHashes
 	r.Mark(protocol.PointDeploySubmitted)
 	r.Event(-1, "SCw deploy submitted")
@@ -547,12 +548,12 @@ func (r *Run) submitAuthorizeRedeem(p *xchain.Participant, st *pstate) {
 }
 
 // noteCommitPushed records p's authorize_redeem submission: the
-// commit's push, where an armed crash fires.
+// commit's push, where a row armed there fires.
 func (r *Run) noteCommitPushed(p *xchain.Participant, st *pstate) {
 	st.submittedRD = true
 	r.Mark(protocol.PointDecisionTriggered)
 	r.Event(-1, "authorize_redeem submitted by "+p.Name)
-	r.FireCrash()
+	r.Reach(protocol.AtCommitPush)
 }
 
 // trySubmitRefund pushes SCw to RFauth (no evidence required). Called
@@ -728,29 +729,21 @@ func (r *Run) batchEvidenceFor(p *xchain.Participant, checkpoint *chain.Header, 
 	return contracts.EncodeEvidenceList(ev, proof, commit), nil
 }
 
-// DecisionOpen reports that the decision window is open: SCw's address
-// is known, so a decision can be pushed at it.
-func (r *Run) DecisionOpen() bool { return !r.scwAddr.IsZero() }
-
 // DecisionChain is the witness chain: where the decision is made.
 func (r *Run) DecisionChain() chain.ID { return r.cfg.WitnessChain }
 
-// RaceRefund makes rogue push a conflicting authorize_refund at the
-// open decision — into the batching coordinator when decisions are
-// batched (first-wins there, and whole-batch conflict rejection
+// Race makes the last participant push a conflicting authorize_refund
+// at the open decision — into the batching coordinator when decisions
+// are batched (first-wins there, and whole-batch conflict rejection
 // on-chain), at SCw otherwise. Exactly one decision can stick, buried
-// at depth d on the witness chain. It reports false while there is no
-// SCw to race at, or the submission failed, and is then worth retrying.
-func (r *Run) RaceRefund(rogue *xchain.Participant) bool {
-	if r.scwAddr.IsZero() {
-		return false
-	}
+// at depth d on the witness chain.
+func (r *Run) Race() {
 	if r.batched() {
 		r.cfg.Batcher.Submit(r.scwAddr, contracts.WitnessRefundAuthorized)
-		return true
+		return
 	}
-	_, err := rogue.Client(r.cfg.WitnessChain).Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0)
-	return err == nil
+	rogue := r.cfg.Participants[len(r.cfg.Participants)-1]
+	rogue.Client(r.cfg.WitnessChain).Call(r.scwAddr, contracts.FnAuthorizeRefund, nil, 0) // carries no value: cannot fail
 }
 
 // Grade adds to the runtime's asset-contract grading what AC3WN pays on

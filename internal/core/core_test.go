@@ -7,6 +7,7 @@ import (
 	"repro/internal/contracts"
 	"repro/internal/crypto"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -132,16 +133,9 @@ func TestAC3WNCrashRecoveryPreservesAtomicity(t *testing.T) {
 	r.Start()
 
 	crashed := false
-	w.Sim.Poll(sim.Second, func() bool {
-		for _, ev := range r.Events() {
-			if ev.Label == "authorize_redeem submitted by alice" ||
-				ev.Label == "authorize_redeem submitted by bob" {
-				crashed = true
-				bob.Crash()
-				return true
-			}
-		}
-		return false
+	r.Arm(protocol.AtCommitPush, func(protocol.Protocol) {
+		crashed = true
+		bob.Crash()
 	})
 
 	w.RunUntil(90 * sim.Minute) // bob down; alice redeems her side
@@ -180,7 +174,7 @@ func TestAC3WNInitiatorCrashAfterDeploysStillCommits(t *testing.T) {
 	r := twoPartyRun(t, w, alice, bob, 0)
 	r.Start()
 
-	w.Sim.Poll(sim.Second, func() bool {
+	every(w.Sim, sim.Second, func() bool {
 		// Crash alice the moment every deploy is confirmed, before
 		// any authorize_redeem was submitted.
 		if r.AllDeployedAt > 0 {
@@ -541,4 +535,14 @@ func TestAC3TWRegisterDuplicateRejected(t *testing.T) {
 	if third == nil {
 		t.Fatal("incomplete multisig registered")
 	}
+}
+
+// every runs fn every d of virtual time, the first time d from now,
+// until it reports true.
+func every(s *sim.Sim, d sim.Time, fn func() bool) {
+	s.After(d, func() {
+		if !fn() {
+			every(s, d, fn)
+		}
+	})
 }

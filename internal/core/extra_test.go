@@ -83,7 +83,7 @@ func TestWitnessEvidenceCannotBeReplayedAcrossAC2Ts(t *testing.T) {
 	// Run 2 only deploys; we freeze it right before any decision by
 	// never letting its participants push (crash them after deploys).
 	r2.Start()
-	w.Sim.Poll(sim.Second, func() bool {
+	every(w.Sim, sim.Second, func() bool {
 		if r2.AllDeployedAt > 0 {
 			a2.Crash()
 			b2.Crash()

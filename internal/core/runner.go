@@ -20,9 +20,10 @@ import (
 //
 // The second half is the fault surface: the paper compares the
 // protocols facing the same hazards — a crash at decision time, a
-// racing refund, a split decision chain — so each protocol says, as
-// typed predicates and actions, where those hazards bite it. A driver
-// never inspects timeline labels or the runner's concrete type.
+// racing refund, a split decision chain — so each protocol says at
+// which of its steps those hazards bite. A driver arms a row at a
+// point and never inspects timeline labels or the runner's concrete
+// type.
 type Runner interface {
 	// Start begins the protocol at the current virtual time.
 	Start()
@@ -46,31 +47,23 @@ type Runner interface {
 	// phase spans from.
 	Marks() []protocol.Mark
 
-	// DecisionOpen reports that the decision window is open — the
-	// moment Section 1's hazard analysis says network behavior decides
-	// the outcome: SCw's address is known (AC3WN), ms(D) is registered
-	// at Trent (AC3TW), the secret reveal was submitted (HTLC).
-	DecisionOpen() bool
 	// DecisionChain is the blockchain the decision's fate rides on: the
 	// witness chain for AC3WN, the first edge's asset chain otherwise.
 	DecisionChain() chain.ID
-	// ArmCrash arms the Section 1 hazard at the commit push: the
-	// moment authorize_redeem is submitted (AC3WN), the redeem
-	// signature is requested (AC3TW) or the first redeem is submitted
-	// (HTLC), the protocol's critical failure point goes down — the last
-	// participant for AC3WN and HTLC, the trusted witness for AC3TW —
-	// and crashed is told who that is and whether the hazard has it come
-	// back (a participant's site restarts) or stay down (the witness
-	// under denial of service). It fires at most once, and never on a
-	// run that pushes no commit. Recover brings the victim back either
-	// way and resumes it.
-	ArmCrash(crashed func(who string, comesBack bool))
+	// Arm arms one fault row at a protocol point: the moment the
+	// decision window opens (SCw's address is known for AC3WN, ms(D) is
+	// registered at Trent for AC3TW, the first redeem reveals the secret
+	// for HTLC) or the commit push (authorize_redeem submitted, the
+	// redeem signature requested, the first redeem submitted). There,
+	// or at once if the run is past it, fire runs once, after the step
+	// that reached the point and in the same virtual instant, handed the
+	// protocol's fault hooks: Crash takes down its critical failure point
+	// — the last participant for AC3WN and HTLC, the trusted witness for
+	// AC3TW — and Race has the last participant push a conflicting
+	// refund. A run that never reaches the point never fires. Recover
+	// brings a crash victim back either way and resumes it.
+	Arm(at protocol.FaultPoint, fire func(protocol.Protocol))
 	Recover()
-	// RaceRefund makes rogue race the honest decision with a
-	// conflicting refund. It reports whether the race is placed (or the
-	// protocol has no decision to race: hashlocks); false means not yet
-	// possible — call again later.
-	RaceRefund(rogue *xchain.Participant) bool
 }
 
 // signGraph is the one signing of ms(GD) each run performs at Start —

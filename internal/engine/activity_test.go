@@ -10,24 +10,32 @@ import (
 // and counts the waiters on its activity signal after every dispatch.
 // One re-armed waiter serves every in-flight AC2T, so a second entry is
 // a double arm, and Wake would then run twice per tip change. To
-// cover the arm that happens mid-pass, every third in-flight AC2T gets a
-// watch that grades it from inside Wake, which admits a queued
-// arrival and so calls armActivity before the pass has ended.
+// cover the arm that happens mid-pass, every third in-flight AC2T has
+// its deadline pulled in to the present, so the next Wake grades it,
+// which admits a queued arrival and so calls armActivity before the
+// pass has ended.
 func TestShardActivityListsOneWaiter(t *testing.T) {
 	const txCount = 48
 	wl := named(t, "default", txCount)
 	wl.ArrivalEvery = sim.Second // arrivals outrun the in-flight cap and queue
 	s := sim.New(0)
 	s.Reset(42)
-	e := &shardExec{
+	dispatches, midPass, inWake := 0, 0, false
+	var e *shardExec
+	e = &shardExec{
 		seed: 42, wl: wl, proto: protocolOf(wl.Protocol), prune: Config{}.pruneDepth(),
-		graded: func() {}, s: s, txs: make([]txState, txCount), res: newShardResult(0, 42, txCount),
+		s: s, txs: make([]txState, txCount), res: newShardResult(0, 42, txCount),
+		graded: func() { // finish admits a queued arrival next
+			if inWake && len(e.queue) > 0 {
+				midPass++
+			}
+		},
 	}
 	if err := e.buildWorld(txCount, nil); err != nil {
 		t.Fatal(err)
 	}
+	e.actWaiter = sim.NewWaiter(wakeFunc(func() { inWake = true; e.Wake(); inWake = false }))
 	e.scheduleArrivals()
-	dispatches, midPass := 0, 0
 	var probe sim.Waiter
 	// The probe rides the same signal; its check runs as a later event of
 	// the same instant, once the whole batch (the shard's Wake
@@ -38,15 +46,8 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 			t.Fatalf("t=%d: %d waiters on the shard's activity signal after a dispatch, want at most 1", s.Now(), n)
 		}
 		for _, i := range e.activeIdx {
-			if st := &e.txs[i]; st.watch == nil && i%3 == 0 {
-				st.watch = func() bool {
-					queued := len(e.queue)
-					e.finish(i, st.runner)
-					if len(e.queue) < queued {
-						midPass++
-					}
-					return true
-				}
+			if i%3 == 0 {
+				e.txs[i].deadline = min(e.txs[i].deadline, s.Now())
 			}
 		}
 		e.activity.Rearm(&probe)

@@ -93,11 +93,6 @@ type Lab struct {
 	CrashedAt, RecoveredAt sim.Time
 }
 
-// watchEvery is how often RunOne evaluates a row's watch — the race
-// and partition rows'; the crash row fires at the protocol's push and
-// needs none (ADR-019).
-const watchEvery = 100 * sim.Millisecond
-
 // Build creates sh's parties, chains and genesis funds on a fresh
 // simulator seeded with seed, in the order listed, and builds the world;
 // the participants come back in Parties' order. A fund or a cap on a
@@ -144,10 +139,11 @@ func (sh Shape) Build(seed uint64) (*xchain.World, []*xchain.Participant, error)
 // t.AbortAfter is the row's where it sets one), arms sc's scenario row,
 // runs it out to deadline and grades it. What the crash row took down
 // by recoverAt (>0) comes back then. The sequence is what the stdout
-// goldens pin: Start, the row's arm and any watch on a watchEvery poll,
-// RunUntil(recoverAt) → Recover, then World.RunOut. Anything that fails
-// to build, an unknown scenario included, is the first error; a run
-// that merely goes badly is an Outcome.
+// goldens pin: Start, the row's arm (the runner fires it at its
+// protocol point, as in the shard), RunUntil(recoverAt) → Recover, then
+// World.RunOut. Anything that fails to build, an unknown scenario
+// included, is the first error; a run that merely goes badly is an
+// Outcome.
 func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, sc Scenario, recoverAt, deadline sim.Time) (*Lab, error) {
 	row := scenarioOf(sc)
 	if row == nil {
@@ -186,9 +182,6 @@ func RunOne(seed uint64, sh Shape, proto Protocol, t AC2T, sc Scenario, recoverA
 	f := fault{w: w, runner: r, parts: ps, g: g, deadline: deadline}
 	if row.arm != nil {
 		row.arm(&f)
-	}
-	if f.watch != nil {
-		w.Sim.Poll(watchEvery, f.watch)
 	}
 	lab := &Lab{World: w, Graph: g, Runner: r}
 	if recoverAt > 0 {

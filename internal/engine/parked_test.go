@@ -43,10 +43,10 @@ func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 			}
 		}
 	}
-	s.Poll(5*sim.Second, func() bool { check(); return false })
+	every(s, 5*sim.Second, func() bool { check(); return false })
 	// Take one miner of every chain down while its view holds records.
 	crashed := 0
-	s.Poll(5*sim.Second, func() bool {
+	every(s, 5*sim.Second, func() bool {
 		for _, id := range e.w.Chains() {
 			if n := e.w.Net(id).Node(1); n.Alive() && n.Chain.Parked() > 0 {
 				n.Crash()
@@ -66,4 +66,14 @@ func TestParkedRecordsNeverOutliveTheirMempoolEntry(t *testing.T) {
 	if parkedSeen == 0 || drained == 0 || crashed == 0 {
 		t.Fatalf("vacuous run: at most %d parked, %d drained-mempool samples, %d crashes", parkedSeen, drained, crashed)
 	}
+}
+
+// every runs fn every d of virtual time, the first time d from now,
+// until it reports true.
+func every(s *sim.Sim, d sim.Time, fn func() bool) {
+	s.After(d, func() {
+		if !fn() {
+			every(s, d, fn)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/p2p"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/swap"
 	"repro/internal/xchain"
@@ -154,12 +155,11 @@ func newHTLC(w *xchain.World, t AC2T) (core.Runner, error) {
 
 // fault is one AC2T as a scenario row arms it. A driver — the shard
 // per AC2T, RunOne for its one — fills in the first seven fields. A row
-// that waits for a protocol moment sets watch, which the driver
-// evaluates until it reports done (the shard on its activity feed,
-// RunOne on a poll); a row that degrades the network appends lift
-// funcs, which the shard runs once the AC2T grades (RunOne's world ends
-// with its AC2T). The crash row records its victim when the protocol
-// crashes it; when the victim comes back is the driver's rule, downFor.
+// that strikes at a protocol step arms the runner there (core.Runner's
+// Arm); a row that degrades the network appends lift funcs, which the
+// shard runs once the AC2T grades (RunOne's world ends with its AC2T).
+// The crash row records its victim when the protocol crashes it; when
+// the victim comes back is the driver's rule, downFor.
 type fault struct {
 	w        *xchain.World
 	runner   core.Runner // nil once the shard graded the AC2T
@@ -171,7 +171,6 @@ type fault struct {
 	// after the crash, while the AC2T is in flight: the shard's rule.
 	// RunOne leaves it 0 and recovers at its own recoverAt.
 	downFor   sim.Time
-	watch     func() bool
 	lift      []func()
 	victim    string // "" if nobody crashed
 	crashedAt sim.Time
@@ -275,13 +274,14 @@ func armAbort(f *fault) {
 }
 
 // armCrash is the Section 1 hazard, aimed at the protocol's critical
-// failure point in the instant the commit decision is pushed, and the
-// one caller of ArmCrash. A crashed participant (AC3WN, HTLC) comes
-// back — AC3WN then completes the AC2T, HTLC's victim finds its
-// timelocks expired and has lost assets. AC3TW's critical point is the
-// centralized witness, which stays down: the AC2T blocks.
+// failure point in the instant the commit decision is pushed. A crashed
+// participant (AC3WN, HTLC) comes back — AC3WN then completes the AC2T,
+// HTLC's victim finds its timelocks expired and has lost assets.
+// AC3TW's critical point is the centralized witness, which stays down:
+// the AC2T blocks.
 func armCrash(f *fault) {
-	f.runner.ArmCrash(func(who string, comesBack bool) {
+	f.runner.Arm(protocol.AtCommitPush, func(p protocol.Protocol) {
+		who, comesBack := p.Crash()
 		f.victim, f.crashedAt, f.comesBack = who, f.w.Sim.Now(), comesBack
 		if comesBack && f.downFor > 0 {
 			f.w.Sim.After(f.downFor, func() {
@@ -293,13 +293,12 @@ func armCrash(f *fault) {
 	})
 }
 
-// armRace: a rogue participant races the honest decision. Exactly one
-// decision can stick — buried at depth d on the witness chain for
-// AC3WN, stored at Trent for AC3TW — so the AC2T stays atomic whichever
-// way it goes.
+// armRace: a rogue participant races the honest decision the moment
+// its window opens. Exactly one decision can stick — buried at depth d
+// on the witness chain for AC3WN, stored at Trent for AC3TW — so the
+// AC2T stays atomic whichever way it goes; hashlocks have none to race.
 func armRace(f *fault) {
-	r, rogue := f.runner, f.parts[len(f.parts)-1]
-	f.watch = func() bool { return r.RaceRefund(rogue) }
+	f.runner.Arm(protocol.AtDecisionWindow, protocol.Protocol.Race)
 }
 
 // armPartition splits the transaction's decision chain the moment its
@@ -311,11 +310,8 @@ func armRace(f *fault) {
 // AC3TW blocking and HTLC expiry loss surface in the by-scenario
 // aggregates as data.
 func armPartition(f *fault) {
-	f.watch = func() bool {
-		if !f.runner.DecisionOpen() {
-			return false
-		}
-		// The window starts at the decision trigger, not at tx start,
+	f.runner.Arm(protocol.AtDecisionWindow, func(protocol.Protocol) {
+		// The split starts when the decision window opens, not at tx start,
 		// so clamp it: the heal must land with enough room before the
 		// grading deadline for post-heal reconciliation — otherwise the
 		// tx is graded mid-split and "non-blocking under partition" was
@@ -327,8 +323,7 @@ func armPartition(f *fault) {
 			dur = max(maxDur, 0)
 		}
 		f.w.Net(f.runner.DecisionChain()).P2P.ScheduleIsolation(f.w.Sim.Now(), dur, f.i)
-		return true
-	}
+	})
 }
 
 // armLossy imposes sustained gossip loss on every network the AC2T

@@ -92,39 +92,46 @@ func TestNamedWorkloads(t *testing.T) {
 	}
 }
 
-// fakeRunner is a core.Runner with no protocol behind it: scripted
-// predicates, recorded actions.
+// fakeRunner is a core.Runner with no protocol behind it: the armed
+// row is recorded, for the test to fire.
 type fakeRunner struct {
-	open          bool
 	decisionChain chain.ID
-	raceReady     bool
 
-	crashed  func(who string, comesBack bool) // the armed crash
+	at       protocol.FaultPoint
+	fire     func(protocol.Protocol) // the armed row
 	recovers int
-	raced    []*xchain.Participant
 }
 
-func (f *fakeRunner) Start()                              {}
-func (f *fakeRunner) Settled() bool                       { return false }
-func (f *fakeRunner) Stop()                               {}
-func (f *fakeRunner) Grade() *xchain.Outcome              { return &xchain.Outcome{} }
-func (f *fakeRunner) Events() []protocol.Event            { return nil }
-func (f *fakeRunner) Marks() []protocol.Mark              { return nil }
-func (f *fakeRunner) DecisionOpen() bool                  { return f.open }
-func (f *fakeRunner) DecisionChain() chain.ID             { return f.decisionChain }
-func (f *fakeRunner) ArmCrash(crashed func(string, bool)) { f.crashed = crashed }
-func (f *fakeRunner) Recover()                            { f.recovers++ }
-func (f *fakeRunner) RaceRefund(rogue *xchain.Participant) bool {
-	f.raced = append(f.raced, rogue)
-	return f.raceReady
+func (f *fakeRunner) Start()                   {}
+func (f *fakeRunner) Settled() bool            { return false }
+func (f *fakeRunner) Stop()                    {}
+func (f *fakeRunner) Grade() *xchain.Outcome   { return &xchain.Outcome{} }
+func (f *fakeRunner) Events() []protocol.Event { return nil }
+func (f *fakeRunner) Marks() []protocol.Mark   { return nil }
+func (f *fakeRunner) DecisionChain() chain.ID  { return f.decisionChain }
+func (f *fakeRunner) Recover()                 { f.recovers++ }
+func (f *fakeRunner) Arm(at protocol.FaultPoint, fire func(protocol.Protocol)) {
+	f.at, f.fire = at, fire
 }
+
+// fakeHooks answers the fault hooks a row calls, and nothing else.
+type fakeHooks struct {
+	protocol.Protocol
+	who       string
+	comesBack bool
+	races     int
+}
+
+func (h *fakeHooks) Crash() (string, bool) { return h.who, h.comesBack }
+func (h *fakeHooks) Race()                 { h.races++ }
 
 // TestScenariosNeedOnlyTheRunnerInterface arms every scenario's fault on
-// a runner that is nothing but the interface: the engine must drive
-// crash, race and partition off the typed predicates and actions alone,
+// a runner that is nothing but the interface: the engine must arm
+// crash, race and partition at their protocol points through Arm alone,
 // and aim the network faults at the chains the runner and the
-// transaction's own edges name. The crash subtest fires the armed
-// crash itself and checks the shard's recovery rule, downFor.
+// transaction's own edges name. Each subtest fires the armed row itself
+// where the protocol would; the crash subtest checks the shard's
+// recovery rule, downFor.
 func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	setup := func(t *testing.T) (*shardExec, *txState, *fakeRunner) {
 		wl := DefaultWorkload()
@@ -146,21 +153,21 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	last := func(st *txState) *xchain.Participant { return st.parts[len(st.parts)-1] }
 
 	t.Run("abort", func(t *testing.T) {
-		_, st, _ := setup(t)
+		_, st, f := setup(t)
 		arm(st, ScenarioAbort)
-		if !last(st).Crashed() || st.parts[0].Crashed() || st.watch != nil {
-			t.Fatal("abort must take down exactly the last participant, at once")
+		if !last(st).Crashed() || st.parts[0].Crashed() || f.fire != nil {
+			t.Fatal("abort must take down exactly the last participant, at once, and arm nothing")
 		}
 	})
 	t.Run("crash", func(t *testing.T) {
 		for _, comesBack := range []bool{true, false} {
 			e, st, f := setup(t)
 			arm(st, ScenarioCrash)
-			if f.crashed == nil || st.watch != nil || st.victim != "" {
-				t.Fatal("the crash row must arm the runner's crash, and set no watch")
+			if f.fire == nil || f.at != protocol.AtCommitPush || st.victim != "" {
+				t.Fatal("the crash row must arm the runner at the commit push, and crash nobody yet")
 			}
 			e.s.RunUntil(sim.Minute)
-			f.crashed("fake", comesBack) // the protocol's push
+			f.fire(&fakeHooks{who: "fake", comesBack: comesBack}) // the protocol's push
 			if st.victim != "fake" || st.crashedAt != sim.Minute || st.comesBack != comesBack {
 				t.Fatalf("crash not recorded: victim %q at %d (comes back %v)", st.victim, st.crashedAt, st.comesBack)
 			}
@@ -176,7 +183,7 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 		// An AC2T graded while its victim is down keeps it down.
 		e, st, f := setup(t)
 		arm(st, ScenarioCrash)
-		f.crashed("fake", true)
+		f.fire(&fakeHooks{who: "fake", comesBack: true})
 		st.runner = nil // as finish leaves it
 		e.s.RunUntil(crashDownFor + sim.Second)
 		if f.recovers != 0 {
@@ -186,31 +193,35 @@ func TestScenariosNeedOnlyTheRunnerInterface(t *testing.T) {
 	t.Run("race", func(t *testing.T) {
 		_, st, f := setup(t)
 		arm(st, ScenarioRace)
-		if st.watch() {
-			t.Fatal("race reported placed before the runner accepted it")
+		if f.fire == nil || f.at != protocol.AtDecisionWindow {
+			t.Fatal("the race row must arm the runner at the decision window")
 		}
-		f.raceReady = true
-		if !st.watch() || len(f.raced) != 2 || f.raced[1] != last(st) {
-			t.Fatalf("race: rogue must be the last participant, retried until placed (calls: %d)", len(f.raced))
+		hooks := &fakeHooks{}
+		f.fire(hooks)
+		if hooks.races != 1 || last(st).Crashed() {
+			t.Fatalf("race: the row must call the protocol's Race once and touch no participant (calls: %d)", hooks.races)
 		}
 	})
 	t.Run("partition", func(t *testing.T) {
 		e, st, f := setup(t)
 		arm(st, ScenarioPartition)
-		if st.watch() {
-			t.Fatal("partitioned before the decision window opened")
-		}
-		f.open = true
-		if !st.watch() {
-			t.Fatal("decision window open: watch must fire")
+		if f.fire == nil || f.at != protocol.AtDecisionWindow {
+			t.Fatal("the partition row must arm the runner at the decision window")
 		}
 		e.s.RunUntil(sim.Second)
+		for _, id := range e.w.Chains() {
+			if e.w.Net(id).P2P.Partitioned() {
+				t.Fatalf("chain %s partitioned before the decision window opened", id)
+			}
+		}
+		f.fire(&fakeHooks{}) // the window opens
+		e.s.RunUntil(2 * sim.Second)
 		for _, id := range e.w.Chains() {
 			if got, want := e.w.Net(id).P2P.Partitioned(), id == f.decisionChain; got != want {
 				t.Errorf("chain %s partitioned = %v, want %v (only the runner's decision chain splits)", id, got, want)
 			}
 		}
-		e.s.RunUntil(partitionFor + 2*sim.Second)
+		e.s.RunUntil(sim.Second + partitionFor + 2*sim.Second)
 		if e.w.Net(f.decisionChain).P2P.Partitioned() {
 			t.Error("split never healed")
 		}

@@ -120,7 +120,7 @@ type shardExec struct {
 	txs   []txState
 
 	// activity fires when any chain's ground-truth view changes tip;
-	// it drives all in-flight quiescence checks and scenario watches.
+	// it drives all in-flight quiescence checks.
 	activity  *sim.Signal
 	actWaiter sim.Waiter // wakes the shard (Wake)
 	armed     bool
@@ -516,16 +516,13 @@ func (e *shardExec) Wake() {
 	e.armActivity()
 }
 
-// checkTx advances transaction i's lifecycle: run its scenario watch,
-// schedule the settle-grace finish once the runner quiesced, or grade
-// it as-is at the deadline.
+// checkTx advances transaction i's lifecycle: schedule the
+// settle-grace finish once the runner quiesced, or grade it as-is at
+// the deadline.
 func (e *shardExec) checkTx(i int) {
 	st := &e.txs[i]
 	if st.graded || st.finishing {
 		return
-	}
-	if st.watch != nil && st.watch() {
-		st.watch = nil
 	}
 	if st.runner != nil && st.runner.Settled() {
 		st.finishing = true
@@ -551,7 +548,6 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 		return
 	}
 	st.graded = true
-	st.watch = nil
 	if st.g != nil && e.w.Sigs != nil {
 		d := st.g.Digest()
 		for _, p := range st.parts { // its presigned verdicts are spent

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -53,7 +54,7 @@ func TestStandUpCrashRow(t *testing.T) {
 				}
 				r.Start()
 				var crashed string
-				r.ArmCrash(func(who string, _ bool) { crashed = who })
+				r.Arm(protocol.AtCommitPush, func(p protocol.Protocol) { crashed, _ = p.Crash() })
 				w.RunUntil(2 * sim.Hour) // far beyond every HTLC timelock
 
 				wantCrashed := ps[n-1].Name

@@ -55,24 +55,24 @@ const (
 	confLossUntil = 20 * sim.Minute
 )
 
-// splitNet partitions miner 0 of the chain's gossip network away from
-// the rest when trigger first reports true, healing confPartitionFor
-// later via the schedule API.
-func splitNet(w *xchain.World, id chain.ID, trigger func() bool) {
-	splitNetAt(w, id, 0, trigger)
+// split isolates the given miner of the chain's gossip network from
+// the rest now, healing confPartitionFor later via the schedule API.
+// The miner is chosen to starve a specific participant's attached
+// node, since clients read their own node's view while submissions
+// reach every mempool on their side of the split.
+func split(w *xchain.World, id chain.ID, isolate int) {
+	w.Net(id).P2P.ScheduleIsolation(w.Sim.Now(), confPartitionFor, isolate)
 }
 
-// splitNetAt isolates the given miner index — chosen to starve a
-// specific participant's attached node, since clients read their own
-// node's view while submissions reach every mempool on their side of
-// the split.
-func splitNetAt(w *xchain.World, id chain.ID, isolate int, trigger func() bool) {
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		if !trigger() {
-			return false
+// splitWhen splits the chain's network (split) once trigger reports
+// true, checked every 100ms: for a moment that is no protocol point.
+func splitWhen(w *xchain.World, id chain.ID, isolate int, trigger func() bool) {
+	w.Sim.After(100*sim.Millisecond, func() {
+		if trigger() {
+			split(w, id, isolate)
+			return
 		}
-		w.Net(id).P2P.ScheduleIsolation(w.Sim.Now(), confPartitionFor, isolate)
-		return true
+		splitWhen(w, id, isolate, trigger)
 	})
 }
 
@@ -138,33 +138,28 @@ func firstEvent(events []protocol.Event, prefix string) (sim.Time, bool) {
 	return 0, false
 }
 
-// openMatchesLabel ties the Runner's DecisionOpen predicate to the
-// timeline wording the drivers used to scan for: sampled at every
-// instant of the virtual clock (its resolution is a millisecond), it
-// must agree with "the label is on the timeline" — so it first reports
-// true in the very event that logs it — and it must have fired by the
-// end of a committing run.
-func openMatchesLabel(t *testing.T, w *xchain.World, r core.Runner, label string) {
+// armAt arms r's fault row at point at, as the engine's rows do, and
+// checks at the end that it fired exactly once, in the virtual instant
+// label was first logged; with label "", that it never fired: a run
+// that does not reach the point fires nothing.
+func armAt(t *testing.T, w *xchain.World, r core.Runner, at protocol.FaultPoint, label string, fire func(protocol.Protocol)) {
 	t.Helper()
-	seen := sim.Time(-1)
-	w.Sim.Poll(sim.Millisecond, func() bool {
-		_, logged := firstEvent(r.Events(), label)
-		if got := r.DecisionOpen(); got != logged {
-			t.Errorf("t=%d: DecisionOpen() = %v but %q logged = %v", w.Sim.Now(), got, label, logged)
-			return true
-		}
-		if logged {
-			seen = w.Sim.Now()
-		}
-		return logged
+	var fired []sim.Time
+	r.Arm(at, func(p protocol.Protocol) {
+		fired = append(fired, w.Sim.Now())
+		fire(p)
 	})
 	t.Cleanup(func() {
-		at, logged := firstEvent(r.Events(), label)
-		// The sampler may run before or after the protocol's event
-		// within one instant, so it sees the flip at the label's
-		// instant or the next.
-		if !logged || seen < at || seen > at+sim.Millisecond {
-			t.Errorf("DecisionOpen first seen true at t=%d, %q first logged at t=%d (logged=%v)", seen, label, at, logged)
+		var want []sim.Time
+		if label != "" {
+			logged, ok := firstEvent(r.Events(), label)
+			if !ok {
+				t.Errorf("%q never logged", label)
+			}
+			want = append(want, logged)
+		}
+		if !slices.Equal(fired, want) {
+			t.Errorf("the row armed at point %d fired at %v, want %v (%q first logged)", at, fired, want, label)
 		}
 	})
 }
@@ -176,24 +171,20 @@ func openMatchesLabel(t *testing.T, w *xchain.World, r core.Runner, label string
 // pushes no commit.
 func crashAtPush(t *testing.T, w *xchain.World, r core.Runner, who, pushLabel string) {
 	t.Helper()
-	var fired []string
-	r.ArmCrash(func(victim string, comesBack bool) {
-		fired = append(fired, fmt.Sprintf("%s at t=%d", victim, w.Sim.Now()))
+	armAt(t, w, r, protocol.AtCommitPush, pushLabel, func(p protocol.Protocol) {
+		victim, comesBack := p.Crash()
+		if victim != who {
+			t.Errorf("the armed crash took down %q, want %q", victim, who)
+		}
 		if comesBack {
 			w.Sim.After(confDowntime, r.Recover)
 		}
 	})
-	t.Cleanup(func() {
-		var want []string
-		if who != "" {
-			at, _ := firstEvent(r.Events(), pushLabel)
-			want = append(want, fmt.Sprintf("%s at t=%d", who, at))
-		}
-		if !slices.Equal(fired, want) {
-			t.Errorf("the armed crash took down %q, want %q (the push %q)", fired, want, pushLabel)
-		}
-	})
 }
+
+// noop is a row that does nothing where it fires: a commit cell arms it
+// to check the decision window's point alone.
+func noop(protocol.Protocol) {}
 
 // shadowed guards the shadow check (protocol.Shadow, installed on every
 // cell) against passing vacuously: the gate must have declined wake-ups
@@ -238,20 +229,22 @@ func TestConformanceAC3WN(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					openMatchesLabel(t, w, r, "SCw deploy submitted")
+					armAt(t, w, r, protocol.AtDecisionWindow, "SCw deploy submitted", noop)
 				case "abort":
 					crashAtPush(t, w, r, "", "")
 				case "crash":
 					crashAtPush(t, w, r, victim.Name, "authorize_redeem submitted")
 				case "race":
-					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
+					armAt(t, w, r, protocol.AtDecisionWindow, "SCw deploy submitted", protocol.Protocol.Race)
 				case "partition":
 					// Split the witness network the moment SCw exists:
 					// the decision and its burial race across a healed
 					// deep reorg. AC3WN must still settle atomically —
 					// the non-blocking claim under the paper's own
 					// hazard.
-					splitNet(w, r.DecisionChain(), r.DecisionOpen)
+					armAt(t, w, r, protocol.AtDecisionWindow, "SCw deploy submitted", func(protocol.Protocol) {
+						split(w, r.DecisionChain(), 0)
+					})
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
@@ -393,7 +386,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					openMatchesLabel(t, w, r, "SCw deploy submitted")
+					armAt(t, w, r, protocol.AtDecisionWindow, "SCw deploy submitted", noop)
 				case "abort":
 					crashAtPush(t, w, r, "", "")
 				case "crash":
@@ -408,7 +401,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 					// batching layer: first-wins at the coordinator (and
 					// whole-batch conflict rejection on-chain) keeps
 					// exactly one decision per SCw.
-					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
+					armAt(t, w, r, protocol.AtDecisionWindow, "SCw deploy submitted", protocol.Protocol.Race)
 				case "partition":
 					// Split the witness network mid-batch-window: a
 					// decision is pending at the coordinator, and the
@@ -416,7 +409,7 @@ func TestConformanceAC3WNBatched(t *testing.T) {
 					// minority fork (the coordinator's node is the one
 					// isolated). The heal reorgs the commitment out and
 					// the coordinator must republish it.
-					splitNet(w, "witness", func() bool { return sink.any })
+					splitWhen(w, "witness", 0, func() bool { return sink.any })
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
@@ -482,28 +475,24 @@ func TestConformanceAC3TW(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					openMatchesLabel(t, w, r, "ms(D) registered at Trent")
+					armAt(t, w, r, protocol.AtDecisionWindow, "ms(D) registered at Trent", noop)
 				case "abort":
 					crashAtPush(t, w, r, "", "")
 				case "crash":
 					// A participant crashes at decision time and
 					// resumes: AC3TW absorbs this like AC3WN does.
-					w.Sim.Poll(100*sim.Millisecond, func() bool {
-						if _, pushed := firstEvent(r.Events(), "redeem signature requested"); !pushed {
-							return false
-						}
+					armAt(t, w, r, protocol.AtCommitPush, "redeem signature requested", func(protocol.Protocol) {
 						victim.Crash()
 						w.Sim.After(confDowntime, func() {
 							victim.Recover()
 							r.Resume(victim)
 						})
-						return true
 					})
 				case "race":
 					// A rogue races the honest decision at Trent; the
 					// store's at-most-one-signature guard keeps the
 					// outcome atomic (here: the refund wins).
-					w.Sim.Poll(100*sim.Millisecond, func() bool { return r.RaceRefund(victim) })
+					armAt(t, w, r, protocol.AtDecisionWindow, "ms(D) registered at Trent", protocol.Protocol.Race)
 				case "witness-crash":
 					// Trent crashes the moment he is asked to decide,
 					// and stays down: the AC2T blocks — the
@@ -516,7 +505,9 @@ func TestConformanceAC3TW(t *testing.T) {
 					// side until the heal. AC3TW stays atomic (the
 					// at-most-one-signature store), and any stall is the
 					// blocking hazard recorded as data.
-					splitNet(w, r.DecisionChain(), r.DecisionOpen)
+					armAt(t, w, r, protocol.AtDecisionWindow, "ms(D) registered at Trent", func(protocol.Protocol) {
+						split(w, r.DecisionChain(), 0)
+					})
 				}
 				w.RunUntil(90 * sim.Minute)
 				if scenario == "witness-crash" {
@@ -559,7 +550,7 @@ func TestConformanceAC3TW(t *testing.T) {
 
 func TestConformanceHTLC(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		for _, scenario := range []string{"commit", "abort", "crash", "partition", "lossy"} {
+		for _, scenario := range []string{"commit", "abort", "crash", "race", "partition", "lossy"} {
 			n, scenario := n, scenario
 			t.Run(fmt.Sprintf("%s-%d", scenario, n), func(t *testing.T) {
 				seed := uint64(43000 + n*100)
@@ -585,7 +576,7 @@ func TestConformanceHTLC(t *testing.T) {
 				r.Start()
 				switch scenario {
 				case "commit":
-					openMatchesLabel(t, w, r, "redeem submitted")
+					armAt(t, w, r, protocol.AtDecisionWindow, "redeem submitted", noop)
 				case "abort":
 					crashAtPush(t, w, r, "", "")
 				case "crash":
@@ -595,6 +586,10 @@ func TestConformanceHTLC(t *testing.T) {
 					// and retries, but the refunds already executed —
 					// the asset loss is permanent.
 					crashAtPush(t, w, r, victim.Name, "redeem submitted")
+				case "race":
+					// Hashlocks have no decision to race: the row fires
+					// at the reveal and does nothing.
+					armAt(t, w, r, protocol.AtDecisionWindow, "redeem submitted", protocol.Protocol.Race)
 				case "partition":
 					// The leader's reveal lands on chain c{n-1}; the
 					// downstream participant p{n-1} learns s only by
@@ -609,7 +604,7 @@ func TestConformanceHTLC(t *testing.T) {
 					// is HTLC's expiry-loss hazard under partition,
 					// recorded as data below.
 					revealChain := chain.ID(fmt.Sprintf("c%d", n-1))
-					splitNetAt(w, revealChain, n-1, r.AllConfirmed)
+					splitWhen(w, revealChain, n-1, r.AllConfirmed)
 				}
 				w.RunUntil(2 * sim.Hour)
 				w.StopMining()
@@ -617,9 +612,9 @@ func TestConformanceHTLC(t *testing.T) {
 				shadowed(t, w)
 				out := r.Grade()
 				switch scenario {
-				case "commit":
+				case "commit", "race":
 					if !out.Committed() || out.AtomicityViolated() {
-						t.Fatalf("HTLC happy path broke: %+v", out.Edges)
+						t.Fatalf("HTLC happy path broke under %s: %+v", scenario, out.Edges)
 					}
 				case "abort":
 					if !out.Aborted() || out.AtomicityViolated() {

@@ -112,3 +112,4 @@ func (r *testRun) Terminal(p *xchain.Participant, fn string, i int, sc Asset) bo
 }
 
 func (r *testRun) Crash() (string, bool) { return r.rt.Crash() }
+func (r *testRun) Race()                 { r.rt.Race() }

@@ -67,7 +67,7 @@ import (
 )
 
 // Event is a timestamped timeline entry (the Figure 8/9 phase
-// renderings and the engine's scenario watches consume these).
+// renderings and the drivers' narration consume these).
 type Event struct {
 	At    sim.Time
 	Label string
@@ -161,16 +161,35 @@ type Protocol interface {
 	// reports whether it is final.
 	Terminal(p *xchain.Participant, fn string, i int, sc Asset) bool
 	// Crash takes down the run's Section 1 critical failure point when
-	// an armed crash fires (ArmCrash), and reports who that is and
-	// whether the hazard has it come back.
+	// the crash row fires (Arm), and reports who that is and whether
+	// the hazard has it come back.
 	Crash() (who string, comesBack bool)
+	// Race has a rogue — the last participant — push a refund that
+	// conflicts with the honest decision when the race row fires (Arm).
+	Race()
 }
+
+// FaultPoint is a protocol point an armed fault row fires at (Arm).
+type FaultPoint uint8
+
+// The fault points, in causal order.
+const (
+	// AtDecisionWindow: the decision window opens — SCw's address is
+	// known (AC3WN), ms(D) is registered at Trent (AC3TW), the first
+	// redeem reveals the secret (HTLC).
+	AtDecisionWindow FaultPoint = iota
+	// AtCommitPush: the commit decision is pushed — authorize_redeem
+	// submitted (AC3WN), the redeem signature requested (AC3TW), the
+	// first redeem submitted (HTLC).
+	AtCommitPush
+)
 
 // The default hooks do nothing, but for Terminal: any state out of P is
 // final, entered in the timeline as "terminal <state>".
 func (rt *Runtime) OnMessage(p, from *xchain.Participant, msg any)      {}
 func (rt *Runtime) OnAllConfirmed()                                     {}
 func (rt *Runtime) OnSubmitted(p *xchain.Participant, fn string, i int) {}
+func (rt *Runtime) Race()                                               {}
 func (rt *Runtime) Terminal(_ *xchain.Participant, _ string, i int, sc Asset) bool {
 	rt.Event(i, "terminal "+sc.SwapState().String())
 	return true
@@ -286,8 +305,11 @@ type Runtime struct {
 	// skipped, when set (tests only), observes every wake-up the gate
 	// declined to drive.
 	skipped func(p *xchain.Participant)
-	// crashed is the armed crash's report (ArmCrash), nil once fired.
-	crashed func(who string, comesBack bool)
+	// fire is the armed fault row (Arm), nil once fired; it fires at
+	// armedAt. reached has bit k set once the run reached FaultPoint k.
+	fire    func(Protocol)
+	armedAt FaultPoint
+	reached uint8
 }
 
 // New validates the wiring and prepares a runtime.
@@ -875,19 +897,26 @@ func (rt *Runtime) Crash() (who string, comesBack bool) {
 	return rt.victim().Name, true
 }
 
-// ArmCrash arms the Section 1 hazard (core.Runner): the protocol's
-// Crash runs at its commit push (FireCrash) and its answer goes to
-// crashed. At most one crash is armed; arming again replaces it.
-func (rt *Runtime) ArmCrash(crashed func(who string, comesBack bool)) { rt.crashed = crashed }
+// Arm arms one fault row (core.Runner): fire runs once, handed the
+// protocol's hooks, when the run reaches at — or at once if it already
+// has (AC3WN submits SCw inside Start). At most one row is armed;
+// arming again replaces it.
+func (rt *Runtime) Arm(at FaultPoint, fire func(Protocol)) {
+	rt.fire, rt.armedAt = fire, at
+	if rt.reached&(1<<at) != 0 {
+		rt.Reach(at)
+	}
+}
 
-// FireCrash is a protocol's commit push site: the armed crash, if any,
-// fires once, in this virtual instant but after the step that pushed —
-// a victim that pushed itself goes down between its steps, before
+// Reach is a protocol's site of point at: a row armed there fires once,
+// in this virtual instant but after the step that reached it — a crash
+// victim that pushed itself goes down between its steps, before
 // anything carrying the push is delivered.
-func (rt *Runtime) FireCrash() {
-	if crashed := rt.crashed; crashed != nil {
-		rt.crashed = nil
-		rt.After(0, func() { crashed(rt.cfg.Protocol.Crash()) })
+func (rt *Runtime) Reach(at FaultPoint) {
+	rt.reached |= 1 << at
+	if fire := rt.fire; fire != nil && rt.armedAt == at {
+		rt.fire = nil
+		rt.After(0, func() { fire(rt.cfg.Protocol) })
 	}
 }
 

@@ -122,17 +122,18 @@ func TestRuntimeCrashResumeLifecycle(t *testing.T) {
 	}
 }
 
-// TestFireCrashLandsBetweenSteps: an armed crash fires once, at the
-// first push (FireCrash), in the same virtual instant but after the
-// step that pushed — a victim that pushed itself is still up for the
-// rest of its step — and a later push fires nothing.
-func TestFireCrashLandsBetweenSteps(t *testing.T) {
+// TestArmedRowLandsBetweenSteps: a row armed at the commit push fires
+// once, at the first push (Reach), in the same virtual instant but
+// after the step that pushed — a victim that pushed itself is still up
+// for the rest of its step — and a later push fires nothing. A row
+// armed at the other point never fires on it.
+func TestArmedRowLandsBetweenSteps(t *testing.T) {
 	w, alice, bob := world(t, 3)
 	run := steps(nil)
 	var upAfterPush []bool
 	run.step = func(p *xchain.Participant) {
 		if p == bob {
-			run.rt.FireCrash()
+			run.rt.Reach(AtCommitPush)
 			upAfterPush = append(upAfterPush, !bob.Crashed())
 		}
 	}
@@ -148,7 +149,8 @@ func TestFireCrashLandsBetweenSteps(t *testing.T) {
 	}
 	run.rt = rt
 	var fired []string
-	rt.ArmCrash(func(who string, comesBack bool) {
+	rt.Arm(AtCommitPush, func(p Protocol) {
+		who, comesBack := p.Crash()
 		fired = append(fired, fmt.Sprintf("%s at %d, back %v", who, w.Sim.Now(), comesBack))
 	})
 	pushedAt := w.Sim.Now()
@@ -165,6 +167,49 @@ func TestFireCrashLandsBetweenSteps(t *testing.T) {
 	w.RunFor(sim.Second)
 	if len(fired) != 1 || bob.Crashed() {
 		t.Fatalf("a second push fired the crash again: %q", fired)
+	}
+	rt.Arm(AtDecisionWindow, func(Protocol) { fired = append(fired, "at the window") })
+	rt.Resume(bob) // pushes again; the window never opens
+	w.RunFor(sim.Second)
+	if len(fired) != 1 {
+		t.Fatalf("a row armed at the decision window fired at the push: %q", fired)
+	}
+}
+
+// TestLateArmFiresAtOnce: a row armed after the run passed its point —
+// AC3WN opens its decision window inside Start, before any driver can
+// arm — fires once, after a zero delay in the instant of the Arm, and
+// not inside the Arm itself.
+func TestLateArmFiresAtOnce(t *testing.T) {
+	w, alice, bob := world(t, 4)
+	run := steps(nil)
+	run.step = func(p *xchain.Participant) {
+		if p == alice {
+			run.rt.Reach(AtDecisionWindow)
+		}
+	}
+	rt, err := New(Config{
+		World:        w,
+		Graph:        swapOnC0(t, alice, bob),
+		Participants: []*xchain.Participant{alice, bob},
+		Initiator:    alice,
+		Protocol:     run,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.rt = rt
+	rt.Start() // alice's first drive opens the window
+	w.RunFor(sim.Minute)
+	var fired []sim.Time
+	armedAt := w.Sim.Now()
+	rt.Arm(AtDecisionWindow, func(Protocol) { fired = append(fired, w.Sim.Now()) })
+	if len(fired) != 0 {
+		t.Fatal("the late row fired inside Arm")
+	}
+	w.RunFor(sim.Second)
+	if !slices.Equal(fired, []sim.Time{armedAt}) {
+		t.Fatalf("a row armed after its point fired at %v, want once at %d", fired, armedAt)
 	}
 }
 

@@ -164,28 +164,6 @@ func TestSignalCancelDuringDispatch(t *testing.T) {
 	}
 }
 
-func TestPollerCancelIdempotent(t *testing.T) {
-	s := New(1)
-	n := 0
-	p := s.Poll(10, func() bool { n++; return n == 2 })
-	s.Run()
-	if n != 2 {
-		t.Fatalf("poll ran %d times, want 2", n)
-	}
-	if !p.canceled {
-		t.Fatal("completed poller reports active")
-	}
-	// Re-canceling a completed poller (the recovery-path pattern) must
-	// be a no-op, repeatedly.
-	p.Cancel()
-	p.Cancel()
-	s.After(100, func() {})
-	s.Run()
-	if n != 2 {
-		t.Fatalf("poller fired after completion+cancel: %d", n)
-	}
-}
-
 // TestRearmOfAListedWaiterRunsOnceAtTheBack: a waiter re-armed while an
 // earlier listing of it is still waiting — canceled or not — runs once
 // per dispatch, where a fresh Wait would: at the back.

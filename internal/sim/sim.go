@@ -180,17 +180,22 @@ func (s *Sim) RunUntilDone(done func() bool, checkEvery Time, deadline Time) boo
 	if checkEvery <= 0 {
 		checkEvery = Second
 	}
-	finished := false
-	p := s.Poll(checkEvery, func() bool {
+	finished, returned := false, false
+	var check func()
+	check = func() {
+		if returned {
+			return
+		}
 		if done() {
 			finished = true
 			s.Stop()
-			return true
+			return
 		}
-		return false
-	})
+		s.After(checkEvery, check)
+	}
+	s.After(checkEvery, check)
 	s.RunUntil(deadline)
-	p.Cancel()
+	returned = true
 	if !finished {
 		finished = done()
 	}
@@ -213,47 +218,3 @@ func (s *Sim) step() {
 // Pending reports the number of queued events.
 // kept: observed across packages by protocol.Shadow's footprint.
 func (s *Sim) Pending() int { return len(s.pending) }
-
-// Poller repeatedly runs a condition until it reports done. It is the
-// DES equivalent of a client library polling a blockchain node. Since
-// the notification bus (Signal) became the primary wakeup mechanism,
-// pollers survive mainly as fallback timers — resubmit loops and
-// experiment-harness quiescence checks — not as the reconciler
-// driver.
-type Poller struct {
-	sim      *Sim
-	every    Time
-	fn       func() bool
-	canceled bool
-}
-
-// Poll schedules fn to run every interval until fn returns true or the
-// returned Poller is canceled. The first call happens after one
-// interval. Poll panics if interval <= 0.
-func (s *Sim) Poll(interval Time, fn func() bool) *Poller {
-	if interval <= 0 {
-		panic("sim: Poll with non-positive interval")
-	}
-	p := &Poller{sim: s, every: interval, fn: fn}
-	p.arm()
-	return p
-}
-
-func (p *Poller) arm() {
-	p.sim.After(p.every, func() {
-		if p.canceled {
-			return
-		}
-		if p.fn() {
-			p.canceled = true // completed: a later Cancel is a no-op
-			return
-		}
-		p.arm()
-	})
-}
-
-// Cancel stops future invocations of the poller's condition. It is
-// idempotent: canceling twice, or canceling a poller whose condition
-// already completed, is a harmless no-op — recovery paths may blindly
-// re-cancel whatever handles they hold.
-func (p *Poller) Cancel() { p.canceled = true }

@@ -140,40 +140,38 @@ func TestMaxEventsGuard(t *testing.T) {
 	s.Run()
 }
 
+// TestPollStopsWhenDone: RunUntilDone polls done once every checkEvery,
+// the first time one interval in, and returns in the instant it holds.
 func TestPollStopsWhenDone(t *testing.T) {
 	s := New(1)
 	n := 0
-	s.Poll(10, func() bool {
-		n++
-		return n == 3
-	})
-	s.Run()
-	if n != 3 {
-		t.Fatalf("poll ran %d times, want 3", n)
+	s.After(1000, func() {}) // keeps the queue from draining first
+	if !s.RunUntilDone(func() bool { n++; return n == 4 }, 10, 1000) {
+		t.Fatal("RunUntilDone reported done unheld")
+	}
+	if n != 4 {
+		t.Fatalf("polled %d times, want 4 (one up front, three on the clock)", n)
 	}
 	if s.Now() != 30 {
 		t.Fatalf("Now() = %d, want 30", s.Now())
 	}
 }
 
+// TestPollCancel: once RunUntilDone has returned at its deadline, its
+// poll is canceled — running on never calls done again.
 func TestPollCancel(t *testing.T) {
 	s := New(1)
 	n := 0
-	p := s.Poll(10, func() bool { n++; return false })
-	s.At(35, func() { p.Cancel() })
-	s.RunUntil(200)
-	if n != 3 {
-		t.Fatalf("poll ran %d times, want 3 (canceled at t=35)", n)
+	if s.RunUntilDone(func() bool { n++; return false }, 10, 35) {
+		t.Fatal("RunUntilDone reported done unheld")
 	}
-}
-
-func TestPollBadIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-positive poll interval")
-		}
-	}()
-	New(1).Poll(0, func() bool { return true })
+	if n != 5 {
+		t.Fatalf("polled %d times, want 5 (up front, at 10, 20, 30, at the deadline)", n)
+	}
+	s.RunUntil(200)
+	if n != 5 {
+		t.Fatalf("polled %d times after RunUntilDone returned, want 5", n)
+	}
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {

@@ -64,9 +64,6 @@ type Run struct {
 	timelocks []int64 // absolute timelock per edge
 
 	secrets [][]byte // who has learned s, by participant index (Runtime.Index)
-
-	// revealed: some redeem was submitted, so s is on its way on-chain.
-	revealed bool
 }
 
 // New validates the configuration and prepares a run.
@@ -105,12 +102,14 @@ func (r *Run) Secret(p *xchain.Participant, fn string, _ int, _ protocol.Asset) 
 }
 
 // OnSubmitted marks the decision triggered: hashlocks have no other
-// decision than their calls, and a redeem reveals s — the first is the
-// commit's push, where an armed crash fires.
+// decision than their calls, and a redeem reveals s — the first both
+// opens the decision window and is the commit's push, where a row armed
+// at either fires. Hashlocks have no decision a rogue could race
+// (refunds are gated by timelocks alone): Race is the runtime's no-op.
 func (r *Run) OnSubmitted(_ *xchain.Participant, fn string, _ int) {
 	if fn == contracts.FnRedeem {
-		r.revealed = true
-		r.FireCrash()
+		r.Reach(protocol.AtDecisionWindow)
+		r.Reach(protocol.AtCommitPush)
 	}
 	r.Mark(protocol.PointDecisionTriggered)
 }
@@ -260,12 +259,3 @@ func (r *Run) Settled() bool {
 	deployed, settled := r.AssetsSettled()
 	return deployed && settled
 }
-
-// DecisionOpen reports the reveal: the first submitted redeem carries
-// s, which is both the decision and its push.
-func (r *Run) DecisionOpen() bool { return r.revealed }
-
-// RaceRefund reports the race as placed without doing anything:
-// hashlock contracts have no decision a rogue could race — refunds are
-// gated by timelocks alone.
-func (r *Run) RaceRefund(*xchain.Participant) bool { return true }

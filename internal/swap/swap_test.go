@@ -6,6 +6,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/xchain"
 )
@@ -133,6 +134,16 @@ func TestSwapAbortsWhenCounterpartyNeverDeploys(t *testing.T) {
 	}
 }
 
+// redeemedEdge1 reports that edge 1's redeem is on r's timeline.
+func redeemedEdge1(r *Run) bool {
+	for _, ev := range r.Events() {
+		if ev.Edge == 1 && ev.Label == "redeem submitted" {
+			return true
+		}
+	}
+	return false
+}
+
 func TestSwapCrashAfterRevealViolatesAtomicity(t *testing.T) {
 	// THE Section 1 scenario: the swap proceeds normally; Bob crashes
 	// right after Alice redeems SC2 (revealing s) but before he
@@ -143,18 +154,12 @@ func TestSwapCrashAfterRevealViolatesAtomicity(t *testing.T) {
 
 	// Crash bob the moment alice submits the redeem of edge 1 (his
 	// outgoing ethereum contract): the reveal is in flight, bob never
-	// reacts to it. The 100ms poll fires long before the ~10s block
-	// that would let bob observe the secret.
+	// reacts to it. The row fires in the instant of the push, long
+	// before the ~10s block that would let bob observe the secret.
 	sawRedeem := false
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		for _, ev := range r.Events() {
-			if ev.Edge == 1 && ev.Label == "redeem submitted" {
-				sawRedeem = true
-				bob.Crash()
-				return true
-			}
-		}
-		return false
+	r.Arm(protocol.AtCommitPush, func(protocol.Protocol) {
+		sawRedeem = redeemedEdge1(r)
+		bob.Crash()
 	})
 
 	w.RunUntil(2 * sim.Hour)
@@ -162,7 +167,7 @@ func TestSwapCrashAfterRevealViolatesAtomicity(t *testing.T) {
 	w.RunFor(sim.Minute)
 
 	if !sawRedeem {
-		t.Fatal("alice never redeemed; scenario did not unfold")
+		t.Fatal("the first redeem was not alice's of edge 1; scenario did not unfold")
 	}
 	out := r.Grade()
 	if !out.AtomicityViolated() {
@@ -183,16 +188,15 @@ func TestSwapCrashedBobRecoversTooLate(t *testing.T) {
 	// successfully.)
 	w, r, alice, bob := twoPartyWorld(t, 104)
 	r.Start()
-	w.Sim.Poll(100*sim.Millisecond, func() bool {
-		for _, ev := range r.Events() {
-			if ev.Edge == 1 && ev.Label == "redeem submitted" {
-				bob.Crash()
-				return true
-			}
-		}
-		return false
+	sawRedeem := false
+	r.Arm(protocol.AtCommitPush, func(protocol.Protocol) {
+		sawRedeem = redeemedEdge1(r)
+		bob.Crash()
 	})
 	w.RunUntil(2 * sim.Hour) // timelocks expire; alice refunds SC1
+	if !sawRedeem {
+		t.Fatal("the first redeem was not alice's of edge 1; scenario did not unfold")
+	}
 	bob.Recover()
 	r.Resume(bob)
 	w.RunUntil(w.Sim.Now() + 20*sim.Minute)
