@@ -27,11 +27,13 @@ import (
 type Runner interface {
 	// Start begins the protocol at the current virtual time.
 	Start()
-	// Settled reports whether the run has reached a stable terminal
-	// state: a decision exists and every deployed asset contract has
-	// left Published. Engines still apply their own deadline on top,
-	// because a crashed participant can hold a run open indefinitely
-	// (that is the paper's Section 1 hazard, not a bug).
+	// SettledAt reports whether the run has reached a terminal state
+	// that holds depth blocks under the tips: a decision exists and
+	// every deployed asset contract has left Published there. Engines
+	// still apply their own deadline on top, because a crashed
+	// participant can hold a run open indefinitely (that is the paper's
+	// Section 1 hazard, not a bug). Settled is SettledAt(0).
+	SettledAt(depth int) bool
 	Settled() bool
 	// Stop retires the run: subscriptions are canceled and timers go
 	// inert, so finished transactions stop consuming simulator

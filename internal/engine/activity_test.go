@@ -18,24 +18,15 @@ func TestShardActivityListsOneWaiter(t *testing.T) {
 	const txCount = 48
 	wl := named(t, "default", txCount)
 	wl.ArrivalEvery = sim.Second // arrivals outrun the in-flight cap and queue
-	s := sim.New(0)
-	s.Reset(42)
 	dispatches, midPass, inWake := 0, 0, false
-	var e *shardExec
-	e = &shardExec{
-		seed: 42, wl: wl, proto: protocolOf(wl.Protocol), prune: Config{}.pruneDepth(),
-		s: s, txs: make([]txState, txCount), res: newShardResult(0, 42, txCount),
-		graded: func() { // finish admits a queued arrival next
-			if inWake && len(e.queue) > 0 {
-				midPass++
-			}
-		},
-	}
-	if err := e.buildWorld(txCount, nil); err != nil {
-		t.Fatal(err)
+	e := testShard(t, 42, wl, protocolOf(wl.Protocol))
+	s := e.s
+	e.graded = func() { // finish admits a queued arrival next
+		if inWake && len(e.queue) > 0 {
+			midPass++
+		}
 	}
 	e.actWaiter = sim.NewWaiter(wakeFunc(func() { inWake = true; e.Wake(); inWake = false }))
-	e.scheduleArrivals()
 	var probe sim.Waiter
 	// The probe rides the same signal; its check runs as a later event of
 	// the same instant, once the whole batch (the shard's Wake

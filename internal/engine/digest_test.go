@@ -64,8 +64,10 @@ func TestSeedDigests(t *testing.T) {
 		{"ac3wn-adverse", "default", 4, 60, func(wl *Workload) { wl.Mix = adverse }},
 		{"ac3wn-batch120", "default", 4, 60, func(wl *Workload) { wl.BatchWindow = 120 * sim.Second }},
 		{"ac3wn-batch180", "batched", 4, 60, func(*Workload) {}},
-		// One world long enough for history retirement to advance.
-		{"ac3wn-deep", "default", 1, 420, func(*Workload) {}},
+		// One world long enough for history retirement to advance: 450
+		// is the least size that retires at all three seeds (420 was,
+		// while the shard graded 20 s after the tip settle).
+		{"ac3wn-deep", "default", 1, 450, func(*Workload) {}},
 		{"ac3tw-5221-t30", "default", 4, 60, func(wl *Workload) {
 			wl.Protocol, wl.Mix, wl.TxTimeout = ProtoAC3TW, baseline, 30*sim.Minute
 		}},

@@ -104,6 +104,7 @@ type fakeRunner struct {
 
 func (f *fakeRunner) Start()                   {}
 func (f *fakeRunner) Settled() bool            { return false }
+func (f *fakeRunner) SettledAt(int) bool       { return false }
 func (f *fakeRunner) Stop()                    {}
 func (f *fakeRunner) Grade() *xchain.Outcome   { return &xchain.Outcome{} }
 func (f *fakeRunner) Events() []protocol.Event { return nil }

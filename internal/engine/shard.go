@@ -33,9 +33,6 @@ const (
 	// timelock scale, which is the point — unless its AC2T has graded
 	// by then.
 	crashDownFor = 8 * sim.Minute
-	// settleGrace delays grading after quiescence so depth-0 reads
-	// cannot be flipped back by a late fork race.
-	settleGrace = 20 * sim.Second
 	// quiesceCheckEvery is the shard-level safety-net cadence of
 	// RunUntilDone. Transaction progress is notification-driven (the
 	// shard watches every chain's ground-truth view); this coarse
@@ -68,22 +65,25 @@ type txSpec struct {
 
 // txState tracks one AC2T from its arrival through grading.
 type txState struct {
-	// due is the one callback of the AC2T's arrival, deadline and
-	// settle-grace events, which tell them apart by arrived and expired.
-	due              func()
-	arrived, expired bool
+	// due is the one callback of the AC2T's arrival and deadline
+	// events, which tell them apart by arrived.
+	due     func()
+	arrived bool
 	// fault is the AC2T as its scenario row arms it. Its participants
 	// (disjoint per AC2T) and its graph (nil if it could not be built)
 	// are fixed with the world; the rest is filled in at start.
 	fault
 	graded bool
-	// finishing: Settled held and the settle-grace finish is pending.
+	// finishing: Settled held at the tip, so the AC2T's slot is free;
+	// it grades once its settlement holds at depth d, or at its
+	// deadline. Its participants stay live until then, and re-land a
+	// settle call a reorg dropped.
 	finishing bool
 	// startedAt/settledAt bound the root span: admission, and the
 	// moment the engine first observed Settled() (0 if never — the
-	// settle phase is then absent). Settlement is observed here, not
-	// in the protocols, so the boundary means the same thing for all
-	// three.
+	// settle and bury phases are then absent). Settlement is observed
+	// here, not in the protocols, so the boundary means the same thing
+	// for all three.
 	startedAt sim.Time
 	settledAt sim.Time
 	// base samples the shard's world counters at admission (tracing
@@ -186,7 +186,7 @@ func runShard(s *sim.Sim, idx int, seed uint64, cfg Config, txCount int, graded 
 	// safety net for a world that stops producing notifications.
 	last := e.specs[len(e.specs)-1].arrival
 	batches := sim.Time((txCount+maxInFlight-1)/maxInFlight + 2)
-	deadline := last + batches*(wl.TxTimeout+settleGrace+sim.Minute)
+	deadline := last + batches*(wl.TxTimeout+sim.Minute)
 	done := func() bool { return e.res.Graded == txCount }
 	quiesced := s.RunUntilDone(done, quiesceCheckEvery, deadline)
 	// Every verdict block building assumed is in before anything of the
@@ -385,21 +385,16 @@ func (e *shardExec) buildWorld(txCount int, sigs *crypto.SigChecker) error {
 }
 
 // scheduleArrivals makes each AC2T's callback and schedules its arrival.
-// A deadline event runs before a settle-grace event of the same instant.
 func (e *shardExec) scheduleArrivals() {
 	for i := range e.specs {
 		st := &e.txs[i]
 		st.due = func() {
-			switch {
-			case !st.arrived:
-				st.arrived = true
-				e.admit(i)
-			case !st.expired && e.s.Now() == st.deadline:
-				st.expired = true
-				e.checkTx(i)
-			default:
-				e.finish(i, st.runner)
+			if st.arrived {
+				e.checkTx(i) // the deadline
+				return
 			}
+			st.arrived = true
+			e.admit(i)
 		}
 		e.s.At(e.specs[i].arrival, st.due)
 	}
@@ -516,22 +511,31 @@ func (e *shardExec) Wake() {
 	e.armActivity()
 }
 
-// checkTx advances transaction i's lifecycle: schedule the
-// settle-grace finish once the runner quiesced, or grade it as-is at
-// the deadline.
+// checkTx advances transaction i's lifecycle: free its slot once the
+// runner settles at the tip, grade it once that settlement holds at
+// depth d (the paper's burial rule), or grade it as-is at the deadline.
 func (e *shardExec) checkTx(i int) {
 	st := &e.txs[i]
-	if st.graded || st.finishing {
+	if st.graded {
 		return
 	}
-	if st.runner != nil && st.runner.Settled() {
+	if !st.finishing && st.runner != nil && st.runner.Settled() {
 		st.finishing = true
 		st.settledAt = e.s.Now()
-		e.s.After(settleGrace, st.due)
-		return
+		e.release()
 	}
-	if e.s.Now() >= st.deadline {
+	if st.finishing && st.runner.SettledAt(shardConfirmDepth) || e.s.Now() >= st.deadline {
 		e.finish(i, st.runner)
+	}
+}
+
+// release frees an in-flight slot and admits the next queued arrival.
+func (e *shardExec) release() {
+	e.inFlight--
+	if len(e.queue) > 0 {
+		next := e.queue[0]
+		e.queue = e.queue[1:]
+		e.start(next)
 	}
 }
 
@@ -540,8 +544,8 @@ func (e *shardExec) graphStamp(i int) int64 {
 	return int64(e.idx)<<32 | int64(i+1)
 }
 
-// finish grades transaction i, retires its participants, and admits
-// the next queued arrival.
+// finish grades transaction i, retires its participants, and frees its
+// slot if its tip settle has not already.
 func (e *shardExec) finish(i int, runner core.Runner) {
 	st := &e.txs[i]
 	if st.graded {
@@ -603,11 +607,8 @@ func (e *shardExec) finish(i int, runner core.Runner) {
 	}
 	st.parts, st.runner, st.g = nil, nil, nil
 
-	e.inFlight--
-	if len(e.queue) > 0 {
-		next := e.queue[0]
-		e.queue = e.queue[1:]
-		e.start(next)
+	if !st.finishing {
+		e.release()
 	}
 	if e.res.Graded == len(e.txs) {
 		// Last transaction graded: stop the virtual clock instead of
@@ -651,6 +652,7 @@ func (e *shardExec) observeTx(i int, runner core.Runner, committed, aborted, vio
 		{trace.PhaseDecisionWait, dc, dt, okDC && okDT},
 		{trace.PhaseDecision, dt, dd, okDT && okDD},
 		{trace.PhaseSettle, dd, st.settledAt, okDD && st.settledAt != 0},
+		{trace.PhaseBury, st.settledAt, e.s.Now(), st.settledAt != 0},
 	}
 
 	var track string // named only for a trace

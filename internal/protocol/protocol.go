@@ -38,9 +38,9 @@
 //     commitment-scheme secret to redeem or refund — one loop over a
 //     participant's edges, one call signed per edge and kept alive, one
 //     ledger of terminal states with the completion time, one quiescence
-//     rule (Settled), parameterised only by the secret;
+//     rule (SettledAt), parameterised only by the secret;
 //   - the base of the core.Runner surface every protocol shares —
-//     Resume, Stop, Events, Marks, Addrs, Grade, Decided, Settled, and
+//     Resume, Stop, Events, Marks, Addrs, Grade, Decided, SettledAt, and
 //     the defaults for protocols without a chain or party of their own
 //     to decide on: DecisionChain (the first edge's) and Crash/Recover
 //     (the last participant).
@@ -811,14 +811,18 @@ func Settle(rt *Runtime, p *xchain.Participant, fn string) (completed bool) {
 	return completed
 }
 
-// Settled reports quiescence: a decision is final, no submitted
-// deployment is still unconfirmed — EnsureTx keeps its transaction alive
-// across forks, so the contract can still materialize after a refund
-// decision (easily so under decision batching) and must then be refunded,
-// not stranded — and every confirmed asset contract has left P on the
-// ground-truth views. None confirmed is an abort with nothing at stake:
-// a commit takes every edge confirmed.
-func (rt *Runtime) Settled() bool {
+// Settled is SettledAt(0): quiescence at the tip.
+func (rt *Runtime) Settled() bool { return rt.SettledAt(0) }
+
+// SettledAt reports quiescence read depth blocks under the tips: a
+// decision is final, no submitted deployment is still unconfirmed —
+// EnsureTx keeps its transaction alive across forks, so the contract can
+// still materialize after a refund decision (easily so under decision
+// batching) and must then be refunded, not stranded — and every
+// confirmed asset contract has left P on the ground-truth views. None
+// confirmed is an abort with nothing at stake: a commit takes every edge
+// confirmed.
+func (rt *Runtime) SettledAt(depth int) bool {
 	if !rt.Decided() {
 		return false
 	}
@@ -827,22 +831,23 @@ func (rt *Runtime) Settled() bool {
 			return false // a deployment in flight
 		}
 	}
-	_, settled := rt.AssetsSettled()
+	_, settled := rt.AssetsSettled(depth)
 	return settled
 }
 
 // AssetsSettled scans the confirmed asset contracts on the ground-truth
-// views: settled reports that each is on-chain and has left P, deployed
-// that there is at least one. Unconfirmed edges are skipped — they are
-// the caller's decision-semantics problem.
-func (rt *Runtime) AssetsSettled() (deployed, settled bool) {
+// views, in the canonical state depth blocks under each tip: settled
+// reports that each is on-chain there and has left P, deployed that
+// there is at least one. Unconfirmed edges are skipped — they are the
+// caller's decision-semantics problem.
+func (rt *Runtime) AssetsSettled(depth int) (deployed, settled bool) {
 	for i, e := range rt.cfg.Graph.Edges {
 		if rt.edges[i].addr.IsZero() {
 			continue
 		}
-		ct, _ := rt.cfg.World.View(e.Chain).TipState().Contract(rt.edges[i].addr)
+		ct, _ := rt.cfg.World.View(e.Chain).ContractAtDepth(rt.edges[i].addr, depth)
 		if a, ok := ct.(Asset); !ok || a.SwapState() == contracts.StatePublished {
-			return deployed, false // not in the view yet, or still locked
+			return deployed, false // not that deep in the view yet, or still locked
 		}
 		deployed = true
 	}

@@ -255,7 +255,10 @@ func (r *Run) learnSecret(p *xchain.Participant) {
 // meaningful check. The sequential structure guarantees no new
 // contract appears after the announced ones settle: deploys strictly
 // precede redemption, and refunds only start at the timelocks.
-func (r *Run) Settled() bool {
-	deployed, settled := r.AssetsSettled()
+func (r *Run) Settled() bool { return r.SettledAt(0) }
+
+// SettledAt is Settled read depth blocks under the tips.
+func (r *Run) SettledAt(depth int) bool {
+	deployed, settled := r.AssetsSettled(depth)
 	return deployed && settled
 }

@@ -37,7 +37,8 @@ package trace
 //	lock:          first deploy submitted → all deploys confirmed
 //	decision_wait: all deploys confirmed → decision triggered
 //	decision:      decision triggered → decision confirmed/stable
-//	settle:        decision confirmed → all contracts settled
+//	settle:        decision confirmed → all contracts settled at the tip
+//	bury:          settled at the tip → graded (settlement d deep)
 //
 // A phase whose boundary was never reached (an abort that never got
 // every deploy confirmed, a stuck transaction) is simply absent — the
@@ -48,12 +49,13 @@ const (
 	PhaseDecisionWait = "decision_wait"
 	PhaseDecision     = "decision"
 	PhaseSettle       = "settle"
+	PhaseBury         = "bury"
 )
 
 // Phases lists the span taxonomy in canonical (causal) order.
 //
 //ac3:globalstate canonical phase order; written once here, read-only (aggregate tables iterate it instead of map keys)
-var Phases = []string{PhaseSetup, PhaseLock, PhaseDecisionWait, PhaseDecision, PhaseSettle}
+var Phases = []string{PhaseSetup, PhaseLock, PhaseDecisionWait, PhaseDecision, PhaseSettle, PhaseBury}
 
 // Kind discriminates records.
 type Kind string
